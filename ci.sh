@@ -22,6 +22,15 @@ cargo test -q --workspace
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> referee benchmark (standalone package: build + its own tests)"
+# benchmark/ compiles against the public sada-fleet/-proto/-simnet API from
+# outside the workspace, so an API break there is invisible to every step
+# above; build and test it here instead of finding out when the pipeline
+# runs `bash benchmark/run.sh`. Artifacts land in benchmark/target
+# (gitignored).
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> pinned chaos seeds (regression corpus + reproducibility)"
 # The sweep covers SADA_CHAOS_SEEDS random fault plans per intensity
 # (default 50) with the manager itself among the crash victims, and

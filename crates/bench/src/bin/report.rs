@@ -644,6 +644,17 @@ fn timeline(seed: Option<u64>) {
     );
 }
 
+/// Warns when `run`'s capture rings overflowed: its event stream — and any
+/// fingerprint over it — covers only the retained tail, not the whole run.
+fn warn_evicted(run: &str, evicted: u64) {
+    if evicted > 0 {
+        println!(
+            "WARNING: {run}: {evicted} events evicted from the capture ring — the event \
+             stream and its fingerprint are truncated"
+        );
+    }
+}
+
 fn fleet(seed: Option<u64>) {
     use sada_fleet::{disjoint_wave, run_fleet, FleetScenario, SessionSpec};
     let seed = seed.unwrap_or(42);
@@ -674,6 +685,8 @@ fn fleet(seed: Option<u64>) {
         "speedup: {:.2}x (virtual time)",
         serial.makespan_us as f64 / parallel.makespan_us as f64
     );
+    warn_evicted("scope-parallel", parallel.events_evicted);
+    warn_evicted("serial", serial.events_evicted);
     println!(
         "plan cache (scope-parallel run): {} hits / {} misses / {} evictions ({:.0}% hit rate)",
         parallel.cache.hits,
@@ -720,6 +733,7 @@ fn fleet(seed: Option<u64>) {
     chaos_scenario.seed = seed;
     chaos_scenario.crash_control = Some((SimTime::from_millis(6), SimTime::from_millis(10)));
     let r = run_fleet(&chaos_scenario);
+    warn_evicted("crash/restore leg", r.events_evicted);
     println!(
         "crash/restore leg: restores={} success={}/2 final={} (overlap serialized: {})",
         r.restores,
@@ -826,6 +840,8 @@ fn shard(seed: Option<u64>) {
     let scn = ShardScenario::new(fleet, REGIONS);
     let single = run_fleet_sharded(&scn, 1);
     let multi = run_fleet_sharded(&scn, REGIONS);
+    warn_evicted("1-thread run", single.events_evicted);
+    warn_evicted("multi-thread run", multi.events_evicted);
 
     println!(
         "{GROUPS} groups over {REGIONS} regions, {} sessions ({} straddling a region boundary):",
@@ -924,6 +940,7 @@ fn shard(seed: Option<u64>) {
         faulted.restores,
     );
     let chaos_single = run_fleet_sharded(&chaos, 1);
+    warn_evicted("fabric-chaos run", faulted.events_evicted.max(chaos_single.events_evicted));
     println!(
         "  convergence: outcomes {} the lossless run ({}/{} committed, final={}); \
          1-thread vs {REGIONS}-thread fingerprints {}",
@@ -949,7 +966,7 @@ fn scale(seed: Option<u64>) {
     const REGIONS: usize = 8;
     println!("## Scale hot path — strided storms at 1k/10k groups (seed {seed})");
     println!(
-        "(struct-of-arrays agent arena, batched bus delivery, hierarchical timer wheel; \
+        "(one Vec<ScriptedAgent> agent arena, batched bus delivery, hierarchical timer wheel; \
          the full 100k sweep lives in BENCH_scale.json via `cargo bench --bench bench_scale`)"
     );
     println!(
@@ -995,6 +1012,11 @@ fn scale(seed: Option<u64>) {
         assert_eq!(single.succeeded(), sessions, "sharded storm commits every session");
         let loaded = single.per_shard.iter().filter(|s| !s.is_global && s.sessions > 0).count();
         assert_eq!(loaded, REGIONS, "the stride must load every region");
+        warn_evicted(&format!("{groups} groups, flat"), flat.events_evicted);
+        warn_evicted(
+            &format!("{groups} groups, sharded"),
+            single.events_evicted.max(multi.events_evicted),
+        );
         let wall_s = flat_wall.as_secs_f64().max(1e-9);
         println!(
             "{:>7} {:>7} {:>9} {:>11} {:>13.1} {:>13.1} {:>13} {:>13}",

@@ -102,6 +102,43 @@ pub enum Admission {
     Rejected,
 }
 
+/// How a session ended — the typed verdict recorded next to
+/// [`ControlActor::results`] for every concluded session, and the only
+/// source of `SessionResult`'s `success` / `gave_up` / `cancelled` / `shed`
+/// columns (warning texts are for humans, never matched on).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SessionEnd {
+    /// The adaptation committed.
+    Committed,
+    /// The protocol ran and rolled back to its source configuration.
+    Failed,
+    /// Terminal give-up: the Section 4.4 ladder exhausted.
+    GaveUp,
+    /// Withdrawn while still queued.
+    Cancelled,
+    /// Dropped by bulkhead admission control under overload.
+    Shed,
+    /// Refused at its admission instant behind an open circuit breaker.
+    Rejected,
+    /// A straddler the global tier abandoned: its fabric retransmission
+    /// ladder exhausted against an unreachable region.
+    Abandoned,
+}
+
+impl SessionEnd {
+    /// The `(success, gave_up, cancelled, shed)` columns of a
+    /// `SessionResult`. Rejections, abandonments and rollbacks are all
+    /// "concluded, none of the four".
+    pub(crate) fn flags(self) -> (bool, bool, bool, bool) {
+        (
+            self == SessionEnd::Committed,
+            self == SessionEnd::GaveUp,
+            self == SessionEnd::Cancelled,
+            self == SessionEnd::Shed,
+        )
+    }
+}
+
 /// Timer-tag namespace: scenario submissions, queued-session cancellations,
 /// and dynamically allocated per-core protocol timers must share one `u64`.
 const TAG_SUBMIT_BASE: u64 = 1 << 62;
@@ -188,6 +225,8 @@ pub struct ControlActor<M = ()> {
     /// Final outcome per finished session (cancelled sessions get
     /// `success: false, gave_up: false`).
     pub results: HashMap<u64, Outcome>,
+    /// Typed verdict per finished session (same key set as `results`).
+    pub(crate) ends: HashMap<u64, SessionEnd>,
     /// Virtual submission instant per session.
     pub submitted_at: HashMap<u64, SimTime>,
     /// Virtual admission instant per session.
@@ -196,8 +235,6 @@ pub struct ControlActor<M = ()> {
     pub completed_at: HashMap<u64, SimTime>,
     /// Times this control plane crashed and was rebuilt from its journal.
     pub restores: u64,
-    /// Progress log (`Info` effects, prefixed with the session).
-    pub infos: Vec<String>,
     /// Sessions shed by the bulkhead (diagnostics; survives restarts).
     pub shed_count: u64,
     /// Sessions rejected at admission behind an open breaker (diagnostics;
@@ -215,6 +252,17 @@ pub struct ControlActor<M = ()> {
     /// records (`Request` for admissions, `Outcome` for sheds/rejections).
     pub admissions: HashMap<u64, Admission>,
     _marker: std::marker::PhantomData<fn() -> M>,
+}
+
+/// A control-plane event from `actor` about `session` (the bus it goes out
+/// on stamps the shard).
+pub(crate) fn fleet_event(at: SimTime, actor: ActorId, session: u64, ev: FleetEvent) -> Event {
+    Event { at, actor: actor.index() as u32, session, shard: 0, payload: Payload::Fleet(ev) }
+}
+
+/// An empty lock table sized for `world`'s resources and `sessions` ids.
+fn fresh_locks(world: &FleetWorld, sessions: usize) -> ScopeLockManager {
+    ScopeLockManager::with_capacity(world.universe.len() + world.model.process_count(), sessions)
 }
 
 impl<M: Clone + 'static> ControlActor<M> {
@@ -235,10 +283,7 @@ impl<M: Clone + 'static> ControlActor<M> {
         let actor_to_agent = agents.iter().enumerate().map(|(ix, &a)| (a, ix)).collect();
         let rtt = vec![RttEstimator::new(); agents.len()];
         let last_rto = vec![0; agents.len()];
-        let locks = ScopeLockManager::with_capacity(
-            world.universe.len() + world.model.process_count(),
-            scenario.len(),
-        );
+        let locks = fresh_locks(&world, scenario.len());
         ControlActor {
             world,
             agents,
@@ -270,11 +315,11 @@ impl<M: Clone + 'static> ControlActor<M> {
             journal: Vec::new(),
             fleet_config,
             results: HashMap::new(),
+            ends: HashMap::new(),
             submitted_at: HashMap::new(),
             admitted_at: HashMap::new(),
             completed_at: HashMap::new(),
             restores: 0,
-            infos: Vec::new(),
             shed_count: 0,
             rejected_count: 0,
             breaker_trips: 0,
@@ -311,21 +356,6 @@ impl<M: Clone + 'static> ControlActor<M> {
             .collect()
     }
 
-    /// Number of sessions currently in flight.
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Number of sessions queued for admission.
-    pub fn queued_count(&self) -> usize {
-        self.locks.queue_len()
-    }
-
-    /// This control plane's incarnation number.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Plan-cache counters for the current incarnation (crash faults reset
     /// them along with the cache itself).
     pub fn cache_stats(&self) -> PlanCacheStats {
@@ -353,13 +383,7 @@ impl<M: Clone + 'static> ControlActor<M> {
     }
 
     fn emit_fleet(&self, ctx: &Context<'_, Wire<M>>, session: u64, ev: FleetEvent) {
-        self.bus.emit(Event {
-            at: ctx.now(),
-            actor: ctx.self_id().index() as u32,
-            session,
-            shard: 0,
-            payload: Payload::Fleet(ev),
-        });
+        self.bus.emit(fleet_event(ctx.now(), ctx.self_id(), session, ev));
     }
 
     fn emit_breaker(
@@ -501,69 +525,57 @@ impl<M: Clone + 'static> ControlActor<M> {
             .find(|&a| self.breakers.get(a).is_some_and(|b| b.blocks(now)))
     }
 
-    /// Terminates a session at its admission instant because `agent`'s
-    /// breaker is open: journaled outcome, typed event, locks released —
-    /// the session fails fast instead of hanging on suppressed sends.
-    fn reject_gated(&mut self, ctx: &mut Context<'_, Wire<M>>, spec: &SessionSpec, agent: usize) {
+    /// Concludes `sid` without running its protocol: the journaled
+    /// `Outcome { false, false }` (so a restored plane never resurrects it),
+    /// the typed event, the completion instant, and the verdict with its
+    /// one human-readable warning.
+    fn conclude(
+        &mut self,
+        ctx: &mut Context<'_, Wire<M>>,
+        sid: u64,
+        end: SessionEnd,
+        ev: FleetEvent,
+        warning: String,
+    ) {
         self.journal.push(SessionRecord {
-            session: SessionId(spec.id),
+            session: SessionId(sid),
             record: JournalRecord::Outcome { success: false, gave_up: false },
         });
-        self.emit_fleet(
-            ctx,
-            spec.id,
-            FleetEvent::SessionRejected { session: spec.id, agent: agent as u32 },
-        );
-        self.completed_at.insert(spec.id, ctx.now());
+        self.emit_fleet(ctx, sid, ev);
+        self.completed_at.insert(sid, ctx.now());
         self.results.insert(
-            spec.id,
+            sid,
             Outcome {
                 success: false,
                 gave_up: false,
                 final_config: self.fleet_config.clone(),
                 steps_committed: 0,
-                warnings: vec![format!("rejected: agent {agent} behind an open circuit breaker")],
+                warnings: vec![warning],
             },
         );
-        self.rejected_count += 1;
-        self.admissions.insert(spec.id, Admission::Rejected);
-        let granted = self.locks.release(spec.id);
-        for g in granted {
-            if let Some(gix) = self.spec_ix(g) {
-                self.admit(ctx, gix);
-            }
+        self.ends.insert(sid, end);
+    }
+
+    /// Admits every session a lock release or cancellation just granted
+    /// (ids without a scenario entry — foreign holds — are skipped).
+    fn admit_all(&mut self, ctx: &mut Context<'_, Wire<M>>, granted: Vec<u64>) {
+        for sid in granted {
+            self.admit_granted(ctx, sid);
         }
     }
 
-    /// Terminates a session at its admission instant because its *scope*
-    /// breaker is open — the whole collaborative set has been flapping, so
-    /// new work on it fails fast while disjoint scopes (even ones sharing
-    /// an agent) keep admitting.
-    fn reject_scope_gated(&mut self, ctx: &mut Context<'_, Wire<M>>, spec: &SessionSpec, key: u64) {
-        self.journal.push(SessionRecord {
-            session: SessionId(spec.id),
-            record: JournalRecord::Outcome { success: false, gave_up: false },
-        });
-        self.emit_fleet(ctx, spec.id, FleetEvent::ScopeRejected { session: spec.id, scope: key });
-        self.completed_at.insert(spec.id, ctx.now());
-        self.results.insert(
-            spec.id,
-            Outcome {
-                success: false,
-                gave_up: false,
-                final_config: self.fleet_config.clone(),
-                steps_committed: 0,
-                warnings: vec![format!("rejected: scope {key:#018x} behind an open breaker")],
-            },
-        );
+    /// Terminates a session at its admission instant because a breaker
+    /// gating it is open — an agent's, or its whole scope's (the
+    /// collaborative set has been flapping, while disjoint scopes sharing an
+    /// agent keep admitting). Journaled outcome, typed event, locks
+    /// released: the session fails fast instead of hanging on suppressed
+    /// sends.
+    fn reject(&mut self, ctx: &mut Context<'_, Wire<M>>, sid: u64, ev: FleetEvent, why: String) {
+        self.conclude(ctx, sid, SessionEnd::Rejected, ev, why);
         self.rejected_count += 1;
-        self.admissions.insert(spec.id, Admission::Rejected);
-        let granted = self.locks.release(spec.id);
-        for g in granted {
-            if let Some(gix) = self.spec_ix(g) {
-                self.admit(ctx, gix);
-            }
-        }
+        self.admissions.insert(sid, Admission::Rejected);
+        let granted = self.locks.release(sid);
+        self.admit_all(ctx, granted);
     }
 
     /// Registers `session` in the waiting population (lock queue or gate).
@@ -583,32 +595,17 @@ impl<M: Clone + 'static> ControlActor<M> {
         self.waiting.remove(&victim);
         self.gate.retain(|&g| g != victim);
         let granted = self.locks.cancel(victim).unwrap_or_default();
-        self.journal.push(SessionRecord {
-            session: SessionId(victim),
-            record: JournalRecord::Outcome { success: false, gave_up: false },
-        });
         let waited_us = ctx
             .now()
             .as_micros()
             .saturating_sub(self.submitted_at.get(&victim).map_or(0, |t| t.as_micros()));
         let retry_after_us = self.retry_after_hint();
-        self.emit_fleet(
+        self.conclude(
             ctx,
             victim,
+            SessionEnd::Shed,
             FleetEvent::SessionShed { session: victim, waited_us, retry_after_us },
-        );
-        self.completed_at.insert(victim, ctx.now());
-        self.results.insert(
-            victim,
-            Outcome {
-                success: false,
-                gave_up: false,
-                final_config: self.fleet_config.clone(),
-                steps_committed: 0,
-                warnings: vec![format!(
-                    "shed by bulkhead admission control; retry after {retry_after_us}us"
-                )],
-            },
+            format!("shed by bulkhead admission control; retry after {retry_after_us}us"),
         );
         self.shed_count += 1;
         self.admissions.insert(victim, Admission::Shed { retry_after_us });
@@ -616,11 +613,7 @@ impl<M: Clone + 'static> ControlActor<M> {
         // behind it; they hold their scopes now, so admit them (the
         // in-flight bound is enforced at every *admission decision*, not
         // retroactively against lock grants).
-        for g in granted {
-            if let Some(gix) = self.spec_ix(g) {
-                self.admit(ctx, gix);
-            }
-        }
+        self.admit_all(ctx, granted);
     }
 
     /// Admits gated sessions while in-flight capacity is available (highest
@@ -723,7 +716,7 @@ impl<M: Clone + 'static> ControlActor<M> {
                 ManagerEffect::Journal(rec) => {
                     self.journal.push(SessionRecord { session: SessionId(session), record: rec });
                 }
-                ManagerEffect::Info(s) => self.infos.push(format!("session#{session}: {s}")),
+                ManagerEffect::Info(_) => {}
             }
         }
         if let Some(outcome) = completed {
@@ -758,47 +751,49 @@ impl<M: Clone + 'static> ControlActor<M> {
             // The lock manager auto-enqueued the session on conflict.
             self.note_waiting(spec.id, spec.priority);
             let position = self.locks.position(spec.id).unwrap_or(0) as u32;
-            // Journal the queueing decision so a crashed control plane
-            // requeues this session (in order) even though no core exists
-            // for it yet. Source/target here are provisional — admission
-            // recomputes them against the then-current fleet configuration.
-            let target = self.world.target_for(&self.fleet_config, &spec.flips);
-            self.journal.push(SessionRecord {
-                session: SessionId(spec.id),
-                record: JournalRecord::Queued { source: self.fleet_config.clone(), target },
-            });
-            self.emit_fleet(ctx, spec.id, FleetEvent::SessionQueued { session: spec.id, position });
-            if let Some(at) = spec.cancel_at {
-                let now = ctx.now().as_micros();
-                let delay = at.as_micros().saturating_sub(now);
-                ctx.set_timer(SimDuration::from_micros(delay), TAG_CANCEL_BASE + ix as u64);
-            }
-            if self.waiting.len() > self.resilience.bulkhead.max_queued {
-                self.shed_overflow(ctx);
-            }
+            self.queued(ctx, ix, &spec, position);
         }
     }
 
-    /// Parks a session at the admission gate (in-flight cap reached),
-    /// shedding the least valuable waiter when the waiting room overflows.
-    /// Gate parks journal the same `Queued` record as lock-queue entries so
-    /// a crashed plane requeues them in order.
+    /// Parks a session at the admission gate (in-flight cap reached). Gate
+    /// parks journal the same `Queued` record as lock-queue entries so a
+    /// crashed plane requeues them in order.
     fn park(&mut self, ctx: &mut Context<'_, Wire<M>>, ix: usize, spec: &SessionSpec) {
         self.note_waiting(spec.id, spec.priority);
         self.gate.push(spec.id);
+        self.queued(ctx, ix, spec, (self.waiting.len() - 1) as u32);
+    }
+
+    /// What every newly waiting session gets, lock-queued or gate-parked:
+    /// the journaled queueing decision — so a crashed control plane requeues
+    /// it (in order) even though no core exists for it yet; source/target
+    /// are provisional, admission recomputes them against the then-current
+    /// fleet configuration — the typed event, its withdrawal timer, and a
+    /// shed of the least valuable waiter when the waiting room overflows.
+    fn queued(
+        &mut self,
+        ctx: &mut Context<'_, Wire<M>>,
+        ix: usize,
+        spec: &SessionSpec,
+        position: u32,
+    ) {
         let target = self.world.target_for(&self.fleet_config, &spec.flips);
         self.journal.push(SessionRecord {
             session: SessionId(spec.id),
             record: JournalRecord::Queued { source: self.fleet_config.clone(), target },
         });
-        let position = (self.waiting.len() - 1) as u32;
         self.emit_fleet(ctx, spec.id, FleetEvent::SessionQueued { session: spec.id, position });
+        self.arm_cancel(ctx, ix, spec);
+        if self.waiting.len() > self.resilience.bulkhead.max_queued {
+            self.shed_overflow(ctx);
+        }
+    }
+
+    /// Arms the withdrawal timer of a waiting session that has one.
+    fn arm_cancel(&self, ctx: &mut Context<'_, Wire<M>>, ix: usize, spec: &SessionSpec) {
         if let Some(at) = spec.cancel_at {
             let delay = at.as_micros().saturating_sub(ctx.now().as_micros());
             ctx.set_timer(SimDuration::from_micros(delay), TAG_CANCEL_BASE + ix as u64);
-        }
-        if self.waiting.len() > self.resilience.bulkhead.max_queued {
-            self.shed_overflow(ctx);
         }
     }
 
@@ -812,7 +807,12 @@ impl<M: Clone + 'static> ControlActor<M> {
         // includes a gated agent would only hang on suppressed sends while
         // holding its locks, convoying every scope it shares a lock with.
         if let Some(agent) = self.scope_gated(ctx.now(), &spec) {
-            self.reject_gated(ctx, &spec, agent);
+            self.reject(
+                ctx,
+                spec.id,
+                FleetEvent::SessionRejected { session: spec.id, agent: agent as u32 },
+                format!("rejected: agent {agent} behind an open circuit breaker"),
+            );
             return;
         }
         // Per-scope breaker: admission doubles as the half-open probe — one
@@ -827,7 +827,12 @@ impl<M: Clone + 'static> ControlActor<M> {
                     self.emit_scope_breaker(ctx, spec.id, key, tr);
                 }
                 if !ok {
-                    self.reject_scope_gated(ctx, &spec, key);
+                    self.reject(
+                        ctx,
+                        spec.id,
+                        FleetEvent::ScopeRejected { session: spec.id, scope: key },
+                        format!("rejected: scope {key:#018x} behind an open breaker"),
+                    );
                     return;
                 }
             }
@@ -895,6 +900,12 @@ impl<M: Clone + 'static> ControlActor<M> {
             session,
             FleetEvent::SessionDone { session, success: outcome.success, gave_up: outcome.gave_up },
         );
+        let end = match (outcome.success, outcome.gave_up) {
+            (true, _) => SessionEnd::Committed,
+            (false, true) => SessionEnd::GaveUp,
+            (false, false) => SessionEnd::Failed,
+        };
+        self.ends.insert(session, end);
         self.results.insert(session, outcome);
         if let Some(sess) = self.active.remove(&session) {
             for (tag, id) in sess.timers.values() {
@@ -904,11 +915,7 @@ impl<M: Clone + 'static> ControlActor<M> {
         }
         self.agent_session.retain(|_, s| *s != session);
         let granted = self.locks.release(session);
-        for sid in granted {
-            if let Some(ix) = self.spec_ix(sid) {
-                self.admit(ctx, ix);
-            }
-        }
+        self.admit_all(ctx, granted);
         // Freed in-flight capacity: pull gated sessions in.
         self.drain_gate(ctx);
     }
@@ -932,27 +939,14 @@ impl<M: Clone + 'static> ControlActor<M> {
         self.waiting.remove(&sid);
         // A withdrawn request resolves unsuccessfully but *not* given up:
         // nothing is awaiting the user, the requester simply left.
-        self.journal.push(SessionRecord {
-            session: SessionId(sid),
-            record: JournalRecord::Outcome { success: false, gave_up: false },
-        });
-        self.emit_fleet(ctx, sid, FleetEvent::SessionCancelled { session: sid });
-        self.completed_at.insert(sid, ctx.now());
-        self.results.insert(
+        self.conclude(
+            ctx,
             sid,
-            Outcome {
-                success: false,
-                gave_up: false,
-                final_config: self.fleet_config.clone(),
-                steps_committed: 0,
-                warnings: vec!["cancelled while queued".into()],
-            },
+            SessionEnd::Cancelled,
+            FleetEvent::SessionCancelled { session: sid },
+            "cancelled while queued".into(),
         );
-        for g in granted {
-            if let Some(gix) = self.spec_ix(g) {
-                self.admit(ctx, gix);
-            }
-        }
+        self.admit_all(ctx, granted);
     }
 
     /// Routes an incoming protocol message to the owning session's core.
@@ -1035,39 +1029,20 @@ impl<M: Clone + 'static> ControlActor<M> {
         self.results.contains_key(&sid)
     }
 
-    /// Concludes a never-admitted session with a journaled rejection — the
-    /// global tier's terminal verdict when its fabric retransmission ladder
-    /// exhausts against an unreachable region. Idempotent: a session that
-    /// already holds a result is left untouched.
-    pub(crate) fn conclude_rejected(
+    /// Concludes a never-admitted session as abandoned — the global tier's
+    /// terminal verdict when its fabric retransmission ladder exhausts
+    /// against an unreachable region. Idempotent: a session that already
+    /// holds a result is left untouched.
+    pub(crate) fn conclude_abandoned(
         &mut self,
         ctx: &mut Context<'_, Wire<M>>,
         sid: u64,
         warning: String,
     ) {
-        if self.results.contains_key(&sid) {
-            return;
+        if !self.results.contains_key(&sid) {
+            let ev = FleetEvent::SessionDone { session: sid, success: false, gave_up: false };
+            self.conclude(ctx, sid, SessionEnd::Abandoned, ev, warning);
         }
-        self.journal.push(SessionRecord {
-            session: SessionId(sid),
-            record: JournalRecord::Outcome { success: false, gave_up: false },
-        });
-        self.emit_fleet(
-            ctx,
-            sid,
-            FleetEvent::SessionDone { session: sid, success: false, gave_up: false },
-        );
-        self.completed_at.insert(sid, ctx.now());
-        self.results.insert(
-            sid,
-            Outcome {
-                success: false,
-                gave_up: false,
-                final_config: self.fleet_config.clone(),
-                steps_committed: 0,
-                warnings: vec![warning],
-            },
-        );
     }
 }
 
@@ -1119,10 +1094,7 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
         // The volatile process image dies; the journal, results, and fleet
         // configuration stand in for durable storage and survive.
         self.active.clear();
-        self.locks = ScopeLockManager::with_capacity(
-            self.world.universe.len() + self.world.model.process_count(),
-            self.scenario.len(),
-        );
+        self.locks = fresh_locks(&self.world, self.scenario.len());
         self.tag_owner.clear();
         self.next_tag = 1;
         self.agent_epochs.clear();
@@ -1223,10 +1195,7 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
                     self.gate.push(sid);
                 }
                 self.note_waiting(sid, spec.priority);
-                if let Some(at) = spec.cancel_at {
-                    let delay = at.as_micros().saturating_sub(ctx.now().as_micros());
-                    ctx.set_timer(SimDuration::from_micros(delay), TAG_CANCEL_BASE + ix as u64);
-                }
+                self.arm_cancel(ctx, ix, &spec);
             }
         }
         self.emit_fleet(
@@ -1258,6 +1227,64 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
             } else {
                 self.submit(ctx, ix);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SessionEnd;
+
+    /// `SessionResult`'s four bools used to be read off the outcome:
+    /// `success` / `gave_up` from its fields, `cancelled` / `shed` from
+    /// whether any warning *contained* those words. Every verdict, paired
+    /// with the warning its conclude site writes (or a real protocol
+    /// warning for the three protocol outcomes), still maps to the same
+    /// four — without a future "crashed" or "finished" flipping `shed`.
+    #[test]
+    fn session_end_flags_match_the_retired_warning_match() {
+        let cases = [
+            (
+                SessionEnd::Committed,
+                (true, false),
+                "step 1 force-completed: 1 agent(s) never acknowledged resume",
+            ),
+            (
+                SessionEnd::Failed,
+                (false, false),
+                "rollback of step 0 assumed complete after retries exhausted",
+            ),
+            (
+                SessionEnd::GaveUp,
+                (false, true),
+                "rollback of step 0 assumed complete after retries exhausted",
+            ),
+            (SessionEnd::Cancelled, (false, false), "cancelled while queued"),
+            (
+                SessionEnd::Shed,
+                (false, false),
+                "shed by bulkhead admission control; retry after 1200us",
+            ),
+            (
+                SessionEnd::Rejected,
+                (false, false),
+                "rejected: agent 0 behind an open circuit breaker",
+            ),
+            (
+                SessionEnd::Rejected,
+                (false, false),
+                "rejected: scope 0x00000000000000ff behind an open breaker",
+            ),
+            (
+                SessionEnd::Abandoned,
+                (false, false),
+                "abandoned: region 1 unreachable after 6 attempts",
+            ),
+        ];
+        for (end, (success, gave_up), warning) in cases {
+            let by_text =
+                (success, gave_up, warning.contains("cancelled"), warning.contains("shed"));
+            assert_eq!(end.flags(), by_text, "{end:?} / {warning:?}");
         }
     }
 }

@@ -1,18 +1,30 @@
-//! Fleet scenario driver: builds a simulated fleet (2 agents per group),
-//! runs the control plane over it, and distills a [`FleetReport`] from the
-//! durable state plus the session-tagged event stream.
+//! Fleet scenario driver and the single control plane both drivers run.
+//!
+//! A [`Plane`] is one simulator holding every agent of the world as one
+//! `Vec<ScriptedAgent>` arena plus one control actor; [`build_plane`] and
+//! [`Plane::distill`] are the only place a plane is wired up and the only
+//! place its durable state is turned into [`SessionResult`]s. [`run_fleet`]
+//! is the one-plane case — build, run to the budget on the calling thread,
+//! distill — and `run_fleet_sharded` runs the same two functions once per
+//! endpoint, adding only the fabric around them.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::arena::AgentArena;
-use sada_obs::{Bus, Event, Payload, RingSink};
-use sada_proto::{encode_session_journal, AgentTiming, ProtoTiming, Wire};
-use sada_simnet::{ActorId, FaultPlan, LinkConfig, NetStats, SimDuration, SimTime, Simulator};
+use sada_expr::Config;
+use sada_obs::{Bus, Event, RingSink};
+use sada_proto::{encode_session_journal, AgentTiming, ProtoTiming, ScriptedAgent, Wire};
+use sada_simnet::{
+    Actor, ActorId, FaultPlan, LinkConfig, NetStats, SimDuration, SimTime, Simulator,
+};
 
 use crate::cache::PlanCacheStats;
-use crate::control::{Admission, ControlActor, FleetResilience, SessionSpec};
+use crate::control::{fleet_event, Admission, ControlActor, FleetResilience, SessionSpec};
 use crate::world::{Domain, FleetWorld, WorldSpec};
+
+/// Events each plane's ring retains; anything beyond is evicted oldest
+/// first and counted in `events_evicted`.
+const RING_CAPACITY: usize = 1 << 18;
 
 /// A fleet-scale experiment: the world size, the session workload, and the
 /// fault schedule for the control plane itself.
@@ -155,6 +167,9 @@ pub struct FleetReport {
     pub final_config: String,
     /// The session-tagged event stream (control plane + protocol + agents).
     pub events: Vec<Event>,
+    /// Events the capture ring evicted before the run ended. Non-zero means
+    /// `events` is only the tail of the stream, not the whole of it.
+    pub events_evicted: u64,
     /// The control plane's write-ahead journal, in text form.
     pub journal_text: String,
     /// Times the control plane was rebuilt from its journal.
@@ -194,108 +209,198 @@ impl FleetReport {
     }
 }
 
-/// Runs `scenario` to completion (or budget exhaustion) and reports.
+/// Runs `scenario` to completion (or budget exhaustion) and reports: one
+/// [`Plane`] over the whole fleet, run on the calling thread — no fabric,
+/// no worker threads, no shard tag.
 pub fn run_fleet(scenario: &FleetScenario) -> FleetReport {
-    let world = Rc::new(scenario.build_world());
-    let mut sim: Simulator<Wire<()>> = Simulator::new(scenario.seed);
-    sim.set_default_link(LinkConfig::reliable(scenario.link_latency));
+    let mut plane = build_plane::<(), _>(
+        scenario,
+        scenario.seed,
+        0,
+        scenario.sessions.clone(),
+        scenario.crash_control,
+        |control, _, _| ("control", control),
+    );
+    plane.sim.run_for(scenario.time_budget);
+    let control = plane
+        .sim
+        .actor::<ControlActor<()>>(plane.control_id)
+        .expect("control plane present after the run");
+    let out = plane.distill(control);
+    FleetReport {
+        makespan_us: makespan_us(&out.results),
+        max_concurrent: max_concurrent(out.intervals),
+        results: out.results,
+        final_config: out.fleet_config.to_bit_string(),
+        events: out.events,
+        events_evicted: out.events_evicted,
+        journal_text: out.journal_text,
+        restores: out.restores,
+        stats: out.stats,
+        cache: out.cache,
+        shed: out.shed,
+        rejected: out.rejected,
+        breaker_trips: out.breaker_trips,
+        scope_breaker_trips: out.scope_breaker_trips,
+        suppressed_sends: out.suppressed_sends,
+        breaker_open_us: out.breaker_open_us,
+    }
+}
 
+/// One control plane over its own simulator: every agent of the world as
+/// one `Vec<ScriptedAgent>` arena at ids `[0, processes)`, the control
+/// actor (bare, or wrapped by a shard shim) at the next id, and a ring
+/// capturing the event stream.
+pub(crate) struct Plane<M> {
+    pub(crate) sim: Simulator<Wire<M>>,
+    pub(crate) control_id: ActorId,
+    pub(crate) world: Rc<FleetWorld>,
+    /// The plane's shard-stamped bus handle (what its actors emit through).
+    pub(crate) bus: Bus,
+    ring: Rc<RefCell<RingSink>>,
+    /// Ids of the sessions this plane owns, ascending.
+    sessions: Vec<u64>,
+    render_journal: bool,
+}
+
+/// Builds the plane for `specs` out of `scn`'s world, timing, resilience
+/// and fault schedule. `wrap` turns the bare [`ControlActor`] into the actor
+/// to register (given the plane's bus and the control id) and names it;
+/// `crash` is that actor's crash/restart window.
+pub(crate) fn build_plane<M, C>(
+    scn: &FleetScenario,
+    seed: u64,
+    shard_tag: u32,
+    specs: Vec<SessionSpec>,
+    crash: Option<(SimTime, SimTime)>,
+    wrap: impl FnOnce(ControlActor<M>, &Bus, ActorId) -> (&'static str, C),
+) -> Plane<M>
+where
+    M: Clone + 'static,
+    C: Actor<Wire<M>> + 'static,
+{
+    let world = Rc::new(scn.build_world());
+    let mut sim: Simulator<Wire<M>> = Simulator::new(seed);
+    sim.set_default_link(LinkConfig::reliable(scn.link_latency));
+
+    let ring = Rc::new(RefCell::new(RingSink::new(RING_CAPACITY)));
     let bus = Bus::new();
-    let ring = Rc::new(RefCell::new(RingSink::new(1 << 18)));
     bus.attach(&ring);
+    let bus = bus.sharded(shard_tag);
 
     // Agents first so their ids are dense [0, processes); the control plane
     // takes the next slot, mirroring the solo ManagerActor layout.
     let procs = world.model.process_count();
     let control_id = ActorId::from_index(procs);
     emit_domain_tag(&bus, &world, control_id);
-    let mut agents = Vec::with_capacity(procs);
-    let mut arena = AgentArena::with_capacity(control_id, bus.clone(), procs);
-    for p in 0..procs {
-        let timing = match scenario.slow_agents.iter().find(|&&(ix, _)| ix == p) {
-            Some(&(_, factor)) => scale_timing(AgentTiming::default(), factor),
-            None => AgentTiming::default(),
-        };
-        arena.push_member(timing);
+    let agent = |factor: u32| {
+        ScriptedAgent::new(control_id, scale_timing(AgentTiming::default(), factor))
+            .with_bus(bus.clone())
+    };
+    let mut arena = vec![agent(1); procs];
+    // First entry wins for an agent listed twice; unknown indices are inert.
+    for &(ix, factor) in scn.slow_agents.iter().rev() {
+        if let Some(slot) = arena.get_mut(ix) {
+            *slot = agent(factor);
+        }
     }
     let arena_id = sim.add_arena(arena);
-    for p in 0..procs {
-        agents.push(sim.add_arena_member(&format!("agent-{p}"), arena_id, p as u32));
-    }
-    let control = ControlActor::<()>::new(
-        Rc::clone(&world),
-        agents,
-        scenario.sessions.clone(),
-        scenario.timing,
-        scenario.serialize,
-    )
-    .with_resilience(scenario.resilience)
-    .with_bus(bus.clone());
-    let got = sim.add_actor("control", control);
+    let agents: Vec<ActorId> = (0..procs)
+        .map(|p| sim.add_arena_member(&format!("agent-{p}"), arena_id, p as u32))
+        .collect();
+    let mut sessions: Vec<u64> = specs.iter().map(|s| s.id).collect();
+    sessions.sort_unstable();
+    let control =
+        ControlActor::<M>::new(Rc::clone(&world), agents, specs, scn.timing, scn.serialize)
+            .with_resilience(scn.resilience)
+            .with_bus(bus.clone());
+    let (name, actor) = wrap(control, &bus, control_id);
+    let got = sim.add_actor(name, actor);
     assert_eq!(got, control_id, "control plane must sit after the agents");
 
-    if let Some((crash, restart)) = scenario.crash_control {
+    if let Some((crash, restart)) = crash {
         sim.crash_at(control_id, crash);
         sim.restart_at(control_id, restart);
     }
-    sim.schedule_faults(&scenario.faults);
+    sim.schedule_faults(&scn.faults);
 
-    sim.run_for(scenario.time_budget);
-    let now = sim.now();
+    Plane { sim, control_id, world, bus, ring, sessions, render_journal: scn.render_journal }
+}
 
-    let control =
-        sim.actor::<ControlActor<()>>(control_id).expect("control plane present after the run");
+/// What one finished plane produced, as plain data (it crosses thread
+/// boundaries in the sharded driver).
+pub(crate) struct PlaneOutcome {
+    pub(crate) results: Vec<SessionResult>,
+    pub(crate) fleet_config: Config,
+    pub(crate) events: Vec<Event>,
+    pub(crate) events_evicted: u64,
+    pub(crate) journal_text: String,
+    /// `[admitted, completed)` per admitted session, for peak concurrency.
+    pub(crate) intervals: Vec<(u64, Option<u64>)>,
+    pub(crate) restores: u64,
+    pub(crate) stats: NetStats,
+    pub(crate) cache: PlanCacheStats,
+    pub(crate) shed: u64,
+    pub(crate) rejected: u64,
+    pub(crate) breaker_trips: u64,
+    pub(crate) scope_breaker_trips: u64,
+    pub(crate) suppressed_sends: u64,
+    pub(crate) breaker_open_us: Vec<(u32, u64)>,
+    /// Lock-table entries still held at the end of the run.
+    pub(crate) lock_holders: u64,
+}
 
-    let mut ids: Vec<u64> = scenario.sessions.iter().map(|s| s.id).collect();
-    ids.sort_unstable();
-    let results: Vec<SessionResult> = ids
-        .iter()
-        .map(|&id| {
-            let outcome = control.results.get(&id);
-            SessionResult {
-                id,
-                submitted_at: control.submitted_at.get(&id).map(|t| t.as_micros()),
-                admitted_at: control.admitted_at.get(&id).map(|t| t.as_micros()),
-                completed_at: control.completed_at.get(&id).map(|t| t.as_micros()),
-                success: outcome.is_some_and(|o| o.success),
-                gave_up: outcome.is_some_and(|o| o.gave_up),
-                cancelled: outcome
-                    .is_some_and(|o| o.warnings.iter().any(|w| w.contains("cancelled"))),
-                shed: outcome.is_some_and(|o| o.warnings.iter().any(|w| w.contains("shed"))),
-                admission: control.admissions.get(&id).copied(),
-            }
-        })
-        .collect();
-
-    let events = ring.borrow().events();
-    FleetReport {
-        results,
-        final_config: control.fleet_config.to_bit_string(),
-        events,
-        journal_text: if scenario.render_journal {
-            encode_session_journal(&control.journal)
-        } else {
-            String::new()
-        },
-        restores: control.restores,
-        max_concurrent: max_concurrent(
-            control
+impl<M: Clone + 'static> Plane<M> {
+    /// Distills the plane's captured stream and `control`'s durable state
+    /// (the caller unwraps `control` out of whatever actor it registered).
+    pub(crate) fn distill(&self, control: &ControlActor<M>) -> PlaneOutcome {
+        let micros = |t: Option<&SimTime>| t.map(|t| t.as_micros());
+        let results = self
+            .sessions
+            .iter()
+            .map(|id| {
+                let (success, gave_up, cancelled, shed) =
+                    control.ends.get(id).map_or((false, false, false, false), |e| e.flags());
+                SessionResult {
+                    id: *id,
+                    submitted_at: micros(control.submitted_at.get(id)),
+                    admitted_at: micros(control.admitted_at.get(id)),
+                    completed_at: micros(control.completed_at.get(id)),
+                    success,
+                    gave_up,
+                    cancelled,
+                    shed,
+                    admission: control.admissions.get(id).copied(),
+                }
+            })
+            .collect();
+        let ring = self.ring.borrow();
+        PlaneOutcome {
+            results,
+            fleet_config: control.fleet_config.clone(),
+            events: ring.events(),
+            events_evicted: ring.total_seen() - ring.len() as u64,
+            journal_text: if self.render_journal {
+                encode_session_journal(&control.journal)
+            } else {
+                String::new()
+            },
+            intervals: control
                 .admitted_at
                 .iter()
-                .map(|(id, at)| {
-                    (at.as_micros(), control.completed_at.get(id).map(|t| t.as_micros()))
-                })
+                .map(|(id, at)| (at.as_micros(), micros(control.completed_at.get(id))))
                 .collect(),
-        ),
-        makespan_us: makespan(control),
-        stats: sim.stats(),
-        cache: control.cache_stats(),
-        shed: control.shed_count,
-        rejected: control.rejected_count,
-        breaker_trips: control.breaker_trips,
-        scope_breaker_trips: control.scope_breaker_trips,
-        suppressed_sends: control.suppressed_sends,
-        breaker_open_us: control.breaker_open_us(now),
+            restores: control.restores,
+            stats: self.sim.stats(),
+            cache: control.cache_stats(),
+            shed: control.shed_count,
+            rejected: control.rejected_count,
+            breaker_trips: control.breaker_trips,
+            scope_breaker_trips: control.scope_breaker_trips,
+            suppressed_sends: control.suppressed_sends,
+            breaker_open_us: control.breaker_open_us(self.sim.now()),
+            lock_holders: control.lock_holder_count() as u64,
+        }
     }
 }
 
@@ -303,24 +408,19 @@ pub fn run_fleet(scenario: &FleetScenario) -> FleetReport {
 /// worlds stay silent so every pre-existing stream (and its fingerprint)
 /// is byte-identical; generated domains announce themselves once per
 /// control plane, before any session activity.
-pub(crate) fn emit_domain_tag(bus: &Bus, world: &FleetWorld, control_id: ActorId) {
+fn emit_domain_tag(bus: &Bus, world: &FleetWorld, control_id: ActorId) {
     if world.domain() == Domain::Video {
         return;
     }
-    bus.emit(Event {
-        at: SimTime::ZERO,
-        actor: control_id.index() as u32,
-        session: 0,
-        shard: 0,
-        payload: Payload::Fleet(sada_obs::FleetEvent::DomainTagged {
-            domain: world.domain().tag(),
-            objective: world.objective().tag(),
-        }),
-    });
+    let tag = sada_obs::FleetEvent::DomainTagged {
+        domain: world.domain().tag(),
+        objective: world.objective().tag(),
+    };
+    bus.emit(fleet_event(SimTime::ZERO, control_id, 0, tag));
 }
 
 /// Stretches every phase of an agent's work by `factor`.
-pub(crate) fn scale_timing(t: AgentTiming, factor: u32) -> AgentTiming {
+fn scale_timing(t: AgentTiming, factor: u32) -> AgentTiming {
     let scale = |d: SimDuration| SimDuration::from_micros(d.as_micros() * u64::from(factor));
     AgentTiming {
         safe_delay: scale(t.safe_delay),
@@ -350,9 +450,10 @@ pub(crate) fn max_concurrent(intervals: Vec<(u64, Option<u64>)>) -> usize {
     peak.max(0) as usize
 }
 
-fn makespan<M: Clone + 'static>(control: &ControlActor<M>) -> u64 {
-    let first = control.submitted_at.values().map(|t| t.as_micros()).min();
-    let last = control.completed_at.values().map(|t| t.as_micros()).max();
+/// First submission → last completion over `results`, in virtual μs.
+pub(crate) fn makespan_us(results: &[SessionResult]) -> u64 {
+    let first = results.iter().filter_map(|r| r.submitted_at).min();
+    let last = results.iter().filter_map(|r| r.completed_at).max();
     match (first, last) {
         (Some(a), Some(b)) => b.saturating_sub(a),
         _ => 0,
@@ -378,7 +479,7 @@ mod tests {
         let report = run_fleet(&scenario);
         assert_eq!(report.succeeded(), 2, "results: {:?}", report.results);
         assert_eq!(report.max_concurrent, 2, "disjoint scopes run side by side");
-        assert_eq!(report.restores, 0);
+        assert_eq!((report.restores, report.events_evicted), (0, 0));
         // All four groups moved to New (bit strings print MSB first, so
         // each group reads `10`: New set, Old clear).
         assert_eq!(report.final_config, "10101010");
@@ -399,6 +500,28 @@ mod tests {
             })
             .count();
         assert_eq!(cache_events, 2, "hit and miss both reach the event stream");
+    }
+
+    #[test]
+    fn ring_overflow_is_counted_not_hidden() {
+        // Flood the plane's bus past the ring's capacity before the run:
+        // the report keeps the tail and says how much of the head it lost.
+        let scenario = FleetScenario::new(2, disjoint_wave(1, 2));
+        let mut plane =
+            build_plane::<(), _>(&scenario, 42, 0, scenario.sessions.clone(), None, |c, _, _| {
+                ("control", c)
+            });
+        let filler = sada_obs::FleetEvent::SessionCancelled { session: 9 };
+        for _ in 0..RING_CAPACITY + 5 {
+            plane.bus.emit(fleet_event(SimTime::ZERO, plane.control_id, 9, filler));
+        }
+        plane.sim.run_for(scenario.time_budget);
+        let control = plane.sim.actor::<ControlActor<()>>(plane.control_id).unwrap();
+        let out = plane.distill(control);
+        assert!(out.results[0].success);
+        assert_eq!(out.events.len(), RING_CAPACITY, "the ring is full");
+        let run_events = out.events.iter().filter(|e| e.session == 1).count() as u64;
+        assert_eq!(out.events_evicted, 5 + run_events, "and the overflow is visible");
     }
 
     #[test]

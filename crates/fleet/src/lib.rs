@@ -27,9 +27,11 @@
 //!   multiplexed over a shared wire by [`SessionId`](sada_proto::SessionId)
 //!   stamps, with a session-tagged write-ahead journal that restores every
 //!   in-flight *and* queued session after a crash.
-//! * [`run_fleet`] — the scenario driver: hundreds of agent groups in
-//!   simnet, fault schedules, and a [`FleetReport`] with per-session
-//!   latencies, peak concurrency, and the captured event stream.
+//! * [`run_fleet`] — the scenario driver: one control plane (every agent
+//!   as one `Vec<ScriptedAgent>` arena plus a [`ControlActor`]) over
+//!   hundreds of agent groups in simnet, fault schedules, and a
+//!   [`FleetReport`] with per-session latencies, peak concurrency, and the
+//!   captured event stream. Session verdicts are typed ([`SessionEnd`]).
 //! * [`FleetResilience`] — overload protection for the control plane:
 //!   per-agent circuit breakers, bulkhead admission bounds with
 //!   deterministic shedding, and fail-fast rejection of sessions scoped
@@ -39,12 +41,11 @@
 //!   ([`measure_capacity`]) against a degraded fleet, comparing the
 //!   always-admit baseline with the protected configuration.
 //! * [`run_fleet_sharded`] — the control plane sharded across OS threads:
-//!   per-region simulators with their own control actors, a thin global
-//!   tier for scope-straddling sessions, and a deterministic cross-shard
-//!   fabric (conservative virtual clocks), so thread count never changes
-//!   results.
+//!   the same plane `run_fleet` runs, once per region (built and distilled
+//!   by the same code), plus a thin global tier for scope-straddling
+//!   sessions and a deterministic cross-shard fabric (conservative virtual
+//!   clocks), so thread count never changes results.
 
-mod arena;
 mod cache;
 mod control;
 mod driver;
@@ -54,9 +55,8 @@ mod planner;
 mod shard;
 mod world;
 
-pub use arena::AgentArena;
 pub use cache::{CacheNote, CacheNoteKind, CachedPlan, PlanCache, PlanCacheStats, ScopeNormalizer};
-pub use control::{Admission, ControlActor, FleetResilience, SessionSpec};
+pub use control::{Admission, ControlActor, FleetResilience, SessionEnd, SessionSpec};
 pub use driver::{disjoint_wave, run_fleet, FleetReport, FleetScenario, SessionResult};
 pub use lock::ScopeLockManager;
 pub use overload::{measure_capacity, run_overload, OverloadConfig, OverloadReport};

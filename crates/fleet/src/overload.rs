@@ -22,13 +22,13 @@
 //! Everything is a pure function of the seed: identical seeds reproduce
 //! identical event streams (asserted via [`OverloadReport::fingerprint`]).
 
-use sada_obs::encode_event_into;
 use sada_proto::{ProtoTiming, RetryPolicy};
 use sada_resilience::{jitter_us, BreakerConfig, BulkheadConfig};
 use sada_simnet::{FaultPlan, SimDuration, SimTime};
 
 use crate::control::{Admission, FleetResilience, SessionSpec};
 use crate::driver::{disjoint_wave, run_fleet, FleetReport, FleetScenario};
+use crate::shard::fingerprint_events;
 
 /// Tuning for one sustained-overload run.
 #[derive(Debug, Clone)]
@@ -275,16 +275,6 @@ fn distill(
         }
         waits[((waits.len() - 1) as f64 * p) as usize]
     };
-    let mut fp = 0xcbf2_9ce4_8422_2325u64;
-    let mut line = String::with_capacity(128);
-    for ev in &report.events {
-        line.clear();
-        encode_event_into(&mut line, ev);
-        for &b in line.as_bytes() {
-            fp ^= u64::from(b);
-            fp = fp.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
     OverloadReport {
         capacity_per_sec,
         offered,
@@ -298,7 +288,7 @@ fn distill(
         p50_admission_us: pct(0.50),
         p99_admission_us: pct(0.99),
         makespan_us: report.makespan_us,
-        fingerprint: fp,
+        fingerprint: fingerprint_events(&report.events),
         admissions: report.results.iter().filter_map(|r| r.admission.map(|a| (r.id, a))).collect(),
     }
 }

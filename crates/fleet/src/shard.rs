@@ -2,11 +2,11 @@
 //! deterministic cross-shard fabric.
 //!
 //! [`run_fleet`](crate::run_fleet) drives the whole fleet through one
-//! simulator on one thread. This module refactors that single loop into
-//! **shards**: the group space is cut into `regions` contiguous blocks, and
-//! each region runs its own simulator — its own agents, its own
-//! [`ControlActor`] (scope-lock domain, plan cache, journal) — pumped by a
-//! real OS thread. Sessions whose scope stays inside one region never
+//! control plane on one thread. This module runs *many* of that same plane
+//! as **shards**: the group space is cut into `regions` contiguous blocks,
+//! and each region is one [`build_plane`] — its own simulator, its own
+//! agents, its own [`ControlActor`] (scope-lock domain, plan cache, journal)
+//! — pumped by a real OS thread. Sessions whose scope stays inside one region never
 //! synchronize with anything; sessions that straddle regions escalate to a
 //! thin **global tier** that acquires per-region scope slices over the
 //! fabric before running the full protocol.
@@ -32,11 +32,14 @@
 //!   workloads free-run with zero synchronization — the source of the
 //!   near-linear thread scaling in `bench_shard`.
 //!
-//! Each region replicates the exact actor layout of [`run_fleet`] (all
-//! agents, control plane at index `2·groups`) plus an idle fabric relay, so
-//! a `regions = 1` run is event-identical (modulo shard tags) to the
-//! unsharded driver.
+//! Each endpoint *is* the plane [`run_fleet`](crate::run_fleet) runs — the
+//! same `build_plane` / `Plane::distill` code, with the control actor
+//! wrapped in a fabric shim and an idle fabric relay registered after it —
+//! so a `regions = 1` run is event-identical (modulo shard tags) to the
+//! unsharded driver by construction; what the identity tests pin is that
+//! the executor and the report merge add nothing on top.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
@@ -44,16 +47,15 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use sada_expr::CompId;
-use sada_obs::{encode_event_into, Bus, Event, FleetEvent, Payload, RingSink};
-use sada_proto::{encode_global_journal, encode_session_journal, AgentTiming, GlobalRecord, Wire};
+use sada_obs::{encode_event_into, Bus, Event, FleetEvent};
+use sada_proto::{encode_global_journal, GlobalRecord, Wire};
 use sada_resilience::{jitter_us, RetryPolicy, RttEstimator};
-use sada_simnet::{
-    Actor, ActorId, Context, LinkConfig, NetStats, SimDuration, SimTime, Simulator, TimerId,
-};
+use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime, TimerId};
 
-use crate::cache::PlanCacheStats;
-use crate::control::{ControlActor, SessionSpec};
-use crate::driver::{max_concurrent, scale_timing, FleetScenario, SessionResult};
+use crate::control::{fleet_event, ControlActor, SessionSpec};
+use crate::driver::{
+    build_plane, makespan_us, max_concurrent, FleetScenario, Plane, PlaneOutcome, SessionResult,
+};
 
 /// Default region count: matches the 8-thread top rung of the scaling
 /// benchmark, and divides the benchmark fleets evenly.
@@ -587,13 +589,7 @@ const LEASE_HORIZON_US: u64 = 12_000_000;
 
 impl RegionControl {
     fn emit(&self, ctx: &Context<'_, Wire<ShardMsg>>, session: u64, ev: FleetEvent) {
-        self.bus.emit(Event {
-            at: ctx.now(),
-            actor: ctx.self_id().index() as u32,
-            session,
-            shard: 0,
-            payload: Payload::Fleet(ev),
-        });
+        self.bus.emit(fleet_event(ctx.now(), ctx.self_id(), session, ev));
     }
 
     fn grant(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, sid: u64) {
@@ -605,28 +601,41 @@ impl RegionControl {
             .iter()
             .map(|&c| (c, self.inner.fleet_config.contains(CompId::from_index(c as usize))))
             .collect();
-        ctx.send(
-            self.relay,
-            Wire::App(ShardMsg {
-                to: self.global_ep,
-                payload: FabricPayload::LockGranted {
-                    session: sid,
-                    region: self.region_id,
-                    epoch,
-                    values,
-                },
-            }),
-        );
+        let region = self.region_id;
+        self.send(ctx, FabricPayload::LockGranted { session: sid, region, epoch, values });
     }
 
-    fn send_ack(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, session: u64, epoch: u64) {
-        ctx.send(
-            self.relay,
-            Wire::App(ShardMsg {
-                to: self.global_ep,
-                payload: FabricPayload::ReleaseAck { session, region: self.region_id, epoch },
-            }),
-        );
+    /// Hands `payload` to the relay, addressed to the global tier.
+    fn send(&self, ctx: &mut Context<'_, Wire<ShardMsg>>, payload: FabricPayload) {
+        ctx.send(self.relay, Wire::App(ShardMsg { to: self.global_ep, payload }));
+    }
+
+    /// Drops `session`'s lock-table entry — released if it was held,
+    /// cancelled if still queued — and runs the grant cascade that frees:
+    /// foreign waiters get their `LockGranted`, local ones are admitted.
+    fn unlock(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, session: u64, was_held: bool) {
+        let granted = if was_held {
+            self.inner.locks_mut().release(session)
+        } else {
+            self.inner.locks_mut().cancel(session).unwrap_or_default()
+        };
+        for g in granted {
+            if self.foreign.contains_key(&g) {
+                self.grant(ctx, g);
+            } else {
+                self.inner.admit_granted(ctx, g);
+            }
+        }
+    }
+
+    /// `(session, resources, priority)` of the foreign holds whose grant
+    /// has (`acked`) or has not yet been sent.
+    fn holds(&self, acked: bool) -> Vec<(u64, Vec<u32>, u8)> {
+        self.foreign
+            .iter()
+            .filter(|(_, h)| h.acked == acked)
+            .map(|(&s, h)| (s, h.resources.clone(), h.priority))
+            .collect()
     }
 
     fn sweep(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>) {
@@ -659,33 +668,17 @@ impl RegionControl {
         self.lease_deadline.remove(&session);
         let t = self.released.entry(session).or_insert(0);
         *t = (*t).max(hold.epoch);
-        let granted = if self.inner.locks_mut().is_held(session) {
-            self.inner.locks_mut().release(session)
-        } else {
-            self.inner.locks_mut().cancel(session).unwrap_or_default()
-        };
         self.lease_expirations += 1;
         self.emit(ctx, session, FleetEvent::LeaseExpired { session, region: self.region_id });
-        for g in granted {
-            if self.foreign.contains_key(&g) {
-                self.grant(ctx, g);
-            } else {
-                self.inner.admit_granted(ctx, g);
-            }
-        }
+        let was_held = self.inner.locks_mut().is_held(session);
+        self.unlock(ctx, session, was_held);
     }
 
     fn on_fabric(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, payload: FabricPayload) {
         // Any word from the global tier about a lease-watched session
         // renews its deadline: GC targets *silence*, not slowness.
-        let sid = match &payload {
-            FabricPayload::LockRequest { session, .. }
-            | FabricPayload::LockGranted { session, .. }
-            | FabricPayload::LockRelease { session, .. }
-            | FabricPayload::ReleaseAck { session, .. } => *session,
-        };
-        if self.lease_deadline.contains_key(&sid) {
-            self.arm_lease(ctx, sid);
+        if self.lease_deadline.contains_key(&payload.session()) {
+            self.arm_lease(ctx, payload.session());
         }
         match payload {
             FabricPayload::LockRequest { session, resources, comps, priority, epoch } => {
@@ -741,7 +734,8 @@ impl RegionControl {
                 // tier retires the right retransmission ladder — even for
                 // an unknown session, where the release itself is the only
                 // state we ever had.
-                self.send_ack(ctx, session, epoch);
+                let region = self.region_id;
+                self.send(ctx, FabricPayload::ReleaseAck { session, region, epoch });
                 let Some(hold) = self.foreign.get(&session) else {
                     let t = self.released.entry(session).or_insert(0);
                     *t = (*t).max(epoch);
@@ -762,20 +756,9 @@ impl RegionControl {
                         self.inner.fold_comp(CompId::from_index(c as usize), v);
                     }
                 }
-                let granted = if was_held {
-                    self.inner.locks_mut().release(session)
-                } else {
-                    self.inner.locks_mut().cancel(session).unwrap_or_default()
-                };
                 self.foreign.remove(&session);
                 self.lease_deadline.remove(&session);
-                for g in granted {
-                    if self.foreign.contains_key(&g) {
-                        self.grant(ctx, g);
-                    } else {
-                        self.inner.admit_granted(ctx, g);
-                    }
-                }
+                self.unlock(ctx, session, was_held);
             }
             // Regions never receive grants or acks.
             FabricPayload::LockGranted { .. } | FabricPayload::ReleaseAck { .. } => {}
@@ -837,26 +820,14 @@ impl Actor<Wire<ShardMsg>> for RegionControl {
         // or requeued local sessions cannot steal the slices. Granted holds
         // are disjoint from local in-flight scopes (they were concurrently
         // held when the plane died), so both re-acquisitions must succeed.
-        let held: Vec<(u64, Vec<u32>, u8)> = self
-            .foreign
-            .iter()
-            .filter(|(_, h)| h.acked)
-            .map(|(&s, h)| (s, h.resources.clone(), h.priority))
-            .collect();
-        for (sid, res, prio) in held {
+        for (sid, res, prio) in self.holds(true) {
             let got = self.inner.locks_mut().try_acquire(sid, &res, prio);
             assert!(got, "escalated holds are disjoint from local in-flight scopes");
         }
         self.inner.on_restart(ctx);
         // Still-queued escalation requests rejoin the queue (or are granted
         // outright if the crash resolved their conflict).
-        let queued: Vec<(u64, Vec<u32>, u8)> = self
-            .foreign
-            .iter()
-            .filter(|(_, h)| !h.acked)
-            .map(|(&s, h)| (s, h.resources.clone(), h.priority))
-            .collect();
-        for (sid, res, prio) in queued {
+        for (sid, res, prio) in self.holds(false) {
             self.inner.locks_mut().try_acquire(sid, &res, prio);
         }
         // Every surviving hold gets a lease: if its global ladder already
@@ -892,6 +863,7 @@ struct Slice {
     comps: Vec<u32>,
 }
 
+#[derive(Clone)]
 struct Straddler {
     sid: u64,
     priority: u8,
@@ -926,6 +898,16 @@ const MAX_FABRIC_ATTEMPTS: u32 = 12;
 /// retransmit independently.
 fn fabric_tag(ix: usize, slice: usize, release: bool) -> u64 {
     TAG_FABRIC_BASE + ((ix as u64) << 12) + ((slice as u64) << 1) + u64::from(release)
+}
+
+/// Arms `tag` to fire at the virtual instant `due_us` when that is still
+/// ahead; `false` (nothing armed) when it is already due.
+fn arm_if_future(ctx: &mut Context<'_, Wire<ShardMsg>>, due_us: u64, tag: u64) -> bool {
+    let ahead = due_us.saturating_sub(ctx.now().as_micros());
+    if ahead > 0 {
+        ctx.set_timer(SimDuration::from_micros(ahead), tag);
+    }
+    ahead > 0
 }
 
 /// An unacknowledged fabric send the retransmission ladder is driving.
@@ -975,13 +957,7 @@ struct GlobalControl {
 
 impl GlobalControl {
     fn emit(&self, ctx: &Context<'_, Wire<ShardMsg>>, session: u64, ev: FleetEvent) {
-        self.bus.emit(Event {
-            at: ctx.now(),
-            actor: ctx.self_id().index() as u32,
-            session,
-            shard: 0,
-            payload: Payload::Fleet(ev),
-        });
+        self.bus.emit(fleet_event(ctx.now(), ctx.self_id(), session, ev));
     }
 
     fn send(&self, ctx: &mut Context<'_, Wire<ShardMsg>>, to: u32, payload: FabricPayload) {
@@ -1101,7 +1077,7 @@ impl GlobalControl {
         self.cancelled_at.entry(sid).or_insert(ctx.now().as_micros());
         let upto = (self.straddlers[ix].next + 1).min(self.straddlers[ix].slices.len());
         self.release_slices(ctx, ix, upto);
-        self.inner.conclude_rejected(
+        self.inner.conclude_abandoned(
             ctx,
             sid,
             format!("abandoned: region {region} unreachable after {attempts} attempts"),
@@ -1232,24 +1208,20 @@ impl GlobalControl {
     }
 
     fn withdraw(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, ix: usize) {
-        match self.straddlers[ix].phase {
-            Phase::Pending => {
-                self.journal_once(GlobalRecord::Withdrawn { session: self.straddlers[ix].sid });
-                self.straddlers[ix].phase = Phase::Cancelled;
-                self.cancelled_at.insert(self.straddlers[ix].sid, ctx.now().as_micros());
-            }
-            Phase::Granting => {
-                // Release every slice acquired or requested so far; a
-                // still-queued request is cancelled by the region, a grant
-                // in flight is answered by the (edge-FIFO) release behind it.
-                self.journal_once(GlobalRecord::Withdrawn { session: self.straddlers[ix].sid });
-                let upto = (self.straddlers[ix].next + 1).min(self.straddlers[ix].slices.len());
-                self.release_slices(ctx, ix, upto);
-                self.straddlers[ix].phase = Phase::Cancelled;
-                self.cancelled_at.insert(self.straddlers[ix].sid, ctx.now().as_micros());
-            }
-            _ => {} // admitted or finished in the meantime — too late
+        let (sid, phase) = (self.straddlers[ix].sid, self.straddlers[ix].phase);
+        if !matches!(phase, Phase::Pending | Phase::Granting) {
+            return; // admitted or finished in the meantime — too late
         }
+        self.journal_once(GlobalRecord::Withdrawn { session: sid });
+        if phase == Phase::Granting {
+            // Release every slice acquired or requested so far; a
+            // still-queued request is cancelled by the region, a grant
+            // in flight is answered by the (edge-FIFO) release behind it.
+            let upto = (self.straddlers[ix].next + 1).min(self.straddlers[ix].slices.len());
+            self.release_slices(ctx, ix, upto);
+        }
+        self.straddlers[ix].phase = Phase::Cancelled;
+        self.cancelled_at.insert(sid, ctx.now().as_micros());
     }
 
     /// Detects straddlers whose inner session reached a terminal result and
@@ -1319,12 +1291,7 @@ impl GlobalControl {
             self.straddlers[ix].phase = Phase::Pending;
             self.straddlers[ix].next = 0;
             let due = self.straddlers[ix].submit_at.as_micros();
-            if due > now_us {
-                ctx.set_timer(
-                    SimDuration::from_micros(due - now_us),
-                    TAG_GLOBAL_SUBMIT + ix as u64,
-                );
-            } else {
+            if !arm_if_future(ctx, due, TAG_GLOBAL_SUBMIT + ix as u64) {
                 self.begin(ctx, ix);
             }
         }
@@ -1332,13 +1299,7 @@ impl GlobalControl {
         // deadline across the crash.
         if matches!(self.straddlers[ix].phase, Phase::Pending | Phase::Granting) {
             if let Some(at) = self.straddlers[ix].cancel_at {
-                let due = at.as_micros();
-                if due > now_us {
-                    ctx.set_timer(
-                        SimDuration::from_micros(due - now_us),
-                        TAG_GLOBAL_CANCEL + ix as u64,
-                    );
-                } else {
+                if !arm_if_future(ctx, at.as_micros(), TAG_GLOBAL_CANCEL + ix as u64) {
                     self.withdraw(ctx, ix);
                 }
             }
@@ -1382,18 +1343,15 @@ impl Actor<Wire<ShardMsg>> for GlobalControl {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, tag: u64) {
-        if tag >= TAG_INNER_BASE {
+        if !(TAG_FABRIC_BASE..TAG_INNER_BASE).contains(&tag) {
             self.inner.on_timer(ctx, tag);
             self.sweep(ctx);
         } else if tag >= TAG_GLOBAL_CANCEL {
             self.withdraw(ctx, (tag - TAG_GLOBAL_CANCEL) as usize);
         } else if tag >= TAG_GLOBAL_SUBMIT {
             self.begin(ctx, (tag - TAG_GLOBAL_SUBMIT) as usize);
-        } else if tag >= TAG_FABRIC_BASE {
-            self.on_fabric_timer(ctx, tag);
         } else {
-            self.inner.on_timer(ctx, tag);
-            self.sweep(ctx);
+            self.on_fabric_timer(ctx, tag);
         }
     }
 
@@ -1447,7 +1405,8 @@ impl Actor<Wire<ShardMsg>> for GlobalControl {
 struct EndpointPlan {
     id: u32,
     specs: Vec<SessionSpec>,
-    straddlers: Vec<StraddlerPlan>,
+    /// Straddling sessions in their pristine state (global tier only).
+    straddlers: Vec<Straddler>,
     inbound: Vec<u32>,
     outbound: Vec<u32>,
     owned_groups: Vec<usize>,
@@ -1455,40 +1414,24 @@ struct EndpointPlan {
     is_global: bool,
 }
 
-#[derive(Clone)]
-struct StraddlerPlan {
-    sid: u64,
-    priority: u8,
-    submit_at: SimDuration,
-    cancel_at: Option<SimDuration>,
-    slices: Vec<Slice>,
-}
-
-/// One endpoint (a region or the global tier) under conservative execution.
+/// One endpoint (a region or the global tier) under conservative
+/// execution: a [`Plane`] plus its fabric-facing state.
 struct Endpoint {
     id: u32,
     shard_tag: u32,
-    sim: Simulator<Wire<ShardMsg>>,
-    control_id: ActorId,
+    plane: Plane<ShardMsg>,
     relay_id: ActorId,
     outbox: Outbox,
-    ring: Rc<RefCell<RingSink>>,
-    /// Sharded bus clone for executor-level (fault) events.
-    bus: Bus,
     inbound: Vec<u32>,
     outbound: Vec<u32>,
     staged: BTreeMap<u64, Vec<FabricEnvelope>>,
     ran_to_us: u64,
     budget_us: u64,
     done: bool,
-    sessions: Vec<u64>,
     /// Components whose final values this endpoint is authoritative for:
     /// the full membership of every owned cluster.
     owned_comps: Vec<u32>,
     is_global: bool,
-    /// Whether to render this endpoint's journal to text at distillation
-    /// (mirrors [`FleetScenario::render_journal`]).
-    render_journal: bool,
 }
 
 fn build_endpoint(
@@ -1497,67 +1440,17 @@ fn build_endpoint(
     budget_us: u64,
     plan: &EndpointPlan,
 ) -> Endpoint {
-    let world = Rc::new(scn.build_world());
     let seed = scn.seed.wrapping_add(u64::from(plan.id).wrapping_mul(SEED_STRIDE));
-    let mut sim: Simulator<Wire<ShardMsg>> = Simulator::new(seed);
-    sim.set_default_link(LinkConfig::reliable(scn.link_latency));
-
-    let bus = Bus::new();
-    let ring = Rc::new(RefCell::new(RingSink::new(1 << 18)));
-    bus.attach(&ring);
     let shard_tag = plan.id + 1;
-    let sharded = bus.sharded(shard_tag);
-
-    // Replicate `run_fleet`'s exact actor layout — all agents, control at
-    // the next index — so a one-region run is event-identical to the
-    // unsharded driver; the fabric relay takes the slot after that.
-    let procs = world.model.process_count();
-    let control_id = ActorId::from_index(procs);
-    let relay_id = ActorId::from_index(procs + 1);
-    crate::driver::emit_domain_tag(&sharded, &world, control_id);
-    let mut agents = Vec::with_capacity(procs);
-    let mut arena = crate::arena::AgentArena::with_capacity(control_id, sharded.clone(), procs);
-    for p in 0..procs {
-        let timing = match scn.slow_agents.iter().find(|&&(ix, _)| ix == p) {
-            Some(&(_, factor)) => scale_timing(AgentTiming::default(), factor),
-            None => AgentTiming::default(),
-        };
-        arena.push_member(timing);
-    }
-    let arena_id = sim.add_arena(arena);
-    for p in 0..procs {
-        agents.push(sim.add_arena_member(&format!("agent-{p}"), arena_id, p as u32));
-    }
-    let inner = ControlActor::<ShardMsg>::new(
-        Rc::clone(&world),
-        agents,
-        plan.specs.clone(),
-        scn.timing,
-        scn.serialize,
-    )
-    .with_resilience(scn.resilience)
-    .with_bus(sharded.clone());
-    let got = if plan.is_global {
-        let straddlers = plan
-            .straddlers
-            .iter()
-            .map(|s| Straddler {
-                sid: s.sid,
-                priority: s.priority,
-                submit_at: s.submit_at,
-                cancel_at: s.cancel_at,
-                slices: s.slices.clone(),
-                next: 0,
-                phase: Phase::Pending,
-            })
-            .collect();
-        sim.add_actor(
-            "global-control",
-            GlobalControl {
+    // The fabric relay takes the slot after the control plane.
+    let relay_of = |control_id: ActorId| ActorId::from_index(control_id.index() + 1);
+    let mut plane = if plan.is_global {
+        build_plane(scn, seed, shard_tag, plan.specs.clone(), plan.crash, |inner, bus, id| {
+            let global = GlobalControl {
                 inner,
-                relay: relay_id,
-                bus: sharded.clone(),
-                straddlers,
+                relay: relay_of(id),
+                bus: bus.clone(),
+                straddlers: plan.straddlers.clone(),
                 submitted_at: HashMap::new(),
                 cancelled_at: HashMap::new(),
                 global_journal: Vec::new(),
@@ -1571,59 +1464,50 @@ fn build_endpoint(
                 },
                 rtt: HashMap::new(),
                 outstanding: HashMap::new(),
-            },
-        )
+            };
+            ("global-control", global)
+        })
     } else {
-        sim.add_actor(
-            "control",
-            RegionControl {
+        build_plane(scn, seed, shard_tag, plan.specs.clone(), plan.crash, |inner, bus, id| {
+            let region = RegionControl {
                 inner,
-                relay: relay_id,
+                relay: relay_of(id),
                 region_id: plan.id,
                 global_ep: regions as u32,
-                bus: sharded.clone(),
+                bus: bus.clone(),
                 foreign: BTreeMap::new(),
                 released: HashMap::new(),
                 lease_reclaims: 0,
                 lease_deadline: HashMap::new(),
                 lease_slots: Vec::new(),
                 lease_expirations: 0,
-            },
-        )
+            };
+            ("control", region)
+        })
     };
-    assert_eq!(got, control_id, "control plane must sit after the agents");
+    let relay_id = relay_of(plane.control_id);
     let outbox: Outbox = Rc::new(RefCell::new(Vec::new()));
-    let got = sim.add_actor("fabric-relay", FabricRelay { outbox: Rc::clone(&outbox) });
+    let got = plane.sim.add_actor("fabric-relay", FabricRelay { outbox: Rc::clone(&outbox) });
     assert_eq!(got, relay_id, "fabric relay must sit after the control plane");
-
-    if let Some((crash, restart)) = plan.crash {
-        sim.crash_at(control_id, crash);
-        sim.restart_at(control_id, restart);
-    }
 
     Endpoint {
         id: plan.id,
         shard_tag,
-        sim,
-        control_id,
         relay_id,
         outbox,
-        ring,
-        bus: sharded,
         inbound: plan.inbound.clone(),
         outbound: plan.outbound.clone(),
         staged: BTreeMap::new(),
         ran_to_us: 0,
         budget_us,
         done: false,
-        sessions: plan.specs.iter().map(|s| s.id).collect(),
         owned_comps: plan
             .owned_groups
             .iter()
-            .flat_map(|&g| world.cluster_comps(g).iter().map(|&c| c as u32))
+            .flat_map(|&g| plane.world.cluster_comps(g).iter().map(|&c| c as u32))
             .collect(),
         is_global: plan.is_global,
-        render_journal: scn.render_journal,
+        plane,
     }
 }
 
@@ -1632,7 +1516,7 @@ impl Endpoint {
         if us <= self.ran_to_us && !(us == 0 && self.ran_to_us == 0 && !self.done) {
             return false;
         }
-        self.sim.run_until(SimTime::from_micros(us));
+        self.plane.sim.run_until(SimTime::from_micros(us));
         let progressed = us > self.ran_to_us;
         self.ran_to_us = us.max(self.ran_to_us);
         progressed
@@ -1679,14 +1563,14 @@ impl Endpoint {
                     }
                     let mut batch = self.staged.remove(&t).expect("just peeked");
                     batch.sort_by_key(|e| (e.src, e.seq));
-                    let now = self.sim.now().as_micros();
+                    let now = self.plane.sim.now().as_micros();
                     let msgs: Vec<Wire<ShardMsg>> = batch
                         .into_iter()
                         .map(|env| Wire::App(ShardMsg { to: self.id, payload: env.payload }))
                         .collect();
-                    self.sim.inject_batch(
+                    self.plane.sim.inject_batch(
                         self.relay_id,
-                        self.control_id,
+                        self.plane.control_id,
                         msgs,
                         SimDuration::from_micros(t - now),
                     );
@@ -1732,7 +1616,7 @@ impl Endpoint {
             return false;
         }
         let out: Vec<(u32, u64, FabricPayload)> = self.outbox.borrow_mut().drain(..).collect();
-        let next_ev = self.sim.next_event_at().map_or(u64::MAX, |t| t.as_micros());
+        let next_ev = self.plane.sim.next_event_at().map_or(u64::MAX, |t| t.as_micros());
         let next_staged = self.staged.keys().next().copied().unwrap_or(u64::MAX);
         let lb = next_ev.min(next_staged).min(safe);
         let mut progressed = false;
@@ -1839,7 +1723,7 @@ impl Endpoint {
         // flush, so every fault event lands after all sim events at its
         // send instant regardless of how many flushes the wall clock saw.
         for ev in fault_events {
-            self.bus.emit(ev);
+            self.plane.bus.emit(ev);
         }
         if progressed {
             fabric.cv.notify_all();
@@ -1850,13 +1734,7 @@ impl Endpoint {
     /// A fault event stamped at the faulted message's virtual send instant,
     /// attributed to the fabric relay.
     fn fault_event(&self, send_us: u64, session: u64, ev: FleetEvent) -> Event {
-        Event {
-            at: SimTime::from_micros(send_us),
-            actor: self.relay_id.index() as u32,
-            session,
-            shard: 0,
-            payload: Payload::Fleet(ev),
-        }
+        fleet_event(SimTime::from_micros(send_us), self.relay_id, session, ev)
     }
 }
 
@@ -1887,127 +1765,73 @@ pub struct ShardStats {
     pub cache_misses: u64,
 }
 
-/// Plain-data result a worker thread ships back for one endpoint.
-struct EndpointOutcome {
-    id: u32,
-    shard_tag: u32,
-    is_global: bool,
-    events: Vec<Event>,
-    journal_text: String,
-    global_journal_text: String,
-    results: Vec<SessionResult>,
-    config: Vec<(u32, bool)>,
-    intervals: Vec<(u64, Option<u64>)>,
-    restores: u64,
-    stats: NetStats,
-    cache: PlanCacheStats,
-    shed: u64,
-    rejected: u64,
-    breaker_trips: u64,
-    suppressed_sends: u64,
+/// Fabric-side counters of one endpoint's shim (the global tier fills the
+/// first three, a region the rest).
+#[derive(Default)]
+struct ShimCounters {
     retransmits: u64,
     abandoned: u64,
     orphaned_releases: u64,
     lease_reclaims: u64,
     lease_expirations: u64,
-    /// Lock-table + foreign-hold residue at quiescence (leak detector).
-    residual_holds: u64,
+    /// Foreign holds still tracked at quiescence (leak detector).
+    foreign_holds: u64,
+}
+
+/// Plain-data result a worker thread ships back for one endpoint: the
+/// plane's outcome plus what only its fabric shim knows.
+struct EndpointOutcome {
+    id: u32,
+    shard_tag: u32,
+    is_global: bool,
+    plane: PlaneOutcome,
+    owned_comps: Vec<u32>,
+    global_journal_text: String,
+    shim: ShimCounters,
 }
 
 fn distill_endpoint(ep: Endpoint) -> EndpointOutcome {
-    let events = ep.ring.borrow().events();
-    let (ctl, wrapper_submitted, wrapper_cancelled, global_journal_text, fabric_counters) =
-        if ep.is_global {
-            let g = ep.sim.actor::<GlobalControl>(ep.control_id).expect("global control present");
-            (
-                &g.inner,
-                Some(&g.submitted_at),
-                Some(&g.cancelled_at),
-                encode_global_journal(&g.global_journal),
-                (g.retransmits, g.abandoned, g.orphaned_releases, 0, 0, 0),
-            )
-        } else {
-            let r = ep.sim.actor::<RegionControl>(ep.control_id).expect("region control present");
-            (
-                &r.inner,
-                None,
-                None,
-                String::new(),
-                (0, 0, 0, r.lease_reclaims, r.lease_expirations, r.foreign.len() as u64),
-            )
+    let (sim, control_id) = (&ep.plane.sim, ep.plane.control_id);
+    let (plane, global_journal_text, shim) = if ep.is_global {
+        let g = sim.actor::<GlobalControl>(control_id).expect("global control present");
+        let mut plane = ep.plane.distill(&g.inner);
+        // Straddlers: submission happens at the wrapper (the inner spec
+        // carries a sentinel), and a pre-submission withdrawal never
+        // reaches the inner plane at all.
+        for r in &mut plane.results {
+            if let Some(&t) = g.submitted_at.get(&r.id) {
+                r.submitted_at = Some(r.submitted_at.map_or(t, |x| x.min(t)));
+            }
+            if let (Some(&t), None) = (g.cancelled_at.get(&r.id), r.completed_at) {
+                r.cancelled = true;
+                r.completed_at = Some(t);
+            }
+        }
+        let shim = ShimCounters {
+            retransmits: g.retransmits,
+            abandoned: g.abandoned,
+            orphaned_releases: g.orphaned_releases,
+            ..ShimCounters::default()
         };
-    let mut ids = ep.sessions.clone();
-    ids.sort_unstable();
-    let results: Vec<SessionResult> = ids
-        .iter()
-        .map(|&id| {
-            let outcome = ctl.results.get(&id);
-            let mut r = SessionResult {
-                id,
-                submitted_at: ctl.submitted_at.get(&id).map(|t| t.as_micros()),
-                admitted_at: ctl.admitted_at.get(&id).map(|t| t.as_micros()),
-                completed_at: ctl.completed_at.get(&id).map(|t| t.as_micros()),
-                success: outcome.is_some_and(|o| o.success),
-                gave_up: outcome.is_some_and(|o| o.gave_up),
-                cancelled: outcome
-                    .is_some_and(|o| o.warnings.iter().any(|w| w.contains("cancelled"))),
-                shed: outcome.is_some_and(|o| o.warnings.iter().any(|w| w.contains("shed"))),
-                admission: ctl.admissions.get(&id).copied(),
-            };
-            // Straddlers: submission happens at the wrapper (the inner spec
-            // carries a sentinel), and a pre-submission withdrawal never
-            // reaches the inner plane at all.
-            if let Some(subs) = wrapper_submitted {
-                if let Some(&t) = subs.get(&id) {
-                    r.submitted_at = Some(r.submitted_at.map_or(t, |x| x.min(t)));
-                }
-            }
-            if let Some(cans) = wrapper_cancelled {
-                if let (Some(&t), None) = (cans.get(&id), r.completed_at) {
-                    r.cancelled = true;
-                    r.completed_at = Some(t);
-                }
-            }
-            r
-        })
-        .collect();
-    let config: Vec<(u32, bool)> = ep
-        .owned_comps
-        .iter()
-        .map(|&c| (c, ctl.fleet_config.contains(CompId::from_index(c as usize))))
-        .collect();
-    let intervals: Vec<(u64, Option<u64>)> = ctl
-        .admitted_at
-        .iter()
-        .map(|(id, at)| (at.as_micros(), ctl.completed_at.get(id).map(|t| t.as_micros())))
-        .collect();
+        (plane, encode_global_journal(&g.global_journal), shim)
+    } else {
+        let r = sim.actor::<RegionControl>(control_id).expect("region control present");
+        let shim = ShimCounters {
+            lease_reclaims: r.lease_reclaims,
+            lease_expirations: r.lease_expirations,
+            foreign_holds: r.foreign.len() as u64,
+            ..ShimCounters::default()
+        };
+        (ep.plane.distill(&r.inner), String::new(), shim)
+    };
     EndpointOutcome {
         id: ep.id,
         shard_tag: ep.shard_tag,
         is_global: ep.is_global,
-        events,
-        journal_text: if ep.render_journal {
-            encode_session_journal(&ctl.journal)
-        } else {
-            String::new()
-        },
+        plane,
+        owned_comps: ep.owned_comps,
         global_journal_text,
-        results,
-        config,
-        intervals,
-        restores: ctl.restores,
-        stats: ep.sim.stats(),
-        cache: ctl.cache_stats(),
-        shed: ctl.shed_count,
-        rejected: ctl.rejected_count,
-        breaker_trips: ctl.breaker_trips,
-        suppressed_sends: ctl.suppressed_sends,
-        retransmits: fabric_counters.0,
-        abandoned: fabric_counters.1,
-        orphaned_releases: fabric_counters.2,
-        lease_reclaims: fabric_counters.3,
-        lease_expirations: fabric_counters.4,
-        residual_holds: fabric_counters.5 + ctl.lock_holder_count() as u64,
+        shim,
     }
 }
 
@@ -2062,6 +1886,10 @@ pub struct ShardReport {
     /// The deterministically merged event stream: ordered by `(virtual
     /// time, shard, intra-shard order)`, every event stamped with its shard.
     pub events: Vec<Event>,
+    /// Events the shards' capture rings evicted before the run ended,
+    /// summed over shards. Non-zero means `events` (and `fingerprint`) cover
+    /// only the retained tails, not the whole stream.
+    pub events_evicted: u64,
     /// FNV-1a fingerprint of the merged stream (shard tags included) —
     /// bit-for-bit identical across worker-thread counts.
     pub fingerprint: u64,
@@ -2119,32 +1947,17 @@ impl ShardReport {
     }
 }
 
-/// FNV-1a fingerprint over the encoded event stream, shard tags included —
-/// the bit-for-bit identity compared across worker-thread counts.
-pub fn fingerprint_events(events: &[Event]) -> u64 {
+/// FNV-1a over the encoded events, one line each; `strip_shards` encodes
+/// every event as if its shard tag were zero.
+fn fingerprint_lines(events: &[Event], strip_shards: bool) -> u64 {
     let mut h = FNV_BASIS;
     let mut line = String::with_capacity(128);
     for ev in events {
-        line.clear();
-        encode_event_into(&mut line, ev);
-        line.push('\n');
-        for &b in line.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
-
-/// Like [`fingerprint_events`] with shard tags normalized to zero — the
-/// identity compared between a one-region sharded run and the unsharded
-/// [`run_fleet`](crate::run_fleet) driver.
-pub fn fingerprint_events_unsharded(events: &[Event]) -> u64 {
-    let mut h = FNV_BASIS;
-    let mut line = String::with_capacity(128);
-    for ev in events {
-        let mut ev = ev.clone();
-        ev.shard = 0;
+        let ev = if strip_shards && ev.shard != 0 {
+            Cow::Owned(Event { shard: 0, ..ev.clone() })
+        } else {
+            Cow::Borrowed(ev)
+        };
         line.clear();
         encode_event_into(&mut line, &ev);
         line.push('\n');
@@ -2154,6 +1967,19 @@ pub fn fingerprint_events_unsharded(events: &[Event]) -> u64 {
         }
     }
     h
+}
+
+/// FNV-1a fingerprint over the encoded event stream, shard tags included —
+/// the bit-for-bit identity compared across worker-thread counts.
+pub fn fingerprint_events(events: &[Event]) -> u64 {
+    fingerprint_lines(events, false)
+}
+
+/// Like [`fingerprint_events`] with shard tags normalized to zero — the
+/// identity compared between a one-region sharded run and the unsharded
+/// [`run_fleet`](crate::run_fleet) driver.
+pub fn fingerprint_events_unsharded(events: &[Event]) -> u64 {
+    fingerprint_lines(events, true)
 }
 
 /// Runs `scenario` sharded across `threads` worker threads and reports.
@@ -2222,9 +2048,9 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
                 ..s.clone()
             })
             .collect();
-        let plan_straddlers: Vec<StraddlerPlan> = straddlers
+        let plan_straddlers: Vec<Straddler> = straddlers
             .iter()
-            .map(|(s, rs)| StraddlerPlan {
+            .map(|(s, rs)| Straddler {
                 sid: s.id,
                 priority: s.priority,
                 submit_at: s.submit_at,
@@ -2246,6 +2072,8 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
                         }
                     })
                     .collect(),
+                next: 0,
+                phase: Phase::Pending,
             })
             .collect();
         plans.push(EndpointPlan {
@@ -2288,54 +2116,50 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
     outcomes.sort_by_key(|o| o.id);
 
     // Deterministic event merge: (virtual time, shard, intra-shard order).
-    let total_events: usize = outcomes.iter().map(|o| o.events.len()).sum();
+    let total_events: usize = outcomes.iter().map(|o| o.plane.events.len()).sum();
     let mut keys: Vec<(u64, u32, usize)> = Vec::with_capacity(total_events);
     for (ox, o) in outcomes.iter().enumerate() {
-        for (ix, e) in o.events.iter().enumerate() {
+        for (ix, e) in o.plane.events.iter().enumerate() {
             keys.push((e.at.as_micros(), ox as u32, ix));
         }
     }
     keys.sort_unstable();
     let mut events: Vec<Event> = Vec::with_capacity(total_events);
-    events.extend(keys.iter().map(|&(_, ox, ix)| outcomes[ox as usize].events[ix].clone()));
+    events.extend(keys.iter().map(|&(_, ox, ix)| outcomes[ox as usize].plane.events[ix].clone()));
     let fingerprint = fingerprint_events(&events);
 
     // Regions are authoritative for their groups' component values (global
     // completions flowed back via `LockRelease`).
     let mut cfg = world.initial_config();
     for o in &outcomes {
-        for &(c, present) in &o.config {
-            if present {
-                cfg.insert(CompId::from_index(c as usize));
+        for &c in &o.owned_comps {
+            let comp = CompId::from_index(c as usize);
+            if o.plane.fleet_config.contains(comp) {
+                cfg.insert(comp);
             } else {
-                cfg.remove(CompId::from_index(c as usize));
+                cfg.remove(comp);
             }
         }
     }
 
-    let mut results: Vec<SessionResult> = outcomes.iter().flat_map(|o| o.results.clone()).collect();
+    let mut results: Vec<SessionResult> =
+        outcomes.iter().flat_map(|o| o.plane.results.clone()).collect();
     results.sort_by_key(|r| r.id);
-    let first_submit = results.iter().filter_map(|r| r.submitted_at).min();
-    let last_complete = results.iter().filter_map(|r| r.completed_at).max();
-    let makespan_us = match (first_submit, last_complete) {
-        (Some(a), Some(b)) => b.saturating_sub(a),
-        _ => 0,
-    };
     let intervals: Vec<(u64, Option<u64>)> =
-        outcomes.iter().flat_map(|o| o.intervals.iter().copied()).collect();
+        outcomes.iter().flat_map(|o| o.plane.intervals.iter().copied()).collect();
 
     let per_shard: Vec<ShardStats> = outcomes
         .iter()
         .map(|o| ShardStats {
             shard: o.shard_tag,
             is_global: o.is_global,
-            sessions: o.results.len(),
-            completed: o.results.iter().filter(|r| r.completed_at.is_some()).count(),
-            events: o.events.len(),
-            delivered: o.stats.delivered,
-            restores: o.restores,
-            cache_hits: o.cache.hits,
-            cache_misses: o.cache.misses,
+            sessions: o.plane.results.len(),
+            completed: o.plane.results.iter().filter(|r| r.completed_at.is_some()).count(),
+            events: o.plane.events.len(),
+            delivered: o.plane.stats.delivered,
+            restores: o.plane.restores,
+            cache_hits: o.plane.cache.hits,
+            cache_misses: o.plane.cache.misses,
         })
         .collect();
 
@@ -2358,25 +2182,26 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
     ShardReport {
         final_config: cfg.to_bit_string(),
         fingerprint,
-        journals: outcomes.iter().map(|o| (o.shard_tag, o.journal_text.clone())).collect(),
+        events_evicted: outcomes.iter().map(|o| o.plane.events_evicted).sum(),
+        journals: outcomes.iter().map(|o| (o.shard_tag, o.plane.journal_text.clone())).collect(),
         global_journal: outcomes
             .iter()
             .find(|o| o.is_global)
             .map(|o| o.global_journal_text.clone())
             .unwrap_or_default(),
-        restores: outcomes.iter().map(|o| o.restores).sum(),
+        restores: outcomes.iter().map(|o| o.plane.restores).sum(),
         max_concurrent: max_concurrent(intervals),
-        makespan_us,
-        shed: outcomes.iter().map(|o| o.shed).sum(),
-        rejected: outcomes.iter().map(|o| o.rejected).sum(),
-        breaker_trips: outcomes.iter().map(|o| o.breaker_trips).sum(),
-        suppressed_sends: outcomes.iter().map(|o| o.suppressed_sends).sum(),
-        retransmits: outcomes.iter().map(|o| o.retransmits).sum(),
-        abandoned: outcomes.iter().map(|o| o.abandoned).sum(),
-        orphaned_releases: outcomes.iter().map(|o| o.orphaned_releases).sum(),
-        lease_reclaims: outcomes.iter().map(|o| o.lease_reclaims).sum(),
-        lease_expirations: outcomes.iter().map(|o| o.lease_expirations).sum(),
-        residual_holds: outcomes.iter().map(|o| o.residual_holds).sum(),
+        makespan_us: makespan_us(&results),
+        shed: outcomes.iter().map(|o| o.plane.shed).sum(),
+        rejected: outcomes.iter().map(|o| o.plane.rejected).sum(),
+        breaker_trips: outcomes.iter().map(|o| o.plane.breaker_trips).sum(),
+        suppressed_sends: outcomes.iter().map(|o| o.plane.suppressed_sends).sum(),
+        retransmits: outcomes.iter().map(|o| o.shim.retransmits).sum(),
+        abandoned: outcomes.iter().map(|o| o.shim.abandoned).sum(),
+        orphaned_releases: outcomes.iter().map(|o| o.shim.orphaned_releases).sum(),
+        lease_reclaims: outcomes.iter().map(|o| o.shim.lease_reclaims).sum(),
+        lease_expirations: outcomes.iter().map(|o| o.shim.lease_expirations).sum(),
+        residual_holds: outcomes.iter().map(|o| o.shim.foreign_holds + o.plane.lock_holders).sum(),
         per_shard,
         fabric: fabric_stats,
         results,
@@ -2422,6 +2247,9 @@ mod tests {
         assert_eq!(a.results, b.results);
     }
 
+    /// `run_fleet` is the same plane run directly; one region adds the
+    /// shim, the relay, the conservative executor, and the merge — and must
+    /// add nothing observable ("direct call ≡ executor + merge").
     #[test]
     fn one_region_is_event_identical_to_run_fleet() {
         let fleet = FleetScenario::new(4, disjoint_wave(4, 1));

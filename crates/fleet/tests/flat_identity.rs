@@ -1,0 +1,231 @@
+//! Pinned identities of flat [`run_fleet`] runs the sharded path never
+//! exercises: a control-plane crash window, seeded fault plans crashing
+//! agents *and* the control actor, the serial baseline over slowed agents,
+//! and a breaker + bulkhead overload run with cancellations.
+//!
+//! The constants were captured before `run_fleet` became the one-region
+//! case of the endpoint code and before the agents became one
+//! `Vec<ScriptedAgent>` arena; they pin that neither change moved a single
+//! event, journal byte, or verdict on these paths.
+
+use sada_fleet::{
+    disjoint_wave, fingerprint_events_unsharded, run_fleet, FleetReport, FleetResilience,
+    FleetScenario, SessionSpec,
+};
+use sada_resilience::{BreakerConfig, BulkheadConfig};
+use sada_simnet::{chaos, ActorId, ChaosOpts, Fault, FaultPlan, SimDuration, SimTime};
+
+fn spec(id: u64, flips: Vec<(usize, bool)>, at_ms: u64, cancel_ms: Option<u64>) -> SessionSpec {
+    SessionSpec {
+        id,
+        flips,
+        priority: (id % 3) as u8,
+        submit_at: SimDuration::from_millis(at_ms),
+        cancel_at: cancel_ms.map(SimDuration::from_millis),
+    }
+}
+
+/// What a run is pinned by: stream fingerprint, final configuration,
+/// restore count, journal-text hash, and the verdict tally
+/// `(committed, gave up, cancelled, shed, rejected)`.
+#[derive(Debug)]
+struct Identity {
+    fingerprint: u64,
+    final_config: &'static str,
+    restores: u64,
+    journal_fnv: u64,
+    verdicts: (usize, usize, usize, usize, u64),
+}
+
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+fn assert_identity(what: &str, report: &FleetReport, want: &Identity) {
+    let count =
+        |f: fn(&sada_fleet::SessionResult) -> bool| report.results.iter().filter(|r| f(r)).count();
+    let verdicts = (
+        count(|r| r.success),
+        count(|r| r.gave_up),
+        count(|r| r.cancelled),
+        count(|r| r.shed),
+        report.rejected,
+    );
+    let (fingerprint, journal_fnv) =
+        (fingerprint_events_unsharded(&report.events), fnv(&report.journal_text));
+    assert!(
+        (fingerprint, report.final_config.as_str(), report.restores, journal_fnv, verdicts)
+            == (want.fingerprint, want.final_config, want.restores, want.journal_fnv, want.verdicts),
+        "{what}: identity moved, want {want:?}, got\nIdentity {{ fingerprint: {fingerprint:#018x}, \
+         final_config: {:?}, restores: {}, journal_fnv: {journal_fnv:#018x}, verdicts: {verdicts:?} }}",
+        report.final_config,
+        report.restores,
+    );
+}
+
+#[test]
+fn control_crash_window_is_pinned() {
+    let mut scn = FleetScenario::new(
+        6,
+        vec![
+            spec(1, vec![(0, true), (1, true)], 0, None),
+            spec(2, vec![(2, true), (3, true)], 0, None),
+            spec(3, vec![(3, false), (2, false)], 1, None),
+            spec(4, vec![(1, false), (4, true)], 2, Some(4)),
+            spec(5, vec![(5, true)], 12, None),
+        ],
+    );
+    scn.seed = 7;
+    scn.crash_control = Some((SimTime::from_millis(6), SimTime::from_millis(10)));
+    assert_identity(
+        "crash_control",
+        &run_fleet(&scn),
+        &Identity {
+            fingerprint: 0xe86960fc7ebe65b3,
+            final_config: "100101011010",
+            restores: 1,
+            journal_fnv: 0xa346d99974af4696,
+            verdicts: (4, 0, 1, 0, 0),
+        },
+    );
+}
+
+/// `(fingerprint, final_config, restores, journal_fnv, verdicts)` per chaos
+/// seed `1..=5`.
+const CHAOS: [Identity; 5] = [
+    Identity {
+        fingerprint: 0xdb903755c1c8d7c6,
+        final_config: "10011001",
+        restores: 1,
+        journal_fnv: 0x4f39195e4f1909c2,
+        verdicts: (4, 0, 1, 0, 0),
+    },
+    Identity {
+        fingerprint: 0xacb314b172f8bcf6,
+        final_config: "10011001",
+        restores: 1,
+        journal_fnv: 0x60f1e3f399a2e22e,
+        verdicts: (4, 0, 1, 0, 0),
+    },
+    Identity {
+        fingerprint: 0xdbca438a144a51bb,
+        final_config: "10011001",
+        restores: 1,
+        journal_fnv: 0xcd5dd31d33828a6c,
+        verdicts: (4, 0, 1, 0, 0),
+    },
+    Identity {
+        fingerprint: 0xdae89eaa196e19e4,
+        final_config: "10010101",
+        restores: 1,
+        journal_fnv: 0xc5ef13257fa52625,
+        verdicts: (5, 0, 0, 0, 0),
+    },
+    Identity {
+        fingerprint: 0x0281ef0c15d2a6df,
+        final_config: "10011001",
+        restores: 1,
+        journal_fnv: 0x4fefe6370635946e,
+        verdicts: (4, 0, 1, 0, 0),
+    },
+];
+
+#[test]
+fn seeded_fault_plans_over_agents_and_control_are_pinned() {
+    // 4 groups ⇒ agents 0..8, control plane at index 8: every actor of the
+    // flat layout is a crash victim and a partition endpoint.
+    let everyone: Vec<ActorId> = (0..=8).map(ActorId::from_index).collect();
+    let opts = ChaosOpts {
+        crashable: everyone.clone(),
+        partitionable: everyone,
+        horizon: SimDuration::from_millis(150),
+    };
+    let (mut control_crashes, mut agent_crashes) = (0, 0);
+    for (seed, want) in (1..=5u64).zip(&CHAOS) {
+        let mut scn = FleetScenario::new(
+            4,
+            vec![
+                spec(1, vec![(0, true)], 0, None),
+                spec(2, vec![(1, true), (2, true)], 0, None),
+                spec(3, vec![(2, false), (3, true)], 5, None),
+                spec(4, vec![(0, false)], 20, None),
+                spec(5, vec![(3, false), (1, false)], 40, Some(45)),
+            ],
+        );
+        scn.seed = seed;
+        scn.faults = chaos(seed, 0.7, &opts);
+        for fault in &scn.faults.faults {
+            if let Fault::CrashActor { id, .. } = fault {
+                if id.index() == 8 {
+                    control_crashes += 1;
+                } else {
+                    agent_crashes += 1;
+                }
+            }
+        }
+        assert_identity(&format!("chaos seed {seed}"), &run_fleet(&scn), want);
+    }
+    assert!(control_crashes > 0 && agent_crashes > 0, "the sweep must crash both roles");
+}
+
+#[test]
+fn serial_baseline_over_slow_agents_is_pinned() {
+    let mut scn = FleetScenario::new(4, disjoint_wave(4, 1));
+    scn.serialize = true;
+    scn.slow_agents = vec![(1, 4), (6, 3)];
+    assert_identity(
+        "serialize + slow_agents",
+        &run_fleet(&scn),
+        &Identity {
+            fingerprint: 0xa3ebf0e6376deb17,
+            final_config: "10101010",
+            restores: 0,
+            journal_fnv: 0x49799b541722ea42,
+            verdicts: (4, 0, 0, 0, 0),
+        },
+    );
+}
+
+#[test]
+fn breaker_and_bulkhead_overload_with_cancels_is_pinned() {
+    // Agent 0 dies for good at 2 ms: group-0 sessions burn their ladders
+    // and trip its breaker, later ones are rejected at admission. The
+    // bulkhead runs two at a time with a three-deep waiting room, so the
+    // 1 ms arrival train overflows it and sheds; two waiters withdraw.
+    let mut sessions: Vec<SessionSpec> = (0..12u64)
+        .map(|i| {
+            let group = (i % 4) as usize;
+            let cancel = (i % 3 == 1).then_some(i + 3);
+            spec(i + 1, vec![(group, i % 8 < 4)], i, cancel)
+        })
+        .collect();
+    sessions.push(spec(20, vec![(0, true)], 40_000, None));
+    let mut scn = FleetScenario::new(4, sessions);
+    scn.resilience = FleetResilience {
+        breaker: Some(BreakerConfig {
+            failure_threshold: 3,
+            cooldown: SimDuration::from_secs(60),
+            cooldown_cap: SimDuration::from_secs(60),
+            ..BreakerConfig::default()
+        }),
+        scope_breaker: None,
+        bulkhead: BulkheadConfig { max_in_flight: 2, max_queued: 3 },
+    };
+    scn.faults = FaultPlan::new().crash(ActorId::from_index(0), SimTime::from_millis(2));
+    scn.time_budget = SimDuration::from_secs(90);
+    let report = run_fleet(&scn);
+    assert!(report.breaker_trips >= 1 && report.shed >= 1, "the overload must bite");
+    assert_identity(
+        "breaker + bulkhead overload",
+        &report,
+        &Identity {
+            fingerprint: 0xe901e1c5240799db,
+            final_config: "10011001",
+            restores: 0,
+            journal_fnv: 0x0a4076861ed340f4,
+            verdicts: (3, 0, 3, 5, 1),
+        },
+    );
+}

@@ -1,9 +1,12 @@
 //! Equivalence properties for the scale hot path.
 //!
-//! The hot-path rework (struct-of-arrays agent arena, batched bus/fabric
-//! delivery, timer wheel) must be *fingerprint-invisible*: batching is an
-//! execution optimization, never a semantic change. Two properties pin
-//! that down:
+//! The hot-path rework (one `Vec<ScriptedAgent>` agent arena, batched
+//! bus/fabric delivery, timer wheel) must be *fingerprint-invisible*:
+//! batching is an execution optimization, never a semantic change. The
+//! arena needs no equivalence property of its own any more — it runs the
+//! solo `ScriptedAgent` code, not a copy of it (`flat_identity.rs` pins the
+//! flat fingerprints across that change). Two properties pin the rest
+//! down:
 //!
 //! 1. At the simnet layer, `inject_batch` is bit-for-bit the same as the
 //!    equivalent loop of `inject` calls — event streams, traces, and

@@ -108,6 +108,9 @@ proptest! {
 
 /// One region on one thread replays the unsharded driver exactly: same
 /// final configuration and an event stream identical modulo shard tags.
+/// Both drivers build and distill the same `Plane`, so what this pins is
+/// "direct call ≡ executor + merge": the region shim, the idle fabric
+/// relay, the conservative stepping, and the report merge add nothing.
 #[test]
 fn single_region_matches_run_fleet() {
     for seed in [3u64, 17, 99] {

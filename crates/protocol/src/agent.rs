@@ -92,7 +92,7 @@ pub enum AgentEffect {
 }
 
 /// The agent half of the realization-phase protocol.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AgentCore {
     state: AgentState,
     current: Option<(StepId, LocalAction, bool)>,

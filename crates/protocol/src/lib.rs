@@ -82,10 +82,7 @@ pub use manager::{
 pub use messages::{LocalAction, ProtoMsg, SessionId, StepId, Wire};
 pub use plan_adapter::SagPlanner;
 pub use relay::RelayActor;
-pub use sim::{
-    AgentTiming, ManagerActor, ScriptedAgent, TAG_ACT, TAG_REJOIN, TAG_RESUME, TAG_ROLLBACK,
-    TAG_SAFE,
-};
+pub use sim::{AgentTiming, ManagerActor, ScriptedAgent};
 // The retry/breaker policy vocabulary is owned by the resilience crate;
 // re-exported here so protocol embedders configure timing from one import.
 pub use sada_resilience::{

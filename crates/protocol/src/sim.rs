@@ -457,17 +457,16 @@ impl Default for AgentTiming {
     }
 }
 
-/// Timer tag for reaching the safe state ([`ScriptedAgent`] and arena
-/// embeddings of the same state machine share these, so traces line up).
-pub const TAG_SAFE: u64 = 1;
+/// Timer tag for reaching the safe state.
+const TAG_SAFE: u64 = 1;
 /// Timer tag for completing the structural in-action.
-pub const TAG_ACT: u64 = 2;
+const TAG_ACT: u64 = 2;
 /// Timer tag for restoring full operation.
-pub const TAG_RESUME: u64 = 3;
+const TAG_RESUME: u64 = 3;
 /// Timer tag for completing a rollback.
-pub const TAG_ROLLBACK: u64 = 4;
+const TAG_ROLLBACK: u64 = 4;
 /// Timer tag for retransmitting a post-restart `Rejoin` announcement.
-pub const TAG_REJOIN: u64 = 5;
+const TAG_REJOIN: u64 = 5;
 
 /// A process whose local adaptation behaviour is scripted: it reaches its
 /// safe state, performs in-actions, resumes and rolls back after fixed
@@ -481,6 +480,7 @@ pub const TAG_REJOIN: u64 = 5;
 /// retransmitting until it is resynchronized.
 ///
 /// [`ProtoMsg::Rejoin`]: crate::ProtoMsg::Rejoin
+#[derive(Clone)]
 pub struct ScriptedAgent {
     core: AgentCore,
     manager: ActorId,

@@ -107,15 +107,20 @@ pub trait Actor<M>: AsAny {
     }
 }
 
-/// A struct-of-arrays actor family: one boxed object backing many
-/// registered actors ("members"), each addressed by a dense member index.
+/// An actor family: one boxed object backing many registered actors
+/// ("members"), each addressed by a dense member index.
 ///
 /// Members are registered with `Simulator::add_arena_member` and are
 /// indistinguishable from solo actors on the wire: each gets its own
 /// [`ActorId`], name, crash/incarnation state, link configuration, and
 /// event stamps. Only the *state storage* is shared, which lets a
-/// 100k-agent fleet keep its per-agent state in parallel flat vectors
-/// instead of 100k separately boxed actors.
+/// 100k-agent fleet keep its agents in one contiguous allocation behind one
+/// vtable instead of 100k separately boxed actors.
+///
+/// The stock arena is `Vec<A>` for any [`Actor`] `A` (member `i` is element
+/// `i`, every callback forwards to the element's own): the actor's state
+/// machine is written once and the arena only changes where it lives.
+/// Implement the trait by hand only for a layout a plain vector cannot give.
 pub trait ArenaActor<M>: AsAny {
     /// Called once per member, at `SimTime::ZERO`, before any message flows.
     fn on_start(&mut self, member: u32, ctx: &mut Context<'_, M>) {
@@ -140,6 +145,28 @@ pub trait ArenaActor<M>: AsAny {
     /// Defaults to re-running [`ArenaActor::on_start`] for that member.
     fn on_restart(&mut self, member: u32, ctx: &mut Context<'_, M>) {
         self.on_start(member, ctx);
+    }
+}
+
+impl<M, A: Actor<M> + 'static> ArenaActor<M> for Vec<A> {
+    fn on_start(&mut self, member: u32, ctx: &mut Context<'_, M>) {
+        self[member as usize].on_start(ctx);
+    }
+
+    fn on_message(&mut self, member: u32, ctx: &mut Context<'_, M>, from: ActorId, msg: M) {
+        self[member as usize].on_message(ctx, from, msg);
+    }
+
+    fn on_timer(&mut self, member: u32, ctx: &mut Context<'_, M>, tag: u64) {
+        self[member as usize].on_timer(ctx, tag);
+    }
+
+    fn on_crash(&mut self, member: u32, now: SimTime) {
+        self[member as usize].on_crash(now);
+    }
+
+    fn on_restart(&mut self, member: u32, ctx: &mut Context<'_, M>) {
+        self[member as usize].on_restart(ctx);
     }
 }
 

@@ -174,9 +174,9 @@ impl<M: Clone + 'static> Simulator<M> {
         id
     }
 
-    /// Registers a struct-of-arrays actor family; members are added with
-    /// [`Simulator::add_arena_member`]. The arena itself has no id on the
-    /// wire — only its members do.
+    /// Registers an actor family (typically a `Vec` of actors); members are
+    /// added with [`Simulator::add_arena_member`]. The arena itself has no
+    /// id on the wire — only its members do.
     pub fn add_arena<A: ArenaActor<M> + 'static>(&mut self, arena: A) -> ArenaId {
         let id = ArenaId(self.arenas.len() as u32);
         self.arenas.push(Some(Box::new(arena)));
@@ -194,11 +194,6 @@ impl<M: Clone + 'static> Simulator<M> {
     /// Immutable, downcast access to an arena's shared state.
     pub fn arena<T: ArenaActor<M> + 'static>(&self, id: ArenaId) -> Option<&T> {
         self.arenas.get(id.0 as usize)?.as_ref()?.as_any().downcast_ref::<T>()
-    }
-
-    /// Mutable, downcast access to an arena's shared state.
-    pub fn arena_mut<T: ArenaActor<M> + 'static>(&mut self, id: ArenaId) -> Option<&mut T> {
-        self.arenas.get_mut(id.0 as usize)?.as_mut()?.as_any_mut().downcast_mut::<T>()
     }
 
     /// Returns the registration name of `id`.
@@ -255,6 +250,29 @@ impl<M: Clone + 'static> Simulator<M> {
             }
             Taken::Arena(boxed, arena, _) => self.arenas[arena as usize] = Some(boxed),
         }
+    }
+
+    /// Runs one callback of `taken` (checked out of `id`'s slot) under a
+    /// fresh [`Context`], puts the actor back, and applies the effects the
+    /// callback requested.
+    fn dispatch(
+        &mut self,
+        id: ActorId,
+        mut taken: Taken<M>,
+        call: impl FnOnce(&mut Taken<M>, &mut Context<'_, M>),
+    ) {
+        self.flush_net();
+        let mut ops = Vec::new();
+        let mut ctx = Context {
+            self_id: id,
+            now: self.now,
+            ops: &mut ops,
+            rng: &mut self.rng,
+            next_timer: &mut self.next_timer,
+        };
+        call(&mut taken, &mut ctx);
+        self.put_back(id.index(), taken);
+        self.apply_ops(id, ops);
     }
 
     /// Sets the link used for pairs without an explicit configuration.
@@ -503,30 +521,14 @@ impl<M: Clone + 'static> Simulator<M> {
                 }
                 self.started[ix] = true;
                 let id = ActorId(raw);
-                let mut taken = match self.take_actor(ix) {
+                let taken = match self.take_actor(ix) {
                     Some(t) => t,
                     None => continue,
                 };
-                self.flush_net();
-                let mut ops = Vec::new();
-                {
-                    let mut ctx = Context {
-                        self_id: id,
-                        now: self.now,
-                        ops: &mut ops,
-                        rng: &mut self.rng,
-                        next_timer: &mut self.next_timer,
-                    };
-                    match &mut taken {
-                        Taken::Solo(a) => a.on_start(&mut ctx),
-                        Taken::Arena(a, _, m) => {
-                            let m = *m;
-                            a.on_start(m, &mut ctx);
-                        }
-                    }
-                }
-                self.put_back(ix, taken);
-                self.apply_ops(id, ops);
+                self.dispatch(id, taken, |taken, ctx| match taken {
+                    Taken::Solo(a) => a.on_start(ctx),
+                    Taken::Arena(a, _, m) => a.on_start(*m, ctx),
+                });
             }
         }
         self.flush_net();
@@ -674,32 +676,16 @@ impl<M: Clone + 'static> Simulator<M> {
                     self.emit_net(to, NetEvent::Dropped { from: from.0, to: to.0 });
                     return true;
                 }
-                let mut taken = match self.take_actor(ix) {
+                let taken = match self.take_actor(ix) {
                     Some(t) => t,
                     None => return true, // destination raced away; count as delivered-to-nobody
                 };
                 self.stats.delivered += 1;
                 self.emit_net(to, NetEvent::Delivered { from: from.0, to: to.0 });
-                self.flush_net();
-                let mut ops = Vec::new();
-                {
-                    let mut ctx = Context {
-                        self_id: to,
-                        now: self.now,
-                        ops: &mut ops,
-                        rng: &mut self.rng,
-                        next_timer: &mut self.next_timer,
-                    };
-                    match &mut taken {
-                        Taken::Solo(a) => a.on_message(&mut ctx, from, msg),
-                        Taken::Arena(a, _, m) => {
-                            let m = *m;
-                            a.on_message(m, &mut ctx, from, msg);
-                        }
-                    }
-                }
-                self.put_back(ix, taken);
-                self.apply_ops(to, ops);
+                self.dispatch(to, taken, |taken, ctx| match taken {
+                    Taken::Solo(a) => a.on_message(ctx, from, msg),
+                    Taken::Arena(a, _, m) => a.on_message(*m, ctx, from, msg),
+                });
                 // New actors may have been created? (not supported mid-run)
                 self.ensure_started();
             }
@@ -712,32 +698,16 @@ impl<M: Clone + 'static> Simulator<M> {
                 if self.crashed[ix] || self.incarnation[ix] != inc {
                     return true;
                 }
-                let mut taken = match self.take_actor(ix) {
+                let taken = match self.take_actor(ix) {
                     Some(t) => t,
                     None => return true,
                 };
                 self.stats.timers_fired += 1;
                 self.emit_net(owner, NetEvent::TimerFired { tag });
-                self.flush_net();
-                let mut ops = Vec::new();
-                {
-                    let mut ctx = Context {
-                        self_id: owner,
-                        now: self.now,
-                        ops: &mut ops,
-                        rng: &mut self.rng,
-                        next_timer: &mut self.next_timer,
-                    };
-                    match &mut taken {
-                        Taken::Solo(a) => a.on_timer(&mut ctx, tag),
-                        Taken::Arena(a, _, m) => {
-                            let m = *m;
-                            a.on_timer(m, &mut ctx, tag);
-                        }
-                    }
-                }
-                self.put_back(ix, taken);
-                self.apply_ops(owner, ops);
+                self.dispatch(owner, taken, |taken, ctx| match taken {
+                    Taken::Solo(a) => a.on_timer(ctx, tag),
+                    Taken::Arena(a, _, m) => a.on_timer(*m, ctx, tag),
+                });
             }
             EventKind::Fault(action) => self.apply_fault(action),
         }
@@ -758,16 +728,12 @@ impl<M: Clone + 'static> Simulator<M> {
                 self.stats.crashes += 1;
                 self.emit_net(id, NetEvent::Crashed);
                 self.flush_net();
-                let now = self.now;
-                match &mut self.actors[ix] {
-                    ActorSlot::Solo(Some(actor)) => actor.on_crash(now),
-                    ActorSlot::Solo(None) => {}
-                    ActorSlot::Member { arena, member } => {
-                        let (a, m) = (*arena, *member);
-                        if let Some(ar) = self.arenas[a as usize].as_mut() {
-                            ar.on_crash(m, now);
-                        }
+                if let Some(mut taken) = self.take_actor(ix) {
+                    match &mut taken {
+                        Taken::Solo(a) => a.on_crash(self.now),
+                        Taken::Arena(a, _, m) => a.on_crash(*m, self.now),
                     }
+                    self.put_back(ix, taken);
                 }
             }
             FaultAction::Restart(id) => {
@@ -778,30 +744,14 @@ impl<M: Clone + 'static> Simulator<M> {
                 self.crashed[ix] = false;
                 self.stats.restarts += 1;
                 self.emit_net(id, NetEvent::Restarted);
-                let mut taken = match self.take_actor(ix) {
+                let taken = match self.take_actor(ix) {
                     Some(t) => t,
                     None => return,
                 };
-                self.flush_net();
-                let mut ops = Vec::new();
-                {
-                    let mut ctx = Context {
-                        self_id: id,
-                        now: self.now,
-                        ops: &mut ops,
-                        rng: &mut self.rng,
-                        next_timer: &mut self.next_timer,
-                    };
-                    match &mut taken {
-                        Taken::Solo(a) => a.on_restart(&mut ctx),
-                        Taken::Arena(a, _, m) => {
-                            let m = *m;
-                            a.on_restart(m, &mut ctx);
-                        }
-                    }
-                }
-                self.put_back(ix, taken);
-                self.apply_ops(id, ops);
+                self.dispatch(id, taken, |taken, ctx| match taken {
+                    Taken::Solo(a) => a.on_restart(ctx),
+                    Taken::Arena(a, _, m) => a.on_restart(*m, ctx),
+                });
             }
             FaultAction::PartitionOn(from, to) => {
                 let cfg = self.link(from, to).with_partitioned(true);
@@ -1406,48 +1356,12 @@ mod tests {
         assert_ne!(run(11), run(12));
     }
 
-    /// Struct-of-arrays twin of `Collector`/`LifeTracker`: per-member state
-    /// in parallel vecs behind one boxed arena.
-    struct CollectorArena {
-        got: Vec<Vec<(SimTime, u32)>>,
-        starts: Vec<u32>,
-        crashes: Vec<u32>,
-        restarts: Vec<u32>,
-    }
-
-    impl CollectorArena {
-        fn new(members: usize) -> Self {
-            CollectorArena {
-                got: vec![Vec::new(); members],
-                starts: vec![0; members],
-                crashes: vec![0; members],
-                restarts: vec![0; members],
-            }
-        }
-    }
-
-    impl ArenaActor<u32> for CollectorArena {
-        fn on_start(&mut self, member: u32, _ctx: &mut Context<'_, u32>) {
-            self.starts[member as usize] += 1;
-        }
-        fn on_message(&mut self, member: u32, ctx: &mut Context<'_, u32>, from: ActorId, msg: u32) {
-            self.got[member as usize].push((ctx.now(), msg));
-            if msg > 0 {
-                ctx.send(from, msg - 1);
-            }
-        }
-        fn on_crash(&mut self, member: u32, _now: SimTime) {
-            self.crashes[member as usize] += 1;
-        }
-        fn on_restart(&mut self, member: u32, _ctx: &mut Context<'_, u32>) {
-            self.restarts[member as usize] += 1;
-        }
-    }
-
     #[test]
     fn arena_members_behave_like_solo_actors() {
         let mut sim = Simulator::new(0);
-        let arena = sim.add_arena(CollectorArena::new(2));
+        // The stock arena: a plain `Vec` of solo actors, member = index.
+        let echo = || Collector { echo: true, ..Default::default() };
+        let arena = sim.add_arena(vec![echo(), echo()]);
         let m0 = sim.add_arena_member("m0", arena, 0);
         let m1 = sim.add_arena_member("m1", arena, 1);
         let s = sim.add_actor("s", Starter { to: m0, n: 0 });
@@ -1455,10 +1369,9 @@ mod tests {
         sim.inject(s, m0, 1, SimDuration::ZERO);
         sim.inject(s, m1, 0, SimDuration::ZERO);
         sim.run();
-        let a = sim.arena::<CollectorArena>(arena).unwrap();
-        assert_eq!(a.starts, vec![1, 1]);
-        assert_eq!(a.got[0], vec![(SimTime::ZERO, 1)]);
-        assert_eq!(a.got[1], vec![(SimTime::ZERO, 0)]);
+        let a = sim.arena::<Vec<Collector>>(arena).unwrap();
+        assert_eq!(a[0].got, vec![(SimTime::ZERO, 1)]);
+        assert_eq!(a[1].got, vec![(SimTime::ZERO, 0)]);
         // Members are not downcastable as solo actors.
         assert!(sim.actor::<Collector>(m0).is_none());
         // Two injects plus m0's echo of `1 - 1` back to the starter.
@@ -1468,7 +1381,7 @@ mod tests {
     #[test]
     fn arena_member_crash_is_isolated_to_that_member() {
         let mut sim = Simulator::new(0);
-        let arena = sim.add_arena(CollectorArena::new(2));
+        let arena = sim.add_arena(vec![LifeTracker::default(), LifeTracker::default()]);
         let m0 = sim.add_arena_member("m0", arena, 0);
         let m1 = sim.add_arena_member("m1", arena, 1);
         let s = sim.add_actor("s", Starter { to: m0, n: 0 });
@@ -1481,11 +1394,12 @@ mod tests {
         sim.inject(s, m0, 9, SimDuration::ZERO);
         sim.inject(s, m1, 0, SimDuration::ZERO);
         sim.run();
-        let a = sim.arena::<CollectorArena>(arena).unwrap();
-        assert_eq!(a.crashes, vec![1, 0]);
-        assert_eq!(a.restarts, vec![1, 0]);
-        assert!(a.got[0].is_empty());
-        assert_eq!(a.got[1].len(), 1);
+        let a = sim.arena::<Vec<LifeTracker>>(arena).unwrap();
+        assert_eq!((a[0].starts, a[1].starts), (1, 1));
+        assert_eq!((a[0].crashes, a[1].crashes), (1, 0));
+        assert_eq!((a[0].restarts, a[1].restarts), (1, 0));
+        assert!(a[0].got.is_empty());
+        assert_eq!(a[1].got.len(), 1);
         assert_eq!(sim.incarnation(m0), 1);
     }
 
