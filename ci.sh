@@ -31,6 +31,16 @@ echo "==> referee benchmark (standalone package: build + its own tests)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> referee output checks (storm_sharded + scenario_mix, one second each)"
+# Runs the two sharded workloads for their output checks alone: the flat
+# twin agrees, 1 and 2 worker threads produce the identical stream, no
+# residual holds, every iteration's facts equal the first set-up's. Any
+# failed check is a non-zero exit; the timings are ignored here (a gain or
+# regression is judged by paired runs, see benchmark/README.md). Results
+# land in benchmark/out (gitignored).
+bash benchmark/run.sh --workload storm_sharded --seed 7 --seconds 1 > /dev/null
+bash benchmark/run.sh --workload scenario_mix --seed 7 --seconds 1 > /dev/null
+
 echo "==> pinned chaos seeds (regression corpus + reproducibility)"
 # The sweep covers SADA_CHAOS_SEEDS random fault plans per intensity
 # (default 50) with the manager itself among the crash victims, and

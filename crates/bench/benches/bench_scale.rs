@@ -11,14 +11,16 @@
 //! * peak live heap for the row (a counting global allocator, high-water
 //!   mark reset at row start) divided by the agent count — the
 //!   bytes-per-agent figure the smoke gate pins;
-//! * the sharded wall clock at 1 worker thread, plus the event-stream
-//!   fingerprint at 1/2/4/8 threads, asserted byte-identical (thread count
-//!   is pure execution policy, never schedule-visible).
+//! * the sharded wall clock and peak live heap at 1 worker thread (one
+//!   worker builds and holds all eight endpoints, so the high-water mark is
+//!   deterministic), plus the event-stream fingerprint at 1/2/4/8 threads,
+//!   asserted byte-identical (thread count is pure execution policy, never
+//!   schedule-visible).
 //!
 //! Set `SADA_BENCH_SMOKE=1` to run only the 10k-group row and assert the
-//! bytes-per-agent ceiling — the CI memory-regression gate. The full sweep
-//! (including the 100k row) writes `BENCH_scale.json` at the repository
-//! root.
+//! bytes-per-agent ceiling and the sharded-over-flat peak-heap ceiling —
+//! the CI memory-regression gates. The full sweep (including the 100k row)
+//! writes `BENCH_scale.json` at the repository root.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,6 +38,14 @@ const SPACING_US: u64 = 37;
 /// while still failing loudly on an accidental per-agent heap object or a
 /// dense-`Config` round trip sneaking back into the hot path.
 const SMOKE_BYTES_PER_AGENT_CEILING: u64 = 8 * 1024;
+/// Smoke-gate ceiling on sharded (1 worker thread) over flat peak heap at
+/// the 10k row. A sharded run holds one shared world plus, per endpoint, a
+/// full-width agent arena, lock table and simulator: measured 2.53×
+/// (153.8 MB over 60.7 MB; both counts are deterministic). When every
+/// endpoint compiled a world of its own the same row measured 5.35×
+/// (324.4 MB) — the regression this gate exists to catch, with 28 %
+/// headroom above today's ratio.
+const SMOKE_SHARD_OVER_FLAT_HEAP_CEILING: f64 = 3.5;
 
 // ---------------------------------------------------------------------------
 // Counting allocator: peak live heap per row
@@ -119,7 +129,14 @@ struct Row {
     bytes_per_agent: u64,
     shard_wall_us_1t: u128,
     shard_sessions_per_sec_1t: f64,
+    shard_peak_heap_bytes_1t: u64,
     fingerprint: u64,
+}
+
+impl Row {
+    fn shard_over_flat_heap(&self) -> f64 {
+        self.shard_peak_heap_bytes_1t as f64 / self.peak_heap_bytes as f64
+    }
 }
 
 /// One sweep row: flat throughput + peak heap, then the sharded
@@ -140,11 +157,12 @@ fn run_row(groups: usize, threads: &[usize]) -> Row {
     let scn = ShardScenario::new(fleet, REGIONS);
     let mut runs = Vec::new();
     for &n in threads {
+        reset_peak();
         let t = std::time::Instant::now();
         let r = run_fleet_sharded(&scn, n);
-        runs.push((n, t.elapsed(), r));
+        runs.push((n, t.elapsed(), peak_heap(), r));
     }
-    let (_, base_wall, base) = &runs[0];
+    let (_, base_wall, base_peak, base) = &runs[0];
     assert_eq!(
         base.succeeded(),
         sessions,
@@ -152,7 +170,7 @@ fn run_row(groups: usize, threads: &[usize]) -> Row {
     );
     let active = base.per_shard.iter().filter(|s| !s.is_global && s.sessions > 0).count();
     assert_eq!(active, REGIONS, "{groups} groups: the stride must load every region");
-    for (n, _, r) in &runs {
+    for (n, _, _, r) in &runs {
         assert_eq!(
             r.fingerprint, base.fingerprint,
             "{groups} groups: {n} threads changed the event stream"
@@ -174,6 +192,7 @@ fn run_row(groups: usize, threads: &[usize]) -> Row {
         bytes_per_agent: peak / agents as u64,
         shard_wall_us_1t: base_wall.as_micros(),
         shard_sessions_per_sec_1t: base.succeeded() as f64 / base_wall.as_secs_f64().max(1e-9),
+        shard_peak_heap_bytes_1t: *base_peak,
         fingerprint: base.fingerprint,
     }
 }
@@ -188,7 +207,8 @@ fn write_bench_json(rows: &[Row]) {
                  \"flat_wall_us\": {}, \"sessions_per_sec\": {:.1}, \
                  \"events_per_sec\": {:.1}, \"peak_heap_bytes\": {}, \
                  \"bytes_per_agent\": {}, \"shard_wall_us_1t\": {}, \
-                 \"shard_sessions_per_sec_1t\": {:.1}, \"fingerprint\": \"{:#018x}\"}}",
+                 \"shard_sessions_per_sec_1t\": {:.1}, \"shard_peak_heap_bytes_1t\": {}, \
+                 \"fingerprint\": \"{:#018x}\"}}",
                 r.groups,
                 r.agents,
                 r.sessions,
@@ -199,6 +219,7 @@ fn write_bench_json(rows: &[Row]) {
                 r.bytes_per_agent,
                 r.shard_wall_us_1t,
                 r.shard_sessions_per_sec_1t,
+                r.shard_peak_heap_bytes_1t,
                 r.fingerprint,
             )
         })
@@ -210,6 +231,7 @@ fn write_bench_json(rows: &[Row]) {
          run_fleet_sharded at 1/2/4/8 threads with fingerprints asserted identical\",\n  \
          \"host_cores\": {cores},\n  \"thread_sweep\": [1, 2, 4, 8],\n  \
          \"smoke_bytes_per_agent_ceiling\": {SMOKE_BYTES_PER_AGENT_CEILING},\n  \
+         \"smoke_shard_over_flat_heap_ceiling\": {SMOKE_SHARD_OVER_FLAT_HEAP_CEILING},\n  \
          \"rows\": [\n{}\n  ]\n}}\n",
         body.join(",\n"),
     );
@@ -246,10 +268,24 @@ fn sweep() {
             row.bytes_per_agent,
             SMOKE_BYTES_PER_AGENT_CEILING,
         );
+        assert!(
+            row.shard_over_flat_heap() <= SMOKE_SHARD_OVER_FLAT_HEAP_CEILING,
+            "sharded peak heap regressed: {} bytes at 1 thread is {:.2}x the flat {} bytes at \
+             10k groups (ceiling {}x) — is every endpoint compiling its own world again?",
+            row.shard_peak_heap_bytes_1t,
+            row.shard_over_flat_heap(),
+            row.peak_heap_bytes,
+            SMOKE_SHARD_OVER_FLAT_HEAP_CEILING,
+        );
         println!(
-            "smoke ok: 10k groups, {} sessions, {} bytes/agent (ceiling {}), \
-             fingerprint {:#018x} identical at 1/2/4/8 threads",
-            row.sessions, row.bytes_per_agent, SMOKE_BYTES_PER_AGENT_CEILING, row.fingerprint,
+            "smoke ok: 10k groups, {} sessions, {} bytes/agent (ceiling {}), sharded/flat peak \
+             heap {:.2}x (ceiling {}x), fingerprint {:#018x} identical at 1/2/4/8 threads",
+            row.sessions,
+            row.bytes_per_agent,
+            SMOKE_BYTES_PER_AGENT_CEILING,
+            row.shard_over_flat_heap(),
+            SMOKE_SHARD_OVER_FLAT_HEAP_CEILING,
+            row.fingerprint,
         );
         return;
     }

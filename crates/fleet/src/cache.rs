@@ -36,11 +36,24 @@
 //! * **Crash faults**: the cache is volatile state. A restored control
 //!   plane starts cold (fresh cache), so cached paths are never treated as
 //!   authoritative against the durable journal.
+//!
+//! ## The safety memo
+//!
+//! The global endpoint check that precedes every lookup is what would make
+//! a cache hit O(world): two full passes over the invariant set per query.
+//! Consecutive queries of one control plane differ in a handful of
+//! components, so the cache keeps the last configuration its sessions
+//! proved safe ([`sada_plan::SafeMemo`]) and [`PlanCache::is_safe`]
+//! re-evaluates only the predicates the diff touches. The memo lives here —
+//! not inside the world's [`Search`], which is immutable and shared by
+//! every endpoint thread of a run — because the cache has exactly the
+//! right owner and lifetime: one per control-plane incarnation, emptied by
+//! [`PlanCache::invalidate`], gone with the cache on a crash.
 
 use std::collections::HashMap;
 
 use sada_expr::{CompId, Config, Expr, InvariantSet};
-use sada_plan::Action;
+use sada_plan::{Action, SafeMemo, Search};
 
 /// A normalized planning instance: the full problem statement over
 /// scope-local component ids. Two sessions with equal keys pose the same
@@ -121,6 +134,9 @@ pub struct PlanCache {
     clock: u64,
     stats: PlanCacheStats,
     notes: Vec<CacheNote>,
+    /// Last configuration [`PlanCache::is_safe`] proved safe, under the
+    /// same world the entries were planned in.
+    safe_memo: SafeMemo,
 }
 
 impl PlanCache {
@@ -133,6 +149,7 @@ impl PlanCache {
             clock: 0,
             stats: PlanCacheStats::default(),
             notes: Vec::new(),
+            safe_memo: SafeMemo::default(),
         }
     }
 
@@ -182,11 +199,22 @@ impl PlanCache {
         self.entries.insert(key, Slot { plan, last_used: self.clock });
     }
 
-    /// Drops every entry. Call when the world's action repertoire or
-    /// invariant set changes — the keys embed both, but stale isomorphic
-    /// answers from a *previous* world must not survive a swap.
+    /// Whether `cfg` satisfies every invariant of `search` — the global
+    /// check that must pass before the cache may speak for a query. Exact,
+    /// and O(diff against the last configuration proved safe through this
+    /// cache) rather than O(invariants). `search` must be the one world
+    /// this cache serves until the next [`PlanCache::invalidate`].
+    pub fn is_safe(&mut self, search: &Search, cfg: &Config) -> bool {
+        search.is_safe_memo(cfg, &mut self.safe_memo)
+    }
+
+    /// Drops every entry and the safety memo. Call when the world's action
+    /// repertoire or invariant set changes — the keys embed both, but stale
+    /// isomorphic answers from a *previous* world must not survive a swap,
+    /// and "safe under the old invariants" proves nothing under the new.
     pub fn invalidate(&mut self) {
         self.entries.clear();
+        self.safe_memo = SafeMemo::default();
         self.stats.invalidations += 1;
     }
 
@@ -444,5 +472,24 @@ mod tests {
         assert!(cache.lookup(&key, 7).is_none());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.invalidations), (1, 1, 1));
+    }
+
+    #[test]
+    fn invalidate_drops_the_safety_memo_with_the_entries() {
+        let (mut u, inv, actions) = two_group_world();
+        let old = Search::new(&inv, &actions, u.len());
+        // The swapped-in world additionally demands New1.
+        let stricter =
+            InvariantSet::parse(&["one_of(Old0, New0)", "one_of(Old1, New1)", "New1"], &mut u)
+                .unwrap();
+        let new = Search::new(&stricter, &actions, u.len());
+        let cfg = u.config_of(&["Old0", "Old1"]);
+        let mut cache = PlanCache::new(8);
+        assert!(cache.is_safe(&old, &cfg));
+        // A memo that outlived the swap would diff `cfg` against itself,
+        // evaluate nothing, and wave it through.
+        cache.invalidate();
+        assert!(!cache.is_safe(&new, &cfg), "safe under the old invariants proves nothing");
+        assert!(cache.is_safe(&new, &u.config_of(&["Old0", "New1"])));
     }
 }

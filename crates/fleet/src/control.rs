@@ -1114,8 +1114,9 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
             self.breakers = (0..self.agents.len()).map(|_| CircuitBreaker::new(cfg)).collect();
         }
         self.scope_breakers.clear();
-        // The plan cache dies with the process: the restored incarnation
-        // starts cold, so journal replay never leans on pre-crash plans.
+        // The plan cache dies with the process, safety memo included: the
+        // restored incarnation starts cold, so journal replay never leans
+        // on pre-crash plans or pre-crash safety proofs.
         self.plan_cache = Rc::new(RefCell::new(PlanCache::new(PLAN_CACHE_CAPACITY)));
     }
 

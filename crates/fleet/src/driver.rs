@@ -7,6 +7,13 @@
 //! is the one-plane case — build, run to the budget on the calling thread,
 //! distill — and `run_fleet_sharded` runs the same two functions once per
 //! endpoint, adding only the fabric around them.
+//!
+//! A plane owns everything *mutable* — simulator, agents, lock table, plan
+//! cache, journal — and borrows everything that is not: the compiled
+//! [`FleetWorld`] is built once per run by the driver
+//! ([`FleetScenario::build_world`], called from `run_fleet` and
+//! `run_fleet_sharded` and nowhere below them) and handed to
+//! [`build_plane`] as a handle.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -215,6 +222,7 @@ impl FleetReport {
 pub fn run_fleet(scenario: &FleetScenario) -> FleetReport {
     let mut plane = build_plane::<(), _>(
         scenario,
+        scenario.build_world(),
         scenario.seed,
         0,
         scenario.sessions.clone(),
@@ -263,12 +271,15 @@ pub(crate) struct Plane<M> {
     render_journal: bool,
 }
 
-/// Builds the plane for `specs` out of `scn`'s world, timing, resilience
-/// and fault schedule. `wrap` turns the bare [`ControlActor`] into the actor
-/// to register (given the plane's bus and the control id) and names it;
-/// `crash` is that actor's crash/restart window.
+/// Builds the plane for `specs` over `world` (a handle on the run's one
+/// compiled world — the caller builds it, every plane of the run shares it)
+/// with `scn`'s timing, resilience and fault schedule. `wrap` turns the bare
+/// [`ControlActor`] into the actor to register (given the plane's bus and
+/// the control id) and names it; `crash` is that actor's crash/restart
+/// window.
 pub(crate) fn build_plane<M, C>(
     scn: &FleetScenario,
+    world: FleetWorld,
     seed: u64,
     shard_tag: u32,
     specs: Vec<SessionSpec>,
@@ -279,7 +290,7 @@ where
     M: Clone + 'static,
     C: Actor<Wire<M>> + 'static,
 {
-    let world = Rc::new(scn.build_world());
+    let world = Rc::new(world);
     let mut sim: Simulator<Wire<M>> = Simulator::new(seed);
     sim.set_default_link(LinkConfig::reliable(scn.link_latency));
 
@@ -507,10 +518,15 @@ mod tests {
         // Flood the plane's bus past the ring's capacity before the run:
         // the report keeps the tail and says how much of the head it lost.
         let scenario = FleetScenario::new(2, disjoint_wave(1, 2));
-        let mut plane =
-            build_plane::<(), _>(&scenario, 42, 0, scenario.sessions.clone(), None, |c, _, _| {
-                ("control", c)
-            });
+        let mut plane = build_plane::<(), _>(
+            &scenario,
+            scenario.build_world(),
+            42,
+            0,
+            scenario.sessions.clone(),
+            None,
+            |c, _, _| ("control", c),
+        );
         let filler = sada_obs::FleetEvent::SessionCancelled { session: 9 };
         for _ in 0..RING_CAPACITY + 5 {
             plane.bus.emit(fleet_event(SimTime::ZERO, plane.control_id, 9, filler));

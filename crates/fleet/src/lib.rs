@@ -66,4 +66,6 @@ pub use shard::{
     run_fleet_sharded, FabricFaultPlan, FabricPayload, FabricStats, ShardReport, ShardScenario,
     ShardStats, DEFAULT_REGIONS,
 };
-pub use world::{ActionSpec, ClusterSpec, CompSpec, Domain, FleetWorld, Objective, WorldSpec};
+pub use world::{
+    ActionSpec, ClusterSpec, CompSpec, CompiledWorld, Domain, FleetWorld, Objective, WorldSpec,
+};

@@ -6,10 +6,13 @@
 //! exploration planner ([`sada_plan::lazy`]) — no eager SAG over the whole
 //! fleet's `2^n` configuration space is ever built. The compiled
 //! [`Search`](sada_plan::Search) (kernel invariant checks, interned arena,
-//! action index) is built **once per world** and shared by every session;
-//! admission only gathers the scope's action indices through the search's
-//! inverted touch index and builds a scope-sized normalizer, so admitting a
-//! session costs O(scope), not O(world).
+//! action index) is built **once per run** with the world and shared,
+//! immutably, by every session of every control plane — it holds no
+//! per-query state; the one memo the endpoint checks use lives in the
+//! session's [`PlanCache`]. Admission only gathers the scope's action
+//! indices through the search's inverted touch index and builds a
+//! scope-sized normalizer, so admitting a session costs O(scope), not
+//! O(world).
 //!
 //! Because the planner is a pure function of the world and the scope, a
 //! restored control plane can rebuild it per session and replay journals
@@ -131,7 +134,12 @@ impl ScopedLazyPlanner {
         let nz = self.normalizer.as_ref()?;
         // The key captures in-scope state only, so out-of-scope safety must
         // be established before the cache may speak for this query.
-        if !self.world.search.is_safe(from) || !self.world.search.is_safe(to) {
+        let search = &self.world.search;
+        let endpoints_safe = {
+            let mut cache = cache.borrow_mut();
+            cache.is_safe(search, from) && cache.is_safe(search, to)
+        };
+        if !endpoints_safe {
             return None;
         }
         let key = nz.key(from, to);

@@ -6,7 +6,11 @@
 //! as **shards**: the group space is cut into `regions` contiguous blocks,
 //! and each region is one [`build_plane`] — its own simulator, its own
 //! agents, its own [`ControlActor`] (scope-lock domain, plan cache, journal)
-//! — pumped by a real OS thread. Sessions whose scope stays inside one region never
+//! — pumped by a real OS thread. Regions are independent failure domains
+//! that own their *mutable* state; the design-time component model — the
+//! compiled [`FleetWorld`] — is built once per run on the calling thread
+//! and read by every endpoint thread through a shared handle.
+//! Sessions whose scope stays inside one region never
 //! synchronize with anything; sessions that straddle regions escalate to a
 //! thin **global tier** that acquires per-region scope slices over the
 //! fabric before running the full protocol.
@@ -43,7 +47,7 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use sada_expr::CompId;
@@ -56,6 +60,7 @@ use crate::control::{fleet_event, ControlActor, SessionSpec};
 use crate::driver::{
     build_plane, makespan_us, max_concurrent, FleetScenario, Plane, PlaneOutcome, SessionResult,
 };
+use crate::world::FleetWorld;
 
 /// Default region count: matches the 8-thread top rung of the scaling
 /// benchmark, and divides the benchmark fleets evenly.
@@ -1400,8 +1405,8 @@ impl Actor<Wire<ShardMsg>> for GlobalControl {
 // ---------------------------------------------------------------------------
 
 /// Everything a worker thread needs to *build* one endpoint — plain data,
-/// since simulators are constructed inside the owning thread.
-#[derive(Clone)]
+/// since simulators are constructed inside the owning thread. Moved into
+/// the worker and consumed by [`build_endpoint`].
 struct EndpointPlan {
     id: u32,
     specs: Vec<SessionSpec>,
@@ -1436,21 +1441,22 @@ struct Endpoint {
 
 fn build_endpoint(
     scn: &FleetScenario,
+    world: FleetWorld,
     regions: usize,
     budget_us: u64,
-    plan: &EndpointPlan,
+    plan: EndpointPlan,
 ) -> Endpoint {
     let seed = scn.seed.wrapping_add(u64::from(plan.id).wrapping_mul(SEED_STRIDE));
     let shard_tag = plan.id + 1;
     // The fabric relay takes the slot after the control plane.
     let relay_of = |control_id: ActorId| ActorId::from_index(control_id.index() + 1);
     let mut plane = if plan.is_global {
-        build_plane(scn, seed, shard_tag, plan.specs.clone(), plan.crash, |inner, bus, id| {
+        build_plane(scn, world, seed, shard_tag, plan.specs, plan.crash, |inner, bus, id| {
             let global = GlobalControl {
                 inner,
                 relay: relay_of(id),
                 bus: bus.clone(),
-                straddlers: plan.straddlers.clone(),
+                straddlers: plan.straddlers,
                 submitted_at: HashMap::new(),
                 cancelled_at: HashMap::new(),
                 global_journal: Vec::new(),
@@ -1468,7 +1474,7 @@ fn build_endpoint(
             ("global-control", global)
         })
     } else {
-        build_plane(scn, seed, shard_tag, plan.specs.clone(), plan.crash, |inner, bus, id| {
+        build_plane(scn, world, seed, shard_tag, plan.specs, plan.crash, |inner, bus, id| {
             let region = RegionControl {
                 inner,
                 relay: relay_of(id),
@@ -1495,8 +1501,8 @@ fn build_endpoint(
         shard_tag,
         relay_id,
         outbox,
-        inbound: plan.inbound.clone(),
-        outbound: plan.outbound.clone(),
+        inbound: plan.inbound,
+        outbound: plan.outbound,
         staged: BTreeMap::new(),
         ran_to_us: 0,
         budget_us,
@@ -1837,13 +1843,16 @@ fn distill_endpoint(ep: Endpoint) -> EndpointOutcome {
 
 fn run_worker(
     scn: &FleetScenario,
+    world: &FleetWorld,
     regions: usize,
     budget_us: u64,
     plans: Vec<EndpointPlan>,
     fabric: &Fabric,
 ) -> Vec<EndpointOutcome> {
-    let mut eps: Vec<Endpoint> =
-        plans.iter().map(|p| build_endpoint(scn, regions, budget_us, p)).collect();
+    let mut eps: Vec<Endpoint> = plans
+        .into_iter()
+        .map(|p| build_endpoint(scn, world.clone(), regions, budget_us, p))
+        .collect();
     loop {
         let mut progressed = false;
         let mut all_done = true;
@@ -2000,8 +2009,11 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
     let budget_us = fleet.time_budget.as_micros();
     let quantum_us = fleet.link_latency.as_micros().max(1);
 
-    // Partition the workload by the fixed region map.
+    // The one world of the run: compiled here, on the calling thread, and
+    // shared immutably by every endpoint plane below.
     let world = fleet.build_world();
+
+    // Partition the workload by the fixed region map.
     let mut per_region: Vec<Vec<SessionSpec>> = vec![Vec::new(); regions];
     let mut straddlers: Vec<(SessionSpec, Vec<usize>)> = Vec::new();
     for spec in &fleet.sessions {
@@ -2022,12 +2034,14 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
         .collect();
     let global_ep = regions as u32;
 
-    let mut plans: Vec<EndpointPlan> = (0..regions)
-        .map(|r| {
+    let mut plans: Vec<EndpointPlan> = per_region
+        .into_iter()
+        .enumerate()
+        .map(|(r, specs)| {
             let active = involved.contains(&(r as u32));
             EndpointPlan {
                 id: r as u32,
-                specs: per_region[r].clone(),
+                specs,
                 straddlers: Vec::new(),
                 inbound: if active { vec![global_ep] } else { Vec::new() },
                 outbound: if active { vec![global_ep] } else { Vec::new() },
@@ -2088,25 +2102,33 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
         });
     }
 
-    let fabric = Arc::new(Fabric::new(
+    let fabric = Fabric::new(
         &involved,
         global_ep,
         quantum_us,
         scenario.fabric_faults.clone(),
         scenario.promise_fastpath,
-    ));
+    );
     let started = Instant::now();
     let mut outcomes: Vec<EndpointOutcome> = Vec::new();
+    let mut per_worker: Vec<Vec<EndpointPlan>> = (0..threads).map(|_| Vec::new()).collect();
+    for plan in plans {
+        per_worker[plan.id as usize % threads].push(plan);
+    }
+    // The calling thread is worker 0 and the rest are spawned beside it, so
+    // `threads` counts the threads that do work (a one-thread run spawns
+    // nothing).
+    let mut shares = per_worker.into_iter().filter(|mine| !mine.is_empty());
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..threads {
-            let mine: Vec<EndpointPlan> =
-                plans.iter().filter(|p| p.id as usize % threads == w).cloned().collect();
-            if mine.is_empty() {
-                continue;
-            }
-            let fabric = Arc::clone(&fabric);
-            handles.push(scope.spawn(move || run_worker(fleet, regions, budget_us, mine, &fabric)));
+        let first = shares.next();
+        let handles: Vec<_> = shares
+            .map(|mine| {
+                let (world, fabric) = (&world, &fabric);
+                scope.spawn(move || run_worker(fleet, world, regions, budget_us, mine, fabric))
+            })
+            .collect();
+        if let Some(mine) = first {
+            outcomes.extend(run_worker(fleet, &world, regions, budget_us, mine, &fabric));
         }
         for h in handles {
             outcomes.extend(h.join().expect("shard worker panicked"));
@@ -2116,16 +2138,14 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
     outcomes.sort_by_key(|o| o.id);
 
     // Deterministic event merge: (virtual time, shard, intra-shard order).
-    let total_events: usize = outcomes.iter().map(|o| o.plane.events.len()).sum();
-    let mut keys: Vec<(u64, u32, usize)> = Vec::with_capacity(total_events);
-    for (ox, o) in outcomes.iter().enumerate() {
-        for (ix, e) in o.plane.events.iter().enumerate() {
-            keys.push((e.at.as_micros(), ox as u32, ix));
-        }
+    // The streams are moved end to end in shard order, so a *stable* sort
+    // on time alone yields exactly that order without cloning an event.
+    let shard_events: Vec<usize> = outcomes.iter().map(|o| o.plane.events.len()).collect();
+    let mut events: Vec<Event> = Vec::with_capacity(shard_events.iter().sum());
+    for o in &mut outcomes {
+        events.append(&mut o.plane.events);
     }
-    keys.sort_unstable();
-    let mut events: Vec<Event> = Vec::with_capacity(total_events);
-    events.extend(keys.iter().map(|&(_, ox, ix)| outcomes[ox as usize].plane.events[ix].clone()));
+    events.sort_by_key(|e| e.at);
     let fingerprint = fingerprint_events(&events);
 
     // Regions are authoritative for their groups' component values (global
@@ -2142,26 +2162,27 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
         }
     }
 
-    let mut results: Vec<SessionResult> =
-        outcomes.iter().flat_map(|o| o.plane.results.clone()).collect();
-    results.sort_by_key(|r| r.id);
     let intervals: Vec<(u64, Option<u64>)> =
         outcomes.iter().flat_map(|o| o.plane.intervals.iter().copied()).collect();
 
     let per_shard: Vec<ShardStats> = outcomes
         .iter()
-        .map(|o| ShardStats {
+        .zip(shard_events)
+        .map(|(o, events)| ShardStats {
             shard: o.shard_tag,
             is_global: o.is_global,
             sessions: o.plane.results.len(),
             completed: o.plane.results.iter().filter(|r| r.completed_at.is_some()).count(),
-            events: o.plane.events.len(),
+            events,
             delivered: o.plane.stats.delivered,
             restores: o.plane.restores,
             cache_hits: o.plane.cache.hits,
             cache_misses: o.plane.cache.misses,
         })
         .collect();
+    let mut results: Vec<SessionResult> =
+        outcomes.iter_mut().flat_map(|o| std::mem::take(&mut o.plane.results)).collect();
+    results.sort_by_key(|r| r.id);
 
     let fabric_stats = {
         let st = fabric.state.lock().unwrap();
@@ -2183,11 +2204,14 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
         final_config: cfg.to_bit_string(),
         fingerprint,
         events_evicted: outcomes.iter().map(|o| o.plane.events_evicted).sum(),
-        journals: outcomes.iter().map(|o| (o.shard_tag, o.plane.journal_text.clone())).collect(),
+        journals: outcomes
+            .iter_mut()
+            .map(|o| (o.shard_tag, std::mem::take(&mut o.plane.journal_text)))
+            .collect(),
         global_journal: outcomes
-            .iter()
+            .iter_mut()
             .find(|o| o.is_global)
-            .map(|o| o.global_journal_text.clone())
+            .map(|o| std::mem::take(&mut o.global_journal_text))
             .unwrap_or_default(),
         restores: outcomes.iter().map(|o| o.plane.restores).sum(),
         max_concurrent: max_concurrent(intervals),
@@ -2261,6 +2285,36 @@ mod tests {
             "one region replicates the unsharded run modulo shard tags"
         );
         assert_eq!(report.final_config, unsharded.final_config);
+        // Event for event, not just hash for hash.
+        assert_eq!(report.events.len(), unsharded.events.len());
+        for (sharded, flat) in report.events.iter().zip(&unsharded.events) {
+            assert_eq!(Event { shard: 0, ..sharded.clone() }, *flat);
+        }
+    }
+
+    /// The world is compiled once per run: every endpoint built from the
+    /// run's handle reads the same allocation, never a private copy.
+    #[test]
+    fn endpoints_share_the_one_world_allocation() {
+        let fleet = FleetScenario::new(4, disjoint_wave(4, 1));
+        let world = fleet.build_world();
+        let endpoint = |id: u32| {
+            let plan = EndpointPlan {
+                id,
+                specs: Vec::new(),
+                straddlers: Vec::new(),
+                inbound: Vec::new(),
+                outbound: Vec::new(),
+                owned_groups: vec![id as usize],
+                crash: None,
+                is_global: false,
+            };
+            build_endpoint(&fleet, world.clone(), 2, 1_000, plan)
+        };
+        let (a, b) = (endpoint(0), endpoint(1));
+        assert!(FleetWorld::ptr_eq(&a.plane.world, &b.plane.world));
+        assert!(FleetWorld::ptr_eq(&a.plane.world, &world));
+        assert!(!FleetWorld::ptr_eq(&world, &fleet.build_world()), "a rebuild is a new world");
     }
 
     #[test]

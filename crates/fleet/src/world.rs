@@ -19,6 +19,9 @@
 //! collaborative sets — the property region partitioning and the plan
 //! cache's scope normalizer rely on.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use sada_expr::{CompId, Config, InvariantSet, Universe};
 use sada_model::SystemModel;
 use sada_plan::{Action, CollabIndex, Search};
@@ -210,8 +213,10 @@ impl WorldSpec {
 
 /// Static description of a fleet: universe, invariants, actions, placement,
 /// the collaborative-set index used for scope extraction, and the spec the
-/// world was compiled from.
-pub struct FleetWorld {
+/// world was compiled from. These are the products of the paper's analysis
+/// phase (§4.1): fixed before the first adaptation request and only read
+/// afterwards, so nothing in here is ever mutated — or mutable.
+pub struct CompiledWorld {
     /// Component universe, interned in `spec.comps` order.
     pub universe: Universe,
     /// Compiled invariant set.
@@ -227,8 +232,9 @@ pub struct FleetWorld {
     pub index: CollabIndex,
     /// The compiled planning context over the whole world — invariant
     /// kernels, action index, inverted touch index — built **once** here
-    /// and shared by every session (scoped planners restrict it to their
-    /// action subset instead of compiling their own).
+    /// and shared by every session of every control plane of a run (scoped
+    /// planners restrict it to their action subset instead of compiling
+    /// their own).
     pub search: Search,
     /// Number of flip units (`spec.clusters.len()`).
     pub groups: usize,
@@ -236,7 +242,36 @@ pub struct FleetWorld {
     pub spec: WorldSpec,
 }
 
+/// A handle on one compiled world: cloning it is a reference-count bump,
+/// and every clone reads the same [`CompiledWorld`] allocation. A run
+/// compiles its world once and hands a clone to every control plane —
+/// across threads in the sharded driver, which is why the data behind the
+/// handle must stay `Send + Sync` (asserted below).
+#[derive(Clone)]
+pub struct FleetWorld(Arc<CompiledWorld>);
+
+// An `Rc`, `Cell` or `RefCell` anywhere inside the shared world must fail
+// the build here, not a benchmark three PRs later.
+const _: fn() = || {
+    fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<FleetWorld>();
+};
+
+impl Deref for FleetWorld {
+    type Target = CompiledWorld;
+
+    fn deref(&self) -> &CompiledWorld {
+        &self.0
+    }
+}
+
 impl FleetWorld {
+    /// Whether `a` and `b` are handles on the same compiled allocation.
+    #[cfg(test)]
+    pub(crate) fn ptr_eq(a: &FleetWorld, b: &FleetWorld) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
     /// Builds the classic video world of `groups` independent groups.
     pub fn build(groups: usize) -> Self {
         Self::from_spec(WorldSpec::video(groups))
@@ -313,7 +348,7 @@ impl FleetWorld {
         let index = CollabIndex::new(&universe, &inv, &actions);
         let search = Search::new(&inv, &actions, universe.len());
         let groups = spec.clusters.len();
-        let world = FleetWorld {
+        let world = CompiledWorld {
             universe,
             inv,
             actions,
@@ -328,9 +363,11 @@ impl FleetWorld {
             world.inv.satisfied_by(&world.initial_config()),
             "initial configuration violates the invariants"
         );
-        world
+        FleetWorld(Arc::new(world))
     }
+}
 
+impl CompiledWorld {
     /// The spec's domain.
     pub fn domain(&self) -> Domain {
         self.spec.domain

@@ -1,0 +1,98 @@
+//! Pinned identities of multi-region [`run_fleet_sharded`] runs that
+//! `flat_identity.rs` cannot reach: straddlers escalating through the global
+//! tier over four regions, and the same fleet with a region crash, a
+//! global-tier crash and a lossy fabric on top.
+//!
+//! The constants were captured while every endpoint still compiled its own
+//! world; they pin that sharing one immutable world across the endpoint
+//! threads (and moving the safety memo out of `Search`) moved no event,
+//! journal byte, or verdict — at 1 and at 4 worker threads.
+
+mod identity;
+
+use identity::{assert_pinned, Identity};
+use sada_fleet::{FabricFaultPlan, FleetScenario, SessionSpec, ShardScenario};
+use sada_simnet::{SimDuration, SimTime};
+
+fn spec(id: u64, flips: Vec<(usize, bool)>, at_us: u64, cancel_us: Option<u64>) -> SessionSpec {
+    SessionSpec {
+        id,
+        flips,
+        priority: (id % 3) as u8,
+        submit_at: SimDuration::from_micros(at_us),
+        cancel_at: cancel_us.map(SimDuration::from_micros),
+    }
+}
+
+/// Eight groups over four regions (two groups each): locals that flip
+/// forward and back, a queued local that withdraws, two two-region
+/// straddlers, and one straddler across three regions.
+fn straddling_fleet() -> ShardScenario {
+    let mut sessions: Vec<SessionSpec> =
+        (0..8).map(|g| spec(g as u64 + 1, vec![(g, true)], 300 * g as u64, None)).collect();
+    sessions.push(spec(9, vec![(0, false), (1, false)], 2_000, None));
+    sessions.push(spec(10, vec![(4, false)], 2_500, Some(3_000)));
+    sessions.push(spec(100, vec![(1, true), (2, true)], 5_000, None));
+    sessions.push(spec(101, vec![(5, false), (6, false)], 12_000, None));
+    sessions.push(spec(102, vec![(0, true), (4, false), (7, false)], 20_000, None));
+    let mut fleet = FleetScenario::new(8, sessions);
+    fleet.seed = 7;
+    fleet.time_budget = SimDuration::from_secs(40);
+    ShardScenario::new(fleet, 4)
+}
+
+#[test]
+fn straddlers_over_four_regions_are_pinned() {
+    assert_pinned(
+        "straddling fleet",
+        &straddling_fleet(),
+        &Identity {
+            fingerprint: 0xe6003dc5fee5a613,
+            final_config: "0101010110100110",
+            restores: 0,
+            journal_fnvs: &[
+                0xd71896d428050fd9,
+                0x7a26756e8c1409f9,
+                0x70146736012906e5,
+                0x31eedb1f41686777,
+                0xb27d265e4213c396,
+            ],
+            global_journal_fnv: 0x832062beb8f9b6b4,
+            verdicts: (12, 0, 1, 0, 0),
+        },
+    );
+}
+
+#[test]
+fn region_and_global_crashes_over_a_lossy_fabric_are_pinned() {
+    let mut scn = straddling_fleet();
+    scn.crash_region = Some((1, SimTime::from_micros(8_900), SimTime::from_micros(700_000)));
+    scn.crash_global = Some((SimTime::from_micros(6_700), SimTime::from_micros(400_000)));
+    scn.fabric_faults = FabricFaultPlan {
+        seed: 0xFAB,
+        drop_per_mille: 200,
+        dup_per_mille: 200,
+        delay_per_mille: 200,
+        max_delay_quanta: 4,
+        null_drop_per_mille: 100,
+        ..FabricFaultPlan::default()
+    };
+    assert_pinned(
+        "crashes + lossy fabric",
+        &scn,
+        &Identity {
+            fingerprint: 0x22111704deb0be8b,
+            final_config: "0101010110100110",
+            restores: 2,
+            journal_fnvs: &[
+                0xd71896d428050fd9,
+                0x7a26756e8c1409f9,
+                0x70146736012906e5,
+                0x31eedb1f41686777,
+                0x3a17d3cf6a0a6ec2,
+            ],
+            global_journal_fnv: 0x897545ff388a6ac0,
+            verdicts: (12, 0, 1, 0, 0),
+        },
+    );
+}

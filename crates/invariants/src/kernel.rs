@@ -133,14 +133,19 @@ impl CompiledExpr {
         self.support.push(id);
     }
 
-    /// If every element of `es` is a plain variable, returns their ids.
-    fn all_vars(es: &[Expr]) -> Option<Vec<CompId>> {
-        es.iter()
+    /// If every element of `es` is a plain variable and no variable
+    /// repeats, returns their ids. A repeated operand counts twice under
+    /// `^` and `one_of` but owns one mask bit, so it takes the general ops.
+    fn distinct_vars(es: &[Expr]) -> Option<Vec<CompId>> {
+        let ids: Vec<CompId> = es
+            .iter()
             .map(|e| match e {
                 Expr::Var(id) => Some(*id),
                 _ => None,
             })
-            .collect()
+            .collect::<Option<_>>()?;
+        let repeats = ids.iter().enumerate().any(|(i, id)| ids[..i].contains(id));
+        (!repeats).then_some(ids)
     }
 
     fn lower(&mut self, expr: &Expr, width: usize, depth: &mut usize) {
@@ -157,7 +162,7 @@ impl CompiledExpr {
                 self.push_op(Op::Not, 1, depth);
             }
             Expr::And(es) | Expr::Or(es) | Expr::Xor(es) | Expr::ExactlyOne(es) => {
-                if let Some(ids) = Self::all_vars(es) {
+                if let Some(ids) = Self::distinct_vars(es) {
                     for &id in &ids {
                         self.record_var(id, width);
                     }
@@ -466,6 +471,9 @@ mod tests {
             "(!C0 <=> one_of(C1, C2, C3))",
             "(C0 => false)",
             "one_of(C0, (C1 & C2), C3)",
+            "one_of(C0, C0, C1)",
+            "(C2 ^ C2 ^ C3)",
+            "(C1 & C1)",
         ];
         let inv = InvariantSet::parse(&exprs, &mut universe).unwrap();
         for (e, c) in inv.exprs().iter().zip(inv.compile(4).preds()) {

@@ -2,12 +2,14 @@
 //! endpoints, the kernel+index hot path must reproduce the tree-walk
 //! baseline exactly — identical paths, identical exploration, identical
 //! candidate sequences — and the action index must only ever skip actions a
-//! linear scan would have rejected.
+//! linear scan would have rejected. Over random invariant sets and random
+//! configuration sequences, the memoised safety check must answer exactly
+//! like the invariant set itself.
 
 use proptest::prelude::*;
 
-use sada_expr::{Config, InvariantSet, Universe};
-use sada_plan::{Action, ActionIndex, Search};
+use sada_expr::{CompId, Config, Expr, InvariantSet, Universe};
+use sada_plan::{Action, ActionIndex, SafeMemo, Search};
 
 /// A grouped world: `groups` one_of(Old, New) pairs with flip actions both
 /// ways at the given costs, plus one free component with insert/remove
@@ -63,7 +65,52 @@ fn arb_world() -> impl Strategy<Value = World> {
         .prop_map(|(costs, free_cost)| build_world(&costs, free_cost))
 }
 
+/// Variables the random invariants of the memo property range over.
+const NVARS: usize = 8;
+
+fn arb_invariant() -> BoxedStrategy<Expr> {
+    let leaf = (0usize..NVARS).prop_map(|ix| Expr::var(CompId::from_index(ix)));
+    leaf.prop_recursive(3, 24, 3, |inner| {
+        prop_oneof![
+            inner.clone().prop_map(Expr::not),
+            prop::collection::vec(inner.clone(), 1..4).prop_map(Expr::or),
+            prop::collection::vec(inner.clone(), 1..4).prop_map(Expr::exactly_one),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.implies(b)),
+            (inner.clone(), inner).prop_map(|(a, b)| a.iff(b)),
+        ]
+    })
+    .boxed()
+}
+
 proptest! {
+    /// Safe and unsafe configurations interleaved, over the invariants' own
+    /// width and two wider slot spaces (one spilling into a second word):
+    /// every memoised answer equals `InvariantSet::satisfied_by`, a pass
+    /// moves the slot, and a failure leaves it where it was.
+    #[test]
+    fn memoised_safety_check_equals_the_invariant_set(
+        exprs in prop::collection::vec(arb_invariant(), 0..4),
+        seq in prop::collection::vec((any::<u8>(), 0usize..3), 1..32),
+    ) {
+        let mut inv = InvariantSet::new();
+        for e in exprs {
+            inv.push(e);
+        }
+        let search = Search::new(&inv, &[], NVARS);
+        let mut memo = SafeMemo::default();
+        for (bits, w) in seq {
+            let mut cfg = Config::empty([NVARS, NVARS + 3, NVARS + 64][w]);
+            for ix in (0..NVARS).filter(|ix| bits & (1 << ix) != 0) {
+                cfg.insert(CompId::from_index(ix));
+            }
+            let want = inv.satisfied_by(&cfg);
+            let before = memo.proved().cloned();
+            prop_assert_eq!(search.is_safe_memo(&cfg, &mut memo), want, "memoised, {}", cfg);
+            prop_assert_eq!(search.is_safe(&cfg), want, "full, {}", cfg);
+            prop_assert_eq!(memo.proved().cloned(), if want { Some(cfg) } else { before });
+        }
+    }
+
     #[test]
     fn indexed_kernel_search_equals_linear_tree_walk(
         w in arb_world(),

@@ -268,12 +268,38 @@ impl fmt::Display for SessionRecord {
     }
 }
 
+impl SessionRecord {
+    /// An upper bound on the record's text line, newline included, read off
+    /// the record's shape without formatting it.
+    fn line_len_bound(&self) -> usize {
+        // A u64 prints in at most 20 digits, a u32 in at most 10.
+        let body = match &self.record {
+            // "request source=" + bits + " target=" + bits.
+            JournalRecord::Request { source, target }
+            | JournalRecord::Queued { source, target } => 23 + source.width() + target.width(),
+            // "path actions=" + comma-separated u32s (or "-").
+            JournalRecord::PathSelected { actions } => 14 + 11 * actions.len(),
+            // The longest: "rolledback id=" + u64 + " retry=false".
+            _ => 46,
+        };
+        // " session=" + u64 + '\n'.
+        body + 30
+    }
+}
+
 /// Serializes a session-tagged journal to its line-oriented text form.
+///
+/// The text is O(records × configuration width) — tens of megabytes for a
+/// generated fleet — and the sharded driver renders one per region on
+/// several threads at once, so the buffer is sized once up front: a buffer
+/// grown by doubling holds 1.5× its capacity during each reallocation, and
+/// whether two threads' reallocations overlap would decide the run's peak
+/// heap.
 pub fn encode_session_journal(records: &[SessionRecord]) -> String {
-    let mut out = String::new();
+    use fmt::Write;
+    let mut out = String::with_capacity(records.iter().map(SessionRecord::line_len_bound).sum());
     for r in records {
-        out.push_str(&r.to_string());
-        out.push('\n');
+        writeln!(out, "{r}").expect("writing to a String cannot fail");
     }
     out
 }
@@ -583,6 +609,50 @@ mod tests {
         // text, ignoring the unknown field.
         let stripped = parse_journal(&text).unwrap();
         assert_eq!(stripped, tagged.iter().map(|r| r.record.clone()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn session_journal_buffer_is_sized_once() {
+        // Every variant at its widest: largest ids, longest booleans.
+        let max = StepId(u64::MAX);
+        let widest = vec![
+            JournalRecord::Request { source: cfg("0101"), target: cfg("0110") },
+            JournalRecord::Queued { source: cfg("0110"), target: cfg("1001") },
+            JournalRecord::PathSelected { actions: vec![ActionId(u32::MAX); 3] },
+            JournalRecord::PathSelected { actions: vec![] },
+            JournalRecord::GoalReversed,
+            JournalRecord::StepStarted { step: max, ix: u32::MAX },
+            JournalRecord::ResumeIssued { step: max },
+            JournalRecord::StepCommitted { step: max },
+            JournalRecord::RollbackIssued { step: max },
+            JournalRecord::RollbackComplete { step: max, retry: false },
+            JournalRecord::Outcome { success: false, gave_up: false },
+        ];
+        for record in widest {
+            let r = SessionRecord { session: SessionId(u64::MAX), record };
+            let line = format!("{r}\n");
+            assert!(line.len() <= r.line_len_bound(), "{line:?} > {}", r.line_len_bound());
+        }
+        // An ordinary journal never outgrows its first allocation, and the
+        // bound wastes little of it: the configurations dominate.
+        let wide = Config::empty(4_096);
+        let journal: Vec<SessionRecord> = (1..=64u64)
+            .flat_map(|s| {
+                [
+                    JournalRecord::Request { source: wide.clone(), target: wide.clone() },
+                    JournalRecord::PathSelected { actions: vec![ActionId(s as u32)] },
+                    JournalRecord::StepStarted { step: StepId(s), ix: 0 },
+                    JournalRecord::ResumeIssued { step: StepId(s) },
+                    JournalRecord::StepCommitted { step: StepId(s) },
+                    JournalRecord::Outcome { success: true, gave_up: false },
+                ]
+                .map(|record| SessionRecord { session: SessionId(s), record })
+            })
+            .collect();
+        let bound: usize = journal.iter().map(SessionRecord::line_len_bound).sum();
+        let text = encode_session_journal(&journal);
+        assert_eq!(text.capacity(), bound, "the buffer was reallocated");
+        assert!(text.len() * 100 >= bound * 95, "{} of {bound} bytes used", text.len());
     }
 
     fn arb_session_record() -> impl Strategy<Value = SessionRecord> {
