@@ -31,15 +31,20 @@ echo "==> referee benchmark (standalone package: build + its own tests)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> referee output checks (storm_sharded + scenario_mix, one second each)"
-# Runs the two sharded workloads for their output checks alone: the flat
-# twin agrees, 1 and 2 worker threads produce the identical stream, no
-# residual holds, every iteration's facts equal the first set-up's. Any
+echo "==> referee output checks (both storms, scenario_mix, plan_frontier, one second each)"
+# Runs four workloads for their output checks alone: every committed
+# session and planned path as expected, the flat twin agrees, 1 and 2
+# worker threads produce the identical stream, no residual holds, every
+# iteration's facts equal the first set-up's. storm_flat and plan_frontier
+# are here because they are the two workloads a change to a type under the
+# whole stack (`Config`, `Action`, `Search`) is claimed or feared on, and a
+# claim on a workload CI never executes fails where nobody looks. Any
 # failed check is a non-zero exit; the timings are ignored here (a gain or
 # regression is judged by paired runs, see benchmark/README.md). Results
 # land in benchmark/out (gitignored).
-bash benchmark/run.sh --workload storm_sharded --seed 7 --seconds 1 > /dev/null
-bash benchmark/run.sh --workload scenario_mix --seed 7 --seconds 1 > /dev/null
+for workload in storm_flat storm_sharded scenario_mix plan_frontier; do
+    bash benchmark/run.sh --workload "$workload" --seed 7 --seconds 1 > /dev/null
+done
 
 echo "==> pinned chaos seeds (regression corpus + reproducibility)"
 # The sweep covers SADA_CHAOS_SEEDS random fault plans per intensity
@@ -100,14 +105,16 @@ echo "==> scenario-generator smoke (seeded serverless + IaaS universes end-to-en
 cargo run -q --release -p sada-bench --bin report -- scenario > /dev/null
 SADA_BENCH_SMOKE=1 cargo bench -q -p sada-bench --bench bench_scenario > /dev/null
 
-echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent gate)"
+echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent and per-session gates)"
 # Renders the 1k/10k-group strided-storm table (flat throughput plus
 # sharded runs with fingerprints asserted identical at 1 and 8 worker
 # threads, every region loaded), then the bench's smoke mode runs the
 # 10k-group row end-to-end: every session commits, 1/2/4/8-thread
-# fingerprint identity, and flat peak heap under the bytes-per-agent
-# ceiling pinned in crates/bench/benches/bench_scale.rs — memory
-# regressions on the hot path fail loudly. The full 1k/10k/100k sweep
+# fingerprint identity, flat peak heap under the bytes-per-agent ceiling
+# and — against the same run without sessions — under the
+# world-configurations-per-session ceiling pinned in
+# crates/bench/benches/bench_scale.rs: memory regressions on the hot path,
+# per agent or per session, fail loudly. The full 1k/10k/100k sweep
 # (BENCH_scale.json) is regenerated by running the same bench without
 # SADA_BENCH_SMOKE.
 cargo run -q --release -p sada-bench --bin report -- scale > /dev/null

@@ -15,36 +15,54 @@
 //!   worker builds and holds all eight endpoints, so the high-water mark is
 //!   deterministic), plus the event-stream fingerprint at 1/2/4/8 threads,
 //!   asserted byte-identical (thread count is pure execution policy, never
-//!   schedule-visible).
+//!   schedule-visible);
+//! * the same flat run with *no* sessions, whose peak is the world, the
+//!   agent arena and the plane alone — the difference to the loaded run,
+//!   per session, is what one session costs in memory, reported in widths
+//!   of the world's configuration (`2 x groups` bits).
 //!
 //! Set `SADA_BENCH_SMOKE=1` to run only the 10k-group row and assert the
-//! bytes-per-agent ceiling and the sharded-over-flat peak-heap ceiling —
-//! the CI memory-regression gates. The full sweep (including the 100k row)
-//! writes `BENCH_scale.json` at the repository root.
+//! bytes-per-agent ceiling, the configurations-per-session ceiling and the
+//! sharded-over-flat peak-heap ceiling — the CI memory-regression gates.
+//! The full sweep (including the 100k row) writes `BENCH_scale.json` at the
+//! repository root.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sada_fleet::{run_fleet, run_fleet_sharded, FleetScenario, SessionSpec, ShardScenario};
+use sada_fleet::{
+    run_fleet, run_fleet_sharded, FleetReport, FleetScenario, SessionSpec, ShardScenario,
+};
 use sada_obs::SimDuration;
 
 const REGIONS: usize = 8;
 const SEED: u64 = 42;
 const SESSION_CAP: usize = 2048;
 const SPACING_US: u64 = 37;
-/// Smoke-gate ceiling on flat peak-heap bytes per agent at the 10k row.
-/// Measured ~1.6 KiB/agent; 8 KiB leaves headroom for allocator noise
-/// while still failing loudly on an accidental per-agent heap object or a
-/// dense-`Config` round trip sneaking back into the hot path.
-const SMOKE_BYTES_PER_AGENT_CEILING: u64 = 8 * 1024;
+/// Smoke-gate ceiling on flat peak-heap bytes per agent at the 10k row:
+/// measured 2 436 B/agent (the count is deterministic) plus 25 %, so an
+/// accidental per-agent heap object or a dense-`Config` round trip sneaking
+/// back into the hot path fails loudly.
+const SMOKE_BYTES_PER_AGENT_CEILING: u64 = 3_045;
+/// Smoke-gate ceiling on what one session adds to the flat peak heap at the
+/// 10k row, in widths of the world's configuration (20 000 bits = 2 504 B):
+/// measured 2.64 plus 25 %. A committing session retains two buffers — its
+/// target and the fleet snapshot its fold leaves behind — and a no-op
+/// session (every other one here) none; the rest is the session's events,
+/// journal records and timestamps. With owned word buffers the same row
+/// measured 4.97: each session's journaled source, journaled target and
+/// final configuration were three copies of the world.
+const SMOKE_CONFIGS_PER_SESSION_CEILING: f64 = 3.3;
 /// Smoke-gate ceiling on sharded (1 worker thread) over flat peak heap at
 /// the 10k row. A sharded run holds one shared world plus, per endpoint, a
-/// full-width agent arena, lock table and simulator: measured 2.53×
-/// (153.8 MB over 60.7 MB; both counts are deterministic). When every
-/// endpoint compiled a world of its own the same row measured 5.35×
-/// (324.4 MB) — the regression this gate exists to catch, with 28 %
-/// headroom above today's ratio.
+/// full-width agent arena, lock table and simulator: measured 2.86×
+/// (139.5 MB over 48.7 MB; both counts are deterministic — copy-on-write
+/// configurations took the same 12–14 MB of session copies off both, which
+/// moved the ratio up from 2.53×). When every endpoint compiled a world of
+/// its own the same row measured 5.35× (324.4 MB over 60.7 MB) — the
+/// regression this gate exists to catch, with 22 % headroom above today's
+/// ratio.
 const SMOKE_SHARD_OVER_FLAT_HEAP_CEILING: f64 = 3.5;
 
 // ---------------------------------------------------------------------------
@@ -127,6 +145,7 @@ struct Row {
     events_per_sec: f64,
     peak_heap_bytes: u64,
     bytes_per_agent: u64,
+    idle_peak_heap_bytes: u64,
     shard_wall_us_1t: u128,
     shard_sessions_per_sec_1t: f64,
     shard_peak_heap_bytes_1t: u64,
@@ -137,20 +156,38 @@ impl Row {
     fn shard_over_flat_heap(&self) -> f64 {
         self.shard_peak_heap_bytes_1t as f64 / self.peak_heap_bytes as f64
     }
+
+    /// Flat peak heap one session adds over the session-free run.
+    fn bytes_per_session(&self) -> u64 {
+        self.peak_heap_bytes.saturating_sub(self.idle_peak_heap_bytes) / self.sessions as u64
+    }
+
+    /// [`Row::bytes_per_session`] in widths of the world's configuration
+    /// (one bit per component, two components per group, whole words).
+    fn configs_per_session(&self) -> f64 {
+        self.bytes_per_session() as f64 / ((2 * self.groups).div_ceil(64) * 8) as f64
+    }
 }
 
-/// One sweep row: flat throughput + peak heap, then the sharded
-/// thread-identity sweep.
+/// One flat run: wall clock, peak heap, report.
+fn run_flat(fleet: &FleetScenario) -> (std::time::Duration, u64, FleetReport) {
+    reset_peak();
+    let t = std::time::Instant::now();
+    let report = run_fleet(fleet);
+    (t.elapsed(), peak_heap(), report)
+}
+
+/// One sweep row: flat throughput + peak heap loaded and idle, then the
+/// sharded thread-identity sweep.
 fn run_row(groups: usize, threads: &[usize]) -> Row {
     let fleet = strided_fleet(groups);
     let sessions = fleet.sessions.len();
     let agents = 2 * groups;
 
-    reset_peak();
-    let t = std::time::Instant::now();
-    let flat = run_fleet(&fleet);
-    let flat_wall = t.elapsed();
-    let peak = peak_heap();
+    // Idle first and its report dropped at once: peaks are absolute, so
+    // both flat runs must start from the same live heap (the scenario).
+    let (_, idle_peak, _) = run_flat(&FleetScenario { sessions: Vec::new(), ..fleet.clone() });
+    let (flat_wall, peak, flat) = run_flat(&fleet);
     let ok = flat.results.iter().filter(|s| s.success).count();
     assert_eq!(ok, sessions, "{groups} groups: the strided storm must commit every session");
 
@@ -190,6 +227,7 @@ fn run_row(groups: usize, threads: &[usize]) -> Row {
         events_per_sec: flat.events.len() as f64 / flat_wall.as_secs_f64().max(1e-9),
         peak_heap_bytes: peak,
         bytes_per_agent: peak / agents as u64,
+        idle_peak_heap_bytes: idle_peak,
         shard_wall_us_1t: base_wall.as_micros(),
         shard_sessions_per_sec_1t: base.succeeded() as f64 / base_wall.as_secs_f64().max(1e-9),
         shard_peak_heap_bytes_1t: *base_peak,
@@ -206,7 +244,9 @@ fn write_bench_json(rows: &[Row]) {
                 "    {{\"groups\": {}, \"agents\": {}, \"sessions\": {}, \
                  \"flat_wall_us\": {}, \"sessions_per_sec\": {:.1}, \
                  \"events_per_sec\": {:.1}, \"peak_heap_bytes\": {}, \
-                 \"bytes_per_agent\": {}, \"shard_wall_us_1t\": {}, \
+                 \"bytes_per_agent\": {}, \"idle_peak_heap_bytes\": {}, \
+                 \"bytes_per_session\": {}, \"configs_per_session\": {:.2}, \
+                 \"shard_wall_us_1t\": {}, \
                  \"shard_sessions_per_sec_1t\": {:.1}, \"shard_peak_heap_bytes_1t\": {}, \
                  \"fingerprint\": \"{:#018x}\"}}",
                 r.groups,
@@ -217,6 +257,9 @@ fn write_bench_json(rows: &[Row]) {
                 r.events_per_sec,
                 r.peak_heap_bytes,
                 r.bytes_per_agent,
+                r.idle_peak_heap_bytes,
+                r.bytes_per_session(),
+                r.configs_per_session(),
                 r.shard_wall_us_1t,
                 r.shard_sessions_per_sec_1t,
                 r.shard_peak_heap_bytes_1t,
@@ -228,9 +271,13 @@ fn write_bench_json(rows: &[Row]) {
         "{{\n  \"bench\": \"scale\",\n  \"workload\": \"min(2 x groups, {SESSION_CAP}) \
          single-group sessions strided across the group range ({REGIONS} regions under \
          sharding; 2 agents per group); flat run_fleet for throughput and peak heap, \
-         run_fleet_sharded at 1/2/4/8 threads with fingerprints asserted identical\",\n  \
+         once more without sessions for the idle peak (bytes_per_session is the \
+         difference per session, configs_per_session the same in widths of the world's \
+         configuration), run_fleet_sharded at 1/2/4/8 threads with fingerprints asserted \
+         identical\",\n  \
          \"host_cores\": {cores},\n  \"thread_sweep\": [1, 2, 4, 8],\n  \
          \"smoke_bytes_per_agent_ceiling\": {SMOKE_BYTES_PER_AGENT_CEILING},\n  \
+         \"smoke_configs_per_session_ceiling\": {SMOKE_CONFIGS_PER_SESSION_CEILING},\n  \
          \"smoke_shard_over_flat_heap_ceiling\": {SMOKE_SHARD_OVER_FLAT_HEAP_CEILING},\n  \
          \"rows\": [\n{}\n  ]\n}}\n",
         body.join(",\n"),
@@ -269,6 +316,15 @@ fn sweep() {
             SMOKE_BYTES_PER_AGENT_CEILING,
         );
         assert!(
+            row.configs_per_session() <= SMOKE_CONFIGS_PER_SESSION_CEILING,
+            "per-session heap regressed: {} bytes/session at 10k groups is {:.2} world \
+             configurations (ceiling {}) — is something on the session path copying or \
+             keeping whole configurations again?",
+            row.bytes_per_session(),
+            row.configs_per_session(),
+            SMOKE_CONFIGS_PER_SESSION_CEILING,
+        );
+        assert!(
             row.shard_over_flat_heap() <= SMOKE_SHARD_OVER_FLAT_HEAP_CEILING,
             "sharded peak heap regressed: {} bytes at 1 thread is {:.2}x the flat {} bytes at \
              10k groups (ceiling {}x) — is every endpoint compiling its own world again?",
@@ -278,11 +334,14 @@ fn sweep() {
             SMOKE_SHARD_OVER_FLAT_HEAP_CEILING,
         );
         println!(
-            "smoke ok: 10k groups, {} sessions, {} bytes/agent (ceiling {}), sharded/flat peak \
-             heap {:.2}x (ceiling {}x), fingerprint {:#018x} identical at 1/2/4/8 threads",
+            "smoke ok: 10k groups, {} sessions, {} bytes/agent (ceiling {}), {:.2} configs/session \
+             (ceiling {}), sharded/flat peak heap {:.2}x (ceiling {}x), fingerprint {:#018x} \
+             identical at 1/2/4/8 threads",
             row.sessions,
             row.bytes_per_agent,
             SMOKE_BYTES_PER_AGENT_CEILING,
+            row.configs_per_session(),
+            SMOKE_CONFIGS_PER_SESSION_CEILING,
             row.shard_over_flat_heap(),
             SMOKE_SHARD_OVER_FLAT_HEAP_CEILING,
             row.fingerprint,

@@ -308,13 +308,8 @@ impl ScopeNormalizer {
     /// The local projection of a global configuration: bit `l` is the
     /// membership of the scope's `l`-th component; out-of-scope bits drop.
     pub fn project(&self, cfg: &Config) -> Config {
-        let mut out = Config::empty(self.locals.len().max(1));
-        for (l, &c) in self.locals.iter().enumerate() {
-            if cfg.contains(c) {
-                out.insert(CompId::from_index(l));
-            }
-        }
-        out
+        let present = self.locals.iter().enumerate().filter(|&(_, &c)| cfg.contains(c));
+        Config::from_ids(self.locals.len().max(1), present.map(|(l, _)| CompId::from_index(l)))
     }
 
     /// [`ScopeNormalizer::project`] for a sparse in-scope id list.
@@ -324,13 +319,12 @@ impl ScopeNormalizer {
     /// Panics if an id lies outside the scope (scoped actions touch only
     /// scope components by construction).
     pub fn project_ids(&self, ids: &[CompId]) -> Config {
-        let mut out = Config::empty(self.locals.len().max(1));
-        for &c in ids {
+        let local = |c: &CompId| {
             let l =
-                self.locals.binary_search(&c).expect("scoped action touches only scope components");
-            out.insert(CompId::from_index(l));
-        }
-        out
+                self.locals.binary_search(c).expect("scoped action touches only scope components");
+            CompId::from_index(l)
+        };
+        Config::from_ids(self.locals.len().max(1), ids.iter().map(local))
     }
 
     /// The normalized cache key for one planning query.

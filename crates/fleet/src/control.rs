@@ -27,7 +27,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
-use sada_expr::Config;
+use sada_expr::{CompId, Config};
 use sada_obs::{Bus, Event, FleetEvent, Payload};
 use sada_proto::{
     JournalRecord, ManagerCore, ManagerEffect, ManagerEvent, Outcome, ProtoTiming, SessionId,
@@ -42,7 +42,7 @@ use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime, TimerId};
 use crate::cache::{CacheNoteKind, PlanCache, PlanCacheStats};
 use crate::lock::ScopeLockManager;
 use crate::planner::ScopedLazyPlanner;
-use crate::world::FleetWorld;
+use crate::world::{assign, FleetWorld};
 
 /// One adaptation request the scenario will submit to the control plane.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -865,14 +865,8 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// configuration, release its scope, and admit whoever that unblocks.
     fn finish(&mut self, ctx: &mut Context<'_, Wire<M>>, session: u64, outcome: Outcome) {
         if let Some(ix) = self.spec_ix(session) {
-            let flips = self.scenario[ix].flips.clone();
-            for comp in self.world.scope_comps(&flips) {
-                if outcome.final_config.contains(comp) {
-                    self.fleet_config.insert(comp);
-                } else {
-                    self.fleet_config.remove(comp);
-                }
-            }
+            let scope = self.world.scope_comps(&self.scenario[ix].flips);
+            self.fold(scope.into_iter().map(|c| (c, outcome.final_config.contains(c))));
             // Scope-breaker evidence: an unsuccessful protocol outcome
             // (give-up or rollback) marks the whole scope as flapping; a
             // success heals it. Breakers materialize only on first failure,
@@ -1013,15 +1007,15 @@ impl<M: Clone + 'static> ControlActor<M> {
         }
     }
 
-    /// Folds one externally adapted component value into the durable fleet
-    /// configuration (a globally run session finished and its final scope
-    /// values flow back to the owning region).
-    pub(crate) fn fold_comp(&mut self, comp: sada_expr::CompId, present: bool) {
-        if present {
-            self.fleet_config.insert(comp);
-        } else {
-            self.fleet_config.remove(comp);
-        }
+    /// Folds adapted component values into the durable fleet configuration:
+    /// a finished session's final scope values, or — from the shard
+    /// wrappers — those of a globally run session flowing back to the
+    /// owning region. Journaled sources and queued targets still read the
+    /// previous snapshot's buffer, so a fold that changes a bit copies the
+    /// configuration (once, whatever the scope size) and one that changes
+    /// nothing leaves the snapshot shared.
+    pub(crate) fn fold(&mut self, values: impl IntoIterator<Item = (CompId, bool)>) {
+        assign(&mut self.fleet_config, values);
     }
 
     /// Whether session `sid` has reached a terminal result.

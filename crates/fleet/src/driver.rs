@@ -71,7 +71,10 @@ pub struct FleetScenario {
     /// default; the scale benchmarks turn it off because the text form is
     /// O(sessions × components) — hundreds of megabytes at 100k groups —
     /// while the durable journal itself (and therefore crash recovery,
-    /// events, and fingerprints) is unaffected either way.
+    /// events, and fingerprints) is unaffected either way. That holds with
+    /// copy-on-write configurations too: in memory a `Request` record is
+    /// two handles on shared buffers, but its text spells out every bit of
+    /// both, so only the in-memory journal got cheaper.
     pub render_journal: bool,
 }
 
@@ -204,10 +207,17 @@ pub struct FleetReport {
     pub breaker_open_us: Vec<(u32, u64)>,
 }
 
+/// The row for session `id` in `results`, which must ascend by id (both
+/// report types build theirs that way): a binary search, so a caller that
+/// looks every session up stays O(n log n) at storm sizes.
+pub(crate) fn find_session(results: &[SessionResult], id: u64) -> Option<&SessionResult> {
+    results.binary_search_by_key(&id, |r| r.id).ok().map(|ix| &results[ix])
+}
+
 impl FleetReport {
     /// The result row for session `id`.
     pub fn session(&self, id: u64) -> Option<&SessionResult> {
-        self.results.iter().find(|r| r.id == id)
+        find_session(&self.results, id)
     }
 
     /// Sessions that committed their adaptation.
@@ -538,6 +548,99 @@ mod tests {
         assert_eq!(out.events.len(), RING_CAPACITY, "the ring is full");
         let run_events = out.events.iter().filter(|e| e.session == 1).count() as u64;
         assert_eq!(out.events_evicted, 5 + run_events, "and the overflow is visible");
+    }
+
+    #[test]
+    fn a_session_retains_one_target_and_one_fold_not_the_world_per_record() {
+        use sada_proto::JournalRecord;
+        // A 4 096-group world (8 192-bit configurations), three sessions one
+        // after another: 1 commits group 7, 2 asks group 9 for the mode it
+        // is already in, 3 commits group 11.
+        let at = |ms| SimDuration::from_millis(ms);
+        let spec = |id, flip, submit_at| SessionSpec {
+            id,
+            flips: vec![flip],
+            priority: 0,
+            submit_at,
+            cancel_at: None,
+        };
+        let sessions = vec![
+            spec(1, (7, true), at(0)),
+            spec(2, (9, false), at(200)),
+            spec(3, (11, true), at(400)),
+        ];
+        let scenario = FleetScenario::new(4_096, sessions);
+        let mut plane = build_plane::<(), _>(
+            &scenario,
+            scenario.build_world(),
+            42,
+            0,
+            scenario.sessions.clone(),
+            None,
+            |c, _, _| ("control", c),
+        );
+        plane.sim.run_for(scenario.time_budget);
+        let control = plane.sim.actor::<ControlActor<()>>(plane.control_id).unwrap();
+        assert!(control.completed_at[&1] <= control.admitted_at[&3], "3 starts after 1 folded");
+        let request = |sid: u64| {
+            control
+                .journal
+                .iter()
+                .find_map(|r| match &r.record {
+                    JournalRecord::Request { source, target } if r.session.0 == sid => {
+                        Some((source, target))
+                    }
+                    _ => None,
+                })
+                .expect("every admitted session journals its request")
+        };
+        let (src1, dst1) = request(1);
+        let (src2, dst2) = request(2);
+        let (src3, dst3) = request(3);
+        let fin = |sid: u64| &control.results[&sid].final_config;
+        assert!(control.results.values().all(|o| o.success));
+
+        // (a) a no-op session journals one buffer twice — the fleet
+        // snapshot it was admitted under, which session 3 then reads too.
+        assert!(Config::shares_storage(src2, dst2));
+        assert!(Config::shares_storage(src2, src3) && Config::shares_storage(src2, fin(2)));
+        // (b) a committing session's journaled target is its final
+        // configuration, and its one copy: its source is the snapshot.
+        assert!(Config::shares_storage(dst1, fin(1)) && Config::shares_storage(dst3, fin(3)));
+        assert!(!Config::shares_storage(src1, dst1) && !Config::shares_storage(src3, dst3));
+        // (c) later folds into `fleet_config` never reach back into what an
+        // earlier session journaled.
+        let w = &plane.world;
+        let init = w.initial_config();
+        let after1 = w.target_for(&init, &[(7, true)]);
+        let after3 = w.target_for(&after1, &[(11, true)]);
+        assert_eq!((src1, dst1), (&init, &after1), "1's record predates both folds");
+        assert_eq!((src2, src3), (&after1, &after1), "2 and 3 start from 1's fold, not 3's");
+        assert_eq!((dst3, &control.fleet_config), (&after3, &after3));
+        assert!(!Config::shares_storage(src3, &control.fleet_config), "3's fold copied");
+    }
+
+    #[test]
+    fn session_lookup_agrees_with_a_scan_over_a_gapped_id_range() {
+        let sessions: Vec<SessionSpec> = [21u64, 3, 20, 7]
+            .iter()
+            .enumerate()
+            .map(|(g, &id)| SessionSpec {
+                id,
+                flips: vec![(g, true)],
+                priority: 0,
+                submit_at: SimDuration::ZERO,
+                cancel_at: None,
+            })
+            .collect();
+        let report = run_fleet(&FleetScenario::new(4, sessions));
+        let ids: Vec<u64> = report.results.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [3, 7, 20, 21], "rows ascend by id whatever the submission order");
+        for id in 0..=25 {
+            let scanned = report.results.iter().find(|r| r.id == id);
+            assert_eq!(report.session(id), scanned, "session {id}");
+            assert_eq!(scanned.is_some(), ids.contains(&id));
+        }
     }
 
     #[test]

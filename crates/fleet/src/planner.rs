@@ -9,10 +9,46 @@
 //! action index) is built **once per run** with the world and shared,
 //! immutably, by every session of every control plane — it holds no
 //! per-query state; the one memo the endpoint checks use lives in the
-//! session's [`PlanCache`]. Admission only gathers the scope's action
-//! indices through the search's inverted touch index and builds a
-//! scope-sized normalizer, so admitting a session costs O(scope), not
-//! O(world).
+//! session's [`PlanCache`].
+//!
+//! ## What a session costs
+//!
+//! *O(scope):* building the planner (the scope's action indices through the
+//! search's inverted touch index, a scope-sized normalizer), the cache key,
+//! the replay of a cached plan, compiling its steps, and every handle on a
+//! configuration — `Config` is copy-on-write, so the manager's `source` /
+//! `current` / `target`, the journal's `Request` record, each step's
+//! `from` / `to` and the outcome's `final_config` are reference counts on
+//! buffers that already exist.
+//!
+//! *O(width / 64) — a pass over the world's words, a few microseconds at
+//! 200 000 components — and all of it, per committing session:*
+//!
+//! * one **target copy**: `CompiledWorld::target_for` writes the flip into
+//!   a copy of the fleet configuration (the journal, `current` after the
+//!   last commit and `final_config` all end up on this one buffer, because
+//!   [`ScopedLazyPlanner::denormalize`] and `Search::reconstruct` hand back
+//!   the caller's own `to` as the last step's `to`);
+//! * one **fold copy**: `ControlActor::finish` writes the scope's final
+//!   values into `fleet_config`, whose previous buffer is still the
+//!   journaled source of every session admitted under it;
+//! * one **`apply` transient**: replaying a cached one-step plan builds the
+//!   step's result, compares it with `to`, and drops it (a plan of `k`
+//!   steps keeps `k - 1` intermediate configurations and drops the last);
+//! * two **safe-memo XOR walks**: the endpoint checks in
+//!   [`PlanCache::is_safe`] diff `from` and `to` against the last
+//!   configuration proved safe;
+//! * two **`memcmp`s** on a cache hit, three on a miss: source against
+//!   target in the manager (stops at the first differing word), the
+//!   replayed walk's end against `to` — or, on a miss, source against
+//!   target once more and the hash of both inside the search, which then
+//!   costs what a search costs; a storm sees one miss per run. Every later
+//!   `current == goal` compares two handles on one buffer.
+//!
+//! These two buffers are also all a finished session *retains*. A session
+//! that asks for the mode its clusters are already in copies and retains
+//! nothing: its source, target and final configuration are the fleet
+//! snapshot it was admitted under.
 //!
 //! Because the planner is a pure function of the world and the scope, a
 //! restored control plane can rebuild it per session and replay journals
@@ -90,6 +126,11 @@ impl ScopedLazyPlanner {
     /// Replays a memoized plan from this session's own source. Returns
     /// `None` if any step fails to apply or the walk misses the target —
     /// the caller then treats the entry as a miss and plans from scratch.
+    ///
+    /// The walk's end is verified equal to `to` and then *replaced* by it,
+    /// so the last step lands on the caller's own buffer: the manager's
+    /// `current`, the journaled target and the session's `final_config`
+    /// stay one allocation, and the replay's own last copy is dropped here.
     fn denormalize(&self, cached: &CachedPlan, from: &Config, to: &Config) -> Option<Path> {
         let mut cur = from.clone();
         let mut steps = Vec::with_capacity(cached.action_ixs.len());
@@ -107,7 +148,13 @@ impl ScopedLazyPlanner {
             });
             cur = next;
         }
-        (cur == *to).then_some(Path { steps, cost: cached.cost })
+        if cur != *to {
+            return None;
+        }
+        if let Some(last) = steps.last_mut() {
+            last.to = to.clone();
+        }
+        Some(Path { steps, cost: cached.cost })
     }
 
     /// Encodes a freshly computed path as scoped-action indices.

@@ -58,7 +58,8 @@ use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime, TimerId};
 
 use crate::control::{fleet_event, ControlActor, SessionSpec};
 use crate::driver::{
-    build_plane, makespan_us, max_concurrent, FleetScenario, Plane, PlaneOutcome, SessionResult,
+    build_plane, find_session, makespan_us, max_concurrent, FleetScenario, Plane, PlaneOutcome,
+    SessionResult,
 };
 use crate::world::FleetWorld;
 
@@ -757,9 +758,8 @@ impl RegionControl {
                     // still-queued (withdrawn) slice never ran, and its
                     // echoed request-time values must not clobber commits
                     // that happened while it waited.
-                    for (c, v) in values {
-                        self.inner.fold_comp(CompId::from_index(c as usize), v);
-                    }
+                    self.inner
+                        .fold(values.into_iter().map(|(c, v)| (CompId::from_index(c as usize), v)));
                 }
                 self.foreign.remove(&session);
                 self.lease_deadline.remove(&session);
@@ -1168,9 +1168,7 @@ impl GlobalControl {
         }
         self.retire(ctx, fabric_tag(ix, next, false));
         self.journal_once(GlobalRecord::SliceGranted { session, region });
-        for (c, v) in values {
-            self.inner.fold_comp(CompId::from_index(c as usize), v);
-        }
+        self.inner.fold(values.into_iter().map(|(c, v)| (CompId::from_index(c as usize), v)));
         self.straddlers[ix].next += 1;
         if self.straddlers[ix].next < self.straddlers[ix].slices.len() {
             self.request_slice(ctx, ix);
@@ -1947,7 +1945,7 @@ pub struct ShardReport {
 impl ShardReport {
     /// The result row for session `id`.
     pub fn session(&self, id: u64) -> Option<&SessionResult> {
-        self.results.iter().find(|r| r.id == id)
+        find_session(&self.results, id)
     }
 
     /// Sessions that committed their adaptation.

@@ -367,6 +367,17 @@ impl FleetWorld {
     }
 }
 
+/// Sets each listed component of `cfg` to its paired value, as one delta:
+/// `cfg` is copied at most once, and not at all when it already holds
+/// every value (see [`Config::apply_delta`]).
+pub(crate) fn assign(cfg: &mut Config, values: impl IntoIterator<Item = (CompId, bool)>) {
+    let (mut removes, mut adds) = (Vec::new(), Vec::new());
+    for (comp, present) in values {
+        if present { &mut adds } else { &mut removes }.push(comp);
+    }
+    cfg.apply_delta(&removes, &adds);
+}
+
 impl CompiledWorld {
     /// The spec's domain.
     pub fn domain(&self) -> Domain {
@@ -400,30 +411,23 @@ impl CompiledWorld {
 
     /// The boot configuration: every cluster in its `on_false` mode.
     pub fn initial_config(&self) -> Config {
-        let mut cfg = self.universe.empty_config();
-        for cl in &self.spec.clusters {
-            for &c in &cl.on_false {
-                cfg.insert(CompId::from_index(c));
-            }
-        }
-        cfg
+        let boot = self.spec.clusters.iter().flat_map(|cl| &cl.on_false);
+        Config::from_ids(self.universe.len(), boot.map(|&c| CompId::from_index(c)))
     }
 
     /// `current` with each flipped cluster moved to its `on_true` (`true`)
     /// or `on_false` (`false`) mode; unflipped clusters keep their
     /// membership.
+    ///
+    /// The result shares `current`'s storage until a flip really changes a
+    /// bit (a flip toward the mode a cluster is already in never does), and
+    /// is copied at most once however many clusters flip.
     pub fn target_for(&self, current: &Config, flips: &[(usize, bool)]) -> Config {
         let mut cfg = current.clone();
         for &(g, to_true) in flips {
             let cl = &self.spec.clusters[g];
             let mode = if to_true { &cl.on_true } else { &cl.on_false };
-            for &c in &cl.comps {
-                if mode.contains(&c) {
-                    cfg.insert(CompId::from_index(c));
-                } else {
-                    cfg.remove(CompId::from_index(c));
-                }
-            }
+            assign(&mut cfg, cl.comps.iter().map(|&c| (CompId::from_index(c), mode.contains(&c))));
         }
         cfg
     }

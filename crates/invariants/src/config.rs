@@ -2,6 +2,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A component identity: a dense index into a [`Universe`].
 ///
@@ -103,12 +105,8 @@ impl Universe {
     ///
     /// Panics if any name is unknown.
     pub fn config_of(&self, names: &[&str]) -> Config {
-        let mut cfg = self.empty_config();
-        for n in names {
-            let id = self.id(n).unwrap_or_else(|| panic!("unknown component {n:?}"));
-            cfg.insert(id);
-        }
-        cfg
+        let id = |n: &&str| self.id(n).unwrap_or_else(|| panic!("unknown component {n:?}"));
+        Config::from_ids(self.len(), names.iter().map(id))
     }
 
     /// Parses a paper-style bit string (most-significant component first,
@@ -120,16 +118,7 @@ impl Universe {
     /// contains characters other than `0`/`1`.
     pub fn config_from_bits(&self, bits: &str) -> Config {
         assert_eq!(bits.len(), self.len(), "bit string width mismatch");
-        let mut cfg = self.empty_config();
-        for (pos, ch) in bits.chars().enumerate() {
-            let ix = self.len() - 1 - pos;
-            match ch {
-                '1' => cfg.insert(CompId(ix as u32)),
-                '0' => {}
-                other => panic!("invalid bit {other:?}"),
-            }
-        }
-        cfg
+        Config::from_bit_string(bits).unwrap_or_else(|other| panic!("invalid bit {other:?}"))
     }
 }
 
@@ -138,16 +127,78 @@ impl Universe {
 ///
 /// Configurations are fixed-width bitsets; all set operations require both
 /// operands to come from the same universe (same width).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// The word buffer is shared copy-on-write: `clone` bumps a reference
+/// count, and a mutator copies the buffer at most once, and only when it
+/// really changes a bit of a buffer some other configuration still reads.
+/// An adaptation concerns its own collaborative set (§7) while the vector
+/// spans every component, so the before- and after-configuration of a
+/// session — and every record that merely *names* one of them — differ in
+/// a handful of bits and share everything else.
+#[derive(Debug, Clone, Eq, PartialOrd, Ord)]
 pub struct Config {
     nbits: usize,
-    words: Vec<u64>,
+    words: Arc<[u64]>,
+}
+
+// Configurations cross threads inside the fleet's shared world and its
+// per-region outcomes: an `Rc` here must fail the build, not a benchmark.
+const _: fn() = || {
+    fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<Config>();
+};
+
+/// Content equality; two handles on one buffer are equal without reading it.
+impl PartialEq for Config {
+    fn eq(&self, other: &Config) -> bool {
+        self.nbits == other.nbits
+            && (Arc::ptr_eq(&self.words, &other.words) || self.words == other.words)
+    }
+}
+
+/// Content hash (what `derive` would write), spelled out beside the
+/// hand-written `PartialEq` it must agree with.
+impl Hash for Config {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.nbits.hash(state);
+        self.words.hash(state);
+    }
 }
 
 impl Config {
     /// The empty configuration over `nbits` components.
     pub fn empty(nbits: usize) -> Self {
-        Config { nbits, words: vec![0; nbits.div_ceil(64)] }
+        Config { nbits, words: std::iter::repeat_n(0, nbits.div_ceil(64)).collect() }
+    }
+
+    /// The configuration over `nbits` components holding exactly `ids`
+    /// (repeats are fine). The way to build a configuration from scratch:
+    /// one buffer, written in one pass, where [`Config::insert`] in a loop
+    /// re-checks the buffer's uniqueness for every bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any id is out of range for `nbits`.
+    pub fn from_ids(nbits: usize, ids: impl IntoIterator<Item = CompId>) -> Self {
+        let mut cfg = Config::empty(nbits);
+        let words = Arc::make_mut(&mut cfg.words);
+        for id in ids {
+            let (w, mask) = Config::slot(nbits, id);
+            words[w] |= mask;
+        }
+        cfg
+    }
+
+    /// Parses what [`Config::to_bit_string`] renders — one `0` or `1` per
+    /// component, last component first; the width is the string's length.
+    /// Any other character is handed back as the error.
+    pub fn from_bit_string(bits: &str) -> Result<Self, char> {
+        if let Some(other) = bits.chars().find(|ch| !matches!(ch, '0' | '1')) {
+            return Err(other);
+        }
+        // All ASCII from here, so byte positions are bit positions.
+        let present = bits.bytes().rev().enumerate().filter(|&(_, b)| b == b'1');
+        Ok(Config::from_ids(bits.len(), present.map(|(ix, _)| CompId::from_index(ix))))
     }
 
     /// Width (number of component slots, not set bits).
@@ -155,22 +206,76 @@ impl Config {
         self.nbits
     }
 
-    /// Adds a component.
+    /// Whether `a` and `b` read the same word buffer (one is a clone of the
+    /// other and neither has been changed since). For tests that pin what a
+    /// clone costs; equal configurations need not share storage.
+    #[doc(hidden)]
+    pub fn shares_storage(a: &Config, b: &Config) -> bool {
+        Arc::ptr_eq(&a.words, &b.words)
+    }
+
+    /// Word index and bit mask of `id`, which must be below `nbits`.
+    fn slot(nbits: usize, id: CompId) -> (usize, u64) {
+        let ix = id.index();
+        assert!(ix < nbits, "component {ix} out of range (width {nbits})");
+        (ix / 64, 1 << (ix % 64))
+    }
+
+    /// The bit of `id`, which must be in range.
+    fn bit(&self, id: CompId) -> bool {
+        let (w, mask) = Config::slot(self.nbits, id);
+        self.words[w] & mask != 0
+    }
+
+    /// Adds a component (no-op, and no copy, if present).
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range for this configuration's width.
     pub fn insert(&mut self, id: CompId) {
-        let ix = id.index();
-        assert!(ix < self.nbits, "component {ix} out of range (width {})", self.nbits);
-        self.words[ix / 64] |= 1 << (ix % 64);
+        let (w, mask) = Config::slot(self.nbits, id);
+        if self.words[w] & mask == 0 {
+            Arc::make_mut(&mut self.words)[w] |= mask;
+        }
     }
 
-    /// Removes a component (no-op if absent).
+    /// Removes a component (no-op, and no copy, if absent).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range for this configuration's width.
     pub fn remove(&mut self, id: CompId) {
-        let ix = id.index();
-        assert!(ix < self.nbits, "component {ix} out of range (width {})", self.nbits);
-        self.words[ix / 64] &= !(1 << (ix % 64));
+        let (w, mask) = Config::slot(self.nbits, id);
+        if self.words[w] & mask != 0 {
+            Arc::make_mut(&mut self.words)[w] &= !mask;
+        }
+    }
+
+    /// Removes every component of `removes`, then adds every component of
+    /// `adds` (a component in both ends up present) — one adaptive action's
+    /// effect, or one session's fold. The bulk form of [`Config::remove`] /
+    /// [`Config::insert`]: the buffer's uniqueness is checked once for the
+    /// whole delta instead of once per bit, and not at all when the delta
+    /// changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any id is out of range for this configuration's width.
+    pub fn apply_delta(&mut self, removes: &[CompId], adds: &[CompId]) {
+        let changes = adds.iter().any(|&c| !self.bit(c))
+            || removes.iter().any(|&c| self.bit(c) && !adds.contains(&c));
+        if !changes {
+            return;
+        }
+        let words = Arc::make_mut(&mut self.words);
+        for &c in removes {
+            let (w, mask) = Config::slot(self.nbits, c);
+            words[w] &= !mask;
+        }
+        for &c in adds {
+            let (w, mask) = Config::slot(self.nbits, c);
+            words[w] |= mask;
+        }
     }
 
     /// Membership test.
@@ -219,7 +324,7 @@ impl Config {
     pub fn diff_ids(&self, other: &Config) -> Vec<CompId> {
         self.check_width(other);
         let mut out = Vec::new();
-        for (wix, (&a, &b)) in self.words.iter().zip(&other.words).enumerate() {
+        for (wix, (&a, &b)) in self.words.iter().zip(other.words.iter()).enumerate() {
             let mut rest = a ^ b;
             while rest != 0 {
                 out.push(CompId::from_index(wix * 64 + rest.trailing_zeros() as usize));
@@ -238,7 +343,7 @@ impl Config {
         self.check_width(other);
         Config {
             nbits: self.nbits,
-            words: self.words.iter().zip(&other.words).map(|(a, b)| a | b).collect(),
+            words: self.words.iter().zip(other.words.iter()).map(|(a, b)| a | b).collect(),
         }
     }
 
@@ -247,7 +352,7 @@ impl Config {
         self.check_width(other);
         Config {
             nbits: self.nbits,
-            words: self.words.iter().zip(&other.words).map(|(a, b)| a & b).collect(),
+            words: self.words.iter().zip(other.words.iter()).map(|(a, b)| a & b).collect(),
         }
     }
 
@@ -256,20 +361,20 @@ impl Config {
         self.check_width(other);
         Config {
             nbits: self.nbits,
-            words: self.words.iter().zip(&other.words).map(|(a, b)| a & !b).collect(),
+            words: self.words.iter().zip(other.words.iter()).map(|(a, b)| a & !b).collect(),
         }
     }
 
     /// True when every component of `self` is in `other`.
     pub fn is_subset(&self, other: &Config) -> bool {
         self.check_width(other);
-        self.words.iter().zip(&other.words).all(|(a, b)| a & !b == 0)
+        self.words.iter().zip(other.words.iter()).all(|(a, b)| a & !b == 0)
     }
 
     /// True when `self` and `other` share no component.
     pub fn is_disjoint(&self, other: &Config) -> bool {
         self.check_width(other);
-        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
+        self.words.iter().zip(other.words.iter()).all(|(a, b)| a & b == 0)
     }
 
     /// Renders the paper's bit-vector form: last-registered component first.
@@ -354,6 +459,16 @@ mod tests {
     }
 
     #[test]
+    fn bit_strings_parse_back_or_name_the_offending_character() {
+        let u = u7();
+        let cfg = u.config_of(&["D5", "D3", "E2"]);
+        assert_eq!(Config::from_bit_string(&cfg.to_bit_string()), Ok(cfg));
+        assert_eq!(Config::from_bit_string(""), Ok(Config::empty(0)));
+        assert_eq!(Config::from_bit_string("01x0"), Err('x'));
+        assert_eq!(Config::from_bit_string("1é"), Err('é'));
+    }
+
+    #[test]
     fn paper_target_vector() {
         let u = u7();
         let cfg = u.config_from_bits("1010010");
@@ -384,6 +499,30 @@ mod tests {
         assert!(c.contains(d5));
         c.remove(d5);
         assert!(!c.contains(d5) && c.is_empty());
+    }
+
+    #[test]
+    fn clones_share_storage_until_a_bit_really_changes() {
+        let u = u7();
+        let (e1, d1, d5) = (u.id("E1").unwrap(), u.id("D1").unwrap(), u.id("D5").unwrap());
+        let a = u.config_of(&["E1", "D1"]);
+        let mut b = a.clone();
+        b.insert(e1);
+        b.remove(d5);
+        b.apply_delta(&[d5], &[d1]);
+        b.apply_delta(&[e1], &[e1]);
+        assert!(Config::shares_storage(&a, &b), "restating the value copies nothing");
+        b.apply_delta(&[e1, d1], &[d5, d1]);
+        assert!(!Config::shares_storage(&a, &b));
+        assert_eq!(b, u.config_of(&["D1", "D5"]), "removes first, then adds");
+        assert_eq!(a, u.config_of(&["E1", "D1"]), "the sibling never sees the write");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_delta_panics_even_when_it_would_change_nothing() {
+        let mut c = Config::empty(3);
+        c.apply_delta(&[CompId::from_index(3)], &[]);
     }
 
     #[test]

@@ -717,16 +717,7 @@ impl Fields {
 }
 
 fn config_from_bit_string(bits: &str) -> Result<Config, String> {
-    let mut cfg = Config::empty(bits.len());
-    let width = bits.len();
-    for (pos, ch) in bits.chars().enumerate() {
-        match ch {
-            '1' => cfg.insert(CompId::from_index(width - 1 - pos)),
-            '0' => {}
-            other => return Err(format!("invalid bit {other:?} in config")),
-        }
-    }
-    Ok(cfg)
+    Config::from_bit_string(bits).map_err(|other| format!("invalid bit {other:?} in config"))
 }
 
 /// Decodes one JSONL line back into an [`Event`].

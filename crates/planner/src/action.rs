@@ -183,12 +183,7 @@ impl Action {
     pub fn apply(&self, cfg: &Config) -> Config {
         assert!(self.applicable(cfg), "action {} not applicable to {cfg}", self.name);
         let mut next = cfg.clone();
-        for &c in &self.removes {
-            next.remove(c);
-        }
-        for &c in &self.adds {
-            next.insert(c);
-        }
+        next.apply_delta(&self.removes, &self.adds);
         next
     }
 

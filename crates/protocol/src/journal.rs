@@ -163,16 +163,7 @@ pub fn parse_journal(text: &str) -> Result<Vec<JournalRecord>, String> {
 }
 
 fn parse_config(bits: &str) -> Result<Config, String> {
-    let mut cfg = Config::empty(bits.len());
-    for (pos, ch) in bits.chars().enumerate() {
-        let ix = bits.len() - 1 - pos;
-        match ch {
-            '1' => cfg.insert(sada_expr::CompId::from_index(ix)),
-            '0' => {}
-            other => return Err(format!("invalid config bit {other:?}")),
-        }
-    }
-    Ok(cfg)
+    Config::from_bit_string(bits).map_err(|other| format!("invalid config bit {other:?}"))
 }
 
 fn parse_record(line: &str) -> Result<JournalRecord, String> {

@@ -6,7 +6,7 @@
 //! manager can re-plan after failures ("try the second minimum adaptation
 //! path") without owning the SAG directly.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use sada_expr::Config;
 use sada_obs::{ManagerPhaseTag, Payload, PlanEvent, ProtoEvent};
@@ -199,7 +199,12 @@ pub struct ManagerCore {
     pending_rollback: BTreeSet<usize>,
     retries: u32,
     step_retry_used: bool,
-    tried_paths: HashSet<(Config, Vec<ActionId>)>,
+    /// `(configuration planned from, action ids)` of every path this
+    /// request has already started. A handful of entries, cleared per
+    /// request and scanned by equality: a configuration compares in O(1)
+    /// against the `current` it was cloned from, where hashing one reads
+    /// every word of the world.
+    tried_paths: Vec<(Config, Vec<ActionId>)>,
     timer_token: u64,
     timer_seq: u64,
     journal_seq: u64,
@@ -229,13 +234,14 @@ impl std::fmt::Debug for ManagerCore {
 impl ManagerCore {
     /// Creates a manager with the given policy and planner.
     pub fn new(timing: ProtoTiming, planner: Box<dyn AdaptationPlanner>) -> Self {
+        let idle = Config::empty(0);
         ManagerCore {
             timing,
             planner,
             phase: ManagerPhase::Running,
-            source: Config::empty(0),
-            target: Config::empty(0),
-            current: Config::empty(0),
+            source: idle.clone(),
+            target: idle.clone(),
+            current: idle,
             goal_is_source: false,
             steps: Vec::new(),
             step_ix: 0,
@@ -249,7 +255,7 @@ impl ManagerCore {
             pending_rollback: BTreeSet::new(),
             retries: 0,
             step_retry_used: false,
-            tried_paths: HashSet::new(),
+            tried_paths: Vec::new(),
             timer_token: 0,
             timer_seq: 0,
             journal_seq: 0,
@@ -351,6 +357,13 @@ impl ManagerCore {
         }
     }
 
+    /// Whether this request already started `path` from the current
+    /// configuration (the failure ladder never retries such a path).
+    fn tried(&self, path: &Path) -> bool {
+        let ids = path.action_ids();
+        self.tried_paths.iter().any(|(from, tried)| *tried == ids && *from == self.current)
+    }
+
     /// Picks the cheapest untried path from `current` to the goal and starts
     /// its first step; walks down the recovery ladder when nothing is left.
     fn select_and_start(&mut self) -> Vec<ManagerEffect> {
@@ -360,10 +373,7 @@ impl ManagerCore {
         const K_MAX: usize = 16;
         let (from, goal) = (self.current.clone(), self.goal().clone());
         let candidates = self.planner.paths(&from, &goal, K_MAX);
-        let chosen = candidates
-            .into_iter()
-            .enumerate()
-            .find(|(_, p)| !self.tried_paths.contains(&(self.current.clone(), p.action_ids())));
+        let chosen = candidates.into_iter().enumerate().find(|(_, p)| !self.tried(p));
         match chosen {
             Some((rank, path)) => {
                 self.obs.push(Payload::Plan(PlanEvent::PathSelected {
@@ -371,7 +381,7 @@ impl ManagerCore {
                     steps: path.len() as u32,
                     cost: path.cost,
                 }));
-                self.tried_paths.insert((self.current.clone(), path.action_ids()));
+                self.tried_paths.push((self.current.clone(), path.action_ids()));
                 let steps = self.planner.compile(&path);
                 debug_assert!(!steps.is_empty());
                 let mut eff = Vec::new();
@@ -1149,7 +1159,7 @@ impl ManagerCore {
                         .into_iter()
                         .find(|p| &p.action_ids() == actions)
                         .ok_or_else(|| fail("planner no longer offers this path"))?;
-                    core.tried_paths.insert((core.current.clone(), path.action_ids()));
+                    core.tried_paths.push((core.current.clone(), path.action_ids()));
                     core.steps = core.planner.compile(&path);
                     core.step_ix = 0;
                     cursor = Cursor::StartStep;
