@@ -105,7 +105,7 @@ echo "==> scenario-generator smoke (seeded serverless + IaaS universes end-to-en
 cargo run -q --release -p sada-bench --bin report -- scenario > /dev/null
 SADA_BENCH_SMOKE=1 cargo bench -q -p sada-bench --bench bench_scenario > /dev/null
 
-echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent and per-session gates)"
+echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent, per-session and world-build gates)"
 # Renders the 1k/10k-group strided-storm table (flat throughput plus
 # sharded runs with fingerprints asserted identical at 1 and 8 worker
 # threads, every region loaded), then the bench's smoke mode runs the
@@ -113,8 +113,10 @@ echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent and p
 # fingerprint identity, flat peak heap under the bytes-per-agent ceiling
 # and — against the same run without sessions — under the
 # world-configurations-per-session ceiling pinned in
-# crates/bench/benches/bench_scale.rs: memory regressions on the hot path,
-# per agent or per session, fail loudly. The full 1k/10k/100k sweep
+# crates/bench/benches/bench_scale.rs, and one build_world() under the
+# allocations-per-group and retained-bytes-per-group ceilings: memory
+# regressions on the hot path, per agent, per session or per compiled
+# table row, fail loudly. The full 1k/10k/100k sweep
 # (BENCH_scale.json) is regenerated by running the same bench without
 # SADA_BENCH_SMOKE.
 cargo run -q --release -p sada-bench --bin report -- scale > /dev/null

@@ -19,11 +19,16 @@
 //! * the same flat run with *no* sessions, whose peak is the world, the
 //!   agent arena and the plane alone — the difference to the loaded run,
 //!   per session, is what one session costs in memory, reported in widths
-//!   of the world's configuration (`2 x groups` bits).
+//!   of the world's configuration (`2 x groups` bits);
+//! * one `FleetScenario::build_world()` and its drop on their own: wall
+//!   clock of each, and the build's allocations and retained bytes per
+//!   group (the spec the world keeps included) — what the analysis phase
+//!   costs before the first session, as counts that repeat exactly.
 //!
 //! Set `SADA_BENCH_SMOKE=1` to run only the 10k-group row and assert the
-//! bytes-per-agent ceiling, the configurations-per-session ceiling and the
-//! sharded-over-flat peak-heap ceiling — the CI memory-regression gates.
+//! bytes-per-agent ceiling, the configurations-per-session ceiling, the
+//! sharded-over-flat peak-heap ceiling and the two world-build ceilings —
+//! the CI memory-regression gates.
 //! The full sweep (including the 100k row) writes `BENCH_scale.json` at the
 //! repository root.
 
@@ -41,10 +46,10 @@ const SEED: u64 = 42;
 const SESSION_CAP: usize = 2048;
 const SPACING_US: u64 = 37;
 /// Smoke-gate ceiling on flat peak-heap bytes per agent at the 10k row:
-/// measured 2 436 B/agent (the count is deterministic) plus 25 %, so an
+/// measured 1 874 B/agent (the count is deterministic) plus 25 %, so an
 /// accidental per-agent heap object or a dense-`Config` round trip sneaking
 /// back into the hot path fails loudly.
-const SMOKE_BYTES_PER_AGENT_CEILING: u64 = 3_045;
+const SMOKE_BYTES_PER_AGENT_CEILING: u64 = 2_342;
 /// Smoke-gate ceiling on what one session adds to the flat peak heap at the
 /// 10k row, in widths of the world's configuration (20 000 bits = 2 504 B):
 /// measured 2.64 plus 25 %. A committing session retains two buffers — its
@@ -64,6 +69,17 @@ const SMOKE_CONFIGS_PER_SESSION_CEILING: f64 = 3.3;
 /// regression this gate exists to catch, with 22 % headroom above today's
 /// ratio.
 const SMOKE_SHARD_OVER_FLAT_HEAP_CEILING: f64 = 3.5;
+/// Smoke-gate ceilings on what compiling the world costs per group at the
+/// 10k row: allocator calls during `build_world()`, and bytes still live
+/// when it returns. Measured 21.7 allocations and 1 060 B (both exact), of
+/// which the `WorldSpec` the world keeps is 14.7 and 474; every compiled
+/// table is flat, so the rest is one shared name per component, one
+/// operand list per invariant and a name and an id list per action. With a
+/// heap object per predicate, per index row and per process name the same
+/// row measured 76.7 allocations and 2 124 B — a jagged table coming back
+/// fails both.
+const SMOKE_WORLD_ALLOCS_PER_GROUP_CEILING: f64 = 32.0;
+const SMOKE_WORLD_RETAINED_BYTES_PER_GROUP_CEILING: f64 = 1_536.0;
 
 // ---------------------------------------------------------------------------
 // Counting allocator: peak live heap per row
@@ -71,11 +87,14 @@ const SMOKE_SHARD_OVER_FLAT_HEAP_CEILING: f64 = 3.5;
 
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
+/// Allocator calls so far (a `realloc` counts as the `alloc` it defaults to).
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         let live = LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
         PEAK.fetch_max(live, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
@@ -150,9 +169,40 @@ struct Row {
     shard_sessions_per_sec_1t: f64,
     shard_peak_heap_bytes_1t: u64,
     fingerprint: u64,
+    world: WorldCost,
+}
+
+/// What one `build_world()` and its drop cost on their own.
+struct WorldCost {
+    build_us: u128,
+    drop_us: u128,
+    /// Allocator calls during the build.
+    allocs: u64,
+    /// Bytes live after the build that were not before it.
+    retained_bytes: u64,
+}
+
+fn measure_world(fleet: &FleetScenario) -> WorldCost {
+    let (allocs0, live0) = (ALLOCS.load(Ordering::Relaxed), LIVE.load(Ordering::Relaxed));
+    let t = std::time::Instant::now();
+    let world = fleet.build_world();
+    let build_us = t.elapsed().as_micros();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs0;
+    let retained_bytes = LIVE.load(Ordering::Relaxed) - live0;
+    let t = std::time::Instant::now();
+    drop(world);
+    WorldCost { build_us, drop_us: t.elapsed().as_micros(), allocs, retained_bytes }
 }
 
 impl Row {
+    fn world_allocs_per_group(&self) -> f64 {
+        self.world.allocs as f64 / self.groups as f64
+    }
+
+    fn world_retained_bytes_per_group(&self) -> f64 {
+        self.world.retained_bytes as f64 / self.groups as f64
+    }
+
     fn shard_over_flat_heap(&self) -> f64 {
         self.shard_peak_heap_bytes_1t as f64 / self.peak_heap_bytes as f64
     }
@@ -183,6 +233,7 @@ fn run_row(groups: usize, threads: &[usize]) -> Row {
     let fleet = strided_fleet(groups);
     let sessions = fleet.sessions.len();
     let agents = 2 * groups;
+    let world = measure_world(&fleet);
 
     // Idle first and its report dropped at once: peaks are absolute, so
     // both flat runs must start from the same live heap (the scenario).
@@ -232,6 +283,7 @@ fn run_row(groups: usize, threads: &[usize]) -> Row {
         shard_sessions_per_sec_1t: base.succeeded() as f64 / base_wall.as_secs_f64().max(1e-9),
         shard_peak_heap_bytes_1t: *base_peak,
         fingerprint: base.fingerprint,
+        world,
     }
 }
 
@@ -248,6 +300,9 @@ fn write_bench_json(rows: &[Row]) {
                  \"bytes_per_session\": {}, \"configs_per_session\": {:.2}, \
                  \"shard_wall_us_1t\": {}, \
                  \"shard_sessions_per_sec_1t\": {:.1}, \"shard_peak_heap_bytes_1t\": {}, \
+                 \"world_build_us\": {}, \"world_drop_us\": {}, \
+                 \"world_allocs_per_group\": {:.1}, \
+                 \"world_retained_bytes_per_group\": {:.1}, \
                  \"fingerprint\": \"{:#018x}\"}}",
                 r.groups,
                 r.agents,
@@ -263,6 +318,10 @@ fn write_bench_json(rows: &[Row]) {
                 r.shard_wall_us_1t,
                 r.shard_sessions_per_sec_1t,
                 r.shard_peak_heap_bytes_1t,
+                r.world.build_us,
+                r.world.drop_us,
+                r.world_allocs_per_group(),
+                r.world_retained_bytes_per_group(),
                 r.fingerprint,
             )
         })
@@ -274,11 +333,15 @@ fn write_bench_json(rows: &[Row]) {
          once more without sessions for the idle peak (bytes_per_session is the \
          difference per session, configs_per_session the same in widths of the world's \
          configuration), run_fleet_sharded at 1/2/4/8 threads with fingerprints asserted \
-         identical\",\n  \
+         identical; before them one build_world() and its drop alone (world_* columns: \
+         allocator calls and retained bytes of the build per group, spec included)\",\n  \
          \"host_cores\": {cores},\n  \"thread_sweep\": [1, 2, 4, 8],\n  \
          \"smoke_bytes_per_agent_ceiling\": {SMOKE_BYTES_PER_AGENT_CEILING},\n  \
          \"smoke_configs_per_session_ceiling\": {SMOKE_CONFIGS_PER_SESSION_CEILING},\n  \
          \"smoke_shard_over_flat_heap_ceiling\": {SMOKE_SHARD_OVER_FLAT_HEAP_CEILING},\n  \
+         \"smoke_world_allocs_per_group_ceiling\": {SMOKE_WORLD_ALLOCS_PER_GROUP_CEILING},\n  \
+         \"smoke_world_retained_bytes_per_group_ceiling\": \
+         {SMOKE_WORLD_RETAINED_BYTES_PER_GROUP_CEILING},\n  \
          \"rows\": [\n{}\n  ]\n}}\n",
         body.join(",\n"),
     );
@@ -333,10 +396,23 @@ fn sweep() {
             row.peak_heap_bytes,
             SMOKE_SHARD_OVER_FLAT_HEAP_CEILING,
         );
+        assert!(
+            row.world_allocs_per_group() <= SMOKE_WORLD_ALLOCS_PER_GROUP_CEILING
+                && row.world_retained_bytes_per_group()
+                    <= SMOKE_WORLD_RETAINED_BYTES_PER_GROUP_CEILING,
+            "world build regressed: {:.1} allocations (ceiling {}) and {:.1} retained bytes \
+             (ceiling {}) per group at 10k groups — is some compiled table a heap object per \
+             row again?",
+            row.world_allocs_per_group(),
+            SMOKE_WORLD_ALLOCS_PER_GROUP_CEILING,
+            row.world_retained_bytes_per_group(),
+            SMOKE_WORLD_RETAINED_BYTES_PER_GROUP_CEILING,
+        );
         println!(
             "smoke ok: 10k groups, {} sessions, {} bytes/agent (ceiling {}), {:.2} configs/session \
-             (ceiling {}), sharded/flat peak heap {:.2}x (ceiling {}x), fingerprint {:#018x} \
-             identical at 1/2/4/8 threads",
+             (ceiling {}), sharded/flat peak heap {:.2}x (ceiling {}x), world build {:.1} \
+             allocations (ceiling {}) and {:.1} bytes (ceiling {}) per group, fingerprint \
+             {:#018x} identical at 1/2/4/8 threads",
             row.sessions,
             row.bytes_per_agent,
             SMOKE_BYTES_PER_AGENT_CEILING,
@@ -344,6 +420,10 @@ fn sweep() {
             SMOKE_CONFIGS_PER_SESSION_CEILING,
             row.shard_over_flat_heap(),
             SMOKE_SHARD_OVER_FLAT_HEAP_CEILING,
+            row.world_allocs_per_group(),
+            SMOKE_WORLD_ALLOCS_PER_GROUP_CEILING,
+            row.world_retained_bytes_per_group(),
+            SMOKE_WORLD_RETAINED_BYTES_PER_GROUP_CEILING,
             row.fingerprint,
         );
         return;

@@ -286,7 +286,7 @@ impl ScopeNormalizer {
         cand.dedup();
         let mut invs = Vec::with_capacity(cand.len());
         for pix in cand {
-            let support = compiled.preds()[pix as usize].support();
+            let support = compiled.support_of(pix as usize);
             if !support.iter().all(|c| locals.binary_search(c).is_ok()) {
                 return None;
             }

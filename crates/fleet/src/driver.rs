@@ -16,6 +16,7 @@
 //! [`build_plane`] as a handle.
 
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 use sada_expr::Config;
@@ -326,8 +327,14 @@ where
         }
     }
     let arena_id = sim.add_arena(arena);
+    // One buffer renders every name into the simulator's string table.
+    let mut name = String::new();
     let agents: Vec<ActorId> = (0..procs)
-        .map(|p| sim.add_arena_member(&format!("agent-{p}"), arena_id, p as u32))
+        .map(|p| {
+            name.clear();
+            write!(name, "agent-{p}").expect("writing to a String cannot fail");
+            sim.add_arena_member(&name, arena_id, p as u32)
+        })
         .collect();
     let mut sessions: Vec<u64> = specs.iter().map(|s| s.id).collect();
     sessions.sort_unstable();

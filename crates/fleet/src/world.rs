@@ -18,7 +18,21 @@
 //! confined to the cluster's components so clusters remain independent
 //! collaborative sets — the property region partitioning and the plan
 //! cache's scope normalizer rely on.
+//!
+//! A compiled world is flat tables end to end, so that compiling and
+//! dropping one costs a few dozen allocations per *table*, not per group:
+//! the invariant kernels, the search's affected-predicate lists, touch
+//! index and action-index buckets, and the collaborative-set partition are
+//! `Csr`s or plain vectors ([`sada_expr::CompiledInvariants`],
+//! [`sada_plan::Search`], [`sada_plan::CollabIndex`]); placement is a dense
+//! component → process vector and process names are one string table
+//! ([`sada_model::SystemModel`]). What is left per group is what a world
+//! *returns*: its spec, one shared name per component, one operand list
+//! per invariant, and a name and an id list per action. The action table
+//! has one owner, [`CompiledWorld::actions`] (`Arc<[Action]>`); the
+//! world's `search` holds a second handle on that allocation, not a copy.
 
+use std::fmt::Write as _;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -222,8 +236,10 @@ pub struct CompiledWorld {
     /// Compiled invariant set.
     pub inv: InvariantSet,
     /// Action table; **an action's id equals its index** (the planner
-    /// relies on this when mapping plan steps back to actions).
-    pub actions: Vec<Action>,
+    /// relies on this when mapping plan steps back to actions). The world
+    /// owns the table; `search` reads this same allocation through a second
+    /// handle rather than a copy of its own.
+    pub actions: Arc<[Action]>,
     /// Placement of components onto agent processes.
     pub model: SystemModel,
     /// Process id index → agent index (identity here).
@@ -301,31 +317,41 @@ impl FleetWorld {
             spec.comps.len(),
             "invariants may only mention declared components"
         );
-        let mut actions = Vec::with_capacity(spec.actions.len());
-        for (ix, a) in spec.actions.iter().enumerate() {
-            let mut removes = Vec::with_capacity(a.removes.len());
-            for &c in &a.removes {
-                assert!(c < spec.comps.len(), "action {}: removes out of range", a.name);
-                removes.push(CompId::from_index(c));
-            }
-            let mut adds = Vec::with_capacity(a.adds.len());
-            for &c in &a.adds {
-                assert!(c < spec.comps.len(), "action {}: adds out of range", a.name);
-                adds.push(CompId::from_index(c));
-            }
-            let cost = match spec.objective {
-                Objective::LatencyMs => a.cost_ms,
-                Objective::EnergyWatts => a.cost_watts,
-            }
-            .max(1);
-            // Sparse construction: the dense `Config` round trip here cost
-            // O(actions × width) — gigabytes of churn at 100k groups.
-            actions.push(Action::from_ids(ix as u32, &a.name, removes, adds, cost));
-        }
+        let comp = |a: &ActionSpec, c: usize, list: &str| {
+            assert!(c < spec.comps.len(), "action {}: {list} out of range", a.name);
+            CompId::from_index(c)
+        };
+        // Sparse construction: a dense `Config` round trip here cost
+        // O(actions × width) — gigabytes of churn at 100k groups — and the
+        // id lists go straight into each action's one boxed slice.
+        let actions: Arc<[Action]> = spec
+            .actions
+            .iter()
+            .enumerate()
+            .map(|(ix, a)| {
+                let cost = match spec.objective {
+                    Objective::LatencyMs => a.cost_ms,
+                    Objective::EnergyWatts => a.cost_watts,
+                }
+                .max(1);
+                let id = u32::try_from(ix).expect("action ids are u32");
+                let removes = a.removes.iter().map(|&c| comp(a, c, "removes"));
+                let adds = a.adds.iter().map(|&c| comp(a, c, "adds"));
+                Action::from_ids(id, &a.name, removes, adds, cost)
+            })
+            .collect();
         let process_count = spec.process_count();
         let mut model = SystemModel::with_capacity(process_count, spec.comps.len());
-        let procs: Vec<_> =
-            (0..process_count).map(|p| model.add_process(&format!("p{p}"))).collect();
+        // No non-test code reads these names; one buffer renders them all
+        // into the model's one string table.
+        let mut name = String::new();
+        let procs: Vec<_> = (0..process_count)
+            .map(|p| {
+                name.clear();
+                write!(name, "p{p}").expect("writing to a String cannot fail");
+                model.add_process(&name)
+            })
+            .collect();
         for (ix, c) in spec.comps.iter().enumerate() {
             model.place(CompId::from_index(ix), procs[c.process]);
         }
@@ -346,7 +372,7 @@ impl FleetWorld {
         }
         assert!(owner.iter().all(|&g| g != usize::MAX), "every comp needs a cluster");
         let index = CollabIndex::new(&universe, &inv, &actions);
-        let search = Search::new(&inv, &actions, universe.len());
+        let search = Search::sharing(&inv, Arc::clone(&actions), universe.len());
         let groups = spec.clusters.len();
         let world = CompiledWorld {
             universe,
@@ -471,7 +497,7 @@ mod tests {
     #[test]
     fn groups_are_independent_collaborative_sets() {
         let w = FleetWorld::build(4);
-        assert_eq!(w.index.sets().len(), 4);
+        assert_eq!(w.index.set_count(), 4);
         assert_eq!(w.universe.len(), 8);
         assert_eq!(w.model.process_count(), 8);
         assert_ne!(w.index.set_of(w.old(0)), w.index.set_of(w.old(1)));

@@ -31,8 +31,9 @@ impl CompId {
 /// paper's `(D5,D4,D3,D2,D1,E2,E1)` vectors exactly.
 #[derive(Debug, Clone, Default)]
 pub struct Universe {
-    names: Vec<String>,
-    index: HashMap<String, CompId>,
+    /// Each name is stored once; `names` and `index` share the allocation.
+    names: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, CompId>,
 }
 
 impl Universe {
@@ -50,19 +51,23 @@ impl Universe {
 
     /// Interns `name`, returning the existing id if already present.
     ///
-    /// A single `entry`-based probe: the hash is computed once whether the
-    /// name is fresh or repeated.
+    /// Looks up before it allocates: a repeated name — every identifier of
+    /// an invariant text over declared components — costs one probe and no
+    /// heap traffic; a fresh one costs its single shared copy and a second
+    /// probe to insert it.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX` components.
     pub fn intern(&mut self, name: &str) -> CompId {
-        use std::collections::hash_map::Entry;
-        match self.index.entry(name.to_string()) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let id = CompId(self.names.len() as u32);
-                self.names.push(e.key().clone());
-                e.insert(id);
-                id
-            }
+        if let Some(&id) = self.index.get(name) {
+            return id;
         }
+        let id = CompId(u32::try_from(self.names.len()).expect("component ids are u32"));
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.index.insert(name, id);
+        id
     }
 
     /// Looks a name up without interning.

@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::config::{CompId, Config, Universe};
-use crate::parser::{parse_expr, ParseError};
+use crate::parser::{parse_with, ParseError, Scratch};
 
 /// Three-valued truth used for pruning partial configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,24 +254,30 @@ impl Expr {
         }
     }
 
-    /// Collects every component mentioned by the expression.
-    pub fn collect_vars(&self, out: &mut BTreeSet<CompId>) {
+    /// Calls `f` on every variable occurrence, left to right (a component
+    /// mentioned twice is visited twice).
+    pub fn for_each_var<F: FnMut(CompId)>(&self, f: &mut F) {
         match self {
             Expr::Const(_) => {}
-            Expr::Var(id) => {
-                out.insert(*id);
-            }
-            Expr::Not(e) => e.collect_vars(out),
+            Expr::Var(id) => f(*id),
+            Expr::Not(e) => e.for_each_var(f),
             Expr::And(es) | Expr::Or(es) | Expr::Xor(es) | Expr::ExactlyOne(es) => {
                 for e in es {
-                    e.collect_vars(out);
+                    e.for_each_var(f);
                 }
             }
             Expr::Implies(a, b) | Expr::Iff(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
+                a.for_each_var(f);
+                b.for_each_var(f);
             }
         }
+    }
+
+    /// Collects every component mentioned by the expression.
+    pub fn collect_vars(&self, out: &mut BTreeSet<CompId>) {
+        self.for_each_var(&mut |id| {
+            out.insert(id);
+        });
     }
 
     fn fmt_with(&self, u: Option<&Universe>, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -370,18 +376,20 @@ impl InvariantSet {
         self.exprs.push(e);
     }
 
-    /// Parses each source string with [`parse_expr`], interning component
-    /// names into `u`.
+    /// Parses each source string as [`parse_expr`](crate::parse_expr) does,
+    /// interning component names into `u`. One token buffer and one operand
+    /// stack serve every source.
     ///
     /// # Errors
     ///
     /// Returns the first [`ParseError`] encountered.
     pub fn parse(sources: &[&str], u: &mut Universe) -> Result<Self, ParseError> {
-        let mut set = InvariantSet::new();
+        let mut scratch = Scratch::default();
+        let mut exprs = Vec::with_capacity(sources.len());
         for src in sources {
-            set.push(parse_expr(src, u)?);
+            exprs.push(parse_with(src, u, &mut scratch)?);
         }
-        Ok(set)
+        Ok(InvariantSet { exprs })
     }
 
     /// The individual predicates.

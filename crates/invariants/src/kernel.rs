@@ -19,8 +19,17 @@
 //!    [`CompiledInvariants::still_satisfied_after`] re-evaluates exactly
 //!    those, which for the paper's collaborative-set-structured invariants
 //!    is typically one predicate instead of all of them.
+//!
+//! A compiled set is a handful of flat tables, whatever the number of
+//! predicates: one `ops` table holding every program back to back, one
+//! `masks` table for the fused ops' operands, a fixed-size header per
+//! predicate (where its program sits, how deep its stack goes), and two
+//! [`Csr`]s — predicate → support and its inverse, component → predicates.
+//! There is one lowering and one evaluator ([`Program`]); [`CompiledExpr`]
+//! is their one-predicate case over tables of its own.
 
 use crate::config::{CompId, Config};
+use crate::csr::Csr;
 use crate::expr::{Expr, InvariantSet};
 
 /// One postfix instruction. Fused ops (`AllSet`…`CountIsOne`) reference a
@@ -61,149 +70,158 @@ enum Op {
 /// depth evaluate on a fixed stack with no allocation.
 const INLINE_STACK: usize = 32;
 
-/// One predicate, lowered to a flat postfix program plus its support list.
-#[derive(Debug, Clone)]
-pub struct CompiledExpr {
-    ops: Vec<Op>,
-    /// Side table of `(word index, bit mask)` operands for the fused ops,
-    /// grouped so each word appears at most once per operand range.
-    masks: Vec<(u32, u64)>,
-    /// Components the predicate mentions, sorted ascending. A sparse list
-    /// rather than a width-wide bitset: a predicate mentions a handful of
-    /// components however wide the world is, so compiling 100k predicates
-    /// stays linear in the invariant text, not quadratic in the width.
-    support: Vec<CompId>,
+/// A count or table position inside a compiled program.
+fn u32_of(n: usize) -> u32 {
+    u32::try_from(n).expect("compiled invariant tables are indexed by u32")
+}
+
+/// The one lowering: appends an expression's postfix program to `ops`, the
+/// operands of its fused ops to `masks` and every component it mentions to
+/// `support` (unsorted, repeats included). The tables are the caller's —
+/// one predicate's own ([`CompiledExpr`]) or a whole set's shared ones
+/// ([`CompiledInvariants`]); fused ops address `masks` by absolute position
+/// either way.
+struct Lowering<'t> {
+    ops: &'t mut Vec<Op>,
+    masks: &'t mut Vec<(u32, u64)>,
+    support: &'t mut Vec<CompId>,
+    width: usize,
+    depth: usize,
     /// Deepest evaluation stack the program can reach.
     max_stack: usize,
 }
 
-impl CompiledExpr {
-    /// Lowers `expr` for configurations of width `width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the expression mentions a component index `>= width`.
-    pub fn compile(expr: &Expr, width: usize) -> Self {
-        let mut c =
-            CompiledExpr { ops: Vec::new(), masks: Vec::new(), support: Vec::new(), max_stack: 0 };
-        let mut depth = 0usize;
-        c.lower(expr, width, &mut depth);
-        debug_assert_eq!(depth, 1, "a program must leave exactly one result");
-        c.support.sort_unstable();
-        c.support.dedup();
-        c
-    }
-
-    /// The components this predicate mentions, ascending.
-    pub fn support(&self) -> &[CompId] {
-        &self.support
-    }
-
-    /// True when the predicate mentions no component of `touched`.
-    fn disjoint_from(&self, touched: &Config) -> bool {
-        self.support.iter().all(|&c| !touched.contains(c))
-    }
-
-    fn push_op(&mut self, op: Op, pops: usize, depth: &mut usize) {
-        debug_assert!(*depth >= pops, "postfix underflow");
-        *depth = *depth - pops + 1;
-        self.max_stack = self.max_stack.max(*depth);
+impl Lowering<'_> {
+    fn push_op(&mut self, op: Op, pops: usize) {
+        debug_assert!(self.depth >= pops, "postfix underflow");
+        self.depth = self.depth - pops + 1;
+        self.max_stack = self.max_stack.max(self.depth);
         self.ops.push(op);
     }
 
-    /// Emits the `(word, mask)` range for a list of variable ids, one table
-    /// entry per distinct word, and returns `(start, len)`.
-    fn mask_range(&mut self, ids: &[CompId]) -> (u32, u32) {
-        let start = self.masks.len() as u32;
-        let mut per_word: Vec<(u32, u64)> = Vec::new();
-        for id in ids {
-            let (w, m) = (id.index() / 64, 1u64 << (id.index() % 64));
-            match per_word.iter_mut().find(|(pw, _)| *pw == w as u32) {
-                Some((_, pm)) => *pm |= m,
-                None => per_word.push((w as u32, m)),
-            }
-        }
-        let len = per_word.len() as u32;
-        self.masks.extend(per_word);
-        (start, len)
-    }
-
-    fn record_var(&mut self, id: CompId, width: usize) {
+    fn record_var(&mut self, id: CompId) -> (u32, u64) {
+        let width = self.width;
         assert!(id.index() < width, "component {} out of range (width {width})", id.index());
         self.support.push(id);
+        (u32_of(id.index() / 64), 1u64 << (id.index() % 64))
     }
 
-    /// If every element of `es` is a plain variable and no variable
-    /// repeats, returns their ids. A repeated operand counts twice under
-    /// `^` and `one_of` but owns one mask bit, so it takes the general ops.
-    fn distinct_vars(es: &[Expr]) -> Option<Vec<CompId>> {
-        let ids: Vec<CompId> = es
-            .iter()
-            .map(|e| match e {
-                Expr::Var(id) => Some(*id),
-                _ => None,
-            })
-            .collect::<Option<_>>()?;
-        let repeats = ids.iter().enumerate().any(|(i, id)| ids[..i].contains(id));
-        (!repeats).then_some(ids)
+    /// The plain variable behind `e`, if it is one.
+    fn var(e: &Expr) -> Option<CompId> {
+        match e {
+            Expr::Var(id) => Some(*id),
+            _ => None,
+        }
     }
 
-    fn lower(&mut self, expr: &Expr, width: usize, depth: &mut usize) {
+    /// True when every element of `es` is a plain variable and no variable
+    /// repeats. A repeated operand counts twice under `^` and `one_of` but
+    /// owns one mask bit, so it takes the general ops.
+    fn distinct_vars(es: &[Expr]) -> bool {
+        es.iter().enumerate().all(|(i, e)| {
+            Self::var(e).is_some_and(|id| es[..i].iter().all(|seen| Self::var(seen) != Some(id)))
+        })
+    }
+
+    /// Emits the `(word, mask)` range for a list of distinct variables, one
+    /// table entry per distinct word, and returns `(start, len)`.
+    fn mask_range(&mut self, vars: &[Expr]) -> (u32, u32) {
+        let start = self.masks.len();
+        for id in vars.iter().filter_map(Self::var) {
+            let (w, m) = self.record_var(id);
+            match self.masks[start..].iter_mut().find(|(pw, _)| *pw == w) {
+                Some((_, pm)) => *pm |= m,
+                None => self.masks.push((w, m)),
+            }
+        }
+        (u32_of(start), u32_of(self.masks.len() - start))
+    }
+
+    fn lower(&mut self, expr: &Expr) {
         match expr {
-            Expr::Const(b) => self.push_op(Op::Const(*b), 0, depth),
+            Expr::Const(b) => self.push_op(Op::Const(*b), 0),
             Expr::Var(id) => {
-                self.record_var(*id, width);
-                let op =
-                    Op::Bit { word: (id.index() / 64) as u32, mask: 1u64 << (id.index() % 64) };
-                self.push_op(op, 0, depth);
+                let (word, mask) = self.record_var(*id);
+                self.push_op(Op::Bit { word, mask }, 0);
             }
             Expr::Not(e) => {
-                self.lower(e, width, depth);
-                self.push_op(Op::Not, 1, depth);
+                self.lower(e);
+                self.push_op(Op::Not, 1);
             }
             Expr::And(es) | Expr::Or(es) | Expr::Xor(es) | Expr::ExactlyOne(es) => {
-                if let Some(ids) = Self::distinct_vars(es) {
-                    for &id in &ids {
-                        self.record_var(id, width);
-                    }
-                    let (start, len) = self.mask_range(&ids);
+                if Self::distinct_vars(es) {
+                    let (start, len) = self.mask_range(es);
                     let op = match expr {
                         Expr::And(_) => Op::AllSet { start, len },
                         Expr::Or(_) => Op::AnySet { start, len },
                         Expr::Xor(_) => Op::ParityOdd { start, len },
                         _ => Op::CountIsOne { start, len },
                     };
-                    self.push_op(op, 0, depth);
+                    self.push_op(op, 0);
                 } else {
                     for e in es {
-                        self.lower(e, width, depth);
+                        self.lower(e);
                     }
-                    let n = es.len() as u32;
+                    let n = u32_of(es.len());
                     let op = match expr {
                         Expr::And(_) => Op::And(n),
                         Expr::Or(_) => Op::Or(n),
                         Expr::Xor(_) => Op::Xor(n),
                         _ => Op::ExactlyOne(n),
                     };
-                    self.push_op(op, es.len(), depth);
+                    self.push_op(op, es.len());
                 }
             }
             Expr::Implies(a, b) => {
-                self.lower(a, width, depth);
-                self.lower(b, width, depth);
-                self.push_op(Op::Implies, 2, depth);
+                self.lower(a);
+                self.lower(b);
+                self.push_op(Op::Implies, 2);
             }
             Expr::Iff(a, b) => {
-                self.lower(a, width, depth);
-                self.lower(b, width, depth);
-                self.push_op(Op::Iff, 2, depth);
+                self.lower(a);
+                self.lower(b);
+                self.push_op(Op::Iff, 2);
             }
         }
     }
+}
 
+/// Lowers `expr` onto the ends of `ops` and `masks`, fills the empty
+/// `support` with the components it mentions (ascending, each once), and
+/// returns the program's stack depth.
+fn lower_onto(
+    expr: &Expr,
+    width: usize,
+    ops: &mut Vec<Op>,
+    masks: &mut Vec<(u32, u64)>,
+    support: &mut Vec<CompId>,
+) -> usize {
+    debug_assert!(support.is_empty(), "one predicate's support at a time");
+    let mut l = Lowering { ops, masks, support, width, depth: 0, max_stack: 0 };
+    l.lower(expr);
+    debug_assert_eq!(l.depth, 1, "a program must leave exactly one result");
+    let max_stack = l.max_stack;
+    support.sort_unstable();
+    support.dedup();
+    max_stack
+}
+
+/// One postfix program, wherever its tables live: the `ops` to run, the
+/// mask table its fused ops address by absolute position, and the deepest
+/// evaluation stack it reaches. The one evaluator, for a predicate on its
+/// own ([`CompiledExpr`]) and for one inside a set ([`CompiledInvariants`]).
+#[derive(Debug, Clone, Copy)]
+struct Program<'t> {
+    ops: &'t [Op],
+    masks: &'t [(u32, u64)],
+    max_stack: usize,
+}
+
+impl Program<'_> {
     /// Evaluates the program against `cfg` (same semantics as
     /// [`Expr::eval`] on the source expression).
-    pub fn eval(&self, cfg: &Config) -> bool {
+    #[inline]
+    fn eval(&self, cfg: &Config) -> bool {
         if self.max_stack <= INLINE_STACK {
             self.eval_on(&mut [false; INLINE_STACK], cfg)
         } else {
@@ -214,7 +232,7 @@ impl CompiledExpr {
     fn eval_on(&self, stack: &mut [bool], cfg: &Config) -> bool {
         let words = cfg.words();
         let mut sp = 0usize;
-        for op in &self.ops {
+        for op in self.ops {
             match *op {
                 Op::Const(b) => {
                     stack[sp] = b;
@@ -298,30 +316,103 @@ impl CompiledExpr {
     }
 }
 
-/// An [`InvariantSet`] compiled for one configuration width: the flat
-/// programs plus the support-indexed incremental check.
+/// One predicate on its own: the one-predicate case of the lowering and the
+/// evaluator behind [`CompiledInvariants`], over tables it owns.
+#[derive(Debug, Clone)]
+pub struct CompiledExpr {
+    ops: Vec<Op>,
+    /// Side table of `(word index, bit mask)` operands for the fused ops,
+    /// grouped so each word appears at most once per operand range.
+    masks: Vec<(u32, u64)>,
+    /// Components the predicate mentions, sorted ascending. A sparse list
+    /// rather than a width-wide bitset: a predicate mentions a handful of
+    /// components however wide the world is, so compiling 100k predicates
+    /// stays linear in the invariant text, not quadratic in the width.
+    support: Vec<CompId>,
+    max_stack: usize,
+}
+
+impl CompiledExpr {
+    /// Lowers `expr` for configurations of width `width`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the expression mentions a component index `>= width`.
+    pub fn compile(expr: &Expr, width: usize) -> Self {
+        let (mut ops, mut masks, mut support) = (Vec::new(), Vec::new(), Vec::new());
+        let max_stack = lower_onto(expr, width, &mut ops, &mut masks, &mut support);
+        CompiledExpr { ops, masks, support, max_stack }
+    }
+
+    /// The components this predicate mentions, ascending.
+    pub fn support(&self) -> &[CompId] {
+        &self.support
+    }
+
+    /// Evaluates the program against `cfg` (same semantics as
+    /// [`Expr::eval`] on the source expression).
+    pub fn eval(&self, cfg: &Config) -> bool {
+        Program { ops: &self.ops, masks: &self.masks, max_stack: self.max_stack }.eval(cfg)
+    }
+}
+
+/// Where one predicate's program sits in the shared `ops` table, and how
+/// deep an evaluation stack it needs.
+#[derive(Debug, Clone, Copy)]
+struct Pred {
+    ops_start: u32,
+    ops_end: u32,
+    max_stack: u32,
+}
+
+/// An [`InvariantSet`] compiled for one configuration width, as flat
+/// tables: every predicate's program in one `ops` table and every fused
+/// operand in one `masks` table, a fixed-size header per predicate, the
+/// supports and their inverse as two [`Csr`]s. Compiling a set allocates
+/// these tables and nothing per predicate; dropping it frees them and
+/// nothing per predicate.
 #[derive(Debug, Clone)]
 pub struct CompiledInvariants {
-    preds: Vec<CompiledExpr>,
-    /// Inverted support index: `by_comp[c]` lists (ascending) the predicate
+    /// Every predicate's postfix program, back to back.
+    ops: Vec<Op>,
+    /// The fused ops' `(word, mask)` operands, addressed by absolute
+    /// position from any program.
+    masks: Vec<(u32, u64)>,
+    /// Per predicate, in [`InvariantSet::exprs`] order.
+    preds: Vec<Pred>,
+    /// Row `p`: the components predicate `p` mentions, ascending.
+    support: Csr<CompId>,
+    /// Inverted support index: row `c` lists (ascending) the predicate
     /// indices whose support mentions component `c`. Lets scope-sized
     /// queries find their predicates without scanning the whole set.
-    by_comp: Vec<Vec<u32>>,
+    by_comp: Csr<u32>,
     width: usize,
 }
 
 impl CompiledInvariants {
     /// Compiles every predicate of `set` for width `width`.
     pub fn compile(set: &InvariantSet, width: usize) -> Self {
-        let preds: Vec<CompiledExpr> =
-            set.exprs().iter().map(|e| CompiledExpr::compile(e, width)).collect();
-        let mut by_comp = vec![Vec::new(); width];
-        for (ix, p) in preds.iter().enumerate() {
-            for &c in &p.support {
-                by_comp[c.index()].push(ix as u32);
-            }
+        let n = set.exprs().len();
+        let (mut ops, mut masks) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut preds = Vec::with_capacity(n);
+        let mut support = Csr::with_capacity(n, 2 * n);
+        // Programs and masks go straight onto the shared tables; one
+        // reused buffer sorts each support list on its way to its row.
+        let mut mentioned = Vec::new();
+        for e in set.exprs() {
+            let ops_start = u32_of(ops.len());
+            let max_stack = u32_of(lower_onto(e, width, &mut ops, &mut masks, &mut mentioned));
+            preds.push(Pred { ops_start, ops_end: u32_of(ops.len()), max_stack });
+            support.push_row(mentioned.drain(..));
         }
-        CompiledInvariants { preds, by_comp, width }
+        let by_comp = Csr::from_pairs(
+            width,
+            support
+                .iter()
+                .enumerate()
+                .flat_map(|(p, cs)| cs.iter().map(move |c| (c.index(), u32_of(p)))),
+        );
+        CompiledInvariants { ops, masks, preds, support, by_comp, width }
     }
 
     /// Number of predicates.
@@ -339,28 +430,36 @@ impl CompiledInvariants {
         self.width
     }
 
-    /// The compiled predicates, in [`InvariantSet::exprs`] order.
-    pub fn preds(&self) -> &[CompiledExpr] {
-        &self.preds
+    /// The components predicate `ix` mentions, ascending
+    /// ([`InvariantSet::exprs`] order).
+    pub fn support_of(&self, ix: usize) -> &[CompId] {
+        self.support.row(ix)
     }
 
     /// Evaluates predicate `ix` alone.
     pub fn eval_pred(&self, ix: usize, cfg: &Config) -> bool {
-        self.preds[ix].eval(cfg)
+        let p = self.preds[ix];
+        let ops = &self.ops[p.ops_start as usize..p.ops_end as usize];
+        Program { ops, masks: &self.masks, max_stack: p.max_stack as usize }.eval(cfg)
+    }
+
+    /// True when predicate `ix` mentions no component of `touched`.
+    fn disjoint_from(&self, ix: usize, touched: &Config) -> bool {
+        self.support.row(ix).iter().all(|&c| !touched.contains(c))
     }
 
     /// Full check: every predicate holds on `cfg` (kernel equivalent of
     /// [`InvariantSet::satisfied_by`]).
     pub fn satisfied_by(&self, cfg: &Config) -> bool {
-        self.preds.iter().all(|p| p.eval(cfg))
+        (0..self.len()).all(|ix| self.eval_pred(ix, cfg))
     }
 
     /// Full check that also counts individual predicate evaluations into
     /// `evals` (short-circuiting counts only what actually ran).
     pub fn satisfied_by_counting(&self, cfg: &Config, evals: &mut u64) -> bool {
-        for p in &self.preds {
+        for ix in 0..self.len() {
             *evals += 1;
-            if !p.eval(cfg) {
+            if !self.eval_pred(ix, cfg) {
                 return false;
             }
         }
@@ -372,7 +471,7 @@ impl CompiledInvariants {
     /// `cfg` satisfies every predicate iff the ones whose support intersects
     /// `touched` still hold — untouched predicates see unchanged inputs.
     pub fn still_satisfied_after(&self, cfg: &Config, touched: &Config) -> bool {
-        self.preds.iter().all(|p| p.disjoint_from(touched) || p.eval(cfg))
+        (0..self.len()).all(|ix| self.disjoint_from(ix, touched) || self.eval_pred(ix, cfg))
     }
 
     /// Counting variant of [`CompiledInvariants::still_satisfied_after`].
@@ -382,12 +481,12 @@ impl CompiledInvariants {
         touched: &Config,
         evals: &mut u64,
     ) -> bool {
-        for p in &self.preds {
-            if p.disjoint_from(touched) {
+        for ix in 0..self.len() {
+            if self.disjoint_from(ix, touched) {
                 continue;
             }
             *evals += 1;
-            if !p.eval(cfg) {
+            if !self.eval_pred(ix, cfg) {
                 return false;
             }
         }
@@ -398,28 +497,32 @@ impl CompiledInvariants {
     /// set an incremental check re-evaluates. Planners precompute this per
     /// action so the per-candidate loop touches no other predicate.
     pub fn affected_by(&self, touched: &Config) -> Vec<u32> {
-        self.preds
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.disjoint_from(touched))
-            .map(|(ix, _)| ix as u32)
-            .collect()
+        (0..self.len()).filter(|&ix| !self.disjoint_from(ix, touched)).map(u32_of).collect()
     }
 
     /// [`CompiledInvariants::affected_by`] for a sparse touched list: the
     /// same indices in the same ascending order, found through the inverted
     /// support index in O(touched × preds-per-comp) instead of O(preds).
     pub fn affected_by_ids(&self, touched: &[CompId]) -> Vec<u32> {
-        let mut out: Vec<u32> =
-            touched.iter().flat_map(|&c| self.by_comp[c.index()].iter().copied()).collect();
+        let mut out = Vec::new();
+        self.affected_by_ids_into(touched, &mut out);
+        out
+    }
+
+    /// [`CompiledInvariants::affected_by_ids`] into a caller-owned buffer
+    /// (cleared first), for builders that ask once per action.
+    pub fn affected_by_ids_into(&self, touched: &[CompId], out: &mut Vec<u32>) {
+        out.clear();
+        for c in touched {
+            out.extend_from_slice(self.by_comp.row(c.index()));
+        }
         out.sort_unstable();
         out.dedup();
-        out
     }
 
     /// Predicate indices mentioning component `c`, ascending.
     pub fn preds_of_comp(&self, c: CompId) -> &[u32] {
-        &self.by_comp[c.index()]
+        self.by_comp.row(c.index())
     }
 }
 
@@ -476,9 +579,11 @@ mod tests {
             "(C1 & C1)",
         ];
         let inv = InvariantSet::parse(&exprs, &mut universe).unwrap();
-        for (e, c) in inv.exprs().iter().zip(inv.compile(4).preds()) {
+        let compiled = inv.compile(4);
+        for (ix, e) in inv.exprs().iter().enumerate() {
             for cfg in all_configs(4) {
-                assert_eq!(c.eval(&cfg), e.eval(&cfg), "{e} on {cfg}");
+                assert_eq!(compiled.eval_pred(ix, &cfg), e.eval(&cfg), "{e} on {cfg}");
+                assert_eq!(CompiledExpr::compile(e, 4).eval(&cfg), e.eval(&cfg), "{e} on {cfg}");
             }
         }
     }
@@ -501,7 +606,7 @@ mod tests {
         let mut universe = u(5);
         let inv = InvariantSet::parse(&["(C1 => one_of(C3, C4))"], &mut universe).unwrap();
         let compiled = inv.compile(5);
-        let support = compiled.preds()[0].support();
+        let support = compiled.support_of(0);
         let members: Vec<usize> = support.iter().map(|id| id.index()).collect();
         assert_eq!(members, vec![1, 3, 4]);
         assert_eq!(compiled.preds_of_comp(CompId::from_index(3)), &[0]);

@@ -37,6 +37,7 @@
 //! ```
 
 mod config;
+mod csr;
 mod expr;
 mod kernel;
 mod parser;
@@ -45,6 +46,7 @@ mod simplify;
 pub mod enumerate;
 
 pub use config::{CompId, Config, Universe};
+pub use csr::Csr;
 pub use expr::{Expr, InvariantSet, PartialAssignment, Tri};
 pub use kernel::{CompiledExpr, CompiledInvariants};
 pub use parser::{parse_expr, ParseError};

@@ -42,9 +42,10 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
+/// A token; identifiers borrow their text from the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'s> {
+    Ident(&'s str),
     LParen,
     RParen,
     Comma,
@@ -59,110 +60,96 @@ enum Tok {
     OneOf,
 }
 
-fn lex(src: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
+/// The buffers one parse leaves behind for the next, so that parsing a
+/// whole invariant set allocates the expressions it returns and nothing
+/// else.
+#[derive(Default)]
+pub(crate) struct Scratch<'s> {
+    toks: Vec<(usize, Tok<'s>)>,
+    /// Operands of the n-ary nodes under construction, innermost last; a
+    /// finished node takes its own off the end, as a `Vec` of exactly
+    /// their number.
+    operands: Vec<Expr>,
+}
+
+/// Replaces the contents of `toks` by the tokens of `src`, each with its
+/// byte offset.
+fn lex<'s>(src: &'s str, toks: &mut Vec<(usize, Tok<'s>)>) -> Result<(), ParseError> {
+    toks.clear();
     let bytes = src.as_bytes();
-    let mut toks = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
+        // Bytes, not characters: everything the language accepts is ASCII,
+        // and any byte of a multi-byte character lands in the last arm.
         let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '(' => {
-                toks.push((i, Tok::LParen));
+        let (tok, len) = match c {
+            ' ' | '\t' | '\n' | '\r' => {
                 i += 1;
+                continue;
             }
-            ')' => {
-                toks.push((i, Tok::RParen));
-                i += 1;
-            }
-            ',' => {
-                toks.push((i, Tok::Comma));
-                i += 1;
-            }
-            '!' => {
-                toks.push((i, Tok::Bang));
-                i += 1;
-            }
-            '&' | '.' => {
-                toks.push((i, Tok::Amp));
-                i += 1;
-            }
-            '|' => {
-                toks.push((i, Tok::Pipe));
-                i += 1;
-            }
-            '^' => {
-                toks.push((i, Tok::Caret));
-                i += 1;
-            }
-            '=' => {
-                if bytes.get(i + 1) == Some(&b'>') {
-                    toks.push((i, Tok::Arrow));
-                    i += 2;
-                } else {
-                    return Err(ParseError { at: i, msg: "expected '=>'".into() });
-                }
-            }
-            '<' => {
-                if src[i..].starts_with("<=>") {
-                    toks.push((i, Tok::DArrow));
-                    i += 3;
-                } else {
-                    return Err(ParseError { at: i, msg: "expected '<=>'".into() });
-                }
-            }
+            '(' => (Tok::LParen, 1),
+            ')' => (Tok::RParen, 1),
+            ',' => (Tok::Comma, 1),
+            '!' => (Tok::Bang, 1),
+            '&' | '.' => (Tok::Amp, 1),
+            '|' => (Tok::Pipe, 1),
+            '^' => (Tok::Caret, 1),
+            '=' if bytes.get(i + 1) == Some(&b'>') => (Tok::Arrow, 2),
+            '=' => return Err(ParseError { at: i, msg: "expected '=>'".into() }),
+            '<' if bytes[i..].starts_with(b"<=>") => (Tok::DArrow, 3),
+            '<' => return Err(ParseError { at: i, msg: "expected '<=>'".into() }),
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len() {
-                    let c = bytes[i] as char;
-                    if c.is_ascii_alphanumeric() || c == '_' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let word = &src[start..i];
-                let tok = match word {
+                let word_len = bytes[i..]
+                    .iter()
+                    .take_while(|b| b.is_ascii_alphanumeric() || **b == b'_')
+                    .count();
+                // ASCII on both sides of each cut, so both are boundaries.
+                let tok = match &src[i..i + word_len] {
                     "true" => Tok::True,
                     "false" => Tok::False,
                     "one_of" => Tok::OneOf,
-                    _ => Tok::Ident(word.to_string()),
+                    word => Tok::Ident(word),
                 };
-                toks.push((start, tok));
+                (tok, word_len)
             }
             other => {
                 return Err(ParseError { at: i, msg: format!("unexpected character {other:?}") });
             }
-        }
+        };
+        toks.push((i, tok));
+        i += len;
     }
-    Ok(toks)
+    Ok(())
 }
 
-struct Parser<'a> {
-    toks: Vec<(usize, Tok)>,
+struct Parser<'a, 's> {
+    toks: &'a [(usize, Tok<'s>)],
     pos: usize,
     universe: &'a mut Universe,
+    operands: &'a mut Vec<Expr>,
     src_len: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(_, t)| t)
+type Rule = fn(&mut Parser<'_, '_>) -> Result<Expr, ParseError>;
+
+impl<'s> Parser<'_, 's> {
+    fn peek(&self) -> Option<Tok<'s>> {
+        self.toks.get(self.pos).map(|&(_, t)| t)
     }
 
     fn here(&self) -> usize {
         self.toks.get(self.pos).map(|&(at, _)| at).unwrap_or(self.src_len)
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|(_, t)| t.clone());
+    fn bump(&mut self) -> Option<Tok<'s>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, want: Tok, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, want: Tok<'s>, what: &str) -> Result<(), ParseError> {
         let at = self.here();
         match self.bump() {
             Some(t) if t == want => Ok(()),
@@ -176,7 +163,7 @@ impl<'a> Parser<'a> {
 
     fn iff(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.implies()?;
-        while self.peek() == Some(&Tok::DArrow) {
+        while self.peek() == Some(Tok::DArrow) {
             self.bump();
             let rhs = self.implies()?;
             lhs = lhs.iff(rhs);
@@ -186,7 +173,7 @@ impl<'a> Parser<'a> {
 
     fn implies(&mut self) -> Result<Expr, ParseError> {
         let lhs = self.or()?;
-        if self.peek() == Some(&Tok::Arrow) {
+        if self.peek() == Some(Tok::Arrow) {
             self.bump();
             // Right-associative: a => b => c ≡ a => (b => c).
             let rhs = self.implies()?;
@@ -196,35 +183,43 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn or(&mut self) -> Result<Expr, ParseError> {
-        let mut terms = vec![self.xor()?];
-        while self.peek() == Some(&Tok::Pipe) {
-            self.bump();
-            terms.push(self.xor()?);
+    /// One n-ary precedence level, `operand (op operand)*`: a lone operand
+    /// is the result as it stands; a node (and its `Vec`) exists only once
+    /// the level has seen its operator.
+    fn level(
+        &mut self,
+        op: Tok<'s>,
+        operand: Rule,
+        node: fn(Vec<Expr>) -> Expr,
+    ) -> Result<Expr, ParseError> {
+        let first = operand(self)?;
+        if self.peek() != Some(op) {
+            return Ok(first);
         }
-        Ok(if terms.len() == 1 { terms.pop().unwrap() } else { Expr::or(terms) })
+        let mine = self.operands.len();
+        self.operands.push(first);
+        while self.peek() == Some(op) {
+            self.bump();
+            let next = operand(self)?;
+            self.operands.push(next);
+        }
+        Ok(node(self.operands.drain(mine..).collect()))
+    }
+
+    fn or(&mut self) -> Result<Expr, ParseError> {
+        self.level(Tok::Pipe, |p| p.xor(), Expr::or)
     }
 
     fn xor(&mut self) -> Result<Expr, ParseError> {
-        let mut terms = vec![self.and()?];
-        while self.peek() == Some(&Tok::Caret) {
-            self.bump();
-            terms.push(self.and()?);
-        }
-        Ok(if terms.len() == 1 { terms.pop().unwrap() } else { Expr::xor(terms) })
+        self.level(Tok::Caret, |p| p.and(), Expr::xor)
     }
 
     fn and(&mut self) -> Result<Expr, ParseError> {
-        let mut terms = vec![self.unary()?];
-        while self.peek() == Some(&Tok::Amp) {
-            self.bump();
-            terms.push(self.unary()?);
-        }
-        Ok(if terms.len() == 1 { terms.pop().unwrap() } else { Expr::and(terms) })
+        self.level(Tok::Amp, |p| p.unary(), Expr::and)
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
-        if self.peek() == Some(&Tok::Bang) {
+        if self.peek() == Some(Tok::Bang) {
             self.bump();
             Ok(Expr::not(self.unary()?))
         } else {
@@ -237,7 +232,7 @@ impl<'a> Parser<'a> {
         match self.bump() {
             Some(Tok::True) => Ok(Expr::Const(true)),
             Some(Tok::False) => Ok(Expr::Const(false)),
-            Some(Tok::Ident(name)) => Ok(Expr::var(self.universe.intern(&name))),
+            Some(Tok::Ident(name)) => Ok(Expr::var(self.universe.intern(name))),
             Some(Tok::LParen) => {
                 let e = self.expr()?;
                 self.expect(Tok::RParen, "')'")?;
@@ -245,24 +240,51 @@ impl<'a> Parser<'a> {
             }
             Some(Tok::OneOf) => {
                 self.expect(Tok::LParen, "'(' after one_of")?;
-                let mut items = Vec::new();
-                if self.peek() != Some(&Tok::RParen) {
-                    items.push(self.expr()?);
-                    while self.peek() == Some(&Tok::Comma) {
+                let mine = self.operands.len();
+                if self.peek() != Some(Tok::RParen) {
+                    let item = self.expr()?;
+                    self.operands.push(item);
+                    while self.peek() == Some(Tok::Comma) {
                         self.bump();
-                        items.push(self.expr()?);
+                        let item = self.expr()?;
+                        self.operands.push(item);
                     }
                 }
                 self.expect(Tok::RParen, "')' closing one_of")?;
                 // `one_of()` is unsatisfiable (zero of zero operands can
                 // never be exactly one) — accepted for round-tripping.
-                Ok(Expr::exactly_one(items))
+                Ok(Expr::exactly_one(self.operands.drain(mine..).collect()))
             }
             other => {
                 Err(ParseError { at, msg: format!("expected an expression, found {other:?}") })
             }
         }
     }
+}
+
+/// [`parse_expr`] through caller-owned buffers. Lexes the whole source
+/// before parsing any of it, so a lexical error anywhere wins over a
+/// syntax error before it.
+pub(crate) fn parse_with<'s>(
+    src: &'s str,
+    universe: &mut Universe,
+    scratch: &mut Scratch<'s>,
+) -> Result<Expr, ParseError> {
+    lex(src, &mut scratch.toks)?;
+    // A failed parse leaves its pending operands behind.
+    scratch.operands.clear();
+    let mut p = Parser {
+        toks: &scratch.toks,
+        pos: 0,
+        universe,
+        operands: &mut scratch.operands,
+        src_len: src.len(),
+    };
+    let e = p.expr()?;
+    if p.pos != p.toks.len() {
+        return Err(ParseError { at: p.here(), msg: "trailing input after expression".into() });
+    }
+    Ok(e)
 }
 
 /// Parses one invariant expression, interning any new component names into
@@ -285,13 +307,7 @@ impl<'a> Parser<'a> {
 /// # }
 /// ```
 pub fn parse_expr(src: &str, universe: &mut Universe) -> Result<Expr, ParseError> {
-    let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0, universe, src_len: src.len() };
-    let e = p.expr()?;
-    if p.pos != p.toks.len() {
-        return Err(ParseError { at: p.here(), msg: "trailing input after expression".into() });
-    }
-    Ok(e)
+    parse_with(src, universe, &mut Scratch::default())
 }
 
 #[cfg(test)]
@@ -391,6 +407,71 @@ mod tests {
         let mut u = Universe::new();
         assert!(parse_expr("A = B", &mut u).is_err());
         assert!(parse_expr("A <= B", &mut u).is_err());
+    }
+
+    /// Every malformed shape, with the byte it is reported at and the
+    /// message, exactly as the `String`-token lexer reported them. A byte of
+    /// a multi-byte character is reported as the Latin-1 character of that
+    /// byte — odd, but what callers have been shown so far.
+    #[test]
+    fn malformed_inputs_keep_their_position_and_message() {
+        let table: &[(&str, usize, &str)] = &[
+            ("", 0, "expected an expression, found None"),
+            (" ", 1, "expected an expression, found None"),
+            ("A @ B", 2, "unexpected character '@'"),
+            ("A B", 2, "trailing input after expression"),
+            ("(A & B", 6, "expected ')', found None"),
+            ("one_of(A, B", 11, "expected ')' closing one_of, found None"),
+            ("A = B", 2, "expected '=>'"),
+            ("A <= B", 2, "expected '<=>'"),
+            ("A <", 2, "expected '<=>'"),
+            ("A =", 2, "expected '=>'"),
+            ("one_of A", 7, "expected '(' after one_of, found Some(Ident(\"A\"))"),
+            ("one_of(A,, B)", 9, "expected an expression, found Some(Comma)"),
+            ("one_of(A B)", 9, "expected ')' closing one_of, found Some(Ident(\"B\"))"),
+            ("A &", 3, "expected an expression, found None"),
+            ("& A", 0, "expected an expression, found Some(Amp)"),
+            ("A . . B", 4, "expected an expression, found Some(Amp)"),
+            ("A | | B", 4, "expected an expression, found Some(Pipe)"),
+            ("A ^", 3, "expected an expression, found None"),
+            ("!", 1, "expected an expression, found None"),
+            ("A => ", 5, "expected an expression, found None"),
+            ("A <=> ", 6, "expected an expression, found None"),
+            ("()", 1, "expected an expression, found Some(RParen)"),
+            ("A)", 1, "trailing input after expression"),
+            ("((A)", 4, "expected ')', found None"),
+            ("true false", 5, "trailing input after expression"),
+            ("one_of(A, B) C", 13, "trailing input after expression"),
+            ("A , B", 2, "trailing input after expression"),
+            // A syntax error *before* a lexical one: the lexical one wins,
+            // because the whole source is lexed before any of it is parsed.
+            ("A B @", 4, "unexpected character '@'"),
+            ("(A @", 3, "unexpected character '@'"),
+            ("A => B <", 7, "expected '<=>'"),
+            // Multi-byte characters, alone and hard against ASCII.
+            ("é", 0, "unexpected character 'Ã'"),
+            ("A é", 2, "unexpected character 'Ã'"),
+            ("Aé", 1, "unexpected character 'Ã'"),
+            ("A<é", 1, "expected '<=>'"),
+            ("A =é", 2, "expected '=>'"),
+            ("x😀", 1, "unexpected character 'ð'"),
+            ("A &\u{a0}B", 3, "unexpected character 'Â'"),
+        ];
+        for &(src, at, msg) in table {
+            let err = parse_expr(src, &mut Universe::new()).expect_err(src);
+            assert_eq!(err, ParseError { at, msg: msg.to_string() }, "source: {src:?}");
+        }
+    }
+
+    #[test]
+    fn a_failed_source_leaves_nothing_behind_for_the_next() {
+        // The set parser reuses its buffers: operands pending when a source
+        // fails must not leak into the next parse through the same buffers.
+        let mut scratch = Scratch::default();
+        let mut u = Universe::new();
+        assert!(parse_with("one_of(A, B & C, (D | ", &mut u, &mut scratch).is_err());
+        let e = parse_with("one_of(X, Y)", &mut u, &mut scratch).unwrap();
+        assert_eq!(e.display(&u).to_string(), "one_of(X, Y)");
     }
 
     #[test]

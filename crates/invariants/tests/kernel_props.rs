@@ -85,7 +85,7 @@ proptest! {
         prop_assert!(evals <= compiled.len() as u64);
         // The affected set is exactly the predicates sharing support.
         for ix in compiled.affected_by(&touched) {
-            let support = compiled.preds()[ix as usize].support();
+            let support = compiled.support_of(ix as usize);
             prop_assert!(support.iter().any(|&c| touched.contains(c)));
         }
         // The inverted index finds the same affected set from a sparse list.

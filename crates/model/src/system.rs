@@ -41,10 +41,18 @@ pub struct Channel {
 /// and whether an action's communication is local or global.
 #[derive(Debug, Clone, Default)]
 pub struct SystemModel {
-    process_names: Vec<String>,
-    host: HashMap<CompId, ProcessId>,
+    /// Every process name back to back; process `p`'s ends at
+    /// `process_name_ends[p]` and starts where the one before it ends.
+    process_names: String,
+    process_name_ends: Vec<u32>,
+    /// Dense component index → hosting process, [`UNPLACED`] where none.
+    host: Vec<u32>,
     channels: Vec<Channel>,
 }
+
+/// `host` entry of a component no process hosts (never a real process id:
+/// `add_process` refuses to hand it out).
+const UNPLACED: u32 = u32::MAX;
 
 impl SystemModel {
     /// An empty system.
@@ -54,20 +62,31 @@ impl SystemModel {
 
     /// An empty system with its process and placement tables pre-sized —
     /// compiling a 100k-process world does one allocation per table instead
-    /// of regrowing through every `add_process`/`place`.
+    /// of regrowing through every `add_process`/`place` (the name text,
+    /// whose length nobody knows up front, still grows by doubling).
     pub fn with_capacity(processes: usize, components: usize) -> Self {
         SystemModel {
-            process_names: Vec::with_capacity(processes),
-            host: HashMap::with_capacity(components),
+            process_names: String::new(),
+            process_name_ends: Vec::with_capacity(processes),
+            host: Vec::with_capacity(components),
             channels: Vec::new(),
         }
     }
 
     /// Registers a process and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX - 1` processes or 4 GiB of names.
     pub fn add_process(&mut self, name: &str) -> ProcessId {
-        let id = ProcessId(self.process_names.len() as u32);
-        self.process_names.push(name.to_string());
-        id
+        let id = u32::try_from(self.process_name_ends.len())
+            .ok()
+            .filter(|&id| id != UNPLACED)
+            .expect("process ids stay below u32::MAX");
+        self.process_names.push_str(name);
+        let end = u32::try_from(self.process_names.len()).expect("process names fit in 4 GiB");
+        self.process_name_ends.push(end);
+        ProcessId(id)
     }
 
     /// The registration name of `p`.
@@ -76,23 +95,27 @@ impl SystemModel {
     ///
     /// Panics if `p` was not created by this model.
     pub fn process_name(&self, p: ProcessId) -> &str {
-        &self.process_names[p.index()]
+        let start = p.index().checked_sub(1).map_or(0, |before| self.process_name_ends[before]);
+        &self.process_names[start as usize..self.process_name_ends[p.index()] as usize]
     }
 
     /// Number of processes.
     pub fn process_count(&self) -> usize {
-        self.process_names.len()
+        self.process_name_ends.len()
     }
 
     /// Assigns component `c` to process `p` (replacing any prior host).
     pub fn place(&mut self, c: CompId, p: ProcessId) {
-        assert!(p.index() < self.process_names.len(), "unknown process {p}");
-        self.host.insert(c, p);
+        assert!(p.index() < self.process_count(), "unknown process {p}");
+        if self.host.len() <= c.index() {
+            self.host.resize(c.index() + 1, UNPLACED);
+        }
+        self.host[c.index()] = p.0;
     }
 
     /// The process hosting `c`, if placed.
     pub fn host_of(&self, c: CompId) -> Option<ProcessId> {
-        self.host.get(&c).copied()
+        self.host.get(c.index()).copied().filter(|&p| p != UNPLACED).map(ProcessId)
     }
 
     /// Adds a directed channel.

@@ -37,13 +37,17 @@ impl fmt::Display for ActionId {
 /// bitsets: an action touches a handful of components regardless of how
 /// many the world declares, so a 200k-action repertoire over a 200k-wide
 /// universe stays megabytes instead of gigabytes, and `applicable`/`apply`
-/// cost O(touched) instead of O(width).
+/// cost O(touched) instead of O(width). Both lists live in one boxed slice
+/// — the removes, then the adds — so an action owns two heap objects (its
+/// name and its ids), not three.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Action {
     id: ActionId,
-    name: String,
-    removes: Vec<CompId>,
-    adds: Vec<CompId>,
+    name: Box<str>,
+    /// `ids[..split]` are the removes, `ids[split..]` the adds; each half
+    /// ascending and without repeats, the two disjoint.
+    ids: Box<[CompId]>,
+    split: u32,
     cost: u64,
 }
 
@@ -56,17 +60,11 @@ impl Action {
     /// and added by one atomic action) or their widths differ.
     pub fn new(id: u32, name: &str, removes: &Config, adds: &Config, cost: u64) -> Self {
         assert!(removes.is_disjoint(adds), "action {name}: removes and adds overlap");
-        Action {
-            id: ActionId(id),
-            name: name.to_string(),
-            removes: removes.iter().collect(),
-            adds: adds.iter().collect(),
-            cost,
-        }
+        Action::from_ids(id, name, removes.iter(), adds.iter(), cost)
     }
 
-    /// Builds an action directly from component id lists (sorted for the
-    /// caller), skipping the width-wide `Config` round trip.
+    /// Builds an action directly from component ids (in any order, repeats
+    /// allowed), skipping the width-wide `Config` round trip.
     ///
     /// # Panics
     ///
@@ -74,26 +72,38 @@ impl Action {
     pub fn from_ids(
         id: u32,
         name: &str,
-        mut removes: Vec<CompId>,
-        mut adds: Vec<CompId>,
+        removes: impl IntoIterator<Item = CompId>,
+        adds: impl IntoIterator<Item = CompId>,
         cost: u64,
     ) -> Self {
-        removes.sort_unstable();
-        removes.dedup();
-        adds.sort_unstable();
-        adds.dedup();
-        assert!(sorted_disjoint(&removes, &adds), "action {name}: removes and adds overlap");
-        Action { id: ActionId(id), name: name.to_string(), removes, adds, cost }
+        let (removes, adds) = (removes.into_iter(), adds.into_iter());
+        let mut ids = Vec::with_capacity(removes.size_hint().0 + adds.size_hint().0);
+        ids.extend(removes);
+        sort_dedup_from(&mut ids, 0);
+        let split = ids.len();
+        ids.extend(adds);
+        sort_dedup_from(&mut ids, split);
+        assert!(
+            sorted_disjoint(&ids[..split], &ids[split..]),
+            "action {name}: removes and adds overlap"
+        );
+        Action {
+            id: ActionId(id),
+            name: name.into(),
+            ids: ids.into_boxed_slice(),
+            split: u32::try_from(split).expect("an action removes fewer than 2^32 components"),
+            cost,
+        }
     }
 
     /// An insertion (`+C`): adds components, removes nothing.
     pub fn insert(id: u32, name: &str, adds: &Config, cost: u64) -> Self {
-        Action::from_ids(id, name, Vec::new(), adds.iter().collect(), cost)
+        Action::from_ids(id, name, [], adds.iter(), cost)
     }
 
     /// A removal (`-C`): removes components, adds nothing.
     pub fn remove(id: u32, name: &str, removes: &Config, cost: u64) -> Self {
-        Action::from_ids(id, name, removes.iter().collect(), Vec::new(), cost)
+        Action::from_ids(id, name, removes.iter(), [], cost)
     }
 
     /// A replacement (`Old -> New`).
@@ -113,12 +123,19 @@ impl Action {
 
     /// Components this action removes, ascending.
     pub fn removes(&self) -> &[CompId] {
-        &self.removes
+        &self.ids[..self.split as usize]
     }
 
     /// Components this action adds, ascending.
     pub fn adds(&self) -> &[CompId] {
-        &self.adds
+        &self.ids[self.split as usize..]
+    }
+
+    /// Every component the action touches — its removes, then its adds; no
+    /// component twice, since the two are disjoint. The set whose hosting
+    /// processes must participate in the adaptation step.
+    pub fn touched(&self) -> &[CompId] {
+        &self.ids
     }
 
     /// The fixed cost weight.
@@ -126,52 +143,29 @@ impl Action {
         self.cost
     }
 
-    /// Every component the action touches (removed or added), ascending —
-    /// the set whose hosting processes must participate in the adaptation
-    /// step.
-    pub fn touched_ids(&self) -> Vec<CompId> {
-        let mut out = Vec::with_capacity(self.removes.len() + self.adds.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.removes.len() && j < self.adds.len() {
-            if self.removes[i] < self.adds[j] {
-                out.push(self.removes[i]);
-                i += 1;
-            } else {
-                out.push(self.adds[j]);
-                j += 1;
-            }
-        }
-        out.extend_from_slice(&self.removes[i..]);
-        out.extend_from_slice(&self.adds[j..]);
-        out
-    }
-
     /// Number of distinct components the action touches.
     pub fn touched_len(&self) -> usize {
         // Disjointness is a construction invariant, so the union size is
         // just the sum.
-        self.removes.len() + self.adds.len()
+        self.ids.len()
     }
 
     /// The touched set as a width-wide `Config` (for participant-process
     /// queries and tests that want set algebra).
     pub fn touched_config(&self, width: usize) -> Config {
-        let mut cfg = Config::empty(width);
-        for &c in self.removes.iter().chain(self.adds.iter()) {
-            cfg.insert(c);
-        }
-        cfg
+        Config::from_ids(width, self.ids.iter().copied())
     }
 
     /// True when every component the action touches lies inside `scope`.
     pub fn touches_only(&self, scope: &Config) -> bool {
-        self.removes.iter().chain(self.adds.iter()).all(|&c| scope.contains(c))
+        self.ids.iter().all(|&c| scope.contains(c))
     }
 
     /// An action applies to `cfg` when everything it removes is present and
     /// everything it adds is absent.
     pub fn applicable(&self, cfg: &Config) -> bool {
-        self.removes.iter().all(|&c| cfg.contains(c)) && self.adds.iter().all(|&c| !cfg.contains(c))
+        self.removes().iter().all(|&c| cfg.contains(c))
+            && self.adds().iter().all(|&c| !cfg.contains(c))
     }
 
     /// `adapt(config1) = config2` (Section 3.1).
@@ -183,21 +177,37 @@ impl Action {
     pub fn apply(&self, cfg: &Config) -> Config {
         assert!(self.applicable(cfg), "action {} not applicable to {cfg}", self.name);
         let mut next = cfg.clone();
-        next.apply_delta(&self.removes, &self.adds);
+        next.apply_delta(self.removes(), self.adds());
         next
     }
 
     /// The inverse action, used by the realization phase's rollback: undoes
     /// this action's effect at the same cost.
     pub fn inverse(&self) -> Action {
+        let mut ids = self.ids.clone();
+        ids.rotate_left(self.split as usize);
         Action {
             id: self.id,
-            name: format!("undo({})", self.name),
-            removes: self.adds.clone(),
-            adds: self.removes.clone(),
+            name: format!("undo({})", self.name).into(),
+            split: u32::try_from(self.adds().len())
+                .expect("an action removes fewer than 2^32 components"),
+            ids,
             cost: self.cost,
         }
     }
+}
+
+/// Sorts `ids[from..]` and drops its repeats, in place.
+fn sort_dedup_from(ids: &mut Vec<CompId>, from: usize) {
+    ids[from..].sort_unstable();
+    let mut kept = from;
+    for at in from..ids.len() {
+        if kept == from || ids[kept - 1] != ids[at] {
+            ids[kept] = ids[at];
+            kept += 1;
+        }
+    }
+    ids.truncate(kept);
 }
 
 fn sorted_disjoint(a: &[CompId], b: &[CompId]) -> bool {
@@ -272,9 +282,7 @@ mod tests {
         );
         assert_eq!(a.touched_config(u.len()), u.config_of(&["D1", "E1", "D2", "E2"]));
         assert_eq!(a.touched_len(), 4);
-        let ids = a.touched_ids();
-        assert!(ids.windows(2).all(|w| w[0] < w[1]), "touched ids ascend");
-        assert_eq!(ids.len(), 4);
+        assert_eq!(a.touched(), [a.removes(), a.adds()].concat(), "removes, then adds");
     }
 
     #[test]

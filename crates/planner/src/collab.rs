@@ -10,10 +10,14 @@
 //! computes the connected components of that relation with a union-find;
 //! [`scope_for`] picks the sets an adaptation actually touches so the
 //! planner can enumerate over a small scope.
+//!
+//! [`CollabIndex`] keeps the partition flat — one [`Csr`] row per set and a
+//! dense component → set table — and builds it straight from the
+//! union-find, without a set or a list per invariant or action on the way.
+//! [`collaborative_sets`], which returns the same partition as one `Vec`
+//! per set, is the oracle its tests compare it with.
 
-use std::collections::BTreeSet;
-
-use sada_expr::{CompId, Config, InvariantSet, Universe};
+use sada_expr::{CompId, Config, Csr, InvariantSet, Universe};
 
 use crate::action::Action;
 
@@ -62,6 +66,25 @@ impl UnionFind {
     }
 }
 
+/// The collaboration relation as a union-find over `u`: components
+/// mentioned together in one invariant, or touched together by one action,
+/// end up under one root.
+fn collaboration(u: &Universe, inv: &InvariantSet, actions: &[Action]) -> UnionFind {
+    let mut uf = UnionFind::new(u.len());
+    for expr in inv.exprs() {
+        let mut first = None;
+        expr.for_each_var(&mut |v| uf.union(first.get_or_insert(v).index(), v.index()));
+    }
+    for action in actions {
+        if let Some((first, rest)) = action.touched().split_first() {
+            for c in rest {
+                uf.union(first.index(), c.index());
+            }
+        }
+    }
+    uf
+}
+
 /// Partitions the universe into collaborative sets.
 ///
 /// Components mentioned together in one invariant, or touched together by
@@ -73,22 +96,7 @@ pub fn collaborative_sets(
     inv: &InvariantSet,
     actions: &[Action],
 ) -> Vec<Vec<CompId>> {
-    let mut uf = UnionFind::new(u.len());
-    for expr in inv.exprs() {
-        let mut vars = BTreeSet::new();
-        expr.collect_vars(&mut vars);
-        let mut it = vars.iter();
-        if let Some(first) = it.next() {
-            for v in it {
-                uf.union(first.index(), v.index());
-            }
-        }
-    }
-    for action in actions {
-        for w in action.touched_ids().windows(2) {
-            uf.union(w[0].index(), w[1].index());
-        }
-    }
+    let mut uf = collaboration(u, inv, actions);
     let mut groups: Vec<Vec<CompId>> = vec![Vec::new(); u.len()];
     for id in u.iter() {
         let root = uf.find(id.index());
@@ -123,46 +131,62 @@ pub fn scope_for(
 /// share no set ([`CollabIndex::set_of`] gives the set id to compare on).
 #[derive(Debug, Clone)]
 pub struct CollabIndex {
-    /// The partition, sorted by smallest member (as [`collaborative_sets`]).
-    sets: Vec<Vec<CompId>>,
-    /// Dense component index → index into `sets`.
-    set_of: Vec<usize>,
+    /// The partition, one row per set: rows sorted by smallest member,
+    /// members ascending (as [`collaborative_sets`]).
+    sets: Csr<CompId>,
+    /// Dense component index → row of `sets`.
+    set_of: Vec<u32>,
 }
 
 impl CollabIndex {
     /// Builds the index for the given invariants and action repertoire.
     pub fn new(u: &Universe, inv: &InvariantSet, actions: &[Action]) -> Self {
-        let sets = collaborative_sets(u, inv, actions);
-        let mut set_of = vec![0; u.len()];
-        for (ix, set) in sets.iter().enumerate() {
-            for id in set {
-                set_of[id.index()] = ix;
-            }
-        }
-        CollabIndex { sets, set_of }
+        let mut uf = collaboration(u, inv, actions);
+        // Walking the components in ascending order meets every set at its
+        // smallest member, so numbering roots as they first appear sorts
+        // the sets by smallest member.
+        const UNNUMBERED: u32 = u32::MAX;
+        let mut set_of_root = vec![UNNUMBERED; u.len()];
+        let mut set_count = 0u32;
+        let set_of: Vec<u32> = (0..u.len())
+            .map(|c| {
+                let set = &mut set_of_root[uf.find(c)];
+                if *set == UNNUMBERED {
+                    *set = set_count;
+                    set_count += 1;
+                }
+                *set
+            })
+            .collect();
+        let members =
+            set_of.iter().enumerate().map(|(c, &set)| (set as usize, CompId::from_index(c)));
+        CollabIndex { sets: Csr::from_pairs(set_count as usize, members), set_of }
     }
 
-    /// The partition itself, sorted by smallest member.
-    pub fn sets(&self) -> &[Vec<CompId>] {
-        &self.sets
+    /// Number of collaborative sets.
+    pub fn set_count(&self) -> usize {
+        self.sets.rows()
     }
 
-    /// Index (into [`CollabIndex::sets`]) of the set containing `comp`.
+    /// Index (below [`CollabIndex::set_count`]) of the set containing
+    /// `comp`.
     pub fn set_of(&self, comp: CompId) -> usize {
-        self.set_of[comp.index()]
+        self.set_of[comp.index()] as usize
     }
 
     /// Members of set `ix`, sorted.
     pub fn members(&self, ix: usize) -> &[CompId] {
-        &self.sets[ix]
+        self.sets.row(ix)
     }
 
     /// Expands arbitrary components to the union of their full sets
-    /// (sorted, deduplicated) — the scope of an adaptation known only by
-    /// the components it names.
+    /// (ascending set index, each set once, its members sorted) — the scope
+    /// of an adaptation known only by the components it names.
     pub fn expand(&self, comps: impl IntoIterator<Item = CompId>) -> Vec<CompId> {
-        let set_ids: BTreeSet<usize> = comps.into_iter().map(|c| self.set_of(c)).collect();
-        set_ids.into_iter().flat_map(|ix| self.sets[ix].iter().copied()).collect()
+        let mut set_ids: Vec<u32> = comps.into_iter().map(|c| self.set_of[c.index()]).collect();
+        set_ids.sort_unstable();
+        set_ids.dedup();
+        set_ids.iter().flat_map(|&ix| self.sets.row(ix as usize).iter().copied()).collect()
     }
 
     /// The scope of a `source → target` adaptation: the changed components
@@ -252,7 +276,11 @@ mod tests {
         let inv =
             InvariantSet::parse(&["one_of(A, B)", "one_of(C, D)", "one_of(E, F)"], &mut u).unwrap();
         let ix = CollabIndex::new(&u, &inv, &[]);
-        assert_eq!(ix.sets(), collaborative_sets(&u, &inv, &[]).as_slice());
+        let oracle = collaborative_sets(&u, &inv, &[]);
+        assert_eq!(ix.set_count(), oracle.len());
+        for (set, members) in oracle.iter().enumerate() {
+            assert_eq!(ix.members(set), members.as_slice());
+        }
         let src = u.config_of(&["A", "C", "E"]);
         let dst = u.config_of(&["B", "C", "F"]);
         assert_eq!(ix.scope_for(&src, &dst), scope_for(&u, &inv, &[], &src, &dst));
@@ -268,6 +296,11 @@ mod tests {
         // A singleton expands to itself.
         let loner = u.id("LONER").unwrap();
         assert_eq!(ix.expand([loner]), vec![loner]);
+        // Several sets, named out of order and more than once: each set
+        // once, in ascending set order, whatever the input order.
+        let (d, e, f) = (u.id("D").unwrap(), u.id("E").unwrap(), u.id("F").unwrap());
+        assert_eq!(ix.expand([f, d, loner, e, c, f, d]), vec![loner, c, d, e, f]);
+        assert_eq!(ix.expand([]), vec![]);
     }
 
     #[test]

@@ -15,18 +15,29 @@
 //! actions in exactly the order a linear scan would — planners built on the
 //! index reproduce the unindexed search, candidate for candidate
 //! (property-tested in this module and relied on by the fleet plan cache).
+//!
+//! Both bucket tables are flat ([`Csr`], one row per component, an action
+//! in at most one row of one table), so building the index costs two
+//! allocations per table however wide the universe is. The index borrows
+//! the repertoire while it is built and keeps positions into it, never the
+//! actions themselves.
 
-use sada_expr::{CompId, Config};
+use sada_expr::{CompId, Config, Csr};
 
 use crate::action::Action;
+
+/// An action's position in its repertoire, as the indices store it.
+pub(crate) fn action_ix(ix: usize) -> u32 {
+    u32::try_from(ix).expect("a repertoire holds at most u32::MAX actions")
+}
 
 /// Buckets actions by a required-presence or required-absence pivot.
 #[derive(Debug, Clone)]
 pub struct ActionIndex {
-    /// `by_present[c]`: actions whose removes-set contains pivot `c`.
-    by_present: Vec<Vec<u32>>,
-    /// `by_absent[c]`: pure insertions whose adds-set contains pivot `c`.
-    by_absent: Vec<Vec<u32>>,
+    /// Row `c`: actions whose removes-set contains pivot `c`.
+    by_present: Csr<u32>,
+    /// Row `c`: pure insertions whose adds-set contains pivot `c`.
+    by_absent: Csr<u32>,
     /// Components with a non-empty `by_absent` bucket, so probing skips the
     /// width-sized scan when insertions are rare (the common case).
     absent_pivots: Vec<CompId>,
@@ -38,22 +49,19 @@ pub struct ActionIndex {
 impl ActionIndex {
     /// Indexes `actions` over configurations of width `width`.
     pub fn new(width: usize, actions: &[Action]) -> Self {
-        let mut by_present = vec![Vec::new(); width];
-        let mut by_absent = vec![Vec::new(); width];
-        let mut always = Vec::new();
-        for (ix, action) in actions.iter().enumerate() {
-            if let Some(pivot) = action.removes().first() {
-                by_present[pivot.index()].push(ix as u32);
-            } else if let Some(pivot) = action.adds().first() {
-                by_absent[pivot.index()].push(ix as u32);
-            } else {
-                always.push(ix as u32);
-            }
-        }
-        let absent_pivots = (0..width)
-            .map(CompId::from_index)
-            .filter(|c| !by_absent[c.index()].is_empty())
-            .collect();
+        let numbered = || actions.iter().enumerate().map(|(ix, a)| (action_ix(ix), a));
+        let by_present = Csr::from_pairs(
+            width,
+            numbered().filter_map(|(ix, a)| Some((a.removes().first()?.index(), ix))),
+        );
+        let insertions = numbered().filter(|(_, a)| a.removes().is_empty());
+        let by_absent = Csr::from_pairs(
+            width,
+            insertions.filter_map(|(ix, a)| Some((a.adds().first()?.index(), ix))),
+        );
+        let always = numbered().filter(|(_, a)| a.touched().is_empty()).map(|(ix, _)| ix).collect();
+        let absent_pivots =
+            (0..width).filter(|&c| !by_absent.row(c).is_empty()).map(CompId::from_index).collect();
         ActionIndex { by_present, by_absent, absent_pivots, always, width }
     }
 
@@ -69,11 +77,11 @@ impl ActionIndex {
         out.clear();
         out.extend_from_slice(&self.always);
         for c in cfg.iter() {
-            out.extend_from_slice(&self.by_present[c.index()]);
+            out.extend_from_slice(self.by_present.row(c.index()));
         }
         for &c in &self.absent_pivots {
             if !cfg.contains(c) {
-                out.extend_from_slice(&self.by_absent[c.index()]);
+                out.extend_from_slice(self.by_absent.row(c.index()));
             }
         }
         // Each action lives in exactly one bucket, so no dedup is needed;
