@@ -31,18 +31,20 @@ echo "==> referee benchmark (standalone package: build + its own tests)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> referee output checks (both storms, scenario_mix, plan_frontier, one second each)"
-# Runs four workloads for their output checks alone: every committed
+echo "==> referee output checks (all five workloads, one second each)"
+# Runs every workload for its output checks alone: every committed
 # session and planned path as expected, the flat twin agrees, 1 and 2
 # worker threads produce the identical stream, no residual holds, every
 # iteration's facts equal the first set-up's. storm_flat and plan_frontier
 # are here because they are the two workloads a change to a type under the
-# whole stack (`Config`, `Action`, `Search`) is claimed or feared on, and a
-# claim on a workload CI never executes fails where nobody looks. Any
-# failed check is a non-zero exit; the timings are ignored here (a gain or
-# regression is judged by paired runs, see benchmark/README.md). Results
-# land in benchmark/out (gitignored).
-for workload in storm_flat storm_sharded scenario_mix plan_frontier; do
+# whole stack (`Config`, `Action`, `Search`) is claimed or feared on, and
+# chaos_recover because it is the only one with fabric faults and region
+# and global crashes — a change to what the fabric promises must meet
+# them; a claim on a workload CI never executes fails where nobody looks.
+# Any failed check is a non-zero exit; the timings are ignored here (a
+# gain or regression is judged by paired runs, see benchmark/README.md).
+# Results land in benchmark/out (gitignored).
+for workload in storm_flat storm_sharded scenario_mix plan_frontier chaos_recover; do
     bash benchmark/run.sh --workload "$workload" --seed 7 --seconds 1 > /dev/null
 done
 
@@ -88,7 +90,11 @@ echo "==> sharded control-plane smoke (2-shard determinism + scaling sweep)"
 # event-stream fingerprints at 1/2/4/8 worker threads, zero fabric traffic
 # for the local storm, lossy straddler outcomes identical to lossless, and
 # — on hosts with >= 4 cores — the >= 3x sessions/sec speedup at 4
-# threads. Regenerates BENCH_shard.json (incl. the fabric_chaos leg).
+# threads; and for the straddler_lookahead leg (a 96-wave storm, then two
+# straddlers per region boundary) identical fingerprints at 1/2/4/8
+# threads and a one-thread promise-update count that repeats exactly and
+# stays under its pinned ceiling. Regenerates BENCH_shard.json (incl. the
+# fabric_chaos and straddler_lookahead legs).
 cargo run -q --release -p sada-bench --bin report -- shard > /dev/null
 SADA_BENCH_SMOKE=1 cargo bench -q -p sada-bench --bench bench_shard > /dev/null
 

@@ -16,7 +16,14 @@
 //!   measured rows are still recorded, with the core count, and the
 //!   speedup assertion is skipped — wall-clock scaling cannot be
 //!   demonstrated without cores);
-//! * a rerun at the same seed reproduces the same fingerprint.
+//! * a rerun at the same seed reproduces the same fingerprint;
+//! * with straddlers in the run (the `straddler_lookahead` leg: the storm,
+//!   then two straddlers across every region boundary) the fabric's null
+//!   traffic stays bounded by what the straddlers need, not by how long
+//!   the regions were busy before them: the one-thread `promise_updates`
+//!   count repeats exactly and sits under a pinned ceiling, and the
+//!   fingerprint is the same at 1/2/4/8 threads. The 2-thread ÷ 1-thread
+//!   wall ratio is recorded next to the host's core count, not asserted.
 //!
 //! Set `SADA_BENCH_SMOKE=1` to skip the timing loops and run only the
 //! assertion sweep + JSON write (the CI regression gate).
@@ -37,12 +44,12 @@ fn smoke() -> bool {
     std::env::var_os("SADA_BENCH_SMOKE").is_some()
 }
 
-/// A local adaptation storm: `WAVES` sessions per group, alternating
+/// A local adaptation storm: `waves` sessions per group, alternating
 /// direction, each scope confined to its own group (and therefore its own
 /// region) — zero cross-shard traffic, the scaling configuration.
-fn storm() -> ShardScenario {
-    let mut sessions = Vec::with_capacity(GROUPS * WAVES);
-    for wave in 0..WAVES {
+fn storm(waves: usize) -> ShardScenario {
+    let mut sessions = Vec::with_capacity(GROUPS * waves);
+    for wave in 0..waves {
         for g in 0..GROUPS {
             sessions.push(SessionSpec {
                 id: (wave * GROUPS + g) as u64 + 1,
@@ -58,21 +65,27 @@ fn storm() -> ShardScenario {
     ShardScenario::new(fleet, REGIONS)
 }
 
-/// The storm plus one straddler per region boundary: the workload whose
-/// lock handshakes actually cross the fabric, used for the
-/// retransmission-overhead leg (faults on vs off).
-fn straddler_storm() -> ShardScenario {
-    let mut scn = storm();
+/// A storm plus `per_boundary` straddlers across each region boundary,
+/// all after the last wave: the workload whose lock handshakes actually
+/// cross the fabric. One per boundary feeds the retransmission-overhead
+/// leg (faults on vs off), two the lookahead leg (the second flips the
+/// same two groups back, so it also queues behind the first).
+fn straddler_storm(waves: usize, per_boundary: usize) -> ShardScenario {
+    let mut scn = storm(waves);
     let mut sessions = scn.fleet.sessions.clone();
-    for r in 0..REGIONS - 1 {
-        let boundary = (r + 1) * GROUPS / REGIONS;
-        sessions.push(SessionSpec {
-            id: 10_000 + r as u64,
-            flips: vec![(boundary - 1, true), (boundary, true)],
-            priority: 0,
-            submit_at: SimDuration::from_micros(130_000 + 500 * r as u64),
-            cancel_at: None,
-        });
+    // Half a wave after the last wave was submitted.
+    let after_us = 20_000 * waves + 10_000;
+    for k in 0..per_boundary {
+        for r in 0..REGIONS - 1 {
+            let boundary = (r + 1) * GROUPS / REGIONS;
+            sessions.push(SessionSpec {
+                id: 10_000 + (100 * k + r) as u64,
+                flips: vec![(boundary - 1, k % 2 == 0), (boundary, k % 2 == 0)],
+                priority: 0,
+                submit_at: SimDuration::from_micros((after_us + 25_000 * k + 500 * r) as u64),
+                cancel_at: None,
+            });
+        }
     }
     scn.fleet = FleetScenario::new(GROUPS, sessions);
     scn.fleet.seed = SEED;
@@ -99,7 +112,7 @@ fn bench_shard(c: &mut Criterion) {
     if smoke() {
         return;
     }
-    let scn = storm();
+    let scn = storm(WAVES);
     let mut g = c.benchmark_group("shard");
     g.sample_size(10);
     for threads in [1usize, 8] {
@@ -109,7 +122,7 @@ fn bench_shard(c: &mut Criterion) {
     }
     // The retransmission-overhead pair: straddler handshakes with the
     // fabric lossless vs chaos-faulted.
-    let strad = straddler_storm();
+    let strad = straddler_storm(WAVES, 1);
     g.bench_function("straddlers_8t", |b| b.iter(|| run_fleet_sharded(&strad, 8).succeeded()));
     let mut faulted = strad.clone();
     faulted.fabric_faults = chaos_plan();
@@ -120,7 +133,7 @@ fn bench_shard(c: &mut Criterion) {
 }
 
 fn write_bench_json() {
-    let scn = storm();
+    let scn = storm(WAVES);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut rows = Vec::new();
     let mut runs: Vec<(usize, ShardReport)> = Vec::new();
@@ -178,7 +191,7 @@ fn write_bench_json() {
     // lossless vs faulted. The ladder must absorb every fault — identical
     // verdicts and final configuration — and this records what that costs
     // in virtual makespan and retransmitted handshakes.
-    let strad = straddler_storm();
+    let strad = straddler_storm(WAVES, 1);
     let clean = run_fleet_sharded(&strad, REGIONS);
     let offered_strad = GROUPS * WAVES + (REGIONS - 1);
     assert_eq!(clean.succeeded(), offered_strad, "straddler storm commits every session");
@@ -207,13 +220,18 @@ fn write_bench_json() {
         faulted.abandoned,
     );
 
+    let lookahead_leg = straddler_lookahead_leg(cores);
+
     let json = format!(
         "{{\n  \"bench\": \"shard\",\n  \"workload\": \"{} local sessions ({WAVES} waves over \
          {GROUPS} groups, {REGIONS} regions), straddler-free so every region free-runs; \
          sessions/sec = committed sessions per wall-clock second\",\n  \
+         \"command\": \"{}cargo bench -q -p sada-bench --bench bench_shard\",\n  \
          \"host_cores\": {cores},\n  \"scaling_asserted\": {},\n  \
-         \"speedup_4t_vs_1t\": {speedup_4t:.2},\n{fabric_leg}  \"rows\": [\n{}\n  ]\n}}\n",
+         \"speedup_4t_vs_1t\": {speedup_4t:.2},\n{fabric_leg}{lookahead_leg}  \"rows\": \
+         [\n{}\n  ]\n}}\n",
         GROUPS * WAVES,
+        if smoke() { "SADA_BENCH_SMOKE=1 " } else { "" },
         cores >= 4,
         rows.join(",\n"),
     );
@@ -221,6 +239,71 @@ fn write_bench_json() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json");
     std::fs::write(path, &json).expect("write BENCH_shard.json");
     println!("wrote {path}:\n{json}");
+}
+
+/// The lookahead leg's storm: long enough (1.9 virtual seconds of busy
+/// regions) that null traffic proportional to it cannot hide under the
+/// ceiling below.
+const LOOKAHEAD_WAVES: usize = 96;
+
+/// One-thread `promise_updates` ceiling for the lookahead leg. A count, so
+/// host-independent: the leg reads 872 — the 14 straddlers' handshakes and
+/// global-tier runs on 16 edges, the same at 6 waves as at 96 — and read
+/// 7 432 while every region still promised no further than its own next
+/// event and so walked the whole storm in 1 ms quanta.
+const LOOKAHEAD_PROMISE_CEILING: u64 = 1_000;
+
+/// The straddler-bearing scaling leg: what the fabric costs when regions
+/// that owe the global tier nothing promise it silence.
+fn straddler_lookahead_leg(cores: usize) -> String {
+    let scn = straddler_storm(LOOKAHEAD_WAVES, 2);
+    let offered = GROUPS * LOOKAHEAD_WAVES + 2 * (REGIONS - 1);
+    // Three runs per thread count; the fastest is the row (a run is tens
+    // of milliseconds, and one descheduled worker doubles it).
+    let runs: Vec<(usize, ShardReport)> = [1usize, 2, 4, 8]
+        .into_iter()
+        .map(|threads| {
+            let fastest = (0..3).map(|_| run_fleet_sharded(&scn, threads)).min_by_key(|r| r.wall);
+            (threads, fastest.expect("three runs"))
+        })
+        .collect();
+    let base = &runs[0].1;
+    assert_eq!(base.succeeded(), offered, "the lookahead leg commits every session");
+    assert!(base.fabric.messages > 0, "its straddlers must cross the fabric");
+    let again = run_fleet_sharded(&scn, 1);
+    assert_eq!(
+        base.fabric.promise_updates, again.fabric.promise_updates,
+        "on one thread the promise traffic is a function of the scenario"
+    );
+    assert!(
+        base.fabric.promise_updates <= LOOKAHEAD_PROMISE_CEILING,
+        "one-thread promise updates {} exceed the ceiling {LOOKAHEAD_PROMISE_CEILING}: regions \
+         are walking virtual time in lock-step with the global tier again",
+        base.fabric.promise_updates
+    );
+    let rows: Vec<String> = runs
+        .iter()
+        .map(|(threads, run)| {
+            assert_eq!(run.fingerprint, base.fingerprint, "{threads} threads changed the stream");
+            format!(
+                "{{\"threads\": {threads}, \"wall_us\": {}, \"promise_updates\": {}, \
+                 \"fingerprint\": \"{:#018x}\"}}",
+                run.wall.as_micros(),
+                run.fabric.promise_updates,
+                run.fingerprint
+            )
+        })
+        .collect();
+    format!(
+        "  \"straddler_lookahead\": {{\"sessions\": {offered}, \"straddlers\": {}, \
+         \"fabric_messages\": {}, \"host_cores\": {cores}, \
+         \"promise_updates_1t_ceiling\": {LOOKAHEAD_PROMISE_CEILING}, \
+         \"speedup_2t_vs_1t\": {:.2}, \"rows\": [\n    {}\n  ]}},\n",
+        2 * (REGIONS - 1),
+        base.fabric.messages,
+        base.wall.as_secs_f64() / runs[1].1.wall.as_secs_f64().max(1e-9),
+        rows.join(",\n    "),
+    )
 }
 
 fn bench_entry(c: &mut Criterion) {

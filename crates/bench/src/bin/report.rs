@@ -876,10 +876,12 @@ fn shard(seed: Option<u64>) {
         );
     }
     println!(
-        "cross-shard fabric: {} messages over {} active edges ({} promise updates observed)",
+        "cross-shard fabric: {} messages over {} active edges ({} promise updates, {} worker \
+         parks observed)",
         multi.fabric.messages,
         multi.fabric.per_edge.len(),
-        multi.fabric.promise_updates
+        multi.fabric.promise_updates,
+        multi.fabric.parks
     );
     for &(src, dst, n) in &multi.fabric.per_edge {
         println!("  shard {src} -> shard {dst}: {n} message(s)");

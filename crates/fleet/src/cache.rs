@@ -53,7 +53,7 @@
 use std::collections::HashMap;
 
 use sada_expr::{CompId, Config, Expr, InvariantSet};
-use sada_plan::{Action, SafeMemo, Search};
+use sada_plan::{Action, Safe, SafeMemo, Search};
 
 /// A normalized planning instance: the full problem statement over
 /// scope-local component ids. Two sessions with equal keys pose the same
@@ -200,11 +200,13 @@ impl PlanCache {
     }
 
     /// Whether `cfg` satisfies every invariant of `search` — the global
-    /// check that must pass before the cache may speak for a query. Exact,
-    /// and O(diff against the last configuration proved safe through this
-    /// cache) rather than O(invariants). `search` must be the one world
-    /// this cache serves until the next [`PlanCache::invalidate`].
-    pub fn is_safe(&mut self, search: &Search, cfg: &Config) -> bool {
+    /// check that must pass before the cache may speak for a query — as
+    /// the search's own proof of it, which a miss hands on to
+    /// [`Search::plan_scoped_vetted`] so that no endpoint is vetted twice.
+    /// Exact, and O(diff against the last configuration proved safe through
+    /// this cache) rather than O(invariants). `search` must be the one
+    /// world this cache serves until the next [`PlanCache::invalidate`].
+    pub fn is_safe<'c>(&mut self, search: &Search, cfg: &'c Config) -> Option<Safe<'c>> {
         search.is_safe_memo(cfg, &mut self.safe_memo)
     }
 
@@ -479,11 +481,14 @@ mod tests {
         let new = Search::new(&stricter, &actions, u.len());
         let cfg = u.config_of(&["Old0", "Old1"]);
         let mut cache = PlanCache::new(8);
-        assert!(cache.is_safe(&old, &cfg));
+        assert!(cache.is_safe(&old, &cfg).is_some());
         // A memo that outlived the swap would diff `cfg` against itself,
         // evaluate nothing, and wave it through.
         cache.invalidate();
-        assert!(!cache.is_safe(&new, &cfg), "safe under the old invariants proves nothing");
-        assert!(cache.is_safe(&new, &u.config_of(&["Old0", "New1"])));
+        assert!(
+            cache.is_safe(&new, &cfg).is_none(),
+            "safe under the old invariants proves nothing"
+        );
+        assert!(cache.is_safe(&new, &u.config_of(&["Old0", "New1"])).is_some());
     }
 }

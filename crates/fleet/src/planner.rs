@@ -42,8 +42,12 @@
 //!   target in the manager (stops at the first differing word), the
 //!   replayed walk's end against `to` — or, on a miss, source against
 //!   target once more and the hash of both inside the search, which then
-//!   costs what a search costs; a storm sees one miss per run. Every later
-//!   `current == goal` compares two handles on one buffer.
+//!   costs what a search costs and nothing for its endpoints: the two
+//!   proofs from the memo walks above are handed to it
+//!   ([`Search::plan_scoped_vetted`](sada_plan::Search::plan_scoped_vetted))
+//!   in place of a second pass over the whole invariant set; a storm sees
+//!   one miss per run. Every later `current == goal` compares two handles
+//!   on one buffer.
 //!
 //! These two buffers are also all a finished session *retains*. A session
 //! that asks for the mode its clusters are already in copies and retains
@@ -180,15 +184,13 @@ impl ScopedLazyPlanner {
         let (cache, session) = self.cache.as_ref()?;
         let nz = self.normalizer.as_ref()?;
         // The key captures in-scope state only, so out-of-scope safety must
-        // be established before the cache may speak for this query.
+        // be established before the cache may speak for this query. The
+        // proofs are kept: a miss searches between them.
         let search = &self.world.search;
-        let endpoints_safe = {
+        let (from_safe, to_safe) = {
             let mut cache = cache.borrow_mut();
-            cache.is_safe(search, from) && cache.is_safe(search, to)
+            (cache.is_safe(search, from)?, cache.is_safe(search, to)?)
         };
-        if !endpoints_safe {
-            return None;
-        }
         let key = nz.key(from, to);
         if let Some(entry) = cache.borrow_mut().lookup(&key, *session) {
             match entry {
@@ -202,7 +204,7 @@ impl ScopedLazyPlanner {
                 }
             }
         }
-        let (path, _) = self.world.search.plan_scoped(from, to, &self.scoped_ixs);
+        let (path, _) = search.plan_scoped_vetted(from_safe, to_safe, &self.scoped_ixs);
         match &path {
             None => cache.borrow_mut().insert(key, None, *session),
             Some(p) => {

@@ -31,10 +31,15 @@
 //!   sequence)` — wall-clock interleaving cannot reorder them.
 //! * **Conservative virtual clocks.** Each endpoint advances only as far as
 //!   every inbound fabric edge *promises* silence (a null-message protocol
-//!   with one fabric latency of lookahead). Edges that no straddling
-//!   session touches promise silence statically, so straddler-free
-//!   workloads free-run with zero synchronization — the source of the
-//!   near-linear thread scaling in `bench_shard`.
+//!   with one fabric latency of lookahead). What an endpoint promises is
+//!   derived from the lock protocol, not from its simulator's queue: its
+//!   **origination bound** is the earliest instant it could put a message
+//!   on the fabric without first receiving one. A region that owes the
+//!   global tier nothing — no queued foreign request, no reply still on its
+//!   way to the relay — originates nothing, whatever its local sessions
+//!   do, and promises silence dynamically; regions no straddler touches
+//!   have no fabric edge at all. Straddler-free *moments*, not only
+//!   straddler-free workloads, free-run.
 //!
 //! Each endpoint *is* the plane [`run_fleet`](crate::run_fleet) runs — the
 //! same `build_plane` / `Plane::distill` code, with the control actor
@@ -406,10 +411,13 @@ struct EdgeState {
 struct FabricState {
     edges: HashMap<(u32, u32), EdgeState>,
     promise_updates: u64,
-    /// Per endpoint: a raw lower bound on its next send instant (its local
-    /// event horizon, before clamping against inbound promises). The min
-    /// over these plus undrained mail is a global virtual-time bound — the
-    /// GVT promise fast path.
+    /// Times a worker found none of its endpoints able to move and blocked
+    /// on the condvar (wall-clock dependent, diagnostic only).
+    parks: u64,
+    /// Per endpoint: a raw lower bound on its next send instant (its
+    /// origination bound and its staged arrivals, before clamping against
+    /// inbound promises). The min over these plus undrained mail is a
+    /// global virtual-time bound — the GVT promise fast path.
     local_bound: HashMap<u32, u64>,
 }
 
@@ -464,7 +472,7 @@ impl Fabric {
             }
         }
         Fabric {
-            state: Mutex::new(FabricState { edges, promise_updates: 0, local_bound }),
+            state: Mutex::new(FabricState { edges, promise_updates: 0, parks: 0, local_bound }),
             cv: Condvar::new(),
             quantum_us,
             faults,
@@ -482,9 +490,9 @@ impl Fabric {
 }
 
 /// Cross-shard traffic counters for a finished run. Message and fault
-/// counts are deterministic; `promise_updates` / `nulls_dropped` count
-/// observed clock-advance traffic and vary with wall-clock scheduling
-/// (diagnostic only).
+/// counts are deterministic; `promise_updates` / `parks` / `nulls_dropped`
+/// count observed clock-advance traffic and vary with wall-clock scheduling
+/// (diagnostic only, never fingerprinted).
 #[derive(Debug, Clone, Default)]
 pub struct FabricStats {
     /// Total messages that crossed the fabric (faulted sends included).
@@ -493,6 +501,10 @@ pub struct FabricStats {
     pub per_edge: Vec<(u32, u32, u64)>,
     /// Null-message promise advances observed (wall-clock dependent).
     pub promise_updates: u64,
+    /// Times a worker thread blocked on the fabric waiting for a peer's
+    /// promise or message (wall-clock dependent; a one-thread run whose
+    /// endpoints can always unblock each other never parks).
+    pub parks: u64,
     /// Fabric messages dropped by the fault plan.
     pub dropped: u64,
     /// Fabric messages duplicated by the fault plan.
@@ -578,6 +590,11 @@ struct RegionControl {
     lease_slots: Vec<u64>,
     /// Foreign holds garbage-collected after a silent lease horizon.
     lease_expirations: u64,
+    /// Messages handed to the relay so far ([`RegionControl::send`]). Each
+    /// spends one link latency inside the simulator before it surfaces in
+    /// the endpoint's outbox; until the two counts meet the region still
+    /// *owes* the fabric a message it has already decided to send.
+    handed: u64,
 }
 
 /// Region-wrapper timer band for lease GC. The inner control plane owns
@@ -611,9 +628,38 @@ impl RegionControl {
         self.send(ctx, FabricPayload::LockGranted { session: sid, region, epoch, values });
     }
 
-    /// Hands `payload` to the relay, addressed to the global tier.
-    fn send(&self, ctx: &mut Context<'_, Wire<ShardMsg>>, payload: FabricPayload) {
+    /// Hands `payload` to the relay, addressed to the global tier. The one
+    /// place a region puts anything on the fabric.
+    fn send(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, payload: FabricPayload) {
+        self.handed += 1;
         ctx.send(self.relay, Wire::App(ShardMsg { to: self.global_ep, payload }));
+    }
+
+    /// The region's **origination bound**: the earliest virtual instant at
+    /// which it could put a message on the fabric *without first receiving
+    /// one* (reactions to arrivals are the executor's business — it bounds
+    /// them by the arrivals themselves).
+    ///
+    /// A region sends only `LockGranted` and `ReleaseAck`, and only from
+    /// five sites. Three answer an arrival on the spot (`on_fabric`: the
+    /// grant of a fresh request whose slice is free, the re-grant of a
+    /// retransmitted one whose slice is held, the ack of a release). The
+    /// other two — the `sweep` after every callback and the
+    /// `unlock` cascade behind a release, a cancel or an expired lease —
+    /// grant only a *queued* foreign hold, one whose `acked` flag is still
+    /// down. So with no un-acked hold no local event can make the region
+    /// speak, and the bound is "never"; with one, any local event might
+    /// free the slice, and the bound is the next of them. A reply already
+    /// handed to the relay but not yet `surfaced` in the outbox is owed
+    /// too: `grant` raises `acked` one link latency before the message
+    /// reaches the fabric, and its delivery to the relay is a local event.
+    fn origination_bound(&self, next_event_us: u64, surfaced: u64) -> u64 {
+        let owes = self.handed != surfaced || self.foreign.values().any(|h| !h.acked);
+        if owes {
+            next_event_us
+        } else {
+            u64::MAX
+        }
     }
 
     /// Drops `session`'s lock-table entry — released if it was held,
@@ -967,6 +1013,15 @@ impl GlobalControl {
 
     fn send(&self, ctx: &mut Context<'_, Wire<ShardMsg>>, to: u32, payload: FabricPayload) {
         ctx.send(self.relay, Wire::App(ShardMsg { to, payload }));
+    }
+
+    /// The global tier's origination bound (see
+    /// [`RegionControl::origination_bound`]): its next local event. Its
+    /// sends hang on submit, cancel and ladder timers and on the completion
+    /// of an inner session — all local events — so nothing tighter holds
+    /// without a per-timer, per-edge analysis.
+    fn origination_bound(&self, next_event_us: u64) -> u64 {
+        next_event_us
     }
 
     /// Appends `rec` unless the journal already carries it — replay after
@@ -1431,6 +1486,13 @@ struct Endpoint {
     ran_to_us: u64,
     budget_us: u64,
     done: bool,
+    /// Messages drained from the outbox so far — the other side of
+    /// [`RegionControl::handed`].
+    surfaced: u64,
+    /// The lower bound on any later send instant that the last `flush`
+    /// derived its promise from; what surfaces afterwards is checked
+    /// against it (debug builds).
+    promised_lb: u64,
     /// Components whose final values this endpoint is authoritative for:
     /// the full membership of every owned cluster.
     owned_comps: Vec<u32>,
@@ -1485,6 +1547,7 @@ fn build_endpoint(
                 lease_deadline: HashMap::new(),
                 lease_slots: Vec::new(),
                 lease_expirations: 0,
+                handed: 0,
             };
             ("control", region)
         })
@@ -1505,6 +1568,8 @@ fn build_endpoint(
         ran_to_us: 0,
         budget_us,
         done: false,
+        surfaced: 0,
+        promised_lb: 0,
         owned_comps: plan
             .owned_groups
             .iter()
@@ -1568,6 +1633,18 @@ impl Endpoint {
                     let mut batch = self.staged.remove(&t).expect("just peeked");
                     batch.sort_by_key(|e| (e.src, e.seq));
                     let now = self.plane.sim.now().as_micros();
+                    // An arrival behind the receiver's clock means some
+                    // sender broke its promise. Stop here: wrapping the
+                    // delay would schedule the batch ~584 000 years out
+                    // and the messages would silently vanish.
+                    let delay = t.checked_sub(now).unwrap_or_else(|| {
+                        panic!(
+                            "violated promise: endpoint {} already at {now} μs received an \
+                             arrival for {t} μs from endpoint(s) {:?}",
+                            self.id,
+                            batch.iter().map(|e| e.src).collect::<BTreeSet<u32>>()
+                        )
+                    });
                     let msgs: Vec<Wire<ShardMsg>> = batch
                         .into_iter()
                         .map(|env| Wire::App(ShardMsg { to: self.id, payload: env.payload }))
@@ -1576,7 +1653,7 @@ impl Endpoint {
                         self.relay_id,
                         self.plane.control_id,
                         msgs,
-                        SimDuration::from_micros(t - now),
+                        SimDuration::from_micros(delay),
                     );
                     progressed = true;
                     continue;
@@ -1602,11 +1679,30 @@ impl Endpoint {
         progressed
     }
 
+    /// The wrapper's origination bound at the simulator's current state:
+    /// the earliest instant this endpoint could send *unprovoked*. The
+    /// simulator's next event is an input to the wrapper's rule and to
+    /// nothing else — no promise reads the queue directly. A wrapper that
+    /// cannot be asked (checked out mid-callback) reads as "owes".
+    fn origination_bound(&self) -> u64 {
+        let sim = &self.plane.sim;
+        let next_event_us = sim.next_event_at().map_or(u64::MAX, |t| t.as_micros());
+        let bound = if self.is_global {
+            sim.actor::<GlobalControl>(self.plane.control_id)
+                .map(|g| g.origination_bound(next_event_us))
+        } else {
+            sim.actor::<RegionControl>(self.plane.control_id)
+                .map(|r| r.origination_bound(next_event_us, self.surfaced))
+        };
+        bound.unwrap_or(next_event_us)
+    }
+
     /// Publishes outbox messages and refreshed arrival promises. The
     /// promise is the null message of the conservative protocol: arrival
-    /// instant of the earliest message this endpoint could still send,
-    /// derived from its next local event, its staged inbound arrivals, and
-    /// what its own inbound edges promise.
+    /// instant of the earliest message this endpoint could still send —
+    /// unprovoked (its wrapper's origination bound), in reaction to a
+    /// staged inbound arrival, or in reaction to one its own inbound edges
+    /// have yet to deliver.
     ///
     /// The fault plan is applied here, at the sender, as messages enter the
     /// fabric: drops consume the sequence number without mailing, delays
@@ -1620,16 +1716,29 @@ impl Endpoint {
             return false;
         }
         let out: Vec<(u32, u64, FabricPayload)> = self.outbox.borrow_mut().drain(..).collect();
-        let next_ev = self.plane.sim.next_event_at().map_or(u64::MAX, |t| t.as_micros());
+        self.surfaced += out.len() as u64;
+        let origination = self.origination_bound();
         let next_staged = self.staged.keys().next().copied().unwrap_or(u64::MAX);
-        let lb = next_ev.min(next_staged).min(safe);
+        let lb = origination.min(next_staged).min(safe);
         let mut progressed = false;
         let faults = &fabric.faults;
         let quantum = fabric.quantum_us;
         let mut fault_events: Vec<Event> = Vec::new();
         let mut st = fabric.state.lock().unwrap();
         for (dst, send_us, payload) in out {
+            debug_assert!(
+                send_us >= self.promised_lb,
+                "endpoint {} sent at {send_us} μs after bounding its sends by {} μs: {payload:?}",
+                self.id,
+                self.promised_lb
+            );
             let e = st.edges.get_mut(&(self.id, dst)).expect("fabric send on an inactive edge");
+            debug_assert!(
+                fabric.arrival_of(send_us) >= e.promise_us,
+                "endpoint {} → {dst}: a send at {send_us} μs arrives before the promised {} μs",
+                self.id,
+                e.promise_us
+            );
             let seq = e.next_seq;
             e.next_seq += 1;
             e.sent += 1;
@@ -1687,12 +1796,14 @@ impl Endpoint {
         }
         let mut promise = if lb > self.budget_us { u64::MAX } else { fabric.arrival_of(lb) };
         if fabric.fastpath {
-            // Publish this endpoint's raw event horizon, then lift the
-            // promise to the global bound when it clears the quantum-step
-            // one — "no future sends" collapses the idle null-message walk
-            // into a single jump. Scheduling-only: fingerprints are
-            // asserted identical with the fast path on or off.
-            st.local_bound.insert(self.id, next_ev.min(next_staged));
+            // Publish this endpoint's own horizon — what it could send
+            // unprovoked or in reaction to what it has staged — then lift
+            // the promise to the global bound when it clears the
+            // quantum-step one: "no future sends" collapses the idle
+            // null-message walk into a single jump. Scheduling-only:
+            // fingerprints are asserted identical with the fast path on or
+            // off.
+            st.local_bound.insert(self.id, origination.min(next_staged));
             let gvt = st.gvt();
             let gvt_promise = if gvt > self.budget_us { u64::MAX } else { fabric.arrival_of(gvt) };
             promise = promise.max(gvt_promise);
@@ -1722,6 +1833,7 @@ impl Endpoint {
             }
         }
         drop(st);
+        self.promised_lb = lb;
         // Emitted outside the fabric lock; ring order stays deterministic
         // because `run_to` never splits same-instant sim events across a
         // flush, so every fault event lands after all sim events at its
@@ -1869,7 +1981,8 @@ fn run_worker(
         if !progressed {
             // Blocked on a peer's virtual clock: park until a promise or
             // message lands (timeout only as a lost-wakeup safety net).
-            let st = fabric.state.lock().unwrap();
+            let mut st = fabric.state.lock().unwrap();
+            st.parks += 1;
             let _ = fabric
                 .cv
                 .wait_timeout(st, std::time::Duration::from_millis(1))
@@ -2191,6 +2304,7 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
             messages: per_edge.iter().map(|&(_, _, n)| n).sum(),
             per_edge,
             promise_updates: st.promise_updates,
+            parks: st.parks,
             dropped: st.edges.values().map(|e| e.dropped).sum(),
             duplicated: st.edges.values().map(|e| e.duplicated).sum(),
             delayed: st.edges.values().map(|e| e.delayed).sum(),
@@ -2313,6 +2427,162 @@ mod tests {
         assert!(FleetWorld::ptr_eq(&a.plane.world, &b.plane.world));
         assert!(FleetWorld::ptr_eq(&a.plane.world, &world));
         assert!(!FleetWorld::ptr_eq(&world, &fleet.build_world()), "a rebuild is a new world");
+    }
+
+    /// Region 0 of a two-region fleet as a bare endpoint, the test playing
+    /// the global tier by hand: it mails requests onto the inbound edge and
+    /// advances that edge's promise one quantum at a time.
+    struct LoneRegion {
+        ep: Endpoint,
+        fabric: Fabric,
+        /// Group 0's lock scope and components, as a slice request names them.
+        resources: Vec<u32>,
+        comps: Vec<u32>,
+    }
+
+    const GLOBAL: u32 = 2;
+    const QUANTUM_US: u64 = 1_000;
+
+    impl LoneRegion {
+        /// One local session (id 1) takes group 0 at time zero.
+        fn new(crash: Option<(SimTime, SimTime)>) -> Self {
+            let fleet = FleetScenario::new(4, disjoint_wave(1, 1));
+            assert_eq!(fleet.link_latency.as_micros(), QUANTUM_US);
+            let world = fleet.build_world();
+            let comps = world.scope_comps(&[(0, true)]);
+            let plan = EndpointPlan {
+                id: 0,
+                specs: fleet.sessions.clone(),
+                straddlers: Vec::new(),
+                inbound: vec![GLOBAL],
+                outbound: vec![GLOBAL],
+                owned_groups: vec![0, 1],
+                crash,
+                is_global: false,
+            };
+            LoneRegion {
+                resources: world.resources_for(&comps),
+                comps: comps.iter().map(|c| c.index() as u32).collect(),
+                ep: build_endpoint(&fleet, world, 2, 1_000_000, plan),
+                fabric: Fabric::new(&[0], GLOBAL, QUANTUM_US, FabricFaultPlan::default(), true),
+            }
+        }
+
+        /// Mails a request for group 0 under `session`, arriving at `arrival_us`.
+        fn request(&self, session: u64, arrival_us: u64) {
+            let payload = FabricPayload::LockRequest {
+                session,
+                resources: self.resources.clone(),
+                comps: self.comps.clone(),
+                priority: 0,
+                epoch: 0,
+            };
+            let mut st = self.fabric.state.lock().unwrap();
+            let edge = st.edges.get_mut(&(GLOBAL, 0)).unwrap();
+            edge.mail.push(FabricEnvelope { arrival_us, src: GLOBAL, seq: edge.next_seq, payload });
+            edge.next_seq += 1;
+        }
+
+        /// Promises silence on the inbound edge before `us` and lets the
+        /// endpoint run as far as that allows.
+        fn run_to_promise(&mut self, us: u64) {
+            self.fabric.state.lock().unwrap().edges.get_mut(&(GLOBAL, 0)).unwrap().promise_us = us;
+            while self.ep.step(&self.fabric) {}
+        }
+
+        fn control(&self) -> &RegionControl {
+            self.ep.plane.sim.actor(self.ep.plane.control_id).expect("region control at rest")
+        }
+
+        fn next_event_us(&self) -> u64 {
+            self.ep.plane.sim.next_event_at().map_or(u64::MAX, |t| t.as_micros())
+        }
+
+        /// What the region has put on the fabric so far.
+        fn sent(&self) -> Vec<FabricPayload> {
+            let st = self.fabric.state.lock().unwrap();
+            st.edges[&(0, GLOBAL)].mail.iter().map(|env| env.payload.clone()).collect()
+        }
+
+        /// The region's own promise to the global tier.
+        fn promise_us(&self) -> u64 {
+            self.fabric.state.lock().unwrap().edges[&(0, GLOBAL)].promise_us
+        }
+    }
+
+    /// The origination rule, state by state: a region busy with its own
+    /// session promises silence; a queued foreign request makes it owe; so
+    /// does a grant on its way to the relay; once the grant is on the
+    /// fabric it owes nothing again.
+    #[test]
+    fn a_region_owes_exactly_while_a_hold_is_queued_or_a_reply_is_in_flight() {
+        let mut r = LoneRegion::new(None);
+        // Session 1 is mid-protocol: plenty of local events, nothing owed.
+        r.run_to_promise(2 * QUANTUM_US);
+        assert!(r.next_event_us() < u64::MAX, "the local session is still running");
+        assert_eq!(r.ep.origination_bound(), u64::MAX);
+        assert_eq!(r.promise_us(), 3 * QUANTUM_US, "one latency past what it was promised");
+
+        // A foreign request for the slice session 1 holds: queued, un-acked.
+        r.request(9, 3 * QUANTUM_US);
+        r.run_to_promise(4 * QUANTUM_US);
+        assert!(r.control().foreign.get(&9).is_some_and(|h| !h.acked), "queued behind session 1");
+        assert_eq!(r.ep.origination_bound(), r.next_event_us());
+        assert!(r.promise_us() <= r.fabric.arrival_of(r.next_event_us()));
+
+        // Walk on until session 1 finishes and the sweep grants the hold:
+        // `acked` goes up a link latency before the grant surfaces.
+        let mut promise = 4 * QUANTUM_US;
+        while !r.control().foreign[&9].acked {
+            promise += QUANTUM_US;
+            assert!(promise < 200 * QUANTUM_US, "session 1 never released group 0");
+            r.run_to_promise(promise);
+        }
+        assert_eq!((r.control().handed, r.ep.surfaced), (1, 0), "handed to the relay, in flight");
+        assert!(r.sent().is_empty());
+        assert_eq!(r.ep.origination_bound(), r.next_event_us());
+        assert!(
+            r.next_event_us() < promise + QUANTUM_US,
+            "its delivery to the relay is that event"
+        );
+
+        // It surfaces: the region has said all it had to say.
+        r.run_to_promise(promise + QUANTUM_US);
+        assert_eq!((r.control().handed, r.ep.surfaced), (1, 1));
+        assert!(matches!(r.sent()[..], [FabricPayload::LockGranted { session: 9, .. }]));
+        assert_eq!(r.ep.origination_bound(), u64::MAX);
+    }
+
+    /// A crash loses the lock table, not the wrapper's foreign holds: a
+    /// request that was queued when the region died rejoins the queue on
+    /// restart, so the region owes from its first instant back.
+    #[test]
+    fn a_restarted_region_owes_for_the_hold_that_was_queued_when_it_died() {
+        let (crash, restart) = (SimTime::from_micros(4_500), SimTime::from_micros(7_500));
+        let mut r = LoneRegion::new(Some((crash, restart)));
+        r.request(9, 3 * QUANTUM_US);
+        r.run_to_promise(4 * QUANTUM_US);
+        assert!(r.control().foreign.get(&9).is_some_and(|h| !h.acked), "queued behind session 1");
+        // Dead: nothing runs, but what it owed it still owes.
+        r.run_to_promise(7 * QUANTUM_US);
+        assert!(r.ep.plane.sim.is_crashed(r.ep.plane.control_id));
+        assert_eq!(r.ep.origination_bound(), r.next_event_us());
+        assert_eq!(r.next_event_us(), restart.as_micros());
+        // Back: session 1 is restored over its scope, the hold behind it.
+        r.run_to_promise(8 * QUANTUM_US);
+        assert!(!r.ep.plane.sim.is_crashed(r.ep.plane.control_id));
+        assert!(!r.control().foreign[&9].acked, "queued again behind the restored session");
+        assert_eq!(r.ep.origination_bound(), r.next_event_us());
+        assert!(r.next_event_us() < u64::MAX);
+        // And the grant still comes.
+        let mut promise = 8 * QUANTUM_US;
+        while r.sent().is_empty() {
+            promise += QUANTUM_US;
+            assert!(promise < 400 * QUANTUM_US, "the queued hold was never granted");
+            r.run_to_promise(promise);
+        }
+        assert!(matches!(r.sent()[..], [FabricPayload::LockGranted { session: 9, .. }]));
+        assert_eq!(r.ep.origination_bound(), u64::MAX);
     }
 
     #[test]

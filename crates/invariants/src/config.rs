@@ -198,12 +198,27 @@ impl Config {
     /// component, last component first; the width is the string's length.
     /// Any other character is handed back as the error.
     pub fn from_bit_string(bits: &str) -> Result<Self, char> {
-        if let Some(other) = bits.chars().find(|ch| !matches!(ch, '0' | '1')) {
-            return Err(other);
+        // One pass, a word at a time: the string's last 64 digits are word
+        // 0. `b ^ b'0'` is 0 or 1 for a digit and has a higher bit set for
+        // any other byte, so validity is one OR per byte, tested at the end.
+        let mut seen = 0u8;
+        let words: Arc<[u64]> = bits
+            .as_bytes()
+            .rchunks(64)
+            .map(|digits| {
+                digits.iter().fold(0u64, |word, &b| {
+                    let bit = b ^ b'0';
+                    seen |= bit;
+                    word << 1 | u64::from(bit & 1)
+                })
+            })
+            .collect();
+        if seen > 1 {
+            let other = bits.chars().find(|ch| !matches!(ch, '0' | '1'));
+            return Err(other.expect("some byte was neither digit"));
         }
-        // All ASCII from here, so byte positions are bit positions.
-        let present = bits.bytes().rev().enumerate().filter(|&(_, b)| b == b'1');
-        Ok(Config::from_ids(bits.len(), present.map(|(ix, _)| CompId::from_index(ix))))
+        // All ASCII, so the byte length is the bit width.
+        Ok(Config { nbits: bits.len(), words })
     }
 
     /// Width (number of component slots, not set bits).
@@ -387,10 +402,7 @@ impl Config {
     /// With the case study's registration order `E1..D5`, this prints exactly
     /// Table 1's `(D5,D4,D3,D2,D1,E2,E1)` strings such as `0100101`.
     pub fn to_bit_string(&self) -> String {
-        (0..self.nbits)
-            .rev()
-            .map(|ix| if self.contains(CompId::from_index(ix)) { '1' } else { '0' })
-            .collect()
+        self.to_string()
     }
 
     /// Renders the member names, e.g. `{D4,D1,E1}`, using descending-id order
@@ -402,9 +414,39 @@ impl Config {
     }
 }
 
+/// Every byte value as its eight binary digits, most significant first.
+const BYTE_DIGITS: [[u8; 8]; 256] = {
+    let mut table = [[b'0'; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut bit = 0;
+        while bit < 8 {
+            if byte & (0x80 >> bit) != 0 {
+                table[byte][bit] = b'1';
+            }
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// The bit-vector form ([`Config::to_bit_string`]), written straight into
+/// the formatter 64 digits at a time — journals and event streams render
+/// two world-width configurations per session.
 impl fmt::Display for Config {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_bit_string())
+        let mut digits = [0u8; 64];
+        // Only the top word can be partial: skip the slots past `nbits`.
+        let mut skip = self.words.len() * 64 - self.nbits;
+        for word in self.words.iter().rev() {
+            for (out, byte) in digits.chunks_exact_mut(8).zip(word.to_be_bytes()) {
+                out.copy_from_slice(&BYTE_DIGITS[usize::from(byte)]);
+            }
+            f.write_str(std::str::from_utf8(&digits[skip..]).expect("ASCII digits"))?;
+            skip = 0;
+        }
+        Ok(())
     }
 }
 
@@ -471,6 +513,37 @@ mod tests {
         assert_eq!(Config::from_bit_string(""), Ok(Config::empty(0)));
         assert_eq!(Config::from_bit_string("01x0"), Err('x'));
         assert_eq!(Config::from_bit_string("1é"), Err('é'));
+    }
+
+    /// Word-wise rendering and parsing against the per-bit definition, at
+    /// the widths where a word boundary can go wrong.
+    #[test]
+    fn bit_strings_round_trip_at_word_boundaries() {
+        for width in [0, 1, 63, 64, 65, 130] {
+            for stride in [1, 2, 3, 7, 64] {
+                let ids = (0..width).filter(|ix| ix % stride == 0 || ix + 1 == width);
+                let cfg = Config::from_ids(width, ids.map(CompId::from_index));
+                let per_bit: String = (0..width)
+                    .rev()
+                    .map(|ix| if cfg.contains(CompId::from_index(ix)) { '1' } else { '0' })
+                    .collect();
+                assert_eq!(cfg.to_bit_string(), per_bit, "width {width} stride {stride}");
+                assert_eq!(format!("{cfg}"), per_bit);
+                let back = Config::from_bit_string(&per_bit).expect("digits only");
+                assert_eq!(back, cfg, "width {width} stride {stride}");
+                assert_eq!(back.words(), cfg.words(), "no stray bit past the width");
+            }
+            // The error is the first offender in reading order, wherever
+            // the word boundaries fall.
+            if width >= 2 {
+                let mut text = "1".repeat(width);
+                text.replace_range(width - 1..width, "y");
+                text.replace_range(0..1, "x");
+                assert_eq!(Config::from_bit_string(&text), Err('x'), "width {width}");
+            }
+        }
+        assert_eq!(Config::from_bit_string("2"), Err('2'));
+        assert_eq!(Config::from_bit_string("0 "), Err(' '));
     }
 
     #[test]

@@ -202,6 +202,13 @@ impl<'a> Obj<'a> {
         self
     }
 
+    /// A configuration as its bit string, rendered in place: `0` and `1`
+    /// need no escaping.
+    fn bits(self, key: &str, v: &Config) -> Self {
+        let _ = write!(self.buf, ",\"{key}\":\"{v}\"");
+        self
+    }
+
     fn nums(self, key: &str, vs: impl Iterator<Item = u64>) -> Self {
         let _ = write!(self.buf, ",\"{key}\":[");
         for (i, v) in vs.enumerate() {
@@ -339,7 +346,7 @@ pub fn encode_event_into(out: &mut String, ev: &Event) {
                 .nums("comps", comps.iter().map(|c| c.index() as u64))
                 .finish(),
             AuditEvent::ConfigSnapshot { config } => {
-                o(out, ev, "audit.config").string("config", &config.to_bit_string()).finish()
+                o(out, ev, "audit.config").bits("config", config).finish()
             }
         },
         Payload::Temporal(t) => match t {

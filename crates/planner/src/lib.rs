@@ -47,6 +47,6 @@ mod yen;
 pub use action::{Action, ActionId};
 pub use collab::CollabIndex;
 pub use index::ActionIndex;
-pub use lazy::{LazyStats, SafeMemo, Search};
+pub use lazy::{LazyStats, Safe, SafeMemo, Search};
 pub use path::{Path, PathStep};
 pub use sag::{Edge, Sag};

@@ -98,10 +98,6 @@ pub enum JournalRecord {
     },
 }
 
-fn fmt_config(c: &Config) -> String {
-    c.to_bit_string()
-}
-
 fn fmt_actions(actions: &[ActionId]) -> String {
     if actions.is_empty() {
         "-".to_string()
@@ -114,10 +110,10 @@ impl fmt::Display for JournalRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JournalRecord::Request { source, target } => {
-                write!(f, "request source={} target={}", fmt_config(source), fmt_config(target))
+                write!(f, "request source={source} target={target}")
             }
             JournalRecord::Queued { source, target } => {
-                write!(f, "queued source={} target={}", fmt_config(source), fmt_config(target))
+                write!(f, "queued source={source} target={target}")
             }
             JournalRecord::PathSelected { actions } => {
                 write!(f, "path actions={}", fmt_actions(actions))
