@@ -49,22 +49,27 @@
 mod cache;
 mod control;
 mod driver;
+mod fabric;
+mod global;
 mod lock;
 mod overload;
 mod planner;
+mod region;
 mod shard;
 mod world;
 
 pub use cache::{CacheNote, CacheNoteKind, CachedPlan, PlanCache, PlanCacheStats, ScopeNormalizer};
 pub use control::{Admission, ControlActor, FleetResilience, SessionEnd, SessionSpec};
 pub use driver::{disjoint_wave, run_fleet, FleetReport, FleetScenario, SessionResult};
+pub use fabric::{
+    encode_fabric_msg, parse_fabric_msg, FabricFaultPlan, FabricPayload, FabricStats,
+};
 pub use lock::ScopeLockManager;
 pub use overload::{measure_capacity, run_overload, OverloadConfig, OverloadReport};
 pub use planner::ScopedLazyPlanner;
 pub use shard::{
-    encode_fabric_msg, fingerprint_events, fingerprint_events_unsharded, parse_fabric_msg,
-    run_fleet_sharded, FabricFaultPlan, FabricPayload, FabricStats, ShardReport, ShardScenario,
-    ShardStats, DEFAULT_REGIONS,
+    fingerprint_events, fingerprint_events_unsharded, run_fleet_sharded, ShardReport,
+    ShardScenario, ShardStats, DEFAULT_REGIONS,
 };
 pub use world::{
     ActionSpec, ClusterSpec, CompSpec, CompiledWorld, Domain, FleetWorld, Objective, WorldSpec,
