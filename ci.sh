@@ -111,7 +111,7 @@ echo "==> scenario-generator smoke (seeded serverless + IaaS universes end-to-en
 cargo run -q --release -p sada-bench --bin report -- scenario > /dev/null
 SADA_BENCH_SMOKE=1 cargo bench -q -p sada-bench --bench bench_scenario > /dev/null
 
-echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent, per-session and world-build gates)"
+echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent, per-session, sharded-over-flat <= 1.5x and world-build gates)"
 # Renders the 1k/10k-group strided-storm table (flat throughput plus
 # sharded runs with fingerprints asserted identical at 1 and 8 worker
 # threads, every region loaded), then the bench's smoke mode runs the
@@ -119,10 +119,13 @@ echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent, per-
 # fingerprint identity, flat peak heap under the bytes-per-agent ceiling
 # and — against the same run without sessions — under the
 # world-configurations-per-session ceiling pinned in
-# crates/bench/benches/bench_scale.rs, and one build_world() under the
+# crates/bench/benches/bench_scale.rs, sharded (1 thread) peak heap at
+# most 1.5x the flat run's with the eight regions hosting every agent
+# exactly once between them (ROADMAP item 3's gate: a plane allocates for
+# the agents it hosts, not for the world), and one build_world() under the
 # allocations-per-group and retained-bytes-per-group ceilings: memory
-# regressions on the hot path, per agent, per session or per compiled
-# table row, fail loudly. The full 1k/10k/100k sweep
+# regressions on the hot path, per agent, per session, per endpoint or per
+# compiled table row, fail loudly. The full 1k/10k/100k sweep
 # (BENCH_scale.json) is regenerated by running the same bench without
 # SADA_BENCH_SMOKE.
 cargo run -q --release -p sada-bench --bin report -- scale > /dev/null

@@ -849,9 +849,10 @@ fn shard(seed: Option<u64>) {
         REGIONS - 1
     );
     println!(
-        "{:<9} {:>7} {:>9} {:>6} {:>8} {:>10} {:>9} {:>11} {:>12}",
+        "{:<9} {:>7} {:>7} {:>9} {:>6} {:>8} {:>10} {:>9} {:>11} {:>12}",
         "shard",
         "kind",
+        "agents",
         "sessions",
         "done",
         "events",
@@ -863,9 +864,10 @@ fn shard(seed: Option<u64>) {
     let wall_s = multi.wall.as_secs_f64().max(1e-9);
     for s in &multi.per_shard {
         println!(
-            "{:<9} {:>7} {:>9} {:>6} {:>8} {:>10} {:>9} {:>11} {:>12.1}",
+            "{:<9} {:>7} {:>7} {:>9} {:>6} {:>8} {:>10} {:>9} {:>11} {:>12.1}",
             s.shard,
             if s.is_global { "global" } else { "region" },
+            s.agents,
             s.sessions,
             s.completed,
             s.events,
@@ -972,7 +974,7 @@ fn scale(seed: Option<u64>) {
          the full 100k sweep lives in BENCH_scale.json via `cargo bench --bench bench_scale`)"
     );
     println!(
-        "{:>7} {:>7} {:>9} {:>11} {:>13} {:>13} {:>13} {:>13}",
+        "{:>7} {:>7} {:>9} {:>11} {:>13} {:>13} {:>13} {:>13} {:>13}",
         "groups",
         "agents",
         "sessions",
@@ -980,7 +982,8 @@ fn scale(seed: Option<u64>) {
         "sessions/s",
         "events/s",
         "shard 1t",
-        "shard 8t"
+        "shard 8t",
+        "shard agents"
     );
     for groups in [1_000usize, 10_000] {
         let sessions = (2 * groups).min(2048);
@@ -1021,7 +1024,7 @@ fn scale(seed: Option<u64>) {
         );
         let wall_s = flat_wall.as_secs_f64().max(1e-9);
         println!(
-            "{:>7} {:>7} {:>9} {:>11} {:>13.1} {:>13.1} {:>13} {:>13}",
+            "{:>7} {:>7} {:>9} {:>11} {:>13.1} {:>13.1} {:>13} {:>13} {:>13}",
             groups,
             2 * groups,
             sessions,
@@ -1030,11 +1033,13 @@ fn scale(seed: Option<u64>) {
             flat.events.len() as f64 / wall_s,
             format!("{:.1}ms", single_wall.as_secs_f64() * 1000.0),
             format!("{:.1}ms", multi_wall.as_secs_f64() * 1000.0),
+            single.per_shard.iter().map(|s| s.agents).sum::<usize>(),
         );
     }
     println!(
-        "(fingerprints asserted identical at 1 and 8 worker threads on every row; journal text \
-         rendering is off — the durable journal, events, and fingerprints are unaffected)"
+        "(fingerprints asserted identical at 1 and 8 worker threads on every row; shard agents \
+         is what the eight regions' planes host between them; journal text rendering is off — \
+         the durable journal, events, and fingerprints are unaffected)"
     );
 }
 

@@ -25,6 +25,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 use std::rc::Rc;
 
 use sada_expr::{CompId, Config};
@@ -158,8 +159,10 @@ struct ActiveSession {
 /// [`ManagerActor`](sada_proto::ManagerActor)).
 pub struct ControlActor<M = ()> {
     world: Rc<FleetWorld>,
-    agents: Vec<ActorId>,
-    actor_to_agent: HashMap<ActorId, usize>,
+    /// The agents this plane hosts, as ascending disjoint runs of agent
+    /// indices. Agent `p` is `ActorId(p)` in every plane; a plane differs
+    /// only in which of them exist behind that id.
+    hosted: Vec<Range<usize>>,
     scenario: Vec<SessionSpec>,
     /// Session id → scenario index (first occurrence wins, matching a
     /// linear scan). The scenario never changes after construction, so
@@ -177,19 +180,21 @@ pub struct ControlActor<M = ()> {
     agent_epochs: HashMap<ActorId, u64>,
     active: BTreeMap<u64, ActiveSession>,
     locks: ScopeLockManager,
-    /// Per-agent circuit breakers (empty when the policy is off). Volatile:
-    /// a restored control plane re-learns which agents are sick.
-    breakers: Vec<CircuitBreaker>,
+    /// Per-agent circuit breakers, created on an agent's first failure
+    /// evidence (an agent without one is behind a closed breaker that has
+    /// counted nothing). Volatile: a restored control plane re-learns which
+    /// agents are sick.
+    breakers: BTreeMap<usize, CircuitBreaker>,
     /// Per-scope circuit breakers, created lazily on first failure
     /// evidence and keyed by [`ControlActor::scope_key`]. Volatile, like
     /// the per-agent set.
     scope_breakers: HashMap<u64, CircuitBreaker>,
-    /// Per-agent RTT estimators feeding adaptive retry deadlines. Volatile
-    /// for the same reason.
-    rtt: Vec<RttEstimator>,
+    /// Per-agent RTT estimators feeding adaptive retry deadlines, created
+    /// on an agent's first sample. Volatile for the same reason.
+    rtt: HashMap<usize, RttEstimator>,
     /// Last RTO reported per agent as a `TimeoutAdapted` event, so the bus
     /// only carries adaptations that moved the deadline by ≥ a quarter.
-    last_rto: Vec<u64>,
+    last_rto: HashMap<usize, u64>,
     /// First unanswered send per agent, for Karn-rule RTT sampling.
     pending_since: HashMap<usize, SimTime>,
     /// True while applying effects produced by a protocol timeout — sends
@@ -260,16 +265,20 @@ pub(crate) fn fleet_event(at: SimTime, actor: ActorId, session: u64, ev: FleetEv
     Event { at, actor: actor.index() as u32, session, shard: 0, payload: Payload::Fleet(ev) }
 }
 
-/// An empty lock table sized for `world`'s resources and `sessions` ids.
-fn fresh_locks(world: &FleetWorld, sessions: usize) -> ScopeLockManager {
-    ScopeLockManager::with_capacity(world.universe.len() + world.model.process_count(), sessions)
+/// The run of `hosted` (ascending disjoint runs of agent indices) holding
+/// agent `agent`, if a plane hosting them hosts it.
+pub(crate) fn hosting_run(hosted: &[Range<usize>], agent: usize) -> Option<usize> {
+    let run = hosted.partition_point(|r| r.end <= agent);
+    (hosted.get(run)?.start <= agent).then_some(run)
 }
 
 impl<M: Clone + 'static> ControlActor<M> {
-    /// A control plane over `agents`, driving `scenario` under `timing`.
+    /// A control plane over the agents in `hosted` (ascending disjoint runs
+    /// of agent indices; agent `p` lives at `ActorId(p)`), driving
+    /// `scenario` under `timing`.
     pub fn new(
         world: Rc<FleetWorld>,
-        agents: Vec<ActorId>,
+        hosted: Vec<Range<usize>>,
         scenario: Vec<SessionSpec>,
         timing: ProtoTiming,
         serialize: bool,
@@ -280,14 +289,10 @@ impl<M: Clone + 'static> ControlActor<M> {
         for (ix, s) in scenario.iter().enumerate() {
             spec_by_id.entry(s.id).or_insert(ix);
         }
-        let actor_to_agent = agents.iter().enumerate().map(|(ix, &a)| (a, ix)).collect();
-        let rtt = vec![RttEstimator::new(); agents.len()];
-        let last_rto = vec![0; agents.len()];
-        let locks = fresh_locks(&world, scenario.len());
+        debug_assert!(hosted.windows(2).all(|w| w[0].end <= w[1].start), "runs ascend");
         ControlActor {
             world,
-            agents,
-            actor_to_agent,
+            hosted,
             scenario,
             spec_by_id,
             timing,
@@ -297,11 +302,11 @@ impl<M: Clone + 'static> ControlActor<M> {
             epoch: 0,
             agent_epochs: HashMap::new(),
             active: BTreeMap::new(),
-            locks,
-            breakers: Vec::new(),
+            locks: ScopeLockManager::new(),
+            breakers: BTreeMap::new(),
             scope_breakers: HashMap::new(),
-            rtt,
-            last_rto,
+            rtt: HashMap::new(),
+            last_rto: HashMap::new(),
             pending_since: HashMap::new(),
             in_timeout: false,
             gate: Vec::new(),
@@ -339,9 +344,6 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// Installs the overload-protection policy (breakers + bulkhead).
     pub fn with_resilience(mut self, r: FleetResilience) -> Self {
         self.resilience = r;
-        if let Some(cfg) = r.breaker {
-            self.breakers = (0..self.agents.len()).map(|_| CircuitBreaker::new(cfg)).collect();
-        }
         self
     }
 
@@ -350,9 +352,8 @@ impl<M: Clone + 'static> ControlActor<M> {
     pub fn breaker_open_us(&self, now: SimTime) -> Vec<(u32, u64)> {
         self.breakers
             .iter()
-            .enumerate()
             .filter(|(_, b)| b.trips() > 0)
-            .map(|(ix, b)| (ix as u32, b.open_time_us(now)))
+            .map(|(&ix, b)| (ix as u32, b.open_time_us(now)))
             .collect()
     }
 
@@ -414,15 +415,18 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// agent gets a deadline it can meet.
     fn observe_arrival(&mut self, ctx: &Context<'_, Wire<M>>, agent: usize) {
         if let Some(t0) = self.pending_since.remove(&agent) {
-            let sample = ctx.now().saturating_since(t0);
-            self.rtt[agent].observe(sample);
+            // Only adaptive deadlines read the estimators (`refresh_hint`),
+            // so the fixed ladder keeps none.
             if self.timing.retry.mode == RetryMode::Adaptive {
-                if let (Some(srtt), Some(rto)) = (self.rtt[agent].srtt(), self.rtt[agent].rto()) {
+                let estimator = self.rtt.entry(agent).or_default();
+                estimator.observe(ctx.now().saturating_since(t0));
+                if let (Some(srtt), Some(rto)) = (estimator.srtt(), estimator.rto()) {
                     // Report only adaptations that moved the deadline by at
                     // least a quarter relative to the last report.
-                    let (rto_us, last) = (rto.as_micros(), self.last_rto[agent]);
-                    if last == 0 || rto_us.abs_diff(last).saturating_mul(4) >= last {
-                        self.last_rto[agent] = rto_us;
+                    let last = self.last_rto.entry(agent).or_insert(0);
+                    let (rto_us, was) = (rto.as_micros(), *last);
+                    if was == 0 || rto_us.abs_diff(was).saturating_mul(4) >= was {
+                        *last = rto_us;
                         self.emit_fleet(
                             ctx,
                             self.agent_session.get(&agent).copied().unwrap_or(0),
@@ -436,11 +440,9 @@ impl<M: Clone + 'static> ControlActor<M> {
                 }
             }
         }
-        if agent < self.breakers.len() {
-            if let Some(tr) = self.breakers[agent].on_success(ctx.now()) {
-                let sid = self.agent_session.get(&agent).copied().unwrap_or(0);
-                self.emit_breaker(ctx, sid, agent, tr);
-            }
+        if let Some(tr) = self.breakers.get_mut(&agent).and_then(|b| b.on_success(ctx.now())) {
+            let sid = self.agent_session.get(&agent).copied().unwrap_or(0);
+            self.emit_breaker(ctx, sid, agent, tr);
         }
     }
 
@@ -456,7 +458,7 @@ impl<M: Clone + 'static> ControlActor<M> {
             .scope_comps(&self.scenario[ix].flips)
             .iter()
             .filter_map(|&c| self.world.agent_for(c))
-            .filter_map(|a| self.rtt.get(a).and_then(RttEstimator::rto))
+            .filter_map(|a| self.rtt.get(&a).and_then(RttEstimator::rto))
             .max();
         if let Some(sess) = self.active.get_mut(&session) {
             sess.core.set_timeout_hint(hint);
@@ -522,7 +524,7 @@ impl<M: Clone + 'static> ControlActor<M> {
             .scope_comps(&spec.flips)
             .iter()
             .filter_map(|&c| self.world.agent_for(c))
-            .find(|&a| self.breakers.get(a).is_some_and(|b| b.blocks(now)))
+            .find(|a| self.breakers.get(a).is_some_and(|b| b.blocks(now)))
     }
 
     /// Concludes `sid` without running its protocol: the journaled
@@ -670,13 +672,15 @@ impl<M: Clone + 'static> ControlActor<M> {
                 ManagerEffect::Send { agent, msg } => {
                     // A send emitted while handling a timeout is a
                     // retransmission: failure evidence for the breaker.
-                    if self.in_timeout && agent < self.breakers.len() {
-                        if let Some(tr) = self.breakers[agent].on_failure(ctx.now()) {
+                    if let (true, Some(cfg)) = (self.in_timeout, self.resilience.breaker) {
+                        let breaker =
+                            self.breakers.entry(agent).or_insert_with(|| CircuitBreaker::new(cfg));
+                        if let Some(tr) = breaker.on_failure(ctx.now()) {
                             self.emit_breaker(ctx, session, agent, tr);
                         }
                     }
-                    if agent < self.breakers.len() {
-                        let (ok, tr) = self.breakers[agent].allow_send(ctx.now());
+                    if let Some(breaker) = self.breakers.get_mut(&agent) {
+                        let (ok, tr) = breaker.allow_send(ctx.now());
                         if let Some(tr) = tr {
                             self.emit_breaker(ctx, session, agent, tr);
                         }
@@ -690,8 +694,16 @@ impl<M: Clone + 'static> ControlActor<M> {
                     }
                     self.pending_since.entry(agent).or_insert_with(|| ctx.now());
                     self.agent_session.insert(agent, session);
+                    // The hosted set covers every scope a plane's sessions
+                    // can reach; a miss is a bug in that rule, and the send
+                    // would be dropped without a trace.
+                    assert!(
+                        hosting_run(&self.hosted, agent).is_some(),
+                        "session {session} addresses agent {agent}, which shard {} does not host",
+                        self.bus.shard()
+                    );
                     ctx.send(
-                        self.agents[agent],
+                        ActorId::from_index(agent),
                         Wire::Proto { epoch: self.epoch, session: SessionId(session), msg },
                     );
                 }
@@ -1049,9 +1061,10 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
 
     fn on_message(&mut self, ctx: &mut Context<'_, Wire<M>>, from: ActorId, msg: Wire<M>) {
         if let Wire::Proto { epoch, session, msg: p } = msg {
-            let Some(&agent) = self.actor_to_agent.get(&from) else {
+            let agent = from.index();
+            if hosting_run(&self.hosted, agent).is_none() {
                 return;
-            };
+            }
             let seen = self.agent_epochs.entry(from).or_insert(0);
             if epoch < *seen {
                 return; // pre-crash residue from an old agent incarnation
@@ -1088,7 +1101,7 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
         // The volatile process image dies; the journal, results, and fleet
         // configuration stand in for durable storage and survive.
         self.active.clear();
-        self.locks = fresh_locks(&self.world, self.scenario.len());
+        self.locks = ScopeLockManager::new();
         self.tag_owner.clear();
         self.next_tag = 1;
         self.agent_epochs.clear();
@@ -1100,13 +1113,9 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
         self.pending_since.clear();
         self.gate.clear();
         self.waiting.clear();
-        for e in &mut self.rtt {
-            *e = RttEstimator::new();
-        }
-        self.last_rto.iter_mut().for_each(|r| *r = 0);
-        if let Some(cfg) = self.resilience.breaker {
-            self.breakers = (0..self.agents.len()).map(|_| CircuitBreaker::new(cfg)).collect();
-        }
+        self.rtt.clear();
+        self.last_rto.clear();
+        self.breakers.clear();
         self.scope_breakers.clear();
         // The plan cache dies with the process, safety memo included: the
         // restored incarnation starts cold, so journal replay never leans
@@ -1228,7 +1237,16 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
 
 #[cfg(test)]
 mod tests {
-    use super::SessionEnd;
+    use super::{hosting_run, SessionEnd};
+
+    #[test]
+    fn hosting_run_finds_the_run_or_the_gap() {
+        let hosted = [1..2, 4..7, 9..11];
+        let runs: Vec<_> = (0..12).map(|a| hosting_run(&hosted, a)).collect();
+        let r = Some;
+        assert_eq!(runs, [None, r(0), None, None, r(1), r(1), r(1), None, None, r(2), r(2), None]);
+        assert_eq!(hosting_run(&[], 0), None);
+    }
 
     /// `SessionResult`'s four bools used to be read off the outcome:
     /// `success` / `gave_up` from its fields, `cancelled` / `shed` from

@@ -1,12 +1,14 @@
 //! Fleet scenario driver and the single control plane both drivers run.
 //!
-//! A [`Plane`] is one simulator holding every agent of the world as one
-//! `Vec<ScriptedAgent>` arena plus one control actor; [`build_plane`] and
-//! [`Plane::distill`] are the only place a plane is wired up and the only
-//! place its durable state is turned into [`SessionResult`]s. [`run_fleet`]
-//! is the one-plane case — build, run to the budget on the calling thread,
-//! distill — and `run_fleet_sharded` runs the same two functions once per
-//! endpoint, adding only the fabric around them.
+//! A [`Plane`] is one simulator holding the agents its control actor can
+//! engage — its *hosted set* — as one `Vec<ScriptedAgent>` arena, plus that
+//! control actor; every other agent of the world is a vacant id.
+//! [`build_plane`] and [`Plane::distill`] are the only place a plane is
+//! wired up and the only place its durable state is turned into
+//! [`SessionResult`]s. [`run_fleet`] is the one-plane case — host every
+//! agent, build, run to the budget on the calling thread, distill — and
+//! `run_fleet_sharded` runs the same two functions once per endpoint,
+//! adding only the hosted set and the fabric around them.
 //!
 //! A plane owns everything *mutable* — simulator, agents, lock table, plan
 //! cache, journal — and borrows everything that is not: the compiled
@@ -16,7 +18,7 @@
 //! [`build_plane`] as a handle.
 
 use std::cell::RefCell;
-use std::fmt::Write as _;
+use std::ops::Range;
 use std::rc::Rc;
 
 use sada_expr::Config;
@@ -27,7 +29,9 @@ use sada_simnet::{
 };
 
 use crate::cache::PlanCacheStats;
-use crate::control::{fleet_event, Admission, ControlActor, FleetResilience, SessionSpec};
+use crate::control::{
+    fleet_event, hosting_run, Admission, ControlActor, FleetResilience, SessionSpec,
+};
 use crate::world::{Domain, FleetWorld, WorldSpec};
 
 /// Events each plane's ring retains; anything beyond is evicted oldest
@@ -231,9 +235,13 @@ impl FleetReport {
 /// [`Plane`] over the whole fleet, run on the calling thread — no fabric,
 /// no worker threads, no shard tag.
 pub fn run_fleet(scenario: &FleetScenario) -> FleetReport {
+    let world = scenario.build_world();
+    #[allow(clippy::single_range_in_vec_init)] // one run of agents, not a list of indices
+    let everyone = vec![0..world.model.process_count()];
     let mut plane = build_plane::<(), _>(
         scenario,
-        scenario.build_world(),
+        world,
+        everyone,
         scenario.seed,
         0,
         scenario.sessions.clone(),
@@ -266,10 +274,11 @@ pub fn run_fleet(scenario: &FleetScenario) -> FleetReport {
     }
 }
 
-/// One control plane over its own simulator: every agent of the world as
-/// one `Vec<ScriptedAgent>` arena at ids `[0, processes)`, the control
-/// actor (bare, or wrapped by a shard shim) at the next id, and a ring
-/// capturing the event stream.
+/// One control plane over its own simulator. Agent `p` of the world is
+/// `ActorId(p)` in every plane: the hosted ones are the members of one
+/// `Vec<ScriptedAgent>` arena, the rest of `[0, processes)` is vacant. The
+/// control actor (bare, or wrapped by a shard shim) sits at `processes`,
+/// and a ring captures the event stream.
 pub(crate) struct Plane<M> {
     pub(crate) sim: Simulator<Wire<M>>,
     pub(crate) control_id: ActorId,
@@ -282,15 +291,33 @@ pub(crate) struct Plane<M> {
     render_journal: bool,
 }
 
+/// Coalesces *ascending* agent indices (repeats allowed) into the disjoint
+/// runs [`build_plane`] takes as a hosted set.
+pub(crate) fn hosted_runs(agents: impl IntoIterator<Item = usize>) -> Vec<Range<usize>> {
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for a in agents {
+        match runs.last_mut() {
+            Some(run) if run.end >= a => run.end = run.end.max(a + 1),
+            _ => runs.push(a..a + 1),
+        }
+    }
+    runs
+}
+
 /// Builds the plane for `specs` over `world` (a handle on the run's one
 /// compiled world — the caller builds it, every plane of the run shares it)
-/// with `scn`'s timing, resilience and fault schedule. `wrap` turns the bare
+/// with `scn`'s timing, resilience and fault schedule. `hosted` is the set of
+/// agents the plane allocates, as ascending disjoint runs of agent indices:
+/// it must cover every agent a scope of `specs` reaches (the control actor
+/// panics on an address outside it). `wrap` turns the bare
 /// [`ControlActor`] into the actor to register (given the plane's bus and
 /// the control id) and names it; `crash` is that actor's crash/restart
 /// window.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn build_plane<M, C>(
     scn: &FleetScenario,
     world: FleetWorld,
+    hosted: Vec<Range<usize>>,
     seed: u64,
     shard_tag: u32,
     specs: Vec<SessionSpec>,
@@ -310,8 +337,9 @@ where
     bus.attach(&ring);
     let bus = bus.sharded(shard_tag);
 
-    // Agents first so their ids are dense [0, processes); the control plane
-    // takes the next slot, mirroring the solo ManagerActor layout.
+    // Agents first, agent `p` at id `p` whether hosted or vacant; the
+    // control plane takes the slot after them, mirroring the solo
+    // ManagerActor layout.
     let procs = world.model.process_count();
     let control_id = ActorId::from_index(procs);
     emit_domain_tag(&bus, &world, control_id);
@@ -319,27 +347,30 @@ where
         ScriptedAgent::new(control_id, scale_timing(AgentTiming::default(), factor))
             .with_bus(bus.clone())
     };
-    let mut arena = vec![agent(1); procs];
-    // First entry wins for an agent listed twice; unknown indices are inert.
+    // Arena member `m` is the `m`-th hosted agent, in ascending order.
+    let mut arena = vec![agent(1); hosted.iter().map(Range::len).sum()];
+    // First entry wins for an agent listed twice; indices the plane does
+    // not host (or the world does not have) are inert.
     for &(ix, factor) in scn.slow_agents.iter().rev() {
-        if let Some(slot) = arena.get_mut(ix) {
-            *slot = agent(factor);
+        if let Some(run) = hosting_run(&hosted, ix) {
+            let below: usize = hosted[..run].iter().map(Range::len).sum();
+            arena[below + ix - hosted[run].start] = agent(factor);
         }
     }
     let arena_id = sim.add_arena(arena);
-    // One buffer renders every name into the simulator's string table.
-    let mut name = String::new();
-    let agents: Vec<ActorId> = (0..procs)
-        .map(|p| {
-            name.clear();
-            write!(name, "agent-{p}").expect("writing to a String cannot fail");
-            sim.add_arena_member(&name, arena_id, p as u32)
-        })
-        .collect();
+    let (mut next_id, mut member) = (0, 0u32);
+    for run in &hosted {
+        sim.add_vacant((run.start - next_id) as u32);
+        let len = run.len() as u32;
+        sim.add_arena_members("agent", arena_id, member..member + len);
+        (next_id, member) = (run.end, member + len);
+    }
+    assert!(next_id <= procs, "hosted agent {} is not of this world", next_id.wrapping_sub(1));
+    sim.add_vacant((procs - next_id) as u32);
     let mut sessions: Vec<u64> = specs.iter().map(|s| s.id).collect();
     sessions.sort_unstable();
     let control =
-        ControlActor::<M>::new(Rc::clone(&world), agents, specs, scn.timing, scn.serialize)
+        ControlActor::<M>::new(Rc::clone(&world), hosted, specs, scn.timing, scn.serialize)
             .with_resilience(scn.resilience)
             .with_bus(bus.clone());
     let (name, actor) = wrap(control, &bus, control_id);
@@ -492,6 +523,90 @@ pub(crate) fn makespan_us(results: &[SessionResult]) -> u64 {
 mod tests {
     use super::*;
 
+    /// The plane `run_fleet` builds for `scenario`, at seed 42.
+    fn whole_plane(scenario: &FleetScenario) -> Plane<()> {
+        let world = scenario.build_world();
+        #[allow(clippy::single_range_in_vec_init)]
+        let everyone = vec![0..world.model.process_count()];
+        let specs = scenario.sessions.clone();
+        build_plane(scenario, world, everyone, 42, 0, specs, None, |c, _, _| ("control", c))
+    }
+
+    #[test]
+    fn hosted_runs_coalesce_ascending_indices() {
+        assert_eq!(hosted_runs([]), []);
+        assert_eq!(hosted_runs([0, 3, 3, 4, 5, 9, 10]), [0..1, 3..6, 9..11]);
+        assert_eq!(hosted_runs(0..7).as_slice(), std::slice::from_ref(&(0..7)));
+    }
+
+    /// A plane hosting group 1's agents and, in a run of its own, agent 0:
+    /// they sit at the ids they have in every plane, everything around them
+    /// is vacant, and a slow-agent entry for an agent hosted elsewhere is as
+    /// inert as one for an agent the world does not have.
+    #[test]
+    fn a_partial_plane_keeps_every_id_and_allocates_only_its_own() {
+        let mut scenario = FleetScenario::new(4, Vec::new());
+        scenario.sessions = vec![SessionSpec {
+            id: 1,
+            flips: vec![(1, true)],
+            priority: 0,
+            submit_at: SimDuration::ZERO,
+            cancel_at: None,
+        }];
+        scenario.slow_agents = vec![(1, 9), (3, 2), (8, 9)];
+        let specs = scenario.sessions.clone();
+        let mut plane = build_plane::<(), _>(
+            &scenario,
+            scenario.build_world(),
+            hosted_runs([0, 2, 3]),
+            42,
+            0,
+            specs,
+            None,
+            |c, _, _| ("control", c),
+        );
+        assert_eq!(plane.control_id.index(), 8);
+        assert_eq!(plane.sim.actor_count(), 4, "three agents and the control plane");
+        plane.sim.run_for(scenario.time_budget);
+        let control = plane.sim.actor::<ControlActor<()>>(plane.control_id).unwrap();
+        assert!(plane.distill(control).results[0].success);
+        // Agent 3 is the slow one: it acts last, twice as late as agent 2.
+        let acted = |agent: u32| {
+            let done = plane.ring.borrow().events();
+            let mut mine = done.iter().filter(|e| e.actor == agent);
+            mine.next_back().expect("both of group 1's agents took part").at
+        };
+        assert!(acted(3) > acted(2), "the stretched agent finishes after its peer");
+    }
+
+    /// The hosted set must cover every scope the plane's sessions reach; a
+    /// send outside it would be dropped by the simulator without a trace,
+    /// so the control plane stops instead, naming who addressed whom.
+    #[test]
+    #[should_panic(expected = "session 7 addresses agent 1, which shard 3 does not host")]
+    fn addressing_an_unhosted_agent_panics_naming_session_agent_and_shard() {
+        let sessions = vec![SessionSpec {
+            id: 7,
+            flips: vec![(0, true)],
+            priority: 0,
+            submit_at: SimDuration::ZERO,
+            cancel_at: None,
+        }];
+        let scenario = FleetScenario::new(2, sessions.clone());
+        // Group 0 lives on agents 0 and 1; this plane hosts agent 0 only.
+        let mut plane = build_plane::<(), _>(
+            &scenario,
+            scenario.build_world(),
+            hosted_runs([0]),
+            42,
+            3,
+            sessions,
+            None,
+            |c, _, _| ("control", c),
+        );
+        plane.sim.run_for(scenario.time_budget);
+    }
+
     #[test]
     fn max_concurrent_counts_overlap_not_touch() {
         // [0,10) and [10,20) touch but never overlap; [5,15) overlaps both.
@@ -535,15 +650,7 @@ mod tests {
         // Flood the plane's bus past the ring's capacity before the run:
         // the report keeps the tail and says how much of the head it lost.
         let scenario = FleetScenario::new(2, disjoint_wave(1, 2));
-        let mut plane = build_plane::<(), _>(
-            &scenario,
-            scenario.build_world(),
-            42,
-            0,
-            scenario.sessions.clone(),
-            None,
-            |c, _, _| ("control", c),
-        );
+        let mut plane = whole_plane(&scenario);
         let filler = sada_obs::FleetEvent::SessionCancelled { session: 9 };
         for _ in 0..RING_CAPACITY + 5 {
             plane.bus.emit(fleet_event(SimTime::ZERO, plane.control_id, 9, filler));
@@ -577,15 +684,7 @@ mod tests {
             spec(3, (11, true), at(400)),
         ];
         let scenario = FleetScenario::new(4_096, sessions);
-        let mut plane = build_plane::<(), _>(
-            &scenario,
-            scenario.build_world(),
-            42,
-            0,
-            scenario.sessions.clone(),
-            None,
-            |c, _, _| ("control", c),
-        );
+        let mut plane = whole_plane(&scenario);
         plane.sim.run_for(scenario.time_budget);
         let control = plane.sim.actor::<ControlActor<()>>(plane.control_id).unwrap();
         assert!(control.completed_at[&1] <= control.admitted_at[&3], "3 starts after 1 folded");

@@ -398,7 +398,7 @@ mod tests {
                 straddlers: Vec::new(),
                 inbound: vec![GLOBAL],
                 outbound: vec![GLOBAL],
-                owned_groups: vec![0, 1],
+                owned_groups: 0..2,
                 crash,
                 is_global: false,
             };

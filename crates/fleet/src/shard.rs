@@ -51,6 +51,7 @@
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -62,8 +63,8 @@ use sada_simnet::{ActorId, SimDuration, SimTime};
 
 use crate::control::{fleet_event, SessionSpec};
 use crate::driver::{
-    build_plane, find_session, makespan_us, max_concurrent, FleetScenario, Plane, PlaneOutcome,
-    SessionResult,
+    build_plane, find_session, hosted_runs, makespan_us, max_concurrent, FleetScenario, Plane,
+    PlaneOutcome, SessionResult,
 };
 use crate::fabric::{
     fault_salt, Fabric, FabricEnvelope, FabricFaultPlan, FabricPayload, FabricRelay, FabricStats,
@@ -127,10 +128,42 @@ impl ShardScenario {
         }
     }
 
-    /// The region owning `group`: contiguous blocks, first blocks one
-    /// group larger when the division is uneven.
+    /// The region owning `group`: contiguous ascending blocks whose sizes
+    /// differ by at most one group. Which blocks get the extra group when
+    /// the division is uneven follows the rounding of `group * regions /
+    /// groups`, not position: 10 groups in 4 regions split 3/2/3/2.
     pub fn region_of(&self, group: usize) -> usize {
         group * self.regions / self.fleet.groups.max(1)
+    }
+
+    /// The groups region `region` owns — the inverse of
+    /// [`ShardScenario::region_of`].
+    pub fn region_block(&self, region: usize) -> Range<usize> {
+        let first = |r: usize| (r * self.fleet.groups).div_ceil(self.regions.max(1));
+        first(region)..first(region + 1)
+    }
+
+    /// Checks what [`run_fleet_sharded`] requires of a scenario, naming the
+    /// first rule it breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        let (fleet, regions) = (&self.fleet, self.regions);
+        let rules = [
+            (regions >= 1 && regions <= fleet.groups.max(1), "1 ≤ regions ≤ groups"),
+            (
+                fleet.crash_control.is_none(),
+                "fleet.crash_control set: use crash_region/crash_global",
+            ),
+            (
+                fleet.faults.is_empty(),
+                "fleet.faults set: use crash_region/crash_global/fabric_faults",
+            ),
+            (!fleet.serialize, "fleet.serialize set: the serial baseline is inherently unsharded"),
+            (self.crash_region.is_none_or(|(r, _, _)| r < regions), "crash_region out of range"),
+        ];
+        match rules.iter().find(|(holds, _)| !holds) {
+            Some((_, rule)) => Err(format!("{rule} ({regions} regions, {} groups)", fleet.groups)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -148,7 +181,8 @@ pub(crate) struct EndpointPlan {
     pub(crate) straddlers: Vec<Straddler>,
     pub(crate) inbound: Vec<u32>,
     pub(crate) outbound: Vec<u32>,
-    pub(crate) owned_groups: Vec<usize>,
+    /// The region's block of groups (empty for the global tier).
+    pub(crate) owned_groups: Range<usize>,
     pub(crate) crash: Option<(SimTime, SimTime)>,
     pub(crate) is_global: bool,
 }
@@ -158,6 +192,8 @@ pub(crate) struct EndpointPlan {
 pub(crate) struct Endpoint {
     pub(crate) id: u32,
     pub(crate) shard_tag: u32,
+    /// Agents the plane hosts.
+    pub(crate) agents: usize,
     pub(crate) plane: Plane<ShardMsg>,
     pub(crate) relay_id: ActorId,
     pub(crate) outbox: Outbox,
@@ -189,10 +225,23 @@ pub(crate) fn build_endpoint(
 ) -> Endpoint {
     let seed = scn.seed.wrapping_add(u64::from(plan.id).wrapping_mul(SEED_STRIDE));
     let shard_tag = plan.id + 1;
+    // The agents this endpoint can engage: those of its own clusters, and
+    // those its own sessions' scopes reach (collaborative-set expansion may
+    // leave the cluster — and for the global tier there is nothing else).
+    let owned = plan.owned_groups.clone().flat_map(|g| world.cluster_comps(g));
+    let owned = owned.map(|&c| CompId::from_index(c));
+    // A scope is a union of sets, so one expansion serves every spec.
+    let flips: Vec<_> = plan.specs.iter().flat_map(|s| s.flips.iter().copied()).collect();
+    let reached = world.scope_comps(&flips);
+    let mut agents: Vec<usize> = owned.chain(reached).filter_map(|c| world.agent_for(c)).collect();
+    agents.sort_unstable();
+    agents.dedup();
+    let hosted = hosted_runs(agents.iter().copied());
     // The fabric relay takes the slot after the control plane.
     let relay_of = |control_id: ActorId| ActorId::from_index(control_id.index() + 1);
     let mut plane = if plan.is_global {
-        build_plane(scn, world, seed, shard_tag, plan.specs, plan.crash, |inner, bus, id| {
+        let (specs, crash) = (plan.specs, plan.crash);
+        build_plane(scn, world, hosted, seed, shard_tag, specs, crash, |inner, bus, id| {
             let global = GlobalControl {
                 inner,
                 relay: relay_of(id),
@@ -215,7 +264,8 @@ pub(crate) fn build_endpoint(
             ("global-control", global)
         })
     } else {
-        build_plane(scn, world, seed, shard_tag, plan.specs, plan.crash, |inner, bus, id| {
+        let (specs, crash) = (plan.specs, plan.crash);
+        build_plane(scn, world, hosted, seed, shard_tag, specs, crash, |inner, bus, id| {
             let region = RegionControl {
                 inner,
                 relay: relay_of(id),
@@ -241,6 +291,7 @@ pub(crate) fn build_endpoint(
     Endpoint {
         id: plan.id,
         shard_tag,
+        agents: agents.len(),
         relay_id,
         outbox,
         inbound: plan.inbound,
@@ -253,8 +304,7 @@ pub(crate) fn build_endpoint(
         promised_lb: 0,
         owned_comps: plan
             .owned_groups
-            .iter()
-            .flat_map(|&g| plane.world.cluster_comps(g).iter().map(|&c| c as u32))
+            .flat_map(|g| plane.world.cluster_comps(g).iter().map(|&c| c as u32))
             .collect(),
         is_global: plan.is_global,
         plane,
@@ -546,6 +596,10 @@ pub struct ShardStats {
     pub shard: u32,
     /// True for the global (straddler) tier.
     pub is_global: bool,
+    /// Agents this shard's plane hosts, which is what sizes everything it
+    /// allocates per agent: those of its own clusters plus those its
+    /// sessions' scopes reach (for the global tier, only the latter).
+    pub agents: usize,
     /// Sessions owned by this shard.
     pub sessions: usize,
     /// Sessions that reached a terminal result here.
@@ -581,6 +635,7 @@ struct EndpointOutcome {
     id: u32,
     shard_tag: u32,
     is_global: bool,
+    agents: usize,
     plane: PlaneOutcome,
     owned_comps: Vec<u32>,
     global_journal_text: String,
@@ -625,6 +680,7 @@ fn distill_endpoint(ep: Endpoint) -> EndpointOutcome {
         id: ep.id,
         shard_tag: ep.shard_tag,
         is_global: ep.is_global,
+        agents: ep.agents,
         plane,
         owned_comps: ep.owned_comps,
         global_journal_text,
@@ -791,12 +847,8 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
     let fleet = &scenario.fleet;
     let regions = scenario.regions;
     assert!(threads >= 1, "at least one worker thread");
-    assert!(regions >= 1 && regions <= fleet.groups.max(1), "1 ≤ regions ≤ groups");
-    assert!(fleet.crash_control.is_none(), "sharded runs target faults via crash_region");
-    assert!(fleet.faults.is_empty(), "sharded runs target faults via crash_region");
-    assert!(!fleet.serialize, "the serial baseline is inherently unsharded");
-    if let Some((r, _, _)) = scenario.crash_region {
-        assert!(r < regions, "crash_region out of range");
+    if let Err(broken) = scenario.validate() {
+        panic!("malformed ShardScenario: {broken}");
     }
     let budget_us = fleet.time_budget.as_micros();
     let quantum_us = fleet.link_latency.as_micros().max(1);
@@ -837,7 +889,7 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
                 straddlers: Vec::new(),
                 inbound: if active { vec![global_ep] } else { Vec::new() },
                 outbound: if active { vec![global_ep] } else { Vec::new() },
-                owned_groups: (0..fleet.groups).filter(|&g| scenario.region_of(g) == r).collect(),
+                owned_groups: scenario.region_block(r),
                 crash: scenario.crash_region.and_then(|(cr, a, b)| (cr == r).then_some((a, b))),
                 is_global: false,
             }
@@ -888,7 +940,7 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
             straddlers: plan_straddlers,
             inbound: involved.clone(),
             outbound: involved.clone(),
-            owned_groups: Vec::new(),
+            owned_groups: 0..0,
             crash: scenario.crash_global,
             is_global: true,
         });
@@ -963,6 +1015,7 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
         .map(|(o, events)| ShardStats {
             shard: o.shard_tag,
             is_global: o.is_global,
+            agents: o.agents,
             sessions: o.plane.results.len(),
             completed: o.plane.results.iter().filter(|r| r.completed_at.is_some()).count(),
             events,
@@ -1085,6 +1138,129 @@ mod tests {
         }
     }
 
+    /// Every partition a validated scenario can have: the blocks are
+    /// non-empty contiguous ranges that ascend and tile the group space, and
+    /// `region_block` is `region_of` read the other way.
+    #[test]
+    fn region_blocks_partition_the_groups_and_invert_region_of() {
+        for groups in 1..=48 {
+            for regions in 1..=groups {
+                let scn = ShardScenario::new(FleetScenario::new(groups, Vec::new()), regions);
+                let mut next = 0;
+                for r in 0..regions {
+                    let block = scn.region_block(r);
+                    assert_eq!(block.start, next, "{groups}/{regions}: block {r} follows on");
+                    assert!(!block.is_empty(), "{groups}/{regions}: block {r} is empty");
+                    for g in block.clone() {
+                        assert_eq!(scn.region_of(g), r, "{groups}/{regions}: group {g}");
+                    }
+                    next = block.end;
+                }
+                assert_eq!(next, groups, "{groups}/{regions}: the blocks cover every group");
+            }
+        }
+        // The uneven split the doc comment names.
+        let scn = ShardScenario::new(FleetScenario::new(10, Vec::new()), 4);
+        let sizes: Vec<usize> = (0..4).map(|r| scn.region_block(r).len()).collect();
+        assert_eq!(sizes, [3, 2, 3, 2]);
+    }
+
+    /// One message per rule a scenario can break; `run_fleet_sharded`
+    /// panics with the same text.
+    #[test]
+    fn a_malformed_scenario_is_an_error_naming_the_rule() {
+        let base = || ShardScenario::new(FleetScenario::new(4, disjoint_wave(4, 1)), 2);
+        assert_eq!(base().validate(), Ok(()));
+        type Break = fn(&mut ShardScenario);
+        let cases: [(Break, &str); 6] = [
+            (|s| s.regions = 0, "1 ≤ regions ≤ groups (0 regions, 4 groups)"),
+            (|s| s.regions = 5, "1 ≤ regions ≤ groups (5 regions, 4 groups)"),
+            (
+                |s| {
+                    s.fleet.crash_control = Some((SimTime::from_millis(1), SimTime::from_millis(2)))
+                },
+                "fleet.crash_control set: use crash_region/crash_global (2 regions, 4 groups)",
+            ),
+            (
+                |s| {
+                    s.fleet.faults =
+                        sada_simnet::FaultPlan::new().crash(ActorId::from_index(0), SimTime::ZERO)
+                },
+                "fleet.faults set: use crash_region/crash_global/fabric_faults \
+                 (2 regions, 4 groups)",
+            ),
+            (
+                |s| s.fleet.serialize = true,
+                "fleet.serialize set: the serial baseline is inherently unsharded \
+                 (2 regions, 4 groups)",
+            ),
+            (
+                |s| s.crash_region = Some((2, SimTime::from_millis(1), SimTime::from_millis(2))),
+                "crash_region out of range (2 regions, 4 groups)",
+            ),
+        ];
+        for (break_it, message) in cases {
+            let mut scn = base();
+            break_it(&mut scn);
+            assert_eq!(scn.validate(), Err(message.to_string()));
+            let panic = std::panic::catch_unwind(|| run_fleet_sharded(&scn, 1).succeeded());
+            let panic = panic.expect_err("a malformed scenario must not run");
+            let text = panic.downcast_ref::<String>().expect("a formatted panic");
+            assert_eq!(text, &format!("malformed ShardScenario: {message}"));
+        }
+    }
+
+    /// What a plane allocates per agent follows what it hosts: on video
+    /// worlds the regions host each agent exactly once between them, and
+    /// the global tier hosts the agents its straddlers' scopes reach — no
+    /// tier at all without a straddler.
+    #[test]
+    fn regions_host_the_fleet_once_and_the_global_tier_its_straddlers_scopes() {
+        const GROUPS: usize = 12;
+        for regions in 1..=4 {
+            for straddlers in 0..=2 {
+                // Straddler `k` spans the boundary between its two groups'
+                // regions, when there is more than one region to span.
+                let mut sessions = disjoint_wave(GROUPS, 1);
+                let spans: Vec<Vec<(usize, bool)>> =
+                    (0..straddlers).map(|k| vec![(k, false), (GROUPS - 1 - k, false)]).collect();
+                for (k, flips) in spans.iter().enumerate() {
+                    sessions.push(SessionSpec {
+                        id: 100 + k as u64,
+                        flips: flips.clone(),
+                        priority: 0,
+                        submit_at: SimDuration::from_millis(200),
+                        cancel_at: None,
+                    });
+                }
+                let fleet = FleetScenario::new(GROUPS, sessions);
+                let world = fleet.build_world();
+                let report = run_fleet_sharded(&ShardScenario::new(fleet, regions), 2);
+                let what = format!("{regions} regions, {straddlers} straddlers");
+                assert_eq!(report.succeeded(), GROUPS + straddlers, "{what}");
+
+                let hosted_by = |global: bool| -> usize {
+                    report
+                        .per_shard
+                        .iter()
+                        .filter(|s| s.is_global == global)
+                        .map(|s| s.agents)
+                        .sum()
+                };
+                assert_eq!(hosted_by(false), world.model.process_count(), "{what}");
+                let reached: BTreeSet<usize> = spans
+                    .iter()
+                    .filter(|_| regions > 1)
+                    .flat_map(|flips| world.scope_comps(flips))
+                    .filter_map(|c| world.agent_for(c))
+                    .collect();
+                assert_eq!(hosted_by(true), reached.len(), "{what}");
+                let tiers = report.per_shard.iter().filter(|s| s.is_global).count();
+                assert_eq!(tiers, usize::from(!reached.is_empty()), "{what}");
+            }
+        }
+    }
+
     /// The world is compiled once per run: every endpoint built from the
     /// run's handle reads the same allocation, never a private copy.
     #[test]
@@ -1098,7 +1274,7 @@ mod tests {
                 straddlers: Vec::new(),
                 inbound: Vec::new(),
                 outbound: Vec::new(),
-                owned_groups: vec![id as usize],
+                owned_groups: id as usize..id as usize + 1,
                 crash: None,
                 is_global: false,
             };

@@ -110,10 +110,10 @@ pub trait Actor<M>: AsAny {
 /// An actor family: one boxed object backing many registered actors
 /// ("members"), each addressed by a dense member index.
 ///
-/// Members are registered with `Simulator::add_arena_member` and are
-/// indistinguishable from solo actors on the wire: each gets its own
-/// [`ActorId`], name, crash/incarnation state, link configuration, and
-/// event stamps. Only the *state storage* is shared, which lets a
+/// Members are registered a run at a time with
+/// `Simulator::add_arena_members` and are indistinguishable from solo
+/// actors on the wire: each gets its own [`ActorId`], crash/incarnation
+/// state, link configuration, and event stamps (a run shares one name). Only the *state storage* is shared, which lets a
 /// 100k-agent fleet keep its agents in one contiguous allocation behind one
 /// vtable instead of 100k separately boxed actors.
 ///

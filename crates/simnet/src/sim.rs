@@ -2,6 +2,7 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -68,14 +69,39 @@ enum EventKind<M> {
     Fault(FaultAction),
 }
 
-/// How a registered [`ActorId`] is backed: its own boxed object, or one
-/// member slot of a shared [`ArenaActor`].
-enum ActorSlot<M> {
+/// What stands behind a run of consecutive [`ActorId`]s.
+enum Backing<M> {
+    /// One boxed actor (a run of one id).
     Solo(Option<Box<dyn Actor<M>>>),
-    Member { arena: u32, member: u32 },
+    /// Consecutive members of one [`ArenaActor`], from `first_member` up.
+    Members { arena: u32, first_member: u32 },
+    /// Nothing. A vacant id is addressable and allocates nothing; whatever
+    /// reaches it is treated exactly as if it lay past the end of the id
+    /// space.
+    Vacant,
 }
 
-/// An actor checked out of its slot for the duration of one callback.
+/// A run of consecutive ids `[first_id, end)` backed one way, registered
+/// under one name. The extents of a simulator ascend and tile its id space.
+struct Extent<M> {
+    first_id: u32,
+    end: u32,
+    /// Hosted slot of `first_id` — the index into the per-actor tables,
+    /// which hold hosted actors only, densely (unused when vacant).
+    first_slot: u32,
+    name: Box<str>,
+    backing: Backing<M>,
+}
+
+/// Where a hosted id lives: its extent, and its slot in the per-actor
+/// tables.
+#[derive(Clone, Copy)]
+struct Loc {
+    extent: usize,
+    slot: usize,
+}
+
+/// An actor checked out of its extent for the duration of one callback.
 enum Taken<M> {
     Solo(Box<dyn Actor<M>>),
     Arena(Box<dyn ArenaActor<M>>, u32, u32),
@@ -94,17 +120,13 @@ pub struct Simulator<M> {
     now: SimTime,
     seq: u64,
     queue: TimerWheel<EventKind<M>>,
-    actors: Vec<ActorSlot<M>>,
+    /// The id table: what a plane does not host costs one vacant extent,
+    /// not a slot per id.
+    extents: Vec<Extent<M>>,
     arenas: Vec<Option<Box<dyn ArenaActor<M>>>>,
-    /// Every registration name back to back; actor `i`'s ends at
-    /// `name_ends[i]` and starts where the one before it ends. One string
-    /// table, not one heap object per actor of a 200 000-agent plane.
-    names: String,
-    name_ends: Vec<u32>,
-    started: Vec<bool>,
-    /// Registration-ordered ids not yet started, so `ensure_started` is
-    /// O(new actors) instead of a full scan per step.
-    unstarted: Vec<u32>,
+    /// Runs of hosted ids not yet started, in registration order, so
+    /// `ensure_started` is O(new actors) instead of a full scan per step.
+    unstarted: Vec<Range<u32>>,
     /// Net events buffered within one dispatch, delivered as a batch.
     net_buf: Vec<ObsEvent>,
     links: HashMap<(ActorId, ActorId), LinkConfig>,
@@ -120,6 +142,7 @@ pub struct Simulator<M> {
     trace_enabled: bool,
     stats: NetStats,
     halted: bool,
+    /// Per hosted actor, by slot.
     incarnation: Vec<u32>,
     crashed: Vec<bool>,
     drop_rules: Vec<DropRule>,
@@ -133,11 +156,8 @@ impl<M: Clone + 'static> Simulator<M> {
             now: SimTime::ZERO,
             seq: 0,
             queue: TimerWheel::new(),
-            actors: Vec::new(),
+            extents: Vec::new(),
             arenas: Vec::new(),
-            names: String::new(),
-            name_ends: Vec::new(),
-            started: Vec::new(),
             unstarted: Vec::new(),
             net_buf: Vec::new(),
             links: HashMap::new(),
@@ -165,23 +185,26 @@ impl<M: Clone + 'static> Simulator<M> {
     /// `on_start` runs when the simulation first runs (or immediately, at the
     /// current virtual time, if the run already began).
     pub fn add_actor<A: Actor<M> + 'static>(&mut self, name: &str, actor: A) -> ActorId {
-        self.register(name, ActorSlot::Solo(Some(Box::new(actor))))
+        self.register(name, 1, Backing::Solo(Some(Box::new(actor))))
     }
 
-    fn register(&mut self, name: &str, slot: ActorSlot<M>) -> ActorId {
-        let id = ActorId(self.actors.len() as u32);
-        self.actors.push(slot);
-        self.names.push_str(name);
-        self.name_ends.push(u32::try_from(self.names.len()).expect("actor names fit in 4 GiB"));
-        self.started.push(false);
-        self.incarnation.push(0);
-        self.crashed.push(false);
-        self.unstarted.push(id.0);
-        id
+    /// Appends an extent of `count` ids and returns the first of them.
+    fn register(&mut self, name: &str, count: u32, backing: Backing<M>) -> ActorId {
+        let first_id = self.extents.last().map_or(0, |e| e.end);
+        let end = first_id.checked_add(count).expect("actor ids are u32");
+        let first_slot = self.incarnation.len() as u32;
+        if !matches!(backing, Backing::Vacant) {
+            let hosted = first_slot as usize + count as usize;
+            self.incarnation.resize(hosted, 0);
+            self.crashed.resize(hosted, false);
+            self.unstarted.push(first_id..end);
+        }
+        self.extents.push(Extent { first_id, end, first_slot, name: name.into(), backing });
+        ActorId(first_id)
     }
 
     /// Registers an actor family (typically a `Vec` of actors); members are
-    /// added with [`Simulator::add_arena_member`]. The arena itself has no
+    /// added with [`Simulator::add_arena_members`]. The arena itself has no
     /// id on the wire — only its members do.
     pub fn add_arena<A: ArenaActor<M> + 'static>(&mut self, arena: A) -> ArenaId {
         let id = ArenaId(self.arenas.len() as u32);
@@ -189,12 +212,41 @@ impl<M: Clone + 'static> Simulator<M> {
         id
     }
 
-    /// Registers one member of `arena` under `name` and returns its
-    /// [`ActorId`] — assigned from the same dense sequence as solo actors,
-    /// so interleaving the two styles preserves id layout.
-    pub fn add_arena_member(&mut self, name: &str, arena: ArenaId, member: u32) -> ActorId {
+    /// Registers the run `members` of `arena`'s member indices under one
+    /// `name`, at the next `members.len()` ids, and returns the first of
+    /// them — assigned from the same sequence as solo actors and vacant
+    /// runs, so interleaving the three preserves id layout.
+    pub fn add_arena_members(
+        &mut self,
+        name: &str,
+        arena: ArenaId,
+        members: Range<u32>,
+    ) -> ActorId {
         assert!((arena.0 as usize) < self.arenas.len(), "unknown arena {arena:?}");
-        self.register(name, ActorSlot::Member { arena: arena.0, member })
+        let backing = Backing::Members { arena: arena.0, first_member: members.start };
+        self.register(name, members.len() as u32, backing)
+    }
+
+    /// Leaves the next `count` ids vacant: nothing is allocated behind them,
+    /// and sends, injections, faults and queries naming one behave as for an
+    /// id past the end — a send is counted and reported as dropped, a fault
+    /// is ignored, the id reads as never crashed at incarnation 0. What is
+    /// registered afterwards keeps the id it would have had with every
+    /// vacant id hosted.
+    pub fn add_vacant(&mut self, count: u32) {
+        if count > 0 {
+            self.register("", count, Backing::Vacant);
+        }
+    }
+
+    /// The extent and slot of `id`, if an actor is hosted there.
+    fn locate(&self, id: ActorId) -> Option<Loc> {
+        let extent = self.extents.partition_point(|e| e.first_id <= id.0).checked_sub(1)?;
+        let e = &self.extents[extent];
+        if id.0 >= e.end || matches!(e.backing, Backing::Vacant) {
+            return None;
+        }
+        Some(Loc { extent, slot: (e.first_slot + (id.0 - e.first_id)) as usize })
     }
 
     /// Immutable, downcast access to an arena's shared state.
@@ -202,19 +254,20 @@ impl<M: Clone + 'static> Simulator<M> {
         self.arenas.get(id.0 as usize)?.as_ref()?.as_any().downcast_ref::<T>()
     }
 
-    /// Returns the registration name of `id`.
+    /// Returns the name `id` was registered under (the members of one
+    /// [`Simulator::add_arena_members`] run share theirs).
     ///
     /// # Panics
     ///
-    /// Panics if `id` was not returned by this simulator.
+    /// Panics if no actor is hosted at `id`.
     pub fn name(&self, id: ActorId) -> &str {
-        let start = id.index().checked_sub(1).map_or(0, |before| self.name_ends[before]);
-        &self.names[start as usize..self.name_ends[id.index()] as usize]
+        let loc = self.locate(id).unwrap_or_else(|| panic!("no actor is hosted at {id}"));
+        &self.extents[loc.extent].name
     }
 
-    /// Number of registered actors.
+    /// Number of hosted actors (vacant ids are not actors).
     pub fn actor_count(&self) -> usize {
-        self.actors.len()
+        self.incarnation.len()
     }
 
     /// Immutable, downcast access to an actor's state.
@@ -222,49 +275,54 @@ impl<M: Clone + 'static> Simulator<M> {
     /// Returns `None` if the id is unknown, the actor is mid-callback, or the
     /// concrete type is not `T`.
     pub fn actor<T: Actor<M> + 'static>(&self, id: ActorId) -> Option<&T> {
-        match self.actors.get(id.index())? {
-            ActorSlot::Solo(slot) => slot.as_ref()?.as_any().downcast_ref::<T>(),
-            ActorSlot::Member { .. } => None,
+        match &self.extents[self.locate(id)?.extent].backing {
+            Backing::Solo(actor) => actor.as_ref()?.as_any().downcast_ref::<T>(),
+            Backing::Members { .. } | Backing::Vacant => None,
         }
     }
 
     /// Mutable, downcast access to an actor's state.
     pub fn actor_mut<T: Actor<M> + 'static>(&mut self, id: ActorId) -> Option<&mut T> {
-        match self.actors.get_mut(id.index())? {
-            ActorSlot::Solo(slot) => slot.as_mut()?.as_any_mut().downcast_mut::<T>(),
-            ActorSlot::Member { .. } => None,
+        let extent = self.locate(id)?.extent;
+        match &mut self.extents[extent].backing {
+            Backing::Solo(actor) => actor.as_mut()?.as_any_mut().downcast_mut::<T>(),
+            Backing::Members { .. } | Backing::Vacant => None,
         }
     }
 
-    /// Checks an actor out of its slot for one callback; arena members
-    /// check out their whole arena (put back before the next dispatch).
-    fn take_actor(&mut self, ix: usize) -> Option<Taken<M>> {
-        match self.actors.get_mut(ix)? {
-            ActorSlot::Solo(slot) => slot.take().map(Taken::Solo),
-            ActorSlot::Member { arena, member } => {
-                let (a, m) = (*arena, *member);
+    /// Checks the actor at `id` (hosted at `loc`) out for one callback;
+    /// arena members check out their whole arena (put back before the next
+    /// dispatch).
+    fn take_actor(&mut self, id: ActorId, loc: Loc) -> Option<Taken<M>> {
+        let e = &mut self.extents[loc.extent];
+        match &mut e.backing {
+            Backing::Solo(actor) => actor.take().map(Taken::Solo),
+            Backing::Members { arena, first_member } => {
+                let (a, m) = (*arena, *first_member + (id.0 - e.first_id));
                 self.arenas[a as usize].take().map(|boxed| Taken::Arena(boxed, a, m))
             }
+            Backing::Vacant => None,
         }
     }
 
-    fn put_back(&mut self, ix: usize, taken: Taken<M>) {
+    fn put_back(&mut self, loc: Loc, taken: Taken<M>) {
         match taken {
             Taken::Solo(boxed) => {
-                if let ActorSlot::Solo(slot) = &mut self.actors[ix] {
-                    *slot = Some(boxed);
+                if let Backing::Solo(actor) = &mut self.extents[loc.extent].backing {
+                    *actor = Some(boxed);
                 }
             }
             Taken::Arena(boxed, arena, _) => self.arenas[arena as usize] = Some(boxed),
         }
     }
 
-    /// Runs one callback of `taken` (checked out of `id`'s slot) under a
-    /// fresh [`Context`], puts the actor back, and applies the effects the
-    /// callback requested.
+    /// Runs one callback of `taken` (checked out of `id`, hosted at `loc`)
+    /// under a fresh [`Context`], puts the actor back, and applies the
+    /// effects the callback requested.
     fn dispatch(
         &mut self,
         id: ActorId,
+        loc: Loc,
         mut taken: Taken<M>,
         call: impl FnOnce(&mut Taken<M>, &mut Context<'_, M>),
     ) {
@@ -278,8 +336,8 @@ impl<M: Clone + 'static> Simulator<M> {
             next_timer: &mut self.next_timer,
         };
         call(&mut taken, &mut ctx);
-        self.put_back(id.index(), taken);
-        self.apply_ops(id, ops);
+        self.put_back(loc, taken);
+        self.apply_ops(id, loc.slot, ops);
     }
 
     /// Sets the link used for pairs without an explicit configuration.
@@ -394,18 +452,22 @@ impl<M: Clone + 'static> Simulator<M> {
     /// dead target drops injected traffic exactly like actor-initiated
     /// sends, so fault windows cannot be smuggled around.
     pub fn inject(&mut self, from: ActorId, to: ActorId, msg: M, delay: SimDuration) {
-        if to.index() >= self.actors.len()
-            || self.crashed[to.index()]
-            || self.link(from, to).partitioned
-        {
+        let Some(slot) = self.reachable_slot(from, to) else {
             self.stats.dropped += 1;
             self.emit_net(to, NetEvent::Dropped { from: from.0, to: to.0 });
             self.flush_net();
             return;
-        }
+        };
         let at = self.now + delay;
-        let inc = self.incarnation[to.index()];
+        let inc = self.incarnation[slot];
         self.push_event(at, EventKind::Deliver { from, to, inc, msg });
+    }
+
+    /// The slot of `to` when an injection from `from` can reach it: hosted,
+    /// up, and not partitioned away.
+    fn reachable_slot(&self, from: ActorId, to: ActorId) -> Option<usize> {
+        let slot = self.locate(to)?.slot;
+        (!self.crashed[slot] && !self.link(from, to).partitioned).then_some(slot)
     }
 
     /// Batched [`Simulator::inject`]: schedules every message in `msgs`
@@ -413,19 +475,16 @@ impl<M: Clone + 'static> Simulator<M> {
     /// sequence numbers — bitwise identical to a loop of single injects,
     /// with the crash/partition check hoisted out of the loop.
     pub fn inject_batch(&mut self, from: ActorId, to: ActorId, msgs: Vec<M>, delay: SimDuration) {
-        if to.index() >= self.actors.len()
-            || self.crashed[to.index()]
-            || self.link(from, to).partitioned
-        {
+        let Some(slot) = self.reachable_slot(from, to) else {
             for _ in &msgs {
                 self.stats.dropped += 1;
                 self.emit_net(to, NetEvent::Dropped { from: from.0, to: to.0 });
             }
             self.flush_net();
             return;
-        }
+        };
         let at = self.now + delay;
-        let inc = self.incarnation[to.index()];
+        let inc = self.incarnation[slot];
         for msg in msgs {
             self.push_event(at, EventKind::Deliver { from, to, inc, msg });
         }
@@ -476,13 +535,13 @@ impl<M: Clone + 'static> Simulator<M> {
 
     /// True while `id` is crashed (between a crash and its restart).
     pub fn is_crashed(&self, id: ActorId) -> bool {
-        self.crashed.get(id.index()).copied().unwrap_or(false)
+        self.locate(id).is_some_and(|loc| self.crashed[loc.slot])
     }
 
     /// The incarnation number of `id`: 0 until its first crash, then +1
     /// per crash. Restart does not change it.
     pub fn incarnation(&self, id: ActorId) -> u32 {
-        self.incarnation.get(id.index()).copied().unwrap_or(0)
+        self.locate(id).map_or(0, |loc| self.incarnation[loc.slot])
     }
 
     /// Buffers a network event for the bus, stamped with the current
@@ -521,18 +580,13 @@ impl<M: Clone + 'static> Simulator<M> {
     fn ensure_started(&mut self) {
         while !self.unstarted.is_empty() {
             let pending = std::mem::take(&mut self.unstarted);
-            for &raw in &pending {
-                let ix = raw as usize;
-                if self.started[ix] {
-                    continue;
-                }
-                self.started[ix] = true;
-                let id = ActorId(raw);
-                let taken = match self.take_actor(ix) {
+            for id in pending.into_iter().flatten().map(ActorId) {
+                let loc = self.locate(id).expect("only hosted ids await their start");
+                let taken = match self.take_actor(id, loc) {
                     Some(t) => t,
                     None => continue,
                 };
-                self.dispatch(id, taken, |taken, ctx| match taken {
+                self.dispatch(id, loc, taken, |taken, ctx| match taken {
                     Taken::Solo(a) => a.on_start(ctx),
                     Taken::Arena(a, _, m) => a.on_start(*m, ctx),
                 });
@@ -541,7 +595,7 @@ impl<M: Clone + 'static> Simulator<M> {
         self.flush_net();
     }
 
-    fn apply_ops(&mut self, from: ActorId, ops: Vec<Op<M>>) {
+    fn apply_ops(&mut self, from: ActorId, from_slot: usize, ops: Vec<Op<M>>) {
         for op in ops {
             match op {
                 Op::Send { to, msg } => self.route(from, to, msg),
@@ -555,7 +609,7 @@ impl<M: Clone + 'static> Simulator<M> {
                 }
                 Op::SetTimer { id, delay, tag } => {
                     let at = self.now + delay;
-                    let inc = self.incarnation[from.index()];
+                    let inc = self.incarnation[from_slot];
                     self.push_event(at, EventKind::Timer { owner: from, id, inc, tag });
                 }
                 Op::CancelTimer { id } => {
@@ -603,11 +657,11 @@ impl<M: Clone + 'static> Simulator<M> {
     fn route(&mut self, from: ActorId, to: ActorId, msg: M) {
         self.stats.sent += 1;
         self.emit_net(from, NetEvent::Sent { from: from.0, to: to.0 });
-        if to.index() >= self.actors.len() {
+        let Some(Loc { slot, .. }) = self.locate(to) else {
             self.stats.dropped += 1;
             self.emit_net(from, NetEvent::Dropped { from: from.0, to: to.0 });
             return;
-        }
+        };
         let cfg = self.link(from, to);
         debug_assert!(
             cfg.is_valid(),
@@ -615,7 +669,7 @@ impl<M: Clone + 'static> Simulator<M> {
             cfg.loss,
             cfg.jitter
         );
-        let lost = self.crashed[to.index()]
+        let lost = self.crashed[slot]
             || cfg.partitioned
             || (cfg.loss > 0.0 && self.rng.gen::<f64>() < cfg.loss);
         let lost = lost || self.drop_rules_claim(from, to);
@@ -648,7 +702,7 @@ impl<M: Clone + 'static> Simulator<M> {
             _ => self.now,
         };
         let at = departure + cfg.latency + jitter + self.burst_extra();
-        let inc = self.incarnation[to.index()];
+        let inc = self.incarnation[slot];
         self.push_event(at, EventKind::Deliver { from, to, inc, msg });
     }
 
@@ -675,21 +729,21 @@ impl<M: Clone + 'static> Simulator<M> {
         self.stats.events_processed += 1;
         match kind {
             EventKind::Deliver { from, to, inc, msg } => {
-                let ix = to.index();
+                let loc = self.locate(to).expect("only hosted ids are routed to");
                 // A crash bumped the incarnation after this message was
                 // routed: the in-flight message dies with the old process.
-                if self.crashed[ix] || self.incarnation[ix] != inc {
+                if self.crashed[loc.slot] || self.incarnation[loc.slot] != inc {
                     self.stats.dropped += 1;
                     self.emit_net(to, NetEvent::Dropped { from: from.0, to: to.0 });
                     return true;
                 }
-                let taken = match self.take_actor(ix) {
+                let taken = match self.take_actor(to, loc) {
                     Some(t) => t,
                     None => return true, // destination raced away; count as delivered-to-nobody
                 };
                 self.stats.delivered += 1;
                 self.emit_net(to, NetEvent::Delivered { from: from.0, to: to.0 });
-                self.dispatch(to, taken, |taken, ctx| match taken {
+                self.dispatch(to, loc, taken, |taken, ctx| match taken {
                     Taken::Solo(a) => a.on_message(ctx, from, msg),
                     Taken::Arena(a, _, m) => a.on_message(*m, ctx, from, msg),
                 });
@@ -700,18 +754,18 @@ impl<M: Clone + 'static> Simulator<M> {
                 if self.cancelled.remove(&id) {
                     return true;
                 }
-                let ix = owner.index();
+                let loc = self.locate(owner).expect("only hosted actors arm timers");
                 // Timers armed by a previous incarnation died in the crash.
-                if self.crashed[ix] || self.incarnation[ix] != inc {
+                if self.crashed[loc.slot] || self.incarnation[loc.slot] != inc {
                     return true;
                 }
-                let taken = match self.take_actor(ix) {
+                let taken = match self.take_actor(owner, loc) {
                     Some(t) => t,
                     None => return true,
                 };
                 self.stats.timers_fired += 1;
                 self.emit_net(owner, NetEvent::TimerFired { tag });
-                self.dispatch(owner, taken, |taken, ctx| match taken {
+                self.dispatch(owner, loc, taken, |taken, ctx| match taken {
                     Taken::Solo(a) => a.on_timer(ctx, tag),
                     Taken::Arena(a, _, m) => a.on_timer(*m, ctx, tag),
                 });
@@ -724,38 +778,36 @@ impl<M: Clone + 'static> Simulator<M> {
     fn apply_fault(&mut self, action: FaultAction) {
         match action {
             FaultAction::Crash(id) => {
-                let ix = id.index();
-                if ix >= self.actors.len() || self.crashed[ix] {
+                let Some(loc) = self.locate(id).filter(|loc| !self.crashed[loc.slot]) else {
                     return;
-                }
-                self.crashed[ix] = true;
+                };
+                self.crashed[loc.slot] = true;
                 // Bumping here (not at restart) kills everything in flight
                 // toward or armed by the dying incarnation.
-                self.incarnation[ix] += 1;
+                self.incarnation[loc.slot] += 1;
                 self.stats.crashes += 1;
                 self.emit_net(id, NetEvent::Crashed);
                 self.flush_net();
-                if let Some(mut taken) = self.take_actor(ix) {
+                if let Some(mut taken) = self.take_actor(id, loc) {
                     match &mut taken {
                         Taken::Solo(a) => a.on_crash(self.now),
                         Taken::Arena(a, _, m) => a.on_crash(*m, self.now),
                     }
-                    self.put_back(ix, taken);
+                    self.put_back(loc, taken);
                 }
             }
             FaultAction::Restart(id) => {
-                let ix = id.index();
-                if ix >= self.actors.len() || !self.crashed[ix] {
+                let Some(loc) = self.locate(id).filter(|loc| self.crashed[loc.slot]) else {
                     return;
-                }
-                self.crashed[ix] = false;
+                };
+                self.crashed[loc.slot] = false;
                 self.stats.restarts += 1;
                 self.emit_net(id, NetEvent::Restarted);
-                let taken = match self.take_actor(ix) {
+                let taken = match self.take_actor(id, loc) {
                     Some(t) => t,
                     None => return,
                 };
-                self.dispatch(id, taken, |taken, ctx| match taken {
+                self.dispatch(id, loc, taken, |taken, ctx| match taken {
                     Taken::Solo(a) => a.on_restart(ctx),
                     Taken::Arena(a, _, m) => a.on_restart(*m, ctx),
                 });
@@ -815,7 +867,7 @@ impl<M: 'static> std::fmt::Debug for Simulator<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
             .field("now", &self.now)
-            .field("actors", &self.name_ends.len())
+            .field("actors", &self.incarnation.len())
             .field("pending_events", &self.queue.len())
             .field("stats", &self.stats)
             .finish()
@@ -1369,10 +1421,11 @@ mod tests {
         // The stock arena: a plain `Vec` of solo actors, member = index.
         let echo = || Collector { echo: true, ..Default::default() };
         let arena = sim.add_arena(vec![echo(), echo()]);
-        let m0 = sim.add_arena_member("m0", arena, 0);
-        let m1 = sim.add_arena_member("m1", arena, 1);
+        let m0 = sim.add_arena_members("m", arena, 0..2);
+        let m1 = ActorId::from_index(1);
         let s = sim.add_actor("s", Starter { to: m0, n: 0 });
-        assert_eq!((m0.index(), m1.index(), s.index()), (0, 1, 2));
+        assert_eq!((m0.index(), s.index()), (0, 2));
+        assert_eq!((sim.name(m0), sim.name(m1), sim.name(s)), ("m", "m", "s"));
         sim.inject(s, m0, 1, SimDuration::ZERO);
         sim.inject(s, m1, 0, SimDuration::ZERO);
         sim.run();
@@ -1389,8 +1442,8 @@ mod tests {
     fn arena_member_crash_is_isolated_to_that_member() {
         let mut sim = Simulator::new(0);
         let arena = sim.add_arena(vec![LifeTracker::default(), LifeTracker::default()]);
-        let m0 = sim.add_arena_member("m0", arena, 0);
-        let m1 = sim.add_arena_member("m1", arena, 1);
+        let m0 = sim.add_arena_members("m", arena, 0..2);
+        let m1 = ActorId::from_index(1);
         let s = sim.add_actor("s", Starter { to: m0, n: 0 });
         sim.crash_at(m0, SimTime::from_millis(1));
         sim.restart_at(m0, SimTime::from_millis(3));
