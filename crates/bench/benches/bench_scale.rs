@@ -20,21 +20,22 @@
 //!   schedule-visible);
 //! * the same flat run with *no* sessions, whose peak is the world, the
 //!   agent arena and the plane alone — the difference to the loaded run,
-//!   per session, is what one session costs in memory, reported in widths
-//!   of the world's configuration (`2 x groups` bits);
+//!   per session, is what one session costs in memory, in bytes: a number
+//!   that must not grow with the world;
 //! * one `FleetScenario::build_world()` and its drop on their own: wall
 //!   clock of each, and the build's allocations and retained bytes per
 //!   group (the spec the world keeps included) — what the analysis phase
 //!   costs before the first session, as counts that repeat exactly.
 //!
 //! Set `SADA_BENCH_SMOKE=1` to run only the 10k-group row and assert the
-//! bytes-per-agent ceiling, the configurations-per-session ceiling, the
+//! bytes-per-agent ceiling, the bytes-per-session ceiling, the
 //! sharded-over-flat peak-heap ceiling, that the regions host every agent
 //! exactly once, and the two world-build ceilings — the CI
 //! memory-regression gates. The sharded-over-flat *wall* ratio is recorded
 //! beside them and never asserted: the host's two vCPUs at times share a
 //! core.
-//! The full sweep (including the 100k row) writes `BENCH_scale.json` at the
+//! The full sweep (including the 100k row) holds every row to the same
+//! bytes-per-session ceiling and writes `BENCH_scale.json` at the
 //! repository root.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -55,15 +56,15 @@ const SPACING_US: u64 = 37;
 /// accidental per-agent heap object or a dense-`Config` round trip sneaking
 /// back into the hot path fails loudly.
 const SMOKE_BYTES_PER_AGENT_CEILING: u64 = 2_342;
-/// Smoke-gate ceiling on what one session adds to the flat peak heap at the
-/// 10k row, in widths of the world's configuration (20 000 bits = 2 504 B):
-/// measured 2.64 plus 25 %. A committing session retains two buffers — its
-/// target and the fleet snapshot its fold leaves behind — and a no-op
-/// session (every other one here) none; the rest is the session's events,
-/// journal records and timestamps. With owned word buffers the same row
-/// measured 4.97: each session's journaled source, journaled target and
-/// final configuration were three copies of the world.
-const SMOKE_CONFIGS_PER_SESSION_CEILING: f64 = 3.3;
+/// Ceiling on what one session adds to the flat peak heap, in bytes, at
+/// every row: measured 4 812 at the 10k row plus 25 %, with 5 592 at 1k
+/// and 4 941 at 100k under it. A committing session retains a spine and a
+/// chunk twice over — its target and the fleet snapshot its fold leaves
+/// behind, under 2 KB at any width — and a no-op session (every other one
+/// here) none; the rest is the session's events, journal records and
+/// timestamps. With one buffer per configuration the 10k row measured
+/// 6 596 and the 100k row 27 126: each of the two copies was the world.
+const SMOKE_BYTES_PER_SESSION_CEILING: u64 = 6_000;
 /// Smoke-gate ceiling on sharded (1 worker thread) over flat peak heap at
 /// the 10k row — ROADMAP item 3's gate. A sharded run holds one shared
 /// world plus, per region, the arena, simulator slots and control tables of
@@ -222,10 +223,16 @@ impl Row {
         self.peak_heap_bytes.saturating_sub(self.idle_peak_heap_bytes) / self.sessions as u64
     }
 
-    /// [`Row::bytes_per_session`] in widths of the world's configuration
-    /// (one bit per component, two components per group, whole words).
-    fn configs_per_session(&self) -> f64 {
-        self.bytes_per_session() as f64 / ((2 * self.groups).div_ceil(64) * 8) as f64
+    /// The per-session gate, at whatever width the row runs.
+    fn assert_bytes_per_session(&self) {
+        assert!(
+            self.bytes_per_session() <= SMOKE_BYTES_PER_SESSION_CEILING,
+            "per-session heap regressed: {} bytes/session at {} groups (ceiling {}) — is \
+             something on the session path copying or keeping whole configurations again?",
+            self.bytes_per_session(),
+            self.groups,
+            SMOKE_BYTES_PER_SESSION_CEILING,
+        );
     }
 }
 
@@ -320,7 +327,7 @@ fn write_bench_json(rows: &[Row]) {
                  \"flat_wall_us\": {}, \"sessions_per_sec\": {:.1}, \
                  \"events_per_sec\": {:.1}, \"peak_heap_bytes\": {}, \
                  \"bytes_per_agent\": {}, \"idle_peak_heap_bytes\": {}, \
-                 \"bytes_per_session\": {}, \"configs_per_session\": {:.2}, \
+                 \"bytes_per_session\": {}, \
                  \"shard_wall_us_1t\": {}, \
                  \"shard_sessions_per_sec_1t\": {:.1}, \"shard_peak_heap_bytes_1t\": {}, \
                  \"shard_over_flat_heap\": {:.2}, \"shard_over_flat_wall\": {:.2}, \
@@ -339,7 +346,6 @@ fn write_bench_json(rows: &[Row]) {
                 r.bytes_per_agent,
                 r.idle_peak_heap_bytes,
                 r.bytes_per_session(),
-                r.configs_per_session(),
                 r.shard_wall_us_1t,
                 r.shard_sessions_per_sec_1t,
                 r.shard_peak_heap_bytes_1t,
@@ -359,8 +365,7 @@ fn write_bench_json(rows: &[Row]) {
          single-group sessions strided across the group range ({REGIONS} regions under \
          sharding; 2 agents per group); flat run_fleet for throughput and peak heap, \
          once more without sessions for the idle peak (bytes_per_session is the \
-         difference per session, configs_per_session the same in widths of the world's \
-         configuration), run_fleet_sharded at 1/2/4/8 threads with fingerprints asserted \
+         difference per session, held under one ceiling at every row), run_fleet_sharded at 1/2/4/8 threads with fingerprints asserted \
          identical; before them one build_world() and its drop alone (world_* columns: \
          allocator calls and retained bytes of the build per group, spec included); \
          shard_agents is the agents the sharded run's planes host between them, \
@@ -369,7 +374,7 @@ fn write_bench_json(rows: &[Row]) {
          \"host_cores\": {cores},\n  \"rustc\": \"{rustc}\",\n  \
          \"git_rev\": \"{git_rev}\",\n  \"thread_sweep\": [1, 2, 4, 8],\n  \
          \"smoke_bytes_per_agent_ceiling\": {SMOKE_BYTES_PER_AGENT_CEILING},\n  \
-         \"smoke_configs_per_session_ceiling\": {SMOKE_CONFIGS_PER_SESSION_CEILING},\n  \
+         \"smoke_bytes_per_session_ceiling\": {SMOKE_BYTES_PER_SESSION_CEILING},\n  \
          \"smoke_shard_over_flat_heap_ceiling\": {SMOKE_SHARD_OVER_FLAT_HEAP_CEILING},\n  \
          \"smoke_world_allocs_per_group_ceiling\": {SMOKE_WORLD_ALLOCS_PER_GROUP_CEILING},\n  \
          \"smoke_world_retained_bytes_per_group_ceiling\": \
@@ -410,15 +415,7 @@ fn sweep() {
             row.bytes_per_agent,
             SMOKE_BYTES_PER_AGENT_CEILING,
         );
-        assert!(
-            row.configs_per_session() <= SMOKE_CONFIGS_PER_SESSION_CEILING,
-            "per-session heap regressed: {} bytes/session at 10k groups is {:.2} world \
-             configurations (ceiling {}) — is something on the session path copying or \
-             keeping whole configurations again?",
-            row.bytes_per_session(),
-            row.configs_per_session(),
-            SMOKE_CONFIGS_PER_SESSION_CEILING,
-        );
+        row.assert_bytes_per_session();
         assert!(
             row.shard_over_flat_heap() <= SMOKE_SHARD_OVER_FLAT_HEAP_CEILING,
             "sharded peak heap regressed: {} bytes at 1 thread is {:.2}x the flat {} bytes at \
@@ -446,7 +443,7 @@ fn sweep() {
             SMOKE_WORLD_RETAINED_BYTES_PER_GROUP_CEILING,
         );
         println!(
-            "smoke ok: 10k groups, {} sessions, {} bytes/agent (ceiling {}), {:.2} configs/session \
+            "smoke ok: 10k groups, {} sessions, {} bytes/agent (ceiling {}), {} bytes/session \
              (ceiling {}), sharded/flat peak heap {:.2}x (ceiling {}x) and wall {:.2}x (not \
              asserted) with {} agents hosted, world build {:.1} \
              allocations (ceiling {}) and {:.1} bytes (ceiling {}) per group, fingerprint \
@@ -454,8 +451,8 @@ fn sweep() {
             row.sessions,
             row.bytes_per_agent,
             SMOKE_BYTES_PER_AGENT_CEILING,
-            row.configs_per_session(),
-            SMOKE_CONFIGS_PER_SESSION_CEILING,
+            row.bytes_per_session(),
+            SMOKE_BYTES_PER_SESSION_CEILING,
             row.shard_over_flat_heap(),
             SMOKE_SHARD_OVER_FLAT_HEAP_CEILING,
             row.shard_over_flat_wall(),
@@ -470,6 +467,7 @@ fn sweep() {
     }
     let rows: Vec<Row> =
         [1_000usize, 10_000, 100_000].iter().map(|&g| run_row(g, &threads)).collect();
+    rows.iter().for_each(Row::assert_bytes_per_session);
     write_bench_json(&rows);
 }
 

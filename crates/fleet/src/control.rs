@@ -214,7 +214,7 @@ pub struct ControlActor<M = ()> {
     next_tag: u64,
     /// Agent index → session currently engaging it (for routing stepless
     /// rejoin traffic whose echoed session may be stale).
-    agent_session: HashMap<usize, u64>,
+    pub(crate) agent_session: HashMap<usize, u64>,
     /// Session ids already submitted (guards double submission after a
     /// restart re-arms timers; rebuilt from the journal).
     submitted: HashSet<u64>,
@@ -878,6 +878,14 @@ impl<M: Clone + 'static> ControlActor<M> {
     fn finish(&mut self, ctx: &mut Context<'_, Wire<M>>, session: u64, outcome: Outcome) {
         if let Some(ix) = self.spec_ix(session) {
             let scope = self.world.scope_comps(&self.scenario[ix].flips);
+            // Only its own scope's hosts can still name this session: an
+            // engagement is recorded where `apply` sends, and a session's
+            // planner addresses no agent outside its scope.
+            for agent in scope.iter().filter_map(|&c| self.world.agent_for(c)) {
+                if self.agent_session.get(&agent) == Some(&session) {
+                    self.agent_session.remove(&agent);
+                }
+            }
             self.fold(scope.into_iter().map(|c| (c, outcome.final_config.contains(c))));
             // Scope-breaker evidence: an unsuccessful protocol outcome
             // (give-up or rollback) marks the whole scope as flapping; a
@@ -919,7 +927,6 @@ impl<M: Clone + 'static> ControlActor<M> {
                 ctx.cancel_timer(*id);
             }
         }
-        self.agent_session.retain(|_, s| *s != session);
         let granted = self.locks.release(session);
         self.admit_all(ctx, granted);
         // Freed in-flight capacity: pull gated sessions in.
@@ -1023,9 +1030,9 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// a finished session's final scope values, or — from the shard
     /// wrappers — those of a globally run session flowing back to the
     /// owning region. Journaled sources and queued targets still read the
-    /// previous snapshot's buffer, so a fold that changes a bit copies the
-    /// configuration (once, whatever the scope size) and one that changes
-    /// nothing leaves the snapshot shared.
+    /// previous snapshot, so a fold that changes a bit copies what it
+    /// changes (the spine and the scope's chunks, once each) and one that
+    /// changes nothing leaves the snapshot shared.
     pub(crate) fn fold(&mut self, values: impl IntoIterator<Item = (CompId, bool)>) {
         assign(&mut self.fleet_config, values);
     }

@@ -76,10 +76,10 @@ pub struct FleetScenario {
     /// default; the scale benchmarks turn it off because the text form is
     /// O(sessions × components) — hundreds of megabytes at 100k groups —
     /// while the durable journal itself (and therefore crash recovery,
-    /// events, and fingerprints) is unaffected either way. That holds with
-    /// copy-on-write configurations too: in memory a `Request` record is
-    /// two handles on shared buffers, but its text spells out every bit of
-    /// both, so only the in-memory journal got cheaper.
+    /// events, and fingerprints) is unaffected either way. In memory a
+    /// `Request` record is two handles that share every chunk but the one
+    /// the session changes; its text spells out every bit of both, so the
+    /// text is what still costs the world per record.
     pub render_journal: bool,
 }
 
@@ -665,11 +665,42 @@ mod tests {
     }
 
     #[test]
+    fn a_finished_session_leaves_no_engagement_and_a_concurrent_one_keeps_its_two() {
+        // Session 2 starts on a group of its own while 1 is in flight.
+        let spec = |id, group, at_ms| SessionSpec {
+            id,
+            flips: vec![(group, true)],
+            priority: 0,
+            submit_at: SimDuration::from_millis(at_ms),
+            cancel_at: None,
+        };
+        let scenario = FleetScenario::new(4, vec![spec(1, 0, 0), spec(2, 2, 5)]);
+        let mut plane = whole_plane(&scenario);
+        let control = |plane: &Plane<()>| {
+            let control = plane.sim.actor::<ControlActor<()>>(plane.control_id).unwrap();
+            let mut engaged: Vec<(usize, u64)> =
+                control.agent_session.iter().map(|(&a, &s)| (a, s)).collect();
+            engaged.sort_unstable();
+            (control.completed_at.contains_key(&1), control.results.len(), engaged)
+        };
+        while !control(&plane).0 {
+            assert!(plane.sim.step(), "session 1 completes before the run drains");
+        }
+        let (_, done, engaged) = control(&plane);
+        assert_eq!(done, 1, "2 is still in flight when 1 finishes");
+        assert_eq!(engaged, [(4, 2), (5, 2)], "Old2's and New2's hosts, and nobody of 1's");
+        plane.sim.run_for(scenario.time_budget);
+        assert_eq!(control(&plane), (true, 2, Vec::new()));
+    }
+
+    #[test]
     fn a_session_retains_one_target_and_one_fold_not_the_world_per_record() {
         use sada_proto::JournalRecord;
-        // A 4 096-group world (8 192-bit configurations), three sessions one
-        // after another: 1 commits group 7, 2 asks group 9 for the mode it
-        // is already in, 3 commits group 11.
+        // A 16 384-group world (32 768-bit configurations: 8 chunks of
+        // 4 096), three sessions one after another: 1 commits group 7, 2
+        // asks group 9 for the mode it is already in, 3 commits group
+        // 11 000, five chunks further up.
+        const CHUNKS: usize = 8;
         let at = |ms| SimDuration::from_millis(ms);
         let spec = |id, flip, submit_at| SessionSpec {
             id,
@@ -681,9 +712,9 @@ mod tests {
         let sessions = vec![
             spec(1, (7, true), at(0)),
             spec(2, (9, false), at(200)),
-            spec(3, (11, true), at(400)),
+            spec(3, (11_000, true), at(400)),
         ];
-        let scenario = FleetScenario::new(4_096, sessions);
+        let scenario = FleetScenario::new(16_384, sessions);
         let mut plane = whole_plane(&scenario);
         plane.sim.run_for(scenario.time_budget);
         let control = plane.sim.actor::<ControlActor<()>>(plane.control_id).unwrap();
@@ -705,25 +736,31 @@ mod tests {
         let (src3, dst3) = request(3);
         let fin = |sid: u64| &control.results[&sid].final_config;
         assert!(control.results.values().all(|o| o.success));
+        let shared = Config::shared_chunks;
 
-        // (a) a no-op session journals one buffer twice — the fleet
+        // (a) a no-op session journals one spine twice — the fleet
         // snapshot it was admitted under, which session 3 then reads too.
         assert!(Config::shares_storage(src2, dst2));
         assert!(Config::shares_storage(src2, src3) && Config::shares_storage(src2, fin(2)));
         // (b) a committing session's journaled target is its final
-        // configuration, and its one copy: its source is the snapshot.
+        // configuration, and its one copy — of a spine and of the chunk
+        // its group lives in: its source is the snapshot.
         assert!(Config::shares_storage(dst1, fin(1)) && Config::shares_storage(dst3, fin(3)));
-        assert!(!Config::shares_storage(src1, dst1) && !Config::shares_storage(src3, dst3));
+        assert_eq!((shared(src1, dst1), shared(src3, dst3)), (CHUNKS - 1, CHUNKS - 1));
         // (c) later folds into `fleet_config` never reach back into what an
-        // earlier session journaled.
+        // earlier session journaled, and copy one chunk each: 3's fold and
+        // 3's target hold that chunk once each, every other chunk is the
+        // one the world booted with — or the one 1's fold left behind.
         let w = &plane.world;
         let init = w.initial_config();
         let after1 = w.target_for(&init, &[(7, true)]);
-        let after3 = w.target_for(&after1, &[(11, true)]);
+        let after3 = w.target_for(&after1, &[(11_000, true)]);
         assert_eq!((src1, dst1), (&init, &after1), "1's record predates both folds");
         assert_eq!((src2, src3), (&after1, &after1), "2 and 3 start from 1's fold, not 3's");
         assert_eq!((dst3, &control.fleet_config), (&after3, &after3));
-        assert!(!Config::shares_storage(src3, &control.fleet_config), "3's fold copied");
+        assert_eq!(shared(src3, &control.fleet_config), CHUNKS - 1, "3's fold copied a chunk");
+        assert_eq!(shared(dst3, &control.fleet_config), CHUNKS - 1, "the one its target copied");
+        assert_eq!(shared(src1, &control.fleet_config), CHUNKS - 2, "two sessions, two chunks");
     }
 
     #[test]

@@ -19,40 +19,47 @@
 //! configuration — `Config` is copy-on-write, so the manager's `source` /
 //! `current` / `target`, the journal's `Request` record, each step's
 //! `from` / `to` and the outcome's `final_config` are reference counts on
-//! buffers that already exist.
+//! storage that already exists.
 //!
-//! *O(width / 64) — a pass over the world's words, a few microseconds at
-//! 200 000 components — and all of it, per committing session:*
+//! *O(chunks touched)* — a world-wide `Config` is chunks of 4 096
+//! components behind a spine of chunk pointers (49 of them at 200 000
+//! components), relatives share every chunk neither has changed, and a
+//! single-group session touches one — *per committing session:*
 //!
 //! * one **target copy**: `CompiledWorld::target_for` writes the flip into
-//!   a copy of the fleet configuration (the journal, `current` after the
-//!   last commit and `final_config` all end up on this one buffer, because
+//!   a copy of the fleet configuration's spine and of the chunk the flip
+//!   falls in (the journal, `current` after the last commit and
+//!   `final_config` all end up on this one spine, because
 //!   [`ScopedLazyPlanner::denormalize`] and `Search::reconstruct` hand back
 //!   the caller's own `to` as the last step's `to`);
 //! * one **fold copy**: `ControlActor::finish` writes the scope's final
-//!   values into `fleet_config`, whose previous buffer is still the
-//!   journaled source of every session admitted under it;
+//!   values into `fleet_config`, whose previous spine is still the
+//!   journaled source of every session admitted under it — again a spine
+//!   and the chunks that change;
 //! * one **`apply` transient**: replaying a cached one-step plan builds the
-//!   step's result, compares it with `to`, and drops it (a plan of `k`
-//!   steps keeps `k - 1` intermediate configurations and drops the last);
+//!   step's result the same way, compares it with `to`, and drops it (a
+//!   plan of `k` steps keeps `k - 1` intermediate configurations and drops
+//!   the last);
 //! * two **safe-memo XOR walks**: the endpoint checks in
 //!   [`PlanCache::is_safe`] diff `from` and `to` against the last
-//!   configuration proved safe;
-//! * two **`memcmp`s** on a cache hit, three on a miss: source against
-//!   target in the manager (stops at the first differing word), the
-//!   replayed walk's end against `to` — or, on a miss, source against
-//!   target once more and the hash of both inside the search, which then
-//!   costs what a search costs and nothing for its endpoints: the two
-//!   proofs from the memo walks above are handed to it
+//!   configuration proved safe, over the chunks they do not share with it;
+//! * two **comparisons** on a cache hit, three on a miss: source against
+//!   target in the manager, the replayed walk's end against `to` — each
+//!   reads the chunks the two sides hold separately and skips the rest by
+//!   pointer — or, on a miss, source against target once more and the hash
+//!   of both inside the search (the one O(width) pass left, once per miss:
+//!   a storm sees one miss per run), which then costs what a search costs
+//!   and nothing for its endpoints: the two proofs from the memo walks
+//!   above are handed to it
 //!   ([`Search::plan_scoped_vetted`](sada_plan::Search::plan_scoped_vetted))
-//!   in place of a second pass over the whole invariant set; a storm sees
-//!   one miss per run. Every later `current == goal` compares two handles
-//!   on one buffer.
+//!   in place of a second pass over the whole invariant set. Every later
+//!   `current == goal` compares two handles on one spine.
 //!
-//! These two buffers are also all a finished session *retains*. A session
-//! that asks for the mode its clusters are already in copies and retains
-//! nothing: its source, target and final configuration are the fleet
-//! snapshot it was admitted under.
+//! A spine and a chunk twice over — under 2 KB at 200 000 components, where
+//! one buffer per copy was 50 KB — are also all a finished session
+//! *retains*. A session that asks for the mode its clusters are already in
+//! copies and retains nothing: its source, target and final configuration
+//! are the fleet snapshot it was admitted under.
 //!
 //! Because the planner is a pure function of the world and the scope, a
 //! restored control plane can rebuild it per session and replay journals
@@ -132,9 +139,10 @@ impl ScopedLazyPlanner {
     /// the caller then treats the entry as a miss and plans from scratch.
     ///
     /// The walk's end is verified equal to `to` and then *replaced* by it,
-    /// so the last step lands on the caller's own buffer: the manager's
+    /// so the last step lands on the caller's own storage: the manager's
     /// `current`, the journaled target and the session's `final_config`
-    /// stay one allocation, and the replay's own last copy is dropped here.
+    /// stay one spine and one changed chunk, and the replay's own last
+    /// copy is dropped here instead of being retained beside them.
     fn denormalize(&self, cached: &CachedPlan, from: &Config, to: &Config) -> Option<Path> {
         let mut cur = from.clone();
         let mut steps = Vec::with_capacity(cached.action_ixs.len());

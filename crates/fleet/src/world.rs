@@ -446,8 +446,9 @@ impl CompiledWorld {
     /// membership.
     ///
     /// The result shares `current`'s storage until a flip really changes a
-    /// bit (a flip toward the mode a cluster is already in never does), and
-    /// is copied at most once however many clusters flip.
+    /// bit (a flip toward the mode a cluster is already in never does);
+    /// however many clusters flip, what they change is copied once and the
+    /// chunks they leave alone stay `current`'s.
     pub fn target_for(&self, current: &Config, flips: &[(usize, bool)]) -> Config {
         let mut cfg = current.clone();
         for &(g, to_true) in flips {

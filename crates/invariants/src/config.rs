@@ -127,23 +127,68 @@ impl Universe {
     }
 }
 
+/// Words in one chunk of a wide configuration: 4 096 components, 512
+/// bytes. One constant, not a knob — small enough that a session's delta
+/// copies under a kilobyte of a 200 000-component world, large enough that
+/// every planner universe stays below it and the spine of that world is 49
+/// pointers.
+const CHUNK_WORDS: usize = 64;
+/// Components in one chunk, and the widest configuration kept flat.
+const CHUNK_BITS: usize = CHUNK_WORDS * 64;
+
+type Chunk = [u64; CHUNK_WORDS];
+
 /// A system configuration: the set of components currently composed into the
 /// running system (Section 3.1's bit vector).
 ///
 /// Configurations are fixed-width bitsets; all set operations require both
 /// operands to come from the same universe (same width).
 ///
-/// The word buffer is shared copy-on-write: `clone` bumps a reference
-/// count, and a mutator copies the buffer at most once, and only when it
-/// really changes a bit of a buffer some other configuration still reads.
-/// An adaptation concerns its own collaborative set (§7) while the vector
-/// spans every component, so the before- and after-configuration of a
-/// session — and every record that merely *names* one of them — differ in
-/// a handful of bits and share everything else.
+/// Storage is shared copy-on-write, in one of two layouts chosen by the
+/// width alone. Up to 4 096 components — every planner universe,
+/// every plan-cache key, the case study — the words are one buffer:
+/// `clone` bumps a reference count, and a mutator copies the buffer at most
+/// once, and only when it really changes a bit of a buffer some other
+/// configuration still reads. Past that the words live in chunks of 64
+/// (`CHUNK_WORDS`) behind a shared spine of chunk pointers, and a mutator
+/// copies the spine and the chunks it really changes. An adaptation
+/// concerns its own collaborative set (§7) while the vector spans every
+/// component, so the before- and after-configuration of a session differ
+/// in a handful of bits: they share every chunk but the one or two those
+/// bits fall in, and every record that merely *names* one of them shares
+/// its spine.
+///
+/// `Arc` compares two handles on one allocation equal without reading it,
+/// spine and chunk alike, so `==` between relatives reads the chunks that
+/// differ and no others. The layout follows the width, so the derived
+/// order — by layout first — is by width first, then by the words.
 #[derive(Debug, Clone, Eq, PartialOrd, Ord)]
-pub struct Config {
-    nbits: usize,
-    words: Arc<[u64]>,
+pub struct Config(Repr);
+
+/// What deriving it compares, with the two layouts told apart once: the
+/// planner's arena probes a hash map of configurations for every candidate.
+impl PartialEq for Config {
+    #[inline]
+    fn eq(&self, other: &Config) -> bool {
+        match (&self.0, &other.0) {
+            (Repr::Flat { nbits: n, words: a }, Repr::Flat { nbits: m, words: b }) => {
+                n == m && a == b
+            }
+            (Repr::Chunked { nbits: n, spine: a }, Repr::Chunked { nbits: m, spine: b }) => {
+                n == m && a == b
+            }
+            _ => false,
+        }
+    }
+}
+
+/// Bits past the width are zero in both layouts, in a chunked
+/// configuration's last chunk as in a last word, so whole words and whole
+/// chunks compare, count and combine without masking.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum Repr {
+    Flat { nbits: u32, words: Arc<[u64]> },
+    Chunked { nbits: u32, spine: Arc<[Arc<Chunk>]> },
 }
 
 // Configurations cross threads inside the fleet's shared world and its
@@ -153,27 +198,149 @@ const _: fn() = || {
     shared_across_threads::<Config>();
 };
 
-/// Content equality; two handles on one buffer are equal without reading it.
-impl PartialEq for Config {
-    fn eq(&self, other: &Config) -> bool {
-        self.nbits == other.nbits
-            && (Arc::ptr_eq(&self.words, &other.words) || self.words == other.words)
+// The planner's arena, heap and cache hold one handle per node: the width
+// rides inside each variant, beside the tag, so a handle stays three words.
+const _: () = assert!(std::mem::size_of::<Config>() == 24);
+
+/// Content hash — the width as a `usize`, then the words as one slice,
+/// exactly what deriving it over `{ nbits: usize, words: [u64] }` wrote
+/// when there was one layout.
+impl Hash for Config {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match &self.0 {
+            Repr::Flat { nbits, words } => {
+                (*nbits as usize).hash(state);
+                words.hash(state);
+            }
+            Repr::Chunked { nbits, .. } => {
+                (*nbits as usize).hash(state);
+                (*nbits as usize).div_ceil(64).hash(state);
+                self.runs().for_each(|run| u64::hash_slice(run, state));
+            }
+        }
     }
 }
 
-/// Content hash (what `derive` would write), spelled out beside the
-/// hand-written `PartialEq` it must agree with.
-impl Hash for Config {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.nbits.hash(state);
-        self.words.hash(state);
+/// Word-indexed access to either layout, so the bit-level loops are written
+/// once and compiled per layout: the layout is matched once per operation,
+/// never per bit.
+trait Words {
+    fn word(&self, ix: usize) -> u64;
+    /// Stores `word` at `ix`, copying no more than that store needs.
+    fn put(&mut self, ix: usize, word: u64);
+}
+
+impl Words for [u64] {
+    #[inline]
+    fn word(&self, ix: usize) -> u64 {
+        self[ix]
+    }
+
+    #[inline]
+    fn put(&mut self, ix: usize, word: u64) {
+        self[ix] = word;
+    }
+}
+
+impl Words for [Arc<Chunk>] {
+    #[inline]
+    fn word(&self, ix: usize) -> u64 {
+        self[ix / CHUNK_WORDS][ix % CHUNK_WORDS]
+    }
+
+    /// A chunk some other configuration still reads is copied only when
+    /// the word really changes.
+    fn put(&mut self, ix: usize, word: u64) {
+        let chunk = &mut self[ix / CHUNK_WORDS];
+        if chunk[ix % CHUNK_WORDS] != word {
+            Arc::make_mut(chunk)[ix % CHUNK_WORDS] = word;
+        }
+    }
+}
+
+/// Word index and bit mask of `id`, which must be below `nbits`.
+fn slot(nbits: u32, id: CompId) -> (usize, u64) {
+    let ix = id.index();
+    assert!(ix < nbits as usize, "component {ix} out of range (width {nbits})");
+    (ix / 64, 1 << (ix % 64))
+}
+
+/// The set bits of `words`, ascending, as components; `words[0]` is word
+/// `first_word` of its configuration.
+fn ones(words: &[u64], first_word: usize) -> impl Iterator<Item = CompId> + '_ {
+    words.iter().enumerate().flat_map(move |(wix, &w)| {
+        std::iter::successors((w != 0).then_some(w), |rest| {
+            let rest = rest & (rest - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |rest| {
+            CompId::from_index((first_word + wix) * 64 + rest.trailing_zeros() as usize)
+        })
+    })
+}
+
+/// Whether `id` is set; out of range is absent.
+#[inline]
+fn has<W: Words + ?Sized>(words: &W, nbits: u32, id: CompId) -> bool {
+    let ix = id.index();
+    ix < nbits as usize && words.word(ix / 64) & (1 << (ix % 64)) != 0
+}
+
+/// Whether removing `removes`, then adding `adds`, changes any bit.
+fn delta_changes<W: Words + ?Sized>(
+    words: &W,
+    nbits: u32,
+    removes: &[CompId],
+    adds: &[CompId],
+) -> bool {
+    let bit = |c: CompId| {
+        let (w, mask) = slot(nbits, c);
+        words.word(w) & mask != 0
+    };
+    adds.iter().any(|&c| !bit(c)) || removes.iter().any(|&c| bit(c) && !adds.contains(&c))
+}
+
+/// Clears `removes`, then sets `adds`, in words already unshared.
+fn write_delta<W: Words + ?Sized>(
+    words: &mut W,
+    nbits: u32,
+    removes: &[CompId],
+    adds: impl IntoIterator<Item = CompId>,
+) {
+    for &c in removes {
+        let (w, mask) = slot(nbits, c);
+        words.put(w, words.word(w) & !mask);
+    }
+    for c in adds {
+        let (w, mask) = slot(nbits, c);
+        words.put(w, words.word(w) | mask);
     }
 }
 
 impl Config {
-    /// The empty configuration over `nbits` components.
+    /// The empty configuration over `nbits` components: one buffer, or one
+    /// zero chunk behind every slot of the spine.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX` components, as [`Universe::intern`] does.
     pub fn empty(nbits: usize) -> Self {
-        Config { nbits, words: std::iter::repeat_n(0, nbits.div_ceil(64)).collect() }
+        let width = Config::checked_width(nbits);
+        Config(if nbits <= CHUNK_BITS {
+            Repr::Flat { nbits: width, words: std::iter::repeat_n(0, nbits.div_ceil(64)).collect() }
+        } else {
+            let zero = Arc::new([0; CHUNK_WORDS]);
+            let spine = std::iter::repeat_n(zero, nbits.div_ceil(CHUNK_BITS)).collect();
+            Repr::Chunked { nbits: width, spine }
+        })
+    }
+
+    /// `nbits` as a stored width; component ids are `u32`, so is this.
+    fn checked_width(nbits: usize) -> u32 {
+        u32::try_from(nbits).unwrap_or_else(|_| {
+            panic!("configuration width {nbits} exceeds the {} components ids can name", u32::MAX)
+        })
     }
 
     /// The configuration over `nbits` components holding exactly `ids`
@@ -186,10 +353,9 @@ impl Config {
     /// Panics if any id is out of range for `nbits`.
     pub fn from_ids(nbits: usize, ids: impl IntoIterator<Item = CompId>) -> Self {
         let mut cfg = Config::empty(nbits);
-        let words = Arc::make_mut(&mut cfg.words);
-        for id in ids {
-            let (w, mask) = Config::slot(nbits, id);
-            words[w] |= mask;
+        match &mut cfg.0 {
+            Repr::Flat { nbits, words } => write_delta(Arc::make_mut(words), *nbits, &[], ids),
+            Repr::Chunked { nbits, spine } => write_delta(Arc::make_mut(spine), *nbits, &[], ids),
         }
         cfg
     }
@@ -197,54 +363,84 @@ impl Config {
     /// Parses what [`Config::to_bit_string`] renders — one `0` or `1` per
     /// component, last component first; the width is the string's length.
     /// Any other character is handed back as the error.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a string of more than `u32::MAX` digits, before reading it.
     pub fn from_bit_string(bits: &str) -> Result<Self, char> {
+        // All ASCII when valid, so the byte length is the bit width.
+        let nbits = Config::checked_width(bits.len());
         // One pass, a word at a time: the string's last 64 digits are word
         // 0. `b ^ b'0'` is 0 or 1 for a digit and has a higher bit set for
         // any other byte, so validity is one OR per byte, tested at the end.
         let mut seen = 0u8;
-        let words: Arc<[u64]> = bits
-            .as_bytes()
-            .rchunks(64)
-            .map(|digits| {
-                digits.iter().fold(0u64, |word, &b| {
-                    let bit = b ^ b'0';
-                    seen |= bit;
-                    word << 1 | u64::from(bit & 1)
-                })
+        let mut word_of = |digits: &[u8]| {
+            digits.iter().fold(0u64, |word, &b| {
+                let bit = b ^ b'0';
+                seen |= bit;
+                word << 1 | u64::from(bit & 1)
             })
-            .collect();
+        };
+        let digits = bits.as_bytes();
+        let repr = if digits.len() <= CHUNK_BITS {
+            Repr::Flat { nbits, words: digits.rchunks(64).map(word_of).collect() }
+        } else {
+            let chunk_of = |digits: &[u8]| {
+                let mut chunk = [0; CHUNK_WORDS];
+                for (word, digits) in chunk.iter_mut().zip(digits.rchunks(64)) {
+                    *word = word_of(digits);
+                }
+                Arc::new(chunk)
+            };
+            Repr::Chunked { nbits, spine: digits.rchunks(CHUNK_BITS).map(chunk_of).collect() }
+        };
         if seen > 1 {
             let other = bits.chars().find(|ch| !matches!(ch, '0' | '1'));
             return Err(other.expect("some byte was neither digit"));
         }
-        // All ASCII, so the byte length is the bit width.
-        Ok(Config { nbits: bits.len(), words })
+        Ok(Config(repr))
     }
 
     /// Width (number of component slots, not set bits).
     pub fn width(&self) -> usize {
-        self.nbits
+        match self.0 {
+            Repr::Flat { nbits, .. } | Repr::Chunked { nbits, .. } => nbits as usize,
+        }
     }
 
-    /// Whether `a` and `b` read the same word buffer (one is a clone of the
-    /// other and neither has been changed since). For tests that pin what a
-    /// clone costs; equal configurations need not share storage.
+    /// Whether `a` and `b` read the same storage (one is a clone of the
+    /// other and neither has been changed since): the one buffer of a
+    /// narrow configuration, the spine of a wide one. For tests that pin
+    /// what a clone costs; equal configurations need not share storage.
     #[doc(hidden)]
     pub fn shares_storage(a: &Config, b: &Config) -> bool {
-        Arc::ptr_eq(&a.words, &b.words)
+        match (&a.0, &b.0) {
+            (Repr::Flat { words: a, .. }, Repr::Flat { words: b, .. }) => Arc::ptr_eq(a, b),
+            (Repr::Chunked { spine: a, .. }, Repr::Chunked { spine: b, .. }) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
-    /// Word index and bit mask of `id`, which must be below `nbits`.
-    fn slot(nbits: usize, id: CompId) -> (usize, u64) {
-        let ix = id.index();
-        assert!(ix < nbits, "component {ix} out of range (width {nbits})");
-        (ix / 64, 1 << (ix % 64))
+    /// At how many chunk positions `a` and `b` read one allocation (a
+    /// narrow configuration is one chunk). For tests that pin what a delta
+    /// copies; relatives that no longer share a spine still share chunks.
+    #[doc(hidden)]
+    pub fn shared_chunks(a: &Config, b: &Config) -> usize {
+        a.runs().zip(b.runs()).filter(|(a, b)| std::ptr::eq(*a, *b)).count()
     }
 
-    /// The bit of `id`, which must be in range.
-    fn bit(&self, id: CompId) -> bool {
-        let (w, mask) = Config::slot(self.nbits, id);
-        self.words[w] & mask != 0
+    /// The words as contiguous runs, in order: a flat configuration's one
+    /// buffer, or chunk by chunk with the last cut to the width. Every run
+    /// but the last is [`CHUNK_WORDS`] long.
+    fn runs(&self) -> impl DoubleEndedIterator<Item = &[u64]> {
+        let (flat, spine, nwords) = match &self.0 {
+            Repr::Flat { words, .. } => (Some(&words[..]), &[][..], 0),
+            Repr::Chunked { nbits, spine } => (None, &spine[..], (*nbits as usize).div_ceil(64)),
+        };
+        let chunks = spine.iter().enumerate();
+        flat.into_iter().chain(
+            chunks.map(move |(c, chunk)| &chunk[..CHUNK_WORDS.min(nwords - c * CHUNK_WORDS)]),
+        )
     }
 
     /// Adds a component (no-op, and no copy, if present).
@@ -253,10 +449,7 @@ impl Config {
     ///
     /// Panics if `id` is out of range for this configuration's width.
     pub fn insert(&mut self, id: CompId) {
-        let (w, mask) = Config::slot(self.nbits, id);
-        if self.words[w] & mask == 0 {
-            Arc::make_mut(&mut self.words)[w] |= mask;
-        }
+        self.apply_delta(&[], &[id]);
     }
 
     /// Removes a component (no-op, and no copy, if absent).
@@ -265,78 +458,95 @@ impl Config {
     ///
     /// Panics if `id` is out of range for this configuration's width.
     pub fn remove(&mut self, id: CompId) {
-        let (w, mask) = Config::slot(self.nbits, id);
-        if self.words[w] & mask != 0 {
-            Arc::make_mut(&mut self.words)[w] &= !mask;
-        }
+        self.apply_delta(&[id], &[]);
     }
 
     /// Removes every component of `removes`, then adds every component of
     /// `adds` (a component in both ends up present) — one adaptive action's
-    /// effect, or one session's fold. The bulk form of [`Config::remove`] /
-    /// [`Config::insert`]: the buffer's uniqueness is checked once for the
-    /// whole delta instead of once per bit, and not at all when the delta
-    /// changes nothing.
+    /// effect, or one session's fold. Uniqueness of the buffer (or of the
+    /// spine) is checked once for the whole delta instead of once per bit,
+    /// and not at all when the delta changes nothing.
     ///
     /// # Panics
     ///
     /// Panics if any id is out of range for this configuration's width.
     pub fn apply_delta(&mut self, removes: &[CompId], adds: &[CompId]) {
-        let changes = adds.iter().any(|&c| !self.bit(c))
-            || removes.iter().any(|&c| self.bit(c) && !adds.contains(&c));
-        if !changes {
-            return;
-        }
-        let words = Arc::make_mut(&mut self.words);
-        for &c in removes {
-            let (w, mask) = Config::slot(self.nbits, c);
-            words[w] &= !mask;
-        }
-        for &c in adds {
-            let (w, mask) = Config::slot(self.nbits, c);
-            words[w] |= mask;
+        let adds_iter = adds.iter().copied();
+        match &mut self.0 {
+            Repr::Flat { nbits, words } => {
+                if delta_changes(&**words, *nbits, removes, adds) {
+                    write_delta(Arc::make_mut(words), *nbits, removes, adds_iter);
+                }
+            }
+            Repr::Chunked { nbits, spine } => {
+                if delta_changes(&**spine, *nbits, removes, adds) {
+                    write_delta(Arc::make_mut(spine), *nbits, removes, adds_iter);
+                }
+            }
         }
     }
 
     /// Membership test.
+    #[inline]
     pub fn contains(&self, id: CompId) -> bool {
-        let ix = id.index();
-        ix < self.nbits && self.words[ix / 64] & (1 << (ix % 64)) != 0
+        match &self.0 {
+            Repr::Flat { nbits, words } => has(&**words, *nbits, id),
+            Repr::Chunked { nbits, spine } => has(&**spine, *nbits, id),
+        }
     }
 
     /// Number of components present.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.runs().map(|run| run.iter().map(|w| w.count_ones() as usize).sum::<usize>()).sum()
     }
 
     /// True when no components are present.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.runs().all(|run| run.iter().all(|&w| w == 0))
     }
 
     /// Iterates present components in increasing id order. Walks the
     /// backing words with `trailing_zeros` — cost scales with the set bits
     /// (plus one probe per word), not with the width.
     pub fn iter(&self) -> impl Iterator<Item = CompId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wix, &w)| {
-            std::iter::successors((w != 0).then_some(w), |rest| {
-                let rest = rest & (rest - 1);
-                (rest != 0).then_some(rest)
-            })
-            .map(move |rest| CompId::from_index(wix * 64 + rest.trailing_zeros() as usize))
-        })
+        // One of the two halves is empty: the planner's per-expansion walk
+        // over a flat configuration is the slice loop and nothing else.
+        let (flat, spine): (&[u64], &[Arc<Chunk>]) = match &self.0 {
+            Repr::Flat { words, .. } => (words, &[]),
+            Repr::Chunked { spine, .. } => (&[], spine),
+        };
+        let chunks = spine.iter().enumerate();
+        ones(flat, 0).chain(chunks.flat_map(|(c, chunk)| ones(&chunk[..], c * CHUNK_WORDS)))
     }
 
-    /// The backing bit words, least-significant component first. Compiled
-    /// invariant kernels evaluate word-wise against this slice instead of
-    /// probing bits one [`Config::contains`] call at a time.
-    pub fn words(&self) -> &[u64] {
-        &self.words
+    /// Word `ix` of the bit vector, least-significant component first;
+    /// `ix` must be below `width().div_ceil(64)`. What compiled invariant
+    /// kernels evaluate against when [`Config::flat_words`] has no slice
+    /// to give.
+    #[inline]
+    pub fn word(&self, ix: usize) -> u64 {
+        match &self.0 {
+            Repr::Flat { words, .. } => words[ix],
+            Repr::Chunked { spine, .. } => spine.word(ix),
+        }
+    }
+
+    /// All the words as one slice, when the configuration is narrow enough
+    /// to keep them in one: compiled invariant kernels then evaluate
+    /// word-wise against it instead of probing [`Config::word`] through the
+    /// spine.
+    #[inline]
+    pub fn flat_words(&self) -> Option<&[u64]> {
+        match &self.0 {
+            Repr::Flat { words, .. } => Some(words),
+            Repr::Chunked { .. } => None,
+        }
     }
 
     /// The components on which `self` and `other` disagree, ascending.
-    /// Word-wise XOR walk: cost scales with the differing bits (plus one
-    /// probe per word), not with the width.
+    /// Word-wise XOR walk over the chunks the two do not share: cost scales
+    /// with the differing bits (plus one probe per word of those chunks),
+    /// not with the width.
     ///
     /// # Panics
     ///
@@ -344,57 +554,71 @@ impl Config {
     pub fn diff_ids(&self, other: &Config) -> Vec<CompId> {
         self.check_width(other);
         let mut out = Vec::new();
-        for (wix, (&a, &b)) in self.words.iter().zip(other.words.iter()).enumerate() {
-            let mut rest = a ^ b;
-            while rest != 0 {
-                out.push(CompId::from_index(wix * 64 + rest.trailing_zeros() as usize));
-                rest &= rest - 1;
+        for (rix, (a, b)) in self.runs().zip(other.runs()).enumerate() {
+            if std::ptr::eq(a, b) {
+                continue;
+            }
+            for (wix, (&a, &b)) in a.iter().zip(b).enumerate() {
+                let wix = rix * CHUNK_WORDS + wix;
+                let mut rest = a ^ b;
+                while rest != 0 {
+                    out.push(CompId::from_index(wix * 64 + rest.trailing_zeros() as usize));
+                    rest &= rest - 1;
+                }
             }
         }
         out
     }
 
     fn check_width(&self, other: &Config) {
-        assert_eq!(self.nbits, other.nbits, "configuration width mismatch");
+        assert_eq!(self.width(), other.width(), "configuration width mismatch");
+    }
+
+    /// `op` of each word of `self` with the same word of `other`.
+    fn zip_words(&self, other: &Config, op: impl Fn(u64, u64) -> u64) -> Config {
+        self.check_width(other);
+        Config(match (&self.0, &other.0) {
+            (Repr::Flat { nbits, words: a }, Repr::Flat { words: b, .. }) => {
+                let words = a.iter().zip(b.iter()).map(|(&a, &b)| op(a, b)).collect();
+                Repr::Flat { nbits: *nbits, words }
+            }
+            (Repr::Chunked { nbits, spine: a }, Repr::Chunked { spine: b, .. }) => {
+                let chunk = |(a, b): (&Arc<Chunk>, &Arc<Chunk>)| {
+                    Arc::new(std::array::from_fn(|w| op(a[w], b[w])))
+                };
+                Repr::Chunked { nbits: *nbits, spine: a.iter().zip(b.iter()).map(chunk).collect() }
+            }
+            _ => unreachable!("one width, one layout"),
+        })
     }
 
     /// Set union.
     pub fn union(&self, other: &Config) -> Config {
-        self.check_width(other);
-        Config {
-            nbits: self.nbits,
-            words: self.words.iter().zip(other.words.iter()).map(|(a, b)| a | b).collect(),
-        }
+        self.zip_words(other, |a, b| a | b)
     }
 
     /// Set intersection.
     pub fn intersection(&self, other: &Config) -> Config {
-        self.check_width(other);
-        Config {
-            nbits: self.nbits,
-            words: self.words.iter().zip(other.words.iter()).map(|(a, b)| a & b).collect(),
-        }
+        self.zip_words(other, |a, b| a & b)
     }
 
     /// Set difference (`self \ other`).
     pub fn difference(&self, other: &Config) -> Config {
-        self.check_width(other);
-        Config {
-            nbits: self.nbits,
-            words: self.words.iter().zip(other.words.iter()).map(|(a, b)| a & !b).collect(),
-        }
+        self.zip_words(other, |a, b| a & !b)
     }
 
     /// True when every component of `self` is in `other`.
     pub fn is_subset(&self, other: &Config) -> bool {
         self.check_width(other);
-        self.words.iter().zip(other.words.iter()).all(|(a, b)| a & !b == 0)
+        self.runs()
+            .zip(other.runs())
+            .all(|(a, b)| std::ptr::eq(a, b) || a.iter().zip(b).all(|(a, b)| a & !b == 0))
     }
 
     /// True when `self` and `other` share no component.
     pub fn is_disjoint(&self, other: &Config) -> bool {
         self.check_width(other);
-        self.words.iter().zip(other.words.iter()).all(|(a, b)| a & b == 0)
+        self.runs().zip(other.runs()).all(|(a, b)| a.iter().zip(b).all(|(a, b)| a & b == 0))
     }
 
     /// Renders the paper's bit-vector form: last-registered component first.
@@ -437,9 +661,9 @@ const BYTE_DIGITS: [[u8; 8]; 256] = {
 impl fmt::Display for Config {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut digits = [0u8; 64];
-        // Only the top word can be partial: skip the slots past `nbits`.
-        let mut skip = self.words.len() * 64 - self.nbits;
-        for word in self.words.iter().rev() {
+        // Only the top word can be partial: skip the slots past the width.
+        let mut skip = self.width().div_ceil(64) * 64 - self.width();
+        for word in self.runs().rev().flat_map(|run| run.iter().rev()) {
             for (out, byte) in digits.chunks_exact_mut(8).zip(word.to_be_bytes()) {
                 out.copy_from_slice(&BYTE_DIGITS[usize::from(byte)]);
             }
@@ -491,7 +715,18 @@ mod tests {
         let mut c = u.empty_config();
         c.insert(ids[3]);
         c.insert(ids[65]);
-        assert_eq!(c.words(), &[1u64 << 3, 1u64 << 1]);
+        assert_eq!(c.flat_words(), Some(&[1u64 << 3, 1u64 << 1][..]));
+        assert_eq!((c.word(0), c.word(1)), (1 << 3, 1 << 1));
+        // One component past a chunk: no slice to give, the same words.
+        let wide = Config::from_ids(CHUNK_BITS + 1, [ids[3], CompId::from_index(CHUNK_BITS)]);
+        assert_eq!(wide.flat_words(), None);
+        assert_eq!((wide.word(0), wide.word(1), wide.word(CHUNK_WORDS)), (1 << 3, 0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "configuration width 4294967296 exceeds")]
+    fn a_width_past_u32_is_refused_by_name_before_anything_is_allocated() {
+        let _ = Config::empty(u32::MAX as usize + 1);
     }
 
     #[test]
@@ -531,7 +766,7 @@ mod tests {
                 assert_eq!(format!("{cfg}"), per_bit);
                 let back = Config::from_bit_string(&per_bit).expect("digits only");
                 assert_eq!(back, cfg, "width {width} stride {stride}");
-                assert_eq!(back.words(), cfg.words(), "no stray bit past the width");
+                assert_eq!(back.flat_words(), cfg.flat_words(), "no stray bit past the width");
             }
             // The error is the first offender in reading order, wherever
             // the word boundaries fall.

@@ -229,8 +229,16 @@ impl Program<'_> {
         }
     }
 
+    /// One slice to index when the configuration has one, its chunks
+    /// otherwise: the layout is decided here, once per evaluation.
     fn eval_on(&self, stack: &mut [bool], cfg: &Config) -> bool {
-        let words = cfg.words();
+        match cfg.flat_words() {
+            Some(words) => self.run(stack, |w| words[w as usize]),
+            None => self.run(stack, |w| cfg.word(w as usize)),
+        }
+    }
+
+    fn run(&self, stack: &mut [bool], read: impl Fn(u32) -> u64) -> bool {
         let mut sp = 0usize;
         for op in self.ops {
             match *op {
@@ -239,30 +247,28 @@ impl Program<'_> {
                     sp += 1;
                 }
                 Op::Bit { word, mask } => {
-                    stack[sp] = words[word as usize] & mask != 0;
+                    stack[sp] = read(word) & mask != 0;
                     sp += 1;
                 }
                 Op::AllSet { start, len } => {
                     let range = &self.masks[start as usize..(start + len) as usize];
-                    stack[sp] = range.iter().all(|&(w, m)| words[w as usize] & m == m);
+                    stack[sp] = range.iter().all(|&(w, m)| read(w) & m == m);
                     sp += 1;
                 }
                 Op::AnySet { start, len } => {
                     let range = &self.masks[start as usize..(start + len) as usize];
-                    stack[sp] = range.iter().any(|&(w, m)| words[w as usize] & m != 0);
+                    stack[sp] = range.iter().any(|&(w, m)| read(w) & m != 0);
                     sp += 1;
                 }
                 Op::ParityOdd { start, len } => {
                     let range = &self.masks[start as usize..(start + len) as usize];
-                    let count: u32 =
-                        range.iter().map(|&(w, m)| (words[w as usize] & m).count_ones()).sum();
+                    let count: u32 = range.iter().map(|&(w, m)| (read(w) & m).count_ones()).sum();
                     stack[sp] = count % 2 == 1;
                     sp += 1;
                 }
                 Op::CountIsOne { start, len } => {
                     let range = &self.masks[start as usize..(start + len) as usize];
-                    let count: u32 =
-                        range.iter().map(|&(w, m)| (words[w as usize] & m).count_ones()).sum();
+                    let count: u32 = range.iter().map(|&(w, m)| (read(w) & m).count_ones()).sum();
                     stack[sp] = count == 1;
                     sp += 1;
                 }
