@@ -663,12 +663,14 @@ impl fmt::Display for Config {
         let mut digits = [0u8; 64];
         // Only the top word can be partial: skip the slots past the width.
         let mut skip = self.width().div_ceil(64) * 64 - self.width();
-        for word in self.runs().rev().flat_map(|run| run.iter().rev()) {
-            for (out, byte) in digits.chunks_exact_mut(8).zip(word.to_be_bytes()) {
-                out.copy_from_slice(&BYTE_DIGITS[usize::from(byte)]);
+        for run in self.runs().rev() {
+            for word in run.iter().rev() {
+                for (out, byte) in digits.chunks_exact_mut(8).zip(word.to_be_bytes()) {
+                    out.copy_from_slice(&BYTE_DIGITS[usize::from(byte)]);
+                }
+                f.write_str(std::str::from_utf8(&digits[skip..]).expect("ASCII digits"))?;
+                skip = 0;
             }
-            f.write_str(std::str::from_utf8(&digits[skip..]).expect("ASCII digits"))?;
-            skip = 0;
         }
         Ok(())
     }
