@@ -7,6 +7,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::{Condvar, Mutex};
 
+use sada_obs::text::{list, Cursor, Fields, ParseError};
 use sada_proto::Wire;
 use sada_resilience::jitter_us;
 use sada_simnet::{Actor, ActorId, Context};
@@ -141,40 +142,24 @@ impl FabricPayload {
     }
 }
 
-fn join_u32s(xs: &[u32]) -> String {
-    if xs.is_empty() {
-        "-".to_string()
-    } else {
-        xs.iter().map(|x| x.to_string()).collect::<Vec<_>>().join(",")
-    }
-}
-
-fn join_values(values: &[(u32, bool)]) -> String {
-    if values.is_empty() {
-        "-".to_string()
-    } else {
-        values.iter().map(|&(c, v)| format!("{c}:{}", u8::from(v))).collect::<Vec<_>>().join(",")
-    }
-}
-
 /// One fabric message as a single text line (the same `verb key=value`
 /// shape as the adaptation journals). Lists are comma-joined, `-` when
 /// empty.
 pub fn encode_fabric_msg(msg: &FabricPayload) -> String {
+    let ids = |xs| list(xs, |x: &u32, f| write!(f, "{x}"));
+    let values = |vs| list(vs, |&(comp, on): &(u32, bool), f| write!(f, "{comp}:{}", u8::from(on)));
     match msg {
         FabricPayload::LockRequest { session, resources, comps, priority, epoch } => format!(
             "lock_request session={session} epoch={epoch} priority={priority} resources={} comps={}",
-            join_u32s(resources),
-            join_u32s(comps)
+            ids(resources),
+            ids(comps)
         ),
-        FabricPayload::LockGranted { session, region, epoch, values } => format!(
-            "lock_granted session={session} region={region} epoch={epoch} values={}",
-            join_values(values)
-        ),
-        FabricPayload::LockRelease { session, epoch, values } => format!(
-            "lock_release session={session} epoch={epoch} values={}",
-            join_values(values)
-        ),
+        FabricPayload::LockGranted { session, region, epoch, values: vs } => {
+            format!("lock_granted session={session} region={region} epoch={epoch} values={}", values(vs))
+        }
+        FabricPayload::LockRelease { session, epoch, values: vs } => {
+            format!("lock_release session={session} epoch={epoch} values={}", values(vs))
+        }
         FabricPayload::ReleaseAck { session, region, epoch } => {
             format!("release_ack session={session} region={region} epoch={epoch}")
         }
@@ -182,75 +167,45 @@ pub fn encode_fabric_msg(msg: &FabricPayload) -> String {
 }
 
 /// Parses one [`encode_fabric_msg`] line back into a payload.
-pub fn parse_fabric_msg(line: &str) -> Result<FabricPayload, String> {
-    let mut parts = line.split_whitespace();
-    let verb = parts.next().ok_or_else(|| "empty fabric message".to_string())?;
-    let mut fields: HashMap<&str, &str> = HashMap::new();
-    for part in parts {
-        let (k, v) = part.split_once('=').ok_or_else(|| format!("bad field {part:?}"))?;
-        fields.insert(k, v);
-    }
-    let num = |key: &str| -> Result<u64, String> {
-        fields
-            .get(key)
-            .ok_or_else(|| format!("missing {key} in {verb}"))?
-            .parse::<u64>()
-            .map_err(|e| format!("bad {key}: {e}"))
-    };
-    let list = |key: &str| -> Result<Vec<u32>, String> {
-        let raw = fields.get(key).ok_or_else(|| format!("missing {key} in {verb}"))?;
-        if *raw == "-" {
-            return Ok(Vec::new());
-        }
-        raw.split(',')
-            .map(|x| x.parse::<u32>().map_err(|e| format!("bad {key} item: {e}")))
-            .collect()
-    };
-    let values = |key: &str| -> Result<Vec<(u32, bool)>, String> {
-        let raw = fields.get(key).ok_or_else(|| format!("missing {key} in {verb}"))?;
-        if *raw == "-" {
-            return Ok(Vec::new());
-        }
-        raw.split(',')
-            .map(|pair| {
-                let (c, v) =
-                    pair.split_once(':').ok_or_else(|| format!("bad {key} pair {pair:?}"))?;
-                let comp = c.parse::<u32>().map_err(|e| format!("bad {key} comp: {e}"))?;
-                let bit = match v {
-                    "0" => false,
-                    "1" => true,
-                    other => return Err(format!("bad {key} bit {other:?}")),
-                };
-                Ok((comp, bit))
+pub fn parse_fabric_msg(line: &str) -> Result<FabricPayload, ParseError> {
+    let f = Fields::words(Cursor::new(line))?;
+    let ids = |key| f.parse(key, |c| c.next_list(Cursor::next_int));
+    let values = |key| {
+        f.parse(key, |c| {
+            c.next_list(|c| {
+                let comp = c.next_int()?;
+                c.expect(b':')?;
+                Ok((comp, c.either(b'0', b'1')?))
             })
-            .collect()
+        })
     };
-    match verb {
-        "lock_request" => Ok(FabricPayload::LockRequest {
-            session: num("session")?,
-            resources: list("resources")?,
-            comps: list("comps")?,
-            priority: u8::try_from(num("priority")?).map_err(|e| format!("bad priority: {e}"))?,
-            epoch: num("epoch")?,
-        }),
-        "lock_granted" => Ok(FabricPayload::LockGranted {
-            session: num("session")?,
-            region: u32::try_from(num("region")?).map_err(|e| format!("bad region: {e}"))?,
-            epoch: num("epoch")?,
+    let (session, epoch) = (|| f.int("session"), || f.int("epoch"));
+    Ok(match f.verb.as_str() {
+        "lock_request" => FabricPayload::LockRequest {
+            session: session()?,
+            resources: ids("resources")?,
+            comps: ids("comps")?,
+            priority: f.int("priority")?,
+            epoch: epoch()?,
+        },
+        "lock_granted" => FabricPayload::LockGranted {
+            session: session()?,
+            region: f.int("region")?,
+            epoch: epoch()?,
             values: values("values")?,
-        }),
-        "lock_release" => Ok(FabricPayload::LockRelease {
-            session: num("session")?,
-            epoch: num("epoch")?,
+        },
+        "lock_release" => FabricPayload::LockRelease {
+            session: session()?,
+            epoch: epoch()?,
             values: values("values")?,
-        }),
-        "release_ack" => Ok(FabricPayload::ReleaseAck {
-            session: num("session")?,
-            region: u32::try_from(num("region")?).map_err(|e| format!("bad region: {e}"))?,
-            epoch: num("epoch")?,
-        }),
-        other => Err(format!("unknown fabric verb {other:?}")),
-    }
+        },
+        "release_ack" => FabricPayload::ReleaseAck {
+            session: session()?,
+            region: f.int("region")?,
+            epoch: epoch()?,
+        },
+        _ => return Err(f.verb.unknown("fabric verb")),
+    })
 }
 
 /// The app-level message an endpoint's wrapper hands its fabric relay.

@@ -2,14 +2,14 @@
 //!
 //! Each event encodes to exactly one JSON object per line with a stable
 //! `kind` discriminator, so traces are diffable with line tools and
-//! replayable with [`decode_lines`]. The encoder/decoder are hand-rolled
-//! over the small value subset actually used (u64 numbers, strings, bools,
+//! replayable with [`decode_lines`]. Both directions are generated from one
+//! table of kinds (see `events!` below) over [`crate::text`]'s tokenizer and
+//! the small value subset actually used (u64 numbers, strings, bools,
 //! arrays of u64) — the build environment vendors no serde.
 //!
 //! The codec is a bijection on the event taxonomy:
 //! `decode_event(encode_event(e)) == e` (property-tested).
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use sada_expr::{CompId, Config};
@@ -21,6 +21,7 @@ use crate::event::{
     TemporalEvent,
 };
 use crate::key::ObligationKey;
+use crate::text::{push_json_str, records, Cursor, Fields, ParseError};
 use crate::time::SimTime;
 
 /// Records every event as one JSONL line.
@@ -133,99 +134,6 @@ impl Sink for JsonlSink {
     }
 }
 
-fn esc(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-struct Obj<'a> {
-    buf: &'a mut String,
-}
-
-impl<'a> Obj<'a> {
-    fn new(
-        buf: &'a mut String,
-        at: SimTime,
-        actor: u32,
-        session: u64,
-        shard: u32,
-        kind: &str,
-    ) -> Self {
-        let _ = write!(buf, "{{\"at\":{},\"actor\":{}", at.as_micros(), actor);
-        // Session 0 is elided so single-adaptation traces (including the
-        // pinned golden trace) keep their pre-fleet byte-for-byte form.
-        if session != 0 {
-            let _ = write!(buf, ",\"session\":{session}");
-        }
-        // Shard 0 is elided the same way: unsharded traces keep their
-        // pre-shard byte-for-byte form.
-        if shard != 0 {
-            let _ = write!(buf, ",\"shard\":{shard}");
-        }
-        let _ = write!(buf, ",\"kind\":\"{kind}\"");
-        Obj { buf }
-    }
-
-    fn num(self, key: &str, v: u64) -> Self {
-        let _ = write!(self.buf, ",\"{key}\":{v}");
-        self
-    }
-
-    fn opt_num(self, key: &str, v: Option<u64>) -> Self {
-        match v {
-            Some(v) => self.num(key, v),
-            None => self,
-        }
-    }
-
-    fn boolean(self, key: &str, v: bool) -> Self {
-        let _ = write!(self.buf, ",\"{key}\":{v}");
-        self
-    }
-
-    fn string(self, key: &str, v: &str) -> Self {
-        let _ = write!(self.buf, ",\"{key}\":");
-        esc(self.buf, v);
-        self
-    }
-
-    /// A configuration as its bit string, rendered in place: `0` and `1`
-    /// need no escaping.
-    fn bits(self, key: &str, v: &Config) -> Self {
-        let _ = write!(self.buf, ",\"{key}\":\"{v}\"");
-        self
-    }
-
-    fn nums(self, key: &str, vs: impl Iterator<Item = u64>) -> Self {
-        let _ = write!(self.buf, ",\"{key}\":[");
-        for (i, v) in vs.enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
-            let _ = write!(self.buf, "{v}");
-        }
-        self.buf.push(']');
-        self
-    }
-
-    fn finish(self) {
-        self.buf.push('}');
-    }
-}
-
 /// Encodes one event as a single JSON line (no trailing newline).
 ///
 /// Convenience wrapper over [`encode_event_into`] that allocates a fresh
@@ -240,727 +148,304 @@ pub fn encode_event(ev: &Event) -> String {
 /// to `out`. The caller owns the buffer, so a loop over many events can
 /// clear and reuse one allocation instead of building a `String` per event.
 pub fn encode_event_into(out: &mut String, ev: &Event) {
-    fn o<'b>(out: &'b mut String, ev: &Event, kind: &str) -> Obj<'b> {
-        Obj::new(out, ev.at, ev.actor, ev.session, ev.shard, kind)
-    }
-    match &ev.payload {
-        Payload::Net(n) => match n {
-            NetEvent::Sent { from, to } => o(out, ev, "net.sent")
-                .num("from", u64::from(*from))
-                .num("to", u64::from(*to))
-                .finish(),
-            NetEvent::Delivered { from, to } => o(out, ev, "net.delivered")
-                .num("from", u64::from(*from))
-                .num("to", u64::from(*to))
-                .finish(),
-            NetEvent::Dropped { from, to } => o(out, ev, "net.dropped")
-                .num("from", u64::from(*from))
-                .num("to", u64::from(*to))
-                .finish(),
-            NetEvent::TimerFired { tag } => o(out, ev, "net.timer").num("tag", *tag).finish(),
-            NetEvent::Crashed => o(out, ev, "net.crashed").finish(),
-            NetEvent::Restarted => o(out, ev, "net.restarted").finish(),
-        },
-        Payload::Proto(p) => match p {
-            ProtoEvent::AgentState { from, to, step } => o(out, ev, "proto.agent")
-                .string("from", from.as_str())
-                .string("to", to.as_str())
-                .opt_num("step", *step)
-                .finish(),
-            ProtoEvent::ManagerPhase { from, to, step } => o(out, ev, "proto.manager")
-                .string("from", from.as_str())
-                .string("to", to.as_str())
-                .opt_num("step", *step)
-                .finish(),
-            ProtoEvent::StepStarted { step, solo, participants } => {
-                o(out, ev, "proto.step_started")
-                    .num("step", *step)
-                    .boolean("solo", *solo)
-                    .num("participants", u64::from(*participants))
-                    .finish()
-            }
-            ProtoEvent::StepCommitted { step } => {
-                o(out, ev, "proto.step_committed").num("step", *step).finish()
-            }
-            ProtoEvent::TimeoutFired { phase, step, retries } => o(out, ev, "proto.timeout")
-                .string("phase", phase.as_str())
-                .opt_num("step", *step)
-                .num("retries", u64::from(*retries))
-                .finish(),
-            ProtoEvent::RetrySent { step, resends } => o(out, ev, "proto.retry")
-                .num("step", *step)
-                .num("resends", u64::from(*resends))
-                .finish(),
-            ProtoEvent::RollbackIssued { step } => {
-                o(out, ev, "proto.rollback").num("step", *step).finish()
-            }
-            ProtoEvent::RejoinReceived { agent, last_completed } => o(out, ev, "proto.rejoin")
-                .num("agent", u64::from(*agent))
-                .opt_num("last", *last_completed)
-                .finish(),
-            ProtoEvent::OutcomeReached { success, gave_up, steps_committed } => {
-                o(out, ev, "proto.outcome")
-                    .boolean("success", *success)
-                    .boolean("gave_up", *gave_up)
-                    .num("steps", *steps_committed)
-                    .finish()
-            }
-            ProtoEvent::JournalAppended { seq } => {
-                o(out, ev, "proto.journal").num("seq", *seq).finish()
-            }
-            ProtoEvent::ManagerRestored { records, phase, step } => {
-                o(out, ev, "proto.manager_restored")
-                    .num("records", *records)
-                    .string("phase", phase.as_str())
-                    .opt_num("step", *step)
-                    .finish()
-            }
-            ProtoEvent::StateQueried { agent } => {
-                o(out, ev, "proto.state_queried").num("agent", u64::from(*agent)).finish()
-            }
-            ProtoEvent::StateReported { agent, engaged, adapted, failed, last_completed } => {
-                o(out, ev, "proto.state_reported")
-                    .num("agent", u64::from(*agent))
-                    .opt_num("engaged", *engaged)
-                    .boolean("adapted", *adapted)
-                    .boolean("failed", *failed)
-                    .opt_num("last", *last_completed)
-                    .finish()
-            }
-        },
-        Payload::Audit(a) => match a {
-            AuditEvent::SegmentStart { cid, comp } => o(out, ev, "audit.seg_start")
-                .num("cid", *cid)
-                .num("comp", comp.index() as u64)
-                .finish(),
-            AuditEvent::SegmentEnd { cid, comp } => o(out, ev, "audit.seg_end")
-                .num("cid", *cid)
-                .num("comp", comp.index() as u64)
-                .finish(),
-            AuditEvent::SegmentLost { cid, comp } => o(out, ev, "audit.seg_lost")
-                .num("cid", *cid)
-                .num("comp", comp.index() as u64)
-                .finish(),
-            AuditEvent::InAction { label, comps } => o(out, ev, "audit.in_action")
-                .string("label", label)
-                .nums("comps", comps.iter().map(|c| c.index() as u64))
-                .finish(),
-            AuditEvent::ConfigSnapshot { config } => {
-                o(out, ev, "audit.config").bits("config", config).finish()
-            }
-        },
-        Payload::Temporal(t) => match t {
-            TemporalEvent::ObligationOpened { key, cid } => o(out, ev, "temporal.opened")
-                .string("key", &key.to_string())
-                .num("cid", *cid)
-                .finish(),
-            TemporalEvent::ObligationDischarged { key, cid } => o(out, ev, "temporal.discharged")
-                .string("key", &key.to_string())
-                .num("cid", *cid)
-                .finish(),
-            TemporalEvent::SafePoint { index } => {
-                o(out, ev, "temporal.safe_point").num("index", *index).finish()
-            }
-        },
-        Payload::Plan(p) => match p {
-            PlanEvent::PathSelected { rank, steps, cost } => o(out, ev, "plan.path")
-                .num("rank", u64::from(*rank))
-                .num("steps", u64::from(*steps))
-                .num("cost", *cost)
-                .finish(),
-            PlanEvent::PathsExhausted { returning_to_source } => {
-                o(out, ev, "plan.exhausted").boolean("to_source", *returning_to_source).finish()
-            }
-        },
-        Payload::Fleet(fl) => match fl {
-            FleetEvent::SessionSubmitted { session, resources } => o(out, ev, "fleet.submitted")
-                .num("id", *session)
-                .num("resources", u64::from(*resources))
-                .finish(),
-            FleetEvent::SessionAdmitted { session, queued_for } => o(out, ev, "fleet.admitted")
-                .num("id", *session)
-                .num("queued_for", *queued_for)
-                .finish(),
-            FleetEvent::SessionQueued { session, position } => o(out, ev, "fleet.queued")
-                .num("id", *session)
-                .num("position", u64::from(*position))
-                .finish(),
-            FleetEvent::SessionCancelled { session } => {
-                o(out, ev, "fleet.cancelled").num("id", *session).finish()
-            }
-            FleetEvent::SessionDone { session, success, gave_up } => o(out, ev, "fleet.done")
-                .num("id", *session)
-                .boolean("success", *success)
-                .boolean("gave_up", *gave_up)
-                .finish(),
-            FleetEvent::ControlRestored { active, queued } => o(out, ev, "fleet.restored")
-                .num("active", u64::from(*active))
-                .num("queued", u64::from(*queued))
-                .finish(),
-            FleetEvent::PlanCacheHit { session } => {
-                o(out, ev, "fleet.cache_hit").num("id", *session).finish()
-            }
-            FleetEvent::PlanCacheMiss { session } => {
-                o(out, ev, "fleet.cache_miss").num("id", *session).finish()
-            }
-            FleetEvent::PlanCacheEvicted { session } => {
-                o(out, ev, "fleet.cache_evicted").num("id", *session).finish()
-            }
-            FleetEvent::SessionShed { session, waited_us, retry_after_us } => {
-                o(out, ev, "fleet.shed")
-                    .num("id", *session)
-                    .num("waited_us", *waited_us)
-                    .num("retry_after_us", *retry_after_us)
-                    .finish()
-            }
-            FleetEvent::SessionRejected { session, agent } => o(out, ev, "fleet.rejected")
-                .num("id", *session)
-                .num("agent", u64::from(*agent))
-                .finish(),
-            FleetEvent::BreakerOpened { agent, cooldown_us } => o(out, ev, "fleet.breaker_open")
-                .num("agent", u64::from(*agent))
-                .num("cooldown_us", *cooldown_us)
-                .finish(),
-            FleetEvent::BreakerProbed { agent } => {
-                o(out, ev, "fleet.breaker_probe").num("agent", u64::from(*agent)).finish()
-            }
-            FleetEvent::BreakerClosed { agent } => {
-                o(out, ev, "fleet.breaker_close").num("agent", u64::from(*agent)).finish()
-            }
-            FleetEvent::ScopeBreakerOpened { scope, cooldown_us } => {
-                o(out, ev, "fleet.scope_breaker_open")
-                    .num("scope", *scope)
-                    .num("cooldown_us", *cooldown_us)
-                    .finish()
-            }
-            FleetEvent::ScopeBreakerProbed { scope } => {
-                o(out, ev, "fleet.scope_breaker_probe").num("scope", *scope).finish()
-            }
-            FleetEvent::ScopeBreakerClosed { scope } => {
-                o(out, ev, "fleet.scope_breaker_close").num("scope", *scope).finish()
-            }
-            FleetEvent::ScopeRejected { session, scope } => {
-                o(out, ev, "fleet.scope_rejected").num("id", *session).num("scope", *scope).finish()
-            }
-            FleetEvent::TimeoutAdapted { agent, srtt_us, rto_us } => o(out, ev, "fleet.rto")
-                .num("agent", u64::from(*agent))
-                .num("srtt_us", *srtt_us)
-                .num("rto_us", *rto_us)
-                .finish(),
-            FleetEvent::FabricDropped { src, dst, seq } => o(out, ev, "fleet.fabric_drop")
-                .num("src", u64::from(*src))
-                .num("dst", u64::from(*dst))
-                .num("seq", *seq)
-                .finish(),
-            FleetEvent::FabricDuplicated { src, dst, seq } => o(out, ev, "fleet.fabric_dup")
-                .num("src", u64::from(*src))
-                .num("dst", u64::from(*dst))
-                .num("seq", *seq)
-                .finish(),
-            FleetEvent::FabricDelayed { src, dst, seq, quanta } => o(out, ev, "fleet.fabric_delay")
-                .num("src", u64::from(*src))
-                .num("dst", u64::from(*dst))
-                .num("seq", *seq)
-                .num("quanta", u64::from(*quanta))
-                .finish(),
-            FleetEvent::FabricRetransmit { session, region, attempt } => {
-                o(out, ev, "fleet.fabric_retx")
-                    .num("id", *session)
-                    .num("region", u64::from(*region))
-                    .num("attempt", u64::from(*attempt))
-                    .finish()
-            }
-            FleetEvent::LeaseReclaimed { session, region, epoch } => {
-                o(out, ev, "fleet.lease_reclaim")
-                    .num("id", *session)
-                    .num("region", u64::from(*region))
-                    .num("epoch", *epoch)
-                    .finish()
-            }
-            FleetEvent::StraddlerAbandoned { session, region, attempts } => {
-                o(out, ev, "fleet.straddler_abandoned")
-                    .num("id", *session)
-                    .num("region", u64::from(*region))
-                    .num("attempts", u64::from(*attempts))
-                    .finish()
-            }
-            FleetEvent::DomainTagged { domain, objective } => o(out, ev, "fleet.domain")
-                .num("domain", u64::from(*domain))
-                .num("objective", u64::from(*objective))
-                .finish(),
-            FleetEvent::LeaseExpired { session, region } => o(out, ev, "fleet.lease_expired")
-                .num("id", *session)
-                .num("region", u64::from(*region))
-                .finish(),
-        },
-    }
+    encode_payload(out, ev);
+    out.push('}');
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Num(u64),
-    Str(String),
-    Bool(bool),
-    Arr(Vec<u64>),
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser { s: s.as_bytes(), i: 0 }
+/// Opens the object: the envelope every event shares, up to its kind.
+fn head(out: &mut String, ev: &Event, kind: &str) {
+    let _ = write!(out, "{{\"at\":{},\"actor\":{}", ev.at.as_micros(), ev.actor);
+    // Session 0 is elided so single-adaptation traces (including the
+    // pinned golden trace) keep their pre-fleet byte-for-byte form.
+    if ev.session != 0 {
+        let _ = write!(out, ",\"session\":{}", ev.session);
     }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && matches!(self.s[self.i], b' ' | b'\t') {
-            self.i += 1;
-        }
+    // Shard 0 is elided the same way: unsharded traces keep their
+    // pre-shard byte-for-byte form.
+    if ev.shard != 0 {
+        let _ = write!(out, ",\"shard\":{}", ev.shard);
     }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.i < self.s.len() && self.s[self.i] == b {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.i))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.s.get(self.i).copied()
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self.s.get(self.i).ok_or("unterminated string")?;
-            self.i += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self.s.get(self.i).ok_or("unterminated escape")?;
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self.s.get(self.i..self.i + 4).ok_or("short \\u escape")?;
-                            self.i += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                // Multi-byte UTF-8: copy the raw bytes through.
-                _ => {
-                    let start = self.i - 1;
-                    let mut end = self.i;
-                    while end < self.s.len() && self.s[end] & 0xC0 == 0x80 {
-                        end += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.s[start..end]).map_err(|_| "invalid utf-8")?,
-                    );
-                    self.i = end;
-                }
-            }
-        }
-    }
-
-    fn parse_num(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.i;
-        while self.i < self.s.len() && self.s[self.i].is_ascii_digit() {
-            self.i += 1;
-        }
-        if start == self.i {
-            return Err(format!("expected number at byte {start}"));
-        }
-        std::str::from_utf8(&self.s[start..self.i])
-            .unwrap()
-            .parse()
-            .map_err(|e| format!("bad number: {e}"))
-    }
-
-    fn parse_value(&mut self) -> Result<Val, String> {
-        match self.peek().ok_or("unexpected end of line")? {
-            b'"' => Ok(Val::Str(self.parse_string()?)),
-            b't' => {
-                if self.s[self.i..].starts_with(b"true") {
-                    self.i += 4;
-                    Ok(Val::Bool(true))
-                } else {
-                    Err("bad literal".into())
-                }
-            }
-            b'f' => {
-                if self.s[self.i..].starts_with(b"false") {
-                    self.i += 5;
-                    Ok(Val::Bool(false))
-                } else {
-                    Err("bad literal".into())
-                }
-            }
-            b'[' => {
-                self.expect(b'[')?;
-                let mut arr = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.i += 1;
-                    return Ok(Val::Arr(arr));
-                }
-                loop {
-                    arr.push(self.parse_num()?);
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b']') => {
-                            self.i += 1;
-                            return Ok(Val::Arr(arr));
-                        }
-                        _ => return Err("bad array".into()),
-                    }
-                }
-            }
-            b if b.is_ascii_digit() => Ok(Val::Num(self.parse_num()?)),
-            other => Err(format!("unexpected byte {:?}", other as char)),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<BTreeMap<String, Val>, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(map);
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let val = self.parse_value()?;
-            map.insert(key, val);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(map);
-                }
-                _ => return Err("bad object".into()),
-            }
-        }
-    }
-}
-
-struct Fields {
-    map: BTreeMap<String, Val>,
-}
-
-impl Fields {
-    fn num(&self, key: &str) -> Result<u64, String> {
-        match self.map.get(key) {
-            Some(Val::Num(n)) => Ok(*n),
-            _ => Err(format!("missing numeric field {key:?}")),
-        }
-    }
-
-    fn opt_num(&self, key: &str) -> Result<Option<u64>, String> {
-        match self.map.get(key) {
-            None => Ok(None),
-            Some(Val::Num(n)) => Ok(Some(*n)),
-            _ => Err(format!("field {key:?} is not a number")),
-        }
-    }
-
-    fn string(&self, key: &str) -> Result<&str, String> {
-        match self.map.get(key) {
-            Some(Val::Str(s)) => Ok(s),
-            _ => Err(format!("missing string field {key:?}")),
-        }
-    }
-
-    fn boolean(&self, key: &str) -> Result<bool, String> {
-        match self.map.get(key) {
-            Some(Val::Bool(b)) => Ok(*b),
-            _ => Err(format!("missing bool field {key:?}")),
-        }
-    }
-
-    fn arr(&self, key: &str) -> Result<&[u64], String> {
-        match self.map.get(key) {
-            Some(Val::Arr(a)) => Ok(a),
-            _ => Err(format!("missing array field {key:?}")),
-        }
-    }
-
-    fn comp(&self, key: &str) -> Result<CompId, String> {
-        Ok(CompId::from_index(self.num(key)? as usize))
-    }
-
-    fn agent_state(&self, key: &str) -> Result<AgentStateTag, String> {
-        let s = self.string(key)?;
-        AgentStateTag::parse(s).ok_or_else(|| format!("unknown agent state {s:?}"))
-    }
-
-    fn manager_phase(&self, key: &str) -> Result<ManagerPhaseTag, String> {
-        let s = self.string(key)?;
-        ManagerPhaseTag::parse(s).ok_or_else(|| format!("unknown manager phase {s:?}"))
-    }
-
-    fn key(&self, key: &str) -> Result<ObligationKey, String> {
-        self.string(key)?.parse()
-    }
-}
-
-fn config_from_bit_string(bits: &str) -> Result<Config, String> {
-    Config::from_bit_string(bits).map_err(|other| format!("invalid bit {other:?} in config"))
+    let _ = write!(out, ",\"kind\":\"{kind}\"");
 }
 
 /// Decodes one JSONL line back into an [`Event`].
-pub fn decode_event(line: &str) -> Result<Event, String> {
-    let map = Parser::new(line).parse_object()?;
-    let f = Fields { map };
-    let at = SimTime::from_micros(f.num("at")?);
-    let actor = f.num("actor")? as u32;
-    let kind = f.string("kind")?;
-    let payload = match kind {
-        "net.sent" => {
-            Payload::Net(NetEvent::Sent { from: f.num("from")? as u32, to: f.num("to")? as u32 })
-        }
-        "net.delivered" => Payload::Net(NetEvent::Delivered {
-            from: f.num("from")? as u32,
-            to: f.num("to")? as u32,
-        }),
-        "net.dropped" => {
-            Payload::Net(NetEvent::Dropped { from: f.num("from")? as u32, to: f.num("to")? as u32 })
-        }
-        "net.timer" => Payload::Net(NetEvent::TimerFired { tag: f.num("tag")? }),
-        "net.crashed" => Payload::Net(NetEvent::Crashed),
-        "net.restarted" => Payload::Net(NetEvent::Restarted),
-        "proto.agent" => Payload::Proto(ProtoEvent::AgentState {
-            from: f.agent_state("from")?,
-            to: f.agent_state("to")?,
-            step: f.opt_num("step")?,
-        }),
-        "proto.manager" => Payload::Proto(ProtoEvent::ManagerPhase {
-            from: f.manager_phase("from")?,
-            to: f.manager_phase("to")?,
-            step: f.opt_num("step")?,
-        }),
-        "proto.step_started" => Payload::Proto(ProtoEvent::StepStarted {
-            step: f.num("step")?,
-            solo: f.boolean("solo")?,
-            participants: f.num("participants")? as u32,
-        }),
-        "proto.step_committed" => {
-            Payload::Proto(ProtoEvent::StepCommitted { step: f.num("step")? })
-        }
-        "proto.timeout" => Payload::Proto(ProtoEvent::TimeoutFired {
-            phase: f.manager_phase("phase")?,
-            step: f.opt_num("step")?,
-            retries: f.num("retries")? as u32,
-        }),
-        "proto.retry" => Payload::Proto(ProtoEvent::RetrySent {
-            step: f.num("step")?,
-            resends: f.num("resends")? as u32,
-        }),
-        "proto.rollback" => Payload::Proto(ProtoEvent::RollbackIssued { step: f.num("step")? }),
-        "proto.rejoin" => Payload::Proto(ProtoEvent::RejoinReceived {
-            agent: f.num("agent")? as u32,
-            last_completed: f.opt_num("last")?,
-        }),
-        "proto.outcome" => Payload::Proto(ProtoEvent::OutcomeReached {
-            success: f.boolean("success")?,
-            gave_up: f.boolean("gave_up")?,
-            steps_committed: f.num("steps")?,
-        }),
-        "proto.journal" => Payload::Proto(ProtoEvent::JournalAppended { seq: f.num("seq")? }),
-        "proto.manager_restored" => Payload::Proto(ProtoEvent::ManagerRestored {
-            records: f.num("records")?,
-            phase: f.manager_phase("phase")?,
-            step: f.opt_num("step")?,
-        }),
-        "proto.state_queried" => {
-            Payload::Proto(ProtoEvent::StateQueried { agent: f.num("agent")? as u32 })
-        }
-        "proto.state_reported" => Payload::Proto(ProtoEvent::StateReported {
-            agent: f.num("agent")? as u32,
-            engaged: f.opt_num("engaged")?,
-            adapted: f.boolean("adapted")?,
-            failed: f.boolean("failed")?,
-            last_completed: f.opt_num("last")?,
-        }),
-        "audit.seg_start" => {
-            Payload::Audit(AuditEvent::SegmentStart { cid: f.num("cid")?, comp: f.comp("comp")? })
-        }
-        "audit.seg_end" => {
-            Payload::Audit(AuditEvent::SegmentEnd { cid: f.num("cid")?, comp: f.comp("comp")? })
-        }
-        "audit.seg_lost" => {
-            Payload::Audit(AuditEvent::SegmentLost { cid: f.num("cid")?, comp: f.comp("comp")? })
-        }
-        "audit.in_action" => Payload::Audit(AuditEvent::InAction {
-            label: f.string("label")?.to_string(),
-            comps: f.arr("comps")?.iter().map(|&c| CompId::from_index(c as usize)).collect(),
-        }),
-        "audit.config" => Payload::Audit(AuditEvent::ConfigSnapshot {
-            config: config_from_bit_string(f.string("config")?)?,
-        }),
-        "temporal.opened" => Payload::Temporal(TemporalEvent::ObligationOpened {
-            key: f.key("key")?,
-            cid: f.num("cid")?,
-        }),
-        "temporal.discharged" => Payload::Temporal(TemporalEvent::ObligationDischarged {
-            key: f.key("key")?,
-            cid: f.num("cid")?,
-        }),
-        "temporal.safe_point" => {
-            Payload::Temporal(TemporalEvent::SafePoint { index: f.num("index")? })
-        }
-        "plan.path" => Payload::Plan(PlanEvent::PathSelected {
-            rank: f.num("rank")? as u32,
-            steps: f.num("steps")? as u32,
-            cost: f.num("cost")?,
-        }),
-        "plan.exhausted" => Payload::Plan(PlanEvent::PathsExhausted {
-            returning_to_source: f.boolean("to_source")?,
-        }),
-        "fleet.submitted" => Payload::Fleet(FleetEvent::SessionSubmitted {
-            session: f.num("id")?,
-            resources: f.num("resources")? as u32,
-        }),
-        "fleet.admitted" => Payload::Fleet(FleetEvent::SessionAdmitted {
-            session: f.num("id")?,
-            queued_for: f.num("queued_for")?,
-        }),
-        "fleet.queued" => Payload::Fleet(FleetEvent::SessionQueued {
-            session: f.num("id")?,
-            position: f.num("position")? as u32,
-        }),
-        "fleet.cancelled" => Payload::Fleet(FleetEvent::SessionCancelled { session: f.num("id")? }),
-        "fleet.done" => Payload::Fleet(FleetEvent::SessionDone {
-            session: f.num("id")?,
-            success: f.boolean("success")?,
-            gave_up: f.boolean("gave_up")?,
-        }),
-        "fleet.restored" => Payload::Fleet(FleetEvent::ControlRestored {
-            active: f.num("active")? as u32,
-            queued: f.num("queued")? as u32,
-        }),
-        "fleet.cache_hit" => Payload::Fleet(FleetEvent::PlanCacheHit { session: f.num("id")? }),
-        "fleet.cache_miss" => Payload::Fleet(FleetEvent::PlanCacheMiss { session: f.num("id")? }),
-        "fleet.cache_evicted" => {
-            Payload::Fleet(FleetEvent::PlanCacheEvicted { session: f.num("id")? })
-        }
-        "fleet.shed" => Payload::Fleet(FleetEvent::SessionShed {
-            session: f.num("id")?,
-            waited_us: f.num("waited_us")?,
-            // Pre-backpressure traces carry no hint; they decode as 0.
-            retry_after_us: f.opt_num("retry_after_us")?.unwrap_or(0),
-        }),
-        "fleet.rejected" => Payload::Fleet(FleetEvent::SessionRejected {
-            session: f.num("id")?,
-            agent: f.num("agent")? as u32,
-        }),
-        "fleet.breaker_open" => Payload::Fleet(FleetEvent::BreakerOpened {
-            agent: f.num("agent")? as u32,
-            cooldown_us: f.num("cooldown_us")?,
-        }),
-        "fleet.breaker_probe" => {
-            Payload::Fleet(FleetEvent::BreakerProbed { agent: f.num("agent")? as u32 })
-        }
-        "fleet.breaker_close" => {
-            Payload::Fleet(FleetEvent::BreakerClosed { agent: f.num("agent")? as u32 })
-        }
-        "fleet.scope_breaker_open" => Payload::Fleet(FleetEvent::ScopeBreakerOpened {
-            scope: f.num("scope")?,
-            cooldown_us: f.num("cooldown_us")?,
-        }),
-        "fleet.scope_breaker_probe" => {
-            Payload::Fleet(FleetEvent::ScopeBreakerProbed { scope: f.num("scope")? })
-        }
-        "fleet.scope_breaker_close" => {
-            Payload::Fleet(FleetEvent::ScopeBreakerClosed { scope: f.num("scope")? })
-        }
-        "fleet.scope_rejected" => Payload::Fleet(FleetEvent::ScopeRejected {
-            session: f.num("id")?,
-            scope: f.num("scope")?,
-        }),
-        "fleet.rto" => Payload::Fleet(FleetEvent::TimeoutAdapted {
-            agent: f.num("agent")? as u32,
-            srtt_us: f.num("srtt_us")?,
-            rto_us: f.num("rto_us")?,
-        }),
-        "fleet.fabric_drop" => Payload::Fleet(FleetEvent::FabricDropped {
-            src: f.num("src")? as u32,
-            dst: f.num("dst")? as u32,
-            seq: f.num("seq")?,
-        }),
-        "fleet.fabric_dup" => Payload::Fleet(FleetEvent::FabricDuplicated {
-            src: f.num("src")? as u32,
-            dst: f.num("dst")? as u32,
-            seq: f.num("seq")?,
-        }),
-        "fleet.fabric_delay" => Payload::Fleet(FleetEvent::FabricDelayed {
-            src: f.num("src")? as u32,
-            dst: f.num("dst")? as u32,
-            seq: f.num("seq")?,
-            quanta: f.num("quanta")? as u32,
-        }),
-        "fleet.fabric_retx" => Payload::Fleet(FleetEvent::FabricRetransmit {
-            session: f.num("id")?,
-            region: f.num("region")? as u32,
-            attempt: f.num("attempt")? as u32,
-        }),
-        "fleet.lease_reclaim" => Payload::Fleet(FleetEvent::LeaseReclaimed {
-            session: f.num("id")?,
-            region: f.num("region")? as u32,
-            epoch: f.num("epoch")?,
-        }),
-        "fleet.straddler_abandoned" => Payload::Fleet(FleetEvent::StraddlerAbandoned {
-            session: f.num("id")?,
-            region: f.num("region")? as u32,
-            attempts: f.num("attempts")? as u32,
-        }),
-        "fleet.domain" => Payload::Fleet(FleetEvent::DomainTagged {
-            domain: f.num("domain")? as u32,
-            objective: f.num("objective")? as u32,
-        }),
-        "fleet.lease_expired" => Payload::Fleet(FleetEvent::LeaseExpired {
-            session: f.num("id")?,
-            region: f.num("region")? as u32,
-        }),
-        other => return Err(format!("unknown event kind {other:?}")),
-    };
-    // Pre-fleet traces carry no session key; they decode as session 0.
-    let session = f.opt_num("session")?.unwrap_or(0);
-    // Pre-shard traces carry no shard key; they decode as shard 0.
-    let shard = f.opt_num("shard")?.unwrap_or(0) as u32;
-    Ok(Event { at, actor, session, shard, payload })
+pub fn decode_event(line: &str) -> Result<Event, ParseError> {
+    decode(Cursor::new(line))
 }
 
 /// Decodes a whole `.jsonl` trace (blank lines and `#` comments skipped).
-pub fn decode_lines(text: &str) -> Result<Vec<Event>, String> {
-    let mut out = Vec::new();
-    for (no, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+pub fn decode_lines(text: &str) -> Result<Vec<Event>, ParseError> {
+    records(text).map(decode).collect()
+}
+
+fn decode(line: Cursor<'_>) -> Result<Event, ParseError> {
+    let f = Fields::json(line)?;
+    Ok(Event {
+        at: SimTime::from_micros(f.int("at")?),
+        actor: f.int("actor")?,
+        // Pre-fleet traces carry no session key and pre-shard traces no
+        // shard key; they decode as session 0, shard 0.
+        session: f.opt_int("session")?.unwrap_or(0),
+        shard: f.opt_int("shard")?.unwrap_or(0),
+        payload: decode_payload(f.parse("kind", Cursor::raw_str)?, &f)?,
+    })
+}
+
+/// How one field type travels in a JSON line: written after its key,
+/// read back from the line's [`Fields`].
+trait Wire {
+    type Value;
+    fn put(out: &mut String, key: &str, value: &Self::Value);
+    fn get(f: &Fields<'_>, key: &str) -> Result<Self::Value, ParseError>;
+}
+
+fn put_display(out: &mut String, key: &str, value: impl std::fmt::Display) {
+    let _ = write!(out, ",\"{key}\":{value}");
+}
+
+/// Writes `value` quoted but unescaped: for names and bit strings, which
+/// hold nothing to escape.
+fn put_name(out: &mut String, key: &str, value: impl std::fmt::Display) {
+    let _ = write!(out, ",\"{key}\":\"{value}\"");
+}
+
+/// Reads a quoted name back through `parse`.
+fn get_name<T>(
+    f: &Fields<'_>,
+    key: &str,
+    what: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, ParseError> {
+    let name = f.parse(key, Cursor::raw_str)?;
+    parse(name.as_str()).ok_or_else(|| name.unknown(what))
+}
+
+/// The field types: the name a table row uses, the Rust type of the event
+/// field it stands for, and the two directions.
+macro_rules! wire {
+    ($($name:ty => $value:ty {
+        put($out:ident, $put_key:ident, $v:ident) $put:block
+        get($f:ident, $get_key:ident) $get:block
+    })*) => {$(
+        impl Wire for $name {
+            type Value = $value;
+            fn put($out: &mut String, $put_key: &str, $v: &$value) $put
+            fn get($f: &Fields<'_>, $get_key: &str) -> Result<$value, ParseError> $get
         }
-        out.push(decode_event(line).map_err(|e| format!("line {}: {e}", no + 1))?);
+    )*};
+}
+
+/// A `u64` that older traces do not carry: always written, 0 when absent.
+struct OrZero;
+
+wire! {
+    u64 => u64 {
+        put(out, key, v) { put_display(out, key, v) }
+        get(f, key) { f.int(key) }
     }
-    Ok(out)
+    u32 => u32 {
+        put(out, key, v) { put_display(out, key, v) }
+        get(f, key) { f.int(key) }
+    }
+    OrZero => u64 {
+        put(out, key, v) { put_display(out, key, v) }
+        get(f, key) { Ok(f.opt_int(key)?.unwrap_or(0)) }
+    }
+    Option<u64> => Option<u64> {
+        // `None` is an absent key.
+        put(out, key, v) { v.iter().for_each(|v| put_display(out, key, v)) }
+        get(f, key) { f.opt_int(key) }
+    }
+    bool => bool {
+        put(out, key, v) { put_display(out, key, v) }
+        get(f, key) { f.parse(key, Cursor::next_bool) }
+    }
+    String => String {
+        put(out, key, v) {
+            let _ = write!(out, ",\"{key}\":");
+            push_json_str(out, v);
+        }
+        get(f, key) { Ok(f.parse(key, Cursor::next_str)?.into_owned()) }
+    }
+    CompId => CompId {
+        put(out, key, v) { put_display(out, key, v.index()) }
+        get(f, key) { f.parse(key, next_comp) }
+    }
+    Vec<CompId> => Vec<CompId> {
+        put(out, key, v) {
+            let _ = write!(out, ",\"{key}\":[");
+            for (ix, comp) in v.iter().enumerate() {
+                let _ = write!(out, "{}{}", if ix > 0 { "," } else { "" }, comp.index());
+            }
+            out.push(']');
+        }
+        get(f, key) {
+            f.parse(key, |c| {
+                c.expect(b'[')?;
+                let comps = if c.peek() == Some(b']') { Vec::new() } else { c.items(next_comp)? };
+                c.expect(b']')?;
+                Ok(comps)
+            })
+        }
+    }
+    Config => Config {
+        put(out, key, v) { put_name(out, key, v) }
+        get(f, key) { f.parse(key, Cursor::raw_str)?.config() }
+    }
+    AgentStateTag => AgentStateTag {
+        put(out, key, v) { put_name(out, key, v.as_str()) }
+        get(f, key) { get_name(f, key, "agent state", AgentStateTag::parse) }
+    }
+    ManagerPhaseTag => ManagerPhaseTag {
+        put(out, key, v) { put_name(out, key, v.as_str()) }
+        get(f, key) { get_name(f, key, "manager phase", ManagerPhaseTag::parse) }
+    }
+    ObligationKey => ObligationKey {
+        put(out, key, v) { put_name(out, key, v) }
+        get(f, key) { get_name(f, key, "obligation key", |s| s.parse().ok()) }
+    }
+}
+
+fn next_comp(c: &mut Cursor<'_>) -> Result<CompId, ParseError> {
+    Ok(CompId::from_index(c.next_int::<u32>()? as usize))
+}
+
+/// The event taxonomy's wire form, one row per kind: the `kind` string,
+/// the variant, and for each of its fields the JSON key and how it travels.
+/// Both directions are generated from the row, so they cannot drift; the
+/// encoder's `match` is exhaustive, so a variant without a row does not
+/// compile.
+macro_rules! events {
+    ($($kind:literal => $layer:ident($of:ident::$variant:ident $({
+        $($field:ident: $key:literal $ty:ty),*
+    })?),)*) => {
+        fn encode_payload(out: &mut String, ev: &Event) {
+            match &ev.payload {$(
+                Payload::$layer($of::$variant $({ $($field),* })?) => {
+                    head(out, ev, $kind);
+                    $($(<$ty as Wire>::put(out, $key, $field);)*)?
+                }
+            )*}
+        }
+
+        fn decode_payload(kind: Cursor<'_>, f: &Fields<'_>) -> Result<Payload, ParseError> {
+            Ok(match kind.as_str() {
+                $($kind => Payload::$layer($of::$variant $({
+                    $($field: <$ty as Wire>::get(f, $key)?),*
+                })?),)*
+                _ => return Err(kind.unknown("event kind")),
+            })
+        }
+    };
+}
+
+events! {
+    "net.sent" => Net(NetEvent::Sent { from: "from" u32, to: "to" u32 }),
+    "net.delivered" => Net(NetEvent::Delivered { from: "from" u32, to: "to" u32 }),
+    "net.dropped" => Net(NetEvent::Dropped { from: "from" u32, to: "to" u32 }),
+    "net.timer" => Net(NetEvent::TimerFired { tag: "tag" u64 }),
+    "net.crashed" => Net(NetEvent::Crashed),
+    "net.restarted" => Net(NetEvent::Restarted),
+    "proto.agent" => Proto(ProtoEvent::AgentState {
+        from: "from" AgentStateTag, to: "to" AgentStateTag, step: "step" Option<u64>
+    }),
+    "proto.manager" => Proto(ProtoEvent::ManagerPhase {
+        from: "from" ManagerPhaseTag, to: "to" ManagerPhaseTag, step: "step" Option<u64>
+    }),
+    "proto.step_started" => Proto(ProtoEvent::StepStarted {
+        step: "step" u64, solo: "solo" bool, participants: "participants" u32
+    }),
+    "proto.step_committed" => Proto(ProtoEvent::StepCommitted { step: "step" u64 }),
+    "proto.timeout" => Proto(ProtoEvent::TimeoutFired {
+        phase: "phase" ManagerPhaseTag, step: "step" Option<u64>, retries: "retries" u32
+    }),
+    "proto.retry" => Proto(ProtoEvent::RetrySent { step: "step" u64, resends: "resends" u32 }),
+    "proto.rollback" => Proto(ProtoEvent::RollbackIssued { step: "step" u64 }),
+    "proto.rejoin" => Proto(ProtoEvent::RejoinReceived {
+        agent: "agent" u32, last_completed: "last" Option<u64>
+    }),
+    "proto.outcome" => Proto(ProtoEvent::OutcomeReached {
+        success: "success" bool, gave_up: "gave_up" bool, steps_committed: "steps" u64
+    }),
+    "proto.journal" => Proto(ProtoEvent::JournalAppended { seq: "seq" u64 }),
+    "proto.manager_restored" => Proto(ProtoEvent::ManagerRestored {
+        records: "records" u64, phase: "phase" ManagerPhaseTag, step: "step" Option<u64>
+    }),
+    "proto.state_queried" => Proto(ProtoEvent::StateQueried { agent: "agent" u32 }),
+    "proto.state_reported" => Proto(ProtoEvent::StateReported {
+        agent: "agent" u32, engaged: "engaged" Option<u64>, adapted: "adapted" bool,
+        failed: "failed" bool, last_completed: "last" Option<u64>
+    }),
+    "audit.seg_start" => Audit(AuditEvent::SegmentStart { cid: "cid" u64, comp: "comp" CompId }),
+    "audit.seg_end" => Audit(AuditEvent::SegmentEnd { cid: "cid" u64, comp: "comp" CompId }),
+    "audit.seg_lost" => Audit(AuditEvent::SegmentLost { cid: "cid" u64, comp: "comp" CompId }),
+    "audit.in_action" => Audit(AuditEvent::InAction {
+        label: "label" String, comps: "comps" Vec<CompId>
+    }),
+    "audit.config" => Audit(AuditEvent::ConfigSnapshot { config: "config" Config }),
+    "temporal.opened" => Temporal(TemporalEvent::ObligationOpened {
+        key: "key" ObligationKey, cid: "cid" u64
+    }),
+    "temporal.discharged" => Temporal(TemporalEvent::ObligationDischarged {
+        key: "key" ObligationKey, cid: "cid" u64
+    }),
+    "temporal.safe_point" => Temporal(TemporalEvent::SafePoint { index: "index" u64 }),
+    "plan.path" => Plan(PlanEvent::PathSelected {
+        rank: "rank" u32, steps: "steps" u32, cost: "cost" u64
+    }),
+    "plan.exhausted" => Plan(PlanEvent::PathsExhausted { returning_to_source: "to_source" bool }),
+    "fleet.submitted" => Fleet(FleetEvent::SessionSubmitted {
+        session: "id" u64, resources: "resources" u32
+    }),
+    "fleet.admitted" => Fleet(FleetEvent::SessionAdmitted {
+        session: "id" u64, queued_for: "queued_for" u64
+    }),
+    "fleet.queued" => Fleet(FleetEvent::SessionQueued { session: "id" u64, position: "position" u32 }),
+    "fleet.cancelled" => Fleet(FleetEvent::SessionCancelled { session: "id" u64 }),
+    "fleet.done" => Fleet(FleetEvent::SessionDone {
+        session: "id" u64, success: "success" bool, gave_up: "gave_up" bool
+    }),
+    "fleet.restored" => Fleet(FleetEvent::ControlRestored { active: "active" u32, queued: "queued" u32 }),
+    "fleet.cache_hit" => Fleet(FleetEvent::PlanCacheHit { session: "id" u64 }),
+    "fleet.cache_miss" => Fleet(FleetEvent::PlanCacheMiss { session: "id" u64 }),
+    "fleet.cache_evicted" => Fleet(FleetEvent::PlanCacheEvicted { session: "id" u64 }),
+    // Pre-backpressure traces carry no hint; they decode as 0.
+    "fleet.shed" => Fleet(FleetEvent::SessionShed {
+        session: "id" u64, waited_us: "waited_us" u64, retry_after_us: "retry_after_us" OrZero
+    }),
+    "fleet.rejected" => Fleet(FleetEvent::SessionRejected { session: "id" u64, agent: "agent" u32 }),
+    "fleet.breaker_open" => Fleet(FleetEvent::BreakerOpened {
+        agent: "agent" u32, cooldown_us: "cooldown_us" u64
+    }),
+    "fleet.breaker_probe" => Fleet(FleetEvent::BreakerProbed { agent: "agent" u32 }),
+    "fleet.breaker_close" => Fleet(FleetEvent::BreakerClosed { agent: "agent" u32 }),
+    "fleet.scope_breaker_open" => Fleet(FleetEvent::ScopeBreakerOpened {
+        scope: "scope" u64, cooldown_us: "cooldown_us" u64
+    }),
+    "fleet.scope_breaker_probe" => Fleet(FleetEvent::ScopeBreakerProbed { scope: "scope" u64 }),
+    "fleet.scope_breaker_close" => Fleet(FleetEvent::ScopeBreakerClosed { scope: "scope" u64 }),
+    "fleet.scope_rejected" => Fleet(FleetEvent::ScopeRejected { session: "id" u64, scope: "scope" u64 }),
+    "fleet.rto" => Fleet(FleetEvent::TimeoutAdapted {
+        agent: "agent" u32, srtt_us: "srtt_us" u64, rto_us: "rto_us" u64
+    }),
+    "fleet.fabric_drop" => Fleet(FleetEvent::FabricDropped { src: "src" u32, dst: "dst" u32, seq: "seq" u64 }),
+    "fleet.fabric_dup" => Fleet(FleetEvent::FabricDuplicated {
+        src: "src" u32, dst: "dst" u32, seq: "seq" u64
+    }),
+    "fleet.fabric_delay" => Fleet(FleetEvent::FabricDelayed {
+        src: "src" u32, dst: "dst" u32, seq: "seq" u64, quanta: "quanta" u32
+    }),
+    "fleet.fabric_retx" => Fleet(FleetEvent::FabricRetransmit {
+        session: "id" u64, region: "region" u32, attempt: "attempt" u32
+    }),
+    "fleet.lease_reclaim" => Fleet(FleetEvent::LeaseReclaimed {
+        session: "id" u64, region: "region" u32, epoch: "epoch" u64
+    }),
+    "fleet.straddler_abandoned" => Fleet(FleetEvent::StraddlerAbandoned {
+        session: "id" u64, region: "region" u32, attempts: "attempts" u32
+    }),
+    "fleet.domain" => Fleet(FleetEvent::DomainTagged { domain: "domain" u32, objective: "objective" u32 }),
+    "fleet.lease_expired" => Fleet(FleetEvent::LeaseExpired { session: "id" u64, region: "region" u32 }),
 }
 
 #[cfg(test)]
@@ -1206,13 +691,14 @@ mod tests {
 
     #[test]
     fn decode_reports_line_numbers() {
-        let err = decode_lines("# ok\nnot json\n").unwrap_err();
+        let err = decode_lines("# ok\nnot json\n").unwrap_err().to_string();
         assert!(err.starts_with("line 2:"), "{err}");
     }
 
     #[test]
     fn unknown_kind_is_an_error() {
-        let err = decode_event("{\"at\":0,\"actor\":0,\"kind\":\"weird\"}").unwrap_err();
+        let err =
+            decode_event("{\"at\":0,\"actor\":0,\"kind\":\"weird\"}").unwrap_err().to_string();
         assert!(err.contains("unknown event kind"), "{err}");
     }
 

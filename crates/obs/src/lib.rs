@@ -20,6 +20,9 @@
 //!   message/drop/retry/rollback counts, reconstructed from any stream.
 //! * [`ObligationKey`] — the typed obligation identity shared with the
 //!   temporal layer (the stringly form survives only at parser boundaries).
+//! * [`text`] — the one tokenizer under every line-oriented text format of
+//!   the workspace (this crate's JSONL, the journals, fault plans, fabric
+//!   messages, scenario files) and their one [`text::ParseError`].
 //!
 //! This crate sits at the bottom of the workspace: it depends only on
 //! `sada-expr` (component identities, configurations) and `sada-model` (the
@@ -32,6 +35,7 @@ mod event;
 mod key;
 mod metrics;
 mod sinks;
+pub mod text;
 mod time;
 
 pub use bus::{Bus, Sink};

@@ -23,6 +23,7 @@
 use std::fmt;
 
 use sada_expr::Config;
+use sada_obs::text::{list, push_lines, records, Cursor, Fields, ParseError};
 use sada_plan::ActionId;
 
 use crate::messages::{SessionId, StepId};
@@ -98,14 +99,6 @@ pub enum JournalRecord {
     },
 }
 
-fn fmt_actions(actions: &[ActionId]) -> String {
-    if actions.is_empty() {
-        "-".to_string()
-    } else {
-        actions.iter().map(|a| a.0.to_string()).collect::<Vec<_>>().join(",")
-    }
-}
-
 impl fmt::Display for JournalRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -116,7 +109,7 @@ impl fmt::Display for JournalRecord {
                 write!(f, "queued source={source} target={target}")
             }
             JournalRecord::PathSelected { actions } => {
-                write!(f, "path actions={}", fmt_actions(actions))
+                write!(f, "path actions={}", list(actions, |a, f| write!(f, "{}", a.0)))
             }
             JournalRecord::GoalReversed => write!(f, "reverse"),
             JournalRecord::StepStarted { step, ix } => write!(f, "step id={} ix={ix}", step.0),
@@ -137,86 +130,41 @@ impl fmt::Display for JournalRecord {
 /// line, in order).
 pub fn encode_journal(records: &[JournalRecord]) -> String {
     let mut out = String::new();
-    for r in records {
-        out.push_str(&r.to_string());
-        out.push('\n');
-    }
+    push_lines(&mut out, records);
     out
 }
 
 /// Parses the text form produced by [`encode_journal`]. Blank lines and `#`
 /// comments are ignored.
-pub fn parse_journal(text: &str) -> Result<Vec<JournalRecord>, String> {
-    let mut records = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        records.push(parse_record(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
-    }
-    Ok(records)
+pub fn parse_journal(text: &str) -> Result<Vec<JournalRecord>, ParseError> {
+    records(text).map(|line| parse_record(&Fields::words(line)?)).collect()
 }
 
-fn parse_config(bits: &str) -> Result<Config, String> {
-    Config::from_bit_string(bits).map_err(|other| format!("invalid config bit {other:?}"))
-}
-
-fn parse_record(line: &str) -> Result<JournalRecord, String> {
-    let mut words = line.split_whitespace();
-    let verb = words.next().ok_or("empty journal line")?;
-    let mut fields = std::collections::HashMap::new();
-    for w in words {
-        let (k, v) = w.split_once('=').ok_or_else(|| format!("expected key=value, got '{w}'"))?;
-        fields.insert(k, v);
-    }
-    let raw = |k: &str| -> Result<&str, String> {
-        fields.get(k).copied().ok_or_else(|| format!("missing field '{k}'"))
-    };
-    let num = |k: &str| -> Result<u64, String> {
-        raw(k)?.parse::<u64>().map_err(|e| format!("field '{k}': {e}"))
-    };
-    let boolean = |k: &str| -> Result<bool, String> {
-        raw(k)?.parse::<bool>().map_err(|e| format!("field '{k}': {e}"))
-    };
-    let config = |k: &str| -> Result<Config, String> {
-        parse_config(raw(k)?).map_err(|e| format!("field '{k}': {e}"))
-    };
-    let step = |k: &str| -> Result<StepId, String> { Ok(StepId(num(k)?)) };
-    match verb {
+fn parse_record(f: &Fields<'_>) -> Result<JournalRecord, ParseError> {
+    let config = |key| f.get(key)?.config();
+    let step = |key| f.int(key).map(StepId);
+    let boolean = |key| f.parse(key, Cursor::next_bool);
+    Ok(match f.verb.as_str() {
         "request" => {
-            Ok(JournalRecord::Request { source: config("source")?, target: config("target")? })
+            JournalRecord::Request { source: config("source")?, target: config("target")? }
         }
-        "queued" => {
-            Ok(JournalRecord::Queued { source: config("source")?, target: config("target")? })
-        }
-        "path" => {
-            let v = raw("actions")?;
-            let actions = if v == "-" {
-                Vec::new()
-            } else {
-                v.split(',')
-                    .map(|s| {
-                        s.parse::<u32>().map(ActionId).map_err(|e| format!("field 'actions': {e}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?
-            };
-            Ok(JournalRecord::PathSelected { actions })
-        }
-        "reverse" => Ok(JournalRecord::GoalReversed),
-        "step" => Ok(JournalRecord::StepStarted { step: step("id")?, ix: num("ix")? as u32 }),
-        "resume" => Ok(JournalRecord::ResumeIssued { step: step("id")? }),
-        "commit" => Ok(JournalRecord::StepCommitted { step: step("id")? }),
-        "rollback" => Ok(JournalRecord::RollbackIssued { step: step("id")? }),
+        "queued" => JournalRecord::Queued { source: config("source")?, target: config("target")? },
+        "path" => JournalRecord::PathSelected {
+            actions: f.parse("actions", |c| c.next_list(|c| c.next_int().map(ActionId)))?,
+        },
+        "reverse" => JournalRecord::GoalReversed,
+        "step" => JournalRecord::StepStarted { step: step("id")?, ix: f.int("ix")? },
+        "resume" => JournalRecord::ResumeIssued { step: step("id")? },
+        "commit" => JournalRecord::StepCommitted { step: step("id")? },
+        "rollback" => JournalRecord::RollbackIssued { step: step("id")? },
         "rolledback" => {
-            Ok(JournalRecord::RollbackComplete { step: step("id")?, retry: boolean("retry")? })
+            JournalRecord::RollbackComplete { step: step("id")?, retry: boolean("retry")? }
         }
-        "outcome" => Ok(JournalRecord::Outcome {
-            success: boolean("success")?,
-            gave_up: boolean("gave_up")?,
-        }),
-        other => Err(format!("unknown journal verb '{other}'")),
-    }
+        "outcome" => {
+            JournalRecord::Outcome { success: boolean("success")?, gave_up: boolean("gave_up")? }
+        }
+        _ => return Err(f.verb.unknown("journal verb")),
+    })
 }
 
 /// One journal record tagged with the adaptation session it belongs to.
@@ -244,9 +192,9 @@ impl From<JournalRecord> for SessionRecord {
 impl fmt::Display for SessionRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Session 0 is elided, so a solo journal is byte-identical to the
-        // pre-fleet text form; and because `parse_record` ignores unknown
-        // `key=value` fields, the pre-fleet parser still reads tagged lines
-        // (it just drops the tag). Both directions stay compatible.
+        // pre-fleet text form; and because `parse_record` never looks at a
+        // field it does not know, the pre-fleet parser still reads tagged
+        // lines (it just drops the tag). Both directions stay compatible.
         self.record.fmt(f)?;
         if self.session != SessionId::SOLO {
             write!(f, " session={}", self.session.0)?;
@@ -283,38 +231,22 @@ impl SessionRecord {
 /// whether two threads' reallocations overlap would decide the run's peak
 /// heap.
 pub fn encode_session_journal(records: &[SessionRecord]) -> String {
-    use fmt::Write;
     let mut out = String::with_capacity(records.iter().map(SessionRecord::line_len_bound).sum());
-    for r in records {
-        writeln!(out, "{r}").expect("writing to a String cannot fail");
-    }
+    push_lines(&mut out, records);
     out
 }
 
 /// Parses the text form produced by [`encode_session_journal`]. Lines
 /// without a `session=` field — i.e. every pre-fleet journal — parse as
 /// [`SessionId::SOLO`]. Blank lines and `#` comments are ignored.
-pub fn parse_session_journal(text: &str) -> Result<Vec<SessionRecord>, String> {
-    let mut records = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        records.push(parse_session_record(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
-    }
-    Ok(records)
-}
-
-fn parse_session_record(line: &str) -> Result<SessionRecord, String> {
-    let record = parse_record(line)?;
-    let mut session = SessionId::SOLO;
-    for w in line.split_whitespace().skip(1) {
-        if let Some(v) = w.strip_prefix("session=") {
-            session = SessionId(v.parse::<u64>().map_err(|e| format!("field 'session': {e}"))?);
-        }
-    }
-    Ok(SessionRecord { session, record })
+pub fn parse_session_journal(text: &str) -> Result<Vec<SessionRecord>, ParseError> {
+    records(text)
+        .map(|line| {
+            let f = Fields::words(line)?;
+            let session = f.opt_int("session")?.map_or(SessionId::SOLO, SessionId);
+            Ok(SessionRecord { session, record: parse_record(&f)? })
+        })
+        .collect()
 }
 
 /// One durable decision point of the *global* (straddler) control tier.
@@ -377,19 +309,12 @@ pub enum GlobalRecord {
     },
 }
 
-fn fmt_regions(regions: &[u32]) -> String {
-    if regions.is_empty() {
-        "-".to_string()
-    } else {
-        regions.iter().map(|r| r.to_string()).collect::<Vec<_>>().join(",")
-    }
-}
-
 impl fmt::Display for GlobalRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GlobalRecord::Escalated { session, regions } => {
-                write!(f, "escalated session={session} regions={}", fmt_regions(regions))
+                let regions = list(regions, |r, f| write!(f, "{r}"));
+                write!(f, "escalated session={session} regions={regions}")
             }
             GlobalRecord::SliceGranted { session, region } => {
                 write!(f, "slice session={session} region={region}")
@@ -409,69 +334,31 @@ impl fmt::Display for GlobalRecord {
 /// Serializes a global-tier journal to its line-oriented text form.
 pub fn encode_global_journal(records: &[GlobalRecord]) -> String {
     let mut out = String::new();
-    for r in records {
-        out.push_str(&r.to_string());
-        out.push('\n');
-    }
+    push_lines(&mut out, records);
     out
 }
 
 /// Parses the text form produced by [`encode_global_journal`]. Blank lines
 /// and `#` comments are ignored.
-pub fn parse_global_journal(text: &str) -> Result<Vec<GlobalRecord>, String> {
-    let mut records = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        records.push(parse_global_record(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
-    }
-    Ok(records)
+pub fn parse_global_journal(text: &str) -> Result<Vec<GlobalRecord>, ParseError> {
+    records(text).map(parse_global_record).collect()
 }
 
-fn parse_global_record(line: &str) -> Result<GlobalRecord, String> {
-    let mut words = line.split_whitespace();
-    let verb = words.next().ok_or("empty journal line")?;
-    let mut fields = std::collections::HashMap::new();
-    for w in words {
-        let (k, v) = w.split_once('=').ok_or_else(|| format!("expected key=value, got '{w}'"))?;
-        fields.insert(k, v);
-    }
-    let raw = |k: &str| -> Result<&str, String> {
-        fields.get(k).copied().ok_or_else(|| format!("missing field '{k}'"))
-    };
-    let num = |k: &str| -> Result<u64, String> {
-        raw(k)?.parse::<u64>().map_err(|e| format!("field '{k}': {e}"))
-    };
-    let region = |k: &str| -> Result<u32, String> {
-        raw(k)?.parse::<u32>().map_err(|e| format!("field '{k}': {e}"))
-    };
-    match verb {
-        "escalated" => {
-            let v = raw("regions")?;
-            let regions = if v == "-" {
-                Vec::new()
-            } else {
-                v.split(',')
-                    .map(|s| s.parse::<u32>().map_err(|e| format!("field 'regions': {e}")))
-                    .collect::<Result<Vec<_>, _>>()?
-            };
-            Ok(GlobalRecord::Escalated { session: num("session")?, regions })
-        }
-        "slice" => {
-            Ok(GlobalRecord::SliceGranted { session: num("session")?, region: region("region")? })
-        }
-        "submitted" => Ok(GlobalRecord::Submitted { session: num("session")? }),
-        "released" => {
-            Ok(GlobalRecord::Released { session: num("session")?, region: region("region")? })
-        }
-        "withdrawn" => Ok(GlobalRecord::Withdrawn { session: num("session")? }),
-        "abandoned" => {
-            Ok(GlobalRecord::Abandoned { session: num("session")?, region: region("region")? })
-        }
-        other => Err(format!("unknown global journal verb '{other}'")),
-    }
+fn parse_global_record(line: Cursor<'_>) -> Result<GlobalRecord, ParseError> {
+    let f = Fields::words(line)?;
+    let (session, region) = (|| f.int("session"), || f.int("region"));
+    Ok(match f.verb.as_str() {
+        "escalated" => GlobalRecord::Escalated {
+            session: session()?,
+            regions: f.parse("regions", |c| c.next_list(Cursor::next_int))?,
+        },
+        "slice" => GlobalRecord::SliceGranted { session: session()?, region: region()? },
+        "submitted" => GlobalRecord::Submitted { session: session()? },
+        "released" => GlobalRecord::Released { session: session()?, region: region()? },
+        "withdrawn" => GlobalRecord::Withdrawn { session: session()? },
+        "abandoned" => GlobalRecord::Abandoned { session: session()?, region: region()? },
+        _ => return Err(f.verb.unknown("global journal verb")),
+    })
 }
 
 #[cfg(test)]
@@ -481,7 +368,7 @@ mod tests {
     use sada_expr::CompId;
 
     fn cfg(bits: &str) -> Config {
-        parse_config(bits).unwrap()
+        Config::from_bit_string(bits).unwrap()
     }
 
     fn sample() -> Vec<JournalRecord> {

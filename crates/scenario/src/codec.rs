@@ -17,105 +17,71 @@
 //! inv <invariant source ...>
 //! action <name> <cost_ms> <cost_watts> <removes-csv|-> <adds-csv|->
 //! cluster <comps-csv> <on_false-csv|-> <on_true-csv|->
-//! session <id> <priority> <submit_us> <cancel_us|-> <flips g:t|g:f csv>
+//! session <id> <priority> <submit_us> <cancel_us|-> <flips g:t|g:f csv|->
 //! ```
 //!
 //! Component names are identifier-shaped (the invariant parser enforces
 //! `[A-Za-z_][A-Za-z0-9_]*`), so whitespace splitting is unambiguous;
 //! `inv` is the only record whose payload may contain spaces and it is
-//! therefore the line's tail.
+//! therefore the line's tail. Lines are read through `sada_simnet::text`
+//! (the workspace's one tokenizer, re-exported from `sada-obs`): blank
+//! lines and `#` comments are skipped and every error carries its line
+//! and column.
+
+use std::fmt::Write as _;
 
 use sada_fleet::{ActionSpec, ClusterSpec, CompSpec, Domain, Objective, SessionSpec, WorldSpec};
+use sada_simnet::text::{list, records, Cursor, ParseError};
 use sada_simnet::SimDuration;
 
 use crate::gen::GeneratedScenario;
 
 const HEADER: &str = "sada-scenario v1";
 
-fn csv(ixs: &[usize]) -> String {
-    if ixs.is_empty() {
-        return "-".to_string();
-    }
-    ixs.iter().map(|i| i.to_string()).collect::<Vec<_>>().join(",")
-}
-
 /// Renders a scenario in the canonical text form. Encoding is a pure
 /// function of the scenario value, so equal scenarios produce identical
 /// bytes — the determinism tests rely on exactly this.
 pub fn encode_scenario(s: &GeneratedScenario) -> String {
+    let csv = |ixs| list(ixs, |ix: &usize, f| write!(f, "{ix}"));
     let mut out = String::new();
-    out.push_str(HEADER);
-    out.push('\n');
-    out.push_str(&format!("seed {}\n", s.seed));
-    out.push_str(&format!("domain {} {}\n", s.spec.domain.name(), s.spec.objective.name()));
+    let _ = writeln!(out, "{HEADER}\nseed {}", s.seed);
+    let _ = writeln!(out, "domain {} {}", s.spec.domain.name(), s.spec.objective.name());
     for c in &s.spec.comps {
-        out.push_str(&format!("comp {} {}\n", c.name, c.process));
+        let _ = writeln!(out, "comp {} {}", c.name, c.process);
     }
     for inv in &s.spec.invariants {
-        out.push_str(&format!("inv {inv}\n"));
+        let _ = writeln!(out, "inv {inv}");
     }
     for a in &s.spec.actions {
-        out.push_str(&format!(
-            "action {} {} {} {} {}\n",
-            a.name,
-            a.cost_ms,
-            a.cost_watts,
-            csv(&a.removes),
-            csv(&a.adds)
-        ));
+        let (removes, adds) = (csv(&a.removes), csv(&a.adds));
+        let _ = writeln!(out, "action {} {} {} {removes} {adds}", a.name, a.cost_ms, a.cost_watts);
     }
     for cl in &s.spec.clusters {
-        out.push_str(&format!(
-            "cluster {} {} {}\n",
-            csv(&cl.comps),
-            csv(&cl.on_false),
-            csv(&cl.on_true)
-        ));
+        let _ =
+            writeln!(out, "cluster {} {} {}", csv(&cl.comps), csv(&cl.on_false), csv(&cl.on_true));
     }
     for sess in &s.sessions {
-        let cancel = match sess.cancel_at {
-            Some(d) => d.as_micros().to_string(),
-            None => "-".to_string(),
-        };
-        let flips = sess
-            .flips
-            .iter()
-            .map(|&(g, d)| format!("{g}:{}", if d { 't' } else { 'f' }))
-            .collect::<Vec<_>>()
-            .join(",");
-        out.push_str(&format!(
-            "session {} {} {} {} {}\n",
-            sess.id,
-            sess.priority,
-            sess.submit_at.as_micros(),
-            cancel,
-            flips
-        ));
+        // `-`, or the one instant.
+        let cancel = sess.cancel_at.map(|d| d.as_micros());
+        let cancel = list(cancel.as_slice(), |us, f| write!(f, "{us}"));
+        let flips = list(&sess.flips, |&(g, d), f| write!(f, "{g}:{}", if d { 't' } else { 'f' }));
+        let at = sess.submit_at.as_micros();
+        let _ = writeln!(out, "session {} {} {at} {cancel} {flips}", sess.id, sess.priority);
     }
     out
-}
-
-fn parse_csv(field: &str, what: &str) -> Result<Vec<usize>, String> {
-    if field == "-" {
-        return Ok(Vec::new());
-    }
-    field
-        .split(',')
-        .map(|t| t.parse::<usize>().map_err(|_| format!("bad {what} index {t:?}")))
-        .collect()
-}
-
-fn parse_u64(field: &str, what: &str) -> Result<u64, String> {
-    field.parse::<u64>().map_err(|_| format!("bad {what} {field:?}"))
 }
 
 /// Parses the canonical text form back into a scenario. Round-trips with
 /// [`encode_scenario`] byte-for-byte: `encode(parse(encode(s))) ==
 /// encode(s)` and `parse(encode(s)) == s`.
-pub fn parse_scenario(text: &str) -> Result<GeneratedScenario, String> {
-    let mut lines = text.lines();
-    if lines.next() != Some(HEADER) {
-        return Err(format!("missing header {HEADER:?}"));
+pub fn parse_scenario(text: &str) -> Result<GeneratedScenario, ParseError> {
+    let name = |c: &mut Cursor<'_>| Ok(c.word()?.as_str().to_string());
+    let ixs = |c: &mut Cursor<'_>| c.field(|w| w.next_list(Cursor::next_int::<usize>));
+    let mut lines = records(text);
+    // Where a record the text never had is reported: after the last one.
+    let mut end = lines.next().unwrap_or(Cursor::new(text));
+    if end.as_str().trim_end() != HEADER {
+        return Err(end.expected(format!("{HEADER:?}")));
     }
     let mut seed = None;
     let mut domain = None;
@@ -124,97 +90,61 @@ pub fn parse_scenario(text: &str) -> Result<GeneratedScenario, String> {
     let mut actions = Vec::new();
     let mut clusters = Vec::new();
     let mut sessions = Vec::new();
-    for (n, line) in lines.enumerate() {
-        let at = n + 2;
-        if line.is_empty() {
-            continue;
-        }
-        let (kind, rest) = line.split_once(' ').ok_or(format!("line {at}: bare record"))?;
-        match kind {
-            "seed" => seed = Some(parse_u64(rest, "seed")?),
+    for mut c in lines {
+        let kind = c.word()?;
+        match kind.as_str() {
+            "seed" => seed = Some(c.field(Cursor::next_u64)?),
             "domain" => {
-                let mut f = rest.split_whitespace();
-                let d = match f.next() {
-                    Some("video") => Domain::Video,
-                    Some("serverless") => Domain::Serverless,
-                    Some("iaas") => Domain::Iaas,
-                    other => return Err(format!("line {at}: unknown domain {other:?}")),
-                };
-                let o = match f.next() {
-                    Some("latency_ms") => Objective::LatencyMs,
-                    Some("energy_watts") => Objective::EnergyWatts,
-                    other => return Err(format!("line {at}: unknown objective {other:?}")),
-                };
+                let (d, o) = (c.word()?, c.word()?);
+                let d = [Domain::Video, Domain::Serverless, Domain::Iaas]
+                    .into_iter()
+                    .find(|x| x.name() == d.as_str())
+                    .ok_or_else(|| d.unknown("domain"))?;
+                let o = [Objective::LatencyMs, Objective::EnergyWatts]
+                    .into_iter()
+                    .find(|x| x.name() == o.as_str())
+                    .ok_or_else(|| o.unknown("objective"))?;
                 domain = Some((d, o));
             }
             "comp" => {
-                let (name, proc) =
-                    rest.split_once(' ').ok_or(format!("line {at}: comp needs a process"))?;
-                comps.push(CompSpec {
-                    name: name.to_string(),
-                    process: parse_u64(proc, "process")? as usize,
-                });
+                comps.push(CompSpec { name: name(&mut c)?, process: c.field(Cursor::next_int)? })
             }
-            "inv" => invariants.push(rest.to_string()),
-            "action" => {
-                let f: Vec<&str> = rest.split_whitespace().collect();
-                let [name, ms, watts, removes, adds] = f[..] else {
-                    return Err(format!("line {at}: action needs 5 fields"));
-                };
-                actions.push(ActionSpec {
-                    name: name.to_string(),
-                    removes: parse_csv(removes, "removes")?,
-                    adds: parse_csv(adds, "adds")?,
-                    cost_ms: parse_u64(ms, "cost_ms")?,
-                    cost_watts: parse_u64(watts, "cost_watts")?,
-                });
-            }
-            "cluster" => {
-                let f: Vec<&str> = rest.split_whitespace().collect();
-                let [all, on_false, on_true] = f[..] else {
-                    return Err(format!("line {at}: cluster needs 3 fields"));
-                };
-                clusters.push(ClusterSpec {
-                    comps: parse_csv(all, "cluster comps")?,
-                    on_false: parse_csv(on_false, "on_false")?,
-                    on_true: parse_csv(on_true, "on_true")?,
-                });
-            }
-            "session" => {
-                let f: Vec<&str> = rest.split_whitespace().collect();
-                let [id, prio, at_us, cancel, flips] = f[..] else {
-                    return Err(format!("line {at}: session needs 5 fields"));
-                };
-                let cancel_at = match cancel {
-                    "-" => None,
-                    other => Some(SimDuration::from_micros(parse_u64(other, "cancel_us")?)),
-                };
-                let flips = flips
-                    .split(',')
-                    .map(|t| {
-                        let (g, d) = t.split_once(':').ok_or(format!("bad flip {t:?}"))?;
-                        let dir = match d {
-                            "t" => true,
-                            "f" => false,
-                            _ => return Err(format!("bad flip direction {d:?}")),
-                        };
-                        Ok((parse_u64(g, "flip cluster")? as usize, dir))
+            "inv" => invariants.push(c.tail().to_string()),
+            "action" => actions.push(ActionSpec {
+                name: name(&mut c)?,
+                cost_ms: c.field(Cursor::next_u64)?,
+                cost_watts: c.field(Cursor::next_u64)?,
+                removes: ixs(&mut c)?,
+                adds: ixs(&mut c)?,
+            }),
+            "cluster" => clusters.push(ClusterSpec {
+                comps: ixs(&mut c)?,
+                on_false: ixs(&mut c)?,
+                on_true: ixs(&mut c)?,
+            }),
+            "session" => sessions.push(SessionSpec {
+                id: c.field(Cursor::next_u64)?,
+                priority: c.field(Cursor::next_int)?,
+                submit_at: SimDuration::from_micros(c.field(Cursor::next_u64)?),
+                cancel_at: c.field(|w| {
+                    let at = if w.eat(b'-') { None } else { Some(w.next_u64()?) };
+                    Ok(at.map(SimDuration::from_micros))
+                })?,
+                flips: c.field(|w| {
+                    w.next_list(|flip| {
+                        let cluster = flip.next_int()?;
+                        flip.expect(b':')?;
+                        Ok((cluster, flip.either(b'f', b't')?))
                     })
-                    .collect::<Result<Vec<_>, String>>()
-                    .map_err(|e| format!("line {at}: {e}"))?;
-                sessions.push(SessionSpec {
-                    id: parse_u64(id, "session id")?,
-                    flips,
-                    priority: parse_u64(prio, "priority")? as u8,
-                    submit_at: SimDuration::from_micros(parse_u64(at_us, "submit_us")?),
-                    cancel_at,
-                });
-            }
-            other => return Err(format!("line {at}: unknown record {other:?}")),
+                })?,
+            }),
+            _ => return Err(kind.unknown("scenario record")),
         }
+        c.expect_end()?;
+        end = c;
     }
-    let seed = seed.ok_or("missing seed record")?;
-    let (domain, objective) = domain.ok_or("missing domain record")?;
+    let seed = seed.ok_or_else(|| end.expected("a seed record"))?;
+    let (domain, objective) = domain.ok_or_else(|| end.expected("a domain record"))?;
     Ok(GeneratedScenario {
         seed,
         spec: WorldSpec { domain, objective, comps, invariants, actions, clusters },

@@ -18,6 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::actor::ActorId;
+use sada_obs::text::{records, Cursor, Fields, ParseError};
 use sada_obs::{SimDuration, SimTime};
 
 /// A (from, to) wildcard pattern over message routes; `None` matches any
@@ -121,16 +122,8 @@ impl FaultPlan {
 
     /// Parses the text form produced by [`FaultPlan::to_text`]. Blank lines
     /// and `#` comments are ignored.
-    pub fn parse(text: &str) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            plan.faults.push(parse_fault(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
-        }
-        Ok(plan)
+    pub fn parse(text: &str) -> Result<FaultPlan, ParseError> {
+        Ok(FaultPlan { faults: records(text).map(parse_fault).collect::<Result<_, _>>()? })
     }
 }
 
@@ -184,53 +177,32 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-fn parse_fault(line: &str) -> Result<Fault, String> {
-    let mut words = line.split_whitespace();
-    let verb = words.next().ok_or("empty fault line")?;
-    let mut fields = std::collections::HashMap::new();
-    for w in words {
-        let (k, v) = w.split_once('=').ok_or_else(|| format!("expected key=value, got '{w}'"))?;
-        fields.insert(k, v);
-    }
-    let num = |k: &str| -> Result<u64, String> {
-        fields
-            .get(k)
-            .ok_or_else(|| format!("missing field '{k}'"))?
-            .parse::<u64>()
-            .map_err(|e| format!("field '{k}': {e}"))
-    };
-    let actor = |k: &str| -> Result<ActorId, String> { Ok(ActorId::from_index(num(k)? as usize)) };
-    let opt_actor = |k: &str| -> Result<Option<ActorId>, String> {
-        match fields.get(k) {
-            None => Err(format!("missing field '{k}'")),
-            Some(&"*") => Ok(None),
-            Some(v) => v
-                .parse::<u64>()
-                .map(|n| Some(ActorId::from_index(n as usize)))
-                .map_err(|e| format!("field '{k}': {e}")),
-        }
-    };
-    match verb {
-        "crash" => Ok(Fault::CrashActor { at: SimTime::from_micros(num("at")?), id: actor("id")? }),
-        "restart" => {
-            Ok(Fault::RestartActor { at: SimTime::from_micros(num("at")?), id: actor("id")? })
-        }
-        "partition" => Ok(Fault::PartitionWindow {
+fn parse_fault(line: Cursor<'_>) -> Result<Fault, ParseError> {
+    let f = Fields::words(line)?;
+    let time = |key| f.int(key).map(SimTime::from_micros);
+    let next_actor = |c: &mut Cursor<'_>| Ok(ActorId(c.next_int()?));
+    let actor = |key| f.parse(key, next_actor);
+    // A pattern side: `*` matches any actor.
+    let side = |key| f.parse(key, |c| if c.eat(b'*') { Ok(None) } else { next_actor(c).map(Some) });
+    Ok(match f.verb.as_str() {
+        "crash" => Fault::CrashActor { at: time("at")?, id: actor("id")? },
+        "restart" => Fault::RestartActor { at: time("at")?, id: actor("id")? },
+        "partition" => Fault::PartitionWindow {
             from: actor("from")?,
             to: actor("to")?,
-            start: SimTime::from_micros(num("start")?),
-            end: SimTime::from_micros(num("end")?),
-        }),
-        "drop" => Ok(Fault::DropMatching {
-            nth: num("nth")? as u32,
-            predicate: MsgPattern { from: opt_actor("from")?, to: opt_actor("to")? },
-        }),
-        "delay" => Ok(Fault::DelayBurst {
-            window: (SimTime::from_micros(num("start")?), SimTime::from_micros(num("end")?)),
-            extra_latency: SimDuration::from_micros(num("extra")?),
-        }),
-        other => Err(format!("unknown fault verb '{other}'")),
-    }
+            start: time("start")?,
+            end: time("end")?,
+        },
+        "drop" => Fault::DropMatching {
+            nth: f.int("nth")?,
+            predicate: MsgPattern { from: side("from")?, to: side("to")? },
+        },
+        "delay" => Fault::DelayBurst {
+            window: (time("start")?, time("end")?),
+            extra_latency: SimDuration::from_micros(f.int("extra")?),
+        },
+        _ => return Err(f.verb.unknown("fault verb")),
+    })
 }
 
 /// Targets and bounds for the [`chaos`] generator.

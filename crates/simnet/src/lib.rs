@@ -74,7 +74,9 @@ pub use fault::{chaos, ChaosOpts, Fault, FaultPlan, MsgPattern};
 pub use link::LinkConfig;
 pub use sim::{ArenaId, GroupId, NetStats, Simulator};
 pub use wheel::TimerWheel;
-// The clock lives in the observability spine so every layer shares it; the
-// historical `sada_simnet::SimTime` path keeps working via this re-export.
-pub use sada_obs::{SimDuration, SimTime};
+// The clock and the text tokenizer live in the observability spine so every
+// layer shares them; the historical `sada_simnet::SimTime` path keeps
+// working via this re-export, and crates above that do not depend on
+// `sada-obs` (`sada-scenario`) reach `text` the same way.
+pub use sada_obs::{text, SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceKind};
