@@ -179,30 +179,29 @@ pub fn parse_fabric_msg(line: &str) -> Result<FabricPayload, ParseError> {
             })
         })
     };
-    let (session, epoch) = (|| f.int("session"), || f.int("epoch"));
     Ok(match f.verb.as_str() {
         "lock_request" => FabricPayload::LockRequest {
-            session: session()?,
+            session: f.int("session")?,
             resources: ids("resources")?,
             comps: ids("comps")?,
             priority: f.int("priority")?,
-            epoch: epoch()?,
+            epoch: f.int("epoch")?,
         },
         "lock_granted" => FabricPayload::LockGranted {
-            session: session()?,
+            session: f.int("session")?,
             region: f.int("region")?,
-            epoch: epoch()?,
+            epoch: f.int("epoch")?,
             values: values("values")?,
         },
         "lock_release" => FabricPayload::LockRelease {
-            session: session()?,
-            epoch: epoch()?,
+            session: f.int("session")?,
+            epoch: f.int("epoch")?,
             values: values("values")?,
         },
         "release_ack" => FabricPayload::ReleaseAck {
-            session: session()?,
+            session: f.int("session")?,
             region: f.int("region")?,
-            epoch: epoch()?,
+            epoch: f.int("epoch")?,
         },
         _ => return Err(f.verb.unknown("fabric verb")),
     })

@@ -16,45 +16,13 @@ use sada_proto::{
 };
 use sada_simnet::FaultPlan;
 
+#[rustfmt::skip]
 const JSONL_TOKENS: &[&str] = &[
-    "{",
-    "}",
-    "[",
-    "]",
-    "\"",
-    "\\",
-    "\\\"",
-    "\\n",
-    "\\u",
-    "\\u00",
-    "\\u0041",
-    "\\ud800",
-    "\\x",
-    "{\"at\":",
-    "\"actor\":0",
-    "\"actor\":",
-    "\"session\":",
-    "\"shard\":",
-    "\"kind\":",
-    "\"net.crashed\"",
-    "\"net.sent\"",
-    "\"audit.in_action\"",
-    "\"audit.config\"",
-    "\"proto.agent\"",
-    "\"from\":",
-    "\"to\":",
-    "\"label\":\"",
-    "\"comps\":[",
-    "\"config\":\"01\"",
-    "\"running\"",
-    "\"step\":",
-    "[1,2]",
-    "[]",
-    "[1,",
-    "fals",
-    "null",
-    "1.5",
-    "{\"at\":0,\"actor\":0,\"kind\":",
+    "{", "}", "[", "]", "\"", "\\", "\\\"", "\\n", "\\u", "\\u00", "\\u0041", "\\ud800", "\\x",
+    "{\"at\":", "\"actor\":0", "\"actor\":", "\"session\":", "\"shard\":", "\"kind\":",
+    "\"net.crashed\"", "\"net.sent\"", "\"audit.in_action\"", "\"audit.config\"", "\"proto.agent\"",
+    "\"from\":", "\"to\":", "\"label\":\"", "\"comps\":[", "\"config\":\"01\"", "\"running\"",
+    "\"step\":", "[1,2]", "[]", "[1,", "fals", "null", "1.5", "{\"at\":0,\"actor\":0,\"kind\":",
 ];
 
 const JSONL_VALID: &str = concat!(
@@ -66,51 +34,14 @@ const JSONL_VALID: &str = concat!(
     "{\"at\":9,\"actor\":2,\"kind\":\"temporal.opened\",\"key\":\"seg_start_c3\",\"cid\":99}\n",
 );
 
+#[rustfmt::skip]
 const JOURNAL_TOKENS: &[&str] = &[
-    "request",
-    "queued",
-    "path",
-    "reverse",
-    "step",
-    "resume",
-    "commit",
-    "rollback",
-    "rolledback",
-    "outcome",
-    "escalated",
-    "slice",
-    "submitted",
-    "released",
-    "withdrawn",
-    "abandoned",
-    "explode",
-    "source=",
-    "target=",
-    "source=0101",
-    "target=01x1",
-    "actions=",
-    "actions=-",
-    "actions=1,2",
-    "actions=1,",
-    "id=",
-    "id=4",
-    "ix=",
-    "ix=1",
-    "retry=",
-    "retry=true",
-    "retry=maybe",
-    "success=",
-    "gave_up=false",
-    "session=",
-    "session=7",
-    "regions=",
-    "regions=0,3",
-    "regions=-",
-    "region=",
-    "region=2",
-    "future=x",
-    "=",
-    "==",
+    "request", "queued", "path", "reverse", "step", "resume", "commit", "rollback", "rolledback",
+    "outcome", "escalated", "slice", "submitted", "released", "withdrawn", "abandoned", "explode",
+    "source=", "target=", "source=0101", "target=01x1", "actions=", "actions=-", "actions=1,2",
+    "actions=1,", "id=", "id=4", "ix=", "ix=1", "retry=", "retry=true", "retry=maybe", "success=",
+    "gave_up=false", "session=", "session=7", "regions=", "regions=0,3", "regions=-", "region=",
+    "region=2", "future=x", "=", "==",
 ];
 
 const JOURNAL_VALID: &str = "request source=0101 target=0110 session=7\nqueued source=1 target=0\n\
@@ -122,65 +53,23 @@ const GLOBAL_VALID: &str = "escalated session=7 regions=0,3\nescalated session=8
     slice session=7 region=0\nsubmitted session=7\nreleased session=7 region=3\n\
     withdrawn session=9\nabandoned session=11 region=2\n";
 
+#[rustfmt::skip]
 const FAULT_TOKENS: &[&str] = &[
-    "crash",
-    "restart",
-    "partition",
-    "drop",
-    "delay",
-    "explode",
-    "at=",
-    "at=5",
-    "id=",
-    "id=0",
-    "from=",
-    "from=1",
-    "from=*",
-    "from=q",
-    "to=",
-    "to=*",
-    "to=2",
-    "start=",
-    "start=10",
-    "end=",
-    "end=90",
-    "nth=",
-    "nth=3",
-    "extra=",
-    "extra=1500",
-    "=",
+    "crash", "restart", "partition", "drop", "delay", "explode", "at=", "at=5", "id=", "id=0",
+    "from=", "from=1", "from=*", "from=q", "to=", "to=*", "to=2", "start=", "start=10", "end=",
+    "end=90", "nth=", "nth=3", "extra=", "extra=1500", "=",
 ];
 
 const FAULT_VALID: &str = "crash at=120000 id=2\nrestart at=250000 id=2\n\
     partition from=0 to=1 start=10000 end=90000\ndrop nth=3 from=* to=1\n\
     delay start=5000 end=20000 extra=1500\n";
 
+#[rustfmt::skip]
 const FABRIC_TOKENS: &[&str] = &[
-    "lock_request",
-    "lock_granted",
-    "lock_release",
-    "release_ack",
-    "bogus",
-    "session=",
-    "session=9",
-    "epoch=",
-    "epoch=2",
-    "priority=",
-    "priority=1",
-    "resources=",
-    "resources=3,7",
-    "resources=-",
-    "comps=",
-    "comps=2,3",
-    "region=",
-    "region=1",
-    "values=",
-    "values=2:1,3:0",
-    "values=-",
-    "values=2:",
-    "values=2:2",
-    "values=:1",
-    "=",
+    "lock_request", "lock_granted", "lock_release", "release_ack", "bogus", "session=", "session=9",
+    "epoch=", "epoch=2", "priority=", "priority=1", "resources=", "resources=3,7", "resources=-",
+    "comps=", "comps=2,3", "region=", "region=1", "values=", "values=2:1,3:0", "values=-",
+    "values=2:", "values=2:2", "values=:1", "=",
 ];
 
 const FABRIC_VALID: &str = "lock_request session=9 epoch=2 priority=1 resources=3,7 comps=2,3\n\

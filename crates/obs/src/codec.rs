@@ -279,14 +279,7 @@ wire! {
             }
             out.push(']');
         }
-        get(f, key) {
-            f.parse(key, |c| {
-                c.expect(b'[')?;
-                let comps = if c.peek() == Some(b']') { Vec::new() } else { c.items(next_comp)? };
-                c.expect(b']')?;
-                Ok(comps)
-            })
-        }
+        get(f, key) { f.parse(key, |c| c.next_array(next_comp)) }
     }
     Config => Config {
         put(out, key, v) { put_name(out, key, v) }

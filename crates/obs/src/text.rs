@@ -278,6 +278,14 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// A JSON array: `[]`, or the items between brackets.
+    pub fn next_array<T>(&mut self, item: impl FnMut(&mut Self) -> Parsed<T>) -> Parsed<Vec<T>> {
+        self.expect(b'[')?;
+        let out = if self.peek() == Some(b']') { Vec::new() } else { self.items(item)? };
+        self.expect(b']')?;
+        Ok(out)
+    }
+
     /// A configuration's bit string, to the end of the cursor.
     pub fn config(mut self) -> Parsed<Config> {
         let bits = self.take(self.rest.len());
@@ -338,11 +346,7 @@ impl<'a> Cursor<'a> {
                 self.raw_str()?;
             }
             Some(b'[') => {
-                self.take(1);
-                if !self.eat(b']') {
-                    self.items(Cursor::next_u64)?;
-                    self.expect(b']')?;
-                }
+                self.next_array(Cursor::next_u64)?;
             }
             Some(b't' | b'f') => {
                 self.next_bool()?;

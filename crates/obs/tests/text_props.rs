@@ -93,6 +93,7 @@ const READERS: &[Reader] = &[
     |c| c.raw_str().map(drop),
     |c| c.next_str().map(drop),
     |c| c.next_list(Cursor::next_int::<u32>).map(drop),
+    |c| c.next_array(Cursor::next_u64).map(drop),
     |c| c.items(|c| Ok((c.next_int::<u32>()?, c.expect(b':')?, c.either(b'f', b't')?))).map(drop),
     |c| c.config().map(drop),
     |c| {

@@ -346,17 +346,22 @@ pub fn parse_global_journal(text: &str) -> Result<Vec<GlobalRecord>, ParseError>
 
 fn parse_global_record(line: Cursor<'_>) -> Result<GlobalRecord, ParseError> {
     let f = Fields::words(line)?;
-    let (session, region) = (|| f.int("session"), || f.int("region"));
     Ok(match f.verb.as_str() {
         "escalated" => GlobalRecord::Escalated {
-            session: session()?,
+            session: f.int("session")?,
             regions: f.parse("regions", |c| c.next_list(Cursor::next_int))?,
         },
-        "slice" => GlobalRecord::SliceGranted { session: session()?, region: region()? },
-        "submitted" => GlobalRecord::Submitted { session: session()? },
-        "released" => GlobalRecord::Released { session: session()?, region: region()? },
-        "withdrawn" => GlobalRecord::Withdrawn { session: session()? },
-        "abandoned" => GlobalRecord::Abandoned { session: session()?, region: region()? },
+        "slice" => {
+            GlobalRecord::SliceGranted { session: f.int("session")?, region: f.int("region")? }
+        }
+        "submitted" => GlobalRecord::Submitted { session: f.int("session")? },
+        "released" => {
+            GlobalRecord::Released { session: f.int("session")?, region: f.int("region")? }
+        }
+        "withdrawn" => GlobalRecord::Withdrawn { session: f.int("session")? },
+        "abandoned" => {
+            GlobalRecord::Abandoned { session: f.int("session")?, region: f.int("region")? }
+        }
         _ => return Err(f.verb.unknown("global journal verb")),
     })
 }
