@@ -461,6 +461,28 @@ impl Config {
         self.apply_delta(&[id], &[]);
     }
 
+    /// Makes `self` equal to `from`, reusing `self`'s storage when that is
+    /// safe and cheap: a flat buffer of `from`'s width that no other
+    /// configuration reads is overwritten in place (no allocation, and
+    /// `self` does not come to share `from`'s buffer). Anything else —
+    /// another width, a buffer some clone still reads, the chunked layout —
+    /// is `*self = from.clone()`: a handle copy, so a wide configuration
+    /// keeps sharing its spine and chunks and the next mutator copies on
+    /// write. What a search's scratch successor does before each action.
+    pub fn assign(&mut self, from: &Config) {
+        if let (Repr::Flat { nbits, words }, Repr::Flat { nbits: width, words: src }) =
+            (&mut self.0, &from.0)
+        {
+            if nbits == width {
+                if let Some(own) = Arc::get_mut(words) {
+                    own.copy_from_slice(src);
+                    return;
+                }
+            }
+        }
+        *self = from.clone();
+    }
+
     /// Removes every component of `removes`, then adds every component of
     /// `adds` (a component in both ends up present) — one adaptive action's
     /// effect, or one session's fold. Uniqueness of the buffer (or of the
@@ -568,6 +590,21 @@ impl Config {
             }
         }
         out
+    }
+
+    /// How many components `self` and `other` disagree on —
+    /// `self.diff_ids(other).len()` without the list: the popcount of the
+    /// word-wise XOR over the chunks the two do not share.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths differ.
+    pub fn distance(&self, other: &Config) -> usize {
+        self.check_width(other);
+        let differing = |(a, b): (&[u64], &[u64])| -> usize {
+            a.iter().zip(b).map(|(a, b)| (a ^ b).count_ones() as usize).sum()
+        };
+        self.runs().zip(other.runs()).filter(|(a, b)| !std::ptr::eq(*a, *b)).map(differing).sum()
     }
 
     fn check_width(&self, other: &Config) {

@@ -10,11 +10,20 @@
 //! a chunk: two allocations and more); `from_ids` collecting its ids before
 //! writing them.
 //!
-//! One test in a binary of its own, counting on its own thread only: the
+//! `Config::assign` is the search's other half: overwriting a buffer nobody
+//! else reads is no allocation at all, and everything else is the clone it
+//! always was. Mutations it fails under (each was run): `assign` always
+//! cloning (the unique case shares storage); `assign` copying into a
+//! buffer a clone still reads through `Arc::make_mut` (an allocation where
+//! a handle copy does).
+//!
+//! A binary of its own, each test counting on its own thread only: the
 //! harness's other threads allocate when they please.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 use sada_expr::{CompId, Config};
 
@@ -68,5 +77,46 @@ fn a_narrow_configuration_is_one_allocation_and_so_is_a_delta_on_a_clone() {
         assert_eq!(flip, 1, "a four-bit delta on a shared buffer, width {width}");
         assert_eq!(allocs_in(|| next.insert(id(4))).0, 0, "the buffer is now its own");
         assert_eq!(base.len(), 3, "and the original never saw either write");
+    }
+}
+
+#[test]
+fn assign_overwrites_a_buffer_of_its_own_and_clones_otherwise() {
+    let id = CompId::from_index;
+    let hash_of = |cfg: &Config| {
+        let mut h = DefaultHasher::new();
+        cfg.hash(&mut h);
+        h.finish()
+    };
+    let from = Config::from_ids(130, [id(1), id(64), id(129)]);
+
+    // Unique, same flat width: the words are copied over, nothing is shared.
+    let mut own = Config::from_ids(130, [id(0), id(128)]);
+    assert_eq!(allocs_in(|| own.assign(&from)).0, 0, "a buffer of its own is reused");
+    assert!(!Config::shares_storage(&own, &from));
+    assert_eq!((&own, hash_of(&own)), (&from, hash_of(&from)));
+    assert_eq!(allocs_in(|| own.insert(id(2))).0, 0, "and stays its own");
+    assert!(!from.contains(id(2)));
+
+    // A buffer a clone still reads is left to the clone.
+    let mut shared = Config::from_ids(130, [id(7)]);
+    let sibling = shared.clone();
+    assert_eq!(allocs_in(|| shared.assign(&from)).0, 0, "a handle copy");
+    assert!(Config::shares_storage(&shared, &from));
+    assert_eq!(sibling, Config::from_ids(130, [id(7)]), "the sibling never saw the write");
+
+    // Another width, and the chunked layout on either side: handle copies.
+    let wide = Config::from_ids(8_200, [id(5), id(8_199)]);
+    let cases = [
+        (Config::empty(64), &from),
+        (Config::empty(130), &wide),
+        (Config::empty(8_200), &from),
+        (Config::from_ids(8_200, [id(4_100)]), &wide),
+    ];
+    for (mut target, from) in cases {
+        let was = target.width();
+        assert_eq!(allocs_in(|| target.assign(from)).0, 0, "width {was} <- {}", from.width());
+        assert!(Config::shares_storage(&target, from), "width {was} <- {}", from.width());
+        assert_eq!((&target, hash_of(&target)), (from, hash_of(from)));
     }
 }

@@ -157,6 +157,7 @@ fn observers_agree(pool: &[Config], models: &[Model]) -> Result<(), TestCaseErro
             prop_assert_eq!(a == b, ma == mb);
             prop_assert_eq!(a.cmp(b), ma.cmp(mb));
             prop_assert_eq!(a.diff_ids(b), ma.zip(mb, |x, y| x ^ y).ids());
+            prop_assert_eq!(a.distance(b), a.diff_ids(b).len());
             prop_assert_eq!(a.is_subset(b), ma.zip(mb, |x, y| x & !y).ids().is_empty());
             prop_assert_eq!(a.is_disjoint(b), ma.zip(mb, |x, y| x & y).ids().is_empty());
         }

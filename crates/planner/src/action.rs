@@ -177,8 +177,22 @@ impl Action {
     pub fn apply(&self, cfg: &Config) -> Config {
         assert!(self.applicable(cfg), "action {} not applicable to {cfg}", self.name);
         let mut next = cfg.clone();
-        next.apply_delta(self.removes(), self.adds());
+        self.apply_to(&mut next);
         next
+    }
+
+    /// [`Action::apply`] in place, for a caller that has just tested
+    /// [`Action::applicable`] on `cfg` itself (the lazy search's scratch
+    /// successor): clears the removes, then sets the adds, and checks
+    /// nothing. On a configuration the action does not apply to that is
+    /// still well defined — the removes end up absent, the adds present —
+    /// but it is not the paper's `adapt`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a touched component is out of range for `cfg`'s width.
+    pub fn apply_to(&self, cfg: &mut Config) {
+        cfg.apply_delta(self.removes(), self.adds());
     }
 
     /// The inverse action, used by the realization phase's rollback: undoes
@@ -251,6 +265,24 @@ mod tests {
         assert_eq!(after, u.config_of(&["E2", "D1"]));
         assert_eq!(a.inverse().apply(&after), before);
         assert_eq!(a.inverse().cost(), 10);
+    }
+
+    #[test]
+    fn apply_to_is_apply_in_place() {
+        let u = u();
+        let actions = [
+            Action::replace(0, "E1 -> E2", &u.config_of(&["E1"]), &u.config_of(&["E2"]), 10),
+            Action::insert(1, "+D2", &u.config_of(&["D2"]), 5),
+            Action::remove(2, "-D1", &u.config_of(&["D1"]), 5),
+        ];
+        for bits in ["0101", "0001", "0110", "1111", "0000"] {
+            let cfg = u.config_from_bits(bits);
+            for a in actions.iter().filter(|a| a.applicable(&cfg)) {
+                let mut next = cfg.clone();
+                a.apply_to(&mut next);
+                assert_eq!(next, a.apply(&cfg), "{a} on {cfg}");
+            }
+        }
     }
 
     #[test]
