@@ -154,18 +154,39 @@ pub fn encode_event_into(out: &mut String, ev: &Event) {
 
 /// Opens the object: the envelope every event shares, up to its kind.
 fn head(out: &mut String, ev: &Event, kind: &str) {
-    let _ = write!(out, "{{\"at\":{},\"actor\":{}", ev.at.as_micros(), ev.actor);
+    out.push_str("{\"at\":");
+    push_u64(out, ev.at.as_micros());
+    put_uint(out, "actor", ev.actor.into());
     // Session 0 is elided so single-adaptation traces (including the
     // pinned golden trace) keep their pre-fleet byte-for-byte form.
     if ev.session != 0 {
-        let _ = write!(out, ",\"session\":{}", ev.session);
+        put_uint(out, "session", ev.session);
     }
     // Shard 0 is elided the same way: unsharded traces keep their
     // pre-shard byte-for-byte form.
     if ev.shard != 0 {
-        let _ = write!(out, ",\"shard\":{}", ev.shard);
+        put_uint(out, "shard", ev.shard.into());
     }
-    let _ = write!(out, ",\"kind\":\"{kind}\"");
+    out.push_str(",\"kind\":\"");
+    out.push_str(kind);
+    out.push('"');
+}
+
+/// Appends `n` in decimal. Every line carries four to a dozen integers and
+/// every sharded run encodes its whole merged stream to fingerprint it:
+/// digits from a stack buffer, not one `fmt::Arguments` per number.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has twenty
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
 }
 
 /// Decodes one JSONL line back into an [`Event`].
@@ -199,8 +220,11 @@ trait Wire {
     fn get(f: &Fields<'_>, key: &str) -> Result<Self::Value, ParseError>;
 }
 
-fn put_display(out: &mut String, key: &str, value: impl std::fmt::Display) {
-    let _ = write!(out, ",\"{key}\":{value}");
+fn put_uint(out: &mut String, key: &str, value: u64) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    push_u64(out, value);
 }
 
 /// Writes `value` quoted but unescaped: for names and bit strings, which
@@ -240,24 +264,24 @@ struct OrZero;
 
 wire! {
     u64 => u64 {
-        put(out, key, v) { put_display(out, key, v) }
+        put(out, key, v) { put_uint(out, key, *v) }
         get(f, key) { f.int(key) }
     }
     u32 => u32 {
-        put(out, key, v) { put_display(out, key, v) }
+        put(out, key, v) { put_uint(out, key, (*v).into()) }
         get(f, key) { f.int(key) }
     }
     OrZero => u64 {
-        put(out, key, v) { put_display(out, key, v) }
+        put(out, key, v) { put_uint(out, key, *v) }
         get(f, key) { Ok(f.opt_int(key)?.unwrap_or(0)) }
     }
     Option<u64> => Option<u64> {
         // `None` is an absent key.
-        put(out, key, v) { v.iter().for_each(|v| put_display(out, key, v)) }
+        put(out, key, v) { v.iter().for_each(|&v| put_uint(out, key, v)) }
         get(f, key) { f.opt_int(key) }
     }
     bool => bool {
-        put(out, key, v) { put_display(out, key, v) }
+        put(out, key, v) { let _ = write!(out, ",\"{key}\":{v}"); }
         get(f, key) { f.parse(key, Cursor::next_bool) }
     }
     String => String {
@@ -268,7 +292,7 @@ wire! {
         get(f, key) { Ok(f.parse(key, Cursor::next_str)?.into_owned()) }
     }
     CompId => CompId {
-        put(out, key, v) { put_display(out, key, v.index()) }
+        put(out, key, v) { put_uint(out, key, v.index() as u64) }
         get(f, key) { f.parse(key, next_comp) }
     }
     Vec<CompId> => Vec<CompId> {
@@ -452,6 +476,16 @@ mod tests {
         assert!(!line.contains('\n'), "one event per line: {line:?}");
         let back = decode_event(&line).unwrap_or_else(|e| panic!("{e}\nline: {line}"));
         assert_eq!(back, ev, "line: {line}");
+    }
+
+    #[test]
+    fn integers_are_written_as_display_writes_them() {
+        let powers = (0..20).map(|e| 10u64.pow(e));
+        for n in powers.flat_map(|p| [p - 1, p, p + 1]).chain([0, u64::MAX]) {
+            let mut out = String::from("x");
+            push_u64(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
+        }
     }
 
     #[test]
