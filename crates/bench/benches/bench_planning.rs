@@ -8,16 +8,21 @@
 //! Besides the criterion comparison, this bench writes
 //! `BENCH_planning.json` at the repository root with the 16–48-component
 //! sweep: per-leg invariant-evaluation, safety-check, probe, and expansion
-//! counts plus wall time (the 48-component row pins the uniform-cost
-//! frontier growth that motivates ROADMAP item 5's A* heuristic; 64
-//! components would need ~2e9 expansions and is out of blind-search
-//! reach — that gap is the item's whole case). The write *asserts* the headline claims — the
-//! compiled path does at least 5x less predicate work at 24 components,
-//! and the 16-component workload stays within its pinned safety-check
-//! budget (a regression gate run by `ci.sh`). Set `SADA_BENCH_SMOKE=1` to
-//! skip the criterion timing loops but still run the sweep, the
-//! assertions, and the JSON write.
+//! counts plus wall time, and for the compiled leg the allocator calls of
+//! one query (a counting global allocator). The 48-component row is the
+//! blind uniform-cost search over 24 *independent* groups — 7.04 M
+//! expansions, the largest number in the repository and the case for
+//! ROADMAP item 2 (factor the planner along collaborative sets). The write
+//! *asserts* the headline claims — the compiled path does at least 5x less
+//! predicate work at 24 components and allocates fewer than once per four
+//! candidates there (a query pays for the nodes it discovers, not for the
+//! candidates it looks at), and the 16-component workload stays within its
+//! pinned safety-check budget (a regression gate run by `ci.sh`). Set
+//! `SADA_BENCH_SMOKE=1` to skip the criterion timing loops but still run
+//! the sweep, the assertions, and the JSON write.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -25,6 +30,30 @@ use sada_bench::{carousel_system, grouped_flip_workload};
 use sada_core::casestudy::case_study;
 use sada_expr::enumerate;
 use sada_plan::{lazy, LazyStats, Sag, Search};
+
+/// Allocator calls so far (a `realloc` counts as the `alloc` it defaults to).
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a static atomic, so touching it
+// never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
 
 /// CI smoke mode: correctness sweep + JSON only, no timing loops.
 fn smoke() -> bool {
@@ -112,6 +141,8 @@ struct Leg {
     stats: LazyStats,
     wall_ns: u128,
     cost: u64,
+    /// Allocator calls of the first query.
+    allocs: u64,
 }
 
 fn run_leg(
@@ -120,9 +151,11 @@ fn run_leg(
     dst: &sada_expr::Config,
     extra_iters: usize,
 ) -> Leg {
+    let allocs0 = ALLOCS.load(Ordering::Relaxed);
     let t = Instant::now();
     let (path, stats) = search.plan(src, dst);
     let mut wall_ns = t.elapsed().as_nanos();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs0;
     let cost = path.expect("grouped flip workload always has a path").cost;
     for _ in 0..extra_iters {
         let t = Instant::now();
@@ -131,7 +164,7 @@ fn run_leg(
         assert!(p.is_some());
         wall_ns = wall_ns.min(dt);
     }
-    Leg { stats, wall_ns, cost }
+    Leg { stats, wall_ns, cost, allocs }
 }
 
 fn bench_hot_path(c: &mut Criterion) {
@@ -151,12 +184,9 @@ fn bench_hot_path(c: &mut Criterion) {
 fn write_planning_json() {
     let mut rows = String::new();
     // 48 is the frontier-bottleneck row: uniform-cost expansions grow
-    // ~17x per 8 components (93 / 1.6k / 26k / ~7.6M), so 48 is the
-    // largest width the blind search completes — a 64-component row
-    // extrapolates to ~2e9 expansions. Those counts are the baseline
-    // numbers ROADMAP item 5's A* heuristic has to beat; the timed legs
-    // drop to one iteration there (the counts, not the wall, are the
-    // point).
+    // ~17x per 8 components (93 / 1.6k / 26k / 7.0M), so 48 is the largest
+    // width the blind search completes; the timed legs drop to one
+    // iteration there (the counts, not the wall, are the point).
     for n in [16usize, 24, 32, 48] {
         let (u, inv, actions, src, dst) = grouped_flip_workload(n);
         let kernel = Search::new(&inv, &actions, u.len());
@@ -188,6 +218,13 @@ fn write_planning_json() {
                 before.stats.pred_evals,
                 after.stats.pred_evals,
             );
+            assert!(
+                after.allocs < after.stats.generated / 4,
+                "a query allocates per discovered node, not per candidate: {} allocations \
+                 for {} candidates at 24 components",
+                after.allocs,
+                after.stats.generated,
+            );
         }
         if n == 16 {
             assert!(
@@ -205,7 +242,7 @@ fn write_planning_json() {
              \"before\": {{\"pred_evals\": {}, \"safety_checks\": {}, \"probed\": {}, \
              \"expanded\": {}, \"wall_ns\": {}}}, \
              \"after\": {{\"pred_evals\": {}, \"safety_checks\": {}, \"probed\": {}, \
-             \"expanded\": {}, \"wall_ns\": {}}}, \
+             \"expanded\": {}, \"wall_ns\": {}, \"allocs\": {}}}, \
              \"pred_eval_reduction\": {reduction:.1}}}",
             n / 2,
             after.cost,
@@ -219,16 +256,21 @@ fn write_planning_json() {
             after.stats.probed,
             after.stats.expanded,
             after.wall_ns,
+            after.allocs,
         ));
     }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"bench\": \"planner_hot_path\",\n  \"workload\": \"grouped flip: n/2 one_of \
          groups, flip half forward; before = tree-walk + linear scan, after = compiled \
-         kernels + incremental checks + action index on the identical search skeleton; \
-         the 48-component row pins uniform-cost expanded-node counts — the frontier \
-         bottleneck an admissible A* heuristic (ROADMAP item 5) must cut (expansions \
-         grow ~17x per 8 components; a 64-component row extrapolates to ~2e9 nodes)\",\n  \
-         \"safety_check_budget_16\": {SAFETY_CHECK_BUDGET_16},\n  \"rows\": [\n{rows}\n  ]\n}}\n"
+         kernels + incremental checks + action index on the identical search skeleton \
+         (allocs = allocator calls of one query); the 48-component row is the blind \
+         uniform-cost search over 24 independent groups (expansions grow ~17x per 8 \
+         components) — the number ROADMAP item 2 factors along collaborative sets\",\n  \
+         \"command\": \"{}cargo bench -q -p sada-bench --bench bench_planning\",\n  \
+         \"host_cores\": {cores},\n  \
+         \"safety_check_budget_16\": {SAFETY_CHECK_BUDGET_16},\n  \"rows\": [\n{rows}\n  ]\n}}\n",
+        if smoke() { "SADA_BENCH_SMOKE=1 " } else { "" },
     );
     // crates/bench -> repository root.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_planning.json");
