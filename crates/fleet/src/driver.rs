@@ -347,7 +347,9 @@ where
         ScriptedAgent::new(control_id, scale_timing(AgentTiming::default(), factor))
             .with_bus(bus.clone())
     };
-    // Arena member `m` is the `m`-th hosted agent, in ascending order.
+    // Arena member `m` is the `m`-th hosted agent, in ascending order. The
+    // members are clones of one prototype and share its environment (the
+    // control id, timing and bus); a slow agent builds its own.
     let mut arena = vec![agent(1); hosted.iter().map(Range::len).sum()];
     // First entry wins for an agent listed twice; indices the plane does
     // not host (or the world does not have) are inert.

@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
+use std::rc::Rc;
 
 use sada_expr::Config;
 use sada_obs::{Bus, FleetEvent, Payload};
@@ -22,7 +23,7 @@ use crate::journal::JournalRecord;
 use crate::manager::{
     AdaptationPlanner, ManagerCore, ManagerEffect, ManagerEvent, Outcome, PlannedStep, ProtoTiming,
 };
-use crate::messages::{LocalAction, SessionId, Wire};
+use crate::messages::{SessionId, Wire};
 
 /// Placeholder planner installed while the real planner is carried across a
 /// manager restart (never consulted).
@@ -477,14 +478,18 @@ const TAG_REJOIN: u64 = 5;
 /// in-action is recorded as evaporated in [`ScriptedAgent::applied`])
 /// while completed steps survive on durable storage; the restart bumps the
 /// agent's epoch and announces [`ProtoMsg::Rejoin`] to the manager,
-/// retransmitting until it is resynchronized.
+/// retransmitting on the [`ReannouncePolicy::default`] schedule until it
+/// is resynchronized.
+///
+/// The agent holds its protocol state; what its embedding fixes for it
+/// (manager, timing, bus) sits in an environment that clones share, so a
+/// fleet of agents cloned from one prototype holds it once.
 ///
 /// [`ProtoMsg::Rejoin`]: crate::ProtoMsg::Rejoin
 #[derive(Clone)]
 pub struct ScriptedAgent {
     core: AgentCore,
-    manager: ActorId,
-    timing: AgentTiming,
+    env: Rc<AgentEnv>,
     /// When true, the agent reports `fail to reset` instead of reaching its
     /// safe state (a long critical communication segment).
     pub fail_to_reset: bool,
@@ -497,19 +502,25 @@ pub struct ScriptedAgent {
     pub rejoins_sent: u64,
     epoch: u64,
     manager_epoch: u64,
-    /// How often a restarted agent retransmits `Rejoin` until the manager
-    /// engages it, and how many times it tries. The budget must outlast a
-    /// partition window plus the manager's phase timeout, or a lost rejoin
-    /// degenerates into the (safe but slower) pure-timeout recovery.
-    reannounce: ReannouncePolicy,
+    /// `Rejoin` retransmissions left to this incarnation.
     rejoin_budget: u32,
-    pending_action: Option<LocalAction>,
-    pending_rollback: Option<LocalAction>,
     /// Last session seen on incoming protocol traffic; echoed on every
     /// outgoing message (and stamped on bus events) so a multi-session
     /// control plane can route this agent's replies. Stays
     /// [`SessionId::SOLO`] under a single-session manager.
     session: SessionId,
+}
+
+// A fleet keeps every agent of a plane in one arena: what an agent holds
+// inline is paid once per agent, 200 000 times at 100k groups.
+const _: () = assert!(std::mem::size_of::<ScriptedAgent>() <= 160);
+
+/// What a [`ScriptedAgent`]'s embedding fixes for it. Shared by every clone
+/// of one agent and copied on write.
+#[derive(Clone)]
+struct AgentEnv {
+    manager: ActorId,
+    timing: AgentTiming,
     bus: Bus,
 }
 
@@ -518,33 +529,23 @@ impl ScriptedAgent {
     pub fn new(manager: ActorId, timing: AgentTiming) -> Self {
         ScriptedAgent {
             core: AgentCore::new(),
-            manager,
-            timing,
+            env: Rc::new(AgentEnv { manager, timing, bus: Bus::new() }),
             fail_to_reset: false,
             applied: Vec::new(),
             crashes: 0,
             rejoins_sent: 0,
             epoch: 0,
             manager_epoch: 0,
-            reannounce: ReannouncePolicy::default(),
             rejoin_budget: 0,
-            pending_action: None,
-            pending_rollback: None,
             session: SessionId::SOLO,
-            bus: Bus::new(),
         }
     }
 
     /// Emits the agent's protocol state transitions onto `bus` (timestamped
-    /// with the virtual clock, attributed to this actor).
+    /// with the virtual clock, attributed to this actor). Other clones of
+    /// this agent keep the bus they had.
     pub fn with_bus(mut self, bus: Bus) -> Self {
-        self.bus = bus;
-        self
-    }
-
-    /// Overrides the rejoin re-announcement schedule (period and budget).
-    pub fn with_reannounce(mut self, policy: ReannouncePolicy) -> Self {
-        self.reannounce = policy;
+        Rc::make_mut(&mut self.env).bus = bus;
         self
     }
 
@@ -566,7 +567,7 @@ impl ScriptedAgent {
     fn send_rejoin<M: Clone + 'static>(&mut self, ctx: &mut Context<'_, Wire<M>>) {
         self.rejoins_sent += 1;
         ctx.send(
-            self.manager,
+            self.env.manager,
             Wire::Proto {
                 epoch: self.epoch,
                 session: self.session,
@@ -575,7 +576,7 @@ impl ScriptedAgent {
                 },
             },
         );
-        ctx.set_timer(self.reannounce.period, TAG_REJOIN);
+        ctx.set_timer(ReannouncePolicy::default().period, TAG_REJOIN);
     }
 
     fn apply<M: Clone + 'static>(
@@ -583,11 +584,12 @@ impl ScriptedAgent {
         ctx: &mut Context<'_, Wire<M>>,
         effects: Vec<AgentEffect>,
     ) {
+        let env = &*self.env;
         let obs = self.core.drain_obs();
-        if self.bus.has_sinks() {
+        if env.bus.has_sinks() {
             let (at, actor) = (ctx.now(), ctx.self_id().index() as u32);
             for payload in obs {
-                self.bus.emit(sada_obs::Event {
+                env.bus.emit(sada_obs::Event {
                     at,
                     actor,
                     session: self.session.0,
@@ -596,36 +598,36 @@ impl ScriptedAgent {
                 });
             }
         }
+        let timing = &env.timing;
         for eff in effects {
             match eff {
                 AgentEffect::Send(msg) => ctx.send(
-                    self.manager,
+                    env.manager,
                     Wire::Proto { epoch: self.epoch, session: self.session, msg },
                 ),
-                AgentEffect::PreAction(_) => {}
+                AgentEffect::PreAction(_) | AgentEffect::PostAction(_) => {}
                 AgentEffect::BeginReset(la) => {
                     // Reaching the safe state takes time — more when the
                     // global safe condition demands draining; a
                     // fail-to-reset agent discovers after the same delay
                     // that it cannot.
                     let delay = if la.needs_global_drain {
-                        self.timing.safe_delay + self.timing.drain_extra
+                        timing.safe_delay + timing.drain_extra
                     } else {
-                        self.timing.safe_delay
+                        timing.safe_delay
                     };
                     ctx.set_timer(delay, TAG_SAFE);
                 }
-                AgentEffect::DoInAction(la) => {
-                    self.pending_action = Some(la);
-                    ctx.set_timer(self.timing.act_delay, TAG_ACT);
+                // What the timers complete is read off the core when they
+                // fire (`on_timer`), not carried here.
+                AgentEffect::DoInAction(_) => {
+                    ctx.set_timer(timing.act_delay, TAG_ACT);
                 }
                 AgentEffect::DoResume => {
-                    ctx.set_timer(self.timing.resume_delay, TAG_RESUME);
+                    ctx.set_timer(timing.resume_delay, TAG_RESUME);
                 }
-                AgentEffect::PostAction(_) => {}
-                AgentEffect::DoRollback(la) => {
-                    self.pending_rollback = la;
-                    ctx.set_timer(self.timing.rollback_delay, TAG_ROLLBACK);
+                AgentEffect::DoRollback(_) => {
+                    ctx.set_timer(timing.rollback_delay, TAG_ROLLBACK);
                 }
             }
         }
@@ -663,8 +665,6 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ScriptedAgent {
         if let Some(la) = self.core.uncommitted_action() {
             self.applied.push((la.action, false));
         }
-        self.pending_action = None;
-        self.pending_rollback = None;
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_, Wire<M>>) {
@@ -676,7 +676,7 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ScriptedAgent {
         // ordinary transition; emit one so per-phase interval integration
         // closes the dead incarnation's phase at the restart instant.
         if prev != crate::AgentState::Running {
-            self.bus.scoped(self.session.0).publish(
+            self.env.bus.scoped(self.session.0).publish(
                 ctx.now(),
                 ctx.self_id().index() as u32,
                 || {
@@ -688,7 +688,10 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ScriptedAgent {
                 },
             );
         }
-        self.rejoin_budget = self.reannounce.budget;
+        // The budget must outlast a partition window plus the manager's
+        // phase timeout, or a lost rejoin degenerates into the (safe but
+        // slower) pure-timeout recovery.
+        self.rejoin_budget = ReannouncePolicy::default().budget;
         self.send_rejoin(ctx);
     }
 
@@ -712,18 +715,18 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ScriptedAgent {
                 }
             }
             TAG_ACT => {
-                if let Some(la) = self.pending_action.take() {
-                    // The structural change happens exactly here — atomically
-                    // with respect to the (blocked) data path.
+                // The structural change happens exactly here — atomically
+                // with respect to the (blocked) data path — unless a
+                // rollback or a new attempt overtook it and cancelled it.
+                if let Some(la) = self.core.scheduled_in_action() {
                     self.applied.push((la.action, true));
                 }
                 AgentEvent::InActionDone
             }
             TAG_RESUME => AgentEvent::ResumeFinished,
             TAG_ROLLBACK => {
-                if let Some(la) = self.pending_rollback.take() {
-                    // `Some` means a forward change was applied and must be
-                    // recorded as undone.
+                // A forward change that was applied is undone here.
+                if let Some(la) = self.core.uncommitted_action() {
                     self.applied.push((la.action, false));
                 }
                 AgentEvent::RollbackFinished
@@ -732,5 +735,36 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ScriptedAgent {
         };
         let eff = self.core.on_event(ev);
         self.apply(ctx, eff);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+
+    use sada_obs::RingSink;
+
+    use super::*;
+
+    #[test]
+    fn clones_share_one_environment_until_one_is_rebussed() {
+        let timing =
+            AgentTiming { act_delay: SimDuration::from_millis(9), ..AgentTiming::default() };
+        let proto = ScriptedAgent::new(ActorId::from_index(3), timing).with_bus(Bus::new());
+        let fleet = vec![proto; 3];
+        assert!(fleet.iter().all(|a| Rc::ptr_eq(&a.env, &fleet[0].env)), "one environment");
+        assert_eq!(Rc::strong_count(&fleet[0].env), 3);
+
+        let bus = Bus::new();
+        bus.attach(&Rc::new(RefCell::new(RingSink::new(1))));
+        let moved = fleet[1].clone().with_bus(bus);
+        assert!(!Rc::ptr_eq(&moved.env, &fleet[0].env), "copied on write");
+        assert!(moved.env.bus.has_sinks());
+        assert_eq!(moved.env.manager, ActorId::from_index(3));
+        assert_eq!(moved.env.timing.act_delay, SimDuration::from_millis(9));
+        for a in &fleet {
+            assert!(Rc::ptr_eq(&a.env, &fleet[0].env));
+            assert!(!a.env.bus.has_sinks(), "a sibling's bus never changes");
+        }
     }
 }

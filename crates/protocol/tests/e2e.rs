@@ -327,6 +327,77 @@ fn pair_action_blocks_both_agents_until_barrier() {
 }
 
 #[test]
+fn rollback_overtaking_the_in_action_leaves_no_change_behind() {
+    // One pair step under `X1 <=> Y1`. Agent 1 cannot reset and says so
+    // before agent 0's scheduled in-action has run, so agent 0 is told to
+    // roll back while still in the safe state. Its in-action must then not
+    // count as applied: a forward change nobody undoes would leave the
+    // process at X2 while the manager reports the source configuration.
+    for drain in [false, true] {
+        for y_safe_ms in [3u64, 4] {
+            let mut u = Universe::new();
+            for n in ["X1", "X2", "Y1", "Y2"] {
+                u.intern(n);
+            }
+            let actions = vec![Action::replace(
+                0,
+                "(X1,Y1)->(X2,Y2)",
+                &u.config_of(&["X1", "Y1"]),
+                &u.config_of(&["X2", "Y2"]),
+                100,
+            )];
+            let inv =
+                InvariantSet::parse(&["one_of(X1, X2)", "one_of(Y1, Y2)", "X1 <=> Y1"], &mut u)
+                    .unwrap();
+            let sag = Sag::build(enumerate::safe_configs(&u, &inv), &actions);
+            let mut model = SystemModel::new();
+            let p0 = model.add_process("px");
+            let p1 = model.add_process("py");
+            model.place_all(&u, &[("X1", p0), ("X2", p0), ("Y1", p1), ("Y2", p1)]);
+            let drains: HashSet<ActionId> =
+                if drain { [ActionId(0)].into() } else { HashSet::new() };
+            let planner = SagPlanner::new(sag, actions.clone(), model, vec![0, 1], drains);
+
+            let mut sim: Simulator<Msg> = Simulator::new(1);
+            let y_timing = AgentTiming {
+                safe_delay: SimDuration::from_millis(y_safe_ms),
+                ..AgentTiming::default()
+            };
+            let a0 = sim.add_actor(
+                "agent-x",
+                ScriptedAgent::new(ActorId::from_index(2), AgentTiming::default()),
+            );
+            let a1 = sim.add_actor("agent-y", ScriptedAgent::new(ActorId::from_index(2), y_timing));
+            sim.actor_mut::<ScriptedAgent>(a1).unwrap().fail_to_reset = true;
+            let source = u.config_of(&["X1", "Y1"]);
+            let manager = sim.add_actor(
+                "manager",
+                ManagerActor::<()>::new(
+                    ProtoTiming::default(),
+                    Box::new(planner),
+                    vec![a0, a1],
+                    source.clone(),
+                    u.config_of(&["X2", "Y2"]),
+                ),
+            );
+            sim.run();
+            let case = format!("drain {drain}, agent 1 safe after {y_safe_ms} ms");
+            let o = outcome_of(&sim, manager);
+            assert!(!o.success, "{case}");
+            assert_eq!(o.final_config, source, "{case}: rolled back to source");
+            for a in [a0, a1] {
+                let ag = sim.actor::<ScriptedAgent>(a).unwrap();
+                let forwards = ag.applied.iter().filter(|(_, f)| *f).count();
+                let undos = ag.applied.len() - forwards;
+                assert_eq!(forwards, undos, "{case}: {a} applied {:?}", ag.applied);
+            }
+            let replayed = replay_applied(&u, &sim, &[a0, a1], &actions, &source);
+            assert_eq!(replayed, o.final_config, "{case}: manager view diverged");
+        }
+    }
+}
+
+#[test]
 fn agent_crash_mid_step_rejoins_and_reaches_target() {
     let mut w = build_world(20, &["X1", "Y1"], &["X2", "Y2"], ProtoTiming::default());
     // Kill agent 0 while its solo step is in flight; bring it back 120 ms
