@@ -259,7 +259,7 @@ fn write_planning_json() {
             after.allocs,
         ));
     }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host = sada_bench::host_record();
     let json = format!(
         "{{\n  \"bench\": \"planner_hot_path\",\n  \"workload\": \"grouped flip: n/2 one_of \
          groups, flip half forward; before = tree-walk + linear scan, after = compiled \
@@ -268,7 +268,7 @@ fn write_planning_json() {
          uniform-cost search over 24 independent groups (expansions grow ~17x per 8 \
          components) — the number ROADMAP item 2 factors along collaborative sets\",\n  \
          \"command\": \"{}cargo bench -q -p sada-bench --bench bench_planning\",\n  \
-         \"host_cores\": {cores},\n  \
+         {host},\n  \
          \"safety_check_budget_16\": {SAFETY_CHECK_BUDGET_16},\n  \"rows\": [\n{rows}\n  ]\n}}\n",
         if smoke() { "SADA_BENCH_SMOKE=1 " } else { "" },
     );

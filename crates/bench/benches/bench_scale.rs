@@ -52,10 +52,11 @@ const SEED: u64 = 42;
 const SESSION_CAP: usize = 2048;
 const SPACING_US: u64 = 37;
 /// Smoke-gate ceiling on flat peak-heap bytes per agent at the 10k row:
-/// measured 1 874 B/agent (the count is deterministic) plus 25 %, so an
-/// accidental per-agent heap object or a dense-`Config` round trip sneaking
-/// back into the hot path fails loudly.
-const SMOKE_BYTES_PER_AGENT_CEILING: u64 = 2_342;
+/// measured 1 212 B/agent (the count is deterministic) plus 5 %, so a
+/// plane-wide constant or an in-flight step stored inline in every agent
+/// again (1 532 B/agent), an accidental per-agent heap object or a
+/// dense-`Config` round trip sneaking back into the hot path fails loudly.
+const SMOKE_BYTES_PER_AGENT_CEILING: u64 = 1_272;
 /// Ceiling on what one session adds to the flat peak heap, in bytes, at
 /// every row: measured 4 812 at the 10k row plus 25 %, with 5 592 at 1k
 /// and 4 941 at 100k under it. A committing session retains a spine and a
@@ -306,19 +307,8 @@ fn run_row(groups: usize, threads: &[usize]) -> Row {
 }
 
 fn write_bench_json(rows: &[Row]) {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // The host record, as the referee's `run.sh` takes it: toolchain and
-    // revision ("-dirty" when the rows were measured on uncommitted code).
     // Only the full sweep writes this file, so `command` is the whole mode.
-    let tool = |cmd: &str, args: &[&str]| {
-        let out = std::process::Command::new(cmd).args(args).output().ok();
-        let text = out.filter(|o| o.status.success()).map(|o| o.stdout);
-        text.and_then(|t| String::from_utf8(t).ok())
-            .map_or_else(|| "unknown".to_string(), |t| t.trim().to_string())
-    };
-    let rustc = tool("rustc", &["-V"]);
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let git_rev = tool("git", &["-C", root, "describe", "--always", "--dirty", "--abbrev=40"]);
+    let host = sada_bench::host_record();
     let body: Vec<String> = rows
         .iter()
         .map(|r| {
@@ -371,8 +361,7 @@ fn write_bench_json(rows: &[Row]) {
          shard_agents is the agents the sharded run's planes host between them, \
          shard_over_flat_wall is recorded and never asserted\",\n  \
          \"command\": \"cargo bench -q -p sada-bench --bench bench_scale\",\n  \
-         \"host_cores\": {cores},\n  \"rustc\": \"{rustc}\",\n  \
-         \"git_rev\": \"{git_rev}\",\n  \"thread_sweep\": [1, 2, 4, 8],\n  \
+         {host},\n  \"thread_sweep\": [1, 2, 4, 8],\n  \
          \"smoke_bytes_per_agent_ceiling\": {SMOKE_BYTES_PER_AGENT_CEILING},\n  \
          \"smoke_bytes_per_session_ceiling\": {SMOKE_BYTES_PER_SESSION_CEILING},\n  \
          \"smoke_shard_over_flat_heap_ceiling\": {SMOKE_SHARD_OVER_FLAT_HEAP_CEILING},\n  \

@@ -8,6 +8,25 @@ use sada_expr::{InvariantSet, Universe};
 use sada_model::SystemModel;
 use sada_plan::Action;
 
+/// The host record every `BENCH_*.json` carries, as the referee's `run.sh`
+/// takes it: cores, toolchain, and revision ("-dirty" when the rows were
+/// measured on uncommitted code). Three JSON members, `"host_cores"`,
+/// `"rustc"` and `"git_rev"`, separated at the indent of a bench file's
+/// top-level object.
+pub fn host_record() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let tool = |cmd: &str, args: &[&str]| {
+        let out = std::process::Command::new(cmd).args(args).output().ok();
+        let text = out.filter(|o| o.status.success()).map(|o| o.stdout);
+        text.and_then(|t| String::from_utf8(t).ok())
+            .map_or_else(|| "unknown".to_string(), |t| t.trim().to_string())
+    };
+    let rustc = tool("rustc", &["-V"]);
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let git_rev = tool("git", &["-C", root, "describe", "--always", "--dirty", "--abbrev=40"]);
+    format!("\"host_cores\": {cores},\n  \"rustc\": \"{rustc}\",\n  \"git_rev\": \"{git_rev}\"")
+}
+
 /// A system of `k` independent old/new component pairs (each guarded by a
 /// `one_of` invariant) with one replacement action per pair. Safe
 /// configuration count is `2^k`; useful for scaling sweeps.
