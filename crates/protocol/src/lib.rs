@@ -86,6 +86,5 @@ pub use sim::{AgentTiming, ManagerActor, ScriptedAgent};
 // The retry/breaker policy vocabulary is owned by the resilience crate;
 // re-exported here so protocol embedders configure timing from one import.
 pub use sada_resilience::{
-    BreakerConfig, BreakerState, CircuitBreaker, ReannouncePolicy, RetryMode, RetryPolicy,
-    RttEstimator,
+    BreakerConfig, BreakerState, CircuitBreaker, RetryMode, RetryPolicy, RttEstimator,
 };
