@@ -1,18 +1,22 @@
 //! Pinned identities of flat [`run_fleet`] runs the sharded path never
 //! exercises: a control-plane crash window, seeded fault plans crashing
 //! agents *and* the control actor, the serial baseline over slowed agents,
-//! and a breaker + bulkhead overload run with cancellations.
+//! a breaker + bulkhead overload run with cancellations, and the
+//! RTT-adaptive ladder over per-agent breakers.
 //!
 //! The constants were captured before `run_fleet` became the one-region
 //! case of the endpoint code and before the agents became one
 //! `Vec<ScriptedAgent>` arena; they pin that neither change moved a single
-//! event, journal byte, or verdict on these paths.
+//! event, journal byte, or verdict on these paths. The adaptive row was
+//! captured before the solo manager and the control plane shared one host.
 
 use sada_fleet::{
     disjoint_wave, fingerprint_events_unsharded, run_fleet, FleetReport, FleetResilience,
     FleetScenario, SessionSpec,
 };
-use sada_resilience::{BreakerConfig, BulkheadConfig};
+use sada_obs::{FleetEvent, Payload};
+use sada_proto::ProtoTiming;
+use sada_resilience::{BreakerConfig, BulkheadConfig, RetryPolicy};
 use sada_simnet::{chaos, ActorId, ChaosOpts, Fault, FaultPlan, SimDuration, SimTime};
 
 fn spec(id: u64, flips: Vec<(usize, bool)>, at_ms: u64, cancel_ms: Option<u64>) -> SessionSpec {
@@ -226,6 +230,51 @@ fn breaker_and_bulkhead_overload_with_cancels_is_pinned() {
             restores: 0,
             journal_fnv: 0x0a4076861ed340f4,
             verdicts: (3, 0, 3, 5, 1),
+        },
+    );
+}
+
+#[test]
+fn adaptive_ladder_over_breakers_with_a_crashed_and_a_slow_agent_is_pinned() {
+    // Agent 0 is down from 30 ms to 4 s: group-0 sessions time out against
+    // it, trip its breaker, have retransmissions suppressed, and probe it
+    // once it is back. Agent 5 is six times slower than its peers, so the
+    // estimators see latencies that move the RTO.
+    let sessions: Vec<SessionSpec> = (0..12u64)
+        .map(|i| spec(i + 1, vec![((i % 4) as usize, i % 8 < 4)], i * 60, None))
+        .collect();
+    let mut scn = FleetScenario::new(4, sessions);
+    scn.timing = ProtoTiming { retry: RetryPolicy::adaptive(), ..ProtoTiming::default() };
+    scn.resilience = FleetResilience {
+        breaker: Some(BreakerConfig { failure_threshold: 3, ..BreakerConfig::default() }),
+        ..FleetResilience::default()
+    };
+    scn.slow_agents = vec![(5, 6)];
+    scn.faults = FaultPlan::new()
+        .crash(ActorId::from_index(0), SimTime::from_millis(30))
+        .restart(ActorId::from_index(0), SimTime::from_millis(4_000));
+    let report = run_fleet(&scn);
+    let count = |f: fn(&FleetEvent) -> bool| {
+        report.events.iter().filter(|e| matches!(&e.payload, Payload::Fleet(ev) if f(ev))).count()
+    };
+    let rto = count(|ev| matches!(ev, FleetEvent::TimeoutAdapted { .. }));
+    let opened = count(|ev| matches!(ev, FleetEvent::BreakerOpened { .. }));
+    let probed = count(|ev| matches!(ev, FleetEvent::BreakerProbed { .. }));
+    assert!(
+        rto > 0 && opened > 0 && probed > 0 && report.suppressed_sends > 0,
+        "every host duty must show: {rto} RTO reports, {opened} trips, {probed} probes, {} \
+         suppressed sends",
+        report.suppressed_sends
+    );
+    assert_identity(
+        "adaptive ladder + breakers",
+        &report,
+        &Identity {
+            fingerprint: 0x9e292273516977a6,
+            final_config: "10101010",
+            restores: 0,
+            journal_fnv: 0x802b797cf9169728,
+            verdicts: (12, 0, 0, 0, 0),
         },
     );
 }
