@@ -26,6 +26,9 @@ echo "==> one tokenizer, one table (sada_obs::text reads every line format; each
 if grep -rn "split_once('=')\|starts_with('#')" crates/*/src | grep -v '^crates/obs/src/text.rs:'; then echo "a line tokenizer outside crates/obs/src/text.rs"; exit 1; fi
 if sed '/^#\[cfg(test)\]/,$d' crates/obs/src/codec.rs | grep -o '"[a-z]*\.[a-z_]*"' | sort | uniq -d | grep .; then echo "an event kind stated twice in crates/obs/src/codec.rs"; exit 1; fi
 
+echo "==> one manager host (RTT sampling and RTO reports live in crates/protocol/src/host.rs; the codec only decodes them)"
+if grep -rn 'pending_since\|FleetEvent::TimeoutAdapted {' crates/*/src | grep -v '^crates/protocol/src/host.rs:\|^crates/obs/src/codec.rs:'; then echo "a second manager host outside crates/protocol/src/host.rs"; exit 1; fi
+
 echo "==> referee benchmark (standalone package: build + its own tests)"
 # benchmark/ compiles against the public sada-fleet/-proto/-simnet API from
 # outside the workspace, so an API break there is invisible to every step

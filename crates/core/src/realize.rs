@@ -149,8 +149,8 @@ pub fn run_adaptation(
         rejoins,
         manager_restores: m.restores,
         journal: m.journal.clone(),
-        breaker_trips: m.breaker_trips,
-        suppressed_sends: m.suppressed_sends,
+        breaker_trips: m.host().breaker_trips,
+        suppressed_sends: m.host().suppressed_sends,
     }
 }
 

@@ -30,9 +30,8 @@
 //!   disabling the cache for that session) whenever any invariant's support
 //!   straddles the scope boundary — in-scope verdicts are then a pure
 //!   function of in-scope bits.
-//! * **Invalidation**: entries encode the action repertoire and invariants
-//!   in the key, and [`PlanCache::invalidate`] drops everything when the
-//!   world is swapped out from under the control plane.
+//! * **One world**: entries encode the action repertoire and invariants in
+//!   the key, and a cache serves the one world of its control plane.
 //! * **Crash faults**: the cache is volatile state. A restored control
 //!   plane starts cold (fresh cache), so cached paths are never treated as
 //!   authoritative against the durable journal.
@@ -47,8 +46,8 @@
 //! re-evaluates only the predicates the diff touches. The memo lives here —
 //! not inside the world's [`Search`], which is immutable and shared by
 //! every endpoint thread of a run — because the cache has exactly the
-//! right owner and lifetime: one per control-plane incarnation, emptied by
-//! [`PlanCache::invalidate`], gone with the cache on a crash.
+//! right owner and lifetime: one per control-plane incarnation, gone with
+//! the cache on a crash.
 
 use std::collections::HashMap;
 
@@ -93,8 +92,6 @@ pub struct PlanCacheStats {
     pub insertions: u64,
     /// Entries displaced by the LRU policy.
     pub evictions: u64,
-    /// Whole-cache invalidations (world changed).
-    pub invalidations: u64,
 }
 
 /// What a cache interaction was, for the observability stream.
@@ -205,19 +202,9 @@ impl PlanCache {
     /// [`Search::plan_scoped_vetted`] so that no endpoint is vetted twice.
     /// Exact, and O(diff against the last configuration proved safe through
     /// this cache) rather than O(invariants). `search` must be the one
-    /// world this cache serves until the next [`PlanCache::invalidate`].
+    /// world this cache serves.
     pub fn is_safe<'c>(&mut self, search: &Search, cfg: &'c Config) -> Option<Safe<'c>> {
         search.is_safe_memo(cfg, &mut self.safe_memo)
-    }
-
-    /// Drops every entry and the safety memo. Call when the world's action
-    /// repertoire or invariant set changes — the keys embed both, but stale
-    /// isomorphic answers from a *previous* world must not survive a swap,
-    /// and "safe under the old invariants" proves nothing under the new.
-    pub fn invalidate(&mut self) {
-        self.entries.clear();
-        self.safe_memo = SafeMemo::default();
-        self.stats.invalidations += 1;
     }
 
     /// Drains the pending interaction notes (for event emission).
@@ -300,11 +287,6 @@ impl ScopeNormalizer {
             .map(|a| (nz.project_ids(a.removes()), nz.project_ids(a.adds()), a.cost()))
             .collect();
         Some(ScopeNormalizer { actions, ..nz })
-    }
-
-    /// Number of local component ids (= scope size).
-    pub fn local_width(&self) -> usize {
-        self.locals.len()
     }
 
     /// The local projection of a global configuration: bit `l` is the
@@ -451,44 +433,5 @@ mod tests {
         let kinds: Vec<CacheNoteKind> = cache.take_notes().iter().map(|n| n.kind).collect();
         assert!(kinds.contains(&CacheNoteKind::Evicted));
         assert!(cache.take_notes().is_empty(), "notes drain once");
-    }
-
-    #[test]
-    fn invalidate_empties_the_cache_but_keeps_counters() {
-        let (u, inv, actions) = two_group_world();
-        let g0: Vec<CompId> = vec![u.id("Old0").unwrap(), u.id("New0").unwrap()];
-        let s0 = scoped_for(&g0, &actions, u.len());
-        let nz = ScopeNormalizer::new(&inv, u.len(), &g0, &s0).unwrap();
-        let key = nz.key(&u.config_of(&["Old0"]), &u.config_of(&["New0"]));
-        let mut cache = PlanCache::new(8);
-        cache.insert(key.clone(), Some(CachedPlan { action_ixs: vec![0], cost: 1 }), 7);
-        assert!(cache.lookup(&key, 7).is_some());
-        cache.invalidate();
-        assert!(cache.is_empty());
-        assert!(cache.lookup(&key, 7).is_none());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.invalidations), (1, 1, 1));
-    }
-
-    #[test]
-    fn invalidate_drops_the_safety_memo_with_the_entries() {
-        let (mut u, inv, actions) = two_group_world();
-        let old = Search::new(&inv, &actions, u.len());
-        // The swapped-in world additionally demands New1.
-        let stricter =
-            InvariantSet::parse(&["one_of(Old0, New0)", "one_of(Old1, New1)", "New1"], &mut u)
-                .unwrap();
-        let new = Search::new(&stricter, &actions, u.len());
-        let cfg = u.config_of(&["Old0", "Old1"]);
-        let mut cache = PlanCache::new(8);
-        assert!(cache.is_safe(&old, &cfg).is_some());
-        // A memo that outlived the swap would diff `cfg` against itself,
-        // evaluate nothing, and wave it through.
-        cache.invalidate();
-        assert!(
-            cache.is_safe(&new, &cfg).is_none(),
-            "safe under the old invariants proves nothing"
-        );
-        assert!(cache.is_safe(&new, &u.config_of(&["Old0", "New1"])).is_some());
     }
 }

@@ -1,11 +1,11 @@
 //! The adaptation control plane: one actor, many concurrent sessions.
 //!
-//! The single-adaptation [`ManagerActor`](sada_proto::ManagerActor)
-//! serializes every request through one [`ManagerCore`]. The control plane
-//! instead embeds **one core per admitted session** and multiplexes them
-//! over a shared wire: outgoing protocol traffic is stamped with the
-//! session's [`SessionId`], agents echo the stamp, and replies are routed
-//! back to the owning core. Admission is governed by the
+//! The single-adaptation [`ManagerActor`](sada_proto::ManagerActor) is a
+//! [`ManagerHost`] with one session; the control plane is that host with
+//! **one core per admitted session**, multiplexed over a shared wire
+//! (traffic is stamped with the session's [`SessionId`], agents echo it,
+//! replies route back to the owning core), plus admission, scope locks,
+//! per-scope breakers and the plan cache. Admission is governed by the
 //! [`ScopeLockManager`]: a session whose scope (collaborative sets +
 //! hosting processes) is free starts immediately; conflicting sessions
 //! queue in priority/FIFO order and may be cancelled while queued.
@@ -13,7 +13,7 @@
 //! ## Durability split
 //!
 //! Crash faults destroy the volatile process image — embedded cores, lock
-//! table, timers, epoch watermarks, routing hints. What survives is exactly
+//! table, timers, the host's per-agent state. What survives is exactly
 //! what a production control plane would keep on durable storage: the
 //! interleaved session-tagged write-ahead [`journal`](ControlActor::journal)
 //! (append order = decision order), the [`results`](ControlActor::results)
@@ -31,14 +31,13 @@ use std::rc::Rc;
 use sada_expr::{CompId, Config};
 use sada_obs::{Bus, Event, FleetEvent, Payload};
 use sada_proto::{
-    JournalRecord, ManagerCore, ManagerEffect, ManagerEvent, Outcome, ProtoTiming, SessionId,
-    SessionRecord, Wire,
+    JournalRecord, ManagerCore, ManagerEffect, ManagerEvent, ManagerHost, Outcome, ProtoTiming,
+    Roster, SessionCore, SessionId, SessionRecord, Wire,
 };
 use sada_resilience::{
-    shed_victim, BreakerConfig, BreakerTransition, BulkheadConfig, CircuitBreaker, RetryMode,
-    RttEstimator,
+    shed_victim, BreakerConfig, BreakerTransition, BulkheadConfig, CircuitBreaker,
 };
-use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime, TimerId};
+use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime};
 
 use crate::cache::{CacheNoteKind, PlanCache, PlanCacheStats};
 use crate::lock::ScopeLockManager;
@@ -148,21 +147,12 @@ const TAG_CANCEL_BASE: u64 = 1 << 63;
 /// Entries the shared plan cache may hold before LRU eviction kicks in.
 const PLAN_CACHE_CAPACITY: usize = 128;
 
-/// A live session: its embedded manager core and the protocol timers it has
-/// armed (core token → global tag + cancellation handle).
-struct ActiveSession {
-    core: ManagerCore,
-    timers: HashMap<u64, (u64, TimerId)>,
-}
-
 /// The control plane as a simulated process (speaks `Wire<M>` like
 /// [`ManagerActor`](sada_proto::ManagerActor)).
 pub struct ControlActor<M = ()> {
     world: Rc<FleetWorld>,
-    /// The agents this plane hosts, as ascending disjoint runs of agent
-    /// indices. Agent `p` is `ActorId(p)` in every plane; a plane differs
-    /// only in which of them exist behind that id.
-    hosted: Vec<Range<usize>>,
+    /// The host of every session's core, over the agents this plane hosts.
+    pub(crate) host: ManagerHost,
     scenario: Vec<SessionSpec>,
     /// Session id → scenario index (first occurrence wins, matching a
     /// linear scan). The scenario never changes after construction, so
@@ -174,32 +164,14 @@ pub struct ControlActor<M = ()> {
     serialize: bool,
     /// Overload-protection policy (breakers + bulkhead bounds).
     resilience: FleetResilience,
-    bus: Bus,
     // ---- volatile (destroyed by crash faults) ----
-    epoch: u64,
-    agent_epochs: HashMap<ActorId, u64>,
-    active: BTreeMap<u64, ActiveSession>,
+    active: BTreeMap<u64, SessionCore>,
     locks: ScopeLockManager,
-    /// Per-agent circuit breakers, created on an agent's first failure
-    /// evidence (an agent without one is behind a closed breaker that has
-    /// counted nothing). Volatile: a restored control plane re-learns which
-    /// agents are sick.
-    breakers: BTreeMap<usize, CircuitBreaker>,
     /// Per-scope circuit breakers, created lazily on first failure
     /// evidence and keyed by [`ControlActor::scope_key`]. Volatile, like
-    /// the per-agent set.
+    /// the host's per-agent set: a restored control plane re-learns which
+    /// scopes are sick.
     scope_breakers: HashMap<u64, CircuitBreaker>,
-    /// Per-agent RTT estimators feeding adaptive retry deadlines, created
-    /// on an agent's first sample. Volatile for the same reason.
-    rtt: HashMap<usize, RttEstimator>,
-    /// Last RTO reported per agent as a `TimeoutAdapted` event, so the bus
-    /// only carries adaptations that moved the deadline by ≥ a quarter.
-    last_rto: HashMap<usize, u64>,
-    /// First unanswered send per agent, for Karn-rule RTT sampling.
-    pending_since: HashMap<usize, SimTime>,
-    /// True while applying effects produced by a protocol timeout — sends
-    /// in that window are retransmissions, i.e. breaker failure evidence.
-    in_timeout: bool,
     /// Sessions parked at the admission gate (in-flight cap reached before
     /// their scope was ever tried). Never holds lock-queue entries.
     gate: Vec<u64>,
@@ -209,12 +181,6 @@ pub struct ControlActor<M = ()> {
     /// Monotonic enqueue sequence (ties in shed-victim selection break
     /// toward the oldest waiter).
     queue_seq: u64,
-    /// Global timer tag → (session, core token).
-    tag_owner: HashMap<u64, (u64, u64)>,
-    next_tag: u64,
-    /// Agent index → session currently engaging it (for routing stepless
-    /// rejoin traffic whose echoed session may be stale).
-    pub(crate) agent_session: HashMap<usize, u64>,
     /// Session ids already submitted (guards double submission after a
     /// restart re-arms timers; rebuilt from the journal).
     submitted: HashSet<u64>,
@@ -245,13 +211,9 @@ pub struct ControlActor<M = ()> {
     /// Sessions rejected at admission behind an open breaker (diagnostics;
     /// survives restarts).
     pub rejected_count: u64,
-    /// Times any breaker tripped open (diagnostics; survives restarts).
-    pub breaker_trips: u64,
     /// Times any *scope* breaker tripped open (diagnostics; survives
     /// restarts).
     pub scope_breaker_trips: u64,
-    /// Sends refused by open breakers (diagnostics; survives restarts).
-    pub suppressed_sends: u64,
     /// Typed admission outcome per session that reached a decision. Treated
     /// as durable alongside `results`: every entry is backed by journaled
     /// records (`Request` for admissions, `Outcome` for sheds/rejections).
@@ -263,13 +225,6 @@ pub struct ControlActor<M = ()> {
 /// on stamps the shard).
 pub(crate) fn fleet_event(at: SimTime, actor: ActorId, session: u64, ev: FleetEvent) -> Event {
     Event { at, actor: actor.index() as u32, session, shard: 0, payload: Payload::Fleet(ev) }
-}
-
-/// The run of `hosted` (ascending disjoint runs of agent indices) holding
-/// agent `agent`, if a plane hosting them hosts it.
-pub(crate) fn hosting_run(hosted: &[Range<usize>], agent: usize) -> Option<usize> {
-    let run = hosted.partition_point(|r| r.end <= agent);
-    (hosted.get(run)?.start <= agent).then_some(run)
 }
 
 impl<M: Clone + 'static> ControlActor<M> {
@@ -292,29 +247,18 @@ impl<M: Clone + 'static> ControlActor<M> {
         debug_assert!(hosted.windows(2).all(|w| w[0].end <= w[1].start), "runs ascend");
         ControlActor {
             world,
-            hosted,
+            host: ManagerHost::new(Roster::Runs(hosted), timing),
             scenario,
             spec_by_id,
             timing,
             serialize,
             resilience: FleetResilience::default(),
-            bus: Bus::new(),
-            epoch: 0,
-            agent_epochs: HashMap::new(),
             active: BTreeMap::new(),
             locks: ScopeLockManager::new(),
-            breakers: BTreeMap::new(),
             scope_breakers: HashMap::new(),
-            rtt: HashMap::new(),
-            last_rto: HashMap::new(),
-            pending_since: HashMap::new(),
-            in_timeout: false,
             gate: Vec::new(),
             waiting: HashMap::new(),
             queue_seq: 0,
-            tag_owner: HashMap::new(),
-            next_tag: 1,
-            agent_session: HashMap::new(),
             submitted: HashSet::new(),
             plan_cache: Rc::new(RefCell::new(PlanCache::new(PLAN_CACHE_CAPACITY))),
             journal: Vec::new(),
@@ -327,9 +271,7 @@ impl<M: Clone + 'static> ControlActor<M> {
             restores: 0,
             shed_count: 0,
             rejected_count: 0,
-            breaker_trips: 0,
             scope_breaker_trips: 0,
-            suppressed_sends: 0,
             admissions: HashMap::new(),
             _marker: std::marker::PhantomData,
         }
@@ -337,37 +279,21 @@ impl<M: Clone + 'static> ControlActor<M> {
 
     /// Emits session-tagged control-plane and protocol events onto `bus`.
     pub fn with_bus(mut self, bus: Bus) -> Self {
-        self.bus = bus;
+        self.host.bus = bus;
         self
     }
 
     /// Installs the overload-protection policy (breakers + bulkhead).
     pub fn with_resilience(mut self, r: FleetResilience) -> Self {
+        self.host.breaker = r.breaker;
         self.resilience = r;
         self
-    }
-
-    /// Total open time per agent breaker up to `now`, for agents that ever
-    /// tripped (dense agent index, microseconds).
-    pub fn breaker_open_us(&self, now: SimTime) -> Vec<(u32, u64)> {
-        self.breakers
-            .iter()
-            .filter(|(_, b)| b.trips() > 0)
-            .map(|(&ix, b)| (ix as u32, b.open_time_us(now)))
-            .collect()
     }
 
     /// Plan-cache counters for the current incarnation (crash faults reset
     /// them along with the cache itself).
     pub fn cache_stats(&self) -> PlanCacheStats {
         self.plan_cache.borrow().stats()
-    }
-
-    /// Drops every cached plan. Call whenever the world's action repertoire
-    /// or invariant set is changed out from under the control plane —
-    /// cached answers from the old world must not leak into the new one.
-    pub fn invalidate_plan_cache(&mut self) {
-        self.plan_cache.borrow_mut().invalidate();
     }
 
     fn spec_ix(&self, session: u64) -> Option<usize> {
@@ -384,85 +310,7 @@ impl<M: Clone + 'static> ControlActor<M> {
     }
 
     fn emit_fleet(&self, ctx: &Context<'_, Wire<M>>, session: u64, ev: FleetEvent) {
-        self.bus.emit(fleet_event(ctx.now(), ctx.self_id(), session, ev));
-    }
-
-    fn emit_breaker(
-        &mut self,
-        ctx: &Context<'_, Wire<M>>,
-        session: u64,
-        agent: usize,
-        tr: BreakerTransition,
-    ) {
-        let agent = agent as u32;
-        let ev = match tr {
-            BreakerTransition::Opened { cooldown } => {
-                self.breaker_trips += 1;
-                FleetEvent::BreakerOpened { agent, cooldown_us: cooldown.as_micros() }
-            }
-            BreakerTransition::Probing => FleetEvent::BreakerProbed { agent },
-            BreakerTransition::Closed => FleetEvent::BreakerClosed { agent },
-        };
-        self.emit_fleet(ctx, session, ev);
-    }
-
-    /// Records an arrival from `agent`: an RTT sample when a send was
-    /// outstanding (Karn's rule — the timestamp of the first transmission),
-    /// and success evidence for its breaker. Runs for every current-epoch
-    /// message, including acks the owning core will discard as stale: a slow
-    /// agent whose answer arrives after its session already moved on still
-    /// teaches the estimator its true latency, so the *next* session on that
-    /// agent gets a deadline it can meet.
-    fn observe_arrival(&mut self, ctx: &Context<'_, Wire<M>>, agent: usize) {
-        if let Some(t0) = self.pending_since.remove(&agent) {
-            // Only adaptive deadlines read the estimators (`refresh_hint`),
-            // so the fixed ladder keeps none.
-            if self.timing.retry.mode == RetryMode::Adaptive {
-                let estimator = self.rtt.entry(agent).or_default();
-                estimator.observe(ctx.now().saturating_since(t0));
-                if let (Some(srtt), Some(rto)) = (estimator.srtt(), estimator.rto()) {
-                    // Report only adaptations that moved the deadline by at
-                    // least a quarter relative to the last report.
-                    let last = self.last_rto.entry(agent).or_insert(0);
-                    let (rto_us, was) = (rto.as_micros(), *last);
-                    if was == 0 || rto_us.abs_diff(was).saturating_mul(4) >= was {
-                        *last = rto_us;
-                        self.emit_fleet(
-                            ctx,
-                            self.agent_session.get(&agent).copied().unwrap_or(0),
-                            FleetEvent::TimeoutAdapted {
-                                agent: agent as u32,
-                                srtt_us: srtt.as_micros(),
-                                rto_us,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        if let Some(tr) = self.breakers.get_mut(&agent).and_then(|b| b.on_success(ctx.now())) {
-            let sid = self.agent_session.get(&agent).copied().unwrap_or(0);
-            self.emit_breaker(ctx, sid, agent, tr);
-        }
-    }
-
-    /// Feeds session `session`'s core the RTO of its slowest participant
-    /// before its next event. No-op under the fixed ladder.
-    fn refresh_hint(&mut self, session: u64) {
-        if self.timing.retry.mode != RetryMode::Adaptive {
-            return;
-        }
-        let Some(ix) = self.spec_ix(session) else { return };
-        let hint = self
-            .world
-            .scope_comps(&self.scenario[ix].flips)
-            .iter()
-            .filter_map(|&c| self.world.agent_for(c))
-            .filter_map(|a| self.rtt.get(&a).and_then(RttEstimator::rto))
-            .max();
-        if let Some(sess) = self.active.get_mut(&session) {
-            sess.core.set_timeout_hint(hint);
-        }
+        self.host.bus.emit(fleet_event(ctx.now(), ctx.self_id(), session, ev));
     }
 
     /// FNV-1a fingerprint of `spec`'s sorted scope resources — the identity
@@ -524,7 +372,7 @@ impl<M: Clone + 'static> ControlActor<M> {
             .scope_comps(&spec.flips)
             .iter()
             .filter_map(|&c| self.world.agent_for(c))
-            .find(|a| self.breakers.get(a).is_some_and(|b| b.blocks(now)))
+            .find(|&a| self.host.blocks(a, now))
     }
 
     /// Concludes `sid` without running its protocol: the journaled
@@ -642,10 +490,31 @@ impl<M: Clone + 'static> ControlActor<M> {
         }
     }
 
-    /// Feeds `effects` of session `session`'s core back into the world:
-    /// session-stamped sends, globally tagged timers, journal appends, and
-    /// completion handling (which may admit queued sessions).
-    fn apply(&mut self, ctx: &mut Context<'_, Wire<M>>, session: u64, effects: Vec<ManagerEffect>) {
+    /// Runs `ev` through live session `session`'s core, with the RTO of its
+    /// slowest participant as the deadline hint, and applies the effects.
+    fn step(&mut self, ctx: &mut Context<'_, Wire<M>>, session: u64, ev: ManagerEvent) {
+        let hint = self.host.hint(|| {
+            let flips = &self.scenario[self.spec_by_id[&session]].flips;
+            self.world.scope_comps(flips).into_iter().filter_map(|c| self.world.agent_for(c))
+        });
+        let in_timeout = matches!(ev, ManagerEvent::Timeout { .. });
+        let sess = self.active.get_mut(&session).expect("only a live session steps");
+        sess.core.set_timeout_hint(hint);
+        let eff = sess.core.on_event(ev);
+        self.apply(ctx, session, in_timeout, eff);
+    }
+
+    /// Feeds `effects` of session `session`'s core back into the world
+    /// through the host (`in_timeout`: they answer a timeout), journals
+    /// what it hands back, and handles completion (which may admit queued
+    /// sessions).
+    fn apply(
+        &mut self,
+        ctx: &mut Context<'_, Wire<M>>,
+        session: u64,
+        in_timeout: bool,
+        effects: Vec<ManagerEffect>,
+    ) {
         // Planner queries (inside core event handling) may have touched the
         // shared plan cache; surface those interactions as fleet events.
         for note in self.plan_cache.borrow_mut().take_notes() {
@@ -656,79 +525,15 @@ impl<M: Clone + 'static> ControlActor<M> {
             };
             self.emit_fleet(ctx, note.session, ev);
         }
-        let obs = match self.active.get_mut(&session) {
-            Some(sess) => sess.core.drain_obs(),
-            None => Vec::new(),
-        };
-        if self.bus.has_sinks() {
-            let (at, actor) = (ctx.now(), ctx.self_id().index() as u32);
-            for payload in obs {
-                self.bus.emit(Event { at, actor, session, shard: 0, payload });
-            }
-        }
+        let sess = self.active.get_mut(&session).expect("only a live session's core has effects");
         let mut completed = None;
-        for eff in effects {
+        for eff in self.host.apply(ctx, SessionId(session), sess, in_timeout, effects) {
             match eff {
-                ManagerEffect::Send { agent, msg } => {
-                    // A send emitted while handling a timeout is a
-                    // retransmission: failure evidence for the breaker.
-                    if let (true, Some(cfg)) = (self.in_timeout, self.resilience.breaker) {
-                        let breaker =
-                            self.breakers.entry(agent).or_insert_with(|| CircuitBreaker::new(cfg));
-                        if let Some(tr) = breaker.on_failure(ctx.now()) {
-                            self.emit_breaker(ctx, session, agent, tr);
-                        }
-                    }
-                    if let Some(breaker) = self.breakers.get_mut(&agent) {
-                        let (ok, tr) = breaker.allow_send(ctx.now());
-                        if let Some(tr) = tr {
-                            self.emit_breaker(ctx, session, agent, tr);
-                        }
-                        if !ok {
-                            // The breaker absorbs the retry; the session's
-                            // own timeout ladder keeps running and journals
-                            // an outcome (rollback or give-up) either way.
-                            self.suppressed_sends += 1;
-                            continue;
-                        }
-                    }
-                    self.pending_since.entry(agent).or_insert_with(|| ctx.now());
-                    self.agent_session.insert(agent, session);
-                    // The hosted set covers every scope a plane's sessions
-                    // can reach; a miss is a bug in that rule, and the send
-                    // would be dropped without a trace.
-                    assert!(
-                        hosting_run(&self.hosted, agent).is_some(),
-                        "session {session} addresses agent {agent}, which shard {} does not host",
-                        self.bus.shard()
-                    );
-                    ctx.send(
-                        ActorId::from_index(agent),
-                        Wire::Proto { epoch: self.epoch, session: SessionId(session), msg },
-                    );
-                }
-                ManagerEffect::SetTimer { token, after } => {
-                    let tag = self.next_tag;
-                    self.next_tag += 1;
-                    let id = ctx.set_timer(after, tag);
-                    self.tag_owner.insert(tag, (session, token));
-                    if let Some(sess) = self.active.get_mut(&session) {
-                        sess.timers.insert(token, (tag, id));
-                    }
-                }
-                ManagerEffect::CancelTimer { token } => {
-                    if let Some(sess) = self.active.get_mut(&session) {
-                        if let Some((tag, id)) = sess.timers.remove(&token) {
-                            self.tag_owner.remove(&tag);
-                            ctx.cancel_timer(id);
-                        }
-                    }
-                }
                 ManagerEffect::Complete(outcome) => completed = Some(outcome),
                 ManagerEffect::Journal(rec) => {
                     self.journal.push(SessionRecord { session: SessionId(session), record: rec });
                 }
-                ManagerEffect::Info(_) => {}
+                _ => {} // progress notes are for the solo manager's log
             }
         }
         if let Some(outcome) = completed {
@@ -856,21 +661,14 @@ impl<M: Clone + 'static> ControlActor<M> {
         let planner = ScopedLazyPlanner::new(Rc::clone(&self.world), &scope)
             .with_cache(Rc::clone(&self.plan_cache), spec.id);
         let core = ManagerCore::new(self.timing, Box::new(planner));
-        self.active.insert(spec.id, ActiveSession { core, timers: HashMap::new() });
+        self.active.insert(spec.id, SessionCore::new(core));
         self.admitted_at.insert(spec.id, ctx.now());
         let queued_for = ctx
             .now()
             .as_micros()
             .saturating_sub(self.submitted_at.get(&spec.id).map_or(0, |t| t.as_micros()));
         self.emit_fleet(ctx, spec.id, FleetEvent::SessionAdmitted { session: spec.id, queued_for });
-        self.refresh_hint(spec.id);
-        let eff = self
-            .active
-            .get_mut(&spec.id)
-            .expect("just inserted")
-            .core
-            .on_event(ManagerEvent::Request { source, target });
-        self.apply(ctx, spec.id, eff);
+        self.step(ctx, spec.id, ManagerEvent::Request { source, target });
     }
 
     /// Completion: fold the session's final configuration into the fleet
@@ -879,12 +677,10 @@ impl<M: Clone + 'static> ControlActor<M> {
         if let Some(ix) = self.spec_ix(session) {
             let scope = self.world.scope_comps(&self.scenario[ix].flips);
             // Only its own scope's hosts can still name this session: an
-            // engagement is recorded where `apply` sends, and a session's
+            // engagement is recorded where the host sends, and a session's
             // planner addresses no agent outside its scope.
             for agent in scope.iter().filter_map(|&c| self.world.agent_for(c)) {
-                if self.agent_session.get(&agent) == Some(&session) {
-                    self.agent_session.remove(&agent);
-                }
+                self.host.disengage(agent, session);
             }
             self.fold(scope.into_iter().map(|c| (c, outcome.final_config.contains(c))));
             // Scope-breaker evidence: an unsuccessful protocol outcome
@@ -922,10 +718,7 @@ impl<M: Clone + 'static> ControlActor<M> {
         self.ends.insert(session, end);
         self.results.insert(session, outcome);
         if let Some(sess) = self.active.remove(&session) {
-            for (tag, id) in sess.timers.values() {
-                self.tag_owner.remove(tag);
-                ctx.cancel_timer(*id);
-            }
+            self.host.cancel_timers(ctx, &sess);
         }
         let granted = self.locks.release(session);
         self.admit_all(ctx, granted);
@@ -976,19 +769,12 @@ impl<M: Clone + 'static> ControlActor<M> {
         let sid = if session.0 != 0 && self.active.contains_key(&session.0) {
             session.0
         } else {
-            match self.agent_session.get(&agent) {
-                Some(&s) if self.active.contains_key(&s) => s,
+            match self.host.engaged(agent) {
+                Some(s) if self.active.contains_key(&s) => s,
                 _ => return, // nobody is engaging this agent — stale traffic
             }
         };
-        self.refresh_hint(sid);
-        let eff = self
-            .active
-            .get_mut(&sid)
-            .expect("sid checked active")
-            .core
-            .on_event(ManagerEvent::AgentMsg { agent, msg });
-        self.apply(ctx, sid, eff);
+        self.step(ctx, sid, ManagerEvent::AgentMsg { agent, msg });
     }
 
     // ---- hooks for the sharded runtime (crate-internal) ----
@@ -1068,17 +854,9 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
 
     fn on_message(&mut self, ctx: &mut Context<'_, Wire<M>>, from: ActorId, msg: Wire<M>) {
         if let Wire::Proto { epoch, session, msg: p } = msg {
-            let agent = from.index();
-            if hosting_run(&self.hosted, agent).is_none() {
-                return;
+            if let Some(agent) = self.host.on_arrival(from, epoch, ctx.now(), ctx.self_id()) {
+                self.route(ctx, agent, session, p);
             }
-            let seen = self.agent_epochs.entry(from).or_insert(0);
-            if epoch < *seen {
-                return; // pre-crash residue from an old agent incarnation
-            }
-            *seen = epoch;
-            self.observe_arrival(ctx, agent);
-            self.route(ctx, agent, session, p);
         }
     }
 
@@ -1091,15 +869,10 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
             self.submit(ctx, (tag - TAG_SUBMIT_BASE) as usize);
             return;
         }
-        if let Some((session, token)) = self.tag_owner.remove(&tag) {
-            if self.active.contains_key(&session) {
-                self.refresh_hint(session);
-                let sess = self.active.get_mut(&session).expect("checked");
+        if let Some((session, token)) = self.host.fired(tag) {
+            if let Some(sess) = self.active.get_mut(&session) {
                 sess.timers.remove(&token);
-                let eff = sess.core.on_event(ManagerEvent::Timeout { token });
-                self.in_timeout = true;
-                self.apply(ctx, session, eff);
-                self.in_timeout = false;
+                self.step(ctx, session, ManagerEvent::Timeout { token });
             }
         }
     }
@@ -1109,20 +882,13 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
         // configuration stand in for durable storage and survive.
         self.active.clear();
         self.locks = ScopeLockManager::new();
-        self.tag_owner.clear();
-        self.next_tag = 1;
-        self.agent_epochs.clear();
-        self.agent_session.clear();
+        self.host.crash();
         self.submitted.clear();
-        // Breakers, estimators, and the waiting bookkeeping are process
-        // state too: the restored plane re-learns the network and rebuilds
-        // its queues from the journal.
-        self.pending_since.clear();
+        // Scope breakers and the waiting bookkeeping are process state too:
+        // the restored plane re-learns them and rebuilds its queues from the
+        // journal.
         self.gate.clear();
         self.waiting.clear();
-        self.rtt.clear();
-        self.last_rto.clear();
-        self.breakers.clear();
         self.scope_breakers.clear();
         // The plan cache dies with the process, safety memo included: the
         // restored incarnation starts cold, so journal replay never leans
@@ -1131,7 +897,6 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_, Wire<M>>) {
-        self.epoch += 1;
         self.restores += 1;
         // Partition the interleaved journal by session, preserving the
         // order in which sessions first appear (the requeue order).
@@ -1180,7 +945,7 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
                 .unwrap_or_else(|e| panic!("control-plane journal replay failed: {e}"));
             let seized = self.locks.try_acquire(sid, &self.resources_of(&spec), spec.priority);
             assert!(seized, "in-flight scopes are disjoint and must re-acquire");
-            self.active.insert(sid, ActiveSession { core, timers: HashMap::new() });
+            self.active.insert(sid, SessionCore::new(core));
             restore_effects.push((sid, eff));
         }
         // Pass 2: requeue sessions that were waiting when the plane died,
@@ -1218,7 +983,7 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
             },
         );
         for (sid, eff) in restore_effects {
-            self.apply(ctx, sid, eff);
+            self.apply(ctx, sid, false, eff);
         }
         for ix in to_admit {
             self.admit(ctx, ix);
@@ -1244,16 +1009,7 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
 
 #[cfg(test)]
 mod tests {
-    use super::{hosting_run, SessionEnd};
-
-    #[test]
-    fn hosting_run_finds_the_run_or_the_gap() {
-        let hosted = [1..2, 4..7, 9..11];
-        let runs: Vec<_> = (0..12).map(|a| hosting_run(&hosted, a)).collect();
-        let r = Some;
-        assert_eq!(runs, [None, r(0), None, None, r(1), r(1), r(1), None, None, r(2), r(2), None]);
-        assert_eq!(hosting_run(&[], 0), None);
-    }
+    use super::SessionEnd;
 
     /// `SessionResult`'s four bools used to be read off the outcome:
     /// `success` / `gave_up` from its fields, `cancelled` / `shed` from

@@ -23,15 +23,15 @@ use std::rc::Rc;
 
 use sada_expr::Config;
 use sada_obs::{Bus, Event, RingSink};
-use sada_proto::{encode_session_journal, AgentTiming, ProtoTiming, ScriptedAgent, Wire};
+use sada_proto::{
+    encode_session_journal, hosting_run, AgentTiming, ProtoTiming, ScriptedAgent, Wire,
+};
 use sada_simnet::{
     Actor, ActorId, FaultPlan, LinkConfig, NetStats, SimDuration, SimTime, Simulator,
 };
 
 use crate::cache::PlanCacheStats;
-use crate::control::{
-    fleet_event, hosting_run, Admission, ControlActor, FleetResilience, SessionSpec,
-};
+use crate::control::{fleet_event, Admission, ControlActor, FleetResilience, SessionSpec};
 use crate::world::{Domain, FleetWorld, WorldSpec};
 
 /// Events each plane's ring retains; anything beyond is evicted oldest
@@ -456,10 +456,10 @@ impl<M: Clone + 'static> Plane<M> {
             cache: control.cache_stats(),
             shed: control.shed_count,
             rejected: control.rejected_count,
-            breaker_trips: control.breaker_trips,
+            breaker_trips: control.host.breaker_trips,
             scope_breaker_trips: control.scope_breaker_trips,
-            suppressed_sends: control.suppressed_sends,
-            breaker_open_us: control.breaker_open_us(self.sim.now()),
+            suppressed_sends: control.host.suppressed_sends,
+            breaker_open_us: control.host.breaker_open_us(self.sim.now()),
             lock_holders: control.lock_holder_count() as u64,
         }
     }
@@ -680,9 +680,8 @@ mod tests {
         let mut plane = whole_plane(&scenario);
         let control = |plane: &Plane<()>| {
             let control = plane.sim.actor::<ControlActor<()>>(plane.control_id).unwrap();
-            let mut engaged: Vec<(usize, u64)> =
-                control.agent_session.iter().map(|(&a, &s)| (a, s)).collect();
-            engaged.sort_unstable();
+            let engaged: Vec<(usize, u64)> =
+                (0..8).filter_map(|a| Some((a, control.host.engaged(a)?))).collect();
             (control.completed_at.contains_key(&1), control.results.len(), engaged)
         };
         while !control(&plane).0 {

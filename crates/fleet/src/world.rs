@@ -63,16 +63,6 @@ impl Domain {
         }
     }
 
-    /// Inverse of [`Domain::tag`].
-    pub fn from_tag(tag: u32) -> Option<Self> {
-        match tag {
-            0 => Some(Domain::Video),
-            1 => Some(Domain::Serverless),
-            2 => Some(Domain::Iaas),
-            _ => None,
-        }
-    }
-
     /// Human-readable label.
     pub fn name(self) -> &'static str {
         match self {
@@ -98,15 +88,6 @@ impl Objective {
         match self {
             Objective::LatencyMs => 0,
             Objective::EnergyWatts => 1,
-        }
-    }
-
-    /// Inverse of [`Objective::tag`].
-    pub fn from_tag(tag: u32) -> Option<Self> {
-        match tag {
-            0 => Some(Objective::LatencyMs),
-            1 => Some(Objective::EnergyWatts),
-            _ => None,
         }
     }
 

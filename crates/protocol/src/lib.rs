@@ -17,8 +17,11 @@
 //!   the user.
 //! * [`SagPlanner`] — plugs the `sada-plan` SAG + Yen ranking into the
 //!   manager's re-planning interface.
+//! * [`ManagerHost`] — the one host of manager cores, keyed by agent:
+//!   breakers, RTT sampling, epoch fencing, the effect loop.
 //! * [`ManagerActor`] / [`ScriptedAgent`] — simnet adapters used by the
-//!   protocol tests, benches, and (for the manager) the video case study.
+//!   protocol tests, benches, and (for the manager, a host with one
+//!   session) the video case study.
 //!
 //! ## Crash faults and recovery
 //!
@@ -60,7 +63,10 @@
 //!
 //! [`SafetyAuditor`]: sada_model::SafetyAuditor
 
+#![warn(missing_docs)]
+
 mod agent;
+mod host;
 mod journal;
 mod manager;
 #[cfg(test)]
@@ -71,6 +77,7 @@ mod relay;
 mod sim;
 
 pub use agent::{state_tag as agent_state_tag, AgentCore, AgentEffect, AgentEvent, AgentState};
+pub use host::{hosting_run, ManagerHost, Roster, SessionCore};
 pub use journal::{
     encode_global_journal, encode_journal, encode_session_journal, parse_global_journal,
     parse_journal, parse_session_journal, GlobalRecord, JournalRecord, SessionRecord,
@@ -85,6 +92,4 @@ pub use relay::RelayActor;
 pub use sim::{AgentTiming, ManagerActor, ScriptedAgent};
 // The retry/breaker policy vocabulary is owned by the resilience crate;
 // re-exported here so protocol embedders configure timing from one import.
-pub use sada_resilience::{
-    BreakerConfig, BreakerState, CircuitBreaker, RetryMode, RetryPolicy, RttEstimator,
-};
+pub use sada_resilience::{BreakerConfig, RetryPolicy};

@@ -6,19 +6,17 @@
 //! process, used by the protocol tests and benches to exercise every failure
 //! mode with controlled timing.
 
-use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::rc::Rc;
 
 use sada_expr::Config;
-use sada_obs::{Bus, FleetEvent, Payload};
+use sada_obs::Bus;
 use sada_plan::{ActionId, Path};
-use sada_resilience::{
-    BreakerConfig, BreakerTransition, CircuitBreaker, ReannouncePolicy, RetryMode, RttEstimator,
-};
-use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime, TimerId};
+use sada_resilience::{BreakerConfig, ReannouncePolicy};
+use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime};
 
 use crate::agent::{AgentCore, AgentEffect, AgentEvent};
+use crate::host::{ManagerHost, Roster, SessionCore};
 use crate::journal::JournalRecord;
 use crate::manager::{
     AdaptationPlanner, ManagerCore, ManagerEffect, ManagerEvent, Outcome, PlannedStep, ProtoTiming,
@@ -39,40 +37,36 @@ impl AdaptationPlanner for NoopPlanner {
     }
 }
 
-/// The adaptation manager as a simulated process.
-///
-/// Generic over the application payload `M` (the manager itself only speaks
-/// [`ProtoMsg`]). The adaptation request fires at start-up; the outcome is
-/// readable from the actor state after the run.
-///
-/// The actor models the durability split of a crash-safe deployment: the
-/// [`ManagerCore`] and its timers are the volatile process image and are
-/// rebuilt from scratch when fault injection crashes this actor, while the
-/// write-ahead [`journal`](Self::journal) plays the role of the durable log
-/// a production manager would fsync — it survives the crash, and the
-/// restarted incarnation replays it through [`ManagerCore::restore`], then
-/// reconciles agent state with [`ProtoMsg::QueryState`] probes under a
-/// bumped epoch.
-///
 /// Application-message predicate that fires the adaptation request.
 type Trigger<M> = Box<dyn Fn(&M) -> bool>;
 
+/// The adaptation manager as a simulated process: a [`ManagerHost`] with
+/// one session ([`SessionId::SOLO`]) plus the request that starts it.
+///
+/// Generic over the application payload `M` (the manager itself only speaks
+/// [`ProtoMsg`](crate::ProtoMsg)). The adaptation request fires at
+/// start-up; the outcome is readable from the actor state after the run.
+///
+/// The actor models the durability split of a crash-safe deployment: the
+/// [`ManagerCore`], its timers and its host state are the volatile process
+/// image and are rebuilt from scratch when fault injection crashes this
+/// actor, while the write-ahead [`journal`](Self::journal) plays the role
+/// of the durable log a production manager would fsync — it survives the
+/// crash, and the restarted incarnation replays it through
+/// [`ManagerCore::restore`], then reconciles agent state with
+/// [`ProtoMsg::QueryState`](crate::ProtoMsg::QueryState) probes under a
+/// bumped epoch.
 pub struct ManagerActor<M> {
-    core: ManagerCore,
-    agents: Vec<ActorId>,
-    actor_to_agent: HashMap<ActorId, usize>,
-    timers: HashMap<u64, TimerId>,
+    host: ManagerHost,
+    sess: SessionCore,
+    /// How many agents the manager drives (its slowest one sets the hint).
+    agents: usize,
     request: Option<(Config, Config)>,
     request_delay: SimDuration,
     trigger: Option<Trigger<M>>,
     /// Timing policy, kept so a restarted incarnation is rebuilt under the
     /// same policy the dead one ran.
     timing: ProtoTiming,
-    /// This manager's incarnation number (stamped on outgoing traffic).
-    epoch: u64,
-    /// Highest incarnation seen per agent; older traffic is pre-crash
-    /// residue and is discarded before it reaches the state machine.
-    agent_epochs: HashMap<ActorId, u64>,
     /// The durable write-ahead adaptation journal (everything the core
     /// emitted as [`ManagerEffect::Journal`], in order). Survives crashes of
     /// this actor by construction — the simulator only destroys in-flight
@@ -87,24 +81,6 @@ pub struct ManagerActor<M> {
     pub completed_at: Option<sada_simnet::SimTime>,
     /// Progress log (the manager's `Info` effects).
     pub infos: Vec<String>,
-    /// Breaker policy, kept (like `timing`) so a restarted incarnation is
-    /// rebuilt under the same policy. `None` disables the gate entirely.
-    breaker_cfg: Option<BreakerConfig>,
-    /// Per-agent circuit breakers (volatile process state).
-    breakers: Vec<CircuitBreaker>,
-    /// Per-agent RTT estimators feeding the adaptive retry deadline
-    /// (volatile: a restarted manager re-learns the network).
-    rtt: Vec<RttEstimator>,
-    /// First unanswered send per agent, for Karn-rule RTT sampling.
-    pending_since: HashMap<usize, SimTime>,
-    /// True while applying effects produced by a protocol timeout — sends
-    /// in that window are retransmissions, i.e. breaker failure evidence.
-    in_timeout: bool,
-    /// Times any breaker tripped open (diagnostics; survives restarts).
-    pub breaker_trips: u64,
-    /// Sends refused by open breakers (diagnostics; survives restarts).
-    pub suppressed_sends: u64,
-    bus: Bus,
     _marker: PhantomData<fn() -> M>,
 }
 
@@ -118,32 +94,19 @@ impl<M> ManagerActor<M> {
         source: Config,
         target: Config,
     ) -> Self {
-        let actor_to_agent = agents.iter().enumerate().map(|(ix, &a)| (a, ix)).collect();
-        let rtt = vec![RttEstimator::new(); agents.len()];
         ManagerActor {
-            core: ManagerCore::new(timing, planner),
-            agents,
-            actor_to_agent,
-            timers: HashMap::new(),
+            sess: SessionCore::new(ManagerCore::new(timing, planner)),
+            agents: agents.len(),
+            host: ManagerHost::new(Roster::Listed(agents), timing),
             request: Some((source, target)),
             request_delay: SimDuration::ZERO,
             trigger: None,
             timing,
-            epoch: 0,
-            agent_epochs: HashMap::new(),
             journal: Vec::new(),
             restores: 0,
             outcome: None,
             completed_at: None,
             infos: Vec::new(),
-            breaker_cfg: None,
-            breakers: Vec::new(),
-            rtt,
-            pending_since: HashMap::new(),
-            in_timeout: false,
-            breaker_trips: 0,
-            suppressed_sends: 0,
-            bus: Bus::new(),
             _marker: PhantomData,
         }
     }
@@ -152,15 +115,14 @@ impl<M> ManagerActor<M> {
     /// an agent that keeps timing out stops absorbing retransmissions and
     /// is re-engaged through a single seeded half-open probe.
     pub fn with_breakers(mut self, cfg: BreakerConfig) -> Self {
-        self.breaker_cfg = Some(cfg);
-        self.breakers = (0..self.agents.len()).map(|_| CircuitBreaker::new(cfg)).collect();
+        self.host.breaker = Some(cfg);
         self
     }
 
     /// Emits the manager's protocol/plan events onto `bus` (timestamped
     /// with the virtual clock, attributed to this actor).
     pub fn with_bus(mut self, bus: Bus) -> Self {
-        self.bus = bus;
+        self.host.bus = bus;
         self
     }
 
@@ -180,151 +142,39 @@ impl<M> ManagerActor<M> {
         self
     }
 
-    /// The manager state machine (for phase assertions in tests).
-    pub fn core(&self) -> &ManagerCore {
-        &self.core
+    /// The manager's host (its breaker and suppression counters).
+    pub fn host(&self) -> &ManagerHost {
+        &self.host
+    }
+}
+
+impl<M: Clone + 'static> ManagerActor<M> {
+    /// Runs `ev` through the core, with the slowest agent's RTO as its
+    /// deadline hint, and applies the effects.
+    fn step(&mut self, ctx: &mut Context<'_, Wire<M>>, ev: ManagerEvent) {
+        let in_timeout = matches!(ev, ManagerEvent::Timeout { .. });
+        self.sess.core.set_timeout_hint(self.host.hint(|| 0..self.agents));
+        let eff = self.sess.core.on_event(ev);
+        self.apply(ctx, eff, in_timeout);
     }
 
-    /// This manager's incarnation number (0 until the first crash/restart).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn emit_fleet(&mut self, ctx: &mut Context<'_, Wire<M>>, ev: FleetEvent)
-    where
-        M: Clone + 'static,
-    {
-        if self.bus.has_sinks() {
-            self.bus.emit(sada_obs::Event {
-                at: ctx.now(),
-                actor: ctx.self_id().index() as u32,
-                session: 0,
-                shard: 0,
-                payload: Payload::Fleet(ev),
-            });
-        }
-    }
-
-    fn emit_transition(
-        &mut self,
-        ctx: &mut Context<'_, Wire<M>>,
-        agent: usize,
-        tr: BreakerTransition,
-    ) where
-        M: Clone + 'static,
-    {
-        let agent = agent as u32;
-        let ev = match tr {
-            BreakerTransition::Opened { cooldown } => {
-                self.breaker_trips += 1;
-                FleetEvent::BreakerOpened { agent, cooldown_us: cooldown.as_micros() }
-            }
-            BreakerTransition::Probing => FleetEvent::BreakerProbed { agent },
-            BreakerTransition::Closed => FleetEvent::BreakerClosed { agent },
-        };
-        self.emit_fleet(ctx, ev);
-    }
-
-    /// Records an arrival from `agent`: an RTT sample when a send was
-    /// outstanding (Karn's rule — the timestamp of the *first* transmission,
-    /// never a retransmission's), and success evidence for the breaker. Runs
-    /// for every current-epoch message, including acks the core will discard
-    /// as stale: a slow agent whose answer arrives after the manager already
-    /// gave up on the phase still teaches the estimator its true latency.
-    fn observe_arrival(&mut self, ctx: &mut Context<'_, Wire<M>>, agent: usize)
-    where
-        M: Clone + 'static,
-    {
-        if let Some(t0) = self.pending_since.remove(&agent) {
-            let sample = ctx.now().saturating_since(t0);
-            self.rtt[agent].observe(sample);
-            if self.timing.retry.mode == RetryMode::Adaptive {
-                let (srtt, rto) = (self.rtt[agent].srtt(), self.rtt[agent].rto());
-                if let (Some(srtt), Some(rto)) = (srtt, rto) {
-                    self.emit_fleet(
-                        ctx,
-                        FleetEvent::TimeoutAdapted {
-                            agent: agent as u32,
-                            srtt_us: srtt.as_micros(),
-                            rto_us: rto.as_micros(),
-                        },
-                    );
-                }
-            }
-        }
-        if agent < self.breakers.len() {
-            if let Some(tr) = self.breakers[agent].on_success(ctx.now()) {
-                self.emit_transition(ctx, agent, tr);
-            }
-        }
-    }
-
-    /// Feeds the core the RTO of the slowest agent before its next event, so
-    /// adaptive retry deadlines track observed latency. No-op in fixed mode.
-    fn refresh_hint(&mut self) {
-        if self.timing.retry.mode != RetryMode::Adaptive {
-            return;
-        }
-        let hint = self.rtt.iter().filter_map(RttEstimator::rto).max();
-        self.core.set_timeout_hint(hint);
-    }
-
-    fn apply(&mut self, ctx: &mut Context<'_, Wire<M>>, effects: Vec<ManagerEffect>)
-    where
-        M: Clone + 'static,
-    {
-        let obs = self.core.drain_obs();
-        if self.bus.has_sinks() {
-            let (at, actor) = (ctx.now(), ctx.self_id().index() as u32);
-            for payload in obs {
-                self.bus.emit(sada_obs::Event { at, actor, session: 0, shard: 0, payload });
-            }
-        }
-        for eff in effects {
+    fn apply(&mut self, ctx: &mut Context<'_, Wire<M>>, eff: Vec<ManagerEffect>, timeout: bool) {
+        for eff in self.host.apply(ctx, SessionId::SOLO, &mut self.sess, timeout, eff) {
             match eff {
-                ManagerEffect::Send { agent, msg } => {
-                    // A send emitted while handling a timeout is a
-                    // retransmission: failure evidence for the breaker.
-                    if self.in_timeout && agent < self.breakers.len() {
-                        if let Some(tr) = self.breakers[agent].on_failure(ctx.now()) {
-                            self.emit_transition(ctx, agent, tr);
-                        }
-                    }
-                    if agent < self.breakers.len() {
-                        let (ok, tr) = self.breakers[agent].allow_send(ctx.now());
-                        if let Some(tr) = tr {
-                            self.emit_transition(ctx, agent, tr);
-                        }
-                        if !ok {
-                            // The breaker absorbs the retry; the protocol's
-                            // own timeout ladder keeps running and will
-                            // journal an outcome either way.
-                            self.suppressed_sends += 1;
-                            continue;
-                        }
-                    }
-                    self.pending_since.entry(agent).or_insert_with(|| ctx.now());
-                    ctx.send(
-                        self.agents[agent],
-                        Wire::Proto { epoch: self.epoch, session: SessionId::SOLO, msg },
-                    );
-                }
-                ManagerEffect::SetTimer { token, after } => {
-                    let id = ctx.set_timer(after, token);
-                    self.timers.insert(token, id);
-                }
-                ManagerEffect::CancelTimer { token } => {
-                    if let Some(id) = self.timers.remove(&token) {
-                        ctx.cancel_timer(id);
-                    }
-                }
                 ManagerEffect::Complete(outcome) => {
                     self.outcome = Some(outcome);
                     self.completed_at = Some(ctx.now());
                 }
                 ManagerEffect::Journal(rec) => self.journal.push(rec),
                 ManagerEffect::Info(s) => self.infos.push(s),
+                _ => {} // the host put it on the wire
             }
+        }
+    }
+
+    fn fire_request(&mut self, ctx: &mut Context<'_, Wire<M>>) {
+        if let Some((source, target)) = self.request.take() {
+            self.step(ctx, ManagerEvent::Request { source, target });
         }
     }
 }
@@ -338,33 +188,21 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ManagerActor<M> {
             // Waiting for the decision-making monitor.
         } else if self.request_delay > SimDuration::ZERO {
             ctx.set_timer(self.request_delay, TAG_REQUEST);
-        } else if let Some((source, target)) = self.request.take() {
-            let eff = self.core.on_event(ManagerEvent::Request { source, target });
-            self.apply(ctx, eff);
+        } else {
+            self.fire_request(ctx);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Wire<M>>, from: ActorId, msg: Wire<M>) {
         match msg {
             Wire::Proto { epoch, msg: p, .. } => {
-                if let Some(&agent) = self.actor_to_agent.get(&from) {
-                    let seen = self.agent_epochs.entry(from).or_insert(0);
-                    if epoch < *seen {
-                        return; // pre-crash residue from an old incarnation
-                    }
-                    *seen = epoch;
-                    self.observe_arrival(ctx, agent);
-                    self.refresh_hint();
-                    let eff = self.core.on_event(ManagerEvent::AgentMsg { agent, msg: p });
-                    self.apply(ctx, eff);
+                if let Some(agent) = self.host.on_arrival(from, epoch, ctx.now(), ctx.self_id()) {
+                    self.step(ctx, ManagerEvent::AgentMsg { agent, msg: p });
                 }
             }
             Wire::App(m) => {
                 if self.trigger.as_ref().is_some_and(|t| t(&m)) {
-                    if let Some((source, target)) = self.request.take() {
-                        let eff = self.core.on_event(ManagerEvent::Request { source, target });
-                        self.apply(ctx, eff);
-                    }
+                    self.fire_request(ctx);
                 }
             }
         }
@@ -372,48 +210,32 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ManagerActor<M> {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Wire<M>>, tag: u64) {
         if tag == TAG_REQUEST {
-            if let Some((source, target)) = self.request.take() {
-                let eff = self.core.on_event(ManagerEvent::Request { source, target });
-                self.apply(ctx, eff);
-            }
+            self.fire_request(ctx);
             return;
         }
-        self.timers.remove(&tag);
-        self.refresh_hint();
-        let eff = self.core.on_event(ManagerEvent::Timeout { token: tag });
-        self.in_timeout = true;
-        self.apply(ctx, eff);
-        self.in_timeout = false;
+        self.sess.timers.remove(&tag);
+        self.step(ctx, ManagerEvent::Timeout { token: tag });
     }
 
     fn on_crash(&mut self, _now: SimTime) {
-        // The process image dies: armed timers, the per-agent epoch
-        // watermark, breakers, and RTT estimators are volatile. The journal
-        // field deliberately survives — it stands in for the durable log of
-        // a real deployment.
-        self.timers.clear();
-        self.agent_epochs.clear();
-        self.pending_since.clear();
-        for e in &mut self.rtt {
-            *e = RttEstimator::new();
-        }
-        if let Some(cfg) = self.breaker_cfg {
-            self.breakers = (0..self.agents.len()).map(|_| CircuitBreaker::new(cfg)).collect();
-        }
+        // The process image dies: armed timers and the host's per-agent
+        // state are volatile. The journal field deliberately survives — it
+        // stands in for the durable log of a real deployment.
+        self.sess.timers.clear();
+        self.host.crash();
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_, Wire<M>>) {
-        self.epoch += 1;
         self.restores += 1;
         // Carry the planner out of the dead core (planners are deterministic
         // and stateless with respect to protocol progress, so reuse is
         // sound) and replay the journal into a fresh one.
-        let dead =
-            std::mem::replace(&mut self.core, ManagerCore::new(self.timing, Box::new(NoopPlanner)));
+        let idle = ManagerCore::new(self.timing, Box::new(NoopPlanner));
+        let dead = std::mem::replace(&mut self.sess.core, idle);
         let (core, eff) = ManagerCore::restore(self.timing, dead.into_planner(), &self.journal)
             .unwrap_or_else(|e| panic!("manager journal replay failed: {e}"));
-        self.core = core;
-        self.apply(ctx, eff);
+        self.sess.core = core;
+        self.apply(ctx, eff, false);
         // If the request had not yet fired (its arming timer died with the
         // crash), re-arm it for the originally scheduled instant; trigger
         // mode just keeps waiting for the application predicate.
@@ -422,9 +244,8 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ManagerActor<M> {
             let now = ctx.now().as_micros();
             if due > now {
                 ctx.set_timer(SimDuration::from_micros(due - now), TAG_REQUEST);
-            } else if let Some((source, target)) = self.request.take() {
-                let eff = self.core.on_event(ManagerEvent::Request { source, target });
-                self.apply(ctx, eff);
+            } else {
+                self.fire_request(ctx);
             }
         }
     }
@@ -549,19 +370,9 @@ impl ScriptedAgent {
         self
     }
 
-    /// The agent state machine (for state assertions in tests).
-    pub fn core(&self) -> &AgentCore {
-        &self.core
-    }
-
     /// This agent's incarnation number (0 until the first crash/restart).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The session this agent last worked under (for routing assertions).
-    pub fn session(&self) -> SessionId {
-        self.session
     }
 
     fn send_rejoin<M: Clone + 'static>(&mut self, ctx: &mut Context<'_, Wire<M>>) {
