@@ -22,6 +22,9 @@ cargo test -q --workspace
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (deny warnings: a public doc must not link to a private or missing item)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> one tokenizer, one table (sada_obs::text reads every line format; each JSONL kind is stated once)"
 if grep -rn "split_once('=')\|starts_with('#')" crates/*/src | grep -v '^crates/obs/src/text.rs:'; then echo "a line tokenizer outside crates/obs/src/text.rs"; exit 1; fi
 if sed '/^#\[cfg(test)\]/,$d' crates/obs/src/codec.rs | grep -o '"[a-z]*\.[a-z_]*"' | sort | uniq -d | grep .; then echo "an event kind stated twice in crates/obs/src/codec.rs"; exit 1; fi

@@ -171,7 +171,7 @@ fn bench_hot_path(c: &mut Criterion) {
     if !smoke() {
         let (u, inv, actions, src, dst) = grouped_flip_workload(24);
         let kernel = Search::new(&inv, &actions, u.len());
-        let baseline = Search::tree_walk_baseline(&inv, &actions, u.len());
+        let baseline = sada_plan::oracle::tree_walk_search(&inv, &actions, u.len());
         let mut g = c.benchmark_group("planner_hot_path");
         g.sample_size(10);
         g.bench_function("tree_walk_24", |b| b.iter(|| baseline.plan(&src, &dst).0.unwrap()));
@@ -190,7 +190,7 @@ fn write_planning_json() {
     for n in [16usize, 24, 32, 48] {
         let (u, inv, actions, src, dst) = grouped_flip_workload(n);
         let kernel = Search::new(&inv, &actions, u.len());
-        let baseline = Search::tree_walk_baseline(&inv, &actions, u.len());
+        let baseline = sada_plan::oracle::tree_walk_search(&inv, &actions, u.len());
         // The 48-component row times the single (minutes-long) initial
         // query only; the counts are deterministic either way.
         let iters = if n >= 48 {

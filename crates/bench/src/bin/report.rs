@@ -411,7 +411,7 @@ fn planning() {
     for n in [16usize, 24, 32] {
         let (u, inv, actions, src, dst) = sada_bench::grouped_flip_workload(n);
         let kernel = Search::new(&inv, &actions, u.len());
-        let baseline = Search::tree_walk_baseline(&inv, &actions, u.len());
+        let baseline = sada_plan::oracle::tree_walk_search(&inv, &actions, u.len());
         let (kp, ks) = kernel.plan(&src, &dst);
         let (bp, bs) = baseline.plan(&src, &dst);
         let (kp, bp) = (kp.expect("path exists"), bp.expect("path exists"));

@@ -122,18 +122,6 @@ pub fn carousel_system(n: usize) -> (Universe, InvariantSet, Vec<Action>) {
     (u, inv, actions)
 }
 
-/// Wraps a generated system into a runnable [`AdaptationSpec`] with all
-/// components on one process (protocol benches that need multi-process
-/// deployments use the case study instead).
-pub fn single_process_spec(u: Universe, inv: InvariantSet, actions: Vec<Action>) -> AdaptationSpec {
-    let mut model = SystemModel::new();
-    let p = model.add_process("host");
-    for id in u.iter() {
-        model.place(id, p);
-    }
-    AdaptationSpec::new(u, inv, actions, model, vec![0], HashSet::new())
-}
-
 /// A `k`-process system whose single adaptive action replaces one
 /// component on *every* process simultaneously — the widest possible
 /// barrier for the realization protocol (one agent per process).
@@ -155,7 +143,7 @@ pub fn wide_step_spec(k: usize) -> (AdaptationSpec, sada_expr::Config, sada_expr
     let action = Action::replace(0, "upgrade-everything", &removes, &adds, 100);
     let mut model = SystemModel::new();
     for i in 0..k {
-        let p = model.add_process(&format!("proc{i}"));
+        let p = model.add_process();
         model.place(u.id(&format!("Old{i}")).unwrap(), p);
         model.place(u.id(&format!("New{i}")).unwrap(), p);
     }
@@ -214,14 +202,5 @@ mod tests {
         assert!(report.outcome.success);
         assert_eq!(report.outcome.steps_committed, 1);
         assert_eq!(report.outcome.final_config, target);
-    }
-
-    #[test]
-    fn single_process_spec_plans() {
-        let (u, inv, actions) = carousel_system(4);
-        let spec = single_process_spec(u, inv, actions);
-        let u = spec.universe();
-        let p = spec.minimum_adaptation_path(&u.config_of(&["C0"]), &u.config_of(&["C3"])).unwrap();
-        assert!(p.cost <= 3, "direct or stepped route, whichever cheaper");
     }
 }

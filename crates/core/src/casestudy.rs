@@ -100,9 +100,9 @@ pub fn case_study() -> CaseStudy {
     ];
 
     let mut model = SystemModel::new();
-    let server = model.add_process("video-server");
-    let handheld = model.add_process("handheld-client");
-    let laptop = model.add_process("laptop-client");
+    let server = model.add_process();
+    let handheld = model.add_process();
+    let laptop = model.add_process();
     model.place_all(
         &u,
         &[
@@ -252,7 +252,9 @@ mod tests {
     #[test]
     fn lazy_planner_matches_map_cost() {
         let cs = case_study();
-        let lazy = cs.spec.minimum_adaptation_path_lazy(&cs.source, &cs.target).unwrap();
+        let lazy =
+            sada_plan::lazy::plan(cs.spec.invariants(), cs.spec.actions(), &cs.source, &cs.target)
+                .unwrap();
         assert_eq!(lazy.cost, PAPER_MAP_COST);
     }
 

@@ -51,14 +51,14 @@ impl CodecCatalog {
     }
 
     /// All declared encoders, in id order.
-    pub fn encoders(&self) -> Vec<CompId> {
+    pub(crate) fn encoders(&self) -> Vec<CompId> {
         let mut v: Vec<CompId> = self.produces.keys().copied().collect();
         v.sort();
         v
     }
 
     /// All declared decoders, in id order.
-    pub fn decoders(&self) -> Vec<CompId> {
+    pub(crate) fn decoders(&self) -> Vec<CompId> {
         let mut v: Vec<CompId> = self.accepts.keys().copied().collect();
         v.sort();
         v
@@ -207,8 +207,8 @@ mod tests {
         let e = u.intern("E");
         let d = u.intern("D");
         let mut model = SystemModel::new();
-        let server = model.add_process("server");
-        let client = model.add_process("client");
+        let server = model.add_process();
+        let client = model.add_process();
         model.place(e, server);
         model.place(d, client);
         model.connect(e, d);
@@ -226,7 +226,7 @@ mod tests {
         let mut u = Universe::new();
         let e = u.intern("E");
         let mut model = SystemModel::new();
-        let p = model.add_process("p");
+        let p = model.add_process();
         model.place(e, p);
         let mut catalog = CodecCatalog::new();
         catalog.producer(e, 1);

@@ -4,7 +4,7 @@ use std::collections::HashSet;
 
 use sada_expr::{enumerate, Config, InvariantSet, Universe};
 use sada_model::SystemModel;
-use sada_plan::{lazy, Action, ActionId, Path, Sag};
+use sada_plan::{Action, ActionId, Path, Sag};
 use sada_proto::SagPlanner;
 
 /// Everything the developers prepare at development time (Section 4.1):
@@ -74,7 +74,7 @@ impl AdaptationSpec {
     }
 
     /// Actions whose global safe condition requires draining the stream.
-    pub fn drain_actions(&self) -> &HashSet<ActionId> {
+    pub(crate) fn drain_actions(&self) -> &HashSet<ActionId> {
         &self.drain_actions
     }
 
@@ -92,12 +92,6 @@ impl AdaptationSpec {
     /// when no safe path connects the configurations.
     pub fn minimum_adaptation_path(&self, source: &Config, target: &Config) -> Option<Path> {
         self.build_sag().shortest_path(source, target)
-    }
-
-    /// The lazy-planning variant (future-work heuristic): identical result,
-    /// no SAG materialization.
-    pub fn minimum_adaptation_path_lazy(&self, source: &Config, target: &Config) -> Option<Path> {
-        lazy::plan(&self.invariants, &self.actions, source, target)
     }
 
     /// Builds the runtime planner handed to the adaptation manager.
@@ -131,7 +125,7 @@ mod tests {
         let actions =
             vec![Action::replace(0, "A->B", &u.config_of(&["A"]), &u.config_of(&["B"]), 3)];
         let mut model = SystemModel::new();
-        let p = model.add_process("host");
+        let p = model.add_process();
         model.place_all(&u, &[("A", p), ("B", p)]);
         AdaptationSpec::new(u, inv, actions, model, vec![0], HashSet::new())
     }
@@ -146,8 +140,13 @@ mod tests {
         let u = spec.universe();
         let map = spec.minimum_adaptation_path(&u.config_of(&["A"]), &u.config_of(&["B"])).unwrap();
         assert_eq!(map.cost, 3);
-        let lazy =
-            spec.minimum_adaptation_path_lazy(&u.config_of(&["A"]), &u.config_of(&["B"])).unwrap();
+        let lazy = sada_plan::lazy::plan(
+            spec.invariants(),
+            spec.actions(),
+            &u.config_of(&["A"]),
+            &u.config_of(&["B"]),
+        )
+        .unwrap();
         assert_eq!(lazy.cost, map.cost);
         assert!(spec.is_safe(&u.config_of(&["A"])));
         assert!(!spec.is_safe(&u.config_of(&["A", "B"])));

@@ -47,9 +47,9 @@ use crate::spec::AdaptationSpec;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecFileError {
     /// 1-based line of the offending input.
-    pub line: usize,
+    pub(crate) line: usize,
     /// Description.
-    pub msg: String,
+    pub(crate) msg: String,
 }
 
 impl fmt::Display for SpecFileError {
@@ -134,7 +134,7 @@ pub fn parse_spec_file(src: &str) -> Result<AdaptationSpec, SpecFileError> {
                     return Err(err(line_no, format!("duplicate process {line:?}")));
                 }
                 proc_names.push(line.to_string());
-                model.add_process(line);
+                model.add_process();
             }
             Section::Components => {
                 let (comp, proc) = line

@@ -60,25 +60,25 @@ use sada_plan::{Action, Safe, SafeMemo, Search};
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// In-scope invariants, printed over local ids (`c0`, `c1`, …).
-    pub invs: Vec<String>,
+    pub(crate) invs: Vec<String>,
     /// Scoped actions as (removes, adds, cost) over local ids, in scoped
     /// (= world) order.
     pub actions: Vec<(Config, Config, u64)>,
     /// Local projection of the source configuration.
-    pub source: Config,
+    pub(crate) source: Config,
     /// Local projection of the target configuration.
-    pub target: Config,
+    pub(crate) target: Config,
 }
 
 /// A memoized plan: indices into the session's scoped action list, in step
 /// order, plus the total cost. `action_ixs` is scope-independent — the
 /// scoped list has the same order under every isomorphic scope.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CachedPlan {
+pub(crate) struct CachedPlan {
     /// Scoped-action index of each step.
-    pub action_ixs: Vec<u32>,
+    pub(crate) action_ixs: Vec<u32>,
     /// Total path cost.
-    pub cost: u64,
+    pub(crate) cost: u64,
 }
 
 /// Cache activity counters, surfaced in the fleet report.
@@ -89,14 +89,14 @@ pub struct PlanCacheStats {
     /// Lookups that had to plan from scratch.
     pub misses: u64,
     /// Entries inserted after a miss.
-    pub insertions: u64,
+    pub(crate) insertions: u64,
     /// Entries displaced by the LRU policy.
     pub evictions: u64,
 }
 
 /// What a cache interaction was, for the observability stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheNoteKind {
+pub(crate) enum CacheNoteKind {
     /// Lookup answered from the cache.
     Hit,
     /// Lookup missed; the session planned from scratch.
@@ -109,11 +109,11 @@ pub enum CacheNoteKind {
 /// control plane drains these and emits them as
 /// [`FleetEvent`](sada_obs::FleetEvent)s with simulated-time stamps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheNote {
+pub(crate) struct CacheNote {
     /// Session whose planning query interacted with the cache.
     pub session: u64,
     /// What happened.
-    pub kind: CacheNoteKind,
+    pub(crate) kind: CacheNoteKind,
 }
 
 #[derive(Debug, Clone)]
@@ -150,19 +150,9 @@ impl PlanCache {
         }
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Looks up a normalized instance. `Some(None)` is a *negative* hit —
     /// the instance is known to have no safe path. Records a hit or miss.
-    pub fn lookup(&mut self, key: &PlanKey, session: u64) -> Option<Option<CachedPlan>> {
+    pub(crate) fn lookup(&mut self, key: &PlanKey, session: u64) -> Option<Option<CachedPlan>> {
         self.clock += 1;
         match self.entries.get_mut(key) {
             Some(slot) => {
@@ -181,7 +171,7 @@ impl PlanCache {
 
     /// Memoizes the answer for a normalized instance (`None` = no safe
     /// path), evicting the least-recently-used entry at capacity.
-    pub fn insert(&mut self, key: PlanKey, plan: Option<CachedPlan>, session: u64) {
+    pub(crate) fn insert(&mut self, key: PlanKey, plan: Option<CachedPlan>, session: u64) {
         self.clock += 1;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             if let Some(victim) =
@@ -203,12 +193,12 @@ impl PlanCache {
     /// Exact, and O(diff against the last configuration proved safe through
     /// this cache) rather than O(invariants). `search` must be the one
     /// world this cache serves.
-    pub fn is_safe<'c>(&mut self, search: &Search, cfg: &'c Config) -> Option<Safe<'c>> {
+    pub(crate) fn is_safe<'c>(&mut self, search: &Search, cfg: &'c Config) -> Option<Safe<'c>> {
         search.is_safe_memo(cfg, &mut self.safe_memo)
     }
 
     /// Drains the pending interaction notes (for event emission).
-    pub fn take_notes(&mut self) -> Vec<CacheNote> {
+    pub(crate) fn take_notes(&mut self) -> Vec<CacheNote> {
         std::mem::take(&mut self.notes)
     }
 
@@ -291,7 +281,7 @@ impl ScopeNormalizer {
 
     /// The local projection of a global configuration: bit `l` is the
     /// membership of the scope's `l`-th component; out-of-scope bits drop.
-    pub fn project(&self, cfg: &Config) -> Config {
+    pub(crate) fn project(&self, cfg: &Config) -> Config {
         let present = self.locals.iter().enumerate().filter(|&(_, &c)| cfg.contains(c));
         Config::from_ids(self.locals.len().max(1), present.map(|(l, _)| CompId::from_index(l)))
     }
@@ -302,7 +292,7 @@ impl ScopeNormalizer {
     ///
     /// Panics if an id lies outside the scope (scoped actions touch only
     /// scope components by construction).
-    pub fn project_ids(&self, ids: &[CompId]) -> Config {
+    pub(crate) fn project_ids(&self, ids: &[CompId]) -> Config {
         let local = |c: &CompId| {
             let l =
                 self.locals.binary_search(c).expect("scoped action touches only scope components");
@@ -424,7 +414,7 @@ mod tests {
         cache.insert(k_ba.clone(), None, 1);
         assert!(cache.lookup(&k_ab, 1).is_some(), "touch k_ab so k_ba is coldest");
         cache.insert(k_aa.clone(), None, 1);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         assert!(cache.lookup(&k_ba, 1).is_none(), "k_ba was evicted");
         assert!(cache.lookup(&k_ab, 1).is_some());
         assert!(cache.lookup(&k_aa, 1).is_some());

@@ -107,7 +107,7 @@ pub enum Admission {
 /// source of `SessionResult`'s `success` / `gave_up` / `cancelled` / `shed`
 /// columns (warning texts are for humans, never matched on).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionEnd {
+pub(crate) enum SessionEnd {
     /// The adaptation committed.
     Committed,
     /// The protocol ran and rolled back to its source configuration.
@@ -149,7 +149,7 @@ const PLAN_CACHE_CAPACITY: usize = 128;
 
 /// The control plane as a simulated process (speaks `Wire<M>` like
 /// [`ManagerActor`](sada_proto::ManagerActor)).
-pub struct ControlActor<M = ()> {
+pub(crate) struct ControlActor<M = ()> {
     world: Rc<FleetWorld>,
     /// The host of every session's core, over the agents this plane hosts.
     pub(crate) host: ManagerHost,
@@ -192,7 +192,7 @@ pub struct ControlActor<M = ()> {
     /// The interleaved session-tagged write-ahead journal.
     pub journal: Vec<SessionRecord>,
     /// Fleet configuration folded from completed sessions.
-    pub fleet_config: Config,
+    pub(crate) fleet_config: Config,
     /// Final outcome per finished session (cancelled sessions get
     /// `success: false, gave_up: false`).
     pub results: HashMap<u64, Outcome>,
@@ -207,17 +207,17 @@ pub struct ControlActor<M = ()> {
     /// Times this control plane crashed and was rebuilt from its journal.
     pub restores: u64,
     /// Sessions shed by the bulkhead (diagnostics; survives restarts).
-    pub shed_count: u64,
+    pub(crate) shed_count: u64,
     /// Sessions rejected at admission behind an open breaker (diagnostics;
     /// survives restarts).
-    pub rejected_count: u64,
+    pub(crate) rejected_count: u64,
     /// Times any *scope* breaker tripped open (diagnostics; survives
     /// restarts).
     pub scope_breaker_trips: u64,
     /// Typed admission outcome per session that reached a decision. Treated
     /// as durable alongside `results`: every entry is backed by journaled
     /// records (`Request` for admissions, `Outcome` for sheds/rejections).
-    pub admissions: HashMap<u64, Admission>,
+    pub(crate) admissions: HashMap<u64, Admission>,
     _marker: std::marker::PhantomData<fn() -> M>,
 }
 
@@ -231,7 +231,7 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// A control plane over the agents in `hosted` (ascending disjoint runs
     /// of agent indices; agent `p` lives at `ActorId(p)`), driving
     /// `scenario` under `timing`.
-    pub fn new(
+    pub(crate) fn new(
         world: Rc<FleetWorld>,
         hosted: Vec<Range<usize>>,
         scenario: Vec<SessionSpec>,
@@ -278,13 +278,13 @@ impl<M: Clone + 'static> ControlActor<M> {
     }
 
     /// Emits session-tagged control-plane and protocol events onto `bus`.
-    pub fn with_bus(mut self, bus: Bus) -> Self {
+    pub(crate) fn with_bus(mut self, bus: Bus) -> Self {
         self.host.bus = bus;
         self
     }
 
     /// Installs the overload-protection policy (breakers + bulkhead).
-    pub fn with_resilience(mut self, r: FleetResilience) -> Self {
+    pub(crate) fn with_resilience(mut self, r: FleetResilience) -> Self {
         self.host.breaker = r.breaker;
         self.resilience = r;
         self
@@ -292,7 +292,7 @@ impl<M: Clone + 'static> ControlActor<M> {
 
     /// Plan-cache counters for the current incarnation (crash faults reset
     /// them along with the cache itself).
-    pub fn cache_stats(&self) -> PlanCacheStats {
+    pub(crate) fn cache_stats(&self) -> PlanCacheStats {
         self.plan_cache.borrow().stats()
     }
 

@@ -232,7 +232,7 @@ impl FleetReport {
 }
 
 /// Runs `scenario` to completion (or budget exhaustion) and reports: one
-/// [`Plane`] over the whole fleet, run on the calling thread — no fabric,
+/// plane over the whole fleet, run on the calling thread — no fabric,
 /// no worker threads, no shard tag.
 pub fn run_fleet(scenario: &FleetScenario) -> FleetReport {
     let world = scenario.build_world();
@@ -524,6 +524,7 @@ pub(crate) fn makespan_us(results: &[SessionResult]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sada_expr::oracle;
 
     /// The plane `run_fleet` builds for `scenario`, at seed 42.
     fn whole_plane(scenario: &FleetScenario) -> Plane<()> {
@@ -737,16 +738,16 @@ mod tests {
         let (src3, dst3) = request(3);
         let fin = |sid: u64| &control.results[&sid].final_config;
         assert!(control.results.values().all(|o| o.success));
-        let shared = Config::shared_chunks;
+        let shared = oracle::shared_chunks;
 
         // (a) a no-op session journals one spine twice — the fleet
         // snapshot it was admitted under, which session 3 then reads too.
-        assert!(Config::shares_storage(src2, dst2));
-        assert!(Config::shares_storage(src2, src3) && Config::shares_storage(src2, fin(2)));
+        assert!(oracle::shares_storage(src2, dst2));
+        assert!(oracle::shares_storage(src2, src3) && oracle::shares_storage(src2, fin(2)));
         // (b) a committing session's journaled target is its final
         // configuration, and its one copy — of a spine and of the chunk
         // its group lives in: its source is the snapshot.
-        assert!(Config::shares_storage(dst1, fin(1)) && Config::shares_storage(dst3, fin(3)));
+        assert!(oracle::shares_storage(dst1, fin(1)) && oracle::shares_storage(dst3, fin(3)));
         assert_eq!((shared(src1, dst1), shared(src3, dst3)), (CHUNKS - 1, CHUNKS - 1));
         // (c) later folds into `fleet_config` never reach back into what an
         // earlier session journaled, and copy one chunk each: 3's fold and

@@ -76,7 +76,7 @@ pub(crate) fn fault_salt(src: u32, dst: u32, seq: u64, kind: u64) -> u64 {
 
 impl FabricFaultPlan {
     /// Whether any fault class is enabled at all (fast bail-out).
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.drop_per_mille > 0
             || self.dup_per_mille > 0
             || self.delay_per_mille > 0
@@ -116,18 +116,52 @@ impl FabricFaultPlan {
 #[allow(clippy::enum_variant_names)] // the shared `Lock` prefix is the point: this IS the lock protocol
 pub enum FabricPayload {
     /// Global tier → region: hold this scope slice under `session`.
-    LockRequest { session: u64, resources: Vec<u32>, comps: Vec<u32>, priority: u8, epoch: u64 },
+    LockRequest {
+        /// The straddler session asking for the slice.
+        session: u64,
+        /// The scope-lock resources of the slice.
+        resources: Vec<u32>,
+        /// The components of the slice, whose values the grant reports.
+        comps: Vec<u32>,
+        /// The session's admission priority.
+        priority: u8,
+        /// The global tier's incarnation at send time.
+        epoch: u64,
+    },
     /// Region → global tier: the slice is held; `values` carries the
     /// region's current component states so the global planner starts from
     /// the authoritative source configuration.
-    LockGranted { session: u64, region: u32, epoch: u64, values: Vec<(u32, bool)> },
+    LockGranted {
+        /// The session the slice is held for.
+        session: u64,
+        /// The granting region.
+        region: u32,
+        /// The global incarnation the grant answers.
+        epoch: u64,
+        /// The slice's components and their current states.
+        values: Vec<(u32, bool)>,
+    },
     /// Global tier → region: the session finished (or withdrew); `values`
     /// carries the final component states to fold into the region's
     /// durable fleet configuration.
-    LockRelease { session: u64, epoch: u64, values: Vec<(u32, bool)> },
+    LockRelease {
+        /// The session giving the slice back.
+        session: u64,
+        /// The global tier's incarnation at send time.
+        epoch: u64,
+        /// The slice's components and their final states.
+        values: Vec<(u32, bool)>,
+    },
     /// Region → global tier: the release landed; retires the release's
     /// retransmission timer.
-    ReleaseAck { session: u64, region: u32, epoch: u64 },
+    ReleaseAck {
+        /// The session whose release landed.
+        session: u64,
+        /// The acknowledging region.
+        region: u32,
+        /// The global incarnation the acknowledgement answers.
+        epoch: u64,
+    },
 }
 
 impl FabricPayload {
@@ -286,7 +320,7 @@ pub(crate) struct Fabric {
     /// Seeded chaos applied at the sender as messages enter the fabric.
     pub(crate) faults: FabricFaultPlan,
     /// GVT promise fast path enabled (scheduling-only; see
-    /// [`ShardScenario::promise_fastpath`](crate::ShardScenario)).
+    /// `shard::run_sharded`).
     pub(crate) fastpath: bool,
 }
 
@@ -489,10 +523,8 @@ pub(crate) mod tests {
 
     #[test]
     fn promise_fastpath_is_invisible() {
-        let mut scn = ShardScenario::new(straddling_fleet(), 2);
-        scn.promise_fastpath = false;
-        let slow = run_fleet_sharded(&scn, 2);
-        scn.promise_fastpath = true;
+        let scn = ShardScenario::new(straddling_fleet(), 2);
+        let slow = crate::oracle::run_fleet_sharded_without_fastpath(&scn, 2);
         let fast = run_fleet_sharded(&scn, 2);
         assert_eq!(slow.fingerprint, fast.fingerprint, "the fast path is scheduling-only");
         assert_eq!(slow.results, fast.results);

@@ -22,16 +22,16 @@
 //!   (relabeled onto local component ids), with hit/miss/evict counters on
 //!   the event bus. Volatile by design — a restored control plane starts
 //!   cold, keeping cached answers subordinate to the durable journal.
-//! * [`ControlActor`] — the control plane itself: one embedded
+//! * `ControlActor` — the control plane itself: one embedded
 //!   [`ManagerCore`](sada_proto::ManagerCore) per admitted session,
 //!   multiplexed over a shared wire by [`SessionId`](sada_proto::SessionId)
 //!   stamps, with a session-tagged write-ahead journal that restores every
 //!   in-flight *and* queued session after a crash.
 //! * [`run_fleet`] — the scenario driver: one control plane (every agent
-//!   as one `Vec<ScriptedAgent>` arena plus a [`ControlActor`]) over
+//!   as one `Vec<ScriptedAgent>` arena plus a `ControlActor`) over
 //!   hundreds of agent groups in simnet, fault schedules, and a
 //!   [`FleetReport`] with per-session latencies, peak concurrency, and the
-//!   captured event stream. Session verdicts are typed ([`SessionEnd`]).
+//!   captured event stream. Session verdicts are typed (`SessionEnd`).
 //! * [`FleetResilience`] — overload protection for the control plane:
 //!   per-agent circuit breakers, bulkhead admission bounds with
 //!   deterministic shedding, and fail-fast rejection of sessions scoped
@@ -52,14 +52,16 @@ mod driver;
 mod fabric;
 mod global;
 mod lock;
+#[doc(hidden)]
+pub mod oracle;
 mod overload;
 mod planner;
 mod region;
 mod shard;
 mod world;
 
-pub use cache::{CacheNote, CacheNoteKind, CachedPlan, PlanCache, PlanCacheStats, ScopeNormalizer};
-pub use control::{Admission, ControlActor, FleetResilience, SessionEnd, SessionSpec};
+pub use cache::{PlanCache, PlanCacheStats, ScopeNormalizer};
+pub use control::{Admission, FleetResilience, SessionSpec};
 pub use driver::{disjoint_wave, run_fleet, FleetReport, FleetScenario, SessionResult};
 pub use fabric::{
     encode_fabric_msg, parse_fabric_msg, FabricFaultPlan, FabricPayload, FabricStats,
@@ -69,7 +71,7 @@ pub use overload::{measure_capacity, run_overload, OverloadConfig, OverloadRepor
 pub use planner::ScopedLazyPlanner;
 pub use shard::{
     fingerprint_events, fingerprint_events_unsharded, run_fleet_sharded, ShardReport,
-    ShardScenario, ShardStats, DEFAULT_REGIONS,
+    ShardScenario, ShardStats,
 };
 pub use world::{
     ActionSpec, ClusterSpec, CompSpec, CompiledWorld, Domain, FleetWorld, Objective, WorldSpec,

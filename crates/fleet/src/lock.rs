@@ -188,13 +188,13 @@ impl ScopeLockManager {
 
     /// Position of `session` in grant order (0 = next), or `None` if it is
     /// not waiting.
-    pub fn position(&self, session: u64) -> Option<usize> {
+    pub(crate) fn position(&self, session: u64) -> Option<usize> {
         let me = self.waiting.get(&session)?.ticket;
         Some(self.waiting.values().filter(|w| w.ticket < me).count())
     }
 
     /// Sessions currently holding scopes, ascending.
-    pub fn holders(&self) -> Vec<u64> {
+    pub(crate) fn holders(&self) -> Vec<u64> {
         self.held.keys().copied().collect()
     }
 
@@ -358,7 +358,7 @@ mod tests {
         }
 
         #[derive(Debug, Default)]
-        pub struct FlatScan {
+        pub(super) struct FlatScan {
             held: BTreeMap<u64, Vec<u32>>,
             held_set: HashSet<u32>,
             waiters: Vec<Waiter>,
@@ -372,7 +372,12 @@ mod tests {
                 ixs
             }
 
-            pub fn try_acquire(&mut self, session: u64, scope: &[u32], priority: u8) -> bool {
+            pub(super) fn try_acquire(
+                &mut self,
+                session: u64,
+                scope: &[u32],
+                priority: u8,
+            ) -> bool {
                 let seq = self.next_seq;
                 self.next_seq += 1;
                 let me = Waiter { session, scope: scope.to_vec(), priority, seq };
@@ -390,7 +395,7 @@ mod tests {
                 }
             }
 
-            pub fn release(&mut self, session: u64) -> Vec<u64> {
+            pub(super) fn release(&mut self, session: u64) -> Vec<u64> {
                 if let Some(scope) = self.held.remove(&session) {
                     for r in scope {
                         self.held_set.remove(&r);
@@ -399,7 +404,7 @@ mod tests {
                 self.grant_waiters()
             }
 
-            pub fn cancel(&mut self, session: u64) -> Option<Vec<u64>> {
+            pub(super) fn cancel(&mut self, session: u64) -> Option<Vec<u64>> {
                 let before = self.waiters.len();
                 self.waiters.retain(|w| w.session != session);
                 if self.waiters.len() == before {
@@ -427,16 +432,16 @@ mod tests {
                 granted
             }
 
-            pub fn position(&self, session: u64) -> Option<usize> {
+            pub(super) fn position(&self, session: u64) -> Option<usize> {
                 self.grant_order().into_iter().position(|i| self.waiters[i].session == session)
             }
 
-            pub fn holders(&self) -> Vec<u64> {
+            pub(super) fn holders(&self) -> Vec<u64> {
                 self.held.keys().copied().collect()
             }
 
             /// Queued sessions in grant order.
-            pub fn waiting(&self) -> Vec<u64> {
+            pub(super) fn waiting(&self) -> Vec<u64> {
                 self.grant_order().into_iter().map(|i| self.waiters[i].session).collect()
             }
         }

@@ -97,7 +97,9 @@ pub struct ScopedLazyPlanner {
 
 impl ScopedLazyPlanner {
     /// A planner restricted to `scope` (a union of collaborative sets, as
-    /// produced by [`FleetWorld::scope_comps`]).
+    /// produced by [`CompiledWorld::scope_comps`]).
+    ///
+    /// [`CompiledWorld::scope_comps`]: crate::CompiledWorld::scope_comps
     pub fn new(world: Rc<FleetWorld>, scope: &[CompId]) -> Self {
         let mut sorted: Vec<CompId> = scope.to_vec();
         sorted.sort_unstable();
@@ -118,20 +120,9 @@ impl ScopedLazyPlanner {
         self
     }
 
-    /// Number of actions that survived the scope filter.
-    pub fn action_count(&self) -> usize {
-        self.scoped_ixs.len()
-    }
-
     /// The scoped action at position `ix` of the session's repertoire.
     fn scoped_action(&self, ix: usize) -> Option<&Action> {
         self.scoped_ixs.get(ix).map(|&w| &self.world.actions[w as usize])
-    }
-
-    /// Whether queries can be served through the fleet cache (a cache is
-    /// attached and the scope's invariants normalize cleanly).
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some() && self.normalizer.is_some()
     }
 
     /// Replays a memoized plan from this session's own source. Returns
@@ -287,7 +278,7 @@ mod tests {
         let w = Rc::new(FleetWorld::build(4));
         let scope = w.scope_comps(&[(1, true), (3, true)]);
         let p = ScopedLazyPlanner::new(Rc::clone(&w), &scope);
-        assert_eq!(p.action_count(), 4, "fwd+back for two groups");
+        assert_eq!(p.scoped_ixs.len(), 4, "fwd+back for two groups");
     }
 
     #[test]
@@ -343,7 +334,7 @@ mod tests {
         let scope1 = w.scope_comps(&[(0, true), (1, true)]);
         let mut p1 =
             ScopedLazyPlanner::new(Rc::clone(&w), &scope1).with_cache(Rc::clone(&cache), 1);
-        assert!(p1.cache_enabled());
+        assert!(p1.normalizer.is_some(), "the scope normalizes, so the cache serves it");
         let dst1 = w.target_for(&src, &[(0, true), (1, true)]);
         let paths1 = p1.paths(&src, &dst1, 4);
         assert_eq!(paths1.len(), 1);

@@ -74,10 +74,6 @@ use crate::global::{GlobalControl, Phase, Slice, Straddler};
 use crate::region::RegionControl;
 use crate::world::FleetWorld;
 
-/// Default region count: matches the 8-thread top rung of the scaling
-/// benchmark, and divides the benchmark fleets evenly.
-pub const DEFAULT_REGIONS: usize = 8;
-
 /// Endpoint-seed stride (the 64-bit golden ratio), so endpoint 0 keeps the
 /// scenario seed (the `regions = 1` ≡ `run_fleet` equivalence) while the
 /// rest get decorrelated streams.
@@ -107,12 +103,6 @@ pub struct ShardScenario {
     /// delay-burst / null-message suppression). Part of the scenario, so a
     /// lossy run is exactly as deterministic as a lossless one.
     pub fabric_faults: FabricFaultPlan,
-    /// Enables the GVT promise fast path: when the minimum over every
-    /// endpoint's published event horizon (plus undrained fabric mail)
-    /// clears the budget, promises jump straight there instead of
-    /// quantum-stepping. Pure wall-clock policy — fingerprints, journals,
-    /// and results are bit-identical with it on or off (asserted in tests).
-    pub promise_fastpath: bool,
 }
 
 impl ShardScenario {
@@ -124,7 +114,6 @@ impl ShardScenario {
             crash_region: None,
             crash_global: None,
             fabric_faults: FabricFaultPlan::default(),
-            promise_fastpath: true,
         }
     }
 
@@ -132,20 +121,20 @@ impl ShardScenario {
     /// differ by at most one group. Which blocks get the extra group when
     /// the division is uneven follows the rounding of `group * regions /
     /// groups`, not position: 10 groups in 4 regions split 3/2/3/2.
-    pub fn region_of(&self, group: usize) -> usize {
+    pub(crate) fn region_of(&self, group: usize) -> usize {
         group * self.regions / self.fleet.groups.max(1)
     }
 
     /// The groups region `region` owns — the inverse of
     /// [`ShardScenario::region_of`].
-    pub fn region_block(&self, region: usize) -> Range<usize> {
+    pub(crate) fn region_block(&self, region: usize) -> Range<usize> {
         let first = |r: usize| (r * self.fleet.groups).div_ceil(self.regions.max(1));
         first(region)..first(region + 1)
     }
 
     /// Checks what [`run_fleet_sharded`] requires of a scenario, naming the
     /// first rule it breaks.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let (fleet, regions) = (&self.fleet, self.regions);
         let rules = [
             (regions >= 1 && regions <= fleet.groups.max(1), "1 ≤ regions ≤ groups"),
@@ -844,6 +833,19 @@ pub fn fingerprint_events_unsharded(events: &[Event]) -> u64 {
 /// Thread count is pure execution policy: any value produces bit-for-bit
 /// identical results, journals, and event streams for a fixed scenario.
 pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardReport {
+    run_sharded(scenario, threads, true)
+}
+
+/// [`run_fleet_sharded`], with the GVT promise fast path on or off: when
+/// the minimum over every endpoint's published event horizon (plus
+/// undrained fabric mail) clears the budget, the fast path jumps promises
+/// straight there instead of quantum-stepping. Pure wall-clock policy —
+/// fingerprints, journals and results are bit-identical either way.
+pub(crate) fn run_sharded(
+    scenario: &ShardScenario,
+    threads: usize,
+    promise_fastpath: bool,
+) -> ShardReport {
     let fleet = &scenario.fleet;
     let regions = scenario.regions;
     assert!(threads >= 1, "at least one worker thread");
@@ -951,7 +953,7 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
         global_ep,
         quantum_us,
         scenario.fabric_faults.clone(),
-        scenario.promise_fastpath,
+        promise_fastpath,
     );
     let started = Instant::now();
     let mut outcomes: Vec<EndpointOutcome> = Vec::new();

@@ -32,7 +32,6 @@
 //! has one owner, [`CompiledWorld::actions`] (`Arc<[Action]>`); the
 //! world's `search` holds a second handle on that allocation, not a copy.
 
-use std::fmt::Write as _;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -201,7 +200,7 @@ impl WorldSpec {
     }
 
     /// Number of hosting processes (dense `0..=max` over `comps`).
-    pub fn process_count(&self) -> usize {
+    pub(crate) fn process_count(&self) -> usize {
         self.comps.iter().map(|c| c.process + 1).max().unwrap_or(0)
     }
 }
@@ -224,7 +223,7 @@ pub struct CompiledWorld {
     /// Placement of components onto agent processes.
     pub model: SystemModel,
     /// Process id index → agent index (identity here).
-    pub agent_of_process: Vec<usize>,
+    pub(crate) agent_of_process: Vec<usize>,
     /// Collaborative-set partition (one set per cluster).
     pub index: CollabIndex,
     /// The compiled planning context over the whole world — invariant
@@ -322,17 +321,8 @@ impl FleetWorld {
             })
             .collect();
         let process_count = spec.process_count();
-        let mut model = SystemModel::with_capacity(process_count, spec.comps.len());
-        // No non-test code reads these names; one buffer renders them all
-        // into the model's one string table.
-        let mut name = String::new();
-        let procs: Vec<_> = (0..process_count)
-            .map(|p| {
-                name.clear();
-                write!(name, "p{p}").expect("writing to a String cannot fail");
-                model.add_process(&name)
-            })
-            .collect();
+        let mut model = SystemModel::with_capacity(spec.comps.len());
+        let procs: Vec<_> = (0..process_count).map(|_| model.add_process()).collect();
         for (ix, c) in spec.comps.iter().enumerate() {
             model.place(CompId::from_index(ix), procs[c.process]);
         }
@@ -402,18 +392,8 @@ impl CompiledWorld {
     }
 
     /// The agent index driving `c`'s hosting process, if placed.
-    pub fn agent_for(&self, c: CompId) -> Option<usize> {
+    pub(crate) fn agent_for(&self, c: CompId) -> Option<usize> {
         self.model.host_of(c).map(|p| self.agent_of_process[p.0 as usize])
-    }
-
-    /// The `Old{g}` component (video worlds only).
-    pub fn old(&self, g: usize) -> CompId {
-        self.universe.id(&format!("Old{g}")).expect("group in range")
-    }
-
-    /// The `New{g}` component (video worlds only).
-    pub fn newer(&self, g: usize) -> CompId {
-        self.universe.id(&format!("New{g}")).expect("group in range")
     }
 
     /// The boot configuration: every cluster in its `on_false` mode.
@@ -476,14 +456,24 @@ impl CompiledWorld {
 mod tests {
     use super::*;
 
+    /// The `Old{g}` component of a video world.
+    fn old(w: &CompiledWorld, g: usize) -> CompId {
+        w.universe.id(&format!("Old{g}")).expect("group in range")
+    }
+
+    /// The `New{g}` component of a video world.
+    fn newer(w: &CompiledWorld, g: usize) -> CompId {
+        w.universe.id(&format!("New{g}")).expect("group in range")
+    }
+
     #[test]
     fn groups_are_independent_collaborative_sets() {
         let w = FleetWorld::build(4);
         assert_eq!(w.index.set_count(), 4);
         assert_eq!(w.universe.len(), 8);
         assert_eq!(w.model.process_count(), 8);
-        assert_ne!(w.index.set_of(w.old(0)), w.index.set_of(w.old(1)));
-        assert_eq!(w.index.set_of(w.old(2)), w.index.set_of(w.newer(2)));
+        assert_ne!(w.index.set_of(old(&w, 0)), w.index.set_of(old(&w, 1)));
+        assert_eq!(w.index.set_of(old(&w, 2)), w.index.set_of(newer(&w, 2)));
         assert_eq!(w.domain(), Domain::Video);
         assert_eq!(w.objective(), Objective::LatencyMs);
     }
@@ -495,8 +485,8 @@ mod tests {
         assert!(w.inv.satisfied_by(&init));
         let t = w.target_for(&init, &[(1, true)]);
         assert!(w.inv.satisfied_by(&t));
-        assert!(t.contains(w.newer(1)) && !t.contains(w.old(1)));
-        assert!(t.contains(w.old(0)) && t.contains(w.old(2)));
+        assert!(t.contains(newer(&w, 1)) && !t.contains(old(&w, 1)));
+        assert!(t.contains(old(&w, 0)) && t.contains(old(&w, 2)));
         let back = w.target_for(&t, &[(1, false)]);
         assert_eq!(back, init);
     }

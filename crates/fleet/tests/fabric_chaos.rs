@@ -185,11 +185,9 @@ fn duplicate_delivery_is_idempotent() {
 #[test]
 fn promise_fastpath_is_invisible_under_chaos() {
     for seed in [2u64, 14] {
-        let mut scn = chaos_scenario(seed);
-        scn.promise_fastpath = true;
+        let scn = chaos_scenario(seed);
         let fast = run_fleet_sharded(&scn, 2);
-        scn.promise_fastpath = false;
-        let slow = run_fleet_sharded(&scn, 2);
+        let slow = sada_fleet::oracle::run_fleet_sharded_without_fastpath(&scn, 2);
         assert_eq!(fast.fingerprint, slow.fingerprint, "seed {seed}");
         assert_eq!(fast.journals, slow.journals, "seed {seed}");
         assert_eq!(fast.global_journal, slow.global_journal, "seed {seed}");

@@ -58,7 +58,7 @@ const SHARED: &[&str] = &[
 /// arbitrary characters, stitched together. The stretch
 /// may be empty, so some texts parse; most fail, on a line that is not the
 /// first.
-pub fn hostile(tokens: &'static [&'static str], valid: &str) -> BoxedStrategy<String> {
+pub(crate) fn hostile(tokens: &'static [&'static str], valid: &str) -> BoxedStrategy<String> {
     let lines: Vec<String> = valid.lines().map(|line| format!("{line}\n")).collect();
     let line = prop::sample::select(lines).boxed();
     let token = prop::sample::select([tokens, SHARED].concat()).prop_map(str::to_string).boxed();
@@ -91,7 +91,7 @@ pub fn hostile(tokens: &'static [&'static str], valid: &str) -> BoxedStrategy<St
 
 /// Holds `parse` to one text: an error names a place inside the text, and
 /// what parses re-encodes to text that parses to the same value.
-pub fn check<T: PartialEq + Debug>(
+pub(crate) fn check<T: PartialEq + Debug>(
     text: &str,
     parse: impl Fn(&str) -> Result<T, ParseError>,
     encode: impl Fn(&T) -> String,
@@ -130,7 +130,7 @@ pub fn check<T: PartialEq + Debug>(
 
 /// Holds `parse` to a table of malformed inputs: each is rejected with
 /// exactly `(line, column, expected)`.
-pub fn assert_rejections<T: Debug>(
+pub(crate) fn assert_rejections<T: Debug>(
     parse: impl Fn(&str) -> Result<T, ParseError>,
     rows: &[(&str, usize, usize, &str)],
 ) {

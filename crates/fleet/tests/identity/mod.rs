@@ -9,7 +9,7 @@ use sada_fleet::{run_fleet_sharded, SessionResult, ShardReport, ShardScenario};
 /// global tier's plane), the FNV of the global write-ahead journal, and the
 /// verdict tally `(committed, gave up, cancelled, shed, rejected)`.
 #[derive(Debug)]
-pub struct Identity {
+pub(crate) struct Identity {
     pub fingerprint: u64,
     pub final_config: &'static str,
     pub restores: u64,
@@ -65,7 +65,7 @@ fn assert_identity(what: &str, report: &ShardReport, want: &Identity) {
 }
 
 /// Runs `scn` at 1 and at 4 worker threads and holds both to `want`.
-pub fn assert_pinned(what: &str, scn: &ShardScenario, want: &Identity) {
+pub(crate) fn assert_pinned(what: &str, scn: &ShardScenario, want: &Identity) {
     for threads in [1, 4] {
         let report = run_fleet_sharded(scn, threads);
         assert_eq!(report.events_evicted, 0, "{what}: the fingerprint must cover the whole stream");

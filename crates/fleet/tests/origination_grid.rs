@@ -22,6 +22,7 @@
 //! last published, its arrival against the edge's promise) and the
 //! receiver-side panic in `Endpoint::step` are armed throughout.
 
+use sada_fleet::oracle::run_fleet_sharded_without_fastpath;
 use sada_fleet::{run_fleet_sharded, FleetScenario, SessionSpec, ShardReport, ShardScenario};
 use sada_simnet::{SimDuration, SimTime};
 
@@ -163,9 +164,12 @@ fn every_small_case_is_thread_and_fastpath_invariant() {
                     assert_eq!(base.fabric.messages > 0, straddlers > 0, "{what}");
                     assert_eq!(base.restores > 0, crash != Crash::Never, "{what}");
                     for fastpath in [true, false] {
-                        scn.promise_fastpath = fastpath;
                         for threads in [1, 2, 4] {
-                            let run = run_fleet_sharded(&scn, threads);
+                            let run = if fastpath {
+                                run_fleet_sharded(&scn, threads)
+                            } else {
+                                run_fleet_sharded_without_fastpath(&scn, threads)
+                            };
                             let what = format!("{what}, fast path {fastpath}, {threads} threads");
                             assert_same_run(&what, &base, &run);
                             assert_eq!(run.residual_holds, 0, "{what}");

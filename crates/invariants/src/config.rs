@@ -408,27 +408,6 @@ impl Config {
         }
     }
 
-    /// Whether `a` and `b` read the same storage (one is a clone of the
-    /// other and neither has been changed since): the one buffer of a
-    /// narrow configuration, the spine of a wide one. For tests that pin
-    /// what a clone costs; equal configurations need not share storage.
-    #[doc(hidden)]
-    pub fn shares_storage(a: &Config, b: &Config) -> bool {
-        match (&a.0, &b.0) {
-            (Repr::Flat { words: a, .. }, Repr::Flat { words: b, .. }) => Arc::ptr_eq(a, b),
-            (Repr::Chunked { spine: a, .. }, Repr::Chunked { spine: b, .. }) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-
-    /// At how many chunk positions `a` and `b` read one allocation (a
-    /// narrow configuration is one chunk). For tests that pin what a delta
-    /// copies; relatives that no longer share a spine still share chunks.
-    #[doc(hidden)]
-    pub fn shared_chunks(a: &Config, b: &Config) -> usize {
-        a.runs().zip(b.runs()).filter(|(a, b)| std::ptr::eq(*a, *b)).count()
-    }
-
     /// The words as contiguous runs, in order: a flat configuration's one
     /// buffer, or chunk by chunk with the last cut to the width. Every run
     /// but the last is [`CHUNK_WORDS`] long.
@@ -713,6 +692,32 @@ impl fmt::Display for Config {
     }
 }
 
+/// Storage probes for the tests that pin what a clone or a delta of a
+/// [`Config`] costs. Not part of the configuration API.
+pub mod oracle {
+    use super::{Config, Repr};
+    use std::sync::Arc;
+
+    /// Whether `a` and `b` read the same storage (one is a clone of the
+    /// other and neither has been changed since): the one buffer of a
+    /// narrow configuration, the spine of a wide one. Equal configurations
+    /// need not share storage.
+    pub fn shares_storage(a: &Config, b: &Config) -> bool {
+        match (&a.0, &b.0) {
+            (Repr::Flat { words: a, .. }, Repr::Flat { words: b, .. }) => Arc::ptr_eq(a, b),
+            (Repr::Chunked { spine: a, .. }, Repr::Chunked { spine: b, .. }) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// At how many chunk positions `a` and `b` read one allocation (a
+    /// narrow configuration is one chunk). Relatives that no longer share
+    /// a spine still share chunks.
+    pub fn shared_chunks(a: &Config, b: &Config) -> usize {
+        a.runs().zip(b.runs()).filter(|(a, b)| std::ptr::eq(*a, *b)).count()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -863,9 +868,9 @@ mod tests {
         b.remove(d5);
         b.apply_delta(&[d5], &[d1]);
         b.apply_delta(&[e1], &[e1]);
-        assert!(Config::shares_storage(&a, &b), "restating the value copies nothing");
+        assert!(oracle::shares_storage(&a, &b), "restating the value copies nothing");
         b.apply_delta(&[e1, d1], &[d5, d1]);
-        assert!(!Config::shares_storage(&a, &b));
+        assert!(!oracle::shares_storage(&a, &b));
         assert_eq!(b, u.config_of(&["D1", "D5"]), "removes first, then adds");
         assert_eq!(a, u.config_of(&["E1", "D1"]), "the sibling never sees the write");
     }

@@ -54,7 +54,7 @@ impl PartialAssignment {
 
     /// Starts from a fully- or partially-known base: every component in
     /// `decided` is fixed to its membership in `value`.
-    pub fn with_fixed(decided: Config, value: Config) -> Self {
+    pub(crate) fn with_fixed(decided: Config, value: Config) -> Self {
         assert_eq!(decided.width(), value.width(), "width mismatch");
         PartialAssignment { value: value.intersection(&decided), decided }
     }
@@ -70,13 +70,13 @@ impl PartialAssignment {
     }
 
     /// Reverts `id` to undecided.
-    pub fn unassign(&mut self, id: CompId) {
+    pub(crate) fn unassign(&mut self, id: CompId) {
         self.decided.remove(id);
         self.value.remove(id);
     }
 
     /// Three-valued lookup.
-    pub fn get(&self, id: CompId) -> Tri {
+    pub(crate) fn get(&self, id: CompId) -> Tri {
         if !self.decided.contains(id) {
             Tri::Unknown
         } else {
@@ -85,7 +85,7 @@ impl PartialAssignment {
     }
 
     /// The decided-and-present components (only meaningful when complete).
-    pub fn as_config(&self) -> &Config {
+    pub(crate) fn as_config(&self) -> &Config {
         &self.value
     }
 }
@@ -420,15 +420,6 @@ impl InvariantSet {
             Tri::True
         }
     }
-
-    /// Every component mentioned by any predicate.
-    pub fn vars(&self) -> BTreeSet<CompId> {
-        let mut out = BTreeSet::new();
-        for e in &self.exprs {
-            e.collect_vars(&mut out);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -560,7 +551,6 @@ mod tests {
         assert!(inv.satisfied_by(&u.config_of(&["A", "B"])));
         assert!(!inv.satisfied_by(&u.config_of(&["A"])));
         assert!(!inv.satisfied_by(&u.config_of(&["B"])));
-        assert_eq!(inv.vars().len(), 2);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!    components it mentions. An adaptive action only flips its touched
 //!    components, so a successor of a known-safe configuration can only
 //!    violate predicates whose support intersects the touched set.
-//!    [`CompiledInvariants::still_satisfied_after`] re-evaluates exactly
+//!    [`CompiledInvariants::still_satisfied_after_counting`] re-evaluates exactly
 //!    those, which for the paper's collaborative-set-structured invariants
 //!    is typically one predicate instead of all of them.
 //!
@@ -476,11 +476,7 @@ impl CompiledInvariants {
     /// `cfg` only in components of `touched`) satisfied every predicate,
     /// `cfg` satisfies every predicate iff the ones whose support intersects
     /// `touched` still hold — untouched predicates see unchanged inputs.
-    pub fn still_satisfied_after(&self, cfg: &Config, touched: &Config) -> bool {
-        (0..self.len()).all(|ix| self.disjoint_from(ix, touched) || self.eval_pred(ix, cfg))
-    }
-
-    /// Counting variant of [`CompiledInvariants::still_satisfied_after`].
+    /// Counts the predicates it evaluates into `evals`.
     pub fn still_satisfied_after_counting(
         &self,
         cfg: &Config,
@@ -663,7 +659,7 @@ mod tests {
         // A bad flip (adding C1 without removing C0) is caught.
         let mut bad = cfg.clone();
         bad.insert(CompId::from_index(1));
-        assert!(!compiled.still_satisfied_after(&bad, &touched));
+        assert!(!compiled.still_satisfied_after_counting(&bad, &touched, &mut evals));
     }
 
     #[test]

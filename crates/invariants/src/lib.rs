@@ -15,7 +15,7 @@
 //!   a configuration satisfying *I* is a **safe configuration**.
 //! * A [`CompiledInvariants`] lowers the set to flat word-wise kernels with
 //!   per-predicate support masks, giving planners an incremental
-//!   `still_satisfied_after(cfg, touched)` safety check.
+//!   `still_satisfied_after_counting(cfg, touched, evals)` safety check.
 //! * [`enumerate`] computes the safe-configuration set, either exhaustively
 //!   or with three-valued pruning (the ablation benchmarked in
 //!   `bench_enumeration`).
@@ -50,3 +50,6 @@ pub use csr::Csr;
 pub use expr::{Expr, InvariantSet, PartialAssignment, Tri};
 pub use kernel::{CompiledExpr, CompiledInvariants};
 pub use parser::{parse_expr, ParseError};
+
+#[doc(hidden)]
+pub use config::oracle;

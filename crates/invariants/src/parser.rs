@@ -31,7 +31,7 @@ pub struct ParseError {
     /// Byte offset into the source where the problem was detected.
     pub at: usize,
     /// Human-readable description.
-    pub msg: String,
+    pub(crate) msg: String,
 }
 
 impl fmt::Display for ParseError {

@@ -25,7 +25,7 @@ use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use sada_expr::{CompId, Config};
+use sada_expr::{oracle, CompId, Config};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -93,7 +93,7 @@ fn assign_overwrites_a_buffer_of_its_own_and_clones_otherwise() {
     // Unique, same flat width: the words are copied over, nothing is shared.
     let mut own = Config::from_ids(130, [id(0), id(128)]);
     assert_eq!(allocs_in(|| own.assign(&from)).0, 0, "a buffer of its own is reused");
-    assert!(!Config::shares_storage(&own, &from));
+    assert!(!oracle::shares_storage(&own, &from));
     assert_eq!((&own, hash_of(&own)), (&from, hash_of(&from)));
     assert_eq!(allocs_in(|| own.insert(id(2))).0, 0, "and stays its own");
     assert!(!from.contains(id(2)));
@@ -102,7 +102,7 @@ fn assign_overwrites_a_buffer_of_its_own_and_clones_otherwise() {
     let mut shared = Config::from_ids(130, [id(7)]);
     let sibling = shared.clone();
     assert_eq!(allocs_in(|| shared.assign(&from)).0, 0, "a handle copy");
-    assert!(Config::shares_storage(&shared, &from));
+    assert!(oracle::shares_storage(&shared, &from));
     assert_eq!(sibling, Config::from_ids(130, [id(7)]), "the sibling never saw the write");
 
     // Another width, and the chunked layout on either side: handle copies.
@@ -116,7 +116,7 @@ fn assign_overwrites_a_buffer_of_its_own_and_clones_otherwise() {
     for (mut target, from) in cases {
         let was = target.width();
         assert_eq!(allocs_in(|| target.assign(from)).0, 0, "width {was} <- {}", from.width());
-        assert!(Config::shares_storage(&target, from), "width {was} <- {}", from.width());
+        assert!(oracle::shares_storage(&target, from), "width {was} <- {}", from.width());
         assert_eq!((&target, hash_of(&target)), (from, hash_of(from)));
     }
 }

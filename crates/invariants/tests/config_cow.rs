@@ -20,7 +20,7 @@ use std::hash::{Hash, Hasher};
 
 use proptest::prelude::*;
 
-use sada_expr::{CompId, Config};
+use sada_expr::{oracle, CompId, Config};
 
 /// Aliased configurations per case.
 const POOL: usize = 4;
@@ -179,14 +179,14 @@ fn run(width: usize, seed_ids: &[Pick], ops: &[RawOp]) -> Result<(), TestCaseErr
     }
     let mut pool = vec![first; POOL];
     let mut models = vec![model; POOL];
-    prop_assert!(pool.iter().all(|c| Config::shares_storage(c, &pool[0])));
+    prop_assert!(pool.iter().all(|c| oracle::shares_storage(c, &pool[0])));
 
     for (kind, i, j, a, b) in ops {
         let (i, j) = (*i, *j);
         let (a, b) = (in_range(a), in_range(b));
         let before = models[i].clone();
         let siblings: Vec<usize> =
-            (0..POOL).filter(|&s| s != i && Config::shares_storage(&pool[s], &pool[i])).collect();
+            (0..POOL).filter(|&s| s != i && oracle::shares_storage(&pool[s], &pool[i])).collect();
         let mutates_in_place = match kind {
             0 => a.first().is_some_and(|&c| {
                 pool[i].insert(c);
@@ -217,7 +217,7 @@ fn run(width: usize, seed_ids: &[Pick], ops: &[RawOp]) -> Result<(), TestCaseErr
             4 => {
                 pool[j] = pool[i].clone();
                 models[j] = models[i].clone();
-                prop_assert!(Config::shares_storage(&pool[i], &pool[j]));
+                prop_assert!(oracle::shares_storage(&pool[i], &pool[j]));
                 false
             }
             5..=7 => {
@@ -240,7 +240,7 @@ fn run(width: usize, seed_ids: &[Pick], ops: &[RawOp]) -> Result<(), TestCaseErr
             let unchanged = models[i] == before;
             for &s in &siblings {
                 prop_assert_eq!(
-                    Config::shares_storage(&pool[s], &pool[i]),
+                    oracle::shares_storage(&pool[s], &pool[i]),
                     unchanged,
                     "kind {} on slot {} (sibling {}, unchanged = {})",
                     kind,
@@ -249,7 +249,7 @@ fn run(width: usize, seed_ids: &[Pick], ops: &[RawOp]) -> Result<(), TestCaseErr
                     unchanged
                 );
                 prop_assert_eq!(
-                    Config::shared_chunks(&pool[s], &pool[i]),
+                    oracle::shared_chunks(&pool[s], &pool[i]),
                     before.equal_chunks(&models[i]),
                     "kind {} on slot {} (sibling {})",
                     kind,
@@ -306,36 +306,36 @@ fn a_one_bit_delta_on_a_wide_configuration_copies_one_chunk_and_a_no_op_none() {
     let width = 200_000usize;
     let chunks = width.div_ceil(CHUNK_BITS);
     let base = Config::from_ids(width, (0..width).step_by(2).map(CompId::from_index));
-    assert_eq!(Config::shared_chunks(&base, &base.clone()), chunks);
+    assert_eq!(oracle::shared_chunks(&base, &base.clone()), chunks);
 
     let (old, new) = (CompId::from_index(123_456), CompId::from_index(123_457));
     let mut restated = base.clone();
     restated.apply_delta(&[new], &[old]);
     restated.insert(old);
     restated.remove(new);
-    assert!(Config::shares_storage(&base, &restated), "a no-op delta keeps the spine");
+    assert!(oracle::shares_storage(&base, &restated), "a no-op delta keeps the spine");
 
     let mut one_bit = base.clone();
     one_bit.insert(new);
-    assert!(!Config::shares_storage(&base, &one_bit));
-    assert_eq!(Config::shared_chunks(&base, &one_bit), chunks - 1);
+    assert!(!oracle::shares_storage(&base, &one_bit));
+    assert_eq!(oracle::shared_chunks(&base, &one_bit), chunks - 1);
 
     // A flip inside one chunk copies that chunk; one that straddles a
     // boundary copies two; the removed-but-absent component's chunk none.
     let mut flipped = base.clone();
     flipped.apply_delta(&[old, CompId::from_index(1)], &[new]);
-    assert_eq!(Config::shared_chunks(&base, &flipped), chunks - 1);
+    assert_eq!(oracle::shared_chunks(&base, &flipped), chunks - 1);
     let mut straddling = base.clone();
     let boundary = 7 * CHUNK_BITS;
     straddling.apply_delta(&[CompId::from_index(boundary)], &[CompId::from_index(boundary - 1)]);
-    assert_eq!(Config::shared_chunks(&base, &straddling), chunks - 2);
-    assert_eq!(Config::shared_chunks(&flipped, &straddling), chunks - 3);
+    assert_eq!(oracle::shared_chunks(&base, &straddling), chunks - 2);
+    assert_eq!(oracle::shared_chunks(&flipped, &straddling), chunks - 3);
     assert_eq!(base.diff_ids(&straddling).len(), 2);
 
     // An empty wide configuration is one zero chunk under every slot, and
     // two of them are equal without sharing anything.
     let (e1, e2) = (Config::empty(width), Config::empty(width));
-    assert_eq!(Config::shared_chunks(&e1, &e2), 0);
+    assert_eq!(oracle::shared_chunks(&e1, &e2), 0);
     assert_eq!(e1, e2);
     assert_ne!(e1, base);
 }

@@ -41,11 +41,11 @@ impl Error for ChainError {}
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChainStats {
     /// Packets accepted by [`FilterChain::push`].
-    pub packets_in: u64,
+    pub(crate) packets_in: u64,
     /// Packets emitted from the end of the chain.
-    pub packets_out: u64,
+    pub(crate) packets_out: u64,
     /// Packets buffered because the chain was blocked.
-    pub buffered: u64,
+    pub(crate) buffered: u64,
 }
 
 /// An ordered chain of named filters with runtime insert/remove/replace —
@@ -156,20 +156,6 @@ impl FilterChain {
         let mut out = Vec::new();
         while let Some(pkt) = self.pending.pop_front() {
             out.extend(self.run(pkt, 0));
-        }
-        out
-    }
-
-    /// Flushes every filter in order, cascading tail filters' buffered
-    /// output through the rest of the chain (used before removing stateful
-    /// filters such as the FEC encoder).
-    pub fn flush(&mut self) -> Vec<Packet> {
-        let mut out = Vec::new();
-        for ix in 0..self.slots.len() {
-            let flushed = self.slots[ix].1.flush();
-            for p in flushed {
-                out.extend(self.run(p, ix + 1));
-            }
         }
         out
     }
@@ -364,19 +350,6 @@ mod tests {
         let removed = ch.remove("T").unwrap();
         assert_eq!(removed.stats().packets_in, 1, "state travels with the filter");
         assert!(ch.is_empty());
-    }
-
-    #[test]
-    fn flush_cascades_through_downstream_filters() {
-        use crate::filters::fec::FecEncoder;
-        let mut ch = FilterChain::new();
-        ch.push_back("FEC", Box::new(FecEncoder::new(10))).unwrap();
-        ch.push_back("E1", Box::new(CipherEncoder::des64(K64))).unwrap();
-        let _ = ch.push(pkt(1));
-        let flushed = ch.flush();
-        // The partial-group parity packet must pass through E1 and gain its tag.
-        assert_eq!(flushed.len(), 1);
-        assert_eq!(flushed[0].top_tag(), Some(tags::DES64));
     }
 
     #[test]

@@ -28,15 +28,15 @@ impl<T: Any> AsAny for T {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
     /// Packets entering the filter.
-    pub packets_in: u64,
+    pub(crate) packets_in: u64,
     /// Packets leaving the filter (FEC may emit more, RLE the same, a
     /// reassembler fewer).
-    pub packets_out: u64,
+    pub(crate) packets_out: u64,
     /// Packets forwarded untouched because the tag did not match — the
     /// paper's bypass behaviour.
-    pub bypassed: u64,
+    pub(crate) bypassed: u64,
     /// Packets whose transform failed (marked corrupted).
-    pub errors: u64,
+    pub(crate) errors: u64,
 }
 
 /// A MetaSocket filter: a runtime-insertable packet transformer.
@@ -72,15 +72,17 @@ impl fmt::Debug for dyn Filter {
     }
 }
 
-/// A no-op filter that forwards packets unchanged while counting them;
-/// useful as a telemetry probe and in tests.
+#[cfg(test)]
+/// A no-op filter that forwards packets unchanged while counting them: the
+/// probe the chain tests splice in.
 #[derive(Debug, Default)]
-pub struct Telemetry {
+pub(crate) struct Telemetry {
     stats: FilterStats,
     /// Total payload bytes seen.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
+#[cfg(test)]
 impl Filter for Telemetry {
     fn kind(&self) -> &'static str {
         "telemetry"

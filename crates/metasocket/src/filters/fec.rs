@@ -28,7 +28,7 @@ pub struct FecEncoder {
     group: Vec<Packet>,
     stats: FilterStats,
     /// Parity packets emitted.
-    pub parity_sent: u64,
+    pub(crate) parity_sent: u64,
 }
 
 impl FecEncoder {

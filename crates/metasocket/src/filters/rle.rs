@@ -32,7 +32,7 @@ pub fn rle_compress(data: &[u8]) -> Vec<u8> {
 /// Inverts [`rle_compress`].
 ///
 /// Returns `None` on malformed input (odd length or zero counts).
-pub fn rle_decompress(data: &[u8]) -> Option<Vec<u8>> {
+pub(crate) fn rle_decompress(data: &[u8]) -> Option<Vec<u8>> {
     if !data.len().is_multiple_of(2) {
         return None;
     }
@@ -52,9 +52,9 @@ pub fn rle_decompress(data: &[u8]) -> Option<Vec<u8>> {
 pub struct RleEncoder {
     stats: FilterStats,
     /// Payload bytes in / out, for compression-ratio reporting.
-    pub bytes_in: u64,
+    pub(crate) bytes_in: u64,
     /// See [`RleEncoder::bytes_in`].
-    pub bytes_out: u64,
+    pub(crate) bytes_out: u64,
 }
 
 impl RleEncoder {

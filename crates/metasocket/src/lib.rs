@@ -36,5 +36,5 @@ pub mod filters;
 mod packet;
 
 pub use chain::{ChainError, ChainStats, FilterChain};
-pub use filter::{AsAny, Filter, FilterStats, Telemetry};
+pub use filter::{AsAny, Filter, FilterStats};
 pub use packet::{tags, Packet};

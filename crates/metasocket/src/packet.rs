@@ -14,7 +14,7 @@ pub mod tags {
     /// DES 128-bit (two-key EDE) encryption (components E2 / D3 / D5).
     pub const DES128: u16 = 0x0128;
     /// Run-length compression.
-    pub const RLE: u16 = 0x0011;
+    pub(crate) const RLE: u16 = 0x0011;
     /// XOR-parity forward error correction (marks parity packets).
     pub const FEC: u16 = 0x00FE;
 }
@@ -31,7 +31,7 @@ pub struct Packet {
     /// Monotone per-stream sequence number, assigned by the source.
     pub seq: u64,
     /// Stream identifier (one per sender in the case study).
-    pub stream: u32,
+    pub(crate) stream: u32,
     /// Codec stack, innermost transform first.
     pub tags: Vec<u16>,
     /// Payload bytes (possibly transformed).

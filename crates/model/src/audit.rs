@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use sada_expr::{CompId, Config, InvariantSet, Universe};
+use sada_expr::{CompId, Config, InvariantSet};
 
 /// One entry in a run's audit log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,11 +92,11 @@ pub enum ViolationKind {
 pub struct Violation {
     /// Index into the audited event slice (log length for end-of-log
     /// findings).
-    pub at: usize,
+    pub(crate) at: usize,
     /// What went wrong.
     pub kind: ViolationKind,
     /// Human-readable description.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl fmt::Display for Violation {
@@ -115,9 +115,9 @@ pub struct AuditReport {
     /// Segments that opened and closed cleanly.
     pub segments_completed: usize,
     /// Segments adjudicated lost to environmental faults (crash outages).
-    pub segments_lost: usize,
+    pub(crate) segments_lost: usize,
     /// In-actions observed.
-    pub in_actions: usize,
+    pub(crate) in_actions: usize,
 }
 
 impl AuditReport {
@@ -255,29 +255,12 @@ impl SafetyAuditor {
             .sort_by(|a, b| (a.at, format!("{:?}", a.kind)).cmp(&(b.at, format!("{:?}", b.kind))));
         report
     }
-
-    /// Convenience wrapper: audit and render a one-line verdict for logs.
-    pub fn verdict(&self, u: &Universe, log: &[AuditEvent]) -> String {
-        let _ = u;
-        let report = self.audit(log);
-        if report.is_safe() {
-            format!(
-                "SAFE: {} configs, {} segments, {} in-actions",
-                report.configs_checked, report.segments_completed, report.in_actions
-            )
-        } else {
-            format!(
-                "UNSAFE: {} violation(s), first: {}",
-                report.violations.len(),
-                report.violations[0]
-            )
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sada_expr::Universe;
 
     fn setup() -> (Universe, SafetyAuditor, CompId, CompId) {
         let mut u = Universe::new();
@@ -302,7 +285,6 @@ mod tests {
         assert_eq!(report.configs_checked, 2);
         assert_eq!(report.segments_completed, 1);
         assert_eq!(report.in_actions, 1);
-        assert!(auditor.verdict(&u, &log).starts_with("SAFE"));
     }
 
     #[test]
@@ -312,7 +294,6 @@ mod tests {
         let report = auditor.audit(&log);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].kind, ViolationKind::UnsafeConfiguration);
-        assert!(auditor.verdict(&u, &log).starts_with("UNSAFE"));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! This crate provides that vocabulary:
 //!
 //! * [`SystemModel`] — components hosted on processes, connected by directed
-//!   communication channels; queries for local vs. global communication and
-//!   reachability.
+//!   communication channels; the processes an action touching a component
+//!   set must involve.
 //! * [`audit`] — an event-log checker that *independently* verifies both
 //!   safety conditions over a recorded run. The protocol crate never checks
 //!   itself; tests record what happened and let the auditor judge it, which

@@ -76,11 +76,6 @@ impl Bus {
         Bus { sinks: Rc::clone(&self.sinks), scope: self.scope, shard }
     }
 
-    /// The session this handle stamps (0 when unscoped).
-    pub fn scope(&self) -> u64 {
-        self.scope
-    }
-
     /// The shard this handle stamps (0 when unsharded).
     pub fn shard(&self) -> u32 {
         self.shard
@@ -105,7 +100,7 @@ impl Bus {
     }
 
     /// Number of attached sinks.
-    pub fn sink_count(&self) -> usize {
+    pub(crate) fn sink_count(&self) -> usize {
         self.sinks.borrow().len()
     }
 
@@ -248,8 +243,8 @@ mod tests {
         let probe = Rc::new(RefCell::new(Probe { seen: Vec::new() }));
         bus.attach(&probe);
         let scoped = bus.scoped(7);
-        assert_eq!(scoped.scope(), 7);
-        assert_eq!(bus.scope(), 0, "scoping is a property of the clone only");
+        assert_eq!(scoped.scope, 7);
+        assert_eq!(bus.scope, 0, "scoping is a property of the clone only");
         scoped.emit(net(1));
         scoped.publish(SimTime::from_micros(2), 0, || Payload::Net(NetEvent::Crashed));
         let mut pre_tagged = net(3);

@@ -28,41 +28,18 @@ use crate::time::SimTime;
 ///
 /// Lines accumulate in one contiguous newline-terminated buffer, so
 /// recording an event is an append into an amortized allocation rather
-/// than a fresh `String` per event. [`JsonlSink::streaming`] instead
-/// writes each line through a `BufWriter` and retains nothing in memory —
-/// the form a 100k-agent run uses to spill its trace to disk.
+/// than a fresh `String` per event.
 #[derive(Default)]
 pub struct JsonlSink {
-    /// The whole in-memory trace (streaming mode reuses it as scratch for
-    /// exactly one line at a time).
+    /// The whole trace.
     buf: String,
     count: usize,
-    out: Option<std::io::BufWriter<Box<dyn std::io::Write>>>,
-    io_error: Option<std::io::Error>,
 }
 
 impl JsonlSink {
     /// An empty in-memory trace.
     pub fn new() -> Self {
         JsonlSink::default()
-    }
-
-    /// A sink that writes each line through a `BufWriter` over `w` instead
-    /// of retaining the trace in memory ([`JsonlSink::dump`] returns `""`).
-    /// Call [`JsonlSink::flush`] at end of run to drain the buffer and
-    /// surface the first I/O error, if any.
-    pub fn streaming(w: impl std::io::Write + 'static) -> Self {
-        JsonlSink {
-            buf: String::new(),
-            count: 0,
-            out: Some(std::io::BufWriter::new(Box::new(w))),
-            io_error: None,
-        }
-    }
-
-    /// The recorded lines, in emission order (empty in streaming mode).
-    pub fn lines(&self) -> impl Iterator<Item = &str> {
-        self.buf.lines()
     }
 
     /// Number of recorded lines.
@@ -77,43 +54,19 @@ impl JsonlSink {
 
     /// The whole trace as one newline-terminated string (a `.jsonl` file).
     pub fn dump(&self) -> String {
-        match self.out {
-            None => self.buf.clone(),
-            Some(_) => String::new(),
-        }
-    }
-
-    /// Flushes the underlying writer (no-op for an in-memory sink) and
-    /// reports the first I/O error encountered since the last call.
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        if let Some(err) = self.io_error.take() {
-            return Err(err);
-        }
-        match self.out.as_mut() {
-            Some(w) => std::io::Write::flush(w),
-            None => Ok(()),
-        }
+        self.buf.clone()
     }
 
     fn record(&mut self, ev: &Event) {
         encode_event_into(&mut self.buf, ev);
         self.buf.push('\n');
         self.count += 1;
-        if let Some(w) = self.out.as_mut() {
-            if let Err(err) = std::io::Write::write_all(w, self.buf.as_bytes()) {
-                self.io_error.get_or_insert(err);
-            }
-            self.buf.clear();
-        }
     }
 }
 
 impl std::fmt::Debug for JsonlSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlSink")
-            .field("lines", &self.count)
-            .field("streaming", &self.out.is_some())
-            .finish()
+        f.debug_struct("JsonlSink").field("lines", &self.count).finish()
     }
 }
 
@@ -123,11 +76,9 @@ impl Sink for JsonlSink {
     }
 
     fn accept_batch(&mut self, evs: &[Event]) {
-        if self.out.is_none() {
-            // ~96 bytes/line is the codec's own sizing hint; one reserve
-            // up front keeps the batch append from re-growing mid-loop.
-            self.buf.reserve(evs.len() * 96);
-        }
+        // ~96 bytes/line is the codec's own sizing hint; one reserve up
+        // front keeps the batch append from re-growing mid-loop.
+        self.buf.reserve(evs.len() * 96);
         for ev in evs {
             self.record(ev);
         }
@@ -758,8 +709,7 @@ mod tests {
         let dump = sink.dump();
         assert!(dump.ends_with('\n'));
         assert_eq!(decode_lines(&dump).unwrap(), vec![ev.clone()]);
-        assert_eq!(sink.lines().collect::<Vec<_>>(), vec![encode_event(&ev)]);
-        assert!(sink.flush().is_ok());
+        assert_eq!(dump, encode_event(&ev) + "\n");
     }
 
     #[test]
@@ -781,46 +731,5 @@ mod tests {
         batched.accept_batch(&evs);
         assert_eq!(batched.dump(), looped.dump());
         assert_eq!(batched.len(), looped.len());
-    }
-
-    #[test]
-    fn streaming_jsonl_sink_writes_through_and_retains_nothing() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        /// Shared byte buffer standing in for a trace file.
-        #[derive(Clone, Default)]
-        struct Shared(Rc<RefCell<Vec<u8>>>);
-        impl std::io::Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.borrow_mut().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let file = Shared::default();
-        let mut streamed = JsonlSink::streaming(file.clone());
-        let mut recorded = JsonlSink::new();
-        let evs: Vec<Event> = (0..3)
-            .map(|i| Event {
-                at: SimTime::from_micros(i),
-                actor: 0,
-                session: 0,
-                shard: i as u32,
-                payload: Payload::Net(NetEvent::Crashed),
-            })
-            .collect();
-        streamed.accept(&evs[0]);
-        streamed.accept_batch(&evs[1..]);
-        for ev in &evs {
-            recorded.accept(ev);
-        }
-        assert_eq!(streamed.len(), 3);
-        assert_eq!(streamed.dump(), "", "streaming retains nothing in memory");
-        streamed.flush().unwrap();
-        assert_eq!(String::from_utf8(file.0.borrow().clone()).unwrap(), recorded.dump());
     }
 }

@@ -19,14 +19,6 @@ use crate::time::SimTime;
 /// process (e.g. harness-level audit adjudication).
 pub const NO_ACTOR: u32 = u32::MAX;
 
-/// Sentinel session value for events outside any adaptation session (and
-/// for every event of a single-adaptation run, which predates sessions).
-pub const NO_SESSION: u64 = 0;
-
-/// Sentinel shard value for events outside any sharded run (and for every
-/// event of a single-plane run, which predates shards).
-pub const NO_SHARD: u32 = 0;
-
 /// One timestamped, attributed occurrence on the unified bus.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
@@ -35,14 +27,14 @@ pub struct Event {
     /// Dense index of the acting process (`ActorId::index()`), or
     /// [`NO_ACTOR`] when no single process is responsible.
     pub actor: u32,
-    /// Adaptation session the event belongs to, or [`NO_SESSION`].
+    /// Adaptation session the event belongs to, or 0 outside any session.
     /// Producers below the control plane stay session-agnostic and emit 0;
     /// the fleet layer stamps sessions via [`Bus::scoped`].
     ///
     /// [`Bus::scoped`]: crate::Bus::scoped
     pub session: u64,
-    /// Shard (control-plane region) that produced the event, or
-    /// [`NO_SHARD`]. Producers stay shard-agnostic and emit 0; a sharded
+    /// Shard (control-plane region) that produced the event, or 0 outside
+    /// any sharded run. Producers stay shard-agnostic and emit 0; a sharded
     /// runtime hands each region a stamped bus via [`Bus::sharded`], so
     /// merged multi-shard streams remain attributable line by line.
     ///

@@ -42,7 +42,7 @@ pub use bus::{Bus, Sink};
 pub use codec::{decode_event, decode_lines, encode_event, encode_event_into, JsonlSink};
 pub use event::{
     AgentStateTag, Event, FleetEvent, ManagerPhaseTag, NetEvent, Payload, PlanEvent, ProtoEvent,
-    TemporalEvent, NO_ACTOR, NO_SESSION, NO_SHARD,
+    TemporalEvent, NO_ACTOR,
 };
 pub use key::{ObligationKey, SegmentEdge};
 pub use metrics::Metrics;

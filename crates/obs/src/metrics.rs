@@ -20,13 +20,13 @@ pub struct Metrics {
     /// Total agent time in `Resetting` (reset → local-safe).
     pub reset_to_safe: SimDuration,
     /// Total agent time in `Safe` (drain wait + blocked in-action).
-    pub safe_wait: SimDuration,
+    pub(crate) safe_wait: SimDuration,
     /// Total agent time in `Adapted` (waiting out the adapt-done barrier).
-    pub adapt_barrier: SimDuration,
+    pub(crate) adapt_barrier: SimDuration,
     /// Total agent time in `Resuming`.
-    pub resume: SimDuration,
+    pub(crate) resume: SimDuration,
     /// Total agent time in `RollingBack`.
-    pub rollback: SimDuration,
+    pub(crate) rollback: SimDuration,
     /// Messages handed to the network.
     pub sent: u64,
     /// Messages delivered.
@@ -62,7 +62,7 @@ pub struct Metrics {
     /// Audit-layer events observed.
     pub audit_events: u64,
     /// Control-plane (fleet scheduling) events observed.
-    pub fleet_events: u64,
+    pub(crate) fleet_events: u64,
     /// Virtual time between the first and last event in the stream.
     pub span: SimDuration,
 }

@@ -38,11 +38,6 @@ impl RingSink {
         self.buf.is_empty()
     }
 
-    /// The configured bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Total events observed over the sink's lifetime (including evicted).
     pub fn total_seen(&self) -> u64 {
         self.seen
@@ -99,11 +94,11 @@ pub struct CounterSink {
     /// Audit-layer events.
     pub audit: u64,
     /// Temporal-layer events.
-    pub temporal: u64,
+    pub(crate) temporal: u64,
     /// Planning-layer events.
     pub plan: u64,
     /// Control-plane (fleet scheduling) events.
-    pub fleet: u64,
+    pub(crate) fleet: u64,
 }
 
 impl CounterSink {

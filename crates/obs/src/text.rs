@@ -157,7 +157,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// The next byte after any whitespace, not consumed.
-    pub fn peek(&mut self) -> Option<u8> {
+    pub(crate) fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
         self.rest.bytes().next()
     }
@@ -366,7 +366,7 @@ const INLINE_FIELDS: usize = 12;
 
 /// The keyed view of one line: `verb key=value …` or one JSON object. Keys
 /// and values are slices of the line; nothing is copied and, up to
-/// [`INLINE_FIELDS`] fields, nothing allocated. A key the format does not
+/// twelve fields, nothing allocated. A key the format does not
 /// know is never looked up and so is ignored — that is how an older reader
 /// accepts a newer writer's line; of a repeated key the last one counts.
 #[derive(Debug)]

@@ -48,7 +48,7 @@ impl SimTime {
     }
 
     /// Returns the time as (possibly fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
@@ -83,7 +83,7 @@ impl SimDuration {
     }
 
     /// Returns the duration as (possibly fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 

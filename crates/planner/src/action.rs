@@ -144,7 +144,7 @@ impl Action {
     }
 
     /// Number of distinct components the action touches.
-    pub fn touched_len(&self) -> usize {
+    pub(crate) fn touched_len(&self) -> usize {
         // Disjointness is a construction invariant, so the union size is
         // just the sum.
         self.ids.len()
@@ -191,23 +191,8 @@ impl Action {
     /// # Panics
     ///
     /// Panics if a touched component is out of range for `cfg`'s width.
-    pub fn apply_to(&self, cfg: &mut Config) {
+    pub(crate) fn apply_to(&self, cfg: &mut Config) {
         cfg.apply_delta(self.removes(), self.adds());
-    }
-
-    /// The inverse action, used by the realization phase's rollback: undoes
-    /// this action's effect at the same cost.
-    pub fn inverse(&self) -> Action {
-        let mut ids = self.ids.clone();
-        ids.rotate_left(self.split as usize);
-        Action {
-            id: self.id,
-            name: format!("undo({})", self.name).into(),
-            split: u32::try_from(self.adds().len())
-                .expect("an action removes fewer than 2^32 components"),
-            ids,
-            cost: self.cost,
-        }
     }
 }
 
@@ -256,15 +241,13 @@ mod tests {
     }
 
     #[test]
-    fn replace_applies_and_round_trips() {
+    fn replace_applies() {
         let u = u();
         let a = Action::replace(0, "E1 -> E2", &u.config_of(&["E1"]), &u.config_of(&["E2"]), 10);
         let before = u.config_of(&["E1", "D1"]);
         assert!(a.applicable(&before));
         let after = a.apply(&before);
         assert_eq!(after, u.config_of(&["E2", "D1"]));
-        assert_eq!(a.inverse().apply(&after), before);
-        assert_eq!(a.inverse().cost(), 10);
     }
 
     #[test]

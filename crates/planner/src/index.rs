@@ -43,7 +43,6 @@ pub struct ActionIndex {
     absent_pivots: Vec<CompId>,
     /// Actions with no removes and no adds: applicable everywhere.
     always: Vec<u32>,
-    width: usize,
 }
 
 impl ActionIndex {
@@ -62,12 +61,7 @@ impl ActionIndex {
         let always = numbered().filter(|(_, a)| a.touched().is_empty()).map(|(ix, _)| ix).collect();
         let absent_pivots =
             (0..width).filter(|&c| !by_absent.row(c).is_empty()).map(CompId::from_index).collect();
-        ActionIndex { by_present, by_absent, absent_pivots, always, width }
-    }
-
-    /// The configuration width the index was built for.
-    pub fn width(&self) -> usize {
-        self.width
+        ActionIndex { by_present, by_absent, absent_pivots, always }
     }
 
     /// Fills `out` with the indices of plausibly-applicable actions for

@@ -17,7 +17,7 @@
 //! * discovered configurations are interned into a dense arena of `u32`
 //!   node ids, with `dist`/`prev` as flat `Vec`s over ids. A query keeps
 //!   one scratch successor and writes every candidate over the last one
-//!   ([`Config::assign`], [`Action::apply_to`]); only a candidate the arena
+//!   ([`Config::assign`], `Action::apply_to`); only a candidate the arena
 //!   has never seen gives that buffer away, to be shared by the arena's
 //!   key, its node table and the reconstructed path. A query therefore
 //!   allocates per discovered node, not per candidate: 2 567 times for the
@@ -39,9 +39,9 @@
 //!
 //! The result is identical to eager Dijkstra (property-tested), and
 //! identical, candidate for candidate, to the tree-walking baseline
-//! ([`Search::tree_walk_baseline`]) — the number of *predicate evaluations*
-//! scales with the touched sets instead of the invariant count (measured in
-//! `bench_planning`).
+//! ([`crate::oracle::tree_walk_search`]) — the number of *predicate
+//! evaluations* scales with the touched sets instead of the invariant count
+//! (measured in `bench_planning`).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -79,7 +79,7 @@ pub struct LazyStats {
 /// carries — behind a linear scan (retained as the measured baseline and
 /// the equivalence oracle).
 #[derive(Debug, Clone)]
-enum Mode {
+pub(crate) enum Mode {
     Kernel,
     TreeWalk(InvariantSet),
 }
@@ -106,7 +106,7 @@ impl SafeMemo {
 
 /// Proof that a configuration satisfies every invariant of the [`Search`]
 /// that handed the witness out. Only that search's own vetting constructs
-/// one ([`Search::vet`], [`Search::is_safe_memo`]), so a caller that has
+/// one (its private vetting, [`Search::is_safe_memo`]), so a caller that has
 /// already paid for the check can pass the *result* on —
 /// [`Search::plan_scoped_vetted`] takes two — instead of a configuration
 /// the search would have to vet again. A witness speaks for the search it
@@ -116,7 +116,7 @@ pub struct Safe<'c>(&'c Config);
 
 impl<'c> Safe<'c> {
     /// The configuration proved safe.
-    pub fn config(self) -> &'c Config {
+    pub(crate) fn config(self) -> &'c Config {
         self.0
     }
 }
@@ -180,16 +180,12 @@ impl Search {
         Search::build(inv, actions, width, Mode::Kernel)
     }
 
-    /// The pre-compilation behavior — full tree-walked invariant checks and
-    /// a linear action scan — on the identical search skeleton. Candidate
-    /// generation, tie-breaking and results match [`Search::new`] exactly;
-    /// only the per-candidate work differs. This is the "before" leg of
-    /// `bench_planning` and the oracle for equivalence tests.
-    pub fn tree_walk_baseline(inv: &InvariantSet, actions: &[Action], width: usize) -> Self {
-        Search::build(inv, Arc::from(actions), width, Mode::TreeWalk(inv.clone()))
-    }
-
-    fn build(inv: &InvariantSet, actions: Arc<[Action]>, width: usize, mode: Mode) -> Self {
+    pub(crate) fn build(
+        inv: &InvariantSet,
+        actions: Arc<[Action]>,
+        width: usize,
+        mode: Mode,
+    ) -> Self {
         let compiled = inv.compile(width);
         let mut affected = Csr::with_capacity(actions.len(), actions.len());
         let mut preds = Vec::new();
@@ -217,11 +213,6 @@ impl Search {
             max_touched,
             min_cost,
         }
-    }
-
-    /// The action repertoire this search plans over.
-    pub fn actions(&self) -> &[Action] {
-        &self.actions
     }
 
     /// The compiled invariant kernels (shared by scope normalizers so a
@@ -293,7 +284,7 @@ impl Search {
     }
 
     /// [`Search::is_safe`], handing back the proof instead of a flag.
-    pub fn vet<'c>(&self, cfg: &'c Config) -> Option<Safe<'c>> {
+    pub(crate) fn vet<'c>(&self, cfg: &'c Config) -> Option<Safe<'c>> {
         self.vet_counting(cfg, &mut 0)
     }
 
@@ -614,7 +605,7 @@ pub fn plan_astar(
 mod tests {
     use super::*;
     use crate::sag::Sag;
-    use sada_expr::{enumerate, Universe};
+    use sada_expr::{enumerate, oracle, Universe};
 
     fn setup() -> (Universe, InvariantSet, Vec<Action>) {
         let mut u = Universe::new();
@@ -716,9 +707,9 @@ mod tests {
         let search = Search::new(&inv, &actions, u.len());
         for path in [search.plan(&src, &dst).0.unwrap(), search.plan_astar(&src, &dst).0.unwrap()] {
             assert_eq!(path.len(), 2, "A->B->C beats the direct hop");
-            assert!(Config::shares_storage(&path.steps[0].from, &src));
-            assert!(Config::shares_storage(&path.steps[1].to, &dst));
-            assert!(Config::shares_storage(&path.steps[0].to, &path.steps[1].from));
+            assert!(oracle::shares_storage(&path.steps[0].from, &src));
+            assert!(oracle::shares_storage(&path.steps[1].to, &dst));
+            assert!(oracle::shares_storage(&path.steps[0].to, &path.steps[1].from));
         }
     }
 
@@ -755,7 +746,7 @@ mod tests {
     fn kernel_search_matches_tree_walk_baseline_exactly() {
         let (u, inv, actions) = setup();
         let kernel = Search::new(&inv, &actions, u.len());
-        let baseline = Search::tree_walk_baseline(&inv, &actions, u.len());
+        let baseline = crate::oracle::tree_walk_search(&inv, &actions, u.len());
         for (s, t) in [("A", "C"), ("A", "B"), ("B", "C"), ("C", "A")] {
             let src = u.config_of(&[s]);
             let dst = u.config_of(&[t]);
@@ -801,7 +792,7 @@ mod tests {
             dst.insert(u.id(&format!("New{g}")).unwrap());
         }
         let (kp, ks) = Search::new(&inv, &actions, u.len()).plan(&src, &dst);
-        let (bp, bs) = Search::tree_walk_baseline(&inv, &actions, u.len()).plan(&src, &dst);
+        let (bp, bs) = crate::oracle::tree_walk_search(&inv, &actions, u.len()).plan(&src, &dst);
         assert_eq!(kp, bp);
         assert!(
             ks.pred_evals * 5 <= bs.pred_evals,

@@ -40,6 +40,8 @@ mod action;
 pub mod collab;
 mod index;
 pub mod lazy;
+#[doc(hidden)]
+pub mod oracle;
 mod path;
 mod sag;
 mod yen;

@@ -32,7 +32,7 @@ pub struct Path {
 
 impl Path {
     /// The empty path (source already equals target).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Path { steps: Vec::new(), cost: 0 }
     }
 

@@ -95,11 +95,6 @@ impl Sag {
         self.edges.len()
     }
 
-    /// Outgoing arcs of the vertex at `node`.
-    pub fn out_edges(&self, node: usize) -> impl Iterator<Item = &Edge> + '_ {
-        self.adj[node].iter().map(move |&e| &self.edges[e])
-    }
-
     /// Dijkstra's algorithm: the minimum adaptation path (MAP) from `source`
     /// to `target`, or `None` when either configuration is unsafe or no path
     /// exists. `source == target` yields the empty path.
@@ -112,7 +107,7 @@ impl Sag {
     /// `banned_nodes` are vertex indices that may not be traversed (source
     /// and target must not be banned); `banned_edges` are edge indices that
     /// may not be used.
-    pub fn shortest_path_avoiding(
+    pub(crate) fn shortest_path_avoiding(
         &self,
         source: &Config,
         target: &Config,
@@ -303,13 +298,5 @@ mod tests {
         safe.push(dup);
         let sag = Sag::build(safe, &actions);
         assert_eq!(sag.node_count(), 3);
-    }
-
-    #[test]
-    fn out_edges_matches_adjacency() {
-        let (u, sag) = line_sag();
-        let a_ix = sag.index_of(&u.config_of(&["A"])).unwrap();
-        let outs: Vec<ActionId> = sag.out_edges(a_ix).map(|e| e.action).collect();
-        assert_eq!(outs.len(), 2, "A->B and A->C leave A");
     }
 }

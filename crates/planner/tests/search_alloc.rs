@@ -17,7 +17,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sada_expr::{CompId, Config, InvariantSet, Universe};
+use sada_expr::{oracle, CompId, Config, InvariantSet, Universe};
 use sada_plan::{Action, Search};
 
 thread_local! {
@@ -116,9 +116,9 @@ fn a_scoped_plan_over_a_wide_world_shares_its_chunks_with_the_callers_source() {
     let (path, _) = search.plan_scoped(&src, &dst, &search.scoped_action_ixs(&scope));
     let path = path.expect("two flips away");
     assert_eq!(path.len(), 2);
-    assert!(Config::shares_storage(&path.steps[0].from, &src), "the caller's own spine");
-    assert!(Config::shares_storage(&path.steps[1].to, &dst));
+    assert!(oracle::shares_storage(&path.steps[0].from, &src), "the caller's own spine");
+    assert!(oracle::shares_storage(&path.steps[1].to, &dst));
     // One flipped group is one copied chunk, the second another.
-    assert_eq!(Config::shared_chunks(&path.steps[0].to, &src), chunks - 1);
-    assert_eq!(Config::shared_chunks(&path.steps[1].to, &src), chunks - 2);
+    assert_eq!(oracle::shared_chunks(&path.steps[0].to, &src), chunks - 1);
+    assert_eq!(oracle::shared_chunks(&path.steps[1].to, &src), chunks - 2);
 }

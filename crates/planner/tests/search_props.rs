@@ -123,7 +123,7 @@ proptest! {
         let src = assignment(&w, src_bits, src_free);
         let dst = assignment(&w, dst_bits, dst_free);
         let kernel = Search::new(&w.inv, &w.actions, w.universe.len());
-        let baseline = Search::tree_walk_baseline(&w.inv, &w.actions, w.universe.len());
+        let baseline = sada_plan::oracle::tree_walk_search(&w.inv, &w.actions, w.universe.len());
         let ((kp, ks), (bp, bs)) = if astar {
             (kernel.plan_astar(&src, &dst), baseline.plan_astar(&src, &dst))
         } else {

@@ -181,7 +181,7 @@ impl AgentCore {
     /// arrives first moves the machine out of `Safe`; the in-action is then
     /// cancelled, and a process that performs its in-actions after a delay
     /// must not perform it.
-    pub fn scheduled_in_action(&self) -> Option<&LocalAction> {
+    pub(crate) fn scheduled_in_action(&self) -> Option<&LocalAction> {
         self.current.as_deref().filter(|_| self.state == AgentState::Safe).map(|c| &c.action)
     }
 

@@ -63,8 +63,6 @@
 //!
 //! [`SafetyAuditor`]: sada_model::SafetyAuditor
 
-#![warn(missing_docs)]
-
 mod agent;
 mod host;
 mod journal;

@@ -1068,7 +1068,7 @@ impl ManagerCore {
 
     /// Consumes the core, returning its planner (used by hosts to carry the
     /// planner across a manager restart into [`ManagerCore::restore`]).
-    pub fn into_planner(self) -> Box<dyn AdaptationPlanner> {
+    pub(crate) fn into_planner(self) -> Box<dyn AdaptationPlanner> {
         self.planner
     }
 
@@ -1092,9 +1092,9 @@ impl ManagerCore {
     ///   `RollbackIssued` last): which acks the dead incarnation had already
     ///   collected is unknowable, so the barrier is reset conservatively to
     ///   the full participant set and a **reconciliation round** begins:
-    ///   [`ProtoMsg::QueryState`] probes every participant, and
-    ///   [`Self::on_state_report`] folds each answer back into the ordinary
-    ///   barrier arms. The phase timer is armed before any report arrives,
+    ///   [`ProtoMsg::QueryState`] probes every participant, and each
+    ///   `StateReport` answer folds back into the ordinary barrier arms.
+    ///   The phase timer is armed before any report arrives,
     ///   so lost probes degrade into the existing retransmission ladder
     ///   rather than a hang.
     ///

@@ -33,7 +33,7 @@ fn world() -> (Universe, ManagerCore) {
     let inv = InvariantSet::parse(&["one_of(A, B, C)"], &mut u).unwrap();
     let sag = Sag::build(enumerate::safe_configs(&u, &inv), &actions);
     let mut model = SystemModel::new();
-    let p0 = model.add_process("host");
+    let p0 = model.add_process();
     model.place_all(&u, &[("A", p0), ("B", p0), ("C", p0)]);
     let planner = SagPlanner::new(sag, actions, model, vec![0], HashSet::new());
     let mgr = ManagerCore::new(ProtoTiming::default(), Box::new(planner));
@@ -56,8 +56,8 @@ fn world_two_agents() -> (Universe, ManagerCore) {
     let inv = InvariantSet::parse(&["one_of(X1, X2) & one_of(Y1, Y2)"], &mut u).unwrap();
     let sag = Sag::build(enumerate::safe_configs(&u, &inv), &actions);
     let mut model = SystemModel::new();
-    let p0 = model.add_process("px");
-    let p1 = model.add_process("py");
+    let p0 = model.add_process();
+    let p1 = model.add_process();
     model.place_all(&u, &[("X1", p0), ("X2", p0), ("Y1", p1), ("Y2", p1)]);
     let planner = SagPlanner::new(sag, actions, model, vec![0, 1], HashSet::new());
     let mgr = ManagerCore::new(ProtoTiming::default(), Box::new(planner));
@@ -318,7 +318,7 @@ fn give_up_when_stranded_mid_path() {
     let inv = InvariantSet::parse(&["one_of(A, B, C)"], &mut u).unwrap();
     let sag = Sag::build(enumerate::safe_configs(&u, &inv), &actions);
     let mut model = SystemModel::new();
-    let p0 = model.add_process("host");
+    let p0 = model.add_process();
     model.place_all(&u, &[("A", p0), ("B", p0), ("C", p0)]);
     let planner = SagPlanner::new(sag, actions, model, vec![0], HashSet::new());
     let mut mgr = ManagerCore::new(ProtoTiming::default(), Box::new(planner));

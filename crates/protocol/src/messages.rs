@@ -164,7 +164,7 @@ impl ProtoMsg {
     /// know its peer's current attempt, so these must pass the
     /// stale-step filters unconditionally. `StateReport::engaged` names a
     /// step, but as payload the *receiver* judges, not as a filter key.
-    pub fn step(&self) -> Option<StepId> {
+    pub(crate) fn step(&self) -> Option<StepId> {
         match self {
             ProtoMsg::Reset { step, .. }
             | ProtoMsg::ResetDone { step }

@@ -45,11 +45,6 @@ impl SagPlanner {
         SagPlanner { sag, actions, model, agent_of_process, drain_actions }
     }
 
-    /// The underlying SAG (for reporting).
-    pub fn sag(&self) -> &Sag {
-        &self.sag
-    }
-
     fn locals_for(&self, action: &Action) -> Vec<(usize, LocalAction)> {
         let needs_drain = self.drain_actions.contains(&action.id());
         let mut per_agent: BTreeMap<usize, (Vec<CompId>, Vec<CompId>)> = BTreeMap::new();
@@ -134,8 +129,8 @@ mod tests {
         ];
         let sag = Sag::build(enumerate::safe_configs(&u, &inv), &actions);
         let mut model = SystemModel::new();
-        let server = model.add_process("server");
-        let client = model.add_process("client");
+        let server = model.add_process();
+        let client = model.add_process();
         model.place_all(&u, &[("E1", server), ("E2", server), ("D1", client), ("D2", client)]);
         let drain: HashSet<ActionId> = [ActionId(2)].into();
         let planner = SagPlanner::new(sag, actions, model, vec![0, 1], drain);

@@ -44,8 +44,8 @@ fn build_world(seed: u64, source: &[&str], target: &[&str], timing: ProtoTiming)
         InvariantSet::parse(&["one_of(X1, X2)", "one_of(Y1, Y2)", "Y2 => X2"], &mut u).unwrap();
     let sag = Sag::build(enumerate::safe_configs(&u, &inv), &actions);
     let mut model = SystemModel::new();
-    let p0 = model.add_process("px");
-    let p1 = model.add_process("py");
+    let p0 = model.add_process();
+    let p1 = model.add_process();
     model.place_all(&u, &[("X1", p0), ("X2", p0), ("Y1", p1), ("Y2", p1)]);
     let drain: HashSet<ActionId> = [ActionId(2)].into();
     let planner = SagPlanner::new(sag, actions, model, vec![0, 1], drain);
@@ -295,8 +295,8 @@ fn pair_action_blocks_both_agents_until_barrier() {
     let inv = InvariantSet::parse(&["one_of(X1, X2)", "one_of(Y1, Y2)"], &mut u).unwrap();
     let sag = Sag::build(enumerate::safe_configs(&u, &inv), &actions);
     let mut model = SystemModel::new();
-    let p0 = model.add_process("px");
-    let p1 = model.add_process("py");
+    let p0 = model.add_process();
+    let p1 = model.add_process();
     model.place_all(&u, &[("X1", p0), ("X2", p0), ("Y1", p1), ("Y2", p1)]);
     let planner = SagPlanner::new(sag, actions, model, vec![0, 1], [ActionId(0)].into());
 
@@ -351,8 +351,8 @@ fn rollback_overtaking_the_in_action_leaves_no_change_behind() {
                     .unwrap();
             let sag = Sag::build(enumerate::safe_configs(&u, &inv), &actions);
             let mut model = SystemModel::new();
-            let p0 = model.add_process("px");
-            let p1 = model.add_process("py");
+            let p0 = model.add_process();
+            let p1 = model.add_process();
             model.place_all(&u, &[("X1", p0), ("X2", p0), ("Y1", p1), ("Y2", p1)]);
             let drains: HashSet<ActionId> =
                 if drain { [ActionId(0)].into() } else { HashSet::new() };

@@ -30,6 +30,7 @@ impl Default for BreakerConfig {
     }
 }
 
+/// Where a [`CircuitBreaker`] stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Traffic flows; consecutive failures are being counted.
@@ -45,7 +46,10 @@ pub enum BreakerState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerTransition {
     /// Closed→Open (threshold hit) or HalfOpen→Open (probe failed).
-    Opened { cooldown: SimDuration },
+    Opened {
+        /// The open hold before the next probe, without its jitter.
+        cooldown: SimDuration,
+    },
     /// Open→HalfOpen: the send being gated right now is the probe.
     Probing,
     /// Open/HalfOpen→Closed: the agent answered.
@@ -71,11 +75,10 @@ pub struct CircuitBreaker {
     open_since: Option<SimTime>,
     /// Accumulated open time across finished episodes.
     open_total_us: u64,
-    /// Sends refused while open (diagnostics).
-    suppressed: u64,
 }
 
 impl CircuitBreaker {
+    /// A closed breaker under `config`.
     pub fn new(config: BreakerConfig) -> Self {
         CircuitBreaker {
             config,
@@ -86,10 +89,10 @@ impl CircuitBreaker {
             reopen_at: SimTime::ZERO,
             open_since: None,
             open_total_us: 0,
-            suppressed: 0,
         }
     }
 
+    /// The breaker's current state.
     pub fn state(&self) -> BreakerState {
         self.state
     }
@@ -99,10 +102,7 @@ impl CircuitBreaker {
         SimDuration::from_micros(self.cooldown_us)
     }
 
-    pub fn suppressed(&self) -> u64 {
-        self.suppressed
-    }
-
+    /// Times the breaker has opened.
     pub fn trips(&self) -> u64 {
         self.trips
     }
@@ -178,15 +178,9 @@ impl CircuitBreaker {
                 self.state = BreakerState::HalfOpen;
                 (true, Some(BreakerTransition::Probing))
             }
-            BreakerState::Open => {
-                self.suppressed += 1;
-                (false, None)
-            }
-            // One probe is already in flight; hold everything else.
-            BreakerState::HalfOpen => {
-                self.suppressed += 1;
-                (false, None)
-            }
+            // Inside the hold, or one probe is already in flight: hold
+            // everything else.
+            BreakerState::Open | BreakerState::HalfOpen => (false, None),
         }
     }
 }
@@ -211,7 +205,6 @@ mod tests {
         assert!(b.blocks(t(4)), "open breaker blocks admission during its hold");
         assert!(!b.blocks(t(4 + 400 + 101)), "hold elapsed: admission may probe");
         assert!(!b.allow_send(t(4)).0, "open breaker refuses sends");
-        assert_eq!(b.suppressed(), 1);
     }
 
     #[test]

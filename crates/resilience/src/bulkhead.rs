@@ -20,39 +20,10 @@ impl Default for BulkheadConfig {
     }
 }
 
-/// What to do with a session that wants in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Run it now.
-    Admit,
-    /// Park it (scope busy or in-flight cap reached) — capacity exists in
-    /// the waiting room.
-    Enqueue,
-    /// The waiting room is full: shed the least valuable waiter.
-    Shed,
-}
-
 impl BulkheadConfig {
     /// No limits: every session is admitted or queued, never shed.
-    pub fn unlimited() -> Self {
+    pub(crate) fn unlimited() -> Self {
         BulkheadConfig { max_in_flight: usize::MAX, max_queued: usize::MAX }
-    }
-
-    /// True when either bound is active.
-    pub fn is_limiting(&self) -> bool {
-        self.max_in_flight != usize::MAX || self.max_queued != usize::MAX
-    }
-
-    /// Admission decision given the current populations. `scope_free` is
-    /// whether the session's scope locks are available right now.
-    pub fn decide(&self, in_flight: usize, queued: usize, scope_free: bool) -> Admission {
-        if scope_free && in_flight < self.max_in_flight {
-            Admission::Admit
-        } else if queued < self.max_queued {
-            Admission::Enqueue
-        } else {
-            Admission::Shed
-        }
     }
 }
 
@@ -68,27 +39,6 @@ pub fn shed_victim(waiting: &[(u64, u8, u64)]) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unlimited_never_sheds() {
-        let b = BulkheadConfig::unlimited();
-        assert!(!b.is_limiting());
-        assert_eq!(b.decide(1 << 20, 1 << 20, true), Admission::Admit);
-        assert_eq!(b.decide(1 << 20, 1 << 20, false), Admission::Enqueue);
-    }
-
-    #[test]
-    fn bounds_gate_admission_then_queueing() {
-        let b = BulkheadConfig { max_in_flight: 2, max_queued: 3 };
-        assert!(b.is_limiting());
-        assert_eq!(b.decide(1, 0, true), Admission::Admit);
-        // Scope busy → queue even with in-flight room.
-        assert_eq!(b.decide(1, 0, false), Admission::Enqueue);
-        // In-flight cap reached → queue even with the scope free.
-        assert_eq!(b.decide(2, 0, true), Admission::Enqueue);
-        // Waiting room full → shed.
-        assert_eq!(b.decide(2, 3, true), Admission::Shed);
-    }
 
     #[test]
     fn victim_is_lowest_priority_then_oldest() {

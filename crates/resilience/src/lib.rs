@@ -19,8 +19,8 @@
 //! - [`CircuitBreaker`] — per-agent closed/open/half-open gate with seeded
 //!   half-open probing and doubled-capped cooldown, so an agent that keeps
 //!   timing out stops absorbing retries.
-//! - [`BulkheadConfig`] — bounded in-flight + bounded waiting admission
-//!   decisions with deterministic lowest-priority-oldest shedding.
+//! - [`BulkheadConfig`] — bounds on in-flight and waiting sessions, with
+//!   [`shed_victim`] picking the lowest-priority, oldest waiter to shed.
 //!
 //! Nothing here performs I/O or reads a clock; hosts (the protocol manager
 //! actor and the fleet control actor) own the wiring.
@@ -31,6 +31,6 @@ mod retry;
 mod rtt;
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
-pub use bulkhead::{shed_victim, Admission, BulkheadConfig};
+pub use bulkhead::{shed_victim, BulkheadConfig};
 pub use retry::{jitter_us, ReannouncePolicy, RetryMode, RetryPolicy};
 pub use rtt::RttEstimator;

@@ -29,6 +29,7 @@ impl Default for RttEstimator {
 }
 
 impl RttEstimator {
+    /// An estimator with no samples, its timeout clamped to 1 ms – 10 s.
     pub fn new() -> Self {
         RttEstimator {
             srtt_us: 0,
@@ -68,10 +69,6 @@ impl RttEstimator {
     /// Current smoothed RTT, or `None` before the first sample.
     pub fn srtt(&self) -> Option<SimDuration> {
         (self.samples > 0).then(|| SimDuration::from_micros(self.srtt_us))
-    }
-
-    pub fn samples(&self) -> u64 {
-        self.samples
     }
 }
 

@@ -7,7 +7,7 @@
 //! removes the monoculture: it **generates** component universes from a
 //! seed and feeds them through the unchanged safety machinery.
 //!
-//! * [`SplitMix64`] — the deterministic stream every draw comes from; a
+//! * `SplitMix64` — the deterministic stream every draw comes from; a
 //!   `(seed, config)` pair names a universe, byte for byte.
 //! * [`generate`] — builds a [`GeneratedScenario`]: a
 //!   [`WorldSpec`](sada_fleet::WorldSpec) drawn from per-cluster
@@ -39,7 +39,6 @@ mod validate;
 
 pub use codec::{encode_scenario, parse_scenario};
 pub use gen::{energy_showcase, generate, GeneratedScenario, ScenarioConfig, TrafficProfile};
-pub use rng::SplitMix64;
 pub use validate::validate;
 
 #[cfg(test)]

@@ -9,18 +9,18 @@
 
 /// SplitMix64: one-word PRNG used for all scenario synthesis.
 #[derive(Debug, Clone)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
     /// A generator at `seed`. Any seed is fine, including 0.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -31,13 +31,13 @@ impl SplitMix64 {
     /// Uniform draw in `0..n` (`n > 0`). The tiny modulo bias is
     /// irrelevant for scenario synthesis and keeps the draw one-shot,
     /// which keeps generation streams easy to reason about.
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is a contradiction");
         self.next_u64() % n
     }
 
     /// True with probability `pct`/100.
-    pub fn chance(&mut self, pct: u64) -> bool {
+    pub(crate) fn chance(&mut self, pct: u64) -> bool {
         self.below(100) < pct
     }
 
@@ -46,7 +46,7 @@ impl SplitMix64 {
     /// `ln` is deterministic for a fixed platform, and scenario
     /// fingerprints are only ever compared within one process, so floating
     /// point is safe here.
-    pub fn exp_gap_us(&mut self, mean_us: u64) -> u64 {
+    pub(crate) fn exp_gap_us(&mut self, mean_us: u64) -> u64 {
         // 53 uniform mantissa bits in (0, 1]: never ln(0).
         let u = ((self.next_u64() >> 11) + 1) as f64 / (1u64 << 53) as f64;
         ((-u.ln()) * mean_us as f64).round().max(1.0) as u64

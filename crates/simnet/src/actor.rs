@@ -3,8 +3,6 @@
 use std::any::Any;
 use std::fmt;
 
-use rand::rngs::StdRng;
-
 use crate::sim::GroupId;
 use sada_obs::{SimDuration, SimTime};
 
@@ -177,7 +175,6 @@ pub(crate) enum Op<M> {
     Multicast { group: GroupId, msg: M },
     SetTimer { id: TimerId, delay: SimDuration, tag: u64 },
     CancelTimer { id: TimerId },
-    Halt,
 }
 
 /// The capability surface handed to an [`Actor`] callback.
@@ -188,7 +185,6 @@ pub struct Context<'a, M> {
     pub(crate) self_id: ActorId,
     pub(crate) now: SimTime,
     pub(crate) ops: &'a mut Vec<Op<M>>,
-    pub(crate) rng: &'a mut StdRng,
     pub(crate) next_timer: &'a mut u64,
 }
 
@@ -231,33 +227,20 @@ impl<'a, M> Context<'a, M> {
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.ops.push(Op::CancelTimer { id });
     }
-
-    /// Requests that the simulation stop after the current event.
-    pub fn halt(&mut self) {
-        self.ops.push(Op::Halt);
-    }
-
-    /// Deterministic per-run random source (shared across actors).
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn context_queues_ops_in_order() {
         let mut ops = Vec::new();
-        let mut rng = StdRng::seed_from_u64(0);
         let mut next_timer = 0;
         let mut ctx: Context<'_, u8> = Context {
             self_id: ActorId(0),
             now: SimTime::from_millis(1),
             ops: &mut ops,
-            rng: &mut rng,
             next_timer: &mut next_timer,
         };
         ctx.send(ActorId(1), 42);
@@ -272,13 +255,11 @@ mod tests {
     #[test]
     fn timer_ids_are_unique() {
         let mut ops = Vec::new();
-        let mut rng = StdRng::seed_from_u64(0);
         let mut next_timer = 0;
         let mut ctx: Context<'_, u8> = Context {
             self_id: ActorId(0),
             now: SimTime::ZERO,
             ops: &mut ops,
-            rng: &mut rng,
             next_timer: &mut next_timer,
         };
         let a = ctx.set_timer(SimDuration::ZERO, 0);

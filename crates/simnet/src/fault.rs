@@ -37,7 +37,7 @@ impl MsgPattern {
     pub const ANY: MsgPattern = MsgPattern { from: None, to: None };
 
     /// True when the pattern matches a `from → to` route.
-    pub fn matches(&self, from: ActorId, to: ActorId) -> bool {
+    pub(crate) fn matches(&self, from: ActorId, to: ActorId) -> bool {
         self.from.is_none_or(|f| f == from) && self.to.is_none_or(|t| t == to)
     }
 }
@@ -47,18 +47,47 @@ impl MsgPattern {
 pub enum Fault {
     /// Kill actor `id` at `at`: its in-flight messages and pending timers
     /// die with it, and messages routed to it while down are dropped.
-    CrashActor { at: SimTime, id: ActorId },
+    CrashActor {
+        /// When the actor dies.
+        at: SimTime,
+        /// The actor that dies.
+        id: ActorId,
+    },
     /// Revive actor `id` at `at`; `Actor::on_restart` runs at that instant.
     /// A no-op if the actor is not down.
-    RestartActor { at: SimTime, id: ActorId },
+    RestartActor {
+        /// When the actor comes back.
+        at: SimTime,
+        /// The actor that comes back.
+        id: ActorId,
+    },
     /// Sever the directed link `from → to` during `[start, end)`.
-    PartitionWindow { from: ActorId, to: ActorId, start: SimTime, end: SimTime },
+    PartitionWindow {
+        /// Sending end of the severed link.
+        from: ActorId,
+        /// Receiving end of the severed link.
+        to: ActorId,
+        /// First instant the link is down.
+        start: SimTime,
+        /// First instant the link is up again.
+        end: SimTime,
+    },
     /// Drop the `nth` message (1-based) matching `predicate`, counted from
     /// the moment the plan is installed.
-    DropMatching { nth: u32, predicate: MsgPattern },
+    DropMatching {
+        /// Which matching message to drop, counting from 1.
+        nth: u32,
+        /// The messages that count.
+        predicate: MsgPattern,
+    },
     /// Add `extra_latency` to every message routed while the clock is in
     /// `[window.0, window.1)`.
-    DelayBurst { window: (SimTime, SimTime), extra_latency: SimDuration },
+    DelayBurst {
+        /// The half-open interval of routing times the burst covers.
+        window: (SimTime, SimTime),
+        /// Latency added to each message routed inside the window.
+        extra_latency: SimDuration,
+    },
 }
 
 /// An ordered collection of faults to install into a simulator.

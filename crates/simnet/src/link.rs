@@ -15,13 +15,13 @@ use sada_obs::SimDuration;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Base one-way delay.
-    pub latency: SimDuration,
+    pub(crate) latency: SimDuration,
     /// Maximum additional uniform random delay.
-    pub jitter: SimDuration,
+    pub(crate) jitter: SimDuration,
     /// Probability in `[0, 1]` that a message is silently dropped.
     pub loss: f64,
     /// When `true`, every message on the link is dropped.
-    pub partitioned: bool,
+    pub(crate) partitioned: bool,
     /// Transmission capacity in bytes per second; `None` = infinite.
     ///
     /// With a capacity set (and a message sizer installed on the
@@ -29,7 +29,7 @@ pub struct LinkConfig {
     /// queues and each message adds `size / bandwidth` of transmission
     /// delay behind its predecessors — the queueing behaviour that makes
     /// "packet delay" a real cost during adaptation blackouts.
-    pub bandwidth: Option<u64>,
+    pub(crate) bandwidth: Option<u64>,
 }
 
 impl LinkConfig {
@@ -85,29 +85,10 @@ impl LinkConfig {
     ///
     /// Negative latency or jitter are unrepresentable by construction —
     /// [`SimDuration`] is unsigned — so they need no check here.
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         self.loss.is_finite()
             && (0.0..=1.0).contains(&self.loss)
             && self.bandwidth.is_none_or(|b| b > 0)
-    }
-
-    /// Validation parity for field-struct construction: the named
-    /// constructors assert their ranges, but `LinkConfig { .. }` literals
-    /// bypass them. Call this to get the same guarantee.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`LinkConfig::is_valid`] is false. The simulator also
-    /// debug-asserts validity on every enqueue, so an invalid literal is
-    /// caught in test builds even without an explicit call.
-    pub fn validate(self) -> Self {
-        assert!(
-            self.is_valid(),
-            "invalid LinkConfig: loss={} (must be finite, in [0,1]), bandwidth={:?} (must be positive)",
-            self.loss,
-            self.bandwidth
-        );
-        self
     }
 }
 
@@ -157,9 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn validate_matches_constructor_checks() {
-        // Field-struct literals bypass the constructors; validate() closes
-        // the gap.
+    fn is_valid_matches_constructor_checks() {
+        // Field-struct literals bypass the constructors; the simulator's
+        // debug assertion on `is_valid` closes the gap.
         let nan = LinkConfig { loss: f64::NAN, ..LinkConfig::default() };
         assert!(!nan.is_valid());
         let negative = LinkConfig { loss: -0.1, ..LinkConfig::default() };
@@ -170,22 +151,9 @@ mod tests {
         assert!(!zero_bw.is_valid());
         let fine = LinkConfig { loss: 0.5, ..LinkConfig::default() };
         assert!(fine.is_valid());
-        let _ = fine.validate(); // does not panic
-                                 // Negative jitter is unrepresentable: SimDuration is an unsigned
-                                 // microsecond count, so that whole failure class is gone at the
-                                 // type level.
+        // Negative jitter is unrepresentable: SimDuration is an unsigned
+        // microsecond count, so that whole failure class is gone at the
+        // type level.
         assert_eq!(SimDuration::ZERO.as_micros(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid LinkConfig")]
-    fn validate_panics_on_nan_loss() {
-        let _ = LinkConfig { loss: f64::NAN, ..LinkConfig::default() }.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid LinkConfig")]
-    fn validate_panics_on_out_of_range_loss() {
-        let _ = LinkConfig { loss: 2.0, ..LinkConfig::default() }.validate();
     }
 }

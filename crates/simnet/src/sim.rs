@@ -34,7 +34,7 @@ pub struct NetStats {
     /// Messages dropped by loss, partition, or unknown destination.
     pub dropped: u64,
     /// Timers that fired (cancelled timers excluded).
-    pub timers_fired: u64,
+    pub(crate) timers_fired: u64,
     /// Total events dispatched.
     pub events_processed: u64,
     /// Actor crashes executed by fault injection.
@@ -89,7 +89,6 @@ struct Extent<M> {
     /// Hosted slot of `first_id` — the index into the per-actor tables,
     /// which hold hosted actors only, densely (unused when vacant).
     first_slot: u32,
-    name: Box<str>,
     backing: Backing<M>,
 }
 
@@ -107,15 +106,14 @@ enum Taken<M> {
     Arena(Box<dyn ArenaActor<M>>, u32, u32),
 }
 
-/// A deterministic discrete-event simulator over message type `M`.
-///
-/// All nondeterminism (loss, jitter, actor-requested randomness) flows from
-/// the single seed passed to [`Simulator::new`], and simultaneous events are
-/// ordered by creation sequence, so a run is a pure function of
-/// `(seed, actors, inputs)`.
 /// Measures a message's wire size for the bandwidth model.
 type Sizer<M> = Box<dyn Fn(&M) -> usize>;
 
+/// A deterministic discrete-event simulator over message type `M`.
+///
+/// All nondeterminism (loss, jitter) flows from the single seed passed to
+/// [`Simulator::new`], and simultaneous events are ordered by creation
+/// sequence, so a run is a pure function of `(seed, actors, inputs)`.
 pub struct Simulator<M> {
     now: SimTime,
     seq: u64,
@@ -141,7 +139,6 @@ pub struct Simulator<M> {
     trace_sink: Rc<RefCell<TraceSink>>,
     trace_enabled: bool,
     stats: NetStats,
-    halted: bool,
     /// Per hosted actor, by slot.
     incarnation: Vec<u32>,
     crashed: Vec<bool>,
@@ -172,7 +169,6 @@ impl<M: Clone + 'static> Simulator<M> {
             trace_sink: Rc::new(RefCell::new(TraceSink::new())),
             trace_enabled: false,
             stats: NetStats::default(),
-            halted: false,
             incarnation: Vec::new(),
             crashed: Vec::new(),
             drop_rules: Vec::new(),
@@ -180,16 +176,17 @@ impl<M: Clone + 'static> Simulator<M> {
         }
     }
 
-    /// Registers an actor under a human-readable `name` and returns its id.
+    /// Registers an actor and returns its id. `_name` labels the actor for
+    /// the reader of the call; the simulator does not keep it.
     ///
     /// `on_start` runs when the simulation first runs (or immediately, at the
     /// current virtual time, if the run already began).
-    pub fn add_actor<A: Actor<M> + 'static>(&mut self, name: &str, actor: A) -> ActorId {
-        self.register(name, 1, Backing::Solo(Some(Box::new(actor))))
+    pub fn add_actor<A: Actor<M> + 'static>(&mut self, _name: &str, actor: A) -> ActorId {
+        self.register(1, Backing::Solo(Some(Box::new(actor))))
     }
 
     /// Appends an extent of `count` ids and returns the first of them.
-    fn register(&mut self, name: &str, count: u32, backing: Backing<M>) -> ActorId {
+    fn register(&mut self, count: u32, backing: Backing<M>) -> ActorId {
         let first_id = self.extents.last().map_or(0, |e| e.end);
         let end = first_id.checked_add(count).expect("actor ids are u32");
         let first_slot = self.incarnation.len() as u32;
@@ -199,7 +196,7 @@ impl<M: Clone + 'static> Simulator<M> {
             self.crashed.resize(hosted, false);
             self.unstarted.push(first_id..end);
         }
-        self.extents.push(Extent { first_id, end, first_slot, name: name.into(), backing });
+        self.extents.push(Extent { first_id, end, first_slot, backing });
         ActorId(first_id)
     }
 
@@ -212,19 +209,20 @@ impl<M: Clone + 'static> Simulator<M> {
         id
     }
 
-    /// Registers the run `members` of `arena`'s member indices under one
-    /// `name`, at the next `members.len()` ids, and returns the first of
-    /// them — assigned from the same sequence as solo actors and vacant
-    /// runs, so interleaving the three preserves id layout.
+    /// Registers the run `members` of `arena`'s member indices at the next
+    /// `members.len()` ids, and returns the first of them — assigned from
+    /// the same sequence as solo actors and vacant runs, so interleaving the
+    /// three preserves id layout. `_name` labels the run, as for
+    /// [`Simulator::add_actor`].
     pub fn add_arena_members(
         &mut self,
-        name: &str,
+        _name: &str,
         arena: ArenaId,
         members: Range<u32>,
     ) -> ActorId {
         assert!((arena.0 as usize) < self.arenas.len(), "unknown arena {arena:?}");
         let backing = Backing::Members { arena: arena.0, first_member: members.start };
-        self.register(name, members.len() as u32, backing)
+        self.register(members.len() as u32, backing)
     }
 
     /// Leaves the next `count` ids vacant: nothing is allocated behind them,
@@ -235,7 +233,7 @@ impl<M: Clone + 'static> Simulator<M> {
     /// vacant id hosted.
     pub fn add_vacant(&mut self, count: u32) {
         if count > 0 {
-            self.register("", count, Backing::Vacant);
+            self.register(count, Backing::Vacant);
         }
     }
 
@@ -250,19 +248,9 @@ impl<M: Clone + 'static> Simulator<M> {
     }
 
     /// Immutable, downcast access to an arena's shared state.
-    pub fn arena<T: ArenaActor<M> + 'static>(&self, id: ArenaId) -> Option<&T> {
+    #[cfg(test)]
+    fn arena<T: ArenaActor<M> + 'static>(&self, id: ArenaId) -> Option<&T> {
         self.arenas.get(id.0 as usize)?.as_ref()?.as_any().downcast_ref::<T>()
-    }
-
-    /// Returns the name `id` was registered under (the members of one
-    /// [`Simulator::add_arena_members`] run share theirs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no actor is hosted at `id`.
-    pub fn name(&self, id: ActorId) -> &str {
-        let loc = self.locate(id).unwrap_or_else(|| panic!("no actor is hosted at {id}"));
-        &self.extents[loc.extent].name
     }
 
     /// Number of hosted actors (vacant ids are not actors).
@@ -328,13 +316,8 @@ impl<M: Clone + 'static> Simulator<M> {
     ) {
         self.flush_net();
         let mut ops = Vec::new();
-        let mut ctx = Context {
-            self_id: id,
-            now: self.now,
-            ops: &mut ops,
-            rng: &mut self.rng,
-            next_timer: &mut self.next_timer,
-        };
+        let mut ctx =
+            Context { self_id: id, now: self.now, ops: &mut ops, next_timer: &mut self.next_timer };
         call(&mut taken, &mut ctx);
         self.put_back(loc, taken);
         self.apply_ops(id, loc.slot, ops);
@@ -375,15 +358,6 @@ impl<M: Clone + 'static> Simulator<M> {
         let id = GroupId(self.groups.len() as u32);
         self.groups.push(members.to_vec());
         id
-    }
-
-    /// Members of `group`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` was not created by this simulator.
-    pub fn group_members(&self, group: GroupId) -> &[ActorId] {
-        &self.groups[group.0 as usize]
     }
 
     /// Installs the observability bus this simulator emits onto. All
@@ -437,11 +411,6 @@ impl<M: Clone + 'static> Simulator<M> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// True once an actor has called [`Context::halt`].
-    pub fn is_halted(&self) -> bool {
-        self.halted
     }
 
     /// Schedules an out-of-band delivery of `msg` from `from` to `to` after
@@ -615,7 +584,6 @@ impl<M: Clone + 'static> Simulator<M> {
                 Op::CancelTimer { id } => {
                     self.cancelled.insert(id);
                 }
-                Op::Halt => self.halted = true,
             }
         }
     }
@@ -707,7 +675,7 @@ impl<M: Clone + 'static> Simulator<M> {
     }
 
     /// Dispatches the next event, if any. Returns `false` when the queue is
-    /// empty or the simulation halted.
+    /// empty.
     pub fn step(&mut self) -> bool {
         let progressed = self.step_inner();
         self.flush_net();
@@ -716,9 +684,6 @@ impl<M: Clone + 'static> Simulator<M> {
 
     fn step_inner(&mut self) -> bool {
         self.ensure_started();
-        if self.halted {
-            return false;
-        }
         let (at_us, _seq, kind) = match self.queue.pop() {
             Some(ev) => ev,
             None => return false,
@@ -823,7 +788,7 @@ impl<M: Clone + 'static> Simulator<M> {
         }
     }
 
-    /// Runs until the queue drains or an actor halts the simulation.
+    /// Runs until the queue drains.
     pub fn run(&mut self) {
         while self.step() {}
     }
@@ -836,7 +801,7 @@ impl<M: Clone + 'static> Simulator<M> {
         let deadline_us = deadline.as_micros();
         loop {
             match self.queue.peek_time() {
-                Some(at_us) if at_us <= deadline_us && !self.halted => {
+                Some(at_us) if at_us <= deadline_us => {
                     self.step();
                 }
                 _ => break,
@@ -1030,7 +995,6 @@ mod tests {
         sim.run();
         assert_eq!(sim.actor::<Collector>(c1).unwrap().got.len(), 1);
         assert_eq!(sim.actor::<Collector>(c2).unwrap().got.len(), 1);
-        assert_eq!(sim.group_members(g).len(), 3);
     }
 
     #[test]
@@ -1043,24 +1007,6 @@ mod tests {
         assert!(sim.actor::<Collector>(c).unwrap().got.is_empty());
         sim.run_until(SimTime::from_millis(10));
         assert_eq!(sim.actor::<Collector>(c).unwrap().got.len(), 1);
-    }
-
-    #[test]
-    fn halt_stops_the_world() {
-        struct H;
-        impl Actor<u32> for H {
-            fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
-                ctx.send(ctx.self_id(), 1);
-                ctx.halt();
-            }
-            fn on_message(&mut self, _: &mut Context<'_, u32>, _: ActorId, _: u32) {
-                panic!("should never run after halt");
-            }
-        }
-        let mut sim = Simulator::new(0);
-        sim.add_actor("h", H);
-        sim.run();
-        assert!(sim.is_halted());
     }
 
     #[test]
@@ -1425,7 +1371,6 @@ mod tests {
         let m1 = ActorId::from_index(1);
         let s = sim.add_actor("s", Starter { to: m0, n: 0 });
         assert_eq!((m0.index(), s.index()), (0, 2));
-        assert_eq!((sim.name(m0), sim.name(m1), sim.name(s)), ("m", "m", "s"));
         sim.inject(s, m0, 1, SimDuration::ZERO);
         sim.inject(s, m1, 0, SimDuration::ZERO);
         sim.run();

@@ -82,7 +82,7 @@ impl<T> TimerWheel<T> {
     }
 
     /// Number of queued items (staged batch included).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
@@ -176,7 +176,7 @@ impl<T> TimerWheel<T> {
     }
 
     /// The minimum queued time, without disturbing the queue.
-    pub fn peek_time(&self) -> Option<u64> {
+    pub(crate) fn peek_time(&self) -> Option<u64> {
         if !self.staged.is_empty() {
             return Some(self.staged_time);
         }

@@ -7,8 +7,8 @@
 //! segment edge); the legacy string form (`seg_start_c0`) appears only at
 //! the [`ResponseSpec`] parser boundary, via the key's `Display`. The
 //! detector consumes either a flat [`AuditEvent`] log or, through
-//! [`safe_points_on_stream`] / [`derive_temporal_events`], the unified
-//! observability bus stream directly.
+//! [`derive_temporal_events`], the unified observability bus stream
+//! directly.
 
 use sada_expr::CompId;
 use sada_model::AuditEvent;
@@ -19,7 +19,7 @@ use crate::obligations::{ObligationEvent, ResponseSpec, SafeStateMonitor};
 
 /// For each component in `comps`, derives the response obligation "every
 /// segment started on this component eventually ends".
-pub fn segment_specs(comps: &[CompId]) -> Vec<ResponseSpec> {
+pub(crate) fn segment_specs(comps: &[CompId]) -> Vec<ResponseSpec> {
     comps
         .iter()
         .map(|&c| {
@@ -65,25 +65,6 @@ pub fn safe_points(log: &[AuditEvent], comps: &[CompId]) -> Vec<usize> {
     let mut out = Vec::new();
     for (ix, ev) in log.iter().enumerate() {
         let events = to_obligation_events(ev, comps);
-        if monitor.step(&events, &|_| false) {
-            out.push(ix);
-        }
-    }
-    out
-}
-
-/// [`safe_points`] over the unified bus stream: returns the indices into
-/// `stream` after which an in-action touching `comps` would be safe.
-/// Non-audit events never change the verdict, so while the system is safe
-/// every intervening network or protocol event index is reported too.
-pub fn safe_points_on_stream(stream: &[Event], comps: &[CompId]) -> Vec<usize> {
-    let mut monitor = SafeStateMonitor::new(Formula::Const(true), segment_specs(comps));
-    let mut out = Vec::new();
-    for (ix, ev) in stream.iter().enumerate() {
-        let events = match &ev.payload {
-            Payload::Audit(a) => to_obligation_events(a, comps),
-            _ => Vec::new(),
-        };
         if monitor.step(&events, &|_| false) {
             out.push(ix);
         }
@@ -199,15 +180,6 @@ mod tests {
         assert_eq!(safe_points(&log, &[comp(0)]), vec![1, 4, 5]);
         assert_eq!(safe_points(&log, &[comp(1)]), vec![0, 1, 2, 5]);
         assert_eq!(safe_points(&log, &[comp(0), comp(1)]), vec![1, 5]);
-    }
-
-    #[test]
-    fn stream_safe_points_project_to_the_flat_logs() {
-        // Audit fact k sits at stream index 2k; its trailing net event (2k+1)
-        // inherits the verdict.
-        let stream = stream_with_gap();
-        assert_eq!(safe_points_on_stream(&stream, &[comp(0)]), vec![2, 3, 8, 9, 10, 11]);
-        assert_eq!(safe_points_on_stream(&stream, &[comp(0), comp(1)]), vec![2, 3, 10, 11]);
     }
 
     #[test]

@@ -86,35 +86,8 @@ impl Formula {
         Formula::Since(Box::new(a), Box::new(b))
     }
 
-    /// Every proposition name mentioned.
-    pub fn atoms(&self) -> BTreeSet<&str> {
-        let mut out = BTreeSet::new();
-        self.collect_atoms(&mut out);
-        out
-    }
-
-    fn collect_atoms<'a>(&'a self, out: &mut BTreeSet<&'a str>) {
-        match self {
-            Formula::Const(_) => {}
-            Formula::Atom(p) => {
-                out.insert(p.as_str());
-            }
-            Formula::Not(f)
-            | Formula::Yesterday(f)
-            | Formula::Once(f)
-            | Formula::Historically(f) => f.collect_atoms(out),
-            Formula::And(a, b)
-            | Formula::Or(a, b)
-            | Formula::Implies(a, b)
-            | Formula::Since(a, b) => {
-                a.collect_atoms(out);
-                b.collect_atoms(out);
-            }
-        }
-    }
-
     /// Number of AST nodes (monitor state size).
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         match self {
             Formula::Const(_) | Formula::Atom(_) => 1,
             Formula::Not(f)
@@ -216,12 +189,11 @@ mod tests {
     }
 
     #[test]
-    fn atoms_and_size() {
+    fn size_counts_nodes() {
         let f = Formula::implies(
             Formula::and(Formula::atom("x"), Formula::atom("y")),
             Formula::once(Formula::atom("x")),
         );
-        assert_eq!(f.atoms().into_iter().collect::<Vec<_>>(), vec!["x", "y"]);
         assert_eq!(f.size(), 6);
     }
 

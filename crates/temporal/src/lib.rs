@@ -17,7 +17,7 @@
 //!   monitoring because each step is evaluated incrementally in
 //!   `O(|formula|)` with one bit of state per subformula.
 //! * [`Monitor`] — the incremental evaluator.
-//! * [`ResponseSpec`] / [`ObligationTracker`] — parameterized response
+//! * [`ResponseSpec`] / [`ObligationEvent`] — parameterized response
 //!   obligations `trigger(k) ⇒ ◇ response(k)` (e.g. "every packet the
 //!   encoder emits is eventually decoded"), tracking the *outstanding*
 //!   obligation set per key.
@@ -50,5 +50,5 @@ mod parser;
 
 pub use formula::Formula;
 pub use monitor::Monitor;
-pub use obligations::{ObligationEvent, ObligationTracker, ResponseSpec, SafeStateMonitor};
+pub use obligations::{ObligationEvent, ResponseSpec, SafeStateMonitor};
 pub use parser::{parse_formula, TlParseError};

@@ -7,7 +7,7 @@
 //! the detector tracks the outstanding-obligation multiset per specification
 //! and per key (e.g. packet sequence number).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crate::formula::Formula;
 use crate::monitor::Monitor;
@@ -18,11 +18,11 @@ use crate::monitor::Monitor;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResponseSpec {
     /// Human-readable name (e.g. `"packet-decoded"`).
-    pub name: String,
+    pub(crate) name: String,
     /// Event name that opens an obligation.
-    pub trigger: String,
+    pub(crate) trigger: String,
     /// Event name that discharges it.
-    pub response: String,
+    pub(crate) response: String,
 }
 
 impl ResponseSpec {
@@ -32,13 +32,13 @@ impl ResponseSpec {
     }
 }
 
-/// An occurrence fed to the [`ObligationTracker`].
+/// An occurrence fed to a [`SafeStateMonitor`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObligationEvent {
     /// Event name (matched against triggers/responses).
-    pub name: String,
+    pub(crate) name: String,
     /// Correlation key (packet seq, session id, …).
-    pub key: u64,
+    pub(crate) key: u64,
 }
 
 impl ObligationEvent {
@@ -50,32 +50,28 @@ impl ObligationEvent {
 
 /// Tracks outstanding obligations for a set of [`ResponseSpec`]s.
 #[derive(Debug, Clone)]
-pub struct ObligationTracker {
+pub(crate) struct ObligationTracker {
     specs: Vec<ResponseSpec>,
     /// `(spec index, key) -> outstanding count` (triggers may repeat).
     open: HashMap<(usize, u64), u32>,
-    opened_total: u64,
-    discharged_total: u64,
 }
 
 impl ObligationTracker {
     /// A tracker over `specs`.
-    pub fn new(specs: Vec<ResponseSpec>) -> Self {
-        ObligationTracker { specs, open: HashMap::new(), opened_total: 0, discharged_total: 0 }
+    pub(crate) fn new(specs: Vec<ResponseSpec>) -> Self {
+        ObligationTracker { specs, open: HashMap::new() }
     }
 
     /// Processes one event: opens and/or discharges obligations. An event
     /// may be a trigger of one spec and a response of another.
-    pub fn observe(&mut self, ev: &ObligationEvent) {
+    pub(crate) fn observe(&mut self, ev: &ObligationEvent) {
         for (ix, spec) in self.specs.iter().enumerate() {
             if spec.trigger == ev.name {
                 *self.open.entry((ix, ev.key)).or_insert(0) += 1;
-                self.opened_total += 1;
             }
             if spec.response == ev.name {
                 if let Some(n) = self.open.get_mut(&(ix, ev.key)) {
                     *n -= 1;
-                    self.discharged_total += 1;
                     if *n == 0 {
                         self.open.remove(&(ix, ev.key));
                     }
@@ -86,28 +82,9 @@ impl ObligationTracker {
         }
     }
 
-    /// Number of obligations currently outstanding.
-    pub fn outstanding(&self) -> usize {
-        self.open.values().map(|&n| n as usize).sum()
-    }
-
     /// All obligations fulfilled — the paper's safe-state criterion.
-    pub fn all_fulfilled(&self) -> bool {
+    pub(crate) fn all_fulfilled(&self) -> bool {
         self.open.is_empty()
-    }
-
-    /// `(opened, discharged)` lifetime counters.
-    pub fn totals(&self) -> (u64, u64) {
-        (self.opened_total, self.discharged_total)
-    }
-
-    /// The outstanding obligations per spec name (for diagnostics).
-    pub fn outstanding_by_spec(&self) -> BTreeMap<&str, usize> {
-        let mut out = BTreeMap::new();
-        for (&(ix, _), &n) in &self.open {
-            *out.entry(self.specs[ix].name.as_str()).or_insert(0) += n as usize;
-        }
-        out
     }
 }
 
@@ -143,13 +120,8 @@ impl SafeStateMonitor {
     }
 
     /// Whether the most recent state is safe.
-    pub fn is_safe(&self) -> bool {
+    pub(crate) fn is_safe(&self) -> bool {
         self.last_condition && self.tracker.all_fulfilled()
-    }
-
-    /// Access to the obligation side (diagnostics).
-    pub fn tracker(&self) -> &ObligationTracker {
-        &self.tracker
     }
 }
 
@@ -167,13 +139,10 @@ mod tests {
         assert!(t.all_fulfilled());
         t.observe(&ev("sent", 1));
         t.observe(&ev("sent", 2));
-        assert_eq!(t.outstanding(), 2);
         t.observe(&ev("decoded", 1));
-        assert_eq!(t.outstanding(), 1);
-        assert!(!t.all_fulfilled());
+        assert!(!t.all_fulfilled(), "key 2 is still outstanding");
         t.observe(&ev("decoded", 2));
         assert!(t.all_fulfilled());
-        assert_eq!(t.totals(), (2, 2));
     }
 
     #[test]
@@ -181,9 +150,8 @@ mod tests {
         let mut t = ObligationTracker::new(vec![ResponseSpec::new("x", "start", "end")]);
         t.observe(&ev("start", 7));
         t.observe(&ev("start", 7));
-        assert_eq!(t.outstanding(), 2);
         t.observe(&ev("end", 7));
-        assert_eq!(t.outstanding(), 1);
+        assert!(!t.all_fulfilled(), "the second trigger is still outstanding");
         t.observe(&ev("end", 7));
         assert!(t.all_fulfilled());
     }
@@ -193,7 +161,8 @@ mod tests {
         let mut t = ObligationTracker::new(vec![ResponseSpec::new("x", "start", "end")]);
         t.observe(&ev("end", 9));
         assert!(t.all_fulfilled());
-        assert_eq!(t.totals(), (0, 0));
+        t.observe(&ev("start", 9));
+        assert!(!t.all_fulfilled(), "the early response discharged nothing");
     }
 
     #[test]
@@ -204,8 +173,7 @@ mod tests {
         ]);
         t.observe(&ev("req", 1));
         t.observe(&ev("resp", 1));
-        assert_eq!(t.outstanding(), 1, "stage b now open");
-        assert_eq!(t.outstanding_by_spec().get("b"), Some(&1));
+        assert!(!t.all_fulfilled(), "stage b now open");
         t.observe(&ev("ack", 1));
         assert!(t.all_fulfilled());
     }

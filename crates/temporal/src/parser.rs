@@ -22,9 +22,9 @@ use crate::formula::Formula;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TlParseError {
     /// Byte offset of the problem.
-    pub at: usize,
+    pub(crate) at: usize,
     /// Description.
-    pub msg: String,
+    pub(crate) msg: String,
 }
 
 impl fmt::Display for TlParseError {
@@ -238,7 +238,7 @@ impl P {
 /// # use sada_tl::parse_formula;
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let f = parse_formula("historically (send => once ready)")?;
-/// assert_eq!(f.atoms().len(), 2);
+/// assert_eq!(f.to_string(), "historically (send => once ready)");
 /// # Ok(())
 /// # }
 /// ```

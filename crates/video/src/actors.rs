@@ -103,9 +103,9 @@ pub struct ServerStats {
     /// Frames captured and transmitted.
     pub frames_sent: u64,
     /// Frames skipped because the process was blocked.
-    pub frames_skipped: u64,
+    pub(crate) frames_skipped: u64,
     /// Packets put on the wire.
-    pub packets_sent: u64,
+    pub(crate) packets_sent: u64,
     /// Total simulated time spent blocked (the paper's "system blocking
     /// time" cost factor).
     pub blocked: SimDuration,
@@ -335,7 +335,7 @@ pub struct ClientActor {
     /// The receive chain (D1 on the hand-held, D4 on the laptop initially).
     pub chain: FilterChain,
     /// The player sink.
-    pub player: PlayerSink,
+    pub(crate) player: PlayerSink,
     audit: AuditShared,
     pending_audits: HashMap<u64, (u64, CompId)>,
     resetting_drain: Option<StepId>,
@@ -348,9 +348,9 @@ pub struct ClientActor {
     report_period: SimDuration,
     report_until: SimTime,
     /// Data packets received (pre-chain), for loss telemetry.
-    pub data_received: u64,
+    pub(crate) data_received: u64,
     /// Highest data sequence number observed.
-    pub highest_seq: u64,
+    pub(crate) highest_seq: u64,
     /// Incarnation number stamped on outgoing protocol traffic; bumped on
     /// every restart so the manager can discard pre-crash messages.
     epoch: u64,
@@ -362,7 +362,7 @@ pub struct ClientActor {
     /// arrive (instrumentation: suppresses their normal segment-end).
     lost_cids: std::collections::HashSet<u64>,
     /// Rejoin announcements sent after restarts.
-    pub rejoins_sent: u64,
+    pub(crate) rejoins_sent: u64,
 }
 
 impl ClientActor {
@@ -408,7 +408,12 @@ impl ClientActor {
 
     /// Enables periodic loss telemetry to a decision-making monitor until
     /// `until` (bounded so a finite stream yields a finite simulation).
-    pub fn with_monitor(mut self, monitor: ActorId, period: SimDuration, until: SimTime) -> Self {
+    pub(crate) fn with_monitor(
+        mut self,
+        monitor: ActorId,
+        period: SimDuration,
+        until: SimTime,
+    ) -> Self {
         self.monitor = Some(monitor);
         self.report_period = period;
         self.report_until = until;

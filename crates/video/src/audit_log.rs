@@ -44,7 +44,7 @@ impl AuditShared {
     }
 
     /// The configuration as currently believed by the instrumentation.
-    pub fn config(&self) -> Config {
+    pub(crate) fn config(&self) -> Config {
         self.config.borrow().clone()
     }
 
@@ -55,18 +55,18 @@ impl AuditShared {
     }
 
     /// Records the start of a critical communication segment.
-    pub fn segment_start(&self, now: SimTime, cid: u64, comp: CompId) {
+    pub(crate) fn segment_start(&self, now: SimTime, cid: u64, comp: CompId) {
         self.emit(now, AuditEvent::SegmentStart { cid, comp });
     }
 
     /// Records the clean completion of a segment.
-    pub fn segment_end(&self, now: SimTime, cid: u64, comp: CompId) {
+    pub(crate) fn segment_end(&self, now: SimTime, cid: u64, comp: CompId) {
         self.emit(now, AuditEvent::SegmentEnd { cid, comp });
     }
 
     /// Records a segment destroyed by an environmental fault (the packet
     /// died in a crash outage, not under an adaptive action).
-    pub fn segment_lost(&self, now: SimTime, cid: u64, comp: CompId) {
+    pub(crate) fn segment_lost(&self, now: SimTime, cid: u64, comp: CompId) {
         self.emit(now, AuditEvent::SegmentLost { cid, comp });
     }
 
@@ -80,7 +80,7 @@ impl AuditShared {
     /// suppresses normal segment-ends for the returned cids — a packet
     /// still in flight at restart (at most one link latency's worth) is
     /// conservatively treated as lost too.
-    pub fn adjudicate_lost(&self, now: SimTime, owner: u64) -> Vec<(u64, CompId)> {
+    pub(crate) fn adjudicate_lost(&self, now: SimTime, owner: u64) -> Vec<(u64, CompId)> {
         let open: Vec<(u64, CompId)> = {
             let trail = self.trail.borrow();
             let mut open = std::collections::HashMap::new();
@@ -107,7 +107,7 @@ impl AuditShared {
 
     /// Records an atomic structural in-action and updates the configuration
     /// view.
-    pub fn in_action(&self, now: SimTime, label: &str, removes: &[CompId], adds: &[CompId]) {
+    pub(crate) fn in_action(&self, now: SimTime, label: &str, removes: &[CompId], adds: &[CompId]) {
         {
             let mut config = self.config.borrow_mut();
             for &c in removes {
@@ -122,13 +122,13 @@ impl AuditShared {
     }
 
     /// Records a configuration snapshot at a quiescent point.
-    pub fn snapshot(&self, now: SimTime) {
+    pub(crate) fn snapshot(&self, now: SimTime) {
         let config = self.config.borrow().clone();
         self.emit(now, AuditEvent::ConfigSnapshot { config });
     }
 
     /// The audit-layer projection of the bus stream, for the auditor.
-    pub fn events(&self) -> Vec<AuditEvent> {
+    pub(crate) fn events(&self) -> Vec<AuditEvent> {
         self.trail.borrow().to_vec()
     }
 }

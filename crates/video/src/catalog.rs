@@ -10,14 +10,14 @@ use sada_meta::{tags, ChainError, Filter, FilterChain};
 use sada_proto::LocalAction;
 
 /// Shared DES-64 key (E1 / D1 / D4).
-pub const DES64_KEY: u64 = 0x1334_5779_9BBC_DFF1;
+pub(crate) const DES64_KEY: u64 = 0x1334_5779_9BBC_DFF1;
 /// First DES-128 key (E2 / D2 / D3 / D5).
-pub const DES128_KEY1: u64 = 0x0123_4567_89AB_CDEF;
+pub(crate) const DES128_KEY1: u64 = 0x0123_4567_89AB_CDEF;
 /// Second DES-128 key.
-pub const DES128_KEY2: u64 = 0xFEDC_BA98_7654_3210;
+pub(crate) const DES128_KEY2: u64 = 0xFEDC_BA98_7654_3210;
 
 /// FEC group size used by the bandwidth-adaptation scenario.
-pub const FEC_GROUP: usize = 4;
+pub(crate) const FEC_GROUP: usize = 4;
 
 /// Instantiates the filter for a case-study component name.
 ///
@@ -28,7 +28,7 @@ pub const FEC_GROUP: usize = 4;
 /// # Panics
 ///
 /// Panics on any other name — the catalog is intentionally closed.
-pub fn make_filter(name: &str) -> Box<dyn Filter> {
+pub(crate) fn make_filter(name: &str) -> Box<dyn Filter> {
     match name {
         "E1" => Box::new(CipherEncoder::des64(DES64_KEY)),
         "E2" => Box::new(CipherEncoder::des128(DES128_KEY1, DES128_KEY2)),
@@ -50,7 +50,7 @@ pub fn make_filter(name: &str) -> Box<dyn Filter> {
 /// tail of the receive chain (after decryption); everything else —
 /// decoders — goes at the head of the receive chain so it runs before the
 /// cipher decoders.
-pub fn insert_position(chain: &FilterChain, name: &str) -> usize {
+pub(crate) fn insert_position(chain: &FilterChain, name: &str) -> usize {
     match name {
         "FE" | "CDH" | "CDL" => chain.len(),
         _ => 0,
@@ -59,7 +59,7 @@ pub fn insert_position(chain: &FilterChain, name: &str) -> usize {
 
 /// Which packet tags a component can decode (encoders return an empty
 /// slice).
-pub fn accepts(name: &str) -> &'static [u16] {
+pub(crate) fn accepts(name: &str) -> &'static [u16] {
     match name {
         "D1" | "D4" => &[tags::DES64],
         "D3" | "D5" => &[tags::DES128],
@@ -73,7 +73,7 @@ pub fn accepts(name: &str) -> &'static [u16] {
 /// `tag`: present in `cfg` and accepting `tag`. `None` means such packets
 /// are currently undecodable on that client — a dependency violation in the
 /// making.
-pub fn designated_decoder(
+pub(crate) fn designated_decoder(
     u: &Universe,
     cfg: &Config,
     candidates: &[&str],
@@ -93,7 +93,7 @@ pub fn designated_decoder(
 /// Propagates [`ChainError`] when the chain's current contents do not match
 /// the action (e.g. removing an absent component) — the runtime treats that
 /// as a failed in-action.
-pub fn apply_local_action(
+pub(crate) fn apply_local_action(
     chain: &mut FilterChain,
     u: &Universe,
     la: &LocalAction,

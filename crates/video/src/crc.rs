@@ -23,14 +23,7 @@ fn table() -> [u32; 256] {
 }
 
 /// Computes the CRC-32 of `data` (IEEE, reflected, init/final `0xFFFFFFFF`).
-///
-/// # Examples
-///
-/// ```
-/// // The classic check value.
-/// assert_eq!(sada_video::crc32(b"123456789"), 0xCBF4_3926);
-/// ```
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     // The table is tiny; rebuilding per call would be wasteful, so cache it.
     use std::sync::OnceLock;
     static TABLE: OnceLock<[u32; 256]> = OnceLock::new();

@@ -29,11 +29,11 @@ pub struct FecScenarioConfig {
     /// RNG seed.
     pub seed: u64,
     /// Frame size in bytes.
-    pub frame_size: usize,
+    pub(crate) frame_size: usize,
     /// Frame period.
-    pub frame_period: SimDuration,
+    pub(crate) frame_period: SimDuration,
     /// Fragmentation MTU.
-    pub mtu: usize,
+    pub(crate) mtu: usize,
     /// When the server stops capturing.
     pub stream_end: SimTime,
     /// When the network degrades.
@@ -43,7 +43,7 @@ pub struct FecScenarioConfig {
     /// Monitor trigger threshold (loss ratio).
     pub threshold: f64,
     /// Client telemetry period.
-    pub report_period: SimDuration,
+    pub(crate) report_period: SimDuration,
 }
 
 impl Default for FecScenarioConfig {
@@ -108,9 +108,9 @@ pub fn fec_spec() -> (AdaptationSpec, Config, Config) {
         Action::remove(5, "-FDL", &c(&["FDL"]), 10),
     ];
     let mut model = SystemModel::new();
-    let server = model.add_process("video-server");
-    let handheld = model.add_process("handheld-client");
-    let laptop = model.add_process("laptop-client");
+    let server = model.add_process();
+    let handheld = model.add_process();
+    let laptop = model.add_process();
     model.place_all(
         &u,
         &[

@@ -15,12 +15,12 @@ use std::collections::HashMap;
 use crate::crc::crc32;
 
 /// Fragment header size in bytes.
-pub const FRAG_HEADER: usize = 12;
+pub(crate) const FRAG_HEADER: usize = 12;
 
 /// Generates synthetic frames: run-heavy byte patterns (so RLE compresses)
 /// with a per-frame CRC, deterministic in the seed.
 #[derive(Debug)]
-pub struct FrameSource {
+pub(crate) struct FrameSource {
     rng: StdRng,
     frame_size: usize,
     next_frame: u32,
@@ -28,17 +28,12 @@ pub struct FrameSource {
 
 impl FrameSource {
     /// A source producing `frame_size`-byte frames.
-    pub fn new(seed: u64, frame_size: usize) -> Self {
+    pub(crate) fn new(seed: u64, frame_size: usize) -> Self {
         FrameSource { rng: StdRng::seed_from_u64(seed), frame_size, next_frame: 0 }
     }
 
-    /// Number of frames generated so far.
-    pub fn frames_generated(&self) -> u32 {
-        self.next_frame
-    }
-
     /// Produces the next frame's content: `(frame_no, bytes)`.
-    pub fn next_frame(&mut self) -> (u32, Vec<u8>) {
+    pub(crate) fn next_frame(&mut self) -> (u32, Vec<u8>) {
         let no = self.next_frame;
         self.next_frame += 1;
         let mut bytes = Vec::with_capacity(self.frame_size);
@@ -56,7 +51,7 @@ impl FrameSource {
 ///
 /// `stream` and `first_seq` assign packet identities; returns the packets
 /// and the next unused sequence number.
-pub fn fragment(
+pub(crate) fn fragment(
     stream: u32,
     first_seq: u64,
     frame_no: u32,
@@ -112,20 +107,20 @@ fn parse_header(payload: &[u8]) -> Option<FragInfo> {
     })
 }
 
-/// Quality statistics accumulated by a [`PlayerSink`].
+/// Quality statistics accumulated by a player sink.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlayerStats {
     /// Packets handed to the player.
-    pub packets: u64,
+    pub(crate) packets: u64,
     /// Packets arriving corrupted (codec failure) or undecodable.
     pub corrupted_packets: u64,
     /// Frames fully reassembled with a valid CRC.
     pub frames_displayed: u64,
     /// Frames whose reassembled bytes failed the CRC.
-    pub frames_corrupted: u64,
+    pub(crate) frames_corrupted: u64,
     /// Frames abandoned (missing fragments when a much newer frame
     /// completed).
-    pub frames_dropped: u64,
+    pub(crate) frames_dropped: u64,
 }
 
 /// In-progress reassembly: fragments received, payload size so far, and
@@ -135,7 +130,7 @@ type PartialFrame = (u16, u32, Vec<Option<Vec<u8>>>);
 /// Reassembles fragments into frames and keeps score — the "video player"
 /// at the end of each client's receive path.
 #[derive(Debug)]
-pub struct PlayerSink {
+pub(crate) struct PlayerSink {
     partial: HashMap<u32, PartialFrame>,
     stats: PlayerStats,
     highest_completed: Option<u32>,
@@ -149,7 +144,7 @@ impl Default for PlayerSink {
 
 impl PlayerSink {
     /// An empty player.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PlayerSink {
             partial: HashMap::new(),
             stats: PlayerStats::default(),
@@ -158,12 +153,12 @@ impl PlayerSink {
     }
 
     /// Current statistics.
-    pub fn stats(&self) -> PlayerStats {
+    pub(crate) fn stats(&self) -> PlayerStats {
         self.stats
     }
 
     /// Accepts one packet off the receive chain.
-    pub fn accept(&mut self, pkt: &Packet) {
+    pub(crate) fn accept(&mut self, pkt: &Packet) {
         self.stats.packets += 1;
         // A packet that still carries codec tags was never fully decoded
         // (no matching decoder in the chain) — as corrupt as a failed

@@ -5,8 +5,8 @@
 //! the system is hardened from DES-64 to DES-128 at runtime by the safe
 //! adaptation process.
 //!
-//! * [`FrameSource`] / [`fragment`] / [`PlayerSink`] — synthetic capture,
-//!   MTU fragmentation with per-frame CRC-32 ([`crc32`], from scratch), and
+//! * `FrameSource` / `fragment` / `PlayerSink` — synthetic capture,
+//!   MTU fragmentation with per-frame CRC-32 (`crc32`, from scratch), and
 //!   the player with corruption statistics.
 //! * [`ServerActor`] / [`ClientActor`] — the three processes, each
 //!   embedding a `sada-proto` agent that blocks, drains, and recomposes its
@@ -35,8 +35,6 @@ mod scenario;
 
 pub use actors::{AppMsg, ClientActor, CtlMsg, ServerActor, ServerStats, VideoWire};
 pub use audit_log::AuditShared;
-pub use crc::crc32;
 pub use fec_scenario::{fec_spec, run_fec_scenario, FecReport, FecScenarioConfig};
-pub use frame::{fragment, FrameSource, PlayerSink, PlayerStats, FRAG_HEADER};
-pub use monitor::LossMonitorActor;
+pub use frame::PlayerStats;
 pub use scenario::{run_video_scenario, run_video_with, ScenarioConfig, Strategy, VideoReport};

@@ -12,14 +12,14 @@ use sada_proto::Wire;
 /// Watches [`AppMsg::LossReport`] telemetry; when any client's observed
 /// loss ratio exceeds `threshold` (with a minimum sample size), sends
 /// [`AppMsg::RequestAdaptation`] to the manager exactly once.
-pub struct LossMonitorActor {
+pub(crate) struct LossMonitorActor {
     manager: ActorId,
     threshold: f64,
     min_samples: u64,
     /// When the trigger fired, if it did.
-    pub fired_at: Option<SimTime>,
+    pub(crate) fired_at: Option<SimTime>,
     /// Latest loss ratio per client (diagnostics).
-    pub last_loss: Vec<(u32, f64)>,
+    pub(crate) last_loss: Vec<(u32, f64)>,
 }
 
 impl LossMonitorActor {
@@ -27,7 +27,7 @@ impl LossMonitorActor {
     /// ratio in `[0, 1]` above which adaptation is requested; reports with
     /// fewer than `min_samples` expected packets are ignored (startup
     /// noise).
-    pub fn new(manager: ActorId, threshold: f64, min_samples: u64) -> Self {
+    pub(crate) fn new(manager: ActorId, threshold: f64, min_samples: u64) -> Self {
         assert!((0.0..1.0).contains(&threshold), "threshold must be in [0,1)");
         LossMonitorActor { manager, threshold, min_samples, fired_at: None, last_loss: Vec::new() }
     }

@@ -40,9 +40,9 @@ fn main() {
         Action::replace(7, "(D5,E2) -> (D4,E1)", &c(&["D5", "E2"]), &c(&["D4", "E1"]), 100),
     ];
     let mut model = SystemModel::new();
-    let server = model.add_process("video-server");
-    let handheld = model.add_process("handheld-client");
-    let laptop = model.add_process("laptop-client");
+    let server = model.add_process();
+    let handheld = model.add_process();
+    let laptop = model.add_process();
     model.place_all(
         &u,
         &[

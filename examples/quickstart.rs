@@ -40,8 +40,8 @@ fn main() {
     ];
 
     let mut model = SystemModel::new();
-    let gateway = model.add_process("gateway");
-    let edge = model.add_process("edge");
+    let gateway = model.add_process();
+    let edge = model.add_process();
     model.place_all(
         &universe,
         &[("Tls12", gateway), ("Tls13", gateway), ("Client12", edge), ("Client13", edge)],

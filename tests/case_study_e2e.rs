@@ -50,9 +50,9 @@ fn compound_only_case_study() -> CaseStudy {
         150,
     )];
     let mut model = SystemModel::new();
-    let server = model.add_process("video-server");
-    let handheld = model.add_process("handheld-client");
-    let laptop = model.add_process("laptop-client");
+    let server = model.add_process();
+    let handheld = model.add_process();
+    let laptop = model.add_process();
     model.place_all(
         &u,
         &[

@@ -42,9 +42,9 @@ fn compression_spec() -> (AdaptationSpec, sada_expr::Config, sada_expr::Config) 
         Action::remove(5, "-CDL", &c(&["CDL"]), 10),
     ];
     let mut model = SystemModel::new();
-    let server = model.add_process("video-server");
-    let handheld = model.add_process("handheld-client");
-    let laptop = model.add_process("laptop-client");
+    let server = model.add_process();
+    let handheld = model.add_process();
+    let laptop = model.add_process();
     model.place_all(
         &u,
         &[

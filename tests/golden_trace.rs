@@ -49,8 +49,8 @@ fn quickstart_spec() -> (AdaptationSpec, Config, Config) {
         Action::replace(2, "Tls12 -> Tls13", &c(&["Tls12"]), &c(&["Tls13"]), 20),
     ];
     let mut model = SystemModel::new();
-    let gateway = model.add_process("gateway");
-    let edge = model.add_process("edge");
+    let gateway = model.add_process();
+    let edge = model.add_process();
     model.place_all(
         &universe,
         &[("Tls12", gateway), ("Tls13", gateway), ("Client12", edge), ("Client13", edge)],
