@@ -134,8 +134,12 @@ pub fn fec_spec() -> (AdaptationSpec, Config, Config) {
 
 /// Runs the full monitor-triggered FEC adaptation.
 pub fn run_fec_scenario(cfg: &FecScenarioConfig) -> FecReport {
+    run_fec_on(cfg, sada_obs::Bus::new())
+}
+
+/// [`run_fec_scenario`] publishing its whole event stream on `bus`.
+pub(crate) fn run_fec_on(cfg: &FecScenarioConfig, bus: sada_obs::Bus) -> FecReport {
     let (spec, source, target) = fec_spec();
-    let bus = sada_obs::Bus::new();
     let audit = AuditShared::new(&bus, source.clone());
     let mut sim: Simulator<VideoWire> = Simulator::new(cfg.seed);
     sim.set_bus(bus);

@@ -31,6 +31,8 @@ mod crc;
 mod fec_scenario;
 mod frame;
 mod monitor;
+#[cfg(test)]
+mod pins;
 mod scenario;
 
 pub use actors::{AppMsg, ClientActor, CtlMsg, ServerActor, ServerStats, VideoWire};
