@@ -32,6 +32,13 @@ if sed '/^#\[cfg(test)\]/,$d' crates/obs/src/codec.rs | grep -o '"[a-z]*\.[a-z_]
 echo "==> one manager host (RTT sampling and RTO reports live in crates/protocol/src/host.rs; the codec only decodes them)"
 if grep -rn 'pending_since\|FleetEvent::TimeoutAdapted {' crates/*/src | grep -v '^crates/protocol/src/host.rs:\|^crates/obs/src/codec.rs:'; then echo "a second manager host outside crates/protocol/src/host.rs"; exit 1; fi
 
+echo "==> one agent host (agent restarts, rejoin announcements and agent observations live in crates/protocol/src/agent_host.rs)"
+# Non-test code only; the manager host drains its own cores' observations.
+if for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
+    case "$f" in crates/protocol/src/agent_host.rs | crates/protocol/src/manager_tests.rs) continue ;; esac
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -Hn --label="$f" 'AgentCore::restore(\|ProtoMsg::Rejoin {\($\| last_completed:\)\|\.drain_obs()' || true
+done | grep -v '^crates/protocol/src/host.rs:[0-9]*:.*sess\.core\.drain_obs()'; then echo "a second agent host outside crates/protocol/src/agent_host.rs"; exit 1; fi
+
 echo "==> referee benchmark (standalone package: build + its own tests)"
 # benchmark/ compiles against the public sada-fleet/-proto/-simnet API from
 # outside the workspace, so an API break there is invisible to every step

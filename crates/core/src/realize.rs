@@ -135,7 +135,7 @@ pub fn run_adaptation(
     sim.run();
     let rejoins = agents
         .iter()
-        .map(|&a| sim.actor::<ScriptedAgent>(a).expect("agent actor").rejoins_sent)
+        .map(|&a| sim.actor::<ScriptedAgent>(a).expect("agent actor").host().rejoins_sent())
         .sum();
     let m = sim.actor::<ManagerActor<()>>(manager).expect("manager actor");
     RunReport {

@@ -71,12 +71,11 @@
 //! replay cannot distinguish a hit from a recomputation.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use sada_expr::{CompId, Config};
 use sada_plan::{Action, Path, PathStep};
-use sada_proto::{AdaptationPlanner, LocalAction, PlannedStep};
+use sada_proto::{compile_steps, AdaptationPlanner, PlannedStep};
 
 use crate::cache::{CachedPlan, PlanCache, ScopeNormalizer};
 use crate::world::FleetWorld;
@@ -214,27 +213,6 @@ impl ScopedLazyPlanner {
         }
         Some(path)
     }
-
-    fn locals_for(&self, action: &Action) -> Vec<(usize, LocalAction)> {
-        let mut per_agent: BTreeMap<usize, (Vec<CompId>, Vec<CompId>)> = BTreeMap::new();
-        for &comp in action.removes() {
-            let p = self.world.model.host_of(comp).expect("touched component must be placed");
-            per_agent.entry(self.world.agent_of_process[p.0 as usize]).or_default().0.push(comp);
-        }
-        for &comp in action.adds() {
-            let p = self.world.model.host_of(comp).expect("touched component must be placed");
-            per_agent.entry(self.world.agent_of_process[p.0 as usize]).or_default().1.push(comp);
-        }
-        per_agent
-            .into_iter()
-            .map(|(agent, (removes, adds))| {
-                (
-                    agent,
-                    LocalAction { action: action.id(), removes, adds, needs_global_drain: false },
-                )
-            })
-            .collect()
-    }
 }
 
 impl AdaptationPlanner for ScopedLazyPlanner {
@@ -253,19 +231,8 @@ impl AdaptationPlanner for ScopedLazyPlanner {
     }
 
     fn compile(&mut self, path: &Path) -> Vec<PlannedStep> {
-        path.steps
-            .iter()
-            .map(|s| {
-                let action = &self.world.actions[s.action.index()];
-                PlannedStep {
-                    action: s.action,
-                    from: s.from.clone(),
-                    to: s.to.clone(),
-                    cost: s.cost,
-                    locals: self.locals_for(action),
-                }
-            })
-            .collect()
+        let w = &self.world;
+        compile_steps(path, &w.actions, &w.model, &w.agent_of_process, |_| false)
     }
 }
 

@@ -12,10 +12,8 @@ use sada_obs::{AgentStateTag, Payload, ProtoEvent};
 
 use crate::messages::{LocalAction, ProtoMsg, StepId};
 
-/// The observability tag for an agent state (exported so embedding actors
-/// outside this crate — e.g. the video clients — can emit synthetic
-/// transitions for crash recovery).
-pub fn state_tag(s: AgentState) -> AgentStateTag {
+/// The observability tag for an agent state.
+pub(crate) fn state_tag(s: AgentState) -> AgentStateTag {
     match s {
         AgentState::Running => AgentStateTag::Running,
         AgentState::Resetting => AgentStateTag::Resetting,
@@ -146,7 +144,7 @@ impl AgentCore {
     /// an uncommitted in-action — was volatile and is simply gone; the
     /// restarted agent relies on the manager's rejoin handling (or plain
     /// `Reset` retransmissions) to be resynchronized.
-    pub fn restore(last_completed: Option<StepId>) -> Self {
+    pub(crate) fn restore(last_completed: Option<StepId>) -> Self {
         AgentCore { last_completed, ..AgentCore::new() }
     }
 
@@ -162,7 +160,7 @@ impl AgentCore {
 
     /// The most recent step this agent fully completed (acknowledged with
     /// `ResumeDone`) — the durable part of its protocol state.
-    pub fn last_completed(&self) -> Option<StepId> {
+    pub(crate) fn last_completed(&self) -> Option<StepId> {
         self.last_completed
     }
 
@@ -188,7 +186,7 @@ impl AgentCore {
     /// Takes the observability payloads produced since the last drain, in
     /// emission order. The core is pure and has no clock; whoever embeds it
     /// stamps these and forwards them to the bus.
-    pub fn drain_obs(&mut self) -> Vec<Payload> {
+    pub(crate) fn drain_obs(&mut self) -> Vec<Payload> {
         std::mem::take(&mut self.obs)
     }
 

@@ -19,9 +19,13 @@
 //!   manager's re-planning interface.
 //! * [`ManagerHost`] — the one host of manager cores, keyed by agent:
 //!   breakers, RTT sampling, epoch fencing, the effect loop.
-//! * [`ManagerActor`] / [`ScriptedAgent`] — simnet adapters used by the
-//!   protocol tests, benches, and (for the manager, a host with one
-//!   session) the video case study.
+//! * [`AgentHost`] — the one host of an agent core: the effect loop,
+//!   manager-epoch fencing, the session, and the restart with its rejoin
+//!   ladder. The embedding does only the local work.
+//! * [`ManagerActor`] / [`ScriptedAgent`] — simnet adapters: the manager
+//!   host with one session (the video case study reuses it), and the agent
+//!   host with timers standing in for a process (every fleet's agent, and
+//!   the protocol tests' and benches').
 //!
 //! ## Crash faults and recovery
 //!
@@ -64,6 +68,7 @@
 //! [`SafetyAuditor`]: sada_model::SafetyAuditor
 
 mod agent;
+mod agent_host;
 mod host;
 mod journal;
 mod manager;
@@ -74,7 +79,8 @@ mod plan_adapter;
 mod relay;
 mod sim;
 
-pub use agent::{state_tag as agent_state_tag, AgentCore, AgentEffect, AgentEvent, AgentState};
+pub use agent::{AgentCore, AgentEffect, AgentEvent, AgentState};
+pub use agent_host::{AgentHost, Uplink};
 pub use host::{hosting_run, ManagerHost, Roster, SessionCore};
 pub use journal::{
     encode_global_journal, encode_journal, encode_session_journal, parse_global_journal,
@@ -85,7 +91,7 @@ pub use manager::{
     PlannedStep, ProtoTiming,
 };
 pub use messages::{LocalAction, ProtoMsg, SessionId, StepId, Wire};
-pub use plan_adapter::SagPlanner;
+pub use plan_adapter::{compile_steps, SagPlanner};
 pub use relay::RelayActor;
 pub use sim::{AgentTiming, ManagerActor, ScriptedAgent};
 // The retry/breaker policy vocabulary is owned by the resilience crate;

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, HashSet};
 
 use sada_expr::{CompId, Config};
 use sada_model::SystemModel;
-use sada_plan::{Action, ActionId, Path, Sag};
+use sada_plan::{Action, ActionId, Path, PathStep, Sag};
 
 use crate::manager::{AdaptationPlanner, PlannedStep};
 use crate::messages::LocalAction;
@@ -44,33 +44,6 @@ impl SagPlanner {
         assert_eq!(agent_of_process.len(), model.process_count(), "one agent mapping per process");
         SagPlanner { sag, actions, model, agent_of_process, drain_actions }
     }
-
-    fn locals_for(&self, action: &Action) -> Vec<(usize, LocalAction)> {
-        let needs_drain = self.drain_actions.contains(&action.id());
-        let mut per_agent: BTreeMap<usize, (Vec<CompId>, Vec<CompId>)> = BTreeMap::new();
-        for &comp in action.removes() {
-            let p = self.model.host_of(comp).expect("touched component must be placed");
-            per_agent.entry(self.agent_of_process[p.index()]).or_default().0.push(comp);
-        }
-        for &comp in action.adds() {
-            let p = self.model.host_of(comp).expect("touched component must be placed");
-            per_agent.entry(self.agent_of_process[p.index()]).or_default().1.push(comp);
-        }
-        per_agent
-            .into_iter()
-            .map(|(agent, (removes, adds))| {
-                (
-                    agent,
-                    LocalAction {
-                        action: action.id(),
-                        removes,
-                        adds,
-                        needs_global_drain: needs_drain,
-                    },
-                )
-            })
-            .collect()
-    }
 }
 
 impl AdaptationPlanner for SagPlanner {
@@ -88,20 +61,48 @@ impl AdaptationPlanner for SagPlanner {
     }
 
     fn compile(&mut self, path: &Path) -> Vec<PlannedStep> {
-        path.steps
-            .iter()
-            .map(|s| {
-                let action = &self.actions[s.action.index()];
-                PlannedStep {
-                    action: s.action,
-                    from: s.from.clone(),
-                    to: s.to.clone(),
-                    cost: s.cost,
-                    locals: self.locals_for(action),
-                }
-            })
-            .collect()
+        let drains = |a| self.drain_actions.contains(&a);
+        compile_steps(path, &self.actions, &self.model, &self.agent_of_process, drains)
     }
+}
+
+/// Compiles `path` into per-process steps: each step's action is split by
+/// the process hosting each component it touches, and each share goes to
+/// the agent driving that process. `drains` names the actions whose global
+/// safe condition requires the stream to drain.
+pub fn compile_steps(
+    path: &Path,
+    actions: &[Action],
+    model: &SystemModel,
+    agent_of_process: &[usize],
+    drains: impl Fn(ActionId) -> bool,
+) -> Vec<PlannedStep> {
+    let agent = |comp| {
+        let p = model.host_of(comp).expect("touched component must be placed");
+        agent_of_process[p.index()]
+    };
+    let locals_for = |action: &Action| {
+        let mut per_agent: BTreeMap<usize, (Vec<CompId>, Vec<CompId>)> = BTreeMap::new();
+        for &comp in action.removes() {
+            per_agent.entry(agent(comp)).or_default().0.push(comp);
+        }
+        for &comp in action.adds() {
+            per_agent.entry(agent(comp)).or_default().1.push(comp);
+        }
+        let needs_global_drain = drains(action.id());
+        let local = |(agent, (removes, adds))| {
+            (agent, LocalAction { action: action.id(), removes, adds, needs_global_drain })
+        };
+        per_agent.into_iter().map(local).collect()
+    };
+    let step = |s: &PathStep| PlannedStep {
+        action: s.action,
+        from: s.from.clone(),
+        to: s.to.clone(),
+        cost: s.cost,
+        locals: locals_for(&actions[s.action.index()]),
+    };
+    path.steps.iter().map(step).collect()
 }
 
 #[cfg(test)]

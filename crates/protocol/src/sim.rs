@@ -1,10 +1,11 @@
 //! Simnet adapters: running the manager and scriptable agents on the
 //! discrete-event network.
 //!
-//! [`ManagerActor`] is the production adapter (the video application reuses
-//! it unchanged); [`ScriptedAgent`] is a configurable stand-in for a real
-//! process, used by the protocol tests and benches to exercise every failure
-//! mode with controlled timing.
+//! [`ManagerActor`] is the [`ManagerHost`] with one session (the video
+//! application reuses it unchanged). [`ScriptedAgent`] is the
+//! [`AgentHost`] plus timers that stand in for a real process's local
+//! work: every fleet's agent, and the one the protocol tests and benches
+//! drive through every failure mode with controlled timing.
 
 use std::marker::PhantomData;
 use std::rc::Rc;
@@ -12,10 +13,11 @@ use std::rc::Rc;
 use sada_expr::Config;
 use sada_obs::Bus;
 use sada_plan::{ActionId, Path};
-use sada_resilience::{BreakerConfig, ReannouncePolicy};
+use sada_resilience::BreakerConfig;
 use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime};
 
-use crate::agent::{AgentCore, AgentEffect, AgentEvent};
+use crate::agent::{AgentEffect, AgentEvent};
+use crate::agent_host::{AgentHost, Uplink};
 use crate::host::{ManagerHost, Roster, SessionCore};
 use crate::journal::JournalRecord;
 use crate::manager::{
@@ -279,15 +281,12 @@ impl Default for AgentTiming {
     }
 }
 
-/// Timer tag for reaching the safe state.
+// Timer tags: the safe state reached, the in-action done, full operation
+// restored, a rollback done, and the host's rejoin ladder.
 const TAG_SAFE: u64 = 1;
-/// Timer tag for completing the structural in-action.
 const TAG_ACT: u64 = 2;
-/// Timer tag for restoring full operation.
 const TAG_RESUME: u64 = 3;
-/// Timer tag for completing a rollback.
 const TAG_ROLLBACK: u64 = 4;
-/// Timer tag for retransmitting a post-restart `Rejoin` announcement.
 const TAG_REJOIN: u64 = 5;
 
 /// A process whose local adaptation behaviour is scripted: it reaches its
@@ -297,10 +296,9 @@ const TAG_REJOIN: u64 = 5;
 /// Under fault injection it models the volatile-uncommitted crash model:
 /// a crash destroys the step in progress (an applied-but-uncommitted
 /// in-action is recorded as evaporated in [`ScriptedAgent::applied`])
-/// while completed steps survive on durable storage; the restart bumps the
-/// agent's epoch and announces [`ProtoMsg::Rejoin`] to the manager,
-/// retransmitting on the [`ReannouncePolicy::default`] schedule until it
-/// is resynchronized.
+/// while completed steps survive on durable storage; the restart is the
+/// [`AgentHost`]'s: a bumped epoch and [`ProtoMsg::Rejoin`] announcements
+/// until the manager resynchronizes it.
 ///
 /// The agent holds its protocol state; what its embedding fixes for it
 /// (manager, timing, bus) sits in an environment that clones share, so a
@@ -309,7 +307,7 @@ const TAG_REJOIN: u64 = 5;
 /// [`ProtoMsg::Rejoin`]: crate::ProtoMsg::Rejoin
 #[derive(Clone)]
 pub struct ScriptedAgent {
-    core: AgentCore,
+    host: AgentHost,
     env: Rc<AgentEnv>,
     /// When true, the agent reports `fail to reset` instead of reaching its
     /// safe state (a long critical communication segment).
@@ -319,22 +317,11 @@ pub struct ScriptedAgent {
     pub applied: Vec<(ActionId, bool)>,
     /// Crashes suffered (fault injection).
     pub crashes: u64,
-    /// `Rejoin` announcements put on the wire.
-    pub rejoins_sent: u64,
-    epoch: u64,
-    manager_epoch: u64,
-    /// `Rejoin` retransmissions left to this incarnation.
-    rejoin_budget: u32,
-    /// Last session seen on incoming protocol traffic; echoed on every
-    /// outgoing message (and stamped on bus events) so a multi-session
-    /// control plane can route this agent's replies. Stays
-    /// [`SessionId::SOLO`] under a single-session manager.
-    session: SessionId,
 }
 
 // A fleet keeps every agent of a plane in one arena: what an agent holds
 // inline is paid once per agent, 200 000 times at 100k groups.
-const _: () = assert!(std::mem::size_of::<ScriptedAgent>() <= 160);
+const _: () = assert!(std::mem::size_of::<ScriptedAgent>() <= 144);
 
 /// What a [`ScriptedAgent`]'s embedding fixes for it. Shared by every clone
 /// of one agent and copied on write.
@@ -345,20 +332,42 @@ struct AgentEnv {
     bus: Bus,
 }
 
+impl AgentEnv {
+    fn uplink(&self) -> Uplink<'_> {
+        Uplink { manager: self.manager, bus: &self.bus, rejoin_tag: TAG_REJOIN }
+    }
+
+    /// Schedules the local work: each piece completes when its timer fires
+    /// (`on_timer`), which reads what it completes off the core.
+    fn arm<M>(&self, ctx: &mut Context<'_, Wire<M>>, work: AgentEffect) -> Option<AgentEvent> {
+        let t = &self.timing;
+        let (delay, tag) = match work {
+            // Reaching the safe state takes time — more when the global
+            // safe condition demands draining; a fail-to-reset agent
+            // discovers after the same delay that it cannot.
+            AgentEffect::BeginReset(la) if la.needs_global_drain => {
+                (t.safe_delay + t.drain_extra, TAG_SAFE)
+            }
+            AgentEffect::BeginReset(_) => (t.safe_delay, TAG_SAFE),
+            AgentEffect::DoInAction(_) => (t.act_delay, TAG_ACT),
+            AgentEffect::DoResume => (t.resume_delay, TAG_RESUME),
+            // `DoRollback`: the host hands over nothing else.
+            _ => (t.rollback_delay, TAG_ROLLBACK),
+        };
+        ctx.set_timer(delay, tag);
+        None
+    }
+}
+
 impl ScriptedAgent {
     /// Creates an agent reporting to `manager`.
     pub fn new(manager: ActorId, timing: AgentTiming) -> Self {
         ScriptedAgent {
-            core: AgentCore::new(),
+            host: AgentHost::default(),
             env: Rc::new(AgentEnv { manager, timing, bus: Bus::new() }),
             fail_to_reset: false,
             applied: Vec::new(),
             crashes: 0,
-            rejoins_sent: 0,
-            epoch: 0,
-            manager_epoch: 0,
-            rejoin_budget: 0,
-            session: SessionId::SOLO,
         }
     }
 
@@ -370,100 +379,19 @@ impl ScriptedAgent {
         self
     }
 
-    /// This agent's incarnation number (0 until the first crash/restart).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn send_rejoin<M: Clone + 'static>(&mut self, ctx: &mut Context<'_, Wire<M>>) {
-        self.rejoins_sent += 1;
-        ctx.send(
-            self.env.manager,
-            Wire::Proto {
-                epoch: self.epoch,
-                session: self.session,
-                msg: crate::messages::ProtoMsg::Rejoin {
-                    last_completed: self.core.last_completed(),
-                },
-            },
-        );
-        ctx.set_timer(ReannouncePolicy::default().period, TAG_REJOIN);
-    }
-
-    fn apply<M: Clone + 'static>(
-        &mut self,
-        ctx: &mut Context<'_, Wire<M>>,
-        effects: Vec<AgentEffect>,
-    ) {
-        let env = &*self.env;
-        let obs = self.core.drain_obs();
-        if env.bus.has_sinks() {
-            let (at, actor) = (ctx.now(), ctx.self_id().index() as u32);
-            for payload in obs {
-                env.bus.emit(sada_obs::Event {
-                    at,
-                    actor,
-                    session: self.session.0,
-                    shard: 0,
-                    payload,
-                });
-            }
-        }
-        let timing = &env.timing;
-        for eff in effects {
-            match eff {
-                AgentEffect::Send(msg) => ctx.send(
-                    env.manager,
-                    Wire::Proto { epoch: self.epoch, session: self.session, msg },
-                ),
-                AgentEffect::PreAction(_) | AgentEffect::PostAction(_) => {}
-                AgentEffect::BeginReset(la) => {
-                    // Reaching the safe state takes time — more when the
-                    // global safe condition demands draining; a
-                    // fail-to-reset agent discovers after the same delay
-                    // that it cannot.
-                    let delay = if la.needs_global_drain {
-                        timing.safe_delay + timing.drain_extra
-                    } else {
-                        timing.safe_delay
-                    };
-                    ctx.set_timer(delay, TAG_SAFE);
-                }
-                // What the timers complete is read off the core when they
-                // fire (`on_timer`), not carried here.
-                AgentEffect::DoInAction(_) => {
-                    ctx.set_timer(timing.act_delay, TAG_ACT);
-                }
-                AgentEffect::DoResume => {
-                    ctx.set_timer(timing.resume_delay, TAG_RESUME);
-                }
-                AgentEffect::DoRollback(_) => {
-                    ctx.set_timer(timing.rollback_delay, TAG_ROLLBACK);
-                }
-            }
-        }
+    /// The agent's host (its incarnation and rejoin count).
+    pub fn host(&self) -> &AgentHost {
+        &self.host
     }
 }
 
 impl<M: Clone + 'static> Actor<Wire<M>> for ScriptedAgent {
     fn on_message(&mut self, ctx: &mut Context<'_, Wire<M>>, _from: ActorId, msg: Wire<M>) {
-        if let Wire::Proto { epoch, session, msg: p } = msg {
-            if epoch < self.manager_epoch {
-                return; // residue from a previous manager incarnation
-            }
-            self.manager_epoch = epoch;
-            // Adopt the sender's session so replies (and this agent's bus
-            // events) are tagged with the adaptation they belong to.
-            self.session = session;
-            let eff = self.core.on_event(AgentEvent::Msg(p));
-            self.apply(ctx, eff);
-            if self.core.state() != crate::AgentState::Running {
-                // The manager has re-engaged this incarnation: the rejoin
-                // announcement has served its purpose. (A Resume ignored in
-                // the running state does NOT count — that is exactly the
-                // lost-rejoin divergence the retransmissions exist for.)
-                self.rejoin_budget = 0;
-            }
+        if let Wire::Proto { epoch, session, msg } = msg {
+            let env = &*self.env;
+            self.host.on_message(ctx, env.uplink(), epoch, session, msg, |ctx, _, work| {
+                env.arm(ctx, work)
+            });
         }
     }
 
@@ -473,63 +401,26 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ScriptedAgent {
         // applied but never committed evaporates with the process image.
         // Record it as undone so the ground-truth replay sees what a fresh
         // process image actually contains.
-        if let Some(la) = self.core.uncommitted_action() {
+        if let Some(la) = self.host.core().uncommitted_action() {
             self.applied.push((la.action, false));
         }
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_, Wire<M>>) {
-        // New incarnation: only durable state (completed steps) survives.
-        self.epoch += 1;
-        let prev = self.core.state();
-        self.core = AgentCore::restore(self.core.last_completed());
-        // The crash snapped the state machine back to Running without an
-        // ordinary transition; emit one so per-phase interval integration
-        // closes the dead incarnation's phase at the restart instant.
-        if prev != crate::AgentState::Running {
-            self.env.bus.scoped(self.session.0).publish(
-                ctx.now(),
-                ctx.self_id().index() as u32,
-                || {
-                    sada_obs::Payload::Proto(sada_obs::ProtoEvent::AgentState {
-                        from: crate::agent::state_tag(prev),
-                        to: sada_obs::AgentStateTag::Running,
-                        step: None,
-                    })
-                },
-            );
-        }
-        // The budget must outlast a partition window plus the manager's
-        // phase timeout, or a lost rejoin degenerates into the (safe but
-        // slower) pure-timeout recovery.
-        self.rejoin_budget = ReannouncePolicy::default().budget;
-        self.send_rejoin(ctx);
+        self.host.restart(ctx, self.env.uplink());
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Wire<M>>, tag: u64) {
-        if tag == TAG_REJOIN {
-            // Keep announcing until the manager engages us (we leave the
-            // running state) or the budget runs out; after that, recovery
-            // falls back to the manager's ordinary timeout ladder.
-            if self.rejoin_budget > 0 && self.core.state() == crate::AgentState::Running {
-                self.rejoin_budget -= 1;
-                self.send_rejoin(ctx);
-            }
-            return;
-        }
+        let core = self.host.core();
         let ev = match tag {
-            TAG_SAFE => {
-                if self.fail_to_reset {
-                    AgentEvent::CannotReset
-                } else {
-                    AgentEvent::SafeReached
-                }
-            }
+            TAG_REJOIN => return self.host.rejoin_due(ctx, self.env.uplink()),
+            TAG_SAFE if self.fail_to_reset => AgentEvent::CannotReset,
+            TAG_SAFE => AgentEvent::SafeReached,
             TAG_ACT => {
                 // The structural change happens exactly here — atomically
                 // with respect to the (blocked) data path — unless a
                 // rollback or a new attempt overtook it and cancelled it.
-                if let Some(la) = self.core.scheduled_in_action() {
+                if let Some(la) = core.scheduled_in_action() {
                     self.applied.push((la.action, true));
                 }
                 AgentEvent::InActionDone
@@ -537,15 +428,15 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ScriptedAgent {
             TAG_RESUME => AgentEvent::ResumeFinished,
             TAG_ROLLBACK => {
                 // A forward change that was applied is undone here.
-                if let Some(la) = self.core.uncommitted_action() {
+                if let Some(la) = core.uncommitted_action() {
                     self.applied.push((la.action, false));
                 }
                 AgentEvent::RollbackFinished
             }
             _ => return,
         };
-        let eff = self.core.on_event(ev);
-        self.apply(ctx, eff);
+        let env = &*self.env;
+        self.host.drive(ctx, env.uplink(), ev, |ctx, _, work| env.arm(ctx, work));
     }
 }
 

@@ -413,8 +413,8 @@ fn agent_crash_mid_step_rejoins_and_reaches_target() {
     assert_eq!(o.final_config, w.universe.config_of(&["X2", "Y2"]));
     let ax = w.sim.actor::<ScriptedAgent>(w.agents[0]).unwrap();
     assert_eq!(ax.crashes, 1);
-    assert!(ax.rejoins_sent >= 1, "restart must announce itself");
-    assert!(ax.epoch() >= 1, "incarnation bumped");
+    assert!(ax.host().rejoins_sent() >= 1, "restart must announce itself");
+    assert!(ax.host().epoch() >= 1, "incarnation bumped");
     // Ground truth: what the agents actually executed lands on the target.
     let actions = case_actions(&w.universe);
     let replayed = replay_applied(

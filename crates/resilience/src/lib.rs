@@ -32,5 +32,5 @@ mod rtt;
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
 pub use bulkhead::{shed_victim, BulkheadConfig};
-pub use retry::{jitter_us, ReannouncePolicy, RetryMode, RetryPolicy};
+pub use retry::{jitter_us, RetryMode, RetryPolicy};
 pub use rtt::RttEstimator;

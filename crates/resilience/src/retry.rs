@@ -95,24 +95,6 @@ impl RetryPolicy {
     }
 }
 
-/// Re-announcement schedule for agents that lost their manager (crash,
-/// partition, restart): how often to re-send `hello` and how many attempts
-/// before giving up. Extracted from the scripted agent's hardcoded rejoin
-/// ladder so hosts can tune it alongside [`RetryPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReannouncePolicy {
-    /// Interval between re-announcements.
-    pub period: SimDuration,
-    /// Total announcements before the agent stops trying.
-    pub budget: u32,
-}
-
-impl Default for ReannouncePolicy {
-    fn default() -> Self {
-        ReannouncePolicy { period: SimDuration::from_millis(100), budget: 12 }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

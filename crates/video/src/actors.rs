@@ -1,14 +1,13 @@
 //! The Figure 3 processes as simulated actors: the video server and the two
 //! clients, each embedding an adaptation agent.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use sada_expr::{CompId, Universe};
 use sada_meta::{FilterChain, Packet};
-use sada_obs::{AgentStateTag, Payload, ProtoEvent};
+use sada_obs::Bus;
 use sada_proto::{
-    agent_state_tag, AgentCore, AgentEffect, AgentEvent, AgentState, LocalAction, ProtoMsg,
-    SessionId, StepId, Wire,
+    AgentCore, AgentEffect, AgentEvent, AgentHost, LocalAction, StepId, Uplink, Wire,
 };
 use sada_simnet::{Actor, ActorId, Context, GroupId, SimDuration, SimTime, TimerId};
 
@@ -81,20 +80,20 @@ pub type VideoWire = Wire<AppMsg>;
 
 const TAG_FRAME: u64 = 100;
 const TAG_DRAIN: u64 = 101;
+const TAG_REPORT: u64 = 102;
+const TAG_REJOIN: u64 = 103;
 
-/// Drains the protocol payloads an embedded agent core buffered while
-/// handling an event and publishes them on the run's bus, stamped with the
-/// embedding actor's identity and the current virtual time.
-fn flush_agent_obs(agent: &mut AgentCore, audit: &AuditShared, ctx: &mut Context<'_, VideoWire>) {
-    let obs = agent.drain_obs();
-    let bus = audit.bus();
-    if !bus.has_sinks() {
-        return;
-    }
-    let (at, actor) = (ctx.now(), ctx.self_id().index() as u32);
-    for payload in obs {
-        bus.emit(sada_obs::Event { at, actor, session: 0, shard: 0, payload });
-    }
+/// The change a baseline strategy applies, outside any planned action.
+fn baseline_action(removes: Vec<CompId>, adds: Vec<CompId>) -> LocalAction {
+    let action = sada_plan::ActionId(u32::MAX - 1);
+    LocalAction { action, removes, adds, needs_global_drain: false }
+}
+
+/// Where a video process's agent host reaches: the manager (wired after
+/// registration) and the run's bus.
+fn uplink(manager: Option<ActorId>, bus: &Bus) -> Uplink<'_> {
+    let manager = manager.expect("manager wired before protocol traffic");
+    Uplink { manager, bus, rejoin_tag: TAG_REJOIN }
 }
 
 /// Aggregated server-side counters.
@@ -115,7 +114,7 @@ pub struct ServerStats {
 /// with an embedded adaptation agent controlling the send chain.
 pub struct ServerActor {
     u: Universe,
-    agent: AgentCore,
+    host: AgentHost,
     manager: Option<ActorId>,
     group: GroupId,
     client_decoders: Vec<Vec<&'static str>>,
@@ -151,7 +150,7 @@ impl ServerActor {
         chain.push_back("E1", make_filter("E1")).expect("fresh chain");
         ServerActor {
             u,
-            agent: AgentCore::new(),
+            host: AgentHost::default(),
             manager: None,
             group,
             client_decoders,
@@ -215,77 +214,60 @@ impl ServerActor {
         self.audit.in_action(now, label, &la.removes, &la.adds);
     }
 
-    fn drive(&mut self, ctx: &mut Context<'_, VideoWire>, first: AgentEvent) {
-        let mut queue = VecDeque::from([first]);
-        while let Some(ev) = queue.pop_front() {
-            for eff in self.agent.on_event(ev) {
-                match eff {
-                    AgentEffect::Send(msg) => {
-                        let mgr = self.manager.expect("manager wired before protocol traffic");
-                        // The server is not part of the crash-fault
-                        // experiments; its incarnation never advances.
-                        ctx.send(mgr, Wire::Proto { epoch: 0, session: SessionId::SOLO, msg });
-                    }
-                    AgentEffect::PreAction(_) | AgentEffect::PostAction(_) => {}
-                    AgentEffect::BeginReset(la) => {
-                        // Local safe state: we are between packets by
-                        // construction; stop emitting.
-                        self.set_blocked(ctx.now(), true);
-                        if la.needs_global_drain {
-                            // FIFO links: receiving the mark implies having
-                            // received every packet sent before it.
-                            let step = self.agent.current_step().expect("resetting implies step");
-                            ctx.multicast(self.group, Wire::App(AppMsg::DrainMark { step }));
-                        }
-                        queue.push_back(AgentEvent::SafeReached);
-                    }
-                    AgentEffect::DoInAction(la) => {
-                        let label = la.action.to_string();
-                        self.apply_structural(ctx.now(), &la, &label);
-                        queue.push_back(AgentEvent::InActionDone);
-                    }
-                    AgentEffect::DoResume => {
-                        self.set_blocked(ctx.now(), false);
-                        self.audit.snapshot(ctx.now());
-                        queue.push_back(AgentEvent::ResumeFinished);
-                    }
-                    AgentEffect::DoRollback(undo) => {
-                        if let Some(la) = undo {
-                            let label = format!("undo {}", la.action);
-                            self.apply_structural(ctx.now(), &la, &label);
-                        }
-                        self.set_blocked(ctx.now(), false);
-                        self.audit.snapshot(ctx.now());
-                        queue.push_back(AgentEvent::RollbackFinished);
-                    }
+    /// The server's share of a step, each part done on the spot: it blocks
+    /// between packets (its local safe state), drain-marks the stream when
+    /// the action needs it, swaps filters and unblocks.
+    fn work(
+        &mut self,
+        ctx: &mut Context<'_, VideoWire>,
+        core: &AgentCore,
+        work: AgentEffect,
+    ) -> Option<AgentEvent> {
+        let now = ctx.now();
+        Some(match work {
+            AgentEffect::BeginReset(la) => {
+                // Local safe state: we are between packets by construction;
+                // stop emitting.
+                self.set_blocked(now, true);
+                if la.needs_global_drain {
+                    // FIFO links: receiving the mark implies having received
+                    // every packet sent before it.
+                    let step = core.current_step().expect("resetting implies a step");
+                    ctx.multicast(self.group, Wire::App(AppMsg::DrainMark { step }));
                 }
+                AgentEvent::SafeReached
             }
-        }
-        flush_agent_obs(&mut self.agent, &self.audit, ctx);
+            AgentEffect::DoInAction(la) => {
+                self.apply_structural(now, &la, &la.action.to_string());
+                AgentEvent::InActionDone
+            }
+            AgentEffect::DoResume => {
+                self.set_blocked(now, false);
+                self.audit.snapshot(now);
+                AgentEvent::ResumeFinished
+            }
+            AgentEffect::DoRollback(undo) => {
+                if let Some(la) = undo {
+                    self.apply_structural(now, &la, &format!("undo {}", la.action));
+                }
+                self.set_blocked(now, false);
+                self.audit.snapshot(now);
+                AgentEvent::RollbackFinished
+            }
+            _ => return None,
+        })
     }
 
     fn handle_ctl(&mut self, ctx: &mut Context<'_, VideoWire>, ctl: CtlMsg) {
         match ctl {
             CtlMsg::NaiveSwap { removes, adds } => {
-                let la = LocalAction {
-                    action: sada_plan::ActionId(u32::MAX - 1),
-                    removes,
-                    adds,
-                    needs_global_drain: false,
-                };
-                self.apply_structural(ctx.now(), &la, "naive-swap");
+                self.apply_structural(ctx.now(), &baseline_action(removes, adds), "naive-swap");
                 // The naive strategy *claims* the system is consistent now.
                 self.audit.snapshot(ctx.now());
             }
             CtlMsg::Passivate => self.set_blocked(ctx.now(), true),
             CtlMsg::SwapNow { removes, adds } => {
-                let la = LocalAction {
-                    action: sada_plan::ActionId(u32::MAX - 1),
-                    removes,
-                    adds,
-                    needs_global_drain: false,
-                };
-                self.apply_structural(ctx.now(), &la, "quiesced-swap");
+                self.apply_structural(ctx.now(), &baseline_action(removes, adds), "quiesced-swap");
             }
             CtlMsg::Activate => {
                 self.set_blocked(ctx.now(), false);
@@ -302,8 +284,15 @@ impl Actor<VideoWire> for ServerActor {
 
     fn on_message(&mut self, ctx: &mut Context<'_, VideoWire>, _from: ActorId, msg: VideoWire) {
         match msg {
-            // The manager never crashes, so its epoch needs no tracking.
-            Wire::Proto { msg: p, .. } => self.drive(ctx, AgentEvent::Msg(p)),
+            Wire::Proto { epoch, session, msg } => {
+                // The host is lent out while the rest of the process works.
+                let (mut host, bus) = (std::mem::take(&mut self.host), self.audit.bus().clone());
+                let up = uplink(self.manager, &bus);
+                host.on_message(ctx, up, epoch, session, msg, |ctx, core, w| {
+                    self.work(ctx, core, w)
+                });
+                self.host = host;
+            }
             Wire::App(AppMsg::Ctl(ctl)) => self.handle_ctl(ctx, ctl),
             Wire::App(_) => {}
         }
@@ -329,7 +318,7 @@ impl Actor<VideoWire> for ServerActor {
 /// embedded adaptation agent controlling the receive chain.
 pub struct ClientActor {
     u: Universe,
-    agent: AgentCore,
+    pub(crate) host: AgentHost,
     manager: Option<ActorId>,
     client_ix: u32,
     /// The receive chain (D1 on the hand-held, D4 on the laptop initially).
@@ -351,18 +340,11 @@ pub struct ClientActor {
     pub(crate) data_received: u64,
     /// Highest data sequence number observed.
     pub(crate) highest_seq: u64,
-    /// Incarnation number stamped on outgoing protocol traffic; bumped on
-    /// every restart so the manager can discard pre-crash messages.
-    epoch: u64,
-    /// Rejoin retransmissions left after a restart.
-    rejoin_budget: u32,
     /// Crash faults suffered (fault-injection instrumentation).
     pub crashes: u64,
     /// Segments adjudicated lost at restart whose packets might still
     /// arrive (instrumentation: suppresses their normal segment-end).
     lost_cids: std::collections::HashSet<u64>,
-    /// Rejoin announcements sent after restarts.
-    pub(crate) rejoins_sent: u64,
 }
 
 impl ClientActor {
@@ -381,7 +363,7 @@ impl ClientActor {
         }
         ClientActor {
             u,
-            agent: AgentCore::new(),
+            host: AgentHost::default(),
             manager: None,
             client_ix,
             chain,
@@ -398,11 +380,8 @@ impl ClientActor {
             report_until: SimTime::ZERO,
             data_received: 0,
             highest_seq: 0,
-            epoch: 0,
-            rejoin_budget: 0,
             crashes: 0,
             lost_cids: std::collections::HashSet::new(),
-            rejoins_sent: 0,
         }
     }
 
@@ -459,20 +438,8 @@ impl ClientActor {
         self.audit.in_action(now, label, &la.removes, &la.adds);
     }
 
-    fn send_rejoin(&mut self, ctx: &mut Context<'_, VideoWire>) {
-        let mgr = self.manager.expect("manager wired before protocol traffic");
-        self.rejoins_sent += 1;
-        ctx.send(
-            mgr,
-            Wire::Proto {
-                epoch: self.epoch,
-                session: SessionId::SOLO,
-                msg: ProtoMsg::Rejoin { last_completed: self.agent.last_completed() },
-            },
-        );
-        ctx.set_timer(REJOIN_PERIOD, TAG_REJOIN);
-    }
-
+    /// The drain completed: block, and hand the safe state to the agent
+    /// host, which is lent out while the rest of the process works.
     fn finish_reset(&mut self, ctx: &mut Context<'_, VideoWire>) {
         self.resetting_drain = None;
         if let Some(t) = self.drain_fallback.take() {
@@ -480,79 +447,70 @@ impl ClientActor {
         }
         self.chain.block();
         self.note_block(ctx.now());
-        self.drive(ctx, AgentEvent::SafeReached);
+        let (mut host, bus) = (std::mem::take(&mut self.host), self.audit.bus().clone());
+        let up = uplink(self.manager, &bus);
+        host.drive(ctx, up, AgentEvent::SafeReached, |ctx, core, w| self.work(ctx, core, w));
+        self.host = host;
     }
 
-    fn drive(&mut self, ctx: &mut Context<'_, VideoWire>, first: AgentEvent) {
-        let mut queue = VecDeque::from([first]);
-        while let Some(ev) = queue.pop_front() {
-            for eff in self.agent.on_event(ev) {
-                match eff {
-                    AgentEffect::Send(msg) => {
-                        let mgr = self.manager.expect("manager wired before protocol traffic");
-                        ctx.send(
-                            mgr,
-                            Wire::Proto { epoch: self.epoch, session: SessionId::SOLO, msg },
-                        );
-                    }
-                    AgentEffect::PreAction(_) | AgentEffect::PostAction(_) => {}
-                    AgentEffect::BeginReset(la) => {
-                        if la.needs_global_drain {
-                            // Keep decoding until the server's drain mark (or
-                            // a conservative fallback window) tells us every
-                            // in-flight packet has been processed.
-                            self.resetting_drain = self.agent.current_step();
-                            self.drain_fallback = Some(ctx.set_timer(self.drain_window, TAG_DRAIN));
-                        } else {
-                            self.chain.block();
-                            self.note_block(ctx.now());
-                            queue.push_back(AgentEvent::SafeReached);
-                        }
-                    }
-                    AgentEffect::DoInAction(la) => {
-                        let label = la.action.to_string();
-                        self.apply_structural(ctx.now(), &la, &label);
-                        queue.push_back(AgentEvent::InActionDone);
-                    }
-                    AgentEffect::DoResume => {
-                        let outs = self.chain.unblock();
-                        self.note_unblock(ctx.now());
-                        for out in outs {
-                            self.deliver(ctx.now(), out);
-                        }
-                        self.audit.snapshot(ctx.now());
-                        queue.push_back(AgentEvent::ResumeFinished);
-                    }
-                    AgentEffect::DoRollback(undo) => {
-                        if let Some(la) = undo {
-                            let label = format!("undo {}", la.action);
-                            self.apply_structural(ctx.now(), &la, &label);
-                        }
-                        self.resetting_drain = None;
-                        let outs = self.chain.unblock();
-                        self.note_unblock(ctx.now());
-                        for out in outs {
-                            self.deliver(ctx.now(), out);
-                        }
-                        self.audit.snapshot(ctx.now());
-                        queue.push_back(AgentEvent::RollbackFinished);
-                    }
-                }
-            }
+    /// Unblocks the chain, delivering what it buffered.
+    fn unblock(&mut self, now: SimTime) {
+        let outs = self.chain.unblock();
+        self.note_unblock(now);
+        for out in outs {
+            self.deliver(now, out);
         }
-        flush_agent_obs(&mut self.agent, &self.audit, ctx);
+    }
+
+    /// A client's share of a step: it blocks at once, or keeps decoding
+    /// until the drain completes; it swaps filters and unblocks on the spot.
+    fn work(
+        &mut self,
+        ctx: &mut Context<'_, VideoWire>,
+        core: &AgentCore,
+        work: AgentEffect,
+    ) -> Option<AgentEvent> {
+        let now = ctx.now();
+        Some(match work {
+            AgentEffect::BeginReset(la) if la.needs_global_drain => {
+                // Keep decoding until the server's drain mark (or a
+                // conservative fallback window) tells us every in-flight
+                // packet has been processed.
+                self.resetting_drain = core.current_step();
+                self.drain_fallback = Some(ctx.set_timer(self.drain_window, TAG_DRAIN));
+                return None;
+            }
+            AgentEffect::BeginReset(_) => {
+                self.chain.block();
+                self.note_block(now);
+                AgentEvent::SafeReached
+            }
+            AgentEffect::DoInAction(la) => {
+                self.apply_structural(now, &la, &la.action.to_string());
+                AgentEvent::InActionDone
+            }
+            AgentEffect::DoResume => {
+                self.unblock(now);
+                self.audit.snapshot(now);
+                AgentEvent::ResumeFinished
+            }
+            AgentEffect::DoRollback(undo) => {
+                if let Some(la) = undo {
+                    self.apply_structural(now, &la, &format!("undo {}", la.action));
+                }
+                self.resetting_drain = None;
+                self.unblock(now);
+                self.audit.snapshot(now);
+                AgentEvent::RollbackFinished
+            }
+            _ => return None,
+        })
     }
 
     fn handle_ctl(&mut self, ctx: &mut Context<'_, VideoWire>, ctl: CtlMsg) {
         match ctl {
             CtlMsg::NaiveSwap { removes, adds } => {
-                let la = LocalAction {
-                    action: sada_plan::ActionId(u32::MAX - 1),
-                    removes,
-                    adds,
-                    needs_global_drain: false,
-                };
-                self.apply_structural(ctx.now(), &la, "naive-swap");
+                self.apply_structural(ctx.now(), &baseline_action(removes, adds), "naive-swap");
                 self.audit.snapshot(ctx.now());
             }
             CtlMsg::Passivate => {
@@ -560,30 +518,15 @@ impl ClientActor {
                 self.note_block(ctx.now());
             }
             CtlMsg::SwapNow { removes, adds } => {
-                let la = LocalAction {
-                    action: sada_plan::ActionId(u32::MAX - 1),
-                    removes,
-                    adds,
-                    needs_global_drain: false,
-                };
-                self.apply_structural(ctx.now(), &la, "quiesced-swap");
+                self.apply_structural(ctx.now(), &baseline_action(removes, adds), "quiesced-swap");
             }
             CtlMsg::Activate => {
-                let outs = self.chain.unblock();
-                self.note_unblock(ctx.now());
-                for out in outs {
-                    self.deliver(ctx.now(), out);
-                }
+                self.unblock(ctx.now());
                 self.audit.snapshot(ctx.now());
             }
         }
     }
 }
-
-const TAG_REPORT: u64 = 102;
-const TAG_REJOIN: u64 = 103;
-const REJOIN_PERIOD: SimDuration = SimDuration::from_millis(100);
-const REJOIN_RETRIES: u32 = 12;
 
 impl Actor<VideoWire> for ClientActor {
     fn on_start(&mut self, ctx: &mut Context<'_, VideoWire>) {
@@ -594,17 +537,13 @@ impl Actor<VideoWire> for ClientActor {
 
     fn on_message(&mut self, ctx: &mut Context<'_, VideoWire>, _from: ActorId, msg: VideoWire) {
         match msg {
-            // The manager never crashes in the video world, so any protocol
-            // message it sends is current; no peer-epoch filter is needed.
-            Wire::Proto { msg: p, .. } => {
-                self.drive(ctx, AgentEvent::Msg(p));
-                if self.agent.state() != AgentState::Running {
-                    // The manager has re-engaged this incarnation; stop the
-                    // rejoin retransmissions. (A Resume ignored while still
-                    // Running does not count — that lost-rejoin divergence
-                    // is exactly what the retransmissions exist for.)
-                    self.rejoin_budget = 0;
-                }
+            Wire::Proto { epoch, session, msg } => {
+                let (mut host, bus) = (std::mem::take(&mut self.host), self.audit.bus().clone());
+                let up = uplink(self.manager, &bus);
+                host.on_message(ctx, up, epoch, session, msg, |ctx, core, w| {
+                    self.work(ctx, core, w)
+                });
+                self.host = host;
             }
             Wire::App(AppMsg::Data { pkt, audits }) => {
                 if pkt.top_tag() != Some(sada_meta::tags::FEC) {
@@ -653,83 +592,52 @@ impl Actor<VideoWire> for ClientActor {
         // in-action so the shared configuration view stays truthful. All of
         // this client's open segments were closed above, so the inverse
         // cannot interrupt anything.
-        if let Some(la) = self.agent.uncommitted_action() {
-            let undo = LocalAction {
-                action: la.action,
-                removes: la.adds.clone(),
-                adds: la.removes.clone(),
-                needs_global_drain: false,
-            };
+        if let Some(la) = self.host.core().uncommitted_action() {
             let label = format!("crash c{}: revert {}", self.client_ix, la.action);
-            self.apply_structural(now, &undo, &label);
+            self.apply_structural(now, &la.inverse(), &label);
         }
         self.resetting_drain = None;
         self.drain_fallback = None;
-        self.rejoin_budget = 0;
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_, VideoWire>) {
-        // Fresh incarnation: stale pre-crash traffic must not be mistaken
-        // for the restarted process.
-        self.epoch += 1;
         // Segments opened for us while we were down belong to packets the
         // outage destroyed; adjudicate them lost *now*, before any re-run
         // in-action could falsely count them as interrupted.
         for (cid, _) in self.audit.adjudicate_lost(ctx.now(), u64::from(self.client_ix) + 1) {
             self.lost_cids.insert(cid);
         }
-        // Only `last_completed` survives on durable storage; the protocol
-        // state machine restarts in Running.
-        let prev = self.agent.state();
-        self.agent = AgentCore::restore(self.agent.last_completed());
-        // The crash snapped the state machine back to Running without an
-        // ordinary transition; publish one so per-phase interval integration
-        // closes the dead incarnation's phase at the restart instant.
-        if prev != AgentState::Running {
-            self.audit.bus().publish(ctx.now(), ctx.self_id().index() as u32, || {
-                Payload::Proto(ProtoEvent::AgentState {
-                    from: agent_state_tag(prev),
-                    to: AgentStateTag::Running,
-                    step: None,
-                })
-            });
-        }
         // The outage counted as blocked time; playback resumes now.
         self.note_unblock(ctx.now());
         if self.monitor.is_some() && ctx.now() < self.report_until {
             ctx.set_timer(self.report_period, TAG_REPORT);
         }
-        // Announce the new incarnation; retransmit until the manager
-        // re-engages us (or the budget runs out and its timeout ladder
-        // takes over).
-        self.rejoin_budget = REJOIN_RETRIES;
-        self.send_rejoin(ctx);
+        self.host.restart(ctx, uplink(self.manager, self.audit.bus()));
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, VideoWire>, tag: u64) {
-        if tag == TAG_REJOIN && self.rejoin_budget > 0 && self.agent.state() == AgentState::Running
-        {
-            self.rejoin_budget -= 1;
-            self.send_rejoin(ctx);
-        }
-        if tag == TAG_DRAIN && self.resetting_drain.is_some() {
-            self.drain_fallback = None;
-            self.finish_reset(ctx);
-        }
-        if tag == TAG_REPORT {
-            if let Some(monitor) = self.monitor {
-                ctx.send(
-                    monitor,
-                    Wire::App(AppMsg::LossReport {
-                        client: self.client_ix,
-                        received: self.data_received,
-                        highest_seq: self.highest_seq,
-                    }),
-                );
-                if ctx.now() < self.report_until {
-                    ctx.set_timer(self.report_period, TAG_REPORT);
+        match tag {
+            TAG_REJOIN => self.host.rejoin_due(ctx, uplink(self.manager, self.audit.bus())),
+            TAG_DRAIN if self.resetting_drain.is_some() => {
+                self.drain_fallback = None;
+                self.finish_reset(ctx);
+            }
+            TAG_REPORT => {
+                if let Some(monitor) = self.monitor {
+                    ctx.send(
+                        monitor,
+                        Wire::App(AppMsg::LossReport {
+                            client: self.client_ix,
+                            received: self.data_received,
+                            highest_seq: self.highest_seq,
+                        }),
+                    );
+                    if ctx.now() < self.report_until {
+                        ctx.set_timer(self.report_period, TAG_REPORT);
+                    }
                 }
             }
+            _ => {}
         }
     }
 }

@@ -272,7 +272,7 @@ pub fn run_video_with(cfg: &ScenarioConfig, strategy: Strategy, cs: &CaseStudy) 
         audit: audit_report,
         finished_at: sim2.now(),
         client_crashes: (hh.crashes, lp.crashes),
-        client_rejoins: (hh.rejoins_sent, lp.rejoins_sent),
+        client_rejoins: (hh.host.rejoins_sent(), lp.host.rejoins_sent()),
         manager_restores,
         manager_journal,
     }

@@ -222,3 +222,65 @@ fn crash_runs_are_deterministic() {
     assert_eq!(a.client_rejoins, b.client_rejoins);
     assert_eq!(a.finished_at, b.finished_at);
 }
+
+#[test]
+fn a_client_drops_residue_of_an_older_manager_incarnation() {
+    use sada_expr::Universe;
+    use sada_plan::ActionId;
+    use sada_proto::{LocalAction, ProtoMsg, StepId, Wire};
+    use sada_simnet::{Actor, Context, SimDuration, Simulator};
+    use sada_video::{AuditShared, ClientActor, VideoWire};
+
+    /// Records what the client answers.
+    #[derive(Default)]
+    struct Manager(Vec<ProtoMsg>);
+    impl Actor<VideoWire> for Manager {
+        fn on_message(&mut self, _: &mut Context<'_, VideoWire>, _: ActorId, msg: VideoWire) {
+            if let Wire::Proto { msg, .. } = msg {
+                self.0.push(msg);
+            }
+        }
+    }
+
+    // The restored manager (epoch 1) engages the client; a rollback its
+    // dead incarnation (epoch 0) left in flight arrives after, and must not
+    // undo the step; the live incarnation's probe (epoch 1 again) is
+    // answered.
+    let mut u = Universe::new();
+    u.intern("D1");
+    let audit = AuditShared::new(&Bus::new(), u.config_of(&["D1"]));
+    let mut sim: Simulator<VideoWire> = Simulator::new(1);
+    let client = sim
+        .add_actor("client", ClientActor::new(u, 0, &["D1"], SimDuration::from_millis(50), audit));
+    let manager = sim.add_actor("manager", Manager::default());
+    sim.actor_mut::<ClientActor>(client).unwrap().set_manager(manager);
+    let step = StepId(1);
+    let action = LocalAction {
+        action: ActionId(0),
+        removes: vec![],
+        adds: vec![],
+        needs_global_drain: false,
+    };
+    let inputs = [
+        (1, ProtoMsg::Reset { step, action, solo: false }),
+        (0, ProtoMsg::Rollback { step }),
+        (1, ProtoMsg::QueryState),
+    ];
+    for (at, (epoch, msg)) in inputs.into_iter().enumerate() {
+        let wire = Wire::Proto { epoch, session: sada_proto::SessionId::SOLO, msg };
+        sim.inject(manager, client, wire, SimDuration::from_millis(at as u64 + 1));
+    }
+    sim.run();
+    let heard = &sim.actor::<Manager>(manager).unwrap().0;
+    let report = ProtoMsg::StateReport {
+        engaged: Some(step),
+        adapted: true,
+        failed: false,
+        last_completed: None,
+    };
+    assert_eq!(
+        heard,
+        &[ProtoMsg::ResetDone { step }, ProtoMsg::AdaptDone { step }, report],
+        "the stale rollback is dropped, the step stays adapted"
+    );
+}
