@@ -131,15 +131,16 @@ echo "==> scenario-generator smoke (seeded serverless + IaaS universes end-to-en
 cargo run -q --release -p sada-bench --bin report -- scenario > /dev/null
 SADA_BENCH_SMOKE=1 cargo bench -q -p sada-bench --bench bench_scenario > /dev/null
 
-echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent <= 1272, bytes-per-session <= 6000, sharded-over-flat <= 1.5x and world-build gates)"
+echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent <= 1193, bytes-per-session <= 6000, sharded-over-flat <= 1.5x and world-build gates)"
 # Renders the 1k/10k-group strided-storm table (flat throughput plus
 # sharded runs with fingerprints asserted identical at 1 and 8 worker
 # threads, every region loaded), then the bench's smoke mode runs the
 # 10k-group row end-to-end: every session commits, 1/2/4/8-thread
 # fingerprint identity, flat peak heap under the bytes-per-agent ceiling
-# (measured 1 212 plus 5 %: an agent that holds its plane's manager,
-# timing and bus, or its in-flight step, inline again reads 1 532 and
-# fails it) and — against the same run without sessions — under the
+# (measured 1 136 plus 5 %: an agent that holds its plane's manager,
+# timing and bus, or its in-flight step, inline again reads 1 532, and a
+# heap object per component name 1 212; both fail it) and — against the
+# same run without sessions — under the
 # bytes-per-session ceiling pinned in crates/bench/benches/bench_scale.rs
 # (a session costs a spine and a chunk of the configuration twice over plus
 # its own records, whatever the world's width: the full sweep holds the 1k,
@@ -147,7 +148,9 @@ echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent <= 12
 # most 1.5x the flat run's with the eight regions hosting every agent
 # exactly once between them (ROADMAP item 3's gate: a plane allocates for
 # the agents it hosts, not for the world), and one build_world() under the
-# allocations-per-group and retained-bytes-per-group ceilings: memory
+# allocations-per-group and retained-bytes-per-group ceilings (measured
+# 17.0 and 908 plus about 10 %: the names are one arena, so a heap object
+# per name, 21.7 and 1 060, fails both): memory
 # regressions on the hot path, per agent, per session, per endpoint or per
 # compiled table row, fail loudly. The full 1k/10k/100k sweep
 # (BENCH_scale.json) is regenerated by running the same bench without

@@ -52,11 +52,12 @@ const SEED: u64 = 42;
 const SESSION_CAP: usize = 2048;
 const SPACING_US: u64 = 37;
 /// Smoke-gate ceiling on flat peak-heap bytes per agent at the 10k row:
-/// measured 1 212 B/agent (the count is deterministic) plus 5 %, so a
+/// measured 1 136 B/agent (the count is deterministic) plus 5 %, so a
 /// plane-wide constant or an in-flight step stored inline in every agent
-/// again (1 532 B/agent), an accidental per-agent heap object or a
-/// dense-`Config` round trip sneaking back into the hot path fails loudly.
-const SMOKE_BYTES_PER_AGENT_CEILING: u64 = 1_272;
+/// again (1 532 B/agent), a heap object per component name (1 212), an
+/// accidental per-agent heap object or a dense-`Config` round trip
+/// sneaking back into the hot path fails loudly.
+const SMOKE_BYTES_PER_AGENT_CEILING: u64 = 1_193;
 /// Ceiling on what one session adds to the flat peak heap, in bytes, at
 /// every row: measured 4 812 at the 10k row plus 25 %, with 5 592 at 1k
 /// and 4 941 at 100k under it. A committing session retains a spine and a
@@ -77,15 +78,16 @@ const SMOKE_BYTES_PER_SESSION_CEILING: u64 = 6_000;
 const SMOKE_SHARD_OVER_FLAT_HEAP_CEILING: f64 = 1.5;
 /// Smoke-gate ceilings on what compiling the world costs per group at the
 /// 10k row: allocator calls during `build_world()`, and bytes still live
-/// when it returns. Measured 21.7 allocations and 1 060 B (both exact), of
-/// which the `WorldSpec` the world keeps is 14.7 and 474; every compiled
-/// table is flat, so the rest is one shared name per component, one
-/// operand list per invariant and a name and an id list per action. With a
-/// heap object per predicate, per index row and per process name the same
-/// row measured 76.7 allocations and 2 124 B — a jagged table coming back
+/// when it returns. Measured 17.0 allocations and 908 B (both exact) plus
+/// about 10 %, of which the `WorldSpec` the world keeps is 12.0 and 461;
+/// every compiled table is flat and the component names are one arena, so
+/// the rest is one operand list per invariant and a name and an id list
+/// per action. With a shared `Arc<str>` per name the same row measured
+/// 21.7 allocations and 1 060 B, and with a heap object per predicate, per
+/// index row and per process name 76.7 and 2 124 — either coming back
 /// fails both.
-const SMOKE_WORLD_ALLOCS_PER_GROUP_CEILING: f64 = 32.0;
-const SMOKE_WORLD_RETAINED_BYTES_PER_GROUP_CEILING: f64 = 1_536.0;
+const SMOKE_WORLD_ALLOCS_PER_GROUP_CEILING: f64 = 18.7;
+const SMOKE_WORLD_RETAINED_BYTES_PER_GROUP_CEILING: f64 = 1_000.0;
 
 // ---------------------------------------------------------------------------
 // Counting allocator: peak live heap per row

@@ -147,7 +147,7 @@ pub fn wide_step_spec(k: usize) -> (AdaptationSpec, sada_expr::Config, sada_expr
         model.place(u.id(&format!("Old{i}")).unwrap(), p);
         model.place(u.id(&format!("New{i}")).unwrap(), p);
     }
-    let spec = AdaptationSpec::new(u, inv, vec![action], model, (0..k).collect(), HashSet::new());
+    let spec = AdaptationSpec::new(u, inv, vec![action], model, HashSet::new());
     let u = spec.universe();
     let mut source = u.empty_config();
     let mut target = u.empty_config();

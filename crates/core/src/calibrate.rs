@@ -90,7 +90,6 @@ fn single_action_spec(spec: &AdaptationSpec, action_ix: usize) -> AdaptationSpec
         spec.invariants().clone(),
         vec![renumbered],
         spec.model().clone(),
-        (0..spec.model().process_count()).collect(),
         drain,
     )
 }

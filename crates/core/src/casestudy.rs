@@ -127,7 +127,7 @@ pub fn case_study() -> CaseStudy {
 
     let source = u.config_from_bits("0100101");
     let target = u.config_from_bits("1010010");
-    let spec = AdaptationSpec::new(u, invariants, actions, model, vec![0, 1, 2], drain_actions);
+    let spec = AdaptationSpec::new(u, invariants, actions, model, drain_actions);
     CaseStudy { spec, deployment: Deployment { server, handheld, laptop }, source, target }
 }
 

@@ -28,7 +28,6 @@ pub struct AdaptationSpec {
     invariants: InvariantSet,
     actions: Vec<Action>,
     model: SystemModel,
-    agent_of_process: Vec<usize>,
     drain_actions: HashSet<ActionId>,
 }
 
@@ -44,13 +43,12 @@ impl AdaptationSpec {
         invariants: InvariantSet,
         actions: Vec<Action>,
         model: SystemModel,
-        agent_of_process: Vec<usize>,
         drain_actions: HashSet<ActionId>,
     ) -> Self {
         for (ix, a) in actions.iter().enumerate() {
             assert_eq!(a.id().index(), ix, "action ids must be dense and ordered");
         }
-        AdaptationSpec { universe, invariants, actions, model, agent_of_process, drain_actions }
+        AdaptationSpec { universe, invariants, actions, model, drain_actions }
     }
 
     /// The component universe.
@@ -100,7 +98,6 @@ impl AdaptationSpec {
             self.build_sag(),
             self.actions.clone(),
             self.model.clone(),
-            self.agent_of_process.clone(),
             self.drain_actions.clone(),
         )
     }
@@ -127,7 +124,7 @@ mod tests {
         let mut model = SystemModel::new();
         let p = model.add_process();
         model.place_all(&u, &[("A", p), ("B", p)]);
-        AdaptationSpec::new(u, inv, actions, model, vec![0], HashSet::new())
+        AdaptationSpec::new(u, inv, actions, model, HashSet::new())
     }
 
     #[test]
@@ -160,6 +157,6 @@ mod tests {
         let inv = InvariantSet::new();
         let actions = vec![Action::insert(5, "+A", &u.config_of(&["A"]), 1)];
         let model = SystemModel::new();
-        let _ = AdaptationSpec::new(u, inv, actions, model, vec![], HashSet::new());
+        let _ = AdaptationSpec::new(u, inv, actions, model, HashSet::new());
     }
 }

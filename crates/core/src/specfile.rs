@@ -26,7 +26,9 @@
 //! -D4 cost 10
 //! ```
 //!
-//! Components must be declared (with their hosting process) before use;
+//! Components must be declared (with their hosting process) before use,
+//! each under a name the invariant language reads as one identifier
+//! ([`sada_expr::is_component_name`]: no spaces or dashes, no keyword);
 //! invariants use the `sada-expr` language; actions are replacements
 //! (`old -> new`, either side a single name or a parenthesized list),
 //! insertions (`+C`), or removals (`-C`), each with a mandatory
@@ -37,7 +39,7 @@ use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
-use sada_expr::{parse_expr, Config, InvariantSet, Universe};
+use sada_expr::{is_component_name, parse_expr, Config, InvariantSet, Universe};
 use sada_model::SystemModel;
 use sada_plan::{Action, ActionId};
 
@@ -96,8 +98,8 @@ fn parse_comp_list(s: &str, line: usize) -> Result<Vec<String>, SpecFileError> {
 /// # Errors
 ///
 /// Returns a [`SpecFileError`] naming the first offending line: unknown
-/// sections, undeclared components or processes, malformed actions, or
-/// invariant syntax errors.
+/// sections, undeclared components or processes, component names no
+/// invariant can mention, malformed actions, or invariant syntax errors.
 pub fn parse_spec_file(src: &str) -> Result<AdaptationSpec, SpecFileError> {
     let mut section = Section::None;
     let mut universe = Universe::new();
@@ -106,7 +108,6 @@ pub fn parse_spec_file(src: &str) -> Result<AdaptationSpec, SpecFileError> {
     let mut invariants = InvariantSet::new();
     let mut actions: Vec<Action> = Vec::new();
     let mut drain: HashSet<ActionId> = HashSet::new();
-    let mut declared: HashSet<String> = HashSet::new();
 
     for (ix, raw) in src.lines().enumerate() {
         let line_no = ix + 1;
@@ -142,7 +143,11 @@ pub fn parse_spec_file(src: &str) -> Result<AdaptationSpec, SpecFileError> {
                     .ok_or_else(|| err(line_no, "expected 'Component @ process'"))?;
                 let comp = comp.trim();
                 let proc = proc.trim();
-                if declared.contains(comp) {
+                if !is_component_name(comp) {
+                    let msg = format!("{comp:?} is not a component name an invariant can mention");
+                    return Err(err(line_no, msg));
+                }
+                if universe.id(comp).is_some() {
                     return Err(err(line_no, format!("duplicate component {comp:?}")));
                 }
                 let pix = proc_names
@@ -150,7 +155,6 @@ pub fn parse_spec_file(src: &str) -> Result<AdaptationSpec, SpecFileError> {
                     .position(|p| p == proc)
                     .ok_or_else(|| err(line_no, format!("undeclared process {proc:?}")))?;
                 let id = universe.intern(comp);
-                declared.insert(comp.to_string());
                 model.place(id, sada_model::ProcessId(pix as u32));
             }
             Section::Invariants => {
@@ -214,8 +218,7 @@ pub fn parse_spec_file(src: &str) -> Result<AdaptationSpec, SpecFileError> {
     if proc_names.is_empty() {
         return Err(err(src.lines().count().max(1), "no [processes] declared"));
     }
-    let agent_of_process = (0..proc_names.len()).collect();
-    Ok(AdaptationSpec::new(universe, invariants, actions, model, agent_of_process, drain))
+    Ok(AdaptationSpec::new(universe, invariants, actions, model, drain))
 }
 
 /// Parses a configuration argument: either a bit string (`0100101`, paper
@@ -350,6 +353,20 @@ mod tests {
             let e = parse_spec_file(&format!("{base}{bad}")).unwrap_err();
             assert!(e.msg.contains(needle), "{bad:?} gave {e}");
         }
+    }
+
+    /// A component no invariant could mention is refused where it is
+    /// declared, on its line.
+    #[test]
+    fn component_names_an_invariant_cannot_mention_are_rejected() {
+        for bad in ["", "A B", "A-1", "1A", "true", "false", "one_of"] {
+            let src = format!("[processes]\nhost\n[components]\nA @ host\n{bad} @ host\n");
+            let e = parse_spec_file(&src).unwrap_err();
+            assert_eq!(e.line, 5, "{bad:?}");
+            assert!(e.msg.contains("not a component name"), "{bad:?} gave {e}");
+        }
+        let dup = parse_spec_file("[processes]\nhost\n[components]\nA @ host\nA @ host\n");
+        assert!(dup.unwrap_err().msg.contains("duplicate component"));
     }
 
     #[test]

@@ -231,8 +231,7 @@ impl AdaptationPlanner for ScopedLazyPlanner {
     }
 
     fn compile(&mut self, path: &Path) -> Vec<PlannedStep> {
-        let w = &self.world;
-        compile_steps(path, &w.actions, &w.model, &w.agent_of_process, |_| false)
+        compile_steps(path, &self.world.actions, &self.world.model, |_| false)
     }
 }
 

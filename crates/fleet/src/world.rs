@@ -25,13 +25,15 @@
 //! index and action-index buckets, and the collaborative-set partition are
 //! `Csr`s or plain vectors ([`sada_expr::CompiledInvariants`],
 //! [`sada_plan::Search`], [`sada_plan::CollabIndex`]); placement is a dense
-//! component → process vector and process names are one string table
-//! ([`sada_model::SystemModel`]). What is left per group is what a world
-//! *returns*: its spec, one shared name per component, one operand list
-//! per invariant, and a name and an id list per action. The action table
-//! has one owner, [`CompiledWorld::actions`] (`Arc<[Action]>`); the
-//! world's `search` holds a second handle on that allocation, not a copy.
+//! component → process vector ([`sada_model::SystemModel`]), and agent `p`
+//! drives process `p`, so no table maps the two; component names are one
+//! arena ([`Universe`]). What is left per group is what a world *returns*:
+//! its spec, one operand list per invariant, and a name and an id list per
+//! action. The action table has one owner, [`CompiledWorld::actions`]
+//! (`Arc<[Action]>`); the world's `search` holds a second handle on that
+//! allocation, not a copy.
 
+use std::fmt::Write;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -166,18 +168,18 @@ impl WorldSpec {
         let mut actions = Vec::with_capacity(2 * groups);
         let mut clusters = Vec::with_capacity(groups);
         for g in 0..groups {
-            comps.push(CompSpec { name: format!("Old{g}"), process: 2 * g });
-            comps.push(CompSpec { name: format!("New{g}"), process: 2 * g + 1 });
+            comps.push(CompSpec { name: numbered("Old", g), process: 2 * g });
+            comps.push(CompSpec { name: numbered("New", g), process: 2 * g + 1 });
             invariants.push(format!("one_of(Old{g}, New{g})"));
             actions.push(ActionSpec {
-                name: format!("fwd{g}"),
+                name: numbered("fwd", g),
                 removes: vec![2 * g],
                 adds: vec![2 * g + 1],
                 cost_ms: 1,
                 cost_watts: 1,
             });
             actions.push(ActionSpec {
-                name: format!("back{g}"),
+                name: numbered("back", g),
                 removes: vec![2 * g + 1],
                 adds: vec![2 * g],
                 cost_ms: 1,
@@ -205,6 +207,15 @@ impl WorldSpec {
     }
 }
 
+/// `prefix` followed by `g`, allocated once at its final length: `format!`
+/// guesses a capacity and regrows past it at four digits.
+fn numbered(prefix: &str, g: usize) -> String {
+    let digits = g.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut name = String::with_capacity(prefix.len() + digits);
+    write!(name, "{prefix}{g}").expect("a String takes every write");
+    name
+}
+
 /// Static description of a fleet: universe, invariants, actions, placement,
 /// the collaborative-set index used for scope extraction, and the spec the
 /// world was compiled from. These are the products of the paper's analysis
@@ -220,10 +231,9 @@ pub struct CompiledWorld {
     /// owns the table; `search` reads this same allocation through a second
     /// handle rather than a copy of its own.
     pub actions: Arc<[Action]>,
-    /// Placement of components onto agent processes.
+    /// Placement of components onto agent processes; agent `p` drives
+    /// process `p`.
     pub model: SystemModel,
-    /// Process id index → agent index (identity here).
-    pub(crate) agent_of_process: Vec<usize>,
     /// Collaborative-set partition (one set per cluster).
     pub index: CollabIndex,
     /// The compiled planning context over the whole world — invariant
@@ -326,7 +336,6 @@ impl FleetWorld {
         for (ix, c) in spec.comps.iter().enumerate() {
             model.place(CompId::from_index(ix), procs[c.process]);
         }
-        let agent_of_process: Vec<usize> = (0..process_count).collect();
         // Every component must belong to exactly one cluster: region
         // ownership and distillation cover the universe exactly once.
         let mut owner = vec![usize::MAX; spec.comps.len()];
@@ -345,17 +354,7 @@ impl FleetWorld {
         let index = CollabIndex::new(&universe, &inv, &actions);
         let search = Search::sharing(&inv, Arc::clone(&actions), universe.len());
         let groups = spec.clusters.len();
-        let world = CompiledWorld {
-            universe,
-            inv,
-            actions,
-            model,
-            agent_of_process,
-            index,
-            search,
-            groups,
-            spec,
-        };
+        let world = CompiledWorld { universe, inv, actions, model, index, search, groups, spec };
         assert!(
             world.inv.satisfied_by(&world.initial_config()),
             "initial configuration violates the invariants"
@@ -393,7 +392,7 @@ impl CompiledWorld {
 
     /// The agent index driving `c`'s hosting process, if placed.
     pub(crate) fn agent_for(&self, c: CompId) -> Option<usize> {
-        self.model.host_of(c).map(|p| self.agent_of_process[p.0 as usize])
+        self.model.host_of(c).map(|p| p.index())
     }
 
     /// The boot configuration: every cluster in its `on_false` mode.

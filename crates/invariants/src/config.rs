@@ -1,8 +1,7 @@
 //! Component universes and configuration bit vectors.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::Arc;
 
 /// A component identity: a dense index into a [`Universe`].
@@ -29,11 +28,23 @@ impl CompId {
 /// Registration order defines bit positions in [`Config`] bit strings, so the
 /// case-study module registers `E1, E2, D1, D2, D3, D4, D5` to reproduce the
 /// paper's `(D5,D4,D3,D2,D1,E2,E1)` vectors exactly.
+///
+/// One name arena: every name back to back in one string, and an
+/// open-addressed table of ids probed from the name's keyed hash (std's
+/// SipHash under this universe's own `RandomState`). A name costs its
+/// bytes, four bytes of end offset and at least eight of table — no heap
+/// object of its own. The table is never iterated, so ids are registration
+/// order whatever the keys.
 #[derive(Debug, Clone, Default)]
 pub struct Universe {
-    /// Each name is stored once; `names` and `index` share the allocation.
-    names: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, CompId>,
+    /// Every name, back to back, in registration order.
+    text: String,
+    /// Where each name ends in `text`; it starts where the one before ends.
+    ends: Vec<u32>,
+    /// Linear probing from the name's hash: `id + 1` in an occupied slot,
+    /// 0 in a free one. Empty, or a power of two at least twice `len()`.
+    slots: Vec<u32>,
+    keys: RandomState,
 }
 
 impl Universe {
@@ -46,33 +57,71 @@ impl Universe {
     /// builders (the fleet world generator interns `2·groups` names up
     /// front) never rehash mid-construction.
     pub fn with_capacity(capacity: usize) -> Self {
-        Universe { names: Vec::with_capacity(capacity), index: HashMap::with_capacity(capacity) }
+        let slots = if capacity == 0 { 0 } else { (2 * capacity).next_power_of_two() };
+        let ends = Vec::with_capacity(capacity);
+        Universe { ends, slots: vec![0; slots], ..Universe::default() }
     }
 
     /// Interns `name`, returning the existing id if already present.
     ///
-    /// Looks up before it allocates: a repeated name — every identifier of
-    /// an invariant text over declared components — costs one probe and no
-    /// heap traffic; a fresh one costs its single shared copy and a second
-    /// probe to insert it.
+    /// Hashes once: a repeated name — every identifier of an invariant
+    /// text over declared components — costs one probe and no heap
+    /// traffic; a fresh one appends its bytes and fills the free slot that
+    /// probe ended on.
     ///
     /// # Panics
     ///
-    /// Panics past `u32::MAX` components.
+    /// Panics past `u32::MAX` components or 4 GiB of names.
     pub fn intern(&mut self, name: &str) -> CompId {
-        if let Some(&id) = self.index.get(name) {
-            return id;
+        let hash = self.keys.hash_one(name);
+        let mut free = match self.find(hash, name) {
+            Ok(id) => return id,
+            Err(free) => free,
+        };
+        let id = u32::try_from(self.len() + 1).expect("component ids are u32") - 1;
+        let end = u32::try_from(self.text.len() + name.len()).expect("names fit in 4 GiB");
+        if 2 * self.ends.len() + 2 > self.slots.len() {
+            self.grow();
+            free = self.find(hash, name).expect_err("a fresh name");
         }
-        let id = CompId(u32::try_from(self.names.len()).expect("component ids are u32"));
-        let name: Arc<str> = Arc::from(name);
-        self.names.push(Arc::clone(&name));
-        self.index.insert(name, id);
-        id
+        self.text.push_str(name);
+        self.ends.push(end);
+        self.slots[free] = id + 1;
+        CompId(id)
+    }
+
+    /// Where `name`, hashing to `hash`, is registered: its id, or the free
+    /// slot its probe ended on (slot 0 of an empty table, which has none).
+    #[inline]
+    fn find(&self, hash: u64, name: &str) -> Result<CompId, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut ix = hash as usize & mask;
+        loop {
+            match self.slots[ix] {
+                0 => return Err(ix),
+                taken if self.name(CompId(taken - 1)) == name => return Ok(CompId(taken - 1)),
+                _ => ix = (ix + 1) & mask,
+            }
+        }
+    }
+
+    /// Doubles the table (to four slots at least) and places every id again
+    /// from its name's hash.
+    fn grow(&mut self) {
+        self.slots = vec![0; (2 * self.slots.len()).max(4)];
+        for id in 0..self.ends.len() as u32 {
+            let name = self.name(CompId(id));
+            let free = self.find(self.keys.hash_one(name), name).expect_err("names are distinct");
+            self.slots[free] = id + 1;
+        }
     }
 
     /// Looks a name up without interning.
     pub fn id(&self, name: &str) -> Option<CompId> {
-        self.index.get(name).copied()
+        self.find(self.keys.hash_one(name), name).ok()
     }
 
     /// The name registered for `id`.
@@ -81,22 +130,24 @@ impl Universe {
     ///
     /// Panics if `id` does not belong to this universe.
     pub fn name(&self, id: CompId) -> &str {
-        &self.names[id.index()]
+        let ix = id.index();
+        let start = if ix == 0 { 0 } else { self.ends[ix - 1] as usize };
+        &self.text[start..self.ends[ix] as usize]
     }
 
     /// Number of registered components.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// True when no components are registered.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterates ids in registration order.
     pub fn iter(&self) -> impl Iterator<Item = CompId> + '_ {
-        (0..self.names.len()).map(|ix| CompId(ix as u32))
+        (0..self.ends.len() as u32).map(CompId)
     }
 
     /// An empty configuration sized for this universe.

@@ -49,7 +49,7 @@ pub use config::{CompId, Config, Universe};
 pub use csr::Csr;
 pub use expr::{Expr, InvariantSet, PartialAssignment, Tri};
 pub use kernel::{CompiledExpr, CompiledInvariants};
-pub use parser::{parse_expr, ParseError};
+pub use parser::{is_component_name, parse_expr, ParseError};
 
 #[doc(hidden)]
 pub use config::oracle;

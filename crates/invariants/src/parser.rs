@@ -98,28 +98,51 @@ fn lex<'s>(src: &'s str, toks: &mut Vec<(usize, Tok<'s>)>) -> Result<(), ParseEr
             '=' => return Err(ParseError { at: i, msg: "expected '=>'".into() }),
             '<' if bytes[i..].starts_with(b"<=>") => (Tok::DArrow, 3),
             '<' => return Err(ParseError { at: i, msg: "expected '<=>'".into() }),
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let word_len = bytes[i..]
-                    .iter()
-                    .take_while(|b| b.is_ascii_alphanumeric() || **b == b'_')
-                    .count();
+            other => match word_len(&bytes[i..]) {
+                0 => {
+                    let msg = format!("unexpected character {other:?}");
+                    return Err(ParseError { at: i, msg });
+                }
                 // ASCII on both sides of each cut, so both are boundaries.
-                let tok = match &src[i..i + word_len] {
-                    "true" => Tok::True,
-                    "false" => Tok::False,
-                    "one_of" => Tok::OneOf,
-                    word => Tok::Ident(word),
-                };
-                (tok, word_len)
-            }
-            other => {
-                return Err(ParseError { at: i, msg: format!("unexpected character {other:?}") });
-            }
+                len => (word_token(&src[i..i + len]), len),
+            },
         };
         toks.push((i, tok));
         i += len;
     }
     Ok(())
+}
+
+/// Length of the word `bytes` starts with — a letter or `_`, then letters,
+/// digits and `_` — or 0 when it starts with none.
+fn word_len(bytes: &[u8]) -> usize {
+    match bytes.first() {
+        Some(b) if b.is_ascii_alphabetic() || *b == b'_' => {
+            1 + bytes[1..].iter().take_while(|b| b.is_ascii_alphanumeric() || **b == b'_').count()
+        }
+        _ => 0,
+    }
+}
+
+/// The token a whole word lexes as: a keyword, or a component name.
+fn word_token(word: &str) -> Tok<'_> {
+    match word {
+        "true" => Tok::True,
+        "false" => Tok::False,
+        "one_of" => Tok::OneOf,
+        name => Tok::Ident(name),
+    }
+}
+
+/// Whether an invariant can mention a component called `name`: it must
+/// lex as one identifier — a letter or `_`, then letters, digits and `_` —
+/// and not as one of the keywords `true`, `false` and `one_of`. What the
+/// lexer reads, so spec-file readers reject any other name where it is
+/// declared.
+pub fn is_component_name(name: &str) -> bool {
+    !name.is_empty()
+        && word_len(name.as_bytes()) == name.len()
+        && matches!(word_token(name), Tok::Ident(_))
 }
 
 struct Parser<'a, 's> {
@@ -460,6 +483,24 @@ mod tests {
         for &(src, at, msg) in table {
             let err = parse_expr(src, &mut Universe::new()).expect_err(src);
             assert_eq!(err, ParseError { at, msg: msg.to_string() }, "source: {src:?}");
+        }
+    }
+
+    /// A name is a component name exactly when it parses, alone, as one
+    /// variable of that name.
+    #[test]
+    fn component_names_are_what_the_lexer_reads_as_one_identifier() {
+        let good = ["A", "_", "_x9", "D5", "One_of", "truex"];
+        let bad = ["", " A", "A B", "A-1", "1A", "é", "Aé", "A.B", "true", "false", "one_of"];
+        let table = good.map(|n| (n, true)).into_iter().chain(bad.map(|n| (n, false)));
+        for (name, ok) in table {
+            let mut u = Universe::new();
+            let lone_var = match parse_expr(name, &mut u) {
+                Ok(Expr::Var(id)) => u.name(id) == name,
+                _ => false,
+            };
+            assert_eq!(is_component_name(name), ok, "{name:?}");
+            assert_eq!(lone_var, ok, "{name:?} alone parses as itself");
         }
     }
 

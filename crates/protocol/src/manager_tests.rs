@@ -35,7 +35,7 @@ fn world() -> (Universe, ManagerCore) {
     let mut model = SystemModel::new();
     let p0 = model.add_process();
     model.place_all(&u, &[("A", p0), ("B", p0), ("C", p0)]);
-    let planner = SagPlanner::new(sag, actions, model, vec![0], HashSet::new());
+    let planner = SagPlanner::new(sag, actions, model, HashSet::new());
     let mgr = ManagerCore::new(ProtoTiming::default(), Box::new(planner));
     (u, mgr)
 }
@@ -59,7 +59,7 @@ fn world_two_agents() -> (Universe, ManagerCore) {
     let p0 = model.add_process();
     let p1 = model.add_process();
     model.place_all(&u, &[("X1", p0), ("X2", p0), ("Y1", p1), ("Y2", p1)]);
-    let planner = SagPlanner::new(sag, actions, model, vec![0, 1], HashSet::new());
+    let planner = SagPlanner::new(sag, actions, model, HashSet::new());
     let mgr = ManagerCore::new(ProtoTiming::default(), Box::new(planner));
     (u, mgr)
 }
@@ -320,7 +320,7 @@ fn give_up_when_stranded_mid_path() {
     let mut model = SystemModel::new();
     let p0 = model.add_process();
     model.place_all(&u, &[("A", p0), ("B", p0), ("C", p0)]);
-    let planner = SagPlanner::new(sag, actions, model, vec![0], HashSet::new());
+    let planner = SagPlanner::new(sag, actions, model, HashSet::new());
     let mut mgr = ManagerCore::new(ProtoTiming::default(), Box::new(planner));
 
     let eff = mgr.on_event(ManagerEvent::Request {

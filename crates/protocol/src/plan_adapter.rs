@@ -17,9 +17,6 @@ pub struct SagPlanner {
     sag: Sag,
     actions: Vec<Action>,
     model: SystemModel,
-    /// Maps a process (by [`SystemModel`] id index) to the agent index the
-    /// manager addresses. Usually the identity.
-    agent_of_process: Vec<usize>,
     drain_actions: HashSet<ActionId>,
 }
 
@@ -29,8 +26,7 @@ impl SagPlanner {
     /// * `sag` — the safe adaptation graph for this adaptation's scope.
     /// * `actions` — the full action table (indexed by [`ActionId`]).
     /// * `model` — component placement; every component any action touches
-    ///   must be placed.
-    /// * `agent_of_process` — agent index per process id index.
+    ///   must be placed. Agent `p` drives process `p`.
     /// * `drain_actions` — actions whose global safe condition requires the
     ///   stream to drain (the paper's expensive encoder/decoder compound
     ///   actions, A6–A15 in Table 2).
@@ -38,11 +34,9 @@ impl SagPlanner {
         sag: Sag,
         actions: Vec<Action>,
         model: SystemModel,
-        agent_of_process: Vec<usize>,
         drain_actions: HashSet<ActionId>,
     ) -> Self {
-        assert_eq!(agent_of_process.len(), model.process_count(), "one agent mapping per process");
-        SagPlanner { sag, actions, model, agent_of_process, drain_actions }
+        SagPlanner { sag, actions, model, drain_actions }
     }
 }
 
@@ -62,25 +56,22 @@ impl AdaptationPlanner for SagPlanner {
 
     fn compile(&mut self, path: &Path) -> Vec<PlannedStep> {
         let drains = |a| self.drain_actions.contains(&a);
-        compile_steps(path, &self.actions, &self.model, &self.agent_of_process, drains)
+        compile_steps(path, &self.actions, &self.model, drains)
     }
 }
 
 /// Compiles `path` into per-process steps: each step's action is split by
 /// the process hosting each component it touches, and each share goes to
-/// the agent driving that process. `drains` names the actions whose global
-/// safe condition requires the stream to drain.
+/// the agent driving that process — agent `p` for process `p`. `drains`
+/// names the actions whose global safe condition requires the stream to
+/// drain.
 pub fn compile_steps(
     path: &Path,
     actions: &[Action],
     model: &SystemModel,
-    agent_of_process: &[usize],
     drains: impl Fn(ActionId) -> bool,
 ) -> Vec<PlannedStep> {
-    let agent = |comp| {
-        let p = model.host_of(comp).expect("touched component must be placed");
-        agent_of_process[p.index()]
-    };
+    let agent = |comp| model.host_of(comp).expect("touched component must be placed").index();
     let locals_for = |action: &Action| {
         let mut per_agent: BTreeMap<usize, (Vec<CompId>, Vec<CompId>)> = BTreeMap::new();
         for &comp in action.removes() {
@@ -134,7 +125,7 @@ mod tests {
         let client = model.add_process();
         model.place_all(&u, &[("E1", server), ("E2", server), ("D1", client), ("D2", client)]);
         let drain: HashSet<ActionId> = [ActionId(2)].into();
-        let planner = SagPlanner::new(sag, actions, model, vec![0, 1], drain);
+        let planner = SagPlanner::new(sag, actions, model, drain);
         (u, planner)
     }
 
@@ -200,15 +191,5 @@ mod tests {
         }
         let (_, mut fresh) = setup();
         assert_eq!(fresh.paths(&src, &dst, 8), first, "and identical across incarnations");
-    }
-
-    use sada_plan::Path;
-
-    #[test]
-    #[should_panic(expected = "one agent mapping per process")]
-    fn mismatched_agent_table_panics() {
-        let (_u, p) = setup();
-        let SagPlanner { sag, actions, model, .. } = p;
-        let _ = SagPlanner::new(sag, actions, model, vec![0], HashSet::new());
     }
 }

@@ -48,7 +48,7 @@ fn build_world(seed: u64, source: &[&str], target: &[&str], timing: ProtoTiming)
     let p1 = model.add_process();
     model.place_all(&u, &[("X1", p0), ("X2", p0), ("Y1", p1), ("Y2", p1)]);
     let drain: HashSet<ActionId> = [ActionId(2)].into();
-    let planner = SagPlanner::new(sag, actions, model, vec![0, 1], drain);
+    let planner = SagPlanner::new(sag, actions, model, drain);
 
     let mut sim: Simulator<Msg> = Simulator::new(seed);
     // Agents must exist before the manager so their ids are known.
@@ -298,7 +298,7 @@ fn pair_action_blocks_both_agents_until_barrier() {
     let p0 = model.add_process();
     let p1 = model.add_process();
     model.place_all(&u, &[("X1", p0), ("X2", p0), ("Y1", p1), ("Y2", p1)]);
-    let planner = SagPlanner::new(sag, actions, model, vec![0, 1], [ActionId(0)].into());
+    let planner = SagPlanner::new(sag, actions, model, [ActionId(0)].into());
 
     let mut sim: Simulator<Msg> = Simulator::new(11);
     // Agent 1 is slow to reach its safe state; agent 0 must wait blocked.
@@ -356,7 +356,7 @@ fn rollback_overtaking_the_in_action_leaves_no_change_behind() {
             model.place_all(&u, &[("X1", p0), ("X2", p0), ("Y1", p1), ("Y2", p1)]);
             let drains: HashSet<ActionId> =
                 if drain { [ActionId(0)].into() } else { HashSet::new() };
-            let planner = SagPlanner::new(sag, actions.clone(), model, vec![0, 1], drains);
+            let planner = SagPlanner::new(sag, actions.clone(), model, drains);
 
             let mut sim: Simulator<Msg> = Simulator::new(1);
             let y_timing = AgentTiming {

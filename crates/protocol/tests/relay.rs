@@ -24,7 +24,7 @@ fn planner() -> (Universe, SagPlanner) {
     let mut model = SystemModel::new();
     let p = model.add_process();
     model.place_all(&u, &[("A", p), ("B", p)]);
-    (u.clone(), SagPlanner::new(sag, actions, model, vec![0], HashSet::new()))
+    (u.clone(), SagPlanner::new(sag, actions, model, HashSet::new()))
 }
 
 #[test]

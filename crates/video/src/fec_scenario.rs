@@ -128,7 +128,7 @@ pub fn fec_spec() -> (AdaptationSpec, Config, Config) {
     );
     let source = u.config_of(&["E1", "D1", "D4"]);
     let target = u.config_of(&["E1", "D1", "D4", "FE", "FDH", "FDL"]);
-    let spec = AdaptationSpec::new(u, invariants, actions, model, vec![0, 1, 2], HashSet::new());
+    let spec = AdaptationSpec::new(u, invariants, actions, model, HashSet::new());
     (spec, source, target)
 }
 

@@ -56,7 +56,7 @@ fn main() {
         ],
     );
     let drain: HashSet<ActionId> = [ActionId(6), ActionId(7)].into();
-    let spec = AdaptationSpec::new(u, invariants, actions, model, vec![0, 1, 2], drain);
+    let spec = AdaptationSpec::new(u, invariants, actions, model, drain);
     let u = spec.universe();
 
     // Battery-low trigger: go from hardened 1010010 back to thrifty 0100101.

@@ -47,8 +47,7 @@ fn main() {
         &[("Tls12", gateway), ("Tls13", gateway), ("Client12", edge), ("Client13", edge)],
     );
 
-    let spec =
-        AdaptationSpec::new(universe, invariants, actions, model, vec![0, 1], HashSet::new());
+    let spec = AdaptationSpec::new(universe, invariants, actions, model, HashSet::new());
 
     // 2. Detection and setup phase — enumerate safe configurations, build
     //    the SAG, find the minimum adaptation path.

@@ -68,7 +68,7 @@ fn compound_only_case_study() -> CaseStudy {
     let drain: HashSet<ActionId> = [ActionId(0)].into();
     let source = u.config_from_bits("0100101");
     let target = u.config_from_bits("1010010");
-    let spec = AdaptationSpec::new(u, invariants, actions, model, vec![0, 1, 2], drain);
+    let spec = AdaptationSpec::new(u, invariants, actions, model, drain);
     CaseStudy { spec, deployment: full.deployment, source, target }
 }
 

@@ -62,7 +62,7 @@ fn compression_spec() -> (AdaptationSpec, sada_expr::Config, sada_expr::Config) 
     );
     let source = u.config_of(&["E1", "D1", "D4"]);
     let target = u.config_of(&["E1", "D1", "D4", "CE", "CDH", "CDL"]);
-    let spec = AdaptationSpec::new(u, invariants, actions, model, vec![0, 1, 2], HashSet::new());
+    let spec = AdaptationSpec::new(u, invariants, actions, model, HashSet::new());
     (spec, source, target)
 }
 

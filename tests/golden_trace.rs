@@ -57,8 +57,7 @@ fn quickstart_spec() -> (AdaptationSpec, Config, Config) {
     );
     let source = universe.config_of(&["Tls12", "Client12"]);
     let target = universe.config_of(&["Tls13", "Client13"]);
-    let spec =
-        AdaptationSpec::new(universe, invariants, actions, model, vec![0, 1], HashSet::new());
+    let spec = AdaptationSpec::new(universe, invariants, actions, model, HashSet::new());
     (spec, source, target)
 }
 
