@@ -8,11 +8,12 @@ mod hostile;
 
 use hostile::{assert_rejections, check, hostile};
 use proptest::prelude::*;
+use sada_expr::{CompId, Config};
 use sada_fleet::{encode_fabric_msg, parse_fabric_msg};
-use sada_obs::{decode_lines, encode_event};
+use sada_obs::{decode_lines, encode_event, AuditEvent, Event, NetEvent, Payload, SimTime};
 use sada_proto::{
     encode_global_journal, encode_journal, encode_session_journal, parse_global_journal,
-    parse_journal, parse_session_journal,
+    parse_journal, parse_session_journal, JournalRecord,
 };
 use sada_simnet::FaultPlan;
 
@@ -153,6 +154,117 @@ fn malformed_jsonl_is_rejected_where_it_goes_wrong() {
         ("# ok\n\nnot json\n", 3, 1, "'{'"),
         ("{\"at\":0,\"actor\":0,\"kind\":\"net.crashed\"}\n  {\"at\":1,\"actor\":0,\"kind\":\"net.timer\"}\n", 2, 40, "field 'tag'"),
     ]);
+}
+
+/// Every state of the JSON-line scanner: around each token, in each kind of
+/// value, at the spill past the inline fields, and at the end of the line.
+#[test]
+fn malformed_jsonl_is_rejected_in_every_scanner_state() {
+    #[rustfmt::skip]
+    assert_rejections(decode_lines, &[
+        ("{}", 1, 3, "field 'at'"),
+        ("{ }", 1, 4, "field 'at'"),
+        ("{", 1, 2, "'\"'"),
+        ("{at:0}", 1, 2, "'\"'"),
+        ("{\"at\":0,}", 1, 9, "'\"'"),
+        ("{\"at\":0,\"act", 1, 9, "a terminated string"),
+        ("{\"at\" 0}", 1, 7, "':'"),
+        ("{\"at\":}", 1, 7, "a JSON value"),
+        ("{\"at\": ,\"actor\":0}", 1, 8, "a JSON value"),
+        ("{\"at\":-1,\"actor\":0,\"kind\":\"net.crashed\"}", 1, 7, "a JSON value"),
+        ("{\"at\":1.5,\"actor\":0,\"kind\":\"net.crashed\"}", 1, 8, "',' or '}'"),
+        ("{\"at\":null,\"actor\":0,\"kind\":\"net.crashed\"}", 1, 7, "a JSON value"),
+        ("{\"at\":0,\"actor\":0,\"kind\":\"net.crashed\",\"x\":fals}", 1, 44, "true or false"),
+        ("{\"at\":0,\"actor\":0,\"kind\":\"net.crashed\",\"x\":\"open}", 1, 44, "a terminated string"),
+        ("{\"at\":0,\"actor\":0,\"kind\":\"audit.in_action\",\"label\":\"\",\"comps\":[1,2", 1, 67, "']'"),
+        ("{\"at\":0,\"actor\":0,\"kind\":\"audit.in_action\",\"label\":\"\",\"comps\":[", 1, 64, "u64"),
+        ("{\"at\":0,\"actor\":0,\"kind\":\"audit.in_action\",\"label\":\"\",\"comps\":[1 2]}", 1, 66, "']'"),
+        ("{\"at\":0,\"actor\":0,\"kind\":\"audit.in_action\",\"label\":\"\",\"comps\":[1,]}", 1, 66, "u64"),
+        ("{\"at\":0,\"actor\":0,\"kind\":\"audit.in_action\",\"label\":\"\",\"comps\":[18446744073709551616]}", 1, 64, "u64"),
+        ("{\"at\":0,\"actor\":0,\"kind\":\"audit.in_action\",\"label\":1,\"comps\":[]}", 1, 52, "'\"'"),
+        ("{\"at\":0,\"actor\":0,\"kind\":\"net.sent\",\"from\":\"1\",\"to\":2}", 1, 44, "u32"),
+        ("{\"at\":0,\"actor\":0,\"kind\":\"proto.step_started\",\"step\":1,\"solo\":1,\"participants\":1}", 1, 63, "true or false"),
+        ("{\"at\":0,\"actor\":0,\"k\\u0069nd\":\"net.crashed\"}", 1, 45, "field 'kind'"),
+        ("{\"at\":0,\"actor\":0,\"kind\":\"net.crashed\"}}", 1, 40, "the end"),
+        ("{\"at\":0,\"actor\":0,\"kind\":\"net.crashed\"} x", 1, 41, "the end"),
+        ("{\"x0\":0,\"x1\":0,\"x2\":0,\"x3\":0,\"x4\":0,\"x5\":0,\"x6\":0,\"x7\":0,\"x8\":0,\"x9\":0,\"x10\":0,\"x11\":0,\"at\":0,\"actor\":x}", 1, 103, "a JSON value"),
+        ("{\"x0\":0,\"x1\":0,\"x2\":0,\"x3\":0,\"x4\":0,\"x5\":0,\"x6\":0,\"x7\":0,\"x8\":0,\"x9\":0,\"x10\":0,\"x11\":0,\"at\":0,\"actor\":0}", 1, 105, "field 'kind'"),
+    ]);
+}
+
+/// What the JSON-line scanner accepts beyond what the encoder writes:
+/// whitespace around every token, an escaped (and so unknown) key, a
+/// repeated key (the last one counts), more fields than the view holds
+/// inline, and arrays with spaces.
+#[test]
+fn loose_jsonl_decodes_to_the_event_it_spells() {
+    let crashed = |at: u64| Event {
+        at: SimTime::from_micros(at),
+        actor: 1,
+        session: 0,
+        shard: 0,
+        payload: Payload::Net(NetEvent::Crashed),
+    };
+    let in_action = |comps: &[usize]| Event {
+        payload: Payload::Audit(AuditEvent::InAction {
+            label: "x".into(),
+            comps: comps.iter().copied().map(CompId::from_index).collect(),
+        }),
+        ..crashed(5)
+    };
+    let spill: String = (0..12).map(|i| format!("\"x{i}\":{i},")).collect();
+    #[rustfmt::skip]
+    let rows = [
+        ("{ \"at\" : 5 , \"actor\" : 1 , \"kind\" : \"net.crashed\" }".to_string(), crashed(5)),
+        ("\t{\t\"at\":5,\"actor\":1,\"kind\":\"net.crashed\"}\t  ".to_string(), crashed(5)),
+        ("{\"at\":5,\"a\\\"b\":1,\"actor\":1,\"kind\":\"net.crashed\"}".to_string(), crashed(5)),
+        ("{\"at\":5,\"x\":[ ],\"y\":true,\"z\":\"w\",\"actor\":1,\"kind\":\"net.crashed\"}".to_string(), crashed(5)),
+        ("{\"at\":1,\"actor\":1,\"kind\":\"net.crashed\",\"at\":5}".to_string(), crashed(5)),
+        (format!("{{\"at\":1,{spill}\"actor\":1,\"kind\":\"net.crashed\",\"at\":5}}"), crashed(5)),
+        (format!("{{{spill}\"at\":5,\"actor\":1,\"kind\":\"net.crashed\"}}"), crashed(5)),
+        ("{\"at\":5,\"actor\":1,\"kind\":\"audit.in_action\",\"label\":\"x\",\"comps\":[1, 2]}".to_string(), in_action(&[1, 2])),
+        ("{\"at\":5,\"actor\":1,\"kind\":\"audit.in_action\",\"label\":\"x\",\"comps\":[ 1 , 2 ]}".to_string(), in_action(&[1, 2])),
+        ("{\"at\":5,\"actor\":1,\"kind\":\"audit.in_action\",\"label\":\"x\",\"comps\":[ ]}".to_string(), in_action(&[])),
+        ("{\"at\":05,\"actor\":1,\"kind\":\"net.crashed\"}".to_string(), crashed(5)),
+    ];
+    for (text, want) in rows {
+        assert_eq!(decode_lines(&text), Ok(vec![want]), "{text:?}");
+    }
+}
+
+/// `width` bits of `0101…` with `bad` in place of the bit at `at`.
+fn bits_with(width: usize, at: usize, bad: char) -> String {
+    let bit = |i: usize| if i & 1 == 0 { '0' } else { '1' };
+    (0..width).map(|i| if i == at { bad } else { bit(i) }).collect()
+}
+
+/// A bad byte in a bit string at the first byte, around the first eight and
+/// around the first sixty-four, whichever way a reader cuts the string.
+#[test]
+fn a_bad_bit_is_rejected_where_it_stands() {
+    let good = bits_with(128, usize::MAX, '0');
+    for at in [0, 7, 8, 63, 64, 65, 127] {
+        for bad in ['2', '/', '\u{b}', 'é'] {
+            let source = format!("request source={} target={good}", bits_with(128, at, bad));
+            let target = format!("queued source={good} target={}", bits_with(130, at, bad));
+            assert_rejections(parse_journal, &[(&source, 1, 16 + at, "'0' or '1'")]);
+            assert_rejections(parse_journal, &[(&target, 1, 151 + at, "'0' or '1'")]);
+        }
+    }
+}
+
+/// Bits end at any ASCII whitespace: a tab, a form feed, a carriage return.
+#[test]
+fn bits_end_at_any_whitespace() {
+    let (a, b) = (bits_with(128, usize::MAX, '0'), bits_with(70, 3, '1'));
+    let want = vec![JournalRecord::Request {
+        source: Config::from_bit_string(&a).unwrap(),
+        target: Config::from_bit_string(&b).unwrap(),
+    }];
+    for sep in ["\t", "\x0c", " \t ", "\r"] {
+        let text = format!("request source={a}{sep}target={b}{sep}\n");
+        assert_eq!(parse_journal(&text), Ok(want.clone()), "{text:?}");
+    }
 }
 
 #[test]
