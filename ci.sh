@@ -29,6 +29,9 @@ echo "==> one tokenizer, one table (sada_obs::text reads every line format; each
 if grep -rn "split_once('=')\|starts_with('#')" crates/*/src | grep -v '^crates/obs/src/text.rs:'; then echo "a line tokenizer outside crates/obs/src/text.rs"; exit 1; fi
 if sed '/^#\[cfg(test)\]/,$d' crates/obs/src/codec.rs | grep -o '"[a-z]*\.[a-z_]*"' | sort | uniq -d | grep .; then echo "an event kind stated twice in crates/obs/src/codec.rs"; exit 1; fi
 
+echo "==> one FNV-1a (crates/obs/src/fnv.rs holds the offset basis; every fingerprint and pinned constant hashes through sada_obs::fnv1a)"
+if [ "$(grep -rniE 'cbf2_?9ce4_?8422_?2325' crates/*/src | wc -l)" != 1 ]; then grep -rniE 'cbf2_?9ce4_?8422_?2325' crates/*/src; echo "the FNV-1a offset basis stated outside crates/obs/src/fnv.rs"; exit 1; fi
+
 echo "==> one manager host (RTT sampling and RTO reports live in crates/protocol/src/host.rs; the codec only decodes them)"
 if grep -rn 'pending_since\|FleetEvent::TimeoutAdapted {' crates/*/src | grep -v '^crates/protocol/src/host.rs:\|^crates/obs/src/codec.rs:'; then echo "a second manager host outside crates/protocol/src/host.rs"; exit 1; fi
 
@@ -79,6 +82,9 @@ fi
 echo "==> observability timeline smoke (video case study + chaos seed replay)"
 cargo run -q --release -p sada-bench --bin report -- timeline > /dev/null
 cargo run -q --release -p sada-bench --bin report -- timeline 3 > /dev/null
+
+echo "==> trace diff smoke (the golden trace against itself is identical)"
+cargo run -q --release -p sada-bench --bin report -- diff tests/golden/quickstart_trace.jsonl tests/golden/quickstart_trace.jsonl | grep -qx 'identical (49 events)'
 
 echo "==> fleet control-plane smoke (100 groups, concurrent sessions + crash/restore leg)"
 cargo run -q --release -p sada-bench --bin report -- fleet > /dev/null

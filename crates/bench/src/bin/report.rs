@@ -24,6 +24,10 @@
 //! and runs the serverless and IaaS universes for seeds `<seed>`,
 //! `<seed>+1`, `<seed>+2` (default base seed 1, matching
 //! `BENCH_scenario.json`).
+//!
+//! `report -- diff A.jsonl B.jsonl` is no section of the paper: it decodes
+//! two JSONL traces and prints where they part (see `diff`). It exits 1
+//! when they do, and 2 when a trace cannot be read.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -32,7 +36,10 @@ use std::rc::Rc;
 use sada_core::casestudy::{case_study, PAPER_MAP, PAPER_MAP_COST, TABLE1_ROWS};
 use sada_core::{run_adaptation, RunConfig};
 use sada_expr::{enumerate, CompId};
-use sada_obs::{AuditEvent, Bus, CounterSink, Event, Metrics, Payload, RingSink, TemporalEvent};
+use sada_obs::{
+    decode_lines, encode_event, AuditEvent, Bus, CounterSink, Event, Metrics, Payload, RingSink,
+    TemporalEvent,
+};
 use sada_plan::{lazy, Search};
 use sada_proto::{
     AgentCore, AgentEvent, AgentState, LocalAction, ManagerCore, ManagerEvent, ManagerPhase,
@@ -1135,8 +1142,45 @@ fn scenario(seed: Option<u64>) {
     );
 }
 
+/// The first event at which two traces part: its 1-based number (the line
+/// number, in a trace without comments or blank lines) and both events, a
+/// trace that ends early standing as `(end of trace)`. Equal events are
+/// equal whatever their spacing. Returns the exit status: 0 when the traces
+/// are identical, 1 when they part, 2 when one cannot be read.
+fn diff(a: &str, b: &str) -> i32 {
+    let read = |path: &str| {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        decode_lines(&text).map_err(|e| format!("{path}: {e}"))
+    };
+    let (ours, theirs) = match (read(a), read(b)) {
+        (Ok(ours), Ok(theirs)) => (ours, theirs),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("{e}");
+            return 2;
+        }
+    };
+    let parts = (0..ours.len().max(theirs.len())).find(|&i| ours.get(i) != theirs.get(i));
+    let Some(at) = parts else {
+        println!("identical ({} events)", ours.len());
+        return 0;
+    };
+    let shown = |ev: Option<&Event>| ev.map_or_else(|| "(end of trace)".to_string(), encode_event);
+    println!("line {}: the traces part", at + 1);
+    println!("  {a}: {}", shown(ours.get(at)));
+    println!("  {b}: {}", shown(theirs.get(at)));
+    1
+}
+
 fn main() {
     let section = std::env::args().nth(1).unwrap_or_else(|| "all".into());
+    if section == "diff" {
+        let paths: Vec<String> = std::env::args().skip(2).collect();
+        let [a, b] = paths.as_slice() else {
+            eprintln!("usage: report -- diff A.jsonl B.jsonl");
+            std::process::exit(2);
+        };
+        std::process::exit(diff(a, b));
+    }
     let run = |name: &str| section == "all" || section == name;
     if run("table1") {
         table1();

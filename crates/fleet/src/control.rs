@@ -29,7 +29,7 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use sada_expr::{CompId, Config};
-use sada_obs::{Bus, Event, FleetEvent, Payload};
+use sada_obs::{Bus, Event, FleetEvent, Fnv1a, Payload};
 use sada_proto::{
     JournalRecord, ManagerCore, ManagerEffect, ManagerEvent, ManagerHost, Outcome, ProtoTiming,
     Roster, SessionCore, SessionId, SessionRecord, Wire,
@@ -319,14 +319,7 @@ impl<M: Clone + 'static> ControlActor<M> {
     fn scope_key(&self, spec: &SessionSpec) -> u64 {
         let mut rs = self.resources_of(spec);
         rs.sort_unstable();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for r in rs {
-            for b in r.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        h
+        rs.iter().fold(Fnv1a::new(), |h, r| h.write(r.to_le_bytes())).finish()
     }
 
     /// Backpressure hint attached to a shed: observed mean service time

@@ -48,7 +48,6 @@
 //! unsharded driver by construction; what the identity tests pin is that
 //! the executor and the report merge add nothing on top.
 
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
@@ -56,7 +55,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use sada_expr::CompId;
-use sada_obs::{encode_event_into, Event, FleetEvent};
+use sada_obs::{fingerprint_jsonl, Event, FleetEvent};
 use sada_proto::{encode_global_journal, Wire};
 use sada_resilience::{jitter_us, RetryPolicy};
 use sada_simnet::{ActorId, SimDuration, SimTime};
@@ -78,9 +77,6 @@ use crate::world::FleetWorld;
 /// scenario seed (the `regions = 1` ≡ `run_fleet` equivalence) while the
 /// rest get decorrelated streams.
 const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
-
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// A sharded fleet experiment: the underlying scenario plus the logical
 /// partition, crash faults targeting one region and/or the global tier, and
@@ -793,39 +789,17 @@ impl ShardReport {
     }
 }
 
-/// FNV-1a over the encoded events, one line each; `strip_shards` encodes
-/// every event as if its shard tag were zero.
-fn fingerprint_lines(events: &[Event], strip_shards: bool) -> u64 {
-    let mut h = FNV_BASIS;
-    let mut line = String::with_capacity(128);
-    for ev in events {
-        let ev = if strip_shards && ev.shard != 0 {
-            Cow::Owned(Event { shard: 0, ..ev.clone() })
-        } else {
-            Cow::Borrowed(ev)
-        };
-        line.clear();
-        encode_event_into(&mut line, &ev);
-        line.push('\n');
-        for &b in line.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
-
 /// FNV-1a fingerprint over the encoded event stream, shard tags included —
 /// the bit-for-bit identity compared across worker-thread counts.
 pub fn fingerprint_events(events: &[Event]) -> u64 {
-    fingerprint_lines(events, false)
+    fingerprint_jsonl(events, None)
 }
 
 /// Like [`fingerprint_events`] with shard tags normalized to zero — the
 /// identity compared between a one-region sharded run and the unsharded
 /// [`run_fleet`](crate::run_fleet) driver.
 pub fn fingerprint_events_unsharded(events: &[Event]) -> u64 {
-    fingerprint_lines(events, true)
+    fingerprint_jsonl(events, Some(0))
 }
 
 /// Runs `scenario` sharded across `threads` worker threads and reports.

@@ -14,7 +14,7 @@ use sada_fleet::{
     disjoint_wave, fingerprint_events_unsharded, run_fleet, FleetReport, FleetResilience,
     FleetScenario, SessionSpec,
 };
-use sada_obs::{FleetEvent, Payload};
+use sada_obs::{fnv1a, FleetEvent, Payload};
 use sada_proto::ProtoTiming;
 use sada_resilience::{BreakerConfig, BulkheadConfig, RetryPolicy};
 use sada_simnet::{chaos, ActorId, ChaosOpts, Fault, FaultPlan, SimDuration, SimTime};
@@ -41,12 +41,6 @@ struct Identity {
     verdicts: (usize, usize, usize, usize, u64),
 }
 
-fn fnv(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
-}
-
 fn assert_identity(what: &str, report: &FleetReport, want: &Identity) {
     let count =
         |f: fn(&sada_fleet::SessionResult) -> bool| report.results.iter().filter(|r| f(r)).count();
@@ -58,7 +52,7 @@ fn assert_identity(what: &str, report: &FleetReport, want: &Identity) {
         report.rejected,
     );
     let (fingerprint, journal_fnv) =
-        (fingerprint_events_unsharded(&report.events), fnv(&report.journal_text));
+        (fingerprint_events_unsharded(&report.events), fnv1a(&report.journal_text));
     assert!(
         (fingerprint, report.final_config.as_str(), report.restores, journal_fnv, verdicts)
             == (want.fingerprint, want.final_config, want.restores, want.journal_fnv, want.verdicts),

@@ -3,6 +3,7 @@
 //! `sada-scenario` depends on `sada-fleet`, not the reverse).
 
 use sada_fleet::{run_fleet_sharded, SessionResult, ShardReport, ShardScenario};
+use sada_obs::fnv1a;
 
 /// Merged-stream fingerprint, final configuration, restores summed over
 /// shards, the FNV of every shard's journal text (region order, then the
@@ -18,12 +19,6 @@ pub(crate) struct Identity {
     pub verdicts: (usize, usize, usize, usize, u64),
 }
 
-fn fnv(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
-}
-
 fn assert_identity(what: &str, report: &ShardReport, want: &Identity) {
     let count = |f: fn(&SessionResult) -> bool| report.results.iter().filter(|r| f(r)).count();
     let verdicts = (
@@ -33,9 +28,9 @@ fn assert_identity(what: &str, report: &ShardReport, want: &Identity) {
         count(|r| r.shed),
         report.rejected,
     );
-    let journal_fnvs: Vec<u64> = report.journals.iter().map(|(_, text)| fnv(text)).collect();
+    let journal_fnvs: Vec<u64> = report.journals.iter().map(|(_, text)| fnv1a(text)).collect();
     let shown: Vec<String> = journal_fnvs.iter().map(|h| format!("{h:#018x}")).collect();
-    let global_journal_fnv = fnv(&report.global_journal);
+    let global_journal_fnv = fnv1a(&report.global_journal);
     let got = (
         report.fingerprint,
         report.final_config.as_str(),

@@ -9,7 +9,7 @@
 use sada_expr::{CompId, Config};
 use sada_fleet::{encode_fabric_msg, FabricPayload};
 use sada_obs::{
-    encode_event, AgentStateTag, AuditEvent, Event, FleetEvent, ManagerPhaseTag, NetEvent,
+    encode_event, fnv1a, AgentStateTag, AuditEvent, Event, FleetEvent, ManagerPhaseTag, NetEvent,
     ObligationKey, Payload, PlanEvent, ProtoEvent, SimDuration, SimTime, TemporalEvent, NO_ACTOR,
 };
 use sada_plan::ActionId;
@@ -19,14 +19,8 @@ use sada_proto::{
 };
 use sada_simnet::{ActorId, FaultPlan, MsgPattern};
 
-fn fnv(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
-}
-
 fn assert_pinned(what: &str, text: &str, want: u64) {
-    assert!(fnv(text) == want, "{what}: bytes moved, FNV-1a now {:#018x}\n{text}", fnv(text));
+    assert!(fnv1a(text) == want, "{what}: bytes moved, FNV-1a now {:#018x}\n{text}", fnv1a(text));
 }
 
 /// Every `Payload` variant, optional fields both present and absent.

@@ -423,13 +423,26 @@ impl Config {
         let nbits = Config::checked_width(bits.len());
         // One pass, a word at a time: the string's last 64 digits are word
         // 0. `b ^ b'0'` is 0 or 1 for a digit and has a higher bit set for
-        // any other byte, so validity is one OR per byte, tested at the end.
-        let mut seen = 0u8;
+        // any other byte, so validity is one OR, tested at the end. Eight
+        // digits go at once: XOR the eight bytes, OR their high bits into
+        // `bad`, and one multiply gathers the eight low bits into the top
+        // byte, the first digit highest (the partial products never
+        // overlap, so nothing carries).
+        const ZEROS: u64 = 0x3030_3030_3030_3030;
+        const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+        const GATHER: u64 = 0x8040_2010_0804_0201;
+        let mut bad = 0u64;
         let mut word_of = |digits: &[u8]| {
-            digits.iter().fold(0u64, |word, &b| {
+            let (head, eights) = digits.split_at(digits.len() % 8);
+            let word = head.iter().fold(0u64, |word, &b| {
                 let bit = b ^ b'0';
-                seen |= bit;
-                word << 1 | u64::from(bit & 1)
+                bad |= u64::from(bit & !1);
+                word << 1 | u64::from(bit)
+            });
+            eights.chunks_exact(8).fold(word, |word, eight| {
+                let bits = u64::from_le_bytes(eight.try_into().expect("eight digits")) ^ ZEROS;
+                bad |= bits & !LOW_BITS;
+                word << 8 | bits.wrapping_mul(GATHER) >> 56
             })
         };
         let digits = bits.as_bytes();
@@ -445,7 +458,7 @@ impl Config {
             };
             Repr::Chunked { nbits, spine: digits.rchunks(CHUNK_BITS).map(chunk_of).collect() }
         };
-        if seen > 1 {
+        if bad != 0 {
             let other = bits.chars().find(|ch| !matches!(ch, '0' | '1'));
             return Err(other.expect("some byte was neither digit"));
         }

@@ -10,7 +10,7 @@
 //! The codec is a bijection on the event taxonomy:
 //! `decode_event(encode_event(e)) == e` (property-tested).
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use sada_expr::{CompId, Config};
 use sada_model::AuditEvent;
@@ -20,8 +20,9 @@ use crate::event::{
     AgentStateTag, Event, FleetEvent, ManagerPhaseTag, NetEvent, Payload, PlanEvent, ProtoEvent,
     TemporalEvent,
 };
+use crate::fnv::{Fnv1a, Piece};
 use crate::key::ObligationKey;
-use crate::text::{push_json_str, records, Cursor, Fields, ParseError};
+use crate::text::{escape_json, records, Cursor, Fields, ParseError};
 use crate::time::SimTime;
 
 /// Records every event as one JSONL line.
@@ -88,7 +89,8 @@ impl Sink for JsonlSink {
 /// Encodes one event as a single JSON line (no trailing newline).
 ///
 /// Convenience wrapper over [`encode_event_into`] that allocates a fresh
-/// `String`; hot paths (fingerprinting, sinks) reuse a buffer instead.
+/// `String`; sinks reuse one buffer, and fingerprints write no text at all
+/// ([`fingerprint_jsonl`]).
 pub fn encode_event(ev: &Event) -> String {
     let mut out = String::with_capacity(96);
     encode_event_into(&mut out, ev);
@@ -99,36 +101,79 @@ pub fn encode_event(ev: &Event) -> String {
 /// to `out`. The caller owns the buffer, so a loop over many events can
 /// clear and reuse one allocation instead of building a `String` per event.
 pub fn encode_event_into(out: &mut String, ev: &Event) {
-    encode_payload(out, ev);
-    out.push('}');
+    encode_line(out, ev, ev.shard);
 }
 
-/// Opens the object: the envelope every event shares, up to its kind.
-fn head(out: &mut String, ev: &Event, kind: &str) {
-    out.push_str("{\"at\":");
-    push_u64(out, ev.at.as_micros());
-    put_uint(out, "actor", ev.actor.into());
-    // Session 0 is elided so single-adaptation traces (including the
-    // pinned golden trace) keep their pre-fleet byte-for-byte form.
-    if ev.session != 0 {
-        put_uint(out, "session", ev.session);
+/// FNV-1a of the events' JSONL — each event's [`encode_event`] line and a
+/// newline — computed from the encoder's pieces without writing the text.
+/// `shard`, when given, stands in for every event's shard tag.
+pub fn fingerprint_jsonl(events: &[Event], shard: Option<u32>) -> u64 {
+    let mut h = Fnv1a::new();
+    for ev in events {
+        encode_line(&mut h, ev, shard.unwrap_or(ev.shard));
+        h.text("\n");
     }
-    // Shard 0 is elided the same way: unsharded traces keep their
-    // pre-shard byte-for-byte form.
-    if ev.shard != 0 {
-        put_uint(out, "shard", ev.shard.into());
-    }
-    out.push_str(",\"kind\":\"");
-    out.push_str(kind);
-    out.push('"');
+    h.finish()
 }
 
-/// Appends `n` in decimal. Every line carries four to a dozen integers and
-/// every sharded run encodes its whole merged stream to fingerprint it:
-/// digits from a stack buffer, not one `fmt::Arguments` per number.
-fn push_u64(out: &mut String, mut n: u64) {
-    let mut digits = [0u8; 20]; // u64::MAX has twenty
-    let mut at = digits.len();
+/// Where an encoded line goes: a `String` gets the JSONL text, an [`Fnv1a`]
+/// state absorbs it — a constant piece in one step, the rest byte by byte.
+trait Out {
+    /// A constant piece of the line.
+    fn piece(&mut self, piece: &'static Piece);
+    /// Text known only at run time: a name, a label, a bit string.
+    fn text(&mut self, text: &str);
+    /// A decimal integer.
+    fn uint(&mut self, n: u64);
+}
+
+impl Out for String {
+    fn piece(&mut self, piece: &'static Piece) {
+        self.push_str(piece.text);
+    }
+
+    fn text(&mut self, text: &str) {
+        self.push_str(text);
+    }
+
+    fn uint(&mut self, n: u64) {
+        let mut digits = [0; 20];
+        let digits = decimal(n, &mut digits);
+        self.push_str(std::str::from_utf8(digits).expect("decimal digits are ASCII"));
+    }
+}
+
+impl Out for Fnv1a {
+    fn piece(&mut self, piece: &'static Piece) {
+        *self = self.absorb(piece);
+    }
+
+    fn text(&mut self, text: &str) {
+        *self = self.write(text);
+    }
+
+    fn uint(&mut self, n: u64) {
+        *self = self.write(decimal(n, &mut [0; 20]));
+    }
+}
+
+/// `value`'s `Display` text, through `out` without a buffer.
+fn display<O: Out>(out: &mut O, value: impl fmt::Display) {
+    struct Through<'a, O>(&'a mut O);
+    impl<O: Out> fmt::Write for Through<'_, O> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0.text(s);
+            Ok(())
+        }
+    }
+    let _ = write!(Through(out), "{value}");
+}
+
+/// `n` in decimal, from the end of `digits`. Every line carries four to a
+/// dozen integers: digits from a stack buffer, not one `fmt::Arguments`
+/// per number.
+fn decimal(mut n: u64, digits: &mut [u8; 20]) -> &[u8] {
+    let mut at = digits.len(); // u64::MAX has twenty
     loop {
         at -= 1;
         digits[at] = b'0' + (n % 10) as u8;
@@ -137,7 +182,42 @@ fn push_u64(out: &mut String, mut n: u64) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+    &digits[at..]
+}
+
+/// The envelope's constant pieces, and the two booleans.
+static AT: Piece = Piece::new("{\"at\":");
+static ACTOR: Piece = Piece::new(",\"actor\":");
+static SESSION: Piece = Piece::new(",\"session\":");
+static SHARD: Piece = Piece::new(",\"shard\":");
+static TRUE: Piece = Piece::new("true");
+static FALSE: Piece = Piece::new("false");
+
+/// One event's line, without its newline, with `shard` for its shard tag.
+fn encode_line<O: Out>(out: &mut O, ev: &Event, shard: u32) {
+    encode_payload(out, ev, shard);
+    out.text("}");
+}
+
+/// Opens the object: the envelope every event shares, up to its kind.
+fn head<O: Out>(out: &mut O, ev: &Event, shard: u32, kind: &'static Piece) {
+    out.piece(&AT);
+    out.uint(ev.at.as_micros());
+    out.piece(&ACTOR);
+    out.uint(ev.actor.into());
+    // Session 0 is elided so single-adaptation traces (including the
+    // pinned golden trace) keep their pre-fleet byte-for-byte form.
+    if ev.session != 0 {
+        out.piece(&SESSION);
+        out.uint(ev.session);
+    }
+    // Shard 0 is elided the same way: unsharded traces keep their
+    // pre-shard byte-for-byte form.
+    if shard != 0 {
+        out.piece(&SHARD);
+        out.uint(shard.into());
+    }
+    out.piece(kind);
 }
 
 /// Decodes one JSONL line back into an [`Event`].
@@ -159,29 +239,30 @@ fn decode(line: Cursor<'_>) -> Result<Event, ParseError> {
         // shard key; they decode as session 0, shard 0.
         session: f.opt_int("session")?.unwrap_or(0),
         shard: f.opt_int("shard")?.unwrap_or(0),
-        payload: decode_payload(f.parse("kind", Cursor::raw_str)?, &f)?,
+        payload: decode_payload(f.raw_str("kind")?, &f)?,
     })
 }
 
-/// How one field type travels in a JSON line: written after its key,
-/// read back from the line's [`Fields`].
+/// How one field type travels in a JSON line: written after its key's
+/// piece (`,"key":`), read back from the line's [`Fields`].
 trait Wire {
     type Value;
-    fn put(out: &mut String, key: &str, value: &Self::Value);
+    fn put<O: Out>(out: &mut O, key: &'static Piece, value: &Self::Value);
     fn get(f: &Fields<'_>, key: &str) -> Result<Self::Value, ParseError>;
 }
 
-fn put_uint(out: &mut String, key: &str, value: u64) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    push_u64(out, value);
+fn put_uint<O: Out>(out: &mut O, key: &'static Piece, value: u64) {
+    out.piece(key);
+    out.uint(value);
 }
 
-/// Writes `value` quoted but unescaped: for names and bit strings, which
-/// hold nothing to escape.
-fn put_name(out: &mut String, key: &str, value: impl std::fmt::Display) {
-    let _ = write!(out, ",\"{key}\":\"{value}\"");
+/// Writes the value `write` writes, quoted but unescaped: for names and
+/// bit strings, which hold nothing to escape.
+fn put_name<O: Out>(out: &mut O, key: &'static Piece, write: impl FnOnce(&mut O)) {
+    out.piece(key);
+    out.text("\"");
+    write(out);
+    out.text("\"");
 }
 
 /// Reads a quoted name back through `parse`.
@@ -191,7 +272,7 @@ fn get_name<T>(
     what: &str,
     parse: impl FnOnce(&str) -> Option<T>,
 ) -> Result<T, ParseError> {
-    let name = f.parse(key, Cursor::raw_str)?;
+    let name = f.raw_str(key)?;
     parse(name.as_str()).ok_or_else(|| name.unknown(what))
 }
 
@@ -204,7 +285,7 @@ macro_rules! wire {
     })*) => {$(
         impl Wire for $name {
             type Value = $value;
-            fn put($out: &mut String, $put_key: &str, $v: &$value) $put
+            fn put<O: Out>($out: &mut O, $put_key: &'static Piece, $v: &$value) $put
             fn get($f: &Fields<'_>, $get_key: &str) -> Result<$value, ParseError> $get
         }
     )*};
@@ -232,13 +313,18 @@ wire! {
         get(f, key) { f.opt_int(key) }
     }
     bool => bool {
-        put(out, key, v) { let _ = write!(out, ",\"{key}\":{v}"); }
+        put(out, key, v) {
+            out.piece(key);
+            out.piece(if *v { &TRUE } else { &FALSE });
+        }
         get(f, key) { f.parse(key, Cursor::next_bool) }
     }
     String => String {
         put(out, key, v) {
-            let _ = write!(out, ",\"{key}\":");
-            push_json_str(out, v);
+            out.piece(key);
+            out.text("\"");
+            escape_json(v, |piece| out.text(piece));
+            out.text("\"");
         }
         get(f, key) { Ok(f.parse(key, Cursor::next_str)?.into_owned()) }
     }
@@ -248,28 +334,32 @@ wire! {
     }
     Vec<CompId> => Vec<CompId> {
         put(out, key, v) {
-            let _ = write!(out, ",\"{key}\":[");
+            out.piece(key);
+            out.text("[");
             for (ix, comp) in v.iter().enumerate() {
-                let _ = write!(out, "{}{}", if ix > 0 { "," } else { "" }, comp.index());
+                if ix > 0 {
+                    out.text(",");
+                }
+                out.uint(comp.index() as u64);
             }
-            out.push(']');
+            out.text("]");
         }
         get(f, key) { f.parse(key, |c| c.next_array(next_comp)) }
     }
     Config => Config {
-        put(out, key, v) { put_name(out, key, v) }
-        get(f, key) { f.parse(key, Cursor::raw_str)?.config() }
+        put(out, key, v) { put_name(out, key, |out| display(out, v)) }
+        get(f, key) { f.raw_str(key)?.config() }
     }
     AgentStateTag => AgentStateTag {
-        put(out, key, v) { put_name(out, key, v.as_str()) }
+        put(out, key, v) { put_name(out, key, |out| out.text(v.as_str())) }
         get(f, key) { get_name(f, key, "agent state", AgentStateTag::parse) }
     }
     ManagerPhaseTag => ManagerPhaseTag {
-        put(out, key, v) { put_name(out, key, v.as_str()) }
+        put(out, key, v) { put_name(out, key, |out| out.text(v.as_str())) }
         get(f, key) { get_name(f, key, "manager phase", ManagerPhaseTag::parse) }
     }
     ObligationKey => ObligationKey {
-        put(out, key, v) { put_name(out, key, v) }
+        put(out, key, v) { put_name(out, key, |out| display(out, v)) }
         get(f, key) { get_name(f, key, "obligation key", |s| s.parse().ok()) }
     }
 }
@@ -278,20 +368,57 @@ fn next_comp(c: &mut Cursor<'_>) -> Result<CompId, ParseError> {
     Ok(CompId::from_index(c.next_int::<u32>()? as usize))
 }
 
+/// Each JSON key a row may carry, and its piece `,"key":` — stated once
+/// here, so every row carrying the key shares one jump table.
+macro_rules! keys {
+    ($($key:ident)*) => {
+        #[allow(non_upper_case_globals)]
+        mod keys {
+            use crate::fnv::Piece;
+            $(pub(super) static $key: Piece = Piece::new(concat!(",\"", stringify!($key), "\":"));)*
+
+            /// Every key's piece.
+            pub(super) fn all() -> Vec<&'static Piece> {
+                vec![$(&$key),*]
+            }
+        }
+    };
+}
+
+keys! {
+    from to tag step solo participants phase retries resends agent last success gave_up steps seq
+    records engaged adapted failed cid comp label comps config key index rank cost to_source id
+    resources queued_for position active queued waited_us retry_after_us cooldown_us scope srtt_us
+    rto_us src dst quanta region attempt epoch attempts domain objective
+}
+
 /// The event taxonomy's wire form, one row per kind: the `kind` string,
-/// the variant, and for each of its fields the JSON key and how it travels.
-/// Both directions are generated from the row, so they cannot drift; the
-/// encoder's `match` is exhaustive, so a variant without a row does not
-/// compile.
+/// the variant, and for each of its fields the JSON key (one of `keys!`)
+/// and how it travels. Both directions are generated from the row, so they
+/// cannot drift; the encoder's `match` is exhaustive, so a variant without
+/// a row does not compile.
 macro_rules! events {
     ($($kind:literal => $layer:ident($of:ident::$variant:ident $({
-        $($field:ident: $key:literal $ty:ty),*
+        $($field:ident: $key:ident $ty:ty),*
     })?),)*) => {
-        fn encode_payload(out: &mut String, ev: &Event) {
+        /// Each row's `,"kind":"…"` piece, named after its variant.
+        #[allow(non_upper_case_globals)]
+        mod kinds {
+            use crate::fnv::Piece;
+            $(pub(super) static $variant: Piece =
+                Piece::new(concat!(",\"kind\":\"", $kind, "\""));)*
+
+            /// Every kind's piece.
+            pub(super) fn all() -> Vec<&'static Piece> {
+                vec![$(&$variant),*]
+            }
+        }
+
+        fn encode_payload<O: Out>(out: &mut O, ev: &Event, shard: u32) {
             match &ev.payload {$(
                 Payload::$layer($of::$variant $({ $($field),* })?) => {
-                    head(out, ev, $kind);
-                    $($(<$ty as Wire>::put(out, $key, $field);)*)?
+                    head(out, ev, shard, &kinds::$variant);
+                    $($(<$ty as Wire>::put(out, &keys::$key, $field);)*)?
                 }
             )*}
         }
@@ -299,7 +426,7 @@ macro_rules! events {
         fn decode_payload(kind: Cursor<'_>, f: &Fields<'_>) -> Result<Payload, ParseError> {
             Ok(match kind.as_str() {
                 $($kind => Payload::$layer($of::$variant $({
-                    $($field: <$ty as Wire>::get(f, $key)?),*
+                    $($field: <$ty as Wire>::get(f, stringify!($key))?),*
                 })?),)*
                 _ => return Err(kind.unknown("event kind")),
             })
@@ -308,112 +435,119 @@ macro_rules! events {
 }
 
 events! {
-    "net.sent" => Net(NetEvent::Sent { from: "from" u32, to: "to" u32 }),
-    "net.delivered" => Net(NetEvent::Delivered { from: "from" u32, to: "to" u32 }),
-    "net.dropped" => Net(NetEvent::Dropped { from: "from" u32, to: "to" u32 }),
-    "net.timer" => Net(NetEvent::TimerFired { tag: "tag" u64 }),
+    "net.sent" => Net(NetEvent::Sent { from: from u32, to: to u32 }),
+    "net.delivered" => Net(NetEvent::Delivered { from: from u32, to: to u32 }),
+    "net.dropped" => Net(NetEvent::Dropped { from: from u32, to: to u32 }),
+    "net.timer" => Net(NetEvent::TimerFired { tag: tag u64 }),
     "net.crashed" => Net(NetEvent::Crashed),
     "net.restarted" => Net(NetEvent::Restarted),
     "proto.agent" => Proto(ProtoEvent::AgentState {
-        from: "from" AgentStateTag, to: "to" AgentStateTag, step: "step" Option<u64>
+        from: from AgentStateTag, to: to AgentStateTag, step: step Option<u64>
     }),
     "proto.manager" => Proto(ProtoEvent::ManagerPhase {
-        from: "from" ManagerPhaseTag, to: "to" ManagerPhaseTag, step: "step" Option<u64>
+        from: from ManagerPhaseTag, to: to ManagerPhaseTag, step: step Option<u64>
     }),
     "proto.step_started" => Proto(ProtoEvent::StepStarted {
-        step: "step" u64, solo: "solo" bool, participants: "participants" u32
+        step: step u64, solo: solo bool, participants: participants u32
     }),
-    "proto.step_committed" => Proto(ProtoEvent::StepCommitted { step: "step" u64 }),
+    "proto.step_committed" => Proto(ProtoEvent::StepCommitted { step: step u64 }),
     "proto.timeout" => Proto(ProtoEvent::TimeoutFired {
-        phase: "phase" ManagerPhaseTag, step: "step" Option<u64>, retries: "retries" u32
+        phase: phase ManagerPhaseTag, step: step Option<u64>, retries: retries u32
     }),
-    "proto.retry" => Proto(ProtoEvent::RetrySent { step: "step" u64, resends: "resends" u32 }),
-    "proto.rollback" => Proto(ProtoEvent::RollbackIssued { step: "step" u64 }),
+    "proto.retry" => Proto(ProtoEvent::RetrySent { step: step u64, resends: resends u32 }),
+    "proto.rollback" => Proto(ProtoEvent::RollbackIssued { step: step u64 }),
     "proto.rejoin" => Proto(ProtoEvent::RejoinReceived {
-        agent: "agent" u32, last_completed: "last" Option<u64>
+        agent: agent u32, last_completed: last Option<u64>
     }),
     "proto.outcome" => Proto(ProtoEvent::OutcomeReached {
-        success: "success" bool, gave_up: "gave_up" bool, steps_committed: "steps" u64
+        success: success bool, gave_up: gave_up bool, steps_committed: steps u64
     }),
-    "proto.journal" => Proto(ProtoEvent::JournalAppended { seq: "seq" u64 }),
+    "proto.journal" => Proto(ProtoEvent::JournalAppended { seq: seq u64 }),
     "proto.manager_restored" => Proto(ProtoEvent::ManagerRestored {
-        records: "records" u64, phase: "phase" ManagerPhaseTag, step: "step" Option<u64>
+        records: records u64, phase: phase ManagerPhaseTag, step: step Option<u64>
     }),
-    "proto.state_queried" => Proto(ProtoEvent::StateQueried { agent: "agent" u32 }),
+    "proto.state_queried" => Proto(ProtoEvent::StateQueried { agent: agent u32 }),
     "proto.state_reported" => Proto(ProtoEvent::StateReported {
-        agent: "agent" u32, engaged: "engaged" Option<u64>, adapted: "adapted" bool,
-        failed: "failed" bool, last_completed: "last" Option<u64>
+        agent: agent u32, engaged: engaged Option<u64>, adapted: adapted bool,
+        failed: failed bool, last_completed: last Option<u64>
     }),
-    "audit.seg_start" => Audit(AuditEvent::SegmentStart { cid: "cid" u64, comp: "comp" CompId }),
-    "audit.seg_end" => Audit(AuditEvent::SegmentEnd { cid: "cid" u64, comp: "comp" CompId }),
-    "audit.seg_lost" => Audit(AuditEvent::SegmentLost { cid: "cid" u64, comp: "comp" CompId }),
+    "audit.seg_start" => Audit(AuditEvent::SegmentStart { cid: cid u64, comp: comp CompId }),
+    "audit.seg_end" => Audit(AuditEvent::SegmentEnd { cid: cid u64, comp: comp CompId }),
+    "audit.seg_lost" => Audit(AuditEvent::SegmentLost { cid: cid u64, comp: comp CompId }),
     "audit.in_action" => Audit(AuditEvent::InAction {
-        label: "label" String, comps: "comps" Vec<CompId>
+        label: label String, comps: comps Vec<CompId>
     }),
-    "audit.config" => Audit(AuditEvent::ConfigSnapshot { config: "config" Config }),
+    "audit.config" => Audit(AuditEvent::ConfigSnapshot { config: config Config }),
     "temporal.opened" => Temporal(TemporalEvent::ObligationOpened {
-        key: "key" ObligationKey, cid: "cid" u64
+        key: key ObligationKey, cid: cid u64
     }),
     "temporal.discharged" => Temporal(TemporalEvent::ObligationDischarged {
-        key: "key" ObligationKey, cid: "cid" u64
+        key: key ObligationKey, cid: cid u64
     }),
-    "temporal.safe_point" => Temporal(TemporalEvent::SafePoint { index: "index" u64 }),
+    "temporal.safe_point" => Temporal(TemporalEvent::SafePoint { index: index u64 }),
     "plan.path" => Plan(PlanEvent::PathSelected {
-        rank: "rank" u32, steps: "steps" u32, cost: "cost" u64
+        rank: rank u32, steps: steps u32, cost: cost u64
     }),
-    "plan.exhausted" => Plan(PlanEvent::PathsExhausted { returning_to_source: "to_source" bool }),
+    "plan.exhausted" => Plan(PlanEvent::PathsExhausted { returning_to_source: to_source bool }),
     "fleet.submitted" => Fleet(FleetEvent::SessionSubmitted {
-        session: "id" u64, resources: "resources" u32
+        session: id u64, resources: resources u32
     }),
     "fleet.admitted" => Fleet(FleetEvent::SessionAdmitted {
-        session: "id" u64, queued_for: "queued_for" u64
+        session: id u64, queued_for: queued_for u64
     }),
-    "fleet.queued" => Fleet(FleetEvent::SessionQueued { session: "id" u64, position: "position" u32 }),
-    "fleet.cancelled" => Fleet(FleetEvent::SessionCancelled { session: "id" u64 }),
+    "fleet.queued" => Fleet(FleetEvent::SessionQueued { session: id u64, position: position u32 }),
+    "fleet.cancelled" => Fleet(FleetEvent::SessionCancelled { session: id u64 }),
     "fleet.done" => Fleet(FleetEvent::SessionDone {
-        session: "id" u64, success: "success" bool, gave_up: "gave_up" bool
+        session: id u64, success: success bool, gave_up: gave_up bool
     }),
-    "fleet.restored" => Fleet(FleetEvent::ControlRestored { active: "active" u32, queued: "queued" u32 }),
-    "fleet.cache_hit" => Fleet(FleetEvent::PlanCacheHit { session: "id" u64 }),
-    "fleet.cache_miss" => Fleet(FleetEvent::PlanCacheMiss { session: "id" u64 }),
-    "fleet.cache_evicted" => Fleet(FleetEvent::PlanCacheEvicted { session: "id" u64 }),
+    "fleet.restored" => Fleet(FleetEvent::ControlRestored { active: active u32, queued: queued u32 }),
+    "fleet.cache_hit" => Fleet(FleetEvent::PlanCacheHit { session: id u64 }),
+    "fleet.cache_miss" => Fleet(FleetEvent::PlanCacheMiss { session: id u64 }),
+    "fleet.cache_evicted" => Fleet(FleetEvent::PlanCacheEvicted { session: id u64 }),
     // Pre-backpressure traces carry no hint; they decode as 0.
     "fleet.shed" => Fleet(FleetEvent::SessionShed {
-        session: "id" u64, waited_us: "waited_us" u64, retry_after_us: "retry_after_us" OrZero
+        session: id u64, waited_us: waited_us u64, retry_after_us: retry_after_us OrZero
     }),
-    "fleet.rejected" => Fleet(FleetEvent::SessionRejected { session: "id" u64, agent: "agent" u32 }),
+    "fleet.rejected" => Fleet(FleetEvent::SessionRejected { session: id u64, agent: agent u32 }),
     "fleet.breaker_open" => Fleet(FleetEvent::BreakerOpened {
-        agent: "agent" u32, cooldown_us: "cooldown_us" u64
+        agent: agent u32, cooldown_us: cooldown_us u64
     }),
-    "fleet.breaker_probe" => Fleet(FleetEvent::BreakerProbed { agent: "agent" u32 }),
-    "fleet.breaker_close" => Fleet(FleetEvent::BreakerClosed { agent: "agent" u32 }),
+    "fleet.breaker_probe" => Fleet(FleetEvent::BreakerProbed { agent: agent u32 }),
+    "fleet.breaker_close" => Fleet(FleetEvent::BreakerClosed { agent: agent u32 }),
     "fleet.scope_breaker_open" => Fleet(FleetEvent::ScopeBreakerOpened {
-        scope: "scope" u64, cooldown_us: "cooldown_us" u64
+        scope: scope u64, cooldown_us: cooldown_us u64
     }),
-    "fleet.scope_breaker_probe" => Fleet(FleetEvent::ScopeBreakerProbed { scope: "scope" u64 }),
-    "fleet.scope_breaker_close" => Fleet(FleetEvent::ScopeBreakerClosed { scope: "scope" u64 }),
-    "fleet.scope_rejected" => Fleet(FleetEvent::ScopeRejected { session: "id" u64, scope: "scope" u64 }),
+    "fleet.scope_breaker_probe" => Fleet(FleetEvent::ScopeBreakerProbed { scope: scope u64 }),
+    "fleet.scope_breaker_close" => Fleet(FleetEvent::ScopeBreakerClosed { scope: scope u64 }),
+    "fleet.scope_rejected" => Fleet(FleetEvent::ScopeRejected { session: id u64, scope: scope u64 }),
     "fleet.rto" => Fleet(FleetEvent::TimeoutAdapted {
-        agent: "agent" u32, srtt_us: "srtt_us" u64, rto_us: "rto_us" u64
+        agent: agent u32, srtt_us: srtt_us u64, rto_us: rto_us u64
     }),
-    "fleet.fabric_drop" => Fleet(FleetEvent::FabricDropped { src: "src" u32, dst: "dst" u32, seq: "seq" u64 }),
+    "fleet.fabric_drop" => Fleet(FleetEvent::FabricDropped { src: src u32, dst: dst u32, seq: seq u64 }),
     "fleet.fabric_dup" => Fleet(FleetEvent::FabricDuplicated {
-        src: "src" u32, dst: "dst" u32, seq: "seq" u64
+        src: src u32, dst: dst u32, seq: seq u64
     }),
     "fleet.fabric_delay" => Fleet(FleetEvent::FabricDelayed {
-        src: "src" u32, dst: "dst" u32, seq: "seq" u64, quanta: "quanta" u32
+        src: src u32, dst: dst u32, seq: seq u64, quanta: quanta u32
     }),
     "fleet.fabric_retx" => Fleet(FleetEvent::FabricRetransmit {
-        session: "id" u64, region: "region" u32, attempt: "attempt" u32
+        session: id u64, region: region u32, attempt: attempt u32
     }),
     "fleet.lease_reclaim" => Fleet(FleetEvent::LeaseReclaimed {
-        session: "id" u64, region: "region" u32, epoch: "epoch" u64
+        session: id u64, region: region u32, epoch: epoch u64
     }),
     "fleet.straddler_abandoned" => Fleet(FleetEvent::StraddlerAbandoned {
-        session: "id" u64, region: "region" u32, attempts: "attempts" u32
+        session: id u64, region: region u32, attempts: attempts u32
     }),
-    "fleet.domain" => Fleet(FleetEvent::DomainTagged { domain: "domain" u32, objective: "objective" u32 }),
-    "fleet.lease_expired" => Fleet(FleetEvent::LeaseExpired { session: "id" u64, region: "region" u32 }),
+    "fleet.domain" => Fleet(FleetEvent::DomainTagged { domain: domain u32, objective: objective u32 }),
+    "fleet.lease_expired" => Fleet(FleetEvent::LeaseExpired { session: id u64, region: region u32 }),
+}
+
+/// Every constant piece the encoder absorbs in one step: the envelope's,
+/// the booleans, the kinds' and the keys'.
+pub(crate) fn pieces() -> Vec<&'static Piece> {
+    let envelope = [&AT, &ACTOR, &SESSION, &SHARD, &TRUE, &FALSE];
+    envelope.into_iter().chain(kinds::all()).chain(keys::all()).collect()
 }
 
 #[cfg(test)]
@@ -434,7 +568,7 @@ mod tests {
         let powers = (0..20).map(|e| 10u64.pow(e));
         for n in powers.flat_map(|p| [p - 1, p, p + 1]).chain([0, u64::MAX]) {
             let mut out = String::from("x");
-            push_u64(&mut out, n);
+            out.uint(n);
             assert_eq!(out, format!("x{n}"));
         }
     }

@@ -15,6 +15,7 @@
 //! ([`Cursor::next_int`] is the only way to read a narrow one).
 
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::fmt::{self, Write as _};
 
 use sada_expr::Config;
@@ -87,17 +88,34 @@ const ESCAPES: [(u8, char); 5] =
 /// Appends `s` as a JSON string, quotes included.
 pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for ch in s.chars() {
-        if let Some(&(letter, _)) = ESCAPES.iter().find(|&&(_, c)| c == ch) {
-            out.push('\\');
-            out.push(letter as char);
-        } else if (ch as u32) < 0x20 {
-            let _ = write!(out, "\\u{:04x}", ch as u32);
-        } else {
-            out.push(ch);
-        }
-    }
+    escape_json(s, |piece| out.push_str(piece));
     out.push('"');
+}
+
+/// Hands `s` to `write` as the contents of a JSON string, in pieces: runs
+/// that need no escape, and escapes. Every character that needs one is
+/// ASCII, so the runs are cut at byte offsets.
+pub(crate) fn escape_json(s: &str, mut write: impl FnMut(&str)) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (at, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        write(&s[run..at]);
+        run = at + 1;
+        let mut escape =
+            [b'\\', b'u', b'0', b'0', HEX[usize::from(b >> 4)], HEX[usize::from(b & 15)]];
+        let len = match ESCAPES.iter().find(|&&(_, c)| c == char::from(b)) {
+            Some(&(letter, _)) => {
+                escape[1] = letter;
+                2
+            }
+            None => escape.len(),
+        };
+        write(std::str::from_utf8(&escape[..len]).expect("escapes are ASCII"));
+    }
+    write(&s[run..]);
 }
 
 /// A borrowed slice of one line that knows where in the text it starts.
@@ -125,7 +143,19 @@ impl<'a> Cursor<'a> {
 
     /// The error "`what` was expected here".
     pub fn expected(&self, what: impl Into<String>) -> ParseError {
-        ParseError { line: self.line, column: self.column, expected: what.into() }
+        self.expected_at(0, what)
+    }
+
+    /// The error "`what` was expected `offset` bytes on".
+    fn expected_at(&self, offset: usize, what: impl Into<String>) -> ParseError {
+        ParseError { line: self.line, column: self.column + offset, expected: what.into() }
+    }
+
+    /// The bytes `from..to` of what is left, as a cursor of their own. Both
+    /// ends are found by scanning for ASCII bytes, so they are character
+    /// boundaries.
+    fn span(&self, from: usize, to: usize) -> Cursor<'a> {
+        Cursor { rest: &self.rest[from..to], line: self.line, column: self.column + from }
     }
 
     /// The error for a discriminator — a verb, a kind, a tag — that is none
@@ -153,7 +183,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn skip_ws(&mut self) {
-        self.take_until(|b| !b.is_ascii_whitespace());
+        self.take(skip_space(self.rest.as_bytes(), 0));
     }
 
     /// The next byte after any whitespace, not consumed.
@@ -206,7 +236,7 @@ impl<'a> Cursor<'a> {
     pub fn word(&mut self) -> Parsed<Cursor<'a>> {
         match self.peek() {
             None => Err(self.expected("a word")),
-            Some(_) => Ok(self.take_until(|b| b.is_ascii_whitespace())),
+            Some(_) => Ok(self.take(whitespace_at(self.rest.as_bytes()))),
         }
     }
 
@@ -230,11 +260,14 @@ impl<'a> Cursor<'a> {
     /// range is an error, never a truncation.
     pub fn next_int<T: TryFrom<u64>>(&mut self) -> Parsed<T> {
         self.skip_ws();
-        let start = *self;
-        let digits = self.take_until(|b| !b.is_ascii_digit()).rest;
-        // `parse` accepts a sign; the digit scan above does not.
-        let value = digits.parse::<u64>().ok().and_then(|v| T::try_from(v).ok());
-        value.ok_or_else(|| start.expected(std::any::type_name::<T>()))
+        let (len, value) = digits(self.rest.as_bytes());
+        match value.filter(|_| len > 0).and_then(|v| T::try_from(v).ok()) {
+            Some(value) => {
+                self.take(len);
+                Ok(value)
+            }
+            None => Err(self.expected(std::any::type_name::<T>())),
+        }
     }
 
     /// `true` or `false`.
@@ -300,15 +333,7 @@ impl<'a> Cursor<'a> {
         self.skip_ws();
         let open = *self;
         self.expect(b'"')?;
-        let bytes = self.rest.as_bytes();
-        let mut n = 0;
-        while n < bytes.len() && bytes[n] != b'"' {
-            // The byte after a backslash cannot close the string.
-            n += if bytes[n] == b'\\' { 2 } else { 1 };
-        }
-        if n >= bytes.len() {
-            return Err(open.expected("a terminated string"));
-        }
+        let n = string_len(self.rest.as_bytes()).ok_or_else(|| open.expected(UNTERMINATED))?;
         let raw = self.take(n);
         self.take(1);
         Ok(raw)
@@ -335,29 +360,94 @@ impl<'a> Cursor<'a> {
         }
         Ok(out)
     }
+}
 
-    /// Skips one JSON value of the subset the traces use — a number, a
-    /// string, a boolean, an array of numbers — and returns it unread.
-    fn json_value(&mut self) -> Parsed<Cursor<'a>> {
-        self.skip_ws();
-        let start = *self;
-        match self.peek() {
-            Some(b'"') => {
-                self.raw_str()?;
+const UNTERMINATED: &str = "a terminated string";
+
+/// The offset of the first byte at or after `i` that is not ASCII
+/// whitespace.
+fn skip_space(bytes: &[u8], mut i: usize) -> usize {
+    while bytes.get(i).is_some_and(u8::is_ascii_whitespace) {
+        i += 1;
+    }
+    i
+}
+
+/// A byte in every byte of a word, and the high bit of every byte.
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGHS: u64 = ONES * 0x80;
+
+/// The next eight bytes from `at` as one word, the first lowest.
+fn word_at(bytes: &[u8], at: usize) -> Option<u64> {
+    let eight = bytes.get(at..at + 8)?;
+    Some(u64::from_le_bytes(eight.try_into().expect("eight bytes")))
+}
+
+/// The offset of the first ASCII whitespace byte (the length if none),
+/// eight bytes at a time: a word none of whose bytes is below `!` holds no
+/// whitespace and is passed over whole. A bit string is most of a journal,
+/// and is one word.
+fn whitespace_at(bytes: &[u8]) -> usize {
+    let mut at = 0;
+    while let Some(word) = word_at(bytes, at) {
+        // Some byte is below 0x21 exactly when this leaves a high bit set.
+        if word.wrapping_sub(ONES * 0x21) & !word & HIGHS != 0 {
+            if let Some(n) = bytes[at..at + 8].iter().position(u8::is_ascii_whitespace) {
+                return at + n;
             }
-            Some(b'[') => {
-                self.next_array(Cursor::next_u64)?;
-            }
-            Some(b't' | b'f') => {
-                self.next_bool()?;
-            }
-            // Only the digits: whether they fit is the typed reader's call.
-            _ if self.take_until(|b| !b.is_ascii_digit()).rest.is_empty() => {
-                return Err(start.expected("a JSON value"));
-            }
-            _ => {}
         }
-        Ok(Cursor { rest: &start.rest[..start.rest.len() - self.rest.len()], ..start })
+        at += 8;
+    }
+    at + bytes[at..].iter().position(u8::is_ascii_whitespace).unwrap_or(bytes.len() - at)
+}
+
+/// Just past the closing quote of the JSON string that opens at
+/// `bytes[open]`.
+fn string_end(bytes: &[u8], open: usize) -> Result<usize, (usize, &'static str)> {
+    match string_len(&bytes[open + 1..]) {
+        Some(n) => Ok(open + n + 2),
+        None => Err((open, UNTERMINATED)),
+    }
+}
+
+/// The length of a JSON string's contents up to its closing quote, `None`
+/// when nothing closes it. The byte after a backslash cannot close it.
+fn string_len(bytes: &[u8]) -> Option<usize> {
+    let mut n = 0;
+    while n < bytes.len() && bytes[n] != b'"' {
+        n += if bytes[n] == b'\\' { 2 } else { 1 };
+    }
+    (n < bytes.len()).then_some(n)
+}
+
+/// The leading run of decimal digits: its length, and its value if that
+/// fits a `u64`. A sign is not a digit.
+fn digits(bytes: &[u8]) -> (usize, Option<u64>) {
+    let (mut n, mut value) = (0, Some(0u64));
+    while let Some(digit) = bytes.get(n).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10) {
+        value = value.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(digit)));
+        n += 1;
+    }
+    (n, value)
+}
+
+/// Just past the `]` of the JSON array of numbers that opens at
+/// `bytes[open]`; or where it goes wrong, and what was expected there.
+fn array_end(bytes: &[u8], open: usize) -> Result<usize, (usize, &'static str)> {
+    let mut i = skip_space(bytes, open + 1);
+    if bytes.get(i) == Some(&b']') {
+        return Ok(i + 1);
+    }
+    loop {
+        match digits(&bytes[i..]) {
+            (n, Some(_)) if n > 0 => i = skip_space(bytes, i + n),
+            _ => return Err((i, "u64")),
+        }
+        match bytes.get(i) {
+            Some(b',') => i = skip_space(bytes, i + 1),
+            Some(b']') => return Ok(i + 1),
+            _ => return Err((i, "']'")),
+        }
     }
 }
 
@@ -373,74 +463,208 @@ const INLINE_FIELDS: usize = 12;
 pub struct Fields<'a> {
     /// The line's first word (for a JSON object, the empty start of the line).
     pub verb: Cursor<'a>,
-    inline: [(&'a str, Cursor<'a>); INLINE_FIELDS],
+    /// The line the values' offsets count from.
+    line: Cursor<'a>,
+    inline: [Field; INLINE_FIELDS],
     len: usize,
-    spill: Vec<(&'a str, Cursor<'a>)>,
+    spill: Vec<Field>,
+    /// A bit per [`key_hash`] of the keys so far, and whether two keys have
+    /// shared one. Without a shared hash the keys are distinct, and a
+    /// lookup may stop at the first match.
+    hashes: u64,
+    shared: bool,
+    /// Where the next lookup looks first: just past the last field found.
+    /// A line is read in the order it was written.
+    next: Cell<usize>,
     /// The end of the line: where a missing field is reported.
     end: Cursor<'a>,
 }
 
+/// The offsets in the line a key and its value run between, and what the
+/// scan already read of the value.
+#[derive(Debug, Clone, Copy, Default)]
+struct Field {
+    key: (usize, usize),
+    value: (usize, usize),
+    read: Read,
+}
+
+/// What a scan read of a value on its way past it.
+#[derive(Debug, Clone, Copy, Default)]
+enum Read {
+    /// Nothing: the value is read when it is asked for.
+    #[default]
+    Not,
+    /// Digits that fit a `u64`, and their value.
+    Number(u64),
+    /// A JSON string: its contents are all of it but the quotes.
+    Str,
+}
+
+/// Six bits of a key. No two keys of a line that an encoder of the
+/// workspace writes — any JSONL kind, journal record, fabric message or
+/// fault — share them, so those lines never take the slow lookup.
+fn key_hash(key: &[u8]) -> u32 {
+    let (first, last) = key.first().zip(key.last()).map_or((0, 0), |(&f, &l)| (f, l));
+    (u32::from(first) * 6 + u32::from(last) * 9 + key.len() as u32) % 64
+}
+
 impl<'a> Fields<'a> {
-    fn empty(verb: Cursor<'a>) -> Self {
-        Fields { verb, inline: [("", verb); INLINE_FIELDS], len: 0, spill: Vec::new(), end: verb }
+    fn empty(line: Cursor<'a>, verb: Cursor<'a>) -> Self {
+        let inline = [Field::default(); INLINE_FIELDS];
+        let (hashes, shared, next) = (0, false, Cell::new(0));
+        Fields { verb, line, inline, len: 0, spill: Vec::new(), hashes, shared, next, end: verb }
     }
 
-    fn push(&mut self, key: &'a str, value: Cursor<'a>) {
+    fn push(&mut self, key: (usize, usize), value: (usize, usize), read: Read) {
+        let bit = 1 << key_hash(&self.line.rest.as_bytes()[key.0..key.1]);
+        self.shared |= self.hashes & bit != 0;
+        self.hashes |= bit;
+        let field = Field { key, value, read };
         match self.inline.get_mut(self.len) {
             Some(slot) => {
-                *slot = (key, value);
+                *slot = field;
                 self.len += 1;
             }
-            None => self.spill.push((key, value)),
+            None => {
+                self.shared = true;
+                self.spill.push(field);
+            }
         }
+    }
+
+    /// The field of `key`: the last one of that key, or — when keys are
+    /// distinct — the only one, looked for first where the last lookup
+    /// left off.
+    #[inline]
+    fn field(&self, key: &str) -> Option<&Field> {
+        let bytes = self.line.rest.as_bytes();
+        let is = |f: &&Field| bytes[f.key.0..f.key.1] == *key.as_bytes();
+        let fields = &self.inline[..self.len];
+        if self.shared {
+            return self.spill.iter().rev().chain(fields.iter().rev()).find(is);
+        }
+        let next = self.next.get();
+        let ix = match fields.get(next) {
+            Some(f) if is(&f) => next,
+            _ => fields.iter().position(|f| is(&f))?,
+        };
+        self.next.set(ix + 1);
+        Some(&fields[ix])
+    }
+
+    fn value(&self, field: &Field) -> Cursor<'a> {
+        self.line.span(field.value.0, field.value.1)
     }
 
     /// Reads a `verb key=value …` line.
     pub fn words(mut line: Cursor<'a>) -> Parsed<Self> {
-        let mut fields = Fields::empty(line.word()?);
+        let start = line;
+        let mut fields = Fields::empty(start, line.word()?);
         while line.peek().is_some() {
             let mut value = line.word()?;
             let key = value.take_until(|b| b == b'=');
             value.expect(b'=').map_err(|_| key.expected("key=value"))?;
-            fields.push(key.rest, value);
+            let (from, to) = (key.column - start.column, value.column - start.column);
+            fields.push((from, from + key.rest.len()), (to, to + value.rest.len()), Read::Not);
         }
         fields.end = line;
         Ok(fields)
     }
 
-    /// Reads a line that is one flat JSON object, keys in any order.
-    pub fn json(mut line: Cursor<'a>) -> Parsed<Self> {
-        line.skip_ws();
-        let mut fields = Fields::empty(line.take(0));
-        line.expect(b'{')?;
-        if !line.eat(b'}') {
+    /// Reads a line that is one flat JSON object, keys in any order, of the
+    /// values the traces use: numbers, strings, booleans and arrays of
+    /// numbers. One pass over the bytes records where each key and value
+    /// lies, reads a number's value from its digits (whether it fits its
+    /// field is the typed reader's call) and marks a string; any other
+    /// value is read when its key is looked up. A line is rejected where
+    /// the pass stopped.
+    pub fn json(line: Cursor<'a>) -> Parsed<Self> {
+        let mut fields = Fields::empty(line, line);
+        let end = fields.scan_json().map_err(|(at, what)| line.expected_at(at, what))?;
+        fields.end = line.span(end, end);
+        Ok(fields)
+    }
+
+    /// [`Fields::json`]'s pass: the end of the line, or where the line goes
+    /// wrong and what was expected there.
+    fn scan_json(&mut self) -> Result<usize, (usize, &'static str)> {
+        let bytes = self.line.rest.as_bytes();
+        let mut i = skip_space(bytes, 0);
+        self.verb = self.line.span(i, i);
+        if bytes.get(i) != Some(&b'{') {
+            return Err((i, "'{'"));
+        }
+        i = skip_space(bytes, i + 1);
+        if bytes.get(i) == Some(&b'}') {
+            i += 1;
+        } else {
             loop {
-                let key = line.raw_str()?;
-                line.expect(b':')?;
-                fields.push(key.rest, line.json_value()?);
-                if !line.eat(b',') {
-                    line.expect(b'}').map_err(|_| line.expected("',' or '}'"))?;
-                    break;
+                if bytes.get(i) != Some(&b'"') {
+                    return Err((i, "'\"'"));
+                }
+                let key = (i + 1, string_end(bytes, i)? - 1);
+                i = skip_space(bytes, key.1 + 1);
+                if bytes.get(i) != Some(&b':') {
+                    return Err((i, "':'"));
+                }
+                let start = skip_space(bytes, i + 1);
+                let rest = &bytes[start..];
+                let mut read = Read::Not;
+                i = match rest.first() {
+                    Some(b'"') => {
+                        read = Read::Str;
+                        string_end(bytes, start)?
+                    }
+                    Some(b'[') => array_end(bytes, start)?,
+                    Some(b't') if rest.starts_with(b"true") => start + 4,
+                    Some(b'f') if rest.starts_with(b"false") => start + 5,
+                    Some(b't' | b'f') => return Err((start, "true or false")),
+                    _ => match digits(rest) {
+                        (0, _) => return Err((start, "a JSON value")),
+                        (n, value) => {
+                            read = value.map_or(Read::Not, Read::Number);
+                            start + n
+                        }
+                    },
+                };
+                self.push(key, (start, i), read);
+                i = skip_space(bytes, i);
+                match bytes.get(i) {
+                    Some(b',') => i = skip_space(bytes, i + 1),
+                    Some(b'}') => {
+                        i += 1;
+                        break;
+                    }
+                    _ => return Err((i, "',' or '}'")),
                 }
             }
         }
-        line.expect_end()?;
-        fields.end = line;
-        Ok(fields)
+        i = skip_space(bytes, i);
+        if i < bytes.len() {
+            return Err((i, "the end"));
+        }
+        Ok(i)
     }
 
     /// The value of `key`, if the line has one.
+    #[inline]
     pub fn opt(&self, key: &str) -> Option<Cursor<'a>> {
-        let fields = self.inline[..self.len].iter().chain(&self.spill);
-        fields.rev().find(|(k, _)| *k == key).map(|&(_, value)| value)
+        self.field(key).map(|field| self.value(field))
     }
 
     /// The value of `key`; a line without one is an error.
+    #[inline]
     pub fn get(&self, key: &str) -> Parsed<Cursor<'a>> {
-        self.opt(key).ok_or_else(|| self.end.expected(format!("field '{key}'")))
+        self.opt(key).ok_or_else(|| self.missing(key))
+    }
+
+    fn missing(&self, key: &str) -> ParseError {
+        self.end.expected(format!("field '{key}'"))
     }
 
     /// The whole value of `key`, read by `read`.
+    #[inline]
     pub fn parse<T>(
         &self,
         key: &str,
@@ -450,12 +674,32 @@ impl<'a> Fields<'a> {
     }
 
     /// The whole value of `key` as an integer that fits `T`.
+    #[inline]
     pub fn int<T: TryFrom<u64>>(&self, key: &str) -> Parsed<T> {
-        self.parse(key, Cursor::next_int)
+        self.opt_int(key)?.ok_or_else(|| self.missing(key))
     }
 
     /// The whole value of `key` as an integer that fits `T`, if present.
+    /// A number the scan already read is not read again.
+    #[inline]
     pub fn opt_int<T: TryFrom<u64>>(&self, key: &str) -> Parsed<Option<T>> {
-        self.opt(key).map(|value| value.whole(Cursor::next_int)).transpose()
+        let Some(field) = self.field(key) else { return Ok(None) };
+        if let Read::Number(n) = field.read {
+            if let Ok(n) = T::try_from(n) {
+                return Ok(Some(n));
+            }
+        }
+        self.value(field).whole(Cursor::next_int).map(Some)
+    }
+
+    /// The contents of `key`'s string value, escapes still in place. A
+    /// string the scan already read is not read again.
+    #[inline]
+    pub(crate) fn raw_str(&self, key: &str) -> Parsed<Cursor<'a>> {
+        let field = self.field(key).ok_or_else(|| self.missing(key))?;
+        match field.read {
+            Read::Str => Ok(self.line.span(field.value.0 + 1, field.value.1 - 1)),
+            _ => self.value(field).whole(Cursor::raw_str),
+        }
     }
 }

@@ -4,14 +4,9 @@
 //! which pins every other text format; this one lives here because
 //! `sada-scenario` depends on `sada-fleet` and not the reverse.
 
+use sada_obs::fnv1a;
 use sada_scenario::{encode_scenario, generate, ScenarioConfig};
 use sada_simnet::SimDuration;
-
-fn fnv(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
-}
 
 #[test]
 fn scenario_text_bytes_are_pinned() {
@@ -25,6 +20,10 @@ fn scenario_text_bytes_are_pinned() {
         scenario.sessions[0].cancel_at = Some(SimDuration::from_micros(90_000));
         scenario.sessions[0].priority = u8::MAX;
         let text = encode_scenario(&scenario);
-        assert!(fnv(&text) == want, "{what}: bytes moved, FNV-1a now {:#018x}\n{text}", fnv(&text));
+        assert!(
+            fnv1a(&text) == want,
+            "{what}: bytes moved, FNV-1a now {:#018x}\n{text}",
+            fnv1a(&text)
+        );
     }
 }

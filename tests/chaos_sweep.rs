@@ -302,9 +302,7 @@ fn sustained_delay_bursts_hold_the_contract_under_adaptive_timeouts() {
         .iter()
         .filter(|e| matches!(e.payload, Payload::Fleet(FleetEvent::TimeoutAdapted { .. })))
         .count();
-    let journal_fnv = sada_proto::encode_journal(&adaptive.journal)
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3));
+    let journal_fnv = sada_obs::fnv1a(sada_proto::encode_journal(&adaptive.journal));
     assert_eq!(
         (rto_reports, adaptive.messages_sent, adaptive.finished_at.as_micros(), journal_fnv),
         (4, 29, 2_050_000, 0x57cf_c666_cfdc_94e0),

@@ -4,7 +4,8 @@
 //!
 //! This locks down the *entire* observability spine at once — event
 //! taxonomy, emission sites, ordering, timestamps, and the codec — for a
-//! small deterministic run. Any intentional change to what the bus reports
+//! small deterministic run; and it ties the fingerprint the fleet compares
+//! runs by to the committed bytes. Any intentional change to what the bus reports
 //! (new event kinds, different stamping) shows up as a diff here and is
 //! refreshed with:
 //!
@@ -18,8 +19,9 @@ use std::rc::Rc;
 
 use sada_core::{run_adaptation, AdaptationSpec, RunConfig};
 use sada_expr::{Config, InvariantSet, Universe};
+use sada_fleet::fingerprint_events_unsharded;
 use sada_model::SystemModel;
-use sada_obs::{decode_lines, Bus, JsonlSink};
+use sada_obs::{decode_lines, fnv1a, Bus, JsonlSink, RingSink};
 use sada_plan::Action;
 
 /// The `examples/quickstart.rs` system: a TLS-1.2 → TLS-1.3 migration whose
@@ -65,8 +67,10 @@ fn quickstart_spec() -> (AdaptationSpec, Config, Config) {
 fn quickstart_trace_matches_golden() {
     let (spec, source, target) = quickstart_spec();
     let sink = Rc::new(RefCell::new(JsonlSink::new()));
+    let ring = Rc::new(RefCell::new(RingSink::new(1 << 16)));
     let bus = Bus::new();
     bus.attach(&sink);
+    bus.attach(&ring);
     let cfg = RunConfig { bus, ..RunConfig::default() };
     let report = run_adaptation(&spec, &source, &target, &cfg);
     assert!(report.outcome.success, "quickstart adaptation must succeed");
@@ -75,7 +79,7 @@ fn quickstart_trace_matches_golden() {
     assert!(!dump.is_empty(), "the run must produce a trace");
     // The trace must always decode back to the events that produced it.
     let decoded = decode_lines(&dump).expect("trace decodes");
-    assert_eq!(decoded.len(), sink.borrow().len());
+    assert_eq!(decoded, ring.borrow().events(), "the dump decodes to the events published");
 
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden/quickstart_trace.jsonl");
@@ -105,4 +109,7 @@ fn quickstart_trace_matches_golden() {
         golden.lines().count(),
         "trace length changed — if intentional, regenerate with UPDATE_GOLDEN=1"
     );
+    // The fingerprint runs are compared by, computed from the events without
+    // writing a line, is the FNV-1a of the committed bytes.
+    assert_eq!(fingerprint_events_unsharded(&decoded), fnv1a(&golden));
 }
