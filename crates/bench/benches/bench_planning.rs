@@ -12,12 +12,13 @@
 //! one query (a counting global allocator). The 48-component row is the
 //! blind uniform-cost search over 24 *independent* groups — 7.04 M
 //! expansions, the largest number in the repository and the case for
-//! ROADMAP item 2 (factor the planner along collaborative sets). The write
+//! ROADMAP item 3 (factor the planner along collaborative sets). The write
 //! *asserts* the headline claims — the compiled path does at least 5x less
-//! predicate work at 24 components and allocates fewer than once per four
-//! candidates there (a query pays for the nodes it discovers, not for the
-//! candidates it looks at), and the 16-component workload stays within its
-//! pinned safety-check budget (a regression gate run by `ci.sh`). Set
+//! predicate work at 24 components, one query there allocates fewer times
+//! than a ceiling that does not grow with the nodes it discovers (its
+//! tables double; nothing is allocated per node or per candidate), and the
+//! 16-component workload stays within its pinned safety-check budget (a
+//! regression gate run by `ci.sh`). Set
 //! `SADA_BENCH_SMOKE=1` to skip the criterion timing loops but still run
 //! the sweep, the assertions, and the JSON write.
 
@@ -65,6 +66,12 @@ fn smoke() -> bool {
 /// currently 746); the pin has ~10% headroom so only a real regression in
 /// exploration or candidate vetting trips it.
 const SAFETY_CHECK_BUDGET_16: u64 = 820;
+
+/// Allocator calls one compiled query over the 24-component workload may
+/// make, whatever it discovers (`search_alloc.rs` holds the same ceiling):
+/// its scratch configuration, buffers, table doublings and path. Measured
+/// 67; a buffer per discovered node adds thousands.
+const UCS_24_ALLOC_CEILING: u64 = 100;
 
 fn bench_case_study_planning(c: &mut Criterion) {
     if smoke() {
@@ -219,9 +226,9 @@ fn write_planning_json() {
                 after.stats.pred_evals,
             );
             assert!(
-                after.allocs < after.stats.generated / 4,
-                "a query allocates per discovered node, not per candidate: {} allocations \
-                 for {} candidates at 24 components",
+                after.allocs < UCS_24_ALLOC_CEILING,
+                "a query allocates per table doubling, not per node: {} allocations for {} \
+                 candidates at 24 components (ceiling {UCS_24_ALLOC_CEILING})",
                 after.allocs,
                 after.stats.generated,
             );
@@ -266,7 +273,7 @@ fn write_planning_json() {
          kernels + incremental checks + action index on the identical search skeleton \
          (allocs = allocator calls of one query); the 48-component row is the blind \
          uniform-cost search over 24 independent groups (expansions grow ~17x per 8 \
-         components) — the number ROADMAP item 2 factors along collaborative sets\",\n  \
+         components) — the number ROADMAP item 3 factors along collaborative sets\",\n  \
          \"command\": \"{}cargo bench -q -p sada-bench --bench bench_planning\",\n  \
          {host},\n  \
          \"safety_check_budget_16\": {SAFETY_CHECK_BUDGET_16},\n  \"rows\": [\n{rows}\n  ]\n}}\n",

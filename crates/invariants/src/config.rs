@@ -217,7 +217,7 @@ type Chunk = [u64; CHUNK_WORDS];
 pub struct Config(Repr);
 
 /// What deriving it compares, with the two layouts told apart once: the
-/// planner's arena probes a hash map of configurations for every candidate.
+/// plan cache probes a hash map keyed by configurations.
 impl PartialEq for Config {
     #[inline]
     fn eq(&self, other: &Config) -> bool {
@@ -249,7 +249,7 @@ const _: fn() = || {
     shared_across_threads::<Config>();
 };
 
-// The planner's arena, heap and cache hold one handle per node: the width
+// Plan-cache keys and path steps hold handles by the thousand: the width
 // rides inside each variant, beside the tag, so a handle stays three words.
 const _: () = assert!(std::mem::size_of::<Config>() == 24);
 
@@ -504,28 +504,6 @@ impl Config {
         self.apply_delta(&[id], &[]);
     }
 
-    /// Makes `self` equal to `from`, reusing `self`'s storage when that is
-    /// safe and cheap: a flat buffer of `from`'s width that no other
-    /// configuration reads is overwritten in place (no allocation, and
-    /// `self` does not come to share `from`'s buffer). Anything else —
-    /// another width, a buffer some clone still reads, the chunked layout —
-    /// is `*self = from.clone()`: a handle copy, so a wide configuration
-    /// keeps sharing its spine and chunks and the next mutator copies on
-    /// write. What a search's scratch successor does before each action.
-    pub fn assign(&mut self, from: &Config) {
-        if let (Repr::Flat { nbits, words }, Repr::Flat { nbits: width, words: src }) =
-            (&mut self.0, &from.0)
-        {
-            if nbits == width {
-                if let Some(own) = Arc::get_mut(words) {
-                    own.copy_from_slice(src);
-                    return;
-                }
-            }
-        }
-        *self = from.clone();
-    }
-
     /// Removes every component of `removes`, then adds every component of
     /// `adds` (a component in both ends up present) — one adaptive action's
     /// effect, or one session's fold. Uniqueness of the buffer (or of the
@@ -593,6 +571,38 @@ impl Config {
         match &self.0 {
             Repr::Flat { words, .. } => words[ix],
             Repr::Chunked { spine, .. } => spine.word(ix),
+        }
+    }
+
+    /// Overwrites word `ix` (see [`Config::word`]) with `word`, copying
+    /// storage some other configuration still reads only when the word
+    /// really changes: the buffer of a flat configuration, the spine and
+    /// the one chunk of a chunked one. What a search writes a discovered
+    /// node's words back with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ix` is past the last word or `word` sets a bit past the
+    /// width.
+    pub fn set_word(&mut self, ix: usize, word: u64) {
+        let nbits = self.width();
+        // One past the highest bit `word` sets at `ix`.
+        let top = (ix * 64 + 64).saturating_sub(word.leading_zeros() as usize);
+        assert!(
+            ix < nbits.div_ceil(64) && top <= nbits,
+            "word {ix} ({word:#x}) out of range (width {nbits})"
+        );
+        match &mut self.0 {
+            Repr::Flat { words, .. } => {
+                if words[ix] != word {
+                    Arc::make_mut(words)[ix] = word;
+                }
+            }
+            Repr::Chunked { spine, .. } => {
+                if spine.word(ix) != word {
+                    Arc::make_mut(spine).put(ix, word);
+                }
+            }
         }
     }
 
@@ -966,6 +976,14 @@ mod tests {
         let a = Config::empty(3);
         let b = Config::empty(4);
         let _ = a.union(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "word 1 (0x4) out of range (width 66)")]
+    fn set_word_refuses_a_bit_past_the_width() {
+        let mut c = Config::empty(66);
+        c.set_word(1, 0b11);
+        c.set_word(1, 0b100);
     }
 
     #[test]

@@ -1,29 +1,26 @@
 //! What a narrow `Config` costs the allocator — the planner's case: every
-//! search node is a clone plus a small delta of a configuration no wider
-//! than one chunk, and the arena, the heap and the plan cache hold nothing
-//! else. Building one is one allocation; a clone is none; a delta that
-//! changes the value is one, however many bits it changes; one that
-//! changes nothing is none.
+//! path step is a clone plus a small delta of a configuration no wider
+//! than one chunk, and the plan cache holds nothing else. Building one is
+//! one allocation; a clone is none; a delta that changes the value is one,
+//! however many bits it changes; one that changes nothing is none.
 //!
 //! Hand mutations of `config.rs` this fails under (each was run): the
 //! flat layout ending at 64 components or just short of 4 096 (a spine and
 //! a chunk: two allocations and more); `from_ids` collecting its ids before
 //! writing them.
 //!
-//! `Config::assign` is the search's other half: overwriting a buffer nobody
-//! else reads is no allocation at all, and everything else is the clone it
-//! always was. Mutations it fails under (each was run): `assign` always
-//! cloning (the unique case shares storage); `assign` copying into a
-//! buffer a clone still reads through `Arc::make_mut` (an allocation where
-//! a handle copy does).
+//! `Config::set_word` is how a search writes a node's words back into its
+//! scratch configuration: a word written over storage of its own is no
+//! allocation, and restating a word is none even on shared storage.
+//! Mutations it fails under (each was run): `set_word` calling
+//! `Arc::make_mut` before comparing the word (a restated word on a shared
+//! buffer copies it); a chunked `set_word` copying every chunk.
 //!
 //! A binary of its own, each test counting on its own thread only: the
 //! harness's other threads allocate when they please.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 
 use sada_expr::{oracle, CompId, Config};
 
@@ -81,42 +78,19 @@ fn a_narrow_configuration_is_one_allocation_and_so_is_a_delta_on_a_clone() {
 }
 
 #[test]
-fn assign_overwrites_a_buffer_of_its_own_and_clones_otherwise() {
+fn set_word_copies_shared_storage_once_and_a_restated_word_never() {
     let id = CompId::from_index;
-    let hash_of = |cfg: &Config| {
-        let mut h = DefaultHasher::new();
-        cfg.hash(&mut h);
-        h.finish()
-    };
-    let from = Config::from_ids(130, [id(1), id(64), id(129)]);
-
-    // Unique, same flat width: the words are copied over, nothing is shared.
-    let mut own = Config::from_ids(130, [id(0), id(128)]);
-    assert_eq!(allocs_in(|| own.assign(&from)).0, 0, "a buffer of its own is reused");
-    assert!(!oracle::shares_storage(&own, &from));
-    assert_eq!((&own, hash_of(&own)), (&from, hash_of(&from)));
-    assert_eq!(allocs_in(|| own.insert(id(2))).0, 0, "and stays its own");
-    assert!(!from.contains(id(2)));
-
-    // A buffer a clone still reads is left to the clone.
-    let mut shared = Config::from_ids(130, [id(7)]);
-    let sibling = shared.clone();
-    assert_eq!(allocs_in(|| shared.assign(&from)).0, 0, "a handle copy");
-    assert!(oracle::shares_storage(&shared, &from));
-    assert_eq!(sibling, Config::from_ids(130, [id(7)]), "the sibling never saw the write");
-
-    // Another width, and the chunked layout on either side: handle copies.
-    let wide = Config::from_ids(8_200, [id(5), id(8_199)]);
-    let cases = [
-        (Config::empty(64), &from),
-        (Config::empty(130), &wide),
-        (Config::empty(8_200), &from),
-        (Config::from_ids(8_200, [id(4_100)]), &wide),
-    ];
-    for (mut target, from) in cases {
-        let was = target.width();
-        assert_eq!(allocs_in(|| target.assign(from)).0, 0, "width {was} <- {}", from.width());
-        assert!(oracle::shares_storage(&target, from), "width {was} <- {}", from.width());
-        assert_eq!((&target, hash_of(&target)), (from, hash_of(from)));
+    for width in [130, 8_200] {
+        let base = Config::from_ids(width, [id(1), id(64), id(width - 1)]);
+        let mut scratch = base.clone();
+        assert_eq!(allocs_in(|| scratch.set_word(1, 1)).0, 0, "a restated word, width {width}");
+        assert!(oracle::shares_storage(&scratch, &base));
+        // Flat: the buffer; chunked: the spine and the one chunk written.
+        let first_write = if width > 4_096 { 2 } else { 1 };
+        assert_eq!(allocs_in(|| scratch.set_word(1, 0b110)).0, first_write, "width {width}");
+        assert_eq!(allocs_in(|| scratch.set_word(0, 1 << 9)).0, 0, "now its own, width {width}");
+        assert_eq!(scratch.iter().collect::<Vec<_>>(), [id(9), id(65), id(66), id(width - 1)]);
+        assert_eq!(oracle::shared_chunks(&scratch, &base), width.div_ceil(4_096) - 1);
+        assert_eq!(base.len(), 3, "the original never saw a write");
     }
 }

@@ -194,6 +194,17 @@ impl Action {
     pub(crate) fn apply_to(&self, cfg: &mut Config) {
         cfg.apply_delta(self.removes(), self.adds());
     }
+
+    /// Undoes [`Action::apply_to`] on a configuration the action applied
+    /// to: clears the adds, then sets the removes. The lazy search steps
+    /// its scratch configuration back with it after each candidate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a touched component is out of range for `cfg`'s width.
+    pub(crate) fn unapply(&self, cfg: &mut Config) {
+        cfg.apply_delta(self.adds(), self.removes());
+    }
 }
 
 /// Sorts `ids[from..]` and drops its repeats, in place.
@@ -264,6 +275,8 @@ mod tests {
                 let mut next = cfg.clone();
                 a.apply_to(&mut next);
                 assert_eq!(next, a.apply(&cfg), "{a} on {cfg}");
+                a.unapply(&mut next);
+                assert_eq!(next, cfg, "{a} undone on {cfg}");
             }
         }
     }

@@ -1,15 +1,19 @@
-//! What a lazy search costs the allocator: a query pays for a node when it
-//! *discovers* one — one buffer, three growing tables — not for every
-//! candidate it looks at. One scratch successor per query is overwritten
-//! candidate after candidate (`Config::assign` + `Action::apply_to`), and
-//! only a candidate the arena has never seen gives its buffer away.
+//! What a lazy search costs the allocator: its tables grow by doubling,
+//! and nothing else allocates per node or per candidate. A discovered node
+//! is its reach words appended to one packed table and an id in an
+//! open-addressed one, never a buffer of its own; the query's one scratch
+//! configuration takes each expanded node's words, and every candidate is
+//! applied to it and undone again.
 //!
-//! Hand mutations of `lazy.rs` / `config.rs` these fail under (each was
-//! run): `search` building each candidate with `Action::apply` (one buffer
-//! per candidate: 19 000 allocations and more); `Config::assign` always
-//! cloning (the same); `assign` rebuilding a chunked configuration from
-//! `from`'s components instead of copying the handle (the scoped plan's
-//! steps share no chunk with the caller's source).
+//! Hand mutations of `lazy.rs` these fail under (each was run): the node
+//! store keeping a configuration handle per node (the next write to the
+//! scratch copies it: thousands of allocations); the scratch configuration
+//! cloned from the source per expansion (one copy per expansion); each
+//! candidate built with `Action::apply` instead of applied and undone (one
+//! buffer per candidate); the packed words reserved one node at a time
+//! instead of doubling (one allocation per node); the path's last step
+//! replayed instead of ending on the caller's target (the scoped plan's
+//! last step shares no storage with it).
 //!
 //! A binary of its own, each test counting on its own thread only: the
 //! harness's other threads allocate when they please.
@@ -79,18 +83,23 @@ fn flipped(from: &Config, actions: &[Action], groups: impl IntoIterator<Item = u
 }
 
 /// Allocations one uniform-cost query over the 24-component workload may
-/// make: 1 586 expansions discover about 2 500 nodes, each one buffer, and
-/// the arena's tables, its map and the heap grow by doubling. Measured
-/// 2 567; building a buffer per candidate is 19 032 and more.
-const UCS_24_ALLOC_CEILING: u64 = 3_000;
+/// make, whatever it discovers: the scratch configuration, the reach and
+/// key buffers, the tables' doublings and the path. Measured 67; a buffer
+/// per discovered node adds thousands.
+const UCS_24_ALLOC_CEILING: u64 = 100;
+
+/// The tables that grow with the nodes a query discovers: the packed
+/// words, the id table, `dist`, `prev` and the frontier heap.
+const GROWING_TABLES: u64 = 5;
 
 #[test]
-fn a_query_allocates_per_discovered_node_not_per_candidate() {
+fn a_query_allocates_per_table_doubling_not_per_node() {
     let (u, inv, actions, src) = grouped_flip(12);
     let dst = flipped(&src, &actions, 0..6);
     let search = Search::new(&inv, &actions, u.len());
     let (first, (path, stats)) = allocs_in(|| search.plan(&src, &dst));
-    assert_eq!(path.expect("six flips away").len(), 6);
+    let small = path.expect("six flips away");
+    assert_eq!(small.len(), 6);
     assert_eq!((stats.generated, stats.expanded), (19_032, 1_586), "the workload the pin is for");
     assert!(
         first < UCS_24_ALLOC_CEILING,
@@ -99,6 +108,22 @@ fn a_query_allocates_per_discovered_node_not_per_candidate() {
     );
     let (second, _) = allocs_in(|| search.plan(&src, &dst));
     assert_eq!(second, first, "the same query allocates the same number of times");
+
+    // Sixteen times the work: a few more doublings per table and two more
+    // path steps, nothing per node.
+    let (u, inv, actions, src) = grouped_flip(16);
+    let dst = flipped(&src, &actions, 0..8);
+    let search = Search::new(&inv, &actions, u.len());
+    let (wide, (path, wide_stats)) = allocs_in(|| search.plan(&src, &dst));
+    let large = path.expect("eight flips away");
+    assert_eq!(wide_stats.expanded, 26_333);
+    let doublings = u64::from((wide_stats.expanded / stats.expanded).ilog2() + 1);
+    let extra_steps = (large.len() - small.len()) as u64;
+    assert!(
+        wide <= first + GROWING_TABLES * doublings + extra_steps,
+        "{wide} allocations at 32 components against {first} at 24: more than \
+         {GROWING_TABLES} tables × {doublings} doublings + {extra_steps} steps"
+    );
 }
 
 #[test]
