@@ -420,15 +420,22 @@ impl CompiledWorld {
     }
 
     /// The adaptation scope of a flip set: every flipped cluster's
-    /// components, expanded to full collaborative sets (sorted,
-    /// deduplicated).
+    /// components, expanded to full collaborative sets, ascending and
+    /// without repeats (what [`Search::scoped_action_ixs`] requires).
     pub fn scope_comps(&self, flips: &[(usize, bool)]) -> Vec<CompId> {
-        self.index.expand(
+        let mut comps = self.index.expand(
             flips
                 .iter()
                 .flat_map(|&(g, _)| self.spec.clusters[g].comps.iter().copied())
                 .map(CompId::from_index),
-        )
+        );
+        // `expand` lists whole sets one after another, each sorted: sets of
+        // contiguous components come out ascending, interleaved ones as
+        // sorted runs, which the stable sort merges.
+        if !comps.is_sorted() {
+            comps.sort();
+        }
+        comps
     }
 
     /// The lock resources of a scope: the component ids themselves plus the
@@ -500,6 +507,50 @@ mod tests {
         assert!(a.iter().all(|r| !b.contains(r)));
         // Same group from either direction yields the same scope.
         assert_eq!(w.scope_comps(&[(3, true)]), w.scope_comps(&[(3, false)]));
+    }
+
+    /// Two clusters whose components interleave, `{C0, C2}` and `{C1, C3}`:
+    /// a `one_of` and a replace action each way per cluster.
+    fn interleaved_spec() -> WorldSpec {
+        let comps = (0..4).map(|c| CompSpec { name: format!("C{c}"), process: c }).collect();
+        let replace = |name: &str, from: usize, to: usize| ActionSpec {
+            name: name.into(),
+            removes: vec![from],
+            adds: vec![to],
+            cost_ms: 1,
+            cost_watts: 1,
+        };
+        let cluster = |a: usize, b: usize| ClusterSpec {
+            comps: vec![a, b],
+            on_false: vec![a],
+            on_true: vec![b],
+        };
+        WorldSpec {
+            domain: Domain::Video,
+            objective: Objective::LatencyMs,
+            comps,
+            invariants: vec!["one_of(C0, C2)".into(), "one_of(C1, C3)".into()],
+            actions: vec![
+                replace("C0->C2", 0, 2),
+                replace("C2->C0", 2, 0),
+                replace("C1->C3", 1, 3),
+                replace("C3->C1", 3, 1),
+            ],
+            clusters: vec![cluster(0, 2), cluster(1, 3)],
+        }
+    }
+
+    #[test]
+    fn a_scope_over_interleaved_clusters_keeps_every_action() {
+        let w = FleetWorld::from_spec(interleaved_spec());
+        let both = [(0, true), (1, true)];
+        let scope = w.scope_comps(&both);
+        assert_eq!(scope, (0..4).map(CompId::from_index).collect::<Vec<_>>(), "ascending");
+        let scoped = w.search.scoped_action_ixs(&scope);
+        assert_eq!(scoped, [0, 1, 2, 3], "all four actions lie inside the scope");
+        let init = w.initial_config();
+        let (path, _) = w.search.plan_scoped(&init, &w.target_for(&init, &both), &scoped);
+        assert_eq!(path.expect("both clusters flip").len(), 2);
     }
 
     /// A three-mode migration cluster sharing hosts: the spec compiler must
