@@ -3,11 +3,14 @@
 //! `sada-scenario` depends on `sada-fleet`, not the reverse).
 
 use sada_fleet::{run_fleet_sharded, SessionResult, ShardReport, ShardScenario};
-use sada_obs::fnv1a;
+use sada_obs::{fnv1a, text::push_lines};
+use sada_proto::parse_session_journal;
 
 /// Merged-stream fingerprint, final configuration, restores summed over
 /// shards, the FNV of every shard's journal text (region order, then the
-/// global tier's plane), the FNV of the global write-ahead journal, and the
+/// global tier's plane) and of the records each text parses to (FNV-1a of
+/// each record's context-free line: what the journal says, whatever form
+/// its text takes), the FNV of the global write-ahead journal, and the
 /// verdict tally `(committed, gave up, cancelled, shed, rejected)`.
 #[derive(Debug)]
 pub(crate) struct Identity {
@@ -15,8 +18,20 @@ pub(crate) struct Identity {
     pub final_config: &'static str,
     pub restores: u64,
     pub journal_fnvs: &'static [u64],
+    pub records_fnvs: &'static [u64],
     pub global_journal_fnv: u64,
     pub verdicts: (usize, usize, usize, usize, u64),
+}
+
+/// FNV-1a over the `Display` line of every record `text` parses to.
+fn records_fnv(text: &str) -> u64 {
+    let mut lines = String::new();
+    push_lines(&mut lines, parse_session_journal(text).expect("the run's journal parses"));
+    fnv1a(lines)
+}
+
+fn hex(hashes: &[u64]) -> String {
+    hashes.iter().map(|h| format!("{h:#018x}")).collect::<Vec<_>>().join(", ")
 }
 
 fn assert_identity(what: &str, report: &ShardReport, want: &Identity) {
@@ -29,13 +44,14 @@ fn assert_identity(what: &str, report: &ShardReport, want: &Identity) {
         report.rejected,
     );
     let journal_fnvs: Vec<u64> = report.journals.iter().map(|(_, text)| fnv1a(text)).collect();
-    let shown: Vec<String> = journal_fnvs.iter().map(|h| format!("{h:#018x}")).collect();
+    let records_fnvs: Vec<u64> =
+        report.journals.iter().map(|(_, text)| records_fnv(text)).collect();
     let global_journal_fnv = fnv1a(&report.global_journal);
     let got = (
         report.fingerprint,
         report.final_config.as_str(),
         report.restores,
-        journal_fnvs.as_slice(),
+        (journal_fnvs.as_slice(), records_fnvs.as_slice()),
         global_journal_fnv,
         verdicts,
     );
@@ -43,19 +59,20 @@ fn assert_identity(what: &str, report: &ShardReport, want: &Identity) {
         want.fingerprint,
         want.final_config,
         want.restores,
-        want.journal_fnvs,
+        (want.journal_fnvs, want.records_fnvs),
         want.global_journal_fnv,
         want.verdicts,
     );
     assert!(
         got == want_tuple,
         "{what}: identity moved, want {want:?}, got\nIdentity {{ fingerprint: {:#018x}, \
-         final_config: {:?}, restores: {}, journal_fnvs: &[{}], \
+         final_config: {:?}, restores: {}, journal_fnvs: &[{}], records_fnvs: &[{}], \
          global_journal_fnv: {global_journal_fnv:#018x}, verdicts: {verdicts:?} }}",
         report.fingerprint,
         report.final_config,
         report.restores,
-        shown.join(", "),
+        hex(&journal_fnvs),
+        hex(&records_fnvs),
     );
 }
 
