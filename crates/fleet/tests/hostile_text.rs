@@ -42,10 +42,12 @@ const JOURNAL_TOKENS: &[&str] = &[
     "source=", "target=", "source=0101", "target=01x1", "actions=", "actions=-", "actions=1,2",
     "actions=1,", "id=", "id=4", "ix=", "ix=1", "retry=", "retry=true", "retry=maybe", "success=",
     "gave_up=false", "session=", "session=7", "regions=", "regions=0,3", "regions=-", "region=",
-    "region=2", "future=x", "=", "==",
+    "region=2", "future=x", "=", "==", "@", "source=@", "target=@", "target=@-0+1", "+0", "-3",
+    "+4294967296", "@+", "+-",
 ];
 
-const JOURNAL_VALID: &str = "request source=0101 target=0110 session=7\nqueued source=1 target=0\n\
+const JOURNAL_VALID: &str = "request source=0101100 target=@-2+6 session=7\n\
+    queued source=@+0 target=@-3 session=2\nrequest source=1 target=0\nqueued source=0 target=@\n\
     path actions=2,0,7 session=3\npath actions=-\nreverse\nstep id=4 ix=1 session=9\n\
     resume id=4\ncommit id=4\nrollback id=5\nrolledback id=5 retry=true\n\
     outcome success=false gave_up=true session=2\n# a comment\n";
@@ -115,7 +117,7 @@ proptest! {
 fn the_valid_corpora_parse() {
     // The truncations above are only hostile if the whole lines are not.
     assert_eq!(decode_lines(JSONL_VALID).unwrap().len(), 6);
-    assert_eq!(parse_session_journal(JOURNAL_VALID).unwrap().len(), 11);
+    assert_eq!(parse_session_journal(JOURNAL_VALID).unwrap().len(), 13);
     assert_eq!(parse_global_journal(GLOBAL_VALID).unwrap().len(), 7);
     assert_eq!(FaultPlan::parse(FAULT_VALID).unwrap().faults.len(), 5);
     for line in FABRIC_VALID.lines() {
@@ -256,7 +258,7 @@ fn a_bad_bit_is_rejected_where_it_stands() {
 /// Bits end at any ASCII whitespace: a tab, a form feed, a carriage return.
 #[test]
 fn bits_end_at_any_whitespace() {
-    let (a, b) = (bits_with(128, usize::MAX, '0'), bits_with(70, 3, '1'));
+    let (a, b) = (bits_with(128, usize::MAX, '0'), bits_with(128, 3, '1'));
     let want = vec![JournalRecord::Request {
         source: Config::from_bit_string(&a).unwrap(),
         target: Config::from_bit_string(&b).unwrap(),
@@ -286,12 +288,30 @@ fn malformed_journals_are_rejected_where_they_go_wrong() {
         ("step id=4 ix", 1, 11, "key=value"),
         ("step id=4 =1", 1, 13, "field 'ix'"),
         ("reverse\n# c\n  commit id=4 id=\n", 3, 18, "u64"),
+        // Configuration fields: the two of a line share one width, and a
+        // delta needs a configuration before it, names components inside
+        // the width in strictly ascending order, and changes each one.
+        ("request source=01 target=011", 1, 26, "a configuration of width 2"),
+        ("queued source=0101 target=01", 1, 27, "a configuration of width 4"),
+        ("request source=@ target=0", 1, 16, "'0' or '1' (no configuration precedes '@')"),
+        ("path actions=1\nqueued source=@-0 target=@", 2, 15, "'0' or '1' (no configuration precedes '@')"),
+        ("request source=0101 target=@+4", 1, 29, "a component below the width 4"),
+        ("request source=01 target=10\nqueued source=@+2 target=@", 2, 16, "a component below the width 2"),
+        ("request source=0101 target=@+1-0", 1, 31, "a component above 1"),
+        ("request source=0101 target=@+1+1", 1, 31, "a component above 1"),
+        ("request source=0101 target=@+0", 1, 29, "a component the configuration lacks"),
+        ("request source=0101 target=@-1", 1, 29, "a component the configuration holds"),
+        ("request source=0101 target=@x", 1, 29, "'-' or '+'"),
+        ("request source=0101 target=@+1,2", 1, 31, "'-' or '+'"),
+        ("request source=0101 target=@+", 1, 30, "usize"),
+        ("request source=0101 target=@+18446744073709551616", 1, 30, "usize"),
     ]);
     #[rustfmt::skip]
     assert_rejections(parse_session_journal, &[
         ("commit id=4 session=x", 1, 21, "u64"),
         ("commit id=4 session=18446744073709551616", 1, 21, "u64"),
         ("commit id=4\nwarp id=4 session=1", 2, 1, "a known journal verb (unknown journal verb \"warp\")"),
+        ("request source=0101 target=@+1 session=3\nqueued source=@+0 target=@ session=4", 2, 16, "a component the configuration lacks"),
     ]);
     #[rustfmt::skip]
     assert_rejections(parse_global_journal, &[

@@ -348,7 +348,7 @@ wire! {
     }
     Config => Config {
         put(out, key, v) { put_name(out, key, |out| display(out, v)) }
-        get(f, key) { f.raw_str(key)?.config() }
+        get(f, key) { f.raw_str(key)?.config(None) }
     }
     AgentStateTag => AgentStateTag {
         put(out, key, v) { put_name(out, key, |out| out.text(v.as_str())) }

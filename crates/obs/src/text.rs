@@ -18,7 +18,7 @@ use std::borrow::Cow;
 use std::cell::Cell;
 use std::fmt::{self, Write as _};
 
-use sada_expr::Config;
+use sada_expr::{CompId, Config};
 
 /// Where a text stopped being what its format allows.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -319,13 +319,49 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    /// A configuration's bit string, to the end of the cursor.
-    pub fn config(mut self) -> Parsed<Config> {
-        let bits = self.take(self.rest.len());
-        Config::from_bit_string(bits.rest).map_err(|bad| {
-            let at = bits.rest.find(bad).unwrap_or(0);
-            Cursor { column: bits.column + at, ..bits }.expected("'0' or '1'")
-        })
+    /// A configuration, to the end of the cursor: its bit string, or `@`
+    /// and a delta against `prev` — `+<id>` / `-<id>` terms in strictly
+    /// ascending id order, each of which must change a bit, so that a bare
+    /// `@` is `prev` itself. The delta is applied to a clone of `prev`, so
+    /// the result shares every part of `prev`'s storage the delta leaves
+    /// alone.
+    pub fn config(mut self, prev: Option<&Config>) -> Parsed<Config> {
+        let at = self;
+        if !self.eat_here(b'@') {
+            let bits = self.take(self.rest.len());
+            return Config::from_bit_string(bits.rest).map_err(|bad| {
+                let at = bits.rest.find(bad).unwrap_or(0);
+                Cursor { column: bits.column + at, ..bits }.expected("'0' or '1'")
+            });
+        }
+        let prev = prev.ok_or_else(|| at.expected("'0' or '1' (no configuration precedes '@')"))?;
+        let mut config = prev.clone();
+        let mut floor = 0;
+        while !self.rest.is_empty() {
+            let term = self;
+            let add = self.either(b'-', b'+')?;
+            let id: usize = self.next_int()?;
+            if id >= config.width() {
+                return Err(
+                    term.expected(format!("a component below the width {}", config.width()))
+                );
+            }
+            if id < floor {
+                return Err(term.expected(format!("a component above {}", floor - 1)));
+            }
+            let comp = CompId::from_index(id);
+            if config.contains(comp) == add {
+                let holds = if add { "lacks" } else { "holds" };
+                return Err(term.expected(format!("a component the configuration {holds}")));
+            }
+            if add {
+                config.insert(comp);
+            } else {
+                config.remove(comp);
+            }
+            floor = id + 1;
+        }
+        Ok(config)
     }
 
     /// The contents of a JSON string, escapes still in place.

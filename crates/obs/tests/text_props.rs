@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 
+use sada_expr::{CompId, Config};
 use sada_obs::text::{list, push_json_str, records, Cursor, Fields, ParseError};
 
 /// Near-tokens of both lexical families, numbers at the edge of each
@@ -36,6 +37,8 @@ const TOKENS: &[&str] = &[
     "18446744073709551615",
     "18446744073709551616",
     "+1",
+    "@",
+    "@+1-2",
     "true",
     "false",
     "tru",
@@ -95,7 +98,8 @@ const READERS: &[Reader] = &[
     |c| c.next_list(Cursor::next_int::<u32>).map(drop),
     |c| c.next_array(Cursor::next_u64).map(drop),
     |c| c.items(|c| Ok((c.next_int::<u32>()?, c.expect(b':')?, c.either(b'f', b't')?))).map(drop),
-    |c| c.config().map(drop),
+    |c| c.config(None).map(drop),
+    |c| c.config(Some(&Config::from_ids(5, [CompId::from_index(2)]))).map(drop),
     |c| {
         c.tail();
         Ok(())

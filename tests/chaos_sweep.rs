@@ -90,8 +90,9 @@ fn assert_contract(cs: &CaseStudy, plan: &FaultPlan, label: &str, report: &RunRe
 
 /// Proves the run's write-ahead journal durable: the text codec round-trips,
 /// *every* prefix is replayable against a fresh planner (what a crash at
-/// that point would have required), and a full replay lands exactly on the
-/// run's final configuration.
+/// that point would have required), the text's first lines parse to the
+/// same prefix (a configuration field refers only to what precedes it), and
+/// a full replay lands exactly on the run's final configuration.
 fn assert_journal_durable(cs: &CaseStudy, label: &str, report: &RunReport) {
     let text = sada_proto::encode_journal(&report.journal);
     assert_eq!(
@@ -100,6 +101,12 @@ fn assert_journal_durable(cs: &CaseStudy, label: &str, report: &RunReport) {
         "{label}: journal text round-trip"
     );
     for cut in 0..=report.journal.len() {
+        let lines: String = text.split_inclusive('\n').take(cut).collect();
+        assert_eq!(
+            sada_proto::parse_journal(&lines).as_deref(),
+            Ok(&report.journal[..cut]),
+            "{label}: the first {cut} lines of the journal text\n{text}"
+        );
         let restored = ManagerCore::restore(
             ProtoTiming::default(),
             Box::new(cs.spec.runtime_planner()),

@@ -4,7 +4,7 @@
 
 use sada_fleet::{run_fleet, FleetScenario, SessionSpec};
 use sada_obs::{FleetEvent, Payload};
-use sada_proto::parse_session_journal;
+use sada_proto::{encode_session_journal, parse_session_journal};
 use sada_simnet::{SimDuration, SimTime};
 
 fn spec(id: u64, flips: Vec<(usize, bool)>, at_ms: u64) -> SessionSpec {
@@ -203,9 +203,19 @@ fn chaos_sweep_multi_session_crash_windows() {
         assert_eq!(ascending[3], '1', "seed {seed}: New1 set");
         assert_eq!(ascending[4], '1', "seed {seed}: Old2 restored");
         assert_eq!(ascending[6], '1', "seed {seed}: Old3 restored");
-        // Round-trip the durable journal through the text codec.
+        // Round-trip the durable journal through the text codec; every line
+        // prefix of the text parses to the same prefix of the records.
         let parsed = parse_session_journal(&report.journal_text).expect("parses");
         assert!(!parsed.is_empty(), "seed {seed}");
+        assert_eq!(encode_session_journal(&parsed), report.journal_text, "seed {seed}");
+        for cut in 0..=parsed.len() {
+            let lines: String = report.journal_text.split_inclusive('\n').take(cut).collect();
+            assert_eq!(
+                parse_session_journal(&lines).as_deref(),
+                Ok(&parsed[..cut]),
+                "seed {seed}: the first {cut} lines"
+            );
+        }
         let overlap_serialized = {
             let s2 = report.session(2).unwrap();
             let s3 = report.session(3).unwrap();
