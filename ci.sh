@@ -42,6 +42,9 @@ if for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
     sed '/^#\[cfg(test)\]/,$d' "$f" | grep -Hn --label="$f" 'AgentCore::restore(\|ProtoMsg::Rejoin {\($\| last_completed:\)\|\.drain_obs()' || true
 done | grep -v '^crates/protocol/src/host.rs:[0-9]*:.*sess\.core\.drain_obs()'; then echo "a second agent host outside crates/protocol/src/agent_host.rs"; exit 1; fi
 
+echo "==> every journal is rendered (FleetScenario::render_journal is set only by the referee, until it is deleted)"
+if grep -rn 'render_journal' --include='*.rs' crates src tests examples | grep -v '^crates/fleet/src/driver.rs:'; then echo "render_journal used outside benchmark/ and its definition in crates/fleet/src/driver.rs"; exit 1; fi
+
 echo "==> referee benchmark (standalone package: build + its own tests)"
 # benchmark/ compiles against the public sada-fleet/-proto/-simnet API from
 # outside the workspace, so an API break there is invisible to every step
@@ -137,7 +140,7 @@ echo "==> scenario-generator smoke (seeded serverless + IaaS universes end-to-en
 cargo run -q --release -p sada-bench --bin report -- scenario > /dev/null
 SADA_BENCH_SMOKE=1 cargo bench -q -p sada-bench --bench bench_scenario > /dev/null
 
-echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent <= 1193, bytes-per-session <= 6000, sharded-over-flat <= 1.5x and world-build gates)"
+echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent <= 1193, bytes-per-session <= 6000, journal-bytes-per-session <= 1024, sharded-over-flat <= 1.5x and world-build gates)"
 # Renders the 1k/10k-group strided-storm table (flat throughput plus
 # sharded runs with fingerprints asserted identical at 1 and 8 worker
 # threads, every region loaded), then the bench's smoke mode runs the
@@ -150,7 +153,10 @@ echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent <= 11
 # bytes-per-session ceiling pinned in crates/bench/benches/bench_scale.rs
 # (a session costs a spine and a chunk of the configuration twice over plus
 # its own records, whatever the world's width: the full sweep holds the 1k,
-# 10k and 100k rows to the same number), sharded (1 thread) peak heap at
+# 10k and 100k rows to the same number), the rendered journal text under
+# 1 024 bytes per session (a configuration field travels as its delta
+# against the field before it; in full it would be the world's width),
+# sharded (1 thread) peak heap at
 # most 1.5x the flat run's with the eight regions hosting every agent
 # exactly once between them (ROADMAP item 3's gate: a plane allocates for
 # the agents it hosts, not for the world), and one build_world() under the

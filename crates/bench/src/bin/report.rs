@@ -981,7 +981,7 @@ fn scale(seed: Option<u64>) {
          the full 100k sweep lives in BENCH_scale.json via `cargo bench --bench bench_scale`)"
     );
     println!(
-        "{:>7} {:>7} {:>9} {:>11} {:>13} {:>13} {:>13} {:>13} {:>13}",
+        "{:>7} {:>7} {:>9} {:>11} {:>13} {:>13} {:>13} {:>13} {:>13} {:>15}",
         "groups",
         "agents",
         "sessions",
@@ -990,7 +990,8 @@ fn scale(seed: Option<u64>) {
         "events/s",
         "shard 1t",
         "shard 8t",
-        "shard agents"
+        "shard agents",
+        "journal B/sess"
     );
     for groups in [1_000usize, 10_000] {
         let sessions = (2 * groups).min(2048);
@@ -1006,7 +1007,6 @@ fn scale(seed: Option<u64>) {
         let mut fleet = FleetScenario::new(groups, specs);
         fleet.seed = seed;
         fleet.time_budget = SimDuration::from_secs(10);
-        fleet.render_journal = false;
         let t = std::time::Instant::now();
         let flat = run_fleet(&fleet);
         let flat_wall = t.elapsed();
@@ -1031,7 +1031,7 @@ fn scale(seed: Option<u64>) {
         );
         let wall_s = flat_wall.as_secs_f64().max(1e-9);
         println!(
-            "{:>7} {:>7} {:>9} {:>11} {:>13.1} {:>13.1} {:>13} {:>13} {:>13}",
+            "{:>7} {:>7} {:>9} {:>11} {:>13.1} {:>13.1} {:>13} {:>13} {:>13} {:>15}",
             groups,
             2 * groups,
             sessions,
@@ -1041,12 +1041,13 @@ fn scale(seed: Option<u64>) {
             format!("{:.1}ms", single_wall.as_secs_f64() * 1000.0),
             format!("{:.1}ms", multi_wall.as_secs_f64() * 1000.0),
             single.per_shard.iter().map(|s| s.agents).sum::<usize>(),
+            flat.journal_text.len() / sessions,
         );
     }
     println!(
         "(fingerprints asserted identical at 1 and 8 worker threads on every row; shard agents \
-         is what the eight regions' planes host between them; journal text rendering is off — \
-         the durable journal, events, and fingerprints are unaffected)"
+         is what the eight regions' planes host between them; journal B/sess is the flat run's \
+         journal text per session)"
     );
 }
 

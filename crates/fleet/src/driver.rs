@@ -73,13 +73,12 @@ pub struct FleetScenario {
     /// `None` keeps the classic `FleetWorld::build(groups)` video world.
     pub world_spec: Option<WorldSpec>,
     /// Render the write-ahead journal(s) to text in the report. On by
-    /// default; the scale benchmarks turn it off because the text form is
-    /// O(sessions × components) — hundreds of megabytes at 100k groups —
-    /// while the durable journal itself (and therefore crash recovery,
-    /// events, and fingerprints) is unaffected either way. In memory a
-    /// `Request` record is two handles that share every chunk but the one
-    /// the session changes; its text spells out every bit of both, so the
-    /// text is what still costs the world per record.
+    /// default, and off only in the referee's storms until it is deleted:
+    /// a configuration field of the text is its delta against the field
+    /// before it, so a session's records cost the components it changes —
+    /// under 200 bytes a session at 10k groups — not the world's width.
+    /// The durable journal itself (and therefore crash recovery, events,
+    /// and fingerprints) is unaffected either way.
     pub render_journal: bool,
 }
 
@@ -435,17 +434,21 @@ impl<M: Clone + 'static> Plane<M> {
                 }
             })
             .collect();
+        // Rendered before the ring's events are copied out, so that the
+        // text's growth never sits on top of that copy: the plane's peak
+        // holds the text's length and no more.
+        let journal_text = if self.render_journal {
+            encode_session_journal(&control.journal)
+        } else {
+            String::new()
+        };
         let ring = self.ring.borrow();
         PlaneOutcome {
+            journal_text,
             results,
             fleet_config: control.fleet_config.clone(),
             events: ring.events(),
             events_evicted: ring.total_seen() - ring.len() as u64,
-            journal_text: if self.render_journal {
-                encode_session_journal(&control.journal)
-            } else {
-                String::new()
-            },
             intervals: control
                 .admitted_at
                 .iter()
