@@ -42,6 +42,9 @@ if for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
     sed '/^#\[cfg(test)\]/,$d' "$f" | grep -Hn --label="$f" 'AgentCore::restore(\|ProtoMsg::Rejoin {\($\| last_completed:\)\|\.drain_obs()' || true
 done | grep -v '^crates/protocol/src/host.rs:[0-9]*:.*sess\.core\.drain_obs()'; then echo "a second agent host outside crates/protocol/src/agent_host.rs"; exit 1; fi
 
+echo "==> one agent arena (sada_simnet::CloneArena: a plane clones an agent when the run first touches it, not once per hosted member at build)"
+if grep -rn 'ArenaActor<.*> for Vec\|vec!\[agent(' crates/*/src; then echo "a second agent arena, or a plane cloning its agent prototype once per hosted member"; exit 1; fi
+
 echo "==> every journal is rendered (FleetScenario::render_journal is set only by the referee, until it is deleted)"
 if grep -rn 'render_journal' --include='*.rs' crates src tests examples | grep -v '^crates/fleet/src/driver.rs:'; then echo "render_journal used outside benchmark/ and its definition in crates/fleet/src/driver.rs"; exit 1; fi
 

@@ -977,7 +977,7 @@ fn scale(seed: Option<u64>) {
     const REGIONS: usize = 8;
     println!("## Scale hot path — strided storms at 1k/10k groups (seed {seed})");
     println!(
-        "(one Vec<ScriptedAgent> agent arena, batched bus delivery, hierarchical timer wheel; \
+        "(one agent arena cloned on first touch, batched bus delivery, hierarchical timer wheel; \
          the full 100k sweep lives in BENCH_scale.json via `cargo bench --bench bench_scale`)"
     );
     println!(

@@ -27,8 +27,9 @@
 //!   multiplexed over a shared wire by [`SessionId`](sada_proto::SessionId)
 //!   stamps, with a session-tagged write-ahead journal that restores every
 //!   in-flight *and* queued session after a crash.
-//! * [`run_fleet`] — the scenario driver: one control plane (every agent
-//!   as one `Vec<ScriptedAgent>` arena plus a `ControlActor`) over
+//! * [`run_fleet`] — the scenario driver: one control plane (every agent a
+//!   member of one `CloneArena<ScriptedAgent>`, cloned when a session or a
+//!   fault first touches it, plus a `ControlActor`) over
 //!   hundreds of agent groups in simnet, fault schedules, and a
 //!   [`FleetReport`] with per-session latencies, peak concurrency, and the
 //!   captured event stream. Session verdicts are typed (`SessionEnd`).

@@ -1,6 +1,6 @@
 //! Equivalence properties for the scale hot path.
 //!
-//! The hot-path rework (one `Vec<ScriptedAgent>` agent arena, batched
+//! The hot-path rework (one agent arena, batched
 //! bus/fabric delivery, timer wheel) must be *fingerprint-invisible*:
 //! batching is an execution optimization, never a semantic change. The
 //! arena needs no equivalence property of its own any more — it runs the

@@ -319,8 +319,10 @@ pub struct ScriptedAgent {
     pub crashes: u64,
 }
 
-// A fleet keeps every agent of a plane in one arena: what an agent holds
-// inline is paid once per agent, 200 000 times at 100k groups.
+// A fleet plane clones an agent when a session or a fault first touches it:
+// what an agent holds inline is paid once per engaged agent, 16 384 times
+// for the 8 192 sessions of a 100k-group storm (an untouched one costs its
+// arena a 4-byte slot).
 const _: () = assert!(std::mem::size_of::<ScriptedAgent>() <= 144);
 
 /// What a [`ScriptedAgent`]'s embedding fixes for it. Shared by every clone

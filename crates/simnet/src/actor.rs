@@ -115,10 +115,10 @@ pub trait Actor<M>: AsAny {
 /// 100k-agent fleet keep its agents in one contiguous allocation behind one
 /// vtable instead of 100k separately boxed actors.
 ///
-/// The stock arena is `Vec<A>` for any [`Actor`] `A` (member `i` is element
-/// `i`, every callback forwards to the element's own): the actor's state
-/// machine is written once and the arena only changes where it lives.
-/// Implement the trait by hand only for a layout a plain vector cannot give.
+/// The stock arena is [`CloneArena`]: members are clones of one
+/// [`Actor`], made when first touched, so the actor's state machine is
+/// written once and the arena only changes where it lives and when it is
+/// paid for. Implement the trait by hand only for a layout it cannot give.
 pub trait ArenaActor<M>: AsAny {
     /// Called once per member, at `SimTime::ZERO`, before any message flows.
     fn on_start(&mut self, member: u32, ctx: &mut Context<'_, M>) {
@@ -146,25 +146,115 @@ pub trait ArenaActor<M>: AsAny {
     }
 }
 
-impl<M, A: Actor<M> + 'static> ArenaActor<M> for Vec<A> {
+/// The slot of a member that is neither supplied nor cloned yet.
+const UNCLONED: u32 = u32::MAX;
+
+/// The stock [`ArenaActor`]: every member is a copy of one prototype actor,
+/// paid for when first touched.
+///
+/// The caller supplies some members up front; every other member is cloned
+/// from the prototype on its first message, timer, crash or restart, and
+/// until then costs a 4-byte slot. Only supplied members get a start
+/// callback, and the constructor checks that the prototype's start asks
+/// for nothing, so a member cloned on demand is exactly the clone an eager
+/// arena would have made at build and started.
+pub struct CloneArena<A> {
+    prototype: A,
+    /// Per member: its index into `members`, or `UNCLONED`.
+    slots: Vec<u32>,
+    /// The supplied members, then the clones in order of first touch.
+    members: Vec<A>,
+    supplied: usize,
+}
+
+impl<A: Clone> CloneArena<A> {
+    /// An arena of `len` members of `prototype`, with the `supplied`
+    /// `(member, actor)` pairs in place of clones; the first pair for a
+    /// member wins.
+    ///
+    /// # Panics
+    ///
+    /// If `on_start` of a scratch clone of `prototype` asks for a send or a
+    /// timer (a member cloned on demand never starts), or if a supplied
+    /// member is not below `len`.
+    pub fn new<M>(prototype: A, len: u32, supplied: Vec<(u32, A)>) -> Self
+    where
+        A: Actor<M>,
+    {
+        let (mut ops, mut next_timer) = (Vec::new(), 0);
+        let mut ctx = Context {
+            self_id: ActorId(u32::MAX),
+            now: SimTime::ZERO,
+            ops: &mut ops,
+            next_timer: &mut next_timer,
+        };
+        prototype.clone().on_start(&mut ctx);
+        assert!(
+            ops.is_empty(),
+            "the prototype's on_start sends or arms a timer, which a member cloned on demand \
+             would never do"
+        );
+        let mut slots = vec![UNCLONED; len as usize];
+        let mut members = Vec::new();
+        for (member, actor) in supplied {
+            let slot = &mut slots[member as usize];
+            if *slot == UNCLONED {
+                *slot = members.len() as u32;
+                members.push(actor);
+            }
+        }
+        let supplied = members.len();
+        CloneArena { prototype, slots, members, supplied }
+    }
+
+    /// How many members have been cloned from the prototype (supplied ones
+    /// are not counted).
+    pub fn cloned(&self) -> usize {
+        self.members.len() - self.supplied
+    }
+
+    /// Member `member`, if it was supplied or has been cloned.
+    #[cfg(test)]
+    pub(crate) fn member(&self, member: u32) -> Option<&A> {
+        let slot = self.slots[member as usize];
+        (slot != UNCLONED).then(|| &self.members[slot as usize])
+    }
+
+    /// Member `member`, cloned from the prototype on first touch.
+    fn touch(&mut self, member: u32) -> &mut A {
+        let slot = &mut self.slots[member as usize];
+        if *slot == UNCLONED {
+            *slot = self.members.len() as u32;
+            self.members.push(self.prototype.clone());
+        }
+        &mut self.members[*slot as usize]
+    }
+}
+
+impl<M, A: Actor<M> + Clone + 'static> ArenaActor<M> for CloneArena<A> {
     fn on_start(&mut self, member: u32, ctx: &mut Context<'_, M>) {
-        self[member as usize].on_start(ctx);
+        // A member not yet cloned starts as the prototype, which asks for
+        // nothing at start (checked at construction).
+        let slot = self.slots[member as usize];
+        if slot != UNCLONED {
+            self.members[slot as usize].on_start(ctx);
+        }
     }
 
     fn on_message(&mut self, member: u32, ctx: &mut Context<'_, M>, from: ActorId, msg: M) {
-        self[member as usize].on_message(ctx, from, msg);
+        self.touch(member).on_message(ctx, from, msg);
     }
 
     fn on_timer(&mut self, member: u32, ctx: &mut Context<'_, M>, tag: u64) {
-        self[member as usize].on_timer(ctx, tag);
+        self.touch(member).on_timer(ctx, tag);
     }
 
     fn on_crash(&mut self, member: u32, now: SimTime) {
-        self[member as usize].on_crash(now);
+        self.touch(member).on_crash(now);
     }
 
     fn on_restart(&mut self, member: u32, ctx: &mut Context<'_, M>) {
-        self[member as usize].on_restart(ctx);
+        self.touch(member).on_restart(ctx);
     }
 }
 
@@ -265,6 +355,95 @@ mod tests {
         let a = ctx.set_timer(SimDuration::ZERO, 0);
         let b = ctx.set_timer(SimDuration::ZERO, 0);
         assert_ne!(a, b);
+    }
+
+    /// Counts what reaches it.
+    #[derive(Clone, Default)]
+    struct Tally {
+        messages: u32,
+        timers: u32,
+        crashes: u32,
+        restarts: u32,
+    }
+
+    impl Actor<u8> for Tally {
+        fn on_message(&mut self, _: &mut Context<'_, u8>, _: ActorId, _: u8) {
+            self.messages += 1;
+        }
+        fn on_timer(&mut self, _: &mut Context<'_, u8>, _: u64) {
+            self.timers += 1;
+        }
+        fn on_crash(&mut self, _: SimTime) {
+            self.crashes += 1;
+        }
+        fn on_restart(&mut self, _: &mut Context<'_, u8>) {
+            self.restarts += 1;
+        }
+    }
+
+    #[test]
+    fn an_unsupplied_members_first_message_timer_crash_or_restart_clones_the_prototype() {
+        let supplied = vec![(5, Tally { messages: 10, ..Tally::default() }), (5, Tally::default())];
+        let mut arena = CloneArena::new(Tally::default(), 6, supplied);
+        let (mut ops, mut next_timer) = (Vec::new(), 0);
+        let ctx = &mut Context {
+            self_id: ActorId(0),
+            now: SimTime::ZERO,
+            ops: &mut ops,
+            next_timer: &mut next_timer,
+        };
+        for member in 0..6 {
+            arena.on_start(member, ctx);
+        }
+        assert_eq!(arena.cloned(), 0, "a start clones nobody");
+        arena.on_message(0, ctx, ActorId(9), 1);
+        assert_eq!(arena.cloned(), 1);
+        arena.on_timer(1, ctx, 7);
+        assert_eq!(arena.cloned(), 2);
+        arena.on_crash(2, SimTime::ZERO);
+        assert_eq!(arena.cloned(), 3);
+        arena.on_restart(3, ctx);
+        assert_eq!(arena.cloned(), 4);
+        // A second touch finds the clone; a supplied member is no clone.
+        arena.on_message(0, ctx, ActorId(9), 1);
+        arena.on_message(5, ctx, ActorId(9), 1);
+        assert_eq!(arena.cloned(), 4);
+        let member = |m| arena.member(m).expect("touched or supplied");
+        assert_eq!(
+            [member(0).messages, member(1).timers, member(2).crashes, member(3).restarts],
+            [2, 1, 1, 1]
+        );
+        assert!(arena.member(4).is_none(), "an untouched member costs its slot alone");
+        assert_eq!(member(5).messages, 11, "the first supplied entry wins");
+    }
+
+    /// Asks at start for what `send` says: a message to itself, or a timer.
+    #[derive(Clone)]
+    struct Eager {
+        send: bool,
+    }
+
+    impl Actor<u8> for Eager {
+        fn on_start(&mut self, ctx: &mut Context<'_, u8>) {
+            if self.send {
+                ctx.send(ctx.self_id(), 0);
+            } else {
+                ctx.set_timer(SimDuration::ZERO, 0);
+            }
+        }
+        fn on_message(&mut self, _: &mut Context<'_, u8>, _: ActorId, _: u8) {}
+    }
+
+    #[test]
+    #[should_panic(expected = "on_start sends or arms a timer")]
+    fn a_prototype_that_sends_at_start_is_refused() {
+        CloneArena::new(Eager { send: true }, 1, Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "on_start sends or arms a timer")]
+    fn a_prototype_that_arms_a_timer_at_start_is_refused() {
+        CloneArena::new(Eager { send: false }, 1, Vec::new());
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //!   with latency, jitter and loss probability ([`LinkConfig`]), or to
 //!   multicast groups.
 //! * Actors set one-shot timers and are woken with a caller-chosen tag.
+//! * A run of ids can share one [`ArenaActor`]. The stock arena,
+//!   [`CloneArena`], clones a member from one prototype when a message,
+//!   timer, crash or restart first reaches it; until then the member costs
+//!   a 4-byte slot.
 //! * Ties in delivery time are broken by a global sequence number so runs
 //!   are reproducible bit-for-bit.
 //!
@@ -69,7 +73,7 @@ mod sim;
 mod trace;
 mod wheel;
 
-pub use actor::{Actor, ActorId, ArenaActor, AsAny, Context, TimerId};
+pub use actor::{Actor, ActorId, ArenaActor, AsAny, CloneArena, Context, TimerId};
 pub use fault::{chaos, ChaosOpts, Fault, FaultPlan, MsgPattern};
 pub use link::LinkConfig;
 pub use sim::{ArenaId, GroupId, NetStats, Simulator};

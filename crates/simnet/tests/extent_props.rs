@@ -17,7 +17,8 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 use sada_simnet::{
-    Actor, ActorId, Context, LinkConfig, NetStats, SimDuration, SimTime, Simulator, TraceKind,
+    Actor, ActorId, CloneArena, Context, LinkConfig, NetStats, SimDuration, SimTime, Simulator,
+    TraceKind,
 };
 
 /// `(hops left, sender)`; senders and receivers go by *address* — an index
@@ -44,7 +45,10 @@ impl Node {
 impl Actor<Msg> for Node {
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
         self.note(ctx.now(), "start", 0);
-        ctx.set_timer(SimDuration::from_micros(150 * (self.me as u64 + 1)), self.me as u64);
+        // The arena's prototype knows no peers and asks for nothing.
+        if !self.peers.is_empty() {
+            ctx.set_timer(SimDuration::from_micros(150 * (self.me as u64 + 1)), self.me as u64);
+        }
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _from: ActorId, (hops, sender): Msg) {
@@ -144,22 +148,22 @@ fn observe(layout: &[Run], sparse: bool, script: &Script<'_>) -> Observed {
     });
     if sparse {
         // One arena behind every `Members` run, so a run's first member is
-        // rarely member 0.
-        let in_arena: u32 =
-            layout.iter().map(|r| if let Run::Members(n) = r { *n } else { 0 }).sum();
-        let mut members = Vec::with_capacity(in_arena as usize);
+        // rarely member 0. Every member is supplied.
+        let mut members = Vec::new();
         let mut me = 0;
         for r in layout {
             match *r {
                 Run::Solo => me += 1,
                 Run::Members(n) => {
-                    members.extend((me..me + n as usize).map(node));
+                    let first = members.len() as u32;
+                    members.extend((0..n).map(|k| (first + k, node(me + k as usize))));
                     me += n as usize;
                 }
                 Run::Vacant(_) => {}
             }
         }
-        let arena = sim.add_arena(members);
+        let prototype = Node { me: 0, peers: Rc::default(), log: Rc::default() };
+        let arena = sim.add_arena(CloneArena::new(prototype, members.len() as u32, members));
         let (mut me, mut member) = (0, 0);
         for r in layout {
             match *r {
