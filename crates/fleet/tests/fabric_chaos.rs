@@ -21,6 +21,9 @@
 //! `SADA_FULL_CHAOS=1` runs the long soak. Replay one seed by fixing the
 //! fault-plan seed printed in a failure message (the plan is the scenario).
 
+mod identity;
+
+use identity::{assert_pinned, Identity};
 use proptest::prelude::*;
 use sada_fleet::{
     encode_fabric_msg, parse_fabric_msg, run_fleet_sharded, FabricFaultPlan, FabricPayload,
@@ -215,6 +218,43 @@ fn straddler_onto_a_dead_region_is_abandoned_not_lost() {
     assert_eq!(a.fingerprint, b.fingerprint);
     assert_eq!(a.results, b.results);
     assert_eq!(a.global_journal, b.global_journal);
+}
+
+/// The dead-region run above, pinned: the abandoned straddler's row (its
+/// escalation instant, its conclusion at the ladder's end) with every other
+/// row, at 1 and at 4 worker threads.
+#[test]
+fn straddler_onto_a_dead_region_is_pinned() {
+    let mut scn = ShardScenario::new(chaos_fleet(4), REGIONS);
+    scn.crash_region = Some((1, SimTime::from_millis(4), SimTime::from_millis(25_000)));
+    assert_pinned(
+        "dead region",
+        &scn,
+        &Identity {
+            fingerprint: 0xe5fcbb96f167565b,
+            final_config: "0110101010101010",
+            restores: 1,
+            journal_fnvs: &[
+                0x207f4e1d0ce8e6bc,
+                0x6cc0e87e16e02448,
+                0x06366ce9930f608b,
+                0xcbf29ce484222325,
+                0x54f70f420b0d635b,
+            ],
+            records_fnvs: &[
+                0x5921d6e35bc5f91d,
+                0x7a26756e8c1409f9,
+                0x38cab57453ffbe68,
+                0xcbf29ce484222325,
+                0xbf754bd496cdfc8e,
+            ],
+            global_journal_fnv: 0xcf27d7b61a91006f,
+            verdicts: (7, 0, 0, 0, 0),
+            results_fnv: 0xf8e6c7dfabab2e48,
+            max_concurrent: 6,
+            makespan_us: 25004496,
+        },
+    );
 }
 
 /// The orphaned-release leak (PR 8 headroom) and its garbage collection:

@@ -3,7 +3,8 @@
 //! agents *and* the control actor, the serial baseline over slowed agents,
 //! a breaker + bulkhead overload run with cancellations, the
 //! RTT-adaptive ladder over per-agent breakers, the crash and restart of
-//! an agent no session engages, and an agent named twice among the slow.
+//! an agent no session engages, an agent named twice among the slow, and
+//! bulkhead sheds on both sides of a control-plane crash.
 //!
 //! The constants were captured before `run_fleet` became the one-region
 //! case of the endpoint code and before the agents became one arena; they
@@ -14,11 +15,14 @@
 //! adaptive row was captured before the solo manager and the control plane
 //! shared one host. The journal-text constants were re-captured once, when
 //! configuration fields became deltas; the records constants beside them
-//! did not move.
+//! did not move. The report-row hash, peak concurrency and makespan were
+//! captured while the control plane still kept a session's instants,
+//! verdict and admission in separate maps: they pin that writing one row
+//! per session where the plane decides moved no field of any row.
 
 use sada_fleet::{
     disjoint_wave, fingerprint_events_unsharded, run_fleet, FleetReport, FleetResilience,
-    FleetScenario, SessionSpec,
+    FleetScenario, SessionResult, SessionSpec,
 };
 use sada_obs::{fnv1a, text::push_lines, FleetEvent, Payload};
 use sada_proto::{parse_session_journal, ProtoTiming};
@@ -38,8 +42,9 @@ fn spec(id: u64, flips: Vec<(usize, bool)>, at_ms: u64, cancel_ms: Option<u64>) 
 /// What a run is pinned by: stream fingerprint, final configuration,
 /// restore count, journal-text hash, records hash (FNV-1a of each parsed
 /// record's context-free line: what the journal says, whatever form its
-/// text takes), and the verdict tally `(committed, gave up, cancelled,
-/// shed, rejected)`.
+/// text takes), the verdict tally `(committed, gave up, cancelled, shed,
+/// rejected)`, the report rows' hash (see [`results_fnv`]), the peak of
+/// concurrently admitted sessions, and the makespan.
 #[derive(Debug)]
 struct Identity {
     fingerprint: u64,
@@ -48,6 +53,31 @@ struct Identity {
     journal_fnv: u64,
     records_fnv: u64,
     verdicts: (usize, usize, usize, usize, u64),
+    results_fnv: u64,
+    max_concurrent: usize,
+    makespan_us: u64,
+}
+
+/// FNV-1a over one line per report row, every field in a fixed text form:
+/// the instants, the four verdict flags and the admission decision (with a
+/// shed's retry hint).
+fn results_fnv(results: &[SessionResult]) -> u64 {
+    let mut text = String::new();
+    for r in results {
+        text += &format!(
+            "{} {:?} {:?} {:?} {} {} {} {} {:?}\n",
+            r.id,
+            r.submitted_at,
+            r.admitted_at,
+            r.completed_at,
+            r.success,
+            r.gave_up,
+            r.cancelled,
+            r.shed,
+            r.admission
+        );
+    }
+    fnv1a(text)
 }
 
 /// FNV-1a over the `Display` line of every record `text` parses to.
@@ -58,8 +88,7 @@ fn records_fnv(text: &str) -> u64 {
 }
 
 fn assert_identity(what: &str, report: &FleetReport, want: &Identity) {
-    let count =
-        |f: fn(&sada_fleet::SessionResult) -> bool| report.results.iter().filter(|r| f(r)).count();
+    let count = |f: fn(&SessionResult) -> bool| report.results.iter().filter(|r| f(r)).count();
     let verdicts = (
         count(|r| r.success),
         count(|r| r.gave_up),
@@ -70,20 +99,30 @@ fn assert_identity(what: &str, report: &FleetReport, want: &Identity) {
     let fingerprint = fingerprint_events_unsharded(&report.events);
     let (journal_fnv, records_fnv) =
         (fnv1a(&report.journal_text), records_fnv(&report.journal_text));
-    let got = (journal_fnv, records_fnv, verdicts);
+    let rows = (results_fnv(&report.results), report.max_concurrent, report.makespan_us);
+    let got = (journal_fnv, records_fnv, verdicts, rows);
     assert!(
         (fingerprint, report.final_config.as_str(), report.restores, got)
             == (
                 want.fingerprint,
                 want.final_config,
                 want.restores,
-                (want.journal_fnv, want.records_fnv, want.verdicts)
+                (
+                    want.journal_fnv,
+                    want.records_fnv,
+                    want.verdicts,
+                    (want.results_fnv, want.max_concurrent, want.makespan_us)
+                )
             ),
         "{what}: identity moved, want {want:?}, got\nIdentity {{ fingerprint: {fingerprint:#018x}, \
          final_config: {:?}, restores: {}, journal_fnv: {journal_fnv:#018x}, \
-         records_fnv: {records_fnv:#018x}, verdicts: {verdicts:?} }}",
+         records_fnv: {records_fnv:#018x}, verdicts: {verdicts:?}, results_fnv: {:#018x}, \
+         max_concurrent: {}, makespan_us: {} }}",
         report.final_config,
         report.restores,
+        rows.0,
+        rows.1,
+        rows.2,
     );
 }
 
@@ -111,6 +150,9 @@ fn control_crash_window_is_pinned() {
             journal_fnv: 0x2784a47b23b214bf,
             records_fnv: 0xa346d99974af4696,
             verdicts: (4, 0, 1, 0, 0),
+            results_fnv: 0x2b49056326ff79b3,
+            max_concurrent: 3,
+            makespan_us: 35000,
         },
     );
 }
@@ -125,6 +167,9 @@ const CHAOS: [Identity; 5] = [
         journal_fnv: 0x80178940a4716174,
         records_fnv: 0x4f39195e4f1909c2,
         verdicts: (4, 0, 1, 0, 0),
+        results_fnv: 0x5a08ab4d1864a02c,
+        max_concurrent: 2,
+        makespan_us: 114800,
     },
     Identity {
         fingerprint: 0xacb314b172f8bcf6,
@@ -133,6 +178,9 @@ const CHAOS: [Identity; 5] = [
         journal_fnv: 0x58c9adcc8c5250a8,
         records_fnv: 0x60f1e3f399a2e22e,
         verdicts: (4, 0, 1, 0, 0),
+        results_fnv: 0x932af4003639db63,
+        max_concurrent: 2,
+        makespan_us: 103678,
     },
     Identity {
         fingerprint: 0xdbca438a144a51bb,
@@ -141,6 +189,9 @@ const CHAOS: [Identity; 5] = [
         journal_fnv: 0x120343ee32b00ba0,
         records_fnv: 0xcd5dd31d33828a6c,
         verdicts: (4, 0, 1, 0, 0),
+        results_fnv: 0x97592a4ef08c619f,
+        max_concurrent: 2,
+        makespan_us: 93619,
     },
     Identity {
         fingerprint: 0xdae89eaa196e19e4,
@@ -149,6 +200,9 @@ const CHAOS: [Identity; 5] = [
         journal_fnv: 0x5e9b4a5635c7b6da,
         records_fnv: 0xc5ef13257fa52625,
         verdicts: (5, 0, 0, 0, 0),
+        results_fnv: 0x89a354817dd36f1b,
+        max_concurrent: 2,
+        makespan_us: 93682,
     },
     Identity {
         fingerprint: 0x0281ef0c15d2a6df,
@@ -157,6 +211,9 @@ const CHAOS: [Identity; 5] = [
         journal_fnv: 0x1ac8f8d2ae17e88e,
         records_fnv: 0x4fefe6370635946e,
         verdicts: (4, 0, 1, 0, 0),
+        results_fnv: 0x8d304dfc7475f341,
+        max_concurrent: 2,
+        makespan_us: 292785,
     },
 ];
 
@@ -213,6 +270,9 @@ fn serial_baseline_over_slow_agents_is_pinned() {
             journal_fnv: 0xe33fb4814e34d1be,
             records_fnv: 0x49799b541722ea42,
             verdicts: (4, 0, 0, 0, 0),
+            results_fnv: 0xd4da3c6aa478b8bd,
+            max_concurrent: 1,
+            makespan_us: 88000,
         },
     );
 }
@@ -256,6 +316,9 @@ fn breaker_and_bulkhead_overload_with_cancels_is_pinned() {
             journal_fnv: 0x2d02f6fa93ba9792,
             records_fnv: 0x0a4076861ed340f4,
             verdicts: (3, 0, 3, 5, 1),
+            results_fnv: 0x93b987bf8ff2db08,
+            max_concurrent: 2,
+            makespan_us: 40000000,
         },
     );
 }
@@ -302,6 +365,9 @@ fn adaptive_ladder_over_breakers_with_a_crashed_and_a_slow_agent_is_pinned() {
             journal_fnv: 0xcd676f58e7d37c08,
             records_fnv: 0x802b797cf9169728,
             verdicts: (12, 0, 0, 0, 0),
+            results_fnv: 0xa9e197ffbef534ef,
+            max_concurrent: 2,
+            makespan_us: 14772292,
         },
     );
 }
@@ -331,6 +397,9 @@ fn a_crash_and_restart_of_an_agent_no_session_engages_is_pinned() {
             journal_fnv: 0xb246544f26e9b6d3,
             records_fnv: 0xbaa431b8f73da309,
             verdicts: (2, 0, 0, 0, 0),
+            results_fnv: 0x8e157bf62263667c,
+            max_concurrent: 2,
+            makespan_us: 25000,
         },
     );
 }
@@ -357,6 +426,54 @@ fn an_agent_named_twice_among_the_slow_keeps_its_first_factor_and_is_pinned() {
             journal_fnv: 0xb53700c012894c52,
             records_fnv: 0xb2ad7a55b92b47bb,
             verdicts: (4, 0, 0, 0, 0),
+            results_fnv: 0xa4565f96bb0f30d7,
+            max_concurrent: 4,
+            makespan_us: 44000,
+        },
+    );
+}
+
+#[test]
+fn bulkhead_sheds_before_and_after_a_control_crash_are_pinned() {
+    // One session in flight and one waiting: each burst of four overflows
+    // the waiting room. The first burst sheds before anything finished (the
+    // hint is the retry base), the second after sessions completed, and the
+    // third after the control plane was rebuilt from its journal — its
+    // hints read service times measured before the crash.
+    let mut sessions: Vec<SessionSpec> = Vec::new();
+    for (burst, at_ms) in [0u64, 200, 600].into_iter().enumerate() {
+        for i in 0..4u64 {
+            let id = 10 * burst as u64 + i + 1;
+            sessions.push(spec(id, vec![(i as usize, burst % 2 == 0)], at_ms + i, None));
+        }
+    }
+    let mut scn = FleetScenario::new(4, sessions);
+    scn.resilience = FleetResilience {
+        bulkhead: BulkheadConfig { max_in_flight: 1, max_queued: 1 },
+        ..FleetResilience::default()
+    };
+    let (crash, restart) = (400_000, 450_000);
+    scn.crash_control = Some((SimTime::from_micros(crash), SimTime::from_micros(restart)));
+    let report = run_fleet(&scn);
+    let shed_at: Vec<u64> =
+        report.results.iter().filter(|r| r.shed).filter_map(|r| r.completed_at).collect();
+    assert!(
+        shed_at.iter().any(|&t| t < crash) && shed_at.iter().any(|&t| t > restart),
+        "the bulkhead must shed on both sides of the crash: {shed_at:?}"
+    );
+    assert_identity(
+        "bulkhead sheds across a control crash",
+        &report,
+        &Identity {
+            fingerprint: 0x81d594acc0c77a40,
+            final_config: "01101010",
+            restores: 1,
+            journal_fnv: 0x98acbb4dbd12fc91,
+            records_fnv: 0xe68df449dd6fb656,
+            verdicts: (6, 0, 0, 6, 0),
+            results_fnv: 0xcc7fb28b0188381b,
+            max_concurrent: 1,
+            makespan_us: 616000,
         },
     );
 }

@@ -10,8 +10,10 @@ use sada_proto::parse_session_journal;
 /// shards, the FNV of every shard's journal text (region order, then the
 /// global tier's plane) and of the records each text parses to (FNV-1a of
 /// each record's context-free line: what the journal says, whatever form
-/// its text takes), the FNV of the global write-ahead journal, and the
-/// verdict tally `(committed, gave up, cancelled, shed, rejected)`.
+/// its text takes), the FNV of the global write-ahead journal, the verdict
+/// tally `(committed, gave up, cancelled, shed, rejected)`, the report rows'
+/// hash (see [`results_fnv`]), the peak of concurrently admitted sessions,
+/// and the makespan.
 #[derive(Debug)]
 pub(crate) struct Identity {
     pub fingerprint: u64,
@@ -21,6 +23,31 @@ pub(crate) struct Identity {
     pub records_fnvs: &'static [u64],
     pub global_journal_fnv: u64,
     pub verdicts: (usize, usize, usize, usize, u64),
+    pub results_fnv: u64,
+    pub max_concurrent: usize,
+    pub makespan_us: u64,
+}
+
+/// FNV-1a over one line per report row, every field in a fixed text form:
+/// the instants, the four verdict flags and the admission decision (with a
+/// shed's retry hint).
+fn results_fnv(results: &[SessionResult]) -> u64 {
+    let mut text = String::new();
+    for r in results {
+        text += &format!(
+            "{} {:?} {:?} {:?} {} {} {} {} {:?}\n",
+            r.id,
+            r.submitted_at,
+            r.admitted_at,
+            r.completed_at,
+            r.success,
+            r.gave_up,
+            r.cancelled,
+            r.shed,
+            r.admission
+        );
+    }
+    fnv1a(text)
 }
 
 /// FNV-1a over the `Display` line of every record `text` parses to.
@@ -47,6 +74,7 @@ fn assert_identity(what: &str, report: &ShardReport, want: &Identity) {
     let records_fnvs: Vec<u64> =
         report.journals.iter().map(|(_, text)| records_fnv(text)).collect();
     let global_journal_fnv = fnv1a(&report.global_journal);
+    let rows = (results_fnv(&report.results), report.max_concurrent, report.makespan_us);
     let got = (
         report.fingerprint,
         report.final_config.as_str(),
@@ -54,6 +82,7 @@ fn assert_identity(what: &str, report: &ShardReport, want: &Identity) {
         (journal_fnvs.as_slice(), records_fnvs.as_slice()),
         global_journal_fnv,
         verdicts,
+        rows,
     );
     let want_tuple = (
         want.fingerprint,
@@ -62,17 +91,22 @@ fn assert_identity(what: &str, report: &ShardReport, want: &Identity) {
         (want.journal_fnvs, want.records_fnvs),
         want.global_journal_fnv,
         want.verdicts,
+        (want.results_fnv, want.max_concurrent, want.makespan_us),
     );
     assert!(
         got == want_tuple,
         "{what}: identity moved, want {want:?}, got\nIdentity {{ fingerprint: {:#018x}, \
          final_config: {:?}, restores: {}, journal_fnvs: &[{}], records_fnvs: &[{}], \
-         global_journal_fnv: {global_journal_fnv:#018x}, verdicts: {verdicts:?} }}",
+         global_journal_fnv: {global_journal_fnv:#018x}, verdicts: {verdicts:?}, \
+         results_fnv: {:#018x}, max_concurrent: {}, makespan_us: {} }}",
         report.fingerprint,
         report.final_config,
         report.restores,
         hex(&journal_fnvs),
         hex(&records_fnvs),
+        rows.0,
+        rows.1,
+        rows.2,
     );
 }
 

@@ -1,19 +1,23 @@
 //! Pinned identities of multi-region [`run_fleet_sharded`] runs that
 //! `flat_identity.rs` cannot reach: straddlers escalating through the global
-//! tier over four regions, and the same fleet with a region crash, a
-//! global-tier crash and a lossy fabric on top.
+//! tier over four regions, the same fleet with a region crash, a
+//! global-tier crash and a lossy fabric on top, and straddlers withdrawn at
+//! every point of their escalation around a global-tier crash.
 //!
-//! The constants were captured while every endpoint still compiled its own
-//! world; they pin that sharing one immutable world across the endpoint
-//! threads (and moving the safety memo out of `Search`) moved no event,
-//! journal byte, or verdict — at 1 and at 4 worker threads. The
+//! The first two rows were captured while every endpoint still compiled
+//! its own world; they pin that sharing one immutable world across the
+//! endpoint threads (and moving the safety memo out of `Search`) moved no
+//! event, journal byte, or verdict — at 1 and at 4 worker threads. The
 //! journal-text constants were re-captured once, when configuration fields
-//! became deltas; the records constants beside them did not move.
+//! became deltas; the records constants beside them did not move. The
+//! report-row hash, peak concurrency and makespan were captured while the
+//! global tier still patched its own submission and withdrawal instants
+//! into the report.
 
 mod identity;
 
 use identity::{assert_pinned, Identity};
-use sada_fleet::{FabricFaultPlan, FleetScenario, SessionSpec, ShardScenario};
+use sada_fleet::{run_fleet_sharded, FabricFaultPlan, FleetScenario, SessionSpec, ShardScenario};
 use sada_simnet::{SimDuration, SimTime};
 
 fn spec(id: u64, flips: Vec<(usize, bool)>, at_us: u64, cancel_us: Option<u64>) -> SessionSpec {
@@ -68,6 +72,9 @@ fn straddlers_over_four_regions_are_pinned() {
             ],
             global_journal_fnv: 0x832062beb8f9b6b4,
             verdicts: (12, 0, 1, 0, 0),
+            results_fnv: 0x77ba76eb232afde2,
+            max_concurrent: 8,
+            makespan_us: 83000,
         },
     );
 }
@@ -109,6 +116,58 @@ fn region_and_global_crashes_over_a_lossy_fabric_are_pinned() {
             ],
             global_journal_fnv: 0x897545ff388a6ac0,
             verdicts: (12, 0, 1, 0, 0),
+            results_fnv: 0xa73bf1c790553574,
+            max_concurrent: 8,
+            makespan_us: 1687000,
+        },
+    );
+}
+
+/// Four more straddlers withdraw, each at another point of its life
+/// around a global-tier crash (6.7 ms to 400 ms): 103 while its first slice
+/// is still queued, 105 before it escalates, 104 at the restore that
+/// re-drives its escalation, and 106 at the restore that begins it.
+#[test]
+fn straddlers_withdrawn_mid_escalation_around_a_global_crash_are_pinned() {
+    let mut scn = straddling_fleet();
+    scn.fleet.sessions.extend([
+        spec(103, vec![(1, false), (2, false)], 5_100, Some(6_000)),
+        spec(104, vec![(3, true), (4, true)], 5_200, Some(9_000)),
+        spec(105, vec![(5, true), (6, true)], 6_000, Some(5_500)),
+        spec(106, vec![(3, false), (4, true)], 20_000, Some(10_000)),
+    ]);
+    scn.crash_global = Some((SimTime::from_micros(6_700), SimTime::from_micros(400_000)));
+    let journal = run_fleet_sharded(&scn, 1).global_journal;
+    let withdrawn = |sid: u64| journal.contains(&format!("withdrawn session={sid}\n"));
+    let escalated = |sid: u64| journal.contains(&format!("escalated session={sid} "));
+    assert!([103, 104, 105, 106].into_iter().all(withdrawn), "journal: {journal}");
+    assert!([103, 104, 106].into_iter().all(escalated) && !escalated(105), "journal: {journal}");
+    assert_pinned(
+        "straddlers withdrawn around a global crash",
+        &scn,
+        &Identity {
+            fingerprint: 0x7d0cf461cbee304d,
+            final_config: "0101010101100110",
+            restores: 1,
+            journal_fnvs: &[
+                0x405ea114d1631e77,
+                0x6cc0e87e16e02448,
+                0x5522f46c04a47525,
+                0x6e10c94900cda3a6,
+                0xc54cffb94e33cac4,
+            ],
+            records_fnvs: &[
+                0xd71896d428050fd9,
+                0x7a26756e8c1409f9,
+                0x70146736012906e5,
+                0x31eedb1f41686777,
+                0xb27d265e4213c396,
+            ],
+            global_journal_fnv: 0xbd56995b99172730,
+            verdicts: (12, 0, 5, 0, 0),
+            results_fnv: 0xcffabf85b67a263c,
+            max_concurrent: 8,
+            makespan_us: 472000,
         },
     );
 }

@@ -40,6 +40,9 @@ fn generated_serverless_world_is_pinned() {
             ],
             global_journal_fnv: 0xe8d011b035cd07f9,
             verdicts: (24, 0, 0, 0, 0),
+            results_fnv: 0x4bebdb5f48f401da,
+            max_concurrent: 2,
+            makespan_us: 1037119,
         },
     );
 }
@@ -68,6 +71,9 @@ fn generated_iaas_world_is_pinned() {
             ],
             global_journal_fnv: 0x58df2c94595dd97f,
             verdicts: (18, 0, 0, 0, 0),
+            results_fnv: 0xd64cfab61002c9d5,
+            max_concurrent: 4,
+            makespan_us: 896095,
         },
     );
 }
