@@ -44,6 +44,10 @@ pub(crate) struct Straddler {
     pub(crate) slices: Vec<Slice>,
     pub(crate) next: usize,
     pub(crate) phase: Phase,
+    /// Durable: when the straddler first escalated (μs) — its submission
+    /// instant in the report, where the inner plane's row holds the later
+    /// instant it submitted the session itself.
+    pub(crate) escalated_at: Option<u64>,
 }
 
 /// Wrapper timer namespaces. The inner control plane owns `1 << 62` and
@@ -102,11 +106,6 @@ pub(crate) struct GlobalControl {
     pub(crate) relay: ActorId,
     pub(crate) bus: Bus,
     pub(crate) straddlers: Vec<Straddler>,
-    /// Wrapper-level lifecycle instants (μs) for phases the inner control
-    /// plane never sees: real submission time (the inner spec carries a
-    /// beyond-budget sentinel) and pre-submission withdrawals.
-    pub(crate) submitted_at: HashMap<u64, u64>,
-    pub(crate) cancelled_at: HashMap<u64, u64>,
     /// Durable: the global tier's write-ahead journal — every irreversible
     /// step of the escalation handshake, written before the fabric
     /// messages it covers.
@@ -255,14 +254,9 @@ impl GlobalControl {
         self.abandoned += 1;
         self.emit(ctx, sid, FleetEvent::StraddlerAbandoned { session: sid, region, attempts });
         self.straddlers[ix].phase = Phase::Cancelled;
-        self.cancelled_at.entry(sid).or_insert(ctx.now().as_micros());
         let upto = (self.straddlers[ix].next + 1).min(self.straddlers[ix].slices.len());
         self.release_slices(ctx, ix, upto);
-        self.inner.conclude_abandoned(
-            ctx,
-            sid,
-            format!("abandoned: region {region} unreachable after {attempts} attempts"),
-        );
+        self.inner.conclude_abandoned(ctx, sid);
     }
 
     fn request_slice(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, ix: usize) {
@@ -317,7 +311,7 @@ impl GlobalControl {
         let regions: Vec<u32> = self.straddlers[ix].slices.iter().map(|sl| sl.region).collect();
         self.journal_once(GlobalRecord::Escalated { session: sid, regions });
         self.straddlers[ix].phase = Phase::Granting;
-        self.submitted_at.entry(sid).or_insert(ctx.now().as_micros());
+        self.straddlers[ix].escalated_at.get_or_insert(ctx.now().as_micros());
         self.request_slice(ctx, ix);
     }
 
@@ -400,7 +394,7 @@ impl GlobalControl {
             self.release_slices(ctx, ix, upto);
         }
         self.straddlers[ix].phase = Phase::Cancelled;
-        self.cancelled_at.insert(sid, ctx.now().as_micros());
+        self.inner.conclude_withdrawn(sid, ctx.now());
     }
 
     /// Detects straddlers whose inner session reached a terminal result and
@@ -435,14 +429,12 @@ impl GlobalControl {
                 _ => {}
             }
         }
-        let now_us = ctx.now().as_micros();
         let n = self.straddlers[ix].slices.len();
         if terminal {
-            // Withdrawn or abandoned before the crash: re-issue the
-            // releases that never got acknowledged.
+            // Withdrawn or abandoned before the crash (its row concluded
+            // then): re-issue the releases that never got acknowledged.
             self.straddlers[ix].phase = Phase::Cancelled;
             self.straddlers[ix].next = granted;
-            self.cancelled_at.entry(sid).or_insert(now_us);
             self.release_slices(ctx, ix, (granted + 1).min(n));
             return;
         }
@@ -535,7 +527,7 @@ impl Actor<Wire<ShardMsg>> for GlobalControl {
     }
 
     fn on_crash(&mut self, now: SimTime) {
-        // The durable image — global journal, incarnation, lifecycle
+        // The durable image — global journal, incarnation, escalation
         // instants, history counters — survives; in-flight ladders and RTT
         // estimates die with the process.
         self.inner.on_crash(now);

@@ -31,8 +31,9 @@
 //!   member of one `CloneArena<ScriptedAgent>`, cloned when a session or a
 //!   fault first touches it, plus a `ControlActor`) over
 //!   hundreds of agent groups in simnet, fault schedules, and a
-//!   [`FleetReport`] with per-session latencies, peak concurrency, and the
-//!   captured event stream. Session verdicts are typed (`SessionEnd`).
+//!   [`FleetReport`] with one [`SessionResult`] row per session (written
+//!   by the control plane where it decides), peak concurrency, and the
+//!   captured event stream.
 //! * [`FleetResilience`] — overload protection for the control plane:
 //!   per-agent circuit breakers, bulkhead admission bounds with
 //!   deterministic shedding, and fail-fast rejection of sessions scoped

@@ -232,8 +232,6 @@ pub(crate) fn build_endpoint(
                 relay: relay_of(id),
                 bus: bus.clone(),
                 straddlers: plan.straddlers,
-                submitted_at: HashMap::new(),
-                cancelled_at: HashMap::new(),
                 global_journal: Vec::new(),
                 incarnation: 0,
                 retransmits: 0,
@@ -632,16 +630,12 @@ fn distill_endpoint(ep: Endpoint) -> EndpointOutcome {
     let (plane, global_journal_text, shim) = if ep.is_global {
         let g = sim.actor::<GlobalControl>(control_id).expect("global control present");
         let mut plane = ep.plane.distill(&g.inner);
-        // Straddlers: submission happens at the wrapper (the inner spec
-        // carries a sentinel), and a pre-submission withdrawal never
-        // reaches the inner plane at all.
-        for r in &mut plane.results {
-            if let Some(&t) = g.submitted_at.get(&r.id) {
-                r.submitted_at = Some(r.submitted_at.map_or(t, |x| x.min(t)));
-            }
-            if let (Some(&t), None) = (g.cancelled_at.get(&r.id), r.completed_at) {
-                r.cancelled = true;
-                r.completed_at = Some(t);
+        // A straddler is submitted when it escalates; the inner plane
+        // submits it only once every slice is granted.
+        for s in &g.straddlers {
+            let ix = plane.results.binary_search_by_key(&s.sid, |r| r.id);
+            if let (Some(t), Ok(ix)) = (s.escalated_at, ix) {
+                plane.results[ix].submitted_at = Some(t);
             }
         }
         let shim = ShimCounters {
@@ -908,6 +902,7 @@ pub(crate) fn run_sharded(
                     .collect(),
                 next: 0,
                 phase: Phase::Pending,
+                escalated_at: None,
             })
             .collect();
         plans.push(EndpointPlan {
@@ -982,9 +977,6 @@ pub(crate) fn run_sharded(
         }
     }
 
-    let intervals: Vec<(u64, Option<u64>)> =
-        outcomes.iter().flat_map(|o| o.plane.intervals.iter().copied()).collect();
-
     let per_shard: Vec<ShardStats> = outcomes
         .iter()
         .zip(shard_events)
@@ -1036,7 +1028,7 @@ pub(crate) fn run_sharded(
             .map(|o| std::mem::take(&mut o.global_journal_text))
             .unwrap_or_default(),
         restores: outcomes.iter().map(|o| o.plane.restores).sum(),
-        max_concurrent: max_concurrent(intervals),
+        max_concurrent: max_concurrent(&results),
         makespan_us: makespan_us(&results),
         shed: outcomes.iter().map(|o| o.plane.shed).sum(),
         rejected: outcomes.iter().map(|o| o.plane.rejected).sum(),
