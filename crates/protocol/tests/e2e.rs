@@ -242,7 +242,6 @@ fn partition_before_resume_rolls_back() {
 #[test]
 fn partition_after_resume_runs_to_completion() {
     let mut w = build_world(9, &["X1", "Y1"], &["X2", "Y2"], ProtoTiming::default());
-    w.sim.set_trace_enabled(true);
     // Let the first solo step (X1->X2 on agent 0) pass cleanly, then cut
     // agent 1 off *after* it has adapted — its ResumeDone for step 2 is
     // lost. The manager must not roll back; it force-completes.

@@ -70,7 +70,6 @@ mod actor;
 mod fault;
 mod link;
 mod sim;
-mod trace;
 mod wheel;
 
 pub use actor::{Actor, ActorId, ArenaActor, AsAny, CloneArena, Context, TimerId};
@@ -83,4 +82,3 @@ pub use wheel::TimerWheel;
 // working via this re-export, and crates above that do not depend on
 // `sada-obs` (`sada-scenario`) reach `text` the same way.
 pub use sada_obs::{text, SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceKind};

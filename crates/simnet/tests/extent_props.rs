@@ -16,9 +16,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
+use sada_obs::{NetEvent, Payload, RingSink};
 use sada_simnet::{
     Actor, ActorId, CloneArena, Context, LinkConfig, NetStats, SimDuration, SimTime, Simulator,
-    TraceKind,
 };
 
 /// `(hops left, sender)`; senders and receivers go by *address* — an index
@@ -90,7 +90,9 @@ fn run() -> impl Strategy<Value = Run> {
 #[derive(Debug, PartialEq)]
 struct Observed {
     log: Vec<(u64, usize, &'static str, u64)>,
-    trace: Vec<(u64, usize, usize, TraceKind)>,
+    /// The bus's `Net` events: `(instant μs, address, event)`, every id in
+    /// the event an address too.
+    trace: Vec<(u64, usize, NetEvent)>,
     stats: NetStats,
     /// How many addresses are hosted actors; the rest are vacant ids.
     hosted: usize,
@@ -138,7 +140,8 @@ fn observe(layout: &[Run], sparse: bool, script: &Script<'_>) -> Observed {
     let node = |me: usize| Node { me, peers: Rc::clone(&peers), log: Rc::clone(&log) };
 
     let mut sim: Simulator<Msg> = Simulator::new(script.seed);
-    sim.set_trace_enabled(true);
+    let ring = Rc::new(RefCell::new(RingSink::new(1 << 16)));
+    sim.bus().attach(&ring);
     let link = LinkConfig::lossy(SimDuration::from_micros(700), 0.15)
         .with_jitter(SimDuration::from_micros(300));
     sim.set_default_link(if script.lossy {
@@ -200,10 +203,27 @@ fn observe(layout: &[Run], sparse: bool, script: &Script<'_>) -> Observed {
     sim.run_until(SimTime::from_millis(20));
 
     let address = |id: ActorId| peers.iter().position(|&p| p == id).expect("an address");
-    let trace = sim
-        .trace()
-        .iter()
-        .map(|e| (e.at.as_micros(), address(e.from), address(e.to), e.kind))
+    let addr = |ix: u32| address(ActorId::from_index(ix as usize)) as u32;
+    let trace = ring
+        .borrow()
+        .events()
+        .into_iter()
+        .filter_map(|e| {
+            let net = match e.payload {
+                Payload::Net(NetEvent::Sent { from, to }) => {
+                    NetEvent::Sent { from: addr(from), to: addr(to) }
+                }
+                Payload::Net(NetEvent::Delivered { from, to }) => {
+                    NetEvent::Delivered { from: addr(from), to: addr(to) }
+                }
+                Payload::Net(NetEvent::Dropped { from, to }) => {
+                    NetEvent::Dropped { from: addr(from), to: addr(to) }
+                }
+                Payload::Net(other) => other,
+                _ => return None,
+            };
+            Some((e.at.as_micros(), addr(e.actor) as usize, net))
+        })
         .collect();
     let liveness = peers.iter().map(|&p| (sim.is_crashed(p), sim.incarnation(p))).collect();
     let observed = Observed {
