@@ -45,6 +45,12 @@ done | grep -v '^crates/protocol/src/host.rs:[0-9]*:.*sess\.core\.drain_obs()'; 
 echo "==> one agent arena (sada_simnet::CloneArena: a plane clones an agent when the run first touches it, not once per hosted member at build)"
 if grep -rn 'ArenaActor<.*> for Vec\|vec!\[agent(' crates/*/src; then echo "a second agent arena, or a plane cloning its agent prototype once per hosted member"; exit 1; fi
 
+echo "==> one report row per session (a control plane writes each session's SessionResult where it decides; no per-session map or verdict type beside it)"
+if grep -rn 'HashMap<u64, SimTime>\|HashMap<u64, Outcome>\|SessionEnd\|cancelled_at' crates/fleet/src; then echo "a second per-session account beside the report rows in crates/fleet/src"; exit 1; fi
+
+echo "==> one account of network events (the bus's Net events; no trace projection of them in the simulator)"
+if grep -rn 'TraceEvent\|set_trace_enabled' crates/*/src; then echo "a second projection of the bus's Net events"; exit 1; fi
+
 echo "==> every journal is rendered (FleetScenario::render_journal is set only by the referee, until it is deleted)"
 if grep -rn 'render_journal' --include='*.rs' crates src tests examples | grep -v '^crates/fleet/src/driver.rs:'; then echo "render_journal used outside benchmark/ and its definition in crates/fleet/src/driver.rs"; exit 1; fi
 
