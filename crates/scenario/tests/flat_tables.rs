@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 
 use sada_expr::{CompId, Config};
-use sada_fleet::FleetWorld;
+use sada_fleet::{FleetWorld, WorldSpec};
 use sada_plan::collab::collaborative_sets;
 use sada_plan::{Action, ActionIndex};
 use sada_scenario::{generate, ScenarioConfig};
@@ -136,5 +136,71 @@ fn collaborative_sets_match_the_oracle() {
             assert_eq!(w.index.members(set), members.as_slice(), "{name}: set {set}");
             assert!(members.iter().all(|&c| w.index.set_of(c) == set), "{name}: set {set}");
         }
+    }
+}
+
+/// Flip sets a session could ask for in an `n`-group video world: one
+/// group each way, two at the ends, and every group at once.
+fn video_flips(n: usize) -> Vec<Vec<(usize, bool)>> {
+    vec![
+        vec![(0, true)],
+        vec![(n / 2, false)],
+        vec![(n - 1, true), (0, true)],
+        (0..n).map(|g| (g, true)).collect(),
+    ]
+}
+
+/// The video world built from its shape equals the one compiled from
+/// `WorldSpec::video`, table by table: ids, kernels, actions, placement,
+/// collaborative sets, cluster modes, and the spec it reads back.
+#[test]
+fn the_built_video_world_equals_its_compiled_spec() {
+    for n in [1, 2, 7, 1_000] {
+        let built = FleetWorld::build(n);
+        let compiled = FleetWorld::from_spec(WorldSpec::video(n));
+        let names = |w: &FleetWorld| -> Vec<String> {
+            w.universe.iter().map(|c| w.universe.name(c).to_string()).collect()
+        };
+        assert_eq!(names(&built), names(&compiled), "{n} groups: names");
+        assert_eq!(built.inv.exprs(), compiled.inv.exprs(), "{n} groups: invariants");
+        assert_eq!(
+            format!("{:?}", built.search.compiled()),
+            format!("{:?}", compiled.search.compiled()),
+            "{n} groups: kernels"
+        );
+        let actions = |w: &FleetWorld| -> Vec<_> {
+            let row = |a: &Action| {
+                (a.id(), a.name().to_string(), a.removes().to_vec(), a.adds().to_vec(), a.cost())
+            };
+            w.actions.iter().map(row).collect()
+        };
+        assert_eq!(actions(&built), actions(&compiled), "{n} groups: actions");
+        let hosts = |w: &FleetWorld| -> (usize, Vec<_>) {
+            (w.model.process_count(), w.universe.iter().map(|c| w.model.host_of(c)).collect())
+        };
+        assert_eq!(hosts(&built), hosts(&compiled), "{n} groups: hosts");
+        let sets = |w: &FleetWorld| -> Vec<Vec<CompId>> {
+            (0..w.index.set_count()).map(|s| w.index.members(s).to_vec()).collect()
+        };
+        assert_eq!(sets(&built), sets(&compiled), "{n} groups: collaborative sets");
+        assert_eq!(built.groups, compiled.groups, "{n} groups");
+        for g in 0..n {
+            assert_eq!(built.cluster_comps(g), compiled.cluster_comps(g), "{n} groups: {g}");
+        }
+        let init = built.initial_config();
+        assert_eq!(init, compiled.initial_config(), "{n} groups: boot");
+        let all = built.target_for(&init, &(0..n).map(|g| (g, true)).collect::<Vec<_>>());
+        for from in [&init, &all] {
+            for flips in video_flips(n) {
+                assert_eq!(
+                    built.target_for(from, &flips),
+                    compiled.target_for(from, &flips),
+                    "{n} groups: {flips:?}"
+                );
+                assert_eq!(built.scope_comps(&flips), compiled.scope_comps(&flips));
+            }
+        }
+        let spec: &WorldSpec = &built.spec;
+        assert_eq!(*spec, WorldSpec::video(n), "{n} groups: spec");
     }
 }
