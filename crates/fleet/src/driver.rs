@@ -236,7 +236,11 @@ impl FleetReport {
 /// plane over the whole fleet, run on the calling thread — no fabric,
 /// no worker threads, no shard tag.
 pub fn run_fleet(scenario: &FleetScenario) -> FleetReport {
-    let world = scenario.build_world();
+    run_fleet_on(scenario, scenario.build_world())
+}
+
+/// [`run_fleet`] over `world`, compiled from `scenario`.
+fn run_fleet_on(scenario: &FleetScenario, world: FleetWorld) -> FleetReport {
     #[allow(clippy::single_range_in_vec_init)] // one run of agents, not a list of indices
     let everyone = vec![0..world.model.process_count()];
     let mut plane = build_plane::<(), _>(
@@ -514,6 +518,17 @@ mod tests {
         let everyone = vec![0..world.model.process_count()];
         let specs = scenario.sessions.clone();
         build_plane(scenario, world, everyone, 42, 0, specs, None, |c, _, _| ("control", c))
+    }
+
+    /// Nothing a run reads is the spec: the video world's stays unrendered.
+    #[test]
+    fn a_video_run_leaves_the_spec_unrendered() {
+        let scenario = FleetScenario::new(4, disjoint_wave(2, 2));
+        let world = scenario.build_world();
+        assert_eq!(run_fleet_on(&scenario, world.clone()).succeeded(), 2);
+        assert!(!world.spec.is_rendered());
+        assert_eq!(*world.spec, WorldSpec::video(4), "the first read renders it");
+        assert!(world.spec.is_rendered());
     }
 
     #[test]

@@ -76,5 +76,6 @@ pub use shard::{
     ShardScenario, ShardStats,
 };
 pub use world::{
-    ActionSpec, ClusterSpec, CompSpec, CompiledWorld, Domain, FleetWorld, Objective, WorldSpec,
+    ActionSpec, ClusterSpec, CompSpec, CompiledWorld, Domain, FleetWorld, Objective, SpecError,
+    SpecHandle, WorldSpec,
 };

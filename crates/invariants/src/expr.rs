@@ -371,6 +371,11 @@ impl InvariantSet {
         InvariantSet::default()
     }
 
+    /// An empty set with room for `capacity` predicates.
+    pub fn with_capacity(capacity: usize) -> Self {
+        InvariantSet { exprs: Vec::with_capacity(capacity) }
+    }
+
     /// Adds one predicate.
     pub fn push(&mut self, e: Expr) {
         self.exprs.push(e);
@@ -384,12 +389,24 @@ impl InvariantSet {
     ///
     /// Returns the first [`ParseError`] encountered.
     pub fn parse(sources: &[&str], u: &mut Universe) -> Result<Self, ParseError> {
+        let mut set = InvariantSet::with_capacity(sources.len());
+        set.extend_parsed(sources, u)?;
+        Ok(set)
+    }
+
+    /// Parses each source as [`parse`](Self::parse) does and appends it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ParseError`] encountered; the sources before
+    /// it are appended, so the set's length tells which one failed.
+    pub fn extend_parsed(&mut self, sources: &[&str], u: &mut Universe) -> Result<(), ParseError> {
         let mut scratch = Scratch::default();
-        let mut exprs = Vec::with_capacity(sources.len());
+        self.exprs.reserve(sources.len());
         for src in sources {
-            exprs.push(parse_with(src, u, &mut scratch)?);
+            self.exprs.push(parse_with(src, u, &mut scratch)?);
         }
-        Ok(InvariantSet { exprs })
+        Ok(())
     }
 
     /// The individual predicates.
