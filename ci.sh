@@ -54,6 +54,10 @@ if grep -rn 'TraceEvent\|set_trace_enabled' crates/*/src; then echo "a second pr
 echo "==> every journal is rendered (FleetScenario::render_journal is set only by the referee, until it is deleted)"
 if grep -rn 'render_journal' --include='*.rs' crates src tests examples | grep -v '^crates/fleet/src/driver.rs:'; then echo "render_journal used outside benchmark/ and its definition in crates/fleet/src/driver.rs"; exit 1; fi
 
+echo "==> one world compiler (FleetWorld::build feeds the video shape to the builder from_spec uses; CompiledWorld reads its own tables, never its spec)"
+if grep -rn 'from_spec(WorldSpec::video' crates/fleet/src; then echo "the video world compiled through its spec in crates/fleet/src"; exit 1; fi
+if grep -rn 'self\.spec\b' crates/fleet/src; then echo "a CompiledWorld method reading its spec outside the spec handle"; exit 1; fi
+
 echo "==> referee benchmark (standalone package: build + its own tests)"
 # benchmark/ compiles against the public sada-fleet/-proto/-simnet API from
 # outside the workspace, so an API break there is invisible to every step
@@ -149,15 +153,16 @@ echo "==> scenario-generator smoke (seeded serverless + IaaS universes end-to-en
 cargo run -q --release -p sada-bench --bin report -- scenario > /dev/null
 SADA_BENCH_SMOKE=1 cargo bench -q -p sada-bench --bench bench_scenario > /dev/null
 
-echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent <= 1193, bytes-per-session <= 6000, journal-bytes-per-session <= 1024, sharded-over-flat <= 1.5x and world-build gates)"
+echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent <= 807, bytes-per-session <= 6000, journal-bytes-per-session <= 1024, sharded-over-flat <= 1.5x and world-build gates)"
 # Renders the 1k/10k-group strided-storm table (flat throughput plus
 # sharded runs with fingerprints asserted identical at 1 and 8 worker
 # threads, every region loaded), then the bench's smoke mode runs the
 # 10k-group row end-to-end: every session commits, 1/2/4/8-thread
 # fingerprint identity, flat peak heap under the bytes-per-agent ceiling
-# (measured 1 136 plus 5 %: an agent that holds its plane's manager,
-# timing and bus, or its in-flight step, inline again reads 1 532, and a
-# heap object per component name 1 212; both fail it) and — against the
+# (measured 769 plus 5 %: an agent that holds its plane's manager,
+# timing and bus, or its in-flight step, inline again adds 396, a heap
+# object per component name 76, and a world that keeps its spec again
+# 251; each fails it) and — against the
 # same run without sessions — under the
 # bytes-per-session ceiling pinned in crates/bench/benches/bench_scale.rs
 # (a session costs a spine and a chunk of the configuration twice over plus
@@ -170,8 +175,9 @@ echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent <= 11
 # exactly once between them (ROADMAP item 3's gate: a plane allocates for
 # the agents it hosts, not for the world), and one build_world() under the
 # allocations-per-group and retained-bytes-per-group ceilings (measured
-# 17.0 and 908 plus about 10 %: the names are one arena, so a heap object
-# per name, 21.7 and 1 060, fails both): memory
+# 5.0 and 460 plus about 10 %: the names are one arena and the video world
+# keeps no spec, so a heap object per name, 4.7 and 152 more, or the spec
+# kept again, 17.0 and 908, fails both): memory
 # regressions on the hot path, per agent, per session, per endpoint or per
 # compiled table row, fail loudly. The full 1k/10k/100k sweep
 # (BENCH_scale.json) is regenerated by running the same bench without

@@ -24,7 +24,7 @@
 //!   that must not grow with the world;
 //! * one `FleetScenario::build_world()` and its drop on their own: wall
 //!   clock of each, and the build's allocations and retained bytes per
-//!   group (the spec the world keeps included) — what the analysis phase
+//!   group (the video world keeps no spec) — what the analysis phase
 //!   costs before the first session, as counts that repeat exactly;
 //! * the flat run's rendered journal text per session.
 //!
@@ -54,11 +54,12 @@ const SEED: u64 = 42;
 const SESSION_CAP: usize = 2048;
 const SPACING_US: u64 = 37;
 /// Smoke-gate ceiling on flat peak-heap bytes per agent at the 10k row:
-/// measured 1 020 B/agent (the count is deterministic) plus 5 %, so a
-/// plane cloning every hosted agent at build again (1 136 B/agent), a heap
-/// object per component name, an accidental per-agent heap object or a
-/// dense-`Config` round trip sneaking back into the hot path fails loudly.
-const SMOKE_BYTES_PER_AGENT_CEILING: u64 = 1_071;
+/// measured 769 B/agent (the count is deterministic) plus 5 %, so a world
+/// that keeps its `WorldSpec` again (1 020 B/agent), a plane cloning every
+/// hosted agent at build again (116 B/agent more), a heap object per
+/// component name, an accidental per-agent heap object or a dense-`Config`
+/// round trip sneaking back into the hot path fails loudly.
+const SMOKE_BYTES_PER_AGENT_CEILING: u64 = 807;
 /// Ceiling on what one session adds to the flat peak heap, in bytes, at
 /// every row. A plane clones an agent when a session first touches it, so
 /// a session's bytes include the two agents it engages: about 5 050 at the
@@ -87,16 +88,16 @@ const SMOKE_JOURNAL_BYTES_PER_SESSION_CEILING: u64 = 1_024;
 const SMOKE_SHARD_OVER_FLAT_HEAP_CEILING: f64 = 1.5;
 /// Smoke-gate ceilings on what compiling the world costs per group at the
 /// 10k row: allocator calls during `build_world()`, and bytes still live
-/// when it returns. Measured 17.0 allocations and 908 B (both exact) plus
-/// about 10 %, of which the `WorldSpec` the world keeps is 12.0 and 461;
-/// every compiled table is flat and the component names are one arena, so
-/// the rest is one operand list per invariant and a name and an id list
-/// per action. With a shared `Arc<str>` per name the same row measured
-/// 21.7 allocations and 1 060 B, and with a heap object per predicate, per
-/// index row and per process name 76.7 and 2 124 — either coming back
-/// fails both.
-const SMOKE_WORLD_ALLOCS_PER_GROUP_CEILING: f64 = 18.7;
-const SMOKE_WORLD_RETAINED_BYTES_PER_GROUP_CEILING: f64 = 1_000.0;
+/// when it returns. Measured 5.0 allocations and 460 B (both exact) plus
+/// about 10 %: every compiled table is flat, the component names are one
+/// arena and the video world keeps no `WorldSpec`, so what is left is one
+/// operand list per invariant and a name and an id list per action.
+/// Keeping the spec again measured 17.0 and 908, a shared `Arc<str>` per
+/// name 4.7 allocations and 152 B more, and a heap object per predicate,
+/// per index row and per process name 76.7 and 2 124 with the spec — any
+/// of them coming back fails both.
+const SMOKE_WORLD_ALLOCS_PER_GROUP_CEILING: f64 = 5.5;
+const SMOKE_WORLD_RETAINED_BYTES_PER_GROUP_CEILING: f64 = 506.0;
 
 // ---------------------------------------------------------------------------
 // Counting allocator: peak live heap per row
@@ -369,7 +370,7 @@ fn write_bench_json(rows: &[Row]) {
          once more without sessions for the idle peak (bytes_per_session is the \
          difference per session, held under one ceiling at every row), run_fleet_sharded at 1/2/4/8 threads with fingerprints asserted \
          identical; before them one build_world() and its drop alone (world_* columns: \
-         allocator calls and retained bytes of the build per group, spec included); \
+         allocator calls and retained bytes of the build per group; the video world keeps no spec); \
          shard_agents is the agents the sharded run's planes host between them, \
          shard_over_flat_wall is recorded and never asserted; journal_bytes_per_session is \
          the flat run's journal text per session\",\n  \

@@ -213,8 +213,7 @@ pub(crate) fn build_endpoint(
     // The agents this endpoint can engage: those of its own clusters, and
     // those its own sessions' scopes reach (collaborative-set expansion may
     // leave the cluster — and for the global tier there is nothing else).
-    let owned = plan.owned_groups.clone().flat_map(|g| world.cluster_comps(g));
-    let owned = owned.map(|&c| CompId::from_index(c));
+    let owned = plan.owned_groups.clone().flat_map(|g| world.cluster_comps(g).iter().copied());
     // A scope is a union of sets, so one expansion serves every spec.
     let flips: Vec<_> = plan.specs.iter().flat_map(|s| s.flips.iter().copied()).collect();
     let reached = world.scope_comps(&flips);
@@ -287,7 +286,7 @@ pub(crate) fn build_endpoint(
         promised_lb: 0,
         owned_comps: plan
             .owned_groups
-            .flat_map(|g| plane.world.cluster_comps(g).iter().map(|&c| c as u32))
+            .flat_map(|g| plane.world.cluster_comps(g).iter().map(|c| c.index() as u32))
             .collect(),
         is_global: plan.is_global,
         plane,
