@@ -283,6 +283,70 @@ mod tests {
         assert_eq!(m.processes_hosting(&a2.touched_config(u.len())), vec![cs.deployment.handheld]);
     }
 
+    /// The case study is its spec file, table by table: components in id
+    /// order, invariants, actions, placement and drain set. Only the ten
+    /// compound rows' names are spelled apart, by the spaces after commas.
+    #[test]
+    fn case_study_is_its_spec_file_table_by_table() {
+        use crate::specfile::{parse_spec_file, CASE_STUDY_SPEC};
+        use crate::AdaptationSpec;
+
+        let cs = case_study();
+        let (built, file) = (&cs.spec, parse_spec_file(CASE_STUDY_SPEC).expect("it parses"));
+        let names = |s: &AdaptationSpec| {
+            let u = s.universe();
+            u.iter().map(|c| u.name(c).to_string()).collect::<Vec<_>>()
+        };
+        assert_eq!(names(built), ["E1", "E2", "D1", "D2", "D3", "D4", "D5"]);
+        assert_eq!(names(built), names(&file));
+        assert_eq!(built.invariants().exprs(), file.invariants().exprs());
+
+        const COMPOUND: [&str; 10] = [
+            "(D1, E1) -> (D2, E2)",
+            "(D1, E1) -> (D3, E2)",
+            "(D2, E1) -> (D3, E2)",
+            "(D4, E1) -> (D5, E2)",
+            "(D1, D4) -> (D2, D5)",
+            "(D1, D4) -> (D3, D5)",
+            "(D2, D4) -> (D3, D5)",
+            "(D1, D4, E1) -> (D2, D5, E2)",
+            "(D1, D4, E1) -> (D3, D5, E2)",
+            "(D2, D4, E1) -> (D3, D5, E2)",
+        ];
+        assert_eq!(built.actions().len(), file.actions().len());
+        for (ix, (a, b)) in built.actions().iter().zip(file.actions()).enumerate() {
+            assert_eq!(a.id().index(), ix);
+            assert_eq!(b.id().index(), ix);
+            assert_eq!((a.removes(), a.adds(), a.cost()), (b.removes(), b.adds(), b.cost()));
+            match ix.checked_sub(5).and_then(|row| COMPOUND.get(row)) {
+                Some(&name) => {
+                    assert_eq!(b.name(), name);
+                    assert_eq!(a.name().replace(", ", ","), name.replace(", ", ","));
+                }
+                None => assert_eq!(a.name(), b.name()),
+            }
+        }
+
+        let (m, n) = (built.model(), file.model());
+        assert_eq!(m.process_count(), 3);
+        assert_eq!(m.process_count(), n.process_count());
+        for c in built.universe().iter() {
+            assert_eq!(m.host_of(c), n.host_of(c));
+        }
+        let drains = |s: &AdaptationSpec| {
+            let mut ids: Vec<usize> = s.drain_actions().iter().map(|a| a.index()).collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert_eq!(drains(built), (5..15).collect::<Vec<_>>());
+        assert_eq!(drains(built), drains(&file));
+
+        let u = built.universe();
+        let channels: Vec<_> =
+            m.channels().iter().map(|ch| (u.name(ch.from), u.name(ch.to))).collect();
+        assert_eq!(channels, [("E1", "D1"), ("E1", "D4"), ("E2", "D3"), ("E2", "D5")]);
+    }
+
     #[test]
     fn drain_set_is_a6_through_a15() {
         let cs = case_study();
