@@ -58,6 +58,12 @@ echo "==> one world compiler (FleetWorld::build feeds the video shape to the bui
 if grep -rn 'from_spec(WorldSpec::video' crates/fleet/src; then echo "the video world compiled through its spec in crates/fleet/src"; exit 1; fi
 if grep -rn 'self\.spec\b' crates/fleet/src; then echo "a CompiledWorld method reading its spec outside the spec handle"; exit 1; fi
 
+echo "==> one spec compiler (sada_proto::SpecBuilder builds every AdaptationSpec; spec files, the case study and the converted specs push entries into it)"
+if grep -rn 'AdaptationSpec::new(' crates src tests examples; then echo "an AdaptationSpec built past sada_proto::SpecBuilder"; exit 1; fi
+if for f in crates/core/src/*.rs crates/core/src/*/*.rs crates/video/src/*.rs; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -Hn --label="$f" 'Universe::new()\|SystemModel::new()' || true
+done | grep .; then echo "a universe or system model built by hand in sada-core or sada-video"; exit 1; fi
+
 echo "==> referee benchmark (standalone package: build + its own tests)"
 # benchmark/ compiles against the public sada-fleet/-proto/-simnet API from
 # outside the workspace, so an API break there is invisible to every step

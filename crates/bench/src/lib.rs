@@ -1,12 +1,10 @@
 //! Shared workload generators for the benchmark harness and the
 //! table/figure report binary.
 
-use std::collections::HashSet;
-
 use sada_core::AdaptationSpec;
-use sada_expr::{InvariantSet, Universe};
-use sada_model::SystemModel;
+use sada_expr::{CompId, InvariantSet, Universe};
 use sada_plan::Action;
+use sada_proto::SpecBuilder;
 
 /// The host record every `BENCH_*.json` carries, as the referee's `run.sh`
 /// takes it: cores, toolchain, and revision ("-dirty" when the rows were
@@ -126,35 +124,21 @@ pub fn carousel_system(n: usize) -> (Universe, InvariantSet, Vec<Action>) {
 /// component on *every* process simultaneously — the widest possible
 /// barrier for the realization protocol (one agent per process).
 pub fn wide_step_spec(k: usize) -> (AdaptationSpec, sada_expr::Config, sada_expr::Config) {
-    let mut u = Universe::new();
+    let mut b = SpecBuilder::with_capacity([2 * k, k, 1]);
+    b.processes(k);
     for i in 0..k {
-        u.intern(&format!("Old{i}"));
-        u.intern(&format!("New{i}"));
+        b.comp(&format!("Old{i}"), i).expect("a fresh name");
+        b.comp(&format!("New{i}"), i).expect("a fresh name");
     }
     let srcs: Vec<String> = (0..k).map(|i| format!("one_of(Old{i}, New{i})")).collect();
     let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
-    let inv = InvariantSet::parse(&refs, &mut u).expect("invariants parse");
-    let mut removes = u.empty_config();
-    let mut adds = u.empty_config();
-    for i in 0..k {
-        removes.insert(u.id(&format!("Old{i}")).unwrap());
-        adds.insert(u.id(&format!("New{i}")).unwrap());
-    }
-    let action = Action::replace(0, "upgrade-everything", &removes, &adds, 100);
-    let mut model = SystemModel::new();
-    for i in 0..k {
-        let p = model.add_process();
-        model.place(u.id(&format!("Old{i}")).unwrap(), p);
-        model.place(u.id(&format!("New{i}")).unwrap(), p);
-    }
-    let spec = AdaptationSpec::new(u, inv, vec![action], model, HashSet::new());
+    b.parse_invariants(&refs).expect("invariants parse");
+    let (olds, news): (Vec<usize>, Vec<usize>) = (0..k).map(|i| (2 * i, 2 * i + 1)).unzip();
+    b.action("upgrade-everything", &olds, &news, 100, false).expect("disjoint in-range lists");
+    let spec = b.finish();
     let u = spec.universe();
-    let mut source = u.empty_config();
-    let mut target = u.empty_config();
-    for i in 0..k {
-        source.insert(u.id(&format!("Old{i}")).unwrap());
-        target.insert(u.id(&format!("New{i}")).unwrap());
-    }
+    let source = sada_expr::Config::from_ids(u.len(), olds.iter().map(|&c| CompId::from_index(c)));
+    let target = sada_expr::Config::from_ids(u.len(), news.iter().map(|&c| CompId::from_index(c)));
     (spec, source, target)
 }
 

@@ -9,11 +9,12 @@
 //! latency, and emits a re-costed action table that planning can use
 //! instead of the hand-assigned values.
 
+use sada_expr::CompId;
 use sada_plan::Action;
+use sada_proto::{AdaptationSpec, SpecBuilder};
 use sada_simnet::SimDuration;
 
 use crate::realize::{run_adaptation, RunConfig};
-use crate::spec::AdaptationSpec;
 
 /// One action's measured realization cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,20 +77,13 @@ pub fn recost_actions(spec: &AdaptationSpec, measurements: &[CalibratedCost]) ->
         .collect()
 }
 
+/// `spec` with `action_ix` as its only action (id 0).
 fn single_action_spec(spec: &AdaptationSpec, action_ix: usize) -> AdaptationSpec {
     let a = &spec.actions()[action_ix];
-    let renumbered =
-        Action::from_ids(0, a.name(), a.removes().to_vec(), a.adds().to_vec(), a.cost());
-    let drain = if spec.drain_actions().contains(&a.id()) {
-        [sada_plan::ActionId(0)].into()
-    } else {
-        std::collections::HashSet::new()
-    };
-    AdaptationSpec::new(
-        spec.universe().clone(),
-        spec.invariants().clone(),
-        vec![renumbered],
-        spec.model().clone(),
-        drain,
-    )
+    let ixs = |comps: &[CompId]| comps.iter().map(|c| c.index()).collect::<Vec<_>>();
+    let drain = spec.drain_actions().contains(&a.id());
+    let mut b = SpecBuilder::system_of(spec);
+    b.action(a.name(), &ixs(a.removes()), &ixs(a.adds()), a.cost(), drain)
+        .expect("an action of a compiled spec compiles over its system");
+    b.finish()
 }

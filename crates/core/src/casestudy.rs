@@ -1,6 +1,7 @@
 //! The paper's Section 5 case study, encoded exactly: the video
-//! multicasting system's components, invariants, adaptive actions (Table 2),
-//! deployment, and the adaptation request (DES-64 → DES-128 hardening).
+//! multicasting system's components, invariants, adaptive actions (Table 2)
+//! and deployment, compiled from [`CASE_STUDY_SPEC`], and the adaptation
+//! request (DES-64 → DES-128 hardening).
 //!
 //! Component registration order is `E1, E2, D1, D2, D3, D4, D5`, so
 //! [`Config::to_bit_string`] prints the paper's `(D5,D4,D3,D2,D1,E2,E1)`
@@ -8,13 +9,11 @@
 //!
 //! [`Config::to_bit_string`]: sada_expr::Config::to_bit_string
 
-use std::collections::HashSet;
+use sada_expr::Config;
+use sada_model::ProcessId;
 
-use sada_expr::{Config, InvariantSet, Universe};
-use sada_model::{ProcessId, SystemModel};
-use sada_plan::{Action, ActionId};
-
-use crate::spec::AdaptationSpec;
+use crate::specfile::{parse_spec_file, CASE_STUDY_SPEC};
+use crate::AdaptationSpec;
 
 /// The three processes of Figure 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,94 +40,15 @@ pub struct CaseStudy {
     pub target: Config,
 }
 
-/// Builds the Section 5 system.
+/// Builds the Section 5 system: compiles [`CASE_STUDY_SPEC`], whose
+/// processes are declared server, hand-held, laptop.
 pub fn case_study() -> CaseStudy {
-    let mut u = Universe::new();
-    for name in ["E1", "E2", "D1", "D2", "D3", "D4", "D5"] {
-        u.intern(name);
-    }
-
-    // System invariants (Section 5.1):
-    //   resource constraint  — exactly one of D1, D2, D3 on the hand-held;
-    //   security constraint  — exactly one encoder so data stays encoded;
-    // Dependency invariants:
-    //   E1 → (D1 ∨ D2) ∧ D4     E2 → (D3 ∨ D2) ∧ D5
-    let invariants = InvariantSet::parse(
-        &["one_of(D1, D2, D3)", "one_of(E1, E2)", "E1 => (D1 | D2) & D4", "E2 => (D3 | D2) & D5"],
-        &mut u,
-    )
-    .expect("case-study invariants parse");
-
-    // Table 2, verbatim. Ids are zero-based (A1 = id 0); costs in ms.
-    let c = |names: &[&str]| u.config_of(names);
-    let actions = vec![
-        Action::replace(0, "E1 -> E2", &c(&["E1"]), &c(&["E2"]), 10),
-        Action::replace(1, "D1 -> D2", &c(&["D1"]), &c(&["D2"]), 10),
-        Action::replace(2, "D1 -> D3", &c(&["D1"]), &c(&["D3"]), 10),
-        Action::replace(3, "D2 -> D3", &c(&["D2"]), &c(&["D3"]), 10),
-        Action::replace(4, "D4 -> D5", &c(&["D4"]), &c(&["D5"]), 10),
-        Action::replace(5, "(D1,E1) -> (D2,E2)", &c(&["D1", "E1"]), &c(&["D2", "E2"]), 100),
-        Action::replace(6, "(D1,E1) -> (D3,E2)", &c(&["D1", "E1"]), &c(&["D3", "E2"]), 100),
-        Action::replace(7, "(D2,E1) -> (D3,E2)", &c(&["D2", "E1"]), &c(&["D3", "E2"]), 100),
-        Action::replace(8, "(D4,E1) -> (D5,E2)", &c(&["D4", "E1"]), &c(&["D5", "E2"]), 100),
-        Action::replace(9, "(D1,D4) -> (D2,D5)", &c(&["D1", "D4"]), &c(&["D2", "D5"]), 50),
-        Action::replace(10, "(D1,D4) -> (D3,D5)", &c(&["D1", "D4"]), &c(&["D3", "D5"]), 50),
-        Action::replace(11, "(D2,D4) -> (D3,D5)", &c(&["D2", "D4"]), &c(&["D3", "D5"]), 50),
-        Action::replace(
-            12,
-            "(D1,D4,E1) -> (D2,D5,E2)",
-            &c(&["D1", "D4", "E1"]),
-            &c(&["D2", "D5", "E2"]),
-            150,
-        ),
-        Action::replace(
-            13,
-            "(D1,D4,E1) -> (D3,D5,E2)",
-            &c(&["D1", "D4", "E1"]),
-            &c(&["D3", "D5", "E2"]),
-            150,
-        ),
-        Action::replace(
-            14,
-            "(D2,D4,E1) -> (D3,D5,E2)",
-            &c(&["D2", "D4", "E1"]),
-            &c(&["D3", "D5", "E2"]),
-            150,
-        ),
-        Action::remove(15, "-D4", &c(&["D4"]), 10),
-        Action::insert(16, "+D5", &c(&["D5"]), 10),
-    ];
-
-    let mut model = SystemModel::new();
-    let server = model.add_process();
-    let handheld = model.add_process();
-    let laptop = model.add_process();
-    model.place_all(
-        &u,
-        &[
-            ("E1", server),
-            ("E2", server),
-            ("D1", handheld),
-            ("D2", handheld),
-            ("D3", handheld),
-            ("D4", laptop),
-            ("D5", laptop),
-        ],
-    );
-    model.connect(u.id("E1").unwrap(), u.id("D1").unwrap());
-    model.connect(u.id("E1").unwrap(), u.id("D4").unwrap());
-    model.connect(u.id("E2").unwrap(), u.id("D3").unwrap());
-    model.connect(u.id("E2").unwrap(), u.id("D5").unwrap());
-
-    // Actions pairing an encoder swap with decoder swaps need the stream
-    // drained ("the server has to be blocked until the last packet processed
-    // by the encoder has been decoded", Section 5.1) — A6..A15.
-    let drain_actions: HashSet<ActionId> = (5u32..15).map(ActionId).collect();
-
-    let source = u.config_from_bits("0100101");
-    let target = u.config_from_bits("1010010");
-    let spec = AdaptationSpec::new(u, invariants, actions, model, drain_actions);
-    CaseStudy { spec, deployment: Deployment { server, handheld, laptop }, source, target }
+    let spec = parse_spec_file(CASE_STUDY_SPEC).expect("the case study's spec file compiles");
+    let source = spec.universe().config_from_bits("0100101");
+    let target = spec.universe().config_from_bits("1010010");
+    let deployment =
+        Deployment { server: ProcessId(0), handheld: ProcessId(1), laptop: ProcessId(2) };
+    CaseStudy { spec, deployment, source, target }
 }
 
 /// Table 1's safe configuration set, as printed in the paper (bit vector,

@@ -6,7 +6,8 @@
 //!
 //! 1. **Analysis phase** (development time) — [`AdaptationSpec`] bundles
 //!    *P = (S, I, T, R, A)*: the component universe, dependency invariants,
-//!    adaptive actions with costs, and deployment placement.
+//!    adaptive actions with costs, and deployment placement, written as a
+//!    spec file ([`specfile`]) and compiled by [`sada_proto::SpecBuilder`].
 //! 2. **Detection and setup phase** (runtime, on an adaptation request) —
 //!    [`AdaptationSpec::safe_configs`] enumerates the safe configuration
 //!    set, [`AdaptationSpec::build_sag`] constructs the safe adaptation
@@ -16,9 +17,10 @@
 //!    protocol (`sada-proto`) over the simulated network, with rollback and
 //!    re-planning under injected failures.
 //!
-//! The paper's video multicasting case study is encoded verbatim in
-//! [`casestudy`]; its tests pin Table 1, Table 2, Figure 4, and the
-//! reported minimum adaptation path (`A2, A17, A1, A16, A4`, 50 ms).
+//! The paper's video multicasting case study is the spec file
+//! [`specfile::CASE_STUDY_SPEC`], compiled by [`casestudy`]; its tests pin
+//! Table 1, Table 2, Figure 4, and the reported minimum adaptation path
+//! (`A2, A17, A1, A16, A4`, 50 ms).
 //!
 //! ```
 //! use sada_core::casestudy::case_study;
@@ -33,8 +35,7 @@ pub mod calibrate;
 pub mod casestudy;
 pub mod infer;
 mod realize;
-mod spec;
 pub mod specfile;
 
 pub use realize::{run_adaptation, RunConfig, RunReport};
-pub use spec::AdaptationSpec;
+pub use sada_proto::AdaptationSpec;

@@ -8,12 +8,10 @@
 use sada_expr::Config;
 use sada_obs::Bus;
 use sada_proto::{
-    AgentTiming, BreakerConfig, JournalRecord, ManagerActor, Outcome, ProtoTiming, ScriptedAgent,
-    Wire,
+    AdaptationSpec, AgentTiming, BreakerConfig, JournalRecord, ManagerActor, Outcome, ProtoTiming,
+    ScriptedAgent, Wire,
 };
 use sada_simnet::{ActorId, FaultPlan, LinkConfig, SimTime, Simulator};
-
-use crate::spec::AdaptationSpec;
 
 /// Knobs for a simulated adaptation run.
 #[derive(Debug, Clone)]

@@ -4,7 +4,7 @@
 //!
 //! ## Format
 //!
-//! Line-oriented, `#` comments, four sections:
+//! Line-oriented, `#` comments, five sections:
 //!
 //! ```text
 //! [processes]
@@ -24,34 +24,36 @@
 //! (D1, E1) -> (D2, E2) cost 100 drain
 //! +D5 cost 10
 //! -D4 cost 10
+//!
+//! [channels]
+//! E1 -> D1
 //! ```
 //!
-//! Components must be declared (with their hosting process) before use,
-//! each under a name the invariant language reads as one identifier
-//! ([`sada_expr::is_component_name`]: no spaces or dashes, no keyword);
-//! invariants use the `sada-expr` language; actions are replacements
-//! (`old -> new`, either side a single name or a parenthesized list),
-//! insertions (`+C`), or removals (`-C`), each with a mandatory
-//! `cost <n>` and an optional trailing `drain` marker for actions whose
-//! global safe condition requires draining in-flight traffic.
+//! The file is a syntax only: each line is pushed, in file order (a
+//! section may repeat), into [`SpecBuilder`], the one compiler every
+//! specification goes through, and what it refuses is an error at that
+//! line. Components are declared on a named process before use, under a
+//! name the invariant language reads as one identifier
+//! ([`sada_expr::is_component_name`]); invariants use the `sada-expr`
+//! language; actions are replacements (`old -> new`, either side a name or
+//! a parenthesized list), insertions (`+C`) or removals (`-C`), each with
+//! a mandatory `cost <n>` and an optional trailing `drain` marker for
+//! actions whose global safe condition requires draining in-flight
+//! traffic; channels are directed `from -> to` pairs of components.
 
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
-use sada_expr::{is_component_name, parse_expr, Config, InvariantSet, Universe};
-use sada_model::SystemModel;
-use sada_plan::{Action, ActionId};
-
-use crate::spec::AdaptationSpec;
+use sada_expr::{Config, Universe};
+use sada_proto::{AdaptationSpec, SpecBuilder};
 
 /// A spec-file parsing error with its line number (1-based).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecFileError {
     /// 1-based line of the offending input.
-    pub(crate) line: usize,
+    pub line: usize,
     /// Description.
-    pub(crate) msg: String,
+    pub msg: String,
 }
 
 impl fmt::Display for SpecFileError {
@@ -69,156 +71,115 @@ enum Section {
     Components,
     Invariants,
     Actions,
+    Channels,
 }
 
-fn err(line: usize, msg: impl Into<String>) -> SpecFileError {
-    SpecFileError { line, msg: msg.into() }
-}
-
-/// Splits a component list: either `Name` or `(A, B, C)`.
-fn parse_comp_list(s: &str, line: usize) -> Result<Vec<String>, SpecFileError> {
+/// The indices of a component list: either `Name` or `(A, B, C)`.
+fn comp_list(b: &SpecBuilder, s: &str) -> Result<Vec<usize>, Box<dyn Error>> {
     let s = s.trim();
-    let inner = if let Some(stripped) = s.strip_prefix('(') {
-        stripped
-            .strip_suffix(')')
-            .ok_or_else(|| err(line, format!("unbalanced parentheses in {s:?}")))?
-    } else {
-        s
+    let inner = match s.strip_prefix('(') {
+        Some(open) => open.strip_suffix(')').ok_or(format!("unbalanced parentheses in {s:?}"))?,
+        None => s,
     };
-    let parts: Vec<String> =
-        inner.split(',').map(|p| p.trim().to_string()).filter(|p| !p.is_empty()).collect();
-    if parts.is_empty() {
-        return Err(err(line, format!("empty component list in {s:?}")));
+    let names = inner.split(',').map(str::trim).filter(|p| !p.is_empty());
+    let ixs = names.map(|n| b.comp_index(n)).collect::<Result<Vec<_>, _>>()?;
+    if ixs.is_empty() {
+        return Err(format!("empty component list in {s:?}").into());
     }
-    Ok(parts)
+    Ok(ixs)
 }
 
-/// Parses a spec file into an executable [`AdaptationSpec`].
+/// Parses a spec file into an executable [`AdaptationSpec`]: each line is
+/// pushed into one [`SpecBuilder`], and what the builder refuses is an
+/// error at that line.
 ///
 /// # Errors
 ///
 /// Returns a [`SpecFileError`] naming the first offending line: unknown
-/// sections, undeclared components or processes, component names no
-/// invariant can mention, malformed actions, or invariant syntax errors.
+/// sections, undeclared components or processes, malformed actions or
+/// channels, or any entry the builder refuses (see [`SpecBuilder`]).
 pub fn parse_spec_file(src: &str) -> Result<AdaptationSpec, SpecFileError> {
-    let mut section = Section::None;
-    let mut universe = Universe::new();
-    let mut model = SystemModel::new();
-    let mut proc_names: Vec<String> = Vec::new();
-    let mut invariants = InvariantSet::new();
-    let mut actions: Vec<Action> = Vec::new();
-    let mut drain: HashSet<ActionId> = HashSet::new();
-
+    let mut file =
+        SpecFile { section: Section::None, b: SpecBuilder::default(), procs: Vec::new() };
     for (ix, raw) in src.lines().enumerate() {
-        let line_no = ix + 1;
         let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
+        if !line.is_empty() {
+            file.push(line).map_err(|e| SpecFileError { line: ix + 1, msg: e.to_string() })?;
         }
+    }
+    if file.procs.is_empty() {
+        let line = src.lines().count().max(1);
+        return Err(SpecFileError { line, msg: "no [processes] declared".into() });
+    }
+    Ok(file.b.finish())
+}
+
+/// A spec file read so far: the section it is in, the builder, and the
+/// process names in declaration order.
+struct SpecFile<'s> {
+    section: Section,
+    b: SpecBuilder,
+    procs: Vec<&'s str>,
+}
+
+impl<'s> SpecFile<'s> {
+    /// Reads one line, comment and blanks stripped.
+    fn push(&mut self, line: &'s str) -> Result<(), Box<dyn Error>> {
         if let Some(name) = line.strip_prefix('[') {
-            let name = name
-                .strip_suffix(']')
-                .ok_or_else(|| err(line_no, "unterminated section header"))?;
-            section = match name.trim() {
+            let name = name.strip_suffix(']').ok_or("unterminated section header")?;
+            self.section = match name.trim() {
                 "processes" => Section::Processes,
                 "components" => Section::Components,
                 "invariants" => Section::Invariants,
                 "actions" => Section::Actions,
-                other => return Err(err(line_no, format!("unknown section {other:?}"))),
+                "channels" => Section::Channels,
+                other => return Err(format!("unknown section {other:?}").into()),
             };
-            continue;
+            return Ok(());
         }
-        match section {
-            Section::None => return Err(err(line_no, "content before any [section]")),
+        let b = &mut self.b;
+        match self.section {
+            Section::None => return Err("content before any [section]".into()),
             Section::Processes => {
-                if proc_names.iter().any(|p| p == line) {
-                    return Err(err(line_no, format!("duplicate process {line:?}")));
+                if self.procs.contains(&line) {
+                    return Err(format!("duplicate process {line:?}").into());
                 }
-                proc_names.push(line.to_string());
-                model.add_process();
+                self.procs.push(line);
+                b.processes(1);
             }
             Section::Components => {
-                let (comp, proc) = line
-                    .split_once('@')
-                    .ok_or_else(|| err(line_no, "expected 'Component @ process'"))?;
-                let comp = comp.trim();
+                let (comp, proc) = line.split_once('@').ok_or("expected 'Component @ process'")?;
                 let proc = proc.trim();
-                if !is_component_name(comp) {
-                    let msg = format!("{comp:?} is not a component name an invariant can mention");
-                    return Err(err(line_no, msg));
-                }
-                if universe.id(comp).is_some() {
-                    return Err(err(line_no, format!("duplicate component {comp:?}")));
-                }
-                let pix = proc_names
-                    .iter()
-                    .position(|p| p == proc)
-                    .ok_or_else(|| err(line_no, format!("undeclared process {proc:?}")))?;
-                let id = universe.intern(comp);
-                model.place(id, sada_model::ProcessId(pix as u32));
+                let pix = self.procs.iter().position(|&p| p == proc);
+                b.comp(comp.trim(), pix.ok_or(format!("undeclared process {proc:?}"))?)?;
             }
-            Section::Invariants => {
-                let before = universe.len();
-                let e = parse_expr(line, &mut universe).map_err(|e| err(line_no, e.to_string()))?;
-                if universe.len() != before {
-                    return Err(err(line_no, "invariant mentions an undeclared component"));
-                }
-                invariants.push(e);
-            }
+            Section::Invariants => b.parse_invariants(&[line])?,
             Section::Actions => {
                 // Forms: "old -> new cost N [drain]" | "+C cost N" | "-C cost N"
-                let drain_marked = line.ends_with("drain");
+                let drain = line.ends_with("drain");
                 let body = line.strip_suffix("drain").unwrap_or(line).trim();
-                let (head, cost_str) = body
-                    .rsplit_once("cost")
-                    .ok_or_else(|| err(line_no, "action missing 'cost <n>'"))?;
-                let cost: u64 = cost_str
-                    .trim()
-                    .parse()
-                    .map_err(|_| err(line_no, format!("invalid cost {:?}", cost_str.trim())))?;
+                let (head, cost) = body.rsplit_once("cost").ok_or("action missing 'cost <n>'")?;
+                let cost = cost.trim();
+                let cost: u64 = cost.parse().map_err(|_| format!("invalid cost {cost:?}"))?;
                 let head = head.trim();
-                let id = actions.len() as u32;
-                let cfg_of = |names: &[String], line_no: usize| -> Result<Config, SpecFileError> {
-                    let mut cfg = universe.empty_config();
-                    for n in names {
-                        let cid = universe
-                            .id(n)
-                            .ok_or_else(|| err(line_no, format!("undeclared component {n:?}")))?;
-                        cfg.insert(cid);
-                    }
-                    Ok(cfg)
-                };
-                let action = if let Some(rest) = head.strip_prefix('+') {
-                    let adds = parse_comp_list(rest, line_no)?;
-                    Action::insert(id, head, &cfg_of(&adds, line_no)?, cost)
+                let (removes, adds) = if let Some(rest) = head.strip_prefix('+') {
+                    (Vec::new(), comp_list(b, rest)?)
                 } else if let Some(rest) = head.strip_prefix('-') {
-                    let removes = parse_comp_list(rest, line_no)?;
-                    Action::remove(id, head, &cfg_of(&removes, line_no)?, cost)
+                    (comp_list(b, rest)?, Vec::new())
                 } else {
-                    let (old, new) = head
-                        .split_once("->")
-                        .ok_or_else(|| err(line_no, "expected 'old -> new', '+C', or '-C'"))?;
-                    let removes = parse_comp_list(old, line_no)?;
-                    let adds = parse_comp_list(new, line_no)?;
-                    Action::replace(
-                        id,
-                        head,
-                        &cfg_of(&removes, line_no)?,
-                        &cfg_of(&adds, line_no)?,
-                        cost,
-                    )
+                    let replace = head.split_once("->");
+                    let (old, new) = replace.ok_or("expected 'old -> new', '+C', or '-C'")?;
+                    (comp_list(b, old)?, comp_list(b, new)?)
                 };
-                if drain_marked {
-                    drain.insert(action.id());
-                }
-                actions.push(action);
+                b.action(head, &removes, &adds, cost, drain)?;
+            }
+            Section::Channels => {
+                let (from, to) = line.split_once("->").ok_or("expected 'from -> to'")?;
+                b.channel(b.comp_index(from.trim())?, b.comp_index(to.trim())?)?;
             }
         }
+        Ok(())
     }
-    if proc_names.is_empty() {
-        return Err(err(src.lines().count().max(1), "no [processes] declared"));
-    }
-    Ok(AdaptationSpec::new(universe, invariants, actions, model, drain))
 }
 
 /// Parses a configuration argument: either a bit string (`0100101`, paper
@@ -242,8 +203,9 @@ pub fn parse_config_arg(u: &Universe, s: &str) -> Result<Config, String> {
     Ok(cfg)
 }
 
-/// The paper's case study, rendered in the spec-file format (kept in sync
-/// by a unit test against [`crate::casestudy::case_study`]).
+/// The paper's case study in the spec-file format: Table 2's actions,
+/// Figure 3's deployment and channels. [`crate::casestudy::case_study`]
+/// compiles it.
 pub const CASE_STUDY_SPEC: &str = r#"
 # DSN 2004 video multicasting case study (Section 5)
 [processes]
@@ -284,33 +246,18 @@ D4 -> D5 cost 10
 (D2, D4, E1) -> (D3, D5, E2) cost 150 drain
 -D4 cost 10
 +D5 cost 10
+
+[channels]
+E1 -> D1
+E1 -> D4
+E2 -> D3
+E2 -> D5
 "#;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::casestudy::case_study;
-
-    #[test]
-    fn case_study_spec_file_matches_builtin() {
-        let parsed = parse_spec_file(CASE_STUDY_SPEC).expect("case-study spec parses");
-        let builtin = case_study();
-        // Same safe configurations, same SAG shape, same MAP.
-        assert_eq!(parsed.safe_configs(), builtin.spec.safe_configs());
-        let ps = parsed.build_sag();
-        let bs = builtin.spec.build_sag();
-        assert_eq!(ps.node_count(), bs.node_count());
-        assert_eq!(ps.edge_count(), bs.edge_count());
-        let u = parsed.universe();
-        let src = parse_config_arg(u, "0100101").unwrap();
-        let dst = parse_config_arg(u, "{D5,D3,E2}").unwrap();
-        let map = parsed.minimum_adaptation_path(&src, &dst).unwrap();
-        assert_eq!(map.cost, 50);
-        let labels: Vec<String> = map.action_ids().iter().map(|a| a.to_string()).collect();
-        assert_eq!(labels, vec!["A2", "A17", "A1", "A16", "A4"]);
-        // Drain markers carried over.
-        assert_eq!(parsed.drain_actions().len(), 10);
-    }
 
     #[test]
     fn minimal_spec_parses() {
@@ -337,9 +284,12 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(e.line, 6);
-        assert!(e.msg.contains("undeclared"));
+        assert!(e.msg.contains("may only mention declared components"), "{e}");
     }
 
+    /// Every malformed action is refused on its own line, the last of the
+    /// text, including the two that reached a panic in the action table
+    /// before the builder checked overlap.
     #[test]
     fn malformed_actions_rejected() {
         let base = "[processes]\nhost\n[components]\nA @ host\nB @ host\n[actions]\n";
@@ -349,8 +299,24 @@ mod tests {
             ("A B cost 5\n", "expected"),
             ("+GHOST cost 5\n", "undeclared"),
             ("(A, B -> C cost 5\n", "unbalanced"),
+            ("A -> A cost 5\n", "action A -> A: removes and adds overlap"),
+            ("(A, B) -> (B) cost 5\n", "action (A, B) -> (B): removes and adds overlap"),
         ] {
             let e = parse_spec_file(&format!("{base}{bad}")).unwrap_err();
+            assert_eq!(e.line, 7, "{bad:?} gave {e}");
+            assert!(e.msg.contains(needle), "{bad:?} gave {e}");
+        }
+    }
+
+    #[test]
+    fn channels_join_declared_components() {
+        let base = "[processes]\nhost\n[components]\nA @ host\nB @ host\n[channels]\n";
+        let spec = parse_spec_file(&format!("{base}A -> B\n")).unwrap();
+        let ch = spec.model().channels();
+        assert_eq!((ch.len(), ch[0].from.index(), ch[0].to.index()), (1, 0, 1));
+        for (bad, needle) in [("A B\n", "expected 'from -> to'"), ("A -> GHOST\n", "undeclared")] {
+            let e = parse_spec_file(&format!("{base}{bad}")).unwrap_err();
+            assert_eq!(e.line, 7, "{bad:?} gave {e}");
             assert!(e.msg.contains(needle), "{bad:?} gave {e}");
         }
     }
@@ -366,7 +332,7 @@ mod tests {
             assert!(e.msg.contains("not a component name"), "{bad:?} gave {e}");
         }
         let dup = parse_spec_file("[processes]\nhost\n[components]\nA @ host\nA @ host\n");
-        assert!(dup.unwrap_err().msg.contains("duplicate component"));
+        assert!(dup.unwrap_err().msg.contains("A is declared twice"));
     }
 
     #[test]

@@ -71,11 +71,12 @@ pub use fabric::{
 pub use lock::ScopeLockManager;
 pub use overload::{measure_capacity, run_overload, OverloadConfig, OverloadReport};
 pub use planner::ScopedLazyPlanner;
+pub use sada_proto::SpecError;
 pub use shard::{
     fingerprint_events, fingerprint_events_unsharded, run_fleet_sharded, ShardReport,
     ShardScenario, ShardStats,
 };
 pub use world::{
-    ActionSpec, ClusterSpec, CompSpec, CompiledWorld, Domain, FleetWorld, Objective, SpecError,
-    SpecHandle, WorldSpec,
+    ActionSpec, ClusterSpec, CompSpec, CompiledWorld, Domain, FleetWorld, Objective, SpecHandle,
+    WorldSpec,
 };

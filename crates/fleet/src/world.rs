@@ -1,26 +1,22 @@
 //! The fleet world: component clusters, each its own collaborative set,
 //! hosted across agent processes.
 //!
-//! Historically this module hard-coded one shape — the paper's video
-//! multicast cloned `N` times (`Old{g}`/`New{g}` under
-//! `one_of(Old{g}, New{g})`). That shape is now just one [`WorldSpec`]:
-//! a declarative description of components, invariants, actions with
+//! A [`WorldSpec`] describes a world: components, invariants, actions with
 //! *two* cost columns (milliseconds and watts), cluster structure, and
-//! placement, from which [`FleetWorld::from_spec`] compiles the runtime
-//! world. The seeded scenario generator (`sada-scenario`) emits specs for
-//! the serverless codec-fleet and IaaS-migration domains through the same
-//! entry point, so every domain runs on the identical safety machinery.
-//! One builder is that compiler: `from_spec` feeds it a spec's parts, and
-//! [`FleetWorld::build`] feeds it the video shape itself, so the video
-//! world never builds the spec it describes.
+//! placement. The video multicast cloned per group and the seeded
+//! scenario generator's serverless and IaaS domains are all instances, and
+//! [`FleetWorld::from_spec`] compiles each through `sada-proto`'s
+//! [`SpecBuilder`], the one specification compiler, plus the clusters;
+//! [`FleetWorld::build`] pushes the video shape itself, so the video world
+//! never builds the spec it describes.
 //!
 //! A **cluster** is the unit the fleet drivers flip: a set of components
 //! with two named modes (`on_false`, the boot mode, and `on_true`, the
 //! alternate). Session flips `(g, to_true)` move cluster `g` between its
-//! modes. Generators must keep each cluster's invariants and actions
-//! confined to the cluster's components so clusters remain independent
-//! collaborative sets — the property region partitioning and the plan
-//! cache's scope normalizer rely on.
+//! modes. The compile refuses a cluster whose invariants or actions reach
+//! outside it, so clusters are independent collaborative sets — the
+//! property region partitioning and the plan cache's scope normalizer
+//! rely on.
 //!
 //! A compiled world is flat tables end to end, so that compiling and
 //! dropping one costs a few dozen allocations per *table*, not per group:
@@ -37,13 +33,14 @@
 //! [`CompiledWorld::actions`] (`Arc<[Action]>`); the world's `search`
 //! holds a second handle on that allocation, not a copy.
 
-use std::fmt::{self, Write};
+use std::fmt::Write;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use sada_expr::{CompId, Config, Csr, Expr, InvariantSet, Universe};
 use sada_model::SystemModel;
-use sada_plan::{Action, CollabIndex, Search};
+use sada_plan::{Action, ActionId, CollabIndex, Search};
+use sada_proto::{SpecBuilder, SpecError};
 
 /// Which adaptation domain a world models. Tagged into the observability
 /// stream (non-video domains) so event consumers can tell workloads apart.
@@ -111,7 +108,7 @@ pub struct CompSpec {
     /// Unique component name (interned into the universe in declaration
     /// order, so indices into `WorldSpec::comps` are `CompId` indices).
     pub name: String,
-    /// Hosting process index. Processes are created densely `0..=max`.
+    /// Hosting process, below the component count; processes are `0..=max`.
     pub process: usize,
 }
 
@@ -335,21 +332,23 @@ impl FleetWorld {
     ///
     /// # Errors
     ///
-    /// Returns the first fault in spec order: no components or no clusters,
-    /// a duplicate component name, an invariant that does not parse or
-    /// mentions an undeclared component, an action or cluster index out of
-    /// range, an action that removes and adds one component, a component in
-    /// zero or several clusters, a mode component outside its cluster, or
-    /// an initial configuration that violates the invariants.
+    /// Returns the first fault in spec order: an entry [`SpecBuilder`]
+    /// refuses (a process at or past the component count included), a
+    /// cluster index out of range, a component in zero or several clusters,
+    /// a mode component outside its cluster, no components or clusters, an
+    /// unsafe boot, or a cluster whose collaborative sets reach outside it.
     pub fn try_from_spec(spec: WorldSpec) -> Result<Self, SpecError> {
         let sizes =
             [spec.comps.len(), spec.invariants.len(), spec.actions.len(), spec.clusters.len()];
         let mut b = WorldBuilder::new(spec.domain, spec.objective, sizes);
+        // A process at or past the component count is left undeclared.
+        let procs = spec.comps.iter().map(|c| c.process.saturating_add(1)).max();
+        b.spec.processes(procs.unwrap_or(0).min(spec.comps.len()));
         for c in &spec.comps {
             b.comp(&c.name, c.process)?;
         }
         let sources: Vec<&str> = spec.invariants.iter().map(String::as_str).collect();
-        b.parse_invariants(&sources)?;
+        b.spec.parse_invariants(&sources)?;
         for a in &spec.actions {
             b.action(&a.name, &a.removes, &a.adds, [a.cost_ms, a.cost_watts])?;
         }
@@ -368,6 +367,7 @@ impl FleetWorld {
 fn video_world(groups: usize) -> Result<CompiledWorld, SpecError> {
     let sizes = [2 * groups, groups, 2 * groups, groups];
     let mut b = WorldBuilder::new(Domain::Video, Objective::LatencyMs, sizes);
+    b.spec.processes(2 * groups);
     let mut name = String::new();
     for g in 0..groups {
         b.comp(numbered(&mut name, "Old", g), 2 * g)?;
@@ -375,7 +375,7 @@ fn video_world(groups: usize) -> Result<CompiledWorld, SpecError> {
     }
     let var = |c: usize| Expr::var(CompId::from_index(c));
     for g in 0..groups {
-        b.inv.push(Expr::exactly_one(vec![var(2 * g), var(2 * g + 1)]));
+        b.spec.push_invariant(Expr::exactly_one(vec![var(2 * g), var(2 * g + 1)]))?;
     }
     for g in 0..groups {
         let (old, new) = (2 * g, 2 * g + 1);
@@ -400,39 +400,14 @@ fn ids(comps: &[usize]) -> impl Iterator<Item = CompId> + '_ {
     comps.iter().map(|&c| CompId::from_index(c))
 }
 
-/// Why a [`WorldSpec`] does not compile (see [`FleetWorld::try_from_spec`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecError(String);
-
-impl fmt::Display for SpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for SpecError {}
-
-/// `Ok` when `holds`, otherwise the error `why` describes.
-fn check(holds: bool, why: impl FnOnce() -> String) -> Result<(), SpecError> {
-    if holds {
-        Ok(())
-    } else {
-        Err(SpecError(why()))
-    }
-}
-
-/// One compiler for every world: components, then invariants, then
-/// actions, then clusters are pushed in spec order, names as `&str`, and
-/// each is checked as it arrives. [`FleetWorld::try_from_spec`] feeds it a
-/// spec; [`FleetWorld::build`] feeds it the video shape directly.
+/// The one compiler plus clusters: components, invariants and actions go
+/// to the [`SpecBuilder`] (the objective picks an action's cost column);
+/// clusters, the collaborative index and the search are the fleet's.
+/// Entries arrive in spec order and each is checked as it arrives.
 struct WorldBuilder {
     domain: Domain,
     objective: Objective,
-    universe: Universe,
-    /// The hosting process of each component, in id order.
-    process: Vec<usize>,
-    inv: InvariantSet,
-    actions: Vec<Action>,
+    spec: SpecBuilder,
     members: Csr<CompId>,
     /// The cluster each component belongs to (`usize::MAX`: none yet).
     owner: Vec<usize>,
@@ -449,10 +424,7 @@ impl WorldBuilder {
         WorldBuilder {
             domain,
             objective,
-            universe: Universe::with_capacity(comps),
-            process: Vec::with_capacity(comps),
-            inv: InvariantSet::with_capacity(invariants),
-            actions: Vec::with_capacity(actions),
+            spec: SpecBuilder::with_capacity([comps, invariants, actions]),
             members: Csr::with_capacity(clusters, comps),
             owner: Vec::with_capacity(comps),
             boot: Vec::with_capacity(clusters),
@@ -461,25 +433,9 @@ impl WorldBuilder {
     }
 
     /// Declares the next component: `name`, hosted on `process`.
-    fn comp(&mut self, name: &str, process: usize) -> Result<(), SpecError> {
-        let fresh = self.universe.intern(name).index() == self.process.len();
-        check(fresh, || format!("component names must be unique: {name} is declared twice"))?;
-        self.process.push(process);
+    fn comp(&mut self, name: &str, process: usize) -> Result<CompId, SpecError> {
         self.owner.push(usize::MAX);
-        Ok(())
-    }
-
-    /// Parses `sources` as the next invariants, over the declared
-    /// components only.
-    fn parse_invariants(&mut self, sources: &[&str]) -> Result<(), SpecError> {
-        let (before, declared) = (self.inv.exprs().len(), self.universe.len());
-        self.inv.extend_parsed(sources, &mut self.universe).map_err(|e| {
-            SpecError(format!("invariant {} does not parse: {e}", self.inv.exprs().len() - before))
-        })?;
-        check(self.universe.len() == declared, || {
-            let name = self.universe.name(CompId::from_index(declared));
-            format!("invariants may only mention declared components, not {name}")
-        })
+        self.spec.comp(name, process)
     }
 
     /// Adds the next action: its name, the components it removes and adds,
@@ -490,23 +446,13 @@ impl WorldBuilder {
         removes: &[usize],
         adds: &[usize],
         costs: [u64; 2],
-    ) -> Result<(), SpecError> {
-        let width = self.universe.len();
-        for (list, comps) in [("removes", removes), ("adds", adds)] {
-            check(comps.iter().all(|&c| c < width), || {
-                format!("action {name}: {list} out of range")
-            })?;
-        }
-        let overlap = removes.iter().any(|c| adds.contains(c));
-        check(!overlap, || format!("action {name}: removes and adds overlap"))?;
+    ) -> Result<ActionId, SpecError> {
         let cost = match self.objective {
             Objective::LatencyMs => costs[0],
             Objective::EnergyWatts => costs[1],
         }
         .max(1);
-        let id = u32::try_from(self.actions.len()).expect("action ids are u32");
-        self.actions.push(Action::from_ids(id, name, ids(removes), ids(adds), cost));
-        Ok(())
+        self.spec.action(name, removes, adds, cost, false)
     }
 
     /// Adds the next cluster: all its components, then those of its boot
@@ -520,15 +466,17 @@ impl WorldBuilder {
         on_true: &[usize],
     ) -> Result<(), SpecError> {
         let g = self.members.rows();
-        check(!comps.is_empty(), || format!("cluster {g} is empty"))?;
+        SpecError::ensure(!comps.is_empty(), || format!("cluster {g} is empty"))?;
         for &c in comps {
-            check(c < self.owner.len(), || format!("cluster {g}: comp {c} out of range"))?;
-            check(self.owner[c] == usize::MAX, || format!("comp {c} in multiple clusters"))?;
+            let known = c < self.owner.len();
+            SpecError::ensure(known, || format!("cluster {g}: comp {c} out of range"))?;
+            let free = self.owner[c] == usize::MAX;
+            SpecError::ensure(free, || format!("comp {c} in multiple clusters"))?;
             self.owner[c] = g;
         }
         for &c in on_false.iter().chain(on_true) {
             let inside = self.owner.get(c) == Some(&g);
-            check(inside, || format!("cluster {g}: mode comp {c} outside cluster"))?;
+            SpecError::ensure(inside, || format!("cluster {g}: mode comp {c} outside cluster"))?;
         }
         self.members.push_row(ids(comps));
         self.boot.extend(ids(on_false));
@@ -536,34 +484,29 @@ impl WorldBuilder {
         Ok(())
     }
 
-    /// The compiled world, once every component has a cluster and the boot
-    /// modes satisfy the invariants; `spec` is the handle it reads back.
+    /// The compiled world, once every component has a cluster, the boot
+    /// modes satisfy the invariants and every cluster is confined; `spec`
+    /// is the handle it reads back.
     fn finish(self, spec: SpecHandle) -> Result<CompiledWorld, SpecError> {
-        let width = self.universe.len();
-        check(width > 0, || "a world needs at least one component".into())?;
+        let width = self.owner.len();
+        SpecError::ensure(width > 0, || "a world needs at least one component".into())?;
         let groups = self.members.rows();
-        check(groups > 0, || "a world needs at least one cluster".into())?;
+        SpecError::ensure(groups > 0, || "a world needs at least one cluster".into())?;
         if let Some(c) = self.owner.iter().position(|&g| g == usize::MAX) {
-            return Err(SpecError(format!("every comp needs a cluster: comp {c} has none")));
+            return Err(format!("every comp needs a cluster: comp {c} has none").into());
         }
         let boot = Config::from_ids(width, self.boot);
-        check(self.inv.satisfied_by(&boot), || {
-            "initial configuration violates the invariants".into()
-        })?;
-        // Processes are dense `0..=max`.
-        let mut model = SystemModel::with_capacity(width);
-        let procs: Vec<_> = (0..=self.process.iter().copied().max().unwrap_or(0))
-            .map(|_| model.add_process())
-            .collect();
-        for (ix, &p) in self.process.iter().enumerate() {
-            model.place(CompId::from_index(ix), procs[p]);
-        }
-        let actions: Arc<[Action]> = self.actions.into();
-        let index = CollabIndex::new(&self.universe, &self.inv, &actions);
-        let search = Search::sharing(&self.inv, Arc::clone(&actions), width);
+        let built = self.spec.finish();
+        let safe = built.is_safe(&boot);
+        SpecError::ensure(safe, || "initial configuration violates the invariants".into())?;
+        let (universe, inv, actions, model) = built.into_parts();
+        let actions: Arc<[Action]> = actions.into();
+        let index = CollabIndex::new(&universe, &inv, &actions);
+        confined(&index, &self.owner)?;
+        let search = Search::sharing(&inv, Arc::clone(&actions), width);
         Ok(CompiledWorld {
-            universe: self.universe,
-            inv: self.inv,
+            universe,
+            inv,
             actions,
             model,
             index,
@@ -577,6 +520,17 @@ impl WorldBuilder {
             alternate: Config::from_ids(width, self.alternate),
         })
     }
+}
+
+/// Every collaborative set lies inside one cluster: a component's cluster
+/// is the cluster of its set's smallest member.
+fn confined(index: &CollabIndex, owner: &[usize]) -> Result<(), SpecError> {
+    for (c, &g) in owner.iter().enumerate() {
+        let h = owner[index.members(index.set_of(CompId::from_index(c)))[0].index()];
+        let why = || format!("cluster {h} is not confined: its set holds comp {c} of cluster {g}");
+        SpecError::ensure(g == h, why)?;
+    }
+    Ok(())
 }
 
 /// Sets each listed component of `cfg` to its paired value, as one delta:

@@ -17,6 +17,9 @@
 //!   the user.
 //! * [`SagPlanner`] — plugs the `sada-plan` SAG + Yen ranking into the
 //!   manager's re-planning interface.
+//! * [`SpecBuilder`] — the one compiler of [`AdaptationSpec`] (Section 4.1)
+//!   and of every fleet world's core; a bad entry is a [`SpecError`], never
+//!   a panic.
 //! * [`ManagerHost`] — the one host of manager cores, keyed by agent:
 //!   breakers, RTT sampling, epoch fencing, the effect loop.
 //! * [`AgentHost`] — the one host of an agent core: the effect loop,
@@ -78,6 +81,7 @@ mod messages;
 mod plan_adapter;
 mod relay;
 mod sim;
+mod spec;
 
 pub use agent::{AgentCore, AgentEffect, AgentEvent, AgentState};
 pub use agent_host::{AgentHost, Uplink};
@@ -94,6 +98,7 @@ pub use messages::{LocalAction, ProtoMsg, SessionId, StepId, Wire};
 pub use plan_adapter::{compile_steps, SagPlanner};
 pub use relay::RelayActor;
 pub use sim::{AgentTiming, ManagerActor, ScriptedAgent};
+pub use spec::{AdaptationSpec, SpecBuilder, SpecError};
 // The retry/breaker policy vocabulary is owned by the resilience crate;
 // re-exported here so protocol embedders configure timing from one import.
 pub use sada_resilience::{BreakerConfig, RetryPolicy};

@@ -1,16 +1,19 @@
 //! The validity pass: every scenario handed to the fleet must already be
 //! known-good.
 //!
-//! [`validate`] re-establishes, from first principles, the properties the
-//! generator promises by construction — it never trusts the construction:
+//! A spec that does not compile is rejected with the
+//! [`FleetWorld::try_from_spec`] error's text: duplicate names, out-of-range
+//! indices, an invariant that does not parse, components outside any
+//! cluster, an unsafe boot, or a cluster that is not a *confined*
+//! collaborative set (an invariant or action reaching outside it).
 //!
-//! 1. the initial configuration satisfies the compiled invariant set (the
-//!    compile itself refuses a world whose boot modes do not);
-//! 2. every cluster is a *confined* collaborative set (its scope expands
-//!    to exactly its own components — no invariant or action leaks out);
-//! 3. every cluster's scope is accepted by the plan cache's
+//! On the compiled world, [`validate`] re-establishes, from first
+//! principles, the properties the generator promises by construction — it
+//! never trusts the construction:
+//!
+//! 1. every cluster's scope is accepted by the plan cache's
 //!    [`ScopeNormalizer`] (in-scope invariants normalize cleanly);
-//! 4. every emitted goal is reachable: each cluster's `on_true` mode can
+//! 2. every emitted goal is reachable: each cluster's `on_true` mode can
 //!    be planned to from the boot mode *and back*, through the same
 //!    scope-restricted lazy planner the control plane uses, and every
 //!    step of those plans is invariant-safe. Per step, the tree walk
@@ -18,14 +21,9 @@
 //!    exactly the invariants that mention a component on which the step
 //!    differs from the boot configuration — the plan's own diff, a subset
 //!    of the cluster's scope. That is exact: any other invariant reads in
-//!    the step what it read at boot, where property 1 walked all of them;
-//! 5. the session workload is well-formed (unique nonzero ids, in-range
+//!    the step what it read at boot, where the compile checked all of them;
+//! 3. the session workload is well-formed (unique nonzero ids, in-range
 //!    non-duplicate flips).
-//!
-//! A spec that does not compile (duplicate names, out-of-range indices,
-//! an invariant that does not parse, components outside any cluster, an
-//! unsafe boot) is rejected with the [`FleetWorld::try_from_spec`] error's
-//! text.
 
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -37,20 +35,14 @@ use sada_proto::AdaptationPlanner;
 
 use crate::gen::GeneratedScenario;
 
-/// Checks the five validity properties; `Err` carries the first failure.
+/// Compiles the spec and checks the three validity properties; `Err`
+/// carries the first failure.
 pub fn validate(scenario: &GeneratedScenario) -> Result<(), String> {
     let world = FleetWorld::try_from_spec(scenario.spec.clone()).map_err(|e| e.to_string())?;
     let world = Rc::new(world);
     let init = world.initial_config();
     for g in 0..world.groups {
         let scope = world.scope_comps(&[(g, true)]);
-        let own: BTreeSet<usize> = world.cluster_comps(g).iter().map(|c| c.index()).collect();
-        let got: BTreeSet<usize> = scope.iter().map(|c| c.index()).collect();
-        if got != own {
-            return Err(format!(
-                "cluster {g} is not confined: scope {got:?} != cluster components {own:?}"
-            ));
-        }
         // The same scoped action filter the control plane applies.
         let scoped_ixs = world.search.scoped_action_ixs(&scope);
         let scoped = scoped_ixs.iter().map(|&ix| &world.actions[ix as usize]);
@@ -94,7 +86,7 @@ pub fn validate(scenario: &GeneratedScenario) -> Result<(), String> {
     Ok(())
 }
 
-/// Property 4 for one plan, given that `init` satisfies every invariant of
+/// Property 2 for one plan, given that `init` satisfies every invariant of
 /// `world`: the plan is well-formed, and per step the tree walk passes every
 /// invariant whose support meets the step's diff against `init`.
 fn check_plan(world: &FleetWorld, init: &Config, path: &Path) -> Result<(), &'static str> {

@@ -25,12 +25,17 @@ const VALID: &str = "sada-scenario v1\nseed 7\ndomain serverless energy_watts\n\
     cluster 0,1 0 1\nsession 1 0 72171 - 0:t\nsession 2 255 142634 150000 0:f,0:t\n";
 
 proptest! {
+    /// No text panics the parser, the compile or the validity pass: every
+    /// text that parses is compiled and validated too.
     #[test]
     fn no_text_panics_the_scenario_parser(tail in hostile(TOKENS, VALID)) {
         // Nearly every text without the header fails on line 1: run each
         // text with the header in front as well.
         for text in [format!("sada-scenario v1\n{tail}"), tail] {
             check(&text, parse_scenario, encode_scenario)?;
+            if let Ok(scenario) = parse_scenario(&text) {
+                let _ = validate(&scenario);
+            }
         }
     }
 }
@@ -85,6 +90,8 @@ fn specs_that_parse_but_do_not_compile_are_rejected() {
         ("94 14 0 1", "94 14 0 0", "action fn0_a__to__fn0_b: removes and adds overlap"),
         ("comp fn0_b", "comp fn0_a", "component names must be unique: fn0_a is declared twice"),
         ("cluster 0,1 0 1", "cluster 0,1 0,1 1", "initial configuration violates the invariants"),
+        ("comp fn0_a 0", "comp fn0_a 4000000000", "component fn0_a: process 4000000000 out of range"),
+        ("cluster 0,1 0 1", "cluster 0 0 -\ncluster 1 - 1", "cluster 0 is not confined: its set holds comp 1 of cluster 1"),
     ];
     for (line, hostile, why) in rows {
         let text = VALID.replacen(line, hostile, 1);

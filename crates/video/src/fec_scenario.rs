@@ -10,12 +10,9 @@
 //! *insertion* driven by a runtime monitor rather than an operator, and
 //! the FEC substrate filters.
 
-use std::collections::HashSet;
-
+use sada_core::specfile::{parse_spec_file, CASE_STUDY_SPEC};
 use sada_core::AdaptationSpec;
-use sada_expr::{Config, InvariantSet, Universe};
-use sada_model::SystemModel;
-use sada_plan::Action;
+use sada_expr::Config;
 use sada_proto::{ManagerActor, Outcome, ProtoTiming};
 use sada_simnet::{ActorId, LinkConfig, SimDuration, SimTime, Simulator};
 
@@ -78,57 +75,34 @@ pub struct FecReport {
     pub recovered_packets: u64,
 }
 
-/// The FEC-extended adaptation specification: the DES components (static
-/// here) plus `FE`, `FDH`, `FDL` with insertion/removal actions.
+/// The FEC-extended adaptation specification: the case study's processes,
+/// components and invariants (the DES components are static here) plus
+/// `FE`, `FDH`, `FDL` with insertion/removal actions.
 pub fn fec_spec() -> (AdaptationSpec, Config, Config) {
-    let mut u = Universe::new();
-    for n in ["E1", "E2", "D1", "D2", "D3", "D4", "D5", "FE", "FDH", "FDL"] {
-        u.intern(n);
-    }
-    let invariants = InvariantSet::parse(
-        &[
-            "one_of(D1, D2, D3)",
-            "one_of(E1, E2)",
-            "E1 => (D1 | D2) & D4",
-            "E2 => (D3 | D2) & D5",
-            // Parity packets are only useful (and only harmless) when every
-            // receiver can consume them.
-            "FE => FDH & FDL",
-        ],
-        &mut u,
-    )
-    .expect("invariants parse");
-    let c = |names: &[&str]| u.config_of(names);
-    let actions = vec![
-        Action::insert(0, "+FDH", &c(&["FDH"]), 10),
-        Action::insert(1, "+FDL", &c(&["FDL"]), 10),
-        Action::insert(2, "+FE", &c(&["FE"]), 10),
-        Action::remove(3, "-FE", &c(&["FE"]), 10),
-        Action::remove(4, "-FDH", &c(&["FDH"]), 10),
-        Action::remove(5, "-FDL", &c(&["FDL"]), 10),
-    ];
-    let mut model = SystemModel::new();
-    let server = model.add_process();
-    let handheld = model.add_process();
-    let laptop = model.add_process();
-    model.place_all(
-        &u,
-        &[
-            ("E1", server),
-            ("E2", server),
-            ("FE", server),
-            ("D1", handheld),
-            ("D2", handheld),
-            ("D3", handheld),
-            ("FDH", handheld),
-            ("D4", laptop),
-            ("D5", laptop),
-            ("FDL", laptop),
-        ],
-    );
+    let (system, _) = CASE_STUDY_SPEC.split_once("[actions]").expect("the case study has actions");
+    let fec = "
+[components]
+FE @ video-server
+FDH @ handheld-client
+FDL @ laptop-client
+
+[invariants]
+# Parity packets are only useful (and only harmless) when every receiver
+# can consume them.
+FE => FDH & FDL
+
+[actions]
++FDH cost 10
++FDL cost 10
++FE cost 10
+-FE cost 10
+-FDH cost 10
+-FDL cost 10
+";
+    let spec = parse_spec_file(&format!("{system}{fec}")).expect("the FEC spec compiles");
+    let u = spec.universe();
     let source = u.config_of(&["E1", "D1", "D4"]);
     let target = u.config_of(&["E1", "D1", "D4", "FE", "FDH", "FDL"]);
-    let spec = AdaptationSpec::new(u, invariants, actions, model, HashSet::new());
     (spec, source, target)
 }
 

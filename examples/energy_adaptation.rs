@@ -6,57 +6,47 @@
 //!
 //! Run with: `cargo run --example energy_adaptation`
 
-use std::collections::HashSet;
+use sada_repro::core::specfile::parse_spec_file;
+use sada_repro::core::{run_adaptation, RunConfig};
 
-use sada_repro::core::{run_adaptation, AdaptationSpec, RunConfig};
-use sada_repro::expr::{InvariantSet, Universe};
-use sada_repro::model::SystemModel;
-use sada_repro::plan::{Action, ActionId};
+/// Same processes, components and invariants as the case study, but the
+/// *reverse* action table: the operations needed to soften security for
+/// battery life. Decoder downgrades on the hand-held are cheap; compound
+/// encoder/decoder swaps again cost more and need draining.
+const ENERGY_SPEC: &str = "
+[processes]
+video-server
+handheld-client
+laptop-client
+
+[components]
+E1 @ video-server
+E2 @ video-server
+D1 @ handheld-client
+D2 @ handheld-client
+D3 @ handheld-client
+D4 @ laptop-client
+D5 @ laptop-client
+
+[invariants]
+one_of(D1, D2, D3)
+one_of(E1, E2)
+E1 => (D1 | D2) & D4
+E2 => (D3 | D2) & D5
+
+[actions]
+E2 -> E1 cost 10
+D3 -> D2 cost 10
+D2 -> D1 cost 10
+D5 -> D4 cost 10
++D4 cost 10
+-D5 cost 10
+(D3,E2) -> (D2,E1) cost 100 drain
+(D5,E2) -> (D4,E1) cost 100 drain
+";
 
 fn main() {
-    // Same components and invariants as the case study…
-    let mut u = Universe::new();
-    for n in ["E1", "E2", "D1", "D2", "D3", "D4", "D5"] {
-        u.intern(n);
-    }
-    let invariants = InvariantSet::parse(
-        &["one_of(D1, D2, D3)", "one_of(E1, E2)", "E1 => (D1 | D2) & D4", "E2 => (D3 | D2) & D5"],
-        &mut u,
-    )
-    .unwrap();
-    // …but the *reverse* action table: the operations needed to soften
-    // security for battery life. Decoder downgrades on the hand-held are
-    // cheap; compound encoder/decoder swaps again cost more and need
-    // draining.
-    let c = |names: &[&str]| u.config_of(names);
-    let actions = vec![
-        Action::replace(0, "E2 -> E1", &c(&["E2"]), &c(&["E1"]), 10),
-        Action::replace(1, "D3 -> D2", &c(&["D3"]), &c(&["D2"]), 10),
-        Action::replace(2, "D2 -> D1", &c(&["D2"]), &c(&["D1"]), 10),
-        Action::replace(3, "D5 -> D4", &c(&["D5"]), &c(&["D4"]), 10),
-        Action::insert(4, "+D4", &c(&["D4"]), 10),
-        Action::remove(5, "-D5", &c(&["D5"]), 10),
-        Action::replace(6, "(D3,E2) -> (D2,E1)", &c(&["D3", "E2"]), &c(&["D2", "E1"]), 100),
-        Action::replace(7, "(D5,E2) -> (D4,E1)", &c(&["D5", "E2"]), &c(&["D4", "E1"]), 100),
-    ];
-    let mut model = SystemModel::new();
-    let server = model.add_process();
-    let handheld = model.add_process();
-    let laptop = model.add_process();
-    model.place_all(
-        &u,
-        &[
-            ("E1", server),
-            ("E2", server),
-            ("D1", handheld),
-            ("D2", handheld),
-            ("D3", handheld),
-            ("D4", laptop),
-            ("D5", laptop),
-        ],
-    );
-    let drain: HashSet<ActionId> = [ActionId(6), ActionId(7)].into();
-    let spec = AdaptationSpec::new(u, invariants, actions, model, drain);
+    let spec = parse_spec_file(ENERGY_SPEC).expect("the energy spec compiles");
     let u = spec.universe();
 
     // Battery-low trigger: go from hardened 1010010 back to thrifty 0100101.

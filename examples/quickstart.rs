@@ -3,51 +3,16 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use std::collections::HashSet;
+use sada_repro::core::specfile::parse_spec_file;
+use sada_repro::core::{run_adaptation, RunConfig};
 
-use sada_repro::core::{run_adaptation, AdaptationSpec, RunConfig};
-use sada_repro::expr::{InvariantSet, Universe};
-use sada_repro::model::SystemModel;
-use sada_repro::plan::Action;
+/// The system, in the spec-file format: a TLS-1.2 stack and a TLS-1.3
+/// stack on a gateway, plus a matching client library on an edge node.
+const QUICKSTART_SPEC: &str = include_str!("quickstart.spec");
 
 fn main() {
     // 1. Analysis phase — describe the system.
-    //    Components: a TLS-1.2 stack and a TLS-1.3 stack on a gateway, plus
-    //    a matching client library on an edge node.
-    let mut universe = Universe::new();
-    let invariants = InvariantSet::parse(
-        &[
-            "one_of(Tls12, Tls13)",       // the gateway runs exactly one stack
-            "one_of(Client12, Client13)", // the edge runs exactly one client
-            "Tls13 => Client13",          // the new stack needs the new client
-            "Tls12 => Client12",          // and vice versa
-        ],
-        &mut universe,
-    )
-    .expect("invariants parse");
-
-    let c = |names: &[&str]| universe.config_of(names);
-    let actions = vec![
-        Action::replace(0, "Client12 -> Client13", &c(&["Client12"]), &c(&["Client13"]), 20),
-        Action::replace(
-            1,
-            "(Tls12,Client12) -> (Tls13,Client13)",
-            &c(&["Tls12", "Client12"]),
-            &c(&["Tls13", "Client13"]),
-            45,
-        ),
-        Action::replace(2, "Tls12 -> Tls13", &c(&["Tls12"]), &c(&["Tls13"]), 20),
-    ];
-
-    let mut model = SystemModel::new();
-    let gateway = model.add_process();
-    let edge = model.add_process();
-    model.place_all(
-        &universe,
-        &[("Tls12", gateway), ("Tls13", gateway), ("Client12", edge), ("Client13", edge)],
-    );
-
-    let spec = AdaptationSpec::new(universe, invariants, actions, model, HashSet::new());
+    let spec = parse_spec_file(QUICKSTART_SPEC).expect("the quickstart spec compiles");
 
     // 2. Detection and setup phase — enumerate safe configurations, build
     //    the SAG, find the minimum adaptation path.

@@ -1,13 +1,8 @@
 //! Cross-crate integration: the full video case study driven by the safe
 //! adaptation protocol, audited by the independent safety checker.
 
-use std::collections::HashSet;
-
 use sada_core::casestudy::{case_study, CaseStudy};
-use sada_core::AdaptationSpec;
-use sada_expr::{InvariantSet, Universe};
-use sada_model::SystemModel;
-use sada_plan::{Action, ActionId};
+use sada_core::specfile::{parse_spec_file, CASE_STUDY_SPEC};
 use sada_simnet::{LinkConfig, SimDuration, SimTime};
 use sada_video::{run_video_scenario, run_video_with, ScenarioConfig, Strategy};
 
@@ -29,47 +24,14 @@ fn headline_result_map_and_live_run() {
 
 /// Restrict Table 2 to the single compound action A14 so the adaptation
 /// must use the drain-marked global safe condition across all three
-/// processes.
+/// processes: the case study's processes, components and invariants, and
+/// A14 re-numbered as the only action.
 fn compound_only_case_study() -> CaseStudy {
     let full = case_study();
-    let mut u = Universe::new();
-    for name in ["E1", "E2", "D1", "D2", "D3", "D4", "D5"] {
-        u.intern(name);
-    }
-    let invariants = InvariantSet::parse(
-        &["one_of(D1, D2, D3)", "one_of(E1, E2)", "E1 => (D1 | D2) & D4", "E2 => (D3 | D2) & D5"],
-        &mut u,
-    )
-    .unwrap();
-    // A14 in the paper's table; re-numbered as the only action here.
-    let actions = vec![Action::replace(
-        0,
-        "(D1,D4,E1) -> (D3,D5,E2)",
-        &u.config_of(&["D1", "D4", "E1"]),
-        &u.config_of(&["D3", "D5", "E2"]),
-        150,
-    )];
-    let mut model = SystemModel::new();
-    let server = model.add_process();
-    let handheld = model.add_process();
-    let laptop = model.add_process();
-    model.place_all(
-        &u,
-        &[
-            ("E1", server),
-            ("E2", server),
-            ("D1", handheld),
-            ("D2", handheld),
-            ("D3", handheld),
-            ("D4", laptop),
-            ("D5", laptop),
-        ],
-    );
-    let drain: HashSet<ActionId> = [ActionId(0)].into();
-    let source = u.config_from_bits("0100101");
-    let target = u.config_from_bits("1010010");
-    let spec = AdaptationSpec::new(u, invariants, actions, model, drain);
-    CaseStudy { spec, deployment: full.deployment, source, target }
+    let (system, _) = CASE_STUDY_SPEC.split_once("[actions]").expect("the case study has actions");
+    let only_a14 = "[actions]\n(D1,D4,E1) -> (D3,D5,E2) cost 150 drain\n";
+    let spec = parse_spec_file(&format!("{system}{only_a14}")).expect("A14 alone compiles");
+    CaseStudy { spec, ..full }
 }
 
 #[test]

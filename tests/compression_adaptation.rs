@@ -4,65 +4,37 @@
 //! on the clients *after* it), and throughput recovers. Exercises the
 //! simulator's bandwidth/queueing model end to end.
 
-use std::collections::HashSet;
-
+use sada_core::specfile::{parse_spec_file, CASE_STUDY_SPEC};
 use sada_core::AdaptationSpec;
-use sada_expr::{InvariantSet, Universe};
-use sada_model::SystemModel;
-use sada_plan::Action;
 use sada_proto::{ManagerActor, ProtoTiming, Wire};
 use sada_simnet::{ActorId, LinkConfig, SimDuration, SimTime, Simulator};
 use sada_video::{AppMsg, AuditShared, ClientActor, ServerActor, VideoWire};
 
+/// The case study's system plus a compressor `CE` on the server and a
+/// decompressor on each client, with insertion and removal actions.
 fn compression_spec() -> (AdaptationSpec, sada_expr::Config, sada_expr::Config) {
-    let mut u = Universe::new();
-    for n in ["E1", "E2", "D1", "D2", "D3", "D4", "D5", "CE", "CDH", "CDL"] {
-        u.intern(n);
-    }
-    let invariants = InvariantSet::parse(
-        &[
-            "one_of(D1, D2, D3)",
-            "one_of(E1, E2)",
-            "E1 => (D1 | D2) & D4",
-            "E2 => (D3 | D2) & D5",
-            // Compressed packets are garbage to a client without the
-            // decompressor.
-            "CE => CDH & CDL",
-        ],
-        &mut u,
-    )
-    .unwrap();
-    let c = |names: &[&str]| u.config_of(names);
-    let actions = vec![
-        Action::insert(0, "+CDH", &c(&["CDH"]), 10),
-        Action::insert(1, "+CDL", &c(&["CDL"]), 10),
-        Action::insert(2, "+CE", &c(&["CE"]), 10),
-        Action::remove(3, "-CE", &c(&["CE"]), 10),
-        Action::remove(4, "-CDH", &c(&["CDH"]), 10),
-        Action::remove(5, "-CDL", &c(&["CDL"]), 10),
-    ];
-    let mut model = SystemModel::new();
-    let server = model.add_process();
-    let handheld = model.add_process();
-    let laptop = model.add_process();
-    model.place_all(
-        &u,
-        &[
-            ("E1", server),
-            ("E2", server),
-            ("CE", server),
-            ("D1", handheld),
-            ("D2", handheld),
-            ("D3", handheld),
-            ("CDH", handheld),
-            ("D4", laptop),
-            ("D5", laptop),
-            ("CDL", laptop),
-        ],
-    );
+    let (system, _) = CASE_STUDY_SPEC.split_once("[actions]").expect("the case study has actions");
+    let compression = "
+[components]
+CE @ video-server
+CDH @ handheld-client
+CDL @ laptop-client
+
+[invariants]
+CE => CDH & CDL   # compressed packets are garbage to a client without the decompressor
+
+[actions]
++CDH cost 10
++CDL cost 10
++CE cost 10
+-CE cost 10
+-CDH cost 10
+-CDL cost 10
+";
+    let spec = parse_spec_file(&format!("{system}{compression}")).expect("the spec compiles");
+    let u = spec.universe();
     let source = u.config_of(&["E1", "D1", "D4"]);
     let target = u.config_of(&["E1", "D1", "D4", "CE", "CDH", "CDL"]);
-    let spec = AdaptationSpec::new(u, invariants, actions, model, HashSet::new());
     (spec, source, target)
 }
 

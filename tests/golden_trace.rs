@@ -14,52 +14,21 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::rc::Rc;
 
+use sada_core::specfile::parse_spec_file;
 use sada_core::{run_adaptation, AdaptationSpec, RunConfig};
-use sada_expr::{Config, InvariantSet, Universe};
+use sada_expr::Config;
 use sada_fleet::fingerprint_events_unsharded;
-use sada_model::SystemModel;
 use sada_obs::{decode_lines, fnv1a, Bus, JsonlSink, RingSink};
-use sada_plan::Action;
 
 /// The `examples/quickstart.rs` system: a TLS-1.2 → TLS-1.3 migration whose
 /// invariants force the single compound step.
 fn quickstart_spec() -> (AdaptationSpec, Config, Config) {
-    let mut universe = Universe::new();
-    let invariants = InvariantSet::parse(
-        &[
-            "one_of(Tls12, Tls13)",
-            "one_of(Client12, Client13)",
-            "Tls13 => Client13",
-            "Tls12 => Client12",
-        ],
-        &mut universe,
-    )
-    .expect("invariants parse");
-    let c = |names: &[&str]| universe.config_of(names);
-    let actions = vec![
-        Action::replace(0, "Client12 -> Client13", &c(&["Client12"]), &c(&["Client13"]), 20),
-        Action::replace(
-            1,
-            "(Tls12,Client12) -> (Tls13,Client13)",
-            &c(&["Tls12", "Client12"]),
-            &c(&["Tls13", "Client13"]),
-            45,
-        ),
-        Action::replace(2, "Tls12 -> Tls13", &c(&["Tls12"]), &c(&["Tls13"]), 20),
-    ];
-    let mut model = SystemModel::new();
-    let gateway = model.add_process();
-    let edge = model.add_process();
-    model.place_all(
-        &universe,
-        &[("Tls12", gateway), ("Tls13", gateway), ("Client12", edge), ("Client13", edge)],
-    );
-    let source = universe.config_of(&["Tls12", "Client12"]);
-    let target = universe.config_of(&["Tls13", "Client13"]);
-    let spec = AdaptationSpec::new(universe, invariants, actions, model, HashSet::new());
+    let spec = parse_spec_file(include_str!("../examples/quickstart.spec"))
+        .expect("the quickstart spec compiles");
+    let source = spec.universe().config_of(&["Tls12", "Client12"]);
+    let target = spec.universe().config_of(&["Tls13", "Client13"]);
     (spec, source, target)
 }
 
