@@ -343,12 +343,12 @@ impl FleetWorld {
         let mut b = WorldBuilder::new(spec.domain, spec.objective, sizes);
         // A process at or past the component count is left undeclared.
         let procs = spec.comps.iter().map(|c| c.process.saturating_add(1)).max();
-        b.spec.processes(procs.unwrap_or(0).min(spec.comps.len()));
+        b.core.processes(procs.unwrap_or(0).min(spec.comps.len()));
         for c in &spec.comps {
             b.comp(&c.name, c.process)?;
         }
         let sources: Vec<&str> = spec.invariants.iter().map(String::as_str).collect();
-        b.spec.parse_invariants(&sources)?;
+        b.core.parse_invariants(&sources)?;
         for a in &spec.actions {
             b.action(&a.name, &a.removes, &a.adds, [a.cost_ms, a.cost_watts])?;
         }
@@ -367,7 +367,7 @@ impl FleetWorld {
 fn video_world(groups: usize) -> Result<CompiledWorld, SpecError> {
     let sizes = [2 * groups, groups, 2 * groups, groups];
     let mut b = WorldBuilder::new(Domain::Video, Objective::LatencyMs, sizes);
-    b.spec.processes(2 * groups);
+    b.core.processes(2 * groups);
     let mut name = String::new();
     for g in 0..groups {
         b.comp(numbered(&mut name, "Old", g), 2 * g)?;
@@ -375,7 +375,7 @@ fn video_world(groups: usize) -> Result<CompiledWorld, SpecError> {
     }
     let var = |c: usize| Expr::var(CompId::from_index(c));
     for g in 0..groups {
-        b.spec.push_invariant(Expr::exactly_one(vec![var(2 * g), var(2 * g + 1)]))?;
+        b.core.push_invariant(Expr::exactly_one(vec![var(2 * g), var(2 * g + 1)]))?;
     }
     for g in 0..groups {
         let (old, new) = (2 * g, 2 * g + 1);
@@ -407,7 +407,8 @@ fn ids(comps: &[usize]) -> impl Iterator<Item = CompId> + '_ {
 struct WorldBuilder {
     domain: Domain,
     objective: Objective,
-    spec: SpecBuilder,
+    /// Components, invariants, actions and placement.
+    core: SpecBuilder,
     members: Csr<CompId>,
     /// The cluster each component belongs to (`usize::MAX`: none yet).
     owner: Vec<usize>,
@@ -424,7 +425,7 @@ impl WorldBuilder {
         WorldBuilder {
             domain,
             objective,
-            spec: SpecBuilder::with_capacity([comps, invariants, actions]),
+            core: SpecBuilder::with_capacity([comps, invariants, actions]),
             members: Csr::with_capacity(clusters, comps),
             owner: Vec::with_capacity(comps),
             boot: Vec::with_capacity(clusters),
@@ -435,7 +436,7 @@ impl WorldBuilder {
     /// Declares the next component: `name`, hosted on `process`.
     fn comp(&mut self, name: &str, process: usize) -> Result<CompId, SpecError> {
         self.owner.push(usize::MAX);
-        self.spec.comp(name, process)
+        self.core.comp(name, process)
     }
 
     /// Adds the next action: its name, the components it removes and adds,
@@ -452,7 +453,7 @@ impl WorldBuilder {
             Objective::EnergyWatts => costs[1],
         }
         .max(1);
-        self.spec.action(name, removes, adds, cost, false)
+        self.core.action(name, removes, adds, cost, false)
     }
 
     /// Adds the next cluster: all its components, then those of its boot
@@ -496,7 +497,7 @@ impl WorldBuilder {
             return Err(format!("every comp needs a cluster: comp {c} has none").into());
         }
         let boot = Config::from_ids(width, self.boot);
-        let built = self.spec.finish();
+        let built = self.core.finish();
         let safe = built.is_safe(&boot);
         SpecError::ensure(safe, || "initial configuration violates the invariants".into())?;
         let (universe, inv, actions, model) = built.into_parts();
