@@ -99,3 +99,30 @@ fn specs_that_parse_but_do_not_compile_are_rejected() {
         assert_eq!(validate(&scenario), Err(why.to_string()), "{text:?}");
     }
 }
+
+/// Texts that compile but break a validity property: `validate` returns
+/// the pass's own message. The sound text is `VALID` with a backward
+/// action that undoes the forward one and no cluster flipped twice; it
+/// passes.
+#[test]
+fn specs_that_compile_but_break_a_validity_property_are_rejected() {
+    let sound = VALID.replacen("208 18 1,0 -", "208 18 1 0", 1).replacen("0:f,0:t", "0:f", 1);
+    let check =
+        |text: &str| validate(&parse_scenario(text).unwrap_or_else(|e| panic!("{text:?}: {e}")));
+    assert_eq!(check(&sound), Ok(()));
+    #[rustfmt::skip]
+    let rows = [
+        ("action fn0_a__to__fn0_b 94 14 0 1\n", "", "cluster 0: forward goal unreachable"),
+        ("action fn0_b__to__fn0_a 208 18 1 0\n", "", "cluster 0: backward goal unreachable"),
+        ("session 1 ", "session 0 ", "session id 0 is reserved for solo runs"),
+        ("session 2 ", "session 1 ", "duplicate session id 1"),
+        ("- 0:t\n", "- 3:t\n", "session 1: cluster 3 out of range"),
+        ("0:f\n", "0:f,0:t\n", "session 2: cluster 0 flipped twice"),
+        ("0:f\n", "-\n", "session 2 flips nothing"),
+    ];
+    for (line, hostile, why) in rows {
+        let text = sound.replacen(line, hostile, 1);
+        assert_ne!(text, sound, "{line:?} is in the sound text");
+        assert_eq!(check(&text), Err(why.to_string()), "{text:?}");
+    }
+}
