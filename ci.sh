@@ -64,6 +64,13 @@ if for f in crates/core/src/*.rs crates/core/src/*/*.rs crates/video/src/*.rs; d
     sed '/^#\[cfg(test)\]/,$d' "$f" | grep -Hn --label="$f" 'Universe::new()\|SystemModel::new()' || true
 done | grep .; then echo "a universe or system model built by hand in sada-core or sada-video"; exit 1; fi
 
+echo "==> one validity planner (sada_scenario::validate plans every cluster through a cached ScopedLazyPlanner, whose safe memo vets each endpoint by its diff)"
+if grep -rn 'plan_scoped(\|\.is_safe(' crates/scenario/src; then echo "a whole-world endpoint check in crates/scenario/src"; exit 1; fi
+if for f in crates/scenario/src/*.rs; do
+    body="$(sed '/^#\[cfg(test)\]/,$d' "$f")"
+    [ "$(grep -c 'ScopedLazyPlanner::new(' <<< "$body")" = "$(grep -c '\.with_cache(' <<< "$body")" ] || echo "$f"
+done | grep .; then echo "a ScopedLazyPlanner without the validity pass's plan cache in crates/scenario/src"; exit 1; fi
+
 echo "==> referee benchmark (standalone package: build + its own tests)"
 # benchmark/ compiles against the public sada-fleet/-proto/-simnet API from
 # outside the workspace, so an API break there is invisible to every step
@@ -153,9 +160,12 @@ echo "==> scenario-generator smoke (seeded serverless + IaaS universes end-to-en
 # energy-objective showcase (watt route != ms route). Then the bench's
 # smoke mode re-runs the full assertion sweep — every session concludes,
 # thread-invariance at 1/2/4 threads per (domain, seed), goal
-# reachability for every generated cluster — and regenerates
+# reachability for every generated cluster, and the validity-scaling gate:
+# validate on IaaS universes (seed 8) of 1 024 and 4 096 clusters, best of
+# three each, may grow at most 8x (4x is linear; vetting every endpoint
+# against the whole invariant set read 17.9x) — and regenerates
 # BENCH_scenario.json (3 seeds per domain, sessions/sec + plan-cache hit
-# rate + standalone planning pred-evals).
+# rate + standalone planning pred-evals, plus the validity_scaling leg).
 cargo run -q --release -p sada-bench --bin report -- scenario > /dev/null
 SADA_BENCH_SMOKE=1 cargo bench -q -p sada-bench --bench bench_scenario > /dev/null
 

@@ -12,7 +12,11 @@
 //!   identical fingerprints, results, and final configurations;
 //! * every generated session concludes (no session leaks past the budget);
 //! * the energy objective changes plan selection on the showcase world
-//!   (the watt route differs from the millisecond route).
+//!   (the watt route differs from the millisecond route);
+//! * the validity pass stays linear in the clusters: [`validate`] on an
+//!   IaaS universe (seed 8) of 4 096 clusters, best of three, takes at most
+//!   8x its time at 1 024 (4x is linear; a pass that vets each endpoint
+//!   against the whole invariant set reads about 18x).
 //!
 //! Recorded per `(domain, seed)`: committed sessions/sec (wall clock),
 //! plan-cache hit rate summed over shards, and the predicate-evaluation
@@ -25,9 +29,17 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use sada_fleet::{run_fleet_sharded, FleetWorld, Objective, ShardReport, ShardScenario};
 use sada_plan::lazy;
-use sada_scenario::{energy_showcase, generate, GeneratedScenario, ScenarioConfig};
+use sada_scenario::{energy_showcase, generate, validate, GeneratedScenario, ScenarioConfig};
+use std::time::Instant;
 
 const SEEDS: [u64; 3] = [1, 2, 3];
+
+/// IaaS universe sizes the validity-scaling leg times, smallest first.
+const SCALING_CLUSTERS: [usize; 2] = [1_024, 4_096];
+
+/// Most the validity pass may grow from the smaller universe to the larger:
+/// twice the linear ratio.
+const MAX_SCALING_RATIO: f64 = 8.0;
 
 /// CI smoke mode: assertion sweep + JSON only, no timing loops.
 fn smoke() -> bool {
@@ -65,6 +77,19 @@ fn planning_pred_evals(scenario: &GeneratedScenario) -> u64 {
         evals += stats.pred_evals;
     }
     evals
+}
+
+/// Best-of-three wall time of [`validate`] on an IaaS universe (seed 8) of
+/// `clusters` clusters.
+fn validate_s(clusters: usize) -> f64 {
+    let scenario = generate(&ScenarioConfig { clusters, ..ScenarioConfig::iaas(8) });
+    (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            validate(&scenario).expect("generated scenarios hold");
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 fn bench_scenario(c: &mut Criterion) {
@@ -149,12 +174,33 @@ fn write_bench_json() {
         cool_path.cost,
     );
 
+    // The validity pass vets each endpoint by its diff, so its cost grows
+    // with the clusters, not with clusters x invariants.
+    let [small, large] = SCALING_CLUSTERS.map(validate_s);
+    let ratio = large / small;
+    assert!(
+        ratio <= MAX_SCALING_RATIO,
+        "validate took {ratio:.1}x as long at {} clusters as at {} ({:.1} ms vs {:.1} ms)",
+        SCALING_CLUSTERS[1],
+        SCALING_CLUSTERS[0],
+        large * 1e3,
+        small * 1e3,
+    );
+    let scaling_leg = format!(
+        "  \"validity_scaling\": {{\"domain\": \"iaas\", \"seed\": 8, \"clusters\": {:?}, \
+         \"validate_ms_best_of_3\": [{:.1}, {:.1}], \"ratio\": {ratio:.2}, \
+         \"max_ratio\": {MAX_SCALING_RATIO}}},\n",
+        SCALING_CLUSTERS,
+        small * 1e3,
+        large * 1e3,
+    );
+
     let json = format!(
         "{{\n  \"bench\": \"scenario\",\n  \"workload\": \"seeded generated universes \
          (mixed one_of-chain / implication / xor-ring clusters, heterogeneous costs, \
          straddler traffic) run sharded; every row asserted thread-invariant at 1/2/4 \
          threads; sessions/sec = committed sessions per wall-clock second\",\n\
-         {energy_leg}  \"rows\": [\n{}\n  ]\n}}\n",
+         {energy_leg}{scaling_leg}  \"rows\": [\n{}\n  ]\n}}\n",
         rows.join(",\n"),
     );
     // crates/bench -> repository root.

@@ -119,6 +119,18 @@ impl ScopedLazyPlanner {
         self
     }
 
+    /// Whether the scope normalizes, so that an attached cache may speak
+    /// for its queries (see [`ScopeNormalizer::from_compiled`]).
+    pub fn normalizes(&self) -> bool {
+        self.normalizer.is_some()
+    }
+
+    /// The session's repertoire: the world's actions whose touched set lies
+    /// inside the scope, in world order.
+    pub fn repertoire(&self) -> impl Iterator<Item = &Action> {
+        self.scoped_ixs.iter().map(|&ix| &self.world.actions[ix as usize])
+    }
+
     /// The scoped action at position `ix` of the session's repertoire.
     fn scoped_action(&self, ix: usize) -> Option<&Action> {
         self.scoped_ixs.get(ix).map(|&w| &self.world.actions[w as usize])
@@ -164,12 +176,7 @@ impl ScopedLazyPlanner {
         let ixs: Option<Vec<u32>> = path
             .steps
             .iter()
-            .map(|s| {
-                self.scoped_ixs
-                    .iter()
-                    .position(|&w| self.world.actions[w as usize].id() == s.action)
-                    .map(|i| i as u32)
-            })
+            .map(|s| self.repertoire().position(|a| a.id() == s.action).map(|i| i as u32))
             .collect();
         Some(CachedPlan { action_ixs: ixs?, cost: path.cost })
     }
@@ -244,7 +251,8 @@ mod tests {
         let w = Rc::new(FleetWorld::build(4));
         let scope = w.scope_comps(&[(1, true), (3, true)]);
         let p = ScopedLazyPlanner::new(Rc::clone(&w), &scope);
-        assert_eq!(p.scoped_ixs.len(), 4, "fwd+back for two groups");
+        let names: Vec<&str> = p.repertoire().map(Action::name).collect();
+        assert_eq!(names, ["fwd1", "back1", "fwd3", "back3"], "fwd+back for two groups");
     }
 
     #[test]
@@ -300,7 +308,7 @@ mod tests {
         let scope1 = w.scope_comps(&[(0, true), (1, true)]);
         let mut p1 =
             ScopedLazyPlanner::new(Rc::clone(&w), &scope1).with_cache(Rc::clone(&cache), 1);
-        assert!(p1.normalizer.is_some(), "the scope normalizes, so the cache serves it");
+        assert!(p1.normalizes(), "the scope normalizes, so the cache serves it");
         let dst1 = w.target_for(&src, &[(0, true), (1, true)]);
         let paths1 = p1.paths(&src, &dst1, 4);
         assert_eq!(paths1.len(), 1);

@@ -23,7 +23,9 @@
 //! * [`validate`] — the validity pass every generated scenario must hold:
 //!   safe initial configuration, confined collaborative sets, normalizer
 //!   acceptance, and goal reachability **both directions** through the
-//!   same scoped lazy planner the control plane uses.
+//!   same scoped lazy planner and plan cache the control plane uses, which
+//!   vet each endpoint by its diff; every plan, replayed or fresh, is
+//!   checked step by step against its query.
 //! * [`encode_scenario`] / [`parse_scenario`] — a canonical text codec;
 //!   byte equality of encodings is the determinism witness the satellite
 //!   proptests pin, and the text form is the replay artifact
