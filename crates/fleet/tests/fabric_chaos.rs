@@ -253,6 +253,7 @@ fn straddler_onto_a_dead_region_is_pinned() {
             results_fnv: 0xf8e6c7dfabab2e48,
             max_concurrent: 6,
             makespan_us: 25004496,
+            ladder: (22, 1, 1, 0),
         },
     );
 }
@@ -289,6 +290,96 @@ fn orphaned_release_is_reclaimed_by_lease_expiry() {
     let b = run_fleet_sharded(&scn, 4);
     assert_eq!(a.fingerprint, b.fingerprint, "lease GC must stay thread-invariant");
     assert_eq!(a.results, b.results);
+}
+
+/// Straddler-heavy traffic over the lossy fabric alone: the chaos fleet's
+/// two straddlers plus four more across every region boundary, one of
+/// them over three regions. Pinned with the ladder's counts, retransmits
+/// among them, at 1 and at 4 worker threads.
+#[test]
+fn straddler_heavy_lossy_fabric_is_pinned() {
+    let mut fleet = chaos_fleet(7);
+    let straddler = |id: u64, flips: Vec<(usize, bool)>, at_ms: u64| SessionSpec {
+        id,
+        flips,
+        priority: (id % 3) as u8,
+        submit_at: SimDuration::from_millis(at_ms),
+        cancel_at: None,
+    };
+    fleet.sessions.extend([
+        straddler(102, vec![(0, true), (7, true)], 3),
+        straddler(103, vec![(3, true), (4, true)], 7),
+        straddler(104, vec![(1, true), (3, true), (5, true)], 9),
+        straddler(105, vec![(6, true), (2, true)], 15),
+    ]);
+    let mut scn = ShardScenario::new(fleet, REGIONS);
+    scn.fabric_faults = chaos_faults(7 ^ 0xFAB);
+    assert_pinned(
+        "straddler-heavy lossy fabric",
+        &scn,
+        &Identity {
+            fingerprint: 0xa9d9e7535d32bb71,
+            final_config: "1010101010101010",
+            restores: 0,
+            journal_fnvs: &[
+                0x207f4e1d0ce8e6bc,
+                0x6cc0e87e16e02448,
+                0x06366ce9930f608b,
+                0xcbf29ce484222325,
+                0x7585790bc04b04ac,
+            ],
+            records_fnvs: &[
+                0x5921d6e35bc5f91d,
+                0x7a26756e8c1409f9,
+                0x38cab57453ffbe68,
+                0xcbf29ce484222325,
+                0xb4e9b4b995ba8a51,
+            ],
+            global_journal_fnv: 0x0b172f23cbbfeca1,
+            verdicts: (12, 0, 0, 0, 0),
+            results_fnv: 0x6a74aa5c7d20b5f0,
+            max_concurrent: 6,
+            makespan_us: 1800493,
+            ladder: (19, 0, 0, 0),
+        },
+    );
+}
+
+/// The orphaned-release run above, pinned: one release given up past the
+/// ladder's horizon, its hold reclaimed by lease expiry.
+#[test]
+fn orphaned_release_is_pinned() {
+    let mut scn = ShardScenario::new(chaos_fleet(4), REGIONS);
+    scn.crash_region = Some((1, SimTime::from_millis(20), SimTime::from_millis(22_000)));
+    assert_pinned(
+        "orphaned release, pinned",
+        &scn,
+        &Identity {
+            fingerprint: 0x70878cb9c19e8924,
+            final_config: "0110101010101010",
+            restores: 1,
+            journal_fnvs: &[
+                0x207f4e1d0ce8e6bc,
+                0x6cc0e87e16e02448,
+                0x06366ce9930f608b,
+                0xcbf29ce484222325,
+                0xc2273a610acc8897,
+            ],
+            records_fnvs: &[
+                0x5921d6e35bc5f91d,
+                0x7a26756e8c1409f9,
+                0x38cab57453ffbe68,
+                0xcbf29ce484222325,
+                0xdb453f71d75302a8,
+            ],
+            global_journal_fnv: 0x7ce21fd286334974,
+            verdicts: (8, 0, 0, 0, 0),
+            results_fnv: 0x72fd92d37d7f9051,
+            max_concurrent: 6,
+            makespan_us: 31496,
+            ladder: (11, 0, 1, 0),
+        },
+    );
 }
 
 fn arb_values() -> impl Strategy<Value = Vec<(u32, bool)>> {

@@ -13,7 +13,8 @@ use sada_proto::parse_session_journal;
 /// its text takes), the FNV of the global write-ahead journal, the verdict
 /// tally `(committed, gave up, cancelled, shed, rejected)`, the report rows'
 /// hash (see [`results_fnv`]), the peak of concurrently admitted sessions,
-/// and the makespan.
+/// the makespan, and the global tier's retransmission-ladder counts
+/// `(retransmits, abandoned, orphaned releases, lease reclaims)`.
 #[derive(Debug)]
 pub(crate) struct Identity {
     pub fingerprint: u64,
@@ -26,6 +27,7 @@ pub(crate) struct Identity {
     pub results_fnv: u64,
     pub max_concurrent: usize,
     pub makespan_us: u64,
+    pub ladder: (u64, u64, u64, u64),
 }
 
 /// FNV-1a over one line per report row, every field in a fixed text form:
@@ -75,6 +77,8 @@ fn assert_identity(what: &str, report: &ShardReport, want: &Identity) {
         report.journals.iter().map(|(_, text)| records_fnv(text)).collect();
     let global_journal_fnv = fnv1a(&report.global_journal);
     let rows = (results_fnv(&report.results), report.max_concurrent, report.makespan_us);
+    let ladder =
+        (report.retransmits, report.abandoned, report.orphaned_releases, report.lease_reclaims);
     let got = (
         report.fingerprint,
         report.final_config.as_str(),
@@ -83,6 +87,7 @@ fn assert_identity(what: &str, report: &ShardReport, want: &Identity) {
         global_journal_fnv,
         verdicts,
         rows,
+        ladder,
     );
     let want_tuple = (
         want.fingerprint,
@@ -92,13 +97,14 @@ fn assert_identity(what: &str, report: &ShardReport, want: &Identity) {
         want.global_journal_fnv,
         want.verdicts,
         (want.results_fnv, want.max_concurrent, want.makespan_us),
+        want.ladder,
     );
     assert!(
         got == want_tuple,
         "{what}: identity moved, want {want:?}, got\nIdentity {{ fingerprint: {:#018x}, \
          final_config: {:?}, restores: {}, journal_fnvs: &[{}], records_fnvs: &[{}], \
          global_journal_fnv: {global_journal_fnv:#018x}, verdicts: {verdicts:?}, \
-         results_fnv: {:#018x}, max_concurrent: {}, makespan_us: {} }}",
+         results_fnv: {:#018x}, max_concurrent: {}, makespan_us: {}, ladder: {ladder:?} }}",
         report.fingerprint,
         report.final_config,
         report.restores,

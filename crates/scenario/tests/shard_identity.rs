@@ -43,6 +43,7 @@ fn generated_serverless_world_is_pinned() {
             results_fnv: 0x4bebdb5f48f401da,
             max_concurrent: 2,
             makespan_us: 1037119,
+            ladder: (0, 0, 0, 0),
         },
     );
 }
@@ -74,6 +75,7 @@ fn generated_iaas_world_is_pinned() {
             results_fnv: 0xd64cfab61002c9d5,
             max_concurrent: 4,
             makespan_us: 896095,
+            ladder: (0, 0, 0, 0),
         },
     );
 }
