@@ -274,7 +274,8 @@ impl<M: Clone + 'static> ControlActor<M> {
         }
     }
 
-    fn emit_fleet(&self, ctx: &Context<'_, Wire<M>>, session: u64, ev: FleetEvent) {
+    /// Emits `ev` about `session` on this plane's bus (its host's).
+    pub(crate) fn emit_fleet(&self, ctx: &Context<'_, Wire<M>>, session: u64, ev: FleetEvent) {
         self.host.bus.emit(fleet_event(ctx.now(), ctx.self_id(), session, ev));
     }
 

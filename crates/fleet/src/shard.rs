@@ -57,7 +57,7 @@ use std::time::Instant;
 use sada_expr::CompId;
 use sada_obs::{fingerprint_jsonl, Event, FleetEvent};
 use sada_proto::{encode_global_journal, Wire};
-use sada_resilience::{jitter_us, RetryPolicy};
+use sada_resilience::jitter_us;
 use sada_simnet::{ActorId, SimDuration, SimTime};
 
 use crate::control::{fleet_event, SessionSpec};
@@ -225,35 +225,27 @@ pub(crate) fn build_endpoint(
     let relay_of = |control_id: ActorId| ActorId::from_index(control_id.index() + 1);
     let mut plane = if plan.is_global {
         let (specs, crash) = (plan.specs, plan.crash);
-        build_plane(scn, world, hosted, seed, shard_tag, specs, crash, |inner, bus, id| {
+        build_plane(scn, world, hosted, seed, shard_tag, specs, crash, |mut inner, id| {
+            inner.host.ladder.jitter_seed = scn.seed ^ 0x05AD_AFAB;
             let global = GlobalControl {
                 inner,
                 relay: relay_of(id),
-                bus: bus.clone(),
                 straddlers: plan.straddlers,
                 global_journal: Vec::new(),
-                incarnation: 0,
                 retransmits: 0,
                 abandoned: 0,
                 orphaned_releases: 0,
-                retry: RetryPolicy {
-                    jitter_seed: scn.seed ^ 0x05AD_AFAB,
-                    ..RetryPolicy::adaptive()
-                },
-                rtt: HashMap::new(),
-                outstanding: HashMap::new(),
             };
             ("global-control", global)
         })
     } else {
         let (specs, crash) = (plan.specs, plan.crash);
-        build_plane(scn, world, hosted, seed, shard_tag, specs, crash, |inner, bus, id| {
+        build_plane(scn, world, hosted, seed, shard_tag, specs, crash, |inner, id| {
             let region = RegionControl {
                 inner,
                 relay: relay_of(id),
                 region_id: plan.id,
                 global_ep: regions as u32,
-                bus: bus.clone(),
                 foreign: BTreeMap::new(),
                 released: HashMap::new(),
                 lease_reclaims: 0,

@@ -21,7 +21,8 @@
 //!   and of every fleet world's core; a bad entry is a [`SpecError`], never
 //!   a panic.
 //! * [`ManagerHost`] — the one host of manager cores, keyed by agent:
-//!   breakers, RTT sampling, epoch fencing, the effect loop.
+//!   breakers, RTT sampling, epoch fencing, the effect loop, and the
+//!   retransmission ladder of its caller's tracked sends.
 //! * [`AgentHost`] — the one host of an agent core: the effect loop,
 //!   manager-epoch fencing, the session, and the restart with its rejoin
 //!   ladder. The embedding does only the local work.
@@ -85,7 +86,7 @@ mod spec;
 
 pub use agent::{AgentCore, AgentEffect, AgentEvent, AgentState};
 pub use agent_host::{AgentHost, Uplink};
-pub use host::{hosting_run, ManagerHost, Roster, SessionCore};
+pub use host::{hosting_run, LadderFire, ManagerHost, Roster, SessionCore};
 pub use journal::{
     encode_global_journal, encode_journal, encode_session_journal, parse_global_journal,
     parse_journal, parse_session_journal, GlobalRecord, JournalRecord, SessionRecord,
