@@ -34,6 +34,12 @@ if [ "$(grep -rniE 'cbf2_?9ce4_?8422_?2325' crates/*/src | wc -l)" != 1 ]; then 
 
 echo "==> one manager host (RTT sampling and RTO reports live in crates/protocol/src/host.rs; the codec only decodes them)"
 if grep -rn 'pending_since\|FleetEvent::TimeoutAdapted {' crates/*/src | grep -v '^crates/protocol/src/host.rs:\|^crates/obs/src/codec.rs:'; then echo "a second manager host outside crates/protocol/src/host.rs"; exit 1; fi
+# Retransmission deadlines and RTT estimators too: the global tier's fabric
+# ladder runs on its ManagerHost, and the manager core arms its own timers.
+if grep -rn 'RttEstimator\|\.deadline(' crates/*/src | grep -v '^crates/resilience/\|^crates/protocol/src/host.rs:\|^crates/protocol/src/manager.rs:'; then echo "a retransmission ladder outside crates/protocol/src/host.rs and the manager core"; exit 1; fi
+
+echo "==> doc budget (DESIGN.md + EXPERIMENTS.md at most 180 484 bytes; the budget only goes down)"
+if [ "$(cat DESIGN.md EXPERIMENTS.md | wc -c)" -gt 180484 ]; then wc -c DESIGN.md EXPERIMENTS.md; echo "DESIGN.md + EXPERIMENTS.md grew past their budget"; exit 1; fi
 
 echo "==> one agent host (agent restarts, rejoin announcements and agent observations live in crates/protocol/src/agent_host.rs)"
 # Non-test code only; the manager host drains its own cores' observations.
