@@ -23,7 +23,7 @@
 
 mod identity;
 
-use identity::{assert_pinned, Identity};
+use identity::{assert_pinned, Counters, Identity};
 use proptest::prelude::*;
 use sada_fleet::{
     encode_fabric_msg, parse_fabric_msg, run_fleet_sharded, FabricFaultPlan, FabricPayload,
@@ -253,7 +253,23 @@ fn straddler_onto_a_dead_region_is_pinned() {
             results_fnv: 0xf8e6c7dfabab2e48,
             max_concurrent: 6,
             makespan_us: 25004496,
-            ladder: (22, 1, 1, 0),
+            counters: Counters {
+                shed: 0,
+                rejected: 0,
+                breaker_trips: 0,
+                scope_breaker_trips: 0,
+                suppressed_sends: 0,
+                cache_hits: 3,
+                cache_misses: 4,
+                dropped: 0,
+                duplicated: 0,
+                delayed: 0,
+                retransmits: 22,
+                abandoned: 1,
+                orphaned_releases: 1,
+                lease_reclaims: 0,
+                lease_expirations: 0,
+            },
         },
     );
 }
@@ -340,7 +356,23 @@ fn straddler_heavy_lossy_fabric_is_pinned() {
             results_fnv: 0x6a74aa5c7d20b5f0,
             max_concurrent: 6,
             makespan_us: 1800493,
-            ladder: (19, 0, 0, 0),
+            counters: Counters {
+                shed: 0,
+                rejected: 0,
+                breaker_trips: 0,
+                scope_breaker_trips: 0,
+                suppressed_sends: 0,
+                cache_hits: 4,
+                cache_misses: 4,
+                dropped: 18,
+                duplicated: 14,
+                delayed: 13,
+                retransmits: 19,
+                abandoned: 0,
+                orphaned_releases: 0,
+                lease_reclaims: 0,
+                lease_expirations: 0,
+            },
         },
     );
 }
@@ -377,7 +409,23 @@ fn orphaned_release_is_pinned() {
             results_fnv: 0x72fd92d37d7f9051,
             max_concurrent: 6,
             makespan_us: 31496,
-            ladder: (11, 0, 1, 0),
+            counters: Counters {
+                shed: 0,
+                rejected: 0,
+                breaker_trips: 0,
+                scope_breaker_trips: 0,
+                suppressed_sends: 0,
+                cache_hits: 2,
+                cache_misses: 3,
+                dropped: 0,
+                duplicated: 0,
+                delayed: 0,
+                retransmits: 11,
+                abandoned: 0,
+                orphaned_releases: 1,
+                lease_reclaims: 0,
+                lease_expirations: 1,
+            },
         },
     );
 }

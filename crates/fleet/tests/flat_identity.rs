@@ -18,7 +18,9 @@
 //! did not move. The report-row hash, peak concurrency and makespan were
 //! captured while the control plane still kept a session's instants,
 //! verdict and admission in separate maps: they pin that writing one row
-//! per session where the plane decides moved no field of any row.
+//! per session where the plane decides moved no field of any row. The
+//! report counters were captured while each was still incremented by hand
+//! beside the event that says the same thing.
 
 use sada_fleet::{
     disjoint_wave, fingerprint_events_unsharded, run_fleet, FleetReport, FleetResilience,
@@ -44,7 +46,8 @@ fn spec(id: u64, flips: Vec<(usize, bool)>, at_ms: u64, cancel_ms: Option<u64>) 
 /// record's context-free line: what the journal says, whatever form its
 /// text takes), the verdict tally `(committed, gave up, cancelled, shed,
 /// rejected)`, the report rows' hash (see [`results_fnv`]), the peak of
-/// concurrently admitted sessions, and the makespan.
+/// concurrently admitted sessions, the makespan, and every counter the
+/// report carries (see [`Counters`]).
 #[derive(Debug)]
 struct Identity {
     fingerprint: u64,
@@ -56,6 +59,33 @@ struct Identity {
     results_fnv: u64,
     max_concurrent: usize,
     makespan_us: u64,
+    counters: Counters,
+}
+
+/// Every counter of a flat report: admission (sheds, rejections, agent and
+/// scope breaker trips, suppressed sends) and the plan cache.
+#[derive(Debug, PartialEq, Eq)]
+struct Counters {
+    shed: u64,
+    rejected: u64,
+    breaker_trips: u64,
+    scope_breaker_trips: u64,
+    suppressed_sends: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+}
+
+/// `report`'s counters.
+fn counters(report: &FleetReport) -> Counters {
+    Counters {
+        shed: report.shed,
+        rejected: report.rejected,
+        breaker_trips: report.breaker_trips,
+        scope_breaker_trips: report.scope_breaker_trips,
+        suppressed_sends: report.suppressed_sends,
+        cache_hits: report.cache.hits,
+        cache_misses: report.cache.misses,
+    }
 }
 
 /// FNV-1a over one line per report row, every field in a fixed text form:
@@ -100,7 +130,8 @@ fn assert_identity(what: &str, report: &FleetReport, want: &Identity) {
     let (journal_fnv, records_fnv) =
         (fnv1a(&report.journal_text), records_fnv(&report.journal_text));
     let rows = (results_fnv(&report.results), report.max_concurrent, report.makespan_us);
-    let got = (journal_fnv, records_fnv, verdicts, rows);
+    let counters = counters(report);
+    let got = (journal_fnv, records_fnv, verdicts, rows, &counters);
     assert!(
         (fingerprint, report.final_config.as_str(), report.restores, got)
             == (
@@ -111,13 +142,14 @@ fn assert_identity(what: &str, report: &FleetReport, want: &Identity) {
                     want.journal_fnv,
                     want.records_fnv,
                     want.verdicts,
-                    (want.results_fnv, want.max_concurrent, want.makespan_us)
+                    (want.results_fnv, want.max_concurrent, want.makespan_us),
+                    &want.counters,
                 )
             ),
         "{what}: identity moved, want {want:?}, got\nIdentity {{ fingerprint: {fingerprint:#018x}, \
          final_config: {:?}, restores: {}, journal_fnv: {journal_fnv:#018x}, \
          records_fnv: {records_fnv:#018x}, verdicts: {verdicts:?}, results_fnv: {:#018x}, \
-         max_concurrent: {}, makespan_us: {} }}",
+         max_concurrent: {}, makespan_us: {}, counters: {counters:?} }}",
         report.final_config,
         report.restores,
         rows.0,
@@ -153,6 +185,15 @@ fn control_crash_window_is_pinned() {
             results_fnv: 0x2b49056326ff79b3,
             max_concurrent: 3,
             makespan_us: 35000,
+            counters: Counters {
+                shed: 0,
+                rejected: 0,
+                breaker_trips: 0,
+                scope_breaker_trips: 0,
+                suppressed_sends: 0,
+                cache_hits: 1,
+                cache_misses: 3,
+            },
         },
     );
 }
@@ -170,6 +211,15 @@ const CHAOS: [Identity; 5] = [
         results_fnv: 0x5a08ab4d1864a02c,
         max_concurrent: 2,
         makespan_us: 114800,
+        counters: Counters {
+            shed: 0,
+            rejected: 0,
+            breaker_trips: 0,
+            scope_breaker_trips: 0,
+            suppressed_sends: 0,
+            cache_hits: 0,
+            cache_misses: 2,
+        },
     },
     Identity {
         fingerprint: 0xacb314b172f8bcf6,
@@ -181,6 +231,15 @@ const CHAOS: [Identity; 5] = [
         results_fnv: 0x932af4003639db63,
         max_concurrent: 2,
         makespan_us: 103678,
+        counters: Counters {
+            shed: 0,
+            rejected: 0,
+            breaker_trips: 0,
+            scope_breaker_trips: 0,
+            suppressed_sends: 0,
+            cache_hits: 0,
+            cache_misses: 1,
+        },
     },
     Identity {
         fingerprint: 0xdbca438a144a51bb,
@@ -192,6 +251,15 @@ const CHAOS: [Identity; 5] = [
         results_fnv: 0x97592a4ef08c619f,
         max_concurrent: 2,
         makespan_us: 93619,
+        counters: Counters {
+            shed: 0,
+            rejected: 0,
+            breaker_trips: 0,
+            scope_breaker_trips: 0,
+            suppressed_sends: 0,
+            cache_hits: 0,
+            cache_misses: 2,
+        },
     },
     Identity {
         fingerprint: 0xdae89eaa196e19e4,
@@ -203,6 +271,15 @@ const CHAOS: [Identity; 5] = [
         results_fnv: 0x89a354817dd36f1b,
         max_concurrent: 2,
         makespan_us: 93682,
+        counters: Counters {
+            shed: 0,
+            rejected: 0,
+            breaker_trips: 0,
+            scope_breaker_trips: 0,
+            suppressed_sends: 0,
+            cache_hits: 0,
+            cache_misses: 2,
+        },
     },
     Identity {
         fingerprint: 0x0281ef0c15d2a6df,
@@ -214,6 +291,15 @@ const CHAOS: [Identity; 5] = [
         results_fnv: 0x8d304dfc7475f341,
         max_concurrent: 2,
         makespan_us: 292785,
+        counters: Counters {
+            shed: 0,
+            rejected: 0,
+            breaker_trips: 0,
+            scope_breaker_trips: 0,
+            suppressed_sends: 0,
+            cache_hits: 0,
+            cache_misses: 4,
+        },
     },
 ];
 
@@ -273,6 +359,15 @@ fn serial_baseline_over_slow_agents_is_pinned() {
             results_fnv: 0xd4da3c6aa478b8bd,
             max_concurrent: 1,
             makespan_us: 88000,
+            counters: Counters {
+                shed: 0,
+                rejected: 0,
+                breaker_trips: 0,
+                scope_breaker_trips: 0,
+                suppressed_sends: 0,
+                cache_hits: 3,
+                cache_misses: 1,
+            },
         },
     );
 }
@@ -319,6 +414,15 @@ fn breaker_and_bulkhead_overload_with_cancels_is_pinned() {
             results_fnv: 0x93b987bf8ff2db08,
             max_concurrent: 2,
             makespan_us: 40000000,
+            counters: Counters {
+                shed: 5,
+                rejected: 1,
+                breaker_trips: 1,
+                scope_breaker_trips: 0,
+                suppressed_sends: 27,
+                cache_hits: 3,
+                cache_misses: 1,
+            },
         },
     );
 }
@@ -368,6 +472,15 @@ fn adaptive_ladder_over_breakers_with_a_crashed_and_a_slow_agent_is_pinned() {
             results_fnv: 0xa9e197ffbef534ef,
             max_concurrent: 2,
             makespan_us: 14772292,
+            counters: Counters {
+                shed: 0,
+                rejected: 0,
+                breaker_trips: 3,
+                scope_breaker_trips: 0,
+                suppressed_sends: 6,
+                cache_hits: 10,
+                cache_misses: 2,
+            },
         },
     );
 }
@@ -400,6 +513,15 @@ fn a_crash_and_restart_of_an_agent_no_session_engages_is_pinned() {
             results_fnv: 0x8e157bf62263667c,
             max_concurrent: 2,
             makespan_us: 25000,
+            counters: Counters {
+                shed: 0,
+                rejected: 0,
+                breaker_trips: 0,
+                scope_breaker_trips: 0,
+                suppressed_sends: 0,
+                cache_hits: 0,
+                cache_misses: 2,
+            },
         },
     );
 }
@@ -429,6 +551,15 @@ fn an_agent_named_twice_among_the_slow_keeps_its_first_factor_and_is_pinned() {
             results_fnv: 0xa4565f96bb0f30d7,
             max_concurrent: 4,
             makespan_us: 44000,
+            counters: Counters {
+                shed: 0,
+                rejected: 0,
+                breaker_trips: 0,
+                scope_breaker_trips: 0,
+                suppressed_sends: 0,
+                cache_hits: 3,
+                cache_misses: 1,
+            },
         },
     );
 }
@@ -474,6 +605,15 @@ fn bulkhead_sheds_before_and_after_a_control_crash_are_pinned() {
             results_fnv: 0xcc7fb28b0188381b,
             max_concurrent: 1,
             makespan_us: 616000,
+            counters: Counters {
+                shed: 6,
+                rejected: 0,
+                breaker_trips: 0,
+                scope_breaker_trips: 0,
+                suppressed_sends: 0,
+                cache_hits: 1,
+                cache_misses: 1,
+            },
         },
     );
 }

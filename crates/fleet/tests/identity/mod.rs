@@ -3,7 +3,7 @@
 //! `sada-scenario` depends on `sada-fleet`, not the reverse).
 
 use sada_fleet::{run_fleet_sharded, SessionResult, ShardReport, ShardScenario};
-use sada_obs::{fnv1a, text::push_lines};
+use sada_obs::{fnv1a, text::push_lines, FleetEvent, Payload};
 use sada_proto::parse_session_journal;
 
 /// Merged-stream fingerprint, final configuration, restores summed over
@@ -13,8 +13,7 @@ use sada_proto::parse_session_journal;
 /// its text takes), the FNV of the global write-ahead journal, the verdict
 /// tally `(committed, gave up, cancelled, shed, rejected)`, the report rows'
 /// hash (see [`results_fnv`]), the peak of concurrently admitted sessions,
-/// the makespan, and the global tier's retransmission-ladder counts
-/// `(retransmits, abandoned, orphaned releases, lease reclaims)`.
+/// the makespan, and every counter the report carries (see [`Counters`]).
 #[derive(Debug)]
 pub(crate) struct Identity {
     pub fingerprint: u64,
@@ -27,7 +26,55 @@ pub(crate) struct Identity {
     pub results_fnv: u64,
     pub max_concurrent: usize,
     pub makespan_us: u64,
-    pub ladder: (u64, u64, u64, u64),
+    pub counters: Counters,
+}
+
+/// Every counter of a sharded report, summed over its planes: admission
+/// (sheds, rejections, agent and scope breaker trips, suppressed sends),
+/// the plan caches, the fabric's faults, and the global tier's
+/// retransmission ladder with the regions' leases.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Counters {
+    pub shed: u64,
+    pub rejected: u64,
+    pub breaker_trips: u64,
+    pub scope_breaker_trips: u64,
+    pub suppressed_sends: u64,
+    pub cache_hits: u64,
+    pub cache_misses: u64,
+    pub dropped: u64,
+    pub duplicated: u64,
+    pub delayed: u64,
+    pub retransmits: u64,
+    pub abandoned: u64,
+    pub orphaned_releases: u64,
+    pub lease_reclaims: u64,
+    pub lease_expirations: u64,
+}
+
+/// `report`'s counters.
+fn counters(report: &ShardReport) -> Counters {
+    let scope_trips = report
+        .events
+        .iter()
+        .filter(|e| matches!(e.payload, Payload::Fleet(FleetEvent::ScopeBreakerOpened { .. })));
+    Counters {
+        shed: report.shed,
+        rejected: report.rejected,
+        breaker_trips: report.breaker_trips,
+        scope_breaker_trips: scope_trips.count() as u64,
+        suppressed_sends: report.suppressed_sends,
+        cache_hits: report.per_shard.iter().map(|s| s.cache_hits).sum(),
+        cache_misses: report.per_shard.iter().map(|s| s.cache_misses).sum(),
+        dropped: report.fabric.dropped,
+        duplicated: report.fabric.duplicated,
+        delayed: report.fabric.delayed,
+        retransmits: report.retransmits,
+        abandoned: report.abandoned,
+        orphaned_releases: report.orphaned_releases,
+        lease_reclaims: report.lease_reclaims,
+        lease_expirations: report.lease_expirations,
+    }
 }
 
 /// FNV-1a over one line per report row, every field in a fixed text form:
@@ -77,8 +124,7 @@ fn assert_identity(what: &str, report: &ShardReport, want: &Identity) {
         report.journals.iter().map(|(_, text)| records_fnv(text)).collect();
     let global_journal_fnv = fnv1a(&report.global_journal);
     let rows = (results_fnv(&report.results), report.max_concurrent, report.makespan_us);
-    let ladder =
-        (report.retransmits, report.abandoned, report.orphaned_releases, report.lease_reclaims);
+    let counters = counters(report);
     let got = (
         report.fingerprint,
         report.final_config.as_str(),
@@ -87,7 +133,7 @@ fn assert_identity(what: &str, report: &ShardReport, want: &Identity) {
         global_journal_fnv,
         verdicts,
         rows,
-        ladder,
+        &counters,
     );
     let want_tuple = (
         want.fingerprint,
@@ -97,14 +143,14 @@ fn assert_identity(what: &str, report: &ShardReport, want: &Identity) {
         want.global_journal_fnv,
         want.verdicts,
         (want.results_fnv, want.max_concurrent, want.makespan_us),
-        want.ladder,
+        &want.counters,
     );
     assert!(
         got == want_tuple,
         "{what}: identity moved, want {want:?}, got\nIdentity {{ fingerprint: {:#018x}, \
          final_config: {:?}, restores: {}, journal_fnvs: &[{}], records_fnvs: &[{}], \
          global_journal_fnv: {global_journal_fnv:#018x}, verdicts: {verdicts:?}, \
-         results_fnv: {:#018x}, max_concurrent: {}, makespan_us: {}, ladder: {ladder:?} }}",
+         results_fnv: {:#018x}, max_concurrent: {}, makespan_us: {}, counters: {counters:?} }}",
         report.fingerprint,
         report.final_config,
         report.restores,

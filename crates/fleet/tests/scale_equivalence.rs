@@ -13,14 +13,16 @@
 //!    network counters all match, crashed-destination drops included.
 //! 2. At the fleet layer, a sharded run (whose fabric now injects whole
 //!    sorted batches per arrival instant) produces byte-identical merged
-//!    event streams at 1, 2, and 4 worker threads, with fabric chaos and
-//!    a region crash in play.
+//!    event streams and every report counter at 1, 2, and 4 worker
+//!    threads, with fabric chaos and a region crash in play.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
-use sada_fleet::{run_fleet_sharded, FabricFaultPlan, FleetScenario, SessionSpec, ShardScenario};
+use sada_fleet::{
+    run_fleet_sharded, FabricFaultPlan, FleetScenario, SessionSpec, ShardReport, ShardScenario,
+};
 use sada_obs::{Bus, RingSink};
 use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime, Simulator};
 
@@ -139,12 +141,27 @@ fn chaos_scenario(seed: u64) -> ShardScenario {
     scn
 }
 
+/// Every counter of a sharded report: admission, the plan caches, the
+/// fabric's faults, the retransmission ladder and the leases.
+fn counters(r: &ShardReport) -> Vec<u64> {
+    let cache = r.per_shard.iter().map(|s| (s.cache_hits, s.cache_misses, s.restores));
+    let (f, admission) = (&r.fabric, [r.shed, r.rejected, r.breaker_trips, r.suppressed_sends]);
+    let fabric = [f.dropped, f.duplicated, f.delayed, r.retransmits, r.abandoned];
+    let leases = [r.orphaned_releases, r.lease_reclaims, r.lease_expirations, r.restores];
+    admission
+        .into_iter()
+        .chain(cache.flat_map(|(h, m, r)| [h, m, r]))
+        .chain(fabric)
+        .chain(leases)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Batched fabric injection stays thread-count invariant under chaos:
-    /// 1/2/4 workers give byte-identical merged streams, journals, and
-    /// results even with fabric faults and a region crash in play.
+    /// 1/2/4 workers give byte-identical merged streams, journals, results
+    /// and counters even with fabric faults and a region crash in play.
     #[test]
     fn chaotic_sharded_runs_are_thread_count_invariant(seed in 1u64..u64::MAX) {
         let scn = chaos_scenario(seed);
@@ -156,6 +173,7 @@ proptest! {
             prop_assert_eq!(&run.results, &base.results, "threads={}", threads);
             prop_assert_eq!(&run.journals, &base.journals, "threads={}", threads);
             prop_assert_eq!(&run.global_journal, &base.global_journal, "threads={}", threads);
+            prop_assert_eq!(counters(&run), counters(&base), "threads={}", threads);
         }
     }
 }

@@ -13,11 +13,13 @@
 //! report-row hash, peak concurrency and makespan were captured while the
 //! global tier still patched its own submission and withdrawal instants
 //! into the report. The retransmission-ladder counts were captured while
-//! the global tier still ran its own ladder beside its manager host.
+//! the global tier still ran its own ladder beside its manager host. The
+//! report counters were captured while each was still incremented by hand
+//! beside the event that says the same thing.
 
 mod identity;
 
-use identity::{assert_pinned, Identity};
+use identity::{assert_pinned, Counters, Identity};
 use sada_fleet::{
     disjoint_wave, run_fleet_sharded, FabricFaultPlan, FleetScenario, SessionSpec, ShardScenario,
 };
@@ -78,7 +80,23 @@ fn straddlers_over_four_regions_are_pinned() {
             results_fnv: 0x77ba76eb232afde2,
             max_concurrent: 8,
             makespan_us: 83000,
-            ladder: (0, 0, 0, 0),
+            counters: Counters {
+                shed: 0,
+                rejected: 0,
+                breaker_trips: 0,
+                scope_breaker_trips: 0,
+                suppressed_sends: 0,
+                cache_hits: 4,
+                cache_misses: 7,
+                dropped: 0,
+                duplicated: 0,
+                delayed: 0,
+                retransmits: 0,
+                abandoned: 0,
+                orphaned_releases: 0,
+                lease_reclaims: 0,
+                lease_expirations: 0,
+            },
         },
     );
 }
@@ -123,7 +141,23 @@ fn region_and_global_crashes_over_a_lossy_fabric_are_pinned() {
             results_fnv: 0xa73bf1c790553574,
             max_concurrent: 8,
             makespan_us: 1687000,
-            ladder: (11, 0, 0, 1),
+            counters: Counters {
+                shed: 0,
+                rejected: 0,
+                breaker_trips: 0,
+                scope_breaker_trips: 0,
+                suppressed_sends: 0,
+                cache_hits: 4,
+                cache_misses: 7,
+                dropped: 8,
+                duplicated: 5,
+                delayed: 6,
+                retransmits: 11,
+                abandoned: 0,
+                orphaned_releases: 0,
+                lease_reclaims: 1,
+                lease_expirations: 0,
+            },
         },
     );
 }
@@ -176,7 +210,23 @@ fn straddlers_withdrawn_mid_escalation_around_a_global_crash_are_pinned() {
             results_fnv: 0xcffabf85b67a263c,
             max_concurrent: 8,
             makespan_us: 472000,
-            ladder: (0, 0, 0, 2),
+            counters: Counters {
+                shed: 0,
+                rejected: 0,
+                breaker_trips: 0,
+                scope_breaker_trips: 0,
+                suppressed_sends: 0,
+                cache_hits: 4,
+                cache_misses: 7,
+                dropped: 0,
+                duplicated: 0,
+                delayed: 0,
+                retransmits: 0,
+                abandoned: 0,
+                orphaned_releases: 0,
+                lease_reclaims: 2,
+                lease_expirations: 0,
+            },
         },
     );
 }
@@ -209,7 +259,23 @@ fn global_crash_mid_handshake_is_pinned() {
             results_fnv: 0xf3c0104e2cb34506,
             max_concurrent: 4,
             makespan_us: 32000,
-            ladder: (0, 0, 0, 1),
+            counters: Counters {
+                shed: 0,
+                rejected: 0,
+                breaker_trips: 0,
+                scope_breaker_trips: 0,
+                suppressed_sends: 0,
+                cache_hits: 2,
+                cache_misses: 3,
+                dropped: 0,
+                duplicated: 0,
+                delayed: 0,
+                retransmits: 0,
+                abandoned: 0,
+                orphaned_releases: 0,
+                lease_reclaims: 1,
+                lease_expirations: 0,
+            },
         },
     );
 }

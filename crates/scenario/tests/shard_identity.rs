@@ -10,7 +10,7 @@
 #[path = "../../fleet/tests/identity/mod.rs"]
 mod identity;
 
-use identity::{assert_pinned, Identity};
+use identity::{assert_pinned, Counters, Identity};
 use sada_fleet::ShardScenario;
 use sada_scenario::{generate, ScenarioConfig};
 
@@ -43,7 +43,23 @@ fn generated_serverless_world_is_pinned() {
             results_fnv: 0x4bebdb5f48f401da,
             max_concurrent: 2,
             makespan_us: 1037119,
-            ladder: (0, 0, 0, 0),
+            counters: Counters {
+                shed: 0,
+                rejected: 0,
+                breaker_trips: 0,
+                scope_breaker_trips: 0,
+                suppressed_sends: 0,
+                cache_hits: 7,
+                cache_misses: 17,
+                dropped: 0,
+                duplicated: 0,
+                delayed: 0,
+                retransmits: 0,
+                abandoned: 0,
+                orphaned_releases: 0,
+                lease_reclaims: 0,
+                lease_expirations: 0,
+            },
         },
     );
 }
@@ -75,7 +91,23 @@ fn generated_iaas_world_is_pinned() {
             results_fnv: 0xd64cfab61002c9d5,
             max_concurrent: 4,
             makespan_us: 896095,
-            ladder: (0, 0, 0, 0),
+            counters: Counters {
+                shed: 0,
+                rejected: 0,
+                breaker_trips: 0,
+                scope_breaker_trips: 0,
+                suppressed_sends: 0,
+                cache_hits: 2,
+                cache_misses: 13,
+                dropped: 0,
+                duplicated: 0,
+                delayed: 0,
+                retransmits: 0,
+                abandoned: 0,
+                orphaned_releases: 0,
+                lease_reclaims: 0,
+                lease_expirations: 0,
+            },
         },
     );
 }
