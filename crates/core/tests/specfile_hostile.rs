@@ -10,12 +10,13 @@ mod hostile;
 use hostile::hostile;
 use proptest::prelude::*;
 use sada_core::specfile::parse_spec_file;
+use sada_expr::MAX_NESTING;
 
 #[rustfmt::skip]
 const TOKENS: &[&str] = &[
     "[processes]\n", "[components]\n", "[invariants]\n", "[actions]\n", "[channels]\n", "[", "]",
     "@", " @ ", "->", " -> ", "cost", " cost ", "drain", " drain", "+", "-", "(", ")", ",", ", ",
-    "A", "B", "host", "one_of(A, B)", "A => B",
+    "A", "B", "host", "one_of(A, B)", "A => B", "((((((((((((((((", "!!!!!!!!!!!!!!!!",
 ];
 
 const VALID: &str = "[processes]\nhost\nedge\n[components]\nA @ host\nB @ edge\n\
@@ -76,4 +77,24 @@ fn the_valid_corpus_parses() {
     let spec = parse_spec_file(VALID).unwrap();
     assert_eq!((spec.universe().len(), spec.actions().len()), (2, 4));
     assert_eq!((spec.model().channels().len(), spec.drain_actions().len()), (1, 1));
+}
+
+/// [`VALID`] with its invariant nested `depth` levels deep.
+fn nested(depth: usize) -> String {
+    let invariant = format!("{}one_of(A, B){}", "(".repeat(depth - 1), ")".repeat(depth - 1));
+    VALID.replace("one_of(A, B)", &invariant)
+}
+
+/// An invariant nested exactly as deep as the parser allows compiles into a
+/// spec on the test's own thread; one nested 10 000 levels deep is a
+/// rejection at its line, not an aborted process.
+#[test]
+fn an_invariant_nested_to_the_bound_compiles_and_one_past_it_is_rejected() {
+    let spec = parse_spec_file(&nested(MAX_NESTING)).expect("nesting up to the bound compiles");
+    assert_eq!(spec.safe_configs().len(), 2, "the nesting changes nothing it says");
+    for depth in [MAX_NESTING + 1, 10_000] {
+        let err = parse_spec_file(&nested(depth)).unwrap_err();
+        assert_eq!(err.line, 8, "the invariant's line");
+        assert!(err.to_string().contains("nested deeper than 64 levels"), "{err}");
+    }
 }

@@ -1,7 +1,8 @@
 //! Hostile text against a line-oriented parser, written once for every
 //! format built on `sada_obs::text` (shared by `sada-fleet`'s and
 //! `sada-scenario`'s `hostile_text` tests; the latter includes this file by
-//! path, as `shard_identity` does with `identity/`).
+//! path, as `shard_identity` does with `identity/`, and so do the spec
+//! file's and the ptLTL parser's tests).
 //!
 //! Two tools. [`hostile`] generates text stitched from a format's own
 //! tokens, near-tokens, multi-byte characters and valid lines cut short, and
@@ -13,7 +14,7 @@
 use std::fmt::Debug;
 
 use proptest::prelude::*;
-use sada_simnet::text::ParseError;
+use sada_obs::text::ParseError;
 
 /// What every format shares: separators, list and comment punctuation,
 /// digits at the edge of the integer widths, and characters of two, three

@@ -25,6 +25,11 @@ use std::fmt;
 use crate::config::Universe;
 use crate::expr::Expr;
 
+/// The deepest nesting an invariant may have — a parenthesis, a `one_of`
+/// operand, a `!` and the right side of `=>` are one level each — so that
+/// no text descends the parser past a default thread's stack.
+pub const MAX_NESTING: usize = 64;
+
 /// An error produced while parsing an invariant expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -151,6 +156,7 @@ struct Parser<'a, 's> {
     universe: &'a mut Universe,
     operands: &'a mut Vec<Expr>,
     src_len: usize,
+    depth: usize,
 }
 
 type Rule = fn(&mut Parser<'_, '_>) -> Result<Expr, ParseError>;
@@ -184,6 +190,18 @@ impl<'s> Parser<'_, 's> {
         self.iff()
     }
 
+    /// `rule`, one level of nesting deeper.
+    fn nested(&mut self, rule: Rule) -> Result<Expr, ParseError> {
+        if self.depth == MAX_NESTING {
+            let msg = format!("nested deeper than {MAX_NESTING} levels");
+            return Err(ParseError { at: self.here(), msg });
+        }
+        self.depth += 1;
+        let e = rule(self);
+        self.depth -= 1;
+        e
+    }
+
     fn iff(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.implies()?;
         while self.peek() == Some(Tok::DArrow) {
@@ -199,7 +217,7 @@ impl<'s> Parser<'_, 's> {
         if self.peek() == Some(Tok::Arrow) {
             self.bump();
             // Right-associative: a => b => c ≡ a => (b => c).
-            let rhs = self.implies()?;
+            let rhs = self.nested(|p| p.implies())?;
             Ok(lhs.implies(rhs))
         } else {
             Ok(lhs)
@@ -244,7 +262,7 @@ impl<'s> Parser<'_, 's> {
     fn unary(&mut self) -> Result<Expr, ParseError> {
         if self.peek() == Some(Tok::Bang) {
             self.bump();
-            Ok(Expr::not(self.unary()?))
+            Ok(Expr::not(self.nested(|p| p.unary())?))
         } else {
             self.atom()
         }
@@ -257,7 +275,7 @@ impl<'s> Parser<'_, 's> {
             Some(Tok::False) => Ok(Expr::Const(false)),
             Some(Tok::Ident(name)) => Ok(Expr::var(self.universe.intern(name))),
             Some(Tok::LParen) => {
-                let e = self.expr()?;
+                let e = self.nested(|p| p.expr())?;
                 self.expect(Tok::RParen, "')'")?;
                 Ok(e)
             }
@@ -265,11 +283,11 @@ impl<'s> Parser<'_, 's> {
                 self.expect(Tok::LParen, "'(' after one_of")?;
                 let mine = self.operands.len();
                 if self.peek() != Some(Tok::RParen) {
-                    let item = self.expr()?;
+                    let item = self.nested(|p| p.expr())?;
                     self.operands.push(item);
                     while self.peek() == Some(Tok::Comma) {
                         self.bump();
-                        let item = self.expr()?;
+                        let item = self.nested(|p| p.expr())?;
                         self.operands.push(item);
                     }
                 }
@@ -302,6 +320,7 @@ pub(crate) fn parse_with<'s>(
         universe,
         operands: &mut scratch.operands,
         src_len: src.len(),
+        depth: 0,
     };
     let e = p.expr()?;
     if p.pos != p.toks.len() {
@@ -316,7 +335,7 @@ pub(crate) fn parse_with<'s>(
 /// # Errors
 ///
 /// Returns a [`ParseError`] pinpointing the first offending byte on invalid
-/// syntax or trailing input.
+/// syntax, trailing input, or nesting deeper than [`MAX_NESTING`].
 ///
 /// # Examples
 ///

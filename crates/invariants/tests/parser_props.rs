@@ -1,19 +1,54 @@
-//! Property corpus for the invariant parser: no text makes it panic, and
-//! what an expression prints is what parses back to it.
+//! Property corpus for the invariant parser: no text makes it panic, not
+//! even one nested past the parser's bound, and what an expression prints
+//! is what parses back to it.
 
 use proptest::prelude::*;
 
-use sada_expr::{parse_expr, CompId, Expr, Universe};
+use sada_expr::{parse_expr, CompId, Expr, Universe, MAX_NESTING};
 
 /// Source text stitched from the language's own tokens, near-tokens, and
 /// multi-byte characters — so that `<`, `=` and identifiers end up hard
-/// against a multi-byte character and at the end of the input — plus
-/// arbitrary characters.
+/// against a multi-byte character and at the end of the input — runs of
+/// nesting, a dozen of which pass the parser's bound, plus arbitrary
+/// characters.
 fn arb_source() -> BoxedStrategy<String> {
     let fragments = vec![
-        "<", "=", ">", "<=", "<=>", "=>", "(", ")", ",", "!", "&", ".", "|", "^", " ", "\t", "\n",
-        "A", "b_2", "_", "one_of", "one_of(", "true", "false", "0", "é", "→", "😀", "\u{a0}",
-        "\u{0}", "ß", "Ω",
+        "<",
+        "=",
+        ">",
+        "<=",
+        "<=>",
+        "=>",
+        "(",
+        ")",
+        ",",
+        "!",
+        "&",
+        ".",
+        "|",
+        "^",
+        " ",
+        "\t",
+        "\n",
+        "A",
+        "b_2",
+        "_",
+        "one_of",
+        "one_of(",
+        "true",
+        "false",
+        "0",
+        "é",
+        "→",
+        "😀",
+        "\u{a0}",
+        "\u{0}",
+        "ß",
+        "Ω",
+        "((((((((((((((((",
+        "!!!!!!!!!!!!!!!!",
+        "one_of(one_of(one_of(one_of(",
+        "A => A => A => A => A => A => ",
     ];
     let fragment = prop::sample::select(fragments).prop_map(str::to_string);
     let any_char = any::<u32>().prop_map(|bits| {
@@ -71,5 +106,22 @@ proptest! {
         let text = e.display(&u).to_string();
         prop_assert_eq!(parse_expr(&text, &mut u), Ok(e), "{}", text);
         prop_assert_eq!(u.len(), NVARS, "no name was invented on the way");
+    }
+}
+
+/// `src` nested `depth` levels deep around `A`, by `open` and `close`.
+fn nest(depth: usize, open: &str, close: &str) -> String {
+    format!("{}A{}", open.repeat(depth), close.repeat(depth))
+}
+
+#[test]
+fn nesting_parses_to_the_bound_and_is_an_error_past_it() {
+    let mut u = Universe::new();
+    for (open, close) in [("(", ")"), ("!", ""), ("one_of(", ")"), ("A => ", "")] {
+        assert!(parse_expr(&nest(MAX_NESTING, open, close), &mut u).is_ok(), "{open}");
+        for depth in [MAX_NESTING + 1, 10_000] {
+            let err = parse_expr(&nest(depth, open, close), &mut u).unwrap_err();
+            assert!(err.to_string().contains("nested deeper than 64 levels"), "{open}: {err}");
+        }
     }
 }

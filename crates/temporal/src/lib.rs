@@ -51,4 +51,4 @@ mod parser;
 pub use formula::Formula;
 pub use monitor::Monitor;
 pub use obligations::{ObligationEvent, ResponseSpec, SafeStateMonitor};
-pub use parser::{parse_formula, TlParseError};
+pub use parser::{parse_formula, TlParseError, MAX_NESTING};

@@ -18,6 +18,11 @@ use std::fmt;
 
 use crate::formula::Formula;
 
+/// The deepest nesting a formula may have — a parenthesis, a unary
+/// operator and the right side of `=>` are one level each — so that no text
+/// descends the parser past a default thread's stack.
+pub const MAX_NESTING: usize = 64;
+
 /// A ptLTL syntax error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TlParseError {
@@ -121,7 +126,10 @@ struct P {
     toks: Vec<(usize, Tok)>,
     pos: usize,
     len: usize,
+    depth: usize,
 }
+
+type Rule = fn(&mut P) -> Result<Formula, TlParseError>;
 
 impl P {
     fn peek(&self) -> Option<&Tok> {
@@ -144,11 +152,23 @@ impl P {
         self.implies()
     }
 
+    /// `rule`, one level of nesting deeper.
+    fn nested(&mut self, rule: Rule) -> Result<Formula, TlParseError> {
+        if self.depth == MAX_NESTING {
+            let msg = format!("nested deeper than {MAX_NESTING} levels");
+            return Err(TlParseError { at: self.here(), msg });
+        }
+        self.depth += 1;
+        let f = rule(self);
+        self.depth -= 1;
+        f
+    }
+
     fn implies(&mut self) -> Result<Formula, TlParseError> {
         let lhs = self.since()?;
         if self.peek() == Some(&Tok::Arrow) {
             self.bump();
-            let rhs = self.implies()?;
+            let rhs = self.nested(P::implies)?;
             Ok(Formula::implies(lhs, rhs))
         } else {
             Ok(lhs)
@@ -184,25 +204,15 @@ impl P {
     }
 
     fn unary(&mut self) -> Result<Formula, TlParseError> {
-        match self.peek() {
-            Some(Tok::Bang) => {
-                self.bump();
-                Ok(Formula::not(self.unary()?))
-            }
-            Some(Tok::KwYesterday) => {
-                self.bump();
-                Ok(Formula::yesterday(self.unary()?))
-            }
-            Some(Tok::KwOnce) => {
-                self.bump();
-                Ok(Formula::once(self.unary()?))
-            }
-            Some(Tok::KwHistorically) => {
-                self.bump();
-                Ok(Formula::historically(self.unary()?))
-            }
-            _ => self.atom(),
-        }
+        let op: fn(Formula) -> Formula = match self.peek() {
+            Some(Tok::Bang) => Formula::not,
+            Some(Tok::KwYesterday) => Formula::yesterday,
+            Some(Tok::KwOnce) => Formula::once,
+            Some(Tok::KwHistorically) => Formula::historically,
+            _ => return self.atom(),
+        };
+        self.bump();
+        Ok(op(self.nested(P::unary)?))
     }
 
     fn atom(&mut self) -> Result<Formula, TlParseError> {
@@ -212,7 +222,7 @@ impl P {
             Some(Tok::KwFalse) => Ok(Formula::Const(false)),
             Some(Tok::Ident(name)) => Ok(Formula::Atom(name)),
             Some(Tok::LParen) => {
-                let f = self.formula()?;
+                let f = self.nested(P::formula)?;
                 match self.bump() {
                     Some(Tok::RParen) => Ok(f),
                     other => Err(TlParseError {
@@ -230,7 +240,8 @@ impl P {
 ///
 /// # Errors
 ///
-/// Returns [`TlParseError`] on invalid syntax or trailing input.
+/// Returns [`TlParseError`] on invalid syntax, trailing input, or nesting
+/// deeper than [`MAX_NESTING`].
 ///
 /// # Examples
 ///
@@ -244,7 +255,7 @@ impl P {
 /// ```
 pub fn parse_formula(src: &str) -> Result<Formula, TlParseError> {
     let toks = lex(src)?;
-    let mut p = P { toks, pos: 0, len: src.len() };
+    let mut p = P { toks, pos: 0, len: src.len(), depth: 0 };
     let f = p.formula()?;
     if p.pos != p.toks.len() {
         return Err(TlParseError { at: p.here(), msg: "trailing input".into() });

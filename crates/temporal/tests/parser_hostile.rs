@@ -1,0 +1,57 @@
+//! `parse_formula` against hostile text: never a panic, not even nested
+//! past the parser's bound, and what parses prints back to itself. The
+//! generator is `sada-fleet`'s hostile-text harness, included by path as
+//! the spec file's test does.
+
+#[allow(dead_code)] // this test draws texts from the harness; it checks them itself
+#[path = "../../fleet/tests/hostile/mod.rs"]
+mod hostile;
+
+use hostile::hostile;
+use proptest::prelude::*;
+use sada_tl::{parse_formula, MAX_NESTING};
+
+/// The language's tokens and near-tokens, and runs of nesting: a handful of
+/// them pass the parser's bound.
+#[rustfmt::skip]
+const TOKENS: &[&str] = &[
+    "(", ")", "!", "&", "|", "=>", "=", ">", "since", "yesterday", "once", "historically", "a",
+    "b_2", "_", "sinc", "((((((((((((((((", "!!!!!!!!!!!!!!!!", "once yesterday once yesterday ",
+    "a => a => a => a => a => a => a => a => ",
+];
+
+/// Well-formed formulas, one a line.
+const VALID: &str =
+    "historically (send => once ready)\n!a since (b & yesterday c)\n(a | b) & !false\n";
+
+proptest! {
+    /// A formula prints with every binary node in parentheses, so its
+    /// printed form may nest past the bound the text it came from kept
+    /// within: then, and only then, the printed form is refused.
+    #[test]
+    fn no_text_panics_the_formula_parser(text in hostile(TOKENS, VALID)) {
+        if let Ok(f) = parse_formula(&text) {
+            let printed = f.to_string();
+            match parse_formula(&printed) {
+                Ok(back) => prop_assert_eq!(back, f, "{:?} printed as {:?}", text, printed),
+                Err(e) => prop_assert!(e.to_string().contains("nested deeper than"), "{}", e),
+            }
+        }
+    }
+}
+
+/// `depth` levels of `open` around `a`, closed by as many `close`.
+fn nest(depth: usize, open: &str, close: &str) -> String {
+    format!("{}a{}", open.repeat(depth), close.repeat(depth))
+}
+
+#[test]
+fn nesting_parses_to_the_bound_and_is_an_error_past_it() {
+    for (open, close) in [("(", ")"), ("!", ""), ("historically ", ""), ("a => ", "")] {
+        assert!(parse_formula(&nest(MAX_NESTING, open, close)).is_ok(), "{open}");
+        for depth in [MAX_NESTING + 1, 10_000] {
+            let err = parse_formula(&nest(depth, open, close)).unwrap_err().to_string();
+            assert!(err.contains("nested deeper than 64 levels"), "{open}: {err}");
+        }
+    }
+}
