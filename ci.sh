@@ -57,6 +57,13 @@ if grep -rn 'HashMap<u64, SimTime>\|HashMap<u64, Outcome>\|SessionEnd\|cancelled
 echo "==> one account of network events (the bus's Net events; no trace projection of them in the simulator)"
 if grep -rn 'TraceEvent\|set_trace_enabled' crates/*/src; then echo "a second projection of the bus's Net events"; exit 1; fi
 
+echo "==> one account of counts (a report's counters are read from the sada_obs::Counts fold of its stream; no counter incremented by hand beside its event)"
+if grep -rn 'CounterSink' crates/*/src; then echo "a second per-kind tally beside sada_obs::Counts"; exit 1; fi
+# Non-test fleet code only: each of these counted what an event already says.
+if for f in crates/fleet/src/*.rs; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" '\b(shed_count|rejected_count|scope_breaker_trips|restores|retransmits|abandoned|lease_reclaims|lease_expirations|dropped|duplicated|delayed) \+= 1' || true
+done | grep .; then echo "a fleet counter kept by hand beside the event it counts"; exit 1; fi
+
 echo "==> every journal is rendered (FleetScenario::render_journal is set only by the referee, until it is deleted)"
 if grep -rn 'render_journal' --include='*.rs' crates src tests examples | grep -v '^crates/fleet/src/driver.rs:'; then echo "render_journal used outside benchmark/ and its definition in crates/fleet/src/driver.rs"; exit 1; fi
 
@@ -120,6 +127,9 @@ cargo run -q --release -p sada-bench --bin report -- timeline 3 > /dev/null
 
 echo "==> trace diff smoke (the golden trace against itself is identical)"
 cargo run -q --release -p sada-bench --bin report -- diff tests/golden/quickstart_trace.jsonl tests/golden/quickstart_trace.jsonl | grep -qx 'identical (49 events)'
+
+echo "==> trace counts smoke (the golden trace's 49 events, rebuilt per kind from the trace alone)"
+cargo run -q --release -p sada-bench --bin report -- counts tests/golden/quickstart_trace.jsonl | awk '{ n += $2 } END { print n }' | grep -qx 49
 
 echo "==> fleet control-plane smoke (100 groups, concurrent sessions + crash/restore leg)"
 cargo run -q --release -p sada-bench --bin report -- fleet > /dev/null

@@ -21,6 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sada_fleet::{measure_capacity, run_overload, OverloadConfig, OverloadReport};
+use sada_obs::Kind;
 
 const GROUPS: usize = 12;
 const SEED: u64 = 42;
@@ -63,9 +64,9 @@ fn row(label: &str, load: u32, r: &OverloadReport) -> String {
         r.succeeded,
         r.committed_flips,
         r.goodput_per_sec,
-        r.shed,
-        r.rejected,
-        r.breaker_trips,
+        r.counts[Kind::SessionShed],
+        r.counts[Kind::SessionRejected] + r.counts[Kind::ScopeRejected],
+        r.counts[Kind::BreakerOpened],
         r.suppressed_sends,
         r.p50_admission_us,
         r.p99_admission_us,
@@ -103,8 +104,9 @@ fn write_bench_json() {
                  ({} vs {P99_ADMISSION_BOUND_US} us)",
                 prot.p99_admission_us,
             );
-            assert!(prot.breaker_trips > 0, "the flapping agent must trip its breaker");
-            assert!(prot.shed > 0, "4x overload must exercise the bulkhead");
+            let c = &prot.counts;
+            assert!(c[Kind::BreakerOpened] > 0, "the flapping agent must trip its breaker");
+            assert!(c[Kind::SessionShed] > 0, "4x overload must exercise the bulkhead");
             // Determinism: a second identical run reproduces the exact
             // event stream, not just the aggregates.
             let again = run_overload(&OverloadConfig::protected(GROUPS, load, SEED), capacity);

@@ -27,7 +27,9 @@
 //!
 //! `report -- diff A.jsonl B.jsonl` is no section of the paper: it decodes
 //! two JSONL traces and prints where they part (see `diff`). It exits 1
-//! when they do, and 2 when a trace cannot be read.
+//! when they do, and 2 when a trace cannot be read. `report -- counts
+//! TRACE.jsonl` rebuilds a run's counters from its trace alone: one `kind
+//! count` line per kind the trace carries, in table order.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -37,8 +39,7 @@ use sada_core::casestudy::{case_study, PAPER_MAP, PAPER_MAP_COST, TABLE1_ROWS};
 use sada_core::{run_adaptation, RunConfig};
 use sada_expr::{enumerate, CompId};
 use sada_obs::{
-    decode_lines, encode_event, AuditEvent, Bus, CounterSink, Event, Metrics, Payload, RingSink,
-    TemporalEvent,
+    decode_lines, encode_event, AuditEvent, Bus, Counts, Event, Kind, Metrics, Payload, RingSink,
 };
 use sada_plan::{lazy, Search};
 use sada_proto::{
@@ -502,50 +503,47 @@ fn inference() {
     println!("safe-configuration set matches Table 1: {}", if same { "YES" } else { "NO" });
 }
 
-/// Attaches a ring + counter pair to `bus` and returns the handles; the
+/// Attaches a ring and a [`Counts`] to `bus` and returns the handles; the
 /// caller reads them back out after the run.
-fn tap(bus: &Bus) -> (Rc<RefCell<RingSink>>, Rc<RefCell<CounterSink>>) {
+fn tap(bus: &Bus) -> (Rc<RefCell<RingSink>>, Rc<RefCell<Counts>>) {
     let ring = Rc::new(RefCell::new(RingSink::new(1 << 20)));
-    let counters = Rc::new(RefCell::new(CounterSink::new()));
+    let counts = Rc::new(RefCell::new(Counts::new()));
     bus.attach(&ring);
-    bus.attach(&counters);
-    (ring, counters)
+    bus.attach(&counts);
+    (ring, counts)
 }
 
 /// Renders one captured stream: per-phase latency table, layer counts, and
 /// the temporal monitor's derived verdicts — all from the same events.
-fn render_stream(events: &[Event], counters: &CounterSink) {
+fn render_stream(events: &[Event], counts: &Counts) {
     let m = Metrics::from_events(events);
-    println!(
-        "events: {} (net {} / proto {} / audit {} / plan {}), span {}",
-        counters.total,
-        counters.net_sent
-            + counters.net_delivered
-            + counters.net_dropped
-            + counters.timers_fired
-            + counters.crashes
-            + counters.restarts,
-        counters.proto,
-        counters.audit,
-        counters.plan,
-        m.span
-    );
+    let layers: Vec<String> =
+        counts.layers().iter().map(|(layer, n)| format!("{layer} {n}")).collect();
+    println!("events: {} ({}), span {}", counts.total(), layers.join(" / "), m.span);
     println!("  {:<24} {:>12}", "protocol phase", "time");
     for (label, d) in m.phase_rows() {
         println!("  {:<24} {:>12}", label, format!("{d}"));
     }
     println!("  {:<24} {:>12}", "total (non-running)", format!("{}", m.total_phase_time()));
+    use Kind::*;
+    let [sent, delivered, dropped, timers, crashes, restarts] =
+        [Sent, Delivered, Dropped, TimerFired, Crashed, Restarted].map(|k| m.counts[k]);
     println!(
-        "network:  sent={} delivered={} dropped={} timers={} crashes={} restarts={}",
-        m.sent, m.delivered, m.dropped, m.timers_fired, m.crashes, m.restarts
+        "network:  sent={sent} delivered={delivered} dropped={dropped} timers={timers} \
+         crashes={crashes} restarts={restarts}"
     );
+    let [committed, started, timeouts, retries, rollbacks, rejoins] =
+        [StepCommitted, StepStarted, TimeoutFired, RetrySent, RollbackIssued, RejoinReceived]
+            .map(|k| m.counts[k]);
     println!(
-        "protocol: steps {}/{} committed, timeouts={} retries={} rollbacks={} rejoins={}",
-        m.steps_committed, m.steps_started, m.timeouts, m.retries, m.rollbacks, m.rejoins
+        "protocol: steps {committed}/{started} committed, timeouts={timeouts} retries={retries} \
+         rollbacks={rollbacks} rejoins={rejoins}"
     );
+    let [appends, restores, queries, reports] =
+        [JournalAppended, ManagerRestored, StateQueried, StateReported].map(|k| m.counts[k]);
     println!(
-        "journal:  appends={} manager-restores={} state-queries={} state-reports={}",
-        m.journal_appends, m.manager_restores, m.state_queries, m.state_reports
+        "journal:  appends={appends} manager-restores={restores} state-queries={queries} \
+         state-reports={reports}"
     );
     // Feed the very same stream to the temporal monitor: which components
     // carried segment obligations, and when was adaptation provably safe?
@@ -561,23 +559,14 @@ fn render_stream(events: &[Event], counters: &CounterSink) {
         }
     }
     let comps: Vec<CompId> = comp_ixs.into_iter().map(CompId::from_index).collect();
-    let derived = sada_tl::audit_bridge::derive_temporal_events(events, &comps);
-    let count = |f: fn(&TemporalEvent) -> bool| {
-        derived
-            .iter()
-            .filter(|e| match &e.payload {
-                Payload::Temporal(t) => f(t),
-                _ => false,
-            })
-            .count()
-    };
+    let derived = Counts::of(&sada_tl::audit_bridge::derive_temporal_events(events, &comps));
     println!(
         "temporal: {} obligations opened, {} discharged, {} safe-point re-entries \
          ({} audit facts, {} monitored components)",
-        count(|t| matches!(t, TemporalEvent::ObligationOpened { .. })),
-        count(|t| matches!(t, TemporalEvent::ObligationDischarged { .. })),
-        count(|t| matches!(t, TemporalEvent::SafePoint { .. })),
-        m.audit_events,
+        derived[Kind::ObligationOpened],
+        derived[Kind::ObligationDischarged],
+        derived[Kind::SafePoint],
+        m.counts.layers().into_iter().find(|&(layer, _)| layer == "audit").map_or(0, |(_, n)| n),
         comps.len()
     );
 }
@@ -595,7 +584,7 @@ fn timeline(seed: Option<u64>) {
         println!("### chaos replay: seed {seed}, intensity {intensity:.2}");
         print!("{}", plan.to_text());
         let bus = Bus::new();
-        let (ring, counters) = tap(&bus);
+        let (ring, counts) = tap(&bus);
         let cfg = RunConfig { faults: plan, bus: bus.clone(), ..RunConfig::default() };
         let r = run_adaptation(&cs.spec, &cs.source, &cs.target, &cfg);
         println!(
@@ -605,7 +594,7 @@ fn timeline(seed: Option<u64>) {
             r.outcome.final_config.to_bit_string(),
             cs.spec.is_safe(&r.outcome.final_config)
         );
-        render_stream(&ring.borrow().events(), &counters.borrow());
+        render_stream(&ring.borrow().events(), &counts.borrow());
         // The manager's decision record, in the same text form the journal
         // codec persists: what a post-mortem (or a restarted incarnation)
         // would have worked from.
@@ -630,7 +619,7 @@ fn timeline(seed: Option<u64>) {
         ("video case study: safe adaptation, no faults", clean),
         ("video case study: hand-held crash at 520ms, restart at 690ms", crashed),
     ] {
-        let (ring, counters) = tap(&cfg.bus);
+        let (ring, counts) = tap(&cfg.bus);
         let report = run_video_scenario(&cfg, Strategy::Safe);
         println!("### {title}");
         let o = report.outcome.as_ref().expect("safe run records an outcome");
@@ -641,7 +630,7 @@ fn timeline(seed: Option<u64>) {
             if report.audit.is_safe() { "SAFE" } else { "UNSAFE" },
             report.finished_at
         );
-        render_stream(&ring.borrow().events(), &counters.borrow());
+        render_stream(&ring.borrow().events(), &counts.borrow());
         println!();
     }
     println!(
@@ -797,9 +786,9 @@ fn overload(seed: Option<u64>) {
                 r.offered,
                 r.succeeded,
                 r.goodput_per_sec,
-                r.shed,
-                r.rejected,
-                r.breaker_trips,
+                r.counts[Kind::SessionShed],
+                r.counts[Kind::SessionRejected] + r.counts[Kind::ScopeRejected],
+                r.counts[Kind::BreakerOpened],
                 format!("{:.1}ms", r.p50_admission_us as f64 / 1000.0),
                 format!("{:.1}ms", r.p99_admission_us as f64 / 1000.0),
             );
@@ -945,7 +934,7 @@ fn shard(seed: Option<u64>) {
         "  recovery: {} retransmissions, {} lease reclaims, {} straddlers abandoned, \
          {} releases orphaned, {} control-plane restore(s)",
         faulted.retransmits,
-        faulted.lease_reclaims,
+        faulted.counts[Kind::LeaseReclaimed],
         faulted.abandoned,
         faulted.orphaned_releases,
         faulted.restores,
@@ -1143,17 +1132,30 @@ fn scenario(seed: Option<u64>) {
     );
 }
 
+/// The events of the JSONL trace at `path`.
+fn read_trace(path: &str) -> Result<Vec<Event>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    decode_lines(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// A run's counters from its trace alone: `kind count` for every kind the
+/// trace carries, in table order. Returns the exit status: 0, or 2 when the
+/// trace cannot be read.
+fn counts(path: &str) -> i32 {
+    let Ok(events) = read_trace(path).map_err(|e| eprintln!("{e}")) else { return 2 };
+    for (kind, n) in Counts::of(&events).iter().filter(|&(_, n)| n > 0) {
+        println!("{} {n}", kind.name());
+    }
+    0
+}
+
 /// The first event at which two traces part: its 1-based number (the line
 /// number, in a trace without comments or blank lines) and both events, a
 /// trace that ends early standing as `(end of trace)`. Equal events are
 /// equal whatever their spacing. Returns the exit status: 0 when the traces
 /// are identical, 1 when they part, 2 when one cannot be read.
 fn diff(a: &str, b: &str) -> i32 {
-    let read = |path: &str| {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        decode_lines(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let (ours, theirs) = match (read(a), read(b)) {
+    let (ours, theirs) = match (read_trace(a), read_trace(b)) {
         (Ok(ours), Ok(theirs)) => (ours, theirs),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("{e}");
@@ -1181,6 +1183,13 @@ fn main() {
             std::process::exit(2);
         };
         std::process::exit(diff(a, b));
+    }
+    if section == "counts" {
+        let Some(path) = std::env::args().nth(2) else {
+            eprintln!("usage: report -- counts TRACE.jsonl");
+            std::process::exit(2);
+        };
+        std::process::exit(counts(&path));
     }
     let run = |name: &str| section == "all" || section == name;
     if run("table1") {

@@ -267,7 +267,7 @@ mod tests {
 
     #[test]
     fn unified_bus_captures_network_protocol_and_plan_layers() {
-        use sada_obs::{Metrics, Payload, ProtoEvent, RingSink};
+        use sada_obs::{Kind, Metrics, Payload, ProtoEvent, RingSink};
         use std::cell::RefCell;
         use std::rc::Rc;
 
@@ -281,9 +281,9 @@ mod tests {
 
         let events = ring.borrow().events();
         let m = Metrics::from_events(&events);
-        assert_eq!(m.steps_committed, 5, "one commit event per MAP step");
-        assert_eq!(m.sent, report.messages_sent, "net layer mirrors NetStats");
-        assert_eq!(m.dropped, report.messages_dropped);
+        assert_eq!(m.counts[Kind::StepCommitted], 5, "one commit event per MAP step");
+        assert_eq!(m.counts[Kind::Sent], report.messages_sent, "net layer mirrors NetStats");
+        assert_eq!(m.counts[Kind::Dropped], report.messages_dropped);
         assert!(m.reset_to_safe > SimDuration::ZERO, "agents spent time resetting");
         assert!(events.iter().any(|e| matches!(
             e.payload,

@@ -166,16 +166,6 @@ pub(crate) struct ControlActor<M = ()> {
     /// `(sum, count)` of admission → completion over finished sessions, in
     /// μs: the service time a shed's retry hint scales.
     service_us: (u64, u64),
-    /// Times this control plane crashed and was rebuilt from its journal.
-    pub restores: u64,
-    /// Sessions shed by the bulkhead (diagnostics; survives restarts).
-    pub(crate) shed_count: u64,
-    /// Sessions rejected at admission behind an open breaker (diagnostics;
-    /// survives restarts).
-    pub(crate) rejected_count: u64,
-    /// Times any *scope* breaker tripped open (diagnostics; survives
-    /// restarts).
-    pub scope_breaker_trips: u64,
     _marker: std::marker::PhantomData<fn() -> M>,
 }
 
@@ -225,10 +215,6 @@ impl<M: Clone + 'static> ControlActor<M> {
             fleet_config,
             rows,
             service_us: (0, 0),
-            restores: 0,
-            shed_count: 0,
-            rejected_count: 0,
-            scope_breaker_trips: 0,
             _marker: std::marker::PhantomData,
         }
     }
@@ -302,7 +288,7 @@ impl<M: Clone + 'static> ControlActor<M> {
     }
 
     fn emit_scope_breaker(
-        &mut self,
+        &self,
         ctx: &Context<'_, Wire<M>>,
         session: u64,
         scope: u64,
@@ -310,7 +296,6 @@ impl<M: Clone + 'static> ControlActor<M> {
     ) {
         let ev = match tr {
             BreakerTransition::Opened { cooldown } => {
-                self.scope_breaker_trips += 1;
                 FleetEvent::ScopeBreakerOpened { scope, cooldown_us: cooldown.as_micros() }
             }
             BreakerTransition::Probing => FleetEvent::ScopeBreakerProbed { scope },
@@ -364,7 +349,6 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// sends.
     fn reject(&mut self, ctx: &mut Context<'_, Wire<M>>, sid: u64, ev: FleetEvent) {
         self.conclude(ctx, sid, ev).admission = Some(Admission::Rejected);
-        self.rejected_count += 1;
         let granted = self.locks.release(sid);
         self.admit_all(ctx, granted);
     }
@@ -393,7 +377,6 @@ impl<M: Clone + 'static> ControlActor<M> {
         let row = self.conclude(ctx, victim, ev);
         row.shed = true;
         row.admission = Some(Admission::Shed { retry_after_us });
-        self.shed_count += 1;
         // Cancelling a lock-queue entry may unblock compatible waiters
         // behind it; they hold their scopes now, so admit them (the
         // in-flight bound is enforced at every *admission decision*, not
@@ -824,7 +807,6 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_, Wire<M>>) {
-        self.restores += 1;
         // Partition the interleaved journal by session, preserving the
         // order in which sessions first appear (the requeue order).
         let mut order: Vec<u64> = Vec::new();

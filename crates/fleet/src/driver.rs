@@ -24,7 +24,7 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use sada_expr::Config;
-use sada_obs::{Bus, Event, RingSink};
+use sada_obs::{Bus, Counts, Event, Kind, RingSink};
 use sada_proto::{
     encode_session_journal, hosting_run, AgentTiming, ProtoTiming, ScriptedAgent, Wire,
 };
@@ -188,7 +188,12 @@ pub struct FleetReport {
     pub events_evicted: u64,
     /// The control plane's write-ahead journal, in text form.
     pub journal_text: String,
-    /// Times the control plane was rebuilt from its journal.
+    /// Events of each kind over the whole run, evicted ones included: every
+    /// deterministic counter of the run that has an event (sheds,
+    /// rejections, breaker trips, restores, …) is read from here.
+    pub counts: Counts,
+    /// Times the control plane was rebuilt from its journal (its
+    /// `fleet.restored` count).
     pub restores: u64,
     /// Peak number of simultaneously *admitted* sessions.
     pub max_concurrent: usize,
@@ -199,14 +204,6 @@ pub struct FleetReport {
     /// Plan-cache counters for the final control-plane incarnation (crash
     /// faults reset the volatile cache along with its counters).
     pub cache: PlanCacheStats,
-    /// Sessions shed by bulkhead admission control.
-    pub shed: u64,
-    /// Sessions rejected at admission behind an open circuit breaker.
-    pub rejected: u64,
-    /// Circuit-breaker trips (Closed/HalfOpen → Open transitions).
-    pub breaker_trips: u64,
-    /// Per-scope breaker trips (a flapping collaborative set, not an agent).
-    pub scope_breaker_trips: u64,
     /// Protocol sends suppressed by open breakers.
     pub suppressed_sends: u64,
     /// Cumulative open time per tripped agent, `(agent, μs)`.
@@ -267,13 +264,10 @@ fn run_fleet_on(scenario: &FleetScenario, world: FleetWorld) -> FleetReport {
         events: out.events,
         events_evicted: out.events_evicted,
         journal_text: out.journal_text,
-        restores: out.restores,
+        restores: out.counts[Kind::ControlRestored],
+        counts: out.counts,
         stats: out.stats,
         cache: out.cache,
-        shed: out.shed,
-        rejected: out.rejected,
-        breaker_trips: out.breaker_trips,
-        scope_breaker_trips: out.scope_breaker_trips,
         suppressed_sends: out.suppressed_sends,
         breaker_open_us: out.breaker_open_us,
     }
@@ -283,7 +277,9 @@ fn run_fleet_on(scenario: &FleetScenario, world: FleetWorld) -> FleetReport {
 /// `ActorId(p)` in every plane: the hosted ones are the members of one
 /// `CloneArena<ScriptedAgent>`, the rest of `[0, processes)` is vacant. The
 /// control actor (bare, or wrapped by a shard shim) sits at `processes`,
-/// and a ring captures the event stream.
+/// a ring captures the event stream and a [`Counts`] beside it folds all of
+/// it. Both are sinks of the bus, outside every actor, so a crash of the
+/// control plane loses nothing they hold.
 pub(crate) struct Plane<M> {
     pub(crate) sim: Simulator<Wire<M>>,
     pub(crate) control_id: ActorId,
@@ -291,6 +287,7 @@ pub(crate) struct Plane<M> {
     /// The plane's shard-stamped bus handle (what its actors emit through).
     pub(crate) bus: Bus,
     ring: Rc<RefCell<RingSink>>,
+    counts: Rc<RefCell<Counts>>,
     /// Ids of the sessions this plane owns, ascending.
     sessions: Vec<u64>,
     render_journal: bool,
@@ -337,8 +334,10 @@ where
     sim.set_default_link(LinkConfig::reliable(scn.link_latency));
 
     let ring = Rc::new(RefCell::new(RingSink::new(RING_CAPACITY)));
+    let counts = Rc::new(RefCell::new(Counts::new()));
     let bus = Bus::new();
     bus.attach(&ring);
+    bus.attach(&counts);
     let bus = bus.sharded(shard_tag);
 
     // Agents first, agent `p` at id `p` whether hosted or vacant; the
@@ -389,7 +388,8 @@ where
     }
     sim.schedule_faults(&scn.faults);
 
-    Plane { sim, control_id, world, bus, ring, sessions, render_journal: scn.render_journal }
+    let render_journal = scn.render_journal;
+    Plane { sim, control_id, world, bus, ring, counts, sessions, render_journal }
 }
 
 /// What one finished plane produced, as plain data (it crosses thread
@@ -400,13 +400,9 @@ pub(crate) struct PlaneOutcome {
     pub(crate) events: Vec<Event>,
     pub(crate) events_evicted: u64,
     pub(crate) journal_text: String,
-    pub(crate) restores: u64,
+    pub(crate) counts: Counts,
     pub(crate) stats: NetStats,
     pub(crate) cache: PlanCacheStats,
-    pub(crate) shed: u64,
-    pub(crate) rejected: u64,
-    pub(crate) breaker_trips: u64,
-    pub(crate) scope_breaker_trips: u64,
     pub(crate) suppressed_sends: u64,
     pub(crate) breaker_open_us: Vec<(u32, u64)>,
     /// Lock-table entries still held at the end of the run.
@@ -414,8 +410,9 @@ pub(crate) struct PlaneOutcome {
 }
 
 impl<M: Clone + 'static> Plane<M> {
-    /// Distills the plane's captured stream and `control`'s durable state
-    /// (the caller unwraps `control` out of whatever actor it registered).
+    /// Distills the plane's captured stream, its counts, and `control`'s
+    /// durable state (the caller unwraps `control` out of whatever actor it
+    /// registered).
     pub(crate) fn distill(&self, control: &ControlActor<M>) -> PlaneOutcome {
         let results = self.sessions.iter().map(|&id| control.row(id).clone()).collect();
         // Rendered before the ring's events are copied out, so that the
@@ -433,13 +430,9 @@ impl<M: Clone + 'static> Plane<M> {
             fleet_config: control.fleet_config.clone(),
             events: ring.events(),
             events_evicted: ring.total_seen() - ring.len() as u64,
-            restores: control.restores,
+            counts: self.counts.borrow().clone(),
             stats: self.sim.stats(),
             cache: control.cache_stats(),
-            shed: control.shed_count,
-            rejected: control.rejected_count,
-            breaker_trips: control.host.breaker_trips,
-            scope_breaker_trips: control.scope_breaker_trips,
             suppressed_sends: control.host.suppressed_sends,
             breaker_open_us: control.host.breaker_open_us(self.sim.now()),
             lock_holders: control.lock_holder_count() as u64,

@@ -266,9 +266,6 @@ pub(crate) struct EdgeState {
     pub(crate) promise_us: u64,
     pub(crate) next_seq: u64,
     pub(crate) sent: u64,
-    pub(crate) dropped: u64,
-    pub(crate) duplicated: u64,
-    pub(crate) delayed: u64,
     /// Null-message promise advances suppressed by the fault plan
     /// (wall-clock dependent, diagnostic only).
     pub(crate) nulls_dropped: u64,
@@ -375,11 +372,12 @@ pub struct FabricStats {
     /// promise or message (wall-clock dependent; a one-thread run whose
     /// endpoints can always unblock each other never parks).
     pub parks: u64,
-    /// Fabric messages dropped by the fault plan.
+    /// Fabric messages dropped by the fault plan (`fleet.fabric_drop`).
     pub dropped: u64,
-    /// Fabric messages duplicated by the fault plan.
+    /// Fabric messages duplicated by the fault plan (`fleet.fabric_dup`).
     pub duplicated: u64,
-    /// Fabric messages delay-bursted by the fault plan.
+    /// Fabric messages delay-bursted by the fault plan
+    /// (`fleet.fabric_delay`).
     pub delayed: u64,
     /// Null-message promise advances suppressed by the fault plan
     /// (wall-clock dependent).

@@ -88,9 +88,8 @@ pub(crate) struct GlobalControl {
     /// step of the escalation handshake, written before the fabric
     /// messages it covers.
     pub(crate) global_journal: Vec<GlobalRecord>,
-    /// Durable counters (they describe history, not in-flight state).
-    pub(crate) retransmits: u64,
-    pub(crate) abandoned: u64,
+    /// Durable: releases given up past the lease horizon. The one ladder
+    /// count without an event; the others are read from the plane's counts.
     pub(crate) orphaned_releases: u64,
 }
 
@@ -180,7 +179,6 @@ impl GlobalControl {
             LadderFire::Resend(attempt) => {
                 let Some(ix) = self.straddlers.iter().position(|s| s.sid == sid) else { return };
                 let Some(sx) = self.slice_at(ix, region) else { return };
-                self.retransmits += 1;
                 let ev = FleetEvent::FabricRetransmit { session: sid, region, attempt };
                 self.inner.emit_fleet(ctx, sid, ev);
                 self.send(ctx, region, self.payload(ix, sx, release));
@@ -203,7 +201,6 @@ impl GlobalControl {
             return;
         }
         self.journal_once(GlobalRecord::Abandoned { session: sid, region });
-        self.abandoned += 1;
         self.inner.emit_fleet(
             ctx,
             sid,

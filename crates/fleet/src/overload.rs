@@ -22,6 +22,7 @@
 //! Everything is a pure function of the seed: identical seeds reproduce
 //! identical event streams (asserted via [`OverloadReport::fingerprint`]).
 
+use sada_obs::Counts;
 use sada_proto::{ProtoTiming, RetryPolicy};
 use sada_resilience::{jitter_us, BreakerConfig, BulkheadConfig};
 use sada_simnet::{FaultPlan, SimDuration, SimTime};
@@ -105,12 +106,8 @@ pub struct OverloadReport {
     /// Group adaptations committed (a span-2 session counts twice: the
     /// unit of useful work is one component group flipped).
     pub committed_flips: usize,
-    /// Sessions shed by the bulkhead.
-    pub shed: u64,
-    /// Sessions rejected at admission behind an open breaker.
-    pub rejected: u64,
-    /// Breaker trips across the run.
-    pub breaker_trips: u64,
+    /// Events of each kind: sheds, rejections, breaker trips, ….
+    pub counts: Counts,
     /// Wire sends suppressed by open breakers.
     pub suppressed_sends: u64,
     /// Committed group adaptations per second of offered-load window
@@ -263,9 +260,7 @@ fn distill(
         offered,
         succeeded: report.succeeded(),
         committed_flips,
-        shed: report.shed,
-        rejected: report.rejected,
-        breaker_trips: report.breaker_trips,
+        counts: report.counts,
         suppressed_sends: report.suppressed_sends,
         goodput_per_sec: per_sec(committed_flips, cfg.window.as_micros()),
         p50_admission_us: pct(0.50),

@@ -48,8 +48,6 @@ pub(crate) struct RegionControl {
     pub(crate) foreign: BTreeMap<u64, ForeignHold>,
     /// Release tombstones: session → highest epoch released/cancelled.
     pub(crate) released: HashMap<u64, u64>,
-    /// Leases evicted from a dead global incarnation (epoch bump).
-    pub(crate) lease_reclaims: u64,
     /// Lease-GC deadlines (virtual μs) for holds that survived a region
     /// crash: if the global tier stays silent past the deadline, the hold
     /// is garbage-collected from the lock table. Any inbound fabric message
@@ -58,8 +56,6 @@ pub(crate) struct RegionControl {
     /// Timer-slot → session map for the lease band; slots are never reused
     /// (stale timers no-op against the deadline check).
     pub(crate) lease_slots: Vec<u64>,
-    /// Foreign holds garbage-collected after a silent lease horizon.
-    pub(crate) lease_expirations: u64,
     /// Messages handed to the relay so far ([`RegionControl::send`]). Each
     /// spends one link latency inside the simulator before it surfaces in
     /// the endpoint's outbox; until the two counts meet the region still
@@ -187,7 +183,6 @@ impl RegionControl {
         self.lease_deadline.remove(&session);
         let t = self.released.entry(session).or_insert(0);
         *t = (*t).max(hold.epoch);
-        self.lease_expirations += 1;
         self.inner.emit_fleet(
             ctx,
             session,
@@ -221,7 +216,6 @@ impl RegionControl {
                             // unchanged) with the new epoch.
                             hold.epoch = epoch;
                             hold.acked = false;
-                            self.lease_reclaims += 1;
                             self.inner.emit_fleet(
                                 ctx,
                                 session,

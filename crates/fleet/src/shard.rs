@@ -55,7 +55,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use sada_expr::CompId;
-use sada_obs::{fingerprint_jsonl, Event, FleetEvent};
+use sada_obs::{fingerprint_jsonl, Counts, Event, FleetEvent, Kind};
 use sada_proto::{encode_global_journal, Wire};
 use sada_resilience::jitter_us;
 use sada_simnet::{ActorId, SimDuration, SimTime};
@@ -232,8 +232,6 @@ pub(crate) fn build_endpoint(
                 relay: relay_of(id),
                 straddlers: plan.straddlers,
                 global_journal: Vec::new(),
-                retransmits: 0,
-                abandoned: 0,
                 orphaned_releases: 0,
             };
             ("global-control", global)
@@ -248,10 +246,8 @@ pub(crate) fn build_endpoint(
                 global_ep: regions as u32,
                 foreign: BTreeMap::new(),
                 released: HashMap::new(),
-                lease_reclaims: 0,
                 lease_deadline: HashMap::new(),
                 lease_slots: Vec::new(),
-                lease_expirations: 0,
                 handed: 0,
             };
             ("control", region)
@@ -452,7 +448,6 @@ impl Endpoint {
                 if faults.roll(fault_salt(self.id, dst, seq, SALT_DROP), faults.drop_per_mille) {
                     // The sequence number is consumed — retransmissions get
                     // their own, keeping replay deterministic.
-                    e.dropped += 1;
                     fault_events.push(self.fault_event(
                         send_us,
                         payload.session(),
@@ -471,7 +466,6 @@ impl Endpoint {
                     // Still ≥ the published promise (which lower-bounds the
                     // *undelayed* arrival), so the conservative clock holds.
                     arrival_us += quanta * quantum;
-                    e.delayed += 1;
                     fault_events.push(self.fault_event(
                         send_us,
                         payload.session(),
@@ -482,7 +476,6 @@ impl Endpoint {
                     let dup_seq = e.next_seq;
                     e.next_seq += 1;
                     e.sent += 1;
-                    e.duplicated += 1;
                     e.mail.push(FabricEnvelope {
                         arrival_us: arrival_us + quantum,
                         src: self.id,
@@ -590,21 +583,10 @@ pub struct ShardStats {
     pub cache_misses: u64,
 }
 
-/// Fabric-side counters of one endpoint's shim (the global tier fills the
-/// first three, a region the rest).
-#[derive(Default)]
-struct ShimCounters {
-    retransmits: u64,
-    abandoned: u64,
-    orphaned_releases: u64,
-    lease_reclaims: u64,
-    lease_expirations: u64,
-    /// Foreign holds still tracked at quiescence (leak detector).
-    foreign_holds: u64,
-}
-
 /// Plain-data result a worker thread ships back for one endpoint: the
-/// plane's outcome plus what only its fabric shim knows.
+/// plane's outcome plus what only its fabric shim knows and no event says —
+/// the global tier's orphaned releases, and a region's foreign holds still
+/// tracked at quiescence (a leak detector).
 struct EndpointOutcome {
     id: u32,
     shard_tag: u32,
@@ -613,12 +595,13 @@ struct EndpointOutcome {
     plane: PlaneOutcome,
     owned_comps: Vec<u32>,
     global_journal_text: String,
-    shim: ShimCounters,
+    orphaned_releases: u64,
+    foreign_holds: u64,
 }
 
 fn distill_endpoint(ep: Endpoint) -> EndpointOutcome {
     let (sim, control_id) = (&ep.plane.sim, ep.plane.control_id);
-    let (plane, global_journal_text, shim) = if ep.is_global {
+    let (plane, global_journal_text, orphaned_releases, foreign_holds) = if ep.is_global {
         let g = sim.actor::<GlobalControl>(control_id).expect("global control present");
         let mut plane = ep.plane.distill(&g.inner);
         // A straddler is submitted when it escalates; the inner plane
@@ -629,22 +612,10 @@ fn distill_endpoint(ep: Endpoint) -> EndpointOutcome {
                 plane.results[ix].submitted_at = Some(t);
             }
         }
-        let shim = ShimCounters {
-            retransmits: g.retransmits,
-            abandoned: g.abandoned,
-            orphaned_releases: g.orphaned_releases,
-            ..ShimCounters::default()
-        };
-        (plane, encode_global_journal(&g.global_journal), shim)
+        (plane, encode_global_journal(&g.global_journal), g.orphaned_releases, 0)
     } else {
         let r = sim.actor::<RegionControl>(control_id).expect("region control present");
-        let shim = ShimCounters {
-            lease_reclaims: r.lease_reclaims,
-            lease_expirations: r.lease_expirations,
-            foreign_holds: r.foreign.len() as u64,
-            ..ShimCounters::default()
-        };
-        (ep.plane.distill(&r.inner), String::new(), shim)
+        (ep.plane.distill(&r.inner), String::new(), 0, r.foreign.len() as u64)
     };
     EndpointOutcome {
         id: ep.id,
@@ -654,7 +625,8 @@ fn distill_endpoint(ep: Endpoint) -> EndpointOutcome {
         plane,
         owned_comps: ep.owned_comps,
         global_journal_text,
-        shim,
+        orphaned_releases,
+        foreign_holds,
     }
 }
 
@@ -729,30 +701,29 @@ pub struct ShardReport {
     pub per_shard: Vec<ShardStats>,
     /// Cross-shard traffic counters.
     pub fabric: FabricStats,
-    /// Control-plane restores summed over shards.
+    /// Events of each kind summed over shards, evicted ones included: every
+    /// deterministic counter of the run that has an event (sheds,
+    /// rejections, breaker trips, lease reclaims, …) is read from here.
+    pub counts: Counts,
+    /// Control-plane restores summed over shards (`fleet.restored`).
     pub restores: u64,
     /// Peak simultaneously admitted sessions across the whole fleet.
     pub max_concurrent: usize,
     /// First submission → last completion, virtual μs, across shards.
     pub makespan_us: u64,
-    /// Sessions shed by bulkhead admission control (all shards).
-    pub shed: u64,
-    /// Sessions rejected behind open breakers (all shards).
-    pub rejected: u64,
-    /// Circuit-breaker trips (all shards).
-    pub breaker_trips: u64,
     /// Protocol sends suppressed by open breakers (all shards).
     pub suppressed_sends: u64,
-    /// Fabric retransmissions the global tier's ladder issued.
+    /// Fabric retransmissions the global tier's ladder issued
+    /// (`fleet.fabric_retx`).
     pub retransmits: u64,
-    /// Straddlers abandoned after the ladder exhausted against a region.
+    /// Straddlers abandoned after the ladder exhausted against a region
+    /// (`fleet.straddler_abandoned`).
     pub abandoned: u64,
     /// Releases given up past the lease horizon (region presumed dead).
     pub orphaned_releases: u64,
-    /// Region leases evicted from a dead global incarnation (all regions).
-    pub lease_reclaims: u64,
     /// Foreign holds garbage-collected after a silent lease horizon (all
-    /// regions) — each one a lock-table entry that PR 8 would have leaked.
+    /// regions; `fleet.lease_expired`) — each one a lock-table entry that
+    /// would otherwise leak.
     pub lease_expirations: u64,
     /// Lock-table + foreign-hold residue at quiescence, summed over all
     /// control planes. Zero after any run whose sessions all terminated:
@@ -979,7 +950,7 @@ pub(crate) fn run_sharded(
             completed: o.plane.results.iter().filter(|r| r.completed_at.is_some()).count(),
             events,
             delivered: o.plane.stats.delivered,
-            restores: o.plane.restores,
+            restores: o.plane.counts[Kind::ControlRestored],
             cache_hits: o.plane.cache.hits,
             cache_misses: o.plane.cache.misses,
         })
@@ -988,6 +959,7 @@ pub(crate) fn run_sharded(
         outcomes.iter_mut().flat_map(|o| std::mem::take(&mut o.plane.results)).collect();
     results.sort_by_key(|r| r.id);
 
+    let counts: Counts = outcomes.iter().map(|o| &o.plane.counts).sum();
     let fabric_stats = {
         let st = fabric.state.lock().unwrap();
         let mut per_edge: Vec<(u32, u32, u64)> =
@@ -998,9 +970,9 @@ pub(crate) fn run_sharded(
             per_edge,
             promise_updates: st.promise_updates,
             parks: st.parks,
-            dropped: st.edges.values().map(|e| e.dropped).sum(),
-            duplicated: st.edges.values().map(|e| e.duplicated).sum(),
-            delayed: st.edges.values().map(|e| e.delayed).sum(),
+            dropped: counts[Kind::FabricDropped],
+            duplicated: counts[Kind::FabricDuplicated],
+            delayed: counts[Kind::FabricDelayed],
             nulls_dropped: st.edges.values().map(|e| e.nulls_dropped).sum(),
         }
     };
@@ -1018,19 +990,16 @@ pub(crate) fn run_sharded(
             .find(|o| o.is_global)
             .map(|o| std::mem::take(&mut o.global_journal_text))
             .unwrap_or_default(),
-        restores: outcomes.iter().map(|o| o.plane.restores).sum(),
+        restores: counts[Kind::ControlRestored],
         max_concurrent: max_concurrent(&results),
         makespan_us: makespan_us(&results),
-        shed: outcomes.iter().map(|o| o.plane.shed).sum(),
-        rejected: outcomes.iter().map(|o| o.plane.rejected).sum(),
-        breaker_trips: outcomes.iter().map(|o| o.plane.breaker_trips).sum(),
         suppressed_sends: outcomes.iter().map(|o| o.plane.suppressed_sends).sum(),
-        retransmits: outcomes.iter().map(|o| o.shim.retransmits).sum(),
-        abandoned: outcomes.iter().map(|o| o.shim.abandoned).sum(),
-        orphaned_releases: outcomes.iter().map(|o| o.shim.orphaned_releases).sum(),
-        lease_reclaims: outcomes.iter().map(|o| o.shim.lease_reclaims).sum(),
-        lease_expirations: outcomes.iter().map(|o| o.shim.lease_expirations).sum(),
-        residual_holds: outcomes.iter().map(|o| o.shim.foreign_holds + o.plane.lock_holders).sum(),
+        retransmits: counts[Kind::FabricRetransmit],
+        abandoned: counts[Kind::StraddlerAbandoned],
+        orphaned_releases: outcomes.iter().map(|o| o.orphaned_releases).sum(),
+        lease_expirations: counts[Kind::LeaseExpired],
+        counts,
+        residual_holds: outcomes.iter().map(|o| o.foreign_holds + o.plane.lock_holders).sum(),
         per_shard,
         fabric: fabric_stats,
         results,

@@ -26,7 +26,7 @@ use sada_fleet::{
     disjoint_wave, fingerprint_events_unsharded, run_fleet, FleetReport, FleetResilience,
     FleetScenario, SessionResult, SessionSpec,
 };
-use sada_obs::{fnv1a, text::push_lines, FleetEvent, Payload};
+use sada_obs::{fnv1a, text::push_lines, Counts, FleetEvent, Kind, Payload};
 use sada_proto::{parse_session_journal, ProtoTiming};
 use sada_resilience::{BreakerConfig, BulkheadConfig, RetryPolicy};
 use sada_simnet::{chaos, ActorId, ChaosOpts, Fault, FaultPlan, SimDuration, SimTime};
@@ -77,11 +77,12 @@ struct Counters {
 
 /// `report`'s counters.
 fn counters(report: &FleetReport) -> Counters {
+    let c = &report.counts;
     Counters {
-        shed: report.shed,
-        rejected: report.rejected,
-        breaker_trips: report.breaker_trips,
-        scope_breaker_trips: report.scope_breaker_trips,
+        shed: c[Kind::SessionShed],
+        rejected: c[Kind::SessionRejected] + c[Kind::ScopeRejected],
+        breaker_trips: c[Kind::BreakerOpened],
+        scope_breaker_trips: c[Kind::ScopeBreakerOpened],
         suppressed_sends: report.suppressed_sends,
         cache_hits: report.cache.hits,
         cache_misses: report.cache.misses,
@@ -118,19 +119,26 @@ fn records_fnv(text: &str) -> u64 {
 }
 
 fn assert_identity(what: &str, report: &FleetReport, want: &Identity) {
+    if report.events_evicted == 0 {
+        assert_eq!(
+            Counts::of(&report.events),
+            report.counts,
+            "{what}: counts are the stream's fold"
+        );
+    }
+    let counters = counters(report);
     let count = |f: fn(&SessionResult) -> bool| report.results.iter().filter(|r| f(r)).count();
     let verdicts = (
         count(|r| r.success),
         count(|r| r.gave_up),
         count(|r| r.cancelled),
         count(|r| r.shed),
-        report.rejected,
+        counters.rejected,
     );
     let fingerprint = fingerprint_events_unsharded(&report.events);
     let (journal_fnv, records_fnv) =
         (fnv1a(&report.journal_text), records_fnv(&report.journal_text));
     let rows = (results_fnv(&report.results), report.max_concurrent, report.makespan_us);
-    let counters = counters(report);
     let got = (journal_fnv, records_fnv, verdicts, rows, &counters);
     assert!(
         (fingerprint, report.final_config.as_str(), report.restores, got)
@@ -400,7 +408,8 @@ fn breaker_and_bulkhead_overload_with_cancels_is_pinned() {
     scn.faults = FaultPlan::new().crash(ActorId::from_index(0), SimTime::from_millis(2));
     scn.time_budget = SimDuration::from_secs(90);
     let report = run_fleet(&scn);
-    assert!(report.breaker_trips >= 1 && report.shed >= 1, "the overload must bite");
+    let (trips, shed) = (report.counts[Kind::BreakerOpened], report.counts[Kind::SessionShed]);
+    assert!(trips >= 1 && shed >= 1, "the overload must bite");
     assert_identity(
         "breaker + bulkhead overload",
         &report,

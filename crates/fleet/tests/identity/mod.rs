@@ -3,7 +3,7 @@
 //! `sada-scenario` depends on `sada-fleet`, not the reverse).
 
 use sada_fleet::{run_fleet_sharded, SessionResult, ShardReport, ShardScenario};
-use sada_obs::{fnv1a, text::push_lines, FleetEvent, Payload};
+use sada_obs::{fnv1a, text::push_lines, Counts, Kind};
 use sada_proto::parse_session_journal;
 
 /// Merged-stream fingerprint, final configuration, restores summed over
@@ -54,15 +54,12 @@ pub(crate) struct Counters {
 
 /// `report`'s counters.
 fn counters(report: &ShardReport) -> Counters {
-    let scope_trips = report
-        .events
-        .iter()
-        .filter(|e| matches!(e.payload, Payload::Fleet(FleetEvent::ScopeBreakerOpened { .. })));
+    let c = &report.counts;
     Counters {
-        shed: report.shed,
-        rejected: report.rejected,
-        breaker_trips: report.breaker_trips,
-        scope_breaker_trips: scope_trips.count() as u64,
+        shed: c[Kind::SessionShed],
+        rejected: c[Kind::SessionRejected] + c[Kind::ScopeRejected],
+        breaker_trips: c[Kind::BreakerOpened],
+        scope_breaker_trips: c[Kind::ScopeBreakerOpened],
         suppressed_sends: report.suppressed_sends,
         cache_hits: report.per_shard.iter().map(|s| s.cache_hits).sum(),
         cache_misses: report.per_shard.iter().map(|s| s.cache_misses).sum(),
@@ -72,7 +69,7 @@ fn counters(report: &ShardReport) -> Counters {
         retransmits: report.retransmits,
         abandoned: report.abandoned,
         orphaned_releases: report.orphaned_releases,
-        lease_reclaims: report.lease_reclaims,
+        lease_reclaims: c[Kind::LeaseReclaimed],
         lease_expirations: report.lease_expirations,
     }
 }
@@ -111,20 +108,27 @@ fn hex(hashes: &[u64]) -> String {
 }
 
 fn assert_identity(what: &str, report: &ShardReport, want: &Identity) {
+    if report.events_evicted == 0 {
+        assert_eq!(
+            Counts::of(&report.events),
+            report.counts,
+            "{what}: counts are the stream's fold"
+        );
+    }
+    let counters = counters(report);
     let count = |f: fn(&SessionResult) -> bool| report.results.iter().filter(|r| f(r)).count();
     let verdicts = (
         count(|r| r.success),
         count(|r| r.gave_up),
         count(|r| r.cancelled),
         count(|r| r.shed),
-        report.rejected,
+        counters.rejected,
     );
     let journal_fnvs: Vec<u64> = report.journals.iter().map(|(_, text)| fnv1a(text)).collect();
     let records_fnvs: Vec<u64> =
         report.journals.iter().map(|(_, text)| records_fnv(text)).collect();
     let global_journal_fnv = fnv1a(&report.global_journal);
     let rows = (results_fnv(&report.results), report.max_concurrent, report.makespan_us);
-    let counters = counters(report);
     let got = (
         report.fingerprint,
         report.final_config.as_str(),

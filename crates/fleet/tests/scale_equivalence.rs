@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use sada_fleet::{
     run_fleet_sharded, FabricFaultPlan, FleetScenario, SessionSpec, ShardReport, ShardScenario,
 };
-use sada_obs::{Bus, RingSink};
+use sada_obs::{Bus, Counts, RingSink};
 use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime, Simulator};
 
 /// Echoes nothing; just records what it saw, so delivery order is the
@@ -141,19 +141,13 @@ fn chaos_scenario(seed: u64) -> ShardScenario {
     scn
 }
 
-/// Every counter of a sharded report: admission, the plan caches, the
-/// fabric's faults, the retransmission ladder and the leases.
-fn counters(r: &ShardReport) -> Vec<u64> {
-    let cache = r.per_shard.iter().map(|s| (s.cache_hits, s.cache_misses, s.restores));
-    let (f, admission) = (&r.fabric, [r.shed, r.rejected, r.breaker_trips, r.suppressed_sends]);
-    let fabric = [f.dropped, f.duplicated, f.delayed, r.retransmits, r.abandoned];
-    let leases = [r.orphaned_releases, r.lease_reclaims, r.lease_expirations, r.restores];
-    admission
-        .into_iter()
-        .chain(cache.flat_map(|(h, m, r)| [h, m, r]))
-        .chain(fabric)
-        .chain(leases)
-        .collect()
+/// Every counter of a sharded report: its per-kind counts, then its
+/// fields (per shard, then for the run).
+fn counters(r: &ShardReport) -> (Counts, Vec<u64>) {
+    let per_shard = r.per_shard.iter().flat_map(|s| [s.cache_hits, s.cache_misses, s.restores]);
+    let (f, ladder) = (&r.fabric, [r.retransmits, r.abandoned, r.orphaned_releases]);
+    let run = [r.suppressed_sends, f.dropped, f.duplicated, f.delayed, r.lease_expirations];
+    (r.counts.clone(), per_shard.chain(ladder).chain(run).collect())
 }
 
 proptest! {

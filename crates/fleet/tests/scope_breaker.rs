@@ -3,6 +3,7 @@
 //! half-open probe that heals it once the scope recovers.
 
 use sada_fleet::{run_fleet, Admission, FleetResilience, FleetScenario, SessionSpec};
+use sada_obs::Kind;
 use sada_resilience::BreakerConfig;
 use sada_simnet::{ActorId, FaultPlan, SimDuration, SimTime};
 
@@ -65,13 +66,14 @@ fn flapping_scope_trips_alone_and_heals_via_probe() {
 
     assert!(!outcome(1).success, "results: {:?}", report.results);
     assert!(!outcome(2).success, "results: {:?}", report.results);
-    assert_eq!(report.scope_breaker_trips, 1, "two strikes trip the scope breaker once");
+    let trips = report.counts[Kind::ScopeBreakerOpened];
+    assert_eq!(trips, 1, "two strikes trip the scope breaker once");
 
     // Open breaker: session 3 is terminated at admission with the typed
     // verdict, without ever queueing protocol work.
     assert!(!outcome(3).success && !outcome(3).gave_up);
     assert_eq!(outcome(3).admission, Some(Admission::Rejected));
-    assert_eq!(report.rejected, 1);
+    assert_eq!(report.counts[Kind::ScopeRejected] + report.counts[Kind::SessionRejected], 1);
 
     // Disjoint scope on the same control plane admits normally throughout.
     assert!(outcome(10).success && outcome(11).success, "results: {:?}", report.results);

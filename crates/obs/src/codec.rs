@@ -394,30 +394,49 @@ keys! {
 
 /// The event taxonomy's wire form, one row per kind: the `kind` string,
 /// the variant, and for each of its fields the JSON key (one of `keys!`)
-/// and how it travels. Both directions are generated from the row, so they
-/// cannot drift; the encoder's `match` is exhaustive, so a variant without
-/// a row does not compile.
+/// and how it travels. Both directions and the dense [`Kind`] are generated
+/// from the row, so they cannot drift; the encoder's `match` is exhaustive,
+/// so a variant without a row does not compile.
 macro_rules! events {
     ($($kind:literal => $layer:ident($of:ident::$variant:ident $({
         $($field:ident: $key:ident $ty:ty),*
     })?),)*) => {
-        /// Each row's `,"kind":"…"` piece, named after its variant.
-        #[allow(non_upper_case_globals)]
-        mod kinds {
-            use crate::fnv::Piece;
-            $(pub(super) static $variant: Piece =
-                Piece::new(concat!(",\"kind\":\"", $kind, "\""));)*
+        /// An event's kind: one row of the table. Its [`Kind::name`] is
+        /// the `kind` its JSONL lines carry, and its discriminant is the
+        /// row's index, so a per-kind count is an array slot, not a hash.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum Kind {
+            $(#[doc = concat!("`", $kind, "`")] $variant,)*
+        }
 
-            /// Every kind's piece.
-            pub(super) fn all() -> Vec<&'static Piece> {
-                vec![$(&$variant),*]
+        /// How many rows the table has.
+        pub(crate) const KINDS: usize = [$($kind),*].len();
+
+        /// Each row's `,"kind":"…"` piece, at its kind's index.
+        static KIND_PIECES: [Piece; KINDS] =
+            [$(Piece::new(concat!(",\"kind\":\"", $kind, "\""))),*];
+
+        impl Kind {
+            /// Every kind, in table order.
+            pub const ALL: [Kind; KINDS] = [$(Kind::$variant),*];
+
+            /// The kind of `payload`.
+            pub fn of(payload: &Payload) -> Kind {
+                match payload {$(
+                    Payload::$layer($of::$variant { .. }) => Kind::$variant,
+                )*}
+            }
+
+            /// The `kind` string of its JSONL lines, e.g. `fleet.shed`.
+            pub fn name(self) -> &'static str {
+                match self {$(Kind::$variant => $kind,)*}
             }
         }
 
         fn encode_payload<O: Out>(out: &mut O, ev: &Event, shard: u32) {
             match &ev.payload {$(
                 Payload::$layer($of::$variant $({ $($field),* })?) => {
-                    head(out, ev, shard, &kinds::$variant);
+                    head(out, ev, shard, &KIND_PIECES[Kind::$variant as usize]);
                     $($(<$ty as Wire>::put(out, &keys::$key, $field);)*)?
                 }
             )*}
@@ -547,7 +566,7 @@ events! {
 /// the booleans, the kinds' and the keys'.
 pub(crate) fn pieces() -> Vec<&'static Piece> {
     let envelope = [&AT, &ACTOR, &SESSION, &SHARD, &TRUE, &FALSE];
-    envelope.into_iter().chain(kinds::all()).chain(keys::all()).collect()
+    envelope.into_iter().chain(&KIND_PIECES).chain(keys::all()).collect()
 }
 
 #[cfg(test)]

@@ -13,11 +13,11 @@
 //!   Audit / Temporal / Plan), stamped with [`SimTime`] and actor identity.
 //! * [`Bus`] / [`Sink`] — the cheaply-cloneable producer handle and the
 //!   pluggable consumer contract. Zero attached sinks ⇒ near-zero cost.
-//! * [`RingSink`], [`CounterSink`], [`AuditTrail`], [`JsonlSink`] — bounded
-//!   retention, metrics counters, the auditor's flat log, and a replayable
-//!   line-oriented trace codec.
-//! * [`Metrics`] — per-protocol-phase latency breakdown plus
-//!   message/drop/retry/rollback counts, reconstructed from any stream.
+//! * [`RingSink`], [`Counts`], [`AuditTrail`], [`JsonlSink`] — bounded
+//!   retention, the per-[`Kind`] count every report counter is read from,
+//!   the auditor's flat log, and a replayable line-oriented trace codec.
+//! * [`Metrics`] — per-protocol-phase latency breakdown plus the stream's
+//!   [`Counts`], reconstructed from any stream.
 //! * [`ObligationKey`] — the typed obligation identity shared with the
 //!   temporal layer (the stringly form survives only at parser boundaries).
 //! * [`fnv1a`] / [`Fnv1a`] — the one FNV-1a of the workspace; the JSONL
@@ -44,7 +44,7 @@ mod time;
 
 pub use bus::{Bus, Sink};
 pub use codec::{
-    decode_event, decode_lines, encode_event, encode_event_into, fingerprint_jsonl, JsonlSink,
+    decode_event, decode_lines, encode_event, encode_event_into, fingerprint_jsonl, JsonlSink, Kind,
 };
 pub use event::{
     AgentStateTag, Event, FleetEvent, ManagerPhaseTag, NetEvent, Payload, PlanEvent, ProtoEvent,
@@ -53,7 +53,7 @@ pub use event::{
 pub use fnv::{fnv1a, Fnv1a};
 pub use key::{ObligationKey, SegmentEdge};
 pub use metrics::Metrics;
-pub use sinks::{AuditTrail, CounterSink, RingSink};
+pub use sinks::{AuditTrail, Counts, RingSink};
 pub use time::{SimDuration, SimTime};
 
 /// The encoder's jump tables, for the tests that hold them to the byte-wise

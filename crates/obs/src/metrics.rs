@@ -5,13 +5,15 @@
 //! local safe states, performing in-actions, parked at the adapt-done
 //! barrier, resuming, or rolling back. [`Metrics::from_events`] reconstructs
 //! those buckets from the unified event stream by integrating each agent's
-//! state-transition intervals, and tallies message/drop/retry/rollback
-//! counts from the same stream — so the numbers always describe exactly the
-//! run the trace describes.
+//! state-transition intervals, and folds the same stream's per-kind
+//! [`Counts`] — so the numbers always describe exactly the run the trace
+//! describes.
 
 use std::collections::HashMap;
 
-use crate::event::{AgentStateTag, Event, NetEvent, Payload, ProtoEvent};
+use crate::bus::Sink;
+use crate::event::{AgentStateTag, Event, Payload, ProtoEvent};
+use crate::sinks::Counts;
 use crate::time::{SimDuration, SimTime};
 
 /// Aggregated per-phase latencies and event counts for one run.
@@ -27,42 +29,8 @@ pub struct Metrics {
     pub(crate) resume: SimDuration,
     /// Total agent time in `RollingBack`.
     pub(crate) rollback: SimDuration,
-    /// Messages handed to the network.
-    pub sent: u64,
-    /// Messages delivered.
-    pub delivered: u64,
-    /// Messages destroyed (loss, partitions, crash eviction).
-    pub dropped: u64,
-    /// Timer firings.
-    pub timers_fired: u64,
-    /// Crash faults.
-    pub crashes: u64,
-    /// Restart faults.
-    pub restarts: u64,
-    /// Manager retry timeouts that fired.
-    pub timeouts: u64,
-    /// Retransmission bursts the manager sent.
-    pub retries: u64,
-    /// Steps the manager abandoned into rollback.
-    pub rollbacks: u64,
-    /// Rejoin announcements the manager resynchronized.
-    pub rejoins: u64,
-    /// Steps opened.
-    pub steps_started: u64,
-    /// Steps committed.
-    pub steps_committed: u64,
-    /// Records appended to the manager's write-ahead journal.
-    pub journal_appends: u64,
-    /// Manager incarnations rebuilt from the journal.
-    pub manager_restores: u64,
-    /// Reconciliation probes sent by restored managers.
-    pub state_queries: u64,
-    /// Reconciliation reports received from agents.
-    pub state_reports: u64,
-    /// Audit-layer events observed.
-    pub audit_events: u64,
-    /// Control-plane (fleet scheduling) events observed.
-    pub(crate) fleet_events: u64,
+    /// Events of each kind.
+    pub counts: Counts,
     /// Virtual time between the first and last event in the stream.
     pub span: SimDuration,
 }
@@ -79,38 +47,12 @@ impl Metrics {
         for ev in events {
             first.get_or_insert(ev.at);
             last = last.max(ev.at);
-            match &ev.payload {
-                Payload::Net(n) => match n {
-                    NetEvent::Sent { .. } => m.sent += 1,
-                    NetEvent::Delivered { .. } => m.delivered += 1,
-                    NetEvent::Dropped { .. } => m.dropped += 1,
-                    NetEvent::TimerFired { .. } => m.timers_fired += 1,
-                    NetEvent::Crashed => m.crashes += 1,
-                    NetEvent::Restarted => m.restarts += 1,
-                },
-                Payload::Proto(p) => match p {
-                    ProtoEvent::AgentState { from, to, .. } => {
-                        let entry = agent_state.entry(ev.actor).or_insert((*from, ev.at));
-                        let (prev, since) = *entry;
-                        m.credit(prev, ev.at.saturating_since(since));
-                        *entry = (*to, ev.at);
-                    }
-                    ProtoEvent::TimeoutFired { .. } => m.timeouts += 1,
-                    ProtoEvent::RetrySent { .. } => m.retries += 1,
-                    ProtoEvent::RollbackIssued { .. } => m.rollbacks += 1,
-                    ProtoEvent::RejoinReceived { .. } => m.rejoins += 1,
-                    ProtoEvent::StepStarted { .. } => m.steps_started += 1,
-                    ProtoEvent::StepCommitted { .. } => m.steps_committed += 1,
-                    ProtoEvent::JournalAppended { .. } => m.journal_appends += 1,
-                    ProtoEvent::ManagerRestored { .. } => m.manager_restores += 1,
-                    ProtoEvent::StateQueried { .. } => m.state_queries += 1,
-                    ProtoEvent::StateReported { .. } => m.state_reports += 1,
-                    ProtoEvent::ManagerPhase { .. } | ProtoEvent::OutcomeReached { .. } => {}
-                },
-                Payload::Audit(_) => m.audit_events += 1,
-                Payload::Temporal(_) => {}
-                Payload::Plan(_) => {}
-                Payload::Fleet(_) => m.fleet_events += 1,
+            m.counts.accept(ev);
+            if let Payload::Proto(ProtoEvent::AgentState { from, to, .. }) = &ev.payload {
+                let entry = agent_state.entry(ev.actor).or_insert((*from, ev.at));
+                let (prev, since) = *entry;
+                m.credit(prev, ev.at.saturating_since(since));
+                *entry = (*to, ev.at);
             }
         }
         // Close any interval still open at the end of the stream (an agent
@@ -153,6 +95,7 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Kind;
     use crate::event::NetEvent;
 
     fn agent(at: u64, actor: u32, from: AgentStateTag, to: AgentStateTag) -> Event {
@@ -211,9 +154,11 @@ mod tests {
             ev(0, Payload::Proto(ProtoEvent::RollbackIssued { step: 1 })),
         ];
         let m = Metrics::from_events(&events);
-        assert_eq!((m.sent, m.delivered, m.dropped), (1, 1, 1));
-        assert_eq!((m.steps_started, m.steps_committed), (1, 1));
-        assert_eq!((m.timeouts, m.retries, m.rollbacks), (1, 1, 1));
+        assert_eq!(m.counts, Counts::of(&events));
+        let c = |kind| m.counts[kind];
+        assert_eq!((c(Kind::Sent), c(Kind::Delivered), c(Kind::Dropped)), (1, 1, 1));
+        assert_eq!((c(Kind::StepStarted), c(Kind::StepCommitted)), (1, 1));
+        assert_eq!((c(Kind::TimeoutFired), c(Kind::RetrySent), c(Kind::RollbackIssued)), (1, 1, 1));
         assert_eq!(m.span, SimDuration::ZERO);
     }
 

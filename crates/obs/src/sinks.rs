@@ -1,11 +1,14 @@
-//! Ready-made sinks: bounded ring buffer, category counters, audit trail.
+//! Ready-made sinks: bounded ring buffer, per-kind counts, audit trail.
 
 use std::collections::VecDeque;
+use std::iter::Sum;
+use std::ops::Index;
 
 use sada_model::AuditEvent;
 
 use crate::bus::Sink;
-use crate::event::{Event, NetEvent, Payload};
+use crate::codec::{Kind, KINDS};
+use crate::event::{Event, Payload};
 
 /// Keeps the most recent `capacity` events (older ones are evicted), so a
 /// long run's tail can be inspected at bounded memory.
@@ -71,61 +74,78 @@ impl Sink for RingSink {
     }
 }
 
-/// Counts events per layer and per network kind without retaining them —
-/// the cheapest always-on metrics sink.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CounterSink {
-    /// Every event observed.
-    pub total: u64,
-    /// Net-layer sends.
-    pub net_sent: u64,
-    /// Net-layer deliveries.
-    pub net_delivered: u64,
-    /// Net-layer drops.
-    pub net_dropped: u64,
-    /// Net-layer timer firings.
-    pub timers_fired: u64,
-    /// Crash faults.
-    pub crashes: u64,
-    /// Restart faults.
-    pub restarts: u64,
-    /// Protocol-layer events.
-    pub proto: u64,
-    /// Audit-layer events.
-    pub audit: u64,
-    /// Temporal-layer events.
-    pub(crate) temporal: u64,
-    /// Planning-layer events.
-    pub plan: u64,
-    /// Control-plane (fleet scheduling) events.
-    pub(crate) fleet: u64,
-}
+/// Events counted per [`Kind`]: a fold of the stream into one slot per row
+/// of the kind table (indexed, not hashed). A run's deterministic counters
+/// are read from it, so they can be rebuilt from its trace alone
+/// ([`Counts::of`]); shards merge theirs by addition.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Counts([u64; KINDS]);
 
-impl CounterSink {
-    /// A zeroed counter set.
-    pub fn new() -> Self {
-        CounterSink::default()
+impl Default for Counts {
+    fn default() -> Self {
+        Counts([0; KINDS])
     }
 }
 
-impl Sink for CounterSink {
-    fn accept(&mut self, ev: &Event) {
-        self.total += 1;
-        match &ev.payload {
-            Payload::Net(n) => match n {
-                NetEvent::Sent { .. } => self.net_sent += 1,
-                NetEvent::Delivered { .. } => self.net_delivered += 1,
-                NetEvent::Dropped { .. } => self.net_dropped += 1,
-                NetEvent::TimerFired { .. } => self.timers_fired += 1,
-                NetEvent::Crashed => self.crashes += 1,
-                NetEvent::Restarted => self.restarts += 1,
-            },
-            Payload::Proto(_) => self.proto += 1,
-            Payload::Audit(_) => self.audit += 1,
-            Payload::Temporal(_) => self.temporal += 1,
-            Payload::Plan(_) => self.plan += 1,
-            Payload::Fleet(_) => self.fleet += 1,
+impl Counts {
+    /// Nothing counted.
+    pub fn new() -> Self {
+        Counts::default()
+    }
+
+    /// The fold of `events`.
+    pub fn of(events: &[Event]) -> Counts {
+        let mut counts = Counts::new();
+        counts.accept_batch(events);
+        counts
+    }
+
+    /// Every event counted.
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    /// Every kind and its count, in table order.
+    pub fn iter(&self) -> impl Iterator<Item = (Kind, u64)> + '_ {
+        Kind::ALL.into_iter().zip(self.0)
+    }
+
+    /// Every layer — what a kind's name says before its `.` — and its
+    /// events, in table order.
+    pub fn layers(&self) -> Vec<(&'static str, u64)> {
+        let mut layers: Vec<(&'static str, u64)> = Vec::new();
+        for (kind, n) in self.iter() {
+            let layer = kind.name().split_once('.').map_or(kind.name(), |(layer, _)| layer);
+            match layers.last_mut() {
+                Some((last, sum)) if *last == layer => *sum += n,
+                _ => layers.push((layer, n)),
+            }
         }
+        layers
+    }
+}
+
+impl Index<Kind> for Counts {
+    type Output = u64;
+
+    fn index(&self, kind: Kind) -> &u64 {
+        &self.0[kind as usize]
+    }
+}
+
+impl<'a> Sum<&'a Counts> for Counts {
+    fn sum<I: Iterator<Item = &'a Counts>>(shards: I) -> Counts {
+        let mut sum = Counts::new();
+        for counts in shards {
+            sum.0.iter_mut().zip(counts.0).for_each(|(n, m)| *n += m);
+        }
+        sum
+    }
+}
+
+impl Sink for Counts {
+    fn accept(&mut self, ev: &Event) {
+        self.0[Kind::of(&ev.payload) as usize] += 1;
     }
 }
 
@@ -175,6 +195,7 @@ impl Sink for AuditTrail {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::NetEvent;
     use crate::time::SimTime;
     use sada_expr::CompId;
 
@@ -230,20 +251,38 @@ mod tests {
     }
 
     #[test]
-    fn counters_split_by_layer_and_kind() {
-        let mut c = CounterSink::new();
-        c.accept(&ev(0, Payload::Net(NetEvent::Sent { from: 0, to: 1 })));
-        c.accept(&ev(1, Payload::Net(NetEvent::Delivered { from: 0, to: 1 })));
-        c.accept(&ev(2, Payload::Net(NetEvent::Dropped { from: 0, to: 1 })));
-        c.accept(&ev(3, Payload::Net(NetEvent::Crashed)));
-        c.accept(&ev(4, Payload::Net(NetEvent::Restarted)));
-        c.accept(&ev(
-            5,
-            Payload::Audit(AuditEvent::SegmentStart { cid: 1, comp: CompId::from_index(0) }),
-        ));
-        assert_eq!(c.total, 6);
-        assert_eq!((c.net_sent, c.net_delivered, c.net_dropped), (1, 1, 1));
-        assert_eq!((c.crashes, c.restarts, c.audit), (1, 1, 1));
+    fn counts_fold_by_kind_and_merge_by_addition() {
+        let events = [
+            ev(0, Payload::Net(NetEvent::Sent { from: 0, to: 1 })),
+            ev(1, Payload::Net(NetEvent::Sent { from: 1, to: 0 })),
+            ev(2, Payload::Net(NetEvent::Crashed)),
+            ev(3, Payload::Audit(AuditEvent::SegmentStart { cid: 1, comp: CompId::from_index(0) })),
+        ];
+        let mut c = Counts::new();
+        for e in &events {
+            c.accept(e);
+        }
+        assert_eq!(c, Counts::of(&events), "a sink and a fold of the same stream agree");
+        assert_eq!((c[Kind::Sent], c[Kind::Crashed], c[Kind::SegmentStart]), (2, 1, 1));
+        assert_eq!((c[Kind::Delivered], c.total()), (0, 4));
+        let layers = [("net", 3), ("proto", 0), ("audit", 1), ("temporal", 0), ("plan", 0)];
+        assert_eq!(c.layers()[..5], layers);
+        let nonzero: Vec<&str> = c.iter().filter(|&(_, n)| n > 0).map(|(k, _)| k.name()).collect();
+        assert_eq!(nonzero, ["net.sent", "net.crashed", "audit.seg_start"], "table order");
+        let merged: Counts = [c.clone(), Counts::of(&events[2..])].iter().sum();
+        assert_eq!((merged[Kind::Sent], merged[Kind::Crashed], merged.total()), (2, 2, 6));
+    }
+
+    #[test]
+    fn kinds_are_the_table_in_order() {
+        assert_eq!(Kind::ALL.len(), KINDS);
+        for (ix, kind) in Kind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, ix, "{kind:?}");
+        }
+        assert_eq!(Kind::of(&Payload::Net(NetEvent::Crashed)).name(), "net.crashed");
+        assert_eq!(Kind::SessionShed.name(), "fleet.shed");
+        let layers: Vec<&str> = Counts::new().layers().iter().map(|&(layer, _)| layer).collect();
+        assert_eq!(layers, ["net", "proto", "audit", "temporal", "plan", "fleet"], "one run each");
     }
 
     #[test]

@@ -1091,10 +1091,10 @@ mod tests {
 
     #[test]
     fn external_bus_sinks_see_net_events() {
-        use sada_obs::CounterSink;
+        use sada_obs::{Counts, Kind};
         let bus = Bus::new();
-        let counters = Rc::new(RefCell::new(CounterSink::default()));
-        bus.attach(&counters);
+        let counts = Rc::new(RefCell::new(Counts::new()));
+        bus.attach(&counts);
         let mut sim = Simulator::new(0);
         sim.set_bus(bus.clone());
         let ring = net_ring(&sim);
@@ -1103,14 +1103,14 @@ mod tests {
         sim.crash_at(c, SimTime::from_millis(1));
         sim.restart_at(c, SimTime::from_millis(2));
         sim.run();
-        let counts = counters.borrow();
-        assert_eq!(counts.net_sent, sim.stats().sent);
-        assert_eq!(counts.net_delivered, sim.stats().delivered);
-        assert_eq!(counts.net_dropped, sim.stats().dropped);
-        assert_eq!(counts.crashes, 1);
-        assert_eq!(counts.restarts, 1);
+        let counts = counts.borrow();
+        assert_eq!(counts[Kind::Sent], sim.stats().sent);
+        assert_eq!(counts[Kind::Delivered], sim.stats().delivered);
+        assert_eq!(counts[Kind::Dropped], sim.stats().dropped);
+        assert_eq!(counts[Kind::Crashed], 1);
+        assert_eq!(counts[Kind::Restarted], 1);
         // Every sink on the bus sees the same stream, all of it net events.
-        assert_eq!(net_events(&ring).len() as u64, counts.total);
+        assert_eq!(net_events(&ring).len() as u64, counts.total());
     }
 
     /// Counts lifecycle callbacks alongside received messages.

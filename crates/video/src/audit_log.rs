@@ -137,7 +137,7 @@ impl AuditShared {
 mod tests {
     use super::*;
     use sada_expr::Universe;
-    use sada_obs::CounterSink;
+    use sada_obs::Counts;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -167,13 +167,15 @@ mod tests {
         let mut u = Universe::new();
         let a = u.intern("A");
         let bus = Bus::new();
-        let counters = Rc::new(RefCell::new(CounterSink::new()));
-        bus.attach(&counters);
+        let counts = Rc::new(RefCell::new(Counts::new()));
+        bus.attach(&counts);
         let shared = AuditShared::new(&bus, u.config_of(&["A"]));
         shared.segment_start(t(1), 7, a);
         shared.segment_lost(t(2), 7, a);
-        assert_eq!(counters.borrow().audit, 3, "snapshot + start + lost, all published");
-        assert_eq!(counters.borrow().total, 3, "nothing but audit events emitted here");
+        let counts = counts.borrow();
+        let audit = counts.layers().into_iter().find(|&(layer, _)| layer == "audit");
+        assert_eq!(audit, Some(("audit", 3)), "snapshot + start + lost, all published");
+        assert_eq!(counts.total(), 3, "nothing but audit events emitted here");
         assert_eq!(shared.events().len(), 3, "trail sees the same stream");
     }
 

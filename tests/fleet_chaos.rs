@@ -3,7 +3,7 @@
 //! replay restores both; then sweep seeds over randomized crash windows.
 
 use sada_fleet::{run_fleet, FleetScenario, SessionSpec};
-use sada_obs::{FleetEvent, Payload};
+use sada_obs::{FleetEvent, Kind, Payload};
 use sada_proto::{encode_session_journal, parse_session_journal};
 use sada_simnet::{SimDuration, SimTime};
 
@@ -142,8 +142,10 @@ fn session_behind_an_open_breaker_terminates_with_a_journaled_outcome() {
     scenario.faults = FaultPlan::new().crash(ActorId::from_index(0), SimTime::from_millis(2));
     let report = run_fleet(&scenario);
 
-    assert!(report.breaker_trips >= 1, "exhausted ladder must trip agent 0's breaker");
-    assert_eq!(report.rejected, 1, "session 2 is rejected at admission: {:?}", report.results);
+    let trips = report.counts[Kind::BreakerOpened];
+    assert!(trips >= 1, "exhausted ladder must trip agent 0's breaker");
+    let rejected = report.counts[Kind::SessionRejected];
+    assert_eq!(rejected, 1, "session 2 is rejected at admission: {:?}", report.results);
     let s1 = report.session(1).unwrap();
     assert!(!s1.success, "session 1 aborts against the dead agent");
     let s2 = report.session(2).unwrap();
