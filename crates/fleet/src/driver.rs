@@ -704,20 +704,8 @@ mod tests {
         // The two sessions pose isomorphic planning problems: the first
         // fills the shared cache, the second is answered from it.
         assert_eq!((report.cache.hits, report.cache.misses), (1, 1), "{:?}", report.cache);
-        let cache_events = report
-            .events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.payload,
-                    sada_obs::Payload::Fleet(
-                        sada_obs::FleetEvent::PlanCacheHit { .. }
-                            | sada_obs::FleetEvent::PlanCacheMiss { .. }
-                    )
-                )
-            })
-            .count();
-        assert_eq!(cache_events, 2, "hit and miss both reach the event stream");
+        let cache_events = (report.counts[Kind::PlanCacheHit], report.counts[Kind::PlanCacheMiss]);
+        assert_eq!(cache_events, (1, 1), "hit and miss both reach the event stream");
     }
 
     #[test]
@@ -737,6 +725,8 @@ mod tests {
         assert_eq!(out.events.len(), RING_CAPACITY, "the ring is full");
         let run_events = out.events.iter().filter(|e| e.session == 1).count() as u64;
         assert_eq!(out.events_evicted, 5 + run_events, "and the overflow is visible");
+        let fillers = out.counts[Kind::SessionCancelled] as usize;
+        assert_eq!(fillers, RING_CAPACITY + 5, "the counts fold the evicted head too");
     }
 
     #[test]

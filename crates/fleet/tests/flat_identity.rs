@@ -26,7 +26,7 @@ use sada_fleet::{
     disjoint_wave, fingerprint_events_unsharded, run_fleet, FleetReport, FleetResilience,
     FleetScenario, SessionResult, SessionSpec,
 };
-use sada_obs::{fnv1a, text::push_lines, Counts, FleetEvent, Kind, Payload};
+use sada_obs::{fnv1a, text::push_lines, Counts, Kind};
 use sada_proto::{parse_session_journal, ProtoTiming};
 use sada_resilience::{BreakerConfig, BulkheadConfig, RetryPolicy};
 use sada_simnet::{chaos, ActorId, ChaosOpts, Fault, FaultPlan, SimDuration, SimTime};
@@ -456,12 +456,9 @@ fn adaptive_ladder_over_breakers_with_a_crashed_and_a_slow_agent_is_pinned() {
         .crash(ActorId::from_index(0), SimTime::from_millis(30))
         .restart(ActorId::from_index(0), SimTime::from_millis(4_000));
     let report = run_fleet(&scn);
-    let count = |f: fn(&FleetEvent) -> bool| {
-        report.events.iter().filter(|e| matches!(&e.payload, Payload::Fleet(ev) if f(ev))).count()
-    };
-    let rto = count(|ev| matches!(ev, FleetEvent::TimeoutAdapted { .. }));
-    let opened = count(|ev| matches!(ev, FleetEvent::BreakerOpened { .. }));
-    let probed = count(|ev| matches!(ev, FleetEvent::BreakerProbed { .. }));
+    let c = &report.counts;
+    let (rto, opened, probed) =
+        (c[Kind::TimeoutAdapted], c[Kind::BreakerOpened], c[Kind::BreakerProbed]);
     assert!(
         rto > 0 && opened > 0 && probed > 0 && report.suppressed_sends > 0,
         "every host duty must show: {rto} RTO reports, {opened} trips, {probed} probes, {} \

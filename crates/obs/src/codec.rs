@@ -404,7 +404,7 @@ macro_rules! events {
         /// An event's kind: one row of the table. Its [`Kind::name`] is
         /// the `kind` its JSONL lines carry, and its discriminant is the
         /// row's index, so a per-kind count is an array slot, not a hash.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub enum Kind {
             $(#[doc = concat!("`", $kind, "`")] $variant,)*
         }
