@@ -516,6 +516,7 @@ fn tap(bus: &Bus) -> (Rc<RefCell<RingSink>>, Rc<RefCell<Counts>>) {
 /// Renders one captured stream: per-phase latency table, layer counts, and
 /// the temporal monitor's derived verdicts — all from the same events.
 fn render_stream(events: &[Event], counts: &Counts) {
+    use Kind::*;
     let m = Metrics::from_events(events);
     let layers: Vec<String> =
         counts.layers().iter().map(|(layer, n)| format!("{layer} {n}")).collect();
@@ -525,7 +526,6 @@ fn render_stream(events: &[Event], counts: &Counts) {
         println!("  {:<24} {:>12}", label, format!("{d}"));
     }
     println!("  {:<24} {:>12}", "total (non-running)", format!("{}", m.total_phase_time()));
-    use Kind::*;
     let [sent, delivered, dropped, timers, crashes, restarts] =
         [Sent, Delivered, Dropped, TimerFired, Crashed, Restarted].map(|k| m.counts[k]);
     println!(
@@ -563,9 +563,9 @@ fn render_stream(events: &[Event], counts: &Counts) {
     println!(
         "temporal: {} obligations opened, {} discharged, {} safe-point re-entries \
          ({} audit facts, {} monitored components)",
-        derived[Kind::ObligationOpened],
-        derived[Kind::ObligationDischarged],
-        derived[Kind::SafePoint],
+        derived[ObligationOpened],
+        derived[ObligationDischarged],
+        derived[SafePoint],
         m.counts.layers().into_iter().find(|&(layer, _)| layer == "audit").map_or(0, |(_, n)| n),
         comps.len()
     );
