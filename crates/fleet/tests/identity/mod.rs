@@ -2,6 +2,8 @@
 //! `sada-fleet` and `sada-scenario` (the latter includes this file by path:
 //! `sada-scenario` depends on `sada-fleet`, not the reverse).
 
+use std::fmt;
+
 use sada_fleet::{run_fleet_sharded, SessionResult, ShardReport, ShardScenario};
 use sada_obs::{fnv1a, text::push_lines, Counts, Kind};
 use sada_proto::parse_session_journal;
@@ -14,19 +16,69 @@ use sada_proto::parse_session_journal;
 /// tally `(committed, gave up, cancelled, shed, rejected)`, the report rows'
 /// hash (see [`results_fnv`]), the peak of concurrently admitted sessions,
 /// the makespan, and every counter the report carries (see [`Counters`]).
-#[derive(Debug)]
-pub(crate) struct Identity {
+/// Its `Debug` form is the form the pins are written in.
+#[derive(PartialEq)]
+pub(crate) struct Identity<'a> {
     pub fingerprint: u64,
-    pub final_config: &'static str,
+    pub final_config: &'a str,
     pub restores: u64,
-    pub journal_fnvs: &'static [u64],
-    pub records_fnvs: &'static [u64],
+    pub journal_fnvs: &'a [u64],
+    pub records_fnvs: &'a [u64],
     pub global_journal_fnv: u64,
     pub verdicts: (usize, usize, usize, usize, u64),
     pub results_fnv: u64,
     pub max_concurrent: usize,
     pub makespan_us: u64,
     pub counters: Counters,
+}
+
+/// The source form: hashes in hex.
+impl fmt::Debug for Identity<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Identity {
+            fingerprint,
+            final_config,
+            restores,
+            journal_fnvs,
+            records_fnvs,
+            global_journal_fnv,
+            verdicts,
+            results_fnv,
+            max_concurrent,
+            makespan_us,
+            counters,
+        } = self;
+        write!(
+            f,
+            "Identity {{ fingerprint: {fingerprint:#018x}, final_config: {final_config:?}, \
+             restores: {restores}, journal_fnvs: &[{}], records_fnvs: &[{}], \
+             global_journal_fnv: {global_journal_fnv:#018x}, verdicts: {verdicts:?}, \
+             results_fnv: {results_fnv:#018x}, max_concurrent: {max_concurrent}, \
+             makespan_us: {makespan_us}, counters: {counters:?} }}",
+            hex(journal_fnvs),
+            hex(records_fnvs),
+        )
+    }
+}
+
+impl Identity<'_> {
+    /// The fields where `self` and `other` differ, by name.
+    fn differing(&self, other: &Identity<'_>) -> Vec<&'static str> {
+        let same = [
+            ("fingerprint", self.fingerprint == other.fingerprint),
+            ("final_config", self.final_config == other.final_config),
+            ("restores", self.restores == other.restores),
+            ("journal_fnvs", self.journal_fnvs == other.journal_fnvs),
+            ("records_fnvs", self.records_fnvs == other.records_fnvs),
+            ("global_journal_fnv", self.global_journal_fnv == other.global_journal_fnv),
+            ("verdicts", self.verdicts == other.verdicts),
+            ("results_fnv", self.results_fnv == other.results_fnv),
+            ("max_concurrent", self.max_concurrent == other.max_concurrent),
+            ("makespan_us", self.makespan_us == other.makespan_us),
+            ("counters", self.counters == other.counters),
+        ];
+        same.into_iter().filter(|(_, same)| !same).map(|(name, _)| name).collect()
+    }
 }
 
 /// Every counter of a sharded report, summed over its planes: admission
@@ -127,42 +179,23 @@ fn assert_identity(what: &str, report: &ShardReport, want: &Identity) {
     let journal_fnvs: Vec<u64> = report.journals.iter().map(|(_, text)| fnv1a(text)).collect();
     let records_fnvs: Vec<u64> =
         report.journals.iter().map(|(_, text)| records_fnv(text)).collect();
-    let global_journal_fnv = fnv1a(&report.global_journal);
-    let rows = (results_fnv(&report.results), report.max_concurrent, report.makespan_us);
-    let got = (
-        report.fingerprint,
-        report.final_config.as_str(),
-        report.restores,
-        (journal_fnvs.as_slice(), records_fnvs.as_slice()),
-        global_journal_fnv,
+    let got = Identity {
+        fingerprint: report.fingerprint,
+        final_config: report.final_config.as_str(),
+        restores: report.restores,
+        journal_fnvs: &journal_fnvs,
+        records_fnvs: &records_fnvs,
+        global_journal_fnv: fnv1a(&report.global_journal),
         verdicts,
-        rows,
-        &counters,
-    );
-    let want_tuple = (
-        want.fingerprint,
-        want.final_config,
-        want.restores,
-        (want.journal_fnvs, want.records_fnvs),
-        want.global_journal_fnv,
-        want.verdicts,
-        (want.results_fnv, want.max_concurrent, want.makespan_us),
-        &want.counters,
-    );
+        results_fnv: results_fnv(&report.results),
+        max_concurrent: report.max_concurrent,
+        makespan_us: report.makespan_us,
+        counters,
+    };
     assert!(
-        got == want_tuple,
-        "{what}: identity moved, want {want:?}, got\nIdentity {{ fingerprint: {:#018x}, \
-         final_config: {:?}, restores: {}, journal_fnvs: &[{}], records_fnvs: &[{}], \
-         global_journal_fnv: {global_journal_fnv:#018x}, verdicts: {verdicts:?}, \
-         results_fnv: {:#018x}, max_concurrent: {}, makespan_us: {}, counters: {counters:?} }}",
-        report.fingerprint,
-        report.final_config,
-        report.restores,
-        hex(&journal_fnvs),
-        hex(&records_fnvs),
-        rows.0,
-        rows.1,
-        rows.2,
+        got == *want,
+        "{what}: identity moved in {}\nwant {want:?}\ngot  {got:?}",
+        got.differing(want).join(", ")
     );
 }
 
