@@ -137,7 +137,7 @@ fn bench_planning_scaling(c: &mut Criterion) {
             b.iter(|| lazy::plan(&inv, &actions, &from, &to).unwrap())
         });
         g.bench_with_input(BenchmarkId::new("astar", n), &n, |b, _| {
-            b.iter(|| lazy::plan_astar(&inv, &actions, &from, &to).0.unwrap())
+            b.iter(|| Search::new(&inv, &actions, from.width()).plan_astar(&from, &to).0.unwrap())
         });
     }
     g.finish();

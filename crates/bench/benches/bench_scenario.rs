@@ -28,7 +28,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sada_fleet::{run_fleet_sharded, FleetWorld, Objective, ShardReport, ShardScenario};
-use sada_plan::lazy;
 use sada_scenario::{energy_showcase, generate, validate, GeneratedScenario, ScenarioConfig};
 use std::time::Instant;
 
@@ -72,7 +71,7 @@ fn planning_pred_evals(scenario: &GeneratedScenario) -> u64 {
     let mut evals = 0;
     for g in 0..world.groups {
         let target = world.target_for(&init, &[(g, true)]);
-        let (path, stats) = lazy::plan_with_stats(&world.inv, &world.actions, &init, &target);
+        let (path, stats) = world.search.plan(&init, &target);
         assert!(path.is_some(), "generated goal must be reachable");
         evals += stats.pred_evals;
     }
@@ -156,8 +155,8 @@ fn write_bench_json() {
     let cool = FleetWorld::from_spec(energy_showcase(Objective::EnergyWatts));
     let init = fast.initial_config();
     let goal = fast.target_for(&init, &[(0, true)]);
-    let (fast_path, _) = lazy::plan_with_stats(&fast.inv, &fast.actions, &init, &goal);
-    let (cool_path, _) = lazy::plan_with_stats(&cool.inv, &cool.actions, &init, &goal);
+    let (fast_path, _) = fast.search.plan(&init, &goal);
+    let (cool_path, _) = cool.search.plan(&init, &goal);
     let (fast_path, cool_path) = (fast_path.expect("ms route"), cool_path.expect("watt route"));
     assert_ne!(
         fast_path.steps.len(),

@@ -41,7 +41,7 @@ use sada_expr::{enumerate, CompId};
 use sada_obs::{
     decode_lines, encode_event, AuditEvent, Bus, Counts, Event, Kind, Metrics, Payload, RingSink,
 };
-use sada_plan::{lazy, Search};
+use sada_plan::Search;
 use sada_proto::{
     AgentCore, AgentEvent, AgentState, LocalAction, ManagerCore, ManagerEvent, ManagerPhase,
     ProtoMsg, ProtoTiming, StepId,
@@ -395,7 +395,7 @@ fn scaling() {
             let tname = if i == 0 { format!("New{i}") } else { format!("Old{i}") };
             target.insert(u.id(&tname).unwrap());
         }
-        let (p, stats) = lazy::plan_with_stats(&inv, &actions, &source, &target);
+        let (p, stats) = Search::new(&inv, &actions, source.width()).plan(&source, &target);
         assert!(p.is_some());
         println!(
             "{:>4} {:>12} {:>14} {:>14} {:>16}",
@@ -1112,7 +1112,7 @@ fn scenario(seed: Option<u64>) {
         let w = sada_fleet::FleetWorld::from_spec(energy_showcase(objective));
         let init = w.initial_config();
         let goal = w.target_for(&init, &[(0, true)]);
-        let (path, _) = lazy::plan_with_stats(&w.inv, &w.actions, &init, &goal);
+        let (path, _) = w.search.plan(&init, &goal);
         let path = path.expect("showcase goal reachable");
         let route: Vec<&str> =
             path.steps.iter().map(|s| w.actions[s.action.index()].name()).collect();

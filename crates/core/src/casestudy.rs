@@ -74,6 +74,7 @@ pub const PAPER_MAP_COST: u64 = 50;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sada_proto::AdaptationPlanner;
     use std::collections::BTreeSet;
 
     #[test]
@@ -170,12 +171,14 @@ mod tests {
     }
 
     #[test]
-    fn lazy_planner_matches_map_cost() {
+    fn lazy_planner_returns_the_paper_map() {
         let cs = case_study();
         let lazy =
             sada_plan::lazy::plan(cs.spec.invariants(), cs.spec.actions(), &cs.source, &cs.target)
                 .unwrap();
         assert_eq!(lazy.cost, PAPER_MAP_COST);
+        let labels: Vec<String> = lazy.action_ids().iter().map(|a| a.to_string()).collect();
+        assert_eq!(labels, PAPER_MAP.to_vec());
     }
 
     #[test]
@@ -186,6 +189,9 @@ mod tests {
         assert!(paths.len() >= 3);
         assert_eq!(paths[0].cost, 50);
         assert!(paths.windows(2).all(|w| w[0].cost <= w[1].cost));
+        // The manager's planner ranks them alike, without building the SAG.
+        let mut planner = cs.spec.runtime_planner();
+        assert_eq!(planner.paths(&cs.source, &cs.target, 5), paths);
     }
 
     #[test]

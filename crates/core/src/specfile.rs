@@ -37,7 +37,7 @@
 //! ([`sada_expr::is_component_name`]); invariants use the `sada-expr`
 //! language; actions are replacements (`old -> new`, either side a name or
 //! a parenthesized list), insertions (`+C`) or removals (`-C`), each with
-//! a mandatory `cost <n>` and an optional trailing `drain` marker for
+//! a mandatory positive `cost <n>` and an optional trailing `drain` marker for
 //! actions whose global safe condition requires draining in-flight
 //! traffic; channels are directed `from -> to` pairs of components.
 
@@ -301,6 +301,7 @@ mod tests {
             ("(A, B -> C cost 5\n", "unbalanced"),
             ("A -> A cost 5\n", "action A -> A: removes and adds overlap"),
             ("(A, B) -> (B) cost 5\n", "action (A, B) -> (B): removes and adds overlap"),
+            ("A -> B cost 0\n", "action A -> B: cost 0"),
         ] {
             let e = parse_spec_file(&format!("{base}{bad}")).unwrap_err();
             assert_eq!(e.line, 7, "{bad:?} gave {e}");

@@ -17,6 +17,12 @@
 //! returned [`Path`](sada_plan::Path) is bit-for-bit what a fresh search
 //! would have produced — the search is deterministic and depends only on
 //! the normalized instance (property-tested in `tests/fleet_props.rs`).
+//! That rests on the relabel preserving two orders: the scoped actions'
+//! (world order), in which candidates are tried, and the components',
+//! in which the search settles a tie between two predecessors (the tie
+//! rule of [`sada_plan::lazy`]). Sorting the scope ascending onto `0, 1,
+//! …` keeps both, across a word boundary too; an order that read a
+//! configuration's words low word first would not survive it.
 //! Replay validation after a crash re-derives plans by re-querying the
 //! planner, so cached and fresh answers **must** coincide; a denormalized
 //! plan that fails to re-apply (which the isomorphism argument rules out)

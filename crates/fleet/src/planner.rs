@@ -30,8 +30,8 @@
 //!   a copy of the fleet configuration's spine and of the chunk the flip
 //!   falls in (the journal, `current` after the last commit and
 //!   `final_config` all end up on this one spine, because
-//!   [`ScopedLazyPlanner::denormalize`] and `Search::reconstruct` hand back
-//!   the caller's own `to` as the last step's `to`);
+//!   [`ScopedLazyPlanner::denormalize`] and the search's path replay hand
+//!   back the caller's own `to` as the last step's `to`);
 //! * one **fold copy**: `ControlActor::finish` writes the scope's final
 //!   values into `fleet_config`, whose previous spine is still the
 //!   journaled source of every session admitted under it — again a spine
@@ -223,11 +223,13 @@ impl ScopedLazyPlanner {
 }
 
 impl AdaptationPlanner for ScopedLazyPlanner {
-    /// At most one candidate: the lazy minimum adaptation path. Uniform-cost
-    /// search is deterministic, so repeated queries (and post-crash replay)
-    /// return the identical ranking — through the cache or not. The failure
-    /// ladder's "second path" rung simply falls through to
-    /// return-to-source under this planner.
+    /// At most one candidate, whatever `k`: the lazy minimum adaptation
+    /// path, the first rank of [`Search::k_paths`](sada_plan::Search::k_paths)
+    /// over the scope. Uniform-cost search is deterministic, so repeated
+    /// queries (and post-crash replay) return the identical ranking —
+    /// through the cache or not. The manager asks for rank 2 only after a
+    /// path failed, and the failure ladder's "second path" rung then falls
+    /// through to return-to-source under this planner.
     fn paths(&mut self, from: &Config, to: &Config, _k: usize) -> Vec<Path> {
         match self.plan_via_cache(from, to) {
             Some(answer) => answer.into_iter().collect(),

@@ -3,9 +3,9 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use sada_expr::{enumerate, Config, InvariantSet, Universe};
+use sada_expr::{Config, InvariantSet, Universe};
 use sada_model::SystemModel;
-use sada_plan::{Action, Sag};
+use sada_plan::{Action, Search};
 
 use crate::agent::{AgentCore, AgentEffect, AgentEvent};
 use crate::journal::JournalRecord;
@@ -13,7 +13,7 @@ use crate::manager::{
     ManagerCore, ManagerEffect, ManagerEvent, ManagerPhase, Outcome, ProtoTiming,
 };
 use crate::messages::ProtoMsg;
-use crate::plan_adapter::SagPlanner;
+use crate::plan_adapter::SearchPlanner;
 
 /// World: components A, B, C under one_of; replacements A->B (1), B->C (1),
 /// A->C (5). Everything hosted on one process / agent 0.
@@ -31,11 +31,11 @@ fn world() -> (Universe, ManagerCore) {
         Action::replace(4, "B->A", &u.config_of(&["B"]), &u.config_of(&["A"]), 1),
     ];
     let inv = InvariantSet::parse(&["one_of(A, B, C)"], &mut u).unwrap();
-    let sag = Sag::build(enumerate::safe_configs(&u, &inv), &actions);
+    let search = Search::new(&inv, &actions, u.len());
     let mut model = SystemModel::new();
     let p0 = model.add_process();
     model.place_all(&u, &[("A", p0), ("B", p0), ("C", p0)]);
-    let planner = SagPlanner::new(sag, actions, model, HashSet::new());
+    let planner = SearchPlanner::new(search, model, HashSet::new());
     let mgr = ManagerCore::new(ProtoTiming::default(), Box::new(planner));
     (u, mgr)
 }
@@ -54,12 +54,12 @@ fn world_two_agents() -> (Universe, ManagerCore) {
         10,
     )];
     let inv = InvariantSet::parse(&["one_of(X1, X2) & one_of(Y1, Y2)"], &mut u).unwrap();
-    let sag = Sag::build(enumerate::safe_configs(&u, &inv), &actions);
+    let search = Search::new(&inv, &actions, u.len());
     let mut model = SystemModel::new();
     let p0 = model.add_process();
     let p1 = model.add_process();
     model.place_all(&u, &[("X1", p0), ("X2", p0), ("Y1", p1), ("Y2", p1)]);
-    let planner = SagPlanner::new(sag, actions, model, HashSet::new());
+    let planner = SearchPlanner::new(search, model, HashSet::new());
     let mgr = ManagerCore::new(ProtoTiming::default(), Box::new(planner));
     (u, mgr)
 }
@@ -316,11 +316,11 @@ fn give_up_when_stranded_mid_path() {
         Action::replace(1, "B->C", &u.config_of(&["B"]), &u.config_of(&["C"]), 1),
     ];
     let inv = InvariantSet::parse(&["one_of(A, B, C)"], &mut u).unwrap();
-    let sag = Sag::build(enumerate::safe_configs(&u, &inv), &actions);
+    let search = Search::new(&inv, &actions, u.len());
     let mut model = SystemModel::new();
     let p0 = model.add_process();
     model.place_all(&u, &[("A", p0), ("B", p0), ("C", p0)]);
-    let planner = SagPlanner::new(sag, actions, model, HashSet::new());
+    let planner = SearchPlanner::new(search, model, HashSet::new());
     let mut mgr = ManagerCore::new(ProtoTiming::default(), Box::new(planner));
 
     let eff = mgr.on_event(ManagerEvent::Request {

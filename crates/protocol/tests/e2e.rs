@@ -4,10 +4,10 @@
 
 use std::collections::HashSet;
 
-use sada_expr::{enumerate, Config, InvariantSet, Universe};
+use sada_expr::{Config, InvariantSet, Universe};
 use sada_model::SystemModel;
-use sada_plan::{Action, ActionId, Sag};
-use sada_proto::{AgentTiming, ManagerActor, ProtoTiming, SagPlanner, ScriptedAgent, Wire};
+use sada_plan::{Action, ActionId, Search};
+use sada_proto::{AgentTiming, ManagerActor, ProtoTiming, ScriptedAgent, SearchPlanner, Wire};
 use sada_simnet::{ActorId, LinkConfig, SimDuration, Simulator};
 
 type Msg = Wire<()>;
@@ -42,13 +42,13 @@ fn build_world(seed: u64, source: &[&str], target: &[&str], timing: ProtoTiming)
     // Y2 only works with X2 (like the paper's E2 needing D3/D2).
     let inv =
         InvariantSet::parse(&["one_of(X1, X2)", "one_of(Y1, Y2)", "Y2 => X2"], &mut u).unwrap();
-    let sag = Sag::build(enumerate::safe_configs(&u, &inv), &actions);
+    let search = Search::new(&inv, &actions, u.len());
     let mut model = SystemModel::new();
     let p0 = model.add_process();
     let p1 = model.add_process();
     model.place_all(&u, &[("X1", p0), ("X2", p0), ("Y1", p1), ("Y2", p1)]);
     let drain: HashSet<ActionId> = [ActionId(2)].into();
-    let planner = SagPlanner::new(sag, actions, model, drain);
+    let planner = SearchPlanner::new(search, model, drain);
 
     let mut sim: Simulator<Msg> = Simulator::new(seed);
     // Agents must exist before the manager so their ids are known.
@@ -292,12 +292,12 @@ fn pair_action_blocks_both_agents_until_barrier() {
         100,
     )];
     let inv = InvariantSet::parse(&["one_of(X1, X2)", "one_of(Y1, Y2)"], &mut u).unwrap();
-    let sag = Sag::build(enumerate::safe_configs(&u, &inv), &actions);
+    let search = Search::new(&inv, &actions, u.len());
     let mut model = SystemModel::new();
     let p0 = model.add_process();
     let p1 = model.add_process();
     model.place_all(&u, &[("X1", p0), ("X2", p0), ("Y1", p1), ("Y2", p1)]);
-    let planner = SagPlanner::new(sag, actions, model, [ActionId(0)].into());
+    let planner = SearchPlanner::new(search, model, [ActionId(0)].into());
 
     let mut sim: Simulator<Msg> = Simulator::new(11);
     // Agent 1 is slow to reach its safe state; agent 0 must wait blocked.
@@ -348,14 +348,14 @@ fn rollback_overtaking_the_in_action_leaves_no_change_behind() {
             let inv =
                 InvariantSet::parse(&["one_of(X1, X2)", "one_of(Y1, Y2)", "X1 <=> Y1"], &mut u)
                     .unwrap();
-            let sag = Sag::build(enumerate::safe_configs(&u, &inv), &actions);
+            let search = Search::new(&inv, &actions, u.len());
             let mut model = SystemModel::new();
             let p0 = model.add_process();
             let p1 = model.add_process();
             model.place_all(&u, &[("X1", p0), ("X2", p0), ("Y1", p1), ("Y2", p1)]);
             let drains: HashSet<ActionId> =
                 if drain { [ActionId(0)].into() } else { HashSet::new() };
-            let planner = SagPlanner::new(sag, actions.clone(), model, drains);
+            let planner = SearchPlanner::new(search, model, drains);
 
             let mut sim: Simulator<Msg> = Simulator::new(1);
             let y_timing = AgentTiming {

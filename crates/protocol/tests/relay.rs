@@ -2,11 +2,11 @@
 //! manager and agent state machines adapt through chains of
 //! [`RelayActor`]s, one tree edge per relay.
 
-use sada_expr::{enumerate, InvariantSet, Universe};
+use sada_expr::{InvariantSet, Universe};
 use sada_model::SystemModel;
-use sada_plan::{Action, Sag};
+use sada_plan::{Action, Search};
 use sada_proto::{
-    AgentTiming, ManagerActor, ProtoTiming, RelayActor, SagPlanner, ScriptedAgent, Wire,
+    AgentTiming, ManagerActor, ProtoTiming, RelayActor, ScriptedAgent, SearchPlanner, Wire,
 };
 use sada_simnet::{LinkConfig, SimDuration, Simulator};
 use std::collections::HashSet;
@@ -14,17 +14,17 @@ use std::collections::HashSet;
 type Msg = Wire<()>;
 
 /// One-component world planned over a single replace action.
-fn planner() -> (Universe, SagPlanner) {
+fn planner() -> (Universe, SearchPlanner) {
     let mut u = Universe::new();
     u.intern("A");
     u.intern("B");
     let actions = vec![Action::replace(0, "A->B", &u.config_of(&["A"]), &u.config_of(&["B"]), 5)];
     let inv = InvariantSet::parse(&["one_of(A, B)"], &mut u).unwrap();
-    let sag = Sag::build(enumerate::safe_configs(&u, &inv), &actions);
+    let search = Search::new(&inv, &actions, u.len());
     let mut model = SystemModel::new();
     let p = model.add_process();
     model.place_all(&u, &[("A", p), ("B", p)]);
-    (u.clone(), SagPlanner::new(sag, actions, model, HashSet::new()))
+    (u.clone(), SearchPlanner::new(search, model, HashSet::new()))
 }
 
 #[test]

@@ -490,3 +490,120 @@ pub fn energy_showcase(objective: Objective) -> WorldSpec {
         clusters: vec![ClusterSpec { comps: vec![0, 1, 2], on_false: vec![0], on_true: vec![2] }],
     }
 }
+
+#[cfg(test)]
+mod tests {
+    //! The lazy search's ranking against eager Yen's, exhaustively: every
+    //! universe of at most eight components built from the three families
+    //! (each cluster one collaborative set), under unit costs and under
+    //! drawn costs in 1..=3, every (source, target) pair of its safe
+    //! configurations, and k ∈ {1, 2, 4}. `Search::k_paths` must return
+    //! eager `Sag::k_shortest_paths`'s paths step for step, and the paths of
+    //! each k must be a prefix of the next k's. Dropping the tie rule of
+    //! `sada_plan::lazy` — re-pointing a node's predecessor when a
+    //! positive-cost arc reaches it at its distance from a smaller
+    //! (distance, configuration) — fails this check: on two two-mode chains
+    //! at unit cost, `1001 -> 0110` already takes its two steps in the
+    //! other order.
+
+    use super::*;
+    use sada_expr::enumerate;
+    use sada_fleet::{Domain, FleetWorld};
+    use sada_plan::Sag;
+
+    /// One cluster: its family and component count.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        Chain(usize),
+        Implication(usize),
+        Ring(usize),
+    }
+
+    impl Shape {
+        fn comps(self) -> usize {
+            match self {
+                Shape::Chain(k) => k,
+                Shape::Implication(sidecars) => 2 + sidecars,
+                Shape::Ring(n) => n,
+            }
+        }
+    }
+
+    /// Every multiset of shapes of at most `room` components, drawn from
+    /// `shapes[from..]` (so each multiset appears once).
+    fn universes(shapes: &[Shape], from: usize, room: usize) -> Vec<Vec<Shape>> {
+        let mut out = vec![Vec::new()];
+        for (i, &s) in shapes.iter().enumerate().skip(from) {
+            if s.comps() <= room {
+                for mut rest in universes(shapes, i, room - s.comps()) {
+                    rest.insert(0, s);
+                    out.push(rest);
+                }
+            }
+        }
+        out
+    }
+
+    /// The world of `shapes`, its costs drawn by `cost`.
+    fn world(shapes: &[Shape], cost: &mut CostModel) -> FleetWorld {
+        let mut b = Build::default();
+        let mut rng = SplitMix64::new(7);
+        for (c, &shape) in shapes.iter().enumerate() {
+            let names = |n: usize, tag: &str| (0..n).map(|j| format!("c{c}{tag}{j}")).collect();
+            match shape {
+                Shape::Chain(k) => {
+                    let modes: Vec<String> = names(k, "m");
+                    chain_cluster(&mut b, &mut rng, &modes, false, cost);
+                }
+                Shape::Implication(sidecars) => {
+                    let (a, bb) = (format!("c{c}a"), format!("c{c}b"));
+                    implication_cluster(&mut b, &mut rng, a, bb, names(sidecars, "s"), cost);
+                }
+                Shape::Ring(n) => {
+                    let ring: Vec<String> = names(n, "r");
+                    xor_ring_cluster(&mut b, &mut rng, &ring, cost);
+                }
+            }
+        }
+        FleetWorld::from_spec(WorldSpec {
+            domain: Domain::Serverless,
+            objective: Objective::LatencyMs,
+            comps: b.comps,
+            invariants: b.invariants,
+            actions: b.actions,
+            clusters: b.clusters,
+        })
+    }
+
+    #[test]
+    fn lazy_ranking_is_eager_yens_on_every_small_universe() {
+        let mut shapes: Vec<Shape> = (2..=8).map(Shape::Chain).collect();
+        shapes.extend((1..=6).map(Shape::Implication));
+        shapes.extend([4, 6, 8].map(Shape::Ring));
+        let (mut universes_checked, mut queries) = (0, 0);
+        for shapes in universes(&shapes, 0, 8).iter().filter(|s| !s.is_empty()) {
+            let unit: &mut CostModel = &mut |_| (1, 1);
+            let drawn: &mut CostModel = &mut |r| (1 + r.below(3), 1);
+            for cost in [unit, drawn] {
+                let w = world(shapes, cost);
+                let safe = enumerate::safe_configs(&w.universe, &w.inv);
+                let sag = Sag::build(safe.clone(), &w.actions);
+                for s in &safe {
+                    for t in &safe {
+                        let mut shorter: Vec<sada_plan::Path> = Vec::new();
+                        for k in [1, 2, 4] {
+                            let lazy = w.search.k_paths(s, t, k);
+                            let eager = sag.k_shortest_paths(s, t, k);
+                            assert_eq!(lazy, eager, "{shapes:?}, {s} -> {t}, k = {k}");
+                            assert!(lazy.starts_with(&shorter), "{shapes:?}, {s} -> {t}, k = {k}");
+                            shorter = lazy;
+                            queries += 1;
+                        }
+                    }
+                }
+                universes_checked += 1;
+            }
+        }
+        assert!(universes_checked > 100 && queries > 10_000, "{universes_checked}, {queries}");
+    }
+}

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example collaborative_sets`
 
 use sada_repro::expr::{enumerate, InvariantSet, Universe};
-use sada_repro::plan::{collab, lazy, Action, Sag};
+use sada_repro::plan::{collab, Action, Sag, Search};
 
 fn main() {
     // A system of K independent codec pairs, like K MetaSocket streams each
@@ -78,7 +78,8 @@ fn main() {
     );
 
     // The lazy planner explores even less without any SAG at all.
-    let (lazy_path, stats) = lazy::plan_with_stats(&invariants, &actions, &source, &target);
+    let (lazy_path, stats) =
+        Search::new(&invariants, &actions, source.width()).plan(&source, &target);
     assert_eq!(lazy_path.unwrap().cost, full_path.cost);
     println!(
         "lazy planner: {} nodes expanded, {} safety checks (vs {} configs enumerated eagerly)",

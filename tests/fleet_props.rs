@@ -141,22 +141,34 @@ proptest! {
     /// disjoint group ranges shares one cache: after the first session
     /// seeds it, every later session is answered from the cache, and each
     /// answer must be identical to what an uncached planner computes for
-    /// the same endpoints.
+    /// the same endpoints. Every group starts opposite its wave's direction,
+    /// so a wave sent back flips several groups back, and one more wave
+    /// sits on groups 31 and 32, whose scope straddles the first two words
+    /// of the configuration. That wave catches the search ordering ties by
+    /// derived `Config` order (word 0 first) instead of component order:
+    /// when its two groups move the same way, its cached plan, relabelled
+    /// onto one word, takes the two flips in the other order than its
+    /// fresh plan.
     #[test]
     fn cached_plans_are_identical_to_fresh_plans(
         waves in 2usize..5,
         span in 1usize..3,
         dirs in proptest::collection::vec(any::<bool>(), 1..3),
     ) {
-        let world = Rc::new(FleetWorld::build(waves * span));
+        // Wave i < waves owns groups i * span.., the last one groups 31..;
+        // every wave poses the same problem over its own groups.
+        // `wave(first, true)` sends its groups where `dirs` says, and
+        // `wave(first, false)` the other way, where they start.
+        let firsts: Vec<usize> = (0..waves).map(|i| i * span).chain([31]).collect();
+        let world = Rc::new(FleetWorld::build(31 + span));
         let cache = Rc::new(RefCell::new(PlanCache::new(64)));
-        let src = world.initial_config();
-        for i in 0..waves {
-            // Session i flips its own groups with the shared direction
-            // pattern, so all sessions pose isomorphic problems.
-            let flips: Vec<(usize, bool)> = (0..span)
-                .map(|j| (i * span + j, dirs[j % dirs.len()]))
-                .collect();
+        let wave = |first: usize, to: bool| -> Vec<(usize, bool)> {
+            (0..span).map(|j| (first + j, dirs[j % dirs.len()] == to)).collect()
+        };
+        let boot: Vec<(usize, bool)> = firsts.iter().flat_map(|&f| wave(f, false)).collect();
+        let src = world.target_for(&world.initial_config(), &boot);
+        for (i, &first) in firsts.iter().enumerate() {
+            let flips = wave(first, true);
             let scope = world.scope_comps(&flips);
             let dst = world.target_for(&src, &flips);
             let mut cached = ScopedLazyPlanner::new(Rc::clone(&world), &scope)
@@ -170,7 +182,7 @@ proptest! {
         }
         let stats = cache.borrow().stats();
         prop_assert_eq!(stats.misses, 1, "only the first session misses: {:?}", stats);
-        prop_assert_eq!(stats.hits as usize, waves - 1, "{:?}", stats);
+        prop_assert_eq!(stats.hits as usize, waves, "{:?}", stats);
         // Hit rate over a disjoint wave is (n-1)/n: at least 50%.
         prop_assert!(stats.hits * 2 >= (stats.hits + stats.misses));
     }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use sada_expr::{enumerate, CompId, Config, Expr, InvariantSet, Universe};
-use sada_plan::{lazy, Action, Sag};
+use sada_plan::{lazy, Action, Sag, Search};
 
 const N_VARS: usize = 6;
 
@@ -175,7 +175,7 @@ proptest! {
         let sag = Sag::build(enumerate::safe_configs(&u, &inv), &actions);
         let eager = sag.shortest_path(&from, &to).map(|p| p.cost);
         let lazy_cost = lazy::plan(&inv, &actions, &from, &to).map(|p| p.cost);
-        let astar_cost = lazy::plan_astar(&inv, &actions, &from, &to).0.map(|p| p.cost);
+        let astar_cost = Search::new(&inv, &actions, from.width()).plan_astar(&from, &to).0.map(|p| p.cost);
         let brute = brute_force_cost(&actions, &from, &to);
         prop_assert_eq!(eager, brute);
         prop_assert_eq!(lazy_cost, brute);
