@@ -16,6 +16,12 @@
 //! the global tier still ran its own ladder beside its manager host. The
 //! report counters were captured while each was still incremented by hand
 //! beside the event that says the same thing.
+//!
+//! The fingerprints and the first and last planes' journal and records
+//! constants of the three rows above were re-captured once, when the lazy
+//! search took eager Dijkstra's tie rule: the straddlers' multi-group
+//! flips take their steps in component order. Every verdict, counter,
+//! final configuration, report row and the global journal held.
 
 mod identity;
 
@@ -58,22 +64,22 @@ fn straddlers_over_four_regions_are_pinned() {
         "straddling fleet",
         &straddling_fleet(),
         &Identity {
-            fingerprint: 0xe6003dc5fee5a613,
+            fingerprint: 0x2ff7f587ed15d001,
             final_config: "0101010110100110",
             restores: 0,
             journal_fnvs: &[
-                0x405ea114d1631e77,
+                0x82b2a302b0b6fdf7,
                 0x6cc0e87e16e02448,
                 0x5522f46c04a47525,
                 0x6e10c94900cda3a6,
-                0xc54cffb94e33cac4,
+                0xb1e8f07cc832f1fa,
             ],
             records_fnvs: &[
-                0xd71896d428050fd9,
+                0xb6e49cb9f6a83119,
                 0x7a26756e8c1409f9,
                 0x70146736012906e5,
                 0x31eedb1f41686777,
-                0xb27d265e4213c396,
+                0x62ebdbf1e44b0268,
             ],
             global_journal_fnv: 0x832062beb8f9b6b4,
             verdicts: (12, 0, 1, 0, 0),
@@ -119,22 +125,22 @@ fn region_and_global_crashes_over_a_lossy_fabric_are_pinned() {
         "crashes + lossy fabric",
         &scn,
         &Identity {
-            fingerprint: 0x22111704deb0be8b,
+            fingerprint: 0xb19e959957ac57b3,
             final_config: "0101010110100110",
             restores: 2,
             journal_fnvs: &[
-                0x405ea114d1631e77,
+                0x82b2a302b0b6fdf7,
                 0x6cc0e87e16e02448,
                 0x5522f46c04a47525,
                 0x6e10c94900cda3a6,
-                0x08f37a37a4088cae,
+                0x6256bc4594bb9840,
             ],
             records_fnvs: &[
-                0xd71896d428050fd9,
+                0xb6e49cb9f6a83119,
                 0x7a26756e8c1409f9,
                 0x70146736012906e5,
                 0x31eedb1f41686777,
-                0x3a17d3cf6a0a6ec2,
+                0xf35e30d15cf2e5f4,
             ],
             global_journal_fnv: 0x897545ff388a6ac0,
             verdicts: (12, 0, 1, 0, 0),
@@ -188,22 +194,22 @@ fn straddlers_withdrawn_mid_escalation_around_a_global_crash_are_pinned() {
         "straddlers withdrawn around a global crash",
         &scn,
         &Identity {
-            fingerprint: 0x7d0cf461cbee304d,
+            fingerprint: 0x023c528f16cb5b57,
             final_config: "0101010110100110",
             restores: 1,
             journal_fnvs: &[
-                0x405ea114d1631e77,
+                0x82b2a302b0b6fdf7,
                 0x6cc0e87e16e02448,
                 0x5522f46c04a47525,
                 0x6e10c94900cda3a6,
-                0xc54cffb94e33cac4,
+                0xb1e8f07cc832f1fa,
             ],
             records_fnvs: &[
-                0xd71896d428050fd9,
+                0xb6e49cb9f6a83119,
                 0x7a26756e8c1409f9,
                 0x70146736012906e5,
                 0x31eedb1f41686777,
-                0xb27d265e4213c396,
+                0x62ebdbf1e44b0268,
             ],
             global_journal_fnv: 0xbd56995b99172730,
             verdicts: (12, 0, 5, 0, 0),
