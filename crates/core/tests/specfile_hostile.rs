@@ -7,7 +7,7 @@
 #[path = "../../fleet/tests/hostile/mod.rs"]
 mod hostile;
 
-use hostile::hostile;
+use hostile::{chains, hostile};
 use proptest::prelude::*;
 use sada_core::specfile::parse_spec_file;
 use sada_expr::MAX_NESTING;
@@ -62,7 +62,9 @@ fn check(text: &str) -> Result<(), TestCaseError> {
 
 proptest! {
     #[test]
-    fn no_text_panics_the_spec_file_parser(text in hostile(TOKENS, VALID)) {
+    fn no_text_panics_the_spec_file_parser(
+        text in hostile(&[TOKENS, &chains(&["A <=> ", "A | ", "A => "])].concat(), VALID),
+    ) {
         check(&text)?;
     }
 

@@ -59,7 +59,7 @@ const SHARED: &[&str] = &[
 /// arbitrary characters, stitched together. The stretch
 /// may be empty, so some texts parse; most fail, on a line that is not the
 /// first.
-pub(crate) fn hostile(tokens: &'static [&'static str], valid: &str) -> BoxedStrategy<String> {
+pub(crate) fn hostile(tokens: &[&'static str], valid: &str) -> BoxedStrategy<String> {
     let lines: Vec<String> = valid.lines().map(|line| format!("{line}\n")).collect();
     let line = prop::sample::select(lines).boxed();
     let token = prop::sample::select([tokens, SHARED].concat()).prop_map(str::to_string).boxed();
@@ -88,6 +88,15 @@ pub(crate) fn hostile(tokens: &'static [&'static str], valid: &str) -> BoxedStra
     (lines(4), stretch, lines(3))
         .prop_map(|(before, stretch, after)| [before, stretch, after].concat().concat())
         .boxed()
+}
+
+/// Runs of binary-operator `links` (such as `"a | "`), 40 links each and
+/// open at the end, for the expression parsers' token lists: two stitched
+/// together pass the parsers' nesting bound, as a chain's links count
+/// toward it.
+#[allow(dead_code)] // the line formats have no binary operators
+pub(crate) fn chains(links: &[&str]) -> Vec<&'static str> {
+    links.iter().map(|link| &*link.repeat(40).leak()).collect()
 }
 
 /// Holds `parse` to one text: an error names a place inside the text, and

@@ -26,8 +26,10 @@ use crate::config::Universe;
 use crate::expr::Expr;
 
 /// The deepest nesting an invariant may have — a parenthesis, a `one_of`
-/// operand, a `!` and the right side of `=>` are one level each — so that
-/// no text descends the parser past a default thread's stack.
+/// operand, a `!`, the right side of `=>` and each link of a `<=>` chain
+/// (which folds what came before it one level deeper) are one level each —
+/// so that no text builds an expression deeper than a default thread's
+/// stack can print or drop. (`&`, `^` and `|` chains are one n-ary node.)
 pub const MAX_NESTING: usize = 64;
 
 /// An error produced while parsing an invariant expression.
@@ -190,26 +192,40 @@ impl<'s> Parser<'_, 's> {
         self.iff()
     }
 
-    /// `rule`, one level of nesting deeper.
-    fn nested(&mut self, rule: Rule) -> Result<Expr, ParseError> {
+    /// One level of nesting deeper, or the error past [`MAX_NESTING`].
+    fn deeper(&mut self) -> Result<(), ParseError> {
         if self.depth == MAX_NESTING {
             let msg = format!("nested deeper than {MAX_NESTING} levels");
             return Err(ParseError { at: self.here(), msg });
         }
         self.depth += 1;
+        Ok(())
+    }
+
+    /// `rule`, one level of nesting deeper.
+    fn nested(&mut self, rule: Rule) -> Result<Expr, ParseError> {
+        self.deeper()?;
         let e = rule(self);
         self.depth -= 1;
         e
     }
 
+    /// `implies (<=> implies)*`, folded to the left: each link puts what
+    /// came before it one level deeper, and counts as one.
     fn iff(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.implies()?;
-        while self.peek() == Some(Tok::DArrow) {
-            self.bump();
-            let rhs = self.implies()?;
-            lhs = lhs.iff(rhs);
-        }
-        Ok(lhs)
+        let outer = self.depth;
+        let mut fold = || {
+            let mut lhs = self.implies()?;
+            while self.peek() == Some(Tok::DArrow) {
+                self.deeper()?;
+                self.bump();
+                lhs = lhs.iff(self.implies()?);
+            }
+            Ok(lhs)
+        };
+        let e = fold();
+        self.depth = outer;
+        e
     }
 
     fn implies(&mut self) -> Result<Expr, ParseError> {

@@ -49,6 +49,7 @@ fn arb_source() -> BoxedStrategy<String> {
         "!!!!!!!!!!!!!!!!",
         "one_of(one_of(one_of(one_of(",
         "A => A => A => A => A => A => ",
+        "A <=> A <=> A <=> A <=> A <=> A <=> A <=> A <=> A <=> A <=> A <=> A <=> ",
     ];
     let fragment = prop::sample::select(fragments).prop_map(str::to_string);
     let any_char = any::<u32>().prop_map(|bits| {
@@ -117,9 +118,9 @@ fn nest(depth: usize, open: &str, close: &str) -> String {
 #[test]
 fn nesting_parses_to_the_bound_and_is_an_error_past_it() {
     let mut u = Universe::new();
-    for (open, close) in [("(", ")"), ("!", ""), ("one_of(", ")"), ("A => ", "")] {
+    for (open, close) in [("(", ")"), ("!", ""), ("one_of(", ")"), ("A => ", ""), ("A <=> ", "")] {
         assert!(parse_expr(&nest(MAX_NESTING, open, close), &mut u).is_ok(), "{open}");
-        for depth in [MAX_NESTING + 1, 10_000] {
+        for depth in [MAX_NESTING + 1, 10_000, 100_000] {
             let err = parse_expr(&nest(depth, open, close), &mut u).unwrap_err();
             assert!(err.to_string().contains("nested deeper than 64 levels"), "{open}: {err}");
         }

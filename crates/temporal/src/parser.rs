@@ -19,8 +19,10 @@ use std::fmt;
 use crate::formula::Formula;
 
 /// The deepest nesting a formula may have — a parenthesis, a unary
-/// operator and the right side of `=>` are one level each — so that no text
-/// descends the parser past a default thread's stack.
+/// operator, the right side of `=>` and each link of a `|`, `&` or `since`
+/// chain (which folds what came before it one level deeper) are one level
+/// each — so that no text builds a formula deeper than a default thread's
+/// stack can print, monitor or drop.
 pub const MAX_NESTING: usize = 64;
 
 /// A ptLTL syntax error.
@@ -152,15 +154,44 @@ impl P {
         self.implies()
     }
 
-    /// `rule`, one level of nesting deeper.
-    fn nested(&mut self, rule: Rule) -> Result<Formula, TlParseError> {
+    /// One level of nesting deeper, or the error past [`MAX_NESTING`].
+    fn deeper(&mut self) -> Result<(), TlParseError> {
         if self.depth == MAX_NESTING {
             let msg = format!("nested deeper than {MAX_NESTING} levels");
             return Err(TlParseError { at: self.here(), msg });
         }
         self.depth += 1;
+        Ok(())
+    }
+
+    /// `rule`, one level of nesting deeper.
+    fn nested(&mut self, rule: Rule) -> Result<Formula, TlParseError> {
+        self.deeper()?;
         let f = rule(self);
         self.depth -= 1;
+        f
+    }
+
+    /// `operand (op operand)*`, folded to the left by `node`: each link
+    /// puts what came before it one level deeper, and counts as one.
+    fn chain(
+        &mut self,
+        op: &Tok,
+        operand: Rule,
+        node: fn(Formula, Formula) -> Formula,
+    ) -> Result<Formula, TlParseError> {
+        let outer = self.depth;
+        let mut fold = || {
+            let mut lhs = operand(self)?;
+            while self.peek() == Some(op) {
+                self.deeper()?;
+                self.bump();
+                lhs = node(lhs, operand(self)?);
+            }
+            Ok(lhs)
+        };
+        let f = fold();
+        self.depth = outer;
         f
     }
 
@@ -176,31 +207,15 @@ impl P {
     }
 
     fn since(&mut self) -> Result<Formula, TlParseError> {
-        let mut lhs = self.or()?;
-        while self.peek() == Some(&Tok::KwSince) {
-            self.bump();
-            let rhs = self.or()?;
-            lhs = Formula::since(lhs, rhs);
-        }
-        Ok(lhs)
+        self.chain(&Tok::KwSince, P::or, Formula::since)
     }
 
     fn or(&mut self) -> Result<Formula, TlParseError> {
-        let mut lhs = self.and()?;
-        while self.peek() == Some(&Tok::Pipe) {
-            self.bump();
-            lhs = Formula::or(lhs, self.and()?);
-        }
-        Ok(lhs)
+        self.chain(&Tok::Pipe, P::and, Formula::or)
     }
 
     fn and(&mut self) -> Result<Formula, TlParseError> {
-        let mut lhs = self.unary()?;
-        while self.peek() == Some(&Tok::Amp) {
-            self.bump();
-            lhs = Formula::and(lhs, self.unary()?);
-        }
-        Ok(lhs)
+        self.chain(&Tok::Amp, P::unary, Formula::and)
     }
 
     fn unary(&mut self) -> Result<Formula, TlParseError> {

@@ -1,5 +1,6 @@
 //! `parse_formula` against hostile text: never a panic, not even nested
-//! past the parser's bound, and what parses prints back to itself. The
+//! or chained past the parser's bound, and what parses prints back to
+//! itself. The
 //! generator is `sada-fleet`'s hostile-text harness, included by path as
 //! the spec file's test does.
 
@@ -7,7 +8,7 @@
 #[path = "../../fleet/tests/hostile/mod.rs"]
 mod hostile;
 
-use hostile::hostile;
+use hostile::{chains, hostile};
 use proptest::prelude::*;
 use sada_tl::{parse_formula, MAX_NESTING};
 
@@ -29,7 +30,9 @@ proptest! {
     /// printed form may nest past the bound the text it came from kept
     /// within: then, and only then, the printed form is refused.
     #[test]
-    fn no_text_panics_the_formula_parser(text in hostile(TOKENS, VALID)) {
+    fn no_text_panics_the_formula_parser(
+        text in hostile(&[TOKENS, &chains(&["a | ", "a & ", "a since "])].concat(), VALID),
+    ) {
         if let Ok(f) = parse_formula(&text) {
             let printed = f.to_string();
             match parse_formula(&printed) {
@@ -40,16 +43,19 @@ proptest! {
     }
 }
 
-/// `depth` levels of `open` around `a`, closed by as many `close`.
+/// `depth` levels of `open` around `a`, closed by as many `close`: for an
+/// `open` such as `"a | "`, a chain of `depth` links.
 fn nest(depth: usize, open: &str, close: &str) -> String {
     format!("{}a{}", open.repeat(depth), close.repeat(depth))
 }
 
 #[test]
 fn nesting_parses_to_the_bound_and_is_an_error_past_it() {
-    for (open, close) in [("(", ")"), ("!", ""), ("historically ", ""), ("a => ", "")] {
+    let chains = [("a | ", ""), ("a & ", ""), ("a since ", "")];
+    let nests = [("(", ")"), ("!", ""), ("historically ", ""), ("a => ", "")];
+    for (open, close) in nests.into_iter().chain(chains) {
         assert!(parse_formula(&nest(MAX_NESTING, open, close)).is_ok(), "{open}");
-        for depth in [MAX_NESTING + 1, 10_000] {
+        for depth in [MAX_NESTING + 1, 10_000, 100_000] {
             let err = parse_formula(&nest(depth, open, close)).unwrap_err().to_string();
             assert!(err.contains("nested deeper than 64 levels"), "{open}: {err}");
         }
