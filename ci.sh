@@ -71,6 +71,11 @@ echo "==> one world compiler (FleetWorld::build feeds the video shape to the bui
 if grep -rn 'from_spec(WorldSpec::video' crates/fleet/src; then echo "the video world compiled through its spec in crates/fleet/src"; exit 1; fi
 if grep -rn 'self\.spec\b' crates/fleet/src; then echo "a CompiledWorld method reading its spec outside the spec handle"; exit 1; fi
 
+echo "==> a world is its classes (the run path reads a world's classes through its placements; the world-wide tables are views, rendered in crates/fleet/src/world.rs)"
+if for f in crates/fleet/src/*.rs; do
+    [ "$f" = crates/fleet/src/world.rs ] || sed '/^#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" '\bw(orld)?\.(inv\b|universe\b|actions\[|search\.|index\.|model\.)' || true
+done | grep .; then echo "a world-wide view read on the run path in crates/fleet/src"; exit 1; fi
+
 echo "==> one spec compiler (sada_proto::SpecBuilder builds every AdaptationSpec; spec files, the case study and the converted specs push entries into it)"
 if grep -rn 'AdaptationSpec::new(' crates src tests examples; then echo "an AdaptationSpec built past sada_proto::SpecBuilder"; exit 1; fi
 if for f in crates/core/src/*.rs crates/core/src/*/*.rs crates/video/src/*.rs; do
@@ -189,7 +194,7 @@ echo "==> scenario-generator smoke (seeded serverless + IaaS universes end-to-en
 cargo run -q --release -p sada-bench --bin report -- scenario > /dev/null
 SADA_BENCH_SMOKE=1 cargo bench -q -p sada-bench --bench bench_scenario > /dev/null
 
-echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent <= 807, bytes-per-session <= 6000, journal-bytes-per-session <= 1024, sharded-over-flat <= 1.5x and world-build gates)"
+echo "==> scale smoke (strided storms, thread-invariance + bytes-per-agent <= 605, bytes-per-session <= 6000, journal-bytes-per-session <= 1024, sharded-over-flat <= 1.5x and world-build gates)"
 # Renders the 1k/10k-group strided-storm table (flat throughput plus
 # sharded runs with fingerprints asserted identical at 1 and 8 worker
 # threads, every region loaded), then the bench's smoke mode runs the

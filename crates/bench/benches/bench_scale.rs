@@ -24,8 +24,9 @@
 //!   that must not grow with the world;
 //! * one `FleetScenario::build_world()` and its drop on their own: wall
 //!   clock of each, and the build's allocations and retained bytes per
-//!   group (the video world keeps no spec) — what the analysis phase
-//!   costs before the first session, as counts that repeat exactly;
+//!   group (the video world is one cluster class, placed per group) —
+//!   what the analysis phase costs before the first session, as counts
+//!   that repeat exactly;
 //! * the flat run's rendered journal text per session.
 //!
 //! Set `SADA_BENCH_SMOKE=1` to run only the 10k-group row and assert the
@@ -54,12 +55,13 @@ const SEED: u64 = 42;
 const SESSION_CAP: usize = 2048;
 const SPACING_US: u64 = 37;
 /// Smoke-gate ceiling on flat peak-heap bytes per agent at the 10k row:
-/// measured 769 B/agent (the count is deterministic) plus 5 %, so a world
-/// that keeps its `WorldSpec` again (1 020 B/agent), a plane cloning every
-/// hosted agent at build again (116 B/agent more), a heap object per
-/// component name, an accidental per-agent heap object or a dense-`Config`
-/// round trip sneaking back into the hot path fails loudly.
-const SMOKE_BYTES_PER_AGENT_CEILING: u64 = 807;
+/// measured 550 B/agent (the count is deterministic) plus 10 %, so a world
+/// that compiles a table row per group again (769 B/agent), one that keeps
+/// its `WorldSpec` (1 020), a plane cloning every hosted agent at build
+/// again (116 B/agent more), a heap object per component name, an
+/// accidental per-agent heap object or a dense-`Config` round trip sneaking
+/// back into the hot path fails loudly.
+const SMOKE_BYTES_PER_AGENT_CEILING: u64 = 605;
 /// Ceiling on what one session adds to the flat peak heap, in bytes, at
 /// every row. A plane clones an agent when a session first touches it, so
 /// a session's bytes include the two agents it engages: about 5 050 at the
@@ -88,16 +90,15 @@ const SMOKE_JOURNAL_BYTES_PER_SESSION_CEILING: u64 = 1_024;
 const SMOKE_SHARD_OVER_FLAT_HEAP_CEILING: f64 = 1.5;
 /// Smoke-gate ceilings on what compiling the world costs per group at the
 /// 10k row: allocator calls during `build_world()`, and bytes still live
-/// when it returns. Measured 5.0 allocations and 460 B (both exact) plus
-/// about 10 %: every compiled table is flat, the component names are one
-/// arena and the video world keeps no `WorldSpec`, so what is left is one
-/// operand list per invariant and a name and an id list per action.
-/// Keeping the spec again measured 17.0 and 908, a shared `Arc<str>` per
-/// name 4.7 allocations and 152 B more, and a heap object per predicate,
+/// when it returns. Measured 0.0052 allocations and 20.5 B (both exact)
+/// plus 10 %: the video cluster is one class compiled once, and a group is
+/// its 20-byte placement and two bits of the boot configuration. Compiling
+/// every group's cluster into world-wide tables again measured 5.0 and
+/// 460, keeping the spec 17.0 and 908, and a heap object per predicate,
 /// per index row and per process name 76.7 and 2 124 with the spec — any
 /// of them coming back fails both.
-const SMOKE_WORLD_ALLOCS_PER_GROUP_CEILING: f64 = 5.5;
-const SMOKE_WORLD_RETAINED_BYTES_PER_GROUP_CEILING: f64 = 506.0;
+const SMOKE_WORLD_ALLOCS_PER_GROUP_CEILING: f64 = 0.0057;
+const SMOKE_WORLD_RETAINED_BYTES_PER_GROUP_CEILING: f64 = 22.6;
 
 // ---------------------------------------------------------------------------
 // Counting allocator: peak live heap per row
@@ -334,7 +335,7 @@ fn write_bench_json(rows: &[Row]) {
                  \"shard_over_flat_heap\": {:.2}, \"shard_over_flat_wall\": {:.2}, \
                  \"shard_agents\": {}, \
                  \"world_build_us\": {}, \"world_drop_us\": {}, \
-                 \"world_allocs_per_group\": {:.1}, \
+                 \"world_allocs_per_group\": {:.4}, \
                  \"world_retained_bytes_per_group\": {:.1}, \
                  \"journal_bytes_per_session\": {}, \
                  \"fingerprint\": \"{:#018x}\"}}",
@@ -370,7 +371,7 @@ fn write_bench_json(rows: &[Row]) {
          once more without sessions for the idle peak (bytes_per_session is the \
          difference per session, held under one ceiling at every row), run_fleet_sharded at 1/2/4/8 threads with fingerprints asserted \
          identical; before them one build_world() and its drop alone (world_* columns: \
-         allocator calls and retained bytes of the build per group; the video world keeps no spec); \
+         allocator calls and retained bytes of the build per group; the video world is one cluster class placed once per group); \
          shard_agents is the agents the sharded run's planes host between them, \
          shard_over_flat_wall is recorded and never asserted; journal_bytes_per_session is \
          the flat run's journal text per session\",\n  \
@@ -446,7 +447,7 @@ fn sweep() {
             row.world_allocs_per_group() <= SMOKE_WORLD_ALLOCS_PER_GROUP_CEILING
                 && row.world_retained_bytes_per_group()
                     <= SMOKE_WORLD_RETAINED_BYTES_PER_GROUP_CEILING,
-            "world build regressed: {:.1} allocations (ceiling {}) and {:.1} retained bytes \
+            "world build regressed: {:.4} allocations (ceiling {}) and {:.1} retained bytes \
              (ceiling {}) per group at 10k groups — is some compiled table a heap object per \
              row again?",
             row.world_allocs_per_group(),
@@ -458,7 +459,7 @@ fn sweep() {
             "smoke ok: 10k groups, {} sessions, {} bytes/agent (ceiling {}), {} bytes/session \
              (ceiling {}), {} journal bytes/session (ceiling {}), sharded/flat peak heap \
              {:.2}x (ceiling {}x) and wall {:.2}x (not asserted) with {} agents hosted, world \
-             build {:.1} \
+             build {:.4} \
              allocations (ceiling {}) and {:.1} bytes (ceiling {}) per group, fingerprint \
              {:#018x} identical at 1/2/4/8 threads",
             row.sessions,

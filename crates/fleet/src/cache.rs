@@ -56,24 +56,40 @@
 //! the cache on a crash.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
-use sada_expr::{CompId, Config, Expr, InvariantSet};
+use sada_expr::{CompId, CompiledInvariants, Config, Expr, InvariantSet};
 use sada_plan::{Action, Safe, SafeMemo, Search};
 
-/// A normalized planning instance: the full problem statement over
-/// scope-local component ids. Two sessions with equal keys pose the same
-/// search problem and receive the same (relabeled) answer.
+use crate::world::{map_vars, CompiledWorld};
+
+/// A normalized planning instance: the full problem statement, over local
+/// component ids. Two sessions with equal keys pose the same search problem
+/// and receive the same (relabeled) answer.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlanKey {
-    /// In-scope invariants, printed over local ids (`c0`, `c1`, …).
-    pub(crate) invs: Vec<String>,
-    /// Scoped actions as (removes, adds, cost) over local ids, in scoped
-    /// (= world) order.
-    pub actions: Vec<(Config, Config, u64)>,
-    /// Local projection of the source configuration.
-    pub(crate) source: Config,
-    /// Local projection of the target configuration.
-    pub(crate) target: Config,
+pub enum PlanKey {
+    /// A scope that is one whole placement: its class, which states the
+    /// invariants and actions, and the two endpoints over the class's ids.
+    Class {
+        /// The placement's class.
+        class: u32,
+        /// The placement's slice of the source configuration.
+        source: Config,
+        /// The placement's slice of the target configuration.
+        target: Config,
+    },
+    /// Any other scope: its instance, printed over scope-local ids.
+    Scope {
+        /// In-scope invariants, printed over local ids (`c0`, `c1`, …).
+        invs: Vec<String>,
+        /// Scoped actions as (removes, adds, cost) over local ids, in
+        /// scoped (= world) order.
+        actions: Vec<(Config, Config, u64)>,
+        /// Local projection of the source configuration.
+        source: Config,
+        /// Local projection of the target configuration.
+        target: Config,
+    },
 }
 
 /// A memoized plan: indices into the session's scoped action list, in step
@@ -138,8 +154,21 @@ pub struct PlanCache {
     stats: PlanCacheStats,
     notes: Vec<CacheNote>,
     /// Last configuration [`PlanCache::is_safe`] proved safe, under the
-    /// same world the entries were planned in.
+    /// same world the entries were planned in: the one class's search memo
+    /// on a world that is its one class, the configuration itself on a
+    /// world of many placements.
     safe_memo: SafeMemo,
+    proved: Option<Config>,
+}
+
+/// What [`PlanCache::is_safe`] proved of a configuration: on a world that is
+/// its one class, that class's own witness, which a miss hands on to
+/// [`Search::plan_scoped_vetted`]; on a world of many placements, that every
+/// placement's class holds on its slice.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Proof<'c> {
+    Witness(Safe<'c>),
+    Classes,
 }
 
 impl PlanCache {
@@ -153,6 +182,7 @@ impl PlanCache {
             stats: PlanCacheStats::default(),
             notes: Vec::new(),
             safe_memo: SafeMemo::default(),
+            proved: None,
         }
     }
 
@@ -192,15 +222,32 @@ impl PlanCache {
         self.entries.insert(key, Slot { plan, last_used: self.clock });
     }
 
-    /// Whether `cfg` satisfies every invariant of `search` — the global
-    /// check that must pass before the cache may speak for a query — as
-    /// the search's own proof of it, which a miss hands on to
-    /// [`Search::plan_scoped_vetted`] so that no endpoint is vetted twice.
-    /// Exact, and O(diff against the last configuration proved safe through
-    /// this cache) rather than O(invariants). `search` must be the one
-    /// world this cache serves.
-    pub(crate) fn is_safe<'c>(&mut self, search: &Search, cfg: &'c Config) -> Option<Safe<'c>> {
-        search.is_safe_memo(cfg, &mut self.safe_memo)
+    /// Whether `cfg` satisfies every invariant of `world` — the global
+    /// check that must pass before the cache may speak for a query — and
+    /// the proof of it. Exact, and O(diff against the last configuration
+    /// proved safe through this cache) rather than O(invariants): on a
+    /// world that is its one class, through that class's search memo; on
+    /// one of many placements, by each changed component's placement
+    /// evaluating its class's predicates on its slice
+    /// ([`CompiledWorld::still_safe`]). `world` must be the one world this
+    /// cache serves.
+    pub(crate) fn is_safe<'c>(
+        &mut self,
+        world: &CompiledWorld,
+        cfg: &'c Config,
+    ) -> Option<Proof<'c>> {
+        if world.is_one_class() {
+            let search = &world.placement(0).1.tables.search;
+            return search.is_safe_memo(cfg, &mut self.safe_memo).map(Proof::Witness);
+        }
+        let safe = match &self.proved {
+            Some(proved) if proved.width() == cfg.width() => world.still_safe(proved, cfg),
+            _ => world.is_safe(cfg),
+        };
+        if safe {
+            self.proved = Some(cfg.clone());
+        }
+        safe.then_some(Proof::Classes)
     }
 
     /// Drains the pending interaction notes (for event emission).
@@ -223,10 +270,21 @@ impl PlanCache {
 pub struct ScopeNormalizer {
     /// Scope components, ascending; position = local id.
     locals: Vec<CompId>,
-    /// In-scope invariants printed over local ids, in world order.
+    /// In-scope invariants over local ids, in world order, and printed.
+    exprs: Vec<Expr>,
     invs: Vec<String>,
     /// Scoped actions over local ids, in scoped order.
     actions: Vec<(Config, Config, u64)>,
+}
+
+/// One placement's share of a scope: its class's invariants and kernels,
+/// its component base, and the positions of the scope's components inside
+/// it.
+pub(crate) struct Piece<'a> {
+    pub(crate) inv: &'a InvariantSet,
+    pub(crate) compiled: &'a CompiledInvariants,
+    pub(crate) base: usize,
+    pub(crate) comps: Range<usize>,
 }
 
 impl ScopeNormalizer {
@@ -256,31 +314,56 @@ impl ScopeNormalizer {
     /// the key in world order, straddlers abort normalization (`None`).
     pub fn from_compiled<'a>(
         inv: &InvariantSet,
-        compiled: &sada_expr::CompiledInvariants,
+        compiled: &CompiledInvariants,
         scope: &[CompId],
         scoped: impl IntoIterator<Item = &'a Action>,
     ) -> Option<Self> {
         let mut locals: Vec<CompId> = scope.to_vec();
         locals.sort_unstable();
         locals.dedup();
-        // The inverted support index yields exactly the predicates whose
-        // support intersects the scope, ascending (= world order).
-        let mut cand: Vec<u32> =
-            locals.iter().flat_map(|&c| compiled.preds_of_comp(c).iter().copied()).collect();
-        cand.sort_unstable();
-        cand.dedup();
-        let mut invs = Vec::with_capacity(cand.len());
-        for pix in cand {
-            let support = compiled.support_of(pix as usize);
-            if !support.iter().all(|c| locals.binary_search(c).is_ok()) {
-                return None;
+        let piece = Piece { inv, compiled, base: 0, comps: 0..locals.len() };
+        Self::from_pieces(locals, [piece], scoped.into_iter().map(|a| (0, a)))
+    }
+
+    /// [`ScopeNormalizer::from_compiled`] over the placements a scope meets,
+    /// each a [`Piece`] of its class's tables, in world order; `locals` is
+    /// the whole scope, ascending, and `scoped` each scoped class action
+    /// with its placement's component base, in world order.
+    pub(crate) fn from_pieces<'a>(
+        locals: Vec<CompId>,
+        pieces: impl IntoIterator<Item = Piece<'a>>,
+        scoped: impl IntoIterator<Item = (usize, &'a Action)>,
+    ) -> Option<Self> {
+        let local = |c: CompId| locals.binary_search(&c).ok().map(CompId::from_index);
+        let (mut exprs, mut invs) = (Vec::new(), Vec::new());
+        for Piece { inv, compiled, base, comps } in pieces {
+            let at = |c: CompId| CompId::from_index(c.index() + base);
+            // The inverted support index yields exactly the predicates
+            // whose support intersects the scope, ascending (= world order).
+            let of = |c: &CompId| compiled.preds_of_comp(CompId::from_index(c.index() - base));
+            let mut cand: Vec<u32> =
+                locals[comps].iter().flat_map(|c| of(c).iter().copied()).collect();
+            cand.sort_unstable();
+            cand.dedup();
+            for pix in cand {
+                if !compiled.support_of(pix as usize).iter().all(|&c| local(at(c)).is_some()) {
+                    return None;
+                }
+                let e = map_vars(&inv.exprs()[pix as usize], &|c| {
+                    local(at(c)).expect("the support lies inside the scope")
+                });
+                invs.push(e.to_string());
+                exprs.push(e);
             }
-            invs.push(relabel(&inv.exprs()[pix as usize], &locals).to_string());
         }
-        let nz = ScopeNormalizer { locals, invs, actions: Vec::new() };
+        let nz = ScopeNormalizer { locals, exprs, invs, actions: Vec::new() };
         let actions = scoped
             .into_iter()
-            .map(|a| (nz.project_ids(a.removes()), nz.project_ids(a.adds()), a.cost()))
+            .map(|(base, a)| {
+                let at =
+                    |cs: &'a [CompId]| cs.iter().map(move |c| CompId::from_index(c.index() + base));
+                (nz.project_ids(at(a.removes())), nz.project_ids(at(a.adds())), a.cost())
+            })
             .collect();
         Some(ScopeNormalizer { actions, ..nz })
     }
@@ -292,52 +375,45 @@ impl ScopeNormalizer {
         Config::from_ids(self.locals.len().max(1), present.map(|(l, _)| CompId::from_index(l)))
     }
 
-    /// [`ScopeNormalizer::project`] for a sparse in-scope id list.
+    /// [`ScopeNormalizer::project`] for sparse in-scope ids.
     ///
     /// # Panics
     ///
     /// Panics if an id lies outside the scope (scoped actions touch only
     /// scope components by construction).
-    pub(crate) fn project_ids(&self, ids: &[CompId]) -> Config {
-        let local = |c: &CompId| {
+    fn project_ids(&self, ids: impl Iterator<Item = CompId>) -> Config {
+        let local = |c: CompId| {
             let l =
-                self.locals.binary_search(c).expect("scoped action touches only scope components");
+                self.locals.binary_search(&c).expect("scoped action touches only scope components");
             CompId::from_index(l)
         };
-        Config::from_ids(self.locals.len().max(1), ids.iter().map(local))
+        Config::from_ids(self.locals.len().max(1), ids.map(local))
     }
 
     /// The normalized cache key for one planning query.
     pub fn key(&self, source: &Config, target: &Config) -> PlanKey {
-        PlanKey {
+        PlanKey::Scope {
             invs: self.invs.clone(),
             actions: self.actions.clone(),
             source: self.project(source),
             target: self.project(target),
         }
     }
-}
 
-/// `expr` with every variable replaced by its local id (its position in the
-/// sorted `locals` list). Only called on expressions whose support lies
-/// inside the scope.
-fn relabel(expr: &Expr, locals: &[CompId]) -> Expr {
-    let all = |es: &[Expr]| es.iter().map(|e| relabel(e, locals)).collect();
-    match expr {
-        Expr::Const(b) => Expr::Const(*b),
-        Expr::Var(c) => {
-            let l = locals.binary_search(c).expect("relabel called on an out-of-scope variable");
-            Expr::Var(CompId::from_index(l))
+    /// The normalized instance compiled as a search of its own, over the
+    /// scope's local ids: its action `i` is the scoped action at position
+    /// `i`. Searching it between two projections is searching the world
+    /// between the configurations projected, as the key already assumes.
+    pub(crate) fn search(&self) -> Search {
+        let mut inv = InvariantSet::with_capacity(self.exprs.len());
+        for e in &self.exprs {
+            inv.push(e.clone());
         }
-        Expr::Not(e) => Expr::Not(Box::new(relabel(e, locals))),
-        Expr::And(es) => Expr::And(all(es)),
-        Expr::Or(es) => Expr::Or(all(es)),
-        Expr::Xor(es) => Expr::Xor(all(es)),
-        Expr::ExactlyOne(es) => Expr::ExactlyOne(all(es)),
-        Expr::Implies(a, b) => {
-            Expr::Implies(Box::new(relabel(a, locals)), Box::new(relabel(b, locals)))
-        }
-        Expr::Iff(a, b) => Expr::Iff(Box::new(relabel(a, locals)), Box::new(relabel(b, locals))),
+        let action = |(i, (removes, adds, cost)): (usize, &(Config, Config, u64))| {
+            Action::from_ids(i as u32, "", removes.iter(), adds.iter(), *cost)
+        };
+        let actions: Vec<Action> = self.actions.iter().enumerate().map(action).collect();
+        Search::new(&inv, &actions, self.locals.len().max(1))
     }
 }
 

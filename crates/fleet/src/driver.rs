@@ -239,7 +239,7 @@ pub fn run_fleet(scenario: &FleetScenario) -> FleetReport {
 /// [`run_fleet`] over `world`, compiled from `scenario`.
 fn run_fleet_on(scenario: &FleetScenario, world: FleetWorld) -> FleetReport {
     #[allow(clippy::single_range_in_vec_init)] // one run of agents, not a list of indices
-    let everyone = vec![0..world.model.process_count()];
+    let everyone = vec![0..world.process_count()];
     let mut plane = build_plane::<(), _>(
         scenario,
         world,
@@ -343,7 +343,7 @@ where
     // Agents first, agent `p` at id `p` whether hosted or vacant; the
     // control plane takes the slot after them, mirroring the solo
     // ManagerActor layout.
-    let procs = world.model.process_count();
+    let procs = world.process_count();
     let control_id = ActorId::from_index(procs);
     emit_domain_tag(&bus, &world, control_id);
     let agent = |factor: u32| {
@@ -507,20 +507,28 @@ mod tests {
     fn whole_plane(scenario: &FleetScenario) -> Plane<()> {
         let world = scenario.build_world();
         #[allow(clippy::single_range_in_vec_init)]
-        let everyone = vec![0..world.model.process_count()];
+        let everyone = vec![0..world.process_count()];
         let specs = scenario.sessions.clone();
         build_plane(scenario, world, everyone, 42, 0, specs, None, |c, _| ("control", c))
     }
 
-    /// Nothing a run reads is the spec: the video world's stays unrendered.
+    /// Nothing a run reads is the spec or a world-wide table: a flat and a
+    /// sharded run of the video world leave its spec and every view
+    /// unrendered, and the run path reads its classes through placements.
     #[test]
     fn a_video_run_leaves_the_spec_unrendered() {
         let scenario = FleetScenario::new(4, disjoint_wave(2, 2));
         let world = scenario.build_world();
         assert_eq!(run_fleet_on(&scenario, world.clone()).succeeded(), 2);
+        let sharded = crate::ShardScenario::new(scenario.clone(), 2);
+        let report = crate::shard::run_sharded(&sharded, 2, true, Some(world.clone()));
+        assert_eq!(report.results.iter().filter(|r| r.success).count(), 2);
         assert!(!world.spec.is_rendered());
+        assert!(!world.views_rendered(), "a video run reads no world-wide view");
         assert_eq!(*world.spec, WorldSpec::video(4), "the first read renders it");
         assert!(world.spec.is_rendered());
+        assert_eq!(world.universe.len(), 8, "the first read of a view renders them");
+        assert!(world.views_rendered());
     }
 
     #[test]

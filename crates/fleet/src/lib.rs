@@ -10,7 +10,8 @@
 //!   across agent processes so steps run real barriers. Compiled from a
 //!   declarative [`WorldSpec`] — the paper's video clone, the serverless
 //!   codec fleet, and the IaaS-migration domain (with an energy-cost
-//!   [`Objective`]) are all instances of the same shape.
+//!   [`Objective`]) are all instances of the same shape — as classes, each
+//!   shape compiled once and placed where it repeats.
 //! * [`ScopeLockManager`] — atomic all-or-nothing scope locks with
 //!   priority/FIFO queueing: deadlock-free by construction (no
 //!   hold-and-wait), starvation-free via shadow-set grant scans.
@@ -77,6 +78,6 @@ pub use shard::{
     ShardScenario, ShardStats,
 };
 pub use world::{
-    ActionSpec, ClusterSpec, CompSpec, CompiledWorld, Domain, FleetWorld, Objective, SpecHandle,
-    WorldSpec,
+    ActionSpec, ClusterComps, ClusterSpec, CompSpec, CompiledWorld, Domain, FleetWorld, Objective,
+    SpecHandle, View, WorldSpec,
 };

@@ -8,5 +8,5 @@ use crate::shard::{run_sharded, ShardReport, ShardScenario};
 /// event horizon. The fast path is scheduling only, and the tests that
 /// assert it invisible compare against this run.
 pub fn run_fleet_sharded_without_fastpath(scenario: &ShardScenario, threads: usize) -> ShardReport {
-    run_sharded(scenario, threads, false)
+    run_sharded(scenario, threads, false, None)
 }

@@ -70,47 +70,106 @@
 //! exactly the paths a fresh search would return (see [`crate::cache`]), so
 //! replay cannot distinguish a hit from a recomputation.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use sada_expr::{CompId, Config};
-use sada_plan::{Action, Path, PathStep};
+use sada_plan::{Action, ActionId, Path, PathStep};
 use sada_proto::{compile_steps, AdaptationPlanner, PlannedStep};
 
-use crate::cache::{CachedPlan, PlanCache, ScopeNormalizer};
+use crate::cache::{CachedPlan, Piece, PlanCache, PlanKey, Proof, ScopeNormalizer};
 use crate::world::FleetWorld;
 
 /// An [`AdaptationPlanner`] over the implicit SAG of one session's scope.
 pub struct ScopedLazyPlanner {
     world: Rc<FleetWorld>,
-    /// Ascending world-action indices whose touched set lies inside the
-    /// scope — the session's repertoire, as positions into the world's
-    /// shared compiled search.
-    scoped_ixs: Vec<u32>,
-    /// Relabels this scope onto cache-key coordinates; `None` when an
+    /// The scope, ascending and without repeats.
+    scope: Vec<CompId>,
+    /// The session's repertoire: the actions whose touched set lies inside
+    /// the scope, in world order.
+    repertoire: Repertoire,
+    /// Relabels this scope onto cache-key coordinates; `None` when the
+    /// scope is one whole placement (its class is the key) or when an
     /// invariant straddles the scope boundary (cache disabled).
     normalizer: Option<ScopeNormalizer>,
     /// The shared fleet cache and this session's id, when attached.
     cache: Option<(Rc<RefCell<PlanCache>>, u64)>,
 }
 
+/// Where a session's repertoire lies.
+enum Repertoire {
+    /// In one placement: ascending indices into its class's action table;
+    /// `whole` when the scope is every component of the placement.
+    Inside { placement: usize, ixs: Vec<u32>, whole: bool },
+    /// In several placements, in world order: each action as its
+    /// placement and its index into that placement's class table.
+    Across(Vec<(usize, u32)>),
+}
+
 impl ScopedLazyPlanner {
     /// A planner restricted to `scope` (a union of collaborative sets, as
-    /// produced by [`CompiledWorld::scope_comps`]).
+    /// produced by [`CompiledWorld::scope_comps`]). A scope inside one
+    /// placement plans on its class's search, in the class's local ids; a
+    /// scope across placements on a search of its own size, compiled from
+    /// their class tables on a cache miss.
     ///
     /// [`CompiledWorld::scope_comps`]: crate::CompiledWorld::scope_comps
     pub fn new(world: Rc<FleetWorld>, scope: &[CompId]) -> Self {
         let mut sorted: Vec<CompId> = scope.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let scoped_ixs = world.search.scoped_action_ixs(&sorted);
-        let normalizer = ScopeNormalizer::from_compiled(
-            &world.inv,
-            world.search.compiled(),
-            &sorted,
-            scoped_ixs.iter().map(|&ix| &world.actions[ix as usize]),
-        );
-        ScopedLazyPlanner { world, scoped_ixs, normalizer, cache: None }
+        // The placements the scope meets, each with its share of the scope
+        // in the class's local ids.
+        let mut shares: Vec<(usize, Vec<CompId>)> = Vec::new();
+        let mut rest = sorted.as_slice();
+        while let Some(&c) = rest.first() {
+            let pix = world.placement_of(c);
+            let (p, class) = world.placement(pix);
+            let end = p.comp as usize + class.width();
+            let n = rest.iter().take_while(|c| c.index() < end).count();
+            assert!(n > 0, "scope component {c:?} lies outside the world");
+            let local = rest[..n].iter().map(|c| CompId::from_index(c.index() - p.comp as usize));
+            shares.push((pix, local.collect()));
+            rest = &rest[n..];
+        }
+        if shares.is_empty() {
+            shares.push((0, Vec::new()));
+        }
+        let mut scoped: Vec<Vec<u32>> = shares
+            .iter()
+            .map(|(pix, local)| world.placement(*pix).1.tables.search.scoped_action_ixs(local))
+            .collect();
+        let whole = match shares.as_slice() {
+            [(pix, local)] => local.len() == world.placement(*pix).1.width(),
+            _ => false,
+        };
+        let normalizer = if whole {
+            None
+        } else {
+            let mut at = 0;
+            let pieces = shares.iter().map(|(pix, local)| {
+                let (p, class) = world.placement(*pix);
+                let comps = at..at + local.len();
+                at += local.len();
+                let t = &class.tables;
+                Piece { inv: &t.inv, compiled: t.search.compiled(), base: p.comp as usize, comps }
+            });
+            let actions = shares.iter().zip(&scoped).flat_map(|((pix, _), ixs)| {
+                let (p, class) = world.placement(*pix);
+                ixs.iter().map(|&ix| (p.comp as usize, &class.tables.actions[ix as usize]))
+            });
+            ScopeNormalizer::from_pieces(sorted.clone(), pieces, actions)
+        };
+        let repertoire = if let [(placement, _)] = shares.as_slice() {
+            let ixs = scoped.pop().expect("one share, one list");
+            Repertoire::Inside { placement: *placement, ixs, whole }
+        } else {
+            let each = shares.iter().zip(&scoped);
+            let all = each.flat_map(|((pix, _), ixs)| ixs.iter().map(|&ix| (*pix, ix)));
+            Repertoire::Across(all.collect())
+        };
+        ScopedLazyPlanner { world, scope: sorted, repertoire, normalizer, cache: None }
     }
 
     /// Attaches the fleet-wide plan cache on behalf of session `session`.
@@ -119,21 +178,43 @@ impl ScopedLazyPlanner {
         self
     }
 
-    /// Whether the scope normalizes, so that an attached cache may speak
-    /// for its queries (see [`ScopeNormalizer::from_compiled`]).
+    /// Whether an attached cache may speak for this scope's queries: the
+    /// scope is one whole placement, or it normalizes (see
+    /// [`ScopeNormalizer::from_compiled`]).
     pub fn normalizes(&self) -> bool {
-        self.normalizer.is_some()
+        matches!(self.repertoire, Repertoire::Inside { whole: true, .. })
+            || self.normalizer.is_some()
     }
 
     /// The session's repertoire: the world's actions whose touched set lies
-    /// inside the scope, in world order.
-    pub fn repertoire(&self) -> impl Iterator<Item = &Action> {
-        self.scoped_ixs.iter().map(|&ix| &self.world.actions[ix as usize])
+    /// inside the scope, in world order and world ids.
+    pub fn repertoire(&self) -> impl Iterator<Item = Cow<'_, Action>> {
+        let scoped = (0..self.len()).filter_map(|ix| self.scoped_at(ix));
+        scoped.map(|(pix, a)| self.world.placed_action(pix, a, true))
     }
 
-    /// The scoped action at position `ix` of the session's repertoire.
-    fn scoped_action(&self, ix: usize) -> Option<&Action> {
-        self.scoped_ixs.get(ix).map(|&w| &self.world.actions[w as usize])
+    /// Number of actions in the repertoire.
+    fn len(&self) -> usize {
+        match &self.repertoire {
+            Repertoire::Inside { ixs, .. } => ixs.len(),
+            Repertoire::Across(actions) => actions.len(),
+        }
+    }
+
+    /// The scoped action at position `ix` of the session's repertoire: its
+    /// placement and its class action.
+    fn scoped_at(&self, ix: usize) -> Option<(usize, &Action)> {
+        let (pix, aix) = match &self.repertoire {
+            Repertoire::Inside { placement, ixs, .. } => (*placement, *ixs.get(ix)?),
+            Repertoire::Across(actions) => *actions.get(ix)?,
+        };
+        Some((pix, &self.world.placement(pix).1.tables.actions[aix as usize]))
+    }
+
+    /// The world id of the scoped action at position `ix`.
+    fn scoped_id(&self, ix: usize) -> Option<ActionId> {
+        let (pix, a) = self.scoped_at(ix)?;
+        Some(ActionId(self.world.placement(pix).0.action + a.id().0))
     }
 
     /// Replays a memoized plan from this session's own source. Returns
@@ -149,15 +230,12 @@ impl ScopedLazyPlanner {
         let mut cur = from.clone();
         let mut steps = Vec::with_capacity(cached.action_ixs.len());
         for &ix in &cached.action_ixs {
-            let action = self.scoped_action(ix as usize)?;
-            if !action.applicable(&cur) {
-                return None;
-            }
-            let next = action.apply(&cur);
+            let (pix, action) = self.scoped_at(ix as usize)?;
+            let next = apply_placed(action, self.world.placement(pix).0.comp, &cur)?;
             steps.push(PathStep {
                 from: cur,
                 to: next.clone(),
-                action: action.id(),
+                action: self.scoped_id(ix as usize)?,
                 cost: action.cost(),
             });
             cur = next;
@@ -173,12 +251,23 @@ impl ScopedLazyPlanner {
 
     /// Encodes a freshly computed path as scoped-action indices.
     fn normalize(&self, path: &Path) -> Option<CachedPlan> {
-        let ixs: Option<Vec<u32>> = path
-            .steps
-            .iter()
-            .map(|s| self.repertoire().position(|a| a.id() == s.action).map(|i| i as u32))
-            .collect();
+        let position = |s: &PathStep| {
+            (0..self.len()).position(|ix| self.scoped_id(ix) == Some(s.action)).map(|i| i as u32)
+        };
+        let ixs: Option<Vec<u32>> = path.steps.iter().map(position).collect();
         Some(CachedPlan { action_ixs: ixs?, cost: path.cost })
+    }
+
+    /// The cache key of one query: the class and the placement's slices
+    /// for a whole placement, else the normalized instance; `None` when
+    /// neither speaks for the scope.
+    fn key(&self, from: &Config, to: &Config) -> Option<PlanKey> {
+        if let Repertoire::Inside { placement, whole: true, .. } = &self.repertoire {
+            let (p, _) = self.world.placement(*placement);
+            let (source, target) = (self.world.slice(p, from), self.world.slice(p, to));
+            return Some(PlanKey::Class { class: p.class, source, target });
+        }
+        Some(self.normalizer.as_ref()?.key(from, to))
     }
 
     /// Answers one query through the cache. The outer `None` means the
@@ -187,16 +276,17 @@ impl ScopedLazyPlanner {
     /// inner option is the definitive answer.
     fn plan_via_cache(&self, from: &Config, to: &Config) -> Option<Option<Path>> {
         let (cache, session) = self.cache.as_ref()?;
-        let nz = self.normalizer.as_ref()?;
+        if !self.normalizes() {
+            return None;
+        }
         // The key captures in-scope state only, so out-of-scope safety must
         // be established before the cache may speak for this query. The
         // proofs are kept: a miss searches between them.
-        let search = &self.world.search;
-        let (from_safe, to_safe) = {
+        let proofs = {
             let mut cache = cache.borrow_mut();
-            (cache.is_safe(search, from)?, cache.is_safe(search, to)?)
+            (cache.is_safe(&self.world, from)?, cache.is_safe(&self.world, to)?)
         };
-        let key = nz.key(from, to);
+        let key = self.key(from, to)?;
         if let Some(entry) = cache.borrow_mut().lookup(&key, *session) {
             match entry {
                 None => return Some(None),
@@ -209,7 +299,7 @@ impl ScopedLazyPlanner {
                 }
             }
         }
-        let (path, _) = search.plan_scoped_vetted(from_safe, to_safe, &self.scoped_ixs);
+        let path = self.fresh(from, to, Some(proofs));
         match &path {
             None => cache.borrow_mut().insert(key, None, *session),
             Some(p) => {
@@ -220,6 +310,67 @@ impl ScopedLazyPlanner {
         }
         Some(path)
     }
+
+    /// A fresh search between `from` and `to`, which the caller has proved
+    /// safe outside the scope (`proofs`, or a full check) — or, on a world
+    /// that is its one class, which the search vets itself without proofs.
+    /// A scope inside one placement searches its class, in local ids, and
+    /// replays the answer in place; a scope across placements searches the
+    /// instance its normalizer states.
+    fn fresh(&self, from: &Config, to: &Config, proofs: Option<(Proof, Proof)>) -> Option<Path> {
+        match &self.repertoire {
+            Repertoire::Inside { placement, ixs, .. } => {
+                let (p, class) = self.world.placement(*placement);
+                let search = &class.tables.search;
+                if self.world.is_one_class() {
+                    return match proofs {
+                        Some((Proof::Witness(a), Proof::Witness(b))) => {
+                            search.plan_scoped_vetted(a, b, ixs).0
+                        }
+                        _ => search.plan_scoped(from, to, ixs).0,
+                    };
+                }
+                let (local_from, local_to) = (self.world.slice(p, from), self.world.slice(p, to));
+                let local = search.plan_scoped(&local_from, &local_to, ixs).0?;
+                let at = |s: &PathStep| ixs.binary_search(&s.action.0).ok();
+                self.replay(&local, at, from, to)
+            }
+            Repertoire::Across(_) => match &self.normalizer {
+                Some(nz) => {
+                    let local = nz.search().plan(&nz.project(from), &nz.project(to)).0?;
+                    self.replay(&local, |s| Some(s.action.index()), from, to)
+                }
+                None => self.world.plan_on_views(&self.scope, from, to),
+            },
+        }
+    }
+
+    /// A path found in local ids, replayed in place from `from`: `at` gives
+    /// each step's position in the repertoire.
+    fn replay(
+        &self,
+        local: &Path,
+        at: impl Fn(&PathStep) -> Option<usize>,
+        from: &Config,
+        to: &Config,
+    ) -> Option<Path> {
+        let ixs: Option<Vec<u32>> = local.steps.iter().map(|s| at(s).map(|i| i as u32)).collect();
+        self.denormalize(&CachedPlan { action_ixs: ixs?, cost: local.cost }, from, to)
+    }
+}
+
+/// Class action `a` applied at component base `base` to the world
+/// configuration `cfg`, if it applies there.
+fn apply_placed(a: &Action, base: u32, cfg: &Config) -> Option<Config> {
+    let at = |c: &CompId| CompId::from_index(c.index() + base as usize);
+    let applies = a.removes().iter().all(|c| cfg.contains(at(c)))
+        && a.adds().iter().all(|c| !cfg.contains(at(c)));
+    applies.then(|| {
+        let mut next = cfg.clone();
+        a.removes().iter().for_each(|c| next.remove(at(c)));
+        a.adds().iter().for_each(|c| next.insert(at(c)));
+        next
+    })
 }
 
 impl AdaptationPlanner for ScopedLazyPlanner {
@@ -231,16 +382,20 @@ impl AdaptationPlanner for ScopedLazyPlanner {
     /// path failed, and the failure ladder's "second path" rung then falls
     /// through to return-to-source under this planner.
     fn paths(&mut self, from: &Config, to: &Config, _k: usize) -> Vec<Path> {
-        match self.plan_via_cache(from, to) {
-            Some(answer) => answer.into_iter().collect(),
-            None => {
-                self.world.search.plan_scoped(from, to, &self.scoped_ixs).0.into_iter().collect()
+        let answer = match self.plan_via_cache(from, to) {
+            Some(answer) => answer,
+            None if self.world.is_one_class() => self.fresh(from, to, None),
+            None if self.world.is_safe(from) && self.world.is_safe(to) => {
+                self.fresh(from, to, None)
             }
-        }
+            None => None,
+        };
+        answer.into_iter().collect()
     }
 
     fn compile(&mut self, path: &Path) -> Vec<PlannedStep> {
-        compile_steps(path, &self.world.actions, &self.world.model, |_| false)
+        let world = &self.world;
+        compile_steps(path, |id| world.action(id), |c| world.agent_for(c), |_| false)
     }
 }
 
@@ -253,7 +408,7 @@ mod tests {
         let w = Rc::new(FleetWorld::build(4));
         let scope = w.scope_comps(&[(1, true), (3, true)]);
         let p = ScopedLazyPlanner::new(Rc::clone(&w), &scope);
-        let names: Vec<&str> = p.repertoire().map(Action::name).collect();
+        let names: Vec<String> = p.repertoire().map(|a| a.name().to_string()).collect();
         assert_eq!(names, ["fwd1", "back1", "fwd3", "back3"], "fwd+back for two groups");
     }
 
@@ -299,6 +454,24 @@ mod tests {
         let src = w.initial_config();
         let dst = w.target_for(&src, &[(1, true)]);
         assert!(p.paths(&src, &dst, 4).is_empty());
+    }
+
+    /// A scope that cuts its collaborative sets across placements has no
+    /// normalizer and no class: it plans on the world-wide view, and
+    /// answers as the scoped search there does.
+    #[test]
+    fn a_scope_cutting_its_sets_plans_on_the_world_view() {
+        let w = Rc::new(FleetWorld::build(3));
+        let scope = [CompId::from_index(0), CompId::from_index(2), CompId::from_index(3)];
+        let mut p = ScopedLazyPlanner::new(Rc::clone(&w), &scope);
+        assert!(!p.normalizes(), "one_of(Old0, New0) straddles the scope");
+        let src = w.initial_config();
+        for flips in [&[][..], &[(1, true)]] {
+            let dst = w.target_for(&src, flips);
+            let ixs = w.search.scoped_action_ixs(&scope);
+            let want: Vec<Path> = w.search.plan_scoped(&src, &dst, &ixs).0.into_iter().collect();
+            assert_eq!(p.paths(&src, &dst, 1), want, "{flips:?}");
+        }
     }
 
     #[test]

@@ -213,7 +213,7 @@ pub(crate) fn build_endpoint(
     // The agents this endpoint can engage: those of its own clusters, and
     // those its own sessions' scopes reach (collaborative-set expansion may
     // leave the cluster — and for the global tier there is nothing else).
-    let owned = plan.owned_groups.clone().flat_map(|g| world.cluster_comps(g).iter().copied());
+    let owned = plan.owned_groups.clone().flat_map(|g| world.cluster_comps(g));
     // A scope is a union of sets, so one expansion serves every spec.
     let flips: Vec<_> = plan.specs.iter().flat_map(|s| s.flips.iter().copied()).collect();
     let reached = world.scope_comps(&flips);
@@ -274,7 +274,7 @@ pub(crate) fn build_endpoint(
         promised_lb: 0,
         owned_comps: plan
             .owned_groups
-            .flat_map(|g| plane.world.cluster_comps(g).iter().map(|c| c.index() as u32))
+            .flat_map(|g| plane.world.cluster_comps(g).map(|c| c.index() as u32))
             .collect(),
         is_global: plan.is_global,
         plane,
@@ -763,7 +763,7 @@ pub fn fingerprint_events_unsharded(events: &[Event]) -> u64 {
 /// Thread count is pure execution policy: any value produces bit-for-bit
 /// identical results, journals, and event streams for a fixed scenario.
 pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardReport {
-    run_sharded(scenario, threads, true)
+    run_sharded(scenario, threads, true, None)
 }
 
 /// [`run_fleet_sharded`], with the GVT promise fast path on or off: when
@@ -771,10 +771,12 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
 /// undrained fabric mail) clears the budget, the fast path jumps promises
 /// straight there instead of quantum-stepping. Pure wall-clock policy —
 /// fingerprints, journals and results are bit-identical either way.
+/// `world`, when given, is the run's world, compiled from `scenario`.
 pub(crate) fn run_sharded(
     scenario: &ShardScenario,
     threads: usize,
     promise_fastpath: bool,
+    world: Option<FleetWorld>,
 ) -> ShardReport {
     let fleet = &scenario.fleet;
     let regions = scenario.regions;
@@ -787,7 +789,7 @@ pub(crate) fn run_sharded(
 
     // The one world of the run: compiled here, on the calling thread, and
     // shared immutably by every endpoint plane below.
-    let world = fleet.build_world();
+    let world = world.unwrap_or_else(|| fleet.build_world());
 
     // Partition the workload by the fixed region map.
     let mut per_region: Vec<Vec<SessionSpec>> = vec![Vec::new(); regions];

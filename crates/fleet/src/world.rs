@@ -6,9 +6,7 @@
 //! placement. The video multicast cloned per group and the seeded
 //! scenario generator's serverless and IaaS domains are all instances, and
 //! [`FleetWorld::from_spec`] compiles each through `sada-proto`'s
-//! [`SpecBuilder`], the one specification compiler, plus the clusters;
-//! [`FleetWorld::build`] pushes the video shape itself, so the video world
-//! never builds the spec it describes.
+//! [`SpecBuilder`], the one specification compiler, plus the clusters.
 //!
 //! A **cluster** is the unit the fleet drivers flip: a set of components
 //! with two named modes (`on_false`, the boot mode, and `on_true`, the
@@ -18,28 +16,31 @@
 //! property region partitioning and the plan cache's scope normalizer
 //! rely on.
 //!
-//! A compiled world is flat tables end to end, so that compiling and
-//! dropping one costs a few dozen allocations per *table*, not per group:
-//! the invariant kernels, the search's affected-predicate lists, touch
-//! index and action-index buckets, and the collaborative-set partition are
-//! `Csr`s or plain vectors ([`sada_expr::CompiledInvariants`],
-//! [`sada_plan::Search`], [`sada_plan::CollabIndex`]); placement is a dense
-//! component → process vector ([`sada_model::SystemModel`]), and agent `p`
-//! drives process `p`, so no table maps the two; component names are one
-//! arena ([`Universe`]); cluster membership is a `Csr` and two bitsets.
-//! What is left per group is what a world *returns*: one operand list per
-//! invariant, a name and an id list per action, and the spec when the
-//! world was compiled from one. The action table has one owner,
-//! [`CompiledWorld::actions`] (`Arc<[Action]>`); the world's `search`
-//! holds a second handle on that allocation, not a copy.
+//! A world is its **classes**, the paper's collaborative sets up to
+//! renaming (§7): a class is one shape — components, invariants, actions,
+//! clusters and their modes — compiled once over local ids into flat
+//! tables of its own (kernels, search, action table, collaborative index),
+//! and a **placement** puts it into the world at bases for its components,
+//! processes, actions, predicates and clusters; a world id is base plus
+//! local id. [`FleetWorld::build`] compiles the video cluster once and
+//! places it once per group, so the world keeps 24 bytes a group and
+//! builds no spec, name or table per group; a spec world is its whole spec
+//! as one class placed once at base 0, compiled as the one class it is.
+//! Names are a class's stems plus the placement's number, written only
+//! when a view or a text asks. The run path reads classes through
+//! placements only; the world-wide tables ([`CompiledWorld::universe`],
+//! `inv`, `actions`, `model`, `index`, `search`) are [`View`]s: the one
+//! class's own tables on a spec world, rendered on first read on a world
+//! of many placements.
 
-use std::fmt::Write;
+use std::borrow::Cow;
+use std::fmt::{self, Write};
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use sada_expr::{CompId, Config, Csr, Expr, InvariantSet, Universe};
-use sada_model::SystemModel;
-use sada_plan::{Action, ActionId, CollabIndex, Search};
+use sada_model::{ProcessId, SystemModel};
+use sada_plan::{Action, ActionId, CollabIndex, Path, Search};
 use sada_proto::{SpecBuilder, SpecError};
 
 /// Which adaptation domain a world models. Tagged into the observability
@@ -209,28 +210,34 @@ impl WorldSpec {
 /// tables, and a handle on the spec the world describes. These are the
 /// products of the paper's analysis phase (§4.1): fixed before the first
 /// adaptation request and only read afterwards, so nothing in here is ever
-/// mutated — or mutable (the spec handle renders once, then only reads).
+/// mutated — or mutable (a view and the spec handle render once, then only
+/// read).
+///
+/// A world is its **classes**. A class is one cluster shape compiled once
+/// over local ids; a **placement** puts a class into the world at a base
+/// for each of its components, processes, actions, predicates and
+/// clusters, and a world id is base + local id. The video world is one
+/// class of one cluster placed once per group; a spec world is one class
+/// holding the whole spec, placed once at base 0. The run path reads
+/// classes through placements only; the world-wide tables below are
+/// [`View`]s, for everything else.
 pub struct CompiledWorld {
     /// Component universe, interned in `spec.comps` order.
-    pub universe: Universe,
+    pub universe: View<Universe>,
     /// Compiled invariant set.
-    pub inv: InvariantSet,
-    /// Action table; **an action's id equals its index** (the planner
-    /// relies on this when mapping plan steps back to actions). The world
-    /// owns the table; `search` reads this same allocation through a second
-    /// handle rather than a copy of its own.
-    pub actions: Arc<[Action]>,
+    pub inv: View<InvariantSet>,
+    /// Action table; **an action's id equals its index**. The view's
+    /// `search` reads this same allocation through a second handle rather
+    /// than a copy of its own.
+    pub actions: View<Arc<[Action]>>,
     /// Placement of components onto agent processes; agent `p` drives
     /// process `p`.
-    pub model: SystemModel,
+    pub model: View<SystemModel>,
     /// Collaborative-set partition (one set per cluster).
-    pub index: CollabIndex,
+    pub index: View<CollabIndex>,
     /// The compiled planning context over the whole world — invariant
-    /// kernels, action index, inverted touch index — built **once** here
-    /// and shared by every session of every control plane of a run (scoped
-    /// planners restrict it to their action subset instead of compiling
-    /// their own).
-    pub search: Search,
+    /// kernels, action index, inverted touch index.
+    pub search: View<Search>,
     /// Number of flip units (`spec.clusters.len()`).
     pub groups: usize,
     /// The declarative spec this world describes. Nothing on the run path
@@ -238,12 +245,10 @@ pub struct CompiledWorld {
     pub spec: SpecHandle,
     domain: Domain,
     objective: Objective,
-    /// Row `g`: the components of cluster `g`.
-    members: Csr<CompId>,
-    /// Every cluster in its boot mode (the initial configuration), and
-    /// every cluster in its alternate mode.
+    /// The classes and their placements, shared with the views.
+    layout: Arc<Layout>,
+    /// Every cluster in its boot mode: the initial configuration.
     boot: Config,
-    alternate: Config,
 }
 
 /// What [`CompiledWorld::spec`] holds: the [`WorldSpec`] a world was
@@ -269,6 +274,232 @@ impl Deref for SpecHandle {
 
     fn deref(&self) -> &WorldSpec {
         self.cell.get_or_init(|| WorldSpec::video(self.groups))
+    }
+}
+
+/// One world-wide table of a [`CompiledWorld`]; it dereferences to the
+/// table. On a world that is one class placed once under its own names —
+/// every spec world — the view *is* that class's table: no render, no
+/// copy. On a world of many placements, the first read of any view renders
+/// every world-wide table, once, by shifting each placement's class tables
+/// into place; a video run reads none of them.
+pub struct View<T> {
+    layout: Arc<Layout>,
+    pick: fn(&Tables) -> &T,
+}
+
+impl<T> View<T> {
+    fn new(layout: &Arc<Layout>, pick: fn(&Tables) -> &T) -> Self {
+        View { layout: Arc::clone(layout), pick }
+    }
+}
+
+impl<T> Deref for View<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        (self.pick)(self.layout.tables())
+    }
+}
+
+/// The analysis tables over one id space: a class's, over its local ids,
+/// or a whole world's, rendered.
+pub(crate) struct Tables {
+    pub(crate) universe: Universe,
+    pub(crate) inv: InvariantSet,
+    pub(crate) actions: Arc<[Action]>,
+    pub(crate) model: SystemModel,
+    pub(crate) index: CollabIndex,
+    pub(crate) search: Search,
+}
+
+impl Tables {
+    /// Indexes the collaborative sets and compiles the search over
+    /// `actions`, which the search shares rather than copies.
+    fn new(
+        universe: Universe,
+        inv: InvariantSet,
+        actions: Vec<Action>,
+        model: SystemModel,
+    ) -> Self {
+        let actions: Arc<[Action]> = actions.into();
+        let index = CollabIndex::new(&universe, &inv, &actions);
+        let search = Search::sharing(&inv, Arc::clone(&actions), universe.len());
+        Tables { universe, inv, actions, model, index, search }
+    }
+}
+
+/// One cluster shape, compiled once over local ids: its analysis tables
+/// (kernels, search and action table of its own), its clusters and their
+/// two modes.
+pub(crate) struct Class {
+    pub(crate) tables: Tables,
+    /// Whether a placement names its components and actions by the class's
+    /// stems plus the placement's number (`Old` placed seventh is `Old6`),
+    /// or by the class's names as they are.
+    numbered: bool,
+    /// Row `k`: the components of the class's cluster `k`.
+    members: Csr<CompId>,
+    /// The components of every cluster's boot mode, and of its alternate.
+    boot: Config,
+    alternate: Config,
+}
+
+impl Class {
+    /// Number of components.
+    pub(crate) fn width(&self) -> usize {
+        self.tables.universe.len()
+    }
+
+    /// `[components, processes, actions, predicates, clusters]`: how far
+    /// one placement moves each base.
+    fn sizes(&self) -> [usize; 5] {
+        let t = &self.tables;
+        let clusters = self.members.rows();
+        [self.width(), t.model.process_count(), t.actions.len(), t.inv.exprs().len(), clusters]
+    }
+
+    /// The world name of `stem` in placement `pix`, written over `buf`.
+    fn name<'b>(&self, buf: &'b mut String, stem: &str, pix: usize) -> &'b str {
+        if self.numbered {
+            return numbered(buf, stem, pix);
+        }
+        buf.clear();
+        buf.push_str(stem);
+        buf
+    }
+}
+
+/// A class placed in a world: the world ids of its components, processes,
+/// actions and clusters are these bases plus its local ids (its
+/// predicates', too, at a base no reader needs: the world's predicate
+/// order is the placements' order).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Placement {
+    pub(crate) class: u32,
+    pub(crate) comp: u32,
+    process: u32,
+    pub(crate) action: u32,
+    cluster: u32,
+}
+
+/// A world's classes and where each is placed: what the views render from.
+struct Layout {
+    classes: Vec<Class>,
+    /// Each placement starts every base where the one before it ends, so
+    /// every base ascends.
+    placements: Vec<Placement>,
+    /// World totals: `[components, processes, actions, predicates,
+    /// clusters]`.
+    totals: [usize; 5],
+    /// The world-wide tables, once a view of a world of many placements
+    /// has been read.
+    rendered: OnceLock<Tables>,
+}
+
+impl Layout {
+    /// `classes` placed one after another, in `order` (class indices).
+    fn tile(
+        classes: Vec<Class>,
+        order: impl ExactSizeIterator<Item = u32>,
+    ) -> Result<Self, SpecError> {
+        let mut placements = Vec::with_capacity(order.len());
+        let mut next = [0usize; 5];
+        for class in order {
+            let base = next.map(u32::try_from);
+            let [Ok(comp), Ok(process), Ok(action), Ok(_), Ok(cluster)] = base else {
+                return Err("a world holds fewer than 2^32 of each entry".to_string().into());
+            };
+            placements.push(Placement { class, comp, process, action, cluster });
+            let sizes = classes[class as usize].sizes();
+            next = std::array::from_fn(|k| next[k] + sizes[k]);
+        }
+        Ok(Layout { classes, placements, totals: next, rendered: OnceLock::new() })
+    }
+
+    /// Whether the world is one class placed once under its own names: its
+    /// tables are then the world's.
+    fn is_one_class(&self) -> bool {
+        self.placements.len() == 1 && !self.classes[0].numbered
+    }
+
+    /// The world-wide tables: the one class's own, or rendered once.
+    fn tables(&self) -> &Tables {
+        if self.is_one_class() {
+            return &self.classes[0].tables;
+        }
+        self.rendered.get_or_init(|| self.render())
+    }
+
+    /// The placement whose range of `base` holds world id `id`.
+    fn find(&self, base: impl Fn(&Placement) -> u32, id: usize) -> usize {
+        self.placements.partition_point(|p| base(p) as usize <= id).saturating_sub(1)
+    }
+
+    /// Placement `pix` and its class.
+    fn at(&self, pix: usize) -> (&Placement, &Class) {
+        let p = &self.placements[pix];
+        (p, &self.classes[p.class as usize])
+    }
+
+    /// Class action `a` of placement `pix` in world ids, named as the
+    /// render names it when `named` (the run path reads no name).
+    fn action(&self, pix: usize, a: &Action, named: bool) -> Action {
+        let (p, class) = self.at(pix);
+        let mut name = String::new();
+        let name = if named { class.name(&mut name, a.name(), pix) } else { "" };
+        let ids = |cs: &[CompId]| cs.iter().map(|&c| shift(c, p.comp)).collect::<Vec<_>>();
+        Action::from_ids(p.action + a.id().0, name, ids(a.removes()), ids(a.adds()), a.cost())
+    }
+
+    /// The world-wide tables, rendered from every placement: each class
+    /// table shifted into place, in world order, and compiled as a spec
+    /// world compiles its one class.
+    fn render(&self) -> Tables {
+        let [width, processes, actions, preds, _] = self.totals;
+        let mut universe = Universe::with_capacity(width);
+        let mut inv = InvariantSet::with_capacity(preds);
+        let mut table = Vec::with_capacity(actions);
+        let mut model = SystemModel::with_capacity(width);
+        for _ in 0..processes {
+            model.add_process();
+        }
+        let mut name = String::new();
+        for pix in 0..self.placements.len() {
+            let (p, class) = self.at(pix);
+            let t = &class.tables;
+            for c in t.universe.iter() {
+                let id = universe.intern(class.name(&mut name, t.universe.name(c), pix));
+                let host = t.model.host_of(c).expect("a class places every component");
+                model.place(id, ProcessId(p.process + host.0));
+            }
+            for e in t.inv.exprs() {
+                inv.push(map_vars(e, &|c| shift(c, p.comp)));
+            }
+            table.extend(t.actions.iter().map(|a| self.action(pix, a, true)));
+        }
+        Tables::new(universe, inv, table, model)
+    }
+}
+
+/// `c` moved up by `base`.
+fn shift(c: CompId, base: u32) -> CompId {
+    CompId::from_index(c.index() + base as usize)
+}
+
+/// `expr` with every variable `c` replaced by `f(c)`.
+pub(crate) fn map_vars(expr: &Expr, f: &impl Fn(CompId) -> CompId) -> Expr {
+    let all = |es: &[Expr]| es.iter().map(|e| map_vars(e, f)).collect();
+    match expr {
+        Expr::Const(b) => Expr::Const(*b),
+        Expr::Var(c) => Expr::Var(f(*c)),
+        Expr::Not(e) => Expr::Not(Box::new(map_vars(e, f))),
+        Expr::And(es) => Expr::And(all(es)),
+        Expr::Or(es) => Expr::Or(all(es)),
+        Expr::Xor(es) => Expr::Xor(all(es)),
+        Expr::ExactlyOne(es) => Expr::ExactlyOne(all(es)),
+        Expr::Implies(a, b) => Expr::Implies(Box::new(map_vars(a, f)), Box::new(map_vars(b, f))),
+        Expr::Iff(a, b) => Expr::Iff(Box::new(map_vars(a, f)), Box::new(map_vars(b, f))),
     }
 }
 
@@ -303,16 +534,21 @@ impl FleetWorld {
     }
 
     /// Builds the classic video world of `groups` independent groups: the
-    /// world [`WorldSpec::video`] describes, compiled from its shape through
-    /// one reused name buffer, so no spec text is built or kept.
+    /// world [`WorldSpec::video`] describes, as the video cluster compiled
+    /// once and placed `groups` times, so no spec text is built or kept
+    /// and no table grows with the groups but the placements.
     ///
     /// # Panics
     ///
     /// Panics if `groups` is zero.
     pub fn build(groups: usize) -> Self {
         assert!(groups > 0, "a fleet needs at least one group");
-        let world = video_world(groups).expect("the video shape compiles");
-        FleetWorld(Arc::new(world))
+        let class = video_class().expect("the video shape compiles");
+        let spec = SpecHandle { groups, cell: OnceLock::new() };
+        let order = std::iter::repeat_n(0, groups);
+        let world =
+            CompiledWorld::place(Domain::Video, Objective::LatencyMs, vec![class], order, spec);
+        FleetWorld(Arc::new(world.expect("the video world fits its ids")))
     }
 
     /// Compiles a [`WorldSpec`] into a runtime world, choosing the action
@@ -328,7 +564,8 @@ impl FleetWorld {
     }
 
     /// Compiles a [`WorldSpec`] into a runtime world, as
-    /// [`from_spec`](FleetWorld::from_spec) does.
+    /// [`from_spec`](FleetWorld::from_spec) does: the whole spec is one
+    /// class, placed once at base 0 under its own names.
     ///
     /// # Errors
     ///
@@ -340,7 +577,7 @@ impl FleetWorld {
     pub fn try_from_spec(spec: WorldSpec) -> Result<Self, SpecError> {
         let sizes =
             [spec.comps.len(), spec.invariants.len(), spec.actions.len(), spec.clusters.len()];
-        let mut b = WorldBuilder::new(spec.domain, spec.objective, sizes);
+        let mut b = WorldBuilder::new(spec.objective, sizes);
         // A process at or past the component count is left undeclared.
         let procs = spec.comps.iter().map(|c| c.process.saturating_add(1)).max();
         b.core.processes(procs.unwrap_or(0).min(spec.comps.len()));
@@ -355,37 +592,31 @@ impl FleetWorld {
         for cl in &spec.clusters {
             b.cluster(&cl.comps, &cl.on_false, &cl.on_true)?;
         }
+        let class = b.class(false)?;
+        let (domain, objective) = (spec.domain, spec.objective);
         let spec = SpecHandle { groups: spec.clusters.len(), cell: spec.into() };
-        Ok(FleetWorld(Arc::new(b.finish(spec)?)))
+        let world = CompiledWorld::place(domain, objective, vec![class], [0].into_iter(), spec)?;
+        Ok(FleetWorld(Arc::new(world)))
     }
 }
 
-/// The world [`WorldSpec::video`]`(groups)` describes, pushed in the
-/// spec's order, so every id, kernel, action and table row comes out as
-/// compiling the spec makes it. Each name is written over one buffer and
-/// each `one_of` pushed as the expression its text parses to.
-fn video_world(groups: usize) -> Result<CompiledWorld, SpecError> {
-    let sizes = [2 * groups, groups, 2 * groups, groups];
-    let mut b = WorldBuilder::new(Domain::Video, Objective::LatencyMs, sizes);
-    b.core.processes(2 * groups);
-    let mut name = String::new();
-    for g in 0..groups {
-        b.comp(numbered(&mut name, "Old", g), 2 * g)?;
-        b.comp(numbered(&mut name, "New", g), 2 * g + 1)?;
-    }
+/// The video cluster [`WorldSpec::video`] repeats, as one numbered class:
+/// `Old` and `New` on processes 0 and 1, `one_of(Old, New)` pushed as the
+/// expression its text parses to, and the `fwd` and `back` replacements.
+/// Placement `g` renames them `Old{g}`, `New{g}`, `fwd{g}` and `back{g}`,
+/// so every id, kernel, action and table row comes out as compiling the
+/// spec makes it.
+fn video_class() -> Result<Class, SpecError> {
+    let mut b = WorldBuilder::new(Objective::LatencyMs, [2, 1, 2, 1]);
+    b.core.processes(2);
+    b.comp("Old", 0)?;
+    b.comp("New", 1)?;
     let var = |c: usize| Expr::var(CompId::from_index(c));
-    for g in 0..groups {
-        b.core.push_invariant(Expr::exactly_one(vec![var(2 * g), var(2 * g + 1)]))?;
-    }
-    for g in 0..groups {
-        let (old, new) = (2 * g, 2 * g + 1);
-        b.action(numbered(&mut name, "fwd", g), &[old], &[new], [1, 1])?;
-        b.action(numbered(&mut name, "back", g), &[new], &[old], [1, 1])?;
-    }
-    for g in 0..groups {
-        b.cluster(&[2 * g, 2 * g + 1], &[2 * g], &[2 * g + 1])?;
-    }
-    b.finish(SpecHandle { groups, cell: OnceLock::new() })
+    b.core.push_invariant(Expr::exactly_one(vec![var(0), var(1)]))?;
+    b.action("fwd", &[0], &[1], [1, 1])?;
+    b.action("back", &[1], &[0], [1, 1])?;
+    b.cluster(&[0, 1], &[0], &[1])?;
+    b.class(true)
 }
 
 /// `prefix` followed by `g`, written over `buf`.
@@ -400,12 +631,12 @@ fn ids(comps: &[usize]) -> impl Iterator<Item = CompId> + '_ {
     comps.iter().map(|&c| CompId::from_index(c))
 }
 
-/// The one compiler plus clusters: components, invariants and actions go
-/// to the [`SpecBuilder`] (the objective picks an action's cost column);
-/// clusters, the collaborative index and the search are the fleet's.
-/// Entries arrive in spec order and each is checked as it arrives.
+/// The one compiler plus clusters, for one class: components, invariants
+/// and actions go to the [`SpecBuilder`] (the objective picks an action's
+/// cost column); clusters, the collaborative index and the search are the
+/// fleet's. Entries arrive in spec order and each is checked as it
+/// arrives.
 struct WorldBuilder {
-    domain: Domain,
     objective: Objective,
     /// Components, invariants, actions and placement.
     core: SpecBuilder,
@@ -418,12 +649,11 @@ struct WorldBuilder {
 }
 
 impl WorldBuilder {
-    /// An empty world with room for `[components, invariants, actions,
+    /// An empty class with room for `[components, invariants, actions,
     /// clusters]`.
-    fn new(domain: Domain, objective: Objective, sizes: [usize; 4]) -> Self {
+    fn new(objective: Objective, sizes: [usize; 4]) -> Self {
         let [comps, invariants, actions, clusters] = sizes;
         WorldBuilder {
-            domain,
             objective,
             core: SpecBuilder::with_capacity([comps, invariants, actions]),
             members: Csr::with_capacity(clusters, comps),
@@ -485,10 +715,10 @@ impl WorldBuilder {
         Ok(())
     }
 
-    /// The compiled world, once every component has a cluster, the boot
-    /// modes satisfy the invariants and every cluster is confined; `spec`
-    /// is the handle it reads back.
-    fn finish(self, spec: SpecHandle) -> Result<CompiledWorld, SpecError> {
+    /// The compiled class, once every component has a cluster, the boot
+    /// modes satisfy the invariants and every cluster is confined;
+    /// `numbered` as [`Class`] reads it.
+    fn class(self, numbered: bool) -> Result<Class, SpecError> {
         let width = self.owner.len();
         SpecError::ensure(width > 0, || "a world needs at least one component".into())?;
         let groups = self.members.rows();
@@ -501,25 +731,10 @@ impl WorldBuilder {
         let safe = built.is_safe(&boot);
         SpecError::ensure(safe, || "initial configuration violates the invariants".into())?;
         let (universe, inv, actions, model) = built.into_parts();
-        let actions: Arc<[Action]> = actions.into();
-        let index = CollabIndex::new(&universe, &inv, &actions);
-        confined(&index, &self.owner)?;
-        let search = Search::sharing(&inv, Arc::clone(&actions), width);
-        Ok(CompiledWorld {
-            universe,
-            inv,
-            actions,
-            model,
-            index,
-            search,
-            groups,
-            spec,
-            domain: self.domain,
-            objective: self.objective,
-            members: self.members,
-            boot,
-            alternate: Config::from_ids(width, self.alternate),
-        })
+        let tables = Tables::new(universe, inv, actions, model);
+        confined(&tables.index, &self.owner)?;
+        let alternate = Config::from_ids(width, self.alternate);
+        Ok(Class { tables, numbered, members: self.members, boot, alternate })
     }
 }
 
@@ -545,7 +760,82 @@ pub(crate) fn assign(cfg: &mut Config, values: impl IntoIterator<Item = (CompId,
     cfg.apply_delta(&removes, &adds);
 }
 
+/// The components of one cluster in world ids: its class's row, shifted
+/// into its placement. Two are equal when they list the same ids.
+#[derive(Clone)]
+pub struct ClusterComps<'w> {
+    row: std::slice::Iter<'w, CompId>,
+    base: u32,
+}
+
+impl Iterator for ClusterComps<'_> {
+    type Item = CompId;
+
+    fn next(&mut self) -> Option<CompId> {
+        self.row.next().map(|&c| shift(c, self.base))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.row.size_hint()
+    }
+}
+
+impl ExactSizeIterator for ClusterComps<'_> {}
+
+impl PartialEq for ClusterComps<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.clone().eq(other.clone())
+    }
+}
+
+impl fmt::Debug for ClusterComps<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
+    }
+}
+
 impl CompiledWorld {
+    /// The world `classes` make, placed in `order` (class indices), with
+    /// the views over them and the boot configuration every placement's
+    /// boot modes make.
+    fn place(
+        domain: Domain,
+        objective: Objective,
+        classes: Vec<Class>,
+        order: impl ExactSizeIterator<Item = u32>,
+        spec: SpecHandle,
+    ) -> Result<Self, SpecError> {
+        let layout = Arc::new(Layout::tile(classes, order)?);
+        let [width, .., groups] = layout.totals;
+        let boot = Config::from_ids(
+            width,
+            layout.placements.iter().flat_map(|p| {
+                layout.classes[p.class as usize].boot.iter().map(|c| shift(c, p.comp))
+            }),
+        );
+        Ok(CompiledWorld {
+            universe: View::new(&layout, |t| &t.universe),
+            inv: View::new(&layout, |t| &t.inv),
+            actions: View::new(&layout, |t| &t.actions),
+            model: View::new(&layout, |t| &t.model),
+            index: View::new(&layout, |t| &t.index),
+            search: View::new(&layout, |t| &t.search),
+            groups,
+            spec,
+            domain,
+            objective,
+            layout,
+            boot,
+        })
+    }
+
+    /// Whether any world-wide view has been rendered (a world that is its
+    /// one class never renders one).
+    #[cfg(test)]
+    pub(crate) fn views_rendered(&self) -> bool {
+        self.layout.rendered.get().is_some()
+    }
+
     /// The spec's domain.
     pub fn domain(&self) -> Domain {
         self.domain
@@ -556,14 +846,128 @@ impl CompiledWorld {
         self.objective
     }
 
+    /// Number of agent processes: agent `p` drives process `p`.
+    pub fn process_count(&self) -> usize {
+        self.layout.totals[1]
+    }
+
     /// The components of cluster `g` (the flip unit's full membership).
-    pub fn cluster_comps(&self, g: usize) -> &[CompId] {
-        self.members.row(g)
+    pub fn cluster_comps(&self, g: usize) -> ClusterComps<'_> {
+        let (p, class) = self.layout.at(self.layout.find(|p| p.cluster, g));
+        ClusterComps { row: class.members.row(g - p.cluster as usize).iter(), base: p.comp }
+    }
+
+    /// Whether the world is one class placed once under its own names, so
+    /// that the class's tables are the world's and its ids the world's.
+    pub(crate) fn is_one_class(&self) -> bool {
+        self.layout.is_one_class()
+    }
+
+    /// Placement `pix` and its class.
+    pub(crate) fn placement(&self, pix: usize) -> (&Placement, &Class) {
+        self.layout.at(pix)
+    }
+
+    /// The placement holding component `c`.
+    pub(crate) fn placement_of(&self, c: CompId) -> usize {
+        self.layout.find(|p| p.comp, c.index())
+    }
+
+    /// Class action `a` of placement `pix` in world ids: the class's own on
+    /// a world that is its one class, else shifted into place and, when
+    /// `named`, given its world name.
+    pub(crate) fn placed_action<'w>(
+        &self,
+        pix: usize,
+        a: &'w Action,
+        named: bool,
+    ) -> Cow<'w, Action> {
+        if self.is_one_class() {
+            return Cow::Borrowed(a);
+        }
+        Cow::Owned(self.layout.action(pix, a, named))
+    }
+
+    /// World action `id`, unnamed unless the world is its one class.
+    pub(crate) fn action(&self, id: ActionId) -> Cow<'_, Action> {
+        let pix = self.layout.find(|p| p.action, id.index());
+        let (p, class) = self.layout.at(pix);
+        self.placed_action(pix, &class.tables.actions[id.index() - p.action as usize], false)
     }
 
     /// The agent index driving `c`'s hosting process, if placed.
     pub(crate) fn agent_for(&self, c: CompId) -> Option<usize> {
-        self.model.host_of(c).map(|p| p.index())
+        let (p, class) = self.layout.at(self.placement_of(c));
+        let local = CompId::from_index(c.index() - p.comp as usize);
+        class.tables.model.host_of(local).map(|h| (p.process + h.0) as usize)
+    }
+
+    /// Placement `p`'s slice of world configuration `cfg`: its class's
+    /// components, over local ids (`cfg` itself on a world that is its one
+    /// class).
+    pub(crate) fn slice(&self, p: &Placement, cfg: &Config) -> Config {
+        if self.is_one_class() {
+            return cfg.clone();
+        }
+        let mut out = Config::empty(1);
+        slice_into(p, &self.layout.classes[p.class as usize], cfg, &mut out);
+        out
+    }
+
+    /// Whether `cfg` satisfies every invariant: every placement's class
+    /// predicates, on its slice.
+    pub(crate) fn is_safe(&self, cfg: &Config) -> bool {
+        if self.is_one_class() {
+            return self.layout.classes[0].tables.search.is_safe(cfg);
+        }
+        let mut scratch = Config::empty(1);
+        (0..self.layout.placements.len()).all(|pix| {
+            let (p, class) = self.layout.at(pix);
+            slice_into(p, class, cfg, &mut scratch);
+            class.tables.search.compiled().satisfied_by(&scratch)
+        })
+    }
+
+    /// Whether `cfg` satisfies every invariant, given that `proved` (of the
+    /// same width) does: for each component the two disagree on, the
+    /// predicates of its placement's class that mention it, on that
+    /// placement's slice of `cfg`. Exact, as a predicate no changed
+    /// component meets reads what it read in `proved`.
+    pub(crate) fn still_safe(&self, proved: &Config, cfg: &Config) -> bool {
+        let mut changed = proved.diff(cfg).peekable();
+        let (mut local, mut scratch) = (Vec::new(), Config::empty(1));
+        while let Some(c) = changed.next() {
+            let (p, class) = self.layout.at(self.placement_of(c));
+            let end = p.comp as usize + class.width();
+            local.clear();
+            local.push(CompId::from_index(c.index() - p.comp as usize));
+            while let Some(d) = changed.next_if(|d| d.index() < end) {
+                local.push(CompId::from_index(d.index() - p.comp as usize));
+            }
+            slice_into(p, class, cfg, &mut scratch);
+            let compiled = class.tables.search.compiled();
+            if !compiled
+                .affected_by_ids(&local)
+                .iter()
+                .all(|&k| compiled.eval_pred(k as usize, &scratch))
+            {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The planner's last resort, for a scope across placements that no
+    /// normalizer speaks for (one that cuts a collaborative set, which no
+    /// flip's scope does): the scoped search on the world-wide view.
+    pub(crate) fn plan_on_views(
+        &self,
+        scope: &[CompId],
+        from: &Config,
+        to: &Config,
+    ) -> Option<Path> {
+        let ixs = self.search.scoped_action_ixs(scope);
+        self.search.plan_scoped(from, to, &ixs).0
     }
 
     /// The boot configuration: every cluster in its `on_false` mode.
@@ -582,8 +986,10 @@ impl CompiledWorld {
     pub fn target_for(&self, current: &Config, flips: &[(usize, bool)]) -> Config {
         let mut cfg = current.clone();
         for &(g, to_true) in flips {
-            let mode = if to_true { &self.alternate } else { &self.boot };
-            assign(&mut cfg, self.cluster_comps(g).iter().map(|&c| (c, mode.contains(c))));
+            let (p, class) = self.layout.at(self.layout.find(|p| p.cluster, g));
+            let mode = if to_true { &class.alternate } else { &class.boot };
+            let row = class.members.row(g - p.cluster as usize);
+            assign(&mut cfg, row.iter().map(|&c| (shift(c, p.comp), mode.contains(c))));
         }
         cfg
     }
@@ -592,14 +998,27 @@ impl CompiledWorld {
     /// components, expanded to full collaborative sets, ascending and
     /// without repeats (what [`Search::scoped_action_ixs`] requires).
     pub fn scope_comps(&self, flips: &[(usize, bool)]) -> Vec<CompId> {
-        let mut comps = self
-            .index
-            .expand(flips.iter().flat_map(|&(g, _)| self.cluster_comps(g).iter().copied()));
+        let mut comps = Vec::new();
+        // A collaborative set lies inside its cluster's placement: each run
+        // of flips in one placement expands in its class.
+        let mut rest = flips;
+        while let Some(&(g, _)) = rest.first() {
+            let pix = self.layout.find(|p| p.cluster, g);
+            let inside = |f: &&(usize, bool)| self.layout.find(|p| p.cluster, f.0) == pix;
+            let n = rest.iter().take_while(inside).count();
+            let (p, class) = self.layout.at(pix);
+            let local =
+                rest[..n].iter().flat_map(|&(h, _)| class.members.row(h - p.cluster as usize));
+            let sets = class.tables.index.expand(local.copied());
+            comps.extend(sets.into_iter().map(|c| shift(c, p.comp)));
+            rest = &rest[n..];
+        }
         // `expand` lists whole sets one after another, each sorted: sets of
-        // contiguous components come out ascending, interleaved ones as
-        // sorted runs, which the stable sort merges.
-        if !comps.is_sorted() {
-            comps.sort();
+        // contiguous components come out ascending, interleaved ones (or
+        // runs met twice) as sorted runs.
+        if !comps.is_sorted_by(|a, b| a < b) {
+            comps.sort_unstable();
+            comps.dedup();
         }
         comps
     }
@@ -610,17 +1029,39 @@ impl CompiledWorld {
     /// two sessions can never concurrently drive the *same agent process*
     /// through conflicting barriers.
     pub fn resources_for(&self, scope: &[CompId]) -> Vec<u32> {
-        let offset = self.universe.len() as u32;
+        let offset = self.layout.totals[0] as u32;
         let mut out: Vec<u32> = Vec::with_capacity(scope.len() * 2);
         for &c in scope {
             out.push(c.index() as u32);
-            if let Some(p) = self.model.host_of(c) {
-                out.push(offset + p.0);
+            if let Some(p) = self.agent_for(c) {
+                out.push(offset + p as u32);
             }
         }
         out.sort_unstable();
         out.dedup();
         out
+    }
+}
+
+/// Writes placement `p`'s slice of `cfg` over `out`, made a configuration
+/// of its class's width first if it is not one: local word `k` is world
+/// bits `comp + 64k ..`.
+fn slice_into(p: &Placement, class: &Class, cfg: &Config, out: &mut Config) {
+    let (base, width, words) = (p.comp as usize, class.width(), cfg.width().div_ceil(64));
+    if out.width() != width {
+        *out = Config::empty(width);
+    }
+    for k in 0..width.div_ceil(64) {
+        let (w, s) = ((base + 64 * k) / 64, (base + 64 * k) % 64);
+        let mut word = cfg.word(w) >> s;
+        if s > 0 && w + 1 < words {
+            word |= cfg.word(w + 1) << (64 - s);
+        }
+        let left = width - 64 * k;
+        if left < 64 {
+            word &= (1 << left) - 1;
+        }
+        out.set_word(k, word);
     }
 }
 
@@ -673,6 +1114,46 @@ mod tests {
         assert!(a.iter().all(|r| !b.contains(r)));
         // Same group from either direction yields the same scope.
         assert_eq!(w.scope_comps(&[(3, true)]), w.scope_comps(&[(3, false)]));
+    }
+
+    /// A three-component class placed 30 times: placement 21 (components
+    /// 63–65) straddles the first two configuration words, so its slice and
+    /// the per-class safety checks read across a word boundary.
+    #[test]
+    fn slices_and_class_checks_read_across_a_word_boundary() {
+        let mut b = WorldBuilder::new(Objective::LatencyMs, [3, 1, 2, 1]);
+        b.core.processes(3);
+        for (process, stem) in ["A", "B", "C"].into_iter().enumerate() {
+            b.comp(stem, process).unwrap();
+        }
+        b.core.parse_invariants(&["one_of(A, B, C)"]).unwrap();
+        b.action("ab", &[0], &[1], [1, 1]).unwrap();
+        b.action("bc", &[1], &[2], [1, 1]).unwrap();
+        b.cluster(&[0, 1, 2], &[0], &[2]).unwrap();
+        let class = b.class(true).unwrap();
+        let spec = SpecHandle { groups: 30, cell: OnceLock::new() };
+        let order = std::iter::repeat_n(0, 30);
+        let w = CompiledWorld::place(Domain::Video, Objective::LatencyMs, vec![class], order, spec);
+        let w = w.unwrap();
+        let init = w.initial_config();
+        let moved = w.target_for(&init, &[(21, true), (22, true)]);
+        let id = CompId::from_index;
+        for cfg in [&init, &moved] {
+            for pix in 0..30 {
+                let (p, _) = w.placement(pix);
+                let bits = |c: &Config, base: usize| -> Vec<bool> {
+                    (0..3).map(|l| c.contains(id(base + l))).collect()
+                };
+                assert_eq!(bits(&w.slice(p, cfg), 0), bits(cfg, p.comp as usize), "{pix}");
+            }
+            assert!(w.is_safe(cfg) && w.still_safe(&init, cfg));
+        }
+        let mut broken = moved.clone();
+        broken.insert(id(64));
+        assert!(!w.is_safe(&broken) && !w.still_safe(&moved, &broken), "B21 beside C21");
+        assert!(!w.views_rendered());
+        assert!(!w.search.is_safe(&broken), "the rendered view agrees");
+        assert_eq!(w.universe.name(id(64)), "B21");
     }
 
     /// Two clusters whose components interleave, `{C0, C2}` and `{C1, C3}`:

@@ -1,6 +1,7 @@
 //! Bridges the lazy search into the manager's [`AdaptationPlanner`]
 //! interface and compiles paths into per-process steps.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 
 use sada_expr::{CompId, Config};
@@ -38,23 +39,25 @@ impl AdaptationPlanner for SearchPlanner {
     }
 
     fn compile(&mut self, path: &Path) -> Vec<PlannedStep> {
+        let action = |id: ActionId| Cow::Borrowed(&self.search.actions()[id.index()]);
+        let agent = |comp| self.model.host_of(comp).map(|p| p.index());
         let drains = |a| self.drain_actions.contains(&a);
-        compile_steps(path, self.search.actions(), &self.model, drains)
+        compile_steps(path, action, agent, drains)
     }
 }
 
-/// Compiles `path` into per-process steps: each step's action is split by
-/// the process hosting each component it touches, and each share goes to
-/// the agent driving that process — agent `p` for process `p`. `drains`
-/// names the actions whose global safe condition requires the stream to
-/// drain.
-pub fn compile_steps(
+/// Compiles `path` into per-process steps: each step's action (`action`
+/// looks it up by id) is split by the process hosting each component it
+/// touches, and each share goes to the agent driving that process — agent
+/// `p` for process `p`, which `agent` gives. `drains` names the actions
+/// whose global safe condition requires the stream to drain.
+pub fn compile_steps<'a>(
     path: &Path,
-    actions: &[Action],
-    model: &SystemModel,
+    action: impl Fn(ActionId) -> Cow<'a, Action>,
+    agent: impl Fn(CompId) -> Option<usize>,
     drains: impl Fn(ActionId) -> bool,
 ) -> Vec<PlannedStep> {
-    let agent = |comp| model.host_of(comp).expect("touched component must be placed").index();
+    let agent = |comp| agent(comp).expect("touched component must be placed");
     let locals_for = |action: &Action| {
         let mut per_agent: BTreeMap<usize, (Vec<CompId>, Vec<CompId>)> = BTreeMap::new();
         for &comp in action.removes() {
@@ -74,7 +77,7 @@ pub fn compile_steps(
         from: s.from.clone(),
         to: s.to.clone(),
         cost: s.cost,
-        locals: locals_for(&actions[s.action.index()]),
+        locals: locals_for(&action(s.action)),
     };
     path.steps.iter().map(step).collect()
 }

@@ -137,30 +137,39 @@ proptest! {
         prop_assert_eq!(report.final_config, expect.to_bit_string());
     }
 
-    /// Cached plans equal fresh plans. A wave of same-shape sessions over
-    /// disjoint group ranges shares one cache: after the first session
-    /// seeds it, every later session is answered from the cache, and each
-    /// answer must be identical to what an uncached planner computes for
-    /// the same endpoints. Every group starts opposite its wave's direction,
-    /// so a wave sent back flips several groups back, and one more wave
-    /// sits on groups 31 and 32, whose scope straddles the first two words
-    /// of the configuration. That wave catches the search ordering ties by
+    /// Cached plans equal fresh plans, and fresh plans equal whole-world
+    /// plans. A wave of same-shape sessions over disjoint group ranges
+    /// shares one cache: after the first session seeds it, every later
+    /// session is answered from the cache, and each answer must be
+    /// identical to what an uncached planner computes for the same
+    /// endpoints — which, on the video world (its one cluster class placed
+    /// once per group), plans inside the class for a one-group scope and on
+    /// a scope-sized search across placements for a wider one, and must
+    /// equal the scoped search on the world's rendered view. Every group
+    /// starts opposite its wave's direction, so a wave sent back flips
+    /// several groups back. One more wave sits on groups 31 and 32, whose
+    /// scope straddles the first two words of the configuration, and one on
+    /// groups 2047 and 2048, whose scope straddles its first two 4 096-
+    /// component chunks. The word wave catches the search ordering ties by
     /// derived `Config` order (word 0 first) instead of component order:
     /// when its two groups move the same way, its cached plan, relabelled
     /// onto one word, takes the two flips in the other order than its
-    /// fresh plan.
+    /// fresh plan. The view comparison catches an instance base off by one
+    /// placement (the slice a one-group session plans on, or the base its
+    /// plan is replayed at): the plan then moves a neighbouring group, or
+    /// none.
     #[test]
     fn cached_plans_are_identical_to_fresh_plans(
         waves in 2usize..5,
         span in 1usize..3,
         dirs in proptest::collection::vec(any::<bool>(), 1..3),
     ) {
-        // Wave i < waves owns groups i * span.., the last one groups 31..;
-        // every wave poses the same problem over its own groups.
-        // `wave(first, true)` sends its groups where `dirs` says, and
-        // `wave(first, false)` the other way, where they start.
-        let firsts: Vec<usize> = (0..waves).map(|i| i * span).chain([31]).collect();
-        let world = Rc::new(FleetWorld::build(31 + span));
+        // Wave i < waves owns groups i * span.., the last two groups 31..
+        // and 2047..; every wave poses the same problem over its own
+        // groups. `wave(first, true)` sends its groups where `dirs` says,
+        // and `wave(first, false)` the other way, where they start.
+        let firsts: Vec<usize> = (0..waves).map(|i| i * span).chain([31, 2047]).collect();
+        let world = Rc::new(FleetWorld::build(2047 + span));
         let cache = Rc::new(RefCell::new(PlanCache::new(64)));
         let wave = |first: usize, to: bool| -> Vec<(usize, bool)> {
             (0..span).map(|j| (first + j, dirs[j % dirs.len()] == to)).collect()
@@ -174,15 +183,19 @@ proptest! {
             let mut cached = ScopedLazyPlanner::new(Rc::clone(&world), &scope)
                 .with_cache(Rc::clone(&cache), i as u64 + 1);
             let mut fresh = ScopedLazyPlanner::new(Rc::clone(&world), &scope);
+            let got = fresh.paths(&src, &dst, 4);
             prop_assert_eq!(
                 cached.paths(&src, &dst, 4),
-                fresh.paths(&src, &dst, 4),
+                got.clone(),
                 "session {} diverged from the fresh planner", i,
             );
+            let ixs = world.search.scoped_action_ixs(&scope);
+            let whole: Vec<_> = world.search.plan_scoped(&src, &dst, &ixs).0.into_iter().collect();
+            prop_assert_eq!(got, whole, "session {} diverged from the whole world", i);
         }
         let stats = cache.borrow().stats();
         prop_assert_eq!(stats.misses, 1, "only the first session misses: {:?}", stats);
-        prop_assert_eq!(stats.hits as usize, waves, "{:?}", stats);
+        prop_assert_eq!(stats.hits as usize, waves + 1, "{:?}", stats);
         // Hit rate over a disjoint wave is (n-1)/n: at least 50%.
         prop_assert!(stats.hits * 2 >= (stats.hits + stats.misses));
     }
