@@ -21,9 +21,9 @@
 //! clusters and their modes — compiled once over local ids into flat
 //! tables of its own (kernels, search, action table, collaborative index),
 //! and a **placement** puts it into the world at bases for its components,
-//! processes, actions, predicates and clusters; a world id is base plus
-//! local id. [`FleetWorld::build`] compiles the video cluster once and
-//! places it once per group, so the world keeps 24 bytes a group and
+//! processes, actions and clusters; a world id is base plus local id.
+//! [`FleetWorld::build`] compiles the video cluster once and places it
+//! once per group, so the world keeps about 20 bytes a group and
 //! builds no spec, name or table per group; a spec world is its whole spec
 //! as one class placed once at base 0, compiled as the one class it is.
 //! Names are a class's stems plus the placement's number, written only
