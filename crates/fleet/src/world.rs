@@ -393,8 +393,8 @@ struct Layout {
     /// clusters]`.
     totals: [usize; 5],
     /// The world-wide tables, once a view of a world of many placements
-    /// has been read.
-    rendered: OnceLock<Tables>,
+    /// has been read (boxed, so a world that never renders holds a pointer).
+    rendered: OnceLock<Box<Tables>>,
 }
 
 impl Layout {
@@ -428,7 +428,7 @@ impl Layout {
         if self.is_one_class() {
             return &self.classes[0].tables;
         }
-        self.rendered.get_or_init(|| self.render())
+        self.rendered.get_or_init(|| Box::new(self.render()))
     }
 
     /// The placement whose range of `base` holds world id `id`.
