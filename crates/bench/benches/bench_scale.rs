@@ -55,24 +55,26 @@ const SEED: u64 = 42;
 const SESSION_CAP: usize = 2048;
 const SPACING_US: u64 = 37;
 /// Smoke-gate ceiling on flat peak-heap bytes per agent at the 10k row:
-/// measured 550 B/agent (the count is deterministic) plus 10 %, so a world
-/// that compiles a table row per group again (769 B/agent), one that keeps
-/// its `WorldSpec` (1 020), a plane cloning every hosted agent at build
-/// again (116 B/agent more), a heap object per component name, an
-/// accidental per-agent heap object or a dense-`Config` round trip sneaking
-/// back into the hot path fails loudly.
-const SMOKE_BYTES_PER_AGENT_CEILING: u64 = 605;
+/// measured 333 B/agent (the count is deterministic) plus 10 %, so a ring
+/// that grows by doubling and a handover that clones its events beside it
+/// (549 B/agent), a world that compiles a table row per group again (769),
+/// one that keeps its `WorldSpec` (1 020), a plane cloning every hosted
+/// agent at build again (116 B/agent more), a heap object per component
+/// name, an accidental per-agent heap object or a dense-`Config` round trip
+/// sneaking back into the hot path fails loudly.
+const SMOKE_BYTES_PER_AGENT_CEILING: u64 = 366;
 /// Ceiling on what one session adds to the flat peak heap, in bytes, at
-/// every row. A plane clones an agent when a session first touches it, so
-/// a session's bytes include the two agents it engages: about 5 050 at the
-/// 10k row (4 907 while every agent was cloned at build), 5 977 at 1k and
-/// 5 201 at 100k. A committing session retains a spine and a chunk twice
+/// every row: the largest row, 1k, plus 10 %. A plane clones an agent when
+/// a session first touches it, so a session's bytes include the two agents
+/// it engages: 3 859 at the 1k row, 2 823 at 10k and 3 070 at 100k (5 709,
+/// 4 791 and 5 104 while the capture ring grew by doubling and the handover
+/// cloned its events). A committing session retains a spine and a chunk twice
 /// over — its target and the fleet snapshot its fold leaves behind, under
 /// 2 KB at any width — and a no-op session (every other one here) none; the
 /// rest is the session's events, journal records and timestamps. With one
 /// buffer per configuration the 10k row measured 6 596 and the 100k row
 /// 27 126: each of the two copies was the world.
-const SMOKE_BYTES_PER_SESSION_CEILING: u64 = 6_000;
+const SMOKE_BYTES_PER_SESSION_CEILING: u64 = 4_245;
 /// Smoke-gate ceiling on the flat run's journal text per session at the
 /// 10k row (recorded at every row): a configuration field is written as
 /// its delta against the field before it, so a record costs the handful of
@@ -82,9 +84,11 @@ const SMOKE_JOURNAL_BYTES_PER_SESSION_CEILING: u64 = 1_024;
 /// Smoke-gate ceiling on sharded (1 worker thread) over flat peak heap at
 /// the 10k row — ROADMAP item 3's gate. A sharded run holds one shared
 /// world plus, per region, the arena, simulator slots and control tables of
-/// the agents that region hosts, so the eight regions together hold about
-/// what the flat plane does: measured 0.96× (32.8 MB over 34.3 MB; both
-/// counts repeat to within a few KB). With every endpoint registering
+/// the agents that region hosts: measured 1.37× (9.14 MB over 6.68 MB;
+/// both counts repeat to within a few KB). It read 1.04× (11.4 MB over
+/// 11.0 MB) while every plane cloned its ring's events out beside its live
+/// simulator; dropping the simulator before moving the events out cut the
+/// flat peak more than the sharded one. With every endpoint registering
 /// every agent of the world the same row measured 3.31× (124.0 MB over
 /// 37.5 MB) — the regression this gate exists to catch.
 const SMOKE_SHARD_OVER_FLAT_HEAP_CEILING: f64 = 1.5;

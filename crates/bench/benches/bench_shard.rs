@@ -247,11 +247,21 @@ fn write_bench_json() {
 const LOOKAHEAD_WAVES: usize = 96;
 
 /// One-thread `promise_updates` ceiling for the lookahead leg. A count, so
-/// host-independent: the leg reads 872 — the 14 straddlers' handshakes and
-/// global-tier runs on 16 edges, the same at 6 waves as at 96 — and read
-/// 7 432 while every region still promised no further than its own next
-/// event and so walked the whole storm in 1 ms quanta.
-const LOOKAHEAD_PROMISE_CEILING: u64 = 1_000;
+/// host-independent: the leg reads 1 048 — the 14 straddlers' handshakes
+/// and global-tier runs on 16 edges, the same at 6 waves as at 96 — and
+/// read 7 432 while every region still promised no further than its own
+/// next event and so walked the whole storm in 1 ms quanta.
+///
+/// It read 872 before the planner's tie rule. Each boundary's second
+/// straddler flips its two groups back, and its steps 1 and 2 then ran in
+/// the order that met, on each group's agents, the step id they had last
+/// completed for the first straddler: the agents acknowledged both steps
+/// without running them (ROADMAP.md, "A session's step ids are its own").
+/// The tie rule runs the two steps the other way round, the agents do the
+/// work, and each of those seven handshakes takes 24 ms instead of 8 ms;
+/// the fabric's 112 messages are the same. Mending the step ids will move
+/// this count again.
+const LOOKAHEAD_PROMISE_CEILING: u64 = 1_200;
 
 /// The straddler-bearing scaling leg: what the fabric costs when regions
 /// that owe the global tier nothing promise it silence.
@@ -277,8 +287,9 @@ fn straddler_lookahead_leg(cores: usize) -> String {
     );
     assert!(
         base.fabric.promise_updates <= LOOKAHEAD_PROMISE_CEILING,
-        "one-thread promise updates {} exceed the ceiling {LOOKAHEAD_PROMISE_CEILING}: regions \
-         are walking virtual time in lock-step with the global tier again",
+        "one-thread promise updates {} exceed the ceiling {LOOKAHEAD_PROMISE_CEILING}: the \
+         straddlers' handshakes cost more promise updates than they did (a count that also \
+         grows with the waves means regions walk the storm in lock-step with the global tier)",
         base.fabric.promise_updates
     );
     let rows: Vec<String> = runs

@@ -5,12 +5,13 @@
 //! members are cloned when first touched, plus that control actor; every
 //! other agent of the world is a vacant id.
 //! [`build_plane`] is the only place a plane is wired up; its control
-//! actor writes each session's [`SessionResult`] where it decides, and
-//! [`Plane::distill`] copies the rows out. [`run_fleet`] is the one-plane
-//! case — host every agent, build, run to the budget on the calling
-//! thread, distill — and `run_fleet_sharded` runs the same two functions
-//! once per endpoint, adding only the hosted set and the fabric around
-//! them.
+//! actor writes each session's [`SessionResult`] where it decides,
+//! [`Plane::read`] copies the rows out, and [`Plane::distill`] drops the
+//! simulator before it moves the stream out. [`run_fleet`] is the
+//! one-plane case — host every agent, build, run to the budget on the
+//! calling thread, read, distill — and `run_fleet_sharded` runs the same
+//! functions once per endpoint, adding only the hosted set and the fabric
+//! around them.
 //!
 //! A plane owns everything *mutable* — simulator, agents, lock table, plan
 //! cache, journal — and borrows everything that is not: the compiled
@@ -255,7 +256,8 @@ fn run_fleet_on(scenario: &FleetScenario, world: FleetWorld) -> FleetReport {
         .sim
         .actor::<ControlActor<()>>(plane.control_id)
         .expect("control plane present after the run");
-    let out = plane.distill(control);
+    let read = plane.read(control);
+    let out = plane.distill(read);
     FleetReport {
         makespan_us: makespan_us(&out.results),
         max_concurrent: max_concurrent(&out.results),
@@ -410,14 +412,15 @@ pub(crate) struct PlaneOutcome {
 }
 
 impl<M: Clone + 'static> Plane<M> {
-    /// Distills the plane's captured stream, its counts, and `control`'s
-    /// durable state (the caller unwraps `control` out of whatever actor it
-    /// registered).
-    pub(crate) fn distill(&self, control: &ControlActor<M>) -> PlaneOutcome {
+    /// Reads `control`'s durable state — rows, journal, counters — and the
+    /// plane's counts into an outcome whose `events` are still in the ring
+    /// (the caller unwraps `control` out of whatever actor it registered);
+    /// [`Plane::distill`] moves them in.
+    pub(crate) fn read(&self, control: &ControlActor<M>) -> PlaneOutcome {
         let results = self.sessions.iter().map(|&id| control.row(id).clone()).collect();
-        // Rendered before the ring's events are copied out, so that the
-        // text's growth never sits on top of that copy: the plane's peak
-        // holds the text's length and no more.
+        // Rendered before the ring's events move out, so that the text's
+        // growth never sits on top of their vector: the plane's peak holds
+        // the text's length and no more.
         let journal_text = if self.render_journal {
             encode_session_journal(&control.journal)
         } else {
@@ -428,7 +431,7 @@ impl<M: Clone + 'static> Plane<M> {
             journal_text,
             results,
             fleet_config: control.fleet_config.clone(),
-            events: ring.events(),
+            events: Vec::new(),
             events_evicted: ring.total_seen() - ring.len() as u64,
             counts: self.counts.borrow().clone(),
             stats: self.sim.stats(),
@@ -437,6 +440,19 @@ impl<M: Clone + 'static> Plane<M> {
             breaker_open_us: control.host.breaker_open_us(self.sim.now()),
             lock_holders: control.lock_holder_count() as u64,
         }
+    }
+
+    /// Ends the plane and hands its stream over in `out`, read from it:
+    /// the simulator is dropped first, and with it every actor and every
+    /// bus clone, and only then do the ring's events move into one vector
+    /// of exactly their number — no event is cloned, and no actor is live
+    /// beside that vector.
+    pub(crate) fn distill(self, mut out: PlaneOutcome) -> PlaneOutcome {
+        let ring = Rc::clone(&self.ring);
+        drop(self);
+        debug_assert_eq!(Rc::strong_count(&ring), 1, "a bus clone outlived its plane");
+        out.events = ring.borrow_mut().take_events();
+        out
     }
 }
 
@@ -568,11 +584,12 @@ mod tests {
         assert_eq!(plane.sim.actor_count(), 4, "three agents and the control plane");
         plane.sim.run_for(scenario.time_budget);
         let control = plane.sim.actor::<ControlActor<()>>(plane.control_id).unwrap();
-        assert!(plane.distill(control).results[0].success);
+        let read = plane.read(control);
+        let out = plane.distill(read);
+        assert!(out.results[0].success);
         // Agent 3 is the slow one: it acts last, twice as late as agent 2.
         let acted = |agent: u32| {
-            let done = plane.ring.borrow().events();
-            let mut mine = done.iter().filter(|e| e.actor == agent);
+            let mut mine = out.events.iter().filter(|e| e.actor == agent);
             mine.next_back().expect("both of group 1's agents took part").at
         };
         assert!(acted(3) > acted(2), "the stretched agent finishes after its peer");
@@ -633,7 +650,8 @@ mod tests {
         );
         plane.sim.run_for(scenario.time_budget);
         let control = plane.sim.actor::<ControlActor<()>>(plane.control_id).unwrap();
-        let out = plane.distill(control);
+        let read = plane.read(control);
+        let out = plane.distill(read);
         assert!(out.results[0].success);
         assert_eq!((out.stats.crashes, out.stats.restarts), (1, 1), "agent 0 is not here");
         let mut records = String::new();
@@ -728,7 +746,8 @@ mod tests {
         }
         plane.sim.run_for(scenario.time_budget);
         let control = plane.sim.actor::<ControlActor<()>>(plane.control_id).unwrap();
-        let out = plane.distill(control);
+        let read = plane.read(control);
+        let out = plane.distill(read);
         assert!(out.results[0].success);
         assert_eq!(out.events.len(), RING_CAPACITY, "the ring is full");
         let run_events = out.events.iter().filter(|e| e.session == 1).count() as u64;

@@ -42,11 +42,11 @@
 //!   straddler-free workloads, free-run.
 //!
 //! Each endpoint *is* the plane [`run_fleet`](crate::run_fleet) runs — the
-//! same `build_plane` / `Plane::distill` code, with the control actor
-//! wrapped in a fabric shim and an idle fabric relay registered after it —
-//! so a `regions = 1` run is event-identical (modulo shard tags) to the
-//! unsharded driver by construction; what the identity tests pin is that
-//! the executor and the report merge add nothing on top.
+//! same `build_plane` / `Plane::read` / `Plane::distill` code, with the
+//! control actor wrapped in a fabric shim and an idle fabric relay
+//! registered after it — so a `regions = 1` run is event-identical (modulo
+//! shard tags) to the unsharded driver by construction; what the identity
+//! tests pin is that the executor and the report merge add nothing on top.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -599,30 +599,32 @@ struct EndpointOutcome {
     foreign_holds: u64,
 }
 
+/// Reads the endpoint's wrapper and its control plane, then distills the
+/// plane: its simulator is dropped before its stream moves out.
 fn distill_endpoint(ep: Endpoint) -> EndpointOutcome {
     let (sim, control_id) = (&ep.plane.sim, ep.plane.control_id);
-    let (plane, global_journal_text, orphaned_releases, foreign_holds) = if ep.is_global {
+    let (read, global_journal_text, orphaned_releases, foreign_holds) = if ep.is_global {
         let g = sim.actor::<GlobalControl>(control_id).expect("global control present");
-        let mut plane = ep.plane.distill(&g.inner);
+        let mut read = ep.plane.read(&g.inner);
         // A straddler is submitted when it escalates; the inner plane
         // submits it only once every slice is granted.
         for s in &g.straddlers {
-            let ix = plane.results.binary_search_by_key(&s.sid, |r| r.id);
+            let ix = read.results.binary_search_by_key(&s.sid, |r| r.id);
             if let (Some(t), Ok(ix)) = (s.escalated_at, ix) {
-                plane.results[ix].submitted_at = Some(t);
+                read.results[ix].submitted_at = Some(t);
             }
         }
-        (plane, encode_global_journal(&g.global_journal), g.orphaned_releases, 0)
+        (read, encode_global_journal(&g.global_journal), g.orphaned_releases, 0)
     } else {
         let r = sim.actor::<RegionControl>(control_id).expect("region control present");
-        (ep.plane.distill(&r.inner), String::new(), 0, r.foreign.len() as u64)
+        (ep.plane.read(&r.inner), String::new(), 0, r.foreign.len() as u64)
     };
     EndpointOutcome {
         id: ep.id,
         shard_tag: ep.shard_tag,
         is_global: ep.is_global,
         agents: ep.agents,
-        plane,
+        plane: ep.plane.distill(read),
         owned_comps: ep.owned_comps,
         global_journal_text,
         orphaned_releases,
@@ -743,6 +745,21 @@ impl ShardReport {
     pub fn succeeded(&self) -> usize {
         self.results.iter().filter(|r| r.success).count()
     }
+}
+
+/// The deterministic merge of the shards' streams, given in shard order:
+/// ordered by (virtual time, shard, intra-shard order). A shard's own
+/// stream need not be time-sorted, so the merge is a *stable* sort on time
+/// alone over the streams laid end to end. Each stream is moved in and
+/// freed as it is appended — no event is cloned, and the sort's scratch
+/// never sits beside a shard's buffer.
+fn merge_streams(streams: Vec<Vec<Event>>) -> Vec<Event> {
+    let mut merged = Vec::with_capacity(streams.iter().map(Vec::len).sum());
+    for stream in streams {
+        merged.extend(stream);
+    }
+    merged.sort_by_key(|e| e.at);
+    merged
 }
 
 /// FNV-1a fingerprint over the encoded event stream, shard tags included —
@@ -916,15 +933,9 @@ pub(crate) fn run_sharded(
     let wall = started.elapsed();
     outcomes.sort_by_key(|o| o.id);
 
-    // Deterministic event merge: (virtual time, shard, intra-shard order).
-    // The streams are moved end to end in shard order, so a *stable* sort
-    // on time alone yields exactly that order without cloning an event.
     let shard_events: Vec<usize> = outcomes.iter().map(|o| o.plane.events.len()).collect();
-    let mut events: Vec<Event> = Vec::with_capacity(shard_events.iter().sum());
-    for o in &mut outcomes {
-        events.append(&mut o.plane.events);
-    }
-    events.sort_by_key(|e| e.at);
+    let events =
+        merge_streams(outcomes.iter_mut().map(|o| std::mem::take(&mut o.plane.events)).collect());
     let fingerprint = fingerprint_events(&events);
 
     // Regions are authoritative for their groups' component values (global
@@ -1066,6 +1077,61 @@ mod tests {
         for (sharded, flat) in report.events.iter().zip(&unsharded.events) {
             assert_eq!(Event { shard: 0, ..sharded.clone() }, *flat);
         }
+    }
+
+    /// Both drivers hand their stream over in one exact-length vector: the
+    /// flat one moves its ring's events out, the sharded one merges the
+    /// shards' streams into a vector sized for all of them.
+    #[test]
+    fn reports_hand_over_exact_length_streams() {
+        let mut fleet = FleetScenario::new(8, disjoint_wave(8, 1));
+        fleet.sessions.push(SessionSpec {
+            id: 100,
+            flips: vec![(1, true), (2, true)],
+            priority: 1,
+            submit_at: SimDuration::from_millis(2),
+            cancel_at: None,
+        });
+        let flat = run_fleet(&fleet).events;
+        let sharded = run_fleet_sharded(&ShardScenario::new(fleet, 4), 2).events;
+        for events in [flat, sharded] {
+            assert!(!events.is_empty());
+            assert_eq!(events.capacity(), events.len());
+        }
+    }
+
+    /// The freeing merge is a stable sort of the shards' streams laid end
+    /// to end: a shard's own stream out of time order keeps its order
+    /// among equal instants, and equal instants across shards come out in
+    /// shard order.
+    #[test]
+    fn the_merge_is_a_stable_sort_of_the_concatenation() {
+        let ev = |shard: u32, at: u64, tag: u64| Event {
+            at: SimTime::from_micros(at),
+            actor: 0,
+            session: 0,
+            shard,
+            payload: sada_obs::Payload::Net(sada_obs::NetEvent::TimerFired { tag }),
+        };
+        // Instants 5, 3, 5, 1 in shard 1 and 3, 5, 3 in shard 2.
+        let streams = vec![
+            vec![ev(1, 5, 0), ev(1, 3, 1), ev(1, 5, 2), ev(1, 1, 3)],
+            Vec::new(),
+            vec![ev(2, 3, 4), ev(2, 5, 5), ev(2, 3, 6)],
+        ];
+        let mut concatenated: Vec<Event> = streams.concat();
+        concatenated.sort_by_key(|e| e.at);
+        let merged = merge_streams(streams);
+        assert_eq!(merged, concatenated);
+        let tags: Vec<u64> = merged
+            .iter()
+            .map(|e| match e.payload {
+                sada_obs::Payload::Net(sada_obs::NetEvent::TimerFired { tag }) => tag,
+                _ => unreachable!("only timers were merged"),
+            })
+            .collect();
+        assert_eq!(tags, [3, 1, 4, 6, 0, 2, 5]);
+        assert_eq!(merged.capacity(), merged.len());
     }
 
     /// Every partition a validated scenario can have: the blocks are

@@ -22,7 +22,7 @@ use crate::event::{
 };
 use crate::fnv::{Fnv1a, Piece};
 use crate::key::ObligationKey;
-use crate::text::{escape_json, records, Cursor, Fields, ParseError};
+use crate::text::{escape_json, read_records, Cursor, Fields, ParseError};
 use crate::time::SimTime;
 
 /// Records every event as one JSONL line.
@@ -227,7 +227,7 @@ pub fn decode_event(line: &str) -> Result<Event, ParseError> {
 
 /// Decodes a whole `.jsonl` trace (blank lines and `#` comments skipped).
 pub fn decode_lines(text: &str) -> Result<Vec<Event>, ParseError> {
-    records(text).map(decode).collect()
+    read_records(text, decode)
 }
 
 fn decode(line: Cursor<'_>) -> Result<Event, ParseError> {

@@ -12,51 +12,90 @@ use crate::event::{Event, Payload};
 
 /// Keeps the most recent `capacity` events (older ones are evicted), so a
 /// long run's tail can be inspected at bounded memory.
+///
+/// The events sit in blocks of [`RingSink::BLOCK`] slots (fewer when the
+/// capacity is smaller), each allocated once at its full size: the ring
+/// grows a block at a time, so growing never holds an old buffer beside a
+/// new one, and [`RingSink::take_events`] frees each block as it moves its
+/// events out.
 #[derive(Debug, Clone)]
 pub struct RingSink {
     capacity: usize,
-    buf: VecDeque<Event>,
+    /// Oldest first. Events are pushed onto the last block and evicted off
+    /// the first, so every block between them is full.
+    blocks: VecDeque<VecDeque<Event>>,
+    len: usize,
     seen: u64,
 }
 
 impl RingSink {
+    /// Slots in one block: what the ring allocates each time it grows.
+    pub const BLOCK: usize = 512;
+
     /// A ring holding at most `capacity` events. Capacity zero keeps
     /// nothing but still counts.
     pub fn new(capacity: usize) -> Self {
-        RingSink { capacity, buf: VecDeque::with_capacity(capacity.min(4096)), seen: 0 }
+        RingSink { capacity, blocks: VecDeque::new(), len: 0, seen: 0 }
     }
 
     /// The retained events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.buf.iter().cloned().collect()
+        let mut out = Vec::with_capacity(self.len);
+        out.extend(self.blocks.iter().flatten().cloned());
+        out
+    }
+
+    /// Moves the retained events out, oldest first, into one vector of
+    /// exactly their number, freeing each block as it is emptied; no event
+    /// is cloned. The ring is left empty; [`RingSink::total_seen`] keeps
+    /// counting.
+    pub fn take_events(&mut self) -> Vec<Event> {
+        let mut out = Vec::with_capacity(self.len);
+        for block in self.blocks.drain(..) {
+            out.extend(block);
+        }
+        self.len = 0;
+        out
     }
 
     /// Number of retained events (≤ capacity).
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     /// True when nothing is retained.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len == 0
     }
 
     /// Total events observed over the sink's lifetime (including evicted).
     pub fn total_seen(&self) -> u64 {
         self.seen
     }
+
+    /// Drops the oldest `n` retained events. A block emptied this way is
+    /// freed, unless it is the only one: the next push reuses it.
+    fn evict(&mut self, mut n: usize) {
+        self.len -= n;
+        while n > 0 {
+            let front = &mut self.blocks[0];
+            if n < front.len() {
+                front.drain(..n);
+                return;
+            }
+            n -= front.len();
+            if self.blocks.len() == 1 {
+                self.blocks[0].clear();
+            } else {
+                self.blocks.pop_front();
+            }
+        }
+    }
 }
 
 impl Sink for RingSink {
     fn accept(&mut self, ev: &Event) {
-        self.seen += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(ev.clone());
+        self.accept_batch(std::slice::from_ref(ev));
     }
 
     fn accept_batch(&mut self, evs: &[Event]) {
@@ -67,10 +106,19 @@ impl Sink for RingSink {
         // Only the last `capacity` events of the batch can survive; skip
         // straight to them instead of cloning events that would be evicted
         // before the batch even finishes.
-        let keep = &evs[evs.len().saturating_sub(self.capacity)..];
-        let evict = (self.buf.len() + keep.len()).saturating_sub(self.capacity);
-        self.buf.drain(..evict);
-        self.buf.extend(keep.iter().cloned());
+        let mut keep = &evs[evs.len().saturating_sub(self.capacity)..];
+        self.evict((self.len + keep.len()).saturating_sub(self.capacity));
+        self.len += keep.len();
+        let block = self.capacity.min(Self::BLOCK);
+        while !keep.is_empty() {
+            if self.blocks.back().is_none_or(|last| last.len() == block) {
+                self.blocks.push_back(VecDeque::with_capacity(block));
+            }
+            let last = self.blocks.back_mut().expect("a block with room was just ensured");
+            let (now, later) = keep.split_at((block - last.len()).min(keep.len()));
+            last.extend(now.iter().cloned());
+            keep = later;
+        }
     }
 }
 

@@ -49,6 +49,26 @@ pub fn records(text: &str) -> impl Iterator<Item = Cursor<'_>> {
     })
 }
 
+/// Reads every record of `text` with `read`, into one vector reserved up
+/// front with a slot per line, so a long trace or journal is collected
+/// without regrowing (a blank or comment line over-reserves its slot). The
+/// first error stops the read.
+pub fn read_records<T>(
+    text: &str,
+    mut read: impl FnMut(Cursor<'_>) -> Result<T, ParseError>,
+) -> Result<Vec<T>, ParseError> {
+    // Newlines 64 bytes at a time: a byte sum per chunk vectorizes, a
+    // count per byte does not.
+    let newlines = |chunk: &[u8]| chunk.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>();
+    let lines: usize = text.as_bytes().chunks(64).map(|c| usize::from(newlines(c))).sum();
+    let unterminated = !text.is_empty() && !text.ends_with('\n');
+    let mut out = Vec::with_capacity(lines + usize::from(unterminated));
+    for record in records(text) {
+        out.push(read(record)?);
+    }
+    Ok(out)
+}
+
 /// Appends one line per record — the write side of [`records`].
 pub fn push_lines<T: fmt::Display>(out: &mut String, records: impl IntoIterator<Item = T>) {
     for record in records {

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use sada_expr::{CompId, Config};
-use sada_obs::text::{list, push_json_str, records, Cursor, Fields, ParseError};
+use sada_obs::text::{list, push_json_str, read_records, records, Cursor, Fields, ParseError};
 
 /// Near-tokens of both lexical families, numbers at the edge of each
 /// integer width, and characters of two, three and four bytes.
@@ -143,6 +143,25 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    /// `read_records` is `records` read and collected, the first error
+    /// included, into a vector reserved once for the text's lines: long
+    /// texts cross the 64-byte chunks the newline count runs in.
+    #[test]
+    fn read_records_collects_into_one_reservation(text in stitched(TOKENS, 160)) {
+        let read = |c: Cursor<'_>| {
+            if c.as_str().contains('=') {
+                Err(c.expected("no '='"))
+            } else {
+                Ok(c.as_str().to_string())
+            }
+        };
+        let got = read_records(&text, read);
+        prop_assert_eq!(&got, &records(&text).map(read).collect::<Result<Vec<_>, _>>());
+        if let Ok(got) = got {
+            prop_assert_eq!(got.capacity(), text.lines().count());
         }
     }
 

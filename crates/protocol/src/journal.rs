@@ -37,7 +37,7 @@
 use std::fmt::{self, Write as _};
 
 use sada_expr::Config;
-use sada_obs::text::{list, push_lines, records, Cursor, Fields, ParseError};
+use sada_obs::text::{list, push_lines, read_records, Cursor, Fields, ParseError};
 use sada_plan::ActionId;
 
 use crate::messages::{SessionId, StepId};
@@ -223,7 +223,7 @@ fn read_journal<T>(
     mut line: impl FnMut(&Fields<'_>, &mut Option<Config>) -> Result<T, ParseError>,
 ) -> Result<Vec<T>, ParseError> {
     let mut prev = None;
-    records(text).map(|l| line(&Fields::words(l)?, &mut prev)).collect()
+    read_records(text, |l| line(&Fields::words(l)?, &mut prev))
 }
 
 fn parse_record(f: &Fields<'_>, prev: &mut Option<Config>) -> Result<JournalRecord, ParseError> {
@@ -402,7 +402,7 @@ pub fn encode_global_journal(records: &[GlobalRecord]) -> String {
 /// Parses the text form produced by [`encode_global_journal`]. Blank lines
 /// and `#` comments are ignored.
 pub fn parse_global_journal(text: &str) -> Result<Vec<GlobalRecord>, ParseError> {
-    records(text).map(parse_global_record).collect()
+    read_records(text, parse_global_record)
 }
 
 fn parse_global_record(line: Cursor<'_>) -> Result<GlobalRecord, ParseError> {

@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::actor::ActorId;
-use sada_obs::text::{records, Cursor, Fields, ParseError};
+use sada_obs::text::{read_records, Cursor, Fields, ParseError};
 use sada_obs::{SimDuration, SimTime};
 
 /// A (from, to) wildcard pattern over message routes; `None` matches any
@@ -152,7 +152,7 @@ impl FaultPlan {
     /// Parses the text form produced by [`FaultPlan::to_text`]. Blank lines
     /// and `#` comments are ignored.
     pub fn parse(text: &str) -> Result<FaultPlan, ParseError> {
-        Ok(FaultPlan { faults: records(text).map(parse_fault).collect::<Result<_, _>>()? })
+        Ok(FaultPlan { faults: read_records(text, parse_fault)? })
     }
 }
 
