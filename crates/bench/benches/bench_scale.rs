@@ -27,7 +27,9 @@
 //!   group (the video world is one cluster class, placed per group) —
 //!   what the analysis phase costs before the first session, as counts
 //!   that repeat exactly;
-//! * the flat run's rendered journal text per session.
+//! * the flat run's rendered journal text per session;
+//! * where the flat run's and the one-thread sharded run's wall clock went,
+//!   phase by phase (`FleetReport::phases`, `ShardReport::phases`).
 //!
 //! Set `SADA_BENCH_SMOKE=1` to run only the 10k-group row and assert the
 //! bytes-per-agent ceiling, the bytes-per-session ceiling, the journal
@@ -46,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sada_fleet::{
-    run_fleet, run_fleet_sharded, FleetReport, FleetScenario, SessionSpec, ShardScenario,
+    run_fleet, run_fleet_sharded, FleetReport, FleetScenario, Phases, SessionSpec, ShardScenario,
 };
 use sada_obs::SimDuration;
 
@@ -94,15 +96,16 @@ const SMOKE_JOURNAL_BYTES_PER_SESSION_CEILING: u64 = 1_024;
 const SMOKE_SHARD_OVER_FLAT_HEAP_CEILING: f64 = 1.5;
 /// Smoke-gate ceilings on what compiling the world costs per group at the
 /// 10k row: allocator calls during `build_world()`, and bytes still live
-/// when it returns. Measured 0.0052 allocations and 20.5 B (both exact)
-/// plus 10 %: the video cluster is one class compiled once, and a group is
-/// its 20-byte placement and two bits of the boot configuration. Compiling
-/// every group's cluster into world-wide tables again measured 5.0 and
-/// 460, keeping the spec 17.0 and 908, and a heap object per predicate,
-/// per index row and per process name 76.7 and 2 124 with the spec — any
-/// of them coming back fails both.
+/// when it returns. Measured 0.0055 allocations and 0.468 B (both exact)
+/// plus 10 %: the video cluster is one class compiled once and placed as
+/// one run, so a group is two bits of the boot configuration and the rest
+/// is the class. A 20-byte placement row per group measured 20.5 B,
+/// compiling every group's cluster into world-wide tables 5.0 allocations
+/// and 460 B, keeping the spec 17.0 and 908, and a heap object per
+/// predicate, per index row and per process name 76.7 and 2 124 with the
+/// spec — any of them coming back fails.
 const SMOKE_WORLD_ALLOCS_PER_GROUP_CEILING: f64 = 0.0057;
-const SMOKE_WORLD_RETAINED_BYTES_PER_GROUP_CEILING: f64 = 22.6;
+const SMOKE_WORLD_RETAINED_BYTES_PER_GROUP_CEILING: f64 = 0.52;
 
 // ---------------------------------------------------------------------------
 // Counting allocator: peak live heap per row
@@ -193,6 +196,10 @@ struct Row {
     world: WorldCost,
     /// The flat run's journal text per session.
     journal_bytes_per_session: u64,
+    /// Where the flat run's wall clock went.
+    flat_phases: Phases,
+    /// Where the sharded run's wall clock went, at one worker thread.
+    shard_phases_1t: Phases,
 }
 
 /// What one `build_world()` and its drop cost on their own.
@@ -319,7 +326,29 @@ fn run_row(groups: usize, threads: &[usize]) -> Row {
         fingerprint: base.fingerprint,
         world,
         journal_bytes_per_session: (flat.journal_text.len() / sessions) as u64,
+        flat_phases: flat.phases,
+        shard_phases_1t: base.phases,
     }
+}
+
+/// A run's phases in μs, as a JSON object, and their sum.
+fn phases_json(p: &Phases) -> String {
+    let fields = [
+        ("world", p.world),
+        ("partition", p.partition),
+        ("build", p.build),
+        ("step", p.step),
+        ("parked", p.parked),
+        ("distill", p.distill),
+        ("merge", p.merge),
+        ("fingerprint", p.fingerprint),
+        ("config", p.config),
+        ("drop", p.drop),
+        ("sum", p.total()),
+    ];
+    let body: Vec<String> =
+        fields.iter().map(|(name, d)| format!("\"{name}\": {}", d.as_micros())).collect();
+    format!("{{{}}}", body.join(", "))
 }
 
 fn write_bench_json(rows: &[Row]) {
@@ -340,8 +369,9 @@ fn write_bench_json(rows: &[Row]) {
                  \"shard_agents\": {}, \
                  \"world_build_us\": {}, \"world_drop_us\": {}, \
                  \"world_allocs_per_group\": {:.4}, \
-                 \"world_retained_bytes_per_group\": {:.1}, \
+                 \"world_retained_bytes_per_group\": {:.3}, \
                  \"journal_bytes_per_session\": {}, \
+                 \"flat_phases_us\": {}, \"shard_phases_us_1t\": {}, \
                  \"fingerprint\": \"{:#018x}\"}}",
                 r.groups,
                 r.agents,
@@ -364,6 +394,8 @@ fn write_bench_json(rows: &[Row]) {
                 r.world_allocs_per_group(),
                 r.world_retained_bytes_per_group(),
                 r.journal_bytes_per_session,
+                phases_json(&r.flat_phases),
+                phases_json(&r.shard_phases_1t),
                 r.fingerprint,
             )
         })
@@ -378,7 +410,9 @@ fn write_bench_json(rows: &[Row]) {
          allocator calls and retained bytes of the build per group; the video world is one cluster class placed once per group); \
          shard_agents is the agents the sharded run's planes host between them, \
          shard_over_flat_wall is recorded and never asserted; journal_bytes_per_session is \
-         the flat run's journal text per session\",\n  \
+         the flat run's journal text per session; flat_phases_us and shard_phases_us_1t \
+         are where each run's wall clock went (sum: the phases laid end to end, parked \
+         lying inside step), to set beside flat_wall_us and shard_wall_us_1t\",\n  \
          \"command\": \"cargo bench -q -p sada-bench --bench bench_scale\",\n  \
          {host},\n  \"thread_sweep\": [1, 2, 4, 8],\n  \
          \"smoke_bytes_per_agent_ceiling\": {SMOKE_BYTES_PER_AGENT_CEILING},\n  \
@@ -451,7 +485,7 @@ fn sweep() {
             row.world_allocs_per_group() <= SMOKE_WORLD_ALLOCS_PER_GROUP_CEILING
                 && row.world_retained_bytes_per_group()
                     <= SMOKE_WORLD_RETAINED_BYTES_PER_GROUP_CEILING,
-            "world build regressed: {:.4} allocations (ceiling {}) and {:.1} retained bytes \
+            "world build regressed: {:.4} allocations (ceiling {}) and {:.3} retained bytes \
              (ceiling {}) per group at 10k groups — is some compiled table a heap object per \
              row again?",
             row.world_allocs_per_group(),
@@ -464,7 +498,7 @@ fn sweep() {
              (ceiling {}), {} journal bytes/session (ceiling {}), sharded/flat peak heap \
              {:.2}x (ceiling {}x) and wall {:.2}x (not asserted) with {} agents hosted, world \
              build {:.4} \
-             allocations (ceiling {}) and {:.1} bytes (ceiling {}) per group, fingerprint \
+             allocations (ceiling {}) and {:.3} bytes (ceiling {}) per group, fingerprint \
              {:#018x} identical at 1/2/4/8 threads",
             row.sessions,
             row.bytes_per_agent,

@@ -982,6 +982,7 @@ fn scale(seed: Option<u64>) {
         "shard agents",
         "journal B/sess"
     );
+    let mut phased = Vec::new();
     for groups in [1_000usize, 10_000] {
         let sessions = (2 * groups).min(2048);
         let specs: Vec<SessionSpec> = (0..sessions)
@@ -1032,12 +1033,54 @@ fn scale(seed: Option<u64>) {
             single.per_shard.iter().map(|s| s.agents).sum::<usize>(),
             flat.journal_text.len() / sessions,
         );
+        phased.push((groups, "flat", flat.phases, flat_wall));
+        phased.push((groups, "shard 1t", single.phases, single_wall));
     }
     println!(
         "(fingerprints asserted identical at 1 and 8 worker threads on every row; shard agents \
          is what the eight regions' planes host between them; journal B/sess is the flat run's \
          journal text per session)"
     );
+    println!();
+    println!(
+        "Where the wall clock went, ms (parked lies inside step; sum is the phases end to end)"
+    );
+    let names = [
+        "world",
+        "partition",
+        "build",
+        "step",
+        "parked",
+        "distill",
+        "merge",
+        "fingerprint",
+        "config",
+        "drop",
+        "sum",
+        "wall",
+    ];
+    print!("{:>7} {:>9}", "groups", "run");
+    names.iter().for_each(|n| print!(" {n:>11}"));
+    println!();
+    for (groups, run, p, wall) in phased {
+        let ms = [
+            p.world,
+            p.partition,
+            p.build,
+            p.step,
+            p.parked,
+            p.distill,
+            p.merge,
+            p.fingerprint,
+            p.config,
+            p.drop,
+            p.total(),
+            wall,
+        ];
+        print!("{groups:>7} {run:>9}");
+        ms.iter().for_each(|d| print!(" {:>11.2}", d.as_secs_f64() * 1000.0));
+        println!();
+    }
 }
 
 fn scenario(seed: Option<u64>) {

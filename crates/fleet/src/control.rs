@@ -131,7 +131,7 @@ pub(crate) struct ControlActor<M = ()> {
     /// Overload-protection policy (breakers + bulkhead bounds).
     resilience: FleetResilience,
     // ---- volatile (destroyed by crash faults) ----
-    active: BTreeMap<u64, SessionCore>,
+    active: BTreeMap<u64, Live>,
     locks: ScopeLockManager,
     /// Per-scope circuit breakers, created lazily on first failure
     /// evidence and keyed by [`ControlActor::scope_key`]. Volatile, like
@@ -167,6 +167,18 @@ pub(crate) struct ControlActor<M = ()> {
     /// μs: the service time a shed's retry hint scales.
     service_us: (u64, u64),
     _marker: std::marker::PhantomData<fn() -> M>,
+}
+
+/// An admitted session: its core, and what its flips reach, computed once
+/// when it is admitted and dropped when it finishes.
+struct Live {
+    sess: SessionCore,
+    /// The adaptation scope ([`CompiledWorld::scope_comps`]).
+    ///
+    /// [`CompiledWorld::scope_comps`]: crate::CompiledWorld::scope_comps
+    scope: Vec<CompId>,
+    /// The agents hosting the scope, in scope order.
+    agents: Vec<usize>,
 }
 
 /// A control-plane event from `actor` about `session` (the bus it goes out
@@ -252,11 +264,16 @@ impl<M: Clone + 'static> ControlActor<M> {
     }
 
     fn resources_of(&self, spec: &SessionSpec) -> Vec<u32> {
+        self.scope_resources(&self.world.scope_comps(&spec.flips))
+    }
+
+    /// The lock resources of a session over `scope`.
+    fn scope_resources(&self, scope: &[CompId]) -> Vec<u32> {
         if self.serialize {
             // One global token: every session conflicts with every other.
             vec![u32::MAX]
         } else {
-            self.world.resources_for(&self.world.scope_comps(&spec.flips))
+            self.world.resources_for(scope)
         }
     }
 
@@ -265,11 +282,12 @@ impl<M: Clone + 'static> ControlActor<M> {
         self.host.bus.emit(fleet_event(ctx.now(), ctx.self_id(), session, ev));
     }
 
-    /// FNV-1a fingerprint of `spec`'s sorted scope resources — the identity
-    /// of a scope for per-scope breaker purposes. Two sessions moving the
-    /// same groups share a key; disjoint scopes practically never collide.
-    fn scope_key(&self, spec: &SessionSpec) -> u64 {
-        let mut rs = self.resources_of(spec);
+    /// FNV-1a fingerprint of the sorted resources of scope `scope` — the
+    /// identity of a scope for per-scope breaker purposes. Two sessions
+    /// moving the same groups share a key; disjoint scopes practically never
+    /// collide.
+    fn scope_key(&self, scope: &[CompId]) -> u64 {
+        let mut rs = self.scope_resources(scope);
         rs.sort_unstable();
         rs.iter().fold(Fnv1a::new(), |h, r| h.write(r.to_le_bytes())).finish()
     }
@@ -304,13 +322,20 @@ impl<M: Clone + 'static> ControlActor<M> {
         self.emit_fleet(ctx, session, ev);
     }
 
-    /// The scope agent (dense index) whose open breaker gates `spec`, if any.
-    fn scope_gated(&self, now: SimTime, spec: &SessionSpec) -> Option<usize> {
-        self.world
-            .scope_comps(&spec.flips)
-            .iter()
-            .filter_map(|&c| self.world.agent_for(c))
-            .find(|&a| self.host.blocks(a, now))
+    /// The first of a scope's `agents` (dense indices) whose open breaker
+    /// gates it, if any.
+    fn scope_gated(&self, now: SimTime, agents: &[usize]) -> Option<usize> {
+        agents.iter().copied().find(|&a| self.host.blocks(a, now))
+    }
+
+    /// The agents hosting `scope`, in scope order.
+    fn agents_of(&self, scope: &[CompId]) -> Vec<usize> {
+        scope.iter().filter_map(|&c| self.world.agent_for(c)).collect()
+    }
+
+    /// Session `sid` around `core`, live over `scope`, hosted by `agents`.
+    fn go_live(&mut self, sid: u64, core: ManagerCore, scope: Vec<CompId>, agents: Vec<usize>) {
+        self.active.insert(sid, Live { sess: SessionCore::new(core), scope, agents });
     }
 
     /// Concludes `sid` without running its protocol: the journaled
@@ -411,14 +436,11 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// Runs `ev` through live session `session`'s core, with the RTO of its
     /// slowest participant as the deadline hint, and applies the effects.
     fn step(&mut self, ctx: &mut Context<'_, Wire<M>>, session: u64, ev: ManagerEvent) {
-        let hint = self.host.hint(|| {
-            let flips = &self.scenario[self.spec_by_id[&session]].flips;
-            self.world.scope_comps(flips).into_iter().filter_map(|c| self.world.agent_for(c))
-        });
+        let live = self.active.get_mut(&session).expect("only a live session steps");
+        let hint = self.host.hint(|| live.agents.iter().copied());
         let in_timeout = matches!(ev, ManagerEvent::Timeout { .. });
-        let sess = self.active.get_mut(&session).expect("only a live session steps");
-        sess.core.set_timeout_hint(hint);
-        let eff = sess.core.on_event(ev);
+        live.sess.core.set_timeout_hint(hint);
+        let eff = live.sess.core.on_event(ev);
         self.apply(ctx, session, in_timeout, eff);
     }
 
@@ -443,9 +465,9 @@ impl<M: Clone + 'static> ControlActor<M> {
             };
             self.emit_fleet(ctx, note.session, ev);
         }
-        let sess = self.active.get_mut(&session).expect("only a live session's core has effects");
+        let live = self.active.get_mut(&session).expect("only a live session's core has effects");
         let mut completed = None;
-        for eff in self.host.apply(ctx, SessionId(session), sess, in_timeout, effects) {
+        for eff in self.host.apply(ctx, SessionId(session), &mut live.sess, in_timeout, effects) {
             match eff {
                 ManagerEffect::Complete(outcome) => completed = Some(outcome),
                 ManagerEffect::Journal(rec) => {
@@ -538,10 +560,12 @@ impl<M: Clone + 'static> ControlActor<M> {
         let spec = self.scenario[ix].clone();
         self.waiting.remove(&spec.id);
         self.gate.retain(|&g| g != spec.id);
+        let scope = self.world.scope_comps(&spec.flips);
+        let agents = self.agents_of(&scope);
         // Fail fast behind an open breaker: an admitted session whose scope
         // includes a gated agent would only hang on suppressed sends while
         // holding its locks, convoying every scope it shares a lock with.
-        if let Some(agent) = self.scope_gated(ctx.now(), &spec) {
+        if let Some(agent) = self.scope_gated(ctx.now(), &agents) {
             let ev = FleetEvent::SessionRejected { session: spec.id, agent: agent as u32 };
             self.reject(ctx, spec.id, ev);
             return;
@@ -551,7 +575,7 @@ impl<M: Clone + 'static> ControlActor<M> {
         // whether the scope's breaker closes or re-opens with a doubled
         // cooldown.
         if self.resilience.scope_breaker.is_some() {
-            let key = self.scope_key(&spec);
+            let key = self.scope_key(&scope);
             let now = ctx.now();
             if let Some((ok, tr)) = self.scope_breakers.get_mut(&key).map(|b| b.allow_send(now)) {
                 if let Some(tr) = tr {
@@ -566,11 +590,10 @@ impl<M: Clone + 'static> ControlActor<M> {
         }
         let source = self.fleet_config.clone();
         let target = self.world.target_for(&source, &spec.flips);
-        let scope = self.world.scope_comps(&spec.flips);
         let planner = ScopedLazyPlanner::new(Rc::clone(&self.world), &scope)
             .with_cache(Rc::clone(&self.plan_cache), spec.id);
         let core = ManagerCore::new(self.timing, Box::new(planner));
-        self.active.insert(spec.id, SessionCore::new(core));
+        self.go_live(spec.id, core, scope, agents);
         let now = ctx.now().as_micros();
         let row = self.row_mut(spec.id);
         row.admission = Some(Admission::Admitted);
@@ -583,34 +606,31 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// Completion: fold the session's final configuration into the fleet
     /// configuration, release its scope, and admit whoever that unblocks.
     fn finish(&mut self, ctx: &mut Context<'_, Wire<M>>, session: u64, outcome: Outcome) {
-        if let Some(ix) = self.spec_ix(session) {
-            let scope = self.world.scope_comps(&self.scenario[ix].flips);
-            // Only its own scope's hosts can still name this session: an
-            // engagement is recorded where the host sends, and a session's
-            // planner addresses no agent outside its scope.
-            for agent in scope.iter().filter_map(|&c| self.world.agent_for(c)) {
-                self.host.disengage(agent, session);
-            }
-            self.fold(scope.into_iter().map(|c| (c, outcome.final_config.contains(c))));
-            // Scope-breaker evidence: an unsuccessful protocol outcome
-            // (give-up or rollback) marks the whole scope as flapping; a
-            // success heals it. Breakers materialize only on first failure,
-            // so healthy scopes never populate the map.
-            if let Some(cfg) = self.resilience.scope_breaker {
-                let spec = self.scenario[ix].clone();
-                let key = self.scope_key(&spec);
-                let now = ctx.now();
-                let tr = if outcome.success {
-                    self.scope_breakers.get_mut(&key).and_then(|b| b.on_success(now))
-                } else {
-                    self.scope_breakers
-                        .entry(key)
-                        .or_insert_with(|| CircuitBreaker::new(cfg))
-                        .on_failure(now)
-                };
-                if let Some(tr) = tr {
-                    self.emit_scope_breaker(ctx, session, key, tr);
-                }
+        let live = self.active.remove(&session).expect("only a live session finishes");
+        // Only its own scope's hosts can still name this session: an
+        // engagement is recorded where the host sends, and a session's
+        // planner addresses no agent outside its scope.
+        for &agent in &live.agents {
+            self.host.disengage(agent, session);
+        }
+        self.fold(live.scope.iter().map(|&c| (c, outcome.final_config.contains(c))));
+        // Scope-breaker evidence: an unsuccessful protocol outcome (give-up
+        // or rollback) marks the whole scope as flapping; a success heals
+        // it. Breakers materialize only on first failure, so healthy scopes
+        // never populate the map.
+        if let Some(cfg) = self.resilience.scope_breaker {
+            let key = self.scope_key(&live.scope);
+            let now = ctx.now();
+            let tr = if outcome.success {
+                self.scope_breakers.get_mut(&key).and_then(|b| b.on_success(now))
+            } else {
+                self.scope_breakers
+                    .entry(key)
+                    .or_insert_with(|| CircuitBreaker::new(cfg))
+                    .on_failure(now)
+            };
+            if let Some(tr) = tr {
+                self.emit_scope_breaker(ctx, session, key, tr);
             }
         }
         let now = ctx.now().as_micros();
@@ -627,9 +647,7 @@ impl<M: Clone + 'static> ControlActor<M> {
             session,
             FleetEvent::SessionDone { session, success: outcome.success, gave_up: outcome.gave_up },
         );
-        if let Some(sess) = self.active.remove(&session) {
-            self.host.cancel_timers(ctx, &sess);
-        }
+        self.host.cancel_timers(ctx, &live.sess);
         let granted = self.locks.release(session);
         self.admit_all(ctx, granted);
         // Freed in-flight capacity: pull gated sessions in.
@@ -779,8 +797,8 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
             return;
         }
         if let Some((session, token)) = self.host.fired(tag) {
-            if let Some(sess) = self.active.get_mut(&session) {
-                sess.timers.remove(&token);
+            if let Some(live) = self.active.get_mut(&session) {
+                live.sess.timers.remove(&token);
                 self.step(ctx, session, ManagerEvent::Timeout { token });
             }
         }
@@ -852,9 +870,11 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
                 .with_cache(Rc::clone(&self.plan_cache), sid);
             let (core, eff) = ManagerCore::restore(self.timing, Box::new(planner), &body)
                 .unwrap_or_else(|e| panic!("control-plane journal replay failed: {e}"));
-            let seized = self.locks.try_acquire(sid, &self.resources_of(&spec), spec.priority);
+            let resources = self.scope_resources(&scope);
+            let seized = self.locks.try_acquire(sid, &resources, spec.priority);
             assert!(seized, "in-flight scopes are disjoint and must re-acquire");
-            self.active.insert(sid, SessionCore::new(core));
+            let agents = self.agents_of(&scope);
+            self.go_live(sid, core, scope, agents);
             restore_effects.push((sid, eff));
         }
         // Pass 2: requeue sessions that were waiting when the plane died,

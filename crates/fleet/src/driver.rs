@@ -23,6 +23,7 @@
 use std::cell::RefCell;
 use std::ops::Range;
 use std::rc::Rc;
+use std::time::{Duration, Instant};
 
 use sada_expr::Config;
 use sada_obs::{Bus, Counts, Event, Kind, RingSink};
@@ -209,6 +210,66 @@ pub struct FleetReport {
     pub suppressed_sends: u64,
     /// Cumulative open time per tripped agent, `(agent, μs)`.
     pub breaker_open_us: Vec<(u32, u64)>,
+    /// Where the run's wall clock went (never fingerprinted).
+    pub phases: Phases,
+}
+
+/// Where a fleet run's wall clock went, phase by phase: one `Instant` read
+/// per phase and none per event. Wall time repeats only roughly, so no
+/// fingerprint or identity reads it. A phase a driver does not have reads
+/// zero: the flat run has no partition, merge, fingerprint or drop. At one
+/// worker thread the phases lay end to end; at more, each worker phase
+/// (`build`, `step`, `parked`, `distill`) is its slowest worker's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Phases {
+    /// Compiling the world (zero when the caller handed one in).
+    pub world: Duration,
+    /// Cutting the sessions into regions and straddlers.
+    pub partition: Duration,
+    /// Building the planes: hosted sets, simulators, agents, control actors.
+    pub build: Duration,
+    /// Running the simulators to the budget; sharded, the conservative
+    /// executor's loop.
+    pub step: Duration,
+    /// Of `step`, the time spent parked waiting for a peer's promise.
+    pub parked: Duration,
+    /// Reading each plane's outcome and moving its stream out.
+    pub distill: Duration,
+    /// Merging the shards' streams.
+    pub merge: Duration,
+    /// Fingerprinting the merged stream.
+    pub fingerprint: Duration,
+    /// Assembling the final configuration and the rest of the report.
+    pub config: Duration,
+    /// Dropping what the run built and does not report.
+    pub drop: Duration,
+}
+
+impl Phases {
+    /// The phases laid end to end (`parked` lies inside `step`).
+    pub fn total(&self) -> Duration {
+        let Phases {
+            world,
+            partition,
+            build,
+            step,
+            parked: _,
+            distill,
+            merge,
+            fingerprint,
+            config,
+            drop,
+        } = *self;
+        world + partition + build + step + distill + merge + fingerprint + config + drop
+    }
+}
+
+/// The time since `*mark`, which moves to now: one phase's length.
+pub(crate) fn lap(mark: &mut Instant) -> Duration {
+    let now = Instant::now();
+    let took = now - *mark;
+    *mark = now;
+    took
 }
 
 /// The row for session `id` in `results`, which must ascend by id (both
@@ -234,11 +295,17 @@ impl FleetReport {
 /// plane over the whole fleet, run on the calling thread — no fabric,
 /// no worker threads, no shard tag.
 pub fn run_fleet(scenario: &FleetScenario) -> FleetReport {
-    run_fleet_on(scenario, scenario.build_world())
+    let started = Instant::now();
+    let world = scenario.build_world();
+    let built = started.elapsed();
+    let mut report = run_fleet_on(scenario, world);
+    report.phases.world = built;
+    report
 }
 
 /// [`run_fleet`] over `world`, compiled from `scenario`.
 fn run_fleet_on(scenario: &FleetScenario, world: FleetWorld) -> FleetReport {
+    let mut mark = Instant::now();
     #[allow(clippy::single_range_in_vec_init)] // one run of agents, not a list of indices
     let everyone = vec![0..world.process_count()];
     let mut plane = build_plane::<(), _>(
@@ -251,14 +318,17 @@ fn run_fleet_on(scenario: &FleetScenario, world: FleetWorld) -> FleetReport {
         scenario.crash_control,
         |control, _| ("control", control),
     );
+    let build = lap(&mut mark);
     plane.sim.run_for(scenario.time_budget);
+    let step = lap(&mut mark);
     let control = plane
         .sim
         .actor::<ControlActor<()>>(plane.control_id)
         .expect("control plane present after the run");
     let read = plane.read(control);
     let out = plane.distill(read);
-    FleetReport {
+    let distill = lap(&mut mark);
+    let mut report = FleetReport {
         makespan_us: makespan_us(&out.results),
         max_concurrent: max_concurrent(&out.results),
         results: out.results,
@@ -272,7 +342,10 @@ fn run_fleet_on(scenario: &FleetScenario, world: FleetWorld) -> FleetReport {
         cache: out.cache,
         suppressed_sends: out.suppressed_sends,
         breaker_open_us: out.breaker_open_us,
-    }
+        phases: Phases { build, step, distill, ..Phases::default() },
+    };
+    report.phases.config = lap(&mut mark);
+    report
 }
 
 /// One control plane over its own simulator. Agent `p` of the world is
@@ -285,6 +358,9 @@ fn run_fleet_on(scenario: &FleetScenario, world: FleetWorld) -> FleetReport {
 pub(crate) struct Plane<M> {
     pub(crate) sim: Simulator<Wire<M>>,
     pub(crate) control_id: ActorId,
+    /// The run's world, which the control actor reads through a handle of
+    /// its own.
+    #[cfg(test)]
     pub(crate) world: Rc<FleetWorld>,
     /// The plane's shard-stamped bus handle (what its actors emit through).
     pub(crate) bus: Bus,
@@ -293,19 +369,6 @@ pub(crate) struct Plane<M> {
     /// Ids of the sessions this plane owns, ascending.
     sessions: Vec<u64>,
     render_journal: bool,
-}
-
-/// Coalesces *ascending* agent indices (repeats allowed) into the disjoint
-/// runs [`build_plane`] takes as a hosted set.
-pub(crate) fn hosted_runs(agents: impl IntoIterator<Item = usize>) -> Vec<Range<usize>> {
-    let mut runs: Vec<Range<usize>> = Vec::new();
-    for a in agents {
-        match runs.last_mut() {
-            Some(run) if run.end >= a => run.end = run.end.max(a + 1),
-            _ => runs.push(a..a + 1),
-        }
-    }
-    runs
 }
 
 /// Builds the plane for `specs` over `world` (a handle on the run's one
@@ -391,7 +454,17 @@ where
     sim.schedule_faults(&scn.faults);
 
     let render_journal = scn.render_journal;
-    Plane { sim, control_id, world, bus, ring, counts, sessions, render_journal }
+    Plane {
+        sim,
+        control_id,
+        #[cfg(test)]
+        world,
+        bus,
+        ring,
+        counts,
+        sessions,
+        render_journal,
+    }
 }
 
 /// What one finished plane produced, as plain data (it crosses thread
@@ -515,8 +588,16 @@ pub(crate) fn makespan_us(results: &[SessionResult]) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Coalesces *ascending* agent indices (repeats allowed) into the
+    /// disjoint runs [`build_plane`] takes as a hosted set.
+    pub(crate) fn hosted_runs(agents: impl IntoIterator<Item = usize>) -> Vec<Range<usize>> {
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        agents.into_iter().for_each(|a| crate::world::push_range(&mut runs, a..a + 1));
+        runs
+    }
     use sada_expr::oracle;
 
     /// The plane `run_fleet` builds for `scenario`, at seed 42.

@@ -65,7 +65,7 @@ mod world;
 
 pub use cache::{PlanCache, PlanCacheStats, ScopeNormalizer};
 pub use control::{Admission, FleetResilience, SessionSpec};
-pub use driver::{disjoint_wave, run_fleet, FleetReport, FleetScenario, SessionResult};
+pub use driver::{disjoint_wave, run_fleet, FleetReport, FleetScenario, Phases, SessionResult};
 pub use fabric::{
     encode_fabric_msg, parse_fabric_msg, FabricFaultPlan, FabricPayload, FabricStats,
 };

@@ -157,7 +157,7 @@ impl ScopedLazyPlanner {
             });
             let actions = shares.iter().zip(&scoped).flat_map(|((pix, _), ixs)| {
                 let (p, class) = world.placement(*pix);
-                ixs.iter().map(|&ix| (p.comp as usize, &class.tables.actions[ix as usize]))
+                ixs.iter().map(move |&ix| (p.comp as usize, &class.tables.actions[ix as usize]))
             });
             ScopeNormalizer::from_pieces(sorted.clone(), pieces, actions)
         };

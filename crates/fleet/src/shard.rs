@@ -52,9 +52,9 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 use std::rc::Rc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use sada_expr::CompId;
+use sada_expr::Config;
 use sada_obs::{fingerprint_jsonl, Counts, Event, FleetEvent, Kind};
 use sada_proto::{encode_global_journal, Wire};
 use sada_resilience::jitter_us;
@@ -62,7 +62,7 @@ use sada_simnet::{ActorId, SimDuration, SimTime};
 
 use crate::control::{fleet_event, SessionSpec};
 use crate::driver::{
-    build_plane, find_session, hosted_runs, makespan_us, max_concurrent, FleetScenario, Plane,
+    build_plane, find_session, lap, makespan_us, max_concurrent, FleetScenario, Phases, Plane,
     PlaneOutcome, SessionResult,
 };
 use crate::fabric::{
@@ -71,7 +71,7 @@ use crate::fabric::{
 };
 use crate::global::{GlobalControl, Phase, Slice, Straddler};
 use crate::region::RegionControl;
-use crate::world::FleetWorld;
+use crate::world::{push_range, Block, CompiledWorld, FleetWorld};
 
 /// Endpoint-seed stride (the 64-bit golden ratio), so endpoint 0 keeps the
 /// scenario seed (the `regions = 1` ≡ `run_fleet` equivalence) while the
@@ -196,9 +196,30 @@ pub(crate) struct Endpoint {
     /// against it (debug builds).
     pub(crate) promised_lb: u64,
     /// Components whose final values this endpoint is authoritative for:
-    /// the full membership of every owned cluster.
-    pub(crate) owned_comps: Vec<u32>,
+    /// the full membership of every owned cluster, as ascending disjoint
+    /// ranges of ids.
+    pub(crate) owned_comps: Vec<Range<usize>>,
     pub(crate) is_global: bool,
+}
+
+/// What an endpoint hosts, as ascending disjoint ranges: the agents it can
+/// engage — those of its own clusters, and those its own sessions' scopes
+/// reach (collaborative-set expansion may leave the cluster, and for the
+/// global tier there is nothing else) — and the components of its clusters.
+pub(crate) fn hosting(
+    world: &CompiledWorld,
+    owned_groups: Range<usize>,
+    specs: &[SessionSpec],
+) -> Block {
+    let Block { comps, mut agents } = world.block(owned_groups);
+    // A scope is a union of sets, so one expansion serves every spec.
+    let flips: Vec<_> = specs.iter().flat_map(|s| s.flips.iter().copied()).collect();
+    let reached = world.scope_comps(&flips).into_iter().filter_map(|c| world.agent_for(c));
+    agents.extend(reached.map(|a| a..a + 1));
+    agents.sort_unstable_by_key(|r| r.start);
+    let mut hosted = Vec::new();
+    agents.into_iter().for_each(|r| push_range(&mut hosted, r));
+    Block { comps, agents: hosted }
 }
 
 pub(crate) fn build_endpoint(
@@ -210,17 +231,9 @@ pub(crate) fn build_endpoint(
 ) -> Endpoint {
     let seed = scn.seed.wrapping_add(u64::from(plan.id).wrapping_mul(SEED_STRIDE));
     let shard_tag = plan.id + 1;
-    // The agents this endpoint can engage: those of its own clusters, and
-    // those its own sessions' scopes reach (collaborative-set expansion may
-    // leave the cluster — and for the global tier there is nothing else).
-    let owned = plan.owned_groups.clone().flat_map(|g| world.cluster_comps(g));
-    // A scope is a union of sets, so one expansion serves every spec.
-    let flips: Vec<_> = plan.specs.iter().flat_map(|s| s.flips.iter().copied()).collect();
-    let reached = world.scope_comps(&flips);
-    let mut agents: Vec<usize> = owned.chain(reached).filter_map(|c| world.agent_for(c)).collect();
-    agents.sort_unstable();
-    agents.dedup();
-    let hosted = hosted_runs(agents.iter().copied());
+    let Block { comps: owned_comps, agents: hosted } =
+        hosting(&world, plan.owned_groups, &plan.specs);
+    let agents = hosted.iter().map(Range::len).sum();
     // The fabric relay takes the slot after the control plane.
     let relay_of = |control_id: ActorId| ActorId::from_index(control_id.index() + 1);
     let mut plane = if plan.is_global {
@@ -261,7 +274,7 @@ pub(crate) fn build_endpoint(
     Endpoint {
         id: plan.id,
         shard_tag,
-        agents: agents.len(),
+        agents,
         relay_id,
         outbox,
         inbound: plan.inbound,
@@ -272,10 +285,7 @@ pub(crate) fn build_endpoint(
         done: false,
         surfaced: 0,
         promised_lb: 0,
-        owned_comps: plan
-            .owned_groups
-            .flat_map(|g| plane.world.cluster_comps(g).map(|c| c.index() as u32))
-            .collect(),
+        owned_comps,
         is_global: plan.is_global,
         plane,
     }
@@ -593,7 +603,7 @@ struct EndpointOutcome {
     is_global: bool,
     agents: usize,
     plane: PlaneOutcome,
-    owned_comps: Vec<u32>,
+    owned_comps: Vec<Range<usize>>,
     global_journal_text: String,
     orphaned_releases: u64,
     foreign_holds: u64,
@@ -639,11 +649,13 @@ fn run_worker(
     budget_us: u64,
     plans: Vec<EndpointPlan>,
     fabric: &Fabric,
-) -> Vec<EndpointOutcome> {
+) -> (Vec<EndpointOutcome>, Phases) {
+    let mut mark = Instant::now();
     let mut eps: Vec<Endpoint> = plans
         .into_iter()
         .map(|p| build_endpoint(scn, world.clone(), regions, budget_us, p))
         .collect();
+    let mut phases = Phases { build: lap(&mut mark), ..Phases::default() };
     loop {
         let mut progressed = false;
         let mut all_done = true;
@@ -662,15 +674,20 @@ fn run_worker(
         if !progressed {
             // Blocked on a peer's virtual clock: park until a promise or
             // message lands (timeout only as a lost-wakeup safety net).
+            let parked = Instant::now();
             let mut st = fabric.state.lock().unwrap();
             st.parks += 1;
             let _ = fabric
                 .cv
                 .wait_timeout(st, std::time::Duration::from_millis(1))
                 .expect("fabric lock poisoned");
+            phases.parked += parked.elapsed();
         }
     }
-    eps.into_iter().map(distill_endpoint).collect()
+    phases.step = lap(&mut mark);
+    let outcomes = eps.into_iter().map(distill_endpoint).collect();
+    phases.distill = lap(&mut mark);
+    (outcomes, phases)
 }
 
 // ---------------------------------------------------------------------------
@@ -733,6 +750,8 @@ pub struct ShardReport {
     pub residual_holds: u64,
     /// Wall-clock duration of the parallel run.
     pub wall: std::time::Duration,
+    /// Where the whole run's wall clock went (never fingerprinted).
+    pub phases: Phases,
 }
 
 impl ShardReport {
@@ -760,6 +779,19 @@ fn merge_streams(streams: Vec<Vec<Event>>) -> Vec<Event> {
     }
     merged.sort_by_key(|e| e.at);
     merged
+}
+
+/// Copies bits `range` of `src` into `dst` (of the same width), a word at a
+/// time.
+fn copy_bits(dst: &mut Config, src: &Config, range: Range<usize>) {
+    let mut at = range.start;
+    while at < range.end {
+        let (w, lo) = (at / 64, at % 64);
+        let hi = (range.end - 64 * w).min(64);
+        let mask = (u64::MAX >> (64 - (hi - lo))) << lo;
+        dst.set_word(w, (dst.word(w) & !mask) | (src.word(w) & mask));
+        at = 64 * w + hi;
+    }
 }
 
 /// FNV-1a fingerprint over the encoded event stream, shard tags included —
@@ -806,7 +838,9 @@ pub(crate) fn run_sharded(
 
     // The one world of the run: compiled here, on the calling thread, and
     // shared immutably by every endpoint plane below.
+    let mut mark = Instant::now();
     let world = world.unwrap_or_else(|| fleet.build_world());
+    let mut phases = Phases { world: lap(&mut mark), ..Phases::default() };
 
     // Partition the workload by the fixed region map.
     let mut per_region: Vec<Vec<SessionSpec>> = vec![Vec::new(); regions];
@@ -905,8 +939,10 @@ pub(crate) fn run_sharded(
         scenario.fabric_faults.clone(),
         promise_fastpath,
     );
+    phases.partition = lap(&mut mark);
     let started = Instant::now();
     let mut outcomes: Vec<EndpointOutcome> = Vec::new();
+    let mut workers: Vec<Phases> = Vec::new();
     let mut per_worker: Vec<Vec<EndpointPlan>> = (0..threads).map(|_| Vec::new()).collect();
     for plan in plans {
         per_worker[plan.id as usize % threads].push(plan);
@@ -923,32 +959,38 @@ pub(crate) fn run_sharded(
                 scope.spawn(move || run_worker(fleet, world, regions, budget_us, mine, fabric))
             })
             .collect();
-        if let Some(mine) = first {
-            outcomes.extend(run_worker(fleet, &world, regions, budget_us, mine, &fabric));
-        }
-        for h in handles {
-            outcomes.extend(h.join().expect("shard worker panicked"));
+        let done = first
+            .into_iter()
+            .map(|mine| run_worker(fleet, &world, regions, budget_us, mine, &fabric));
+        let joined = handles.into_iter().map(|h| h.join().expect("shard worker panicked"));
+        for (mine, worker) in done.chain(joined) {
+            outcomes.extend(mine);
+            workers.push(worker);
         }
     });
     let wall = started.elapsed();
+    let slowest =
+        |phase: fn(&Phases) -> Duration| workers.iter().map(phase).max().unwrap_or_default();
+    phases.build = slowest(|w| w.build);
+    phases.step = slowest(|w| w.step);
+    phases.parked = slowest(|w| w.parked);
+    phases.distill = slowest(|w| w.distill);
+    mark = Instant::now();
     outcomes.sort_by_key(|o| o.id);
 
     let shard_events: Vec<usize> = outcomes.iter().map(|o| o.plane.events.len()).collect();
     let events =
         merge_streams(outcomes.iter_mut().map(|o| std::mem::take(&mut o.plane.events)).collect());
+    phases.merge = lap(&mut mark);
     let fingerprint = fingerprint_events(&events);
+    phases.fingerprint = lap(&mut mark);
 
     // Regions are authoritative for their groups' component values (global
     // completions flowed back via `LockRelease`).
     let mut cfg = world.initial_config();
     for o in &outcomes {
-        for &c in &o.owned_comps {
-            let comp = CompId::from_index(c as usize);
-            if o.plane.fleet_config.contains(comp) {
-                cfg.insert(comp);
-            } else {
-                cfg.remove(comp);
-            }
+        for range in &o.owned_comps {
+            copy_bits(&mut cfg, &o.plane.fleet_config, range.clone());
         }
     }
 
@@ -990,7 +1032,7 @@ pub(crate) fn run_sharded(
         }
     };
 
-    ShardReport {
+    let mut report = ShardReport {
         final_config: cfg.to_bit_string(),
         fingerprint,
         events_evicted: outcomes.iter().map(|o| o.plane.events_evicted).sum(),
@@ -1018,13 +1060,22 @@ pub(crate) fn run_sharded(
         results,
         events,
         wall,
-    }
+        phases: Phases::default(),
+    };
+    phases.config = lap(&mut mark);
+    drop((outcomes, fabric, world, cfg));
+    phases.drop = lap(&mut mark);
+    report.phases = phases;
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::tests::hosted_runs;
     use crate::driver::{disjoint_wave, run_fleet};
+    use crate::world::{ActionSpec, ClusterSpec, CompSpec, Domain, Objective, WorldSpec};
+    use sada_expr::CompId;
 
     #[test]
     fn disjoint_wave_shards_and_matches_unsharded_config() {
@@ -1253,6 +1304,94 @@ mod tests {
                 assert_eq!(hosted_by(true), reached.len(), "{what}");
                 let tiers = report.per_shard.iter().filter(|s| s.is_global).count();
                 assert_eq!(tiers, usize::from(!reached.is_empty()), "{what}");
+            }
+        }
+    }
+
+    /// `groups` clusters `{C{g}, C{groups + g}}` under `one_of`, with
+    /// components `2k` and `2k + 1` on process `k`: a process hosts
+    /// components of two clusters that regions may split between them.
+    fn shared_hosts_spec(groups: usize) -> WorldSpec {
+        let name = |c: usize| format!("C{c}");
+        let comps = (0..2 * groups).map(|c| CompSpec { name: name(c), process: c / 2 }).collect();
+        let replace = |from: usize, to: usize| ActionSpec {
+            name: format!("{from}->{to}"),
+            removes: vec![from],
+            adds: vec![to],
+            cost_ms: 1,
+            cost_watts: 1,
+        };
+        WorldSpec {
+            domain: Domain::Serverless,
+            objective: Objective::LatencyMs,
+            comps,
+            invariants: (0..groups)
+                .map(|g| format!("one_of({}, {})", name(g), name(groups + g)))
+                .collect(),
+            actions: (0..groups)
+                .flat_map(|g| [replace(g, groups + g), replace(groups + g, g)])
+                .collect(),
+            clusters: (0..groups)
+                .map(|g| ClusterSpec {
+                    comps: vec![g, groups + g],
+                    on_false: vec![g],
+                    on_true: vec![groups + g],
+                })
+                .collect(),
+        }
+    }
+
+    /// What an endpoint hosts, built from ranges of the placement runs, is
+    /// what collecting ids built: for every group count up to 48, every
+    /// region count and every region (and the global tier), its agent runs
+    /// and owned components equal the per-id walk over its clusters and its
+    /// sessions' scopes — a session of its own, and a straddler whose scope
+    /// reaches the group after its block. Over the video world (one run of
+    /// one-cluster placements) and a spec world whose processes host
+    /// components of two clusters each (one placement, cut by every block).
+    #[test]
+    fn hosting_from_ranges_matches_the_per_id_collections() {
+        let session = |id: u64, flips: Vec<(usize, bool)>| SessionSpec {
+            id,
+            flips,
+            priority: 0,
+            submit_at: SimDuration::ZERO,
+            cancel_at: None,
+        };
+        for groups in 1..=48 {
+            let worlds =
+                [FleetWorld::build(groups), FleetWorld::from_spec(shared_hosts_spec(groups))];
+            for world in &worlds {
+                for regions in 1..=groups {
+                    let scn = ShardScenario::new(FleetScenario::new(groups, Vec::new()), regions);
+                    for r in 0..=regions {
+                        let block = if r < regions { scn.region_block(r) } else { 0..0 };
+                        let last = block.end.max(1) - 1;
+                        let specs = [
+                            session(1, vec![(block.start.min(groups - 1), true)]),
+                            session(2, vec![(last, true), (block.end % groups, false)]),
+                        ];
+                        let owned: Vec<CompId> =
+                            block.clone().flat_map(|g| world.cluster_comps(g)).collect();
+                        let flips: Vec<_> = specs.iter().flat_map(|s| s.flips.clone()).collect();
+                        let reached = world.scope_comps(&flips);
+                        let mut agents: Vec<usize> = owned
+                            .iter()
+                            .chain(&reached)
+                            .filter_map(|&c| world.agent_for(c))
+                            .collect();
+                        agents.sort_unstable();
+                        agents.dedup();
+                        let mut comps: Vec<usize> = owned.iter().map(|c| c.index()).collect();
+                        comps.sort_unstable();
+
+                        let hosted = hosting(world, block.clone(), &specs);
+                        let what = format!("{groups} groups, {regions} regions, endpoint {r}");
+                        assert_eq!(hosted.agents, hosted_runs(agents), "{what}");
+                        let ids: Vec<usize> = hosted.comps.iter().cloned().flatten().collect();
+                        assert_eq!(ids, comps, "{what}");
+                    }
+                }
             }
         }
     }

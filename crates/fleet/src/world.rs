@@ -21,11 +21,16 @@
 //! clusters and their modes — compiled once over local ids into flat
 //! tables of its own (kernels, search, action table, collaborative index),
 //! and a **placement** puts it into the world at bases for its components,
-//! processes, actions and clusters; a world id is base plus local id.
-//! [`FleetWorld::build`] compiles the video cluster once and places it
-//! once per group, so the world keeps about 20 bytes a group and
-//! builds no spec, name or table per group; a spec world is its whole spec
-//! as one class placed once at base 0, compiled as the one class it is.
+//! processes, actions and clusters; a world id is base plus local id. A
+//! world stores its placements as **runs**: consecutive placements of one
+//! class, each a class, a count, the first placement's bases and its
+//! index, with the class's sizes as strides. [`FleetWorld::build`]
+//! compiles the video cluster once and places it once per group, as one
+//! run: a world id resolves by a divide, and the world keeps its boot
+//! configuration's two bits a group and no table that grows with the
+//! groups (0.283 B a group at 100k groups, `BENCH_scale.json`
+//! `world_retained_bytes_per_group`). A spec world is its whole spec as
+//! one class placed once at base 0, compiled as the one class it is.
 //! Names are a class's stems plus the placement's number, written only
 //! when a view or a text asks. The run path reads classes through
 //! placements only; the world-wide tables ([`CompiledWorld::universe`],
@@ -34,8 +39,9 @@
 //! of many placements.
 
 use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::fmt::{self, Write};
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
 
 use sada_expr::{CompId, Config, Csr, Expr, InvariantSet, Universe};
@@ -216,8 +222,9 @@ impl WorldSpec {
 /// A world is its **classes**. A class is one cluster shape compiled once
 /// over local ids; a **placement** puts a class into the world at a base
 /// for each of its components, processes, actions, predicates and
-/// clusters, and a world id is base + local id. The video world is one
-/// class of one cluster placed once per group; a spec world is one class
+/// clusters, and a world id is base + local id. Placements are stored as
+/// runs of one class, never one by one. The video world is one class of
+/// one cluster placed once per group, one run; a spec world is one class
 /// holding the whole spec, placed once at base 0. The run path reads
 /// classes through placements only; the world-wide tables below are
 /// [`View`]s, for everything else.
@@ -343,6 +350,9 @@ pub(crate) struct Class {
     /// The components of every cluster's boot mode, and of its alternate.
     boot: Config,
     alternate: Config,
+    /// Whether every process of the class hosts a component, so that the
+    /// agents of consecutive placements are one range.
+    hosts_every_process: bool,
 }
 
 impl Class {
@@ -359,6 +369,17 @@ impl Class {
         [self.width(), t.model.process_count(), t.actions.len(), t.inv.exprs().len(), clusters]
     }
 
+    /// The agent indices hosting local components `local`, ascending and
+    /// without repeats, for a placement at process base `process`.
+    fn hosts(&self, process: u32, local: impl Iterator<Item = CompId>) -> Vec<usize> {
+        let model = &self.tables.model;
+        let mut agents: Vec<usize> =
+            local.filter_map(|c| model.host_of(c)).map(|h| (process + h.0) as usize).collect();
+        agents.sort_unstable();
+        agents.dedup();
+        agents
+    }
+
     /// The world name of `stem` in placement `pix`, written over `buf`.
     fn name<'b>(&self, buf: &'b mut String, stem: &str, pix: usize) -> &'b str {
         if self.numbered {
@@ -373,8 +394,9 @@ impl Class {
 /// A class placed in a world: the world ids of its components, processes,
 /// actions and clusters are these bases plus its local ids (its
 /// predicates', too, at a base no reader needs: the world's predicate
-/// order is the placements' order).
-#[derive(Debug, Clone, Copy)]
+/// order is the placements' order). A world stores no placement: it
+/// stores [`Run`]s, and computes a placement from its run when asked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Placement {
     pub(crate) class: u32,
     pub(crate) comp: u32,
@@ -383,15 +405,152 @@ pub(crate) struct Placement {
     cluster: u32,
 }
 
+/// The id spaces a placement has a base in, numbered by their position in
+/// a class's `sizes`.
+#[derive(Debug, Clone, Copy)]
+enum Axis {
+    Comp = 0,
+    Process = 1,
+    Action = 2,
+    Cluster = 4,
+}
+
+impl Placement {
+    /// The base on `axis`.
+    fn base(&self, axis: Axis) -> usize {
+        let base = match axis {
+            Axis::Comp => self.comp,
+            Axis::Process => self.process,
+            Axis::Action => self.action,
+            Axis::Cluster => self.cluster,
+        };
+        base as usize
+    }
+}
+
+/// Consecutive placements of one class: the first of them, how many there
+/// are, and the first's placement index. Placement `first + k` is `start`
+/// with every base moved up `k` times the class's size on that axis.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    start: Placement,
+    count: u32,
+    first: u32,
+}
+
+// A run is its first placement plus two counts; a world holds one per
+// change of class, however many groups it places.
+const _: () = assert!(std::mem::size_of::<Run>() == 28);
+
+impl Run {
+    /// Its `k`-th placement, for a class of `sizes`.
+    fn nth(&self, k: usize, sizes: &[usize; 5]) -> Placement {
+        let up = |base: u32, axis: Axis| base + (k * sizes[axis as usize]) as u32;
+        let s = self.start;
+        Placement {
+            class: s.class,
+            comp: up(s.comp, Axis::Comp),
+            process: up(s.process, Axis::Process),
+            action: up(s.action, Axis::Action),
+            cluster: up(s.cluster, Axis::Cluster),
+        }
+    }
+}
+
+/// A world's placements, as runs: consecutive placements of one class,
+/// each starting every base where the one before it ends, so every base
+/// ascends. A world id resolves by a search over the runs (one, in the
+/// video world) and a divide.
+struct Runs {
+    runs: Vec<Run>,
+    /// Per class, how far one placement moves each base: `[components,
+    /// processes, actions, predicates, clusters]`.
+    sizes: Vec<[usize; 5]>,
+    /// World totals, in the same order.
+    totals: [usize; 5],
+}
+
+impl Runs {
+    /// Classes of `sizes` placed one after another, in `order` (class
+    /// indices).
+    fn tile(sizes: Vec<[usize; 5]>, order: impl Iterator<Item = u32>) -> Result<Self, SpecError> {
+        let mut runs: Vec<Run> = Vec::new();
+        let mut next = [0usize; 5];
+        for (pix, class) in order.enumerate() {
+            let base = next.map(u32::try_from);
+            let [Ok(comp), Ok(process), Ok(action), Ok(_), Ok(cluster)] = base else {
+                return Err("a world holds fewer than 2^32 of each entry".to_string().into());
+            };
+            match runs.last_mut() {
+                Some(run) if run.start.class == class => run.count += 1,
+                _ => {
+                    let Ok(first) = u32::try_from(pix) else {
+                        return Err("a world holds fewer than 2^32 placements".to_string().into());
+                    };
+                    let start = Placement { class, comp, process, action, cluster };
+                    runs.push(Run { start, count: 1, first });
+                }
+            }
+            let size = sizes[class as usize];
+            next = std::array::from_fn(|k| next[k] + size[k]);
+        }
+        Ok(Runs { runs, sizes, totals: next })
+    }
+
+    /// Number of placements.
+    fn len(&self) -> usize {
+        self.runs.last().map_or(0, |r| (r.first + r.count) as usize)
+    }
+
+    /// The run whose range on `axis` holds world id `id`, and the index of
+    /// its placement that holds it: the last placement whose base on `axis`
+    /// is at most `id`, as a search over one base per placement finds it.
+    fn locate(&self, axis: Axis, id: usize) -> (&Run, usize) {
+        let r = self.runs.partition_point(|r| r.start.base(axis) <= id).saturating_sub(1);
+        let run = &self.runs[r];
+        let last = run.count as usize - 1;
+        let stride = self.sizes[run.start.class as usize][axis as usize];
+        let k = (id - run.start.base(axis)).checked_div(stride).map_or(last, |k| k.min(last));
+        (run, k)
+    }
+
+    /// The index of the placement whose range on `axis` holds world id `id`.
+    fn find(&self, axis: Axis, id: usize) -> usize {
+        let (run, k) = self.locate(axis, id);
+        run.first as usize + k
+    }
+
+    /// The placement whose range on `axis` holds world id `id`.
+    fn placement(&self, axis: Axis, id: usize) -> Placement {
+        let (run, k) = self.locate(axis, id);
+        run.nth(k, &self.sizes[run.start.class as usize])
+    }
+
+    /// Placement `pix`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pix` is not below [`Runs::len`].
+    fn at(&self, pix: usize) -> Placement {
+        let run = &self.runs[self.runs.partition_point(|r| r.first as usize <= pix) - 1];
+        let k = pix - run.first as usize;
+        assert!(k < run.count as usize, "placement {pix} of {}", self.len());
+        run.nth(k, &self.sizes[run.start.class as usize])
+    }
+
+    /// Every placement, in world order.
+    fn iter(&self) -> impl Iterator<Item = Placement> + '_ {
+        self.runs.iter().flat_map(|run| {
+            let sizes = &self.sizes[run.start.class as usize];
+            (0..run.count as usize).map(move |k| run.nth(k, sizes))
+        })
+    }
+}
+
 /// A world's classes and where each is placed: what the views render from.
 struct Layout {
     classes: Vec<Class>,
-    /// Each placement starts every base where the one before it ends, so
-    /// every base ascends.
-    placements: Vec<Placement>,
-    /// World totals: `[components, processes, actions, predicates,
-    /// clusters]`.
-    totals: [usize; 5],
+    runs: Runs,
     /// The world-wide tables, once a view of a world of many placements
     /// has been read (boxed, so a world that never renders holds a pointer).
     rendered: OnceLock<Box<Tables>>,
@@ -399,28 +558,15 @@ struct Layout {
 
 impl Layout {
     /// `classes` placed one after another, in `order` (class indices).
-    fn tile(
-        classes: Vec<Class>,
-        order: impl ExactSizeIterator<Item = u32>,
-    ) -> Result<Self, SpecError> {
-        let mut placements = Vec::with_capacity(order.len());
-        let mut next = [0usize; 5];
-        for class in order {
-            let base = next.map(u32::try_from);
-            let [Ok(comp), Ok(process), Ok(action), Ok(_), Ok(cluster)] = base else {
-                return Err("a world holds fewer than 2^32 of each entry".to_string().into());
-            };
-            placements.push(Placement { class, comp, process, action, cluster });
-            let sizes = classes[class as usize].sizes();
-            next = std::array::from_fn(|k| next[k] + sizes[k]);
-        }
-        Ok(Layout { classes, placements, totals: next, rendered: OnceLock::new() })
+    fn tile(classes: Vec<Class>, order: impl Iterator<Item = u32>) -> Result<Self, SpecError> {
+        let runs = Runs::tile(classes.iter().map(Class::sizes).collect(), order)?;
+        Ok(Layout { classes, runs, rendered: OnceLock::new() })
     }
 
     /// Whether the world is one class placed once under its own names: its
     /// tables are then the world's.
     fn is_one_class(&self) -> bool {
-        self.placements.len() == 1 && !self.classes[0].numbered
+        self.runs.len() == 1 && !self.classes[0].numbered
     }
 
     /// The world-wide tables: the one class's own, or rendered once.
@@ -431,23 +577,32 @@ impl Layout {
         self.rendered.get_or_init(|| Box::new(self.render()))
     }
 
-    /// The placement whose range of `base` holds world id `id`.
-    fn find(&self, base: impl Fn(&Placement) -> u32, id: usize) -> usize {
-        self.placements.partition_point(|p| base(p) as usize <= id).saturating_sub(1)
+    /// The class of placement `p`.
+    fn class(&self, p: Placement) -> &Class {
+        &self.classes[p.class as usize]
     }
 
     /// Placement `pix` and its class.
-    fn at(&self, pix: usize) -> (&Placement, &Class) {
-        let p = &self.placements[pix];
-        (p, &self.classes[p.class as usize])
+    fn at(&self, pix: usize) -> (Placement, &Class) {
+        let p = self.runs.at(pix);
+        (p, self.class(p))
     }
 
-    /// Class action `a` of placement `pix` in world ids, named as the
-    /// render names it when `named` (the run path reads no name).
-    fn action(&self, pix: usize, a: &Action, named: bool) -> Action {
-        let (p, class) = self.at(pix);
+    /// The placement whose range on `axis` holds world id `id`, and its
+    /// class.
+    fn holding(&self, axis: Axis, id: usize) -> (Placement, &Class) {
+        let p = self.runs.placement(axis, id);
+        (p, self.class(p))
+    }
+
+    /// Class action `a` of placement `p` in world ids, named as the render
+    /// names it when given `p`'s number (the run path reads no name).
+    fn action(&self, p: Placement, a: &Action, number: Option<usize>) -> Action {
         let mut name = String::new();
-        let name = if named { class.name(&mut name, a.name(), pix) } else { "" };
+        let name = match number {
+            Some(pix) => self.class(p).name(&mut name, a.name(), pix),
+            None => "",
+        };
         let ids = |cs: &[CompId]| cs.iter().map(|&c| shift(c, p.comp)).collect::<Vec<_>>();
         Action::from_ids(p.action + a.id().0, name, ids(a.removes()), ids(a.adds()), a.cost())
     }
@@ -456,7 +611,7 @@ impl Layout {
     /// table shifted into place, in world order, and compiled as a spec
     /// world compiles its one class.
     fn render(&self) -> Tables {
-        let [width, processes, actions, preds, _] = self.totals;
+        let [width, processes, actions, preds, _] = self.runs.totals;
         let mut universe = Universe::with_capacity(width);
         let mut inv = InvariantSet::with_capacity(preds);
         let mut table = Vec::with_capacity(actions);
@@ -465,8 +620,8 @@ impl Layout {
             model.add_process();
         }
         let mut name = String::new();
-        for pix in 0..self.placements.len() {
-            let (p, class) = self.at(pix);
+        for (pix, p) in self.runs.iter().enumerate() {
+            let class = self.class(p);
             let t = &class.tables;
             for c in t.universe.iter() {
                 let id = universe.intern(class.name(&mut name, t.universe.name(c), pix));
@@ -476,7 +631,7 @@ impl Layout {
             for e in t.inv.exprs() {
                 inv.push(map_vars(e, &|c| shift(c, p.comp)));
             }
-            table.extend(t.actions.iter().map(|a| self.action(pix, a, true)));
+            table.extend(t.actions.iter().map(|a| self.action(p, a, Some(pix))));
         }
         Tables::new(universe, inv, table, model)
     }
@@ -535,8 +690,9 @@ impl FleetWorld {
 
     /// Builds the classic video world of `groups` independent groups: the
     /// world [`WorldSpec::video`] describes, as the video cluster compiled
-    /// once and placed `groups` times, so no spec text is built or kept
-    /// and no table grows with the groups but the placements.
+    /// once and placed `groups` times in one run, so no spec text is built
+    /// or kept and nothing grows with the groups but the boot
+    /// configuration.
     ///
     /// # Panics
     ///
@@ -734,7 +890,11 @@ impl WorldBuilder {
         let tables = Tables::new(universe, inv, actions, model);
         confined(&tables.index, &self.owner)?;
         let alternate = Config::from_ids(width, self.alternate);
-        Ok(Class { tables, numbered, members: self.members, boot, alternate })
+        let model = &tables.model;
+        let hosted = tables.universe.iter().filter_map(|c| model.host_of(c));
+        let hosts_every_process =
+            hosted.map(|h| h.0).collect::<BTreeSet<_>>().len() == model.process_count();
+        Ok(Class { tables, numbered, members: self.members, boot, alternate, hosts_every_process })
     }
 }
 
@@ -802,17 +962,20 @@ impl CompiledWorld {
         domain: Domain,
         objective: Objective,
         classes: Vec<Class>,
-        order: impl ExactSizeIterator<Item = u32>,
+        order: impl Iterator<Item = u32>,
         spec: SpecHandle,
     ) -> Result<Self, SpecError> {
         let layout = Arc::new(Layout::tile(classes, order)?);
-        let [width, .., groups] = layout.totals;
-        let boot = Config::from_ids(
-            width,
-            layout.placements.iter().flat_map(|p| {
-                layout.classes[p.class as usize].boot.iter().map(|c| shift(c, p.comp))
-            }),
-        );
+        let [width, .., groups] = layout.runs.totals;
+        // Placement `k` of a run boots its class's boot ids, `k` strides up.
+        let boot = layout.runs.runs.iter().flat_map(|run| {
+            let class = &layout.classes[run.start.class as usize];
+            let ids: Vec<usize> = class.boot.iter().map(CompId::index).collect();
+            let (base, stride, n) = (run.start.comp as usize, class.width(), ids.len());
+            let at = move |i: usize| CompId::from_index(base + i / n * stride + ids[i % n]);
+            (0..run.count as usize * n).map(at)
+        });
+        let boot = Config::from_ids(width, boot);
         Ok(CompiledWorld {
             universe: View::new(&layout, |t| &t.universe),
             inv: View::new(&layout, |t| &t.inv),
@@ -848,12 +1011,12 @@ impl CompiledWorld {
 
     /// Number of agent processes: agent `p` drives process `p`.
     pub fn process_count(&self) -> usize {
-        self.layout.totals[1]
+        self.layout.runs.totals[1]
     }
 
     /// The components of cluster `g` (the flip unit's full membership).
     pub fn cluster_comps(&self, g: usize) -> ClusterComps<'_> {
-        let (p, class) = self.layout.at(self.layout.find(|p| p.cluster, g));
+        let (p, class) = self.layout.holding(Axis::Cluster, g);
         ClusterComps { row: class.members.row(g - p.cluster as usize).iter(), base: p.comp }
     }
 
@@ -864,13 +1027,13 @@ impl CompiledWorld {
     }
 
     /// Placement `pix` and its class.
-    pub(crate) fn placement(&self, pix: usize) -> (&Placement, &Class) {
+    pub(crate) fn placement(&self, pix: usize) -> (Placement, &Class) {
         self.layout.at(pix)
     }
 
     /// The placement holding component `c`.
     pub(crate) fn placement_of(&self, c: CompId) -> usize {
-        self.layout.find(|p| p.comp, c.index())
+        self.layout.runs.find(Axis::Comp, c.index())
     }
 
     /// Class action `a` of placement `pix` in world ids: the class's own on
@@ -885,19 +1048,22 @@ impl CompiledWorld {
         if self.is_one_class() {
             return Cow::Borrowed(a);
         }
-        Cow::Owned(self.layout.action(pix, a, named))
+        Cow::Owned(self.layout.action(self.layout.runs.at(pix), a, named.then_some(pix)))
     }
 
     /// World action `id`, unnamed unless the world is its one class.
     pub(crate) fn action(&self, id: ActionId) -> Cow<'_, Action> {
-        let pix = self.layout.find(|p| p.action, id.index());
-        let (p, class) = self.layout.at(pix);
-        self.placed_action(pix, &class.tables.actions[id.index() - p.action as usize], false)
+        let (p, class) = self.layout.holding(Axis::Action, id.index());
+        let a = &class.tables.actions[id.index() - p.action as usize];
+        if self.is_one_class() {
+            return Cow::Borrowed(a);
+        }
+        Cow::Owned(self.layout.action(p, a, None))
     }
 
     /// The agent index driving `c`'s hosting process, if placed.
     pub(crate) fn agent_for(&self, c: CompId) -> Option<usize> {
-        let (p, class) = self.layout.at(self.placement_of(c));
+        let (p, class) = self.layout.holding(Axis::Comp, c.index());
         let local = CompId::from_index(c.index() - p.comp as usize);
         class.tables.model.host_of(local).map(|h| (p.process + h.0) as usize)
     }
@@ -905,12 +1071,12 @@ impl CompiledWorld {
     /// Placement `p`'s slice of world configuration `cfg`: its class's
     /// components, over local ids (`cfg` itself on a world that is its one
     /// class).
-    pub(crate) fn slice(&self, p: &Placement, cfg: &Config) -> Config {
+    pub(crate) fn slice(&self, p: Placement, cfg: &Config) -> Config {
         if self.is_one_class() {
             return cfg.clone();
         }
         let mut out = Config::empty(1);
-        slice_into(p, &self.layout.classes[p.class as usize], cfg, &mut out);
+        slice_into(p, self.layout.class(p), cfg, &mut out);
         out
     }
 
@@ -921,8 +1087,8 @@ impl CompiledWorld {
             return self.layout.classes[0].tables.search.is_safe(cfg);
         }
         let mut scratch = Config::empty(1);
-        (0..self.layout.placements.len()).all(|pix| {
-            let (p, class) = self.layout.at(pix);
+        self.layout.runs.iter().all(|p| {
+            let class = self.layout.class(p);
             slice_into(p, class, cfg, &mut scratch);
             class.tables.search.compiled().satisfied_by(&scratch)
         })
@@ -937,7 +1103,7 @@ impl CompiledWorld {
         let mut changed = proved.diff(cfg).peekable();
         let (mut local, mut scratch) = (Vec::new(), Config::empty(1));
         while let Some(c) = changed.next() {
-            let (p, class) = self.layout.at(self.placement_of(c));
+            let (p, class) = self.layout.holding(Axis::Comp, c.index());
             let end = p.comp as usize + class.width();
             local.clear();
             local.push(CompId::from_index(c.index() - p.comp as usize));
@@ -986,7 +1152,7 @@ impl CompiledWorld {
     pub fn target_for(&self, current: &Config, flips: &[(usize, bool)]) -> Config {
         let mut cfg = current.clone();
         for &(g, to_true) in flips {
-            let (p, class) = self.layout.at(self.layout.find(|p| p.cluster, g));
+            let (p, class) = self.layout.holding(Axis::Cluster, g);
             let mode = if to_true { &class.alternate } else { &class.boot };
             let row = class.members.row(g - p.cluster as usize);
             assign(&mut cfg, row.iter().map(|&c| (shift(c, p.comp), mode.contains(c))));
@@ -1003,10 +1169,9 @@ impl CompiledWorld {
         // of flips in one placement expands in its class.
         let mut rest = flips;
         while let Some(&(g, _)) = rest.first() {
-            let pix = self.layout.find(|p| p.cluster, g);
-            let inside = |f: &&(usize, bool)| self.layout.find(|p| p.cluster, f.0) == pix;
-            let n = rest.iter().take_while(inside).count();
-            let (p, class) = self.layout.at(pix);
+            let (p, class) = self.layout.holding(Axis::Cluster, g);
+            let clusters = p.cluster as usize..p.cluster as usize + class.members.rows();
+            let n = rest.iter().take_while(|f| clusters.contains(&f.0)).count();
             let local =
                 rest[..n].iter().flat_map(|&(h, _)| class.members.row(h - p.cluster as usize));
             let sets = class.tables.index.expand(local.copied());
@@ -1023,13 +1188,58 @@ impl CompiledWorld {
         comps
     }
 
+    /// What clusters `groups` hold: their components and the agents hosting
+    /// them, as ascending disjoint ranges of world ids. Consecutive
+    /// placements wholly inside `groups` are one range of each, read off
+    /// their run; a placement `groups` cuts, or one with a process that
+    /// hosts nothing, lists its clusters' ids.
+    pub(crate) fn block(&self, groups: Range<usize>) -> Block {
+        let mut block = Block::default();
+        let mut g = groups.start;
+        while g < groups.end {
+            let (run, k) = self.layout.runs.locate(Axis::Cluster, g);
+            let sizes = &self.layout.runs.sizes[run.start.class as usize];
+            let [width, processes, .., clusters] = *sizes;
+            let p = run.nth(k, sizes);
+            let class = self.layout.class(p);
+            let lo = g - p.cluster as usize;
+            // Whole placements from here to the end of the block or the run,
+            // when their agents are one range too.
+            let whole = if lo == 0 && class.hosts_every_process {
+                ((groups.end - g) / clusters).min(run.count as usize - k)
+            } else {
+                0
+            };
+            if whole > 0 {
+                let (comp, process) = (p.comp as usize, p.process as usize);
+                push_range(&mut block.comps, comp..comp + whole * width);
+                push_range(&mut block.agents, process..process + whole * processes);
+                g += whole * clusters;
+                continue;
+            }
+            let hi = (groups.end - p.cluster as usize).min(clusters);
+            let mut local: Vec<CompId> =
+                (lo..hi).flat_map(|h| class.members.row(h)).copied().collect();
+            local.sort_unstable();
+            for &c in &local {
+                let c = c.index() + p.comp as usize;
+                push_range(&mut block.comps, c..c + 1);
+            }
+            for a in class.hosts(p.process, local.into_iter()) {
+                push_range(&mut block.agents, a..a + 1);
+            }
+            g = p.cluster as usize + hi;
+        }
+        block
+    }
+
     /// The lock resources of a scope: the component ids themselves plus the
     /// hosting processes (offset past the component id space so the two
     /// namespaces cannot collide). Locking hosts as well as components means
     /// two sessions can never concurrently drive the *same agent process*
     /// through conflicting barriers.
     pub fn resources_for(&self, scope: &[CompId]) -> Vec<u32> {
-        let offset = self.layout.totals[0] as u32;
+        let offset = self.layout.runs.totals[0] as u32;
         let mut out: Vec<u32> = Vec::with_capacity(scope.len() * 2);
         for &c in scope {
             out.push(c.index() as u32);
@@ -1043,10 +1253,32 @@ impl CompiledWorld {
     }
 }
 
+/// What a block of clusters holds ([`CompiledWorld::block`]).
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Block {
+    /// Their components, as ascending disjoint ranges of ids.
+    pub(crate) comps: Vec<Range<usize>>,
+    /// The agents hosting those components, as ascending disjoint ranges.
+    pub(crate) agents: Vec<Range<usize>>,
+}
+
+/// Appends `r` to `runs`, ascending disjoint ranges, merging it into the
+/// last when the two touch or overlap; `r` must not start below the last's
+/// start.
+pub(crate) fn push_range(runs: &mut Vec<Range<usize>>, r: Range<usize>) {
+    if r.is_empty() {
+        return;
+    }
+    match runs.last_mut() {
+        Some(last) if last.end >= r.start => last.end = last.end.max(r.end),
+        _ => runs.push(r),
+    }
+}
+
 /// Writes placement `p`'s slice of `cfg` over `out`, made a configuration
 /// of its class's width first if it is not one: local word `k` is world
 /// bits `comp + 64k ..`.
-fn slice_into(p: &Placement, class: &Class, cfg: &Config, out: &mut Config) {
+fn slice_into(p: Placement, class: &Class, cfg: &Config, out: &mut Config) {
     let (base, width, words) = (p.comp as usize, class.width(), cfg.width().div_ceil(64));
     if out.width() != width {
         *out = Config::empty(width);
@@ -1116,11 +1348,9 @@ mod tests {
         assert_eq!(w.scope_comps(&[(3, true)]), w.scope_comps(&[(3, false)]));
     }
 
-    /// A three-component class placed 30 times: placement 21 (components
-    /// 63–65) straddles the first two configuration words, so its slice and
-    /// the per-class safety checks read across a word boundary.
-    #[test]
-    fn slices_and_class_checks_read_across_a_word_boundary() {
+    /// One cluster `{A, B, C}`, each on its own process, under
+    /// `one_of(A, B, C)`.
+    fn abc_class() -> Class {
         let mut b = WorldBuilder::new(Objective::LatencyMs, [3, 1, 2, 1]);
         b.core.processes(3);
         for (process, stem) in ["A", "B", "C"].into_iter().enumerate() {
@@ -1130,7 +1360,144 @@ mod tests {
         b.action("ab", &[0], &[1], [1, 1]).unwrap();
         b.action("bc", &[1], &[2], [1, 1]).unwrap();
         b.cluster(&[0, 1, 2], &[0], &[2]).unwrap();
-        let class = b.class(true).unwrap();
+        b.class(true).unwrap()
+    }
+
+    /// Two interleaved clusters, `{A, C}` and `{B, D}`, on processes 0 and
+    /// 2 of three: process 1 hosts nothing.
+    fn gapped_class() -> Class {
+        let mut b = WorldBuilder::new(Objective::LatencyMs, [4, 2, 2, 2]);
+        b.core.processes(3);
+        for (stem, process) in [("A", 0), ("B", 2), ("C", 0), ("D", 2)] {
+            b.comp(stem, process).unwrap();
+        }
+        b.core.parse_invariants(&["one_of(A, C)", "one_of(B, D)"]).unwrap();
+        b.action("ac", &[0], &[2], [1, 1]).unwrap();
+        b.action("bd", &[1], &[3], [1, 1]).unwrap();
+        b.cluster(&[0, 2], &[0], &[2]).unwrap();
+        b.cluster(&[1, 3], &[1], &[3]).unwrap();
+        b.class(true).unwrap()
+    }
+
+    /// A world's placements as one row per placement, each starting every
+    /// base where the one before it ends: what [`Runs`] replaces, and what
+    /// it must answer as.
+    fn placement_table(sizes: &[[usize; 5]], order: &[u32]) -> Vec<Placement> {
+        let mut next = [0usize; 5];
+        let mut table = Vec::new();
+        for &class in order {
+            let [comp, process, action, _, cluster] = next.map(|b| b as u32);
+            table.push(Placement { class, comp, process, action, cluster });
+            next = std::array::from_fn(|k| next[k] + sizes[class as usize][k]);
+        }
+        table
+    }
+
+    /// The row of `table` whose range on `axis` holds `id`: the last whose
+    /// base is at most `id`.
+    fn table_find(table: &[Placement], axis: Axis, id: usize) -> usize {
+        table.partition_point(|p| p.base(axis) <= id).saturating_sub(1)
+    }
+
+    const AXES: [Axis; 4] = [Axis::Comp, Axis::Process, Axis::Action, Axis::Cluster];
+
+    proptest::proptest! {
+        /// Runs answer every id as a table of one row per placement does:
+        /// `find`, `placement` and `at` over mixed class orders, classes
+        /// with nothing on some axis (no actions, no clusters, not even a
+        /// component), every id on or beside a run boundary, and ids past
+        /// the end. It catches `Runs::locate` searching with `<` where it
+        /// needs `<=`, which resolves an id on a run boundary one stride
+        /// past the end of the run before it.
+        #[test]
+        fn runs_resolve_ids_as_a_placement_table_does(
+            sizes in proptest::collection::vec(
+                (0usize..4, 0usize..3, 0usize..3, 0usize..2, 0usize..3),
+                1..4,
+            ),
+            order in proptest::collection::vec(0u32..4, 1..40),
+        ) {
+            let sizes: Vec<[usize; 5]> =
+                sizes.into_iter().map(|(a, b, c, d, e)| [a, b, c, d, e]).collect();
+            let order: Vec<u32> = order.into_iter().map(|c| c % sizes.len() as u32).collect();
+            let table = placement_table(&sizes, &order);
+            let runs = Runs::tile(sizes.clone(), order.iter().copied()).unwrap();
+            proptest::prop_assert_eq!(runs.len(), table.len());
+            proptest::prop_assert_eq!(runs.iter().collect::<Vec<_>>(), table.clone());
+            for (pix, &p) in table.iter().enumerate() {
+                proptest::prop_assert_eq!(runs.at(pix), p, "placement {}", pix);
+            }
+            for axis in AXES {
+                for id in 0..runs.totals[axis as usize] + 3 {
+                    let want = table_find(&table, axis, id);
+                    proptest::prop_assert_eq!(runs.find(axis, id), want, "{:?} id {}", axis, id);
+                    proptest::prop_assert_eq!(runs.placement(axis, id), table[want]);
+                }
+            }
+        }
+
+        /// A world of three real classes in a random order resolves every
+        /// component, agent and cluster as the placement table does, and a
+        /// block of clusters holds, as ranges, the ids a walk over its
+        /// clusters collects — whole placements, cut ones, and a class
+        /// whose agents are not one range.
+        #[test]
+        fn a_mixed_world_resolves_and_blocks_as_its_placement_table(
+            order in proptest::collection::vec(0u32..3, 1..16),
+            cut in (0usize..40, 0usize..40),
+        ) {
+            let classes = vec![video_class().unwrap(), abc_class(), gapped_class()];
+            let sizes: Vec<[usize; 5]> = classes.iter().map(Class::sizes).collect();
+            let table = placement_table(&sizes, &order);
+            let groups = table.iter().map(|p| sizes[p.class as usize][4]).sum::<usize>();
+            let spec = SpecHandle { groups, cell: OnceLock::new() };
+            let w = CompiledWorld::place(
+                Domain::Video, Objective::LatencyMs, classes, order.iter().copied(), spec,
+            ).unwrap();
+            let class = |p: &Placement| &w.layout.classes[p.class as usize];
+            let agent = |c: usize| -> Option<usize> {
+                let p = &table[table_find(&table, Axis::Comp, c)];
+                let local = CompId::from_index(c - p.comp as usize);
+                class(p).tables.model.host_of(local).map(|h| (p.process + h.0) as usize)
+            };
+            let cluster = |g: usize| -> Vec<CompId> {
+                let p = &table[table_find(&table, Axis::Cluster, g)];
+                let row = class(p).members.row(g - p.cluster as usize);
+                row.iter().map(|&c| shift(c, p.comp)).collect()
+            };
+            for (pix, p) in table.iter().enumerate() {
+                proptest::prop_assert_eq!(w.placement(pix).0, *p);
+            }
+            for c in 0..w.layout.runs.totals[0] {
+                let want = table_find(&table, Axis::Comp, c);
+                proptest::prop_assert_eq!(w.placement_of(CompId::from_index(c)), want);
+                proptest::prop_assert_eq!(w.agent_for(CompId::from_index(c)), agent(c));
+            }
+            for g in 0..groups {
+                proptest::prop_assert_eq!(w.cluster_comps(g).collect::<Vec<_>>(), cluster(g));
+            }
+            let (a, b) = (cut.0 % (groups + 1), cut.1 % (groups + 1));
+            let block = w.block(a.min(b)..a.max(b));
+            let mut comps: Vec<usize> =
+                (a.min(b)..a.max(b)).flat_map(cluster).map(|c| c.index()).collect();
+            comps.sort_unstable();
+            let mut agents: Vec<usize> = comps.iter().filter_map(|&c| agent(c)).collect();
+            agents.sort_unstable();
+            agents.dedup();
+            let ids = |ranges: &[Range<usize>]| ranges.iter().cloned().flatten().collect::<Vec<_>>();
+            proptest::prop_assert_eq!(ids(&block.comps), comps);
+            proptest::prop_assert_eq!(ids(&block.agents), agents);
+            let coalesced = |rs: &[Range<usize>]| rs.windows(2).all(|w| w[0].end < w[1].start);
+            proptest::prop_assert!(coalesced(&block.comps) && coalesced(&block.agents));
+        }
+    }
+
+    /// A three-component class placed 30 times: placement 21 (components
+    /// 63–65) straddles the first two configuration words, so its slice and
+    /// the per-class safety checks read across a word boundary.
+    #[test]
+    fn slices_and_class_checks_read_across_a_word_boundary() {
+        let class = abc_class();
         let spec = SpecHandle { groups: 30, cell: OnceLock::new() };
         let order = std::iter::repeat_n(0, 30);
         let w = CompiledWorld::place(Domain::Video, Objective::LatencyMs, vec![class], order, spec);
