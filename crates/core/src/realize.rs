@@ -8,8 +8,8 @@
 use sada_expr::Config;
 use sada_obs::Bus;
 use sada_proto::{
-    AdaptationSpec, AgentTiming, BreakerConfig, JournalRecord, ManagerActor, Outcome, ProtoTiming,
-    ScriptedAgent, Wire,
+    AdaptationSpec, AgentTiming, BreakerConfig, JournalRecord, ManagerActor, Outcome, ProtoTimer,
+    ProtoTiming, ScriptedAgent, Wire,
 };
 use sada_simnet::{ActorId, FaultPlan, LinkConfig, SimTime, Simulator};
 
@@ -102,7 +102,7 @@ pub fn run_adaptation(
     target: &Config,
     cfg: &RunConfig,
 ) -> RunReport {
-    let mut sim: Simulator<Wire<()>> = Simulator::new(cfg.seed);
+    let mut sim: Simulator<Wire<()>, ProtoTimer> = Simulator::new(cfg.seed);
     sim.set_bus(cfg.bus.clone());
     let n_proc = spec.model().process_count();
     let manager_id = ActorId::from_index(n_proc); // agents registered first

@@ -32,14 +32,15 @@ use std::rc::Rc;
 
 use sada_expr::{CompId, Config};
 use sada_obs::{Bus, Event, FleetEvent, Fnv1a, Payload};
+use sada_proto::ProtoTimer::App;
 use sada_proto::{
-    JournalRecord, ManagerCore, ManagerEffect, ManagerEvent, ManagerHost, Outcome, ProtoTiming,
-    Roster, SessionCore, SessionId, SessionRecord, Wire,
+    JournalRecord, ManagerCore, ManagerEffect, ManagerEvent, ManagerHost, Outcome, ProtoTimer,
+    ProtoTiming, Roster, SessionCore, SessionId, SessionRecord, Wire,
 };
 use sada_resilience::{
     shed_victim, BreakerConfig, BreakerTransition, BulkheadConfig, CircuitBreaker,
 };
-use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime};
+use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime, Timer};
 
 use crate::cache::{CacheNoteKind, PlanCache, PlanCacheStats};
 use crate::driver::SessionResult;
@@ -105,10 +106,46 @@ pub enum Admission {
     Rejected,
 }
 
-/// Timer-tag namespace: scenario submissions, queued-session cancellations,
-/// and dynamically allocated per-core protocol timers must share one `u64`.
-const TAG_SUBMIT_BASE: u64 = 1 << 62;
-const TAG_CANCEL_BASE: u64 = 1 << 63;
+/// A fleet plane's own timer kinds: its control actor's scenario
+/// submissions and withdrawals, a region's lease expiry, and the global
+/// tier's straddler submissions and withdrawals. A plane's simulator runs
+/// them as the [`ProtoTimer::App`] kinds beside the protocol's own, and
+/// [`Timer::tag`] is their one projection onto the numbers a `net.timer`
+/// event carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FleetTimer {
+    /// Scenario entry `.0` is submitted.
+    Submit(usize),
+    /// Scenario entry `.0` is withdrawn unless admitted by then.
+    Cancel(usize),
+    /// Straddler `.0` escalates.
+    GlobalSubmit(usize),
+    /// Straddler `.0` is withdrawn unless admitted by then.
+    GlobalCancel(usize),
+    /// A region reclaims its foreign hold of `session` unless a later lease
+    /// renewed it.
+    Lease {
+        /// How many leases the region armed before this one.
+        slot: u64,
+        /// The held session.
+        session: u64,
+    },
+}
+
+impl Timer for FleetTimer {
+    fn tag(&self) -> u64 {
+        match *self {
+            FleetTimer::Submit(ix) => (1 << 62) + ix as u64,
+            FleetTimer::Cancel(ix) => (1 << 63) + ix as u64,
+            FleetTimer::GlobalSubmit(ix) => (1 << 61) + ix as u64,
+            FleetTimer::GlobalCancel(ix) => (3 << 60) + ix as u64,
+            FleetTimer::Lease { slot, .. } => (1 << 61) + slot,
+        }
+    }
+}
+
+/// The callback context of a fleet plane's actors.
+pub(crate) type Ctx<'a, M> = Context<'a, Wire<M>, ProtoTimer<FleetTimer>>;
 
 /// Entries the shared plan cache may hold before LRU eviction kicks in.
 const PLAN_CACHE_CAPACITY: usize = 128;
@@ -278,7 +315,7 @@ impl<M: Clone + 'static> ControlActor<M> {
     }
 
     /// Emits `ev` about `session` on this plane's bus (its host's).
-    pub(crate) fn emit_fleet(&self, ctx: &Context<'_, Wire<M>>, session: u64, ev: FleetEvent) {
+    pub(crate) fn emit_fleet(&self, ctx: &Ctx<'_, M>, session: u64, ev: FleetEvent) {
         self.host.bus.emit(fleet_event(ctx.now(), ctx.self_id(), session, ev));
     }
 
@@ -307,7 +344,7 @@ impl<M: Clone + 'static> ControlActor<M> {
 
     fn emit_scope_breaker(
         &self,
-        ctx: &Context<'_, Wire<M>>,
+        ctx: &Ctx<'_, M>,
         session: u64,
         scope: u64,
         tr: BreakerTransition,
@@ -342,12 +379,7 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// `Outcome { false, false }` (so a restored plane never resurrects it),
     /// the typed event and the completion instant. Hands back the row for
     /// the caller's verdict flag and admission decision.
-    fn conclude(
-        &mut self,
-        ctx: &mut Context<'_, Wire<M>>,
-        sid: u64,
-        ev: FleetEvent,
-    ) -> &mut SessionResult {
+    fn conclude(&mut self, ctx: &mut Ctx<'_, M>, sid: u64, ev: FleetEvent) -> &mut SessionResult {
         self.journal.push(SessionRecord {
             session: SessionId(sid),
             record: JournalRecord::Outcome { success: false, gave_up: false },
@@ -360,7 +392,7 @@ impl<M: Clone + 'static> ControlActor<M> {
 
     /// Admits every session a lock release or cancellation just granted
     /// (ids without a scenario entry — foreign holds — are skipped).
-    fn admit_all(&mut self, ctx: &mut Context<'_, Wire<M>>, granted: Vec<u64>) {
+    fn admit_all(&mut self, ctx: &mut Ctx<'_, M>, granted: Vec<u64>) {
         for sid in granted {
             self.admit_granted(ctx, sid);
         }
@@ -372,7 +404,7 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// agent keep admitting). Journaled outcome, typed event, locks
     /// released: the session fails fast instead of hanging on suppressed
     /// sends.
-    fn reject(&mut self, ctx: &mut Context<'_, Wire<M>>, sid: u64, ev: FleetEvent) {
+    fn reject(&mut self, ctx: &mut Ctx<'_, M>, sid: u64, ev: FleetEvent) {
         self.conclude(ctx, sid, ev).admission = Some(Admission::Rejected);
         let granted = self.locks.release(sid);
         self.admit_all(ctx, granted);
@@ -388,7 +420,7 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// victim's session resolves with a journaled `SessionShed` outcome —
     /// unsuccessful but not given up, exactly like a cancellation — so the
     /// durable record never shows a session that silently vanished.
-    fn shed_overflow(&mut self, ctx: &mut Context<'_, Wire<M>>) {
+    fn shed_overflow(&mut self, ctx: &mut Ctx<'_, M>) {
         let entries: Vec<(u64, u8, u64)> =
             self.waiting.iter().map(|(&sid, &(p, seq))| (sid, p, seq)).collect();
         let Some(victim) = shed_victim(&entries) else { return };
@@ -412,7 +444,7 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// Admits gated sessions while in-flight capacity is available (highest
     /// priority first, oldest among ties). A gated session whose scope turns
     /// out to be busy moves into the lock queue and stays in `waiting`.
-    fn drain_gate(&mut self, ctx: &mut Context<'_, Wire<M>>) {
+    fn drain_gate(&mut self, ctx: &mut Ctx<'_, M>) {
         while self.active.len() < self.resilience.bulkhead.max_in_flight {
             let Some(&sid) = self.gate.iter().max_by_key(|&&sid| {
                 let (p, seq) = self.waiting.get(&sid).copied().unwrap_or((0, u64::MAX));
@@ -435,7 +467,7 @@ impl<M: Clone + 'static> ControlActor<M> {
 
     /// Runs `ev` through live session `session`'s core, with the RTO of its
     /// slowest participant as the deadline hint, and applies the effects.
-    fn step(&mut self, ctx: &mut Context<'_, Wire<M>>, session: u64, ev: ManagerEvent) {
+    fn step(&mut self, ctx: &mut Ctx<'_, M>, session: u64, ev: ManagerEvent) {
         let live = self.active.get_mut(&session).expect("only a live session steps");
         let hint = self.host.hint(|| live.agents.iter().copied());
         let in_timeout = matches!(ev, ManagerEvent::Timeout { .. });
@@ -450,7 +482,7 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// sessions).
     fn apply(
         &mut self,
-        ctx: &mut Context<'_, Wire<M>>,
+        ctx: &mut Ctx<'_, M>,
         session: u64,
         in_timeout: bool,
         effects: Vec<ManagerEffect>,
@@ -483,7 +515,7 @@ impl<M: Clone + 'static> ControlActor<M> {
 
     /// Submits scenario entry `ix`: computes the scope, and either admits
     /// the session immediately or queues it behind the conflicting holders.
-    fn submit(&mut self, ctx: &mut Context<'_, Wire<M>>, ix: usize) {
+    fn submit(&mut self, ctx: &mut Ctx<'_, M>, ix: usize) {
         let spec = self.scenario[ix].clone();
         if !self.submitted.insert(spec.id) {
             return; // restart re-armed a timer for an already submitted entry
@@ -515,7 +547,7 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// Parks a session at the admission gate (in-flight cap reached). Gate
     /// parks journal the same `Queued` record as lock-queue entries so a
     /// crashed plane requeues them in order.
-    fn park(&mut self, ctx: &mut Context<'_, Wire<M>>, ix: usize, spec: &SessionSpec) {
+    fn park(&mut self, ctx: &mut Ctx<'_, M>, ix: usize, spec: &SessionSpec) {
         self.note_waiting(spec.id, spec.priority);
         self.gate.push(spec.id);
         self.queued(ctx, ix, spec, (self.waiting.len() - 1) as u32);
@@ -527,13 +559,7 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// are provisional, admission recomputes them against the then-current
     /// fleet configuration — the typed event, its withdrawal timer, and a
     /// shed of the least valuable waiter when the waiting room overflows.
-    fn queued(
-        &mut self,
-        ctx: &mut Context<'_, Wire<M>>,
-        ix: usize,
-        spec: &SessionSpec,
-        position: u32,
-    ) {
+    fn queued(&mut self, ctx: &mut Ctx<'_, M>, ix: usize, spec: &SessionSpec, position: u32) {
         let target = self.world.target_for(&self.fleet_config, &spec.flips);
         self.journal.push(SessionRecord {
             session: SessionId(spec.id),
@@ -547,16 +573,16 @@ impl<M: Clone + 'static> ControlActor<M> {
     }
 
     /// Arms the withdrawal timer of a waiting session that has one.
-    fn arm_cancel(&self, ctx: &mut Context<'_, Wire<M>>, ix: usize, spec: &SessionSpec) {
+    fn arm_cancel(&self, ctx: &mut Ctx<'_, M>, ix: usize, spec: &SessionSpec) {
         if let Some(at) = spec.cancel_at {
             let delay = at.as_micros().saturating_sub(ctx.now().as_micros());
-            ctx.set_timer(SimDuration::from_micros(delay), TAG_CANCEL_BASE + ix as u64);
+            ctx.set_timer(SimDuration::from_micros(delay), App(FleetTimer::Cancel(ix)));
         }
     }
 
     /// Admits a session whose scope locks are held: builds its scoped
     /// planner and embedded core, and fires the adaptation request.
-    fn admit(&mut self, ctx: &mut Context<'_, Wire<M>>, ix: usize) {
+    fn admit(&mut self, ctx: &mut Ctx<'_, M>, ix: usize) {
         let spec = self.scenario[ix].clone();
         self.waiting.remove(&spec.id);
         self.gate.retain(|&g| g != spec.id);
@@ -605,7 +631,7 @@ impl<M: Clone + 'static> ControlActor<M> {
 
     /// Completion: fold the session's final configuration into the fleet
     /// configuration, release its scope, and admit whoever that unblocks.
-    fn finish(&mut self, ctx: &mut Context<'_, Wire<M>>, session: u64, outcome: Outcome) {
+    fn finish(&mut self, ctx: &mut Ctx<'_, M>, session: u64, outcome: Outcome) {
         let live = self.active.remove(&session).expect("only a live session finishes");
         // Only its own scope's hosts can still name this session: an
         // engagement is recorded where the host sends, and a session's
@@ -647,7 +673,9 @@ impl<M: Clone + 'static> ControlActor<M> {
             session,
             FleetEvent::SessionDone { session, success: outcome.success, gave_up: outcome.gave_up },
         );
-        self.host.cancel_timers(ctx, &live.sess);
+        for timer in live.sess.timers.values() {
+            ctx.cancel_timer(*timer);
+        }
         let granted = self.locks.release(session);
         self.admit_all(ctx, granted);
         // Freed in-flight capacity: pull gated sessions in.
@@ -655,7 +683,7 @@ impl<M: Clone + 'static> ControlActor<M> {
     }
 
     /// Withdraws a still-queued session (cancellation timer fired).
-    fn cancel_queued(&mut self, ctx: &mut Context<'_, Wire<M>>, ix: usize) {
+    fn cancel_queued(&mut self, ctx: &mut Ctx<'_, M>, ix: usize) {
         let sid = self.scenario[ix].id;
         if self.active.contains_key(&sid) || self.is_done(sid) {
             return; // admitted or finished in the meantime — too late
@@ -680,7 +708,7 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// Routes an incoming protocol message to the owning session's core.
     fn route(
         &mut self,
-        ctx: &mut Context<'_, Wire<M>>,
+        ctx: &mut Ctx<'_, M>,
         agent: usize,
         session: SessionId,
         msg: sada_proto::ProtoMsg,
@@ -720,7 +748,7 @@ impl<M: Clone + 'static> ControlActor<M> {
 
     /// Submits scenario entry for session `sid` now (no-op for unknown or
     /// already-submitted ids).
-    pub(crate) fn submit_session(&mut self, ctx: &mut Context<'_, Wire<M>>, sid: u64) {
+    pub(crate) fn submit_session(&mut self, ctx: &mut Ctx<'_, M>, sid: u64) {
         if let Some(ix) = self.spec_ix(sid) {
             self.submit(ctx, ix);
         }
@@ -728,7 +756,7 @@ impl<M: Clone + 'static> ControlActor<M> {
 
     /// Admits session `sid` whose scope locks were granted out-of-band
     /// (lock-release cascade driven by a foreign hold being released).
-    pub(crate) fn admit_granted(&mut self, ctx: &mut Context<'_, Wire<M>>, sid: u64) {
+    pub(crate) fn admit_granted(&mut self, ctx: &mut Ctx<'_, M>, sid: u64) {
         if let Some(ix) = self.spec_ix(sid) {
             self.admit(ctx, ix);
         }
@@ -754,7 +782,7 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// terminal verdict when its fabric retransmission ladder exhausts
     /// against an unreachable region. Idempotent: a session that already
     /// holds a result is left untouched.
-    pub(crate) fn conclude_abandoned(&mut self, ctx: &mut Context<'_, Wire<M>>, sid: u64) {
+    pub(crate) fn conclude_abandoned(&mut self, ctx: &mut Ctx<'_, M>, sid: u64) {
         if !self.is_done(sid) {
             let ev = FleetEvent::SessionDone { session: sid, success: false, gave_up: false };
             self.conclude(ctx, sid, ev);
@@ -772,14 +800,14 @@ impl<M: Clone + 'static> ControlActor<M> {
     }
 }
 
-impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
-    fn on_start(&mut self, ctx: &mut Context<'_, Wire<M>>) {
+impl<M: Clone + 'static> Actor<Wire<M>, ProtoTimer<FleetTimer>> for ControlActor<M> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
         for (ix, spec) in self.scenario.iter().enumerate() {
-            ctx.set_timer(spec.submit_at, TAG_SUBMIT_BASE + ix as u64);
+            ctx.set_timer(spec.submit_at, App(FleetTimer::Submit(ix)));
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, Wire<M>>, from: ActorId, msg: Wire<M>) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: ActorId, msg: Wire<M>) {
         if let Wire::Proto { epoch, session, msg: p } = msg {
             if let Some(agent) = self.host.on_arrival(from, epoch, ctx.now(), ctx.self_id()) {
                 self.route(ctx, agent, session, p);
@@ -787,20 +815,17 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, Wire<M>>, tag: u64) {
-        if tag >= TAG_CANCEL_BASE {
-            self.cancel_queued(ctx, (tag - TAG_CANCEL_BASE) as usize);
-            return;
-        }
-        if tag >= TAG_SUBMIT_BASE {
-            self.submit(ctx, (tag - TAG_SUBMIT_BASE) as usize);
-            return;
-        }
-        if let Some((session, token)) = self.host.fired(tag) {
-            if let Some(live) = self.active.get_mut(&session) {
-                live.sess.timers.remove(&token);
-                self.step(ctx, session, ManagerEvent::Timeout { token });
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, timer: ProtoTimer<FleetTimer>) {
+        match timer {
+            App(FleetTimer::Submit(ix)) => self.submit(ctx, ix),
+            App(FleetTimer::Cancel(ix)) => self.cancel_queued(ctx, ix),
+            ProtoTimer::Core { session, token, .. } => {
+                if let Some(live) = self.active.get_mut(&session) {
+                    live.sess.timers.remove(&token);
+                    self.step(ctx, session, ManagerEvent::Timeout { token });
+                }
             }
+            _ => {}
         }
     }
 
@@ -824,7 +849,7 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
         self.plan_cache = Rc::new(RefCell::new(PlanCache::new(PLAN_CACHE_CAPACITY)));
     }
 
-    fn on_restart(&mut self, ctx: &mut Context<'_, Wire<M>>) {
+    fn on_restart(&mut self, ctx: &mut Ctx<'_, M>) {
         // Partition the interleaved journal by session, preserving the
         // order in which sessions first appear (the requeue order).
         let mut order: Vec<u64> = Vec::new();
@@ -918,18 +943,9 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
             self.admit(ctx, ix);
         }
         // Re-arm scenario entries whose submission timer died unfired.
-        let now = ctx.now().as_micros();
-        let pending: Vec<(usize, u64)> = self
-            .scenario
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !self.submitted.contains(&s.id))
-            .map(|(ix, s)| (ix, s.submit_at.as_micros()))
-            .collect();
-        for (ix, due) in pending {
-            if due > now {
-                ctx.set_timer(SimDuration::from_micros(due - now), TAG_SUBMIT_BASE + ix as u64);
-            } else {
+        for ix in 0..self.scenario.len() {
+            let (id, at) = (self.scenario[ix].id, SimTime::ZERO + self.scenario[ix].submit_at);
+            if !self.submitted.contains(&id) && !ctx.set_timer_at(at, App(FleetTimer::Submit(ix))) {
                 self.submit(ctx, ix);
             }
         }

@@ -28,14 +28,16 @@ use std::time::{Duration, Instant};
 use sada_expr::Config;
 use sada_obs::{Bus, Counts, Event, Kind, RingSink};
 use sada_proto::{
-    encode_session_journal, hosting_run, AgentTiming, ProtoTiming, ScriptedAgent, Wire,
+    encode_session_journal, hosting_run, AgentTiming, ProtoTimer, ProtoTiming, ScriptedAgent, Wire,
 };
 use sada_simnet::{
     Actor, ActorId, CloneArena, FaultPlan, LinkConfig, NetStats, SimDuration, SimTime, Simulator,
 };
 
 use crate::cache::PlanCacheStats;
-use crate::control::{fleet_event, Admission, ControlActor, FleetResilience, SessionSpec};
+use crate::control::{
+    fleet_event, Admission, ControlActor, FleetResilience, FleetTimer, SessionSpec,
+};
 use crate::world::{Domain, FleetWorld, WorldSpec};
 
 /// Events each plane's ring retains; anything beyond is evicted oldest
@@ -356,7 +358,7 @@ fn run_fleet_on(scenario: &FleetScenario, world: FleetWorld) -> FleetReport {
 /// it. Both are sinks of the bus, outside every actor, so a crash of the
 /// control plane loses nothing they hold.
 pub(crate) struct Plane<M> {
-    pub(crate) sim: Simulator<Wire<M>>,
+    pub(crate) sim: Simulator<Wire<M>, ProtoTimer<FleetTimer>>,
     pub(crate) control_id: ActorId,
     /// The run's world, which the control actor reads through a handle of
     /// its own.
@@ -392,10 +394,10 @@ pub(crate) fn build_plane<M, C>(
 ) -> Plane<M>
 where
     M: Clone + 'static,
-    C: Actor<Wire<M>> + 'static,
+    C: Actor<Wire<M>, ProtoTimer<FleetTimer>> + 'static,
 {
     let world = Rc::new(world);
-    let mut sim: Simulator<Wire<M>> = Simulator::new(seed);
+    let mut sim: Simulator<Wire<M>, ProtoTimer<FleetTimer>> = Simulator::new(seed);
     sim.set_default_link(LinkConfig::reliable(scn.link_latency));
 
     let ring = Rc::new(RefCell::new(RingSink::new(RING_CAPACITY)));
@@ -426,7 +428,8 @@ where
         Some(((below + ix - hosted[run].start) as u32, agent(factor)))
     });
     let members = hosted.iter().map(Range::len).sum::<usize>() as u32;
-    let arena = CloneArena::new::<Wire<M>>(agent(1), members, slow.collect());
+    let arena =
+        CloneArena::new::<Wire<M>, ProtoTimer<FleetTimer>>(agent(1), members, slow.collect());
     let arena_id = sim.add_arena(arena);
     let (mut next_id, mut member) = (0, 0u32);
     for run in &hosted {

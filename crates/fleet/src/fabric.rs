@@ -8,9 +8,11 @@ use std::rc::Rc;
 use std::sync::{Condvar, Mutex};
 
 use sada_obs::text::{list, Cursor, Fields, ParseError};
-use sada_proto::Wire;
+use sada_proto::{ProtoTimer, Wire};
 use sada_resilience::jitter_us;
-use sada_simnet::{Actor, ActorId, Context};
+use sada_simnet::{Actor, ActorId};
+
+use crate::control::{Ctx, FleetTimer};
 
 // ---------------------------------------------------------------------------
 // Fabric fault plan
@@ -395,13 +397,8 @@ pub(crate) struct FabricRelay {
     pub(crate) outbox: Outbox,
 }
 
-impl Actor<Wire<ShardMsg>> for FabricRelay {
-    fn on_message(
-        &mut self,
-        ctx: &mut Context<'_, Wire<ShardMsg>>,
-        _from: ActorId,
-        msg: Wire<ShardMsg>,
-    ) {
+impl Actor<Wire<ShardMsg>, ProtoTimer<FleetTimer>> for FabricRelay {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, ShardMsg>, _from: ActorId, msg: Wire<ShardMsg>) {
         if let Wire::App(m) = msg {
             self.outbox.borrow_mut().push((m.to, ctx.now().as_micros(), m.payload));
         }

@@ -4,10 +4,11 @@
 
 use sada_expr::CompId;
 use sada_obs::FleetEvent;
+use sada_proto::ProtoTimer::{self, App};
 use sada_proto::{GlobalRecord, LadderFire, Wire};
-use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime};
+use sada_simnet::{Actor, ActorId, SimDuration, SimTime};
 
-use crate::control::ControlActor;
+use crate::control::{ControlActor, Ctx, FleetTimer};
 use crate::fabric::{FabricPayload, ShardMsg};
 
 // ---------------------------------------------------------------------------
@@ -48,29 +49,11 @@ pub(crate) struct Straddler {
     pub(crate) escalated_at: Option<u64>,
 }
 
-/// Wrapper timer namespaces. The inner control plane owns `1 << 62` and
-/// `1 << 63` plus small dynamic tags (its host's ladder among them); the
-/// global tier claims two bands in between for the pre-submission lifecycle
-/// of straddling sessions.
-const TAG_GLOBAL_SUBMIT: u64 = 1 << 61;
-const TAG_GLOBAL_CANCEL: u64 = 3 << 60;
-const TAG_INNER_BASE: u64 = 1 << 62;
-
 /// The token naming straddler `ix`'s send of `slice` in one direction on
 /// the host's ladder: requests and releases retransmit independently. Its
 /// value salts the ladder's jitter.
 fn token(ix: usize, slice: usize, release: bool) -> u64 {
     (1 << 60) + ((ix as u64) << 12) + ((slice as u64) << 1) + u64::from(release)
-}
-
-/// Arms `tag` to fire at the virtual instant `due_us` when that is still
-/// ahead; `false` (nothing armed) when it is already due.
-fn arm_if_future(ctx: &mut Context<'_, Wire<ShardMsg>>, due_us: u64, tag: u64) -> bool {
-    let ahead = due_us.saturating_sub(ctx.now().as_micros());
-    if ahead > 0 {
-        ctx.set_timer(SimDuration::from_micros(ahead), tag);
-    }
-    ahead > 0
 }
 
 /// The thin global tier: a full [`ControlActor`] over its own replica of
@@ -94,7 +77,7 @@ pub(crate) struct GlobalControl {
 }
 
 impl GlobalControl {
-    fn send(&self, ctx: &mut Context<'_, Wire<ShardMsg>>, to: u32, payload: FabricPayload) {
+    fn send(&self, ctx: &mut Ctx<'_, ShardMsg>, to: u32, payload: FabricPayload) {
         ctx.send(self.relay, Wire::App(ShardMsg { to, payload }));
     }
 
@@ -150,13 +133,7 @@ impl GlobalControl {
     /// and tracks it on the host's ladder. Only releases are timed: a grant
     /// waits on lock queueing at the region, so a request's round trip
     /// says nothing of the fabric.
-    fn send_tracked(
-        &mut self,
-        ctx: &mut Context<'_, Wire<ShardMsg>>,
-        ix: usize,
-        sx: usize,
-        release: bool,
-    ) {
+    fn send_tracked(&mut self, ctx: &mut Ctx<'_, ShardMsg>, ix: usize, sx: usize, release: bool) {
         let (sid, region) = (self.straddlers[ix].sid, self.straddlers[ix].slices[sx].region);
         self.send(ctx, region, self.payload(ix, sx, release));
         self.inner.host.track(ctx, (sid, token(ix, sx, release)), region, release);
@@ -165,7 +142,7 @@ impl GlobalControl {
     /// A ladder of the host fired: re-send, or give the straddler up.
     fn on_ladder(
         &mut self,
-        ctx: &mut Context<'_, Wire<ShardMsg>>,
+        ctx: &mut Ctx<'_, ShardMsg>,
         (sid, token): (u64, u64),
         region: u32,
         fire: LadderFire,
@@ -189,13 +166,7 @@ impl GlobalControl {
     /// Terminal verdict for a straddler whose request ladder exhausted:
     /// journal the abandonment, conclude the inner session with a clean
     /// rejection, and release the acquired slice prefix.
-    fn abandon(
-        &mut self,
-        ctx: &mut Context<'_, Wire<ShardMsg>>,
-        sid: u64,
-        region: u32,
-        attempts: u32,
-    ) {
+    fn abandon(&mut self, ctx: &mut Ctx<'_, ShardMsg>, sid: u64, region: u32, attempts: u32) {
         let Some(ix) = self.straddlers.iter().position(|s| s.sid == sid) else { return };
         if self.straddlers[ix].phase != Phase::Granting {
             return;
@@ -212,7 +183,7 @@ impl GlobalControl {
         self.inner.conclude_abandoned(ctx, sid);
     }
 
-    fn request_slice(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, ix: usize) {
+    fn request_slice(&mut self, ctx: &mut Ctx<'_, ShardMsg>, ix: usize) {
         self.send_tracked(ctx, ix, self.straddlers[ix].next, false);
     }
 
@@ -220,7 +191,7 @@ impl GlobalControl {
     /// skipping slices whose release is already journaled as acknowledged,
     /// and retiring each slice's request ladder (the release supersedes
     /// it).
-    fn release_slices(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, ix: usize, upto: usize) {
+    fn release_slices(&mut self, ctx: &mut Ctx<'_, ShardMsg>, ix: usize, upto: usize) {
         let sid = self.straddlers[ix].sid;
         for sx in 0..upto.min(self.straddlers[ix].slices.len()) {
             if !self.is_released(sid, self.straddlers[ix].slices[sx].region) {
@@ -230,7 +201,7 @@ impl GlobalControl {
         }
     }
 
-    fn begin(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, ix: usize) {
+    fn begin(&mut self, ctx: &mut Ctx<'_, ShardMsg>, ix: usize) {
         if self.straddlers[ix].phase != Phase::Pending {
             return;
         }
@@ -244,7 +215,7 @@ impl GlobalControl {
 
     fn on_granted(
         &mut self,
-        ctx: &mut Context<'_, Wire<ShardMsg>>,
+        ctx: &mut Ctx<'_, ShardMsg>,
         session: u64,
         region: u32,
         values: Vec<(u32, bool)>,
@@ -276,7 +247,7 @@ impl GlobalControl {
         }
     }
 
-    fn on_ack(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, session: u64, region: u32) {
+    fn on_ack(&mut self, ctx: &mut Ctx<'_, ShardMsg>, session: u64, region: u32) {
         let Some(ix) = self.straddlers.iter().position(|s| s.sid == session) else { return };
         let Some(sx) = self.slice_at(ix, region) else { return };
         if self.inner.host.retire(ctx, (session, token(ix, sx, true))) {
@@ -284,7 +255,7 @@ impl GlobalControl {
         } // else a duplicate ack: the ladder is already retired
     }
 
-    fn withdraw(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, ix: usize) {
+    fn withdraw(&mut self, ctx: &mut Ctx<'_, ShardMsg>, ix: usize) {
         let (sid, phase) = (self.straddlers[ix].sid, self.straddlers[ix].phase);
         if !matches!(phase, Phase::Pending | Phase::Granting) {
             return; // admitted or finished in the meantime — too late
@@ -303,7 +274,7 @@ impl GlobalControl {
 
     /// Detects straddlers whose inner session reached a terminal result and
     /// flows their final scope values back to the owning regions.
-    fn sweep(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>) {
+    fn sweep(&mut self, ctx: &mut Ctx<'_, ShardMsg>) {
         for ix in 0..self.straddlers.len() {
             if self.straddlers[ix].phase == Phase::Running
                 && self.inner.is_done(self.straddlers[ix].sid)
@@ -317,7 +288,7 @@ impl GlobalControl {
 
     /// Rebuilds one straddler's wrapper state from the durable journal
     /// after a crash, re-driving its handshake under the new incarnation.
-    fn restore_straddler(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, ix: usize) {
+    fn restore_straddler(&mut self, ctx: &mut Ctx<'_, ShardMsg>, ix: usize) {
         let sid = self.straddlers[ix].sid;
         let (mut escalated, mut submitted, mut terminal, mut granted) = (false, false, false, 0);
         for rec in &self.global_journal {
@@ -362,8 +333,8 @@ impl GlobalControl {
             // timer, so re-arm it (or begin immediately if it is due).
             self.straddlers[ix].phase = Phase::Pending;
             self.straddlers[ix].next = 0;
-            let due = self.straddlers[ix].submit_at.as_micros();
-            if !arm_if_future(ctx, due, TAG_GLOBAL_SUBMIT + ix as u64) {
+            let at = SimTime::ZERO + self.straddlers[ix].submit_at;
+            if !ctx.set_timer_at(at, App(FleetTimer::GlobalSubmit(ix))) {
                 self.begin(ctx, ix);
             }
         }
@@ -371,7 +342,7 @@ impl GlobalControl {
         // deadline across the crash.
         if matches!(self.straddlers[ix].phase, Phase::Pending | Phase::Granting) {
             if let Some(at) = self.straddlers[ix].cancel_at {
-                if !arm_if_future(ctx, at.as_micros(), TAG_GLOBAL_CANCEL + ix as u64) {
+                if !ctx.set_timer_at(SimTime::ZERO + at, App(FleetTimer::GlobalCancel(ix))) {
                     self.withdraw(ctx, ix);
                 }
             }
@@ -379,23 +350,18 @@ impl GlobalControl {
     }
 }
 
-impl Actor<Wire<ShardMsg>> for GlobalControl {
-    fn on_start(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>) {
+impl Actor<Wire<ShardMsg>, ProtoTimer<FleetTimer>> for GlobalControl {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, ShardMsg>) {
         self.inner.on_start(ctx);
         for ix in 0..self.straddlers.len() {
-            ctx.set_timer(self.straddlers[ix].submit_at, TAG_GLOBAL_SUBMIT + ix as u64);
+            ctx.set_timer(self.straddlers[ix].submit_at, App(FleetTimer::GlobalSubmit(ix)));
             if let Some(at) = self.straddlers[ix].cancel_at {
-                ctx.set_timer(at, TAG_GLOBAL_CANCEL + ix as u64);
+                ctx.set_timer(at, App(FleetTimer::GlobalCancel(ix)));
             }
         }
     }
 
-    fn on_message(
-        &mut self,
-        ctx: &mut Context<'_, Wire<ShardMsg>>,
-        from: ActorId,
-        msg: Wire<ShardMsg>,
-    ) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, ShardMsg>, from: ActorId, msg: Wire<ShardMsg>) {
         match msg {
             Wire::App(m) => match m.payload {
                 // A dead incarnation's reply; the re-driven chain re-earns it.
@@ -418,16 +384,19 @@ impl Actor<Wire<ShardMsg>> for GlobalControl {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, tag: u64) {
-        if let Some((key, region, fire)) = self.inner.host.ladder_fired(ctx, tag) {
-            self.on_ladder(ctx, key, region, fire);
-        } else if !(TAG_GLOBAL_SUBMIT..TAG_INNER_BASE).contains(&tag) {
-            self.inner.on_timer(ctx, tag);
-            self.sweep(ctx);
-        } else if tag >= TAG_GLOBAL_CANCEL {
-            self.withdraw(ctx, (tag - TAG_GLOBAL_CANCEL) as usize);
-        } else {
-            self.begin(ctx, (tag - TAG_GLOBAL_SUBMIT) as usize);
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, ShardMsg>, timer: ProtoTimer<FleetTimer>) {
+        match timer {
+            ProtoTimer::Ladder { tag, key } => {
+                if let Some((region, fire)) = self.inner.host.ladder_fired(ctx, tag, key) {
+                    self.on_ladder(ctx, key, region, fire);
+                }
+            }
+            App(FleetTimer::GlobalSubmit(ix)) => self.begin(ctx, ix),
+            App(FleetTimer::GlobalCancel(ix)) => self.withdraw(ctx, ix),
+            inner => {
+                self.inner.on_timer(ctx, inner);
+                self.sweep(ctx);
+            }
         }
     }
 
@@ -437,7 +406,7 @@ impl Actor<Wire<ShardMsg>> for GlobalControl {
         self.inner.on_crash(now);
     }
 
-    fn on_restart(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>) {
+    fn on_restart(&mut self, ctx: &mut Ctx<'_, ShardMsg>) {
         self.inner.on_restart(ctx);
         // Replay straddlers in journal order (first appearance) so
         // re-driven handshakes hit the fabric in the same order the dead

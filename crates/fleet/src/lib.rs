@@ -64,7 +64,7 @@ mod shard;
 mod world;
 
 pub use cache::{PlanCache, PlanCacheStats, ScopeNormalizer};
-pub use control::{Admission, FleetResilience, SessionSpec};
+pub use control::{Admission, FleetResilience, FleetTimer, SessionSpec};
 pub use driver::{disjoint_wave, run_fleet, FleetReport, FleetScenario, Phases, SessionResult};
 pub use fabric::{
     encode_fabric_msg, parse_fabric_msg, FabricFaultPlan, FabricPayload, FabricStats,

@@ -5,10 +5,11 @@ use std::collections::{BTreeMap, HashMap};
 
 use sada_expr::CompId;
 use sada_obs::FleetEvent;
+use sada_proto::ProtoTimer::{self, App};
 use sada_proto::Wire;
-use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime};
+use sada_simnet::{Actor, ActorId, SimDuration, SimTime};
 
-use crate::control::ControlActor;
+use crate::control::{ControlActor, Ctx, FleetTimer};
 use crate::fabric::{FabricPayload, ShardMsg};
 
 // ---------------------------------------------------------------------------
@@ -53,21 +54,14 @@ pub(crate) struct RegionControl {
     /// is garbage-collected from the lock table. Any inbound fabric message
     /// for the session re-arms its deadline.
     pub(crate) lease_deadline: HashMap<u64, u64>,
-    /// Timer-slot → session map for the lease band; slots are never reused
-    /// (stale timers no-op against the deadline check).
-    pub(crate) lease_slots: Vec<u64>,
+    /// Leases armed so far: a lease timer's slot, which its tag renders.
+    pub(crate) leases_armed: u64,
     /// Messages handed to the relay so far ([`RegionControl::send`]). Each
     /// spends one link latency inside the simulator before it surfaces in
     /// the endpoint's outbox; until the two counts meet the region still
     /// *owes* the fabric a message it has already decided to send.
     pub(crate) handed: u64,
 }
-
-/// Region-wrapper timer band for lease GC. The inner control plane owns
-/// `1 << 62`/`1 << 63` plus small dynamic tags, so `[1 << 61, 1 << 62)` is
-/// free on region endpoints (the global tier's bands live on a different
-/// actor).
-const TAG_LEASE_BASE: u64 = 1 << 61;
 
 /// How long a re-seized foreign hold may sit with **zero** fabric traffic
 /// before the region declares the global tier's interest dead and reclaims
@@ -78,7 +72,7 @@ const TAG_LEASE_BASE: u64 = 1 << 61;
 const LEASE_HORIZON_US: u64 = 12_000_000;
 
 impl RegionControl {
-    fn grant(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, sid: u64) {
+    fn grant(&mut self, ctx: &mut Ctx<'_, ShardMsg>, sid: u64) {
         let Some(hold) = self.foreign.get_mut(&sid) else { return };
         hold.acked = true;
         let epoch = hold.epoch;
@@ -93,7 +87,7 @@ impl RegionControl {
 
     /// Hands `payload` to the relay, addressed to the global tier. The one
     /// place a region puts anything on the fabric.
-    fn send(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, payload: FabricPayload) {
+    fn send(&mut self, ctx: &mut Ctx<'_, ShardMsg>, payload: FabricPayload) {
         self.handed += 1;
         ctx.send(self.relay, Wire::App(ShardMsg { to: self.global_ep, payload }));
     }
@@ -128,7 +122,7 @@ impl RegionControl {
     /// Drops `session`'s lock-table entry — released if it was held,
     /// cancelled if still queued — and runs the grant cascade that frees:
     /// foreign waiters get their `LockGranted`, local ones are admitted.
-    fn unlock(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, session: u64, was_held: bool) {
+    fn unlock(&mut self, ctx: &mut Ctx<'_, ShardMsg>, session: u64, was_held: bool) {
         let granted = if was_held {
             self.inner.locks_mut().release(session)
         } else {
@@ -153,7 +147,7 @@ impl RegionControl {
             .collect()
     }
 
-    fn sweep(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>) {
+    fn sweep(&mut self, ctx: &mut Ctx<'_, ShardMsg>) {
         let pending: Vec<u64> =
             self.foreign.iter().filter(|(_, h)| !h.acked).map(|(&s, _)| s).collect();
         for sid in pending {
@@ -164,13 +158,14 @@ impl RegionControl {
     }
 
     /// (Re-)arms the lease-GC deadline for `session`: one horizon of global
-    /// silence from now. Slots are append-only; a superseded timer fires
-    /// against a newer deadline and no-ops.
-    fn arm_lease(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, session: u64) {
+    /// silence from now. A superseded lease timer fires against a newer
+    /// deadline and no-ops.
+    fn arm_lease(&mut self, ctx: &mut Ctx<'_, ShardMsg>, session: u64) {
         self.lease_deadline.insert(session, ctx.now().as_micros() + LEASE_HORIZON_US);
-        let slot = self.lease_slots.len() as u64;
-        self.lease_slots.push(session);
-        ctx.set_timer(SimDuration::from_micros(LEASE_HORIZON_US), TAG_LEASE_BASE + slot);
+        let slot = self.leases_armed;
+        self.leases_armed += 1;
+        let lease = App(FleetTimer::Lease { slot, session });
+        ctx.set_timer(SimDuration::from_micros(LEASE_HORIZON_US), lease);
     }
 
     /// Garbage-collects a foreign hold whose lease ran out: tombstone the
@@ -178,7 +173,7 @@ impl RegionControl {
     /// same grant cascade a `LockRelease` would have. Values are **not**
     /// folded — they only ever flow through an acked release; past the
     /// horizon the region's own durable state is authoritative.
-    fn expire_lease(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, session: u64) {
+    fn expire_lease(&mut self, ctx: &mut Ctx<'_, ShardMsg>, session: u64) {
         let Some(hold) = self.foreign.remove(&session) else { return };
         self.lease_deadline.remove(&session);
         let t = self.released.entry(session).or_insert(0);
@@ -192,7 +187,7 @@ impl RegionControl {
         self.unlock(ctx, session, was_held);
     }
 
-    fn on_fabric(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, payload: FabricPayload) {
+    fn on_fabric(&mut self, ctx: &mut Ctx<'_, ShardMsg>, payload: FabricPayload) {
         // Any word from the global tier about a lease-watched session
         // renews its deadline: GC targets *silence*, not slowness.
         if self.lease_deadline.contains_key(&payload.session()) {
@@ -280,17 +275,12 @@ impl RegionControl {
     }
 }
 
-impl Actor<Wire<ShardMsg>> for RegionControl {
-    fn on_start(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>) {
+impl Actor<Wire<ShardMsg>, ProtoTimer<FleetTimer>> for RegionControl {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, ShardMsg>) {
         self.inner.on_start(ctx);
     }
 
-    fn on_message(
-        &mut self,
-        ctx: &mut Context<'_, Wire<ShardMsg>>,
-        from: ActorId,
-        msg: Wire<ShardMsg>,
-    ) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, ShardMsg>, from: ActorId, msg: Wire<ShardMsg>) {
         match msg {
             Wire::App(m) => self.on_fabric(ctx, m.payload),
             other => self.inner.on_message(ctx, from, other),
@@ -298,25 +288,18 @@ impl Actor<Wire<ShardMsg>> for RegionControl {
         self.sweep(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>, tag: u64) {
-        if (TAG_LEASE_BASE..TAG_LEASE_BASE << 1).contains(&tag) {
-            // Lease band: expire only if this timer still carries the
-            // session's *current* deadline (re-arms leave stale timers
-            // behind, which no-op here).
-            let slot = (tag - TAG_LEASE_BASE) as usize;
-            if let Some(&session) = self.lease_slots.get(slot) {
-                let due = self
-                    .lease_deadline
-                    .get(&session)
-                    .is_some_and(|&dl| ctx.now().as_micros() >= dl);
-                if due {
-                    self.expire_lease(ctx, session);
-                }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, ShardMsg>, timer: ProtoTimer<FleetTimer>) {
+        if let App(FleetTimer::Lease { session, .. }) = timer {
+            // Expire only if this timer still carries the session's
+            // *current* deadline (re-arms leave stale timers behind, which
+            // no-op here).
+            let now = ctx.now().as_micros();
+            if self.lease_deadline.get(&session).is_some_and(|&dl| now >= dl) {
+                self.expire_lease(ctx, session);
             }
-            self.sweep(ctx);
-            return;
+        } else {
+            self.inner.on_timer(ctx, timer);
         }
-        self.inner.on_timer(ctx, tag);
         self.sweep(ctx);
     }
 
@@ -329,7 +312,7 @@ impl Actor<Wire<ShardMsg>> for RegionControl {
         self.inner.on_crash(now);
     }
 
-    fn on_restart(&mut self, ctx: &mut Context<'_, Wire<ShardMsg>>) {
+    fn on_restart(&mut self, ctx: &mut Ctx<'_, ShardMsg>) {
         // Re-seize granted escalations *before* journal replay, so restored
         // or requeued local sessions cannot steal the slices. Granted holds
         // are disjoint from local in-flight scopes (they were concurrently

@@ -260,7 +260,7 @@ pub(crate) fn build_endpoint(
                 foreign: BTreeMap::new(),
                 released: HashMap::new(),
                 lease_deadline: HashMap::new(),
-                lease_slots: Vec::new(),
+                leases_armed: 0,
                 handed: 0,
             };
             ("control", region)

@@ -95,7 +95,8 @@ pub enum NetEvent {
     },
     /// A timer armed by the event's actor fired with `tag`.
     TimerFired {
-        /// The caller-chosen tag the timer was armed with.
+        /// The fired timer's `sada_simnet::Timer::tag`: the number its
+        /// kind renders as.
         tag: u64,
     },
     /// Fault injection crashed the event's actor.

@@ -9,12 +9,12 @@
 //! resuming and rolling back.
 
 use sada_obs::{AgentStateTag, Bus, Event, Payload, ProtoEvent};
-use sada_simnet::{ActorId, Context, SimDuration};
+use sada_simnet::{ActorId, Context, SimDuration, Timer};
 
 use crate::agent::{state_tag, AgentCore, AgentEffect, AgentEvent, AgentState};
 use crate::messages::{ProtoMsg, SessionId, Wire};
 
-type Ctx<'a, M> = Context<'a, Wire<M>>;
+type Ctx<'a, M, T> = Context<'a, Wire<M>, T>;
 
 /// Period between a restarted agent's `Rejoin` announcements.
 const REJOIN_PERIOD: SimDuration = SimDuration::from_millis(100);
@@ -24,15 +24,16 @@ const REJOIN_PERIOD: SimDuration = SimDuration::from_millis(100);
 const REJOIN_RETRIES: u32 = 12;
 
 /// What an agent's host reaches: the manager it reports to, the bus its
-/// events go to, and the timer tag its rejoin ladder fires under.
+/// events go to, and the timer its rejoin ladder arms.
 #[derive(Clone, Copy)]
-pub struct Uplink<'a> {
+pub struct Uplink<'a, T> {
     /// The manager's actor.
     pub manager: ActorId,
     /// Where the core's transitions are emitted.
     pub bus: &'a Bus,
-    /// The embedding's tag for the rejoin timer.
-    pub rejoin_tag: u64,
+    /// The embedding's kind for the rejoin timer; when it fires, the
+    /// embedding calls [`AgentHost::rejoin_due`].
+    pub rejoin: T,
 }
 
 /// What sits between an agent core and the wire (see the module docs).
@@ -76,14 +77,14 @@ impl AgentHost {
     /// manager has re-engaged this incarnation and the rejoin ladder stops;
     /// a `Resume` ignored in the running state does not count, because that
     /// lost-rejoin divergence is what the ladder exists for.
-    pub fn on_message<M>(
+    pub fn on_message<M, T: Timer>(
         &mut self,
-        ctx: &mut Ctx<'_, M>,
-        up: Uplink<'_>,
+        ctx: &mut Ctx<'_, M, T>,
+        up: Uplink<'_, T>,
         epoch: u64,
         session: SessionId,
         msg: ProtoMsg,
-        work: impl FnMut(&mut Ctx<'_, M>, &AgentCore, AgentEffect) -> Option<AgentEvent>,
+        work: impl FnMut(&mut Ctx<'_, M, T>, &AgentCore, AgentEffect) -> Option<AgentEvent>,
     ) {
         if epoch < self.manager_epoch {
             return;
@@ -102,12 +103,12 @@ impl AgentHost {
     /// `DoInAction`, `DoResume`, `DoRollback`) goes to `work`, which
     /// returns the event that work completed if it finished on the spot.
     /// Pre- and post-actions are no-ops here.
-    pub fn drive<M>(
+    pub fn drive<M, T: Timer>(
         &mut self,
-        ctx: &mut Ctx<'_, M>,
-        up: Uplink<'_>,
+        ctx: &mut Ctx<'_, M, T>,
+        up: Uplink<'_, T>,
         first: AgentEvent,
-        mut work: impl FnMut(&mut Ctx<'_, M>, &AgentCore, AgentEffect) -> Option<AgentEvent>,
+        mut work: impl FnMut(&mut Ctx<'_, M, T>, &AgentCore, AgentEffect) -> Option<AgentEvent>,
     ) {
         let mut next = Some(first);
         while let Some(ev) = next.take() {
@@ -137,7 +138,7 @@ impl AgentHost {
     /// running without an ordinary transition, so when the dead incarnation
     /// was elsewhere one is published here, and per-phase interval
     /// integration closes its phase at the restart instant.
-    pub fn restart<M>(&mut self, ctx: &mut Ctx<'_, M>, up: Uplink<'_>) {
+    pub fn restart<M, T: Timer>(&mut self, ctx: &mut Ctx<'_, M, T>, up: Uplink<'_, T>) {
         self.epoch += 1;
         let prev = self.core.state();
         self.core = AgentCore::restore(self.core.last_completed());
@@ -158,20 +159,20 @@ impl AgentHost {
     /// The rejoin timer fired: announce again while the core is still
     /// running and the budget lasts. After that, recovery falls back to the
     /// manager's ordinary timeout ladder.
-    pub fn rejoin_due<M>(&mut self, ctx: &mut Ctx<'_, M>, up: Uplink<'_>) {
+    pub fn rejoin_due<M, T: Timer>(&mut self, ctx: &mut Ctx<'_, M, T>, up: Uplink<'_, T>) {
         if self.rejoin_budget > 0 && self.core.state() == AgentState::Running {
             self.rejoin_budget -= 1;
             self.announce(ctx, up);
         }
     }
 
-    fn announce<M>(&mut self, ctx: &mut Ctx<'_, M>, up: Uplink<'_>) {
+    fn announce<M, T: Timer>(&mut self, ctx: &mut Ctx<'_, M, T>, up: Uplink<'_, T>) {
         self.rejoins_sent += 1;
         self.send(ctx, up, ProtoMsg::Rejoin { last_completed: self.core.last_completed() });
-        ctx.set_timer(REJOIN_PERIOD, up.rejoin_tag);
+        ctx.set_timer(REJOIN_PERIOD, up.rejoin);
     }
 
-    fn send<M>(&self, ctx: &mut Ctx<'_, M>, up: Uplink<'_>, msg: ProtoMsg) {
+    fn send<M, T: Timer>(&self, ctx: &mut Ctx<'_, M, T>, up: Uplink<'_, T>, msg: ProtoMsg) {
         ctx.send(up.manager, Wire::Proto { epoch: self.epoch, session: self.session, msg });
     }
 }
@@ -199,7 +200,7 @@ mod tests {
     use sada_simnet::{Actor, FaultPlan, SimTime, Simulator};
 
     use super::*;
-    use crate::messages::{LocalAction, StepId};
+    use crate::messages::{LocalAction, ProtoTimer, StepId};
     use crate::sim::{AgentTiming, ScriptedAgent};
 
     const AGENT: ActorId = ActorId::from_index(0);
@@ -211,8 +212,8 @@ mod tests {
     #[derive(Default)]
     struct Manager(Heard);
 
-    impl Actor<Wire<()>> for Manager {
-        fn on_message(&mut self, ctx: &mut Context<'_, Wire<()>>, _: ActorId, msg: Wire<()>) {
+    impl Actor<Wire<()>, ProtoTimer> for Manager {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, (), ProtoTimer>, _: ActorId, msg: Wire<()>) {
             if let Wire::Proto { epoch, session, msg } = msg {
                 self.0.push((ctx.now().as_micros() / 1_000, epoch, session.0, msg));
             }
@@ -244,7 +245,7 @@ mod tests {
         let ring = Rc::new(RefCell::new(RingSink::new(1 << 12)));
         let bus = Bus::new();
         bus.attach(&ring);
-        let mut sim: Simulator<Wire<()>> = Simulator::new(1);
+        let mut sim: Simulator<Wire<()>, ProtoTimer> = Simulator::new(1);
         let manager = ActorId::from_index(1);
         let agent = ScriptedAgent::new(manager, AgentTiming::default()).with_bus(bus);
         assert_eq!(sim.add_actor("agent", agent), AGENT);

@@ -19,7 +19,7 @@ use sada_resilience::{
 use sada_simnet::{ActorId, Context, SimDuration, SimTime, TimerId};
 
 use crate::manager::{ManagerCore, ManagerEffect, ProtoTiming};
-use crate::messages::{SessionId, Wire};
+use crate::messages::{ProtoTimer, SessionId, Wire};
 
 /// Who a host's agents are, by dense agent index.
 #[derive(Debug)]
@@ -58,8 +58,9 @@ pub fn hosting_run(hosted: &[Range<usize>], agent: usize) -> Option<usize> {
 pub struct SessionCore {
     /// The manager state machine.
     pub core: ManagerCore,
-    /// Armed timers: core token → (simulator tag, handle).
-    pub timers: HashMap<u64, (u64, TimerId)>,
+    /// Armed timers: core token → handle. A fired core timer names its
+    /// session and token itself ([`ProtoTimer::Core`]).
+    pub timers: HashMap<u64, TimerId>,
 }
 
 impl SessionCore {
@@ -109,10 +110,9 @@ struct Volatile {
     breakers: BTreeMap<usize, CircuitBreaker>,
     /// Agent → session whose send engaged it last.
     engaged: HashMap<usize, u64>,
-    /// Timer tag → (session, core token), for sessions other than SOLO.
-    tag_owner: HashMap<u64, (u64, u64)>,
+    /// The last tag drawn for a core timer (other than SOLO's) or a ladder.
     last_tag: u64,
-    /// Tracked sends by (session, token); their tags are not in `tag_owner`.
+    /// Tracked sends by (session, token).
     ladders: HashMap<(u64, u64), Tracked>,
     /// Estimator per tracked-send peer (timed sends only).
     peer_rtt: HashMap<u32, RttEstimator>,
@@ -195,19 +195,6 @@ impl ManagerHost {
         agents().into_iter().filter_map(|a| self.v.rtt.get(&a)?.0.rto()).max()
     }
 
-    /// Takes the `(session, token)` owning fired timer `tag` off the books.
-    pub fn fired(&mut self, tag: u64) -> Option<(u64, u64)> {
-        self.v.tag_owner.remove(&tag)
-    }
-
-    /// Cancels every timer of a session that is going away.
-    pub fn cancel_timers<M>(&mut self, ctx: &mut Context<'_, Wire<M>>, sess: &SessionCore) {
-        for (tag, id) in sess.timers.values() {
-            self.v.tag_owner.remove(tag);
-            ctx.cancel_timer(*id);
-        }
-    }
-
     /// Takes in a message stamped `epoch` from actor `from` at `now` (at
     /// host actor `me`), returning its agent index; `None` for an actor not
     /// driven here or residue of an incarnation older than the newest seen.
@@ -249,11 +236,12 @@ impl ManagerHost {
     /// rest (completion, journal records, progress notes) in order. Sends
     /// carry the session and this incarnation's epoch and pass the agent's
     /// breaker; answering a timeout (`in_timeout`), each is a
-    /// retransmission. A [`SessionId::SOLO`] core's timers fire with their
-    /// token as the tag; other sessions draw tags from one sequence.
-    pub fn apply<M: Clone + 'static>(
+    /// retransmission. A core's timer fires as [`ProtoTimer::Core`], naming
+    /// its session and token; a [`SessionId::SOLO`] core's tag is its token,
+    /// and other sessions draw theirs from one sequence.
+    pub fn apply<M: Clone + 'static, K>(
         &mut self,
-        ctx: &mut Context<'_, Wire<M>>,
+        ctx: &mut Context<'_, Wire<M>, ProtoTimer<K>>,
         id: SessionId,
         sess: &mut SessionCore,
         in_timeout: bool,
@@ -277,19 +265,13 @@ impl ManagerHost {
                 None
             }
             ManagerEffect::SetTimer { token, after } => {
-                let solo = id == SessionId::SOLO;
-                let tag = if solo { token } else { self.v.last_tag + 1 };
-                let timer = ctx.set_timer(after, tag);
-                if !solo {
-                    self.v.last_tag = tag;
-                    self.v.tag_owner.insert(tag, (id.0, token));
-                }
-                sess.timers.insert(token, (tag, timer));
+                let tag = if id == SessionId::SOLO { token } else { self.draw_tag() };
+                let timer = ProtoTimer::Core { tag, session: id.0, token };
+                sess.timers.insert(token, ctx.set_timer(after, timer));
                 None
             }
             ManagerEffect::CancelTimer { token } => {
-                if let Some((tag, timer)) = sess.timers.remove(&token) {
-                    self.v.tag_owner.remove(&tag);
+                if let Some(timer) = sess.timers.remove(&token) {
                     ctx.cancel_timer(timer);
                 }
                 None
@@ -305,9 +287,9 @@ impl ManagerHost {
     /// `peer`'s RTT, which retiring it before any re-send samples (Karn's
     /// rule); an untimed one's reply may wait on queueing, so it is never
     /// sampled and keeps the base schedule.
-    pub fn track<M>(
+    pub fn track<M, K>(
         &mut self,
-        ctx: &mut Context<'_, Wire<M>>,
+        ctx: &mut Context<'_, Wire<M>, ProtoTimer<K>>,
         key: (u64, u64),
         peer: u32,
         timed: bool,
@@ -318,21 +300,31 @@ impl ManagerHost {
         self.arm(ctx, key, (peer, timed, 0));
     }
 
+    /// The next tag of the one sequence core and ladder timers share.
+    fn draw_tag(&mut self) -> u64 {
+        self.v.last_tag += 1;
+        self.v.last_tag
+    }
+
     /// Sets the timer of `key`'s attempt `attempts` to `peer`, its tag drawn
     /// from the one tag sequence.
-    fn arm<M>(&mut self, ctx: &mut Context<'_, Wire<M>>, key: (u64, u64), t: (u32, bool, u32)) {
-        let (peer, timed, attempts) = t;
+    fn arm<M, K>(
+        &mut self,
+        ctx: &mut Context<'_, Wire<M>, ProtoTimer<K>>,
+        key: (u64, u64),
+        (peer, timed, attempts): (u32, bool, u32),
+    ) {
         let hint = timed.then(|| self.v.peer_rtt.get(&peer)?.rto()).flatten();
         let salt = key.1 ^ (u64::from(attempts) << 32) ^ self.epoch;
-        self.v.last_tag += 1;
-        let (tag, sent_at) = (self.v.last_tag, ctx.now());
-        let timer = ctx.set_timer(self.ladder.deadline(attempts, salt, hint), tag);
+        let (tag, sent_at) = (self.draw_tag(), ctx.now());
+        let deadline = self.ladder.deadline(attempts, salt, hint);
+        let timer = ctx.set_timer(deadline, ProtoTimer::Ladder { tag, key });
         self.v.ladders.insert(key, Tracked { peer, timed, attempts, tag, timer, sent_at });
     }
 
     /// Retires the ladder under `key` (its reply arrived, or the caller
     /// superseded it), returning whether one was live.
-    pub fn retire<M>(&mut self, ctx: &mut Context<'_, Wire<M>>, key: (u64, u64)) -> bool {
+    pub fn retire<M, T>(&mut self, ctx: &mut Context<'_, Wire<M>, T>, key: (u64, u64)) -> bool {
         let Some(t) = self.v.ladders.remove(&key) else { return false };
         ctx.cancel_timer(t.timer);
         if t.timed && t.attempts == 0 {
@@ -342,22 +334,25 @@ impl ManagerHost {
         true
     }
 
-    /// Takes fired timer `tag` off a ladder's books: its key, its peer, and
-    /// what the caller does next. `None` for a tag that is no ladder's
-    /// ([`ManagerHost::fired`] never returns one that is).
-    pub fn ladder_fired<M>(
+    /// Takes the fired [`ProtoTimer::Ladder`] `{ tag, key }` off the books:
+    /// the send's peer, and what the caller does next. `None` unless `key`'s
+    /// live ladder drew `tag`.
+    pub fn ladder_fired<M, K>(
         &mut self,
-        ctx: &mut Context<'_, Wire<M>>,
+        ctx: &mut Context<'_, Wire<M>, ProtoTimer<K>>,
         tag: u64,
-    ) -> Option<((u64, u64), u32, LadderFire)> {
-        let key = *self.v.ladders.iter().find(|(_, t)| t.tag == tag)?.0;
+        key: (u64, u64),
+    ) -> Option<(u32, LadderFire)> {
+        if self.v.ladders.get(&key)?.tag != tag {
+            return None;
+        }
         let Tracked { peer, timed, attempts, .. } = self.v.ladders.remove(&key)?;
         let n = attempts + 1;
         if n == LADDER_ATTEMPTS {
-            return Some((key, peer, LadderFire::Exhausted(n)));
+            return Some((peer, LadderFire::Exhausted(n)));
         }
         self.arm(ctx, key, (peer, timed, n));
-        Some((key, peer, LadderFire::Resend(n)))
+        Some((peer, LadderFire::Resend(n)))
     }
 
     /// The process image dies (the next incarnation stamps a higher
@@ -447,7 +442,9 @@ mod tests {
     // * `a_crash_drops_every_ladder` — keep the ladders or the peer RTTs
     //   across a crash.
     // * `ladder_tags_and_core_tags_never_collide` — draw ladder tags from a
-    //   counter of their own, or book them in `tag_owner`.
+    //   counter of their own.
+    // * `a_ladder_timer_fires_only_under_the_tag_its_ladder_drew` — drop the
+    //   keyed lookup's drawn-tag check.
 
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -456,7 +453,7 @@ mod tests {
     use sada_obs::RingSink;
     use sada_plan::Path;
     use sada_resilience::RetryPolicy;
-    use sada_simnet::{Actor, Simulator};
+    use sada_simnet::{Actor, Simulator, Timer};
 
     use super::*;
     use crate::manager::{AdaptationPlanner, PlannedStep};
@@ -609,12 +606,11 @@ mod tests {
         assert_eq!(h.on_arrival(ActorId::from_index(0), 3, ms(10), ME), Some(0));
         assert!(!h.on_send(1, true, Stamp(ms(10), ME, 7)));
         assert!(h.on_send(2, false, Stamp(ms(10), ME, 7)));
-        h.v.tag_owner.insert(1, (7, 0));
         h.v.last_tag = 1;
         h.crash();
         assert_eq!(h.epoch, 1, "the next incarnation stamps a higher epoch");
         assert!(h.v.agent_epochs.is_empty() && h.v.pending_since.is_empty() && h.v.rtt.is_empty());
-        assert!(h.v.breakers.is_empty() && h.v.engaged.is_empty() && h.v.tag_owner.is_empty());
+        assert!(h.v.breakers.is_empty() && h.v.engaged.is_empty());
         assert_eq!(h.v.last_tag, 0, "tags start over");
         assert_eq!((h.breaker_trips, h.suppressed_sends), (1, 1));
         assert_eq!(
@@ -646,6 +642,9 @@ mod tests {
         Retire((u64, u64)),
         /// Arm core token `.0` of session 7 to fire after `.1` ms.
         CoreTimer(u64, u64),
+        /// Hand the host a ladder timer for this key under a tag it never
+        /// drew.
+        Forge((u64, u64)),
     }
 
     /// What a [`Rig`] saw, at which virtual μs.
@@ -654,14 +653,16 @@ mod tests {
         Ladder(u64, (u64, u64), u32, LadderFire),
         Core(u64, (u64, u64)),
         Retired(u64, bool),
+        /// Whether the host took a forged ladder timer.
+        Forged(u64, bool),
     }
 
-    /// Script steps fire under tags from here up.
-    const SCRIPT: u64 = 1 << 40;
+    /// A [`Rig`]'s timers: its host's, and its script's steps by index.
+    type RigTimer = ProtoTimer<u64>;
+    type RigCtx<'a> = Context<'a, Wire<()>, RigTimer>;
 
     /// A host on the simulator that runs `script` (millisecond instants)
-    /// and, on a restart, `after_restart`. A fired timer goes to the cores'
-    /// books first, so a ladder tag found there is reported as a core's.
+    /// and, on a restart, `after_restart`.
     struct Rig {
         host: ManagerHost,
         sess: SessionCore,
@@ -672,41 +673,52 @@ mod tests {
     }
 
     impl Rig {
-        fn step(&mut self, ctx: &mut Context<'_, Wire<()>>, step: Step) {
+        fn step(&mut self, ctx: &mut RigCtx<'_>, step: Step) {
+            let at = ctx.now().as_micros();
             match step {
                 Step::Track(key, peer, timed) => self.host.track(ctx, key, peer, timed),
                 Step::Retire(key) => {
                     let live = self.host.retire(ctx, key);
-                    self.seen.push(Seen::Retired(ctx.now().as_micros(), live));
+                    self.seen.push(Seen::Retired(at, live));
                 }
                 Step::CoreTimer(token, after_ms) => {
                     let after = SimDuration::from_millis(after_ms);
                     let effects = vec![ManagerEffect::SetTimer { token, after }];
                     self.host.apply(ctx, SessionId(7), &mut self.sess, false, effects);
                 }
+                Step::Forge(key) => {
+                    let took = self.host.ladder_fired(ctx, 0, key).is_some();
+                    self.seen.push(Seen::Forged(at, took));
+                }
             }
         }
     }
 
-    impl Actor<Wire<()>> for Rig {
-        fn on_start(&mut self, ctx: &mut Context<'_, Wire<()>>) {
+    impl Actor<Wire<()>, RigTimer> for Rig {
+        fn on_start(&mut self, ctx: &mut RigCtx<'_>) {
             for (i, &(at_ms, _)) in self.script.iter().enumerate() {
-                ctx.set_timer(SimDuration::from_millis(at_ms), SCRIPT + i as u64);
+                ctx.set_timer(SimDuration::from_millis(at_ms), ProtoTimer::App(i as u64));
             }
         }
 
-        fn on_message(&mut self, _: &mut Context<'_, Wire<()>>, _: ActorId, _: Wire<()>) {}
+        fn on_message(&mut self, _: &mut RigCtx<'_>, _: ActorId, _: Wire<()>) {}
 
-        fn on_timer(&mut self, ctx: &mut Context<'_, Wire<()>>, tag: u64) {
-            if tag >= SCRIPT {
-                return self.step(ctx, self.script[(tag - SCRIPT) as usize].1);
+        fn on_timer(&mut self, ctx: &mut RigCtx<'_>, timer: RigTimer) {
+            if let ProtoTimer::App(i) = timer {
+                return self.step(ctx, self.script[i as usize].1);
             }
-            self.tags.push(tag);
+            self.tags.push(timer.tag());
             let at = ctx.now().as_micros();
-            if let Some(owner) = self.host.fired(tag) {
-                self.seen.push(Seen::Core(at, owner));
-            } else if let Some((key, peer, fire)) = self.host.ladder_fired(ctx, tag) {
-                self.seen.push(Seen::Ladder(at, key, peer, fire));
+            match timer {
+                ProtoTimer::Core { session, token, .. } => {
+                    self.seen.push(Seen::Core(at, (session, token)));
+                }
+                ProtoTimer::Ladder { tag, key } => {
+                    if let Some((peer, fire)) = self.host.ladder_fired(ctx, tag, key) {
+                        self.seen.push(Seen::Ladder(at, key, peer, fire));
+                    }
+                }
+                _ => {}
             }
         }
 
@@ -714,7 +726,7 @@ mod tests {
             self.host.crash();
         }
 
-        fn on_restart(&mut self, ctx: &mut Context<'_, Wire<()>>) {
+        fn on_restart(&mut self, ctx: &mut RigCtx<'_>) {
             for step in self.after_restart.clone() {
                 self.step(ctx, step);
             }
@@ -722,7 +734,7 @@ mod tests {
     }
 
     /// A simulator holding one [`Rig`] over `script`, its host at `epoch`.
-    fn rig(epoch: u64, script: Vec<(u64, Step)>) -> (Simulator<Wire<()>>, ActorId) {
+    fn rig(epoch: u64, script: Vec<(u64, Step)>) -> (Simulator<Wire<()>, RigTimer>, ActorId) {
         let timing = ProtoTiming::default();
         let mut host = ManagerHost::new(Roster::Listed(Vec::new()), timing);
         for _ in 0..epoch {
@@ -742,7 +754,7 @@ mod tests {
         (sim, id)
     }
 
-    fn seen(sim: &Simulator<Wire<()>>, id: ActorId) -> &Rig {
+    fn seen(sim: &Simulator<Wire<()>, RigTimer>, id: ActorId) -> &Rig {
         sim.actor::<Rig>(id).expect("the rig")
     }
 
@@ -853,5 +865,15 @@ mod tests {
         tags.sort_unstable();
         tags.dedup();
         assert_eq!(tags.len(), r.tags.len(), "a tag fired twice: {:?}", r.tags);
+    }
+
+    #[test]
+    fn a_ladder_timer_fires_only_under_the_tag_its_ladder_drew() {
+        let key = (5, 6);
+        let script = vec![(0, Step::Track(key, 1, false)), (100, Step::Forge(key))];
+        let (mut sim, id) = rig(0, script);
+        sim.run_for(SimDuration::from_millis(250));
+        let resend = Seen::Ladder(200_000, key, 1, LadderFire::Resend(1));
+        assert_eq!(seen(&sim, id).seen, [Seen::Forged(100_000, false), resend]);
     }
 }

@@ -95,7 +95,7 @@ pub use manager::{
     AdaptationPlanner, ManagerCore, ManagerEffect, ManagerEvent, ManagerPhase, Outcome,
     PlannedStep, ProtoTiming,
 };
-pub use messages::{LocalAction, ProtoMsg, SessionId, StepId, Wire};
+pub use messages::{LocalAction, ProtoMsg, ProtoTimer, SessionId, StepId, Wire};
 pub use plan_adapter::{compile_steps, SearchPlanner};
 pub use relay::RelayActor;
 pub use sim::{AgentTiming, ManagerActor, ScriptedAgent};

@@ -1,9 +1,12 @@
-//! Wire messages between the adaptation manager and its agents.
+//! Wire messages between the adaptation manager and its agents, and the
+//! timers the protocol arms.
 
+use std::convert::Infallible;
 use std::fmt;
 
 use sada_expr::CompId;
 use sada_plan::ActionId;
+use sada_simnet::Timer;
 
 /// Identifies one adaptation session at the fleet control plane.
 ///
@@ -202,6 +205,64 @@ pub enum Wire<M> {
     },
     /// Application payload (video packets in the case study).
     App(M),
+}
+
+/// A timer the protocol arms, by kind, or one of its embedding's own kinds
+/// `K` (the way [`Wire`] carries application messages).
+///
+/// A [`ScriptedAgent`](crate::ScriptedAgent)'s local work completes when
+/// its timer fires; a solo manager's request may wait on one; the rest are
+/// a manager core's timeouts and the retransmission ladders of a host's
+/// tracked sends. Core and ladder timers draw their `tag` from their host's
+/// one sequence, so a stream names each firing once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProtoTimer<K = Infallible> {
+    /// A scripted agent reached its safe state (or found it cannot).
+    Safe,
+    /// A scripted agent's in-action is done.
+    Act,
+    /// A scripted agent restored full operation.
+    Resume,
+    /// A scripted agent's rollback is done.
+    Rollback,
+    /// A scripted agent's rejoin announcement is due.
+    Rejoin,
+    /// A solo manager's delayed adaptation request is due.
+    Request,
+    /// Timer `token` of `session`'s manager core; a solo core's `tag` is
+    /// its token.
+    Core {
+        /// Drawn from the host's tag sequence.
+        tag: u64,
+        /// The session whose core armed it.
+        session: u64,
+        /// The core's token for it.
+        token: u64,
+    },
+    /// The deadline of a tracked send's current attempt.
+    Ladder {
+        /// Drawn from the host's tag sequence for this attempt.
+        tag: u64,
+        /// The send's `(session, token)`.
+        key: (u64, u64),
+    },
+    /// One of the embedding's own kinds.
+    App(K),
+}
+
+impl<K: Timer> Timer for ProtoTimer<K> {
+    fn tag(&self) -> u64 {
+        match self {
+            ProtoTimer::Safe => 1,
+            ProtoTimer::Act => 2,
+            ProtoTimer::Resume => 3,
+            ProtoTimer::Rollback => 4,
+            ProtoTimer::Rejoin => 5,
+            ProtoTimer::Request => u64::MAX,
+            ProtoTimer::Core { tag, .. } | ProtoTimer::Ladder { tag, .. } => *tag,
+            ProtoTimer::App(k) => k.tag(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -36,8 +36,8 @@ impl RelayActor {
     }
 }
 
-impl<M: Clone + 'static> Actor<Wire<M>> for RelayActor {
-    fn on_message(&mut self, ctx: &mut Context<'_, Wire<M>>, from: ActorId, msg: Wire<M>) {
+impl<M: Clone + 'static, T> Actor<Wire<M>, T> for RelayActor {
+    fn on_message(&mut self, ctx: &mut Context<'_, Wire<M>, T>, from: ActorId, msg: Wire<M>) {
         if !matches!(msg, Wire::Proto { .. }) {
             return;
         }

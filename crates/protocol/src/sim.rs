@@ -14,7 +14,7 @@ use sada_expr::Config;
 use sada_obs::Bus;
 use sada_plan::{ActionId, Path};
 use sada_resilience::BreakerConfig;
-use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime};
+use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime, Timer};
 
 use crate::agent::{AgentEffect, AgentEvent};
 use crate::agent_host::{AgentHost, Uplink};
@@ -23,7 +23,7 @@ use crate::journal::JournalRecord;
 use crate::manager::{
     AdaptationPlanner, ManagerCore, ManagerEffect, ManagerEvent, Outcome, PlannedStep, ProtoTiming,
 };
-use crate::messages::{SessionId, Wire};
+use crate::messages::{ProtoTimer, SessionId, Wire};
 
 /// Placeholder planner installed while the real planner is carried across a
 /// manager restart (never consulted).
@@ -41,6 +41,8 @@ impl AdaptationPlanner for NoopPlanner {
 
 /// Application-message predicate that fires the adaptation request.
 type Trigger<M> = Box<dyn Fn(&M) -> bool>;
+
+type Ctx<'a, M, K> = Context<'a, Wire<M>, ProtoTimer<K>>;
 
 /// The adaptation manager as a simulated process: a [`ManagerHost`] with
 /// one session ([`SessionId::SOLO`]) plus the request that starts it.
@@ -153,14 +155,14 @@ impl<M> ManagerActor<M> {
 impl<M: Clone + 'static> ManagerActor<M> {
     /// Runs `ev` through the core, with the slowest agent's RTO as its
     /// deadline hint, and applies the effects.
-    fn step(&mut self, ctx: &mut Context<'_, Wire<M>>, ev: ManagerEvent) {
+    fn step<K>(&mut self, ctx: &mut Ctx<'_, M, K>, ev: ManagerEvent) {
         let in_timeout = matches!(ev, ManagerEvent::Timeout { .. });
         self.sess.core.set_timeout_hint(self.host.hint(|| 0..self.agents));
         let eff = self.sess.core.on_event(ev);
         self.apply(ctx, eff, in_timeout);
     }
 
-    fn apply(&mut self, ctx: &mut Context<'_, Wire<M>>, eff: Vec<ManagerEffect>, timeout: bool) {
+    fn apply<K>(&mut self, ctx: &mut Ctx<'_, M, K>, eff: Vec<ManagerEffect>, timeout: bool) {
         for eff in self.host.apply(ctx, SessionId::SOLO, &mut self.sess, timeout, eff) {
             match eff {
                 ManagerEffect::Complete(outcome) => {
@@ -174,28 +176,25 @@ impl<M: Clone + 'static> ManagerActor<M> {
         }
     }
 
-    fn fire_request(&mut self, ctx: &mut Context<'_, Wire<M>>) {
+    fn fire_request<K>(&mut self, ctx: &mut Ctx<'_, M, K>) {
         if let Some((source, target)) = self.request.take() {
             self.step(ctx, ManagerEvent::Request { source, target });
         }
     }
 }
 
-/// Timer tag reserved for the delayed adaptation request.
-const TAG_REQUEST: u64 = u64::MAX;
-
-impl<M: Clone + 'static> Actor<Wire<M>> for ManagerActor<M> {
-    fn on_start(&mut self, ctx: &mut Context<'_, Wire<M>>) {
+impl<M: Clone + 'static, K> Actor<Wire<M>, ProtoTimer<K>> for ManagerActor<M> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, M, K>) {
         if self.trigger.is_some() {
             // Waiting for the decision-making monitor.
         } else if self.request_delay > SimDuration::ZERO {
-            ctx.set_timer(self.request_delay, TAG_REQUEST);
+            ctx.set_timer(self.request_delay, ProtoTimer::Request);
         } else {
             self.fire_request(ctx);
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, Wire<M>>, from: ActorId, msg: Wire<M>) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, M, K>, from: ActorId, msg: Wire<M>) {
         match msg {
             Wire::Proto { epoch, msg: p, .. } => {
                 if let Some(agent) = self.host.on_arrival(from, epoch, ctx.now(), ctx.self_id()) {
@@ -210,13 +209,15 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ManagerActor<M> {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, Wire<M>>, tag: u64) {
-        if tag == TAG_REQUEST {
-            self.fire_request(ctx);
-            return;
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, M, K>, timer: ProtoTimer<K>) {
+        match timer {
+            ProtoTimer::Request => self.fire_request(ctx),
+            ProtoTimer::Core { token, .. } => {
+                self.sess.timers.remove(&token);
+                self.step(ctx, ManagerEvent::Timeout { token });
+            }
+            _ => {}
         }
-        self.sess.timers.remove(&tag);
-        self.step(ctx, ManagerEvent::Timeout { token: tag });
     }
 
     fn on_crash(&mut self, _now: SimTime) {
@@ -227,7 +228,7 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ManagerActor<M> {
         self.host.crash();
     }
 
-    fn on_restart(&mut self, ctx: &mut Context<'_, Wire<M>>) {
+    fn on_restart(&mut self, ctx: &mut Ctx<'_, M, K>) {
         self.restores += 1;
         // Carry the planner out of the dead core (planners are deterministic
         // and stateless with respect to protocol progress, so reuse is
@@ -241,14 +242,12 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ManagerActor<M> {
         // If the request had not yet fired (its arming timer died with the
         // crash), re-arm it for the originally scheduled instant; trigger
         // mode just keeps waiting for the application predicate.
-        if self.request.is_some() && self.trigger.is_none() {
-            let due = self.request_delay.as_micros();
-            let now = ctx.now().as_micros();
-            if due > now {
-                ctx.set_timer(SimDuration::from_micros(due - now), TAG_REQUEST);
-            } else {
-                self.fire_request(ctx);
-            }
+        let at = SimTime::ZERO + self.request_delay;
+        if self.request.is_some()
+            && self.trigger.is_none()
+            && !ctx.set_timer_at(at, ProtoTimer::Request)
+        {
+            self.fire_request(ctx);
         }
     }
 }
@@ -280,14 +279,6 @@ impl Default for AgentTiming {
         }
     }
 }
-
-// Timer tags: the safe state reached, the in-action done, full operation
-// restored, a rollback done, and the host's rejoin ladder.
-const TAG_SAFE: u64 = 1;
-const TAG_ACT: u64 = 2;
-const TAG_RESUME: u64 = 3;
-const TAG_ROLLBACK: u64 = 4;
-const TAG_REJOIN: u64 = 5;
 
 /// A process whose local adaptation behaviour is scripted: it reaches its
 /// safe state, performs in-actions, resumes and rolls back after fixed
@@ -335,28 +326,28 @@ struct AgentEnv {
 }
 
 impl AgentEnv {
-    fn uplink(&self) -> Uplink<'_> {
-        Uplink { manager: self.manager, bus: &self.bus, rejoin_tag: TAG_REJOIN }
+    fn uplink<K>(&self) -> Uplink<'_, ProtoTimer<K>> {
+        Uplink { manager: self.manager, bus: &self.bus, rejoin: ProtoTimer::Rejoin }
     }
 
     /// Schedules the local work: each piece completes when its timer fires
     /// (`on_timer`), which reads what it completes off the core.
-    fn arm<M>(&self, ctx: &mut Context<'_, Wire<M>>, work: AgentEffect) -> Option<AgentEvent> {
+    fn arm<M, K>(&self, ctx: &mut Ctx<'_, M, K>, work: AgentEffect) -> Option<AgentEvent> {
         let t = &self.timing;
-        let (delay, tag) = match work {
+        let (delay, timer) = match work {
             // Reaching the safe state takes time — more when the global
             // safe condition demands draining; a fail-to-reset agent
             // discovers after the same delay that it cannot.
             AgentEffect::BeginReset(la) if la.needs_global_drain => {
-                (t.safe_delay + t.drain_extra, TAG_SAFE)
+                (t.safe_delay + t.drain_extra, ProtoTimer::Safe)
             }
-            AgentEffect::BeginReset(_) => (t.safe_delay, TAG_SAFE),
-            AgentEffect::DoInAction(_) => (t.act_delay, TAG_ACT),
-            AgentEffect::DoResume => (t.resume_delay, TAG_RESUME),
+            AgentEffect::BeginReset(_) => (t.safe_delay, ProtoTimer::Safe),
+            AgentEffect::DoInAction(_) => (t.act_delay, ProtoTimer::Act),
+            AgentEffect::DoResume => (t.resume_delay, ProtoTimer::Resume),
             // `DoRollback`: the host hands over nothing else.
-            _ => (t.rollback_delay, TAG_ROLLBACK),
+            _ => (t.rollback_delay, ProtoTimer::Rollback),
         };
-        ctx.set_timer(delay, tag);
+        ctx.set_timer(delay, timer);
         None
     }
 }
@@ -387,8 +378,8 @@ impl ScriptedAgent {
     }
 }
 
-impl<M: Clone + 'static> Actor<Wire<M>> for ScriptedAgent {
-    fn on_message(&mut self, ctx: &mut Context<'_, Wire<M>>, _from: ActorId, msg: Wire<M>) {
+impl<M: Clone + 'static, K: Timer> Actor<Wire<M>, ProtoTimer<K>> for ScriptedAgent {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, M, K>, _from: ActorId, msg: Wire<M>) {
         if let Wire::Proto { epoch, session, msg } = msg {
             let env = &*self.env;
             self.host.on_message(ctx, env.uplink(), epoch, session, msg, |ctx, _, work| {
@@ -408,17 +399,17 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ScriptedAgent {
         }
     }
 
-    fn on_restart(&mut self, ctx: &mut Context<'_, Wire<M>>) {
+    fn on_restart(&mut self, ctx: &mut Ctx<'_, M, K>) {
         self.host.restart(ctx, self.env.uplink());
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, Wire<M>>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, M, K>, timer: ProtoTimer<K>) {
         let core = self.host.core();
-        let ev = match tag {
-            TAG_REJOIN => return self.host.rejoin_due(ctx, self.env.uplink()),
-            TAG_SAFE if self.fail_to_reset => AgentEvent::CannotReset,
-            TAG_SAFE => AgentEvent::SafeReached,
-            TAG_ACT => {
+        let ev = match timer {
+            ProtoTimer::Rejoin => return self.host.rejoin_due(ctx, self.env.uplink()),
+            ProtoTimer::Safe if self.fail_to_reset => AgentEvent::CannotReset,
+            ProtoTimer::Safe => AgentEvent::SafeReached,
+            ProtoTimer::Act => {
                 // The structural change happens exactly here — atomically
                 // with respect to the (blocked) data path — unless a
                 // rollback or a new attempt overtook it and cancelled it.
@@ -427,8 +418,8 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ScriptedAgent {
                 }
                 AgentEvent::InActionDone
             }
-            TAG_RESUME => AgentEvent::ResumeFinished,
-            TAG_ROLLBACK => {
+            ProtoTimer::Resume => AgentEvent::ResumeFinished,
+            ProtoTimer::Rollback => {
                 // A forward change that was applied is undone here.
                 if let Some(la) = core.uncommitted_action() {
                     self.applied.push((la.action, false));

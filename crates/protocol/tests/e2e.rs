@@ -7,13 +7,15 @@ use std::collections::HashSet;
 use sada_expr::{Config, InvariantSet, Universe};
 use sada_model::SystemModel;
 use sada_plan::{Action, ActionId, Search};
-use sada_proto::{AgentTiming, ManagerActor, ProtoTiming, ScriptedAgent, SearchPlanner, Wire};
+use sada_proto::{
+    AgentTiming, ManagerActor, ProtoTimer, ProtoTiming, ScriptedAgent, SearchPlanner, Wire,
+};
 use sada_simnet::{ActorId, LinkConfig, SimDuration, Simulator};
 
 type Msg = Wire<()>;
 
 struct World {
-    sim: Simulator<Msg>,
+    sim: Simulator<Msg, ProtoTimer>,
     manager: ActorId,
     agents: Vec<ActorId>,
     universe: Universe,
@@ -50,7 +52,7 @@ fn build_world(seed: u64, source: &[&str], target: &[&str], timing: ProtoTiming)
     let drain: HashSet<ActionId> = [ActionId(2)].into();
     let planner = SearchPlanner::new(search, model, drain);
 
-    let mut sim: Simulator<Msg> = Simulator::new(seed);
+    let mut sim: Simulator<Msg, ProtoTimer> = Simulator::new(seed);
     // Agents must exist before the manager so their ids are known.
     let a0 = sim
         .add_actor("agent-x", ScriptedAgent::new(ActorId::from_index(2), AgentTiming::default()));
@@ -70,7 +72,7 @@ fn build_world(seed: u64, source: &[&str], target: &[&str], timing: ProtoTiming)
     World { sim, manager, agents: vec![a0, a1], universe: u }
 }
 
-fn outcome_of(world: &Simulator<Msg>, manager: ActorId) -> sada_proto::Outcome {
+fn outcome_of(world: &Simulator<Msg, ProtoTimer>, manager: ActorId) -> sada_proto::Outcome {
     world
         .actor::<ManagerActor<()>>(manager)
         .expect("manager actor")
@@ -82,7 +84,7 @@ fn outcome_of(world: &Simulator<Msg>, manager: ActorId) -> sada_proto::Outcome {
 /// Final config implied by the actions the agents actually applied.
 fn replay_applied(
     _u: &Universe,
-    world: &Simulator<Msg>,
+    world: &Simulator<Msg, ProtoTimer>,
     agents: &[ActorId],
     actions: &[Action],
     start: &Config,
@@ -299,7 +301,7 @@ fn pair_action_blocks_both_agents_until_barrier() {
     model.place_all(&u, &[("X1", p0), ("X2", p0), ("Y1", p1), ("Y2", p1)]);
     let planner = SearchPlanner::new(search, model, [ActionId(0)].into());
 
-    let mut sim: Simulator<Msg> = Simulator::new(11);
+    let mut sim: Simulator<Msg, ProtoTimer> = Simulator::new(11);
     // Agent 1 is slow to reach its safe state; agent 0 must wait blocked.
     let fast = AgentTiming::default();
     let slow = AgentTiming { safe_delay: SimDuration::from_millis(50), ..AgentTiming::default() };
@@ -357,7 +359,7 @@ fn rollback_overtaking_the_in_action_leaves_no_change_behind() {
                 if drain { [ActionId(0)].into() } else { HashSet::new() };
             let planner = SearchPlanner::new(search, model, drains);
 
-            let mut sim: Simulator<Msg> = Simulator::new(1);
+            let mut sim: Simulator<Msg, ProtoTimer> = Simulator::new(1);
             let y_timing = AgentTiming {
                 safe_delay: SimDuration::from_millis(y_safe_ms),
                 ..AgentTiming::default()

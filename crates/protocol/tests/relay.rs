@@ -6,7 +6,8 @@ use sada_expr::{InvariantSet, Universe};
 use sada_model::SystemModel;
 use sada_plan::{Action, Search};
 use sada_proto::{
-    AgentTiming, ManagerActor, ProtoTiming, RelayActor, ScriptedAgent, SearchPlanner, Wire,
+    AgentTiming, ManagerActor, ProtoTimer, ProtoTiming, RelayActor, ScriptedAgent, SearchPlanner,
+    Wire,
 };
 use sada_simnet::{LinkConfig, SimDuration, Simulator};
 use std::collections::HashSet;
@@ -30,7 +31,7 @@ fn planner() -> (Universe, SearchPlanner) {
 #[test]
 fn adaptation_succeeds_over_a_two_hop_tree() {
     let (u, planner) = planner();
-    let mut sim: Simulator<Msg> = Simulator::new(3);
+    let mut sim: Simulator<Msg, ProtoTimer> = Simulator::new(3);
     sim.set_default_link(LinkConfig::reliable(SimDuration::from_millis(4)));
     // Topology: manager(2) <-> relay(1) <-> agent(0).
     let agent = sim.add_actor(
@@ -62,7 +63,7 @@ fn adaptation_succeeds_over_a_two_hop_tree() {
 
 #[test]
 fn relay_ignores_unrelated_sources_and_app_traffic() {
-    let mut sim: Simulator<Msg> = Simulator::new(0);
+    let mut sim: Simulator<Msg, ProtoTimer> = Simulator::new(0);
     let sink = sim.add_actor(
         "sink",
         ScriptedAgent::new(sada_simnet::ActorId::from_index(9), AgentTiming::default()),
@@ -97,7 +98,7 @@ fn relay_forwards_reconciliation_probes_and_reports() {
     // A restored manager's QueryState/StateReport round is ordinary
     // protocol traffic: it must traverse spanning-tree edges unchanged,
     // or a manager behind a relay could never reconcile after failover.
-    let mut sim: Simulator<Msg> = Simulator::new(0);
+    let mut sim: Simulator<Msg, ProtoTimer> = Simulator::new(0);
     let down = sim.add_actor(
         "down",
         ScriptedAgent::new(sada_simnet::ActorId::from_index(9), AgentTiming::default()),
@@ -143,7 +144,7 @@ fn deep_chains_still_converge_within_timeouts() {
     // manager <-> r1 <-> r2 <-> r3 <-> agent, 4 hops each way at 4ms:
     // well under the 200ms phase timeout.
     let (u, planner) = planner();
-    let mut sim: Simulator<Msg> = Simulator::new(5);
+    let mut sim: Simulator<Msg, ProtoTimer> = Simulator::new(5);
     sim.set_default_link(LinkConfig::reliable(SimDuration::from_millis(4)));
     let id = sada_simnet::ActorId::from_index;
     let agent = sim.add_actor("agent", ScriptedAgent::new(id(1), AgentTiming::default())); // 0
@@ -177,7 +178,7 @@ fn shrunken_retry_base_over_a_deep_chain_retransmits_but_applies_once() {
     // of the action, with no duplicate effects.
     use sada_resilience::RetryPolicy;
     let (u, planner) = planner();
-    let mut sim: Simulator<Msg> = Simulator::new(5);
+    let mut sim: Simulator<Msg, ProtoTimer> = Simulator::new(5);
     sim.set_default_link(LinkConfig::reliable(SimDuration::from_millis(4)));
     let id = sada_simnet::ActorId::from_index;
     let agent = sim.add_actor("agent", ScriptedAgent::new(id(1), AgentTiming::default())); // 0

@@ -1,6 +1,7 @@
 //! Actors and their interaction surface with the simulator.
 
 use std::any::Any;
+use std::convert::Infallible;
 use std::fmt;
 
 use crate::sim::GroupId;
@@ -40,6 +41,31 @@ impl fmt::Display for ActorId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(pub(crate) u64);
 
+/// What an actor arms a timer with and is handed back when it fires.
+///
+/// A simulator picks one timer type, as it picks one message type, and an
+/// actor's timer kinds are values of it: an enum of what the actor waits
+/// for, not a number it decodes. The simulator reads one thing off a
+/// timer, its [`Timer::tag`], the `u64` a `net.timer` event carries.
+pub trait Timer: Copy + Eq + fmt::Debug + 'static {
+    /// The number a `net.timer` event renders this timer as.
+    fn tag(&self) -> u64;
+}
+
+/// A bare number is its own tag.
+impl Timer for u64 {
+    fn tag(&self) -> u64 {
+        *self
+    }
+}
+
+/// No timer at all: the kinds of an actor family that has none of its own.
+impl Timer for Infallible {
+    fn tag(&self) -> u64 {
+        match *self {}
+    }
+}
+
 /// Upcast support so `dyn Actor` state can be inspected after a run.
 ///
 /// Blanket-implemented for every `'static` type; user code never implements
@@ -66,21 +92,20 @@ impl<T: Any> AsAny for T {
 /// and timer expiry. All interaction with the outside world goes through the
 /// [`Context`] passed to each callback; the callbacks themselves must not
 /// block (there is nothing to block on — time only advances between events).
-pub trait Actor<M>: AsAny {
+pub trait Actor<M, T = u64>: AsAny {
     /// Called once, at `SimTime::ZERO`, before any message flows.
-    fn on_start(&mut self, ctx: &mut Context<'_, M>) {
+    fn on_start(&mut self, ctx: &mut Context<'_, M, T>) {
         let _ = ctx;
     }
 
     /// Called when a message addressed to this actor is delivered.
-    fn on_message(&mut self, ctx: &mut Context<'_, M>, from: ActorId, msg: M);
+    fn on_message(&mut self, ctx: &mut Context<'_, M, T>, from: ActorId, msg: M);
 
-    /// Called when a timer set via [`Context::set_timer`] fires.
-    ///
-    /// `tag` is the value supplied when the timer was armed; cancelled timers
-    /// never fire.
-    fn on_timer(&mut self, ctx: &mut Context<'_, M>, tag: u64) {
-        let _ = (ctx, tag);
+    /// Called when a timer armed via [`Context::set_timer`] fires, with the
+    /// value it was armed with: the kind of timer and whatever it names. A
+    /// cancelled timer, or one armed before a crash, never fires.
+    fn on_timer(&mut self, ctx: &mut Context<'_, M, T>, timer: T) {
+        let _ = (ctx, timer);
     }
 
     /// Called when fault injection crashes this actor.
@@ -100,7 +125,7 @@ pub trait Actor<M>: AsAny {
     /// Defaults to re-running [`Actor::on_start`], which is right for
     /// stateless actors; recovery-aware actors override this to re-announce
     /// themselves instead of re-issuing their boot sequence.
-    fn on_restart(&mut self, ctx: &mut Context<'_, M>) {
+    fn on_restart(&mut self, ctx: &mut Context<'_, M, T>) {
         self.on_start(ctx);
     }
 }
@@ -119,18 +144,19 @@ pub trait Actor<M>: AsAny {
 /// [`Actor`], made when first touched, so the actor's state machine is
 /// written once and the arena only changes where it lives and when it is
 /// paid for. Implement the trait by hand only for a layout it cannot give.
-pub trait ArenaActor<M>: AsAny {
+pub trait ArenaActor<M, T = u64>: AsAny {
     /// Called once per member, at `SimTime::ZERO`, before any message flows.
-    fn on_start(&mut self, member: u32, ctx: &mut Context<'_, M>) {
+    fn on_start(&mut self, member: u32, ctx: &mut Context<'_, M, T>) {
         let _ = (member, ctx);
     }
 
     /// Called when a message addressed to `member` is delivered.
-    fn on_message(&mut self, member: u32, ctx: &mut Context<'_, M>, from: ActorId, msg: M);
+    fn on_message(&mut self, member: u32, ctx: &mut Context<'_, M, T>, from: ActorId, msg: M);
 
-    /// Called when a timer armed by `member` fires.
-    fn on_timer(&mut self, member: u32, ctx: &mut Context<'_, M>, tag: u64) {
-        let _ = (member, ctx, tag);
+    /// Called when a timer armed by `member` fires, with the value it was
+    /// armed with (see [`Actor::on_timer`]).
+    fn on_timer(&mut self, member: u32, ctx: &mut Context<'_, M, T>, timer: T) {
+        let _ = (member, ctx, timer);
     }
 
     /// Called when fault injection crashes `member` (no [`Context`]: a dead
@@ -141,7 +167,7 @@ pub trait ArenaActor<M>: AsAny {
 
     /// Called when fault injection restarts `member` after a crash.
     /// Defaults to re-running [`ArenaActor::on_start`] for that member.
-    fn on_restart(&mut self, member: u32, ctx: &mut Context<'_, M>) {
+    fn on_restart(&mut self, member: u32, ctx: &mut Context<'_, M, T>) {
         self.on_start(member, ctx);
     }
 }
@@ -177,9 +203,9 @@ impl<A: Clone> CloneArena<A> {
     /// If `on_start` of a scratch clone of `prototype` asks for a send or a
     /// timer (a member cloned on demand never starts), or if a supplied
     /// member is not below `len`.
-    pub fn new<M>(prototype: A, len: u32, supplied: Vec<(u32, A)>) -> Self
+    pub fn new<M, T>(prototype: A, len: u32, supplied: Vec<(u32, A)>) -> Self
     where
-        A: Actor<M>,
+        A: Actor<M, T>,
     {
         let (mut ops, mut next_timer) = (Vec::new(), 0);
         let mut ctx = Context {
@@ -231,8 +257,8 @@ impl<A: Clone> CloneArena<A> {
     }
 }
 
-impl<M, A: Actor<M> + Clone + 'static> ArenaActor<M> for CloneArena<A> {
-    fn on_start(&mut self, member: u32, ctx: &mut Context<'_, M>) {
+impl<M, T, A: Actor<M, T> + Clone + 'static> ArenaActor<M, T> for CloneArena<A> {
+    fn on_start(&mut self, member: u32, ctx: &mut Context<'_, M, T>) {
         // A member not yet cloned starts as the prototype, which asks for
         // nothing at start (checked at construction).
         let slot = self.slots[member as usize];
@@ -241,29 +267,29 @@ impl<M, A: Actor<M> + Clone + 'static> ArenaActor<M> for CloneArena<A> {
         }
     }
 
-    fn on_message(&mut self, member: u32, ctx: &mut Context<'_, M>, from: ActorId, msg: M) {
+    fn on_message(&mut self, member: u32, ctx: &mut Context<'_, M, T>, from: ActorId, msg: M) {
         self.touch(member).on_message(ctx, from, msg);
     }
 
-    fn on_timer(&mut self, member: u32, ctx: &mut Context<'_, M>, tag: u64) {
-        self.touch(member).on_timer(ctx, tag);
+    fn on_timer(&mut self, member: u32, ctx: &mut Context<'_, M, T>, timer: T) {
+        self.touch(member).on_timer(ctx, timer);
     }
 
     fn on_crash(&mut self, member: u32, now: SimTime) {
         self.touch(member).on_crash(now);
     }
 
-    fn on_restart(&mut self, member: u32, ctx: &mut Context<'_, M>) {
+    fn on_restart(&mut self, member: u32, ctx: &mut Context<'_, M, T>) {
         self.touch(member).on_restart(ctx);
     }
 }
 
 /// Deferred side effects produced by an actor callback.
 #[derive(Debug)]
-pub(crate) enum Op<M> {
+pub(crate) enum Op<M, T> {
     Send { to: ActorId, msg: M },
     Multicast { group: GroupId, msg: M },
-    SetTimer { id: TimerId, delay: SimDuration, tag: u64 },
+    SetTimer { id: TimerId, delay: SimDuration, timer: T },
     CancelTimer { id: TimerId },
 }
 
@@ -271,14 +297,14 @@ pub(crate) enum Op<M> {
 ///
 /// Effects requested through the context (sends, timers) are applied by the
 /// simulator *after* the callback returns, in request order.
-pub struct Context<'a, M> {
+pub struct Context<'a, M, T = u64> {
     pub(crate) self_id: ActorId,
     pub(crate) now: SimTime,
-    pub(crate) ops: &'a mut Vec<Op<M>>,
+    pub(crate) ops: &'a mut Vec<Op<M, T>>,
     pub(crate) next_timer: &'a mut u64,
 }
 
-impl<'a, M> Context<'a, M> {
+impl<'a, M, T> Context<'a, M, T> {
     /// The id of the actor whose callback is running.
     pub fn self_id(&self) -> ActorId {
         self.self_id
@@ -302,14 +328,26 @@ impl<'a, M> Context<'a, M> {
         self.ops.push(Op::Multicast { group, msg });
     }
 
-    /// Arms a one-shot timer that fires `delay` from now with `tag`.
+    /// Arms a one-shot timer that fires `delay` from now and hands `timer`
+    /// back to this actor's `on_timer`. The value says which of the actor's
+    /// timer kinds it is, and carries what that kind names.
     ///
     /// Returns a [`TimerId`] that can be passed to [`Context::cancel_timer`].
-    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
+    pub fn set_timer(&mut self, delay: SimDuration, timer: T) -> TimerId {
         let id = TimerId(*self.next_timer);
         *self.next_timer += 1;
-        self.ops.push(Op::SetTimer { id, delay, tag });
+        self.ops.push(Op::SetTimer { id, delay, timer });
         id
+    }
+
+    /// Arms `timer` to fire at the instant `at` if that is still ahead, and
+    /// returns whether it did; `false` means `at` is due now.
+    pub fn set_timer_at(&mut self, at: SimTime, timer: T) -> bool {
+        let ahead = at > self.now;
+        if ahead {
+            self.set_timer(at - self.now, timer);
+        }
+        ahead
     }
 
     /// Cancels a pending timer. Cancelling an already-fired or unknown timer

@@ -16,7 +16,9 @@
 //! * Actors communicate by sending messages over directed links configured
 //!   with latency, jitter and loss probability ([`LinkConfig`]), or to
 //!   multicast groups.
-//! * Actors set one-shot timers and are woken with a caller-chosen tag.
+//! * Actors set one-shot timers and are woken with the value they armed:
+//!   a simulator picks one [`Timer`] type, as it picks one message type,
+//!   and a `net.timer` event renders a timer as its [`Timer::tag`].
 //! * A run of ids can share one [`ArenaActor`]. The stock arena,
 //!   [`CloneArena`], clones a member from one prototype when a message,
 //!   timer, crash or restart first reaches it; until then the member costs
@@ -72,7 +74,7 @@ mod link;
 mod sim;
 mod wheel;
 
-pub use actor::{Actor, ActorId, ArenaActor, AsAny, CloneArena, Context, TimerId};
+pub use actor::{Actor, ActorId, ArenaActor, AsAny, CloneArena, Context, Timer, TimerId};
 pub use fault::{chaos, ChaosOpts, Fault, FaultPlan, MsgPattern};
 pub use link::LinkConfig;
 pub use sim::{ArenaId, GroupId, NetStats, Simulator};

@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 
 use sada_obs::{Bus, Event as ObsEvent, NetEvent, Payload, SimDuration, SimTime};
 
-use crate::actor::{Actor, ActorId, ArenaActor, Context, Op, TimerId};
+use crate::actor::{Actor, ActorId, ArenaActor, Context, Op, Timer, TimerId};
 use crate::fault::{Fault, FaultPlan, MsgPattern};
 use crate::link::LinkConfig;
 use crate::wheel::TimerWheel;
@@ -56,20 +56,20 @@ struct DropRule {
     spent: bool,
 }
 
-enum EventKind<M> {
+enum EventKind<M, T> {
     // `inc` stamps Deliver with the *target's* incarnation at route time and
     // Timer with the *owner's* incarnation at arm time: a crash bumps the
     // incarnation, so everything in flight toward the old incarnation is
     // discarded at dispatch — even if the actor restarted in the meantime.
     Deliver { from: ActorId, to: ActorId, inc: u32, msg: M },
-    Timer { owner: ActorId, id: TimerId, inc: u32, tag: u64 },
+    Timer { owner: ActorId, id: TimerId, inc: u32, timer: T },
     Fault(FaultAction),
 }
 
 /// What stands behind a run of consecutive [`ActorId`]s.
-enum Backing<M> {
+enum Backing<M, T> {
     /// One boxed actor (a run of one id).
-    Solo(Option<Box<dyn Actor<M>>>),
+    Solo(Option<Box<dyn Actor<M, T>>>),
     /// Consecutive members of one [`ArenaActor`], from `first_member` up.
     Members { arena: u32, first_member: u32 },
     /// Nothing. A vacant id is addressable and allocates nothing; whatever
@@ -80,13 +80,13 @@ enum Backing<M> {
 
 /// A run of consecutive ids `[first_id, end)` backed one way, registered
 /// under one name. The extents of a simulator ascend and tile its id space.
-struct Extent<M> {
+struct Extent<M, T> {
     first_id: u32,
     end: u32,
     /// Hosted slot of `first_id` — the index into the per-actor tables,
     /// which hold hosted actors only, densely (unused when vacant).
     first_slot: u32,
-    backing: Backing<M>,
+    backing: Backing<M, T>,
 }
 
 /// Where a hosted id lives: its extent, and its slot in the per-actor
@@ -98,27 +98,28 @@ struct Loc {
 }
 
 /// An actor checked out of its extent for the duration of one callback.
-enum Taken<M> {
-    Solo(Box<dyn Actor<M>>),
-    Arena(Box<dyn ArenaActor<M>>, u32, u32),
+enum Taken<M, T> {
+    Solo(Box<dyn Actor<M, T>>),
+    Arena(Box<dyn ArenaActor<M, T>>, u32, u32),
 }
 
 /// Measures a message's wire size for the bandwidth model.
 type Sizer<M> = Box<dyn Fn(&M) -> usize>;
 
-/// A deterministic discrete-event simulator over message type `M`.
+/// A deterministic discrete-event simulator over message type `M` and
+/// timer type `T`.
 ///
 /// All nondeterminism (loss, jitter) flows from the single seed passed to
 /// [`Simulator::new`], and simultaneous events are ordered by creation
 /// sequence, so a run is a pure function of `(seed, actors, inputs)`.
-pub struct Simulator<M> {
+pub struct Simulator<M, T = u64> {
     now: SimTime,
     seq: u64,
-    queue: TimerWheel<EventKind<M>>,
+    queue: TimerWheel<EventKind<M, T>>,
     /// The id table: what a plane does not host costs one vacant extent,
     /// not a slot per id.
-    extents: Vec<Extent<M>>,
-    arenas: Vec<Option<Box<dyn ArenaActor<M>>>>,
+    extents: Vec<Extent<M, T>>,
+    arenas: Vec<Option<Box<dyn ArenaActor<M, T>>>>,
     /// Runs of hosted ids not yet started, in registration order, so
     /// `ensure_started` is O(new actors) instead of a full scan per step.
     unstarted: Vec<Range<u32>>,
@@ -141,7 +142,7 @@ pub struct Simulator<M> {
     delay_bursts: Vec<(SimTime, SimTime, SimDuration)>,
 }
 
-impl<M: Clone + 'static> Simulator<M> {
+impl<M: Clone + 'static, T: Timer> Simulator<M, T> {
     /// Creates an empty simulator seeded with `seed`.
     pub fn new(seed: u64) -> Self {
         Simulator {
@@ -174,12 +175,12 @@ impl<M: Clone + 'static> Simulator<M> {
     ///
     /// `on_start` runs when the simulation first runs (or immediately, at the
     /// current virtual time, if the run already began).
-    pub fn add_actor<A: Actor<M> + 'static>(&mut self, _name: &str, actor: A) -> ActorId {
+    pub fn add_actor<A: Actor<M, T> + 'static>(&mut self, _name: &str, actor: A) -> ActorId {
         self.register(1, Backing::Solo(Some(Box::new(actor))))
     }
 
     /// Appends an extent of `count` ids and returns the first of them.
-    fn register(&mut self, count: u32, backing: Backing<M>) -> ActorId {
+    fn register(&mut self, count: u32, backing: Backing<M, T>) -> ActorId {
         let first_id = self.extents.last().map_or(0, |e| e.end);
         let end = first_id.checked_add(count).expect("actor ids are u32");
         let first_slot = self.incarnation.len() as u32;
@@ -197,7 +198,7 @@ impl<M: Clone + 'static> Simulator<M> {
     /// [`CloneArena`](crate::CloneArena)); members are added with
     /// [`Simulator::add_arena_members`]. The arena itself has no id on the
     /// wire — only its members do.
-    pub fn add_arena<A: ArenaActor<M> + 'static>(&mut self, arena: A) -> ArenaId {
+    pub fn add_arena<A: ArenaActor<M, T> + 'static>(&mut self, arena: A) -> ArenaId {
         let id = ArenaId(self.arenas.len() as u32);
         self.arenas.push(Some(Box::new(arena)));
         id
@@ -245,10 +246,10 @@ impl<M: Clone + 'static> Simulator<M> {
     ///
     /// Returns `None` if `member` is not an arena member, the arena is
     /// mid-callback, or its concrete type is not `T`.
-    pub fn arena<T: ArenaActor<M> + 'static>(&self, member: ActorId) -> Option<&T> {
+    pub fn arena<A: ArenaActor<M, T> + 'static>(&self, member: ActorId) -> Option<&A> {
         match self.extents[self.locate(member)?.extent].backing {
             Backing::Members { arena, .. } => {
-                self.arenas[arena as usize].as_ref()?.as_any().downcast_ref::<T>()
+                self.arenas[arena as usize].as_ref()?.as_any().downcast_ref::<A>()
             }
             Backing::Solo(_) | Backing::Vacant => None,
         }
@@ -263,18 +264,18 @@ impl<M: Clone + 'static> Simulator<M> {
     ///
     /// Returns `None` if the id is unknown, the actor is mid-callback, or the
     /// concrete type is not `T`.
-    pub fn actor<T: Actor<M> + 'static>(&self, id: ActorId) -> Option<&T> {
+    pub fn actor<A: Actor<M, T> + 'static>(&self, id: ActorId) -> Option<&A> {
         match &self.extents[self.locate(id)?.extent].backing {
-            Backing::Solo(actor) => actor.as_ref()?.as_any().downcast_ref::<T>(),
+            Backing::Solo(actor) => actor.as_ref()?.as_any().downcast_ref::<A>(),
             Backing::Members { .. } | Backing::Vacant => None,
         }
     }
 
     /// Mutable, downcast access to an actor's state.
-    pub fn actor_mut<T: Actor<M> + 'static>(&mut self, id: ActorId) -> Option<&mut T> {
+    pub fn actor_mut<A: Actor<M, T> + 'static>(&mut self, id: ActorId) -> Option<&mut A> {
         let extent = self.locate(id)?.extent;
         match &mut self.extents[extent].backing {
-            Backing::Solo(actor) => actor.as_mut()?.as_any_mut().downcast_mut::<T>(),
+            Backing::Solo(actor) => actor.as_mut()?.as_any_mut().downcast_mut::<A>(),
             Backing::Members { .. } | Backing::Vacant => None,
         }
     }
@@ -282,7 +283,7 @@ impl<M: Clone + 'static> Simulator<M> {
     /// Checks the actor at `id` (hosted at `loc`) out for one callback;
     /// arena members check out their whole arena (put back before the next
     /// dispatch).
-    fn take_actor(&mut self, id: ActorId, loc: Loc) -> Option<Taken<M>> {
+    fn take_actor(&mut self, id: ActorId, loc: Loc) -> Option<Taken<M, T>> {
         let e = &mut self.extents[loc.extent];
         match &mut e.backing {
             Backing::Solo(actor) => actor.take().map(Taken::Solo),
@@ -294,7 +295,7 @@ impl<M: Clone + 'static> Simulator<M> {
         }
     }
 
-    fn put_back(&mut self, loc: Loc, taken: Taken<M>) {
+    fn put_back(&mut self, loc: Loc, taken: Taken<M, T>) {
         match taken {
             Taken::Solo(boxed) => {
                 if let Backing::Solo(actor) = &mut self.extents[loc.extent].backing {
@@ -312,8 +313,8 @@ impl<M: Clone + 'static> Simulator<M> {
         &mut self,
         id: ActorId,
         loc: Loc,
-        mut taken: Taken<M>,
-        call: impl FnOnce(&mut Taken<M>, &mut Context<'_, M>),
+        mut taken: Taken<M, T>,
+        call: impl FnOnce(&mut Taken<M, T>, &mut Context<'_, M, T>),
     ) {
         self.flush_net();
         let mut ops = Vec::new();
@@ -512,7 +513,7 @@ impl<M: Clone + 'static> Simulator<M> {
         }
     }
 
-    fn push_event(&mut self, at: SimTime, kind: EventKind<M>) {
+    fn push_event(&mut self, at: SimTime, kind: EventKind<M, T>) {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(at.as_micros(), seq, kind);
@@ -536,7 +537,7 @@ impl<M: Clone + 'static> Simulator<M> {
         self.flush_net();
     }
 
-    fn apply_ops(&mut self, from: ActorId, from_slot: usize, ops: Vec<Op<M>>) {
+    fn apply_ops(&mut self, from: ActorId, from_slot: usize, ops: Vec<Op<M, T>>) {
         for op in ops {
             match op {
                 Op::Send { to, msg } => self.route(from, to, msg),
@@ -548,10 +549,10 @@ impl<M: Clone + 'static> Simulator<M> {
                         }
                     }
                 }
-                Op::SetTimer { id, delay, tag } => {
+                Op::SetTimer { id, delay, timer } => {
                     let at = self.now + delay;
                     let inc = self.incarnation[from_slot];
-                    self.push_event(at, EventKind::Timer { owner: from, id, inc, tag });
+                    self.push_event(at, EventKind::Timer { owner: from, id, inc, timer });
                 }
                 Op::CancelTimer { id } => {
                     self.cancelled.insert(id);
@@ -687,7 +688,7 @@ impl<M: Clone + 'static> Simulator<M> {
                 // New actors may have been created? (not supported mid-run)
                 self.ensure_started();
             }
-            EventKind::Timer { owner, id, inc, tag } => {
+            EventKind::Timer { owner, id, inc, timer } => {
                 if self.cancelled.remove(&id) {
                     return true;
                 }
@@ -701,10 +702,10 @@ impl<M: Clone + 'static> Simulator<M> {
                     None => return true,
                 };
                 self.stats.timers_fired += 1;
-                self.emit_net(owner, NetEvent::TimerFired { tag });
+                self.emit_net(owner, NetEvent::TimerFired { tag: timer.tag() });
                 self.dispatch(owner, loc, taken, |taken, ctx| match taken {
-                    Taken::Solo(a) => a.on_timer(ctx, tag),
-                    Taken::Arena(a, _, m) => a.on_timer(*m, ctx, tag),
+                    Taken::Solo(a) => a.on_timer(ctx, timer),
+                    Taken::Arena(a, _, m) => a.on_timer(*m, ctx, timer),
                 });
             }
             EventKind::Fault(action) => self.apply_fault(action),
@@ -800,7 +801,7 @@ impl<M: Clone + 'static> Simulator<M> {
     }
 }
 
-impl<M: 'static> std::fmt::Debug for Simulator<M> {
+impl<M: 'static, T> std::fmt::Debug for Simulator<M, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
             .field("now", &self.now)

@@ -6,10 +6,11 @@ use std::collections::HashMap;
 use sada_expr::{CompId, Universe};
 use sada_meta::{FilterChain, Packet};
 use sada_obs::Bus;
+use sada_proto::ProtoTimer::App;
 use sada_proto::{
-    AgentCore, AgentEffect, AgentEvent, AgentHost, LocalAction, StepId, Uplink, Wire,
+    AgentCore, AgentEffect, AgentEvent, AgentHost, LocalAction, ProtoTimer, StepId, Uplink, Wire,
 };
-use sada_simnet::{Actor, ActorId, Context, GroupId, SimDuration, SimTime, TimerId};
+use sada_simnet::{Actor, ActorId, Context, GroupId, SimDuration, SimTime, Timer, TimerId};
 
 use crate::audit_log::AuditShared;
 use crate::catalog::{apply_local_action, designated_decoder, make_filter};
@@ -78,10 +79,30 @@ pub enum AppMsg {
 /// The message type of the video world.
 pub type VideoWire = Wire<AppMsg>;
 
-const TAG_FRAME: u64 = 100;
-const TAG_DRAIN: u64 = 101;
-const TAG_REPORT: u64 = 102;
-const TAG_REJOIN: u64 = 103;
+/// A video process's own timer kinds: the server's frame clock, a client's
+/// drain fallback and loss report, and a video agent's rejoin ladder. The
+/// video world's simulator runs them as the [`ProtoTimer::App`] kinds
+/// beside the protocol's own (the manager's).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VideoTimer {
+    /// The server captures its next frame.
+    Frame = 100,
+    /// A client stops waiting for the drain mark.
+    Drain = 101,
+    /// A client reports its loss telemetry.
+    Report = 102,
+    /// A video agent's rejoin announcement is due.
+    Rejoin = 103,
+}
+
+impl Timer for VideoTimer {
+    fn tag(&self) -> u64 {
+        *self as u64
+    }
+}
+
+/// The callback context of a video process.
+type Ctx<'a> = Context<'a, VideoWire, ProtoTimer<VideoTimer>>;
 
 /// The change a baseline strategy applies, outside any planned action.
 fn baseline_action(removes: Vec<CompId>, adds: Vec<CompId>) -> LocalAction {
@@ -91,9 +112,9 @@ fn baseline_action(removes: Vec<CompId>, adds: Vec<CompId>) -> LocalAction {
 
 /// Where a video process's agent host reaches: the manager (wired after
 /// registration) and the run's bus.
-fn uplink(manager: Option<ActorId>, bus: &Bus) -> Uplink<'_> {
+fn uplink(manager: Option<ActorId>, bus: &Bus) -> Uplink<'_, ProtoTimer<VideoTimer>> {
     let manager = manager.expect("manager wired before protocol traffic");
-    Uplink { manager, bus, rejoin_tag: TAG_REJOIN }
+    Uplink { manager, bus, rejoin: App(VideoTimer::Rejoin) }
 }
 
 /// Aggregated server-side counters.
@@ -184,7 +205,7 @@ impl ServerActor {
         self.blocked = blocked;
     }
 
-    fn emit_frame(&mut self, ctx: &mut Context<'_, VideoWire>) {
+    fn emit_frame(&mut self, ctx: &mut Ctx<'_>) {
         let (no, frame) = self.source.next_frame();
         self.stats.frames_sent += 1;
         let (pkts, next) = fragment(0, self.next_seq, no, &frame, self.mtu);
@@ -219,7 +240,7 @@ impl ServerActor {
     /// the action needs it, swaps filters and unblocks.
     fn work(
         &mut self,
-        ctx: &mut Context<'_, VideoWire>,
+        ctx: &mut Ctx<'_>,
         core: &AgentCore,
         work: AgentEffect,
     ) -> Option<AgentEvent> {
@@ -258,7 +279,7 @@ impl ServerActor {
         })
     }
 
-    fn handle_ctl(&mut self, ctx: &mut Context<'_, VideoWire>, ctl: CtlMsg) {
+    fn handle_ctl(&mut self, ctx: &mut Ctx<'_>, ctl: CtlMsg) {
         match ctl {
             CtlMsg::NaiveSwap { removes, adds } => {
                 self.apply_structural(ctx.now(), &baseline_action(removes, adds), "naive-swap");
@@ -277,12 +298,12 @@ impl ServerActor {
     }
 }
 
-impl Actor<VideoWire> for ServerActor {
-    fn on_start(&mut self, ctx: &mut Context<'_, VideoWire>) {
-        ctx.set_timer(self.frame_period, TAG_FRAME);
+impl Actor<VideoWire, ProtoTimer<VideoTimer>> for ServerActor {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(self.frame_period, App(VideoTimer::Frame));
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, VideoWire>, _from: ActorId, msg: VideoWire) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ActorId, msg: VideoWire) {
         match msg {
             Wire::Proto { epoch, session, msg } => {
                 // The host is lent out while the rest of the process works.
@@ -298,8 +319,8 @@ impl Actor<VideoWire> for ServerActor {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, VideoWire>, tag: u64) {
-        if tag != TAG_FRAME {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: ProtoTimer<VideoTimer>) {
+        if timer != App(VideoTimer::Frame) {
             return;
         }
         if ctx.now() >= self.stream_end {
@@ -310,7 +331,7 @@ impl Actor<VideoWire> for ServerActor {
         } else {
             self.emit_frame(ctx);
         }
-        ctx.set_timer(self.frame_period, TAG_FRAME);
+        ctx.set_timer(self.frame_period, App(VideoTimer::Frame));
     }
 }
 
@@ -440,7 +461,7 @@ impl ClientActor {
 
     /// The drain completed: block, and hand the safe state to the agent
     /// host, which is lent out while the rest of the process works.
-    fn finish_reset(&mut self, ctx: &mut Context<'_, VideoWire>) {
+    fn finish_reset(&mut self, ctx: &mut Ctx<'_>) {
         self.resetting_drain = None;
         if let Some(t) = self.drain_fallback.take() {
             ctx.cancel_timer(t);
@@ -466,7 +487,7 @@ impl ClientActor {
     /// until the drain completes; it swaps filters and unblocks on the spot.
     fn work(
         &mut self,
-        ctx: &mut Context<'_, VideoWire>,
+        ctx: &mut Ctx<'_>,
         core: &AgentCore,
         work: AgentEffect,
     ) -> Option<AgentEvent> {
@@ -477,7 +498,8 @@ impl ClientActor {
                 // conservative fallback window) tells us every in-flight
                 // packet has been processed.
                 self.resetting_drain = core.current_step();
-                self.drain_fallback = Some(ctx.set_timer(self.drain_window, TAG_DRAIN));
+                self.drain_fallback =
+                    Some(ctx.set_timer(self.drain_window, App(VideoTimer::Drain)));
                 return None;
             }
             AgentEffect::BeginReset(_) => {
@@ -507,7 +529,7 @@ impl ClientActor {
         })
     }
 
-    fn handle_ctl(&mut self, ctx: &mut Context<'_, VideoWire>, ctl: CtlMsg) {
+    fn handle_ctl(&mut self, ctx: &mut Ctx<'_>, ctl: CtlMsg) {
         match ctl {
             CtlMsg::NaiveSwap { removes, adds } => {
                 self.apply_structural(ctx.now(), &baseline_action(removes, adds), "naive-swap");
@@ -528,14 +550,14 @@ impl ClientActor {
     }
 }
 
-impl Actor<VideoWire> for ClientActor {
-    fn on_start(&mut self, ctx: &mut Context<'_, VideoWire>) {
+impl Actor<VideoWire, ProtoTimer<VideoTimer>> for ClientActor {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         if self.monitor.is_some() {
-            ctx.set_timer(self.report_period, TAG_REPORT);
+            ctx.set_timer(self.report_period, App(VideoTimer::Report));
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, VideoWire>, _from: ActorId, msg: VideoWire) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ActorId, msg: VideoWire) {
         match msg {
             Wire::Proto { epoch, session, msg } => {
                 let (mut host, bus) = (std::mem::take(&mut self.host), self.audit.bus().clone());
@@ -600,7 +622,7 @@ impl Actor<VideoWire> for ClientActor {
         self.drain_fallback = None;
     }
 
-    fn on_restart(&mut self, ctx: &mut Context<'_, VideoWire>) {
+    fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
         // Segments opened for us while we were down belong to packets the
         // outage destroyed; adjudicate them lost *now*, before any re-run
         // in-action could falsely count them as interrupted.
@@ -610,19 +632,21 @@ impl Actor<VideoWire> for ClientActor {
         // The outage counted as blocked time; playback resumes now.
         self.note_unblock(ctx.now());
         if self.monitor.is_some() && ctx.now() < self.report_until {
-            ctx.set_timer(self.report_period, TAG_REPORT);
+            ctx.set_timer(self.report_period, App(VideoTimer::Report));
         }
         self.host.restart(ctx, uplink(self.manager, self.audit.bus()));
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, VideoWire>, tag: u64) {
-        match tag {
-            TAG_REJOIN => self.host.rejoin_due(ctx, uplink(self.manager, self.audit.bus())),
-            TAG_DRAIN if self.resetting_drain.is_some() => {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: ProtoTimer<VideoTimer>) {
+        match timer {
+            App(VideoTimer::Rejoin) => {
+                self.host.rejoin_due(ctx, uplink(self.manager, self.audit.bus()))
+            }
+            App(VideoTimer::Drain) if self.resetting_drain.is_some() => {
                 self.drain_fallback = None;
                 self.finish_reset(ctx);
             }
-            TAG_REPORT => {
+            App(VideoTimer::Report) => {
                 if let Some(monitor) = self.monitor {
                     ctx.send(
                         monitor,
@@ -633,7 +657,7 @@ impl Actor<VideoWire> for ClientActor {
                         }),
                     );
                     if ctx.now() < self.report_until {
-                        ctx.set_timer(self.report_period, TAG_REPORT);
+                        ctx.set_timer(self.report_period, App(VideoTimer::Report));
                     }
                 }
             }

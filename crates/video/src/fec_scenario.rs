@@ -13,10 +13,10 @@
 use sada_core::specfile::{parse_spec_file, CASE_STUDY_SPEC};
 use sada_core::AdaptationSpec;
 use sada_expr::Config;
-use sada_proto::{ManagerActor, Outcome, ProtoTiming};
+use sada_proto::{ManagerActor, Outcome, ProtoTimer, ProtoTiming};
 use sada_simnet::{ActorId, LinkConfig, SimDuration, SimTime, Simulator};
 
-use crate::actors::{AppMsg, ClientActor, ServerActor, VideoWire};
+use crate::actors::{AppMsg, ClientActor, ServerActor, VideoTimer, VideoWire};
 use crate::audit_log::AuditShared;
 use crate::monitor::LossMonitorActor;
 
@@ -115,7 +115,7 @@ pub fn run_fec_scenario(cfg: &FecScenarioConfig) -> FecReport {
 pub(crate) fn run_fec_on(cfg: &FecScenarioConfig, bus: sada_obs::Bus) -> FecReport {
     let (spec, source, target) = fec_spec();
     let audit = AuditShared::new(&bus, source.clone());
-    let mut sim: Simulator<VideoWire> = Simulator::new(cfg.seed);
+    let mut sim: Simulator<VideoWire, ProtoTimer<VideoTimer>> = Simulator::new(cfg.seed);
     sim.set_bus(bus);
     sim.set_default_link(LinkConfig::reliable(SimDuration::from_millis(5)));
 
@@ -175,13 +175,14 @@ pub(crate) fn run_fec_on(cfg: &FecScenarioConfig, bus: sada_obs::Bus) -> FecRepo
     for &client in &[h, l] {
         sim.set_link(s, client, LinkConfig::lossy(SimDuration::from_millis(5), cfg.loss));
     }
-    let displayed_at = |sim: &Simulator<VideoWire>| {
+    let displayed_at = |sim: &Simulator<VideoWire, ProtoTimer<VideoTimer>>| {
         let hh = sim.actor::<ClientActor>(h).unwrap().stats().frames_displayed;
         let lp = sim.actor::<ClientActor>(l).unwrap().stats().frames_displayed;
         hh + lp
     };
-    let sent_at =
-        |sim: &Simulator<VideoWire>| sim.actor::<ServerActor>(s).unwrap().stats.frames_sent;
+    let sent_at = |sim: &Simulator<VideoWire, ProtoTimer<VideoTimer>>| {
+        sim.actor::<ServerActor>(s).unwrap().stats.frames_sent
+    };
     let (d0, s0) = (displayed_at(&sim), sent_at(&sim));
 
     // Phase 2: run until the monitor fires and the adaptation settles (or

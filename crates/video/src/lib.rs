@@ -35,7 +35,7 @@ mod monitor;
 mod pins;
 mod scenario;
 
-pub use actors::{AppMsg, ClientActor, CtlMsg, ServerActor, ServerStats, VideoWire};
+pub use actors::{AppMsg, ClientActor, CtlMsg, ServerActor, ServerStats, VideoTimer, VideoWire};
 pub use audit_log::AuditShared;
 pub use fec_scenario::{fec_spec, run_fec_scenario, FecReport, FecScenarioConfig};
 pub use frame::PlayerStats;

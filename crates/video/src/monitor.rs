@@ -33,8 +33,8 @@ impl LossMonitorActor {
     }
 }
 
-impl Actor<VideoWire> for LossMonitorActor {
-    fn on_message(&mut self, ctx: &mut Context<'_, VideoWire>, _from: ActorId, msg: VideoWire) {
+impl<T> Actor<VideoWire, T> for LossMonitorActor {
+    fn on_message(&mut self, ctx: &mut Context<'_, VideoWire, T>, _from: ActorId, msg: VideoWire) {
         let Wire::App(AppMsg::LossReport { client, received, highest_seq }) = msg else {
             return;
         };

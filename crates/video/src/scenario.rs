@@ -5,10 +5,10 @@ use sada_core::casestudy::{case_study, CaseStudy};
 use sada_expr::CompId;
 use sada_model::{AuditReport, SafetyAuditor};
 use sada_obs::Bus;
-use sada_proto::{JournalRecord, ManagerActor, Outcome, ProtoTiming, Wire};
+use sada_proto::{JournalRecord, ManagerActor, Outcome, ProtoTimer, ProtoTiming, Wire};
 use sada_simnet::{ActorId, FaultPlan, LinkConfig, SimDuration, SimTime, Simulator};
 
-use crate::actors::{AppMsg, ClientActor, CtlMsg, ServerActor, ServerStats, VideoWire};
+use crate::actors::{AppMsg, ClientActor, CtlMsg, ServerActor, ServerStats, VideoTimer, VideoWire};
 use crate::audit_log::AuditShared;
 use crate::frame::PlayerStats;
 
@@ -144,7 +144,7 @@ pub fn run_video_scenario(cfg: &ScenarioConfig, strategy: Strategy) -> VideoRepo
 /// drain-requiring path).
 pub fn run_video_with(cfg: &ScenarioConfig, strategy: Strategy, cs: &CaseStudy) -> VideoReport {
     let audit = AuditShared::new(&cfg.bus, cs.source.clone());
-    let mut sim: Simulator<VideoWire> = Simulator::new(cfg.seed);
+    let mut sim: Simulator<VideoWire, ProtoTimer<VideoTimer>> = Simulator::new(cfg.seed);
     sim.set_bus(cfg.bus.clone());
     sim.set_default_link(cfg.link);
 

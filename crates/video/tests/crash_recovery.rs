@@ -227,15 +227,20 @@ fn crash_runs_are_deterministic() {
 fn a_client_drops_residue_of_an_older_manager_incarnation() {
     use sada_expr::Universe;
     use sada_plan::ActionId;
-    use sada_proto::{LocalAction, ProtoMsg, StepId, Wire};
+    use sada_proto::{LocalAction, ProtoMsg, ProtoTimer, StepId, Wire};
     use sada_simnet::{Actor, Context, SimDuration, Simulator};
-    use sada_video::{AuditShared, ClientActor, VideoWire};
+    use sada_video::{AuditShared, ClientActor, VideoTimer, VideoWire};
 
     /// Records what the client answers.
     #[derive(Default)]
     struct Manager(Vec<ProtoMsg>);
-    impl Actor<VideoWire> for Manager {
-        fn on_message(&mut self, _: &mut Context<'_, VideoWire>, _: ActorId, msg: VideoWire) {
+    impl Actor<VideoWire, ProtoTimer<VideoTimer>> for Manager {
+        fn on_message(
+            &mut self,
+            _: &mut Context<'_, VideoWire, ProtoTimer<VideoTimer>>,
+            _: ActorId,
+            msg: VideoWire,
+        ) {
             if let Wire::Proto { msg, .. } = msg {
                 self.0.push(msg);
             }
@@ -249,7 +254,7 @@ fn a_client_drops_residue_of_an_older_manager_incarnation() {
     let mut u = Universe::new();
     u.intern("D1");
     let audit = AuditShared::new(&Bus::new(), u.config_of(&["D1"]));
-    let mut sim: Simulator<VideoWire> = Simulator::new(1);
+    let mut sim: Simulator<VideoWire, ProtoTimer<VideoTimer>> = Simulator::new(1);
     let client = sim
         .add_actor("client", ClientActor::new(u, 0, &["D1"], SimDuration::from_millis(50), audit));
     let manager = sim.add_actor("manager", Manager::default());

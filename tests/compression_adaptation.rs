@@ -6,9 +6,9 @@
 
 use sada_core::specfile::{parse_spec_file, CASE_STUDY_SPEC};
 use sada_core::AdaptationSpec;
-use sada_proto::{ManagerActor, ProtoTiming, Wire};
+use sada_proto::{ManagerActor, ProtoTimer, ProtoTiming, Wire};
 use sada_simnet::{ActorId, LinkConfig, SimDuration, SimTime, Simulator};
-use sada_video::{AppMsg, AuditShared, ClientActor, ServerActor, VideoWire};
+use sada_video::{AppMsg, AuditShared, ClientActor, ServerActor, VideoTimer, VideoWire};
 
 /// The case study's system plus a compressor `CE` on the server and a
 /// decompressor on each client, with insertion and removal actions.
@@ -39,7 +39,7 @@ CE => CDH & CDL   # compressed packets are garbage to a client without the decom
 }
 
 struct World {
-    sim: Simulator<VideoWire>,
+    sim: Simulator<VideoWire, ProtoTimer<VideoTimer>>,
     s: ActorId,
     h: ActorId,
     l: ActorId,
@@ -51,7 +51,7 @@ fn build(adapt_at: Option<SimDuration>, stream_end: SimTime) -> World {
     let (spec, source, target) = compression_spec();
     let bus = sada_obs::Bus::new();
     let audit = AuditShared::new(&bus, source.clone());
-    let mut sim: Simulator<VideoWire> = Simulator::new(33);
+    let mut sim: Simulator<VideoWire, ProtoTimer<VideoTimer>> = Simulator::new(33);
     sim.set_bus(bus);
     sim.set_default_link(LinkConfig::reliable(SimDuration::from_millis(5)));
     // Wire-level message sizes: video payload bytes plus a fixed header;
