@@ -8,7 +8,10 @@
 //! the normalized *instance* — the in-scope invariants printed over local
 //! ids, the scoped action repertoire as (removes, adds, cost) triples over
 //! local ids, and the local projections of the two endpoints. Sessions over
-//! disjoint-but-identical scopes therefore share cache entries.
+//! disjoint-but-identical scopes therefore share cache entries. A scope that
+//! is one whole placement is keyed by its class's shape number instead,
+//! which the world assigns at compile time from that same instance (see
+//! [`shape_of`]), so the two keys hit and miss alike.
 //!
 //! A cached value stores the plan as a sequence of indices into the
 //! session's *scoped action list* (whose order is the world's action order,
@@ -42,37 +45,39 @@
 //!   plane starts cold (fresh cache), so cached paths are never treated as
 //!   authoritative against the durable journal.
 //!
-//! ## The safety memo
+//! ## The last proof
 //!
 //! The global endpoint check that precedes every lookup is what would make
 //! a cache hit O(world): two full passes over the invariant set per query.
 //! Consecutive queries of one control plane differ in a handful of
 //! components, so the cache keeps the last configuration its sessions
-//! proved safe ([`sada_plan::SafeMemo`]) and [`PlanCache::is_safe`]
-//! re-evaluates only the predicates the diff touches. The memo lives here —
-//! not inside the world's [`Search`], which is immutable and shared by
-//! every endpoint thread of a run — because the cache has exactly the
-//! right owner and lifetime: one per control-plane incarnation, gone with
-//! the cache on a crash.
+//! proved safe and [`PlanCache::is_safe`] re-evaluates only the class
+//! predicates the diff touches. It lives here — not in the world, which is
+//! immutable and shared by every endpoint thread of a run — because the
+//! cache has exactly the right owner and lifetime: one per control-plane
+//! incarnation, gone with the cache on a crash.
 
 use std::collections::HashMap;
+use std::fmt::Write;
+use std::hash::Hash;
 use std::ops::Range;
 
 use sada_expr::{CompId, CompiledInvariants, Config, Expr, InvariantSet};
-use sada_plan::{Action, Safe, SafeMemo, Search};
+use sada_plan::{Action, Search};
 
-use crate::world::{map_vars, CompiledWorld};
+use crate::world::{map_vars, CompiledWorld, Tables};
 
 /// A normalized planning instance: the full problem statement, over local
 /// component ids. Two sessions with equal keys pose the same search problem
 /// and receive the same (relabeled) answer.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PlanKey {
-    /// A scope that is one whole placement: its class, which states the
-    /// invariants and actions, and the two endpoints over the class's ids.
+    /// A scope that is one whole placement: its class's shape, which states
+    /// the invariants and actions, and the two endpoints over the class's
+    /// ids.
     Class {
-        /// The placement's class.
-        class: u32,
+        /// The shape number of the placement's class.
+        shape: u32,
         /// The placement's slice of the source configuration.
         source: Config,
         /// The placement's slice of the target configuration.
@@ -154,21 +159,8 @@ pub struct PlanCache {
     stats: PlanCacheStats,
     notes: Vec<CacheNote>,
     /// Last configuration [`PlanCache::is_safe`] proved safe, under the
-    /// same world the entries were planned in: the one class's search memo
-    /// on a world that is its one class, the configuration itself on a
-    /// world of many placements.
-    safe_memo: SafeMemo,
+    /// same world the entries were planned in.
     proved: Option<Config>,
-}
-
-/// What [`PlanCache::is_safe`] proved of a configuration: on a world that is
-/// its one class, that class's own witness, which a miss hands on to
-/// [`Search::plan_scoped_vetted`]; on a world of many placements, that every
-/// placement's class holds on its slice.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Proof<'c> {
-    Witness(Safe<'c>),
-    Classes,
 }
 
 impl PlanCache {
@@ -181,7 +173,6 @@ impl PlanCache {
             clock: 0,
             stats: PlanCacheStats::default(),
             notes: Vec::new(),
-            safe_memo: SafeMemo::default(),
             proved: None,
         }
     }
@@ -222,32 +213,24 @@ impl PlanCache {
         self.entries.insert(key, Slot { plan, last_used: self.clock });
     }
 
-    /// Whether `cfg` satisfies every invariant of `world` — the global
-    /// check that must pass before the cache may speak for a query — and
-    /// the proof of it. Exact, and O(diff against the last configuration
-    /// proved safe through this cache) rather than O(invariants): on a
-    /// world that is its one class, through that class's search memo; on
-    /// one of many placements, by each changed component's placement
-    /// evaluating its class's predicates on its slice
+    /// Whether every one of `cfgs` satisfies every invariant of `world`:
+    /// the global check that must pass before the cache may speak for a
+    /// query. Exact, and O(diff against the last configuration proved safe
+    /// through this cache) rather than O(invariants): each changed
+    /// component's placement evaluates its class's predicates on its slice
     /// ([`CompiledWorld::still_safe`]). `world` must be the one world this
     /// cache serves.
-    pub(crate) fn is_safe<'c>(
-        &mut self,
-        world: &CompiledWorld,
-        cfg: &'c Config,
-    ) -> Option<Proof<'c>> {
-        if world.is_one_class() {
-            let search = &world.placement(0).1.tables.search;
-            return search.is_safe_memo(cfg, &mut self.safe_memo).map(Proof::Witness);
-        }
-        let safe = match &self.proved {
-            Some(proved) if proved.width() == cfg.width() => world.still_safe(proved, cfg),
-            _ => world.is_safe(cfg),
-        };
-        if safe {
-            self.proved = Some(cfg.clone());
-        }
-        safe.then_some(Proof::Classes)
+    pub(crate) fn is_safe(&mut self, world: &CompiledWorld, cfgs: &[&Config]) -> bool {
+        cfgs.iter().all(|&cfg| {
+            let safe = match &self.proved {
+                Some(proved) if proved.width() == cfg.width() => world.still_safe(proved, cfg),
+                _ => world.is_safe(cfg),
+            };
+            if safe {
+                self.proved = Some(cfg.clone());
+            }
+            safe
+        })
     }
 
     /// Drains the pending interaction notes (for event emission).
@@ -417,6 +400,26 @@ impl ScopeNormalizer {
     }
 }
 
+/// What a class's shape number stands for: the instance [`ScopeNormalizer`]
+/// states for a scope that is every component of `tables` — whose local
+/// ids are then the class's own — that is, its width, the invariants that
+/// mention a component, printed, and every action as (removes, adds, cost).
+/// Two classes whose instances are equal get one number, so a
+/// whole-placement key hits where the normalized key would. Without
+/// `print`, the invariants are left out.
+pub(crate) fn shape_of(tables: &Tables, print: bool) -> impl Eq + Hash + '_ {
+    let compiled = tables.search.compiled();
+    // One line per invariant: no printed invariant holds a line break.
+    let mut invs = String::new();
+    for (p, e) in tables.inv.exprs().iter().enumerate() {
+        if print && !compiled.support_of(p).is_empty() {
+            writeln!(invs, "{e}").expect("a String takes every write");
+        }
+    }
+    let actions = tables.actions.iter().map(|a| (a.removes(), a.adds(), a.cost()));
+    (tables.universe.len(), invs, actions.collect::<Vec<_>>())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,6 +481,25 @@ mod tests {
         let all: Vec<CompId> = (0..u.len()).map(CompId::from_index).collect();
         let sall = scoped_for(&all, &actions, u.len());
         assert!(ScopeNormalizer::new(&inv, u.len(), &all, &sall).is_some());
+    }
+
+    /// A failing endpoint check leaves the last proof where it was, a
+    /// configuration of another width fails without a diff against it,
+    /// and the next check diffs against that proof.
+    #[test]
+    fn a_failing_check_keeps_the_last_proof() {
+        let w = crate::FleetWorld::build(3);
+        let mut cache = PlanCache::new(1);
+        let init = w.initial_config();
+        assert!(cache.is_safe(&w, &[&init]));
+        let mut both = init.clone();
+        both.insert(CompId::from_index(1));
+        assert!(!cache.is_safe(&w, &[&both]), "Old0 beside New0");
+        assert!(!cache.is_safe(&w, &[&Config::empty(7)]), "seven components in a world of six");
+        assert_eq!(cache.proved.as_ref(), Some(&init));
+        let moved = w.target_for(&init, &[(2, true)]);
+        assert!(cache.is_safe(&w, &[&moved]));
+        assert_eq!(cache.proved.as_ref(), Some(&moved));
     }
 
     #[test]

@@ -843,7 +843,7 @@ impl<M: Clone + 'static> Actor<Wire<M>, ProtoTimer<FleetTimer>> for ControlActor
         self.gate.clear();
         self.waiting.clear();
         self.scope_breakers.clear();
-        // The plan cache dies with the process, safety memo included: the
+        // The plan cache dies with the process, last proof included: the
         // restored incarnation starts cold, so journal replay never leans
         // on pre-crash plans or pre-crash safety proofs.
         self.plan_cache = Rc::new(RefCell::new(PlanCache::new(PLAN_CACHE_CAPACITY)));

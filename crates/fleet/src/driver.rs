@@ -615,8 +615,20 @@ pub(crate) mod tests {
     /// Nothing a run reads is the spec or a world-wide table: a flat and a
     /// sharded run of the video world leave its spec and every view
     /// unrendered, and the run path reads its classes through placements.
+    /// So do runs of spec worlds, of one block per cluster and of one
+    /// block of four clusters that share processes.
     #[test]
-    fn a_video_run_leaves_the_spec_unrendered() {
+    fn a_run_leaves_the_spec_and_views_unrendered() {
+        use crate::world::tests::{four_clusters, shared_hosts_spec};
+        for spec in [four_clusters(), shared_hosts_spec(4)] {
+            let scenario = FleetScenario::with_world(spec, disjoint_wave(2, 2));
+            let world = scenario.build_world();
+            assert_eq!(run_fleet_on(&scenario, world.clone()).succeeded(), 2);
+            let sharded = crate::ShardScenario::new(scenario.clone(), 2);
+            let report = crate::shard::run_sharded(&sharded, 2, true, Some(world.clone()));
+            assert_eq!(report.results.iter().filter(|r| r.success).count(), 2);
+            assert!(!world.views_rendered(), "a spec run reads no world-wide view");
+        }
         let scenario = FleetScenario::new(4, disjoint_wave(2, 2));
         let world = scenario.build_world();
         assert_eq!(run_fleet_on(&scenario, world.clone()).succeeded(), 2);

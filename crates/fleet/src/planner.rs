@@ -4,12 +4,12 @@
 //! is filtered to actions whose touched components all lie inside the
 //! session's collaborative sets, and paths are found with the partial-
 //! exploration planner ([`sada_plan::lazy`]) — no eager SAG over the whole
-//! fleet's `2^n` configuration space is ever built. The compiled
+//! fleet's `2^n` configuration space is ever built. Each class's compiled
 //! [`Search`](sada_plan::Search) (kernel invariant checks, interned arena,
 //! action index) is built **once per run** with the world and shared,
 //! immutably, by every session of every control plane — it holds no
-//! per-query state; the one memo the endpoint checks use lives in the
-//! session's [`PlanCache`].
+//! per-query state; the last configuration the endpoint checks proved safe
+//! lives in the session's [`PlanCache`].
 //!
 //! ## What a session costs
 //!
@@ -40,20 +40,16 @@
 //!   step's result the same way, compares it with `to`, and drops it (a
 //!   plan of `k` steps keeps `k - 1` intermediate configurations and drops
 //!   the last);
-//! * two **safe-memo XOR walks**: the endpoint checks in
-//!   [`PlanCache::is_safe`] diff `from` and `to` against the last
-//!   configuration proved safe, over the chunks they do not share with it;
-//! * two **comparisons** on a cache hit, three on a miss: source against
-//!   target in the manager, the replayed walk's end against `to` — each
-//!   reads the chunks the two sides hold separately and skips the rest by
-//!   pointer — or, on a miss, source against target once more and the hash
-//!   of both inside the search (the one O(width) pass left, once per miss:
-//!   a storm sees one miss per run), which then costs what a search costs
-//!   and nothing for its endpoints: the two proofs from the memo walks
-//!   above are handed to it
-//!   ([`Search::plan_scoped_vetted`](sada_plan::Search::plan_scoped_vetted))
-//!   in place of a second pass over the whole invariant set. Every later
-//!   `current == goal` compares two handles on one spine.
+//! * two **diff walks**: the endpoint checks in [`PlanCache::is_safe`]
+//!   diff `from` and `to` against the last configuration proved safe, over
+//!   the chunks they do not share with it, and evaluate the changed
+//!   placements' class predicates on their slices;
+//! * two **comparisons**: source against target in the manager, and the
+//!   replayed walk's end against `to` — each reads the chunks the two sides
+//!   hold separately and skips the rest by pointer. A miss searches the
+//!   placement's class between the two slices, which costs what a search
+//!   of the class costs, then replays the answer in place as a hit does.
+//!   Every later `current == goal` compares two handles on one spine.
 //!
 //! A spine and a chunk twice over — under 2 KB at 200 000 components, where
 //! one buffer per copy was 50 KB — are also all a finished session
@@ -78,7 +74,7 @@ use sada_expr::{CompId, Config};
 use sada_plan::{Action, ActionId, Path, PathStep};
 use sada_proto::{compile_steps, AdaptationPlanner, PlannedStep};
 
-use crate::cache::{CachedPlan, Piece, PlanCache, PlanKey, Proof, ScopeNormalizer};
+use crate::cache::{CachedPlan, Piece, PlanCache, PlanKey, ScopeNormalizer};
 use crate::world::FleetWorld;
 
 /// An [`AdaptationPlanner`] over the implicit SAG of one session's scope.
@@ -188,9 +184,9 @@ impl ScopedLazyPlanner {
 
     /// The session's repertoire: the world's actions whose touched set lies
     /// inside the scope, in world order and world ids.
-    pub fn repertoire(&self) -> impl Iterator<Item = Cow<'_, Action>> {
+    pub fn repertoire(&self) -> impl Iterator<Item = Action> + '_ {
         let scoped = (0..self.len()).filter_map(|ix| self.scoped_at(ix));
-        scoped.map(|(pix, a)| self.world.placed_action(pix, a, true))
+        scoped.map(|(pix, a)| self.world.placed_action(pix, a))
     }
 
     /// Number of actions in the repertoire.
@@ -258,14 +254,14 @@ impl ScopedLazyPlanner {
         Some(CachedPlan { action_ixs: ixs?, cost: path.cost })
     }
 
-    /// The cache key of one query: the class and the placement's slices
-    /// for a whole placement, else the normalized instance; `None` when
-    /// neither speaks for the scope.
+    /// The cache key of one query: the class's shape and the placement's
+    /// slices for a whole placement, else the normalized instance; `None`
+    /// when neither speaks for the scope.
     fn key(&self, from: &Config, to: &Config) -> Option<PlanKey> {
         if let Repertoire::Inside { placement, whole: true, .. } = &self.repertoire {
-            let (p, _) = self.world.placement(*placement);
+            let (p, class) = self.world.placement(*placement);
             let (source, target) = (self.world.slice(p, from), self.world.slice(p, to));
-            return Some(PlanKey::Class { class: p.class, source, target });
+            return Some(PlanKey::Class { shape: class.shape, source, target });
         }
         Some(self.normalizer.as_ref()?.key(from, to))
     }
@@ -280,12 +276,10 @@ impl ScopedLazyPlanner {
             return None;
         }
         // The key captures in-scope state only, so out-of-scope safety must
-        // be established before the cache may speak for this query. The
-        // proofs are kept: a miss searches between them.
-        let proofs = {
-            let mut cache = cache.borrow_mut();
-            (cache.is_safe(&self.world, from)?, cache.is_safe(&self.world, to)?)
-        };
+        // be established before the cache may speak for this query.
+        if !cache.borrow_mut().is_safe(&self.world, &[from, to]) {
+            return None;
+        }
         let key = self.key(from, to)?;
         if let Some(entry) = cache.borrow_mut().lookup(&key, *session) {
             match entry {
@@ -299,7 +293,7 @@ impl ScopedLazyPlanner {
                 }
             }
         }
-        let path = self.fresh(from, to, Some(proofs));
+        let path = self.fresh(from, to);
         match &path {
             None => cache.borrow_mut().insert(key, None, *session),
             Some(p) => {
@@ -312,26 +306,15 @@ impl ScopedLazyPlanner {
     }
 
     /// A fresh search between `from` and `to`, which the caller has proved
-    /// safe outside the scope (`proofs`, or a full check) — or, on a world
-    /// that is its one class, which the search vets itself without proofs.
-    /// A scope inside one placement searches its class, in local ids, and
-    /// replays the answer in place; a scope across placements searches the
-    /// instance its normalizer states.
-    fn fresh(&self, from: &Config, to: &Config, proofs: Option<(Proof, Proof)>) -> Option<Path> {
+    /// safe outside the scope. A scope inside one placement searches its
+    /// class, in local ids, and replays the answer in place; a scope across
+    /// placements searches the instance its normalizer states.
+    fn fresh(&self, from: &Config, to: &Config) -> Option<Path> {
         match &self.repertoire {
             Repertoire::Inside { placement, ixs, .. } => {
                 let (p, class) = self.world.placement(*placement);
-                let search = &class.tables.search;
-                if self.world.is_one_class() {
-                    return match proofs {
-                        Some((Proof::Witness(a), Proof::Witness(b))) => {
-                            search.plan_scoped_vetted(a, b, ixs).0
-                        }
-                        _ => search.plan_scoped(from, to, ixs).0,
-                    };
-                }
                 let (local_from, local_to) = (self.world.slice(p, from), self.world.slice(p, to));
-                let local = search.plan_scoped(&local_from, &local_to, ixs).0?;
+                let local = class.tables.search.plan_scoped(&local_from, &local_to, ixs).0?;
                 let at = |s: &PathStep| ixs.binary_search(&s.action.0).ok();
                 self.replay(&local, at, from, to)
             }
@@ -384,10 +367,7 @@ impl AdaptationPlanner for ScopedLazyPlanner {
     fn paths(&mut self, from: &Config, to: &Config, _k: usize) -> Vec<Path> {
         let answer = match self.plan_via_cache(from, to) {
             Some(answer) => answer,
-            None if self.world.is_one_class() => self.fresh(from, to, None),
-            None if self.world.is_safe(from) && self.world.is_safe(to) => {
-                self.fresh(from, to, None)
-            }
+            None if self.world.is_safe(from) && self.world.is_safe(to) => self.fresh(from, to),
             None => None,
         };
         answer.into_iter().collect()
@@ -395,13 +375,15 @@ impl AdaptationPlanner for ScopedLazyPlanner {
 
     fn compile(&mut self, path: &Path) -> Vec<PlannedStep> {
         let world = &self.world;
-        compile_steps(path, |id| world.action(id), |c| world.agent_for(c), |_| false)
+        let action = |id| Cow::Owned(world.action(id));
+        compile_steps(path, action, |c| world.agent_for(c), |_| false)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::tests::four_clusters;
 
     #[test]
     fn scope_filter_keeps_only_in_scope_actions() {
@@ -500,6 +482,30 @@ mod tests {
 
         let stats = cache.borrow().stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
+    }
+
+    /// A whole-cluster session keys the cache by its class's shape: the
+    /// flip of cluster 0 answers the same flip of cluster 2, and clusters 1
+    /// and 3, one cost and one invariant apart, plan afresh. Keying by
+    /// class index fails this (each cluster is a class of its own, so
+    /// cluster 2 misses), and so does a shape that ignores costs (cluster 1
+    /// hits) or invariants (cluster 3 hits).
+    #[test]
+    fn whole_cluster_sessions_share_entries_by_shape() {
+        let w = Rc::new(FleetWorld::from_spec(four_clusters()));
+        let cache = Rc::new(RefCell::new(PlanCache::new(16)));
+        let src = w.initial_config();
+        let mut seen = Vec::new();
+        for g in [0, 2, 1, 3] {
+            let scope = w.scope_comps(&[(g, true)]);
+            let mut p = ScopedLazyPlanner::new(Rc::clone(&w), &scope)
+                .with_cache(Rc::clone(&cache), g as u64);
+            assert!(matches!(p.repertoire, Repertoire::Inside { whole: true, .. }), "{g}");
+            assert_eq!(p.paths(&src, &w.target_for(&src, &[(g, true)]), 1).len(), 1, "{g}");
+            let stats = cache.borrow().stats();
+            seen.push((stats.hits, stats.misses));
+        }
+        assert_eq!(seen, [(0, 1), (1, 1), (1, 2), (1, 3)]);
     }
 
     #[test]

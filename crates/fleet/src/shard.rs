@@ -1074,7 +1074,7 @@ mod tests {
     use super::*;
     use crate::driver::tests::hosted_runs;
     use crate::driver::{disjoint_wave, run_fleet};
-    use crate::world::{ActionSpec, ClusterSpec, CompSpec, Domain, Objective, WorldSpec};
+    use crate::world::tests::shared_hosts_spec;
     use sada_expr::CompId;
 
     #[test]
@@ -1305,39 +1305,6 @@ mod tests {
                 let tiers = report.per_shard.iter().filter(|s| s.is_global).count();
                 assert_eq!(tiers, usize::from(!reached.is_empty()), "{what}");
             }
-        }
-    }
-
-    /// `groups` clusters `{C{g}, C{groups + g}}` under `one_of`, with
-    /// components `2k` and `2k + 1` on process `k`: a process hosts
-    /// components of two clusters that regions may split between them.
-    fn shared_hosts_spec(groups: usize) -> WorldSpec {
-        let name = |c: usize| format!("C{c}");
-        let comps = (0..2 * groups).map(|c| CompSpec { name: name(c), process: c / 2 }).collect();
-        let replace = |from: usize, to: usize| ActionSpec {
-            name: format!("{from}->{to}"),
-            removes: vec![from],
-            adds: vec![to],
-            cost_ms: 1,
-            cost_watts: 1,
-        };
-        WorldSpec {
-            domain: Domain::Serverless,
-            objective: Objective::LatencyMs,
-            comps,
-            invariants: (0..groups)
-                .map(|g| format!("one_of({}, {})", name(g), name(groups + g)))
-                .collect(),
-            actions: (0..groups)
-                .flat_map(|g| [replace(g, groups + g), replace(groups + g, g)])
-                .collect(),
-            clusters: (0..groups)
-                .map(|g| ClusterSpec {
-                    comps: vec![g, groups + g],
-                    on_false: vec![g],
-                    on_true: vec![groups + g],
-                })
-                .collect(),
         }
     }
 

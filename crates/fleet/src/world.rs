@@ -29,17 +29,19 @@
 //! run: a world id resolves by a divide, and the world keeps its boot
 //! configuration's two bits a group and no table that grows with the
 //! groups (0.283 B a group at 100k groups, `BENCH_scale.json`
-//! `world_retained_bytes_per_group`). A spec world is its whole spec as
-//! one class placed once at base 0, compiled as the one class it is.
+//! `world_retained_bytes_per_group`). A spec world is its spec cut into
+//! **blocks**, the smallest runs of consecutive clusters whose components,
+//! processes, invariants and actions each form one range of ids; each block
+//! is compiled as a class and placed once under its own names, so every id
+//! is the spec's. A generated universe is one block per cluster. Classes
+//! equal up to names share a **shape** number, which keys the plan cache.
 //! Names are a class's stems plus the placement's number, written only
 //! when a view or a text asks. The run path reads classes through
 //! placements only; the world-wide tables ([`CompiledWorld::universe`],
-//! `inv`, `actions`, `model`, `index`, `search`) are [`View`]s: the one
-//! class's own tables on a spec world, rendered on first read on a world
-//! of many placements.
+//! `inv`, `actions`, `model`, `index`, `search`) are [`View`]s, rendered
+//! from the placements on first read.
 
-use std::borrow::Cow;
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 use std::fmt::{self, Write};
 use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
@@ -47,7 +49,9 @@ use std::sync::{Arc, OnceLock};
 use sada_expr::{CompId, Config, Csr, Expr, InvariantSet, Universe};
 use sada_model::{ProcessId, SystemModel};
 use sada_plan::{Action, ActionId, CollabIndex, Path, Search};
-use sada_proto::{SpecBuilder, SpecError};
+use sada_proto::{AdaptationSpec, SpecBuilder, SpecError};
+
+use crate::cache::shape_of;
 
 /// Which adaptation domain a world models. Tagged into the observability
 /// stream (non-video domains) so event consumers can tell workloads apart.
@@ -225,9 +229,9 @@ impl WorldSpec {
 /// clusters, and a world id is base + local id. Placements are stored as
 /// runs of one class, never one by one. The video world is one class of
 /// one cluster placed once per group, one run; a spec world is one class
-/// holding the whole spec, placed once at base 0. The run path reads
-/// classes through placements only; the world-wide tables below are
-/// [`View`]s, for everything else.
+/// per block of its spec, each placed once. The run path reads classes
+/// through placements only; the world-wide tables below are [`View`]s, for
+/// everything else.
 pub struct CompiledWorld {
     /// Component universe, interned in `spec.comps` order.
     pub universe: View<Universe>,
@@ -285,11 +289,9 @@ impl Deref for SpecHandle {
 }
 
 /// One world-wide table of a [`CompiledWorld`]; it dereferences to the
-/// table. On a world that is one class placed once under its own names —
-/// every spec world — the view *is* that class's table: no render, no
-/// copy. On a world of many placements, the first read of any view renders
-/// every world-wide table, once, by shifting each placement's class tables
-/// into place; a video run reads none of them.
+/// table. The first read of any view renders every world-wide table, once,
+/// by shifting each placement's class tables into place; a fleet run reads
+/// none of them.
 pub struct View<T> {
     layout: Arc<Layout>,
     pick: fn(&Tables) -> &T,
@@ -305,7 +307,7 @@ impl<T> Deref for View<T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        (self.pick)(self.layout.tables())
+        (self.pick)(self.layout.rendered.get_or_init(|| Box::new(self.layout.render())))
     }
 }
 
@@ -341,6 +343,9 @@ impl Tables {
 /// two modes.
 pub(crate) struct Class {
     pub(crate) tables: Tables,
+    /// Equal for two classes of one world that are equal up to names: the
+    /// plan cache's key for a scope that is a whole placement.
+    pub(crate) shape: u32,
     /// Whether a placement names its components and actions by the class's
     /// stems plus the placement's number (`Old` placed seventh is `Old6`),
     /// or by the class's names as they are.
@@ -551,8 +556,8 @@ impl Runs {
 struct Layout {
     classes: Vec<Class>,
     runs: Runs,
-    /// The world-wide tables, once a view of a world of many placements
-    /// has been read (boxed, so a world that never renders holds a pointer).
+    /// The world-wide tables, once a view has been read (boxed, so a world
+    /// that never renders holds a pointer).
     rendered: OnceLock<Box<Tables>>,
 }
 
@@ -561,20 +566,6 @@ impl Layout {
     fn tile(classes: Vec<Class>, order: impl Iterator<Item = u32>) -> Result<Self, SpecError> {
         let runs = Runs::tile(classes.iter().map(Class::sizes).collect(), order)?;
         Ok(Layout { classes, runs, rendered: OnceLock::new() })
-    }
-
-    /// Whether the world is one class placed once under its own names: its
-    /// tables are then the world's.
-    fn is_one_class(&self) -> bool {
-        self.runs.len() == 1 && !self.classes[0].numbered
-    }
-
-    /// The world-wide tables: the one class's own, or rendered once.
-    fn tables(&self) -> &Tables {
-        if self.is_one_class() {
-            return &self.classes[0].tables;
-        }
-        self.rendered.get_or_init(|| Box::new(self.render()))
     }
 
     /// The class of placement `p`.
@@ -608,8 +599,8 @@ impl Layout {
     }
 
     /// The world-wide tables, rendered from every placement: each class
-    /// table shifted into place, in world order, and compiled as a spec
-    /// world compiles its one class.
+    /// table shifted into place, in world order, and compiled as a class
+    /// compiles its own.
     fn render(&self) -> Tables {
         let [width, processes, actions, preds, _] = self.runs.totals;
         let mut universe = Universe::with_capacity(width);
@@ -720,8 +711,9 @@ impl FleetWorld {
     }
 
     /// Compiles a [`WorldSpec`] into a runtime world, as
-    /// [`from_spec`](FleetWorld::from_spec) does: the whole spec is one
-    /// class, placed once at base 0 under its own names.
+    /// [`from_spec`](FleetWorld::from_spec) does: the spec is checked
+    /// whole, then each of its blocks is compiled as a class and placed
+    /// once under its own names.
     ///
     /// # Errors
     ///
@@ -748,10 +740,11 @@ impl FleetWorld {
         for cl in &spec.clusters {
             b.cluster(&cl.comps, &cl.on_false, &cl.on_true)?;
         }
-        let class = b.class(false)?;
+        let classes = b.classes(false)?;
         let (domain, objective) = (spec.domain, spec.objective);
         let spec = SpecHandle { groups: spec.clusters.len(), cell: spec.into() };
-        let world = CompiledWorld::place(domain, objective, vec![class], [0].into_iter(), spec)?;
+        let order = 0..classes.len() as u32;
+        let world = CompiledWorld::place(domain, objective, classes, order, spec)?;
         Ok(FleetWorld(Arc::new(world)))
     }
 }
@@ -772,7 +765,8 @@ fn video_class() -> Result<Class, SpecError> {
     b.action("fwd", &[0], &[1], [1, 1])?;
     b.action("back", &[1], &[0], [1, 1])?;
     b.cluster(&[0, 1], &[0], &[1])?;
-    b.class(true)
+    // One cluster is one block.
+    Ok(b.classes(true)?.remove(0))
 }
 
 /// `prefix` followed by `g`, written over `buf`.
@@ -787,11 +781,11 @@ fn ids(comps: &[usize]) -> impl Iterator<Item = CompId> + '_ {
     comps.iter().map(|&c| CompId::from_index(c))
 }
 
-/// The one compiler plus clusters, for one class: components, invariants
-/// and actions go to the [`SpecBuilder`] (the objective picks an action's
-/// cost column); clusters, the collaborative index and the search are the
-/// fleet's. Entries arrive in spec order and each is checked as it
-/// arrives.
+/// The one compiler plus clusters: components, invariants and actions go to
+/// the [`SpecBuilder`] (the objective picks an action's cost column);
+/// clusters, the cut into classes, the collaborative indexes and the
+/// searches are the fleet's. Entries arrive in spec order and each is
+/// checked as it arrives.
 struct WorldBuilder {
     objective: Objective,
     /// Components, invariants, actions and placement.
@@ -799,13 +793,14 @@ struct WorldBuilder {
     members: Csr<CompId>,
     /// The cluster each component belongs to (`usize::MAX`: none yet).
     owner: Vec<usize>,
-    /// The components of every cluster's boot mode, and of its alternate.
-    boot: Vec<CompId>,
-    alternate: Vec<CompId>,
+    /// Row `g`: the components of cluster `g`'s boot mode, and of its
+    /// alternate.
+    boot: Csr<CompId>,
+    alternate: Csr<CompId>,
 }
 
 impl WorldBuilder {
-    /// An empty class with room for `[components, invariants, actions,
+    /// An empty spec with room for `[components, invariants, actions,
     /// clusters]`.
     fn new(objective: Objective, sizes: [usize; 4]) -> Self {
         let [comps, invariants, actions, clusters] = sizes;
@@ -814,8 +809,8 @@ impl WorldBuilder {
             core: SpecBuilder::with_capacity([comps, invariants, actions]),
             members: Csr::with_capacity(clusters, comps),
             owner: Vec::with_capacity(comps),
-            boot: Vec::with_capacity(clusters),
-            alternate: Vec::with_capacity(clusters),
+            boot: Csr::with_capacity(clusters, clusters),
+            alternate: Csr::with_capacity(clusters, clusters),
         }
     }
 
@@ -866,15 +861,16 @@ impl WorldBuilder {
             SpecError::ensure(inside, || format!("cluster {g}: mode comp {c} outside cluster"))?;
         }
         self.members.push_row(ids(comps));
-        self.boot.extend(ids(on_false));
-        self.alternate.extend(ids(on_true));
+        self.boot.push_row(ids(on_false));
+        self.alternate.push_row(ids(on_true));
         Ok(())
     }
 
-    /// The compiled class, once every component has a cluster, the boot
-    /// modes satisfy the invariants and every cluster is confined;
-    /// `numbered` as [`Class`] reads it.
-    fn class(self, numbered: bool) -> Result<Class, SpecError> {
+    /// The compiled classes, once every component has a cluster and the
+    /// boot modes satisfy the invariants: one per block of the spec
+    /// ([`WorldBuilder::cut`]), in spec order, each refused unless its
+    /// clusters are confined; `numbered` as [`Class`] reads it.
+    fn classes(mut self, numbered: bool) -> Result<Vec<Class>, SpecError> {
         let width = self.owner.len();
         SpecError::ensure(width > 0, || "a world needs at least one component".into())?;
         let groups = self.members.rows();
@@ -882,27 +878,121 @@ impl WorldBuilder {
         if let Some(c) = self.owner.iter().position(|&g| g == usize::MAX) {
             return Err(format!("every comp needs a cluster: comp {c} has none").into());
         }
-        let boot = Config::from_ids(width, self.boot);
-        let built = self.core.finish();
-        let safe = built.is_safe(&boot);
+        let boot = Config::from_ids(width, self.boot.iter().flatten().copied());
+        let spec = std::mem::take(&mut self.core).finish();
+        let safe = spec.is_safe(&boot);
         SpecError::ensure(safe, || "initial configuration violates the invariants".into())?;
-        let (universe, inv, actions, model) = built.into_parts();
-        let tables = Tables::new(universe, inv, actions, model);
-        confined(&tables.index, &self.owner)?;
-        let alternate = Config::from_ids(width, self.alternate);
-        let model = &tables.model;
-        let hosted = tables.universe.iter().filter_map(|c| model.host_of(c));
-        let hosts_every_process =
-            hosted.map(|h| h.0).collect::<BTreeSet<_>>().len() == model.process_count();
-        Ok(Class { tables, numbered, members: self.members, boot, alternate, hosts_every_process })
+        self.cut(&spec).iter().map(|block| self.class(&spec, block, numbered)).collect()
+    }
+
+    /// The blocks of `spec`, compiled whole from this builder: the smallest
+    /// runs of consecutive clusters whose components, processes, actions
+    /// and invariants each form one range of ids, as `[components,
+    /// processes, actions, invariants, clusters]` ranges. An entry that
+    /// reaches two clusters joins them in one block; one that reaches none
+    /// (a process hosting nothing) stays with the block before it.
+    fn cut(&self, spec: &AdaptationSpec) -> Vec<[Range<usize>; 5]> {
+        let owner = |c: CompId| self.owner[c.index()];
+        let mut spans: [Vec<Option<(usize, usize)>>; 4] = [
+            self.owner.iter().map(|&g| Some((g, g))).collect(),
+            vec![None; spec.model().process_count()],
+            vec![None; spec.actions().len()],
+            vec![None; spec.invariants().exprs().len()],
+        ];
+        for c in spec.universe().iter() {
+            let host = spec.model().host_of(c).expect("the spec places every component");
+            widen(&mut spans[1][host.0 as usize], owner(c));
+        }
+        for (a, span) in spec.actions().iter().zip(&mut spans[2]) {
+            a.touched().iter().for_each(|&c| widen(span, owner(c)));
+        }
+        for (e, span) in spec.invariants().exprs().iter().zip(&mut spans[3]) {
+            e.for_each_var(&mut |c| widen(span, owner(c)));
+        }
+        // Per axis, the lowest cluster of any entry from each id on: a block
+        // ending below it takes no entry from there on.
+        let floors = spans.each_ref().map(|s| {
+            let mut floor = vec![usize::MAX; s.len() + 1];
+            for i in (0..s.len()).rev() {
+                floor[i] = floor[i + 1].min(s[i].map_or(usize::MAX, |s| s.0));
+            }
+            floor
+        });
+        let (mut at, mut blocks, mut g) = ([0usize; 4], Vec::new(), 0);
+        while g < self.members.rows() {
+            let (start, mut end) = (at, g + 1);
+            while let Some(k) = (0..4).find(|&k| floors[k][at[k]] < end) {
+                end = end.max(spans[k][at[k]].map_or(0, |s| s.1 + 1));
+                at[k] += 1;
+            }
+            for k in 0..4 {
+                while spans[k].get(at[k]).is_some_and(Option::is_none) {
+                    at[k] += 1;
+                }
+            }
+            let [c, p, a, i] = std::array::from_fn(|k| start[k]..at[k]);
+            blocks.push([c, p, a, i, g..end]);
+            g = end;
+        }
+        blocks
+    }
+
+    /// Block `block` ([`WorldBuilder::cut`]) of `spec` compiled as a class
+    /// over its own ids, once its clusters are confined.
+    fn class(
+        &self,
+        spec: &AdaptationSpec,
+        block: &[Range<usize>; 5],
+        numbered: bool,
+    ) -> Result<Class, SpecError> {
+        let [comps, processes, actions, invs, clusters] = block.clone();
+        let (base, width) = (comps.start, comps.len());
+        let local = |c: &CompId| CompId::from_index(c.index() - base);
+        let mut universe = Universe::with_capacity(width);
+        let mut model = SystemModel::with_capacity(width);
+        processes.clone().for_each(|_| _ = model.add_process());
+        let mut hosting = vec![false; processes.len()];
+        for c in comps.clone().map(CompId::from_index) {
+            let id = universe.intern(spec.universe().name(c));
+            let host = spec.model().host_of(c).expect("the spec places every component");
+            let host = host.0 as usize - processes.start;
+            model.place(id, ProcessId(host as u32));
+            hosting[host] = true;
+        }
+        let mut inv = InvariantSet::with_capacity(invs.len());
+        for e in &spec.invariants().exprs()[invs] {
+            inv.push(map_vars(e, &|c| local(&c)));
+        }
+        let table = spec.actions()[actions.clone()].iter().map(|a| {
+            let id = a.id().0 - actions.start as u32;
+            let (removes, adds) = (a.removes().iter().map(local), a.adds().iter().map(local));
+            Action::from_ids(id, a.name(), removes, adds, a.cost())
+        });
+        let tables = Tables::new(universe, inv, table.collect(), model);
+        confined(&tables.index, &self.owner[comps], base)?;
+        let mut members = Csr::with_capacity(clusters.len(), width);
+        clusters.clone().for_each(|g| members.push_row(self.members.row(g).iter().map(local)));
+        let mode = |rows: &Csr<CompId>| {
+            Config::from_ids(width, clusters.clone().flat_map(|g| rows.row(g)).map(local))
+        };
+        let (boot, alternate) = (mode(&self.boot), mode(&self.alternate));
+        let hosts_every_process = hosting.into_iter().all(|hosts| hosts);
+        Ok(Class { tables, shape: 0, numbered, members, boot, alternate, hosts_every_process })
     }
 }
 
+/// `span` widened to take cluster `g`.
+fn widen(span: &mut Option<(usize, usize)>, g: usize) {
+    *span = Some(span.map_or((g, g), |(lo, hi)| (lo.min(g), hi.max(g))));
+}
+
 /// Every collaborative set lies inside one cluster: a component's cluster
-/// is the cluster of its set's smallest member.
-fn confined(index: &CollabIndex, owner: &[usize]) -> Result<(), SpecError> {
+/// is the cluster of its set's smallest member. `owner` is the clusters of
+/// the components from id `base` on.
+fn confined(index: &CollabIndex, owner: &[usize], base: usize) -> Result<(), SpecError> {
     for (c, &g) in owner.iter().enumerate() {
         let h = owner[index.members(index.set_of(CompId::from_index(c)))[0].index()];
+        let c = base + c;
         let why = || format!("cluster {h} is not confined: its set holds comp {c} of cluster {g}");
         SpecError::ensure(g == h, why)?;
     }
@@ -956,15 +1046,28 @@ impl fmt::Debug for ClusterComps<'_> {
 
 impl CompiledWorld {
     /// The world `classes` make, placed in `order` (class indices), with
-    /// the views over them and the boot configuration every placement's
-    /// boot modes make.
+    /// the views over them, the boot configuration every placement's boot
+    /// modes make, and every class numbered by its shape.
     fn place(
         domain: Domain,
         objective: Objective,
-        classes: Vec<Class>,
+        mut classes: Vec<Class>,
         order: impl Iterator<Item = u32>,
         spec: SpecHandle,
     ) -> Result<Self, SpecError> {
+        // Only a class whose width and actions another class shares can
+        // share its shape, so only those print their invariants.
+        let mut twins: HashMap<_, usize> = HashMap::new();
+        classes.iter().for_each(|c| *twins.entry(shape_of(&c.tables, false)).or_default() += 1);
+        let mut seen = HashMap::new();
+        let mut shapes = Vec::with_capacity(classes.len());
+        for class in &classes {
+            let next = seen.len() as u32;
+            let print = twins[&shape_of(&class.tables, false)] > 1;
+            shapes.push(*seen.entry(shape_of(&class.tables, print)).or_insert(next));
+        }
+        drop((twins, seen));
+        classes.iter_mut().zip(shapes).for_each(|(class, shape)| class.shape = shape);
         let layout = Arc::new(Layout::tile(classes, order)?);
         let [width, .., groups] = layout.runs.totals;
         // Placement `k` of a run boots its class's boot ids, `k` strides up.
@@ -992,8 +1095,7 @@ impl CompiledWorld {
         })
     }
 
-    /// Whether any world-wide view has been rendered (a world that is its
-    /// one class never renders one).
+    /// Whether any world-wide view has been rendered.
     #[cfg(test)]
     pub(crate) fn views_rendered(&self) -> bool {
         self.layout.rendered.get().is_some()
@@ -1020,12 +1122,6 @@ impl CompiledWorld {
         ClusterComps { row: class.members.row(g - p.cluster as usize).iter(), base: p.comp }
     }
 
-    /// Whether the world is one class placed once under its own names, so
-    /// that the class's tables are the world's and its ids the world's.
-    pub(crate) fn is_one_class(&self) -> bool {
-        self.layout.is_one_class()
-    }
-
     /// Placement `pix` and its class.
     pub(crate) fn placement(&self, pix: usize) -> (Placement, &Class) {
         self.layout.at(pix)
@@ -1036,29 +1132,16 @@ impl CompiledWorld {
         self.layout.runs.find(Axis::Comp, c.index())
     }
 
-    /// Class action `a` of placement `pix` in world ids: the class's own on
-    /// a world that is its one class, else shifted into place and, when
-    /// `named`, given its world name.
-    pub(crate) fn placed_action<'w>(
-        &self,
-        pix: usize,
-        a: &'w Action,
-        named: bool,
-    ) -> Cow<'w, Action> {
-        if self.is_one_class() {
-            return Cow::Borrowed(a);
-        }
-        Cow::Owned(self.layout.action(self.layout.runs.at(pix), a, named.then_some(pix)))
+    /// Class action `a` of placement `pix` in world ids, with its world
+    /// name.
+    pub(crate) fn placed_action(&self, pix: usize, a: &Action) -> Action {
+        self.layout.action(self.layout.runs.at(pix), a, Some(pix))
     }
 
-    /// World action `id`, unnamed unless the world is its one class.
-    pub(crate) fn action(&self, id: ActionId) -> Cow<'_, Action> {
+    /// World action `id`, unnamed.
+    pub(crate) fn action(&self, id: ActionId) -> Action {
         let (p, class) = self.layout.holding(Axis::Action, id.index());
-        let a = &class.tables.actions[id.index() - p.action as usize];
-        if self.is_one_class() {
-            return Cow::Borrowed(a);
-        }
-        Cow::Owned(self.layout.action(p, a, None))
+        self.layout.action(p, &class.tables.actions[id.index() - p.action as usize], None)
     }
 
     /// The agent index driving `c`'s hosting process, if placed.
@@ -1069,29 +1152,18 @@ impl CompiledWorld {
     }
 
     /// Placement `p`'s slice of world configuration `cfg`: its class's
-    /// components, over local ids (`cfg` itself on a world that is its one
-    /// class).
+    /// components, over local ids.
     pub(crate) fn slice(&self, p: Placement, cfg: &Config) -> Config {
-        if self.is_one_class() {
-            return cfg.clone();
-        }
         let mut out = Config::empty(1);
         slice_into(p, self.layout.class(p), cfg, &mut out);
         out
     }
 
-    /// Whether `cfg` satisfies every invariant: every placement's class
-    /// predicates, on its slice.
+    /// Whether `cfg` satisfies every invariant: a configuration of the
+    /// world's width, safe as [`CompiledWorld::still_safe`] finds it
+    /// against the boot configuration, which the compile proved safe.
     pub(crate) fn is_safe(&self, cfg: &Config) -> bool {
-        if self.is_one_class() {
-            return self.layout.classes[0].tables.search.is_safe(cfg);
-        }
-        let mut scratch = Config::empty(1);
-        self.layout.runs.iter().all(|p| {
-            let class = self.layout.class(p);
-            slice_into(p, class, cfg, &mut scratch);
-            class.tables.search.compiled().satisfied_by(&scratch)
-        })
+        cfg.width() == self.boot.width() && self.still_safe(&self.boot, cfg)
     }
 
     /// Whether `cfg` satisfies every invariant, given that `proved` (of the
@@ -1298,7 +1370,7 @@ fn slice_into(p: Placement, class: &Class, cfg: &Config, out: &mut Config) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// The `Old{g}` component of a video world.
@@ -1360,7 +1432,7 @@ mod tests {
         b.action("ab", &[0], &[1], [1, 1]).unwrap();
         b.action("bc", &[1], &[2], [1, 1]).unwrap();
         b.cluster(&[0, 1, 2], &[0], &[2]).unwrap();
-        b.class(true).unwrap()
+        b.classes(true).unwrap().remove(0)
     }
 
     /// Two interleaved clusters, `{A, C}` and `{B, D}`, on processes 0 and
@@ -1376,7 +1448,7 @@ mod tests {
         b.action("bd", &[1], &[3], [1, 1]).unwrap();
         b.cluster(&[0, 2], &[0], &[2]).unwrap();
         b.cluster(&[1, 3], &[1], &[3]).unwrap();
-        b.class(true).unwrap()
+        b.classes(true).unwrap().remove(0)
     }
 
     /// A world's placements as one row per placement, each starting every
@@ -1525,7 +1597,7 @@ mod tests {
 
     /// Two clusters whose components interleave, `{C0, C2}` and `{C1, C3}`:
     /// a `one_of` and a replace action each way per cluster.
-    fn interleaved_spec() -> WorldSpec {
+    pub(crate) fn interleaved_spec() -> WorldSpec {
         let comps = (0..4).map(|c| CompSpec { name: format!("C{c}"), process: c }).collect();
         let replace = |name: &str, from: usize, to: usize| ActionSpec {
             name: name.into(),
@@ -1552,6 +1624,100 @@ mod tests {
             ],
             clusters: vec![cluster(0, 2), cluster(1, 3)],
         }
+    }
+
+    /// `groups` clusters `{C{g}, C{groups + g}}` under `one_of`, with
+    /// components `2k` and `2k + 1` on process `k`: a process hosts
+    /// components of two clusters that regions may split between them.
+    pub(crate) fn shared_hosts_spec(groups: usize) -> WorldSpec {
+        let name = |c: usize| format!("C{c}");
+        let comps = (0..2 * groups).map(|c| CompSpec { name: name(c), process: c / 2 }).collect();
+        let replace = |from: usize, to: usize| ActionSpec {
+            name: format!("{from}->{to}"),
+            removes: vec![from],
+            adds: vec![to],
+            cost_ms: 1,
+            cost_watts: 1,
+        };
+        WorldSpec {
+            domain: Domain::Serverless,
+            objective: Objective::LatencyMs,
+            comps,
+            invariants: (0..groups)
+                .map(|g| format!("one_of({}, {})", name(g), name(groups + g)))
+                .collect(),
+            actions: (0..groups)
+                .flat_map(|g| [replace(g, groups + g), replace(groups + g, g)])
+                .collect(),
+            clusters: (0..groups)
+                .map(|g| ClusterSpec {
+                    comps: vec![g, groups + g],
+                    on_false: vec![g],
+                    on_true: vec![groups + g],
+                })
+                .collect(),
+        }
+    }
+
+    /// Clusters `{A{g}, B{g}}`, each a replacement either way: clusters 0
+    /// and 2 under `one_of(A{g}, B{g})` are equal up to names, cluster 1
+    /// differs from them only in its forward action's cost, and cluster 3
+    /// only in its invariant, `(A3 ^ B3)`.
+    pub(crate) fn four_clusters() -> WorldSpec {
+        let comps = (0..8).map(|c| {
+            let name = format!("{}{}", ["A", "B"][c % 2], c / 2);
+            CompSpec { name, process: c }
+        });
+        let replace = |name: String, from: usize, to: usize, cost_ms: u64| ActionSpec {
+            name,
+            removes: vec![from],
+            adds: vec![to],
+            cost_ms,
+            cost_watts: 1,
+        };
+        let actions = (0..4).flat_map(|g| {
+            let fwd = replace(format!("fwd{g}"), 2 * g, 2 * g + 1, [1, 2, 1, 1][g]);
+            [fwd, replace(format!("back{g}"), 2 * g + 1, 2 * g, 1)]
+        });
+        let cluster = |g: usize| ClusterSpec {
+            comps: vec![2 * g, 2 * g + 1],
+            on_false: vec![2 * g],
+            on_true: vec![2 * g + 1],
+        };
+        WorldSpec {
+            domain: Domain::Serverless,
+            objective: Objective::LatencyMs,
+            comps: comps.collect(),
+            invariants: ["one_of(A0, B0)", "one_of(A1, B1)", "one_of(A2, B2)", "(A3 ^ B3)"]
+                .map(String::from)
+                .into(),
+            actions: actions.collect(),
+            clusters: (0..4).map(cluster).collect(),
+        }
+    }
+
+    /// A spec world is one class per block: a cluster of its own where
+    /// its ids allow it, one class for clusters whose components or
+    /// processes interleave, and a process that hosts nothing stays with
+    /// the block before it. Classes equal up to names share a shape.
+    #[test]
+    fn a_spec_world_is_one_class_per_block() {
+        let classes = |w: &FleetWorld| w.layout.classes.len();
+        let four = FleetWorld::from_spec(four_clusters());
+        assert_eq!(classes(&four), 4, "one block per cluster");
+        let shapes: Vec<u32> = four.layout.classes.iter().map(|c| c.shape).collect();
+        assert_eq!(shapes, [0, 1, 0, 2], "clusters 0 and 2 are equal up to names");
+        assert_eq!(classes(&FleetWorld::from_spec(interleaved_spec())), 1, "interleaved");
+        assert_eq!(classes(&FleetWorld::from_spec(shared_hosts_spec(3))), 1, "shared hosts");
+        let mut gap = four_clusters();
+        // Process 2 hosts nothing; cluster 2's components share process 5.
+        gap.comps[2..5].iter_mut().for_each(|c| c.process += 1);
+        let w = FleetWorld::from_spec(gap);
+        assert_eq!((classes(&w), w.process_count()), (4, 8));
+        let first = &w.layout.classes[0];
+        assert_eq!(first.tables.model.process_count(), 3, "process 2 stays with block 0");
+        assert!(!first.hosts_every_process);
+        assert_eq!(w.agent_for(CompId::from_index(2)), Some(3));
     }
 
     #[test]

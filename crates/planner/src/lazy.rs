@@ -97,35 +97,11 @@ pub(crate) enum Mode {
     TreeWalk(InvariantSet),
 }
 
-/// The last configuration one caller proved safe against one [`Search`] —
-/// the caller-owned half of [`Search::is_safe_memo`]. Pure memoization:
-/// answers never change, only the work to produce them.
-///
-/// The slot belongs to whoever owns the sequence of checks (the fleet keeps
-/// one beside its plan-cache entries, per control-plane incarnation) and
-/// must be dropped whenever the invariant set it was filled under is
-/// swapped out: a diff against a configuration proved safe under *other*
-/// invariants proves nothing.
-#[derive(Debug, Clone, Default)]
-pub struct SafeMemo(Option<Config>);
-
-impl SafeMemo {
-    /// The configuration follow-up checks diff against, if any check has
-    /// succeeded since the slot was created.
-    pub fn proved(&self) -> Option<&Config> {
-        self.0.as_ref()
-    }
-}
-
-/// Proof that a configuration satisfies every invariant of the [`Search`]
-/// that handed the witness out. Only that search's own vetting constructs
-/// one (its private vetting, [`Search::is_safe_memo`]), so a caller that has
-/// already paid for the check can pass the *result* on —
-/// [`Search::plan_scoped_vetted`] takes two — instead of a configuration
-/// the search would have to vet again. A witness speaks for the search it
-/// came from and for no other.
+/// A witness that a configuration satisfies every invariant of the [`Search`]
+/// that vetted it: the search proper takes two, so endpoints are vetted
+/// once however the search is entered.
 #[derive(Debug, Clone, Copy)]
-pub struct Safe<'c>(&'c Config);
+pub(crate) struct Safe<'c>(&'c Config);
 
 /// A reusable planning context over one invariant set and action repertoire.
 ///
@@ -285,19 +261,6 @@ impl Search {
         self.run(source, target, false, Some(scoped))
     }
 
-    /// [`Search::plan_scoped`] for endpoints this search has already
-    /// proved safe: the same search, candidate for candidate, minus the two
-    /// endpoint checks the witnesses stand for (which the returned
-    /// statistics therefore do not count).
-    pub fn plan_scoped_vetted(
-        &self,
-        source: Safe<'_>,
-        target: Safe<'_>,
-        scoped: &[u32],
-    ) -> (Option<Path>, LazyStats) {
-        self.search(source, target, false, Some(scoped), &Bans::NONE, LazyStats::default())
-    }
-
     /// Full safety check for an arbitrary configuration: every invariant
     /// is evaluated (mid-search candidates use the incremental kernel).
     pub fn is_safe(&self, cfg: &Config) -> bool {
@@ -305,33 +268,8 @@ impl Search {
     }
 
     /// [`Search::is_safe`], handing back the proof instead of a flag.
-    pub(crate) fn vet<'c>(&self, cfg: &'c Config) -> Option<Safe<'c>> {
+    fn vet<'c>(&self, cfg: &'c Config) -> Option<Safe<'c>> {
         self.vet_counting(cfg, &mut 0)
-    }
-
-    /// [`Search::is_safe`] for a caller that checks a *sequence* of nearby
-    /// configurations: when `memo` holds a configuration of the same width
-    /// that an earlier call proved safe, only the predicates whose support
-    /// intersects the diff against it are re-evaluated — exact, because a
-    /// predicate disjoint from the diff reads identical inputs in both
-    /// configurations. A passing check moves `memo` to `cfg` and returns
-    /// the proof; a failing one leaves it alone; a width mismatch (or an
-    /// empty slot) takes the full check. `memo` must only ever have been
-    /// filled through `self`.
-    pub fn is_safe_memo<'c>(&self, cfg: &'c Config, memo: &mut SafeMemo) -> Option<Safe<'c>> {
-        let proof = match (&memo.0, &self.mode) {
-            (Some(m), Mode::Kernel) if m.width() == cfg.width() => self
-                .compiled
-                .affected_by_ids(&m.diff_ids(cfg))
-                .iter()
-                .all(|&p| self.compiled.eval_pred(p as usize, cfg))
-                .then_some(Safe(cfg)),
-            _ => self.vet(cfg),
-        };
-        if proof.is_some() {
-            memo.0 = Some(cfg.clone());
-        }
-        proof
     }
 
     /// [`Search::vet`], adding the predicates it evaluates to `evals`.
@@ -790,63 +728,6 @@ mod tests {
         let bad = u.config_of(&["A", "B"]);
         assert!(plan(&inv, &actions, &bad, &u.config_of(&["C"])).is_none());
         assert!(plan(&inv, &actions, &u.config_of(&["A"]), &bad).is_none());
-    }
-
-    #[test]
-    fn failing_check_leaves_the_safety_memo_alone() {
-        let (u, inv, actions) = setup();
-        let search = Search::new(&inv, &actions, u.len());
-        let mut memo = SafeMemo::default();
-        assert!(search.is_safe_memo(&u.config_of(&["A", "B"]), &mut memo).is_none());
-        assert_eq!(memo.proved(), None, "an unsafe configuration is never remembered");
-        let a = u.config_of(&["A"]);
-        assert!(search.is_safe_memo(&a, &mut memo).is_some());
-        assert!(search.is_safe_memo(&u.config_of(&["A", "C"]), &mut memo).is_none());
-        assert_eq!(memo.proved(), Some(&a), "the last *safe* configuration stays");
-        assert!(search.is_safe_memo(&u.config_of(&["B"]), &mut memo).is_some());
-    }
-
-    #[test]
-    fn width_mismatch_takes_the_full_check() {
-        let (u, inv, actions) = setup();
-        let search = Search::new(&inv, &actions, u.len());
-        let mut memo = SafeMemo::default();
-        assert!(search.is_safe_memo(&u.config_of(&["A"]), &mut memo).is_some());
-        // Same components over a wider slot space: diffing against the memo
-        // would panic on the width, so these must run every predicate.
-        let mut wide = Config::empty(u.len() + 2);
-        assert!(search.is_safe_memo(&wide, &mut memo).is_none(), "no component at all");
-        assert_eq!(memo.proved().map(Config::width), Some(u.len()));
-        wide.insert(u.id("C").unwrap());
-        assert!(search.is_safe_memo(&wide, &mut memo).is_some());
-        assert_eq!(memo.proved(), Some(&wide), "a pass moves the memo, whatever its width");
-    }
-
-    #[test]
-    fn vetted_entry_is_plan_scoped_minus_the_endpoint_checks() {
-        let (u, inv, actions) = setup();
-        let search = Search::new(&inv, &actions, u.len());
-        let all: Vec<u32> = (0..actions.len() as u32).collect();
-        let mut memo = SafeMemo::default();
-        for (s, t) in [("A", "C"), ("A", "B"), ("C", "A"), ("B", "B")] {
-            let (src, dst) = (u.config_of(&[s]), u.config_of(&[t]));
-            for scoped in [&all[..], &all[..1]] {
-                let (want, full) = search.plan_scoped(&src, &dst, scoped);
-                // One witness from each vetting path.
-                let from = search.vet(&src).expect("source is safe");
-                let to = search.is_safe_memo(&dst, &mut memo).expect("target is safe");
-                let (got, stats) = search.plan_scoped_vetted(from, to, scoped);
-                assert_eq!(got, want, "{s}->{t} over {scoped:?}");
-                let endpoint_evals = 2 * inv.exprs().len() as u64;
-                let uncounted = LazyStats {
-                    safety_checks: full.safety_checks - 2,
-                    pred_evals: full.pred_evals - endpoint_evals,
-                    ..full
-                };
-                assert_eq!(stats, uncounted, "{s}->{t} over {scoped:?}");
-            }
-        }
-        assert!(search.vet(&u.config_of(&["A", "B"])).is_none(), "no witness for an unsafe one");
     }
 
     #[test]

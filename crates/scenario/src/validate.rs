@@ -16,9 +16,9 @@
 //! 2. every emitted goal is reachable: each cluster's `on_true` mode can
 //!    be planned to from the boot mode *and back*, through the same
 //!    scope-restricted lazy planner and [`PlanCache`] the control plane
-//!    uses — one cache for the pass, holding every query. Its safe memo
-//!    vets an endpoint by its diff from the last configuration proved
-//!    safe, and an isomorphic cluster replays a cached plan, so every plan
+//!    uses — one cache for the pass, holding every query. It vets an
+//!    endpoint by its diff from the last configuration it proved safe,
+//!    and an isomorphic cluster replays a cached plan, so every plan
 //!    is checked step by step: it runs from the query's source to its
 //!    target, and each step is a repertoire action applied to its `from`
 //!    at that action's cost, and invariant-safe. Per step, the tree walk
