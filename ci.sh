@@ -56,6 +56,14 @@ if for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
     sed '/^#\[cfg(test)\]/,$d' "$f" | grep -Hn --label="$f" 'AgentCore::restore(\|ProtoMsg::Rejoin {\($\| last_completed:\)\|\.drain_obs()' || true
 done | grep -v '^crates/protocol/src/host.rs:[0-9]*:.*sess\.core\.drain_obs()'; then echo "a second agent host outside crates/protocol/src/agent_host.rs"; exit 1; fi
 
+echo "==> one account of manager decisions (the journal and the typed event stream; no prose log or warning list beside them)"
+# Non-test code only: a progress-note effect, or an infos/warnings field or
+# push, restates in English what a journal record or an event records.
+if for f in crates/protocol/src/*.rs crates/core/src/*.rs crates/core/src/*/*.rs; do
+    case "$f" in *_tests.rs) continue ;; esac
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -HnE --label="$f" 'ManagerEffect::Info\b|\bInfo\(String\)|\binfos\b|\bwarnings\b' || true
+done | grep .; then echo "a prose account of manager decisions beside the journal and the event stream"; exit 1; fi
+
 echo "==> one agent arena (sada_simnet::CloneArena: a plane clones an agent when the run first touches it, not once per hosted member at build)"
 if grep -rn 'ArenaActor<.*> for Vec\|vec!\[agent(' crates/*/src; then echo "a second agent arena, or a plane cloning its agent prototype once per hosted member"; exit 1; fi
 

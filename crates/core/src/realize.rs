@@ -67,8 +67,6 @@ pub struct RunReport {
     pub messages_sent: u64,
     /// Messages lost to the network.
     pub messages_dropped: u64,
-    /// The manager's progress log.
-    pub infos: Vec<String>,
     /// Crash faults injected over the run.
     pub crashes: u64,
     /// Restarts injected over the run.
@@ -141,7 +139,6 @@ pub fn run_adaptation(
         finished_at: m.completed_at.unwrap_or_else(|| sim.now()),
         messages_sent: sim.stats().sent,
         messages_dropped: sim.stats().dropped,
-        infos: m.infos.clone(),
         crashes: sim.stats().crashes,
         restarts: sim.stats().restarts,
         rejoins,
@@ -156,16 +153,27 @@ pub fn run_adaptation(
 mod tests {
     use super::*;
     use crate::casestudy::{case_study, PAPER_MAP_COST};
+    use sada_obs::{Counts, Kind};
+    use sada_proto::encode_journal;
     use sada_simnet::SimDuration;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn case_study_adaptation_succeeds_end_to_end() {
         let cs = case_study();
-        let report = run_adaptation(&cs.spec, &cs.source, &cs.target, &RunConfig::default());
-        assert!(report.outcome.success, "{:?}", report.infos);
+        let (bus, counts) = (Bus::new(), Rc::new(RefCell::new(Counts::new())));
+        bus.attach(&counts);
+        let report = run_adaptation(
+            &cs.spec,
+            &cs.source,
+            &cs.target,
+            &RunConfig { bus, ..RunConfig::default() },
+        );
+        assert!(report.outcome.success, "{}", encode_journal(&report.journal));
         assert_eq!(report.outcome.final_config, cs.target);
         assert_eq!(report.outcome.steps_committed, 5, "the five MAP steps");
-        assert!(report.outcome.warnings.is_empty());
+        assert_eq!(counts.borrow()[Kind::RetrySent], 0, "no retransmissions");
         let _ = PAPER_MAP_COST;
     }
 
@@ -221,7 +229,7 @@ mod tests {
         let report = run_adaptation(&cs.spec, &cs.source, &cs.target, &cfg);
         assert_eq!((report.crashes, report.restarts), (1, 1));
         assert!(report.rejoins >= 1, "restarted agent must announce itself");
-        assert!(report.outcome.success, "{:?}", report.infos);
+        assert!(report.outcome.success, "{}", encode_journal(&report.journal));
         assert_eq!(report.outcome.final_config, cs.target);
         // Bounded overhead: the outage plus a few timeout ladders, not an
         // unbounded retry storm.
@@ -248,7 +256,7 @@ mod tests {
         let report = run_adaptation(&cs.spec, &cs.source, &cs.target, &cfg);
         assert_eq!((report.crashes, report.restarts), (1, 1));
         assert_eq!(report.manager_restores, 1, "one incarnation rebuilt from the journal");
-        assert!(report.outcome.success, "{:?}", report.infos);
+        assert!(report.outcome.success, "{}", encode_journal(&report.journal));
         assert_eq!(report.outcome.final_config, cs.target);
         assert!(
             matches!(report.journal.last(), Some(JournalRecord::Outcome { success: true, .. })),
@@ -267,9 +275,7 @@ mod tests {
 
     #[test]
     fn unified_bus_captures_network_protocol_and_plan_layers() {
-        use sada_obs::{Kind, Metrics, Payload, ProtoEvent, RingSink};
-        use std::cell::RefCell;
-        use std::rc::Rc;
+        use sada_obs::{Metrics, Payload, ProtoEvent, RingSink};
 
         let cs = case_study();
         let bus = Bus::new();
@@ -318,7 +324,7 @@ mod tests {
         // Gating the wire never compromises the protocol: once the agent
         // rejoins, the half-open probe re-engages it and the adaptation
         // still lands on the target with a journaled outcome.
-        assert!(report.outcome.success, "{:?}", report.infos);
+        assert!(report.outcome.success, "{}", encode_journal(&report.journal));
         assert_eq!(report.outcome.final_config, cs.target);
         assert!(matches!(report.journal.last(), Some(JournalRecord::Outcome { .. })));
         // Without the breaker the same outage is all retransmissions.

@@ -505,7 +505,7 @@ impl<M: Clone + 'static> ControlActor<M> {
                 ManagerEffect::Journal(rec) => {
                     self.journal.push(SessionRecord { session: SessionId(session), record: rec });
                 }
-                _ => {} // progress notes are for the solo manager's log
+                _ => {} // the host put it on the wire
             }
         }
         if let Some(outcome) = completed {

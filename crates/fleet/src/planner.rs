@@ -182,11 +182,15 @@ impl ScopedLazyPlanner {
             || self.normalizer.is_some()
     }
 
-    /// The session's repertoire: the world's actions whose touched set lies
-    /// inside the scope, in world order and world ids.
-    pub fn repertoire(&self) -> impl Iterator<Item = Action> + '_ {
-        let scoped = (0..self.len()).filter_map(|ix| self.scoped_at(ix));
-        scoped.map(|(pix, a)| self.world.placed_action(pix, a))
+    /// World action `id`, unnamed, if it is in the session's repertoire
+    /// (the world's actions whose touched set lies inside the scope).
+    pub fn scoped_action(&self, id: ActionId) -> Option<Action> {
+        self.position_of(id).map(|_| self.world.action(id))
+    }
+
+    /// The position of world action `id` in the session's repertoire.
+    fn position_of(&self, id: ActionId) -> Option<usize> {
+        (0..self.len()).position(|ix| self.scoped_id(ix) == Some(id))
     }
 
     /// Number of actions in the repertoire.
@@ -247,9 +251,7 @@ impl ScopedLazyPlanner {
 
     /// Encodes a freshly computed path as scoped-action indices.
     fn normalize(&self, path: &Path) -> Option<CachedPlan> {
-        let position = |s: &PathStep| {
-            (0..self.len()).position(|ix| self.scoped_id(ix) == Some(s.action)).map(|i| i as u32)
-        };
+        let position = |s: &PathStep| self.position_of(s.action).map(|i| i as u32);
         let ixs: Option<Vec<u32>> = path.steps.iter().map(position).collect();
         Some(CachedPlan { action_ixs: ixs?, cost: path.cost })
     }
@@ -390,7 +392,9 @@ mod tests {
         let w = Rc::new(FleetWorld::build(4));
         let scope = w.scope_comps(&[(1, true), (3, true)]);
         let p = ScopedLazyPlanner::new(Rc::clone(&w), &scope);
-        let names: Vec<String> = p.repertoire().map(|a| a.name().to_string()).collect();
+        let ids = (0..w.actions.len() as u32).map(ActionId);
+        let scoped = ids.filter(|&id| p.scoped_action(id).is_some());
+        let names: Vec<&str> = scoped.map(|id| w.actions[id.index()].name()).collect();
         assert_eq!(names, ["fwd1", "back1", "fwd3", "back3"], "fwd+back for two groups");
     }
 

@@ -1132,12 +1132,6 @@ impl CompiledWorld {
         self.layout.runs.find(Axis::Comp, c.index())
     }
 
-    /// Class action `a` of placement `pix` in world ids, with its world
-    /// name.
-    pub(crate) fn placed_action(&self, pix: usize, a: &Action) -> Action {
-        self.layout.action(self.layout.runs.at(pix), a, Some(pix))
-    }
-
     /// World action `id`, unnamed.
     pub(crate) fn action(&self, id: ActionId) -> Action {
         let (p, class) = self.layout.holding(Axis::Action, id.index());

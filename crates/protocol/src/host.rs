@@ -233,7 +233,7 @@ impl ManagerHost {
     }
 
     /// Puts `effects` of session `id`'s core on the wire and returns the
-    /// rest (completion, journal records, progress notes) in order. Sends
+    /// rest (completion, journal records) in order. Sends
     /// carry the session and this incarnation's epoch and pass the agent's
     /// breaker; answering a timeout (`in_timeout`), each is a
     /// retransmission. A core's timer fires as [`ProtoTimer::Core`], naming

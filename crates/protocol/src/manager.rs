@@ -104,7 +104,10 @@ pub enum ManagerPhase {
     GaveUp,
 }
 
-/// Final report of an adaptation request.
+/// Final report of an adaptation request. What happened on the way is on
+/// the event stream and in the journal: a resume force-completed, or a
+/// rollback assumed done, is a `TimeoutFired` at the force limit followed
+/// by the commit or the rollback's completion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Outcome {
     /// True when the system reached the requested target configuration.
@@ -116,8 +119,6 @@ pub struct Outcome {
     pub final_config: Config,
     /// Steps successfully committed.
     pub steps_committed: u32,
-    /// Non-fatal anomalies (e.g. force-completed resumes).
-    pub warnings: Vec<String>,
 }
 
 /// Inputs to the manager.
@@ -144,7 +145,9 @@ pub enum ManagerEvent {
     },
 }
 
-/// Outputs of the manager.
+/// Outputs of the manager. They act (sends, timers) or record (the journal,
+/// the outcome); the account of each decision is the journal together with
+/// the typed events [`ManagerCore::drain_obs`] hands the host.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ManagerEffect {
     /// Send `msg` to agent `agent`.
@@ -175,8 +178,6 @@ pub enum ManagerEffect {
     /// record before acting on later effects gets crash-consistent
     /// write-ahead semantics; the host chooses the durability medium.
     Journal(JournalRecord),
-    /// Progress note for human logs.
-    Info(String),
 }
 
 /// The manager half of the realization-phase protocol.
@@ -194,7 +195,6 @@ pub struct ManagerCore {
     step_id: StepId,
     next_attempt: u64,
     solo: bool,
-    resume_sent: bool,
     pending_adapt: BTreeSet<usize>,
     pending_resume: BTreeSet<usize>,
     pending_rollback: BTreeSet<usize>,
@@ -214,7 +214,6 @@ pub struct ManagerCore {
     /// restore — the estimator re-learns after a crash). Only consulted
     /// when the retry policy is in adaptive mode.
     timeout_hint: Option<SimDuration>,
-    warnings: Vec<String>,
     queued_requests: std::collections::VecDeque<(Config, Config)>,
     /// Untimed observability payloads accumulated since the last drain; the
     /// embedding stamps them (virtual time, actor) and emits them on its bus.
@@ -250,7 +249,6 @@ impl ManagerCore {
             step_id: StepId(0),
             next_attempt: 1,
             solo: false,
-            resume_sent: false,
             pending_adapt: BTreeSet::new(),
             pending_resume: BTreeSet::new(),
             pending_rollback: BTreeSet::new(),
@@ -261,7 +259,6 @@ impl ManagerCore {
             timer_seq: 0,
             journal_seq: 0,
             timeout_hint: None,
-            warnings: Vec::new(),
             queued_requests: std::collections::VecDeque::new(),
             obs: Vec::new(),
         }
@@ -327,10 +324,6 @@ impl ManagerCore {
                 JournalRecord::Queued { source: source.clone(), target: target.clone() },
             );
             self.queued_requests.push_back((source, target));
-            eff.push(ManagerEffect::Info(format!(
-                "adaptation in progress; request queued ({} waiting)",
-                self.queued_requests.len()
-            )));
             return eff;
         }
         self.begin(source, target);
@@ -348,7 +341,6 @@ impl ManagerCore {
         (self.source, self.target, self.current) = (source.clone(), target, source);
         (self.goal_is_source, self.steps_committed, self.step_retry_used) = (false, 0, false);
         self.tried_paths.clear();
-        self.warnings.clear();
     }
 
     fn goal(&self) -> &Config {
@@ -394,10 +386,6 @@ impl ManagerCore {
                 debug_assert!(!steps.is_empty());
                 let mut eff = Vec::new();
                 self.journal(&mut eff, JournalRecord::PathSelected { actions: path.action_ids() });
-                eff.push(ManagerEffect::Info(format!(
-                    "executing path {path} toward {}",
-                    if self.goal_is_source { "source (abort)" } else { "target" }
-                )));
                 self.steps = steps;
                 self.step_ix = 0;
                 eff.extend(self.start_step());
@@ -411,10 +399,6 @@ impl ManagerCore {
                 self.goal_is_source = true;
                 let mut eff = Vec::new();
                 self.journal(&mut eff, JournalRecord::GoalReversed);
-                eff.push(ManagerEffect::Info(
-                    "all paths to target failed; attempting to return to source configuration"
-                        .into(),
-                ));
                 eff.extend(self.select_and_start());
                 eff
             }
@@ -422,55 +406,48 @@ impl ManagerCore {
                 // Even the way back failed: wait for user intervention.
                 self.obs
                     .push(Payload::Plan(PlanEvent::PathsExhausted { returning_to_source: false }));
-                self.set_phase(ManagerPhase::GaveUp);
-                self.obs.push(Payload::Proto(ProtoEvent::OutcomeReached {
-                    success: false,
-                    gave_up: true,
-                    steps_committed: u64::from(self.steps_committed),
-                }));
-                let mut eff = Vec::new();
-                self.journal(&mut eff, JournalRecord::Outcome { success: false, gave_up: true });
-                eff.push(ManagerEffect::Info(
-                    "all recovery options exhausted; awaiting user intervention".into(),
-                ));
-                eff.push(ManagerEffect::Complete(Outcome {
-                    success: false,
-                    gave_up: true,
-                    final_config: self.current.clone(),
-                    steps_committed: self.steps_committed,
-                    warnings: self.warnings.clone(),
-                }));
-                eff
+                self.conclude(ManagerPhase::GaveUp, false)
             }
         }
     }
 
     fn complete(&mut self) -> Vec<ManagerEffect> {
-        self.set_phase(ManagerPhase::Running);
         let success = !self.goal_is_source && self.current == self.target;
+        let mut eff = self.conclude(ManagerPhase::Running, success);
+        eff.extend(self.serve_queued());
+        eff
+    }
+
+    /// Ends the request in `phase` (`GaveUp` when every recovery option is
+    /// exhausted and the user must step in): the outcome is recorded, then
+    /// reported.
+    fn conclude(&mut self, phase: ManagerPhase, success: bool) -> Vec<ManagerEffect> {
+        let gave_up = phase == ManagerPhase::GaveUp;
+        self.set_phase(phase);
         self.obs.push(Payload::Proto(ProtoEvent::OutcomeReached {
             success,
-            gave_up: false,
+            gave_up,
             steps_committed: u64::from(self.steps_committed),
         }));
         let mut eff = Vec::new();
-        self.journal(&mut eff, JournalRecord::Outcome { success, gave_up: false });
+        self.journal(&mut eff, JournalRecord::Outcome { success, gave_up });
         eff.push(ManagerEffect::Complete(Outcome {
             success,
-            gave_up: false,
+            gave_up,
             final_config: self.current.clone(),
             steps_committed: self.steps_committed,
-            warnings: self.warnings.clone(),
         }));
-        // Serve the next queued request, re-anchored at wherever the system
-        // actually ended up (its stated source may be stale).
-        if let Some((source, target)) = self.queued_requests.pop_front() {
-            let effective_source =
-                if source == self.current { source } else { self.current.clone() };
-            eff.push(ManagerEffect::Info("starting queued adaptation request".into()));
-            eff.extend(self.on_request(effective_source, target));
-        }
         eff
+    }
+
+    /// Serves the next queued request, re-anchored at wherever the system
+    /// actually ended up (its stated source may be stale).
+    fn serve_queued(&mut self) -> Vec<ManagerEffect> {
+        let Some((source, target)) = self.queued_requests.pop_front() else {
+            return Vec::new();
+        };
+        let source = if source == self.current { source } else { self.current.clone() };
+        self.on_request(source, target)
     }
 
     /// Appends a record to the write-ahead journal: the observability marker
@@ -505,21 +482,75 @@ impl ManagerCore {
         eff.push(ManagerEffect::SetTimer { token: self.timer_token, after });
     }
 
-    fn start_step(&mut self) -> Vec<ManagerEffect> {
-        let step = self.steps[self.step_ix].clone();
-        debug_assert_eq!(step.from, self.current, "plan out of sync with committed config");
-        self.step_id = StepId(self.next_attempt);
-        self.next_attempt += 1;
-        self.solo = step.locals.len() == 1;
-        self.resume_sent = false;
+    /// Re-issues `msg` to `agent` alone, on a fresh retry budget and timer.
+    fn reissue(&mut self, agent: usize, msg: ProtoMsg) -> Vec<ManagerEffect> {
         self.retries = 0;
-        self.pending_adapt = step.locals.iter().map(|(a, _)| *a).collect();
-        self.pending_resume = self.pending_adapt.clone();
-        self.pending_rollback.clear();
+        let mut eff = vec![ManagerEffect::Send { agent, msg }];
+        self.fresh_timer(&mut eff);
+        eff
+    }
+
+    /// One rung of the retransmission ladder: the current phase's command
+    /// again, to every participant whose ack is still pending.
+    fn retransmit(&mut self) -> Vec<ManagerEffect> {
+        self.retries += 1;
+        self.obs.push(Payload::Proto(ProtoEvent::RetrySent {
+            step: self.step_id.0,
+            resends: self.retries,
+        }));
+        let pending = match self.phase {
+            ManagerPhase::Adapting => &self.pending_adapt,
+            ManagerPhase::Resuming => &self.pending_resume,
+            _ => &self.pending_rollback,
+        };
+        let mut eff = Vec::new();
+        for (agent, local) in &self.steps[self.step_ix].locals {
+            if !pending.contains(agent) {
+                continue;
+            }
+            // Solo steps never send Resume; a retransmitted Reset elicits
+            // idempotent re-acks instead.
+            let msg = match self.phase {
+                ManagerPhase::RollingBack => ProtoMsg::Rollback { step: self.step_id },
+                ManagerPhase::Resuming if !self.solo => ProtoMsg::Resume { step: self.step_id },
+                _ => self.reset(local.clone()),
+            };
+            eff.push(ManagerEffect::Send { agent: *agent, msg });
+        }
+        self.fresh_timer(&mut eff);
+        eff
+    }
+
+    /// The current step's `Reset` carrying `action`.
+    fn reset(&self, action: LocalAction) -> ProtoMsg {
+        ProtoMsg::Reset { step: self.step_id, action, solo: self.solo }
+    }
+
+    /// `agent`'s local action in the step underway, if it takes part in one.
+    fn local_of(&self, agent: usize) -> Option<LocalAction> {
+        if matches!(self.phase, ManagerPhase::Running | ManagerPhase::GaveUp) {
+            return None;
+        }
+        let locals = &self.steps[self.step_ix].locals;
+        locals.iter().find(|(a, _)| *a == agent).map(|(_, l)| l.clone())
+    }
+
+    /// Disarms the phase timer and commits the step: its barrier closed on
+    /// an ack, not on a timeout.
+    fn commit_early(&mut self) -> Vec<ManagerEffect> {
+        let mut eff = vec![ManagerEffect::CancelTimer { token: self.timer_token }];
+        eff.extend(self.commit_step());
+        eff
+    }
+
+    fn start_step(&mut self) -> Vec<ManagerEffect> {
+        let from = &self.steps[self.step_ix].from;
+        debug_assert_eq!(*from, self.current, "plan out of sync with committed config");
+        self.enter_step(self.step_ix, StepId(self.next_attempt));
         self.obs.push(Payload::Proto(ProtoEvent::StepStarted {
             step: self.step_id.0,
             solo: self.solo,
-            participants: step.locals.len() as u32,
+            participants: self.steps[self.step_ix].locals.len() as u32,
         }));
         self.set_phase(ManagerPhase::Adapting);
         let mut eff = Vec::new();
@@ -527,14 +558,23 @@ impl ManagerCore {
             &mut eff,
             JournalRecord::StepStarted { step: self.step_id, ix: self.step_ix as u32 },
         );
-        for (agent, local) in &step.locals {
-            eff.push(ManagerEffect::Send {
-                agent: *agent,
-                msg: ProtoMsg::Reset { step: self.step_id, action: local.clone(), solo: self.solo },
-            });
+        for (agent, local) in &self.steps[self.step_ix].locals {
+            eff.push(ManagerEffect::Send { agent: *agent, msg: self.reset(local.clone()) });
         }
         self.fresh_timer(&mut eff);
         eff
+    }
+
+    /// Takes up attempt `step` of step `ix`, live and in replay alike: a
+    /// fresh retry budget, and every participant pending on the adapt and
+    /// resume barriers.
+    fn enter_step(&mut self, ix: usize, step: StepId) {
+        (self.step_ix, self.step_id, self.next_attempt) = (ix, step, step.0 + 1);
+        let locals = &self.steps[ix].locals;
+        (self.solo, self.retries) = (locals.len() == 1, 0);
+        self.pending_adapt = locals.iter().map(|(a, _)| *a).collect();
+        self.pending_resume = self.pending_adapt.clone();
+        self.pending_rollback.clear();
     }
 
     fn on_agent_msg(&mut self, agent: usize, msg: ProtoMsg) -> Vec<ManagerEffect> {
@@ -561,7 +601,6 @@ impl ManagerCore {
                 // autonomously; otherwise broadcast resume. Either way the
                 // point of no return is passed.
                 self.set_phase(ManagerPhase::Resuming);
-                self.resume_sent = true;
                 self.retries = 0;
                 let mut eff = Vec::new();
                 self.journal(&mut eff, JournalRecord::ResumeIssued { step: self.step_id });
@@ -600,18 +639,9 @@ impl ManagerCore {
                 if !self.pending_resume.is_empty() {
                     return Vec::new();
                 }
-                let mut eff = vec![ManagerEffect::CancelTimer { token: self.timer_token }];
-                eff.extend(self.commit_step());
-                eff
+                self.commit_early()
             }
-            (ManagerPhase::Adapting, ProtoMsg::FailToReset { .. }) => {
-                let mut eff = vec![ManagerEffect::Info(format!(
-                    "agent {agent} failed to reset; aborting step {}",
-                    self.step_id
-                ))];
-                eff.extend(self.begin_rollback());
-                eff
-            }
+            (ManagerPhase::Adapting, ProtoMsg::FailToReset { .. }) => self.begin_rollback(),
             (ManagerPhase::RollingBack, ProtoMsg::ResumeDone { .. }) if self.solo => {
                 // The solo participant self-resumed past the point of no
                 // return before our rollback order reached it (its acks were
@@ -620,15 +650,7 @@ impl ManagerCore {
                 // the commit. Only solo steps can race this way — multi-agent
                 // participants resume strictly on our Resume, which is never
                 // followed by a rollback.
-                let mut eff = vec![
-                    ManagerEffect::Info(format!(
-                        "agent {agent} had already committed step {}; abandoning its rollback",
-                        self.step_id
-                    )),
-                    ManagerEffect::CancelTimer { token: self.timer_token },
-                ];
-                eff.extend(self.commit_step());
-                eff
+                self.commit_early()
             }
             (ManagerPhase::RollingBack, ProtoMsg::RollbackDone { .. }) => {
                 if !self.pending_rollback.remove(&agent) {
@@ -675,93 +697,41 @@ impl ManagerCore {
             agent: agent as u32,
             last_completed: last_completed.map(|s| s.0),
         }));
-        if matches!(self.phase, ManagerPhase::Running | ManagerPhase::GaveUp) {
-            return vec![ManagerEffect::Info(format!("agent {agent} rejoined while idle"))];
-        }
-        let step = &self.steps[self.step_ix];
-        let Some(local) = step.locals.iter().find(|(a, _)| *a == agent).map(|(_, l)| l.clone())
-        else {
-            return vec![ManagerEffect::Info(format!(
-                "agent {agent} rejoined (not a participant of {})",
-                self.step_id
-            ))];
+        // Idle, or not a participant of the step underway: nothing to resync.
+        let Some(local) = self.local_of(agent) else {
+            return Vec::new();
         };
         match self.phase {
             ManagerPhase::Adapting => {
                 // Whatever the agent had acknowledged pre-crash is void: put
-                // it back on both barriers and start it over on this attempt
-                // with a fresh retry budget.
+                // it back on both barriers and start it over on this attempt.
                 self.pending_adapt.insert(agent);
                 self.pending_resume.insert(agent);
-                self.retries = 0;
-                let mut eff = vec![ManagerEffect::Info(format!(
-                    "agent {agent} rejoined; resynchronizing into {}",
-                    self.step_id
-                ))];
-                eff.push(ManagerEffect::Send {
-                    agent,
-                    msg: ProtoMsg::Reset { step: self.step_id, action: local, solo: self.solo },
-                });
-                self.fresh_timer(&mut eff);
-                eff
+                self.reissue(agent, self.reset(local))
             }
-            ManagerPhase::Resuming => {
-                if !self.pending_resume.contains(&agent) {
-                    return vec![ManagerEffect::Info(format!(
-                        "agent {agent} rejoined after acknowledging {}; nothing to resync",
-                        self.step_id
-                    ))];
+            // It acknowledged the step before it crashed.
+            ManagerPhase::Resuming if !self.pending_resume.contains(&agent) => Vec::new(),
+            ManagerPhase::Resuming if last_completed == Some(self.step_id) => {
+                // Crashed between committing and the ack being heard:
+                // the rejoin itself is proof of completion.
+                self.pending_adapt.remove(&agent);
+                self.pending_resume.remove(&agent);
+                if self.pending_resume.is_empty() {
+                    self.commit_early()
+                } else {
+                    Vec::new()
                 }
-                if last_completed == Some(self.step_id) {
-                    // Crashed between committing and the ack being heard:
-                    // the rejoin itself is proof of completion.
-                    self.pending_adapt.remove(&agent);
-                    self.pending_resume.remove(&agent);
-                    let mut eff = vec![ManagerEffect::Info(format!(
-                        "agent {agent} rejoined having completed {}",
-                        self.step_id
-                    ))];
-                    if self.pending_resume.is_empty() {
-                        eff.push(ManagerEffect::CancelTimer { token: self.timer_token });
-                        eff.extend(self.commit_step());
-                    }
-                    return eff;
-                }
-                // The uncommitted in-action died with the crash even though
-                // the resume barrier has passed: the step *must* still run
-                // to completion, so drive the agent through it again.
-                self.retries = 0;
-                let mut eff = vec![ManagerEffect::Info(format!(
-                    "agent {agent} rejoined mid-resume; re-running {} to completion",
-                    self.step_id
-                ))];
-                eff.push(ManagerEffect::Send {
-                    agent,
-                    msg: ProtoMsg::Reset { step: self.step_id, action: local, solo: self.solo },
-                });
-                self.fresh_timer(&mut eff);
-                eff
             }
+            // The uncommitted in-action died with the crash even though the
+            // resume barrier has passed: the step *must* still run to
+            // completion, so drive the agent through it again.
+            ManagerPhase::Resuming => self.reissue(agent, self.reset(local)),
+            // It rolled back before it crashed.
+            ManagerPhase::RollingBack if !self.pending_rollback.contains(&agent) => Vec::new(),
             ManagerPhase::RollingBack => {
-                if !self.pending_rollback.contains(&agent) {
-                    return vec![ManagerEffect::Info(format!(
-                        "agent {agent} rejoined after rolling back {}",
-                        self.step_id
-                    ))];
-                }
-                self.retries = 0;
-                let mut eff = vec![ManagerEffect::Info(format!(
-                    "agent {agent} rejoined; re-sending rollback for {}",
-                    self.step_id
-                ))];
-                eff.push(ManagerEffect::Send {
-                    agent,
-                    msg: ProtoMsg::Rollback { step: self.step_id },
-                });
-                self.fresh_timer(&mut eff);
-                eff
+                self.reissue(agent, ProtoMsg::Rollback { step: self.step_id })
             }
-            ManagerPhase::Running | ManagerPhase::GaveUp => unreachable!("handled above"),
+            ManagerPhase::Running | ManagerPhase::GaveUp => unreachable!("no step underway"),
         }
     }
 
@@ -793,16 +763,9 @@ impl ManagerCore {
             failed,
             last_completed: last_completed.map(|s| s.0),
         }));
-        if matches!(self.phase, ManagerPhase::Running | ManagerPhase::GaveUp) {
-            return vec![ManagerEffect::Info(format!("agent {agent} reported state while idle"))];
-        }
-        let step = &self.steps[self.step_ix];
-        let Some(local) = step.locals.iter().find(|(a, _)| *a == agent).map(|(_, l)| l.clone())
-        else {
-            return vec![ManagerEffect::Info(format!(
-                "agent {agent} reported state (not a participant of {})",
-                self.step_id
-            ))];
+        // Idle, or not a participant of the step underway: nothing to settle.
+        let Some(local) = self.local_of(agent) else {
+            return Vec::new();
         };
         let completed = last_completed == Some(self.step_id);
         let on_step = engaged == Some(self.step_id);
@@ -830,13 +793,7 @@ impl ManagerCore {
                 } else {
                     // Not engaged in this step at all: the Reset never
                     // arrived (or the agent crashed too). Re-issue it.
-                    self.retries = 0;
-                    let mut eff = vec![ManagerEffect::Send {
-                        agent,
-                        msg: ProtoMsg::Reset { step: self.step_id, action: local, solo: self.solo },
-                    }];
-                    self.fresh_timer(&mut eff);
-                    eff
+                    self.reissue(agent, self.reset(local))
                 }
             }
             ManagerPhase::Resuming => {
@@ -858,13 +815,7 @@ impl ManagerCore {
                 } else {
                     // The step must run to completion: drive the agent
                     // through it again from the start.
-                    self.retries = 0;
-                    let mut eff = vec![ManagerEffect::Send {
-                        agent,
-                        msg: ProtoMsg::Reset { step: self.step_id, action: local, solo: self.solo },
-                    }];
-                    self.fresh_timer(&mut eff);
-                    eff
+                    self.reissue(agent, self.reset(local))
                 }
             }
             ManagerPhase::RollingBack => {
@@ -887,7 +838,7 @@ impl ManagerCore {
                     self.on_agent_msg(agent, ProtoMsg::RollbackDone { step: self.step_id })
                 }
             }
-            ManagerPhase::Running | ManagerPhase::GaveUp => unreachable!("handled above"),
+            ManagerPhase::Running | ManagerPhase::GaveUp => unreachable!("no step underway"),
         }
     }
 
@@ -895,13 +846,17 @@ impl ManagerCore {
         self.obs.push(Payload::Proto(ProtoEvent::StepCommitted { step: self.step_id.0 }));
         let mut eff = Vec::new();
         self.journal(&mut eff, JournalRecord::StepCommitted { step: self.step_id });
-        let step = &self.steps[self.step_ix];
-        self.current = step.to.clone();
+        self.pass_step();
+        eff.extend(self.advance_after_commit());
+        eff
+    }
+
+    /// Moves past the committed step, live and in replay alike.
+    fn pass_step(&mut self) {
+        self.current = self.steps[self.step_ix].to.clone();
         self.steps_committed += 1;
         self.step_retry_used = false;
         self.step_ix += 1;
-        eff.extend(self.advance_after_commit());
-        eff
     }
 
     /// What happens after a commit has been applied (shared between the live
@@ -940,19 +895,13 @@ impl ManagerCore {
 
     fn rollback_complete(&mut self) -> Vec<ManagerEffect> {
         // The system is back at the step's source configuration (= current).
+        // Ladder rung 1 retries the same step once more; rungs 2-4 take the
+        // next-cheapest path, return to the source, or give up.
         let retry = !self.step_retry_used;
         let mut eff = Vec::new();
         self.journal(&mut eff, JournalRecord::RollbackComplete { step: self.step_id, retry });
-        if retry {
-            // Ladder rung 1: retry the same step once more.
-            self.step_retry_used = true;
-            eff.push(ManagerEffect::Info(format!("retrying step {} once", self.step_ix)));
-            eff.extend(self.start_step());
-        } else {
-            // Ladder rungs 2-4: next-cheapest path, return to source, give up.
-            self.step_retry_used = false;
-            eff.extend(self.select_and_start());
-        }
+        self.step_retry_used = retry;
+        eff.extend(if retry { self.start_step() } else { self.select_and_start() });
         eff
     }
 
@@ -965,112 +914,23 @@ impl ManagerCore {
             step: (self.step_id.0 != 0).then_some(self.step_id.0),
             retries: self.retries,
         }));
+        let limit = match self.phase {
+            ManagerPhase::Adapting => self.timing.send_retries,
+            ManagerPhase::Resuming => self.timing.resume_force_limit,
+            ManagerPhase::RollingBack => self.timing.rollback_force_limit,
+            ManagerPhase::Running | ManagerPhase::GaveUp => return Vec::new(),
+        };
+        if self.retries < limit {
+            return self.retransmit();
+        }
         match self.phase {
-            ManagerPhase::Adapting => {
-                if self.retries < self.timing.send_retries {
-                    self.retries += 1;
-                    self.obs.push(Payload::Proto(ProtoEvent::RetrySent {
-                        step: self.step_id.0,
-                        resends: self.retries,
-                    }));
-                    let step = self.steps[self.step_ix].clone();
-                    let mut eff = vec![ManagerEffect::Info(format!(
-                        "timeout in adapting; retransmitting reset (attempt {})",
-                        self.retries
-                    ))];
-                    for (agent, local) in &step.locals {
-                        if self.pending_adapt.contains(agent) {
-                            eff.push(ManagerEffect::Send {
-                                agent: *agent,
-                                msg: ProtoMsg::Reset {
-                                    step: self.step_id,
-                                    action: local.clone(),
-                                    solo: self.solo,
-                                },
-                            });
-                        }
-                    }
-                    self.fresh_timer(&mut eff);
-                    eff
-                } else {
-                    // Loss-of-message before any resume: abort the step.
-                    let mut eff = vec![ManagerEffect::Info(
-                        "reset/adapt phase timed out; aborting step (rollback)".into(),
-                    )];
-                    eff.extend(self.begin_rollback());
-                    eff
-                }
-            }
-            ManagerPhase::Resuming => {
-                if self.retries < self.timing.resume_force_limit {
-                    self.retries += 1;
-                    self.obs.push(Payload::Proto(ProtoEvent::RetrySent {
-                        step: self.step_id.0,
-                        resends: self.retries,
-                    }));
-                    let step = self.steps[self.step_ix].clone();
-                    let mut eff = Vec::new();
-                    for (agent, local) in &step.locals {
-                        if self.pending_resume.contains(agent) {
-                            // Solo steps never send Resume; retransmit Reset
-                            // instead, which elicits idempotent re-acks.
-                            let msg = if self.solo {
-                                ProtoMsg::Reset {
-                                    step: self.step_id,
-                                    action: local.clone(),
-                                    solo: true,
-                                }
-                            } else {
-                                ProtoMsg::Resume { step: self.step_id }
-                            };
-                            eff.push(ManagerEffect::Send { agent: *agent, msg });
-                        }
-                    }
-                    self.fresh_timer(&mut eff);
-                    eff
-                } else {
-                    // After resume the adaptation must run to completion: the
-                    // unreachable agents will finish on their own. Commit.
-                    self.warnings.push(format!(
-                        "step {} force-completed: {} agent(s) never acknowledged resume",
-                        self.step_ix,
-                        self.pending_resume.len()
-                    ));
-                    let mut eff = vec![ManagerEffect::Info(
-                        "resume acks lost; running to completion and committing step".into(),
-                    )];
-                    eff.extend(self.commit_step());
-                    eff
-                }
-            }
-            ManagerPhase::RollingBack => {
-                if self.retries < self.timing.rollback_force_limit {
-                    self.retries += 1;
-                    self.obs.push(Payload::Proto(ProtoEvent::RetrySent {
-                        step: self.step_id.0,
-                        resends: self.retries,
-                    }));
-                    let step = self.steps[self.step_ix].clone();
-                    let mut eff = Vec::new();
-                    for (agent, _) in &step.locals {
-                        if self.pending_rollback.contains(agent) {
-                            eff.push(ManagerEffect::Send {
-                                agent: *agent,
-                                msg: ProtoMsg::Rollback { step: self.step_id },
-                            });
-                        }
-                    }
-                    self.fresh_timer(&mut eff);
-                    eff
-                } else {
-                    self.warnings.push(format!(
-                        "rollback of step {} assumed complete after retries exhausted",
-                        self.step_ix
-                    ));
-                    self.rollback_complete()
-                }
-            }
-            ManagerPhase::Running | ManagerPhase::GaveUp => Vec::new(),
+            // Loss-of-message before any resume: abort the step.
+            ManagerPhase::Adapting => self.begin_rollback(),
+            // After resume the adaptation must run to completion: the
+            // unreachable agents will finish on their own. Commit.
+            ManagerPhase::Resuming => self.commit_step(),
+            // Assume the rollback happened.
+            _ => self.rollback_complete(),
         }
     }
 
@@ -1120,18 +980,14 @@ impl ManagerCore {
             Idle,
             /// A goal is set; a path must be (re-)selected.
             Decide,
-            /// A path is selected and compiled; its next step must start.
+            /// The current step must start: its path was just selected, or
+            /// rung 1 retries it after its rollback.
             StartStep,
-            /// Waiting on the adapt barrier of the current step.
-            WaitAdapt,
-            /// Waiting on the resume barrier.
-            WaitResume,
-            /// Waiting on the rollback barrier.
-            WaitRollback,
+            /// Waiting on the current phase's barrier, which replay left at
+            /// the full participant set.
+            Wait,
             /// A step just committed; advance (next step / complete / replan).
             AfterCommit,
-            /// A rollback just finished; retry the step or replan.
-            AfterRollback { retry: bool },
         }
 
         let mut core = ManagerCore::new(timing, planner);
@@ -1174,36 +1030,24 @@ impl ManagerCore {
                     if core.steps[ix].from != core.current {
                         return Err(fail("step source disagrees with committed configuration"));
                     }
-                    core.step_ix = ix;
-                    core.step_id = *step;
-                    core.next_attempt = step.0 + 1;
-                    core.solo = core.steps[ix].locals.len() == 1;
-                    core.resume_sent = false;
-                    core.retries = 0;
-                    core.pending_adapt = core.steps[ix].locals.iter().map(|(a, _)| *a).collect();
-                    core.pending_resume = core.pending_adapt.clone();
-                    core.pending_rollback.clear();
+                    core.enter_step(ix, *step);
                     core.phase = ManagerPhase::Adapting;
-                    cursor = Cursor::WaitAdapt;
+                    cursor = Cursor::Wait;
                 }
                 JournalRecord::ResumeIssued { step } => {
                     if *step != core.step_id {
                         return Err(fail("resume for a step that is not current"));
                     }
                     core.phase = ManagerPhase::Resuming;
-                    core.resume_sent = true;
                     core.pending_adapt.clear();
                     core.retries = 0;
-                    cursor = Cursor::WaitResume;
+                    cursor = Cursor::Wait;
                 }
                 JournalRecord::StepCommitted { step } => {
                     if *step != core.step_id {
                         return Err(fail("commit for a step that is not current"));
                     }
-                    core.current = core.steps[core.step_ix].to.clone();
-                    core.steps_committed += 1;
-                    core.step_retry_used = false;
-                    core.step_ix += 1;
+                    core.pass_step();
                     cursor = Cursor::AfterCommit;
                 }
                 JournalRecord::RollbackIssued { step } => {
@@ -1214,7 +1058,7 @@ impl ManagerCore {
                     core.pending_rollback =
                         core.steps[core.step_ix].locals.iter().map(|(a, _)| *a).collect();
                     core.retries = 0;
-                    cursor = Cursor::WaitRollback;
+                    cursor = Cursor::Wait;
                 }
                 JournalRecord::RollbackComplete { step, retry } => {
                     if *step != core.step_id {
@@ -1222,7 +1066,8 @@ impl ManagerCore {
                     }
                     core.step_retry_used = *retry;
                     core.pending_rollback.clear();
-                    cursor = Cursor::AfterRollback { retry: *retry };
+                    // Rung 1 retries the step; later rungs re-plan.
+                    cursor = if *retry { Cursor::StartStep } else { Cursor::Decide };
                 }
                 JournalRecord::Outcome { gave_up, .. } => {
                     core.phase =
@@ -1238,62 +1083,28 @@ impl ManagerCore {
             step: (core.step_id.0 != 0).then_some(core.step_id.0),
         }));
 
-        let mut eff = Vec::new();
-        match cursor {
-            Cursor::Idle => {
-                // Re-taking a give-up decision would double-complete; a
-                // successfully idle manager only owes service to the queue.
-                if core.phase == ManagerPhase::Running {
-                    if let Some((source, target)) = core.queued_requests.pop_front() {
-                        let effective_source =
-                            if source == core.current { source } else { core.current.clone() };
-                        eff.push(ManagerEffect::Info("starting queued adaptation request".into()));
-                        eff.extend(core.on_request(effective_source, target));
-                    }
-                }
-            }
-            Cursor::Decide => eff.extend(core.select_and_start()),
-            Cursor::StartStep => eff.extend(core.start_step()),
-            Cursor::AfterCommit => eff.extend(core.advance_after_commit()),
-            Cursor::AfterRollback { retry } => {
-                if retry {
-                    eff.push(ManagerEffect::Info(format!("retrying step {} once", core.step_ix)));
-                    eff.extend(core.start_step());
-                } else {
-                    eff.extend(core.select_and_start());
-                }
-            }
-            Cursor::WaitAdapt | Cursor::WaitResume | Cursor::WaitRollback => {
-                // Mid-wait: which acks the dead incarnation saw is unknown.
-                // Reset the barrier conservatively and probe everyone.
+        let eff = match cursor {
+            // Re-taking a give-up decision would double-complete; a
+            // successfully idle manager only owes service to the queue.
+            Cursor::Idle if core.phase == ManagerPhase::Running => core.serve_queued(),
+            Cursor::Idle => Vec::new(),
+            Cursor::Decide => core.select_and_start(),
+            Cursor::StartStep => core.start_step(),
+            Cursor::AfterCommit => core.advance_after_commit(),
+            Cursor::Wait => {
+                // Mid-wait: which acks the dead incarnation saw is unknown,
+                // so probe every participant.
                 let participants: BTreeSet<usize> =
                     core.steps[core.step_ix].locals.iter().map(|(a, _)| *a).collect();
-                match cursor {
-                    Cursor::WaitAdapt => {
-                        core.pending_adapt = participants.clone();
-                        core.pending_resume = participants.clone();
-                    }
-                    Cursor::WaitResume => {
-                        core.pending_adapt.clear();
-                        core.pending_resume = participants.clone();
-                    }
-                    Cursor::WaitRollback => core.pending_rollback = participants.clone(),
-                    _ => unreachable!(),
-                }
-                eff.push(ManagerEffect::Info(format!(
-                    "restored mid-{:?}; reconciling {} with {} participant(s)",
-                    core.phase,
-                    core.step_id,
-                    participants.len()
-                )));
-                for agent in &participants {
-                    core.obs
-                        .push(Payload::Proto(ProtoEvent::StateQueried { agent: *agent as u32 }));
-                    eff.push(ManagerEffect::Send { agent: *agent, msg: ProtoMsg::QueryState });
+                let mut eff = Vec::new();
+                for agent in participants {
+                    core.obs.push(Payload::Proto(ProtoEvent::StateQueried { agent: agent as u32 }));
+                    eff.push(ManagerEffect::Send { agent, msg: ProtoMsg::QueryState });
                 }
                 core.fresh_timer(&mut eff);
+                eff
             }
-        }
+        };
         Ok((core, eff))
     }
 }

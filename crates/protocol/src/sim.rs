@@ -49,7 +49,8 @@ type Ctx<'a, M, K> = Context<'a, Wire<M>, ProtoTimer<K>>;
 ///
 /// Generic over the application payload `M` (the manager itself only speaks
 /// [`ProtoMsg`](crate::ProtoMsg)). The adaptation request fires at
-/// start-up; the outcome is readable from the actor state after the run.
+/// start-up; the outcome and the journal, the account of every decision
+/// the manager took, are readable from the actor state after the run.
 ///
 /// The actor models the durability split of a crash-safe deployment: the
 /// [`ManagerCore`], its timers and its host state are the volatile process
@@ -83,8 +84,6 @@ pub struct ManagerActor<M> {
     /// Virtual time at which the outcome was produced (the realization
     /// latency; the simulation may quiesce later while stale timers drain).
     pub completed_at: Option<sada_simnet::SimTime>,
-    /// Progress log (the manager's `Info` effects).
-    pub infos: Vec<String>,
     _marker: PhantomData<fn() -> M>,
 }
 
@@ -110,7 +109,6 @@ impl<M> ManagerActor<M> {
             restores: 0,
             outcome: None,
             completed_at: None,
-            infos: Vec::new(),
             _marker: PhantomData,
         }
     }
@@ -170,7 +168,6 @@ impl<M: Clone + 'static> ManagerActor<M> {
                     self.completed_at = Some(ctx.now());
                 }
                 ManagerEffect::Journal(rec) => self.journal.push(rec),
-                ManagerEffect::Info(s) => self.infos.push(s),
                 _ => {} // the host put it on the wire
             }
         }

@@ -2,13 +2,17 @@
 //! agents, with the paper's failure classes injected through link loss,
 //! partitions, and fail-to-reset agents.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
+use std::rc::Rc;
 
 use sada_expr::{Config, InvariantSet, Universe};
 use sada_model::SystemModel;
+use sada_obs::{Bus, Counts, Kind};
 use sada_plan::{Action, ActionId, Search};
 use sada_proto::{
-    AgentTiming, ManagerActor, ProtoTimer, ProtoTiming, ScriptedAgent, SearchPlanner, Wire,
+    encode_journal, AgentTiming, ManagerActor, ProtoTimer, ProtoTiming, ScriptedAgent,
+    SearchPlanner, Wire,
 };
 use sada_simnet::{ActorId, LinkConfig, SimDuration, Simulator};
 
@@ -19,6 +23,8 @@ struct World {
     manager: ActorId,
     agents: Vec<ActorId>,
     universe: Universe,
+    /// The manager's events, counted per kind.
+    counts: Rc<RefCell<Counts>>,
 }
 
 /// Two-agent system: encoder-ish component on agent 0, decoder-ish on
@@ -53,6 +59,8 @@ fn build_world(seed: u64, source: &[&str], target: &[&str], timing: ProtoTiming)
     let planner = SearchPlanner::new(search, model, drain);
 
     let mut sim: Simulator<Msg, ProtoTimer> = Simulator::new(seed);
+    let (bus, counts) = (Bus::new(), Rc::new(RefCell::new(Counts::new())));
+    bus.attach(&counts);
     // Agents must exist before the manager so their ids are known.
     let a0 = sim
         .add_actor("agent-x", ScriptedAgent::new(ActorId::from_index(2), AgentTiming::default()));
@@ -66,10 +74,16 @@ fn build_world(seed: u64, source: &[&str], target: &[&str], timing: ProtoTiming)
             vec![a0, a1],
             u.config_of(source),
             u.config_of(target),
-        ),
+        )
+        .with_bus(bus),
     );
     assert_eq!(manager, ActorId::from_index(2), "manager id wired into agents");
-    World { sim, manager, agents: vec![a0, a1], universe: u }
+    World { sim, manager, agents: vec![a0, a1], universe: u, counts }
+}
+
+/// The manager's journal, as text: what a failed assertion prints.
+fn journal_of(world: &World) -> String {
+    encode_journal(&world.sim.actor::<ManagerActor<()>>(world.manager).unwrap().journal)
 }
 
 fn outcome_of(world: &Simulator<Msg, ProtoTimer>, manager: ActorId) -> sada_proto::Outcome {
@@ -140,10 +154,10 @@ fn happy_path_reaches_target_in_order() {
     let mut w = build_world(1, &["X1", "Y1"], &["X2", "Y2"], ProtoTiming::default());
     w.sim.run();
     let o = outcome_of(&w.sim, w.manager);
-    assert!(o.success, "infos: {:?}", w.sim.actor::<ManagerActor<()>>(w.manager).unwrap().infos);
+    assert!(o.success, "journal:\n{}", journal_of(&w));
     assert_eq!(o.final_config, w.universe.config_of(&["X2", "Y2"]));
     assert_eq!(o.steps_committed, 2, "X first (Y2 => X2), then Y");
-    assert!(o.warnings.is_empty());
+    assert_eq!(w.counts.borrow()[Kind::RetrySent], 0, "no retransmissions");
     // Replaying the agents' applied actions lands on the same config.
     let actions = case_actions(&w.universe);
     let replayed = replay_applied(
@@ -410,7 +424,7 @@ fn agent_crash_mid_step_rejoins_and_reaches_target() {
     w.sim.schedule_faults(&plan);
     w.sim.run();
     let o = outcome_of(&w.sim, w.manager);
-    assert!(o.success, "infos: {:?}", w.sim.actor::<ManagerActor<()>>(w.manager).unwrap().infos);
+    assert!(o.success, "journal:\n{}", journal_of(&w));
     assert_eq!(o.final_config, w.universe.config_of(&["X2", "Y2"]));
     let ax = w.sim.actor::<ScriptedAgent>(w.agents[0]).unwrap();
     assert_eq!(ax.crashes, 1);

@@ -4,13 +4,16 @@
 
 use sada_expr::{InvariantSet, Universe};
 use sada_model::SystemModel;
+use sada_obs::{Bus, Counts, Kind};
 use sada_plan::{Action, Search};
 use sada_proto::{
-    AgentTiming, ManagerActor, ProtoTimer, ProtoTiming, RelayActor, ScriptedAgent, SearchPlanner,
-    Wire,
+    encode_journal, AgentTiming, ManagerActor, ProtoTimer, ProtoTiming, RelayActor, ScriptedAgent,
+    SearchPlanner, Wire,
 };
 use sada_simnet::{LinkConfig, SimDuration, Simulator};
+use std::cell::RefCell;
 use std::collections::HashSet;
+use std::rc::Rc;
 
 type Msg = Wire<()>;
 
@@ -26,6 +29,13 @@ fn planner() -> (Universe, SearchPlanner) {
     let p = model.add_process();
     model.place_all(&u, &[("A", p), ("B", p)]);
     (u.clone(), SearchPlanner::new(search, model, HashSet::new()))
+}
+
+/// A bus counting every event emitted on it, per kind.
+fn counted() -> (Bus, Rc<RefCell<Counts>>) {
+    let (bus, counts) = (Bus::new(), Rc::new(RefCell::new(Counts::new())));
+    bus.attach(&counts);
+    (bus, counts)
 }
 
 #[test]
@@ -144,6 +154,7 @@ fn deep_chains_still_converge_within_timeouts() {
     // manager <-> r1 <-> r2 <-> r3 <-> agent, 4 hops each way at 4ms:
     // well under the 200ms phase timeout.
     let (u, planner) = planner();
+    let (bus, counts) = counted();
     let mut sim: Simulator<Msg, ProtoTimer> = Simulator::new(5);
     sim.set_default_link(LinkConfig::reliable(SimDuration::from_millis(4)));
     let id = sada_simnet::ActorId::from_index;
@@ -159,16 +170,19 @@ fn deep_chains_still_converge_within_timeouts() {
             vec![r1],
             u.config_of(&["A"]),
             u.config_of(&["B"]),
-        ),
+        )
+        .with_bus(bus),
     ); // 4
     sim.run();
     let o = sim.actor::<ManagerActor<()>>(manager).unwrap().outcome.clone().unwrap();
     assert!(o.success);
-    assert!(o.warnings.is_empty(), "no retransmissions needed");
+    assert_eq!(counts.borrow()[Kind::RetrySent], 0, "no retransmissions needed");
     // Message amplification: each logical message crosses 4 links.
     assert!(sim.stats().delivered > 12);
 }
 
+/// Dropping `RetrySent` on a retransmission fails here: the stream is the
+/// only account of the retransmissions.
 #[test]
 fn shrunken_retry_base_over_a_deep_chain_retransmits_but_applies_once() {
     // Same 4-hop chain, but the retry base is squeezed to 10 ms — well
@@ -178,6 +192,7 @@ fn shrunken_retry_base_over_a_deep_chain_retransmits_but_applies_once() {
     // of the action, with no duplicate effects.
     use sada_resilience::RetryPolicy;
     let (u, planner) = planner();
+    let (bus, counts) = counted();
     let mut sim: Simulator<Msg, ProtoTimer> = Simulator::new(5);
     sim.set_default_link(LinkConfig::reliable(SimDuration::from_millis(4)));
     let id = sada_simnet::ActorId::from_index;
@@ -201,16 +216,17 @@ fn shrunken_retry_base_over_a_deep_chain_retransmits_but_applies_once() {
             vec![r1],
             u.config_of(&["A"]),
             u.config_of(&["B"]),
-        ),
+        )
+        .with_bus(bus),
     ); // 4
     sim.run();
     let m = sim.actor::<ManagerActor<()>>(manager).unwrap();
     let o = m.outcome.clone().expect("resolved");
     assert!(o.success, "premature timeouts only cost traffic, not correctness");
     assert!(
-        m.infos.iter().any(|i| i.contains("retransmitting")),
-        "the squeezed base must actually fire spurious retransmissions: {:?}",
-        m.infos
+        counts.borrow()[Kind::RetrySent] > 0,
+        "the squeezed base must actually fire spurious retransmissions:\n{}",
+        encode_journal(&m.journal)
     );
     let agent_state = sim.actor::<ScriptedAgent>(agent).unwrap();
     assert_eq!(agent_state.applied.len(), 1, "re-received resets are absorbed, not re-applied");

@@ -120,7 +120,7 @@ fn check_plan(
         return Err("plan passes through unsafe state");
     }
     for step in &path.steps {
-        let Some(action) = planner.repertoire().find(|a| a.id() == step.action) else {
+        let Some(action) = planner.scoped_action(step.action) else {
             return Err("plan step is outside its scope");
         };
         if step.cost != action.cost()

@@ -81,7 +81,7 @@ fn default_safe_run_is_pinned() {
             events: 3054,
             stream: 0x593a882d06155e9a,
             per_instant: 0x36d1e3730b63f4ec,
-            report: 0x9a8cc029e41cb036,
+            report: 0x87bb803768c2846d,
         }
     );
 }
@@ -100,7 +100,7 @@ fn manager_crash_during_rollback_is_pinned() {
             events: 3120,
             stream: 0x7c79bb5c8f9d4883,
             per_instant: 0x3e94291b9ef756eb,
-            report: 0x437ab5b62249199a,
+            report: 0x4c0e658fa04e88d3,
         }
     );
 }
@@ -119,7 +119,7 @@ fn solo_commit_outrunning_a_rollback_is_pinned() {
             events: 3152,
             stream: 0xacce3e43b469bf0c,
             per_instant: 0x90bbbdae7f449620,
-            report: 0xd7ef5f710df4b9d3,
+            report: 0x38233d6622ed9c60,
         }
     );
 }
@@ -135,7 +135,7 @@ fn handheld_crash_is_pinned() {
             events: 3110,
             stream: 0x2d460ae5e2d1be59,
             per_instant: 0x541c558fb357a4d7,
-            report: 0x792024e6116d8049,
+            report: 0x56d41b11cc3b7102,
         }
     );
 }
@@ -150,7 +150,7 @@ fn fec_scenario_is_pinned() {
             events: 6508,
             stream: 0x17210de40adf6e06,
             per_instant: 0x9bc6b2ee5b7aac50,
-            report: 0x1703351f52702c59,
+            report: 0xdb482174dd051870,
         }
     );
 }

@@ -7,6 +7,7 @@
 
 use sada_repro::core::casestudy::case_study;
 use sada_repro::core::{run_adaptation, RunConfig};
+use sada_repro::proto::encode_journal;
 use sada_repro::simnet::{LinkConfig, SimDuration};
 
 fn main() {
@@ -31,17 +32,12 @@ fn main() {
         };
         let report = run_adaptation(&cs.spec, &cs.source, &cs.target, &cfg);
         println!(
-            "  seed {seed}: success={} gave_up={} final={} dropped {} of {} msgs{}",
+            "  seed {seed}: success={} gave_up={} final={} dropped {} of {} msgs",
             report.outcome.success,
             report.outcome.gave_up,
             report.outcome.final_config.to_bit_string(),
             report.messages_dropped,
             report.messages_sent,
-            if report.outcome.warnings.is_empty() {
-                String::new()
-            } else {
-                format!(" warnings={:?}", report.outcome.warnings)
-            },
         );
         assert!(cs.spec.is_safe(&report.outcome.final_config), "must always end safe");
     }
@@ -55,9 +51,9 @@ fn main() {
         report.outcome.gave_up,
         report.outcome.final_config.to_bit_string()
     );
-    println!("  manager log:");
-    for info in &report.infos {
-        println!("    - {info}");
+    println!("  manager journal (every decision, in order):");
+    for line in encode_journal(&report.journal).lines() {
+        println!("    {line}");
     }
     assert!(!report.outcome.success);
     assert!(cs.spec.is_safe(&report.outcome.final_config));

@@ -298,7 +298,7 @@ fn sustained_delay_bursts_hold_the_contract_under_adaptive_timeouts() {
         run_adaptation(&cs.spec, &cs.source, &cs.target, &cfg)
     };
     assert_contract(&cs, &plan, "delay bursts / adaptive", &adaptive);
-    assert!(adaptive.outcome.success, "{:?}", adaptive.infos);
+    assert!(adaptive.outcome.success, "{}", sada_proto::encode_journal(&adaptive.journal));
     // The run is pinned: a change to how the manager reports its RTT
     // estimates may move how many `fleet.rto` events it emits, never what
     // it sends, when it finishes or what it journals.
